@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all build fmt fmt-fix vet lint lint-audit lint-vet test race race-repr bench bench-all bench-check bench-json bench-ooc-json bench-hybrid-json dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test race race-repr bench bench-all bench-check dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The benchmark harness is a module of its own that compiles against
+# internal/, so `go build ./...` never sees it and a refactor can break
+# it silently.  vet, not build: `go build -C benchmark ./...` would
+# overwrite the committed benchmark/benchmark binary.
+vet-benchmark:
+	$(GO) vet -C benchmark ./...
 
 # Fails if any file needs reformatting (CI gate); use fmt-fix to apply.
 fmt:
@@ -89,22 +96,6 @@ bench-all:
 bench-check:
 	$(GO) run ./cmd/benchall -check -out BENCH_all.json
 
-# DEPRECATED: superseded by bench-all — BENCH_all.json carries the same
-# representation scenarios in the unified trajectory.  Kept one release
-# for dashboards pinned to BENCH_repr.json; will be removed.
-bench-json:
-	$(GO) run ./cmd/benchrepr -out BENCH_repr.json
-
-# DEPRECATED: superseded by bench-all (see bench-json).  Kept one
-# release for dashboards pinned to BENCH_ooc.json; will be removed.
-bench-ooc-json:
-	$(GO) run ./cmd/benchooc -out BENCH_ooc.json
-
-# DEPRECATED: superseded by bench-all (see bench-json).  Kept one
-# release for dashboards pinned to BENCH_hybrid.json; will be removed.
-bench-hybrid-json:
-	$(GO) run ./cmd/benchhybrid -out BENCH_hybrid.json
-
 # Resume-after-kill smoke test: checkpoint, kill by timeout, resume,
 # reconcile clique counts against an uninterrupted run.
 smoke-resume:
@@ -144,4 +135,4 @@ examples:
 
 check: fmt vet lint test
 
-ci: fmt vet lint lint-audit build test race race-repr bench bench-check examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity
+ci: fmt vet lint lint-audit build vet-benchmark test race race-repr bench bench-check examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity

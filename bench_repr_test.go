@@ -3,8 +3,8 @@ package repro_test
 // BenchmarkRepresentations measures the representation trade-off on a
 // sparse and a dense synthetic graph: enumeration time per backend with
 // the peak adjacency bytes attached as a custom metric.  `make bench`
-// runs a short sweep; `make bench-json` (cmd/benchrepr) writes the
-// machine-readable BENCH_repr.json trajectory artifact.
+// runs a short sweep; `make bench-all` (cmd/benchall) records the same
+// scenarios in the BENCH_all.json trajectory.
 
 import (
 	"context"

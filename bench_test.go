@@ -223,7 +223,7 @@ func BenchmarkSeedFromKSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SeedFromK(g, 5, true, nil); err != nil {
+		if _, _, err := core.SeedFromKMode(g, 5, core.CNStore, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 // Command benchall is the unified benchmark trajectory: one binary that
 // runs the representation, out-of-core and hybrid enumeration scenarios
-// (the workloads benchrepr/benchooc/benchhybrid each snapshot once) plus
-// the kernel microbenchmarks underneath them, and appends the result to
+// plus the kernel microbenchmarks underneath them, and appends the result to
 // a single versioned history file.  `make bench-all` runs it and commits
 // the entry to BENCH_all.json; `make bench-check` (benchall -check)
 // compares the last two entries and fails on a >10% per-scenario

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -63,7 +64,7 @@ func main() {
 	flag.Bool("worker", false, "serve as a distributed enumeration worker over stdin/stdout (activated by the coordinator's environment; this flag is the argv marker)")
 	flag.Parse()
 
-	if err := run(*addr, service.Config{
+	if err := run(os.Stdout, *addr, service.Config{
 		Budget:        *budget,
 		QueueDepth:    *queueDepth,
 		QueueWait:     *queueWait,
@@ -86,27 +87,32 @@ func cacheOrDisabled(n int64) int64 {
 	return n
 }
 
-func run(addr string, cfg service.Config, preload []string) error {
+// run serves until SIGINT/SIGTERM, then drains; out receives the
+// "listening on" and "loaded" lines.
+func run(out io.Writer, addr string, cfg service.Config, preload []string) error {
 	srv := service.New(cfg)
 	for _, arg := range preload {
 		name, path, ok := strings.Cut(arg, "=")
 		if !ok {
 			name, path = arg, arg
 		}
-		if err := loadFile(srv, name, path); err != nil {
+		if err := loadFile(out, srv, name, path); err != nil {
 			return err
 		}
 	}
 
+	// The handler goes in before the address is announced: a supervisor
+	// may send SIGTERM the instant it reads the line below, and that must
+	// drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cliqued: listening on %s\n", ln.Addr())
+	fmt.Fprintf(out, "cliqued: listening on %s\n", ln.Addr())
 
 	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -129,7 +135,7 @@ func run(addr string, cfg service.Config, preload []string) error {
 
 // loadFile preloads one graph into the registry (format auto-detected,
 // exactly as POST /graphs does for uploads).
-func loadFile(srv *service.Server, name, path string) error {
+func loadFile(out io.Writer, srv *service.Server, name, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -146,6 +152,6 @@ func loadFile(srv *service.Server, name, path string) error {
 	if err != nil {
 		return fmt.Errorf("load %s: %w", path, err)
 	}
-	fmt.Printf("cliqued: loaded %s as %s (n=%d m=%d)\n", path, e.Fingerprint, g.N(), g.M())
+	fmt.Fprintf(out, "cliqued: loaded %s as %s (n=%d m=%d)\n", path, e.Fingerprint, g.N(), g.M())
 	return nil
 }

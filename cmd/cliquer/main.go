@@ -1,7 +1,7 @@
 // Command cliquer runs the paper's full analysis pipeline on a graph:
 // maximum clique upper bound, then maximal clique enumeration over a size
 // range, on any of the enumeration backends behind the repro.Enumerator
-// facade — sequential, parallel (streaming or barrier), or out-of-core.
+// facade — sequential, parallel, out-of-core, hybrid, or distributed.
 //
 // Usage:
 //
@@ -12,8 +12,7 @@
 // non-decreasing size order; use -count to suppress the listing.
 //
 // Parallel runs (-workers > 1) use the persistent streaming worker pool;
-// -strategy selects the dispatch policy (affinity or contiguous),
-// -barrier switches to the bulk-synchronous reference backend, and
+// -strategy selects the dispatch policy (affinity or contiguous), and
 // -stats streams per-level statistics to stderr.  -ooc DIR spills levels
 // to disk instead of memory; -ooc-workers joins the level shards
 // concurrently, -ooc-compress delta-varint encodes the level records,
@@ -21,7 +20,7 @@
 // continued with -resume DIR (same graph file).
 //
 // -mem-budget BYTES arms the memory governor on any backend: a purely
-// in-core run (sequential, parallel, barrier) aborts with partial
+// in-core run (sequential or parallel) aborts with partial
 // statistics when the budget trips, while -mem-budget combined with
 // -ooc DIR selects the adaptive hybrid backend — the run starts in core
 // and transparently spills to DIR and continues out-of-core the moment
@@ -75,7 +74,6 @@ func main() {
 	hi := flag.Int("hi", 0, "largest clique size (0: compute maximum clique and use it)")
 	workers := flag.Int("workers", 1, "worker threads (1 = sequential)")
 	strategy := flag.String("strategy", "affinity", "parallel dispatch strategy: affinity or contiguous")
-	barrier := flag.Bool("barrier", false, "use the bulk-synchronous reference backend instead of the streaming pool")
 	stats := flag.Bool("stats", false, "print live per-level statistics")
 	countOnly := flag.Bool("count", false, "print counts only, not the cliques")
 	dimacs := flag.Bool("dimacs", false, "input is DIMACS clique format")
@@ -118,7 +116,7 @@ func main() {
 
 	err := run(ctx, flag.Arg(0), options{
 		lo: *lo, hi: *hi, workers: *workers, strategy: *strategy,
-		barrier: *barrier, stats: *stats, countOnly: *countOnly,
+		stats: *stats, countOnly: *countOnly,
 		dimacs: *dimacs, recompute: *recompute, compress: *compress,
 		repr: *repr, oocDir: *oocDir, oocWorkers: *oocWorkers,
 		oocCompress: *oocCompress, oocCheckpoint: *oocCheckpoint,
@@ -134,20 +132,20 @@ func main() {
 }
 
 type options struct {
-	lo, hi, workers                   int
-	strategy                          string
-	barrier, stats, countOnly, dimacs bool
-	recompute, compress, noBound      bool
-	repr                              string
-	oocDir                            string
-	oocWorkers                        int
-	oocCompress, oocCheckpoint        bool
-	resume                            string
-	budget, spill                     int64
-	dist                              int
-	distWorkerCmd                     string
-	distLease                         time.Duration
-	distShardBytes                    int64
+	lo, hi, workers              int
+	strategy                     string
+	stats, countOnly, dimacs     bool
+	recompute, compress, noBound bool
+	repr                         string
+	oocDir                       string
+	oocWorkers                   int
+	oocCompress, oocCheckpoint   bool
+	resume                       string
+	budget, spill                int64
+	dist                         int
+	distWorkerCmd                string
+	distLease                    time.Duration
+	distShardBytes               int64
 }
 
 func parseStrategy(s string) (repro.Strategy, error) {
@@ -225,11 +223,6 @@ func run(ctx context.Context, path string, o options) error {
 	opts := []repro.Option{repro.WithBounds(o.lo, o.hi)}
 	if o.workers > 1 {
 		opts = append(opts, repro.WithWorkers(o.workers), repro.WithStrategy(strategy))
-		if o.barrier {
-			opts = append(opts, repro.WithBarrier())
-		}
-	} else if o.barrier {
-		fmt.Fprintln(os.Stderr, "cliquer: ignoring -barrier: not a parallel run (use -workers > 1)")
 	}
 	if o.recompute {
 		opts = append(opts, repro.WithLowMemory())
@@ -354,7 +347,7 @@ func printSummary(w *os.File, state string, st *repro.Stats, o options) {
 				st.SpillRawBytesWritten, st.SpillBytesWritten,
 				float64(st.SpillRawBytesWritten)/float64(st.SpillBytesWritten))
 		}
-	case st.Backend == "parallel" || st.Backend == "parallel-barrier":
+	case st.Backend == "parallel":
 		fmt.Fprintf(w, "  pool: %d workers, %d transfers\n", len(st.WorkerBusy), st.Transfers)
 	}
 	if st.PeakBytes > 0 {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/membudget"
 	"repro/internal/ooc"
 	"repro/internal/paraclique"
-	"repro/internal/parallel"
 )
 
 // ErrMemoryBudget is the sentinel wrapped by every backend's
@@ -62,7 +61,7 @@ func NewCounter() *Counter { return clique.NewCounter() }
 // retained — this is what a Ctrl-C'd cliquer prints.
 type Stats struct {
 	// Backend names the execution regime that ran: "sequential",
-	// "parallel", "parallel-barrier", "out-of-core",
+	// "parallel", "out-of-core", "distributed",
 	// "hybrid(sequential)" / "hybrid(parallel)" (annotated with
 	// "->out-of-core@k" once a hybrid run spills), or "paraclique" for
 	// Paracliques.
@@ -115,8 +114,9 @@ type Stats struct {
 }
 
 // LevelStats is the per-generation-step view common to every backend.
-// Fields a backend does not measure are zero (e.g. Transfers outside the
-// parallel pool, ResidentBytes in the barrier pool).
+// The in-core engines fill the same fields with the same values for the
+// same run (sequential, any worker count, either strategy); Transfers is
+// zero outside the worker pool, Sublists zero out of core.
 type LevelStats struct {
 	FromK         int   // size of the consumed candidates
 	Sublists      int   // sub-lists consumed (in-core backends)
@@ -183,14 +183,6 @@ func WithWorkers(n int) Option {
 // WithStrategy picks the parallel dispatch policy (default Contiguous).
 func WithStrategy(s Strategy) Option {
 	return func(e *Enumerator) { e.cfg.Strategy = s }
-}
-
-// WithBarrier switches the parallel backend to the bulk-synchronous
-// reference pool — the benchmark baseline.  Emission order within a level
-// follows worker order, so full canonical order is only guaranteed with
-// the Contiguous strategy; cancellation is level-granular.
-func WithBarrier() Option {
-	return func(e *Enumerator) { e.cfg.Barrier = true }
 }
 
 // OutOfCoreOption tunes the out-of-core backend selected by
@@ -323,9 +315,9 @@ func WithDistributed(workers int, dir string, knobs ...DistOption) Option {
 // WithMemoryBudget sets the run's memory governor budget: the bound on
 // everything the run declares resident — the graph representation's
 // adjacency bytes, the paper-formula candidate storage, worker scratch,
-// and spill I/O buffers.  On the in-core backends (sequential, parallel,
-// barrier) exceeding it aborts with core.ErrMemoryBudget — the
-// in-library analogue of the paper's graph-B blow-up termination.
+// and spill I/O buffers.  On the in-core backends (sequential, parallel)
+// exceeding it aborts with core.ErrMemoryBudget — the in-library
+// analogue of the paper's graph-B blow-up termination.
 // Combined with a spill directory (WithOutOfCore or WithSpillover) it
 // instead selects the hybrid backend, which transparently continues the
 // run out of core when the budget trips.
@@ -437,12 +429,10 @@ func WithOnLevel(fn func(LevelStats)) Option {
 // Run enumerates the maximal cliques of g on the configured backend,
 // delivering each to r (which may be nil to count only) in
 // non-decreasing order of size, canonical order within a size — the same
-// stream from every backend, with one documented exception: the
-// benchmark-only WithBarrier pool under the Affinity strategy guarantees
-// size order but emits worker order within a level.  It returns the
-// number of cliques delivered.  Cancel ctx to abort: Run then returns
-// the count so far and an error wrapping ctx.Err(), worker pools shut
-// down cleanly, and spill files are removed.
+// stream from every backend.  It returns the number of cliques
+// delivered.  Cancel ctx to abort: Run then returns the count so far and
+// an error wrapping ctx.Err(), worker pools shut down cleanly, and spill
+// files are removed.
 func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int64, error) {
 	cfg, err := e.runConfig(ctx)
 	if err != nil {
@@ -476,16 +466,12 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 		}
 	}()
 	switch cfg.Backend() {
-	case enumcfg.Hybrid:
-		return e.runHybrid(cfg, g, r, st, gov)
 	case enumcfg.OutOfCore:
 		return e.runOutOfCore(cfg, g, r, st, gov)
 	case enumcfg.Distributed:
 		return e.runDistributed(cfg, g, r, st, gov)
-	case enumcfg.Parallel, enumcfg.ParallelBarrier:
-		return e.runParallel(cfg, g, r, st, gov)
 	}
-	return e.runSequential(cfg, g, r, st, gov)
+	return e.runInCore(cfg, g, r, st, gov)
 }
 
 // Cliques returns a range-over-func iterator over the maximal cliques of
@@ -655,44 +641,32 @@ func (e *Enumerator) observe(st *Stats, ls LevelStats) {
 	}
 }
 
-func (e *Enumerator) runSequential(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	opts := core.OptionsFromConfig(cfg)
+// runInCore is the sequential, parallel and hybrid backends: one in-core
+// level loop whose engine follows cfg.Workers and whose budget-trip
+// policy follows cfg.Dir (abort without a spill directory, drain to disk
+// and continue out of core with one).
+func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
+	opts := hybrid.OptionsFromConfig(cfg)
 	opts.Reporter = r
 	opts.Gov = gov
 	if st != nil || e.onLevel != nil {
 		opts.OnLevel = func(ls core.LevelStats) {
+			if st != nil && len(ls.WorkerBusy) > 0 {
+				if st.WorkerBusy == nil {
+					st.WorkerBusy = make([]float64, len(ls.WorkerBusy))
+				}
+				for w, busy := range ls.WorkerBusy {
+					st.WorkerBusy[w] += busy
+				}
+				st.Transfers += ls.Transfers
+			}
 			e.observe(st, LevelStats{
 				FromK:         ls.FromK,
 				Sublists:      ls.Sublists,
 				Cliques:       ls.Cliques,
 				Maximal:       ls.Maximal,
 				ResidentBytes: ls.Bytes + ls.NextBytes,
-			})
-		}
-	}
-	res, err := core.Enumerate(g, opts)
-	if res == nil {
-		return 0, err
-	}
-	if st != nil {
-		st.MaximalCliques = res.MaximalCliques
-		st.MaxCliqueSize = res.MaxCliqueSize
-	}
-	return res.MaximalCliques, err
-}
-
-func (e *Enumerator) runHybrid(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	opts := hybrid.OptionsFromConfig(cfg)
-	opts.Reporter = r
-	opts.Gov = gov
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls hybrid.LevelStats) {
-			e.observe(st, LevelStats{
-				FromK:         ls.FromK,
-				Sublists:      ls.Sublists,
-				Cliques:       ls.Cliques,
-				Maximal:       ls.Maximal,
-				ResidentBytes: ls.ResidentBytes,
+				Transfers:     ls.Transfers,
 			})
 		}
 	}
@@ -715,44 +689,54 @@ func (e *Enumerator) runHybrid(cfg enumcfg.Config, g GraphInterface, r Reporter,
 	return res.MaximalCliques, err
 }
 
-func (e *Enumerator) runParallel(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	opts := parallel.OptionsFromConfig(cfg)
-	opts.Reporter = r
-	opts.Gov = gov
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls parallel.LevelStats) {
-			e.observe(st, LevelStats{
-				FromK:     ls.FromK,
-				Sublists:  ls.Sublists,
-				Maximal:   ls.Maximal,
-				Transfers: ls.Transfers,
-			})
+// diskRun is the delivery side shared by the out-of-core and distributed
+// backends.  Both report every maximal clique of size >= 3; the facade
+// applies the configured lower bound and counts what it delivers.
+type diskRun struct {
+	lo      int
+	r       Reporter
+	count   int64
+	maxSize int
+}
+
+func (d *diskRun) Emit(c Clique) {
+	if len(c) < d.lo {
+		return
+	}
+	d.count++
+	if len(c) > d.maxSize {
+		d.maxSize = len(c)
+	}
+	if d.r != nil {
+		d.r.Emit(c)
+	}
+}
+
+// onLevel adapts the disk engines' level record.  A step FromK ->
+// FromK+1 reports maximal cliques of size exactly FromK+1, so the
+// lower-bound filter zeroes whole levels — keeping sum(Levels[].Maximal)
+// equal to the delivered count, as on the in-core backends.
+func (e *Enumerator) diskOnLevel(lo int, st *Stats) func(ooc.LevelStats) {
+	if st == nil && e.onLevel == nil {
+		return nil
+	}
+	return func(ls ooc.LevelStats) {
+		maximal := ls.Maximal
+		if ls.FromK+1 < lo {
+			maximal = 0
 		}
+		e.observe(st, LevelStats{
+			FromK:         ls.FromK,
+			Cliques:       ls.Cliques,
+			Maximal:       maximal,
+			ResidentBytes: ls.FileBytes + ls.NextBytes,
+		})
 	}
-	enumerate := parallel.Enumerate
-	if cfg.Barrier {
-		enumerate = parallel.EnumerateBarrier
-	}
-	res, err := enumerate(g, opts)
-	if res == nil {
-		return 0, err
-	}
-	if st != nil {
-		st.MaximalCliques = res.MaximalCliques
-		st.MaxCliqueSize = res.MaxCliqueSize
-		st.WorkerBusy = res.WorkerBusy
-		st.Transfers = res.Transfers
-	}
-	return res.MaximalCliques, err
 }
 
 func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	// Like the out-of-core backend, the coordinator reports every
-	// maximal clique of size >= 3; the facade applies the configured
-	// lower bound and counts what it delivers.
-	var count int64
-	maxSize := 0
-	opts := dist.Options{
+	d := &diskRun{lo: cfg.Lo, r: r}
+	dst, err := dist.Enumerate(g, dist.Options{
 		Ctx:          cfg.Ctx,
 		Dir:          cfg.Dir,
 		Workers:      cfg.DistWorkers,
@@ -762,39 +746,12 @@ func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Repo
 		Compress:     cfg.OOCCompress,
 		ShardBytes:   cfg.DistShardBytes,
 		Gov:          gov,
-		Reporter: ReporterFunc(func(c Clique) {
-			if len(c) < cfg.Lo {
-				return
-			}
-			count++
-			if len(c) > maxSize {
-				maxSize = len(c)
-			}
-			if r != nil {
-				r.Emit(c)
-			}
-		}),
-	}
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls ooc.LevelStats) {
-			// Same whole-level zeroing as runOutOfCore: a step FromK ->
-			// FromK+1 reports cliques of size exactly FromK+1.
-			maximal := ls.Maximal
-			if ls.FromK+1 < cfg.Lo {
-				maximal = 0
-			}
-			e.observe(st, LevelStats{
-				FromK:         ls.FromK,
-				Cliques:       ls.Cliques,
-				Maximal:       maximal,
-				ResidentBytes: ls.FileBytes + ls.NextBytes,
-			})
-		}
-	}
-	dst, err := dist.Enumerate(g, opts)
+		Reporter:     d,
+		OnLevel:      e.diskOnLevel(cfg.Lo, st),
+	})
 	if st != nil {
-		st.MaximalCliques = count
-		st.MaxCliqueSize = maxSize
+		st.MaximalCliques = d.count
+		st.MaxCliqueSize = d.maxSize
 		st.SpillBytesWritten = dst.BytesWritten
 		st.SpillRawBytesWritten = dst.RawBytesWritten
 		st.SpillBytesRead = dst.BytesRead
@@ -802,59 +759,28 @@ func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Repo
 		st.DistReleases = dst.Releases
 		st.DistWorkerDeaths = dst.WorkerDeaths
 	}
-	return count, err
+	return d.count, err
 }
 
 func (e *Enumerator) runOutOfCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
+	d := &diskRun{lo: cfg.Lo, r: r}
 	opts := ooc.OptionsFromConfig(cfg)
 	opts.Gov = gov
-	// The backend reports every maximal clique of size >= 3; the facade
-	// applies the configured lower bound and counts what it delivers.
-	var count int64
-	maxSize := 0
-	opts.Reporter = ReporterFunc(func(c Clique) {
-		if len(c) < cfg.Lo {
-			return
-		}
-		count++
-		if len(c) > maxSize {
-			maxSize = len(c)
-		}
-		if r != nil {
-			r.Emit(c)
-		}
-	})
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls ooc.LevelStats) {
-			// A step FromK -> FromK+1 reports maximal cliques of size
-			// exactly FromK+1, so the facade's lower-bound filter zeroes
-			// whole levels — keeping sum(Levels[].Maximal) equal to the
-			// delivered count, as on the in-core backends.
-			maximal := ls.Maximal
-			if ls.FromK+1 < cfg.Lo {
-				maximal = 0
-			}
-			e.observe(st, LevelStats{
-				FromK:         ls.FromK,
-				Cliques:       ls.Cliques,
-				Maximal:       maximal,
-				ResidentBytes: ls.FileBytes + ls.NextBytes,
-			})
-		}
-	}
+	opts.Reporter = d
+	opts.OnLevel = e.diskOnLevel(cfg.Lo, st)
 	enumerate := ooc.Enumerate
 	if cfg.Resume {
 		enumerate = ooc.Resume
 	}
 	ost, err := enumerate(g, opts)
 	if st != nil {
-		st.MaximalCliques = count
-		st.MaxCliqueSize = maxSize
+		st.MaximalCliques = d.count
+		st.MaxCliqueSize = d.maxSize
 		st.SpillBytesWritten = ost.BytesWritten
 		st.SpillRawBytesWritten = ost.RawBytesWritten
 		st.SpillBytesRead = ost.BytesRead
 		st.PeakLevelFileBytes = ost.PeakLevelFile
 		st.Resumed = ost.Resumed
 	}
-	return count, err
+	return d.count, err
 }

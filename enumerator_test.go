@@ -56,7 +56,6 @@ func TestBackendParity(t *testing.T) {
 			{"sequential", nil},
 			{"parallel-affinity", []repro.Option{repro.WithWorkers(3), repro.WithStrategy(repro.Affinity)}},
 			{"parallel-contiguous", []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Contiguous)}},
-			{"barrier-contiguous", []repro.Option{repro.WithWorkers(3), repro.WithStrategy(repro.Contiguous), repro.WithBarrier()}},
 			{"out-of-core", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0)}},
 			{"out-of-core-parallel", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
 				repro.OOCWorkers(4))}},
@@ -170,7 +169,6 @@ func TestCancellationMidRun(t *testing.T) {
 	}{
 		{"sequential", nil},
 		{"parallel", []repro.Option{repro.WithWorkers(4), repro.WithStrategy(repro.Affinity)}},
-		{"barrier", []repro.Option{repro.WithWorkers(4), repro.WithBarrier()}},
 		{"out-of-core", []repro.Option{repro.WithOutOfCore(spill, 0)}},
 	}
 	for _, b := range backends {
@@ -289,17 +287,13 @@ func TestConfigErrors(t *testing.T) {
 		{"negative workers", []repro.Option{repro.WithWorkers(-2)}},
 		{"ooc+report-small", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithReportSmall()}},
 		{"ooc+low-memory", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithLowMemory()}},
-		{"ooc+barrier", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithWorkers(4), repro.WithBarrier()}},
 		{"ooc-compress-without-dir", []repro.Option{repro.WithOutOfCore("", 0, repro.OOCCompress())}},
 		{"parallel+report-small", []repro.Option{repro.WithWorkers(4), repro.WithReportSmall()}},
-		{"barrier-without-workers", []repro.Option{repro.WithBarrier()}},
 		{"negative-memory-budget", []repro.Option{repro.WithMemoryBudget(-1)}},
 		{"spillover-without-dir", []repro.Option{repro.WithSpillover(""), repro.WithMemoryBudget(1 << 20)}},
 		{"spillover-without-budget", []repro.Option{repro.WithSpillover(t.TempDir())}},
 		{"resume+spillover", []repro.Option{repro.WithResume(t.TempDir()), repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(1 << 20)}},
 		{"resume+memory-budget", []repro.Option{repro.WithResume(t.TempDir()), repro.WithMemoryBudget(1 << 20)}},
-		{"hybrid+barrier", []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(1 << 20),
-			repro.WithWorkers(4), repro.WithBarrier()}},
 		{"hybrid+checkpoint", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0, repro.OOCCheckpoint()),
 			repro.WithMemoryBudget(1 << 20)}},
 	}
@@ -359,6 +353,66 @@ func TestStatsAcrossBackends(t *testing.T) {
 		}
 		if st.Backend != "out-of-core" || st.MaximalCliques != want || st.SpillBytesWritten == 0 {
 			t.Fatalf("out-of-core stats incomplete: %+v", st)
+		}
+	}
+}
+
+// TestLevelStatsAgreeAcrossInCoreEngines: every in-core configuration —
+// sequential, the pool at 2 and 4 workers under both strategies, and the
+// hybrid backend with a budget it never reaches — runs the same level
+// loop, so the per-level record and the totals must be identical, not
+// merely compatible.  Both seeding paths are covered (edges, k-cliques).
+func TestLevelStatsAgreeAcrossInCoreEngines(t *testing.T) {
+	engines := []struct {
+		name string
+		opts []repro.Option
+	}{
+		{"sequential", nil},
+		{"2w-contiguous", []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Contiguous)}},
+		{"2w-affinity", []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Affinity)}},
+		{"4w-contiguous", []repro.Option{repro.WithWorkers(4), repro.WithStrategy(repro.Contiguous)}},
+		{"4w-affinity", []repro.Option{repro.WithWorkers(4), repro.WithStrategy(repro.Affinity)}},
+		{"hybrid-ample", []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(1 << 40)}},
+		{"hybrid-ample-3w", []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(1 << 40),
+			repro.WithWorkers(3)}},
+	}
+	graphs := []*repro.Graph{testGraph(11, 70, 0.15), testGraph(12, 120, 0.2)}
+	for gi, g := range graphs {
+		for _, lo := range []int{2, 3, 4} {
+			var want repro.Stats
+			for ei, eng := range engines {
+				var st repro.Stats
+				opts := append(append([]repro.Option{}, eng.opts...),
+					repro.WithBounds(lo, 0), repro.WithStats(&st))
+				if _, err := repro.NewEnumerator(opts...).Run(context.Background(), g, nil); err != nil {
+					t.Fatalf("graph %d lo %d %s: %v", gi, lo, eng.name, err)
+				}
+				if st.SpilledAtLevel != 0 {
+					t.Fatalf("graph %d lo %d %s: spilled at %d under an ample budget", gi, lo, eng.name, st.SpilledAtLevel)
+				}
+				if ei == 0 {
+					want = st
+					if len(want.Levels) < 3 {
+						t.Fatalf("graph %d lo %d: only %d levels; weak test", gi, lo, len(want.Levels))
+					}
+					continue
+				}
+				if st.MaximalCliques != want.MaximalCliques || st.MaxCliqueSize != want.MaxCliqueSize {
+					t.Errorf("graph %d lo %d %s: totals %d/%d, sequential %d/%d", gi, lo, eng.name,
+						st.MaximalCliques, st.MaxCliqueSize, want.MaximalCliques, want.MaxCliqueSize)
+				}
+				if len(st.Levels) != len(want.Levels) {
+					t.Fatalf("graph %d lo %d %s: %d levels, sequential %d", gi, lo, eng.name,
+						len(st.Levels), len(want.Levels))
+				}
+				for i, got := range st.Levels {
+					w := want.Levels[i]
+					got.Transfers = 0 // scheduling, not enumeration
+					if got != w {
+						t.Errorf("graph %d lo %d %s level %d: %+v, sequential %+v", gi, lo, eng.name, i, got, w)
+					}
+				}
+			}
 		}
 	}
 }
@@ -424,35 +478,6 @@ func TestOOCLevelMaximalRespectsLowerBound(t *testing.T) {
 	}
 	if sum != n {
 		t.Fatalf("levels sum to %d maximal cliques, run delivered %d", sum, n)
-	}
-}
-
-// TestDeprecatedWrappersMatchEnumerator pins the compatibility contract:
-// the old free functions are thin wrappers over the new facade.
-func TestDeprecatedWrappersMatchEnumerator(t *testing.T) {
-	g := testGraph(8, 60, 0.15)
-	var oldKeys []string
-	n1, err := repro.EnumerateMaximalCliques(g, 3, 0, func(c repro.Clique) {
-		oldKeys = append(oldKeys, c.Key())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newKeys := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0)), g)
-	if n1 != int64(len(newKeys)) {
-		t.Fatalf("wrapper found %d cliques, enumerator %d", n1, len(newKeys))
-	}
-	for i := range newKeys {
-		if oldKeys[i] != newKeys[i] {
-			t.Fatalf("wrapper stream diverges at %d", i)
-		}
-	}
-	n2, err := repro.EnumerateParallel(g, 3, 3, 0, nil)
-	if err != nil || n2 != n1 {
-		t.Fatalf("EnumerateParallel = %d, %v; want %d", n2, err, n1)
-	}
-	if ps := repro.Paracliques(g, 0.9); len(ps) == 0 {
-		t.Fatal("Paracliques wrapper found nothing")
 	}
 }
 

@@ -87,22 +87,15 @@ func ExampleWithOutOfCore() {
 	// [3 4 5]
 	// [4 5 6]
 	// [0 1 2 3]
-	// total: 4, spilled 158 bytes
+	// total: 4, spilled 134 bytes
 }
 
 // Two gene modules sharing two genes: the maximal cliques are the
 // modules themselves, reported smallest first.
-func ExampleEnumerateMaximalCliques() {
-	g := repro.NewGraph(7)
-	for _, e := range [][2]int{
-		{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, // module {0,1,2,3}
-		{3, 4}, {3, 5}, {4, 5}, {4, 6}, {5, 6}, {4, 2}, // overlap structure
-	} {
-		g.AddEdge(e[0], e[1])
-	}
-	n, err := repro.EnumerateMaximalCliques(g, 3, 0, func(c repro.Clique) {
-		fmt.Println(c)
-	})
+func ExampleNewEnumerator() {
+	g := moduleGraph()
+	n, err := repro.NewEnumerator(repro.WithBounds(3, 0)).Run(context.Background(), g,
+		repro.ReporterFunc(func(c repro.Clique) { fmt.Println(c) }))
 	if err != nil {
 		panic(err)
 	}
@@ -124,7 +117,7 @@ func ExampleMaxCliqueSize() {
 	// Output: 3
 }
 
-func ExampleParacliques() {
+func ExampleEnumerator_Paracliques() {
 	g := repro.NewGraph(6)
 	// K5 missing one edge, plus an attached vertex.
 	for _, e := range [][2]int{
@@ -133,7 +126,10 @@ func ExampleParacliques() {
 	} {
 		g.AddEdge(e[0], e[1])
 	}
-	ps := repro.Paracliques(g, 0.75)
+	ps, err := repro.NewEnumerator().Paracliques(context.Background(), g, 0.75)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("paracliques: %d, first has %d vertices (core %d)\n",
 		len(ps), len(ps[0].Vertices), ps[0].CoreSize)
 	// Output: paracliques: 1, first has 5 vertices (core 4)

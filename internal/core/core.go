@@ -78,33 +78,15 @@ type Result struct {
 	MaximalCliques int64        // total maximal cliques reported (all sizes)
 	MaxCliqueSize  int          // largest maximal clique size seen
 	Levels         []LevelStats // one entry per generation step
-	SeedStats      kclique.Stats
-	PeakBytes      int64 // max paper-formula bytes resident at any step
+	PeakBytes      int64        // max paper-formula bytes resident at any step
 	TotalCost      Cost
-}
-
-// OptionsFromConfig derives sequential-backend Options from the unified
-// backend config.  Reporter and OnLevel are not part of the config and
-// are left for the caller to fill.
-func OptionsFromConfig(c enumcfg.Config) Options {
-	return Options{
-		Ctx:          c.Ctx,
-		Lo:           c.Lo,
-		Hi:           c.Hi,
-		ReportSmall:  c.ReportSmall,
-		RecomputeCN:  c.Mode == enumcfg.CNRecompute,
-		CompressCN:   c.Mode == enumcfg.CNCompress,
-		MemoryBudget: c.MemoryBudget,
-	}
 }
 
 // Enumerate runs the Clique Enumerator over g — any graph representation
 // — and returns run statistics.  Maximal cliques are reported in
-// non-decreasing order of size; within a level, in canonical order.  The
-// dense representation keeps its historical allocation-identical fast
-// path; CSR and WAH graphs run through the generic row-access contract.
-//
-//repro:ctxloop
+// non-decreasing order of size; within a level, in canonical order.  It
+// is the sequential entry point to the shared level loop (Loop.Run):
+// seed, one Builder as the level engine, budget trip aborts.
 func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if opts.Lo == 0 {
 		opts.Lo = 2
@@ -124,7 +106,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	}
 
 	res := &Result{}
-	emit := func(c clique.Clique) {
+	reporter := clique.ReporterFunc(func(c clique.Clique) {
 		res.MaximalCliques++
 		if len(c) > res.MaxCliqueSize {
 			res.MaxCliqueSize = len(c)
@@ -132,79 +114,54 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 		if opts.Reporter != nil {
 			opts.Reporter.Emit(c)
 		}
-	}
-	reporter := clique.ReporterFunc(emit)
-
-	var lvl *Level
-	if opts.Lo <= 2 {
-		if opts.ReportSmall {
-			reportSmall(g, opts.Lo, reporter)
-		}
-		lvl = SeedFromEdgesMode(g, mode)
-	} else {
-		var err error
-		lvl, res.SeedStats, err = SeedFromKMode(g, opts.Lo, mode, reporter)
-		if err != nil {
-			return res, err
-		}
+	})
+	lvl, err := Seed(g, opts.Lo, mode, opts.ReportSmall, reporter)
+	if err != nil {
+		return res, err
 	}
 
-	// The governor is the single accounting authority: the seed level is
-	// charged up front, each kept sub-list is charged as it is retained
-	// (Builder.keep), and a consumed level is released at its step
-	// boundary — so Used tracks the paper's resident formula (consumed +
-	// produced) continuously instead of being re-derived per step.
 	gov := opts.Gov
 	if gov == nil && opts.MemoryBudget > 0 {
 		gov = membudget.New(opts.MemoryBudget)
 	}
-	gov.Charge(lvl.Bytes(g.N()))
-
-	pool := bitset.NewPool(g.N())
-	b := NewBuilderMode(g, mode, pool)
-	b.Ctx = opts.Ctx
+	b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 	b.Gov = gov
-	b.TripOnOver = true
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			return res, fmt.Errorf("core: canceled before level %d->%d: %w",
-				lvl.K, lvl.K+1, opts.Ctx.Err())
-		}
-		next, st := Step(g, lvl, reporter, b)
-		if b.Canceled {
-			// The consumed level and the partial next level are both still
-			// charged; retire them so a shared governor stays balanced.
-			gov.Release(st.Bytes + st.NextBytes)
-			return res, fmt.Errorf("core: canceled during level %d->%d: %w",
-				lvl.K, lvl.K+1, opts.Ctx.Err())
-		}
-		res.Levels = append(res.Levels, st)
-		res.TotalCost.Add(st.Cost)
-		if opts.OnLevel != nil {
-			opts.OnLevel(st)
-		}
-		if resident := st.Bytes + st.NextBytes; resident > res.PeakBytes {
-			res.PeakBytes = resident
-		}
-		if b.Exceeded || gov.Over() {
-			err := fmt.Errorf("%w: level %d->%d resident %d bytes > budget %d",
-				ErrMemoryBudget, lvl.K, lvl.K+1, gov.Used(), gov.Budget())
-			gov.Release(st.Bytes + st.NextBytes) // reconcile after formatting
-			return res, err
-		}
-		gov.Release(st.Bytes) // the consumed level is retired
-		lvl = next
+	gov.Charge(b.ScratchBytes())
+	defer gov.Release(b.ScratchBytes())
+	loop := Loop{
+		Ctx:      opts.Ctx,
+		Hi:       opts.Hi,
+		Gov:      gov,
+		Reporter: reporter,
+		OnLevel: func(st LevelStats) {
+			res.Levels = append(res.Levels, st)
+			res.TotalCost.Add(st.Cost)
+			if resident := st.Bytes + st.NextBytes; resident > res.PeakBytes {
+				res.PeakBytes = resident
+			}
+			if opts.OnLevel != nil {
+				opts.OnLevel(st)
+			}
+		},
 	}
-	gov.Release(lvl.Bytes(g.N())) // the final (empty or Hi-cut) level
+	if err := loop.Run(g.N(), b, lvl, nil); err != nil {
+		return res, fmt.Errorf("core: %w", err)
+	}
 	return res, nil
 }
 
-// ReportSmallCliques emits the maximal 1- and 2-cliques reportSmall
-// covers — the ReportSmall entry for drivers (the hybrid backend) that
-// run the level machinery themselves instead of through Enumerate.
-func ReportSmallCliques(g graph.Interface, lo int, r clique.Reporter) {
-	reportSmall(g, lo, r)
+// Seed builds the sequential seed level at size max(lo, 2), reporting
+// the maximal lo-cliques the level machinery will not regenerate (and,
+// with small set, the maximal 1-/2-cliques below it) to r.
+func Seed(g graph.Interface, lo int, mode CNMode, small bool, r clique.Reporter) (*Level, error) {
+	if lo > 2 {
+		lvl, _, err := SeedFromKMode(g, lo, mode, r)
+		return lvl, err
+	}
+	if small {
+		reportSmall(g, lo, r)
+	}
+	return SeedFromEdgesMode(g, mode), nil
 }
 
 // reportSmall emits maximal 1-cliques (when lo <= 1) and maximal
@@ -230,23 +187,14 @@ func reportSmall(g graph.Interface, lo int, r clique.Reporter) {
 	})
 }
 
-// SeedFromK builds the initial candidate level at size k using the
+// SeedFromKMode builds the initial candidate level at size k using the
 // k-clique enumerator, reporting maximal k-cliques to r.  The returned
 // level holds every non-maximal k-clique, grouped into sub-lists by
-// shared (k-1)-prefix, with prefix common-neighbor bitmaps when storeCN
-// is set.
-func SeedFromK(g graph.Interface, k int, storeCN bool, r clique.Reporter) (*Level, kclique.Stats, error) {
-	mode := CNStore
-	if !storeCN {
-		mode = CNRecompute
-	}
-	return SeedFromKMode(g, k, mode, r)
-}
-
-// SeedFromKMode is SeedFromK with an explicit bitmap mode.
+// shared (k-1)-prefix, with prefix common-neighbor bitmaps kept as mode
+// says.
 func SeedFromKMode(g graph.Interface, k int, mode CNMode, r clique.Reporter) (*Level, kclique.Stats, error) {
 	if k < 3 {
-		return nil, kclique.Stats{}, fmt.Errorf("core: SeedFromK requires k >= 3, got %d", k)
+		return nil, kclique.Stats{}, fmt.Errorf("core: SeedFromKMode requires k >= 3, got %d", k)
 	}
 	lvl := &Level{K: k}
 	var emitBuf clique.Clique

@@ -328,7 +328,7 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := Enumerate(g, Options{Lo: 5, Hi: 4}); err == nil {
 		t.Error("Hi < Lo accepted")
 	}
-	if _, _, err := SeedFromK(g, 2, true, nil); err == nil {
+	if _, _, err := SeedFromKMode(g, 2, CNStore, nil); err == nil {
 		t.Error("SeedFromK k=2 accepted")
 	}
 }

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/clique"
+	"repro/internal/membudget"
+)
+
+// LevelEngine runs one generation step over a whole level.  There are
+// two: the sequential Builder (Builder.RunLevel) and the streaming
+// worker pool (parallel.Pool.RunLevel).  Both deliver emissions in
+// canonical order and stop early — on ctx or trip — at the consistent
+// cut LevelOutcome documents, so the loop below never needs to know
+// which one it is driving.
+type LevelEngine interface {
+	RunLevel(ctx context.Context, lvl *Level, homes []int32,
+		r clique.Reporter, trip func() bool) LevelOutcome
+}
+
+// LevelOutcome is one RunLevel's result.  When the level ran to
+// completion, Next/Homes describe the produced level and Frontier equals
+// the input sub-list count.  When the trip callback (or a context
+// cancellation) stopped it early, outputs were delivered in exact
+// canonical order for inputs [0, Frontier) only: Next holds precisely
+// their surviving sub-lists, nothing beyond the frontier is retained or
+// charged, and inputs [Frontier, n) are untouched input again — the
+// consistent cut the hybrid drain resumes from.
+type LevelOutcome struct {
+	Next     *Level
+	Homes    []int32 // creator worker per produced sub-list (pool engine; nil otherwise)
+	Stats    LevelStats
+	Frontier int
+	Tripped  bool
+}
+
+// Loop is the in-core level loop's run description: everything the loop
+// needs beyond the engine and the seed level.
+type Loop struct {
+	// Ctx, when non-nil, cancels the run before a level and (through the
+	// engine) during one.
+	Ctx context.Context
+	// Hi, when positive, stops after cliques of size Hi were generated.
+	Hi int
+	// Gov is the run's memory governor (nil = unaccounted).  The loop
+	// owns the level charges: the seed level on entry, each consumed
+	// level released at its step boundary (kept sub-lists are charged by
+	// the builders as they are retained).  A governor with a budget is
+	// also the trip predicate the engine polls.
+	Gov *membudget.Governor
+	// Reporter receives the levels' maximal cliques.
+	Reporter clique.Reporter
+	// OnLevel, when non-nil, observes each completed step — and the
+	// partial step of a budget abort.
+	OnLevel func(LevelStats)
+	// OnTrip is the trip policy.  nil aborts the run with
+	// ErrMemoryBudget.  Otherwise it is handed the consumed level and the
+	// tripped step's outcome, takes over both levels' governor charges,
+	// and its error is the run's — the hybrid backend's drain to disk.
+	OnTrip func(lvl *Level, out LevelOutcome) error
+}
+
+// Run is the one in-core level loop — seed charge, then per level:
+// cancellation check, engine step, observe, release — shared by the
+// sequential, parallel and hybrid entry points.  n is the graph's vertex
+// count.  On every return path the governor's Used is back at its entry
+// value (an OnTrip policy inherits that duty for the two levels it is
+// handed).
+//
+//repro:ctxloop
+func (l *Loop) Run(n int, eng LevelEngine, lvl *Level, homes []int32) error {
+	gov := l.Gov
+	gov.Charge(lvl.Bytes(n))
+	var trip func() bool
+	if gov.Budget() > 0 {
+		trip = gov.Over
+	}
+	for len(lvl.Sub) > 0 && (l.Hi == 0 || lvl.K+1 <= l.Hi) {
+		if l.Ctx != nil && l.Ctx.Err() != nil {
+			gov.Release(lvl.Bytes(n)) // retire the level before aborting
+			return fmt.Errorf("canceled before level %d->%d: %w", lvl.K, lvl.K+1, l.Ctx.Err())
+		}
+		out := eng.RunLevel(l.Ctx, lvl, homes, l.Reporter, trip)
+		st := out.Stats
+		switch {
+		case out.Tripped && l.OnTrip != nil:
+			return l.OnTrip(lvl, out)
+		case out.Tripped:
+			if l.OnLevel != nil {
+				l.OnLevel(st)
+			}
+			// gov.Err() reports Peak, so retiring both levels first does
+			// not distort the message.
+			gov.Release(st.Bytes + st.NextBytes)
+			return fmt.Errorf("level %d->%d: %w", lvl.K, lvl.K+1, gov.Err())
+		case out.Frontier < len(lvl.Sub):
+			// Canceled mid-level: the consumed level and the head of the
+			// next one the engine retained are both still charged.
+			gov.Release(st.Bytes + st.NextBytes)
+			return fmt.Errorf("canceled during level %d->%d: %w", lvl.K, lvl.K+1, l.Ctx.Err())
+		}
+		if l.OnLevel != nil {
+			l.OnLevel(st)
+		}
+		gov.Release(st.Bytes) // the consumed level is retired
+		lvl, homes = out.Next, out.Homes
+	}
+	gov.Release(lvl.Bytes(n)) // the final (empty or Hi-cut) level
+	return nil
+}

@@ -54,15 +54,6 @@ type Builder struct {
 	// retained sub-list's paper-formula bytes against it.  The governor
 	// may be shared by many builders; charges are atomic.
 	Gov *membudget.Governor
-	// TripOnOver additionally makes ProcessSubList a no-op (with
-	// Exceeded set) once the governor reports Over — the sequential
-	// backend's sub-list-granular abort, reproducing the paper's mid-run
-	// termination of the graph-B blow-up (607 GB of (k+1)-cliques)
-	// without owning 2 TB.  Worker pools leave it unset: a pool must
-	// complete every sub-list it deposits so the in-order frontier stays
-	// a consistent cut, and instead polls the governor between chunks.
-	TripOnOver bool
-	Exceeded   bool
 
 	// Spill, when non-nil, switches the builder to drain mode: surviving
 	// candidate sub-lists are not retained (and not charged) — each
@@ -77,7 +68,8 @@ type Builder struct {
 	spillRec []uint32
 
 	// Ctx, when non-nil, lets Step abandon a level between sub-lists;
-	// Canceled records that it did (and is cleared by Reset).
+	// Canceled records that it did (and is cleared by Reset).  RunLevel
+	// takes its context as an argument and touches neither.
 	Ctx      context.Context
 	Canceled bool
 
@@ -107,21 +99,12 @@ type Builder struct {
 	retNext     [2][]*SubList
 }
 
-// NewBuilder returns a Builder generating into graph g's universe.
-// storeCN selects the paper's store-the-bitmap mode; pool supplies and
-// recycles common-neighbor bitmaps and may be shared across Builders
-// (bitset.Pool is concurrency-safe).
-func NewBuilder(g graph.Interface, storeCN bool, pool *bitset.Pool) *Builder {
-	mode := CNStore
-	if !storeCN {
-		mode = CNRecompute
-	}
-	return NewBuilderMode(g, mode, pool)
-}
-
-// NewBuilderMode is NewBuilder with an explicit bitmap mode.  A dense
-// graph is detected once here, so the hot generation loop branches on a
-// nil check instead of a per-pair interface dispatch.
+// NewBuilderMode returns a Builder generating into graph g's universe.
+// mode selects how retained sub-lists keep their prefix bitmaps; pool
+// supplies and recycles common-neighbor bitmaps and may be shared across
+// Builders (bitset.Pool is concurrency-safe).  A dense graph is detected
+// once here, so the hot generation loop branches on a nil check instead
+// of a per-pair interface dispatch.
 func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder {
 	words := (g.N() + 63) / 64
 	dense, _ := g.(*graph.Graph)
@@ -167,7 +150,6 @@ func (b *Builder) Reset() {
 	b.Dropped = 0
 	b.Cost = Cost{}
 	b.NewBytes = 0
-	b.Exceeded = false
 	b.Canceled = false
 	b.SpillErr = nil
 }
@@ -223,14 +205,6 @@ func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 // Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 	if b.SpillErr != nil {
-		if s.CN != nil {
-			b.pool.Put(s.CN)
-			s.CN = nil
-		}
-		return
-	}
-	if b.Spill == nil && b.TripOnOver && b.Gov.Over() {
-		b.Exceeded = true
 		if s.CN != nil {
 			b.pool.Put(s.CN)
 			s.CN = nil
@@ -457,43 +431,80 @@ func growRec(buf *[]uint32, n int) []uint32 {
 	return *buf
 }
 
-// LevelStats summarizes one generation step k -> k+1.
+// LevelStats summarizes one generation step k -> k+1 — the one per-level
+// record every in-core engine fills and the hybrid backend extends past
+// its spill point.
 type LevelStats struct {
 	FromK     int   // size of the consumed candidates
-	Sublists  int   // N[k] consumed
+	Sublists  int   // N[k] consumed (0 for a level joined from shard files)
 	Cliques   int64 // M[k] consumed
-	Bytes     int64 // paper-formula bytes of the consumed level
+	Bytes     int64 // paper-formula bytes of the consumed level (file bytes once spilled)
 	NextSub   int   // N[k+1] produced
 	NextCl    int64 // M[k+1] produced
-	NextBytes int64 // paper-formula bytes of the produced level
+	NextBytes int64 // paper-formula bytes of the produced level (file bytes once spilled)
 	Maximal   int64 // maximal (k+1)-cliques reported
 	Dropped   int64 // non-maximal (k+1)-cliques discarded (singleton rule)
 	Cost      Cost
+
+	// Pool engine only: the dispatcher's chunk count, the sub-lists
+	// processed off their home worker, and per-worker busy seconds and
+	// abstract cost units.
+	Chunks     int
+	Transfers  int
+	WorkerBusy []float64
+	WorkerCost []int64
+
+	// Spilled marks a step the hybrid backend ran (at least partly) out
+	// of core.
+	Spilled bool
 }
 
-// Step runs one sequential generation step over an entire level and
-// returns the next level with statistics.  The input level's bitmaps are
-// recycled; its sub-list slice must not be reused by the caller.
-func Step(g graph.Interface, lvl *Level, r clique.Reporter, b *Builder) (*Level, LevelStats) {
-	st := LevelStats{
-		FromK:    lvl.K,
-		Sublists: len(lvl.Sub),
-		Cliques:  lvl.Cliques(),
-		Bytes:    lvl.Bytes(g.N()),
+// RunLevel is the sequential level engine: one generation step on this
+// builder, emitting straight to r — no merger, no emission copies.  ctx
+// (every 64 sub-lists) and trip (every sub-list; nil = never) stop the
+// level early with the cut documented on LevelOutcome.  The input
+// level's bitmaps are recycled; its sub-list slice must not be reused by
+// the caller.  homes is the pool engine's scheduling input and ignored.
+func (b *Builder) RunLevel(ctx context.Context, lvl *Level, _ []int32,
+	r clique.Reporter, trip func() bool) LevelOutcome {
+	out := LevelOutcome{
+		Stats: LevelStats{
+			FromK:    lvl.K,
+			Sublists: len(lvl.Sub),
+			Cliques:  lvl.Cliques(),
+			Bytes:    lvl.Bytes(b.g.N()),
+		},
+		Frontier: len(lvl.Sub),
 	}
 	b.Reset()
 	for i, s := range lvl.Sub {
-		if b.Ctx != nil && i&63 == 0 && b.Ctx.Err() != nil {
-			b.Canceled = true
+		if ctx != nil && i&63 == 0 && ctx.Err() != nil {
+			out.Frontier = i
+			break
+		}
+		if trip != nil && trip() {
+			out.Frontier, out.Tripped = i, true
 			break
 		}
 		b.ProcessSubList(s, r)
 	}
+	st := &out.Stats
 	st.NextSub = len(b.Next)
 	st.NextCl = b.Cands
 	st.NextBytes = b.NewBytes
 	st.Maximal = b.Maximal
 	st.Dropped = b.Dropped
 	st.Cost = b.Cost
-	return &Level{K: lvl.K + 1, Sub: b.Next}, st
+	out.Next = &Level{K: lvl.K + 1, Sub: b.Next}
+	return out
+}
+
+// Step runs one sequential generation step over an entire level and
+// returns the next level with statistics: RunLevel for callers that
+// drive their own loop on one builder (b.Ctx cancels, b.Canceled
+// reports it).
+func Step(_ graph.Interface, lvl *Level, r clique.Reporter, b *Builder) (*Level, LevelStats) {
+	out := b.RunLevel(b.Ctx, lvl, nil, r, nil)
+	b.Canceled = out.Frontier < len(lvl.Sub)
+	return out.Next, out.Stats
 }

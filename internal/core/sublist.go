@@ -138,20 +138,11 @@ type wahRows interface {
 	WAHRow(v int) *wah.Bitmap
 }
 
-// SeedFromEdges builds the initial level of 2-clique sub-lists from the
-// graph's edges: one sub-list per vertex a holding CN = N(a) and tails =
-// neighbors of a greater than a.  Sub-lists with fewer than two tails are
-// dropped (they cannot join pairs), which is the paper's
-// N[2] <= n-2, M[2] = m initialization.
-func SeedFromEdges(g graph.Interface, storeCN bool) *Level {
-	mode := CNStore
-	if !storeCN {
-		mode = CNRecompute
-	}
-	return SeedFromEdgesMode(g, mode)
-}
-
-// SeedFromEdgesMode is SeedFromEdges with an explicit bitmap mode.
+// SeedFromEdgesMode builds the initial level of 2-clique sub-lists from
+// the graph's edges: one sub-list per vertex a holding CN = N(a) (kept as
+// mode says) and tails = neighbors of a greater than a.  Sub-lists with
+// fewer than two tails are dropped (they cannot join pairs), which is the
+// paper's N[2] <= n-2, M[2] = m initialization.
 func SeedFromEdgesMode(g graph.Interface, mode CNMode) *Level {
 	return &Level{K: 2, Sub: seedEdgeRange(g, mode, 0, g.N())}
 }

@@ -54,8 +54,6 @@ const (
 	Sequential Backend = iota
 	// Parallel is the persistent streaming worker pool.
 	Parallel
-	// ParallelBarrier is the bulk-synchronous reference pool.
-	ParallelBarrier
 	// OutOfCore is the disk-spilling enumerator.
 	OutOfCore
 	// Hybrid starts in-core (sequential or the streaming pool per
@@ -77,8 +75,6 @@ func (b Backend) String() string {
 		return "sequential"
 	case Parallel:
 		return "parallel"
-	case ParallelBarrier:
-		return "parallel-barrier"
 	case OutOfCore:
 		return "out-of-core"
 	case Hybrid:
@@ -106,9 +102,6 @@ type Config struct {
 	Workers int
 	// Strategy is the parallel dispatch policy.
 	Strategy Strategy
-	// Barrier selects the bulk-synchronous reference pool instead of the
-	// streaming pool (benchmark baseline; only meaningful with Workers > 1).
-	Barrier bool
 
 	// Mode is the common-neighbor bitmap policy.
 	Mode CNMode
@@ -189,8 +182,6 @@ func (c *Config) Backend() Backend {
 		return Hybrid
 	case c.Dir != "":
 		return OutOfCore
-	case c.Workers > 1 && c.Barrier:
-		return ParallelBarrier
 	case c.Workers > 1:
 		return Parallel
 	}
@@ -241,9 +232,6 @@ func (c *Config) Normalize() error {
 	if c.Strategy != Contiguous && c.Strategy != Affinity {
 		return fmt.Errorf("enumcfg: unknown strategy %d", c.Strategy)
 	}
-	if c.Barrier && c.Workers <= 1 {
-		return fmt.Errorf("enumcfg: the barrier backend requires more than one worker")
-	}
 	if c.Resume {
 		c.Checkpoint = true
 	}
@@ -287,8 +275,6 @@ func (c *Config) Normalize() error {
 		if c.SpillBudget > 0 {
 			return fmt.Errorf("enumcfg: SpillBudget is not supported by the distributed coordinator")
 		}
-		// Barrier needs Workers > 1 (universal rule above), and Workers
-		// > 1 with DistWorkers is already rejected — no separate rule.
 		if c.ReportSmall {
 			return fmt.Errorf("enumcfg: ReportSmall is not supported out of core (sizes < 3 never spill)")
 		}
@@ -297,9 +283,6 @@ func (c *Config) Normalize() error {
 		}
 	case Hybrid:
 		c.Spill = true // latch the implied form (Dir + MemoryBudget)
-		if c.Barrier {
-			return fmt.Errorf("enumcfg: the barrier pool cannot spill over (no mid-level drain point); use the streaming pool")
-		}
 		if c.Checkpoint {
 			return fmt.Errorf("enumcfg: checkpointing requires an out-of-core run from the start; drop the memory budget or the checkpoint")
 		}
@@ -313,15 +296,12 @@ func (c *Config) Normalize() error {
 		if c.Mode != CNStore {
 			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
 		}
-		if c.Barrier {
-			return fmt.Errorf("enumcfg: the barrier pool is in-core only")
-		}
 		if c.Resume && c.MemoryBudget > 0 {
 			return fmt.Errorf("enumcfg: a resumed run is out-of-core from the start; the memory budget does not apply")
 		}
-	case Parallel, ParallelBarrier:
-		// The streaming and barrier pools enforce the governor's budget;
-		// only the small-clique reports remain sequential-only.
+	case Parallel:
+		// The streaming pool enforces the governor's budget; only the
+		// small-clique reports remain sequential-only.
 		if c.ReportSmall {
 			return fmt.Errorf("enumcfg: ReportSmall is only supported by the sequential backend")
 		}

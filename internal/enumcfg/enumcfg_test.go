@@ -26,15 +26,12 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"unknown strategy", Config{Strategy: Affinity + 1}, "strategy", 0},
 		{"negative memory budget", Config{MemoryBudget: -5}, "negative memory budget", 0},
 
-		// --- worker/barrier selection ---
+		// --- worker selection ---
 		{"parallel", Config{Workers: 4}, "", Parallel},
-		{"barrier", Config{Workers: 4, Barrier: true}, "", ParallelBarrier},
-		{"barrier without workers", Config{Barrier: true}, "barrier backend requires", 0},
 
 		// --- in-core budgets (governor-enforced everywhere) ---
 		{"sequential budget", Config{MemoryBudget: 1 << 20}, "", Sequential},
 		{"parallel budget", Config{Workers: 4, MemoryBudget: 1 << 20}, "", Parallel},
-		{"barrier budget", Config{Workers: 4, Barrier: true, MemoryBudget: 1 << 20}, "", ParallelBarrier},
 
 		// --- report-small ---
 		{"sequential report-small", Config{ReportSmall: true}, "", Sequential},
@@ -52,7 +49,6 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"resume without dir", Config{Resume: true}, "require a spill Dir", 0},
 		{"ooc low-memory", Config{Dir: "d", Mode: CNRecompute}, "meaningless out of core", 0},
 		{"ooc compressed bitmaps", Config{Dir: "d", Mode: CNCompress}, "meaningless out of core", 0},
-		{"ooc barrier", Config{Dir: "d", Workers: 4, Barrier: true}, "in-core only", 0},
 
 		// --- hybrid / spillover ---
 		{"implied hybrid", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
@@ -69,8 +65,6 @@ func TestNormalizeMatrix(t *testing.T) {
 			"spillover does not apply", 0},
 		{"resume plus budget", Config{Dir: "d", Resume: true, MemoryBudget: 1 << 20},
 			"budget does not apply", 0},
-		{"hybrid barrier", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 4, Barrier: true},
-			"cannot spill over", 0},
 		{"hybrid checkpoint", Config{Dir: "d", MemoryBudget: 1 << 20, Checkpoint: true},
 			"out-of-core run from the start", 0},
 
@@ -95,7 +89,6 @@ func TestNormalizeMatrix(t *testing.T) {
 			"memory budget does not apply", 0},
 		{"distributed plus spill budget", Config{Dir: "d", DistWorkers: 2, SpillBudget: 1 << 20},
 			"not supported by the distributed coordinator", 0},
-		{"distributed barrier", Config{Dir: "d", DistWorkers: 2, Workers: 4, Barrier: true}, "not both", 0},
 		{"distributed report-small", Config{Dir: "d", DistWorkers: 2, ReportSmall: true}, "ReportSmall", 0},
 		{"distributed low-memory mode", Config{Dir: "d", DistWorkers: 2, Mode: CNRecompute},
 			"meaningless out of core", 0},

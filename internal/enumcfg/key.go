@@ -16,10 +16,7 @@ import (
 // policy — Workers, Strategy, Mode, MemoryBudget, representation, the
 // whole out-of-core knob set — is deliberately excluded.  A cached
 // sequential run therefore satisfies a later 8-worker request, which is
-// exactly what a hot-graph cache wants.  The one documented ordering
-// exception, the benchmark-only barrier pool under the Affinity
-// strategy (worker order within a level), gets its own order= component
-// so its streams can never alias the canonical ones.
+// exactly what a hot-graph cache wants.
 //
 // Key applies the same defaulting Normalize does (Lo 0 -> 2) without
 // validating, so equivalent spellings of a config collapse to one key;
@@ -33,9 +30,6 @@ func (c *Config) Key() string {
 	fmt.Fprintf(&sb, "v1:lo=%d,hi=%d", lo, c.Hi)
 	if c.ReportSmall {
 		sb.WriteString(",small=1")
-	}
-	if c.Barrier && c.Strategy == Affinity {
-		sb.WriteString(",order=worker")
 	}
 	return sb.String()
 }

@@ -42,18 +42,6 @@ func TestKeyCanonicalization(t *testing.T) {
 			same: true,
 		},
 		{
-			name: "barrier + contiguous still emits canonical order",
-			a:    Config{Lo: 3},
-			b:    Config{Lo: 3, Workers: 4, Barrier: true, Strategy: Contiguous},
-			same: true,
-		},
-		{
-			name: "barrier + affinity emits worker order: distinct key",
-			a:    Config{Lo: 3},
-			b:    Config{Lo: 3, Workers: 4, Barrier: true, Strategy: Affinity},
-			same: false,
-		},
-		{
 			name: "lower bound is identity",
 			a:    Config{Lo: 3},
 			b:    Config{Lo: 4},
@@ -97,7 +85,6 @@ func TestKeyStableAcrossNormalize(t *testing.T) {
 		{},
 		{Lo: 3, Hi: 9, Workers: 4, Strategy: Affinity},
 		{Lo: 1, ReportSmall: true},
-		{Lo: 3, Workers: 2, Barrier: true, Strategy: Affinity},
 	}
 	for _, c := range cfgs {
 		before := c.Key()

@@ -1,15 +1,17 @@
-// Package hybrid is the adaptive in-core -> out-of-core enumerator: the
-// resolution of the paper's central tension.  The in-core Clique
-// Enumerator is fast but dies when candidate storage outgrows RAM (the
-// graph-B run that "consumed 607 GB ... when it was terminated after 12
-// hours"); the out-of-core engine survives any level but pays
-// "intensive disk I/O" from its first record.  The hybrid backend runs
-// the in-core machinery — sequential or the streaming worker pool —
-// under the memory governor (package membudget), and the moment the
+// Package hybrid is the in-core runner with an optional out-of-core
+// continuation: the resolution of the paper's central tension.  The
+// in-core Clique Enumerator is fast but dies when candidate storage
+// outgrows RAM (the graph-B run that "consumed 607 GB ... when it was
+// terminated after 12 hours"); the out-of-core engine survives any level
+// but pays "intensive disk I/O" from its first record.  Enumerate runs
+// the shared in-core level loop (core.Loop) on the engine Workers selects
+// — the sequential builder or the streaming worker pool — under the
+// memory governor (package membudget).  With a spill Dir, the moment the
 // governor trips it drains the level being generated to run-aligned
 // out-of-core shard files and hands the run to the disk-backed engine:
-// memory-priced while the run fits, disk-priced only from the level
-// that stopped fitting.
+// memory-priced while the run fits, disk-priced only from the level that
+// stopped fitting.  Without one, a trip aborts with core.ErrMemoryBudget,
+// exactly as core.Enumerate and parallel.Enumerate do.
 //
 // The drained stream is byte-identical to a pure in-core run's:
 //
@@ -47,7 +49,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
-	"repro/internal/kclique"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
 	"repro/internal/parallel"
@@ -73,7 +74,8 @@ type Options struct {
 	// in-core phase only; they are emitted before any level work, so a
 	// later spill never affects them).
 	ReportSmall bool
-	// Dir is the spill directory the out-of-core phase uses (required).
+	// Dir is the spill directory the out-of-core phase uses.  It selects
+	// the trip policy: empty, a tripped budget aborts the run.
 	Dir string
 	// SpillBudget, when positive, bounds one out-of-core level's file
 	// bytes after a spill, as in ooc.Options.MaxLevelBytes.
@@ -88,18 +90,9 @@ type Options struct {
 	// Reporter receives every maximal clique, in the same ordered stream
 	// a pure in-core run delivers.
 	Reporter clique.Reporter
-	// OnLevel observes each generation step, in-core or spilled.
-	OnLevel func(LevelStats)
-}
-
-// LevelStats is one generation step of a hybrid run.
-type LevelStats struct {
-	FromK         int
-	Sublists      int   // in-core steps; 0 after the spill
-	Cliques       int64 // candidate cliques consumed
-	Maximal       int64 // maximal (FromK+1)-cliques reported
-	ResidentBytes int64 // in-core: paper-formula resident; spilled: level file bytes
-	Spilled       bool  // this step ran (at least partly) out of core
+	// OnLevel observes each generation step, in-core or spilled (Spilled
+	// set; Bytes/NextBytes are then level-file bytes).
+	OnLevel func(core.LevelStats)
 }
 
 // Result summarizes a hybrid run.
@@ -110,7 +103,6 @@ type Result struct {
 	// generated when the governor tripped — the size of the records the
 	// drain wrote.  0 means the whole run stayed in core.
 	SpilledAtLevel int
-	SeedStats      kclique.Stats
 	// OOC is the out-of-core engine's I/O accounting for the spilled
 	// phase (zero when the run never spilled).
 	OOC ooc.Stats
@@ -144,12 +136,12 @@ type runner struct {
 	res  *Result
 }
 
-// Enumerate runs the adaptive enumeration.  The emitted clique stream —
-// order included — is identical to the sequential in-core backend's for
-// any budget, worker count and trip point.
+// Enumerate runs the enumeration.  The emitted clique stream — order
+// included — is identical to the sequential in-core backend's for any
+// budget, worker count and trip point.
 func Enumerate(g graph.Interface, opts Options) (*Result, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("hybrid: Dir is required")
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -189,183 +181,91 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 			h.opts.Reporter.Emit(c)
 		}
 	})
-	var err error
+	return h.res, h.run()
+}
+
+// run picks the level engine from Workers, seeds on it, and drives the
+// shared level loop with the trip policy Dir selects.
+func (h *runner) run() error {
+	g, opts := h.g, h.opts
+	var (
+		eng   core.LevelEngine
+		stop  func() // stops the engine and releases its scratch charge; idempotent
+		lvl   *core.Level
+		homes []int32
+		err   error
+	)
 	if opts.Workers > 1 {
-		err = h.runParallel()
-	} else {
-		err = h.runSequential()
-	}
-	return h.res, err
-}
-
-func (h *runner) ctx() context.Context {
-	if h.opts.Ctx == nil {
-		return context.Background()
-	}
-	return h.opts.Ctx
-}
-
-// runSequential is the Workers == 1 in-core phase: the core level loop
-// with a per-sub-list governor poll.
-//
-//repro:ctxloop
-func (h *runner) runSequential() error {
-	g, opts := h.g, h.opts
-	var lvl *core.Level
-	if opts.Lo <= 2 {
-		if opts.ReportSmall {
-			core.ReportSmallCliques(g, opts.Lo, h.rep)
-		}
-		lvl = core.SeedFromEdgesMode(g, opts.Mode)
-	} else {
-		var err error
-		lvl, h.res.SeedStats, err = core.SeedFromKMode(g, opts.Lo, opts.Mode, h.rep)
-		if err != nil {
-			return err
-		}
-	}
-	h.gov.Charge(lvl.Bytes(g.N()))
-
-	b := core.NewBuilderMode(g, opts.Mode, h.bits)
-	b.Ctx = opts.Ctx
-	b.Gov = h.gov
-	h.gov.Charge(b.ScratchBytes())
-	defer h.gov.Release(b.ScratchBytes())
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if err := h.ctx().Err(); err != nil {
-			h.gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			return fmt.Errorf("hybrid: canceled before level %d->%d: %w", lvl.K, lvl.K+1, err)
-		}
-		lvlBytes := lvl.Bytes(g.N())
-		b.Reset()
-		tripAt := -1
-		for i, s := range lvl.Sub {
-			if i&63 == 0 && h.ctx().Err() != nil {
-				// The consumed level and the partial next level are both
-				// still charged; retire them so the shared governor stays
-				// balanced for the spillover bookkeeping.
-				h.gov.Release(lvlBytes + b.NewBytes)
-				return fmt.Errorf("hybrid: canceled during level %d->%d: %w",
-					lvl.K, lvl.K+1, h.ctx().Err())
-			}
-			if h.gov.Over() {
-				tripAt = i
-				break
-			}
-			b.ProcessSubList(s, h.rep)
-		}
-		if tripAt >= 0 {
-			// The governor tripped at input tripAt: drain the head
-			// (outputs of inputs < tripAt, all retained and in order)
-			// plus the joined remainder, then continue out of core.
-			return h.drain(lvl, b.Next, lvl.Sub[tripAt:], b.Maximal, lvlBytes)
-		}
-		next := &core.Level{K: lvl.K + 1, Sub: b.Next}
-		h.observe(LevelStats{
-			FromK:         lvl.K,
-			Sublists:      len(lvl.Sub),
-			Cliques:       lvl.Cliques(),
-			Maximal:       b.Maximal,
-			ResidentBytes: lvlBytes + b.NewBytes,
+		p, perr := parallel.NewPool(g, parallel.Options{
+			Ctx:         opts.Ctx,
+			Workers:     opts.Workers,
+			Lo:          opts.Lo,
+			Hi:          opts.Hi,
+			RecomputeCN: opts.Mode == core.CNRecompute,
+			CompressCN:  opts.Mode == core.CNCompress,
+			Strategy:    opts.Strategy,
+			Gov:         h.gov,
 		})
-		h.gov.Release(lvlBytes)
-		lvl = next
+		if perr != nil {
+			return fmt.Errorf("hybrid: %w", perr)
+		}
+		eng, stop = p, p.Close
+		lvl, homes, err = p.Seed(h.rep)
+	} else {
+		b := core.NewBuilderMode(g, opts.Mode, h.bits)
+		b.Gov = h.gov
+		scratch := b.ScratchBytes()
+		h.gov.Charge(scratch)
+		eng, stop = b, func() { h.gov.Release(scratch); scratch = 0 }
+		lvl, err = core.Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, h.rep)
 	}
-	h.gov.Release(lvl.Bytes(g.N()))
-	return nil
-}
-
-// runParallel is the Workers > 1 in-core phase: the streaming pool with
-// the governor as its per-chunk trip, and the sequencer's frontier as
-// the consistent cut the drain resumes from.
-//
-//repro:ctxloop
-func (h *runner) runParallel() error {
-	g, opts := h.g, h.opts
-	p, err := parallel.NewPool(g, parallel.Options{
-		Ctx:         opts.Ctx,
-		Workers:     opts.Workers,
-		Lo:          opts.Lo,
-		Hi:          opts.Hi,
-		RecomputeCN: opts.Mode == core.CNRecompute,
-		CompressCN:  opts.Mode == core.CNCompress,
-		Strategy:    opts.Strategy,
-		Gov:         h.gov,
-	})
+	defer stop()
 	if err != nil {
+		return err
+	}
+
+	loop := core.Loop{
+		Ctx:      opts.Ctx,
+		Hi:       opts.Hi,
+		Gov:      h.gov,
+		Reporter: h.rep,
+		OnLevel:  opts.OnLevel,
+	}
+	if opts.Dir != "" {
+		loop.OnTrip = func(lvl *core.Level, out core.LevelOutcome) error {
+			// Stop the engine before the serial drain so its scratch
+			// leaves the accounting.
+			stop()
+			return h.drain(lvl, out)
+		}
+	}
+	if err := loop.Run(g.N(), eng, lvl, homes); err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
-	defer p.Close()
-
-	var lvl *core.Level
-	var homes []int32
-	if opts.Lo <= 2 {
-		lvl, homes = core.SeedFromEdgesParallel(g, opts.Mode, opts.Workers)
-	} else {
-		lvl, homes, h.res.SeedStats, err = core.SeedFromKParallel(g, opts.Lo, opts.Mode, opts.Workers, h.rep)
-		if err != nil {
-			return err
-		}
-	}
-	h.gov.Charge(lvl.Bytes(g.N()))
-
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if err := h.ctx().Err(); err != nil {
-			h.gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			return fmt.Errorf("hybrid: canceled before level %d->%d: %w", lvl.K, lvl.K+1, err)
-		}
-		lvlBytes := lvl.Bytes(g.N())
-		out := p.RunLevel(opts.Ctx, lvl, homes, h.rep, h.gov.Over)
-		if err := h.ctx().Err(); err != nil {
-			// The consumed level plus the head of the next level the pool
-			// retained below its frontier are still charged; retire both.
-			h.gov.Release(lvlBytes + out.Next.Bytes(g.N()))
-			return fmt.Errorf("hybrid: canceled during level %d->%d: %w", lvl.K, lvl.K+1, err)
-		}
-		if out.Tripped {
-			// Outputs for inputs < Frontier were released in order (and
-			// emitted); the window beyond it was discarded by the pool.
-			// Close the pool before the serial drain so its workers'
-			// scratch leaves the accounting.
-			maximal := out.Stats.Maximal
-			p.Close()
-			return h.drain(lvl, out.Next.Sub, lvl.Sub[out.Frontier:], maximal, lvlBytes)
-		}
-		h.observe(LevelStats{
-			FromK:         lvl.K,
-			Sublists:      len(lvl.Sub),
-			Cliques:       lvl.Cliques(),
-			Maximal:       out.Stats.Maximal,
-			ResidentBytes: lvlBytes + out.Next.Bytes(g.N()),
-		})
-		h.gov.Release(lvlBytes)
-		lvl, homes = out.Next, out.Homes
-	}
-	h.gov.Release(lvl.Bytes(g.N()))
 	return nil
 }
 
-// drain switches the run out of core mid-step.  lvl is the consumed
-// level (size k); head holds the produced (k+1)-sub-lists retained for
-// inputs before the trip frontier, in canonical order; rest holds the
-// unjoined input sub-lists from the frontier on.  The produced level
-// leaves for disk as one sorted record stream — head records verbatim,
-// then the rest's surviving candidates via a spill-mode builder that
-// emits their maximal cliques in order — and ooc.Continue runs the level
-// loop from there.
-func (h *runner) drain(lvl *core.Level, head, rest []*core.SubList, stepMaximal int64, lvlBytes int64) error {
+// drain is the spill trip policy: it switches the run out of core
+// mid-step.  lvl is the consumed level (size k-1); out.Next holds the
+// produced k-sub-lists retained for inputs before the trip frontier, in
+// canonical order (the head); lvl.Sub[out.Frontier:] are the unjoined
+// inputs (the rest).  The produced level leaves for disk as one sorted
+// record stream — head records verbatim, then the rest's surviving
+// candidates via a spill-mode builder that emits their maximal cliques
+// in order — and ooc.Continue runs the level loop from there.  Both
+// levels' governor charges are drain's to settle, on every path.
+func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	g, opts := h.g, h.opts
 	k := lvl.K + 1 // size of the records being drained
 	h.res.SpilledAtLevel = k
+	head, rest := out.Next.Sub, lvl.Sub[out.Frontier:]
+	st := out.Stats
+	rawHint := (st.NextCl + st.Cliques) * 4 * int64(k)
 
-	var headCliques int64
-	for _, s := range head {
-		headCliques += int64(len(s.Tails))
-	}
-	rawHint := (headCliques + lvl.Cliques()) * 4 * int64(k)
-
-	drainMaximal := stepMaximal
-	consumedReleased := false
+	// resident is what the two levels still hold against the governor:
+	// head sub-lists leave it as their records reach disk, the consumed
+	// level when the drain join completes — or all at once on an abort.
+	resident := st.Bytes + st.NextBytes
 	oocOpts := ooc.Options{
 		Ctx:           opts.Ctx,
 		Dir:           opts.Dir,
@@ -376,20 +276,21 @@ func (h *runner) drain(lvl *core.Level, head, rest []*core.SubList, stepMaximal 
 		Compress:      opts.Compress,
 		Gov:           h.gov,
 		OnLevel: func(ls ooc.LevelStats) {
-			h.observe(LevelStats{
-				FromK:         ls.FromK,
-				Cliques:       ls.Cliques,
-				Maximal:       ls.Maximal,
-				ResidentBytes: ls.FileBytes + ls.NextBytes,
-				Spilled:       true,
+			h.observe(core.LevelStats{
+				FromK:     ls.FromK,
+				Cliques:   ls.Cliques,
+				Bytes:     ls.FileBytes,
+				NextBytes: ls.NextBytes,
+				Maximal:   ls.Maximal,
+				Spilled:   true,
 			})
 		},
 	}
-	st, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(rec []uint32) error) error {
+	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(rec []uint32) error) error {
 		rec := make([]uint32, k)
 		for i, s := range head {
-			if i&63 == 0 && h.ctx().Err() != nil {
-				return fmt.Errorf("hybrid: canceled draining level %d: %w", k, h.ctx().Err())
+			if i&63 == 0 && opts.Ctx.Err() != nil {
+				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
 			copy(rec, s.Prefix)
 			for _, t := range s.Tails {
@@ -400,6 +301,7 @@ func (h *runner) drain(lvl *core.Level, head, rest []*core.SubList, stepMaximal 
 			}
 			// The head sub-list is on disk now; its resident charge goes.
 			h.gov.Release(s.MemBytes(g.N()))
+			resident -= s.MemBytes(g.N())
 			if s.CN != nil {
 				h.bits.Put(s.CN)
 				s.CN = nil
@@ -411,50 +313,45 @@ func (h *runner) drain(lvl *core.Level, head, rest []*core.SubList, stepMaximal 
 		// whose bitmaps were already consumed (a discarded parallel
 		// window) reconstruct their prefix CN from adjacency rows.
 		db := core.NewBuilderMode(g, opts.Mode, h.bits)
-		db.Ctx = opts.Ctx
 		db.Spill = write
 		for i, s := range rest {
-			if i&63 == 0 && h.ctx().Err() != nil {
-				return fmt.Errorf("hybrid: canceled draining level %d: %w", k, h.ctx().Err())
+			if i&63 == 0 && opts.Ctx.Err() != nil {
+				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
 			db.ProcessSubList(s, h.rep)
 			if db.SpillErr != nil {
 				return db.SpillErr
 			}
 		}
-		drainMaximal += db.Maximal
 		// The consumed level is fully joined and on disk: release it now,
 		// inside the feed, so the out-of-core phase runs with Used back
 		// under budget instead of carrying the spilled level's bytes to
 		// the end of the run.
-		h.gov.Release(lvlBytes)
-		consumedReleased = true
+		h.gov.Release(resident)
+		resident = 0
 		// The drained step k-1 -> k is complete here, before the
 		// out-of-core loop reports any later level, so observers see the
-		// steps in generation order.
-		h.observe(LevelStats{
-			FromK:         lvl.K,
-			Sublists:      len(lvl.Sub),
-			Cliques:       lvl.Cliques(),
-			Maximal:       drainMaximal,
-			ResidentBytes: lvlBytes,
-			Spilled:       true,
-		})
+		// steps in generation order.  The produced level is on disk, not
+		// resident.
+		st.NextSub, st.NextCl, st.NextBytes = 0, 0, 0
+		st.Maximal += db.Maximal
+		st.Dropped += db.Dropped
+		st.Cost.Add(db.Cost)
+		st.Spilled = true
+		h.observe(st)
 		return nil
 	})
-	if !consumedReleased {
-		// The drain aborted mid-feed (cancellation, I/O error): the level
-		// is abandoned with the run, but the ledger still balances.
-		h.gov.Release(lvlBytes)
-	}
-	h.res.OOC = st
+	// A drain aborted mid-feed (cancellation, I/O error) abandons both
+	// levels with the run, but the ledger still balances.
+	h.gov.Release(resident)
+	h.res.OOC = ost
 	if err != nil {
-		return fmt.Errorf("hybrid: spilled at level %d: %w", k, err)
+		return fmt.Errorf("spilled at level %d: %w", k, err)
 	}
 	return nil
 }
 
-func (h *runner) observe(ls LevelStats) {
+func (h *runner) observe(ls core.LevelStats) {
 	if h.opts.OnLevel != nil {
 		h.opts.OnLevel(ls)
 	}

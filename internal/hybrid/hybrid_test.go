@@ -3,7 +3,9 @@ package hybrid
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/clique"
@@ -226,5 +228,126 @@ func TestCancellationDuringSpill(t *testing.T) {
 	// Delivered prefix must match the reference stream.
 	if seen < len(want)/2 {
 		t.Fatalf("delivered %d cliques before cancel, want >= %d", seen, len(want)/2)
+	}
+}
+
+// TestLedgerBalancedOnEveryLoopPath pins the governor contract of the
+// shared level loop: whichever way a run ends — and on whichever engine
+// — Used is back at its entry value.  The entry value is non-zero (a
+// stand-in for the facade's graph charge), so an over-release would show
+// as well as a leak.
+func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
+	g := testGraph(21, 220, 0.2)
+	const entry = 12345
+	const never = 1 << 40 // a budget the run cannot reach: arms the trip poll only
+
+	type run struct {
+		gov    *membudget.Governor
+		cancel context.CancelFunc
+		opts   *Options
+		extra  int64 // bytes the scenario itself charged to force a trip
+	}
+	paths := []struct {
+		name   string
+		budget int64
+		spill  bool         // give the run a spill Dir (trip policy: drain)
+		arm    func(r *run) // install the scenario's hooks
+		check  func(t *testing.T, workers int, res *Result, err error)
+	}{
+		{name: "complete", budget: never,
+			check: func(t *testing.T, _ int, _ *Result, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "hi-cut", budget: never,
+			arm: func(r *run) { r.opts.Hi = 4 },
+			check: func(t *testing.T, _ int, res *Result, err error) {
+				if err != nil || res.MaxCliqueSize > 4 {
+					t.Fatalf("err %v, max size %d", err, res.MaxCliqueSize)
+				}
+			}},
+		{name: "cancel-before-level", budget: never,
+			arm: func(r *run) { r.opts.OnLevel = func(core.LevelStats) { r.cancel() } },
+			check: func(t *testing.T, _ int, _ *Result, err error) {
+				if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "before level") {
+					t.Fatalf("err = %v", err)
+				}
+			}},
+		{name: "cancel-during-level", budget: never,
+			arm: func(r *run) {
+				r.opts.Reporter = clique.ReporterFunc(func(c clique.Clique) {
+					if len(c) > 3 { // a level emission, not the seed phase's
+						r.cancel()
+					}
+				})
+			},
+			check: func(t *testing.T, workers int, _ *Result, err error) {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v", err)
+				}
+				// The sequential engine's poll points are deterministic; the
+				// pool may finish the level before a worker looks.
+				if workers == 1 && !strings.Contains(err.Error(), "during level") {
+					t.Fatalf("sequential run was not stopped mid-level: %v", err)
+				}
+			}},
+		{name: "trip-abort", budget: 64 << 10,
+			check: func(t *testing.T, _ int, _ *Result, err error) {
+				if !errors.Is(err, core.ErrMemoryBudget) {
+					t.Fatalf("err = %v", err)
+				}
+			}},
+		{name: "trip-drain", budget: 64 << 10, spill: true,
+			check: func(t *testing.T, _ int, res *Result, err error) {
+				if err != nil || res.SpilledAtLevel == 0 {
+					t.Fatalf("err %v, spilled at %d", err, res.SpilledAtLevel)
+				}
+			}},
+		// The first emission pushes the governor over and cancels: the
+		// sequential engine trips on the next sub-list and the drain finds
+		// its context already dead with the whole head still resident.
+		{name: "trip-drain-canceled", budget: never, spill: true,
+			arm: func(r *run) {
+				r.opts.Reporter = clique.ReporterFunc(func(c clique.Clique) {
+					if len(c) > 3 && r.extra == 0 {
+						r.extra = 2 * never
+						r.gov.Charge(r.extra)
+						r.cancel()
+					}
+				})
+			},
+			check: func(t *testing.T, workers int, res *Result, err error) {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v", err)
+				}
+				if workers == 1 && res.SpilledAtLevel == 0 {
+					t.Fatal("sequential run never reached the drain")
+				}
+			}},
+	}
+	for _, p := range paths {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%dw", p.name, workers), func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				gov := membudget.New(entry + p.budget)
+				gov.Charge(entry)
+				opts := Options{Ctx: ctx, Lo: 3, Workers: workers, Gov: gov}
+				if p.spill {
+					opts.Dir = t.TempDir()
+				}
+				r := &run{gov: gov, cancel: cancel, opts: &opts}
+				if p.arm != nil {
+					p.arm(r)
+				}
+				res, err := Enumerate(g, opts)
+				p.check(t, workers, res, err)
+				gov.Release(r.extra)
+				if used := gov.Used(); used != entry {
+					t.Errorf("governor Used = %d after the run, entry value %d", used, entry)
+				}
+			})
+		}
 	}
 }

@@ -4,11 +4,11 @@
 // resident candidate bytes, the parallel pool's per-worker scratch and
 // merge-window buffers, and the out-of-core engine's in-flight shard I/O
 // buffers.  It replaces the three disjoint ad-hoc budget fields the
-// backends grew independently (core.Options.MemoryBudget, the Builder's
-// Budget/Exceeded pair, and the facade-level rejection of budgets on
-// every other backend) with one definition of "what memory means": the
-// sum of everything a layer declared resident, compared against one
-// budget.
+// backends grew independently (core.Options.MemoryBudget, a budget and
+// over-budget flag on the Builder, and the facade-level rejection of
+// budgets on every other backend) with one definition of "what memory
+// means": the sum of everything a layer declared resident, compared
+// against one budget.
 //
 // The paper's central tension motivates the design: the fast in-core
 // enumerator dies when candidate storage outgrows RAM (the graph-B

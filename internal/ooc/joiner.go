@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/bitset"
+	"repro/internal/clique"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 )
@@ -16,12 +18,13 @@ import (
 // This file is the worker-side face of the out-of-core engine: the
 // pieces a remote (or merely out-of-process) worker needs to join one
 // leased shard exactly the way the single-machine pool does — stream
-// the shard's prefix runs, pairwise-test each run's tails against the
-// prefix common-neighbor bitmap, spill survivors as (k+1)-candidates
-// through a run-aligned LevelWriter, and buffer the maximal dead ends
-// for in-order emission.  internal/dist builds its workers on Joiner +
-// LevelWriter + OpenShard; the local pool in ooc.go uses the same
-// Joiner, so the distributed and single-machine joins cannot drift.
+// the shard's prefix runs, hand each run to the one join kernel
+// (core.Builder in drain mode), which spills survivors as
+// (k+1)-candidates through a run-aligned LevelWriter, and buffer the
+// maximal dead ends for in-order emission.  internal/dist builds its
+// workers on Joiner + LevelWriter + OpenShard; the local pool in ooc.go
+// uses the same Joiner, so the distributed, single-machine and in-core
+// joins cannot drift.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), and the I/O the join
@@ -34,33 +37,37 @@ type JoinStats struct {
 	BytesRead int64
 }
 
-// Joiner owns the per-worker scratch of the shard join: the two dense
-// common-neighbor bitmaps and the record buffers.  It is not safe for
-// concurrent use; give each worker its own.
+// Emit appends one maximal clique to the flat emission arena; JoinStats
+// is the reporter the kernel emits a collecting join's cliques to.
+func (s *JoinStats) Emit(c clique.Clique) {
+	s.EmitVerts = append(s.EmitVerts, c...)
+	s.EmitOff = append(s.EmitOff, int32(len(s.EmitVerts)))
+}
+
+// Joiner owns the per-worker state of the shard join: the join kernel —
+// a drain-mode core.Builder that recomputes each run's prefix bitmap,
+// writes surviving candidates through Spill (applying the paper's
+// |S| > 1 rule, so a level on disk holds exactly the cliques the
+// in-core level would) and reports maximal cliques — plus the record
+// buffers that turn a shard's record stream into prefix runs.  It is not
+// safe for concurrent use; give each worker its own.
 type Joiner struct {
-	g          graph.Interface
-	dense      *graph.Graph // non-nil when g is the dense backend (fused fast path)
-	cn, cnNext *bitset.Bitset
-	rec        []uint32
-	prefix     []uint32
-	tails      []uint32
-	rec2       []uint32
-	prefixInts []int
+	g     graph.Interface
+	b     *core.Builder
+	run   core.SubList // the current prefix run, as the kernel's input
+	rec   []uint32
+	tails []uint32
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
 func NewJoiner(g graph.Interface) *Joiner {
-	n := g.N()
-	dense, _ := g.(*graph.Graph)
-	return &Joiner{g: g, dense: dense, cn: bitset.New(n), cnNext: bitset.New(n)}
+	return &Joiner{g: g, b: core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))}
 }
 
 // ScratchBytes reports the joiner's resident bitmap footprint — what a
 // coordinator reserves against its governor on the worker's behalf, so
 // one budget authority still sees every process's scratch.
-func (j *Joiner) ScratchBytes() int64 {
-	return 2 * int64((j.g.N()+63)/64) * 8
-}
+func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 
 // JoinShard streams one input shard of size-k records from dir, joining
 // its prefix runs and writing next-level candidates through out (which
@@ -91,8 +98,9 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 	return j.joinFrom(ctx, r, k, out, collect)
 }
 
-// joinFrom streams the opened shard's prefix runs through joinRun,
-// closing the reader on every path.
+// joinFrom streams the opened shard's prefix runs through the kernel,
+// closing the reader on every path.  All scratch is joiner-owned — the
+// loop allocates only when the emission arena grows.
 //
 //repro:ctxloop
 func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
@@ -104,8 +112,15 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 		}
 	}()
 
+	b := j.b
+	b.Reset()
+	b.Spill = out.Write
+	var rep clique.Reporter
+	if collect {
+		rep = &res
+	}
 	rec := growU32(&j.rec, k)
-	prefix := growU32(&j.prefix, k-1)
+	prefix := growU32(&j.run.Prefix, k-1)
 	tails := j.tails[:0]
 	defer func() { j.tails = tails[:0] }() // keep grown capacity for the next shard
 	for i := int64(0); ; i++ {
@@ -122,7 +137,7 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 			return res, err
 		}
 		if len(tails) > 0 && !equalPrefix(prefix, rec[:k-1]) {
-			if err := j.joinRun(&res, out, k, prefix, tails, collect); err != nil {
+			if err := j.joinRun(tails, rep); err != nil {
 				return res, err
 			}
 			tails = tails[:0]
@@ -131,90 +146,22 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 		tails = append(tails, rec[k-1])
 	}
 	if len(tails) > 0 {
-		if err := j.joinRun(&res, out, k, prefix, tails, collect); err != nil {
+		if err := j.joinRun(tails, rep); err != nil {
 			return res, err
 		}
 	}
+	res.Maximal = b.Maximal
 	return res, nil
 }
 
-// joinRun joins one prefix run: the current run's tails are pairwise
-// tested; survivors spill as (k+1)-candidates, dead ends of size >= 3
-// are maximal and buffered for in-order emission.  All scratch is
-// joiner-owned — the hot loop allocates only when an emission arena
-// grows.
-func (j *Joiner) joinRun(res *JoinStats, out *LevelWriter,
-	k int, prefix, tails []uint32, collect bool) error {
-	g := j.g
-	pi := j.prefixInts[:0]
-	for _, p := range prefix {
-		pi = append(pi, int(p))
-	}
-	j.prefixInts = pi
-	// CN of the shared prefix (k-1 ANDs over adjacency rows; for k=2 the
-	// "prefix" is one vertex).
-	graph.CommonNeighbors(g, j.cn, pi)
-	rec2 := growU32(&j.rec2, k+1)
-	copy(rec2, prefix)
-	for i := 0; i < len(tails)-1; i++ {
-		v := int(tails[i])
-		if j.dense != nil {
-			// Dense fast path: the join never retains CN(prefix+v) — it
-			// only asks maximality — so the cnNext materialize is fused
-			// away entirely and each probe runs three-way over
-			// (prefix CN, N(v), N(u)) with first-witness early exit.
-			nv := j.dense.Neighbors(v)
-			rec2[k-1] = tails[i]
-			for jj := i + 1; jj < len(tails); jj++ {
-				u := int(tails[jj])
-				if !nv.Test(u) {
-					continue
-				}
-				if bitset.AndAny3(j.cn, nv, j.dense.Neighbors(u)) {
-					rec2[k] = tails[jj]
-					if err := out.Write(rec2); err != nil {
-						return err
-					}
-				} else if k+1 >= 3 {
-					res.Maximal++
-					if collect {
-						for _, p := range prefix {
-							res.EmitVerts = append(res.EmitVerts, int(p))
-						}
-						res.EmitVerts = append(res.EmitVerts, v, u)
-						res.EmitOff = append(res.EmitOff, int32(len(res.EmitVerts)))
-					}
-				}
-			}
-			continue
-		}
-		rv := g.Row(v)
-		rv.AndInto(j.cnNext, j.cn)
-		rec2[k-1] = tails[i]
-		for jj := i + 1; jj < len(tails); jj++ {
-			u := int(tails[jj])
-			if !rv.Test(u) {
-				continue
-			}
-			if g.Row(u).IntersectsWith(j.cnNext) {
-				// Non-maximal: spill as a next-level candidate.
-				rec2[k] = tails[jj]
-				if err := out.Write(rec2); err != nil {
-					return err
-				}
-			} else if k+1 >= 3 {
-				res.Maximal++
-				if collect {
-					for _, p := range prefix {
-						res.EmitVerts = append(res.EmitVerts, int(p))
-					}
-					res.EmitVerts = append(res.EmitVerts, v, u)
-					res.EmitOff = append(res.EmitOff, int32(len(res.EmitVerts)))
-				}
-			}
-		}
-	}
-	return nil
+// joinRun hands the buffered prefix run to the kernel.  A run of one
+// clique has no pair to join — the kernel's loop is empty for it, which
+// is also how the singleton runs of a checkpoint written before the
+// on-disk |S| > 1 rule are skipped.
+func (j *Joiner) joinRun(tails []uint32, rep clique.Reporter) error {
+	j.run.Tails = tails
+	j.b.ProcessSubList(&j.run, rep)
+	return j.b.SpillErr
 }
 
 func growU32(buf *[]uint32, n int) []uint32 {
@@ -303,12 +250,6 @@ func DefaultShardTarget(consumedBytes int64, workers int) int64 {
 	}
 	return t
 }
-
-// LevelRecords sums the record counts of a level's shard list.
-func LevelRecords(shards []ShardMeta) int64 { return levelRecords(shards) }
-
-// LevelBytes sums a level's encoded and fixed-width-equivalent bytes.
-func LevelBytes(shards []ShardMeta) (enc, raw int64) { return levelBytes(shards) }
 
 // ShardFileName builds the canonical shard file name for level k with a
 // distinguishing tag (the engine uses a global sequence; the

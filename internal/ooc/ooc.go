@@ -376,7 +376,7 @@ func (e *engine) run(shards []ShardMeta, k int) (Stats, error) {
 			return e.stats(), err
 		}
 	}
-	for levelRecords(shards) > 0 {
+	for LevelRecords(shards) > 0 {
 		if e.opts.MaxK > 0 && k >= e.opts.MaxK {
 			break
 		}
@@ -557,13 +557,13 @@ type shardResult struct {
 // level's shard list.
 func (e *engine) runLevel(shards []ShardMeta, k int) ([]ShardMeta, error) {
 	e.levels++
-	encB, rawB := levelBytes(shards)
+	encB, rawB := LevelBytes(shards)
 	if encB > e.peak {
 		e.peak = encB
 	}
 	lst := LevelStats{
 		FromK:        k,
-		Cliques:      levelRecords(shards),
+		Cliques:      LevelRecords(shards),
 		Shards:       len(shards),
 		FileBytes:    encB,
 		RawFileBytes: rawB,
@@ -631,7 +631,7 @@ func (e *engine) runLevel(shards []ShardMeta, k int) ([]ShardMeta, error) {
 		return nil, errors.Join(errs...)
 	}
 
-	nst, nraw := levelBytes(nextShards)
+	nst, nraw := LevelBytes(nextShards)
 	lst.NextBytes, lst.RawNextBytes = nst, nraw
 	lst.Maximal = e.maximal - maxBefore
 	if e.opts.OnLevel != nil {
@@ -835,6 +835,3 @@ func (w *oocWorker) processShard(job *levelJob, si int, data []byte) (*shardResu
 		emitOff:   st.EmitOff,
 	}, nil
 }
-
-// SpillPath returns a default spill directory under the OS temp dir.
-func SpillPath() string { return filepath.Join(os.TempDir(), "repro-ooc") }

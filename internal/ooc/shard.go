@@ -42,7 +42,8 @@ type ShardMeta struct {
 	RawBytes int64  `json:"raw_bytes"` // fixed-width-equivalent payload bytes (4k per record)
 }
 
-func levelRecords(shards []ShardMeta) int64 {
+// LevelRecords sums the record counts of a level's shard list.
+func LevelRecords(shards []ShardMeta) int64 {
 	var t int64
 	for _, s := range shards {
 		t += s.Records
@@ -50,7 +51,8 @@ func levelRecords(shards []ShardMeta) int64 {
 	return t
 }
 
-func levelBytes(shards []ShardMeta) (enc, raw int64) {
+// LevelBytes sums a level's encoded and fixed-width-equivalent bytes.
+func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	for _, s := range shards {
 		enc += s.Bytes
 		raw += s.RawBytes

@@ -24,12 +24,13 @@ import (
 // Affinity strategy's threshold balancer is in effect from the first
 // generation level instead of silently falling back to a contiguous
 // split.
+//
+// No backend selects it: the benchmark harness and this package's tests call it as their reference.
 func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	mode, err := checkOptions(&opts)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	res := &Result{WorkerBusy: make([]float64, opts.Workers)}
 
 	// Seed-phase reporter: counts and forwards maximal Lo-cliques.
@@ -50,7 +51,7 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	if opts.Lo <= 2 {
 		lvl = core.SeedFromEdgesMode(g, mode)
 	} else {
-		lvl, res.SeedStats, err = core.SeedFromKMode(g, opts.Lo, mode,
+		lvl, _, err = core.SeedFromKMode(g, opts.Lo, mode,
 			clique.ReporterFunc(seedCount))
 		if err != nil {
 			return nil, err
@@ -83,7 +84,6 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 		// design has no mid-level pull point to interrupt.
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			res.Elapsed = time.Since(start)
 			return res, fmt.Errorf("parallel: canceled at level %d->%d: %w",
 				lvl.K, lvl.K+1, opts.Ctx.Err())
 		}
@@ -116,9 +116,11 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 
 		// Collect: merge next-level fragments and emissions in worker
 		// order, record loads and stats, decide next homes.
-		st := LevelStats{
+		st := core.LevelStats{
 			FromK:      lvl.K,
 			Sublists:   len(lvl.Sub),
+			Cliques:    lvl.Cliques(),
+			Bytes:      lvlBytes,
 			Transfers:  transfers,
 			WorkerBusy: make([]float64, opts.Workers),
 			WorkerCost: make([]int64, opts.Workers),
@@ -153,14 +155,12 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 			// gov.Err() reports Peak, so reconciling the consumed level and
 			// the kept next level first does not distort the message.
 			gov.Release(lvlBytes + next.Bytes(g.N()))
-			res.Elapsed = time.Since(start)
 			return res, fmt.Errorf("parallel: level %d->%d: %w", lvl.K, lvl.K+1, gov.Err())
 		}
 		gov.Release(lvlBytes)
 		lvl = next
 	}
 	gov.Release(lvl.Bytes(g.N()))
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 

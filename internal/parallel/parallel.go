@@ -36,10 +36,10 @@
 // merge-window emission copy between deposit and in-order release.  A
 // configured budget is enforced — workers stop pulling chunks the moment
 // the governor trips, the in-flight window drains through the
-// sched.Sequencer, and Enumerate aborts with core.ErrMemoryBudget — and
-// the same trip-and-drain machinery is what the hybrid backend uses,
-// through Pool.RunLevel, to switch a live run out-of-core instead of
-// aborting it.
+// sched.Sequencer, and the level stops at a consistent cut.  What happens
+// next is the level loop's trip policy (core.Loop): Enumerate aborts with
+// core.ErrMemoryBudget, the hybrid backend drains the cut to disk and
+// continues out of core.
 //
 // EnumerateBarrier retains the previous bulk-synchronous implementation
 // (goroutines respawned per level, one static assignment per level,
@@ -58,7 +58,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
-	"repro/internal/kclique"
 	"repro/internal/membudget"
 	"repro/internal/sched"
 )
@@ -111,52 +110,24 @@ type Options struct {
 	// order only with Contiguous, and size order with Affinity.  May be
 	// nil.
 	Reporter clique.Reporter
-	// OnLevel observes per-level scheduling statistics.
-	OnLevel func(LevelStats)
-}
-
-// LevelStats describes one parallel level step.
-type LevelStats struct {
-	FromK      int
-	Sublists   int
-	Chunks     int       // dispatcher chunks handed out
-	Transfers  int       // sub-lists processed by a non-home worker
-	WorkerBusy []float64 // seconds of generation work per worker
-	WorkerCost []int64   // abstract cost units per worker
-	Maximal    int64
+	// OnLevel observes per-level statistics (the pool fills the
+	// scheduling fields of core.LevelStats).
+	OnLevel func(core.LevelStats)
 }
 
 // Result summarizes a parallel run.
 type Result struct {
 	MaximalCliques int64
 	MaxCliqueSize  int
-	Levels         []LevelStats
+	Levels         []core.LevelStats
 	WorkerBusy     []float64 // total busy seconds per worker
 	Transfers      int
-	SeedStats      kclique.Stats // populated when Lo >= 3
-	Elapsed        time.Duration
-}
-
-// OptionsFromConfig derives parallel-backend Options from the unified
-// backend config.  Reporter, OnLevel, Policy and ChunksPerWorker are not
-// part of the config and are left for the caller to fill.
-func OptionsFromConfig(c enumcfg.Config) Options {
-	return Options{
-		Ctx:          c.Ctx,
-		Workers:      c.Workers,
-		Lo:           c.Lo,
-		Hi:           c.Hi,
-		RecomputeCN:  c.Mode == enumcfg.CNRecompute,
-		CompressCN:   c.Mode == enumcfg.CNCompress,
-		Strategy:     c.Strategy,
-		MemoryBudget: c.MemoryBudget,
-	}
 }
 
 // Enumerate runs the multithreaded Clique Enumerator on a persistent
-// streaming worker pool, over any graph representation.
-//
-//repro:ctxloop
+// streaming worker pool, over any graph representation: the parallel
+// entry point to the shared level loop (core.Loop) — parallel seed, the
+// pool as the level engine, budget trip aborts.
 func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	p, err := NewPool(g, opts)
 	if err != nil {
@@ -164,7 +135,6 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	}
 	defer p.Close()
 	opts = p.opts // defaults applied
-	start := time.Now()
 	res := &Result{WorkerBusy: make([]float64, opts.Workers)}
 
 	// Seed-phase reporter: counts and forwards maximal Lo-cliques.
@@ -177,60 +147,36 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 			opts.Reporter.Emit(c)
 		}
 	})
+	lvl, homes, err := p.Seed(seedRep)
+	if err != nil {
+		return nil, err
+	}
 
-	var lvl *core.Level
-	var homes []int32
-	if opts.Lo <= 2 {
-		lvl, homes = core.SeedFromEdgesParallel(g, p.mode, opts.Workers)
-	} else {
-		lvl, homes, res.SeedStats, err = core.SeedFromKParallel(g, opts.Lo, p.mode, opts.Workers, seedRep)
-		if err != nil {
-			return nil, err
-		}
+	// Level emissions go to the caller's reporter directly (nil keeps the
+	// pool from copying emissions at all); the counts come from the
+	// per-level statistics.
+	loop := core.Loop{
+		Ctx:      opts.Ctx,
+		Hi:       opts.Hi,
+		Gov:      opts.Gov,
+		Reporter: opts.Reporter,
+		OnLevel: func(st core.LevelStats) {
+			res.MaximalCliques += st.Maximal
+			if st.Maximal > 0 && st.FromK+1 > res.MaxCliqueSize {
+				res.MaxCliqueSize = st.FromK + 1
+			}
+			res.Transfers += st.Transfers
+			for w, busy := range st.WorkerBusy {
+				res.WorkerBusy[w] += busy
+			}
+			res.Levels = append(res.Levels, st)
+			if opts.OnLevel != nil {
+				opts.OnLevel(st)
+			}
+		},
 	}
-	gov := p.Gov()
-	gov.Charge(lvl.Bytes(g.N()))
-
-	var trip func() bool
-	if gov.Budget() > 0 {
-		trip = gov.Over
-	}
-	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
-			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("parallel: canceled at level %d->%d: %w",
-				lvl.K, lvl.K+1, opts.Ctx.Err())
-		}
-		lvlBytes := lvl.Bytes(g.N())
-		out := p.RunLevel(opts.Ctx, lvl, homes, opts.Reporter, trip)
-		res.MaximalCliques += out.Stats.Maximal
-		if out.Stats.Maximal > 0 && lvl.K+1 > res.MaxCliqueSize {
-			res.MaxCliqueSize = lvl.K + 1
-		}
-		res.Transfers += out.Stats.Transfers
-		for w, busy := range out.Stats.WorkerBusy {
-			res.WorkerBusy[w] += busy
-		}
-		res.Levels = append(res.Levels, out.Stats)
-		if opts.OnLevel != nil {
-			opts.OnLevel(out.Stats)
-		}
-		if out.Tripped {
-			// gov.Err() reports Peak, so retiring the consumed level first
-			// does not distort the message; pool-side charges for the
-			// partial next level were reconciled by the merger on trip.
-			gov.Release(lvlBytes)
-			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("parallel: level %d->%d: %w", lvl.K, lvl.K+1, gov.Err())
-		}
-		gov.Release(lvlBytes) // the consumed level is retired
-		lvl, homes = out.Next, out.Homes
-	}
-	gov.Release(lvl.Bytes(g.N()))
-	res.Elapsed = time.Since(start)
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return res, fmt.Errorf("parallel: canceled: %w", opts.Ctx.Err())
+	if err := loop.Run(g.N(), p, lvl, homes); err != nil {
+		return res, fmt.Errorf("parallel: %w", err)
 	}
 	return res, nil
 }
@@ -263,9 +209,8 @@ func checkOptions(opts *Options) (core.CNMode, error) {
 }
 
 // Pool is the persistent streaming worker pool with its level-merge
-// machinery, exported so the hybrid backend can drive levels one at a
-// time (and spill between them) through the exact engine Enumerate runs
-// on.  A Pool is bound to one graph; levels must be run one at a time.
+// machinery: the parallel core.LevelEngine.  A Pool is bound to one
+// graph; levels must be run one at a time.
 type Pool struct {
 	g       graph.Interface
 	opts    Options
@@ -312,8 +257,17 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// Gov returns the pool's governor (possibly nil).
-func (p *Pool) Gov() *membudget.Governor { return p.opts.Gov }
+// Seed builds the pool's seed level at size max(Lo, 2) on its worker
+// count, reporting maximal Lo-cliques to r; homes records creator
+// ownership for the Affinity strategy's first level.
+func (p *Pool) Seed(r clique.Reporter) (*core.Level, []int32, error) {
+	if p.opts.Lo <= 2 {
+		lvl, homes := core.SeedFromEdgesParallel(p.g, p.mode, p.opts.Workers)
+		return lvl, homes, nil
+	}
+	lvl, homes, _, err := core.SeedFromKParallel(p.g, p.opts.Lo, p.mode, p.opts.Workers, r)
+	return lvl, homes, err
+}
 
 // Close stops the workers and releases the governor's scratch charge.
 // Idempotent.
@@ -329,23 +283,6 @@ func (p *Pool) Close() {
 	p.opts.Gov.Release(p.scratch)
 }
 
-// LevelOutcome is one RunLevel's result.  When the level ran to
-// completion, Next/Homes describe the produced level and Frontier equals
-// the input sub-list count.  When the trip callback (or a context
-// cancellation) stopped it early, outputs were delivered in exact
-// canonical order for inputs [0, Frontier) only: Next holds precisely
-// their surviving sub-lists, every deposited-but-unreleased result
-// beyond the frontier has been discarded (and its governor charges
-// reconciled), and inputs [Frontier, n) are untouched input again — the
-// consistent cut the hybrid drain resumes from.
-type LevelOutcome struct {
-	Next     *core.Level
-	Homes    []int32
-	Stats    LevelStats
-	Frontier int
-	Tripped  bool
-}
-
 // RunLevel drives one level through the pool: it hands every worker the
 // level job, then sleeps until the level barrier.  Result merging is
 // decentralized — workers deposit chunk results straight into the shared
@@ -353,14 +290,17 @@ type LevelOutcome struct {
 // runs, which matters when workers already oversubscribe the cores.
 // trip, when non-nil, is polled by workers between chunks; once it
 // returns true the level stops early with the consistent-cut semantics
-// documented on LevelOutcome.
+// documented on core.LevelOutcome: every deposited-but-unreleased result
+// beyond the frontier is discarded and its governor charges reconciled.
 func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
-	rep clique.Reporter, trip func() bool) LevelOutcome {
+	rep clique.Reporter, trip func() bool) core.LevelOutcome {
 	w := len(p.workers)
 	items := len(lvl.Sub)
-	st := LevelStats{
+	st := core.LevelStats{
 		FromK:      lvl.K,
 		Sublists:   items,
+		Cliques:    lvl.Cliques(),
+		Bytes:      lvl.Bytes(p.g.N()),
 		WorkerBusy: make([]float64, w),
 		WorkerCost: make([]int64, w),
 	}
@@ -390,7 +330,6 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		trip:    trip,
 		wg:      &wg,
 		busy:    st.WorkerBusy,
-		cost:    st.WorkerCost,
 		collect: rep != nil,
 	}
 	for _, wk := range p.workers {
@@ -398,13 +337,19 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	}
 	wg.Wait()
 
+	// The builders are quiescent past the barrier; their per-level
+	// counters include work beyond the frontier of a stopped level.
+	for i, wk := range p.workers {
+		st.Cost.Add(wk.builder.Cost)
+		st.Dropped += wk.builder.Dropped
+		st.WorkerCost[i] = wk.builder.Cost.Units()
+	}
 	st.Maximal = p.m.maximal
 	st.Transfers = disp.Transfers()
 	st.Chunks = disp.Chunks()
-	out := LevelOutcome{
+	out := core.LevelOutcome{
 		Next:     p.m.next,
 		Homes:    p.m.homes,
-		Stats:    st,
 		Frontier: p.m.seq.Released(),
 	}
 	if out.Frontier < items {
@@ -422,6 +367,10 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		// linger in the accounting.
 		p.m.discardPending()
 	}
+	st.NextSub = len(out.Next.Sub)
+	st.NextCl = out.Next.Cliques()
+	st.NextBytes = out.Next.Bytes(p.g.N())
+	out.Stats = st
 	return out
 }
 
@@ -553,8 +502,7 @@ type levelJob struct {
 	merger  *merger
 	trip    func() bool // nil = never trips
 	wg      *sync.WaitGroup
-	busy    []float64 // per-worker stat slots; each worker writes its own
-	cost    []int64
+	busy    []float64 // per-worker stat slot; each worker writes its own
 	collect bool
 }
 
@@ -631,7 +579,6 @@ func (wk *worker) loop(wg *sync.WaitGroup) {
 			job.merger.deposit(cr)
 		}
 		job.busy[wk.id] = busy.Seconds()
-		job.cost[wk.id] = wk.builder.Cost.Units()
 		job.wg.Done()
 	}
 }

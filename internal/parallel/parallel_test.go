@@ -154,10 +154,10 @@ func TestRecomputeCNParallel(t *testing.T) {
 
 func TestLevelStatsPopulated(t *testing.T) {
 	g := testGraph(68)
-	var levels []LevelStats
+	var levels []core.LevelStats
 	res, err := Enumerate(g, Options{
 		Workers: 3,
-		OnLevel: func(st LevelStats) { levels = append(levels, st) },
+		OnLevel: func(st core.LevelStats) { levels = append(levels, st) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,12 +222,12 @@ func TestAffinityTransfersHappenUnderSkew(t *testing.T) {
 func TestBarrierAffinityActsFromLevelOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	g := graph.PlantedGraph(rng, 80, []graph.PlantedCliqueSpec{{Size: 12}}, 60)
-	var first *LevelStats
+	var first *core.LevelStats
 	res, err := EnumerateBarrier(g, Options{
 		Workers:  4,
 		Strategy: Affinity,
 		Policy:   sched.Policy{RelTolerance: 0.05},
-		OnLevel: func(st LevelStats) {
+		OnLevel: func(st core.LevelStats) {
 			if first == nil {
 				first = &st
 			}

@@ -96,20 +96,24 @@ func CollectMode(g *graph.Graph, lo, hi int, recompute bool) (*Trace, error) {
 		}
 	})
 
+	mode := core.CNStore
+	if recompute {
+		mode = core.CNRecompute
+	}
 	var lvl *core.Level
 	if lo <= 2 {
-		lvl = core.SeedFromEdges(g, !recompute)
+		lvl = core.SeedFromEdgesMode(g, mode)
 		tr.SeedUnits = int64(g.M()) // one pass over the edge list
 	} else {
 		var err error
-		lvl, tr.SeedUnits, err = seedFromKInstrumented(g, lo, !recompute, counter)
+		lvl, tr.SeedUnits, err = seedFromKInstrumented(g, lo, mode, counter)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	pool := bitset.NewPool(g.N())
-	b := core.NewBuilder(g, !recompute, pool)
+	b := core.NewBuilderMode(g, mode, pool)
 	var parents []int32 // parents of the CURRENT level's sub-lists
 	for len(lvl.Sub) > 0 && (hi == 0 || lvl.K+1 <= hi) {
 		lt := LevelTrace{
@@ -147,11 +151,11 @@ func CollectMode(g *graph.Graph, lo, hi int, recompute bool) (*Trace, error) {
 	return tr, nil
 }
 
-// seedFromKInstrumented wraps core.SeedFromK and estimates the seeding
+// seedFromKInstrumented wraps core.SeedFromKMode and estimates the seeding
 // cost in the same units as level processing: one word-pass per search
 // node of the k-clique enumerator.
-func seedFromKInstrumented(g *graph.Graph, lo int, storeCN bool, r clique.Reporter) (*core.Level, int64, error) {
-	lvl, st, err := core.SeedFromK(g, lo, storeCN, r)
+func seedFromKInstrumented(g *graph.Graph, lo int, mode core.CNMode, r clique.Reporter) (*core.Level, int64, error) {
+	lvl, st, err := core.SeedFromKMode(g, lo, mode, r)
 	if err != nil {
 		return nil, 0, err
 	}

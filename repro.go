@@ -126,51 +126,5 @@ func MaxCliqueContext(ctx context.Context, g GraphInterface) ([]int, error) {
 // WithBounds.
 func MaxCliqueSize(g GraphInterface) int { return maxclique.Size(g) }
 
-// EnumerateMaximalCliques reports every maximal clique of g with size in
-// [lo, hi] to visit, in non-decreasing order of size (hi = 0 means
-// unbounded above).  It returns the number of maximal cliques reported.
-//
-// Deprecated: use NewEnumerator(WithBounds(lo, hi)).Run or .Cliques,
-// which add cancellation, backend selection, and statistics.
-func EnumerateMaximalCliques(g GraphInterface, lo, hi int, visit func(Clique)) (int64, error) {
-	var rep Reporter
-	if visit != nil {
-		rep = ReporterFunc(visit)
-	}
-	return NewEnumerator(WithBounds(lo, hi)).Run(context.Background(), g, rep)
-}
-
-// EnumerateParallel is EnumerateMaximalCliques on the multithreaded
-// backend with the paper's affinity load balancing.  Output order is
-// identical to the sequential enumerator.
-//
-// Deprecated: use NewEnumerator(WithBounds(lo, hi), WithWorkers(workers),
-// WithStrategy(Affinity)).Run or .Cliques.
-func EnumerateParallel(g GraphInterface, workers, lo, hi int, visit func(Clique)) (int64, error) {
-	var rep Reporter
-	if visit != nil {
-		rep = ReporterFunc(visit)
-	}
-	e := NewEnumerator(WithBounds(lo, hi), WithWorkers(workers), WithStrategy(Affinity))
-	return e.Run(context.Background(), g, rep)
-}
-
 // Paraclique is a dense near-clique module.
 type Paraclique = paraclique.Paraclique
-
-// Paracliques decomposes g into paracliques with the given proportional
-// glom factor (0 < glom <= 1; 0 selects the historical default 0.8).
-//
-// Deprecated: use NewEnumerator().Paracliques(ctx, g, glom), which adds
-// cancellation, composes with WithBounds, and reports invalid gloms as
-// errors instead of panicking.
-func Paracliques(g GraphInterface, glom float64) []Paraclique {
-	if glom == 0 {
-		glom = 0.8 // the pre-facade default
-	}
-	ps, err := NewEnumerator().Paracliques(context.Background(), g, glom)
-	if err != nil {
-		panic(err) // out-of-range glom panicked before the facade, too
-	}
-	return ps
-}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -30,9 +31,10 @@ func TestFacadeMaxClique(t *testing.T) {
 func TestFacadeEnumerate(t *testing.T) {
 	g := overlapGraph()
 	var sizes []int
-	n, err := EnumerateMaximalCliques(g, 3, 0, func(c Clique) {
+	enum := NewEnumerator(WithBounds(3, 0))
+	n, err := enum.Run(context.Background(), g, ReporterFunc(func(c Clique) {
 		sizes = append(sizes, len(c))
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +44,8 @@ func TestFacadeEnumerate(t *testing.T) {
 	if sizes[0] != 4 || sizes[1] != 5 {
 		t.Errorf("sizes = %v, want [4 5] (non-decreasing)", sizes)
 	}
-	// Nil visitor counts only.
-	n2, err := EnumerateMaximalCliques(g, 3, 0, nil)
+	// Nil reporter counts only.
+	n2, err := enum.Run(context.Background(), g, nil)
 	if err != nil || n2 != 2 {
 		t.Errorf("count-only: n=%d err=%v", n2, err)
 	}
@@ -51,7 +53,8 @@ func TestFacadeEnumerate(t *testing.T) {
 
 func TestFacadeEnumerateParallel(t *testing.T) {
 	g := overlapGraph()
-	n, err := EnumerateParallel(g, 2, 3, 0, nil)
+	n, err := NewEnumerator(WithBounds(3, 0), WithWorkers(2), WithStrategy(Affinity)).
+		Run(context.Background(), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,10 @@ func TestFacadeEnumerateParallel(t *testing.T) {
 
 func TestFacadeParacliques(t *testing.T) {
 	g := overlapGraph()
-	ps := Paracliques(g, 0.9)
+	ps, err := NewEnumerator().Paracliques(context.Background(), g, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ps) == 0 {
 		t.Fatal("no paracliques")
 	}

@@ -5,7 +5,8 @@
 # repeated query to be served from the result cache (X-Cliqued-Cache:
 # hit) with identical bytes, and (c) a client killed mid-stream to leave
 # the server healthy with the governor back at the pinned-graph
-# baseline.  CI runs this on every push.
+# baseline, and (d) SIGTERM to drain the daemon to exit status 0.  CI
+# runs this on every push.
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/repro-smoke-cliqued-XXXXXX")
@@ -95,6 +96,8 @@ curl -sf "$base/graphs/$fp/cliques?format=text&lo=5" >/dev/null \
     || { echo "smoke-cliqued: query after disconnect failed" >&2; exit 1; }
 
 kill "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
+status=0
+wait "$daemon_pid" || status=$?
 daemon_pid=""
+[ "$status" = 0 ] || { echo "smoke-cliqued: SIGTERM did not drain the daemon (exit $status)" >&2; exit 1; }
 echo "smoke-cliqued: PASS"

@@ -95,8 +95,8 @@ func TestHybridStaysInCoreUnderBudget(t *testing.T) {
 }
 
 // TestMemoryBudgetEnforcedOnEveryInCoreBackend: the governor now
-// enforces WithMemoryBudget on the parallel and barrier pools too (the
-// combinations enumcfg used to reject), aborting with ErrMemoryBudget,
+// enforces WithMemoryBudget on the parallel pool too (a combination
+// enumcfg used to reject), aborting with ErrMemoryBudget,
 // and every backend reports the governor's peak.
 func TestMemoryBudgetEnforcedOnEveryInCoreBackend(t *testing.T) {
 	g := testGraph(3, 120, 0.25)
@@ -106,7 +106,6 @@ func TestMemoryBudgetEnforcedOnEveryInCoreBackend(t *testing.T) {
 	}{
 		{"sequential", nil},
 		{"parallel", []repro.Option{repro.WithWorkers(4)}},
-		{"barrier", []repro.Option{repro.WithWorkers(4), repro.WithBarrier()}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			var st repro.Stats
