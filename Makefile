@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test race race-repr bench bench-all bench-check dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench bench-all bench-check dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -55,6 +55,12 @@ lint-vet:
 
 test:
 	$(GO) test ./...
+
+# Ten seconds of coverage-guided fuzzing of the shard decoder — the one
+# parser that reads bytes a crash, a full disk or another process may
+# have left behind: an error or a valid record stream, never a panic.
+fuzz-smoke:
+	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
 
 # Race-detect the concurrency-heavy packages (full -race ./... is run
 # in CI nightly-style via `make race-all` if ever needed), plus the
@@ -135,4 +141,4 @@ examples:
 
 check: fmt vet lint test
 
-ci: fmt vet lint lint-audit build vet-benchmark test race race-repr bench bench-check examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity
+ci: fmt vet lint lint-audit build vet-benchmark test fuzz-smoke race race-repr bench bench-check examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity

@@ -71,6 +71,9 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 	g := arenaTestGraph()
 	seed := SeedFromEdgesMode(g, CNRecompute)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
+	// The prefix memo is builder scratch, not level storage: grown up
+	// front and uncharged, the ledger below sees sub-lists only.
+	b.growMemo(g.N())
 
 	run := func() (peak int64) {
 		gov := membudget.New(0) // unlimited: observe, never trip

@@ -127,7 +127,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 	b.Gov = gov
 	gov.Charge(b.ScratchBytes())
-	defer gov.Release(b.ScratchBytes())
+	defer func() { gov.Release(b.ScratchBytes()) }() // read at exit: the memo may have grown
 	loop := Loop{
 		Ctx:      opts.Ctx,
 		Hi:       opts.Hi,

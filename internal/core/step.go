@@ -56,16 +56,17 @@ type Builder struct {
 	Gov *membudget.Governor
 
 	// Spill, when non-nil, switches the builder to drain mode: surviving
-	// candidate sub-lists are not retained (and not charged) — each
-	// candidate is written through Spill as a sorted (k+1)-record
-	// (prefix, v, u), the on-disk level format of the out-of-core
-	// engine.  Maximal cliques still go to the reporter, in the same
-	// order, so a drained step's emissions are byte-identical to an
-	// in-core step's.  A Spill error latches in SpillErr and turns the
-	// remaining ProcessSubList calls into no-ops.
-	Spill    func(rec []uint32) error
-	SpillErr error
-	spillRec []uint32
+	// candidate sub-lists are not retained (and not charged) — each one
+	// leaves whole through Spill as the prefix run (prefix+v, tails) it
+	// already is, the unit the out-of-core level writer encodes.  Both
+	// slices are the builder's scratch, valid only during the call.
+	// Maximal cliques still go to the reporter, in the same order, so a
+	// drained step's emissions are byte-identical to an in-core step's.
+	// A Spill error latches in SpillErr and turns the remaining
+	// ProcessSubList calls into no-ops.
+	Spill       func(runPrefix, tails []uint32) error
+	SpillErr    error
+	spillPrefix []uint32
 
 	// Ctx, when non-nil, lets Step abandon a level between sub-lists;
 	// Canceled records that it did (and is cleared by Reset).  RunLevel
@@ -83,8 +84,16 @@ type Builder struct {
 	words   int
 	cnBytes int
 	scratch *bitset.Bitset // CN of the current k-clique being extended
-	recompu *bitset.Bitset // prefix CN reconstruction in recompute mode
+	recompu *bitset.Bitset // decompression target of a stored WAH prefix CN
 	emitBuf clique.Clique
+
+	// The prefix-CN memo of the reconstruct path: memo[i] is the
+	// common-neighbor bitmap of memoPrefix[:i+1], so a sub-list that
+	// shares its first l prefix vertices with the previous one reuses
+	// rows below l and ANDs only the rest.  Rows are added (and charged
+	// to Gov) as prefixes deepen — at most one per level.
+	memo       []*bitset.Bitset
+	memoPrefix []uint32
 
 	// Level storage arenas (see arena.go): prefix/tail slices and
 	// SubList headers are bump-allocated per generation and recycled two
@@ -155,46 +164,76 @@ func (b *Builder) Reset() {
 }
 
 // ScratchBytes returns the resident footprint of the builder's private
-// scratch bitmaps — what a worker pool charges the memory governor per
-// builder, independent of any level's candidates.
+// scratch bitmaps right now — independent of any level's candidates.
+// Whoever adopts the builder charges it to the governor and releases it
+// (read again: the memo may have grown) when done; in between the
+// builder charges the memo rows it adds to Gov itself, so the charged
+// amount tracks ScratchBytes at every instant.
 func (b *Builder) ScratchBytes() int64 {
-	n := 2 * int64(b.words) * 8 // scratch + recompu
+	n := 2 + int64(len(b.memo)) // scratch + recompu + memo rows
 	if b.matRows {
-		n += int64(b.words) * 8 // rowScratch
+		n++ // rowScratch
 	}
-	return n
+	return n * int64(b.cnBytes)
 }
 
 // prefixCN returns the common-neighbor bitmap of s.Prefix: the stored
 // dense one, a decompression of the stored WAH form, or a reconstruction
-// by (k-2) ANDs over adjacency rows (the paper's memory-saving
-// alternative).
+// by ANDs over adjacency rows (the paper's memory-saving alternative).
+// The reconstruction is memoised against the previous sub-list: rows
+// below the shared prefix length are reused, so consecutive sorted
+// sub-lists cost one or two ANDs instead of k-2.  The memo depends only
+// on the graph, so any processing order is correct.
 //
 //repro:hotpath
 func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 	if s.CN != nil {
 		return s.CN
 	}
-	cn := b.recompu
 	if s.CNC != nil {
-		s.CNC.DecompressInto(cn)
+		s.CNC.DecompressInto(b.recompu)
 		b.Cost.ANDWords += int64(b.words) // one pass over the bitmap
-		return cn
+		return b.recompu
 	}
-	if b.dense != nil {
-		cn.CopyFrom(b.dense.Neighbors(int(s.Prefix[0])))
-		for _, p := range s.Prefix[1:] {
-			cn.And(cn, b.dense.Neighbors(int(p)))
+	p := s.Prefix
+	l := 0
+	for l < len(p) && l < len(b.memoPrefix) && p[l] == b.memoPrefix[l] {
+		l++
+	}
+	if len(b.memo) < len(p) {
+		b.growMemo(len(p))
+	}
+	for i := l; i < len(p); i++ {
+		switch {
+		case i == 0 && b.dense != nil:
+			b.memo[0].CopyFrom(b.dense.Neighbors(int(p[0])))
+		case i == 0:
+			b.g.Materialize(int(p[0]), b.memo[0])
+		case b.dense != nil:
+			b.memo[i].And(b.memo[i-1], b.dense.Neighbors(int(p[i])))
+			b.Cost.ANDWords += int64(b.words)
+		default:
+			b.g.Row(int(p[i])).AndInto(b.memo[i], b.memo[i-1])
 			b.Cost.ANDWords += int64(b.words)
 		}
-		return cn
 	}
-	b.g.Materialize(int(s.Prefix[0]), cn)
-	for _, p := range s.Prefix[1:] {
-		b.g.Row(int(p)).IntersectInto(cn)
-		b.Cost.ANDWords += int64(b.words)
+	b.memoPrefix = b.memoPrefix[:len(p)]
+	copy(b.memoPrefix[l:], p[l:])
+	return b.memo[len(p)-1]
+}
+
+// growMemo deepens the memo to depth rows; out of line so prefixCN's
+// rare growth stays off the hotalloc-pinned path.
+//
+//nolint:budgetpair the rows are builder scratch: whoever adopted the builder releases them with ScratchBytes
+func (b *Builder) growMemo(depth int) {
+	grown := make([]uint32, len(b.memoPrefix), depth)
+	copy(grown, b.memoPrefix)
+	b.memoPrefix = grown
+	for len(b.memo) < depth {
+		b.memo = append(b.memo, bitset.New(b.g.N()))
+		b.Gov.Charge(int64(b.cnBytes))
 	}
-	return cn
 }
 
 // ProcessSubList is the paper's GenerateKCliques inner loop for one
@@ -365,24 +404,20 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 	switch {
 	case len(newTails) > 1:
 		if b.Spill != nil {
-			// Drain mode: the survivors leave as sorted on-disk records
-			// instead of resident sub-lists.  The |S| > 1 rule still
+			// Drain mode: the survivors leave as one sorted on-disk run
+			// instead of a resident sub-list.  The |S| > 1 rule still
 			// applies — a spilled singleton run could never join — so the
 			// drained level holds exactly the cliques the in-core level
 			// would have.
 			if b.SpillErr != nil {
 				return
 			}
-			k := len(prefix) + 2
-			rec := growRec(&b.spillRec, k)
-			copy(rec, prefix)
-			rec[k-2] = uint32(v)
-			for _, u := range newTails {
-				rec[k-1] = u
-				if err := b.Spill(rec); err != nil {
-					b.SpillErr = err
-					return
-				}
+			run := growRec(&b.spillPrefix, len(prefix)+1)
+			copy(run, prefix)
+			run[len(prefix)] = uint32(v)
+			if err := b.Spill(run, newTails); err != nil {
+				b.SpillErr = err
+				return
 			}
 			b.Cands += int64(len(newTails))
 			return
@@ -421,7 +456,7 @@ func (b *Builder) newSubList() *SubList {
 	return &s[0]
 }
 
-// growRec resizes the spill record buffer; out of line so keep's rare
+// growRec resizes the spill prefix buffer; out of line so keep's rare
 // growth stays off the hotalloc-pinned path.
 func growRec(buf *[]uint32, n int) []uint32 {
 	if cap(*buf) < n {

@@ -522,12 +522,8 @@ func (c *coordinator) handleEvent(ev event) error {
 	switch ev.msg.Type {
 	case MsgReady:
 		ws.ready = true
-		if ws.res == nil && ev.msg.ScratchBytes > 0 {
-			res, err := c.opts.Gov.Reserve(ev.msg.ScratchBytes)
-			if err != nil {
-				return fmt.Errorf("dist: worker %d scratch admission: %w", ws.slot, err)
-			}
-			ws.res = res
+		if err := c.reserveScratch(ws, ev.msg.ScratchBytes); err != nil {
+			return err
 		}
 		c.assign(ws)
 	case MsgHeartbeat:
@@ -535,6 +531,11 @@ func (c *coordinator) handleEvent(ev event) error {
 			c.table.Extend(ws.lease.ID, now)
 		}
 	case MsgResult:
+		// The joiner's scratch deepens with the level (one prefix-memo
+		// bitmap per level); the reservation follows it.
+		if err := c.reserveScratch(ws, ev.msg.ScratchBytes); err != nil {
+			return err
+		}
 		shard, status := c.table.Complete(ev.msg.LeaseID, now)
 		if ws.lease != nil && ws.lease.ID == ev.msg.LeaseID {
 			ws.lease = nil
@@ -558,6 +559,23 @@ func (c *coordinator) handleEvent(ev event) error {
 	default:
 		return fmt.Errorf("dist: unexpected %s frame from worker %d", ev.msg.Type, ws.slot)
 	}
+	return nil
+}
+
+// reserveScratch holds the scratch a worker declares as a child
+// reservation of the coordinator's governor, re-reserving when a later
+// declaration is larger.
+func (c *coordinator) reserveScratch(ws *workerState, declared int64) error {
+	if declared <= ws.res.Amount() {
+		return nil
+	}
+	ws.res.Close()
+	ws.res = nil
+	res, err := c.opts.Gov.Reserve(declared)
+	if err != nil {
+		return fmt.Errorf("dist: worker %d scratch admission: %w", ws.slot, err)
+	}
+	ws.res = res
 	return nil
 }
 

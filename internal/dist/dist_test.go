@@ -174,6 +174,7 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 	want := sequentialStream(t, g, true)
 	gov := membudget.New(0)
 	var rep orderedReporter
+	var reserved []int64 // the workers' scratch reservations, seen at each level's end
 	st, err := Enumerate(g, Options{
 		Dir:        t.TempDir(),
 		Workers:    3,
@@ -182,9 +183,18 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 		Reporter:   &rep,
 		Transport:  &LoopbackTransport{},
 		Gov:        gov,
+		OnLevel:    func(ooc.LevelStats) { reserved = append(reserved, gov.Reserved()) },
 	})
 	if err != nil {
 		t.Fatalf("loopback enumerate: %v", err)
+	}
+	// A joiner's prefix memo deepens by one bitmap per level; the
+	// reservations held on the workers' behalf must follow it.
+	if n := len(reserved); n < 2 || reserved[n-1] <= reserved[0] {
+		t.Errorf("worker scratch reservations did not grow with the level: %v", reserved)
+	}
+	if r := gov.Reserved(); r != 0 {
+		t.Errorf("%d bytes still reserved after the run", r)
 	}
 	assertSameStream(t, "loopback", rep.seq, want)
 	if st.Maximal != int64(len(want)) {

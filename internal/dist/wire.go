@@ -69,8 +69,8 @@ type Msg struct {
 	WorkerID  string `json:"worker_id,omitempty"`    // the worker's manifest/owner tag
 	PingMS    int64  `json:"heartbeat_ms,omitempty"` // worker heartbeat period
 
-	// ready / heartbeat
-	ScratchBytes int64  `json:"scratch_bytes,omitempty"` // joiner bitmaps, reserved by the coordinator
+	// ready / heartbeat; ScratchBytes also rides on every result
+	ScratchBytes int64  `json:"scratch_bytes,omitempty"` // joiner bitmaps right now, reserved by the coordinator
 	Host         string `json:"host,omitempty"`
 	PID          int    `json:"pid,omitempty"`
 

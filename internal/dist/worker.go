@@ -171,13 +171,14 @@ func joinLease(ctx context.Context, join *ooc.Joiner, gov *membudget.Governor,
 		return nil, err
 	}
 	return &Msg{
-		Type:      MsgResult,
-		LeaseID:   m.LeaseID,
-		Out:       metas,
-		Maximal:   st.Maximal,
-		EmitVerts: st.EmitVerts,
-		EmitOff:   st.EmitOff,
-		BytesRead: st.BytesRead,
+		Type:         MsgResult,
+		LeaseID:      m.LeaseID,
+		Out:          metas,
+		Maximal:      st.Maximal,
+		EmitVerts:    st.EmitVerts,
+		EmitOff:      st.EmitOff,
+		BytesRead:    st.BytesRead,
+		ScratchBytes: join.ScratchBytes(),
 	}, nil
 }
 

@@ -214,9 +214,14 @@ func (h *runner) run() error {
 	} else {
 		b := core.NewBuilderMode(g, opts.Mode, h.bits)
 		b.Gov = h.gov
-		scratch := b.ScratchBytes()
-		h.gov.Charge(scratch)
-		eng, stop = b, func() { h.gov.Release(scratch); scratch = 0 }
+		h.gov.Charge(b.ScratchBytes())
+		stopped := false
+		eng, stop = b, func() {
+			if !stopped {
+				stopped = true
+				h.gov.Release(b.ScratchBytes())
+			}
+		}
 		lvl, err = core.Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, h.rep)
 	}
 	defer stop()
@@ -250,10 +255,10 @@ func (h *runner) run() error {
 // produced k-sub-lists retained for inputs before the trip frontier, in
 // canonical order (the head); lvl.Sub[out.Frontier:] are the unjoined
 // inputs (the rest).  The produced level leaves for disk as one sorted
-// record stream — head records verbatim, then the rest's surviving
-// candidates via a spill-mode builder that emits their maximal cliques
-// in order — and ooc.Continue runs the level loop from there.  Both
-// levels' governor charges are drain's to settle, on every path.
+// record stream — head sub-lists verbatim, one run each, then the rest's
+// surviving candidates via a spill-mode builder that emits their maximal
+// cliques in order — and ooc.Continue runs the level loop from there.
+// Both levels' governor charges are drain's to settle, on every path.
 func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	g, opts := h.g, h.opts
 	k := lvl.K + 1 // size of the records being drained
@@ -286,18 +291,13 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 			})
 		},
 	}
-	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(rec []uint32) error) error {
-		rec := make([]uint32, k)
+	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(prefix, tails []uint32) error) error {
 		for i, s := range head {
 			if i&63 == 0 && opts.Ctx.Err() != nil {
 				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
-			copy(rec, s.Prefix)
-			for _, t := range s.Tails {
-				rec[k-1] = t
-				if err := write(rec); err != nil {
-					return err
-				}
+			if err := write(s.Prefix, s.Tails); err != nil {
+				return err
 			}
 			// The head sub-list is on disk now; its resident charge goes.
 			h.gov.Release(s.MemBytes(g.N()))
@@ -314,6 +314,9 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		// window) reconstruct their prefix CN from adjacency rows.
 		db := core.NewBuilderMode(g, opts.Mode, h.bits)
 		db.Spill = write
+		db.Gov = h.gov
+		h.gov.Charge(db.ScratchBytes())
+		defer func() { h.gov.Release(db.ScratchBytes()) }()
 		for i, s := range rest {
 			if i&63 == 0 && opts.Ctx.Err() != nil {
 				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
+	"repro/internal/ooc"
 )
 
 // testGraph plants overlapping modules in a random graph so every run
@@ -302,6 +303,34 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 			check: func(t *testing.T, _ int, res *Result, err error) {
 				if err != nil || res.SpilledAtLevel == 0 {
 					t.Fatalf("err %v, spilled at %d", err, res.SpilledAtLevel)
+				}
+			}},
+		// Past the drain: the run is canceled once the out-of-core engine
+		// has joined a level of its own, with its joiners' scratch (prefix
+		// memo included) and shard buffers charged.
+		{name: "trip-drain-ooc-canceled", budget: 64 << 10, spill: true,
+			arm: func(r *run) {
+				spilled := 0
+				r.opts.OnLevel = func(ls core.LevelStats) {
+					if ls.Spilled {
+						if spilled++; spilled == 2 {
+							r.cancel()
+						}
+					}
+				}
+			},
+			check: func(t *testing.T, _ int, res *Result, err error) {
+				if !errors.Is(err, context.Canceled) || res.SpilledAtLevel == 0 || res.OOC.Levels == 0 {
+					t.Fatalf("err %v, spilled at %d, %d out-of-core levels", err, res.SpilledAtLevel, res.OOC.Levels)
+				}
+			}},
+		// A spill budget the drained level itself exceeds: the drain's
+		// feed is cut mid-write with head and consumed level resident.
+		{name: "trip-drain-spill-budget", budget: 64 << 10, spill: true,
+			arm: func(r *run) { r.opts.SpillBudget = 64 },
+			check: func(t *testing.T, _ int, res *Result, err error) {
+				if !errors.Is(err, ooc.ErrSpillBudget) || res.OOC.Levels != 0 {
+					t.Fatalf("err %v after %d out-of-core levels", err, res.OOC.Levels)
 				}
 			}},
 		// The first emission pushes the governor over and cancels: the

@@ -6,9 +6,9 @@ import (
 	"io"
 )
 
-// Level-file record codecs.  A level file holds canonical k-clique
+// The level-file run codec.  A level file holds canonical k-clique
 // records in sorted (lexicographic) order; the encoding is chosen per
-// run:
+// run of the engine:
 //
 //   - raw: fixed-width 4-byte little-endian vertices, k per record — the
 //     original format, kept as the measurement baseline.
@@ -22,159 +22,338 @@ import (
 //     "intensive disk I/O" compressible: typical records cost a few
 //     bytes instead of 4k.
 //
-// Both codecs are validated on decode — monotonicity within the record,
-// lexicographic progress between records, and the vertex universe bound
-// — so a truncated or corrupted level file surfaces an error instead of
-// feeding garbage into the join.
+// The bytes are defined record by record, but the code never handles a
+// lone record: its unit is the prefix run — the records sharing their
+// first k-1 vertices, i.e. the paper's sub-list (prefix, tails).  Within
+// a run everything but the tail is constant, so records 2..n of a run
+// cost O(1) each to encode and to decode (in delta-varint they are the
+// constant uvarint(k-1) followed by one gap); the O(k-lcp) work —
+// prefix comparison, prefix bytes, prefix validation — happens once,
+// where the run changes.
+//
+// Decoding validates as it goes — strictly increasing vertices inside a
+// record, strict lexicographic progress between records, the vertex
+// universe bound — so a truncated or corrupted level file surfaces an
+// error instead of feeding garbage into the join.
 
-// recordEncoder appends encoded records to a scratch buffer.  The
-// predecessor state restarts per shard file, so every shard decodes
-// independently.
-type recordEncoder struct {
+// maxVarint32 is the longest uvarint of a value below 2^32; no field of
+// a well-formed record (a vertex, a gap, an lcp) takes more.
+const maxVarint32 = 5
+
+// runEncoder turns prefix runs into level-file bytes.  Its only state is
+// the prefix of the run encoded last.
+type runEncoder struct {
 	k        int
 	compress bool
-	prev     []uint32
-	hasPrev  bool
-	buf      []byte
+	prefix   []uint32 // prefix of the run encoded last (len k-1)
+	started  bool     // a run has been encoded
+	tag      []byte   // uvarint(k-1): the lcp field of a record that continues its run
+	buf      []byte   // one call's encoding, reused
 }
 
-func newRecordEncoder(k int, compress bool) *recordEncoder {
-	return &recordEncoder{k: k, compress: compress, prev: make([]uint32, k)}
+func newRunEncoder(k int, compress bool) *runEncoder {
+	return &runEncoder{
+		k:        k,
+		compress: compress,
+		prefix:   make([]uint32, k-1),
+		tag:      binary.AppendUvarint(nil, uint64(k-1)),
+	}
 }
 
-// reset clears the predecessor state (a new shard file starts).
-func (e *recordEncoder) reset() { e.hasPrev = false }
+// shared returns how many leading vertices prefix has in common with the
+// run encoded last, and whether the two are the same run.
+func (e *runEncoder) shared(prefix []uint32) (n int, same bool) {
+	if !e.started {
+		return 0, false
+	}
+	n = lcp(e.prefix, prefix)
+	return n, n == e.k-1
+}
 
-// encode returns rec's encoding; the returned slice is valid until the
-// next call.
-func (e *recordEncoder) encode(rec []uint32) []byte {
-	e.buf = e.buf[:0]
-	if !e.compress {
-		for _, v := range rec {
-			e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
-		}
-		return e.buf
-	}
-	l := 0
-	if e.hasPrev {
-		l = lcp(e.prev, rec)
-		if l == e.k { // duplicate record: encoders never see one, but keep the format total
-			l = e.k - 1
-		}
-	}
-	e.buf = binary.AppendUvarint(e.buf, uint64(l))
-	for i := l; i < e.k; i++ {
-		if i == 0 {
-			e.buf = binary.AppendUvarint(e.buf, uint64(rec[0]))
-		} else {
-			e.buf = binary.AppendUvarint(e.buf, uint64(rec[i]-rec[i-1]))
-		}
-	}
-	copy(e.prev, rec)
-	e.hasPrev = true
+// encode returns the bytes of the records (prefix, t) for t in tails
+// (at least one).  shared is what the first of them may reuse of the
+// record before it: the value shared returned, or 0 at the start of a
+// shard file, so that every shard decodes by itself; k-1 continues the
+// run encoded last.  The returned slice is valid until the next call.
+func (e *runEncoder) encode(prefix, tails []uint32, shared int) []byte {
+	e.buf = e.appendRun(e.buf[:0], prefix, tails, shared)
+	copy(e.prefix[shared:], prefix[shared:])
+	e.started = true
 	return e.buf
 }
 
-// recordDecoder streams records back out of a shard file, validating as
-// it goes.
-type recordDecoder struct {
+//repro:hotpath
+func (e *runEncoder) appendRun(buf []byte, prefix, tails []uint32, shared int) []byte {
+	if !e.compress {
+		// The prefix bytes are laid down once and copied per record.
+		head := len(buf)
+		for _, v := range prefix {
+			buf = binary.LittleEndian.AppendUint32(buf, v)
+		}
+		body := len(buf)
+		for i, t := range tails {
+			if i > 0 {
+				buf = append(buf, buf[head:body]...)
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, t)
+		}
+		return buf
+	}
+	k1 := e.k - 1
+	last := uint32(0) // the vertex a tail's gap is measured from
+	if k1 > 0 {
+		last = prefix[k1-1]
+	}
+	if shared < k1 {
+		// The run's first record spells out what it does not share.
+		buf = binary.AppendUvarint(buf, uint64(shared))
+		for i := shared; i < k1; i++ {
+			if i == 0 {
+				buf = binary.AppendUvarint(buf, uint64(prefix[0]))
+			} else {
+				buf = binary.AppendUvarint(buf, uint64(prefix[i]-prefix[i-1]))
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(tails[0]-last))
+		tails = tails[1:]
+	}
+	for _, t := range tails {
+		buf = append(buf, e.tag...)
+		buf = binary.AppendUvarint(buf, uint64(t-last))
+	}
+	return buf
+}
+
+// runDecoder reads prefix runs back out of a contiguous window of
+// level-file bytes, validating as it goes.  The window is the whole
+// shard when that is already in memory (src nil); over a file it is a
+// buffer refilled from src whenever less than one record is left in it.
+type runDecoder struct {
 	k        int
-	compress bool
 	n        int // vertex universe; decoded vertices must lie in [0, n)
-	prev     []uint32
-	hasPrev  bool
+	compress bool
+	need     int // the most one well-formed record occupies
+
+	win  []byte
+	pos  int
+	src  io.Reader
+	done bool  // src is exhausted
+	read int64 // bytes pulled from src
+
+	rec     []uint32 // the record decoded last: the run's prefix, then its latest tail
+	tails   []uint32 // the current run's tails
+	hasPrev bool
+	limit   int64 // records still expected; a run is cut there
 }
 
-func newRecordDecoder(k, n int, compress bool) *recordDecoder {
-	return &recordDecoder{k: k, compress: compress, n: n, prev: make([]uint32, k)}
+// newRunDecoder decodes at most records records from win, which src
+// (when non-nil) refills: win must then be a buffer of at least one
+// record's size, holding whatever has been read so far.
+func newRunDecoder(k, n int, compress bool, records int64, win []byte, src io.Reader) *runDecoder {
+	d := &runDecoder{
+		k: k, n: n, compress: compress, need: 4 * k,
+		win: win, src: src,
+		rec: make([]uint32, k), limit: records,
+	}
+	if compress {
+		d.need = maxVarint32 * (k + 1)
+	}
+	return d
 }
 
-// decode reads one record into rec (len k).  It reports io.EOF only at a
-// clean record boundary; a record cut short decodes to a corruption
-// error.
-func (d *recordDecoder) decode(br io.ByteReader, rec []uint32) error {
-	if !d.compress {
-		if err := d.decodeRaw(br, rec); err != nil {
-			return err
+// more makes sure a whole record is in the window, unless the source
+// ends first, and reports whether any byte is left.
+func (d *runDecoder) more() (bool, error) {
+	if len(d.win)-d.pos < d.need && d.src != nil && !d.done {
+		if err := d.refill(); err != nil {
+			return false, err
 		}
-	} else if err := d.decodeDelta(br, rec); err != nil {
-		return err
 	}
-	if err := d.validate(rec); err != nil {
-		return err
-	}
-	copy(d.prev, rec)
-	d.hasPrev = true
-	return nil
+	return d.pos < len(d.win), nil
 }
 
-func (d *recordDecoder) decodeRaw(br io.ByteReader, rec []uint32) error {
-	for i := 0; i < d.k; i++ {
-		var v uint32
-		for b := 0; b < 4; b++ {
-			c, err := br.ReadByte()
-			if err != nil {
-				if i == 0 && b == 0 && err == io.EOF {
-					return io.EOF
-				}
-				return corrupt("truncated record: %v", err)
-			}
-			v |= uint32(c) << (8 * b)
-		}
-		rec[i] = v
-	}
-	return nil
-}
-
-func (d *recordDecoder) decodeDelta(br io.ByteReader, rec []uint32) error {
-	l64, err := binary.ReadUvarint(br)
-	if err != nil {
+// refill moves the undecoded tail of the window to its front and reads
+// the source until the buffer is full again.
+func (d *runDecoder) refill() error {
+	buf := d.win[:cap(d.win)]
+	n := copy(buf, d.win[d.pos:])
+	d.pos = 0
+	for n < len(buf) && !d.done {
+		m, err := d.src.Read(buf[n:])
+		n += m
+		d.read += int64(m)
 		if err == io.EOF {
-			return io.EOF
-		}
-		return corrupt("truncated record header: %v", err)
-	}
-	l := int(l64)
-	if l >= d.k {
-		return corrupt("shared prefix %d out of [0,%d)", l, d.k)
-	}
-	if !d.hasPrev && l != 0 {
-		return corrupt("first record claims a %d-vertex shared prefix", l)
-	}
-	copy(rec[:l], d.prev[:l])
-	for i := l; i < d.k; i++ {
-		delta, err := binary.ReadUvarint(br)
-		if err != nil {
-			return corrupt("truncated record body: %v", err)
-		}
-		if i == 0 {
-			rec[0] = uint32(delta)
-		} else {
-			v := uint64(rec[i-1]) + delta
-			if v > uint64(^uint32(0)) {
-				return corrupt("vertex overflow at position %d", i)
-			}
-			rec[i] = uint32(v)
+			d.done = true
+		} else if err != nil {
+			d.win = buf[:n]
+			return fmt.Errorf("ooc: read level file: %w", err)
 		}
 	}
+	d.win = buf[:n]
 	return nil
 }
 
-// validate enforces the level-file invariants: strictly increasing
-// vertices inside the record, vertices inside the universe, and strict
-// lexicographic progress from the previous record.
-func (d *recordDecoder) validate(rec []uint32) error {
-	for i, v := range rec {
-		if int64(v) >= int64(d.n) {
-			return corrupt("vertex %d out of universe [0,%d)", v, d.n)
-		}
-		if i > 0 && rec[i] <= rec[i-1] {
-			return corrupt("record not strictly increasing at position %d", i)
+// field reads one uvarint that must fit 32 bits; anything longer, or cut
+// off by the end of the window, is not a field of a level file.
+//
+//repro:hotpath
+func (d *runDecoder) field() (uint32, bool) {
+	var v uint64
+	for i, shift := d.pos, 0; i < len(d.win) && shift < 7*maxVarint32; i, shift = i+1, shift+7 {
+		c := d.win[i]
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			d.pos = i + 1
+			return uint32(v), v <= 0xffffffff
 		}
 	}
-	if d.hasPrev && compareRecords(d.prev, rec) >= 0 {
-		return corrupt("records out of sorted order")
+	return 0, false
+}
+
+// next decodes the next prefix run: afterwards rec[:k-1] is its prefix
+// and tails its tails.  It reports false at the end of the window or of
+// the expected record count; a record cut short or out of order is a
+// corruption error.
+//
+//repro:hotpath
+func (d *runDecoder) next() (bool, error) {
+	d.tails = d.tails[:0]
+	if ok, err := d.more(); !ok || err != nil || d.limit == 0 {
+		return false, err
 	}
+	if err := d.first(); err != nil {
+		return false, err
+	}
+	// The records that continue the run: one tail each, O(1) to decode
+	// and to check, whatever k is.
+	k1 := d.k - 1
+	last := uint32(0) // the vertex a tail's gap is measured from
+	if k1 > 0 {
+		last = d.rec[k1-1]
+	}
+	prev := d.rec[k1]
+	for d.limit > 0 {
+		if ok, err := d.more(); err != nil {
+			return false, err
+		} else if !ok {
+			break
+		}
+		var t uint32
+		if d.compress {
+			at := d.pos
+			if l, ok := d.field(); !ok || int64(l) != int64(k1) {
+				d.pos = at // the next run's first record; first reports what is wrong with it, if anything
+				break
+			}
+			gap, ok := d.field()
+			if !ok {
+				return false, corrupt("truncated or oversized record body")
+			}
+			t = last + gap
+			if t < last {
+				return false, errOverflow(k1)
+			}
+		} else {
+			if len(d.win)-d.pos < 4*d.k {
+				return false, corrupt("truncated record")
+			}
+			if !d.samePrefix() {
+				break
+			}
+			t = binary.LittleEndian.Uint32(d.win[d.pos+4*k1:])
+			d.pos += 4 * d.k
+		}
+		// Sorted within the run, which also keeps the record strictly
+		// increasing: the run's first tail is above the prefix.
+		if t <= prev {
+			return false, corrupt("records out of sorted order")
+		}
+		if int64(t) >= int64(d.n) {
+			return false, errUniverse(t, d.n)
+		}
+		d.tails = append(d.tails, t)
+		prev = t
+		d.limit--
+	}
+	d.rec[k1] = prev
+	return true, nil
+}
+
+// samePrefix reports whether the raw record at the window position
+// repeats the current run's prefix.
+//
+//repro:hotpath
+func (d *runDecoder) samePrefix() bool {
+	for i, p := range d.rec[:d.k-1] {
+		if binary.LittleEndian.Uint32(d.win[d.pos+4*i:]) != p {
+			return false
+		}
+	}
+	return true
+}
+
+// first decodes the record that opens a run into rec and tails: the one
+// place where a prefix is read, checked to increase strictly, and
+// ordered against the record before it.
+func (d *runDecoder) first() error {
+	shared := 0 // positions taken over from the previous record
+	if !d.compress {
+		if len(d.win)-d.pos < 4*d.k {
+			return corrupt("truncated record")
+		}
+		for d.hasPrev && shared < d.k-1 && binary.LittleEndian.Uint32(d.win[d.pos+4*shared:]) == d.rec[shared] {
+			shared++
+		}
+		for i := shared; i < d.k; i++ {
+			v := binary.LittleEndian.Uint32(d.win[d.pos+4*i:])
+			if i > 0 && v <= d.rec[i-1] {
+				return corrupt("record not strictly increasing at position %d", i)
+			}
+			if i == shared && d.hasPrev && v <= d.rec[i] {
+				return corrupt("records out of sorted order")
+			}
+			d.rec[i] = v
+		}
+		d.pos += 4 * d.k
+	} else {
+		l, ok := d.field()
+		if !ok {
+			return corrupt("truncated or oversized record header")
+		}
+		if int64(l) >= int64(d.k) {
+			return corrupt("shared prefix %d out of [0,%d)", l, d.k)
+		}
+		if shared = int(l); !d.hasPrev && shared != 0 {
+			return corrupt("first record claims a %d-vertex shared prefix", shared)
+		}
+		for i := shared; i < d.k; i++ {
+			v, ok := d.field()
+			if !ok {
+				return corrupt("truncated or oversized record body")
+			}
+			if i > 0 {
+				if v == 0 {
+					return corrupt("record not strictly increasing at position %d", i)
+				}
+				if v += d.rec[i-1]; v < d.rec[i-1] {
+					return errOverflow(i)
+				}
+			}
+			// Position `shared` is the first to differ from the previous
+			// record, so sorted order means it grows.
+			if i == shared && d.hasPrev && v <= d.rec[i] {
+				return corrupt("records out of sorted order")
+			}
+			d.rec[i] = v
+		}
+	}
+	// Vertices increase strictly, so the tail bounds them all.
+	if tail := d.rec[d.k-1]; int64(tail) >= int64(d.n) {
+		return errUniverse(tail, d.n)
+	}
+	d.tails = append(d.tails, d.rec[d.k-1])
+	d.hasPrev = true
+	d.limit--
 	return nil
 }
 
@@ -182,38 +361,20 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("ooc: corrupt level file: "+format, args...)
 }
 
+// Out of line, so the decode loop boxes nothing.
+func errOverflow(pos int) error { return corrupt("vertex overflow at position %d", pos) }
+
+func errUniverse(v uint32, n int) error {
+	return corrupt("vertex %d out of universe [0,%d)", v, n)
+}
+
 // lcp returns the length of the longest common prefix of a and b.
 func lcp(a, b []uint32) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			return i
 		}
 	}
 	return n
-}
-
-// compareRecords orders equal-length records lexicographically.
-func compareRecords(a, b []uint32) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-func equalPrefix(a, b []uint32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -17,11 +17,11 @@ import (
 
 // This file is the worker-side face of the out-of-core engine: the
 // pieces a remote (or merely out-of-process) worker needs to join one
-// leased shard exactly the way the single-machine pool does — stream
-// the shard's prefix runs, hand each run to the one join kernel
-// (core.Builder in drain mode), which spills survivors as
-// (k+1)-candidates through a run-aligned LevelWriter, and buffer the
-// maximal dead ends for in-order emission.  internal/dist builds its
+// leased shard exactly the way the single-machine pool does — decode
+// the shard's prefix runs, hand each run as it is to the one join kernel
+// (core.Builder in drain mode), which spills each surviving sub-list as
+// a run of (k+1)-candidates through a run-aligned LevelWriter, and
+// buffer the maximal dead ends for in-order emission.  internal/dist builds its
 // workers on Joiner + LevelWriter + OpenShard; the local pool in ooc.go
 // uses the same Joiner, so the distributed, single-machine and in-core
 // joins cannot drift.
@@ -45,18 +45,15 @@ func (s *JoinStats) Emit(c clique.Clique) {
 }
 
 // Joiner owns the per-worker state of the shard join: the join kernel —
-// a drain-mode core.Builder that recomputes each run's prefix bitmap,
-// writes surviving candidates through Spill (applying the paper's
-// |S| > 1 rule, so a level on disk holds exactly the cliques the
-// in-core level would) and reports maximal cliques — plus the record
-// buffers that turn a shard's record stream into prefix runs.  It is not
-// safe for concurrent use; give each worker its own.
+// a drain-mode core.Builder that rebuilds each run's prefix bitmap from
+// its memo of the run before, writes surviving candidates through Spill
+// (applying the paper's |S| > 1 rule, so a level on disk holds exactly
+// the cliques the in-core level would) and reports maximal cliques.  It
+// is not safe for concurrent use; give each worker its own.
 type Joiner struct {
-	g     graph.Interface
-	b     *core.Builder
-	run   core.SubList // the current prefix run, as the kernel's input
-	rec   []uint32
-	tails []uint32
+	g   graph.Interface
+	b   *core.Builder
+	run core.SubList // the current prefix run, as the kernel's input
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
@@ -64,9 +61,10 @@ func NewJoiner(g graph.Interface) *Joiner {
 	return &Joiner{g: g, b: core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))}
 }
 
-// ScratchBytes reports the joiner's resident bitmap footprint — what a
-// coordinator reserves against its governor on the worker's behalf, so
-// one budget authority still sees every process's scratch.
+// ScratchBytes reports the joiner's resident bitmap footprint right now
+// — what a coordinator reserves against its governor on the worker's
+// behalf, so one budget authority still sees every process's scratch.
+// It grows by one bitmap (a prefix-memo row) per level joined.
 func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 
 // JoinShard streams one input shard of size-k records from dir, joining
@@ -98,9 +96,10 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 	return j.joinFrom(ctx, r, k, out, collect)
 }
 
-// joinFrom streams the opened shard's prefix runs through the kernel,
-// closing the reader on every path.  All scratch is joiner-owned — the
-// loop allocates only when the emission arena grows.
+// joinFrom feeds the opened shard's prefix runs straight from the
+// decoder into the kernel, closing the reader on every path.  All
+// scratch is joiner- or reader-owned — the loop allocates only when the
+// emission arena grows.
 //
 //repro:ctxloop
 func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
@@ -114,69 +113,48 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 
 	b := j.b
 	b.Reset()
-	b.Spill = out.Write
+	b.Spill = out.WriteRun
 	var rep clique.Reporter
 	if collect {
 		rep = &res
 	}
-	rec := growU32(&j.rec, k)
-	prefix := growU32(&j.run.Prefix, k-1)
-	tails := j.tails[:0]
-	defer func() { j.tails = tails[:0] }() // keep grown capacity for the next shard
-	for i := int64(0); ; i++ {
-		// Cancellation point: every 4096 records, so abort latency stays
-		// bounded even when one shard holds millions of cliques.
-		if i&4095 == 0 && ctx.Err() != nil {
-			return res, fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, ctx.Err())
+	// Cancellation point: every 4096 records or so, so abort latency
+	// stays bounded even when one shard holds millions of cliques.
+	sinceCheck := 4096
+	for {
+		if sinceCheck >= 4096 {
+			if ctx.Err() != nil {
+				return res, fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, ctx.Err())
+			}
+			sinceCheck = 0
 		}
-		err := r.Next(rec)
+		prefix, tails, err := r.NextRun()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return res, err
 		}
-		if len(tails) > 0 && !equalPrefix(prefix, rec[:k-1]) {
-			if err := j.joinRun(tails, rep); err != nil {
-				return res, err
-			}
-			tails = tails[:0]
-		}
-		copy(prefix, rec[:k-1])
-		tails = append(tails, rec[k-1])
-	}
-	if len(tails) > 0 {
-		if err := j.joinRun(tails, rep); err != nil {
-			return res, err
+		sinceCheck += len(tails)
+		// A run of one clique has no pair to join — the kernel's loop is
+		// empty for it, which is also how the singleton runs of a
+		// checkpoint written before the on-disk |S| > 1 rule are skipped.
+		j.run.Prefix, j.run.Tails = prefix, tails
+		b.ProcessSubList(&j.run, rep)
+		if b.SpillErr != nil {
+			return res, b.SpillErr
 		}
 	}
 	res.Maximal = b.Maximal
 	return res, nil
 }
 
-// joinRun hands the buffered prefix run to the kernel.  A run of one
-// clique has no pair to join — the kernel's loop is empty for it, which
-// is also how the singleton runs of a checkpoint written before the
-// on-disk |S| > 1 rule are skipped.
-func (j *Joiner) joinRun(tails []uint32, rep clique.Reporter) error {
-	j.run.Tails = tails
-	j.b.ProcessSubList(&j.run, rep)
-	return j.b.SpillErr
-}
-
-func growU32(buf *[]uint32, n int) []uint32 {
-	if cap(*buf) < n {
-		*buf = make([]uint32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 // WriteLevel writes one level's sorted record stream — produced by feed
-// in canonical order, the run-aligned sharding invariant — into dir as
-// shard files of roughly target encoded bytes.  nextName names each
-// shard file; onWrite observes every encoded/raw byte increment (and
-// may return an error to abort the level, e.g. a spill budget).  On a
+// a prefix run at a time (LevelWriter.WriteRun), in canonical order, the
+// run-aligned sharding invariant — into dir as shard files of roughly
+// target encoded bytes.  nextName names each shard file; onWrite
+// observes every run's encoded/raw byte increment (and may return an
+// error to abort the level, e.g. a spill budget).  On a
 // feed or write error every shard file created so far is removed and
 // the error returned; on success the level's shard list is returned.
 // This is the level-materialization entry the distributed coordinator
@@ -184,7 +162,7 @@ func growU32(buf *[]uint32, n int) []uint32 {
 func WriteLevel(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor, nextName func() (string, error),
 	onWrite func(enc, raw int64) error,
-	feed func(write func(rec []uint32) error) error) ([]ShardMeta, error) {
+	feed func(write func(prefix, tails []uint32) error) error) ([]ShardMeta, error) {
 	var created []string
 	lw := NewLevelWriter(dir, k, compress, target, gov,
 		func() (string, error) {
@@ -195,7 +173,7 @@ func WriteLevel(dir string, k int, compress bool, target int64,
 			return name, err
 		},
 		onWrite)
-	if werr := feed(lw.Write); werr != nil {
+	if werr := feed(lw.WriteRun); werr != nil {
 		errs := []error{werr, lw.Abort()}
 		for _, name := range created {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
@@ -208,24 +186,38 @@ func WriteLevel(dir string, k int, compress bool, target int64,
 }
 
 // EdgeFeed adapts a graph's canonical edge stream to WriteLevel's feed
-// contract: every edge (u < v) in sorted order, as a 2-record — the
-// level-2 seed of the out-of-core loop.  ctx cancels between batches of
-// 4096 edges.
-func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(rec []uint32) error) error {
-	return func(write func(rec []uint32) error) error {
-		var rec [2]uint32
+// contract: for every vertex u in order, the run ([u], its neighbors
+// above u) — the level-2 seed of the out-of-core loop.  ctx cancels
+// between batches of 4096 edges.
+func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, tails []uint32) error) error {
+	return func(write func(prefix, tails []uint32) error) error {
+		var prefix [1]uint32
+		var tails []uint32
 		var werr error
 		cnt := 0
+		flush := func() bool {
+			if len(tails) > 0 {
+				werr = write(prefix[:], tails)
+				tails = tails[:0]
+			}
+			return werr == nil
+		}
 		graph.ForEachEdge(g, func(u, v int) bool {
 			if cnt&4095 == 0 && ctx.Err() != nil {
 				werr = fmt.Errorf("ooc: canceled during edge spill: %w", ctx.Err())
 				return false
 			}
 			cnt++
-			rec[0], rec[1] = uint32(u), uint32(v)
-			werr = write(rec[:])
-			return werr == nil
+			if uint32(u) != prefix[0] && !flush() {
+				return false
+			}
+			prefix[0] = uint32(u)
+			tails = append(tails, uint32(v))
+			return true
 		})
+		if werr == nil {
+			flush()
+		}
 		return werr
 	}
 }

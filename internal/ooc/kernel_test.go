@@ -26,8 +26,10 @@ type sinkOutput struct {
 
 func (o *sinkOutput) Emit(c clique.Clique) { o.maximal = append(o.maximal, c.Key()) }
 
-func (o *sinkOutput) write(rec []uint32) error {
-	o.records = append(o.records, slices.Clone(rec))
+func (o *sinkOutput) writeRun(prefix, tails []uint32) error {
+	for _, t := range tails {
+		o.records = append(o.records, append(slices.Clone(prefix), t))
+	}
 	return nil
 }
 
@@ -57,9 +59,9 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 	}
 	noAccount := func(enc, raw int64) error { return nil }
 	in, err := WriteLevel(dir, lvl.K, compress, 256, nil, name(lvl.K), noAccount,
-		func(write func([]uint32) error) error {
-			for _, rec := range levelRecordsOf(lvl) {
-				if err := write(rec); err != nil {
+		func(write func(prefix, tails []uint32) error) error {
+			for _, s := range lvl.Sub {
+				if err := write(s.Prefix, s.Tails); err != nil {
 					return err
 				}
 			}
@@ -104,9 +106,7 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 				} else if err != nil {
 					t.Fatal(err)
 				}
-				if err := out.write(rec); err != nil {
-					t.Fatal(err)
-				}
+				out.records = append(out.records, slices.Clone(rec))
 			}
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
@@ -150,7 +150,7 @@ func TestOneKernelThreeSinks(t *testing.T) {
 
 					var drain sinkOutput
 					drainB.Reset()
-					drainB.Spill = drain.write
+					drainB.Spill = drain.writeRun
 					for _, s := range lvl.Sub {
 						drainB.ProcessSubList(s, &drain)
 					}

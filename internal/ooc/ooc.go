@@ -61,8 +61,10 @@ type Options struct {
 	MaxK int
 	// MaxLevelBytes aborts when a level's files would exceed this many
 	// encoded bytes (0 = unlimited): the out-of-core analogue of the
-	// paper's one-week cutoff.  Aborted runs still report the bytes they
-	// actually moved.
+	// paper's one-week cutoff.  The check runs once per prefix run
+	// written, after the run has been handed to its file, so an aborted
+	// level overshoots by at most one run and Stats.BytesWritten still
+	// equals the bytes handed to the files at the abort.
 	MaxLevelBytes int64
 	// OnLevel, when non-nil, observes each generation step — the
 	// out-of-core counterpart of core.Options.OnLevel.
@@ -190,16 +192,16 @@ func Enumerate(g graph.Interface, opts Options) (Stats, error) {
 // Continue runs the out-of-core level loop starting from a level of
 // size-k candidate records supplied by feed instead of from the graph's
 // edges: the hybrid backend's in-core -> out-of-core handoff.  feed is
-// called once with the level writer's write function and must produce
-// the records in canonical sorted order (the run-aligned sharding
-// invariant rests on it); rawHint, when positive, estimates the level's
+// called once with the level writer's WriteRun and must produce the
+// level a prefix run at a time, in canonical sorted order (the
+// run-aligned sharding invariant rests on it); rawHint, when positive, estimates the level's
 // fixed-width bytes so the first level is sharded sensibly.  Everything
 // else matches a plain Enumerate run: the spill directory is a private
 // temporary directory inside opts.Dir, removed on the way out, and
 // checkpointing is not supported — the in-core prefix of a hybrid run
 // cannot be replayed from a manifest.
 func Continue(g graph.Interface, opts Options, k int, rawHint int64,
-	feed func(write func(rec []uint32) error) error) (Stats, error) {
+	feed func(write func(prefix, tails []uint32) error) error) (Stats, error) {
 	if err := normalizeOptions(&opts); err != nil {
 		return Stats{}, err
 	}
@@ -225,7 +227,7 @@ func Continue(g graph.Interface, opts Options, k int, rawHint int64,
 }
 
 func (e *engine) continueFrom(k int, rawHint int64,
-	feed func(write func(rec []uint32) error) error) (Stats, error) {
+	feed func(write func(prefix, tails []uint32) error) error) (Stats, error) {
 	shards, err := e.spillLevel(k, rawHint, feed)
 	if err != nil {
 		return e.stats(), err
@@ -317,9 +319,8 @@ type engine struct {
 	claimed     bool  // this process owns the checkpoint dir (first commit done)
 	owner       Owner // the stamp each commit carries
 
-	workers       []*oocWorker
-	poolWG        sync.WaitGroup
-	scratchCharge int64 // governor charge for the workers' bitmaps
+	workers []*oocWorker
+	poolWG  sync.WaitGroup
 }
 
 func newEngine(g graph.Interface, opts Options, dir string) *engine {
@@ -479,7 +480,7 @@ func (e *engine) spillEdges() ([]ShardMeta, error) {
 // engine's usual accounting.  rawHint estimates the level's fixed-width
 // bytes for shard-target sizing.
 func (e *engine) spillLevel(k int, rawHint int64,
-	feed func(write func(rec []uint32) error) error) ([]ShardMeta, error) {
+	feed func(write func(prefix, tails []uint32) error) error) ([]ShardMeta, error) {
 	var levelOut atomic.Int64
 	shards, err := WriteLevel(e.dir, k, e.opts.Compress, e.shardTarget(rawHint), e.opts.Gov,
 		func() (string, error) { return e.nextShardName(k), nil },
@@ -653,14 +654,16 @@ func (e *engine) startPool() {
 			jobs: make(chan *levelJob, 1),
 			join: NewJoiner(e.g),
 		}
+		// Per-worker bitmap scratch is resident for the whole run; the
+		// governor hears about it like any other layer's footprint: what
+		// the joiner holds now is charged here, the memo rows it adds
+		// later by its builder.
+		w.join.b.Gov = e.opts.Gov
+		e.opts.Gov.Charge(w.join.ScratchBytes())
 		e.workers[i] = w
 		e.poolWG.Add(1)
 		go w.loop()
 	}
-	// Per-worker bitmap scratch is resident for the whole run; the
-	// governor hears about it like any other layer's footprint.
-	e.scratchCharge = int64(e.opts.Workers) * e.workers[0].join.ScratchBytes()
-	e.opts.Gov.Charge(e.scratchCharge)
 }
 
 func (e *engine) stopPool() {
@@ -668,8 +671,9 @@ func (e *engine) stopPool() {
 		close(w.jobs)
 	}
 	e.poolWG.Wait()
-	e.opts.Gov.Release(e.scratchCharge)
-	e.scratchCharge = 0
+	for _, w := range e.workers {
+		e.opts.Gov.Release(w.join.ScratchBytes())
+	}
 }
 
 // oocWorker is one persistent pool thread.  Its Joiner's bitmaps and

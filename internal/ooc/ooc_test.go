@@ -133,12 +133,18 @@ func TestSpillBudgetAbortsMidJoin(t *testing.T) {
 	if full.PeakLevelFile <= edgeBytes {
 		t.Fatalf("test graph too small: peak level %d not past the edge level %d", full.PeakLevelFile, edgeBytes)
 	}
-	st, err := Enumerate(g, Options{Dir: t.TempDir(), MaxLevelBytes: edgeBytes})
+	gov := membudget.New(0)
+	st, err := Enumerate(g, Options{Dir: t.TempDir(), MaxLevelBytes: edgeBytes, Gov: gov})
 	if !errors.Is(err, ErrSpillBudget) {
 		t.Fatalf("err = %v, want ErrSpillBudget", err)
 	}
 	if !st.Aborted {
 		t.Error("Aborted flag not set")
+	}
+	// The abort cut a join short: joiner scratch (prefix memo included),
+	// decode window and write buffer must all have been returned.
+	if gov.Peak() == 0 || gov.Used() != 0 {
+		t.Errorf("governor after the aborted join: used %d, peak %d", gov.Used(), gov.Peak())
 	}
 	// Edge level + the aborted join level's writes must both be counted.
 	if st.BytesWritten <= edgeBytes {

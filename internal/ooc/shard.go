@@ -2,7 +2,6 @@ package ooc
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -60,18 +59,19 @@ func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	return
 }
 
-// LevelWriter writes one level's sorted record stream, splitting it into
-// run-aligned shard files of roughly target encoded bytes.  newShard
-// names each file (and lets the engine register it for failure
-// cleanup); onWrite observes every encoded/raw byte increment as it
-// happens — the accounting hook that keeps Stats.BytesWritten truthful
-// even when the level aborts mid-shard — and may return an error (the
-// spill-budget abort) to stop the writer.
+// LevelWriter writes one level's sorted record stream, a prefix run at a
+// time, splitting it into run-aligned shard files of roughly target
+// encoded bytes.  newShard names each file (and lets the engine register
+// it for failure cleanup); onWrite observes the encoded/raw byte
+// increment of every run as it is handed to the file — the accounting
+// hook that keeps Stats.BytesWritten truthful even when the level aborts
+// mid-shard — and may return an error (the spill-budget abort) to stop
+// the writer.
 type LevelWriter struct {
 	dir      string
 	k        int
 	target   int64
-	enc      *recordEncoder
+	enc      *runEncoder
 	newShard func() (string, error)
 	onWrite  func(encBytes, rawBytes int64) error
 	gov      *membudget.Governor // charged with the in-flight I/O buffer
@@ -81,8 +81,6 @@ type LevelWriter struct {
 	bw      *bufio.Writer
 	bufSize int64 // governor charge of the open shard's buffer
 	cur     ShardMeta
-	prev    []uint32
-	count   int64 // records written this level
 }
 
 func NewLevelWriter(dir string, k int, compress bool, target int64,
@@ -95,40 +93,53 @@ func NewLevelWriter(dir string, k int, compress bool, target int64,
 		dir:      dir,
 		k:        k,
 		target:   target,
-		enc:      newRecordEncoder(k, compress),
+		enc:      newRunEncoder(k, compress),
 		newShard: newShard,
 		onWrite:  onWrite,
 		gov:      gov,
-		prev:     make([]uint32, k),
 	}
 }
 
-// write appends one record (sorted order is the caller's invariant).
-func (w *LevelWriter) Write(rec []uint32) error {
-	newRun := w.count == 0 || lcp(w.prev, rec) < w.k-1
-	if w.f != nil && newRun && w.cur.Bytes >= w.target {
-		if err := w.closeShard(); err != nil {
-			return err
-		}
+// WriteRun appends the records (prefix, t) for t in tails — a whole
+// prefix run, or the next part of the run written last.  Sorted order
+// across calls, and strictly increasing tails above the prefix within
+// one, are the caller's invariant.  Everything that costs O(k) — the
+// comparison with the previous run, the shard-split decision — happens
+// once per call, and the run reaches the file and onWrite as one write.
+func (w *LevelWriter) WriteRun(prefix, tails []uint32) error {
+	if len(tails) == 0 {
+		return nil
 	}
-	if w.f == nil {
-		if err := w.openShard(); err != nil {
-			return err
+	shared, same := w.enc.shared(prefix)
+	if !same {
+		if w.f != nil && w.cur.Bytes >= w.target {
+			if err := w.closeShard(); err != nil {
+				return err
+			}
 		}
-	}
-	if newRun {
+		if w.f == nil {
+			if err := w.openShard(); err != nil {
+				return err
+			}
+			shared = 0 // a shard decodes by itself
+		}
 		w.cur.Runs++
 	}
-	buf := w.enc.encode(rec)
+	buf := w.enc.encode(prefix, tails, shared)
 	if _, err := w.bw.Write(buf); err != nil {
 		return fmt.Errorf("ooc: write %s: %w", w.cur.Path, err)
 	}
+	raw := int64(4 * w.k * len(tails))
 	w.cur.Bytes += int64(len(buf))
-	w.cur.RawBytes += int64(4 * len(rec))
-	w.cur.Records++
-	w.count++
-	copy(w.prev, rec)
-	return w.onWrite(int64(len(buf)), int64(4*len(rec)))
+	w.cur.RawBytes += raw
+	w.cur.Records += int64(len(tails))
+	return w.onWrite(int64(len(buf)), raw)
+}
+
+// Write appends one record: a one-tail WriteRun, which continues the
+// current run when the prefix repeats.
+func (w *LevelWriter) Write(rec []uint32) error {
+	return w.WriteRun(rec[:w.k-1], rec[w.k-1:])
 }
 
 func (w *LevelWriter) openShard() error {
@@ -146,7 +157,6 @@ func (w *LevelWriter) openShard() error {
 	w.bufSize = int64(sz)
 	w.gov.Charge(w.bufSize)
 	w.cur = ShardMeta{Path: name}
-	w.enc.reset()
 	hdr := shardHeader(w.k, w.enc.compress)
 	if _, err := w.bw.Write(hdr); err != nil {
 		return fmt.Errorf("ooc: write shard header: %w", err)
@@ -215,29 +225,27 @@ func shardHeader(k int, compress bool) []byte {
 	return append(hdr, flags, byte(k))
 }
 
-// ShardReader streams one shard file's records, counting consumed bytes
-// and enforcing the record count recorded at write time, so truncation
-// and trailing garbage both surface as errors.
+// ShardReader streams one shard file's prefix runs, counting consumed
+// bytes and enforcing the record count recorded at write time, so
+// truncation and trailing garbage both surface as errors.
 type ShardReader struct {
 	f       *os.File
-	cr      *countingReader
-	br      *bufio.Reader
-	dec     *recordDecoder
+	dec     *runDecoder
 	meta    ShardMeta
-	k       int
-	records int64
+	cur     int // Next's cursor into the decoded run
 	gov     *membudget.Governor
 	bufSize int64
 }
 
+// OpenShard opens a shard file for decoding through a window of the
+// shard's size, at most 1 MiB, charged to gov until Close.
 func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*ShardReader, error) {
 	f, err := os.Open(filepath.Join(dir, meta.Path))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: open shard: %w", err)
 	}
-	cr := &countingReader{r: f}
 	sz := bufSize(meta.Bytes)
-	r, err := newShardReader(cr, bufio.NewReaderSize(cr, sz), meta, k, n, compress)
+	r, err := newShardReader(make([]byte, 0, sz), f, meta, k, n, compress)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -250,23 +258,31 @@ func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudg
 
 // OpenShardBytes reads a shard from an in-memory copy of its encoded
 // file — the read-ahead path, where a prefetch goroutine has already
-// pulled the bytes off disk.  The caller owns data (and its governor
-// charge); Close closes no file and releases nothing.
+// pulled the bytes off disk.  The data is decoded in place: the caller
+// owns it (and its governor charge) and keeps it unchanged until Close,
+// which closes no file and releases nothing.
 func OpenShardBytes(data []byte, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
-	cr := &countingReader{r: bytes.NewReader(data)}
-	// A small relay buffer: decode pulls bytes one at a time, and the
-	// data already lives in memory, so a big window would only copy it
-	// a second time for nothing.
-	return newShardReader(cr, bufio.NewReaderSize(cr, 8<<10), meta, k, n, compress)
+	return newShardReader(data, nil, meta, k, n, compress)
 }
 
-// newShardReader validates the shard preamble on br and assembles the
-// reader; the caller attaches the file handle and governor charge (if
-// any) on success.
-func newShardReader(cr *countingReader, br *bufio.Reader, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
-	hdr := make([]byte, shardHeaderLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, corrupt("%s: short header: %v", meta.Path, err)
+// newShardReader validates the shard preamble at the head of the window
+// and assembles the reader; the caller attaches the file handle and
+// governor charge (if any) on success.
+func newShardReader(win []byte, src io.Reader, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("ooc: shard %s: clique size %d (want >= 2)", meta.Path, k)
+	}
+	dec := newRunDecoder(k, n, compress, meta.Records, win, src)
+	if src != nil {
+		if err := dec.refill(); err != nil {
+			return nil, err
+		}
+	} else {
+		dec.read = int64(len(win))
+	}
+	hdr := dec.win
+	if len(hdr) < shardHeaderLen {
+		return nil, corrupt("%s: short header (%d bytes)", meta.Path, len(hdr))
 	}
 	if string(hdr[:4]) != shardMagic {
 		return nil, corrupt("%s: bad magic %q", meta.Path, hdr[:4])
@@ -281,37 +297,53 @@ func newShardReader(cr *countingReader, br *bufio.Reader, meta ShardMeta, k, n i
 	if int(hdr[6]) != k {
 		return nil, corrupt("%s: clique size %d, level expects %d", meta.Path, hdr[6], k)
 	}
-	return &ShardReader{
-		cr: cr, br: br,
-		dec:  newRecordDecoder(k, n, compress),
-		meta: meta, k: k,
-	}, nil
+	dec.pos = shardHeaderLen
+	return &ShardReader{dec: dec, meta: meta}, nil
 }
 
-// next reads one record into rec (len k), reporting io.EOF after exactly
-// meta.Records records.
-func (r *ShardReader) Next(rec []uint32) error {
-	if r.records == r.meta.Records {
+// NextRun decodes the shard's next prefix run: the k-1 shared vertices
+// and the tails, one per record, both valid until the next call.  It
+// reports io.EOF after exactly meta.Records records.
+func (r *ShardReader) NextRun() (prefix, tails []uint32, err error) {
+	d := r.dec
+	r.cur = 0
+	ok, err := d.next()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w (shard %s, record %d)", err, r.meta.Path, r.meta.Records-d.limit)
+	}
+	if !ok {
+		if d.limit > 0 {
+			return nil, nil, corrupt("%s: %d records, manifest expects %d",
+				r.meta.Path, r.meta.Records-d.limit, r.meta.Records)
+		}
 		// The write-time count is exhausted: the file must end here.
-		if _, err := r.br.ReadByte(); err != io.EOF {
-			return corrupt("%s: trailing data after %d records", r.meta.Path, r.records)
+		if d.pos < len(d.win) {
+			return nil, nil, corrupt("%s: trailing data after %d records", r.meta.Path, r.meta.Records)
 		}
-		return io.EOF
+		return nil, nil, io.EOF
 	}
-	if err := r.dec.decode(r.br, rec); err != nil {
-		if err == io.EOF {
-			return corrupt("%s: %d records, manifest expects %d",
-				r.meta.Path, r.records, r.meta.Records)
+	return d.rec[:d.k-1], d.tails, nil
+}
+
+// Next reads one record into rec (len k): a cursor over NextRun's runs.
+func (r *ShardReader) Next(rec []uint32) error {
+	d := r.dec
+	if r.cur == len(d.tails) {
+		if _, _, err := r.NextRun(); err != nil {
+			return err
 		}
-		return fmt.Errorf("%w (shard %s, record %d)", err, r.meta.Path, r.records)
 	}
-	r.records++
+	k1 := d.k - 1
+	copy(rec, d.rec[:k1])
+	rec[k1] = d.tails[r.cur]
+	r.cur++
 	return nil
 }
 
-// bytesRead returns the encoded bytes pulled from the file so far
-// (buffered read-ahead included: it is real I/O).
-func (r *ShardReader) BytesRead() int64 { return r.cr.n }
+// BytesRead returns the encoded bytes pulled from the file so far
+// (the undecoded rest of the window included: it is real I/O); for an
+// in-memory shard, all of it.
+func (r *ShardReader) BytesRead() int64 { return r.dec.read }
 
 func (r *ShardReader) Close() error {
 	r.gov.Release(r.bufSize)
@@ -339,15 +371,4 @@ func bufSize(hint int64) int {
 		return max
 	}
 	return int(hint)
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -68,15 +68,17 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	gov.Charge(lvl.Bytes(g.N()))
 	pool := bitset.NewPool(g.N())
 	workers := make([]*barrierWorker, opts.Workers)
-	var scratch int64
 	for w := range workers {
 		b := core.NewBuilderMode(g, mode, pool)
 		b.Gov = gov
-		scratch += b.ScratchBytes()
+		gov.Charge(b.ScratchBytes())
 		workers[w] = &barrierWorker{builder: b}
 	}
-	gov.Charge(scratch)
-	defer gov.Release(scratch)
+	defer func() {
+		for _, w := range workers {
+			gov.Release(w.builder.ScratchBytes())
+		}
+	}()
 
 	words := int64((g.N() + 63) / 64)
 	for len(lvl.Sub) > 0 && (opts.Hi == 0 || lvl.K+1 <= opts.Hi) {

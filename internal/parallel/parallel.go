@@ -221,7 +221,6 @@ type Pool struct {
 	m       *merger
 	words   int64
 	loads   []int64 // reused across levels; each level ends before reuse
-	scratch int64   // governor-charged builder scratch bytes
 	closed  bool
 }
 
@@ -244,7 +243,7 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 	for w := range p.workers {
 		b := core.NewBuilderMode(g, mode, p.bits)
 		b.Gov = opts.Gov
-		p.scratch += b.ScratchBytes()
+		opts.Gov.Charge(b.ScratchBytes())
 		p.workers[w] = &worker{
 			id:      w,
 			builder: b,
@@ -253,7 +252,6 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 		p.wg.Add(1)
 		go p.workers[w].loop(&p.wg)
 	}
-	opts.Gov.Charge(p.scratch)
 	return p, nil
 }
 
@@ -280,7 +278,9 @@ func (p *Pool) Close() {
 		close(w.jobs)
 	}
 	p.wg.Wait()
-	p.opts.Gov.Release(p.scratch)
+	for _, w := range p.workers {
+		p.opts.Gov.Release(w.builder.ScratchBytes())
+	}
 }
 
 // RunLevel drives one level through the pool: it hands every worker the
