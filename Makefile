@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench bench-all bench-check dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -86,22 +86,6 @@ race-all:
 bench:
 	$(GO) test -run xxx -bench 'EnumerateStreaming|EnumerateBarrier|SeedFromK|Representations' -benchtime 5x .
 
-# The unified benchmark trajectory: kernel microbenchmarks plus the
-# representation / out-of-core / hybrid enumeration scenarios, appended
-# as one history entry to the committed BENCH_all.json.  Run it when a
-# perf-relevant change lands and commit the new entry — the file is the
-# repo's own perf record.
-bench-all:
-	$(GO) run ./cmd/benchall -out BENCH_all.json
-
-# The regression gate over that record: compares the last two entries of
-# BENCH_all.json per scenario and fails on a >10% slowdown.  For an
-# intentional regression (a correctness fix that costs speed), set
-# BENCH_ALLOW_REGRESSION=<short reason> — the check then reports the
-# regressions, prints the reason into the log, and exits zero.
-bench-check:
-	$(GO) run ./cmd/benchall -check -out BENCH_all.json
-
 # Resume-after-kill smoke test: checkpoint, kill by timeout, resume,
 # reconcile clique counts against an uninterrupted run.
 smoke-resume:
@@ -139,6 +123,12 @@ examples:
 	$(GO) vet ./examples/...
 	$(GO) test -run Example ./...
 
+# Code size per package group (non-test, non-blank, non-comment Go
+# lines, benchmark/ excluded): run at two commits to state what a
+# simplification removed.
+loc:
+	@sh scripts/loc.sh
+
 check: fmt vet lint test
 
-ci: fmt vet lint lint-audit build vet-benchmark test fuzz-smoke race race-repr bench bench-check examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity
+ci: fmt vet lint lint-audit build vet-benchmark test fuzz-smoke race race-repr bench examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity

@@ -3,8 +3,10 @@ package repro_test
 // BenchmarkRepresentations measures the representation trade-off on a
 // sparse and a dense synthetic graph: enumeration time per backend with
 // the peak adjacency bytes attached as a custom metric.  `make bench`
-// runs a short sweep; `make bench-all` (cmd/benchall) records the same
-// scenarios in the BENCH_all.json trajectory.
+// runs a short sweep; the recorded numbers for the same trade-off are
+// the benchmark's per-layer metrics graph.bytes and
+// graph.row_probe_{dense,csr,wah}_ns (benchmark/README.md lists them;
+// benchmark/PERF.md is the record).
 
 import (
 	"context"

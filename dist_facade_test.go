@@ -65,6 +65,15 @@ func TestDistributedFacadeParity(t *testing.T) {
 			t.Errorf("spill I/O not accounted: written=%d read=%d",
 				st.SpillBytesWritten, st.SpillBytesRead)
 		}
+		// One stats-fill behind both disk backends: the peak level is the
+		// out-of-core run's payload plus the headers of the smaller shards.
+		var ost repro.Stats
+		stream(t, repro.NewEnumerator(repro.WithBounds(lo, 0),
+			repro.WithOutOfCore(t.TempDir(), 0), repro.WithStats(&ost)), g)
+		if st.PeakLevelFileBytes < ost.PeakLevelFileBytes || st.PeakLevelFileBytes > st.SpillBytesWritten {
+			t.Errorf("Stats.PeakLevelFileBytes = %d, want within [%d (out-of-core peak), %d (bytes written)]",
+				st.PeakLevelFileBytes, ost.PeakLevelFileBytes, st.SpillBytesWritten)
+		}
 		// The per-level ledger must sum to the delivered count, like
 		// every other backend.
 		var sum int64

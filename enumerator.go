@@ -734,6 +734,21 @@ func (e *Enumerator) diskOnLevel(lo int, st *Stats) func(ooc.LevelStats) {
 	}
 }
 
+// fill copies what a disk run delivered and moved into the facade Stats:
+// the one stats-fill behind both disk backends.
+func (d *diskRun) fill(st *Stats, ost ooc.Stats) {
+	if st == nil {
+		return
+	}
+	st.MaximalCliques = d.count
+	st.MaxCliqueSize = d.maxSize
+	st.SpillBytesWritten = ost.BytesWritten
+	st.SpillRawBytesWritten = ost.RawBytesWritten
+	st.SpillBytesRead = ost.BytesRead
+	st.PeakLevelFileBytes = ost.PeakLevelFile
+	st.Resumed = ost.Resumed
+}
+
 func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
 	d := &diskRun{lo: cfg.Lo, r: r}
 	dst, err := dist.Enumerate(g, dist.Options{
@@ -749,12 +764,8 @@ func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Repo
 		Reporter:     d,
 		OnLevel:      e.diskOnLevel(cfg.Lo, st),
 	})
+	d.fill(st, dst.Stats)
 	if st != nil {
-		st.MaximalCliques = d.count
-		st.MaxCliqueSize = d.maxSize
-		st.SpillBytesWritten = dst.BytesWritten
-		st.SpillRawBytesWritten = dst.RawBytesWritten
-		st.SpillBytesRead = dst.BytesRead
 		st.DistWorkers = dst.Workers
 		st.DistReleases = dst.Releases
 		st.DistWorkerDeaths = dst.WorkerDeaths
@@ -773,14 +784,6 @@ func (e *Enumerator) runOutOfCore(cfg enumcfg.Config, g GraphInterface, r Report
 		enumerate = ooc.Resume
 	}
 	ost, err := enumerate(g, opts)
-	if st != nil {
-		st.MaximalCliques = d.count
-		st.MaxCliqueSize = d.maxSize
-		st.SpillBytesWritten = ost.BytesWritten
-		st.SpillRawBytesWritten = ost.RawBytesWritten
-		st.SpillBytesRead = ost.BytesRead
-		st.PeakLevelFileBytes = ost.PeakLevelFile
-		st.Resumed = ost.Resumed
-	}
+	d.fill(st, ost)
 	return d.count, err
 }

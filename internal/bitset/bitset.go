@@ -118,9 +118,11 @@ func (b *Bitset) Any() bool {
 func (b *Bitset) None() bool { return !b.Any() }
 
 // Count returns the number of elements in the set (population count).
-// The plain range loop is deliberate: BENCH_all.json's kernel/count
-// shows a 4-way accumulator unroll slower here — the extra slice
-// bookkeeping costs more than the popcount dependence chain it breaks.
+// The plain range loop is deliberate: a 4-way accumulator unroll
+// measured slower here — the extra slice bookkeeping costs more than the
+// popcount dependence chain it breaks.  Re-measure any change against the
+// benchmark's per-layer metrics bitset.count_ns and bitset.count_1m_ns
+// (benchmark/README.md lists them; benchmark/PERF.md is the record).
 //
 //repro:hotpath
 func (b *Bitset) Count() int {
@@ -259,9 +261,11 @@ func (b *Bitset) IntersectsWith(o *Bitset) bool {
 }
 
 // AndCount returns |b ∩ o| without materializing the intersection.
-// Plain indexed loop on purpose: kernel/andcount in BENCH_all.json
-// measures the two-slice 4-way unroll ~1.6x slower than this (double
-// bounds checks and slice-header updates dominate).
+// Plain indexed loop on purpose: the two-slice 4-way unroll measured
+// ~1.6x slower than this (double bounds checks and slice-header updates
+// dominate).  Re-measure any change against the benchmark's per-layer
+// metrics bitset.andcount_ns and bitset.andcount_1m_ns
+// (benchmark/README.md lists them; benchmark/PERF.md is the record).
 //
 //repro:hotpath
 func (b *Bitset) AndCount(o *Bitset) int {

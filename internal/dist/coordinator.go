@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
-	"repro/internal/sched"
 )
 
 // GraphFileName is the shared edge-list file the coordinator writes
@@ -26,6 +25,10 @@ const GraphFileName = "dist-graph.el"
 // operators (and the kill-a-worker smoke test) can audit the run's
 // re-lease history.
 const ReportName = "dist-manifest.json"
+
+// coordinatorRole tags the checkpoints and the report this process
+// writes.
+const coordinatorRole = "coordinator"
 
 // Options configures a distributed enumeration.
 type Options struct {
@@ -69,17 +72,13 @@ type Options struct {
 	Gov *membudget.Governor
 }
 
-// Stats reports a distributed run.
+// Stats reports a distributed run: the level driver's counters plus the
+// lease scheduler's.
 type Stats struct {
-	Maximal         int64
-	Levels          int
-	Shards          int64
-	BytesWritten    int64 // encoded bytes of all produced levels
-	RawBytesWritten int64
-	BytesRead       int64 // encoded bytes workers read back
-	Workers         int
-	Releases        int // leases revoked (expiry or death) and re-run
-	WorkerDeaths    int
+	ooc.Stats
+	Workers      int
+	Releases     int // leases revoked (expiry or death) and re-run
+	WorkerDeaths int
 }
 
 // Report is the persisted run summary (ReportName).
@@ -151,37 +150,26 @@ type workerState struct {
 	lease *Lease
 }
 
-// coordinator is one run's state.
+// coordinator is the lease scheduler: the ShardRunner that joins a
+// level's shards on worker processes.  The level loop around it is
+// ooc.Loop's; what lives here is the lease table, the worker slots with
+// their heartbeats, deaths and scratch reservations, and the audit
+// report.
 type coordinator struct {
 	opts   Options
-	g      graph.Interface
-	dir    string
-	owner  ooc.Owner
-	fp     string
 	events chan event
 	done   chan struct{}  // closed at run end; unblocks parked pumps
 	reaps  sync.WaitGroup // in-flight async conn closes; joined at run end
 	ws     []*workerState
 	gens   []int // per-slot dial generation, monotonic across respawns
 
-	table       *LeaseTable // current level's leases (nil between levels)
-	levelShards []ooc.ShardMeta
-	seq         *sched.Sequencer[*Msg]
-	target      int64
-	level       int
-	collect     bool
-	shardSeq    int64
+	// The level in flight (nil between levels).
+	table   *LeaseTable
+	lv      *ooc.Level
+	deliver func(shard int, res ooc.ShardResult)
 
-	maximal    int64
-	levels     int
-	shards     int64
-	written    int64
-	rawWritten int64
-	read       int64
-	deaths     int
-	releases   []ooc.ReleaseRecord
-	claimed    bool
-	nextLevel  []ooc.ShardMeta
+	deaths   int
+	releases []ooc.ReleaseRecord // of the levels already run
 }
 
 // Enumerate runs the distributed enumeration: the coordinator owns the
@@ -199,34 +187,34 @@ func Enumerate(g graph.Interface, opts Options) (Stats, error) {
 	}
 	c := &coordinator{
 		opts:   opts,
-		g:      g,
-		dir:    opts.Dir,
-		owner:  ooc.SelfOwner("coordinator"),
-		fp:     ooc.Fingerprint(g),
 		events: make(chan event, 4*opts.Workers+4),
 		done:   make(chan struct{}),
 		ws:     make([]*workerState, opts.Workers),
 		gens:   make([]int, opts.Workers),
 	}
-	st, err := c.run()
-	return st, err
-}
-
-func (c *coordinator) stats() Stats {
+	loop := ooc.NewLoop(g, ooc.Options{
+		Ctx:        opts.Ctx,
+		Dir:        opts.Dir,
+		Reporter:   opts.Reporter,
+		MaxK:       opts.MaxK,
+		OnLevel:    opts.OnLevel,
+		Workers:    opts.Workers,
+		Compress:   opts.Compress,
+		Checkpoint: true,
+		ShardBytes: opts.ShardBytes,
+		Gov:        opts.Gov,
+	}, coordinatorRole)
+	loop.Releases = func() []ooc.ReleaseRecord { return c.releases }
+	err := c.run(g, loop)
 	return Stats{
-		Maximal:         c.maximal,
-		Levels:          c.levels,
-		Shards:          c.shards,
-		BytesWritten:    c.written,
-		RawBytesWritten: c.rawWritten,
-		BytesRead:       c.read,
-		Workers:         c.opts.Workers,
-		Releases:        len(c.releases),
-		WorkerDeaths:    c.deaths,
-	}
+		Stats:        loop.Stats(),
+		Workers:      opts.Workers,
+		Releases:     len(c.releases),
+		WorkerDeaths: c.deaths,
+	}, err
 }
 
-func (c *coordinator) run() (Stats, error) {
+func (c *coordinator) run(g graph.Interface, loop *ooc.Loop) error {
 	defer close(c.done) // parked pumps exit once the run is over
 	defer c.reaps.Wait()
 	defer c.shutdownWorkers()
@@ -234,75 +222,34 @@ func (c *coordinator) run() (Stats, error) {
 	// Ship the graph: exec workers share the host filesystem, so bulk
 	// data (graph, shards) moves through the run directory and only
 	// metadata crosses the wire.
-	if err := c.writeGraph(); err != nil {
-		return c.stats(), err
+	if err := c.writeGraph(g); err != nil {
+		return err
 	}
 	for i := range c.ws {
 		if err := c.startWorker(i); err != nil {
-			return c.stats(), err
+			return err
 		}
 	}
-
-	// Level 2 — the edge level — is coordinator-written; every later
-	// level is assembled from worker output shards.
-	shards, err := c.spillEdges()
+	// Level 2 — the edge level — is written by the level loop in this
+	// process while the workers load the graph; every later level is
+	// assembled from worker output shards.
+	st, err := loop.RunEdges(c)
 	if err != nil {
-		return c.stats(), err
+		return err
 	}
-	if err := c.commitManifest(shards, 2); err != nil {
-		return c.stats(), err
+	// The checkpoint is retired; what stays is the audit report.
+	if err := os.Remove(filepath.Join(c.opts.Dir, GraphFileName)); err != nil {
+		return err
 	}
-
-	k := 2
-	for ooc.LevelRecords(shards) > 0 {
-		if c.opts.MaxK > 0 && k >= c.opts.MaxK {
-			break
-		}
-		if err := c.opts.Ctx.Err(); err != nil {
-			return c.stats(), fmt.Errorf("dist: canceled before level %d->%d: %w", k, k+1, err)
-		}
-		next, err := c.runLevel(shards, k)
-		if err != nil {
-			return c.stats(), err
-		}
-		// Crash-ordering, inherited from the single-machine checkpoint:
-		// produced level durable → manifest names it → consumed level
-		// deleted.  Then sweep orphans (a superseded attempt's outputs).
-		if err := c.commitManifest(next, k+1); err != nil {
-			return c.stats(), err
-		}
-		if err := c.removeShards(shards); err != nil {
-			return c.stats(), err
-		}
-		if err := ooc.RemoveStaleShards(c.dir, next); err != nil {
-			return c.stats(), err
-		}
-		shards, k = next, k+1
-	}
-
-	// Completion: retire the checkpoint manifest before deleting the
-	// shards it names, then persist the audit report.
-	if err := ooc.RemoveManifest(c.dir); err != nil {
-		return c.stats(), err
-	}
-	if err := c.removeShards(shards); err != nil {
-		return c.stats(), err
-	}
-	if err := os.Remove(filepath.Join(c.dir, GraphFileName)); err != nil {
-		return c.stats(), err
-	}
-	if err := c.writeReport(); err != nil {
-		return c.stats(), err
-	}
-	return c.stats(), nil
+	return c.writeReport(st, loop.Fingerprint())
 }
 
-func (c *coordinator) writeGraph() error {
-	f, err := os.Create(filepath.Join(c.dir, GraphFileName))
+func (c *coordinator) writeGraph(g graph.Interface) error {
+	f, err := os.Create(filepath.Join(c.opts.Dir, GraphFileName))
 	if err != nil {
 		return fmt.Errorf("dist: write graph: %w", err)
 	}
-	if err := graph.WriteEdgeList(f, c.g); err != nil {
+	if err := graph.WriteEdgeList(f, g); err != nil {
 		return fmt.Errorf("dist: write graph: %w", errors.Join(err, f.Close()))
 	}
 	if err := f.Close(); err != nil {
@@ -311,86 +258,25 @@ func (c *coordinator) writeGraph() error {
 	return nil
 }
 
-func (c *coordinator) nextShardName(k int) string {
-	c.shardSeq++
-	return ooc.ShardFileName(k, fmt.Sprintf("c-%06d", c.shardSeq))
-}
-
-func (c *coordinator) spillEdges() ([]ooc.ShardMeta, error) {
-	target := c.opts.ShardBytes
-	if target == 0 {
-		target = ooc.DefaultShardTarget(8*int64(c.g.M()), c.opts.Workers)
-	}
-	shards, err := ooc.WriteLevel(c.dir, 2, c.opts.Compress, target, c.opts.Gov,
-		func() (string, error) { return c.nextShardName(2), nil },
-		func(enc, raw int64) error {
-			c.written += enc
-			c.rawWritten += raw
-			return nil
-		},
-		ooc.EdgeFeed(c.opts.Ctx, c.g))
-	if err != nil {
-		return nil, err
-	}
-	c.shards += int64(len(shards))
-	return shards, nil
-}
-
-func (c *coordinator) commitManifest(shards []ooc.ShardMeta, k int) error {
-	err := ooc.WriteManifest(c.dir, &ooc.Manifest{
-		Owner:    c.owner,
-		Compress: c.opts.Compress,
-		K:        k,
-		MaxK:     c.opts.MaxK,
-		Shards:   shards,
-		Stats: ooc.Stats{
-			Maximal:         c.maximal,
-			BytesWritten:    c.written,
-			RawBytesWritten: c.rawWritten,
-			BytesRead:       c.read,
-			Levels:          c.levels,
-			Shards:          c.shards,
-		},
-		GraphN:    c.g.N(),
-		GraphM:    c.g.M(),
-		GraphHash: c.fp,
-		Releases:  c.releases,
-	}, !c.claimed)
-	if err == nil {
-		c.claimed = true
-	}
-	return err
-}
-
-func (c *coordinator) writeReport() error {
+func (c *coordinator) writeReport(st ooc.Stats, fp string) error {
 	data, err := json.MarshalIndent(&Report{
-		Owner:        c.owner,
+		Owner:        ooc.SelfOwner(coordinatorRole),
 		Workers:      c.opts.Workers,
-		Levels:       c.levels,
-		Maximal:      c.maximal,
-		Shards:       c.shards,
+		Levels:       st.Levels,
+		Maximal:      st.Maximal,
+		Shards:       st.Shards,
 		WorkerDeaths: c.deaths,
 		Releases:     append([]ooc.ReleaseRecord{}, c.releases...),
-		GraphHash:    c.fp,
+		GraphHash:    fp,
 	}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("dist: encode report: %w", err)
 	}
-	tmp := filepath.Join(c.dir, ReportName+".tmp")
+	tmp := filepath.Join(c.opts.Dir, ReportName+".tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("dist: write report: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(c.dir, ReportName))
-}
-
-func (c *coordinator) removeShards(shards []ooc.ShardMeta) error {
-	var errs []error
-	for _, s := range shards {
-		if err := os.Remove(filepath.Join(c.dir, s.Path)); err != nil && !os.IsNotExist(err) {
-			errs = append(errs, fmt.Errorf("dist: remove consumed shard: %w", err))
-		}
-	}
-	return errors.Join(errs...)
+	return os.Rename(tmp, filepath.Join(c.opts.Dir, ReportName))
 }
 
 // startWorker dials a slot and sends init.  The worker becomes
@@ -405,7 +291,7 @@ func (c *coordinator) startWorker(slot int) error {
 	c.ws[slot] = ws
 	if err := conn.Send(&Msg{
 		Type:      MsgInit,
-		Dir:       c.dir,
+		Dir:       c.opts.Dir,
 		GraphPath: GraphFileName,
 		Compress:  c.opts.Compress,
 		WorkerID:  fmt.Sprintf("worker-%d", slot),
@@ -434,78 +320,40 @@ func (c *coordinator) pump(ws *workerState) {
 	}
 }
 
-// runLevel joins one level's shards across the workers and returns the
-// next level's shard list, releasing results in shard order so the
-// emitted stream matches the sequential order exactly.
+// RunLevel joins one level's shards across the workers: lease each
+// shard, deliver each accepted result, re-lease what a death or an
+// expiry takes back.
 //
 //repro:ctxloop
-func (c *coordinator) runLevel(shards []ooc.ShardMeta, k int) ([]ooc.ShardMeta, error) {
-	c.levels++
-	encB, rawB := ooc.LevelBytes(shards)
-	lst := ooc.LevelStats{
-		FromK:        k,
-		Cliques:      ooc.LevelRecords(shards),
-		Shards:       len(shards),
-		FileBytes:    encB,
-		RawFileBytes: rawB,
-	}
-	maxBefore := c.maximal
-
-	c.level = k
-	c.levelShards = shards
-	c.table = NewLeaseTable(k, shards, c.opts.LeaseTimeout)
-	c.collect = c.opts.Reporter != nil
-	c.target = c.opts.ShardBytes
-	if c.target == 0 {
-		c.target = ooc.DefaultShardTarget(encB, c.opts.Workers)
-	}
-	c.nextLevel = c.nextLevel[:0]
-	c.seq = sched.NewSequencer(len(shards), func(_ int, res *Msg) {
-		c.maximal += res.Maximal
-		if c.opts.Reporter != nil {
-			start := int32(0)
-			for _, end := range res.EmitOff {
-				c.opts.Reporter.Emit(clique.Clique(res.EmitVerts[start:end]))
-				start = end
-			}
-		}
-		c.nextLevel = append(c.nextLevel, res.Out...)
-	})
+func (c *coordinator) RunLevel(ctx context.Context, lv *ooc.Level, deliver func(shard int, res ooc.ShardResult)) error {
+	c.lv, c.deliver = lv, deliver
+	c.table = NewLeaseTable(lv.K, lv.Shards, c.opts.LeaseTimeout)
+	defer func() {
+		c.releases = append(c.releases, c.table.Releases()...)
+		c.table = nil
+	}()
 
 	c.assignAll()
 	tick := time.NewTicker(c.opts.Heartbeat)
 	defer tick.Stop()
 	for !c.table.Done() {
-		if err := c.opts.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dist: canceled during level %d->%d: %w", k, k+1, err)
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("dist: canceled during level %d->%d: %w", lv.K, lv.K+1, err)
 		}
 		select {
-		case <-c.opts.Ctx.Done():
+		case <-ctx.Done():
 			// Observed at the top of the next iteration.
 		case ev := <-c.events:
 			if err := c.handleEvent(ev); err != nil {
-				return nil, err
+				return err
 			}
 		case <-tick.C:
 			if err := c.expireLeases(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	c.table = nil
-	c.seq = nil
-
-	next := append([]ooc.ShardMeta(nil), c.nextLevel...)
-	c.shards += int64(len(next))
-	nst, nraw := ooc.LevelBytes(next)
-	c.written += nst
-	c.rawWritten += nraw
-	lst.NextBytes, lst.RawNextBytes = nst, nraw
-	lst.Maximal = c.maximal - maxBefore
-	if c.opts.OnLevel != nil {
-		c.opts.OnLevel(lst)
-	}
-	return next, nil
+	return nil
 }
 
 // handleEvent processes one worker frame (or stream break) during a
@@ -540,18 +388,20 @@ func (c *coordinator) handleEvent(ev event) error {
 		if ws.lease != nil && ws.lease.ID == ev.msg.LeaseID {
 			ws.lease = nil
 		}
-		switch status {
-		case Accepted:
-			c.read += ev.msg.BytesRead
-			c.seq.Deposit(shard, ev.msg)
-		case Duplicate:
-			// The accepted delivery owns the files; nothing to do.
-		case Stale:
-			// A superseded lease's outputs are orphans — delete now so
-			// a re-leased shard's accepted outputs are never shadowed.
-			if err := c.removeShards(ev.msg.Out); err != nil {
+		// Only the accepted delivery counts.  A duplicate's files are the
+		// accepted ones; a stale delivery's (its lease was superseded
+		// before the result arrived) are orphans under names no other
+		// attempt uses, which the level loop sweeps at the boundary.
+		if status == Accepted {
+			m := ev.msg
+			c.lv.Read(m.BytesRead)
+			if err := c.lv.Wrote(ooc.LevelBytes(m.Out)); err != nil {
 				return err
 			}
+			c.deliver(shard, ooc.ShardResult{
+				JoinStats: ooc.JoinStats{Maximal: m.Maximal, EmitVerts: m.EmitVerts, EmitOff: m.EmitOff, BytesRead: m.BytesRead},
+				Out:       m.Out,
+			})
 		}
 		c.assign(ws)
 	case MsgError:
@@ -595,10 +445,8 @@ func (c *coordinator) handleDeath(ws *workerState, reason string) error {
 		ws.res.Close()
 		ws.res = nil
 	}
-	if ws.lease != nil && c.table != nil {
-		if c.table.Release(ws.lease.ID, reason, time.Now()) {
-			c.recordReleases()
-		}
+	if ws.lease != nil {
+		c.table.Release(ws.lease.ID, reason, time.Now())
 		ws.lease = nil
 	}
 	if c.deaths > c.opts.MaxDeaths {
@@ -616,14 +464,7 @@ func (c *coordinator) handleDeath(ws *workerState, reason string) error {
 // stale, and SIGKILL guarantees no further writes), and the slot is
 // respawned.
 func (c *coordinator) expireLeases() error {
-	if c.table == nil {
-		return nil
-	}
 	expired := c.table.Expire(time.Now())
-	if len(expired) == 0 {
-		return nil
-	}
-	c.recordReleases()
 	for _, l := range expired {
 		ws := c.ws[l.Worker]
 		if ws == nil || ws.lease == nil || ws.lease.ID != l.ID {
@@ -635,30 +476,15 @@ func (c *coordinator) expireLeases() error {
 			return err
 		}
 	}
-	c.assignAll()
+	if len(expired) > 0 {
+		c.assignAll()
+	}
 	return nil
-}
-
-// recordReleases syncs the run-wide release history from the current
-// table (idempotent: the table's history is authoritative per level).
-func (c *coordinator) recordReleases() {
-	if c.table == nil {
-		return
-	}
-	rel := c.table.Releases()
-	// Replace this level's slice suffix: count entries from this level.
-	base := 0
-	for _, r := range c.releases {
-		if r.Level != c.level {
-			base++
-		}
-	}
-	c.releases = append(c.releases[:base], rel...)
 }
 
 // assign hands an idle, ready worker the next pending shard.
 func (c *coordinator) assign(ws *workerState) {
-	if c.table == nil || !ws.ready || ws.lease != nil {
+	if !ws.ready || ws.lease != nil {
 		return
 	}
 	l, ok := c.table.Acquire(ws.slot, time.Now())
@@ -669,18 +495,17 @@ func (c *coordinator) assign(ws *workerState) {
 	err := ws.conn.Send(&Msg{
 		Type:       MsgLease,
 		LeaseID:    l.ID,
-		K:          c.level,
-		Shard:      c.levelShards[l.Shard],
+		K:          c.lv.K,
+		Shard:      c.lv.Shards[l.Shard],
 		ShardIndex: l.Shard,
 		Attempt:    l.Attempt,
-		Target:     c.target,
-		Collect:    c.collect,
+		Target:     c.lv.Target,
+		Collect:    c.lv.Collect,
 	})
 	if err != nil {
 		// The pump will also observe the break; revoking here just gets
 		// the shard back into the pool sooner.
 		_ = c.table.Release(l.ID, fmt.Sprintf("worker %d send failed: %v", ws.slot, err), time.Now())
-		c.recordReleases()
 		ws.lease = nil
 	}
 }

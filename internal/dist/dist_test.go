@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -205,6 +206,68 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 	}
 	if gov.Peak() == 0 {
 		t.Error("governor peak is zero: worker scratch was never accounted")
+	}
+}
+
+// TestDiskStatsAgreeAcrossRunners: where a shard is joined is a
+// scheduling policy, so it must not show in anything the level driver
+// reports — the in-process pool at 1 and 4 workers and the lease
+// scheduler at 1 and 2 emit one stream, one []LevelStats and one
+// ooc.Stats (shard names aside), and hand the governor back as found.
+func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
+	g := testGraph(t)
+	const shardBytes, held = 256, 4096
+	type observed struct {
+		seq    []clique.Clique
+		levels []ooc.LevelStats
+		st     ooc.Stats
+	}
+	for _, compress := range []bool{false, true} {
+		var ref *observed
+		for _, c := range []struct {
+			name    string
+			workers int
+			dist    bool
+		}{{"pool-1", 1, false}, {"pool-4", 4, false}, {"dist-1", 1, true}, {"dist-2", 2, true}} {
+			name := fmt.Sprintf("%s/compress=%v", c.name, compress)
+			var rep orderedReporter
+			var got observed
+			gov := membudget.New(0)
+			gov.Charge(held)
+			onLevel := func(ls ooc.LevelStats) { got.levels = append(got.levels, ls) }
+			var err error
+			if c.dist {
+				var st Stats
+				st, err = Enumerate(g, Options{Dir: t.TempDir(), Workers: c.workers, Compress: compress,
+					ShardBytes: shardBytes, Reporter: &rep, OnLevel: onLevel, Gov: gov, Transport: &LoopbackTransport{}})
+				got.st = st.Stats
+			} else {
+				got.st, err = ooc.Enumerate(g, ooc.Options{Dir: t.TempDir(), Workers: c.workers, Compress: compress,
+					ShardBytes: shardBytes, Reporter: &rep, OnLevel: onLevel, Gov: gov})
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got.seq = rep.seq
+			if used := gov.Used(); used != held {
+				t.Errorf("%s: governor holds %d bytes after the run, %d before", name, used, held)
+			}
+			gov.Release(held)
+			if ref == nil {
+				if got.st.PeakLevelFile == 0 || len(got.levels) < 3 {
+					t.Fatalf("%s: fixture too small: %+v", name, got.st)
+				}
+				ref = &got
+				continue
+			}
+			assertSameStream(t, name, got.seq, ref.seq)
+			if !slices.Equal(got.levels, ref.levels) {
+				t.Errorf("%s: level stats diverge:\n got %+v\nwant %+v", name, got.levels, ref.levels)
+			}
+			if got.st != ref.st {
+				t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", name, got.st, ref.st)
+			}
+		}
 	}
 }
 

@@ -21,7 +21,8 @@ const (
 	Duplicate
 	// Stale: the lease was superseded (expired and re-leased, or its
 	// worker was declared dead) before the result arrived.  The
-	// delivery's output files are orphans and must be deleted.
+	// delivery's output files are orphans: they are not delivered, and
+	// the level loop's boundary sweep deletes them.
 	Stale
 )
 

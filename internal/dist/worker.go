@@ -148,36 +148,40 @@ func ServeWorker(ctx context.Context, conn Conn) error {
 	}
 }
 
-// joinLease executes one lease: join the input shard, writing output
-// shards whose names embed the shard index and lease attempt — the
-// uniqueness that makes re-execution of an expired lease collision-free
-// by construction.
+// joinLease executes one lease through the same Joiner.Join the
+// single-machine pool runs.  Output shard names embed the shard index
+// and lease attempt — the uniqueness that makes re-execution of an
+// expired lease collision-free by construction.  Bytes are accounted by
+// the coordinator when it accepts the result, not here.
 func joinLease(ctx context.Context, join *ooc.Joiner, gov *membudget.Governor,
 	init *Msg, m *Msg) (*Msg, error) {
 	seq := 0
-	out := ooc.NewLevelWriter(init.Dir, m.K+1, init.Compress, m.Target, gov,
-		func() (string, error) {
+	res, err := join.Join(ctx, &ooc.ShardJob{
+		Dir:      init.Dir,
+		K:        m.K,
+		In:       m.Shard,
+		Compress: init.Compress,
+		Target:   m.Target,
+		Collect:  m.Collect,
+		Gov:      gov,
+		NewShard: func() (string, error) {
 			seq++
 			return ooc.ShardFileName(m.K+1,
 				fmt.Sprintf("s%05d-a%02d-%03d", m.ShardIndex, m.Attempt, seq)), nil
 		},
-		func(enc, raw int64) error { return nil })
-	st, err := join.JoinShard(ctx, init.Dir, m.Shard, m.K, init.Compress, gov, out, m.Collect)
-	if err != nil {
-		return nil, fmt.Errorf("%w (abort: %v)", err, out.Abort())
-	}
-	metas, err := out.Finish()
+		OnWrite: func(enc, raw int64) error { return nil },
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &Msg{
 		Type:         MsgResult,
 		LeaseID:      m.LeaseID,
-		Out:          metas,
-		Maximal:      st.Maximal,
-		EmitVerts:    st.EmitVerts,
-		EmitOff:      st.EmitOff,
-		BytesRead:    st.BytesRead,
+		Out:          res.Out,
+		Maximal:      res.Maximal,
+		EmitVerts:    res.EmitVerts,
+		EmitOff:      res.EmitOff,
+		BytesRead:    res.BytesRead,
 		ScratchBytes: join.ScratchBytes(),
 	}, nil
 }

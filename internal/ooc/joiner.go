@@ -21,10 +21,9 @@ import (
 // the shard's prefix runs, hand each run as it is to the one join kernel
 // (core.Builder in drain mode), which spills each surviving sub-list as
 // a run of (k+1)-candidates through a run-aligned LevelWriter, and
-// buffer the maximal dead ends for in-order emission.  internal/dist builds its
-// workers on Joiner + LevelWriter + OpenShard; the local pool in ooc.go
-// uses the same Joiner, so the distributed, single-machine and in-core
-// joins cannot drift.
+// buffer the maximal dead ends for in-order emission.  internal/dist's
+// workers and the local pool in pool.go both run Joiner.Join, so the
+// distributed, single-machine and in-core joins cannot drift.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), and the I/O the join
@@ -67,26 +66,66 @@ func NewJoiner(g graph.Interface) *Joiner {
 // It grows by one bitmap (a prefix-memo row) per level joined.
 func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 
-// JoinShard streams one input shard of size-k records from dir, joining
-// its prefix runs and writing next-level candidates through out (which
-// the caller owns: Finish it for the output shard list, Abort it on
-// error).  collect buffers maximal-clique emissions in the returned
-// JoinStats; pass false when only counts are wanted.  The read buffer
-// is charged to gov while the shard is open.
-func (j *Joiner) JoinShard(ctx context.Context, dir string, in ShardMeta, k int,
-	compress bool, gov *membudget.Governor, out *LevelWriter, collect bool) (JoinStats, error) {
-	r, err := OpenShard(dir, in, k, j.g.N(), compress, gov)
-	if err != nil {
-		return JoinStats{}, err
-	}
-	return j.joinFrom(ctx, r, k, out, collect)
+// ShardJob is the work order for one shard join: the input shard In of
+// size-K records in Dir (Data, when non-nil, is its encoded file already
+// read, owned and charged by the caller), and how the (K+1)-candidates
+// are written — output shards of about Target encoded bytes in Dir,
+// named by NewShard, every run's bytes reported to OnWrite, which may
+// abort the join.  Gov is charged with the I/O buffers while they are
+// open.
+type ShardJob struct {
+	Dir      string
+	K        int
+	In       ShardMeta
+	Data     []byte
+	Compress bool
+	Target   int64
+	Collect  bool // buffer the maximal cliques, not only count them
+	Gov      *membudget.Governor
+	NewShard func() (string, error)
+	OnWrite  func(enc, raw int64) error
 }
 
-// JoinShardBytes is JoinShard over an in-memory copy of the shard's
-// encoded file — the engine's read-ahead path.  The caller owns data and
-// its governor charge; the join is byte-for-byte the same as the
-// file-backed one, so the output stream cannot depend on which path a
-// shard took.
+// ShardResult is one joined shard: what the join found and read, and the
+// output shards it wrote, closed and in run order.  Output shards of
+// consecutive input shards concatenate in order — the run-aligned
+// range-sharding invariant.
+type ShardResult struct {
+	JoinStats
+	Out []ShardMeta
+}
+
+// Join executes one shard join from opening the input to closing the
+// last output shard: the one implementation the in-process pool and the
+// distributed worker both run.  On error the partial output is closed
+// (its files are the level driver's to sweep) and the result still
+// carries the bytes the join read.
+func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
+	var r *ShardReader
+	var err error
+	if job.Data != nil {
+		r, err = OpenShardBytes(job.Data, job.In, job.K, j.g.N(), job.Compress)
+	} else {
+		r, err = OpenShard(job.Dir, job.In, job.K, j.g.N(), job.Compress, job.Gov)
+	}
+	if err != nil {
+		return ShardResult{}, err
+	}
+	out := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
+	st, err := j.joinFrom(ctx, r, job.K, out, job.Collect)
+	if err != nil {
+		return ShardResult{JoinStats: JoinStats{BytesRead: st.BytesRead}}, errors.Join(err, out.Abort())
+	}
+	metas, err := out.Finish()
+	return ShardResult{JoinStats: st, Out: metas}, err
+}
+
+// JoinShardBytes joins one input shard of size-k records from an
+// in-memory copy of its encoded file, writing next-level candidates
+// through out (which the caller owns: Finish it for the output shard
+// list, Abort it on error).  collect buffers maximal-clique emissions in
+// the returned JoinStats; pass false when only counts are wanted.  It is
+// Join's kernel step alone, for callers that time the writer themselves.
 func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, k int,
 	compress bool, out *LevelWriter, collect bool) (JoinStats, error) {
 	r, err := OpenShardBytes(data, in, k, j.g.N(), compress)
@@ -157,8 +196,7 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 // error to abort the level, e.g. a spill budget).  On a
 // feed or write error every shard file created so far is removed and
 // the error returned; on success the level's shard list is returned.
-// This is the level-materialization entry the distributed coordinator
-// (and the engine's own spill paths) write through.
+// The level driver writes every first level through it.
 func WriteLevel(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor, nextName func() (string, error),
 	onWrite func(enc, raw int64) error,

@@ -1,0 +1,350 @@
+package ooc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+
+	"repro/internal/clique"
+	"repro/internal/graph"
+	"repro/internal/sched"
+)
+
+// ShardRunner joins the shards of one level: where a shard is joined —
+// a goroutine of this process (the pool in pool.go) or a leased worker
+// process (internal/dist) — is a scheduling policy, and this is all of
+// it the level loop sees.
+//
+// RunLevel must hand deliver the result of every shard index of lv
+// exactly once, in any order and from any goroutine, each only after
+// the output shards it lists are closed on disk, and return once every
+// delivery has been made (nil) or the level cannot finish (the reason).
+// The runner also reports the bytes it moves: lv.Wrote as output bytes
+// reach a file (or, for a remote join, when its result is accepted) and
+// lv.Read for the input bytes of every join, failed ones included.
+type ShardRunner interface {
+	RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error
+}
+
+// Level is one generation step's work order, K -> K+1.
+type Level struct {
+	K       int         // clique size of the consumed level's records
+	Shards  []ShardMeta // the consumed level, in run order
+	Target  int64       // encoded bytes per produced shard
+	Collect bool        // a Reporter is listening: buffer the maximal cliques
+
+	loop *Loop
+	out  atomic.Int64 // encoded bytes of the produced level so far
+}
+
+// Wrote accounts bytes handed to the produced level's files: the run's
+// I/O counters first (they stay truthful even if this very write aborts
+// the level), then the per-level spill budget.  It has the shape of
+// LevelWriter's onWrite hook.
+func (lv *Level) Wrote(enc, raw int64) error {
+	l := lv.loop
+	l.written.Add(enc)
+	l.rawWritten.Add(raw)
+	if budget := l.opts.MaxLevelBytes; budget > 0 && lv.out.Add(enc) > budget {
+		return fmt.Errorf("%w: level %d would pass %d bytes", ErrSpillBudget, lv.K+1, budget)
+	}
+	return nil
+}
+
+// Read accounts encoded bytes read back from the consumed level.
+func (lv *Level) Read(n int64) { lv.loop.read.Add(n) }
+
+// NextShard names a produced shard from the run-wide sequence; it has
+// the shape of LevelWriter's newShard hook.
+func (lv *Level) NextShard() (string, error) {
+	return ShardFileName(lv.K+1, fmt.Sprintf("%06d", lv.loop.shardSeq.Add(1))), nil
+}
+
+// Loop is the on-disk level driver, the disk-side twin of core.Loop:
+// read level k, join, write level k+1, emit the dead ends.  It owns
+// everything that is the same wherever a shard is joined — the first
+// level, the loop with its MaxK and cancellation checks, shard-target
+// sizing, the in-order release that emits cliques and assembles the next
+// shard list, Stats and LevelStats, byte accounting with the spill
+// budget, and the one commit protocol — and drives a ShardRunner for the
+// rest.  Enumerate, Continue, Resume and dist.Enumerate are entry points
+// over it.
+type Loop struct {
+	g     graph.Interface
+	opts  Options // Dir is the run directory itself
+	owner Owner   // the stamp each checkpoint carries
+	fp    string  // graph fingerprint (checkpointed runs only)
+
+	// Releases, when non-nil, supplies the runner's re-lease history for
+	// the checkpoints to carry.
+	Releases func() []ReleaseRecord
+
+	// The workers account bytes the instant they move, which is what
+	// keeps aborted runs truthful.
+	written    atomic.Int64
+	rawWritten atomic.Int64
+	read       atomic.Int64
+	shardSeq   atomic.Int64
+
+	// st holds the counters mutated only in order: under the sequencer
+	// lock during a level, by Run between levels.
+	st      Stats
+	claimed bool // this process owns the checkpoint dir (first commit done)
+}
+
+// NewLoop returns the driver of one run over g in the run directory
+// opts.Dir, which must exist; opts is as an entry point normalizes it
+// (Ctx set, Workers >= 1).  role tags the run's checkpoints ("ooc",
+// "coordinator").
+func NewLoop(g graph.Interface, opts Options, role string) *Loop {
+	l := &Loop{g: g, opts: opts, owner: SelfOwner(role)}
+	if opts.Checkpoint {
+		l.fp = Fingerprint(g)
+	}
+	return l
+}
+
+// Fingerprint returns the graph fingerprint a checkpointed run stamps on
+// its manifests.
+func (l *Loop) Fingerprint() string { return l.fp }
+
+// Stats returns the run's counters as of now.
+func (l *Loop) Stats() Stats {
+	st := l.st
+	st.BytesWritten = l.written.Load()
+	st.RawBytesWritten = l.rawWritten.Load()
+	st.BytesRead = l.read.Load()
+	return st
+}
+
+// RunEdges is the fresh-run entry: spill the edge level, then run the
+// level loop from k=2.
+func (l *Loop) RunEdges(r ShardRunner) (Stats, error) {
+	return l.RunFeed(r, 2, 8*int64(l.g.M()), EdgeFeed(l.opts.Ctx, l.g))
+}
+
+// RunFeed writes the level of size-k records feed produces — in
+// canonical order, a prefix run at a time — and runs the level loop from
+// it.  rawHint estimates the level's fixed-width bytes for shard sizing.
+func (l *Loop) RunFeed(r ShardRunner, k int, rawHint int64,
+	feed func(write func(prefix, tails []uint32) error) error) (Stats, error) {
+	lv := &Level{K: k - 1, loop: l}
+	shards, err := WriteLevel(l.opts.Dir, k, l.opts.Compress, l.shardTarget(rawHint), l.opts.Gov,
+		lv.NextShard, lv.Wrote, feed)
+	if err != nil {
+		l.st.Aborted = true
+		return l.Stats(), err
+	}
+	l.st.Shards += int64(len(shards))
+	if l.opts.Checkpoint {
+		if err := l.checkpoint(shards, k); err != nil {
+			return l.Stats(), err
+		}
+	}
+	return l.Run(r, shards, k)
+}
+
+// RunManifest continues the checkpoint m names in the run directory:
+// the graph must be the one it was written for, every shard it lists
+// must be there at its recorded size, and whatever else the interrupted
+// level left behind is swept before the level re-runs from its durable
+// input.  The cumulative counters continue from the checkpoint.
+func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
+	if m.GraphN != l.g.N() || m.GraphM != l.g.M() || m.GraphHash != l.fp {
+		return Stats{}, fmt.Errorf(
+			"ooc: checkpoint in %s was written for a different graph (manifest n=%d m=%d hash=%s, graph n=%d m=%d hash=%s)",
+			l.opts.Dir, m.GraphN, m.GraphM, m.GraphHash, l.g.N(), l.g.M(), l.fp)
+	}
+	if err := verifyShards(l.opts.Dir, m.Shards); err != nil {
+		return Stats{}, err
+	}
+	if err := RemoveStaleShards(l.opts.Dir, m.Shards); err != nil {
+		return Stats{}, err
+	}
+	l.st = m.Stats
+	l.written.Store(m.Stats.BytesWritten)
+	l.rawWritten.Store(m.Stats.RawBytesWritten)
+	l.read.Store(m.Stats.BytesRead)
+	l.st.Resumed = true
+	return l.Run(r, m.Shards, m.K)
+}
+
+// Run drives the level loop from the given level — which a checkpointed
+// run's manifest already names — until no candidates remain (or MaxK /
+// cancellation / the spill budget stops it).
+//
+// The commit protocol at every boundary of a checkpointed run: the
+// produced level is durable before the manifest names it, the consumed
+// level is deleted only after the manifest commits, and then every shard
+// file the manifest does not name is swept — whatever instant a kill
+// lands, the directory holds one consistent, resumable level.  Plain
+// runs live in a private directory their entry point removes whole.
+//
+//repro:ctxloop
+func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
+	for LevelRecords(shards) > 0 {
+		if l.opts.MaxK > 0 && k >= l.opts.MaxK {
+			break
+		}
+		if err := l.opts.Ctx.Err(); err != nil {
+			// Between levels the checkpoint is already durable; just stop.
+			return l.Stats(), fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err)
+		}
+		next, err := l.runLevel(r, shards, k)
+		if err != nil {
+			return l.Stats(), err
+		}
+		if l.opts.Checkpoint {
+			if err := l.checkpoint(next, k+1); err != nil {
+				return l.Stats(), err
+			}
+		}
+		if err := l.removeShards(shards); err != nil {
+			return l.Stats(), err
+		}
+		if err := l.sweep(next); err != nil {
+			return l.Stats(), err
+		}
+		shards, k = next, k+1
+	}
+	// Completion mirrors the boundary ordering: retire the manifest
+	// BEFORE deleting the shards it names.  A kill between the two
+	// leaves stray (unreferenced) shard files, never a manifest naming
+	// deleted ones — the checkpoint is always either resumable or gone.
+	if l.opts.Checkpoint {
+		if err := RemoveManifest(l.opts.Dir); err != nil {
+			return l.Stats(), err
+		}
+	}
+	if err := l.removeShards(shards); err != nil {
+		return l.Stats(), err
+	}
+	return l.Stats(), nil
+}
+
+// runLevel has r join one level's shards and returns the next level's
+// shard list.
+func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, error) {
+	l.st.Levels++
+	encB, rawB := LevelBytes(shards)
+	if encB > l.st.PeakLevelFile {
+		l.st.PeakLevelFile = encB
+	}
+	lst := LevelStats{
+		FromK:        k,
+		Cliques:      LevelRecords(shards),
+		Shards:       len(shards),
+		FileBytes:    encB,
+		RawFileBytes: rawB,
+	}
+	maxBefore := l.st.Maximal
+
+	lv := &Level{
+		K:       k,
+		Shards:  shards,
+		Target:  l.shardTarget(encB),
+		Collect: l.opts.Reporter != nil,
+		loop:    l,
+	}
+	var next []ShardMeta
+	// Release in shard order: emission order is exactly the sequential
+	// order, and the next level's shard list is assembled in global run
+	// order.  Maximal counts accrue on release, so an aborted level
+	// counts only the cliques actually delivered.
+	seq := sched.NewSequencer(len(shards), func(_ int, res ShardResult) {
+		l.st.Maximal += res.Maximal
+		if l.opts.Reporter != nil {
+			start := int32(0)
+			for _, end := range res.EmitOff {
+				l.opts.Reporter.Emit(clique.Clique(res.EmitVerts[start:end]))
+				start = end
+			}
+		}
+		next = append(next, res.Out...)
+	})
+	err := r.RunLevel(l.opts.Ctx, lv, seq.Deposit)
+	if err == nil {
+		if cerr := l.opts.Ctx.Err(); cerr != nil {
+			err = fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, cerr)
+		} else if !seq.Complete() {
+			err = fmt.Errorf("ooc: level %d->%d: runner delivered %d of %d shards", k, k+1, seq.Released(), len(shards))
+		}
+	}
+	if err != nil {
+		l.st.Aborted = true
+		// Discard the partial next level; the consumed level (and the
+		// manifest pointing at it) stays for Resume.
+		return nil, errors.Join(err, l.sweep(shards))
+	}
+
+	lst.NextBytes, lst.RawNextBytes = LevelBytes(next)
+	lst.Maximal = l.st.Maximal - maxBefore
+	if l.opts.OnLevel != nil {
+		l.opts.OnLevel(lst)
+	}
+	l.st.Shards += int64(len(next))
+	return next, nil
+}
+
+// shardTarget sizes the next level's shards from the consumed level's
+// encoded bytes (DefaultShardTarget), unless the run fixes it.
+func (l *Loop) shardTarget(consumedBytes int64) int64 {
+	if l.opts.ShardBytes > 0 {
+		return l.opts.ShardBytes
+	}
+	return DefaultShardTarget(consumedBytes, l.opts.Workers)
+}
+
+func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
+	st := l.Stats()
+	st.Aborted = false
+	m := &Manifest{
+		Owner:     l.owner,
+		Compress:  l.opts.Compress,
+		K:         k,
+		MaxK:      l.opts.MaxK,
+		Shards:    shards,
+		Stats:     st,
+		GraphN:    l.g.N(),
+		GraphM:    l.g.M(),
+		GraphHash: l.fp,
+	}
+	if l.Releases != nil {
+		m.Releases = l.Releases()
+	}
+	// The first commit claims the directory (a fresh run writes into an
+	// empty one; a resume adopts the checkpoint it just validated); every
+	// later commit must match the owner already on disk — a stale
+	// process's late commit is rejected instead of silently accepted.
+	if err := WriteManifest(l.opts.Dir, m, !l.claimed); err != nil {
+		return err
+	}
+	l.claimed = true
+	return nil
+}
+
+// removeShards deletes a level the manifest no longer names.  Every file
+// must be there: a missing one means something else is deleting in this
+// run directory.
+func (l *Loop) removeShards(shards []ShardMeta) error {
+	var errs []error
+	for _, s := range shards {
+		if err := os.Remove(filepath.Join(l.opts.Dir, s.Path)); err != nil {
+			errs = append(errs, fmt.Errorf("ooc: remove consumed level file: %w", err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// sweep deletes every shard file of a checkpointed run's directory that
+// is not in keep: the partial outputs of a failed level and the outputs
+// of a join whose result the runner did not accept.
+func (l *Loop) sweep(keep []ShardMeta) error {
+	if !l.opts.Checkpoint {
+		return nil
+	}
+	return RemoveStaleShards(l.opts.Dir, keep)
+}

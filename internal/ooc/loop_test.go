@@ -1,0 +1,131 @@
+package ooc
+
+import (
+	"context"
+	"errors"
+	"os"
+	"slices"
+	"testing"
+
+	"repro/internal/clique"
+	"repro/internal/graph"
+)
+
+var errInjected = errors.New("injected shard failure")
+
+// backwardRunner is the fault-injection seam of the level driver, used
+// once: a ShardRunner that joins a level's shards last to first on one
+// Joiner, and fails instead of joining shard failShard of level failK
+// (failK 0 = never).
+type backwardRunner struct {
+	g                graph.Interface
+	opts             Options
+	failK, failShard int
+}
+
+func (b *backwardRunner) RunLevel(ctx context.Context, lv *Level, deliver func(int, ShardResult)) error {
+	j := NewJoiner(b.g)
+	for i := len(lv.Shards) - 1; i >= 0; i-- {
+		if lv.K == b.failK && i == b.failShard {
+			return errInjected
+		}
+		res, err := j.Join(ctx, &ShardJob{
+			Dir: b.opts.Dir, K: lv.K, In: lv.Shards[i], Compress: b.opts.Compress,
+			Target: lv.Target, Collect: lv.Collect, NewShard: lv.NextShard, OnWrite: lv.Wrote,
+		})
+		lv.Read(res.BytesRead)
+		if err != nil {
+			return err
+		}
+		deliver(i, res)
+	}
+	return nil
+}
+
+// TestLoopOrdersAnyDeliveryOrder: the driver, not the runner, owns the
+// canonical order — shards delivered in reverse still emit the
+// reference stream with the reference counters.
+func TestLoopOrdersAnyDeliveryOrder(t *testing.T) {
+	g := plantedGraph(211)
+	for _, compress := range []bool{false, true} {
+		want, full := orderedKeys(t, g, Options{ShardBytes: 512, Compress: compress})
+		var got []string
+		opts := Options{
+			Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512, Compress: compress,
+			Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) }),
+		}
+		st, err := NewLoop(g, opts, "test").RunEdges(&backwardRunner{g: g, opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("compress=%v: reverse delivery changed the stream (%d cliques, want %d)", compress, len(got), len(want))
+		}
+		if st != full {
+			t.Errorf("compress=%v: stats diverge from the pool's:\nbackward %+v\npool     %+v", compress, st, full)
+		}
+	}
+}
+
+// TestLoopKeepsBoundaryOnRunnerFailure: a runner failing on shard i of
+// level k leaves the checkpoint directory holding the manifest plus
+// exactly the consumed level's shards, with Stats.Aborted set, and a
+// Resume from it delivers the rest of the reference stream.
+func TestLoopKeepsBoundaryOnRunnerFailure(t *testing.T) {
+	g := plantedGraph(212)
+	want, full := orderedKeys(t, g, Options{ShardBytes: 512})
+	const failK, failShard = 4, 1
+	var got []string
+	dir := t.TempDir()
+	opts := Options{
+		Ctx: context.Background(), Dir: dir, Workers: 1, ShardBytes: 512, Checkpoint: true,
+		Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) }),
+	}
+	st, err := NewLoop(g, opts, "test").RunEdges(&backwardRunner{g: g, opts: opts, failK: failK, failShard: failShard})
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected failure", err)
+	}
+	if !st.Aborted {
+		t.Error("Aborted flag not set")
+	}
+	m, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At least one later shard was joined before the failure, so there
+	// were partial outputs to sweep.
+	if m.K != failK || len(m.Shards) < failShard+2 {
+		t.Fatalf("manifest names level %d with %d shards; the failure was planned for shard %d of level %d",
+			m.K, len(m.Shards), failShard, failK)
+	}
+	onDisk := []string{manifestName}
+	for _, s := range m.Shards {
+		onDisk = append(onDisk, s.Path)
+	}
+	slices.Sort(onDisk)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, onDisk) {
+		t.Errorf("checkpoint directory after the failure:\n got %v\nwant %v", names, onDisk)
+	}
+
+	rst, err := Resume(g, Options{Dir: dir, ShardBytes: 512,
+		Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 of the failed level is joined last, so nothing of that
+	// level was released: failed prefix + resumed suffix is the stream.
+	if !slices.Equal(got, want) {
+		t.Errorf("failed run + resume delivered %d cliques, reference %d, or in another order", len(got), len(want))
+	}
+	if rst.Maximal != full.Maximal || rst.Levels != full.Levels || rst.PeakLevelFile != full.PeakLevelFile {
+		t.Errorf("resumed stats %+v, uninterrupted %+v", rst, full)
+	}
+}

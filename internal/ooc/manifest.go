@@ -13,9 +13,9 @@ import (
 // manifestName is the checkpoint descriptor inside a run directory.  It
 // is rewritten atomically (tmp + rename) at every level boundary, so a
 // run killed at any instant leaves either the previous or the next
-// consistent checkpoint — never a torn one.  See DESIGN.md §0c for the
-// crash-ordering invariant (outputs durable before the manifest names
-// them, inputs deleted only after).
+// consistent checkpoint — never a torn one.  See DESIGN.md §0k for the
+// commit protocol (outputs durable before the manifest names them,
+// inputs deleted only after, then the sweep).
 const manifestName = "ooc-manifest.json"
 
 // ManifestVersion guards the on-disk format (shard encoding + manifest

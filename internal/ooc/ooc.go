@@ -8,11 +8,13 @@
 //
 // Levels live on disk.  Each level — the sorted file of canonical
 // k-cliques — is stored as an ordered list of run-aligned shard files
-// (package-level comment in shard.go); shards are joined concurrently on
-// a persistent worker pool fed by the sched.Dispatcher, and shard
-// results are released in shard order through a sched.Sequencer, so the
-// emitted clique stream is byte-identical to the sequential one at any
-// worker count.  Records are optionally delta-varint encoded
+// (package-level comment in shard.go).  One level driver (Loop, loop.go)
+// runs the level loop; a ShardRunner joins each level's shards — here a
+// persistent worker pool fed by the sched.Dispatcher (pool.go), in
+// internal/dist leased worker processes — and the driver releases shard
+// results in shard order through a sched.Sequencer, so the emitted
+// clique stream is byte-identical to the sequential one at any worker
+// count.  Records are optionally delta-varint encoded
 // (Options.Compress), attacking the disk I/O volume the paper names as
 // the bottleneck; Stats reports both the encoded bytes actually moved
 // and the fixed-width-equivalent raw bytes so the compression win is
@@ -31,15 +33,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/clique"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/membudget"
-	"repro/internal/sched"
 )
 
 // Options configures Enumerate and Resume.
@@ -158,35 +156,11 @@ func Enumerate(g graph.Interface, opts Options) (Stats, error) {
 	if err := normalizeOptions(&opts); err != nil {
 		return Stats{}, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return Stats{}, err
+	if opts.Checkpoint && HasManifest(opts.Dir) {
+		return Stats{}, fmt.Errorf(
+			"ooc: %s already holds a checkpoint; Resume it or remove %s", opts.Dir, manifestName)
 	}
-	dir := opts.Dir
-	if opts.Checkpoint {
-		if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
-			return Stats{}, fmt.Errorf(
-				"ooc: %s already holds a checkpoint; Resume it or remove %s", dir, manifestName)
-		}
-	} else {
-		d, err := os.MkdirTemp(opts.Dir, "ooc-run-*")
-		if err != nil {
-			return Stats{}, err
-		}
-		dir = d
-	}
-	e := newEngine(g, opts, dir)
-	if opts.Checkpoint {
-		e.fp = Fingerprint(g)
-	}
-	st, err := e.enumerate()
-	if !opts.Checkpoint {
-		// Plain runs never leave spill files behind, success or not; a
-		// failing removal is surfaced, not swallowed.
-		if rerr := os.RemoveAll(dir); rerr != nil {
-			err = errors.Join(err, fmt.Errorf("ooc: removing spill dir: %w", rerr))
-		}
-	}
-	return st, err
+	return runLocal(g, opts, (*Loop).RunEdges)
 }
 
 // Continue runs the out-of-core level loop starting from a level of
@@ -211,28 +185,36 @@ func Continue(g graph.Interface, opts Options, k int, rawHint int64,
 	if k < 2 {
 		return Stats{}, fmt.Errorf("ooc: Continue from level %d (want >= 2)", k)
 	}
+	return runLocal(g, opts, func(l *Loop, r ShardRunner) (Stats, error) {
+		return l.RunFeed(r, k, rawHint, feed)
+	})
+}
+
+// runLocal drives one local run: the level loop over the in-process pool.
+// Checkpointed runs use opts.Dir itself as the durable run directory;
+// plain runs get a private temporary one inside it and never leave spill
+// files behind, success or not — a failing removal is surfaced, not
+// swallowed.
+func runLocal(g graph.Interface, opts Options, start func(*Loop, ShardRunner) (Stats, error)) (Stats, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return Stats{}, err
 	}
-	dir, err := os.MkdirTemp(opts.Dir, "ooc-run-*")
-	if err != nil {
-		return Stats{}, err
+	if !opts.Checkpoint {
+		dir, err := os.MkdirTemp(opts.Dir, "ooc-run-*")
+		if err != nil {
+			return Stats{}, err
+		}
+		opts.Dir = dir
 	}
-	e := newEngine(g, opts, dir)
-	st, err := e.continueFrom(k, rawHint, feed)
-	if rerr := os.RemoveAll(dir); rerr != nil {
-		err = errors.Join(err, fmt.Errorf("ooc: removing spill dir: %w", rerr))
+	p := newPool(g, opts)
+	st, err := start(NewLoop(g, opts, "ooc"), p)
+	p.close()
+	if !opts.Checkpoint {
+		if rerr := os.RemoveAll(opts.Dir); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("ooc: removing spill dir: %w", rerr))
+		}
 	}
 	return st, err
-}
-
-func (e *engine) continueFrom(k int, rawHint int64,
-	feed func(write func(prefix, tails []uint32) error) error) (Stats, error) {
-	shards, err := e.spillLevel(k, rawHint, feed)
-	if err != nil {
-		return e.stats(), err
-	}
-	return e.run(shards, k)
 }
 
 // Resume continues a checkpointed run from the manifest in opts.Dir.
@@ -252,28 +234,13 @@ func Resume(g graph.Interface, opts Options) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	fp := Fingerprint(g)
-	if m.GraphN != g.N() || m.GraphM != g.M() || m.GraphHash != fp {
-		return Stats{}, fmt.Errorf(
-			"ooc: checkpoint in %s was written for a different graph (manifest n=%d m=%d hash=%s, graph n=%d m=%d hash=%s)",
-			opts.Dir, m.GraphN, m.GraphM, m.GraphHash, g.N(), g.M(), fp)
-	}
-	if err := verifyShards(opts.Dir, m.Shards); err != nil {
-		return Stats{}, err
-	}
-	// Partial outputs of the interrupted level are discarded; the level
-	// re-runs from its durable input.
-	if err := RemoveStaleShards(opts.Dir, m.Shards); err != nil {
-		return Stats{}, err
-	}
 	opts.Compress = m.Compress
 	if opts.MaxK == 0 {
 		opts.MaxK = m.MaxK
 	}
-	e := newEngine(g, opts, opts.Dir)
-	e.fp = fp // already computed for the guard; skip the second edge scan
-	e.restore(m)
-	return e.run(m.Shards, m.K)
+	return runLocal(g, opts, func(l *Loop, r ShardRunner) (Stats, error) {
+		return l.RunManifest(r, m)
+	})
 }
 
 func normalizeOptions(opts *Options) error {
@@ -290,552 +257,4 @@ func normalizeOptions(opts *Options) error {
 		opts.Ctx = context.Background()
 	}
 	return nil
-}
-
-// engine is one run's state: the pool, the I/O counters (atomics — the
-// workers account for bytes the instant they move, which is what keeps
-// aborted runs truthful), and the level cursor.
-type engine struct {
-	g    graph.Interface
-	opts Options
-	ctx  context.Context
-	dir  string
-	fp   string // graph fingerprint (checkpointed runs only)
-
-	written    atomic.Int64
-	rawWritten atomic.Int64
-	read       atomic.Int64
-	shardSeq   atomic.Int64
-
-	// Mutated only in-order: under the sequencer lock during a level,
-	// by the coordinator between levels.
-	maximal     int64
-	levels      int
-	shardsTotal int64
-	peak        int64
-	aborted     bool
-	resumed     bool
-	checkpinned bool  // a manifest has been committed
-	claimed     bool  // this process owns the checkpoint dir (first commit done)
-	owner       Owner // the stamp each commit carries
-
-	workers []*oocWorker
-	poolWG  sync.WaitGroup
-}
-
-func newEngine(g graph.Interface, opts Options, dir string) *engine {
-	return &engine{g: g, opts: opts, ctx: opts.Ctx, dir: dir, owner: SelfOwner("ooc")}
-}
-
-// restore loads the cumulative counters of a checkpoint, so the resumed
-// run's Stats continue where the interrupted run's boundary left off.
-func (e *engine) restore(m *Manifest) {
-	e.maximal = m.Stats.Maximal
-	e.written.Store(m.Stats.BytesWritten)
-	e.rawWritten.Store(m.Stats.RawBytesWritten)
-	e.read.Store(m.Stats.BytesRead)
-	e.peak = m.Stats.PeakLevelFile
-	e.levels = m.Stats.Levels
-	e.shardsTotal = m.Stats.Shards
-	e.resumed = true
-	e.checkpinned = true
-}
-
-func (e *engine) stats() Stats {
-	return Stats{
-		Maximal:         e.maximal,
-		BytesWritten:    e.written.Load(),
-		RawBytesWritten: e.rawWritten.Load(),
-		BytesRead:       e.read.Load(),
-		PeakLevelFile:   e.peak,
-		Levels:          e.levels,
-		Shards:          e.shardsTotal,
-		Aborted:         e.aborted,
-		Resumed:         e.resumed,
-	}
-}
-
-// enumerate is the fresh-run entry: spill the edge level, then run the
-// level loop from k=2.
-func (e *engine) enumerate() (Stats, error) {
-	shards, err := e.spillEdges()
-	if err != nil {
-		return e.stats(), err
-	}
-	return e.run(shards, 2)
-}
-
-// run drives the level loop from the given level until no candidates
-// remain (or MaxK / cancellation / the spill budget stops it).
-//
-//repro:ctxloop
-func (e *engine) run(shards []ShardMeta, k int) (Stats, error) {
-	e.startPool()
-	defer e.stopPool()
-	if e.opts.Checkpoint && !e.checkpinned {
-		if err := e.writeCheckpoint(shards, k); err != nil {
-			return e.stats(), err
-		}
-	}
-	for LevelRecords(shards) > 0 {
-		if e.opts.MaxK > 0 && k >= e.opts.MaxK {
-			break
-		}
-		if err := e.ctx.Err(); err != nil {
-			// Between levels the checkpoint is already durable; just
-			// stop.  Plain runs are cleaned up by Enumerate.
-			return e.stats(), fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err)
-		}
-		next, err := e.runLevel(shards, k)
-		if err != nil {
-			return e.stats(), err
-		}
-		// Crash-ordering: the produced level is durable before the
-		// manifest names it, and the consumed level is deleted only
-		// after the manifest commits — whatever instant a kill lands,
-		// the directory holds one consistent, resumable level.
-		if e.opts.Checkpoint {
-			if err := e.writeCheckpoint(next, k+1); err != nil {
-				return e.stats(), err
-			}
-		}
-		if err := e.removeShards(shards); err != nil {
-			return e.stats(), err
-		}
-		shards, k = next, k+1
-	}
-	// Completion mirrors the boundary ordering: retire the manifest
-	// BEFORE deleting the shards it names.  A kill between the two
-	// leaves stray (unreferenced) shard files, never a manifest naming
-	// deleted ones — the checkpoint is always either resumable or gone.
-	if e.opts.Checkpoint {
-		if err := RemoveManifest(e.dir); err != nil {
-			return e.stats(), err
-		}
-	}
-	if err := e.removeShards(shards); err != nil {
-		return e.stats(), err
-	}
-	return e.stats(), nil
-}
-
-func (e *engine) writeCheckpoint(shards []ShardMeta, k int) error {
-	st := e.stats()
-	st.Aborted = false
-	// The first commit claims the directory (a fresh run writes into an
-	// empty one; a Resume adopts the checkpoint it just validated); every
-	// later commit must match the owner already on disk — a stale
-	// process's late commit is rejected instead of silently accepted.
-	if err := WriteManifest(e.dir, &Manifest{
-		Owner:     e.owner,
-		Compress:  e.opts.Compress,
-		K:         k,
-		MaxK:      e.opts.MaxK,
-		Shards:    shards,
-		Stats:     st,
-		GraphN:    e.g.N(),
-		GraphM:    e.g.M(),
-		GraphHash: e.fp,
-	}, !e.claimed); err != nil {
-		return err
-	}
-	e.claimed = true
-	e.checkpinned = true
-	return nil
-}
-
-func (e *engine) removeShards(shards []ShardMeta) error {
-	var errs []error
-	for _, s := range shards {
-		if err := os.Remove(filepath.Join(e.dir, s.Path)); err != nil {
-			errs = append(errs, fmt.Errorf("ooc: remove consumed level file: %w", err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-func (e *engine) nextShardName(k int) string {
-	return fmt.Sprintf("l%03d-%06d%s", k, e.shardSeq.Add(1), shardSuffix)
-}
-
-// shardTarget sizes the next level's shards from the consumed level's
-// encoded bytes: about eight shards per worker, so the dispatcher has
-// slack to balance skewed shard costs, clamped so tiny levels are not
-// pulverized and huge ones are not monolithic.
-func (e *engine) shardTarget(consumedBytes int64) int64 {
-	if e.opts.ShardBytes > 0 {
-		return e.opts.ShardBytes
-	}
-	return DefaultShardTarget(consumedBytes, e.opts.Workers)
-}
-
-// spillEdges writes level 2 — every edge in canonical order — through
-// the sharding writer.
-func (e *engine) spillEdges() ([]ShardMeta, error) {
-	return e.spillLevel(2, 8*int64(e.g.M()), EdgeFeed(e.ctx, e.g))
-}
-
-// spillLevel writes one level's sorted record stream — produced by feed
-// in canonical order — through the exported WriteLevel entry, with the
-// engine's usual accounting.  rawHint estimates the level's fixed-width
-// bytes for shard-target sizing.
-func (e *engine) spillLevel(k int, rawHint int64,
-	feed func(write func(prefix, tails []uint32) error) error) ([]ShardMeta, error) {
-	var levelOut atomic.Int64
-	shards, err := WriteLevel(e.dir, k, e.opts.Compress, e.shardTarget(rawHint), e.opts.Gov,
-		func() (string, error) { return e.nextShardName(k), nil },
-		e.accountWrite(&levelOut, k), feed)
-	if err != nil {
-		e.aborted = true
-		return nil, err
-	}
-	e.shardsTotal += int64(len(shards))
-	return shards, nil
-}
-
-// accountWrite builds the onWrite hook for one level: global I/O
-// counters first (they must be truthful even if this very write aborts
-// the level), then the per-level spill budget.
-func (e *engine) accountWrite(levelOut *atomic.Int64, nextK int) func(enc, raw int64) error {
-	budget := e.opts.MaxLevelBytes
-	return func(enc, raw int64) error {
-		e.written.Add(enc)
-		e.rawWritten.Add(raw)
-		if budget > 0 && levelOut.Add(enc) > budget {
-			return fmt.Errorf("%w: level %d would pass %d bytes", ErrSpillBudget, nextK, budget)
-		}
-		return nil
-	}
-}
-
-// levelJob is one level's work order, broadcast to the pool.
-type levelJob struct {
-	k       int
-	shards  []ShardMeta
-	disp    *sched.Dispatcher
-	seq     *sched.Sequencer[*shardResult]
-	ctx     context.Context
-	cancel  context.CancelFunc
-	target  int64
-	collect bool
-	onWrite func(enc, raw int64) error
-	wg      sync.WaitGroup
-
-	mu       sync.Mutex
-	files    []string // next-level shard files created (for failure cleanup)
-	firstErr error
-}
-
-// fail records the level's first error and cancels the level context so
-// the other workers stop pulling work.  Later "canceled" errors from
-// peers reacting to that cancel are discarded.
-func (j *levelJob) fail(err error) {
-	j.mu.Lock()
-	if j.firstErr == nil {
-		j.firstErr = err
-	}
-	j.mu.Unlock()
-	j.cancel()
-}
-
-func (j *levelJob) addFile(name string) {
-	j.mu.Lock()
-	j.files = append(j.files, name)
-	j.mu.Unlock()
-}
-
-// shardResult is one input shard's join output: the next-level shards it
-// wrote, its maximal-clique emissions (a flat vertex arena — no
-// per-clique allocation), and the count.
-type shardResult struct {
-	out       []ShardMeta
-	maximal   int64
-	emitVerts []int
-	emitOff   []int32
-}
-
-// runLevel joins one level's shards on the pool and returns the next
-// level's shard list.
-func (e *engine) runLevel(shards []ShardMeta, k int) ([]ShardMeta, error) {
-	e.levels++
-	encB, rawB := LevelBytes(shards)
-	if encB > e.peak {
-		e.peak = encB
-	}
-	lst := LevelStats{
-		FromK:        k,
-		Cliques:      LevelRecords(shards),
-		Shards:       len(shards),
-		FileBytes:    encB,
-		RawFileBytes: rawB,
-	}
-	maxBefore := e.maximal
-
-	loads := make([]int64, len(shards))
-	for i, s := range shards {
-		loads[i] = s.Records
-	}
-	lctx, cancel := context.WithCancel(e.ctx)
-	defer cancel()
-	var levelOut atomic.Int64
-	job := &levelJob{
-		k:       k,
-		shards:  shards,
-		disp:    sched.NewContiguousDispatcher(loads, e.opts.Workers, 1),
-		ctx:     lctx,
-		cancel:  cancel,
-		target:  e.shardTarget(encB),
-		collect: e.opts.Reporter != nil,
-		onWrite: e.accountWrite(&levelOut, k+1),
-	}
-	var nextShards []ShardMeta
-	// Release in shard order: emission order is exactly the sequential
-	// order, and the next level's shard list is assembled in global run
-	// order.  Maximal counts accrue on release, so an aborted level
-	// counts only the cliques actually delivered.
-	job.seq = sched.NewSequencer(len(shards), func(_ int, res *shardResult) {
-		e.maximal += res.maximal
-		if e.opts.Reporter != nil {
-			start := int32(0)
-			for _, end := range res.emitOff {
-				e.opts.Reporter.Emit(clique.Clique(res.emitVerts[start:end]))
-				start = end
-			}
-		}
-		nextShards = append(nextShards, res.out...)
-	})
-	job.wg.Add(len(e.workers))
-	for _, w := range e.workers {
-		w.jobs <- job
-	}
-	job.wg.Wait()
-
-	job.mu.Lock()
-	err := job.firstErr
-	files := job.files
-	job.mu.Unlock()
-	if err == nil {
-		if cerr := e.ctx.Err(); cerr != nil {
-			err = fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, cerr)
-		}
-	}
-	if err != nil {
-		e.aborted = true
-		// Discard the partial next level; the consumed level (and, when
-		// checkpointing, the manifest pointing at it) stays for Resume.
-		errs := []error{err}
-		for _, name := range files {
-			if rerr := os.Remove(filepath.Join(e.dir, name)); rerr != nil && !os.IsNotExist(rerr) {
-				errs = append(errs, fmt.Errorf("ooc: remove aborted level file: %w", rerr))
-			}
-		}
-		return nil, errors.Join(errs...)
-	}
-
-	nst, nraw := LevelBytes(nextShards)
-	lst.NextBytes, lst.RawNextBytes = nst, nraw
-	lst.Maximal = e.maximal - maxBefore
-	if e.opts.OnLevel != nil {
-		e.opts.OnLevel(lst)
-	}
-	e.shardsTotal += int64(len(nextShards))
-	return nextShards, nil
-}
-
-func (e *engine) startPool() {
-	if e.workers != nil {
-		return
-	}
-	e.workers = make([]*oocWorker, e.opts.Workers)
-	for i := range e.workers {
-		w := &oocWorker{
-			id:   i,
-			e:    e,
-			jobs: make(chan *levelJob, 1),
-			join: NewJoiner(e.g),
-		}
-		// Per-worker bitmap scratch is resident for the whole run; the
-		// governor hears about it like any other layer's footprint: what
-		// the joiner holds now is charged here, the memo rows it adds
-		// later by its builder.
-		w.join.b.Gov = e.opts.Gov
-		e.opts.Gov.Charge(w.join.ScratchBytes())
-		e.workers[i] = w
-		e.poolWG.Add(1)
-		go w.loop()
-	}
-}
-
-func (e *engine) stopPool() {
-	for _, w := range e.workers {
-		close(w.jobs)
-	}
-	e.poolWG.Wait()
-	for _, w := range e.workers {
-		e.opts.Gov.Release(w.join.ScratchBytes())
-	}
-}
-
-// oocWorker is one persistent pool thread.  Its Joiner's bitmaps and
-// record scratch live for the whole run, so the spill hot loop
-// allocates nothing per record (pinned by TestJoinHotLoopAllocs).
-type oocWorker struct {
-	id   int
-	e    *engine
-	jobs chan *levelJob
-	join *Joiner
-}
-
-func (w *oocWorker) loop() {
-	defer w.e.poolWG.Done()
-	for job := range w.jobs {
-		w.runJob(job)
-		job.wg.Done()
-	}
-}
-
-// runJob drains the dispatcher with one shard of read-ahead: the worker
-// flattens its leased chunks into a local queue and, before joining a
-// shard, starts a background read of the next queued shard's file — the
-// double buffer that overlaps the level's I/O with the CPU-bound join.
-// The deposit order into the sequencer is unchanged (the queue preserves
-// lease order and results still release in shard order), so the clique
-// stream is byte-identical with read-ahead on or off.  Every exit path
-// drains the in-flight read first: its goroutine and its governor-
-// charged buffer must not outlive the level.
-//
-//repro:ctxloop
-func (w *oocWorker) runJob(job *levelJob) {
-	prefetch := !w.e.opts.DisablePrefetch
-	var queue []int
-	var next *prefetched
-	defer func() {
-		if next != nil {
-			next.await()
-			w.e.opts.Gov.Release(job.shards[next.si].Bytes)
-		}
-	}()
-	for {
-		if job.ctx.Err() != nil {
-			return
-		}
-		if len(queue) == 0 {
-			chunk, ok := job.disp.Next(w.id)
-			if !ok {
-				return
-			}
-			queue = append(queue, chunk.Items...)
-		}
-		si := queue[0]
-		queue = queue[1:]
-		var data []byte
-		if next != nil && next.si == si {
-			d, err := next.await()
-			next = nil
-			if err != nil {
-				w.e.opts.Gov.Release(job.shards[si].Bytes)
-				if job.ctx.Err() != nil {
-					return // level canceled; the driver reports it
-				}
-				job.fail(err)
-				return
-			}
-			data = d
-		}
-		// Lease ahead so the successor's read overlaps this shard's
-		// join; the dispatcher stays the single source of assignment.
-		if len(queue) == 0 {
-			if chunk, ok := job.disp.Next(w.id); ok {
-				queue = append(queue, chunk.Items...)
-			}
-		}
-		if prefetch && next == nil && len(queue) > 0 {
-			next = w.startPrefetch(job, queue[0])
-		}
-		res, err := w.processShard(job, si, data)
-		if data != nil {
-			w.e.opts.Gov.Release(job.shards[si].Bytes)
-		}
-		if err != nil {
-			job.fail(err)
-			return
-		}
-		job.seq.Deposit(si, res)
-	}
-}
-
-// prefetched is one shard's encoded file, read ahead of its join by a
-// background goroutine.  await joins that goroutine; the shard's
-// meta.Bytes stay charged to the governor from startPrefetch until the
-// consumer (or the job's abandon path) releases them.
-type prefetched struct {
-	si   int
-	data []byte
-	err  error
-	done chan struct{}
-}
-
-func (p *prefetched) await() ([]byte, error) {
-	<-p.done
-	return p.data, p.err
-}
-
-// startPrefetch charges the shard's encoded size to the governor and
-// begins reading its file in the background.
-func (w *oocWorker) startPrefetch(job *levelJob, si int) *prefetched {
-	meta := job.shards[si]
-	w.e.opts.Gov.Charge(meta.Bytes)
-	p := &prefetched{si: si, done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		if err := job.ctx.Err(); err != nil {
-			p.err = err
-			return
-		}
-		data, err := os.ReadFile(filepath.Join(w.e.dir, meta.Path))
-		if err == nil && int64(len(data)) != meta.Bytes {
-			err = corrupt("%s: size %d, manifest expects %d", meta.Path, len(data), meta.Bytes)
-		}
-		p.data, p.err = data, err
-	}()
-	return p
-}
-
-// processShard joins one input shard through the worker's Joiner,
-// writing next-level candidates through its own sharding writer (output
-// shards of consecutive input shards concatenate in order — the
-// run-aligned range-sharding invariant).  The join itself lives in
-// Joiner.JoinShard / JoinShardBytes, shared with the distributed worker
-// path; data, when non-nil, is the shard's prefetched encoded file.
-func (w *oocWorker) processShard(job *levelJob, si int, data []byte) (*shardResult, error) {
-	e := w.e
-	k := job.k
-	out := NewLevelWriter(e.dir, k+1, e.opts.Compress, job.target, e.opts.Gov,
-		func() (string, error) {
-			name := e.nextShardName(k + 1)
-			job.addFile(name)
-			return name, nil
-		},
-		job.onWrite)
-	var st JoinStats
-	var err error
-	if data != nil {
-		st, err = w.join.JoinShardBytes(job.ctx, data, job.shards[si], k, e.opts.Compress, out, job.collect)
-	} else {
-		st, err = w.join.JoinShard(job.ctx, e.dir, job.shards[si], k, e.opts.Compress, e.opts.Gov, out, job.collect)
-	}
-	e.read.Add(st.BytesRead)
-	if err != nil {
-		return nil, errors.Join(err, out.Abort())
-	}
-	metas, err := out.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return &shardResult{
-		out:       metas,
-		maximal:   st.Maximal,
-		emitVerts: st.EmitVerts,
-		emitOff:   st.EmitOff,
-	}, nil
 }

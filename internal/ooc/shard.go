@@ -61,12 +61,11 @@ func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 
 // LevelWriter writes one level's sorted record stream, a prefix run at a
 // time, splitting it into run-aligned shard files of roughly target
-// encoded bytes.  newShard names each file (and lets the engine register
-// it for failure cleanup); onWrite observes the encoded/raw byte
-// increment of every run as it is handed to the file — the accounting
-// hook that keeps Stats.BytesWritten truthful even when the level aborts
-// mid-shard — and may return an error (the spill-budget abort) to stop
-// the writer.
+// encoded bytes.  newShard names each file; onWrite observes the
+// encoded/raw byte increment of every run as it is handed to the file —
+// the accounting hook that keeps Stats.BytesWritten truthful even when
+// the level aborts mid-shard — and may return an error (the spill-budget
+// abort) to stop the writer.
 type LevelWriter struct {
 	dir      string
 	k        int
@@ -193,10 +192,10 @@ func (w *LevelWriter) Finish() ([]ShardMeta, error) {
 
 // abort flushes what the current shard buffered (so the on-disk state
 // matches the byte accounting already reported through onWrite) and
-// closes it.  The files themselves are removed by the engine's
-// level-failure cleanup; abort only guarantees no descriptor leaks and
-// surfaces — rather than swallows — close errors, annotated with the
-// abort context.
+// closes it.  The files themselves are removed by the level driver's
+// sweep (or with the run directory); abort only guarantees no descriptor
+// leaks and surfaces — rather than swallows — close errors, annotated
+// with the abort context.
 func (w *LevelWriter) Abort() error {
 	if w.f == nil {
 		return nil
