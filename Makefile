@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench bench-pair loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -85,6 +85,15 @@ race-all:
 # for CI.
 bench:
 	$(GO) test -run xxx -bench 'EnumerateStreaming|EnumerateBarrier|SeedFromK|Representations' -benchtime 5x .
+
+# Paired parent/change runs of one benchmark workload, as a performance
+# claim needs them (scripts/bench_pair.sh: alternating order, a fresh
+# seed per pair, medians, quartiles, win count, verdict):
+#   make bench-pair WORKLOAD=hybrid-c75 PAIRS=10 BASE=HEAD~1
+PAIRS ?= 10
+BASE ?= HEAD~1
+bench-pair:
+	sh scripts/bench_pair.sh $(WORKLOAD) $(PAIRS) $(BASE)
 
 # Resume-after-kill smoke test: checkpoint, kill by timeout, resume,
 # reconcile clique counts against an uninterrupted run.

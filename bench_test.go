@@ -244,7 +244,7 @@ func BenchmarkSeedFromKParallel4(b *testing.B) {
 // 256-processor schedule over a collected trace).
 func BenchmarkSimulate256(b *testing.B) {
 	g := expt.Build(expt.SpecC.Scale(benchCfg.Scale), benchCfg.Seed)
-	tr, err := simarch.Collect(g, 2, 0)
+	tr, err := simarch.CollectMode(g, 2, 0, core.CNStore)
 	if err != nil {
 		b.Fatal(err)
 	}

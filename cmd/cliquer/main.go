@@ -77,7 +77,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print live per-level statistics")
 	countOnly := flag.Bool("count", false, "print counts only, not the cliques")
 	dimacs := flag.Bool("dimacs", false, "input is DIMACS clique format")
-	recompute := flag.Bool("low-mem", false, "recompute common-neighbor bitmaps instead of storing them")
+	storeBits := flag.Bool("store-cn", false, "store a common-neighbor bitmap per sub-list (the paper's policy) instead of rebuilding it: more memory, faster on csr/wah")
 	compress := flag.Bool("compress", false, "store common-neighbor bitmaps WAH-compressed")
 	repr := flag.String("repr", "auto", "graph representation: auto, dense, csr or wah")
 	oocDir := flag.String("ooc", "", "run the out-of-core enumerator, spilling levels to this directory")
@@ -117,7 +117,7 @@ func main() {
 	err := run(ctx, flag.Arg(0), options{
 		lo: *lo, hi: *hi, workers: *workers, strategy: *strategy,
 		stats: *stats, countOnly: *countOnly,
-		dimacs: *dimacs, recompute: *recompute, compress: *compress,
+		dimacs: *dimacs, storeBits: *storeBits, compress: *compress,
 		repr: *repr, oocDir: *oocDir, oocWorkers: *oocWorkers,
 		oocCompress: *oocCompress, oocCheckpoint: *oocCheckpoint,
 		resume: *resume, budget: budget, spill: *spill,
@@ -135,7 +135,7 @@ type options struct {
 	lo, hi, workers              int
 	strategy                     string
 	stats, countOnly, dimacs     bool
-	recompute, compress, noBound bool
+	storeBits, compress, noBound bool
 	repr                         string
 	oocDir                       string
 	oocWorkers                   int
@@ -224,8 +224,8 @@ func run(ctx context.Context, path string, o options) error {
 	if o.workers > 1 {
 		opts = append(opts, repro.WithWorkers(o.workers), repro.WithStrategy(strategy))
 	}
-	if o.recompute {
-		opts = append(opts, repro.WithLowMemory())
+	if o.storeBits {
+		opts = append(opts, repro.WithStoredBitmaps())
 	}
 	if o.compress {
 		opts = append(opts, repro.WithCompressedBitmaps())

@@ -129,9 +129,10 @@ type LevelStats struct {
 // Enumerator is the single entry point to maximal clique enumeration: one
 // run description that selects the sequential, parallel, or out-of-core
 // backend from its options and executes it with cancellation and
-// observability.  The zero Enumerator (NewEnumerator with no options) is
-// the paper's default: the full size range from Init_K = 2, dense stored
-// bitmaps, in-core, one thread.
+// observability.  The zero Enumerator (NewEnumerator with no options)
+// runs the full size range from Init_K = 2, in-core, on one thread, with
+// memoised common-neighbor reconstruction (no bitmap kept per sub-list;
+// WithStoredBitmaps is the paper's stored-bitmap policy).
 //
 // An Enumerator is immutable after construction and may be reused for
 // any number of runs; runs sharing one Enumerator must not execute
@@ -382,11 +383,16 @@ func WithGraphCharged() Option {
 	return func(e *Enumerator) { e.graphCharged = true }
 }
 
-// WithLowMemory switches to the paper's low-memory alternative: prefix
-// common-neighbor bitmaps are recomputed with k-2 extra ANDs instead of
-// stored.
-func WithLowMemory() Option {
-	return func(e *Enumerator) { e.cfg.Mode = enumcfg.CNRecompute }
+// WithStoredBitmaps keeps a dense prefix common-neighbor bitmap with
+// every candidate sub-list — the paper's policy ("faster but requires
+// keeping the common neighbors") — instead of the default, which keeps
+// none and rebuilds each one from the sub-list joined just before it.
+// It costs n/8 bytes per resident sub-list (several times the default's
+// PeakBytes on the paper-style graphs) and buys time only on the CSR and
+// Compressed representations, where a rebuild step is a row walk rather
+// than a word AND.  In-core and hybrid backends only.
+func WithStoredBitmaps() Option {
+	return func(e *Enumerator) { e.cfg.Mode = enumcfg.CNStore }
 }
 
 // WithCompressedBitmaps stores prefix common-neighbor bitmaps

@@ -63,7 +63,7 @@ func TestBackendParity(t *testing.T) {
 				repro.OOCCompress())}},
 			{"out-of-core-parallel-compressed", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
 				repro.OOCWorkers(3), repro.OOCCompress())}},
-			{"low-memory", []repro.Option{repro.WithLowMemory()}},
+			{"store", []repro.Option{repro.WithStoredBitmaps()}},
 			{"compressed", []repro.Option{repro.WithCompressedBitmaps()}},
 		}
 		want := stream(t, repro.NewEnumerator(append(backends[0].opts, repro.WithBounds(3, 0))...), g)
@@ -286,7 +286,7 @@ func TestConfigErrors(t *testing.T) {
 		{"zero lo", []repro.Option{repro.WithBounds(-1, 0)}},
 		{"negative workers", []repro.Option{repro.WithWorkers(-2)}},
 		{"ooc+report-small", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithReportSmall()}},
-		{"ooc+low-memory", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithLowMemory()}},
+		{"ooc+stored-bitmaps", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithStoredBitmaps()}},
 		{"ooc-compress-without-dir", []repro.Option{repro.WithOutOfCore("", 0, repro.OOCCompress())}},
 		{"parallel+report-small", []repro.Option{repro.WithWorkers(4), repro.WithReportSmall()}},
 		{"negative-memory-budget", []repro.Option{repro.WithMemoryBudget(-1)}},

@@ -40,6 +40,6 @@ func main() {
 		}
 		fmt.Printf("  size %d: %v\n", len(c), []int(c))
 	}
-	fmt.Printf("total: %d maximal cliques, peak candidate memory %d bytes\n",
+	fmt.Printf("total: %d maximal cliques, peak resident memory %d bytes (graph included)\n",
 		st.MaximalCliques, st.PeakBytes)
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCompressedModeMatchesStored: the WAH-compressed bitmap mode must
-// produce exactly the same maximal cliques as the dense default, across
-// random and planted graphs and across seed levels.
+// produce exactly the same maximal cliques as the dense stored mode,
+// across random and planted graphs and across seed levels.
 func TestCompressedModeMatchesStored(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	for trial := 0; trial < 15; trial++ {
@@ -19,11 +19,11 @@ func TestCompressedModeMatchesStored(t *testing.T) {
 		}, 100)
 		for _, lo := range []int{2, 4, 5} {
 			dense := &clique.Collector{}
-			if _, err := Enumerate(g, Options{Lo: lo, Reporter: dense}); err != nil {
+			if _, err := Enumerate(g, Options{Lo: lo, Mode: CNStore, Reporter: dense}); err != nil {
 				t.Fatal(err)
 			}
 			compressed := &clique.Collector{}
-			if _, err := Enumerate(g, Options{Lo: lo, CompressCN: true, Reporter: compressed}); err != nil {
+			if _, err := Enumerate(g, Options{Lo: lo, Mode: CNCompress, Reporter: compressed}); err != nil {
 				t.Fatal(err)
 			}
 			if ok, diff := clique.SameSets(dense.Cliques, compressed.Cliques); !ok {
@@ -41,11 +41,11 @@ func TestCompressedModeSavesMemoryOnSparseGraphs(t *testing.T) {
 	// 4,000 vertices, one 12-module and sparse noise: dense bitmaps cost
 	// 500 bytes each; common-neighbor sets are tiny.
 	g := graph.PlantedGraph(rng, 4000, []graph.PlantedCliqueSpec{{Size: 12}}, 2500)
-	dense, err := Enumerate(g, Options{})
+	dense, err := Enumerate(g, Options{Mode: CNStore})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed, err := Enumerate(g, Options{CompressCN: true})
+	compressed, err := Enumerate(g, Options{Mode: CNCompress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,12 @@ func TestCompressedModeSavesMemoryOnSparseGraphs(t *testing.T) {
 		dense.PeakBytes, compressed.PeakBytes, ratio)
 }
 
-func TestCompressedAndRecomputeMutuallyExclusive(t *testing.T) {
+func TestUnknownCNModeRejected(t *testing.T) {
 	g := graph.New(3)
-	if _, err := Enumerate(g, Options{RecomputeCN: true, CompressCN: true}); err == nil {
-		t.Fatal("conflicting modes accepted")
+	for _, mode := range []CNMode{CNRecompute - 1, CNCompress + 1} {
+		if _, err := Enumerate(g, Options{Mode: mode}); err == nil {
+			t.Fatalf("CN mode %d accepted", mode)
+		}
 	}
 }
 
@@ -82,9 +84,9 @@ func TestAllThreeModesAgreeOnFigure4(t *testing.T) {
 	graph.PlantClique(g, []int{12, 13, 14})
 	var results [][]clique.Clique
 	for _, opts := range []Options{
-		{},
-		{RecomputeCN: true},
-		{CompressCN: true},
+		{Mode: CNStore},
+		{Mode: CNRecompute},
+		{Mode: CNCompress},
 	} {
 		col := &clique.Collector{}
 		opts.Reporter = col

@@ -47,15 +47,14 @@ type Options struct {
 	// when Lo <= 2.  The paper's experiments start at size 3 and skip
 	// these; tools that need complete covers enable it.
 	ReportSmall bool
-	// RecomputeCN switches to the paper's low-memory alternative:
-	// sub-lists do not retain their prefix common-neighbor bitmaps, and
-	// each step reconstructs them with (k-2) extra ANDs.
-	RecomputeCN bool
-	// CompressCN stores the prefix bitmaps WAH-compressed (the paper's
-	// future-work direction): high compression on sparse graphs at the
-	// cost of one decompression pass per sub-list.  Mutually exclusive
-	// with RecomputeCN.
-	CompressCN bool
+	// Mode is the common-neighbor bitmap policy.  The zero value,
+	// CNRecompute, retains no bitmap with a sub-list and rebuilds it at
+	// join time from the builder's memo of the previous sub-list (one or
+	// two row ANDs in canonical order).  CNStore is the paper's policy —
+	// a dense bitmap per sub-list, n/8 bytes each — and CNCompress its
+	// future-work direction, the bitmap kept WAH-compressed at one
+	// decompression pass per sub-list.
+	Mode CNMode
 	// MemoryBudget, when positive, bounds the paper-formula byte total of
 	// the resident levels (consumed + produced); exceeding it aborts with
 	// ErrMemoryBudget.  Ignored when Gov is set.
@@ -94,15 +93,8 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if opts.RecomputeCN && opts.CompressCN {
-		return nil, fmt.Errorf("core: RecomputeCN and CompressCN are mutually exclusive")
-	}
-	mode := CNStore
-	switch {
-	case opts.RecomputeCN:
-		mode = CNRecompute
-	case opts.CompressCN:
-		mode = CNCompress
+	if err := enumcfg.CheckMode(opts.Mode); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	res := &Result{}
@@ -115,7 +107,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 			opts.Reporter.Emit(c)
 		}
 	})
-	lvl, err := Seed(g, opts.Lo, mode, opts.ReportSmall, reporter)
+	lvl, err := Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, reporter)
 	if err != nil {
 		return res, err
 	}
@@ -124,7 +116,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if gov == nil && opts.MemoryBudget > 0 {
 		gov = membudget.New(opts.MemoryBudget)
 	}
-	b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
+	b := NewBuilderMode(g, opts.Mode, bitset.NewPool(g.N()))
 	b.Gov = gov
 	gov.Charge(b.ScratchBytes())
 	defer func() { gov.Release(b.ScratchBytes()) }() // read at exit: the memo may have grown

@@ -135,8 +135,8 @@ func TestRecomputeCNMatchesStored(t *testing.T) {
 		g := graph.PlantedGraph(rng, 30, []graph.PlantedCliqueSpec{
 			{Size: 6}, {Size: 5, Overlap: 2},
 		}, 40)
-		stored, resStored := enumerate(t, g, Options{})
-		recomp, resRecomp := enumerate(t, g, Options{RecomputeCN: true})
+		stored, resStored := enumerate(t, g, Options{Mode: CNStore})
+		recomp, resRecomp := enumerate(t, g, Options{})
 		if ok, diff := clique.SameSets(stored.Cliques, recomp.Cliques); !ok {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}

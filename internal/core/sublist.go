@@ -44,10 +44,10 @@ type SubList struct {
 	// Prefix is the shared (k-1)-clique, strictly increasing.
 	Prefix []uint32
 	// CN is the common-neighbor bitmap of Prefix over the graph's vertex
-	// universe.  It is nil when the enumeration runs in recompute mode
-	// (Options.RecomputeCN), trading the paper's "faster but keeps the
-	// common neighbors" choice for its "no more memory" alternative; it
-	// is also nil in compressed mode, where CNC holds the bitmap.
+	// universe, held only by sub-lists created in CNStore mode (the
+	// paper's "faster but keeps the common neighbors" choice).  In the
+	// default CNRecompute mode it is nil and Builder.prefixCN rebuilds it;
+	// in compressed mode CNC holds it.  A level may mix the three.
 	CN *bitset.Bitset
 	// CNC is the WAH-compressed form of the prefix common-neighbor
 	// bitmap, used in CNCompress mode — the paper's "bitwise operations
@@ -122,10 +122,11 @@ func (l *Level) Bytes(n int) int64 {
 type CNMode = enumcfg.CNMode
 
 const (
+	// CNRecompute (the zero value) keeps no bitmap: prefixCN rebuilds it,
+	// memoised against the previous sub-list.
+	CNRecompute = enumcfg.CNRecompute
 	// CNStore keeps the dense bitmap per sub-list (the paper's choice).
 	CNStore = enumcfg.CNStore
-	// CNRecompute rebuilds the bitmap with k-2 extra ANDs per sub-list.
-	CNRecompute = enumcfg.CNRecompute
 	// CNCompress keeps the bitmap WAH-compressed, decompressing on use.
 	CNCompress = enumcfg.CNCompress
 )

@@ -22,13 +22,20 @@ import (
 type CNMode int
 
 const (
+	// CNRecompute, the zero value and every regime's default, keeps no
+	// bitmap with a sub-list and rebuilds it when the sub-list is joined
+	// ("requires no more memory but will perform bitwise AND operations
+	// on the same bit strings repeatedly").  The rebuild is memoised
+	// against the sub-list joined just before (core.Builder.prefixCN):
+	// canonical-order neighbours share all but one or two prefix
+	// vertices, so it costs one or two row ANDs, not k-2 — the kernel
+	// the on-disk regimes run, and the smallest resident level.
+	CNRecompute CNMode = iota
 	// CNStore keeps the dense bitmap per sub-list (the paper's choice:
-	// "faster but requires keeping the common neighbors").
-	CNStore CNMode = iota
-	// CNRecompute stores nothing and rebuilds the bitmap with k-2 extra
-	// ANDs per sub-list ("requires no more memory but will perform
-	// bitwise AND operations on the same bit strings repeatedly").
-	CNRecompute
+	// "faster but requires keeping the common neighbors") — n/8 bytes
+	// more per sub-list; it buys time back on CSR and WAH rows, where a
+	// rebuild step is a Row.AndInto instead of a word AND.
+	CNStore
 	// CNCompress keeps the bitmap WAH-compressed, decompressing on use:
 	// "the sparcity of the bitmap memory index can potentially provide
 	// high compression rate".
@@ -86,9 +93,9 @@ func (b Backend) String() string {
 }
 
 // Config is the unified run description every backend understands.  Zero
-// value + Normalize gives the defaults the paper's experiments use: the
-// full size range from Init_K = 2, dense stored bitmaps, one thread,
-// in-core.
+// value + Normalize gives the defaults: the full size range from
+// Init_K = 2, memoised common-neighbor reconstruction (CNRecompute), one
+// thread, in-core.
 type Config struct {
 	// Ctx cancels the run between generation steps (and, within a step,
 	// between sub-lists or spill records).  nil means Background.
@@ -200,6 +207,15 @@ func CheckBounds(lo, hi int) error {
 	return nil
 }
 
+// CheckMode rejects a value outside the CNMode enum; like CheckBounds it
+// is the one rule every backend that takes a Mode shares.
+func CheckMode(m CNMode) error {
+	if m < CNRecompute || m > CNCompress {
+		return fmt.Errorf("enumcfg: unknown CN mode %d", m)
+	}
+	return nil
+}
+
 // Normalize applies defaults and validates the config in place.
 //
 // The validation is regime-structured: the universal rules (bounds,
@@ -226,8 +242,8 @@ func (c *Config) Normalize() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("enumcfg: %d workers", c.Workers)
 	}
-	if c.Mode < CNStore || c.Mode > CNCompress {
-		return fmt.Errorf("enumcfg: unknown CN mode %d", c.Mode)
+	if err := CheckMode(c.Mode); err != nil {
+		return err
 	}
 	if c.Strategy != Contiguous && c.Strategy != Affinity {
 		return fmt.Errorf("enumcfg: unknown strategy %d", c.Strategy)
@@ -278,7 +294,7 @@ func (c *Config) Normalize() error {
 		if c.ReportSmall {
 			return fmt.Errorf("enumcfg: ReportSmall is not supported out of core (sizes < 3 never spill)")
 		}
-		if c.Mode != CNStore {
+		if c.Mode != CNRecompute {
 			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
 		}
 	case Hybrid:
@@ -293,7 +309,7 @@ func (c *Config) Normalize() error {
 		if c.ReportSmall {
 			return fmt.Errorf("enumcfg: ReportSmall is not supported out of core (sizes < 3 never spill)")
 		}
-		if c.Mode != CNStore {
+		if c.Mode != CNRecompute {
 			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
 		}
 		if c.Resume && c.MemoryBudget > 0 {

@@ -47,7 +47,8 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"compress without dir", Config{OOCCompress: true}, "require a spill Dir", 0},
 		{"checkpoint without dir", Config{Checkpoint: true}, "require a spill Dir", 0},
 		{"resume without dir", Config{Resume: true}, "require a spill Dir", 0},
-		{"ooc low-memory", Config{Dir: "d", Mode: CNRecompute}, "meaningless out of core", 0},
+		{"ooc low-memory", Config{Dir: "d", Mode: CNRecompute}, "", OutOfCore},
+		{"ooc stored bitmaps", Config{Dir: "d", Mode: CNStore}, "meaningless out of core", 0},
 		{"ooc compressed bitmaps", Config{Dir: "d", Mode: CNCompress}, "meaningless out of core", 0},
 
 		// --- hybrid / spillover ---
@@ -56,6 +57,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"hybrid parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 4}, "", Hybrid},
 		{"hybrid compress", Config{Dir: "d", MemoryBudget: 1 << 20, OOCCompress: true}, "", Hybrid},
 		{"hybrid low-memory", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNRecompute}, "", Hybrid},
+		{"hybrid stored bitmaps", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNStore}, "", Hybrid},
 		{"hybrid report-small sequential", Config{Dir: "d", MemoryBudget: 1 << 20, ReportSmall: true}, "", Hybrid},
 		{"hybrid report-small parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 2, ReportSmall: true},
 			"sequential in-core phase", 0},
@@ -90,7 +92,8 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"distributed plus spill budget", Config{Dir: "d", DistWorkers: 2, SpillBudget: 1 << 20},
 			"not supported by the distributed coordinator", 0},
 		{"distributed report-small", Config{Dir: "d", DistWorkers: 2, ReportSmall: true}, "ReportSmall", 0},
-		{"distributed low-memory mode", Config{Dir: "d", DistWorkers: 2, Mode: CNRecompute},
+		{"distributed low-memory mode", Config{Dir: "d", DistWorkers: 2, Mode: CNRecompute}, "", Distributed},
+		{"distributed stored bitmaps", Config{Dir: "d", DistWorkers: 2, Mode: CNStore},
 			"meaningless out of core", 0},
 	}
 	for _, c := range cases {

@@ -20,7 +20,7 @@ import (
 // Ablations runs the design-choice comparisons DESIGN.md calls out and
 // returns one table per ablation:
 //
-//  1. bitmap mode — store vs recompute vs WAH-compress (the paper's §2.3
+//  1. bitmap mode — store vs memoised rebuild vs WAH-compress (the paper's §2.3
 //     trade-off plus its conclusions' compression direction);
 //  2. storage tier — in-core vs the pre-Altix out-of-core design (the
 //     paper's §1 motivation);
@@ -58,9 +58,9 @@ func ablateCNMode(cfg Config) (*Table, error) {
 		name string
 		opts core.Options
 	}{
-		{"store dense (paper)", core.Options{Ctx: cfg.Ctx}},
-		{"recompute", core.Options{Ctx: cfg.Ctx, RecomputeCN: true}},
-		{"WAH compress", core.Options{Ctx: cfg.Ctx, CompressCN: true}},
+		{"store (paper)", core.Options{Ctx: cfg.Ctx, Mode: core.CNStore}},
+		{"memoised (default)", core.Options{Ctx: cfg.Ctx}},
+		{"WAH compress", core.Options{Ctx: cfg.Ctx, Mode: core.CNCompress}},
 	} {
 		start := time.Now()
 		res, err := core.Enumerate(g, m.opts)
@@ -73,7 +73,7 @@ func ablateCNMode(cfg Config) (*Table, error) {
 			fmt.Sprint(res.TotalCost.ANDWords))
 	}
 	t.Notes = append(t.Notes,
-		"expected: recompute/compress cut peak bytes; recompute pays extra ANDs")
+		"expected: memoised/compress cut peak bytes; memoised pays one or two rebuild ANDs per sub-list")
 	return t, nil
 }
 
@@ -84,7 +84,7 @@ func ablateStorage(cfg Config) (*Table, error) {
 		Headers: []string{"tier", "time", "resident/peak bytes", "disk bytes moved"},
 	}
 	start := time.Now()
-	inCore, err := core.Enumerate(g, core.Options{Ctx: cfg.Ctx})
+	inCore, err := core.Enumerate(g, core.Options{Ctx: cfg.Ctx, Mode: core.CNStore})
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func ablateScheduler(cfg Config) (*Table, error) {
 	spec := cfg.specC()
 	ik := initKladder(spec)[0]
 	g := Build(spec, cfg.Seed)
-	tr, err := simarch.CollectMode(g, ik, 0, bigRunNeedsRecompute(spec, ik))
+	tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 
 	coreCount := clique.NewCounter()
 	start = time.Now()
-	coreRes, err := core.Enumerate(g, core.Options{Ctx: cfg.Ctx, Reporter: coreCount})
+	coreRes, err := core.Enumerate(g, core.Options{Ctx: cfg.Ctx, Mode: core.CNStore, Reporter: coreCount})
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func Fig9(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	spec := cfg.specC()
 	g := Build(spec, cfg.Seed)
-	tr, err := simarch.Collect(g, 2, 0)
+	tr, err := simarch.CollectMode(g, 2, 0, core.CNStore)
 	if err != nil {
 		return nil, err
 	}
@@ -191,6 +191,7 @@ func Blowup(cfg Config) (*BlowupResult, error) {
 	var levels []core.LevelStats
 	_, err := core.Enumerate(g, core.Options{
 		Ctx:          cfg.Ctx,
+		Mode:         core.CNStore,
 		MemoryBudget: cfg.Budget,
 		OnLevel:      func(st core.LevelStats) { levels = append(levels, st) },
 	})

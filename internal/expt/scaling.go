@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/sched"
@@ -29,12 +30,16 @@ func initKladder(spec GraphSpec) []int {
 	return iks
 }
 
-// bigRunNeedsRecompute decides whether an Init_K trace should run the
-// enumerator in its low-memory mode: at (near-)paper scale the Init_K=3
-// candidate sets with stored bitmaps exceed workstation memory — which is
-// the paper's own motivation for the 2 TB Altix.
-func bigRunNeedsRecompute(spec GraphSpec, initK int) bool {
-	return spec.Omega-initK >= 22
+// traceMode picks the bitmap policy of an Init_K trace: the stored
+// bitmaps of the machine the paper measured, except at (near-)paper
+// scale, where the Init_K=3 candidate sets with stored bitmaps exceed
+// workstation memory — the paper's own motivation for the 2 TB Altix —
+// and the trace runs bitmap-free.
+func traceMode(spec GraphSpec, initK int) core.CNMode {
+	if spec.Omega-initK >= 22 {
+		return core.CNRecompute
+	}
+	return core.CNStore
 }
 
 // fullWorkloadAnchor estimates the graph's full (Init_K = 3) workload
@@ -57,9 +62,8 @@ type Family struct {
 
 // FamilyEntry is one Init_K's trace.
 type FamilyEntry struct {
-	InitK     int
-	Trace     *simarch.Trace
-	Recompute bool
+	InitK int
+	Trace *simarch.Trace
 }
 
 // CollectFamily builds one trace per Init_K over graph C and tunes the
@@ -73,12 +77,11 @@ func CollectFamily(cfg Config, iks []int) (*Family, error) {
 	var maxUnits int64
 	var rate float64
 	for _, ik := range iks {
-		recompute := bigRunNeedsRecompute(spec, ik)
-		tr, err := simarch.CollectMode(g, ik, 0, recompute)
+		tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
 		if err != nil {
 			return nil, fmt.Errorf("expt: trace Init_K=%d: %w", ik, err)
 		}
-		fam.Entries = append(fam.Entries, FamilyEntry{InitK: ik, Trace: tr, Recompute: recompute})
+		fam.Entries = append(fam.Entries, FamilyEntry{InitK: ik, Trace: tr})
 		if tr.TotalUnits > maxUnits {
 			maxUnits = tr.TotalUnits
 			rate = tr.UnitsPerSecond()
@@ -122,7 +125,7 @@ func Fig5(cfg Config) (*Table, error) {
 	for rep := 0; rep < cfg.Reps; rep++ {
 		g := Build(spec, cfg.Seed+int64(rep))
 		for _, ik := range iks {
-			tr, err := simarch.CollectMode(g, ik, 0, bigRunNeedsRecompute(spec, ik))
+			tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +293,7 @@ func Fig8(cfg Config) (*Table, error) {
 	spec := cfg.specC()
 	ik := initKladder(spec)[0]
 	g := Build(spec, cfg.Seed)
-	tr, err := simarch.CollectMode(g, ik, 0, bigRunNeedsRecompute(spec, ik))
+	tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
 	if err != nil {
 		return nil, err
 	}
@@ -334,6 +337,7 @@ func Fig8(cfg Config) (*Table, error) {
 			Ctx:      cfg.Ctx,
 			Workers:  realP,
 			Lo:       ik,
+			Mode:     core.CNStore,
 			Strategy: parallel.Affinity,
 		})
 		if err != nil {

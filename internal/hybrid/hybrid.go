@@ -35,9 +35,11 @@
 // Governor accounting across the switch: retained head sub-lists are
 // released as their records leave for disk, discarded window results
 // are released by the pool, the consumed level is released when its
-// drain completes, and the out-of-core engine charges only its I/O
-// buffers — so Peak records the true high-water mark and Used falls
-// back under budget the moment the spill lands.
+// drain completes, and the out-of-core engine charges only its scratch
+// and its I/O buffers, which it sizes from the headroom the governor has
+// left (4 KiB each at the least) — so Peak is the budget plus the
+// in-core engine's trip granularity, and Used falls back under budget
+// the moment the spill lands.
 package hybrid
 
 import (
@@ -62,7 +64,8 @@ type Options struct {
 	Ctx context.Context
 	// Lo, Hi bound the clique sizes of interest, as in core.Options.
 	Lo, Hi int
-	// Mode is the common-neighbor bitmap policy of the in-core phase.
+	// Mode is the common-neighbor bitmap policy of the in-core phase (the
+	// zero value keeps no bitmaps, as the out-of-core phase does anyway).
 	Mode core.CNMode
 	// Workers selects the in-core engine (1 = sequential, > 1 = the
 	// streaming pool) and is reused as the out-of-core join width after
@@ -152,8 +155,8 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	if opts.Mode < core.CNStore || opts.Mode > core.CNCompress {
-		return nil, fmt.Errorf("hybrid: unknown CN mode %d", opts.Mode)
+	if err := enumcfg.CheckMode(opts.Mode); err != nil {
+		return nil, fmt.Errorf("hybrid: %w", err)
 	}
 	if opts.ReportSmall && opts.Workers > 1 {
 		return nil, fmt.Errorf("hybrid: ReportSmall requires the sequential in-core phase")
@@ -197,14 +200,13 @@ func (h *runner) run() error {
 	)
 	if opts.Workers > 1 {
 		p, perr := parallel.NewPool(g, parallel.Options{
-			Ctx:         opts.Ctx,
-			Workers:     opts.Workers,
-			Lo:          opts.Lo,
-			Hi:          opts.Hi,
-			RecomputeCN: opts.Mode == core.CNRecompute,
-			CompressCN:  opts.Mode == core.CNCompress,
-			Strategy:    opts.Strategy,
-			Gov:         h.gov,
+			Ctx:      opts.Ctx,
+			Workers:  opts.Workers,
+			Lo:       opts.Lo,
+			Hi:       opts.Hi,
+			Mode:     opts.Mode,
+			Strategy: opts.Strategy,
+			Gov:      h.gov,
 		})
 		if perr != nil {
 			return fmt.Errorf("hybrid: %w", perr)

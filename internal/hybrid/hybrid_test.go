@@ -54,9 +54,15 @@ func TestSpilloverParity(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("seed %d: empty reference", seed)
 		}
-		// Resident candidate storage peaks at a few KB on this graph;
-		// the budgets below cover never / late / early / immediate trips.
-		for _, budget := range []int64{0, 1 << 30, 2 << 10, 1 << 10, 1} {
+		// The budgets cover never / late / early / immediate trips, the
+		// mid-run ones cut from this graph's own unbudgeted peak so they
+		// trip whatever the bitmap policy makes a level weigh.
+		free := membudget.New(0)
+		if _, err := Enumerate(g, Options{Lo: 3, Gov: free}); err != nil {
+			t.Fatal(err)
+		}
+		peak := free.Peak()
+		for _, budget := range []int64{0, 1 << 30, peak / 2, peak / 4, 1} {
 			for _, workers := range []int{1, 3} {
 				gov := membudget.New(budget)
 				col := &clique.Collector{}

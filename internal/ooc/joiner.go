@@ -72,7 +72,7 @@ func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 // are written — output shards of about Target encoded bytes in Dir,
 // named by NewShard, every run's bytes reported to OnWrite, which may
 // abort the join.  Gov is charged with the I/O buffers while they are
-// open.
+// open, each at most Buf bytes (0 = uncapped; Level.Buf).
 type ShardJob struct {
 	Dir      string
 	K        int
@@ -82,6 +82,7 @@ type ShardJob struct {
 	Target   int64
 	Collect  bool // buffer the maximal cliques, not only count them
 	Gov      *membudget.Governor
+	Buf      int64
 	NewShard func() (string, error)
 	OnWrite  func(enc, raw int64) error
 }
@@ -106,12 +107,13 @@ func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
 	if job.Data != nil {
 		r, err = OpenShardBytes(job.Data, job.In, job.K, j.g.N(), job.Compress)
 	} else {
-		r, err = OpenShard(job.Dir, job.In, job.K, j.g.N(), job.Compress, job.Gov)
+		r, err = openShard(job.Dir, job.In, job.K, j.g.N(), job.Compress, job.Gov, job.Buf)
 	}
 	if err != nil {
 		return ShardResult{}, err
 	}
 	out := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
+	out.bufCap = job.Buf
 	st, err := j.joinFrom(ctx, r, job.K, out, job.Collect)
 	if err != nil {
 		return ShardResult{JoinStats: JoinStats{BytesRead: st.BytesRead}}, errors.Join(err, out.Abort())
@@ -211,6 +213,7 @@ func WriteLevel(dir string, k int, compress bool, target int64,
 			return name, err
 		},
 		onWrite)
+	lw.bufCap = bufShare(gov, 1) // the one buffer open while a level is fed
 	if werr := feed(lw.WriteRun); werr != nil {
 		errs := []error{werr, lw.Abort()}
 		for _, name := range created {

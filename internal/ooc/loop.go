@@ -34,6 +34,7 @@ type Level struct {
 	K       int         // clique size of the consumed level's records
 	Shards  []ShardMeta // the consumed level, in run order
 	Target  int64       // encoded bytes per produced shard
+	Buf     int64       // most one shard I/O buffer may take under a memory budget (0 = uncapped)
 	Collect bool        // a Reporter is listening: buffer the maximal cliques
 
 	loop *Loop
@@ -246,6 +247,7 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 		K:       k,
 		Shards:  shards,
 		Target:  l.shardTarget(encB),
+		Buf:     bufShare(l.opts.Gov, 3*l.opts.Workers), // a worker's three: read window, write buffer, read-ahead
 		Collect: l.opts.Reporter != nil,
 		loop:    l,
 	}

@@ -92,8 +92,9 @@ type Options struct {
 	// bitmaps at pool start, each in-flight shard's I/O buffer while
 	// open, and each read-ahead buffer while in flight — so a hybrid
 	// run's Peak stays meaningful after the spill.  The engine never
-	// enforces the budget: disk is exactly where an over-budget run
-	// belongs.
+	// aborts on the budget (disk is exactly where an over-budget run
+	// belongs) but it lives inside one: the buffers of a step share the
+	// headroom the step starts with (bufShare), 4 KiB each at the least.
 	Gov *membudget.Governor
 	// DisablePrefetch turns off the double-buffered shard read-ahead.
 	// By default each worker leases its next shard early and reads its

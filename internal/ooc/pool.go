@@ -193,6 +193,7 @@ func (w *poolWorker) runJob(job *levelJob) {
 			Target:   job.lv.Target,
 			Collect:  job.lv.Collect,
 			Gov:      opts.Gov,
+			Buf:      job.lv.Buf,
 			NewShard: job.lv.NextShard,
 			OnWrite:  job.lv.Wrote,
 		})
@@ -225,9 +226,14 @@ func (p *prefetched) await() ([]byte, error) {
 }
 
 // startPrefetch charges the shard's encoded size to the governor and
-// begins reading its file in the background.
+// begins reading its file in the background — unless the file is more
+// than a buffer may take under the run's budget: then it returns nil and
+// the join streams the shard through a window when its turn comes.
 func (w *poolWorker) startPrefetch(job *levelJob, si int) *prefetched {
 	meta := job.lv.Shards[si]
+	if job.lv.Buf > 0 && meta.Bytes > job.lv.Buf {
+		return nil
+	}
 	w.p.opts.Gov.Charge(meta.Bytes)
 	p := &prefetched{si: si, done: make(chan struct{})}
 	go func() {

@@ -74,6 +74,7 @@ type LevelWriter struct {
 	newShard func() (string, error)
 	onWrite  func(encBytes, rawBytes int64) error
 	gov      *membudget.Governor // charged with the in-flight I/O buffer
+	bufCap   int64               // most the I/O buffer may take (bufShare; 0 = uncapped)
 
 	shards  []ShardMeta
 	f       *os.File
@@ -151,7 +152,7 @@ func (w *LevelWriter) openShard() error {
 		return fmt.Errorf("ooc: create shard: %w", err)
 	}
 	w.f = f
-	sz := bufSize(w.target)
+	sz := bufSize(w.target, w.bufCap)
 	w.bw = bufio.NewWriterSize(f, sz)
 	w.bufSize = int64(sz)
 	w.gov.Charge(w.bufSize)
@@ -239,11 +240,17 @@ type ShardReader struct {
 // OpenShard opens a shard file for decoding through a window of the
 // shard's size, at most 1 MiB, charged to gov until Close.
 func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*ShardReader, error) {
+	return openShard(dir, meta, k, n, compress, gov, 0)
+}
+
+// openShard is OpenShard with the window capped at bufCap bytes (0 =
+// uncapped).
+func openShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor, bufCap int64) (*ShardReader, error) {
 	f, err := os.Open(filepath.Join(dir, meta.Path))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: open shard: %w", err)
 	}
-	sz := bufSize(meta.Bytes)
+	sz := bufSize(meta.Bytes, bufCap)
 	r, err := newShardReader(make([]byte, 0, sz), f, meta, k, n, compress)
 	if err != nil {
 		f.Close()
@@ -356,18 +363,40 @@ func (r *ShardReader) Close() error {
 	return nil
 }
 
+// minBuf is the smallest shard I/O buffer: it holds a whole record of
+// any level (k < 256, at most 5 bytes a field).
+const minBuf = 4 << 10
+
 // bufSize right-sizes a shard's I/O buffer: shard-sized when small (the
 // common case once a level splits into many shards — a fixed 1 MiB
 // buffer per shard would churn hundreds of times the level's bytes in
-// allocations), capped at 1 MiB for big shards.
-func bufSize(hint int64) int {
-	const min = 4 << 10
+// allocations), capped at 1 MiB for big shards and, under a memory
+// budget, at the share of its headroom bufShare worked out.
+func bufSize(hint, bufCap int64) int {
 	const max = 1 << 20
-	if hint < min {
-		return min
-	}
 	if hint > max {
-		return max
+		hint = max
+	}
+	if bufCap > 0 && hint > bufCap {
+		hint = bufCap
+	}
+	if hint < minBuf {
+		hint = minBuf
 	}
 	return int(hint)
+}
+
+// bufShare is the most one shard I/O buffer may take when `buffers` of
+// them can be open at once: an equal share of the headroom gov's budget
+// has left right now, but never less than minBuf — a spilled run is on
+// disk because memory ran out, so its buffers take what is free, not
+// what the level's size suggests.  0 (uncapped) without a budget.  It is
+// read where nothing of the step is in flight yet — before a level's
+// first join, before a fed level's first write — so the buffers it caps
+// fit the budget together whenever their minimum does.
+func bufShare(gov *membudget.Governor, buffers int) int64 {
+	if gov.Budget() <= 0 {
+		return 0
+	}
+	return max((gov.Budget()-gov.Used())/int64(buffers), minBuf)
 }

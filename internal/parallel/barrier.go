@@ -27,8 +27,7 @@ import (
 //
 // No backend selects it: the benchmark harness and this package's tests call it as their reference.
 func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
-	mode, err := checkOptions(&opts)
-	if err != nil {
+	if err := checkOptions(&opts); err != nil {
 		return nil, err
 	}
 	res := &Result{WorkerBusy: make([]float64, opts.Workers)}
@@ -49,9 +48,10 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	// so their home is worker 0.
 	var lvl *core.Level
 	if opts.Lo <= 2 {
-		lvl = core.SeedFromEdgesMode(g, mode)
+		lvl = core.SeedFromEdgesMode(g, opts.Mode)
 	} else {
-		lvl, _, err = core.SeedFromKMode(g, opts.Lo, mode,
+		var err error
+		lvl, _, err = core.SeedFromKMode(g, opts.Lo, opts.Mode,
 			clique.ReporterFunc(seedCount))
 		if err != nil {
 			return nil, err
@@ -69,7 +69,7 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	pool := bitset.NewPool(g.N())
 	workers := make([]*barrierWorker, opts.Workers)
 	for w := range workers {
-		b := core.NewBuilderMode(g, mode, pool)
+		b := core.NewBuilderMode(g, opts.Mode, pool)
 		b.Gov = gov
 		gov.Charge(b.ScratchBytes())
 		workers[w] = &barrierWorker{builder: b}

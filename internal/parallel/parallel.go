@@ -34,8 +34,9 @@
 // every other layer: per-worker builder scratch at pool start, each
 // retained sub-list at keep time (through core.Builder), and each
 // merge-window emission copy between deposit and in-order release.  A
-// configured budget is enforced — workers stop pulling chunks the moment
-// the governor trips, the in-flight window drains through the
+// configured budget is enforced — every worker polls the governor before
+// each sub-list join, so a trip overshoots by at most one join per
+// worker; the joins in flight finish, the window drains through the
 // sched.Sequencer, and the level stops at a consistent cut.  What happens
 // next is the level loop's trip policy (core.Loop): Enumerate aborts with
 // core.ErrMemoryBudget, the hybrid backend drains the cut to disk and
@@ -83,10 +84,9 @@ type Options struct {
 	Ctx context.Context
 	// Workers is the number of worker threads; must be >= 1.
 	Workers int
-	// Lo, Hi, RecomputeCN, CompressCN as in core.Options.
-	Lo, Hi      int
-	RecomputeCN bool
-	CompressCN  bool
+	// Lo, Hi, Mode as in core.Options.
+	Lo, Hi int
+	Mode   core.CNMode
 	// Strategy selects the dispatch policy (default Contiguous).
 	Strategy Strategy
 	// Policy tunes Affinity-mode stealing.
@@ -181,31 +181,25 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// checkOptions validates opts, applies defaults, and resolves the bitmap
-// mode.  Shared by Enumerate and EnumerateBarrier.
-func checkOptions(opts *Options) (core.CNMode, error) {
+// checkOptions validates opts and applies defaults.  Shared by Enumerate
+// and EnumerateBarrier.
+func checkOptions(opts *Options) error {
 	if opts.Workers < 1 {
-		return 0, fmt.Errorf("parallel: %d workers", opts.Workers)
+		return fmt.Errorf("parallel: %d workers", opts.Workers)
 	}
 	if opts.Lo == 0 {
 		opts.Lo = 2
 	}
 	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
-		return 0, fmt.Errorf("parallel: %w", err)
+		return fmt.Errorf("parallel: %w", err)
 	}
-	if opts.RecomputeCN && opts.CompressCN {
-		return 0, fmt.Errorf("parallel: RecomputeCN and CompressCN are mutually exclusive")
+	if err := enumcfg.CheckMode(opts.Mode); err != nil {
+		return fmt.Errorf("parallel: %w", err)
 	}
 	if opts.Gov == nil && opts.MemoryBudget > 0 {
 		opts.Gov = membudget.New(opts.MemoryBudget)
 	}
-	switch {
-	case opts.RecomputeCN:
-		return core.CNRecompute, nil
-	case opts.CompressCN:
-		return core.CNCompress, nil
-	}
-	return core.CNStore, nil
+	return nil
 }
 
 // Pool is the persistent streaming worker pool with its level-merge
@@ -214,7 +208,6 @@ func checkOptions(opts *Options) (core.CNMode, error) {
 type Pool struct {
 	g       graph.Interface
 	opts    Options
-	mode    core.CNMode
 	bits    *bitset.Pool
 	workers []*worker
 	wg      sync.WaitGroup
@@ -227,21 +220,19 @@ type Pool struct {
 // NewPool validates opts, starts the workers, and charges the governor
 // with their builder scratch.  Close must be called to stop them.
 func NewPool(g graph.Interface, opts Options) (*Pool, error) {
-	mode, err := checkOptions(&opts)
-	if err != nil {
+	if err := checkOptions(&opts); err != nil {
 		return nil, err
 	}
 	p := &Pool{
 		g:     g,
 		opts:  opts,
-		mode:  mode,
 		bits:  bitset.NewPool(g.N()),
 		words: int64((g.N() + 63) / 64),
 	}
 	p.m = &merger{gov: opts.Gov, bits: p.bits, n: g.N()}
 	p.workers = make([]*worker, opts.Workers)
 	for w := range p.workers {
-		b := core.NewBuilderMode(g, mode, p.bits)
+		b := core.NewBuilderMode(g, opts.Mode, p.bits)
 		b.Gov = opts.Gov
 		opts.Gov.Charge(b.ScratchBytes())
 		p.workers[w] = &worker{
@@ -260,10 +251,10 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 // ownership for the Affinity strategy's first level.
 func (p *Pool) Seed(r clique.Reporter) (*core.Level, []int32, error) {
 	if p.opts.Lo <= 2 {
-		lvl, homes := core.SeedFromEdgesParallel(p.g, p.mode, p.opts.Workers)
+		lvl, homes := core.SeedFromEdgesParallel(p.g, p.opts.Mode, p.opts.Workers)
 		return lvl, homes, nil
 	}
-	lvl, homes, _, err := core.SeedFromKParallel(p.g, p.opts.Lo, p.mode, p.opts.Workers, r)
+	lvl, homes, _, err := core.SeedFromKParallel(p.g, p.opts.Lo, p.opts.Mode, p.opts.Workers, r)
 	return lvl, homes, err
 }
 
@@ -288,7 +279,7 @@ func (p *Pool) Close() {
 // decentralized — workers deposit chunk results straight into the shared
 // streaming merger — so the coordinator costs no CPU while the level
 // runs, which matters when workers already oversubscribe the cores.
-// trip, when non-nil, is polled by workers between chunks; once it
+// trip, when non-nil, is polled by workers before every join; once it
 // returns true the level stops early with the consistent-cut semantics
 // documented on core.LevelOutcome: every deposited-but-unreleased result
 // beyond the frontier is discarded and its governor charges reconciled.
@@ -564,6 +555,15 @@ func (wk *worker) loop(wg *sync.WaitGroup) {
 			cr.subOff[0] = int32(len(wk.builder.Next))
 			t0 := time.Now()
 			for i, item := range chunk.Items {
+				// The budget is polled before every join, as the sequential
+				// engine polls it, so a trip overshoots by one join per
+				// worker, not one chunk.  A tripped worker deposits the
+				// joins it finished; the rest of its chunk stays untouched
+				// input beyond the frontier, like a chunk nobody pulled.
+				if i > 0 && job.trip != nil && job.trip() {
+					cr.items = cr.items[:i]
+					break
+				}
 				cr.items[i] = int32(item)
 				maxStart := wk.builder.Maximal
 				wk.builder.ProcessSubList(job.lvl.Sub[item], rep)

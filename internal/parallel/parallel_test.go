@@ -1,13 +1,16 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/membudget"
 	"repro/internal/sched"
 )
 
@@ -142,13 +145,90 @@ func TestAffinityNonDecreasingSizes(t *testing.T) {
 
 func TestRecomputeCNParallel(t *testing.T) {
 	g := testGraph(67)
-	want := sequentialCliques(t, g, 2, 0)
-	col := &clique.Collector{}
-	if _, err := Enumerate(g, Options{Workers: 2, RecomputeCN: true, Reporter: col}); err != nil {
+	// The reference keeps the paper's stored bitmaps; the pool must
+	// agree with it in its default (rebuilding) mode and in the other two.
+	ref := &clique.Collector{}
+	if _, err := core.Enumerate(g, core.Options{Mode: core.CNStore, Reporter: ref}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, diff := clique.SameSets(col.Cliques, want); !ok {
-		t.Fatalf("recompute mode: %s", diff)
+	for _, mode := range []core.CNMode{core.CNRecompute, core.CNStore, core.CNCompress} {
+		col := &clique.Collector{}
+		if _, err := Enumerate(g, Options{Workers: 2, Mode: mode, Reporter: col}); err != nil {
+			t.Fatal(err)
+		}
+		if ok, diff := clique.SameSets(col.Cliques, ref.Cliques); !ok {
+			t.Fatalf("CN mode %d: %s", mode, diff)
+		}
+	}
+}
+
+// TestStoredSeedThroughDefaultEngines: a level may hold stored and
+// bitmap-free sub-lists side by side.  The benchmark's traced replay
+// seeds CNStore and drives default-mode engines level by level, charging
+// the governor itself; both engines must join the stored level (and
+// recycle its bitmaps), produce bitmap-free levels from it, emit the
+// sequential reference in order, and leave the ledger balanced.
+func TestStoredSeedThroughDefaultEngines(t *testing.T) {
+	g := testGraph(67)
+	n := g.N()
+	want := sequentialCliques(t, g, 3, 0)
+	for _, name := range []string{"builder", "pool"} {
+		t.Run(name, func(t *testing.T) {
+			gov := membudget.New(0)
+			var eng core.LevelEngine
+			var held func() int64 // the engine's scratch charge right now
+			if name == "pool" {
+				p, err := NewPool(g, Options{Workers: 2, Lo: 3, Strategy: Affinity, Gov: gov})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				eng, held = p, func() (n int64) {
+					for _, w := range p.workers {
+						n += w.builder.ScratchBytes()
+					}
+					return n
+				}
+			} else {
+				b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(n))
+				b.Gov = gov
+				gov.Charge(b.ScratchBytes())
+				defer func() { gov.Release(b.ScratchBytes()) }()
+				eng, held = b, b.ScratchBytes
+			}
+			col := &clique.Collector{}
+			lvl, homes, _, err := core.SeedFromKParallel(g, 3, core.CNStore, 2, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lvl.Sub) == 0 || lvl.Sub[0].CN == nil {
+				t.Fatal("the seed level holds no stored bitmaps")
+			}
+			gov.Charge(lvl.Bytes(n))
+			for len(lvl.Sub) > 0 {
+				consumed := lvl.Bytes(n)
+				out := eng.RunLevel(context.Background(), lvl, homes, col, nil)
+				gov.Release(consumed)
+				for _, s := range out.Next.Sub {
+					if s.CN != nil || s.CNC != nil {
+						t.Fatalf("level %d retained a bitmap in the default mode", out.Next.K)
+					}
+				}
+				lvl, homes = out.Next, out.Homes
+			}
+			gov.Release(lvl.Bytes(n))
+			if len(col.Cliques) != len(want) {
+				t.Fatalf("%d cliques, want %d", len(col.Cliques), len(want))
+			}
+			for i := range want {
+				if col.Cliques[i].Key() != want[i].Key() {
+					t.Fatalf("stream diverges from the sequential reference at %d", i)
+				}
+			}
+			if gov.Used() != held() {
+				t.Errorf("governor at %d after the run, the engine's scratch is %d", gov.Used(), held())
+			}
+		})
 	}
 }
 

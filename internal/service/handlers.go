@@ -117,7 +117,7 @@ type cliqueQuery struct {
 	lo, hi  int
 	workers int
 	strat   repro.Strategy
-	mode    string // "", "lowmem", "wah"
+	mode    string // "" and "lowmem" (the default policy), "store", "wah"
 	small   bool
 	rep     repro.Representation
 	repSet  bool
@@ -195,8 +195,8 @@ func (q cliqueQuery) options() []repro.Option {
 		opts = append(opts, repro.WithWorkers(q.workers), repro.WithStrategy(q.strat))
 	}
 	switch q.mode {
-	case "lowmem":
-		opts = append(opts, repro.WithLowMemory())
+	case "store":
+		opts = append(opts, repro.WithStoredBitmaps())
 	case "wah":
 		opts = append(opts, repro.WithCompressedBitmaps())
 	}

@@ -136,13 +136,16 @@ func TestStreamParityAcrossBackendsAndCache(t *testing.T) {
 
 	// A different execution policy maps to the same cache key on
 	// purpose — the backends are parity-pinned — so exercise the
-	// parallel and low-memory backends on a cache-disabled server.
+	// parallel backends and every bitmap policy spelling on a
+	// cache-disabled server.
 	_, ts2 := newServer(t, service.Config{CacheBytes: -1})
 	fp2 := loadGraph(t, ts2, upload)
 	for _, q := range []string{
 		"workers=3&strategy=affinity",
 		"workers=2&strategy=contiguous",
 		"mode=lowmem",
+		"mode=store",
+		"mode=wah",
 	} {
 		status, cache, body = get(t, ts2.URL+"/graphs/"+fp2+"/cliques?format=text&lo=3&"+q)
 		if status != http.StatusOK || cache != "miss" {

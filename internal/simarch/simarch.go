@@ -64,19 +64,15 @@ func (t *Trace) UnitsPerSecond() float64 {
 	return float64(t.TotalUnits+t.SeedUnits) / t.WallSeconds
 }
 
-// Collect runs the Clique Enumerator sequentially with instrumentation
-// and returns the cost trace.  lo/hi follow core.Options semantics.
-func Collect(g *graph.Graph, lo, hi int) (*Trace, error) {
-	return CollectMode(g, lo, hi, false)
-}
-
-// CollectMode is Collect with an explicit memory mode: recompute=true
-// runs the enumerator in its low-memory variant (prefix common-neighbor
-// bitmaps rebuilt instead of stored), which is how the largest paper-
-// scale traces (Init_K = 3 on graph C) fit on hosts far below 2 TB.  The
-// recorded costs then include the extra AND work of that mode, exactly as
-// a real machine running it would.
-func CollectMode(g *graph.Graph, lo, hi int, recompute bool) (*Trace, error) {
+// CollectMode runs the Clique Enumerator sequentially with
+// instrumentation, in the given bitmap mode, and returns the cost trace;
+// lo/hi follow core.Options semantics.  core.CNStore is the machine the
+// paper measured (a bitmap resident per sub-list, no rebuild ANDs): the
+// traces behind its figures name it.  The default core.CNRecompute is
+// how the largest paper-scale traces (Init_K = 3 on graph C) fit on
+// hosts far below 2 TB; the recorded costs and level bytes are those of
+// the mode run, exactly as a real machine running it would see them.
+func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	if lo == 0 {
 		lo = 2
 	}
@@ -96,10 +92,6 @@ func CollectMode(g *graph.Graph, lo, hi int, recompute bool) (*Trace, error) {
 		}
 	})
 
-	mode := core.CNStore
-	if recompute {
-		mode = core.CNRecompute
-	}
 	var lvl *core.Level
 	if lo <= 2 {
 		lvl = core.SeedFromEdgesMode(g, mode)

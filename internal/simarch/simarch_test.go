@@ -19,7 +19,7 @@ func traceGraph(seed int64) *graph.Graph {
 
 func collect(t *testing.T, g *graph.Graph, lo, hi int) *Trace {
 	t.Helper()
-	tr, err := Collect(g, lo, hi)
+	tr, err := CollectMode(g, lo, hi, core.CNRecompute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +99,10 @@ func TestCollectSeeded(t *testing.T) {
 
 func TestCollectErrors(t *testing.T) {
 	g := graph.New(4)
-	if _, err := Collect(g, 1, 0); err == nil {
+	if _, err := CollectMode(g, 1, 0, core.CNRecompute); err == nil {
 		t.Error("lo=1 accepted")
 	}
-	if _, err := Collect(g, 5, 4); err == nil {
+	if _, err := CollectMode(g, 5, 4, core.CNRecompute); err == nil {
 		t.Error("hi < lo accepted")
 	}
 }

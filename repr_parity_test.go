@@ -108,12 +108,39 @@ func TestRepresentationBackendParity(t *testing.T) {
 					}
 				})
 			}
-			// CN-mode variation: the low-memory and compressed-bitmap
-			// candidate modes must agree on every representation too.
+			// CN-mode variation.  The backend rows above run the default
+			// policy, so the zero-option run must be the low-memory one on
+			// this representation too: the baseline's stream at a governor
+			// peak under the stored-bitmap run's.
 			t.Run(fmt.Sprintf("seed%d/%v/lowmem", seed, rep), func(t *testing.T) {
-				got := collectCliques(t, g, repro.WithBounds(3, 0), repro.WithLowMemory())
+				var def, stored repro.Stats
+				got := collectCliques(t, g, repro.WithBounds(3, 0), repro.WithStats(&def))
 				if !sameCliqueStreams(baseline, got) {
 					t.Error("low-memory clique stream diverges")
+				}
+				collectCliques(t, g, repro.WithBounds(3, 0), repro.WithStoredBitmaps(), repro.WithStats(&stored))
+				if def.PeakBytes >= stored.PeakBytes {
+					t.Errorf("default peak %d is not below the stored-bitmap peak %d", def.PeakBytes, stored.PeakBytes)
+				}
+			})
+			// The paper's stored bitmaps must stream the same bytes from
+			// every engine that holds a level in memory; the hybrid budget
+			// sits halfway up the sequential run's candidate peak, a
+			// mid-run trip.
+			t.Run(fmt.Sprintf("seed%d/%v/store", seed, rep), func(t *testing.T) {
+				var st repro.Stats
+				run := func(name string, opts ...repro.Option) {
+					opts = append(opts, repro.WithBounds(3, 0), repro.WithStoredBitmaps(), repro.WithStats(&st))
+					if got := collectCliques(t, g, opts...); !sameCliqueStreams(baseline, got) {
+						t.Errorf("%s: stored-bitmap clique stream diverges", name)
+					}
+				}
+				run("sequential")
+				budget := g.Bytes() + (st.PeakBytes-g.Bytes())/2
+				run("pool", repro.WithWorkers(3), repro.WithStrategy(repro.Affinity))
+				run("hybrid", repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(budget))
+				if st.SpilledAtLevel == 0 {
+					t.Errorf("hybrid: budget %d never spilled (peak %d)", budget, st.PeakBytes)
 				}
 			})
 			t.Run(fmt.Sprintf("seed%d/%v/compressedCN", seed, rep), func(t *testing.T) {

@@ -73,7 +73,7 @@ echo "smoke-cliqued: cache hit, replay identical"
 echo "smoke-cliqued: killing a client mid-stream"
 # head exits after one small read; the broken pipe kills curl and the
 # server sees the disconnect while the enumeration is still running.
-curl -s -N "$base/graphs/$fp/cliques?format=text&lo=3&mode=lowmem" | head -c 200 >/dev/null || true
+curl -s -N "$base/graphs/$fp/cliques?format=text&lo=3&mode=store" | head -c 200 >/dev/null || true
 
 ok=""
 for _ in $(seq 1 100); do

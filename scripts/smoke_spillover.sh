@@ -30,10 +30,13 @@ cliques "$workdir/ref.out" >"$workdir/ref.cliques"
 [ -s "$workdir/ref.cliques" ] || { echo "smoke-spillover: reference emitted no cliques" >&2; exit 1; }
 echo "smoke-spillover: reference delivered $(wc -l <"$workdir/ref.cliques") cliques"
 
-# The graph-A unconstrained peak is ~21 MB on this generator; a 400 KB
-# budget comfortably exceeds the CSR adjacency (~100 KB) yet trips a few
-# levels in — a genuine mid-run spill, not an immediate one.
-budget=400000
+# The budget is half of what the reference run itself peaked at: well
+# above the CSR adjacency (~100 KB of it), so the governor trips a few
+# levels in — a genuine mid-run spill, not an immediate one — whatever
+# the bitmap policy in force makes a level weigh.
+peak=$(sed -n 's/^  governor peak: \([0-9]*\) bytes.*/\1/p' "$workdir/ref.out")
+[ -n "$peak" ] || { echo "smoke-spillover: reference printed no governor peak" >&2; exit 1; }
+budget=$((peak / 2))
 
 check_run() {
     name=$1; shift

@@ -3,10 +3,18 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/bitset"
+	"repro/internal/clique"
+	"repro/internal/core"
+	"repro/internal/expt"
+	"repro/internal/hybrid"
+	"repro/internal/membudget"
 )
 
 // TestHybridSpilloverParityAcrossRepresentations is the PR's acceptance
@@ -24,19 +32,26 @@ func TestHybridSpilloverParityAcrossRepresentations(t *testing.T) {
 		}
 		for _, rep := range []repro.Representation{repro.Dense, repro.CSR, repro.Compressed} {
 			// The governor charges the representation's adjacency bytes
-			// first, so the mid-run trip point is budgeted on top of them.
+			// first, so the trip points are budgeted on top of them: a half,
+			// a quarter and an eighth of what this graph's unbudgeted run
+			// peaks at above them — mid-run to almost immediate, whatever a
+			// level weighs under the bitmap policy in force.
 			conv, err := repro.ConvertGraph(g, rep)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var free repro.Stats
+			stream(t, repro.NewEnumerator(repro.WithBounds(3, 0),
+				repro.WithGraphRepresentation(rep), repro.WithStats(&free)), g)
+			above := free.PeakBytes - conv.Bytes()
 			for _, workers := range []int{1, 3} {
-				for _, extra := range []int64{1, 2048} { // immediate and mid-run trips
+				for _, div := range []int64{2, 4, 8} {
 					var st repro.Stats
 					opts := []repro.Option{
 						repro.WithBounds(3, 0),
 						repro.WithGraphRepresentation(rep),
 						repro.WithSpillover(t.TempDir()),
-						repro.WithMemoryBudget(conv.Bytes() + extra),
+						repro.WithMemoryBudget(conv.Bytes() + above/div),
 						repro.WithStats(&st),
 					}
 					if workers > 1 {
@@ -44,18 +59,18 @@ func TestHybridSpilloverParityAcrossRepresentations(t *testing.T) {
 					}
 					got := stream(t, repro.NewEnumerator(opts...), g)
 					if len(got) != len(want) {
-						t.Fatalf("seed %d rep %s workers %d extra %d: %d cliques, want %d (backend %s)",
-							seed, rep, workers, extra, len(got), len(want), st.Backend)
+						t.Fatalf("seed %d rep %s workers %d budget P/%d: %d cliques, want %d (backend %s)",
+							seed, rep, workers, div, len(got), len(want), st.Backend)
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Fatalf("seed %d rep %s workers %d extra %d: stream diverges at %d",
-								seed, rep, workers, extra, i)
+							t.Fatalf("seed %d rep %s workers %d budget P/%d: stream diverges at %d",
+								seed, rep, workers, div, i)
 						}
 					}
 					if st.SpilledAtLevel == 0 {
-						t.Errorf("seed %d rep %s workers %d extra %d: never spilled (backend %s, peak %d)",
-							seed, rep, workers, extra, st.Backend, st.PeakBytes)
+						t.Errorf("seed %d rep %s workers %d budget P/%d: never spilled (backend %s, peak %d of %d)",
+							seed, rep, workers, div, st.Backend, st.PeakBytes, free.PeakBytes)
 					}
 					if !strings.HasPrefix(st.Backend, "hybrid(") || !strings.Contains(st.Backend, "out-of-core@") {
 						t.Errorf("spilled run's backend = %q", st.Backend)
@@ -66,6 +81,153 @@ func TestHybridSpilloverParityAcrossRepresentations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// footprintSpec is the fixture of the two footprint tests below: graph C
+// at scale 0.6 (cliqued-mix's input), whose candidate levels weigh
+// several times its adjacency.
+var footprintSpec = expt.SpecC.Scale(0.6)
+
+// tripStep replays g's enumeration in core and returns the most one
+// sub-list join adds to the ledger: kept, the candidate bytes it retains
+// — what the sequential engine, which polls the budget before every
+// join, can overshoot it by — and window, the same plus the 8 bytes a
+// vertex the pool charges for the join's emission copies until their
+// in-order release.
+func tripStep(g repro.GraphInterface, lo int) (kept, window int64) {
+	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	lvl, _ := core.Seed(g, lo, core.CNRecompute, false, nil)
+	var emitted int64
+	r := clique.ReporterFunc(func(c clique.Clique) { emitted += 8 * int64(len(c)) })
+	for len(lvl.Sub) > 0 {
+		b.Reset()
+		for _, s := range lvl.Sub {
+			before := b.NewBytes
+			emitted = 0
+			b.ProcessSubList(s, r)
+			kept = max(kept, b.NewBytes-before)
+			window = max(window, b.NewBytes-before+emitted)
+		}
+		lvl = &core.Level{K: lvl.K + 1, Sub: b.Next}
+	}
+	return kept, window
+}
+
+// TestSpillStaysInsideBudget pins what a budget means once a run spills:
+// the governor's peak is the budget plus the in-core engine's trip
+// granularity plus the minimum the drain cannot work without — never the
+// level-sized I/O buffers the spill path used to take on top of it.  The
+// run is driven below the facade so the test owns the governor: charged
+// with the adjacency bytes first, as the facade does, and checked back at
+// exactly that when the run is over.  Budgets sit a half, a quarter and
+// an eighth of the way from there to the unbudgeted peak.
+//
+// The bounds, from how the engines poll the trip predicate:
+//
+//   - 1 worker: budget + kept + 4 KiB + one bitmap.  The builder polls
+//     before every join, so Used passes the budget by at most one join's
+//     retained candidates; the drain then opens its level writer at the
+//     4 KiB floor (nothing is left to share) before the first head
+//     sub-list is released, and its builder — which takes the place of
+//     the engine's, released just before — may memoise one prefix row
+//     more than that one had reached.
+//   - W workers: budget + W·window + 4 KiB + one bitmap.  Every pool
+//     worker polls before every join and may be inside one at the trip;
+//     its retained candidates and buffered emissions are the window.
+//
+// After the drain both levels are off the ledger and each step's
+// buffers share the headroom it starts with (ooc bufShare), so the
+// out-of-core phase adds nothing on top.
+func TestSpillStaysInsideBudget(t *testing.T) {
+	const minBuf = 4 << 10
+	for _, rep := range []repro.Representation{repro.Dense, repro.CSR, repro.Compressed} {
+		g, err := repro.ConvertGraph(expt.Build(footprintSpec, 1), rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := g.Bytes()
+		kept, window := tripStep(g, 3)
+		floor := minBuf + int64((g.N()+63)/64*8)
+		run := func(budget int64, workers int, compress bool) (*hybrid.Result, *membudget.Governor, []string) {
+			t.Helper()
+			gov := membudget.New(budget)
+			gov.Charge(entry)
+			dir := t.TempDir()
+			var keys []string
+			res, err := hybrid.Enumerate(g, hybrid.Options{
+				Lo: 3, Workers: workers, Dir: dir, Compress: compress, Gov: gov,
+				Reporter: clique.ReporterFunc(func(c clique.Clique) { keys = append(keys, c.Key()) }),
+			})
+			if err != nil {
+				t.Fatalf("%s budget %d workers %d compress %v: %v", rep, budget, workers, compress, err)
+			}
+			if gov.Used() != entry {
+				t.Errorf("%s budget %d workers %d compress %v: governor at %d after the run, entered at %d",
+					rep, budget, workers, compress, gov.Used(), entry)
+			}
+			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+				t.Errorf("%s budget %d workers %d compress %v: spill directory not empty (%d entries, err %v)",
+					rep, budget, workers, compress, len(left), err)
+			}
+			return res, gov, keys
+		}
+		_, free, want := run(0, 1, false)
+		above := free.Peak() - entry
+		for _, workers := range []int{1, 3} {
+			allow := kept + floor
+			if workers > 1 {
+				allow = int64(workers)*window + floor
+			}
+			for _, div := range []int64{2, 4, 8} {
+				budget := entry + above/div
+				for _, compress := range []bool{false, true} {
+					res, gov, got := run(budget, workers, compress)
+					if res.SpilledAtLevel == 0 {
+						t.Errorf("%s P/%d workers %d compress %v: never spilled", rep, div, workers, compress)
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s P/%d workers %d compress %v: stream differs from the unbudgeted run's", rep, div, workers, compress)
+					}
+					if over := gov.Peak() - budget; over > allow {
+						t.Errorf("%s P/%d workers %d compress %v: peak %d is %d over the budget %d, allowed %d",
+							rep, div, workers, compress, gov.Peak(), over, budget, allow)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDefaultFootprint: the zero-option run is the small one.  It peaks
+// at exactly what the engine below the facade peaks at when memoised
+// reconstruction is named explicitly, at no more than a third of the
+// paper's stored-bitmap policy, and all three stream the same bytes.
+func TestDefaultFootprint(t *testing.T) {
+	g := expt.Build(footprintSpec, 1)
+	var def, stored repro.Stats
+	want := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0), repro.WithStats(&def)), g)
+	got := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0), repro.WithStoredBitmaps(), repro.WithStats(&stored)), g)
+	if !slices.Equal(got, want) {
+		t.Error("stored-bitmap stream differs from the default's")
+	}
+	gov := membudget.New(0)
+	gov.Charge(g.Bytes()) // the facade's entry charge
+	defer gov.Release(g.Bytes())
+	var memo []string
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Mode: core.CNRecompute, Gov: gov,
+		Reporter: clique.ReporterFunc(func(c clique.Clique) { memo = append(memo, c.Key()) }),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(memo, want) {
+		t.Error("explicit memoised stream differs from the default's")
+	}
+	if def.PeakBytes != gov.Peak() {
+		t.Errorf("default PeakBytes %d, explicit memoised mode peaks at %d", def.PeakBytes, gov.Peak())
+	}
+	if 3*def.PeakBytes > stored.PeakBytes {
+		t.Errorf("default PeakBytes %d is more than a third of the stored-bitmap run's %d", def.PeakBytes, stored.PeakBytes)
 	}
 }
 
