@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench bench-pair loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench bench-pair loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -13,6 +13,15 @@ build:
 # overwrite the committed benchmark/benchmark binary.
 vet-benchmark:
 	$(GO) vet -C benchmark ./...
+
+# The harness is also a second, frozen client of internal/core and
+# internal/parallel: its traced runs drive the seeders, core.Step and
+# Pool.RunLevel themselves and keep a charge/release ledger of their own.
+# Its tests run all six workloads, traced and untraced, on tiny inputs
+# (about 6 s), so an engine change that still compiles but breaks the
+# harness's use of it fails here and not in the next benchmark run.
+test-benchmark:
+	$(GO) test -C benchmark ./...
 
 # Fails if any file needs reformatting (CI gate); use fmt-fix to apply.
 fmt:
@@ -56,11 +65,14 @@ lint-vet:
 test:
 	$(GO) test ./...
 
-# Ten seconds of coverage-guided fuzzing of the shard decoder — the one
-# parser that reads bytes a crash, a full disk or another process may
-# have left behind: an error or a valid record stream, never a panic.
+# Ten seconds of coverage-guided fuzzing each of the two record decoders:
+# the shard decoder — the one parser that reads bytes a crash, a full
+# disk or another process may have left behind: an error or a valid
+# record stream, never a panic — and the in-memory level block, the same
+# record shape in whole words.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
+	$(GO) test -fuzz=FuzzLevelBlock -fuzztime=10s ./internal/core
 
 # Race-detect the concurrency-heavy packages (full -race ./... is run
 # in CI nightly-style via `make race-all` if ever needed), plus the
@@ -140,4 +152,4 @@ loc:
 
 check: fmt vet lint test
 
-ci: fmt vet lint lint-audit build vet-benchmark test fuzz-smoke race race-repr bench examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity
+ci: fmt vet lint lint-audit build vet-benchmark test test-benchmark fuzz-smoke race race-repr bench examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity

@@ -74,8 +74,8 @@ type Stats struct {
 	Levels []LevelStats
 	// PeakBytes is the memory governor's high-water mark: the largest
 	// byte total the run ever declared resident across every layer —
-	// graph adjacency, paper-formula candidate storage, worker scratch,
-	// spill I/O buffers.  Reported by every backend, budgeted or not.
+	// graph adjacency, the candidate levels' blocks, worker scratch, spill
+	// I/O buffers.  Reported by every backend, budgeted or not.
 	PeakBytes int64
 	// SpilledAtLevel is the clique size the hybrid backend was
 	// generating when its governor tripped and the run went out-of-core
@@ -123,7 +123,7 @@ type LevelStats struct {
 	Cliques       int64 // candidate cliques consumed
 	Maximal       int64 // maximal (FromK+1)-cliques the backend reported
 	ResidentBytes int64 // in-core: resident candidate bytes; ooc: level file bytes
-	Transfers     int   // parallel: sub-lists processed off their home worker
+	Transfers     int   // parallel: level blocks processed off their home worker
 }
 
 // Enumerator is the single entry point to maximal clique enumeration: one
@@ -315,8 +315,8 @@ func WithDistributed(workers int, dir string, knobs ...DistOption) Option {
 
 // WithMemoryBudget sets the run's memory governor budget: the bound on
 // everything the run declares resident — the graph representation's
-// adjacency bytes, the paper-formula candidate storage, worker scratch,
-// and spill I/O buffers.  On the in-core backends (sequential, parallel)
+// adjacency bytes, the candidate levels' blocks, worker scratch, and
+// spill I/O buffers.  On the in-core backends (sequential, parallel)
 // exceeding it aborts with core.ErrMemoryBudget — the in-library
 // analogue of the paper's graph-B blow-up termination.
 // Combined with a spill directory (WithOutOfCore or WithSpillover) it

@@ -1,28 +1,28 @@
 package core
 
-// Level storage arena: a chunked bump allocator with generation
-// recycling for the per-sub-list slices (prefixes, tails) and SubList
-// headers a Builder retains.  The enumeration's level discipline — at
-// most two levels resident, a consumed level dies at the next step
-// boundary — makes lifetimes fully deterministic, so the storage never
-// needs to reach the garbage collector at all:
+// Level storage arena: a chunked allocator with generation recycling for
+// what a Builder's block sink retains — the chunks its blocks' words are
+// written into, and the side slabs of the stored-bitmap modes.  The
+// enumeration's level discipline — at most two levels resident, a
+// consumed level dies at the next step boundary — makes lifetimes fully
+// deterministic, so the storage never needs to reach the garbage
+// collector at all:
 //
 //   - Every allocation made while generating level k+1 belongs to one
 //     generation.  The produced level is read while level k+2 is
 //     generated, and is dead before level k+3 starts.
 //   - Every Builder driver (sequential Step, the streaming and barrier
 //     worker pools, hybrid, simarch) calls Reset exactly once per level,
-//     so Reset is the generation boundary: blocks that served the level
+//     so Reset is the generation boundary: chunks that served the level
 //     before last are provably dead and join the free list.
 //
-// Recycling changes the physical allocator, not the accounting: a
-// retained sub-list's paper-formula bytes are still charged against the
-// memory governor exactly once, in keep, and released when its level is
-// consumed — the arena's steady-state block footprint is the recycled
-// capacity behind those charges, never a second ledger entry.  Trip and
-// cancel paths are safe by construction: a builder that stops mid-run
-// never Resets again, so the frontier levels it leaves behind keep
-// their storage.
+// Recycling changes the physical allocator, not the accounting: a sealed
+// block's bytes are charged against the memory governor exactly once,
+// when it is sealed, and released when its level is consumed — the
+// arena's steady-state footprint is the recycled capacity behind those
+// charges, never a second ledger entry.  Trip and cancel paths are safe
+// by construction: a builder that stops mid-run never Resets again, so
+// the frontier levels it leaves behind keep their storage.
 
 // arena is one generation-recycled block allocator.  minLen seeds the
 // doubling schedule (tiny graphs stay tiny); maxLen caps the steady-
@@ -49,6 +49,16 @@ func (a *arena[T]) alloc(n int) []T {
 	s := a.active[:n:n]
 	a.active = a.active[n:]
 	return s
+}
+
+// chunk hands out a whole block with room for at least n elements; the
+// caller allocates inside it by itself (the block sink writes records
+// straight into it).
+func (a *arena[T]) chunk(n int) []T {
+	a.refill(n)
+	c := a.active
+	a.active = nil
+	return c
 }
 
 // refill installs a block with room for n elements: a recycled one when

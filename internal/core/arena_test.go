@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -28,17 +29,17 @@ func runLevels(g *graph.Graph, seed *Level, b *Builder) (retained int) {
 	lvl := seed
 	for len(lvl.Sub) > 0 {
 		next, _ := Step(g, lvl, nil, b)
-		retained += len(next.Sub)
+		retained += next.Sublists()
 		lvl = next
 	}
 	return retained
 }
 
-// TestLevelLoopAllocs pins the arena guarantee: once the free lists are
-// warm, a full level loop allocates O(levels) — the Level headers Step
-// returns — instead of three heap objects (header, prefix, tails) per
-// retained sub-list.  Recompute mode isolates the level storage itself
-// from bitmap-pool and WAH-compression churn.
+// TestLevelLoopAllocs pins the block store's guarantee: once the free
+// lists are warm, a full level loop allocates the Level header Step
+// returns per level and nothing else — no header per retained sub-list,
+// no growth of a sub-list index.  Recompute mode isolates the level
+// storage itself from bitmap-pool and WAH-compression churn.
 func TestLevelLoopAllocs(t *testing.T) {
 	g := arenaTestGraph()
 	seed := SeedFromEdgesMode(g, CNRecompute)
@@ -52,40 +53,44 @@ func TestLevelLoopAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		runLevels(g, seed, b)
 	})
-	// One *Level per Step plus slack for a rare block-schedule step; the
-	// pre-arena implementation allocated 3x per retained sub-list
-	// (hundreds per run).
-	if allocs > 32 {
-		t.Errorf("level loop allocates %.0f objects per run with warm arenas (retained %d sub-lists); want <= 32",
+	// One *Level per Step (the graph runs seven levels); the pointer-per-
+	// sub-list store needed 32 with its headers recycled, hundreds
+	// without.
+	if allocs > 8 {
+		t.Errorf("level loop allocates %.0f objects per run with warm arenas (retained %d sub-lists); want <= 8",
 			allocs, retained)
 	}
+	t.Logf("%.0f allocs/run, %d sub-lists retained", allocs, retained)
 }
 
 // TestArenaLedgerChargesOnce pins the accounting contract of recycling:
-// a retained sub-list's paper-formula bytes are charged to the governor
-// exactly once, whether its storage came from a fresh block or a
-// recycled one, and every charge is released by the level loop — so a
-// second run on warm (fully recycled) arenas shows the same peak and
-// the ledger returns to zero both times.
+// a sealed block's bytes are charged to the governor exactly once,
+// whether its words lie in a fresh chunk or a recycled one, and every
+// charge is released by the level loop — so a second run on warm (fully
+// recycled) arenas shows the same peak and the ledger returns to zero
+// both times.
 func TestArenaLedgerChargesOnce(t *testing.T) {
 	g := arenaTestGraph()
 	seed := SeedFromEdgesMode(g, CNRecompute)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 	// The prefix memo is builder scratch, not level storage: grown up
-	// front and uncharged, the ledger below sees sub-lists only.
+	// front and uncharged, the ledger below sees blocks only.
 	b.growMemo(g.N())
 
 	run := func() (peak int64) {
 		gov := membudget.New(0) // unlimited: observe, never trip
 		b.Gov = gov
 		lvl := seed
-		gov.Charge(lvl.Bytes(g.N()))
+		gov.Charge(lvl.Bytes())
 		for len(lvl.Sub) > 0 {
 			next, st := Step(g, lvl, nil, b)
+			if st.NextBytes != next.Bytes() {
+				t.Fatalf("level %d: step reports %d produced bytes, its blocks sum to %d", next.K, st.NextBytes, next.Bytes())
+			}
 			gov.Release(st.Bytes)
 			lvl = next
 		}
-		gov.Release(lvl.Bytes(g.N()))
+		gov.Release(lvl.Bytes())
 		if used := gov.Used(); used != 0 {
 			t.Fatalf("governor ledger unbalanced after run: used = %d", used)
 		}
@@ -93,12 +98,12 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 	}
 
 	cold := run()
-	blocksAfterCold := b.u32s.blocks() + b.subs.blocks()
+	blocksAfterCold := b.sink.chunks.blocks()
 	warm := run()
 	if cold != warm {
 		t.Errorf("peak differs between cold (%d) and warm (%d) arenas: recycled storage is not charged once", cold, warm)
 	}
-	if grown := b.u32s.blocks() + b.subs.blocks(); grown > blocksAfterCold {
+	if grown := b.sink.chunks.blocks(); grown > blocksAfterCold {
 		t.Errorf("arena grew from %d to %d blocks on an identical warm run; free lists are not recycling",
 			blocksAfterCold, grown)
 	}
@@ -107,8 +112,8 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 // TestArenaLag2Liveness pins the recycling lag: the storage of a
 // produced level must stay intact while the NEXT level is generated
 // (one further Reset), because that is exactly when the driver loops
-// read it.  The sub-lists captured at each step are re-validated right
-// before the step that consumes them.
+// read it.  The words of every block are captured at each step and
+// compared again after the step that consumed them.
 func TestArenaLag2Liveness(t *testing.T) {
 	g := arenaTestGraph()
 	seed := SeedFromEdgesMode(g, CNRecompute)
@@ -119,36 +124,17 @@ func TestArenaLag2Liveness(t *testing.T) {
 		// Snapshot the current level's contents, step (which Resets once
 		// and reads lvl), and verify the snapshot never changed beneath
 		// the consuming loop.
-		type snap struct {
-			prefix []uint32
-			tails  []uint32
+		blocks := lvl.Sub
+		snaps := make([][]uint32, len(blocks))
+		for i := range blocks {
+			snaps[i] = slices.Clone(blocks[i].Words())
 		}
-		snaps := make([]snap, len(lvl.Sub))
-		for i, s := range lvl.Sub {
-			snaps[i] = snap{
-				prefix: append([]uint32(nil), s.Prefix...),
-				tails:  append([]uint32(nil), s.Tails...),
-			}
-		}
-		subs := lvl.Sub
 		next, _ := Step(g, lvl, nil, b)
-		for i, s := range subs {
-			if !equalU32(s.Prefix, snaps[i].prefix) || !equalU32(s.Tails, snaps[i].tails) {
-				t.Fatalf("level k=%d sub-list %d mutated while being consumed", lvl.K, i)
+		for i := range blocks {
+			if !slices.Equal(blocks[i].Words(), snaps[i]) {
+				t.Fatalf("level k=%d block %d mutated while being consumed", lvl.K, i)
 			}
 		}
 		lvl = next
 	}
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,0 +1,625 @@
+package core
+
+import (
+	"fmt"
+	"iter"
+	"unsafe"
+
+	"repro/internal/bitset"
+	"repro/internal/membudget"
+	"repro/internal/wah"
+)
+
+// The level store.  A level is an ordered list of blocks; a block is one
+// contiguous []uint32 holding sub-lists as front-coded records — the
+// shape the out-of-core codec writes to disk (lcp | suffix | tails),
+// kept in memory as whole words:
+//
+//	header   lcp in bits 0-7, tail count in bits 8-23, bits 24-31 zero
+//	[lcp]    one word, present when the lcp field reads lcpEscape
+//	[count]  one word, present when the count field reads tailEscape
+//	suffix   the prefix vertices past the first lcp, k-1-lcp words
+//	tails    count words
+//
+// lcp is the number of leading prefix vertices the record takes over
+// from the record before it in the block; the first record of a block
+// stores 0, so every block decodes by itself and is the unit of pool
+// dispatch, of governor charge and of the hybrid drain.  A record with
+// lcp 0 starts a *run*.  Runs start where the stream says so, never
+// where an engine happened to cut its work: a join's output starts a run
+// exactly where its input did (the carry rule in blockSink.append) or
+// where runWords of output have accumulated since the last start, so the
+// words of a level are one function of the graph and the bounds,
+// whatever engine, worker count or schedule produced them.  How the
+// runs are grouped into blocks is the producer's business and changes no
+// word.
+
+const (
+	lcpEscape  = 0xff
+	tailEscape = 0xffff
+
+	// runWords is the most output a join front-codes against one run
+	// start before it starts the next: the restart spells a whole prefix
+	// again (about 2 % of the peak level on the paper's graph C), and
+	// buys a place where a block may be cut.
+	runWords = 1 << 9
+
+	// The chunk schedule of the level store: blocks are carved from
+	// chunks that double from 2 KiB to 32 KiB, so tiny graphs carry tiny
+	// levels while genome-scale ones settle on a handful of 32 KiB chunks
+	// per generation.
+	minChunkWords = 1 << 9
+	maxChunkWords = 1 << 13
+
+	// MaxBlockBytes is the most a sealed block charges at once, a single
+	// record larger than a chunk aside: the granularity at which a
+	// producing engine notices a tripped budget.
+	MaxBlockBytes = 4 * maxChunkWords
+
+	// sideBytes is what one side-slab entry occupies beside its payload.
+	sideBytes = 16
+)
+
+// side is one record's retained prefix bitmap in the stored-bitmap
+// modes: dense (CNStore) or WAH (CNCompress).
+type side struct {
+	cn  *bitset.Bitset
+	cnc *wah.Bitmap
+}
+
+// payload returns the bitmap bytes the entry holds.
+func (s side) payload() int64 {
+	switch {
+	case s.cn != nil:
+		return int64(s.cn.Bytes())
+	case s.cnc != nil:
+		return int64(s.cnc.CompressedBytes())
+	}
+	return 0
+}
+
+// blockCounts is what a block's header carries about its records, so
+// that no caller walks a level to size it.
+type blockCounts struct {
+	n     int   // sub-lists
+	m     int64 // cliques: Σ tails
+	pairs int64 // Σ t(t-1)/2 over the sub-lists: the tail pairs a join examines
+	cn    int64 // payload bytes of the side slab
+}
+
+func (c *blockCounts) sub(o blockCounts) {
+	c.n -= o.n
+	c.m -= o.m
+	c.pairs -= o.pairs
+	c.cn -= o.cn
+}
+
+// Block is one self-contained stretch of a level: front-coded records in
+// words, the first with lcp 0, and — in the stored-bitmap modes only — a
+// side slab holding one prefix bitmap per record.
+type Block struct {
+	words []uint32
+	side  []side
+	blockCounts
+}
+
+// Sublists returns the number of sub-lists in the block.
+func (b *Block) Sublists() int { return b.n }
+
+// Cliques returns the number of candidate cliques in the block.
+func (b *Block) Cliques() int64 { return b.m }
+
+// Bytes returns what the block occupies and the governor is charged for
+// it: its words, and the side slab with its bitmaps.
+func (b *Block) Bytes() int64 {
+	return 4*int64(len(b.words)) + sideBytes*int64(len(b.side)) + b.cn
+}
+
+// Load predicts the cost of joining the block on a graph whose bitmaps
+// are `words` words long: the pairwise tail joins plus the per-extension
+// bitmap AND work.
+func (b *Block) Load(words int64) int64 {
+	return b.pairs + (b.m-int64(b.n))*words
+}
+
+// Words returns the block's record stream.  Read-only.
+func (b *Block) Words() []uint32 { return b.words }
+
+// follows reports whether o's words start where b's end in the same
+// chunk, so that the two are one stretch of memory.
+func (b *Block) follows(o *Block) bool {
+	n := len(b.words)
+	return cap(b.words) > n && len(o.words) > 0 && &b.words[:n+1][n] == &o.words[0]
+}
+
+// Records yields the block's sub-lists in order as views valid until the
+// next one is yielded; k is the clique size of the level the block
+// belongs to.  A malformed block is a bug and panics.
+func (b *Block) Records(k int) iter.Seq[*SubList] {
+	return func(yield func(*SubList) bool) {
+		var it Iter
+		it.Reset(k, b)
+		for s := it.Next(); s != nil; s = it.Next() {
+			if !yield(s) {
+				return
+			}
+		}
+		it.mustEnd()
+	}
+}
+
+// dropBitmaps recycles the bitmaps the block's side slab still holds.
+func (b *Block) dropBitmaps(pool *bitset.Pool) {
+	for i := range b.side {
+		if cn := b.side[i].cn; cn != nil {
+			pool.Put(cn)
+		}
+		b.side[i] = side{}
+	}
+}
+
+// Cursor is a position in a level: record Rec of block Block.  The
+// cursor of a level run to completion is {len(Sub), 0}.
+type Cursor struct{ Block, Rec int }
+
+// Level is the complete set of candidate k-clique sub-lists at one step
+// of the enumeration: blocks in canonical order, none of them empty.
+type Level struct {
+	K   int // size of the cliques held
+	Sub []Block
+}
+
+// Sublists returns N[k]: the number of sub-lists held.
+func (l *Level) Sublists() int {
+	n := 0
+	for i := range l.Sub {
+		n += l.Sub[i].n
+	}
+	return n
+}
+
+// Cliques returns M[k]: the total number of candidate cliques held.
+func (l *Level) Cliques() int64 {
+	var m int64
+	for i := range l.Sub {
+		m += l.Sub[i].m
+	}
+	return m
+}
+
+// Bytes returns what the level occupies: the sum of its blocks' bytes,
+// which is what the governor was charged for them.  Arguments are
+// ignored: the blocks carry their counts, and only the frozen benchmark
+// module still passes the graph order the paper's formula needed.
+func (l *Level) Bytes(...int) int64 {
+	var b int64
+	for i := range l.Sub {
+		b += l.Sub[i].Bytes()
+	}
+	return b
+}
+
+// PaperBytes returns the paper's space formula for the level,
+// M[k]*c + N[k]*((k-1)*c + ceil(n/8) + sizeof(pointer)), the bitmap term
+// being whatever bitmaps the level really holds (none in the default
+// mode, the compressed sizes in CNCompress) — what the pointer-per-
+// sub-list store of the paper would occupy, for the tables that
+// reproduce the paper's figures.
+func (l *Level) PaperBytes() int64 {
+	var cn int64
+	for i := range l.Sub {
+		cn += l.Sub[i].cn
+	}
+	n := int64(l.Sublists())
+	return l.Cliques()*vertexBytes + n*(int64(l.K-1)*vertexBytes+pointerBytes) + cn
+}
+
+// Append adds blocks to the level, in order.  A block that lies in
+// memory right behind the level's last one is coalesced with it while
+// the two stay within maxWords words, so small neighbours of one
+// producer do not each become a unit of dispatch; the record stream is
+// unchanged either way.  It reports how many blocks the level grew by.
+func (l *Level) Append(maxWords int, blocks ...Block) (grown int) {
+	for i := range blocks {
+		b := &blocks[i]
+		if n := len(l.Sub); n > 0 {
+			last := &l.Sub[n-1]
+			if last.side == nil && b.side == nil && len(last.words)+len(b.words) <= maxWords && last.follows(b) {
+				last.words = last.words[:len(last.words)+len(b.words)]
+				last.n += b.n
+				last.m += b.m
+				last.pairs += b.pairs
+				continue
+			}
+		}
+		l.Sub = append(l.Sub, *b)
+		grown++
+	}
+	return grown
+}
+
+// Recut returns the level's records regrouped into blocks of about
+// maxWords words at most, each cut where a run starts, and the home of
+// every new block (that of the block it was cut from; nil for nil): a
+// consumer that wants finer units of dispatch than its producer sealed
+// gets them without moving a word.
+func (l *Level) Recut(maxWords int, homes []int32) (*Level, []int32) {
+	out := &Level{K: l.K}
+	var outHomes []int32
+	var it Iter
+	for bi := range l.Sub {
+		src := &l.Sub[bi]
+		piece, lo, rec := Block{}, 0, 0
+		cut := func(end int) {
+			piece.words = src.words[lo:end:end]
+			if src.side != nil {
+				piece.side = src.side[rec-piece.n : rec]
+			}
+			out.Sub = append(out.Sub, piece)
+			if homes != nil {
+				outHomes = append(outHomes, homes[bi])
+			}
+			piece, lo = Block{}, end
+		}
+		it.Reset(l.K, src)
+		for at := 0; ; at = it.pos {
+			s := it.Next()
+			if s == nil {
+				break
+			}
+			if s.LCP == 0 && at-lo >= maxWords {
+				cut(at)
+			}
+			t := int64(len(s.Tails))
+			piece.n++
+			piece.m += t
+			piece.pairs += t * (t - 1) / 2
+			if s.slot != nil {
+				piece.cn += s.slot.payload()
+			}
+			rec++
+		}
+		it.mustEnd()
+		cut(len(src.words))
+	}
+	return out, outHomes
+}
+
+// From yields the level's sub-lists in canonical order from cursor c on,
+// as views valid until the next one is yielded.
+func (l *Level) From(c Cursor) iter.Seq[*SubList] {
+	return func(yield func(*SubList) bool) {
+		skip, resumed := c.Rec, c.Rec > 0
+		for bi := c.Block; bi < len(l.Sub); bi++ {
+			for s := range l.Sub[bi].Records(l.K) {
+				if skip > 0 {
+					skip--
+					continue
+				}
+				if resumed {
+					// The consumer never saw the record before the cursor.
+					s.LCP, resumed = 0, false
+				}
+				if !yield(s) {
+					return
+				}
+			}
+			skip = 0
+		}
+	}
+}
+
+// All yields every sub-list of the level in canonical order.
+func (l *Level) All() iter.Seq[*SubList] { return l.From(Cursor{}) }
+
+// Iter decodes one block's records in order, allocation-free once its
+// prefix buffer has reached the level's depth.
+type Iter struct {
+	sub   SubList // the view Next hands out
+	words []uint32
+	pos   int
+	side  []side
+	i     int // records decoded so far
+	k1    int
+	err   error
+}
+
+// Reset points the iterator at the start of b, a block of a level of
+// k-cliques.
+func (it *Iter) Reset(k int, b *Block) {
+	it.k1 = k - 1
+	if cap(it.sub.Prefix) < it.k1 {
+		it.sub.Prefix = make([]uint32, it.k1)
+	}
+	it.sub.Prefix = it.sub.Prefix[:it.k1]
+	it.words, it.side = b.words, b.side
+	it.pos, it.i, it.err = 0, 0, nil
+}
+
+// Next returns the next record as a view valid until the following call,
+// or nil at the end of the block — or at a malformed record, which Err
+// then reports.
+//
+//repro:hotpath
+func (it *Iter) Next() *SubList {
+	w, p := it.words, it.pos
+	if p >= len(w) || it.err != nil {
+		return nil
+	}
+	h := w[p]
+	p++
+	if h>>24 != 0 {
+		return it.fail("reserved header bits set")
+	}
+	l, t := h&0xff, h>>8
+	if l == lcpEscape {
+		if p >= len(w) {
+			return it.fail("truncated header")
+		}
+		l = w[p]
+		p++
+	}
+	if t == tailEscape {
+		if p >= len(w) {
+			return it.fail("truncated header")
+		}
+		t = w[p]
+		p++
+	}
+	if uint64(l) > uint64(it.k1) || (it.i == 0 && l != 0) {
+		return it.fail("shared prefix out of range")
+	}
+	suffix := it.k1 - int(l)
+	if uint64(suffix)+uint64(t) > uint64(len(w)-p) {
+		return it.fail("truncated record")
+	}
+	s := &it.sub
+	copy(s.Prefix[l:], w[p:p+suffix])
+	p += suffix
+	end := p + int(t)
+	s.Tails = w[p:end:end]
+	s.LCP = int(l)
+	s.CN, s.CNC, s.slot = nil, nil, nil
+	if it.side != nil {
+		if it.i >= len(it.side) {
+			return it.fail("more records than side-slab entries")
+		}
+		s.slot = &it.side[it.i]
+		s.CN, s.CNC = s.slot.cn, s.slot.cnc
+	}
+	it.pos = end
+	it.i++
+	return s
+}
+
+// fail latches a decode error; out of line so Next boxes nothing.
+func (it *Iter) fail(what string) *SubList {
+	it.err = fmt.Errorf("core: malformed level block: %s (record %d, word %d)", what, it.i, it.pos)
+	return nil
+}
+
+// Err reports why Next stopped before the end of the block, if it did.
+func (it *Iter) Err() error { return it.err }
+
+// mustEnd panics unless the block decoded to its end: blocks are written
+// by blockSink only, so anything else is a bug in it.
+func (it *Iter) mustEnd() {
+	if it.err != nil {
+		panic(it.err)
+	}
+}
+
+// blockSink is the in-memory sink of the join kernel and of the seeders,
+// the twin of the Spill sink: sub-lists are appended as front-coded
+// records into arena chunks and leave as sealed blocks, each charged to
+// the governor once, when it is sealed, for what it occupies.  Chunks
+// and side slabs are recycled two generations after they were filled
+// (see arena.go); the block lists lag the same way.
+type blockSink struct {
+	gov    *membudget.Governor
+	chunks arena[uint32]
+	sides  arena[side]
+
+	buf []uint32 // the active chunk
+	lo  int      // where the open block starts in buf
+	run int      // where the open run — the last record with lcp 0 — starts
+	pos int      // where the next record goes
+
+	open, atRun blockCounts // of the open block: now, and when the open run started
+	sideBuf     []side      // side entries of the open block
+
+	// carry is how much of its prefix the next record may take over from
+	// the record appended last: the least stored lcp among the input
+	// sub-lists consumed since then.  Sorted inputs make that the exact
+	// shared length; an input run start (lcp 0) carries over as an output
+	// run start, which is what keeps the stream independent of who joined
+	// which block.
+	carry int
+
+	out    []Block
+	retOut [2][]Block
+	prev   []uint32 // prefix of the record appended last (appendRecord only)
+}
+
+func newBlockSink(gov *membudget.Governor) blockSink {
+	return blockSink{
+		gov:    gov,
+		chunks: arena[uint32]{minLen: minChunkWords, maxLen: maxChunkWords},
+		sides:  arena[side]{minLen: 1 << 5, maxLen: 1 << 10},
+	}
+}
+
+// reset starts a new level: one arena generation on, nothing open.
+func (s *blockSink) reset() {
+	s.chunks.flip()
+	s.sides.flip()
+	old := s.retOut[1]
+	s.retOut[1] = s.retOut[0]
+	s.retOut[0] = s.out
+	s.out = old[:0]
+	s.buf, s.lo, s.run, s.pos = nil, 0, 0, 0
+	s.open, s.atRun = blockCounts{}, blockCounts{}
+	s.sideBuf = s.sideBuf[:0]
+	s.carry = 0
+}
+
+// append writes the sub-list (prefix+v, tails) behind the one appended
+// last.  sd is its bitmap in the stored-bitmap modes, the zero side
+// otherwise.
+//
+//repro:hotpath
+func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, sd side) {
+	l := s.carry
+	s.carry = len(prefix) // what the next sub-list of the same input shares
+	if s.pos-s.run >= runWords {
+		l = 0
+	}
+	if l == 0 {
+		s.run, s.atRun = s.pos, s.open
+	}
+	need := 2 + len(prefix) - l + len(tails)
+	if l >= lcpEscape {
+		need++
+	}
+	if len(tails) >= tailEscape {
+		need++
+	}
+	if s.pos+need > len(s.buf) {
+		s.grow(need)
+	}
+	buf, p := s.buf, s.pos
+	p = putHeader(buf, p, l, len(tails))
+	p += copy(buf[p:], prefix[l:])
+	buf[p] = v
+	p++
+	p += copy(buf[p:], tails)
+	s.pos = p
+	s.count(len(tails), sd)
+}
+
+// appendRecord is append for the seeders, whose sub-lists arrive with
+// whole prefixes from outside a join: the shared length is found by
+// comparison with the record appended last.
+func (s *blockSink) appendRecord(prefix, tails []uint32, sd side) {
+	l := 0
+	if len(s.prev) == len(prefix) {
+		// The last vertex is always spelled: append takes it by itself.
+		for l < len(prefix)-1 && prefix[l] == s.prev[l] {
+			l++
+		}
+	}
+	s.prev = append(s.prev[:0], prefix...)
+	s.carry = l
+	s.append(prefix[:len(prefix)-1], prefix[len(prefix)-1], tails, sd)
+}
+
+// putHeader writes a record's header at buf[p:] and returns the position
+// behind it.
+//
+//repro:hotpath
+func putHeader(buf []uint32, p, lcp, tails int) int {
+	h, at := uint32(0), p
+	p++
+	if lcp >= lcpEscape {
+		h = lcpEscape
+		buf[p] = uint32(lcp)
+		p++
+	} else {
+		h = uint32(lcp)
+	}
+	if tails >= tailEscape {
+		h |= tailEscape << 8
+		buf[p] = uint32(tails)
+		p++
+	} else {
+		h |= uint32(tails) << 8
+	}
+	buf[at] = h
+	return p
+}
+
+// count books one appended sub-list of t tails on the open block.
+//
+//repro:hotpath
+func (s *blockSink) count(t int, sd side) {
+	s.open.n++
+	s.open.m += int64(t)
+	s.open.pairs += int64(t) * int64(t-1) / 2
+	if sd.cn != nil || sd.cnc != nil {
+		s.open.cn += sd.payload()
+		s.sideBuf = append(s.sideBuf, sd)
+	}
+}
+
+// grow makes room for need more words: the whole runs of the open block
+// are sealed where they are, and the open run moves to the front of a
+// fresh chunk, so a block is always one stretch of memory and is cut at
+// a run start only.
+func (s *blockSink) grow(need int) {
+	s.seal(s.run, s.atRun)
+	moved := s.buf[s.run:s.pos]
+	s.buf = s.chunks.chunk(len(moved) + need)
+	s.pos = copy(s.buf, moved)
+	s.lo, s.run = 0, 0
+}
+
+// seal closes buf[lo:end], whose records are the first c of the open
+// block, as a block of the level and charges it.
+//
+//nolint:budgetpair ownership of the charge transfers with the block: the level loop releases it when the level is consumed or aborted
+func (s *blockSink) seal(end int, c blockCounts) {
+	if end == s.lo {
+		return
+	}
+	b := Block{words: s.buf[s.lo:end], blockCounts: c}
+	if len(s.sideBuf) > 0 {
+		b.side = s.sides.alloc(c.n)
+		copy(b.side, s.sideBuf)
+		s.sideBuf = s.sideBuf[:copy(s.sideBuf, s.sideBuf[c.n:])]
+	}
+	s.lo = end
+	s.open.sub(c)
+	s.atRun = blockCounts{}
+	s.out = append(s.out, b)
+	s.gov.Charge(b.Bytes())
+}
+
+// finish seals what is open and returns the blocks sealed since
+// out[from:] — all of a level for from 0, one input block's output for a
+// pool worker.  The next sub-list appended must start a run.
+func (s *blockSink) finish(from int) []Block {
+	s.seal(s.pos, s.open)
+	s.run, s.carry, s.prev = s.pos, 0, s.prev[:0]
+	return s.out[from:len(s.out):len(s.out)]
+}
+
+// abandon forgets everything appended since out[from:] was the end of
+// the list: sealed blocks are released, bitmaps recycled.  The words
+// stay where they are until their chunk is recycled.
+func (s *blockSink) abandon(from int, pool *bitset.Pool) {
+	DiscardBlocks(s.out[from:], s.gov, pool)
+	s.out = s.out[:from]
+	for _, sd := range s.sideBuf {
+		if sd.cn != nil {
+			pool.Put(sd.cn)
+		}
+	}
+	s.sideBuf = s.sideBuf[:0]
+	s.lo, s.run, s.carry = s.pos, s.pos, 0
+	s.open, s.atRun = blockCounts{}, blockCounts{}
+}
+
+// BlockHeaderBytes is what one entry of a level's block list occupies
+// beside the block's words and side slab — what a holder of level lists
+// accounts for them.
+const BlockHeaderBytes = int64(unsafe.Sizeof(Block{}))
+
+// DiscardBlocks gives up blocks that will never be part of a level — the
+// output of a join beyond a stopped level's frontier: their charge is
+// released and their bitmaps are recycled.
+func DiscardBlocks(blocks []Block, gov *membudget.Governor, pool *bitset.Pool) {
+	for i := range blocks {
+		gov.Release(blocks[i].Bytes())
+		blocks[i].dropBitmaps(pool)
+	}
+}

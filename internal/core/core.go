@@ -8,9 +8,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
-	"repro/internal/kclique"
 	"repro/internal/membudget"
-	"repro/internal/wah"
 )
 
 // ErrMemoryBudget is returned (wrapped) when enumeration exceeds the
@@ -55,12 +53,12 @@ type Options struct {
 	// future-work direction, the bitmap kept WAH-compressed at one
 	// decompression pass per sub-list.
 	Mode CNMode
-	// MemoryBudget, when positive, bounds the paper-formula byte total of
-	// the resident levels (consumed + produced); exceeding it aborts with
-	// ErrMemoryBudget.  Ignored when Gov is set.
+	// MemoryBudget, when positive, bounds the bytes of the resident levels
+	// (consumed + produced) and the builder's scratch; exceeding it aborts
+	// with ErrMemoryBudget.  Ignored when Gov is set.
 	MemoryBudget int64
 	// Gov, when non-nil, is the run's shared memory governor: the seed
-	// level and every kept sub-list are charged against it, consumed
+	// level and every sealed block are charged against it, consumed
 	// levels are released at step boundaries, and enumeration aborts
 	// with ErrMemoryBudget once it reports Over.  Callers that charge
 	// other layers into the same governor (the facade charges the graph
@@ -77,7 +75,7 @@ type Result struct {
 	MaximalCliques int64        // total maximal cliques reported (all sizes)
 	MaxCliqueSize  int          // largest maximal clique size seen
 	Levels         []LevelStats // one entry per generation step
-	PeakBytes      int64        // max paper-formula bytes resident at any step
+	PeakBytes      int64        // max level bytes (consumed + produced) resident at any step
 	TotalCost      Cost
 }
 
@@ -136,101 +134,8 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 			}
 		},
 	}
-	if err := loop.Run(g.N(), b, lvl, nil); err != nil {
+	if err := loop.Run(b, lvl, nil); err != nil {
 		return res, fmt.Errorf("core: %w", err)
 	}
 	return res, nil
-}
-
-// Seed builds the sequential seed level at size max(lo, 2), reporting
-// the maximal lo-cliques the level machinery will not regenerate (and,
-// with small set, the maximal 1-/2-cliques below it) to r.
-func Seed(g graph.Interface, lo int, mode CNMode, small bool, r clique.Reporter) (*Level, error) {
-	if lo > 2 {
-		lvl, _, err := SeedFromKMode(g, lo, mode, r)
-		return lvl, err
-	}
-	if small {
-		reportSmall(g, lo, r)
-	}
-	return SeedFromEdgesMode(g, mode), nil
-}
-
-// reportSmall emits maximal 1-cliques (when lo <= 1) and maximal
-// 2-cliques (when lo <= 2).  These sizes fall outside the sub-list join
-// machinery: a size-s maximal clique is only discovered when generated at
-// step (s-1) -> s, so the two smallest sizes need direct checks.
-func reportSmall(g graph.Interface, lo int, r clique.Reporter) {
-	if lo <= 1 {
-		for v := 0; v < g.N(); v++ {
-			if g.Degree(v) == 0 {
-				r.Emit(clique.Clique{v})
-			}
-		}
-	}
-	scratch := bitset.New(g.N())
-	graph.ForEachEdge(g, func(u, v int) bool {
-		g.Materialize(u, scratch)
-		g.Row(v).IntersectInto(scratch)
-		if scratch.None() {
-			r.Emit(clique.Clique{u, v})
-		}
-		return true
-	})
-}
-
-// SeedFromKMode builds the initial candidate level at size k using the
-// k-clique enumerator, reporting maximal k-cliques to r.  The returned
-// level holds every non-maximal k-clique, grouped into sub-lists by
-// shared (k-1)-prefix, with prefix common-neighbor bitmaps kept as mode
-// says.
-func SeedFromKMode(g graph.Interface, k int, mode CNMode, r clique.Reporter) (*Level, kclique.Stats, error) {
-	if k < 3 {
-		return nil, kclique.Stats{}, fmt.Errorf("core: SeedFromKMode requires k >= 3, got %d", k)
-	}
-	lvl := &Level{K: k}
-	var emitBuf clique.Clique
-	st := kclique.Enumerate(g, kclique.Options{
-		K: k,
-		OnGroup: func(gr kclique.Group) {
-			if r != nil {
-				for _, t := range gr.MaximalTails {
-					emitBuf = emitBuf[:0]
-					emitBuf = append(emitBuf, gr.Prefix...)
-					emitBuf = append(emitBuf, t)
-					r.Emit(emitBuf)
-				}
-			}
-			if s := sublistFromGroup(gr, mode); s != nil {
-				lvl.Sub = append(lvl.Sub, s)
-			}
-		},
-	})
-	return lvl, st, nil
-}
-
-// sublistFromGroup copies one k-clique group (whose fields are borrowed)
-// into an owned candidate sub-list, or returns nil when the paper's
-// |S| > 1 rule discards it (a lone candidate cannot join).
-func sublistFromGroup(gr kclique.Group, mode CNMode) *SubList {
-	if len(gr.CandidateTails) < 2 {
-		return nil
-	}
-	s := &SubList{
-		Prefix: make([]uint32, len(gr.Prefix)),
-		Tails:  make([]uint32, len(gr.CandidateTails)),
-	}
-	for i, p := range gr.Prefix {
-		s.Prefix[i] = uint32(p)
-	}
-	for i, t := range gr.CandidateTails {
-		s.Tails[i] = uint32(t)
-	}
-	switch mode {
-	case CNStore:
-		s.CN = gr.PrefixCN.Clone()
-	case CNCompress:
-		s.CNC = wah.Compress(gr.PrefixCN)
-	}
-	return s
 }

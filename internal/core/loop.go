@@ -20,18 +20,19 @@ type LevelEngine interface {
 }
 
 // LevelOutcome is one RunLevel's result.  When the level ran to
-// completion, Next/Homes describe the produced level and Frontier equals
-// the input sub-list count.  When the trip callback (or a context
+// completion, Next/Homes describe the produced level and Frontier is the
+// end of the input, {len(Sub), 0}.  When the trip callback (or a context
 // cancellation) stopped it early, outputs were delivered in exact
-// canonical order for inputs [0, Frontier) only: Next holds precisely
-// their surviving sub-lists, nothing beyond the frontier is retained or
-// charged, and inputs [Frontier, n) are untouched input again — the
-// consistent cut the hybrid drain resumes from.
+// canonical order for the inputs before Frontier only: Next holds
+// precisely their surviving sub-lists, nothing beyond the frontier is
+// retained or charged, and the inputs from Frontier on are untouched
+// input again — the consistent cut the hybrid drain resumes from.  The
+// sequential engine cuts at any sub-list, the pool between blocks.
 type LevelOutcome struct {
 	Next     *Level
-	Homes    []int32 // creator worker per produced sub-list (pool engine; nil otherwise)
+	Homes    []int32 // creator worker per produced block (pool engine; nil otherwise)
 	Stats    LevelStats
-	Frontier int
+	Frontier Cursor
 	Tripped  bool
 }
 
@@ -45,9 +46,9 @@ type Loop struct {
 	Hi int
 	// Gov is the run's memory governor (nil = unaccounted).  The loop
 	// owns the level charges: the seed level on entry, each consumed
-	// level released at its step boundary (kept sub-lists are charged by
-	// the builders as they are retained).  A governor with a budget is
-	// also the trip predicate the engine polls.
+	// level released at its step boundary (produced blocks are charged by
+	// the builders as they are sealed).  A governor with a budget is also
+	// the trip predicate the engine polls.
 	Gov *membudget.Governor
 	// Reporter receives the levels' maximal cliques.
 	Reporter clique.Reporter
@@ -63,25 +64,30 @@ type Loop struct {
 
 // Run is the one in-core level loop — seed charge, then per level:
 // cancellation check, engine step, observe, release — shared by the
-// sequential, parallel and hybrid entry points.  n is the graph's vertex
-// count.  On every return path the governor's Used is back at its entry
-// value (an OnTrip policy inherits that duty for the two levels it is
-// handed).
+// sequential, parallel and hybrid entry points.  On every return path the
+// governor's Used is back at its entry value (an OnTrip policy inherits
+// that duty for the two levels it is handed).
 //
 //repro:ctxloop
-func (l *Loop) Run(n int, eng LevelEngine, lvl *Level, homes []int32) error {
+func (l *Loop) Run(eng LevelEngine, lvl *Level, homes []int32) error {
 	gov := l.Gov
-	gov.Charge(lvl.Bytes(n))
+	gov.Charge(lvl.Bytes())
 	var trip func() bool
 	if gov.Budget() > 0 {
 		trip = gov.Over
 	}
 	for len(lvl.Sub) > 0 && (l.Hi == 0 || lvl.K+1 <= l.Hi) {
 		if l.Ctx != nil && l.Ctx.Err() != nil {
-			gov.Release(lvl.Bytes(n)) // retire the level before aborting
+			gov.Release(lvl.Bytes()) // retire the level before aborting
 			return fmt.Errorf("canceled before level %d->%d: %w", lvl.K, lvl.K+1, l.Ctx.Err())
 		}
 		out := eng.RunLevel(l.Ctx, lvl, homes, l.Reporter, trip)
+		if trip != nil && out.Frontier.Block == len(lvl.Sub) && trip() {
+			// The level's last blocks were charged when the engine sealed
+			// them, after its last poll: a level that ends over budget has
+			// tripped, with nothing left beyond the frontier.
+			out.Tripped = true
+		}
 		st := out.Stats
 		switch {
 		case out.Tripped && l.OnTrip != nil:
@@ -94,7 +100,7 @@ func (l *Loop) Run(n int, eng LevelEngine, lvl *Level, homes []int32) error {
 			// not distort the message.
 			gov.Release(st.Bytes + st.NextBytes)
 			return fmt.Errorf("level %d->%d: %w", lvl.K, lvl.K+1, gov.Err())
-		case out.Frontier < len(lvl.Sub):
+		case out.Frontier.Block < len(lvl.Sub):
 			// Canceled mid-level: the consumed level and the head of the
 			// next one the engine retained are both still charged.
 			gov.Release(st.Bytes + st.NextBytes)
@@ -106,6 +112,6 @@ func (l *Loop) Run(n int, eng LevelEngine, lvl *Level, homes []int32) error {
 		gov.Release(st.Bytes) // the consumed level is retired
 		lvl, homes = out.Next, out.Homes
 	}
-	gov.Release(lvl.Bytes(n)) // the final (empty or Hi-cut) level
+	gov.Release(lvl.Bytes()) // the final (empty or Hi-cut) level
 	return nil
 }

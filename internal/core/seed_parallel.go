@@ -18,11 +18,12 @@ const seedShardsPerWorker = 4
 
 // SeedFromEdgesParallel builds the size-2 seed level with `workers`
 // goroutines, each claiming contiguous anchor-vertex shards dynamically.
-// Shard outputs are concatenated in shard order, so the returned level is
-// identical to SeedFromEdgesMode.  The second return value records the
-// creator worker of every sub-list — the initial ownership the Affinity
-// strategy schedules by (previously seeding left ownership unset and the
-// first generation level silently fell back to a contiguous split).
+// Shard outputs are concatenated in shard order, so the returned level
+// holds SeedFromEdgesMode's record stream, cut into at least one block
+// per shard.  The second return value records the creator worker of
+// every block — the initial ownership the Affinity strategy schedules by
+// (previously seeding left ownership unset and the first generation
+// level silently fell back to a contiguous split).
 func SeedFromEdgesParallel(g graph.Interface, mode CNMode, workers int) (*Level, []int32) {
 	n := g.N()
 	if workers < 1 {
@@ -38,7 +39,7 @@ func SeedFromEdgesParallel(g graph.Interface, mode CNMode, workers int) (*Level,
 	}
 
 	type shardOut struct {
-		subs   []*SubList
+		blocks []Block
 		worker int32
 	}
 	outs := make([]shardOut, shards)
@@ -54,7 +55,7 @@ func SeedFromEdgesParallel(g graph.Interface, mode CNMode, workers int) (*Level,
 					return
 				}
 				from, to := n*s/shards, n*(s+1)/shards
-				outs[s] = shardOut{subs: seedEdgeRange(g, mode, from, to), worker: w}
+				outs[s] = shardOut{blocks: seedEdgeRange(g, mode, from, to), worker: w}
 			}
 		}(int32(w))
 	}
@@ -63,8 +64,8 @@ func SeedFromEdgesParallel(g graph.Interface, mode CNMode, workers int) (*Level,
 	lvl := &Level{K: 2}
 	var homes []int32
 	for _, o := range outs {
-		lvl.Sub = append(lvl.Sub, o.subs...)
-		for range o.subs {
+		lvl.Sub = append(lvl.Sub, o.blocks...)
+		for range o.blocks {
 			homes = append(homes, o.worker)
 		}
 	}
@@ -73,10 +74,11 @@ func SeedFromEdgesParallel(g graph.Interface, mode CNMode, workers int) (*Level,
 
 // SeedFromKParallel seeds the enumeration at size k >= 3 with `workers`
 // goroutines running sharded k-clique enumerations (kclique
-// Options.Shard/Shards).  Sub-lists and maximal k-clique reports are
-// merged in shard order, so output order and content match SeedFromKMode
-// exactly; the returned homes record each sub-list's creator worker for
-// the Affinity strategy.
+// Options.Shard/Shards).  Blocks and maximal k-clique reports are merged
+// in shard order, so output order and content match SeedFromKMode exactly
+// (a shard starts where the smallest vertex changes, which starts a run
+// in the sequential seed too); the returned homes record each block's
+// creator worker for the Affinity strategy.
 func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
 	if k < 3 {
 		return nil, nil, kclique.Stats{}, fmt.Errorf("core: SeedFromKParallel requires k >= 3, got %d", k)
@@ -97,7 +99,7 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 	}
 
 	type shardOut struct {
-		subs    []*SubList
+		seed    groupSink
 		maximal []clique.Clique
 		st      kclique.Stats
 		worker  int32
@@ -117,6 +119,7 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 				}
 				o := &outs[s]
 				o.worker = w
+				o.seed = groupSink{sink: newBlockSink(nil), mode: mode}
 				o.st = prepared.Enumerate(kclique.Options{
 					K:      k,
 					Shard:  s,
@@ -127,9 +130,7 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 							c = append(c, gr.Prefix...)
 							o.maximal = append(o.maximal, append(c, t))
 						}
-						if sl := sublistFromGroup(gr, mode); sl != nil {
-							o.subs = append(o.subs, sl)
-						}
+						o.seed.add(gr)
 					},
 				})
 			}
@@ -140,14 +141,16 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 	lvl := &Level{K: k}
 	var homes []int32
 	var st kclique.Stats
-	for s, o := range outs {
+	for s := range outs {
+		o := &outs[s]
 		if r != nil {
 			for _, c := range o.maximal {
 				r.Emit(c)
 			}
 		}
-		lvl.Sub = append(lvl.Sub, o.subs...)
-		for range o.subs {
+		blocks := o.seed.sink.finish(0)
+		lvl.Sub = append(lvl.Sub, blocks...)
+		for range blocks {
 			homes = append(homes, o.worker)
 		}
 		st.Maximal += o.st.Maximal

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"iter"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
@@ -16,29 +18,26 @@ func seedTestGraph(seed int64) *graph.Graph {
 }
 
 // sameSublists asserts two levels hold identical sub-lists in identical
-// order, including bitmap content.
+// order, including bitmap content — and the identical record words,
+// however they are cut into blocks.
 func sameSublists(t *testing.T, got, want *Level, n int) {
 	t.Helper()
 	if got.K != want.K {
 		t.Fatalf("K = %d, want %d", got.K, want.K)
 	}
-	if len(got.Sub) != len(want.Sub) {
-		t.Fatalf("%d sub-lists, want %d", len(got.Sub), len(want.Sub))
+	if got.Sublists() != want.Sublists() || got.Cliques() != want.Cliques() {
+		t.Fatalf("%d sub-lists / %d cliques, want %d / %d", got.Sublists(), got.Cliques(), want.Sublists(), want.Cliques())
 	}
-	for i := range want.Sub {
-		g, w := got.Sub[i], want.Sub[i]
-		if len(g.Prefix) != len(w.Prefix) || len(g.Tails) != len(w.Tails) {
-			t.Fatalf("sub-list %d shape mismatch", i)
-		}
-		for j := range w.Prefix {
-			if g.Prefix[j] != w.Prefix[j] {
-				t.Fatalf("sub-list %d prefix differs", i)
-			}
-		}
-		for j := range w.Tails {
-			if g.Tails[j] != w.Tails[j] {
-				t.Fatalf("sub-list %d tails differ", i)
-			}
+	if !slices.Equal(levelWords(got), levelWords(want)) {
+		t.Fatalf("record words differ from the sequential seed's")
+	}
+	next, stop := iter.Pull(got.All())
+	defer stop()
+	i := 0
+	for w := range want.All() {
+		g, _ := next()
+		if !slices.Equal(g.Prefix, w.Prefix) || !slices.Equal(g.Tails, w.Tails) {
+			t.Fatalf("sub-list %d: %v|%v, want %v|%v", i, g.Prefix, g.Tails, w.Prefix, w.Tails)
 		}
 		if (g.CN == nil) != (w.CN == nil) {
 			t.Fatalf("sub-list %d CN presence differs", i)
@@ -46,7 +45,17 @@ func sameSublists(t *testing.T, got, want *Level, n int) {
 		if g.CN != nil && !g.CN.Equal(w.CN) {
 			t.Fatalf("sub-list %d CN bitmap differs", i)
 		}
+		i++
 	}
+}
+
+// levelWords concatenates the level's block words: its record stream.
+func levelWords(l *Level) []uint32 {
+	var w []uint32
+	for i := range l.Sub {
+		w = append(w, l.Sub[i].Words()...)
+	}
+	return w
 }
 
 func checkHomes(t *testing.T, homes []int32, subs, workers int) {

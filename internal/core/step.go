@@ -43,16 +43,15 @@ type Builder struct {
 	mode  CNMode
 	pool  *bitset.Pool
 
-	Next     []*SubList
-	Maximal  int64
-	Cands    int64 // candidate cliques kept (Σ tails of Next)
-	Dropped  int64 // non-maximal cliques discarded from singleton sub-lists
-	Cost     Cost
-	NewBytes int64 // paper-formula bytes of Next
+	Kept    int // sub-lists retained for the next level (N[k+1] so far)
+	Maximal int64
+	Dropped int64 // non-maximal cliques discarded from singleton sub-lists
+	Cost    Cost
 
-	// Gov, when non-nil, is the run's memory governor: keep charges every
-	// retained sub-list's paper-formula bytes against it.  The governor
-	// may be shared by many builders; charges are atomic.
+	// Gov, when non-nil, is the run's memory governor: every block of the
+	// next level is charged against it when it is sealed, and every memo
+	// row when it is added.  The governor may be shared by many builders;
+	// charges are atomic.
 	Gov *membudget.Governor
 
 	// Spill, when non-nil, switches the builder to drain mode: surviving
@@ -95,17 +94,14 @@ type Builder struct {
 	memo       []*bitset.Bitset
 	memoPrefix []uint32
 
-	// Level storage arenas (see arena.go): prefix/tail slices and
-	// SubList headers are bump-allocated per generation and recycled two
-	// Resets later, when the level they back is provably dead.  The
-	// survivors of one join accumulate in tailScratch and are copied
-	// exact-size into the arena only if the sub-list is retained, so the
-	// hot loop never grows a fresh slice.  retNext recycles the Next
-	// backing arrays on the same two-generation lag.
-	u32s        arena[uint32]
-	subs        arena[SubList]
+	// The next level's store (see block.go): retained sub-lists are
+	// appended to sink as front-coded records.  The survivors of one join
+	// accumulate in tailScratch first, so a sub-list the |S| > 1 rule
+	// drops never touches the store.  iter decodes the level RunLevel
+	// consumes.
+	sink        blockSink
 	tailScratch []uint32
-	retNext     [2][]*SubList
+	iter        Iter
 }
 
 // NewBuilderMode returns a Builder generating into graph g's universe.
@@ -128,11 +124,7 @@ func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder 
 		cnBytes: words * 8,
 		scratch: bitset.New(g.N()),
 		recompu: bitset.New(g.N()),
-		// Block schedules double from a few KiB up to a cap, so tiny
-		// graphs carry tiny arenas while genome-scale levels settle on a
-		// handful of 32 KiB blocks per generation.
-		u32s: arena[uint32]{minLen: 1 << 9, maxLen: 1 << 13},
-		subs: arena[SubList]{minLen: 1 << 5, maxLen: 1 << 10},
+		sink:    newBlockSink(nil),
 	}
 	if b.matRows {
 		b.rowScratch = bitset.New(g.N())
@@ -143,25 +135,38 @@ func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder 
 // Reset clears the builder for a new level, retaining scratch storage and
 // the budget setting.  It is also the arena generation boundary: level
 // storage handed out two Resets ago backed a level that has since been
-// consumed, so its blocks (and the Next backing array of that
-// generation) are recycled here.  Callers that hold a produced Level
-// must therefore consume it within one further Reset — the discipline
-// every driver's at-most-two-levels-resident loop already follows.
+// consumed, so its chunks (and the block list of that generation) are
+// recycled here.  Callers that hold a produced Level must therefore
+// consume it within one further Reset — the discipline every driver's
+// at-most-two-levels-resident loop already follows.
 func (b *Builder) Reset() {
-	b.u32s.flip()
-	b.subs.flip()
-	old := b.retNext[1]
-	b.retNext[1] = b.retNext[0]
-	b.retNext[0] = b.Next
-	b.Next = old[:0]
+	b.sink.gov = b.Gov
+	b.sink.reset()
+	b.Kept = 0
 	b.Maximal = 0
-	b.Cands = 0
 	b.Dropped = 0
 	b.Cost = Cost{}
-	b.NewBytes = 0
 	b.Canceled = false
 	b.SpillErr = nil
 }
+
+// Level seals what the builder has retained since Reset and returns it
+// as the level of k-cliques it is.
+func (b *Builder) Level(k int) *Level {
+	return &Level{K: k, Sub: b.sink.finish(0)}
+}
+
+// Mark returns a position in the builder's output that Since and Abandon
+// refer to: the streaming pool brackets each input block with it.
+func (b *Builder) Mark() int { return len(b.sink.out) }
+
+// Since seals what is open and returns the blocks retained since mark —
+// one input block's output, self-contained, ready for in-order release.
+func (b *Builder) Since(mark int) []Block { return b.sink.finish(mark) }
+
+// Abandon forgets what was retained since mark, releasing its charges:
+// the input it came from will be joined again, or never.
+func (b *Builder) Abandon(mark int) { b.sink.abandon(mark, b.pool) }
 
 // ScratchBytes returns the resident footprint of the builder's private
 // scratch bitmaps right now — independent of any level's candidates.
@@ -182,8 +187,10 @@ func (b *Builder) ScratchBytes() int64 {
 // by ANDs over adjacency rows (the paper's memory-saving alternative).
 // The reconstruction is memoised against the previous sub-list: rows
 // below the shared prefix length are reused, so consecutive sorted
-// sub-lists cost one or two ANDs instead of k-2.  The memo depends only
-// on the graph, so any processing order is correct.
+// sub-lists cost one or two ANDs instead of k-2.  The shared length is
+// the record's lcp where its source knows one; a run start (lcp 0) is
+// compared against the memo, which depends only on the graph, so any
+// processing order is correct.
 //
 //repro:hotpath
 func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
@@ -196,9 +203,11 @@ func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 		return b.recompu
 	}
 	p := s.Prefix
-	l := 0
-	for l < len(p) && l < len(b.memoPrefix) && p[l] == b.memoPrefix[l] {
-		l++
+	l := s.LCP
+	if l == 0 {
+		for l < len(p) && l < len(b.memoPrefix) && p[l] == b.memoPrefix[l] {
+			l++
+		}
 	}
 	if len(b.memo) < len(p) {
 		b.growMemo(len(p))
@@ -244,28 +253,23 @@ func (b *Builder) growMemo(depth int) {
 // Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 	if b.SpillErr != nil {
-		if s.CN != nil {
-			b.pool.Put(s.CN)
-			s.CN = nil
-		}
+		s.takeCN(b.pool)
 		return
 	}
+	b.sink.carry = min(b.sink.carry, s.LCP)
 	prefixCN := b.prefixCN(s)
 	if b.dense != nil {
 		b.processDense(s, prefixCN, r)
 	} else {
 		b.processGeneric(s, prefixCN, r)
 	}
-	if s.CN != nil {
-		b.pool.Put(s.CN)
-		s.CN = nil
-	}
+	s.takeCN(b.pool)
 }
 
 // processDense is the inner loop over the dense bitmap backend: direct
 // row pointers, word-parallel AND and fused AND-any probes.  Survivors
-// accumulate in the builder's tail scratch; keep copies them into arena
-// storage only when the sub-list is retained.
+// accumulate in the builder's tail scratch; keep appends them to the
+// level store only when the sub-list is retained.
 //
 //repro:hotpath
 func (b *Builder) processDense(s *SubList, prefixCN *bitset.Bitset, r clique.Reporter) {
@@ -395,10 +399,9 @@ func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, prefixCN, 
 
 // keep retains the surviving candidate sub-list (prefix+v with the given
 // tails) whose common-neighbor bitmap is b.scratch, applying the paper's
-// |S_{k+1}| > 1 rule.  newTails may alias the builder's tail scratch: a
-// retained sub-list copies it exact-size into arena storage.
+// |S_{k+1}| > 1 rule.  newTails may alias the builder's tail scratch:
+// both sinks copy it.
 //
-//nolint:budgetpair ownership of the charge transfers with the kept sub-list: the level loop releases it when the produced level is consumed (Enumerate's st.Bytes release) or aborted
 //repro:hotpath
 func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 	switch {
@@ -417,43 +420,24 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 			run[len(prefix)] = uint32(v)
 			if err := b.Spill(run, newTails); err != nil {
 				b.SpillErr = err
-				return
 			}
-			b.Cands += int64(len(newTails))
 			return
 		}
-		ns := b.newSubList()
-		p := b.u32s.alloc(len(prefix) + 1)
-		copy(p, prefix)
-		p[len(prefix)] = uint32(v)
-		ns.Prefix = p
-		t := b.u32s.alloc(len(newTails))
-		copy(t, newTails)
-		ns.Tails = t
+		var sd side
 		switch b.mode {
 		case CNStore:
-			cn := b.pool.GetNoClear()
-			cn.CopyFrom(b.scratch)
-			ns.CN = cn
+			sd.cn = b.pool.GetNoClear()
+			sd.cn.CopyFrom(b.scratch)
 		case CNCompress:
-			ns.CNC = wah.Compress(b.scratch)
+			sd.cnc = wah.Compress(b.scratch)
 		}
-		b.Next = append(b.Next, ns)
-		b.Cands += int64(len(newTails))
-		b.NewBytes += ns.bytes(b.cnBytes)
-		b.Gov.Charge(ns.bytes(b.cnBytes))
+		b.sink.append(prefix, uint32(v), newTails, sd)
+		b.Kept++
 	case len(newTails) == 1:
 		// A lone non-maximal clique cannot join with a sibling; the
 		// paper's |S_{k+1}| > 1 rule discards it.
 		b.Dropped++
 	}
-}
-
-// newSubList returns a zeroed SubList header from the slab arena.
-func (b *Builder) newSubList() *SubList {
-	s := b.subs.alloc(1)
-	s[0] = SubList{}
-	return &s[0]
 }
 
 // growRec resizes the spill prefix buffer; out of line so keep's rare
@@ -473,21 +457,23 @@ type LevelStats struct {
 	FromK     int   // size of the consumed candidates
 	Sublists  int   // N[k] consumed (0 for a level joined from shard files)
 	Cliques   int64 // M[k] consumed
-	Bytes     int64 // paper-formula bytes of the consumed level (file bytes once spilled)
+	Bytes     int64 // bytes of the consumed level's blocks, as charged (file bytes once spilled)
 	NextSub   int   // N[k+1] produced
 	NextCl    int64 // M[k+1] produced
-	NextBytes int64 // paper-formula bytes of the produced level (file bytes once spilled)
+	NextBytes int64 // bytes of the produced level's blocks, as charged (file bytes once spilled)
 	Maximal   int64 // maximal (k+1)-cliques reported
 	Dropped   int64 // non-maximal (k+1)-cliques discarded (singleton rule)
 	Cost      Cost
 
-	// Pool engine only: the dispatcher's chunk count, the sub-lists
-	// processed off their home worker, and per-worker busy seconds and
-	// abstract cost units.
+	// Pool engine only: the dispatcher's chunk count, the blocks
+	// processed off their home worker, per-worker busy seconds and
+	// abstract cost units, and the bytes the pool has on the governor for
+	// its per-block bookkeeping of the two levels.
 	Chunks     int
 	Transfers  int
 	WorkerBusy []float64
 	WorkerCost []int64
+	Held       int64
 
 	// Spilled marks a step the hybrid backend ran (at least partly) out
 	// of core.
@@ -498,39 +484,50 @@ type LevelStats struct {
 // builder, emitting straight to r — no merger, no emission copies.  ctx
 // (every 64 sub-lists) and trip (every sub-list; nil = never) stop the
 // level early with the cut documented on LevelOutcome.  The input
-// level's bitmaps are recycled; its sub-list slice must not be reused by
-// the caller.  homes is the pool engine's scheduling input and ignored.
+// level's bitmaps are recycled.  homes is the pool engine's scheduling
+// input and ignored.
 func (b *Builder) RunLevel(ctx context.Context, lvl *Level, _ []int32,
 	r clique.Reporter, trip func() bool) LevelOutcome {
 	out := LevelOutcome{
 		Stats: LevelStats{
 			FromK:    lvl.K,
-			Sublists: len(lvl.Sub),
+			Sublists: lvl.Sublists(),
 			Cliques:  lvl.Cliques(),
-			Bytes:    lvl.Bytes(b.g.N()),
+			Bytes:    lvl.Bytes(),
 		},
-		Frontier: len(lvl.Sub),
+		Frontier: Cursor{Block: len(lvl.Sub)},
 	}
 	b.Reset()
-	for i, s := range lvl.Sub {
-		if ctx != nil && i&63 == 0 && ctx.Err() != nil {
-			out.Frontier = i
-			break
+	it, seen := &b.iter, 0
+blocks:
+	for bi := range lvl.Sub {
+		it.Reset(lvl.K, &lvl.Sub[bi])
+		for ri := 0; ; ri++ {
+			s := it.Next()
+			if s == nil {
+				break
+			}
+			if ctx != nil && seen&63 == 0 && ctx.Err() != nil {
+				out.Frontier = Cursor{bi, ri}
+				break blocks
+			}
+			seen++
+			if trip != nil && trip() {
+				out.Frontier, out.Tripped = Cursor{bi, ri}, true
+				break blocks
+			}
+			b.ProcessSubList(s, r)
 		}
-		if trip != nil && trip() {
-			out.Frontier, out.Tripped = i, true
-			break
-		}
-		b.ProcessSubList(s, r)
+		it.mustEnd()
 	}
+	out.Next = b.Level(lvl.K + 1)
 	st := &out.Stats
-	st.NextSub = len(b.Next)
-	st.NextCl = b.Cands
-	st.NextBytes = b.NewBytes
+	st.NextSub = b.Kept
+	st.NextCl = out.Next.Cliques()
+	st.NextBytes = out.Next.Bytes()
 	st.Maximal = b.Maximal
 	st.Dropped = b.Dropped
 	st.Cost = b.Cost
-	out.Next = &Level{K: lvl.K + 1, Sub: b.Next}
 	return out
 }
 
@@ -540,6 +537,6 @@ func (b *Builder) RunLevel(ctx context.Context, lvl *Level, _ []int32,
 // reports it).
 func Step(_ graph.Interface, lvl *Level, r clique.Reporter, b *Builder) (*Level, LevelStats) {
 	out := b.RunLevel(b.Ctx, lvl, nil, r, nil)
-	b.Canceled = out.Frontier < len(lvl.Sub)
+	b.Canceled = out.Frontier.Block < len(lvl.Sub)
 	return out.Next, out.Stats
 }

@@ -115,7 +115,7 @@ type Config struct {
 
 	// MemoryBudget, when positive, is the memory governor's budget: the
 	// bound on everything the run declares resident (graph adjacency
-	// bytes, paper-formula candidate storage, worker scratch, spill I/O
+	// bytes, the candidate levels' blocks, worker scratch, spill I/O
 	// buffers).  On the purely in-core backends exceeding it aborts the
 	// run; combined with a spill Dir it selects the hybrid backend,
 	// which spills to disk and continues instead of aborting.

@@ -52,7 +52,7 @@ func ablateCNMode(cfg Config) (*Table, error) {
 	g := Build(cfg.specC(), cfg.Seed)
 	t := &Table{
 		Title:   "Ablation: common-neighbor bitmap mode (graph C)",
-		Headers: []string{"mode", "time", "peak bytes (paper formula)", "AND words"},
+		Headers: []string{"mode", "time", "peak level bytes", "AND words"},
 	}
 	for _, m := range []struct {
 		name string

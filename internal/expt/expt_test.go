@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -269,5 +270,24 @@ func TestAblations(t *testing.T) {
 		if len(tab.Rows) < 2 {
 			t.Errorf("%s: only %d rows", tab.Title, len(tab.Rows))
 		}
+	}
+}
+
+// TestFig9Golden: Figure 9 prints the paper's space formula,
+// M[k]*c + N[k]*((k-1)*c + ceil(n/8) + pointer), from the counts the level
+// blocks carry — not what the block store charges the governor — so the
+// table is, byte for byte, the one the pointer-per-sub-list store
+// printed (the golden file is that commit's output at scale 0.5, seed 1).
+func TestFig9Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig9_scale0.5_seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := Fig9(Config{Scale: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.String(); got != string(want) {
+		t.Errorf("Figure 9 at scale 0.5, seed 1 differs from the golden table:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -18,21 +18,21 @@
 //   - The in-core backends emit, and retain candidates, in canonical
 //     order, and outputs of input sub-list i sort strictly before
 //     outputs of input j > i.  A trip therefore yields a consistent cut:
-//     for some frontier f, everything for inputs < f has been emitted
-//     and retained; inputs >= f are untouched (the parallel pool's
-//     sched.Sequencer enforces exactly this, discarding any
-//     out-of-order window beyond the frontier).
-//   - The drain writes the retained sub-lists' records — the sorted head
-//     of the produced level — then joins the remaining inputs with a
-//     core.Builder in spill mode, which emits their maximal cliques in
-//     order and appends the surviving candidates to the same sorted
-//     record stream.
+//     for some frontier f (a block and a record in it), everything for
+//     inputs before f has been emitted and retained; inputs from f on are
+//     untouched (the parallel pool's sched.Sequencer enforces exactly
+//     this, discarding any out-of-order window beyond the frontier).
+//   - The drain iterates the retained blocks — the sorted head of the
+//     produced level — straight into the level writer, one record a run,
+//     then joins the remaining inputs with a core.Builder in spill mode,
+//     which emits their maximal cliques in order and appends the
+//     surviving candidates to the same sorted record stream.
 //   - The produced level is then a complete, sorted, run-aligned level
 //     file, exactly what ooc.Continue expects; the out-of-core engine's
 //     own ordering invariant (DESIGN.md §0c) carries the stream to the
 //     end of the run.
 //
-// Governor accounting across the switch: retained head sub-lists are
+// Governor accounting across the switch: retained head blocks are
 // released as their records leave for disk, discarded window results
 // are released by the pool, the consumed level is released when its
 // drain completes, and the out-of-core engine charges only its scratch
@@ -246,7 +246,7 @@ func (h *runner) run() error {
 			return h.drain(lvl, out)
 		}
 	}
-	if err := loop.Run(g.N(), eng, lvl, homes); err != nil {
+	if err := loop.Run(eng, lvl, homes); err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
 	return nil
@@ -255,8 +255,8 @@ func (h *runner) run() error {
 // drain is the spill trip policy: it switches the run out of core
 // mid-step.  lvl is the consumed level (size k-1); out.Next holds the
 // produced k-sub-lists retained for inputs before the trip frontier, in
-// canonical order (the head); lvl.Sub[out.Frontier:] are the unjoined
-// inputs (the rest).  The produced level leaves for disk as one sorted
+// canonical order (the head); lvl from out.Frontier on is the unjoined
+// input (the rest).  The produced level leaves for disk as one sorted
 // record stream — head sub-lists verbatim, one run each, then the rest's
 // surviving candidates via a spill-mode builder that emits their maximal
 // cliques in order — and ooc.Continue runs the level loop from there.
@@ -265,7 +265,7 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	g, opts := h.g, h.opts
 	k := lvl.K + 1 // size of the records being drained
 	h.res.SpilledAtLevel = k
-	head, rest := out.Next.Sub, lvl.Sub[out.Frontier:]
+	head := out.Next
 	st := out.Stats
 	rawHint := (st.NextCl + st.Cliques) * 4 * int64(k)
 
@@ -294,20 +294,19 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		},
 	}
 	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(prefix, tails []uint32) error) error {
-		for i, s := range head {
-			if i&63 == 0 && opts.Ctx.Err() != nil {
+		for i := range head.Sub {
+			if opts.Ctx.Err() != nil {
 				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
-			if err := write(s.Prefix, s.Tails); err != nil {
-				return err
+			blk := &head.Sub[i]
+			for s := range blk.Records(k) {
+				if err := write(s.Prefix, s.Tails); err != nil {
+					return err
+				}
 			}
-			// The head sub-list is on disk now; its resident charge goes.
-			h.gov.Release(s.MemBytes(g.N()))
-			resident -= s.MemBytes(g.N())
-			if s.CN != nil {
-				h.bits.Put(s.CN)
-				s.CN = nil
-			}
+			// The head block is on disk now; its resident charge goes.
+			core.DiscardBlocks(head.Sub[i:i+1], h.gov, h.bits)
+			resident -= blk.Bytes()
 		}
 		// Join the un-drained inputs with a spill-mode builder: maximal
 		// cliques keep flowing to the reporter in canonical order, and
@@ -319,10 +318,12 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		db.Gov = h.gov
 		h.gov.Charge(db.ScratchBytes())
 		defer func() { h.gov.Release(db.ScratchBytes()) }()
-		for i, s := range rest {
+		i := 0
+		for s := range lvl.From(out.Frontier) {
 			if i&63 == 0 && opts.Ctx.Err() != nil {
 				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
+			i++
 			db.ProcessSubList(s, h.rep)
 			if db.SpillErr != nil {
 				return db.SpillErr

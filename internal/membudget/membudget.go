@@ -1,9 +1,9 @@
 // Package membudget is the cross-layer memory accounting authority: one
 // Governor per run that every layer charges — the graph representation's
-// adjacency bytes at facade entry, the in-core enumerators' paper-formula
-// resident candidate bytes, the parallel pool's per-worker scratch and
-// merge-window buffers, and the out-of-core engine's in-flight shard I/O
-// buffers.  It replaces the three disjoint ad-hoc budget fields the
+// adjacency bytes at facade entry, the in-core enumerators' resident
+// level blocks, the parallel pool's per-worker scratch, merge-window
+// buffers and per-block bookkeeping, and the out-of-core engine's
+// in-flight shard I/O buffers.  It replaces the three disjoint ad-hoc budget fields the
 // backends grew independently (core.Options.MemoryBudget, a budget and
 // over-budget flag on the Builder, and the facade-level rejection of
 // budgets on every other backend) with one definition of "what memory
@@ -134,8 +134,9 @@ func (g *Governor) Peak() int64 {
 }
 
 // Over reports whether the current residency exceeds a configured
-// budget.  It is the per-sub-list / per-chunk trip check the in-core
-// backends poll: two atomic loads, no locks.  nil-safe.
+// budget.  It is the trip check the in-core backends poll before every
+// sub-list join (the charges it sees arrive a block at a time): two
+// atomic loads, no locks.  nil-safe.
 func (g *Governor) Over() bool {
 	return g != nil && g.budget > 0 && g.used.Load() > g.budget
 }

@@ -142,6 +142,7 @@ type runDecoder struct {
 
 	rec     []uint32 // the record decoded last: the run's prefix, then its latest tail
 	tails   []uint32 // the current run's tails
+	shared  int      // leading vertices the current run's prefix has in common with the run before it
 	hasPrev bool
 	limit   int64 // records still expected; a run is cut there
 }
@@ -351,6 +352,7 @@ func (d *runDecoder) first() error {
 	if tail := d.rec[d.k-1]; int64(tail) >= int64(d.n) {
 		return errUniverse(tail, d.n)
 	}
+	d.shared = min(shared, d.k-1)
 	d.tails = append(d.tails, d.rec[d.k-1])
 	d.hasPrev = true
 	d.limit--

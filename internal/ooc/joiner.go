@@ -52,7 +52,7 @@ func (s *JoinStats) Emit(c clique.Clique) {
 type Joiner struct {
 	g   graph.Interface
 	b   *core.Builder
-	run core.SubList // the current prefix run, as the kernel's input
+	run core.SubList // the current prefix run, as the kernel's input: a record view like a level block's
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
@@ -180,7 +180,7 @@ func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
 		// A run of one clique has no pair to join — the kernel's loop is
 		// empty for it, which is also how the singleton runs of a
 		// checkpoint written before the on-disk |S| > 1 rule are skipped.
-		j.run.Prefix, j.run.Tails = prefix, tails
+		j.run.Prefix, j.run.Tails, j.run.LCP = prefix, tails, r.dec.shared
 		b.ProcessSubList(&j.run, rep)
 		if b.SpillErr != nil {
 			return res, b.SpillErr

@@ -36,7 +36,7 @@ func (o *sinkOutput) writeRun(prefix, tails []uint32) error {
 // levelRecordsOf flattens an in-memory level into its sorted records.
 func levelRecordsOf(lvl *core.Level) [][]uint32 {
 	var recs [][]uint32
-	for _, s := range lvl.Sub {
+	for s := range lvl.All() {
 		for _, t := range s.Tails {
 			recs = append(recs, append(slices.Clone(s.Prefix), t))
 		}
@@ -60,7 +60,7 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 	noAccount := func(enc, raw int64) error { return nil }
 	in, err := WriteLevel(dir, lvl.K, compress, 256, nil, name(lvl.K), noAccount,
 		func(write func(prefix, tails []uint32) error) error {
-			for _, s := range lvl.Sub {
+			for s := range lvl.All() {
 				if err := write(s.Prefix, s.Tails); err != nil {
 					return err
 				}
@@ -151,7 +151,7 @@ func TestOneKernelThreeSinks(t *testing.T) {
 					var drain sinkOutput
 					drainB.Reset()
 					drainB.Spill = drain.writeRun
-					for _, s := range lvl.Sub {
+					for s := range lvl.All() {
 						drainB.ProcessSubList(s, &drain)
 					}
 

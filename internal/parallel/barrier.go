@@ -20,7 +20,7 @@ import (
 // is sequential.
 //
 // Unlike the original version, seeding now assigns creator ownership
-// (every seed sub-list is owned by the seeding thread, worker 0), so the
+// (every seed block is owned by the seeding thread, worker 0), so the
 // Affinity strategy's threshold balancer is in effect from the first
 // generation level instead of silently falling back to a contiguous
 // split.
@@ -44,8 +44,8 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	}
 
 	// Seeding is sequential — part of the bulk-synchronous design this
-	// baseline preserves.  All seed sub-lists are created by this thread,
-	// so their home is worker 0.
+	// baseline preserves.  All seed blocks are created by this thread, so
+	// their home is worker 0.
 	var lvl *core.Level
 	if opts.Lo <= 2 {
 		lvl = core.SeedFromEdgesMode(g, opts.Mode)
@@ -60,12 +60,12 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	homes := make([]int32, len(lvl.Sub))
 
 	// Governor charging mirrors the streaming pool's: builder scratch up
-	// front, kept sub-lists at keep time, consumed levels at barriers.
+	// front, output blocks as they are sealed, consumed levels at barriers.
 	// Enforcement is level-granular — the bulk-synchronous design has no
 	// mid-level drain point — so a tripped budget aborts at the next
 	// barrier rather than mid-level.
 	gov := opts.Gov
-	gov.Charge(lvl.Bytes(g.N()))
+	gov.Charge(lvl.Bytes())
 	pool := bitset.NewPool(g.N())
 	workers := make([]*barrierWorker, opts.Workers)
 	for w := range workers {
@@ -85,14 +85,17 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 		// Cancellation is level-granular here: the bulk-synchronous
 		// design has no mid-level pull point to interrupt.
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			gov.Release(lvl.Bytes(g.N())) // retire the level before aborting
+			gov.Release(lvl.Bytes()) // retire the level before aborting
 			return res, fmt.Errorf("parallel: canceled at level %d->%d: %w",
 				lvl.K, lvl.K+1, opts.Ctx.Err())
 		}
-		lvlBytes := lvl.Bytes(g.N())
+		lvlBytes := lvl.Bytes()
+		// The level arrives as one seed block, or a few blocks per worker;
+		// the static assignment wants units it can balance.
+		lvl, homes = lvl.Recut(max(int(lvlBytes/4)/(64*opts.Workers), 64), homes)
 		loads := make([]int64, len(lvl.Sub))
-		for i, s := range lvl.Sub {
-			loads[i] = estimateLoad(s, words)
+		for i := range lvl.Sub {
+			loads[i] = lvl.Sub[i].Load(words)
 		}
 
 		var assign sched.Assignment
@@ -120,7 +123,7 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 		// order, record loads and stats, decide next homes.
 		st := core.LevelStats{
 			FromK:      lvl.K,
-			Sublists:   len(lvl.Sub),
+			Sublists:   lvl.Sublists(),
 			Cliques:    lvl.Cliques(),
 			Bytes:      lvlBytes,
 			Transfers:  transfers,
@@ -139,8 +142,9 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 					opts.Reporter.Emit(c)
 				}
 			}
-			next.Sub = append(next.Sub, wk.builder.Next...)
-			for range wk.builder.Next {
+			made := wk.builder.Level(next.K).Sub
+			next.Sub = append(next.Sub, made...)
+			for range made {
 				homes = append(homes, int32(w))
 			}
 		}
@@ -156,13 +160,13 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 		if gov.Over() {
 			// gov.Err() reports Peak, so reconciling the consumed level and
 			// the kept next level first does not distort the message.
-			gov.Release(lvlBytes + next.Bytes(g.N()))
+			gov.Release(lvlBytes + next.Bytes())
 			return res, fmt.Errorf("parallel: level %d->%d: %w", lvl.K, lvl.K+1, gov.Err())
 		}
 		gov.Release(lvlBytes)
 		lvl = next
 	}
-	gov.Release(lvl.Bytes(g.N()))
+	gov.Release(lvl.Bytes())
 	return res, nil
 }
 
@@ -172,8 +176,8 @@ type barrierWorker struct {
 	busy    time.Duration
 }
 
-// run processes the assigned sub-list indices of the level, buffering any
-// emissions for ordered delivery after the barrier.
+// run processes the assigned blocks of the level, buffering any emissions
+// for ordered delivery after the barrier.
 func (wk *barrierWorker) run(lvl *core.Level, items []int, collect bool) {
 	wk.builder.Reset()
 	wk.emitted = wk.emitted[:0]
@@ -185,7 +189,9 @@ func (wk *barrierWorker) run(lvl *core.Level, items []int, collect bool) {
 	}
 	start := time.Now()
 	for _, i := range items {
-		wk.builder.ProcessSubList(lvl.Sub[i], rep)
+		for s := range lvl.Sub[i].Records(lvl.K) {
+			wk.builder.ProcessSubList(s, rep)
+		}
 	}
 	wk.busy = time.Since(start)
 }

@@ -3,16 +3,18 @@
 // workers, coordinated by the centralized dynamic scheduler of package
 // sched.
 //
-// Workers are started once per run and fed sub-list chunks over channels.
-// Within a level the scheduler (sched.Dispatcher) hands out chunks
-// dynamically — workers pull more work as they finish, so load-estimation
-// error and skewed sub-list costs are absorbed inside the level instead
-// of stretching a bulk-synchronous barrier.  Two dispatch strategies are
-// provided:
+// Workers are started once per run and fed chunks of level blocks over
+// channels: the block (core.Block, a self-contained stretch of
+// front-coded sub-lists) is the unit of dispatch, of ownership and of
+// in-order release.  Within a level the scheduler (sched.Dispatcher)
+// hands out chunks dynamically — workers pull more work as they finish,
+// so load-estimation error and skewed block costs are absorbed inside the
+// level instead of stretching a bulk-synchronous barrier.  Two dispatch
+// strategies are provided:
 //
 //   - Contiguous: one canonical-order queue; any worker pulls the next
 //     contiguous chunk.  Best balance, no ownership.
-//   - Affinity: every sub-list is queued on the worker that created it
+//   - Affinity: every block is queued on the worker that created it
 //     (creator ownership starts at the seed phase); an idle worker steals
 //     from the heaviest backlog only while the backlog exceeds the
 //     sched.Policy threshold — the paper's transfer rule applied
@@ -24,21 +26,26 @@
 // Affinity strategy's first level.
 //
 // Emission is sharded per worker and merged by a streaming in-order
-// merger: each completed sub-list's cliques are released as soon as every
-// earlier sub-list of the level has completed, reproducing the exact
-// sequential emission order (full canonical order, for both strategies)
-// while buffering only the out-of-order window rather than the whole
-// level.
+// merger: each joined block's cliques and output blocks are released as
+// soon as every earlier block of the level has been, reproducing the
+// exact sequential emission order (full canonical order, for both
+// strategies) while buffering only the out-of-order window rather than
+// the whole level.
 //
 // The pool charges the run's memory governor (package membudget) like
 // every other layer: per-worker builder scratch at pool start, each
-// retained sub-list at keep time (through core.Builder), and each
-// merge-window emission copy between deposit and in-order release.  A
-// configured budget is enforced — every worker polls the governor before
-// each sub-list join, so a trip overshoots by at most one join per
-// worker; the joins in flight finish, the window drains through the
-// sched.Sequencer, and the level stops at a consistent cut.  What happens
-// next is the level loop's trip policy (core.Loop): Enumerate aborts with
+// output block when it is sealed (through core.Builder), each
+// merge-window emission copy between the join and its in-order release,
+// and its own per-block bookkeeping (loads, homes, block lists, window
+// slots — a few KiB a level) while it holds it.  A configured budget is
+// enforced at block granularity: every worker polls the governor before
+// each sub-list join and charges at each seal, so a trip overshoots by at
+// most one sealed block (core.MaxBlockBytes) plus one join's emissions
+// per worker.  A worker that sees the trip abandons the block it is
+// joining — its partial output is released, the block stays untouched
+// input — the window drains through the sched.Sequencer, and the level
+// stops at a consistent cut between two blocks.  What happens next is the
+// level loop's trip policy (core.Loop): Enumerate aborts with
 // core.ErrMemoryBudget, the hybrid backend drains the cut to disk and
 // continues out of core.
 //
@@ -53,6 +60,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
@@ -91,14 +99,15 @@ type Options struct {
 	Strategy Strategy
 	// Policy tunes Affinity-mode stealing.
 	Policy sched.Policy
-	// ChunksPerWorker tunes dispatch granularity: each level is cut into
-	// roughly Workers*ChunksPerWorker chunks by estimated load.  0 uses
-	// sched.DefaultChunksPerWorker.
+	// ChunksPerWorker tunes dispatch granularity: each level's blocks are
+	// grouped into roughly Workers*ChunksPerWorker chunks by estimated
+	// load.  0 uses sched.DefaultChunksPerWorker.
 	ChunksPerWorker int
 	// MemoryBudget, when positive, bounds the governor-accounted
-	// resident bytes (seed level + retained candidates + worker scratch
-	// + merge-window copies); exceeding it aborts the run with an error
-	// wrapping core.ErrMemoryBudget.  Ignored when Gov is set.
+	// resident bytes (level blocks + worker scratch + merge-window copies
+	// + the pool's per-block bookkeeping); exceeding it aborts the run
+	// with an error wrapping core.ErrMemoryBudget.  Ignored when Gov is
+	// set.
 	MemoryBudget int64
 	// Gov, when non-nil, is the shared memory governor every layer of
 	// the run charges; when nil, a private one is derived from
@@ -175,7 +184,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 			}
 		},
 	}
-	if err := loop.Run(g.N(), p, lvl, homes); err != nil {
+	if err := loop.Run(p, lvl, homes); err != nil {
 		return res, fmt.Errorf("parallel: %w", err)
 	}
 	return res, nil
@@ -214,6 +223,7 @@ type Pool struct {
 	m       *merger
 	words   int64
 	loads   []int64 // reused across levels; each level ends before reuse
+	held    int64   // bookkeeping bytes charged to the governor right now
 	closed  bool
 }
 
@@ -229,7 +239,7 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 		bits:  bitset.NewPool(g.N()),
 		words: int64((g.N() + 63) / 64),
 	}
-	p.m = &merger{gov: opts.Gov, bits: p.bits, n: g.N()}
+	p.m = &merger{gov: opts.Gov, bits: p.bits}
 	p.workers = make([]*worker, opts.Workers)
 	for w := range p.workers {
 		b := core.NewBuilderMode(g, opts.Mode, p.bits)
@@ -258,8 +268,8 @@ func (p *Pool) Seed(r clique.Reporter) (*core.Level, []int32, error) {
 	return lvl, homes, err
 }
 
-// Close stops the workers and releases the governor's scratch charge.
-// Idempotent.
+// Close stops the workers and releases the governor's scratch and
+// bookkeeping charges.  Idempotent.
 func (p *Pool) Close() {
 	if p.closed {
 		return
@@ -272,11 +282,33 @@ func (p *Pool) Close() {
 	for _, w := range p.workers {
 		p.opts.Gov.Release(w.builder.ScratchBytes())
 	}
+	p.hold(0)
+}
+
+// Bookkeeping sizes: what the pool keeps per block of a level beside the
+// block's own words.  listBytes is an entry of the level's list, the
+// block header and its home; runBytes is what a block of the level being
+// joined adds — its load, its dispatcher queue entry, its sequencer slot
+// (a pointer and a presence flag) and its result.
+const (
+	listBytes = core.BlockHeaderBytes + 4
+	runBytes  = 8 + 8 + 8 + 1 + int64(unsafe.Sizeof(blockResult{}))
+)
+
+// hold makes n the bookkeeping bytes the pool has charged: what its
+// per-block arrays for the consumed and the produced level occupy.  It
+// is re-stated at every level boundary and zeroed by Close, so the
+// charge stays the pool's own and a caller's level ledger balances
+// without knowing about it.
+func (p *Pool) hold(n int64) {
+	p.opts.Gov.Charge(n - p.held)
+	p.opts.Gov.Release(p.held - n)
+	p.held = n
 }
 
 // RunLevel drives one level through the pool: it hands every worker the
 // level job, then sleeps until the level barrier.  Result merging is
-// decentralized — workers deposit chunk results straight into the shared
+// decentralized — workers deposit block results straight into the shared
 // streaming merger — so the coordinator costs no CPU while the level
 // runs, which matters when workers already oversubscribe the cores.
 // trip, when non-nil, is polled by workers before every join; once it
@@ -289,9 +321,9 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	items := len(lvl.Sub)
 	st := core.LevelStats{
 		FromK:      lvl.K,
-		Sublists:   items,
+		Sublists:   lvl.Sublists(),
 		Cliques:    lvl.Cliques(),
-		Bytes:      lvl.Bytes(p.g.N()),
+		Bytes:      lvl.Bytes(),
 		WorkerBusy: make([]float64, w),
 		WorkerCost: make([]int64, w),
 	}
@@ -299,9 +331,13 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		p.loads = make([]int64, items)
 	}
 	loads := p.loads[:items]
-	for i, s := range lvl.Sub {
-		loads[i] = estimateLoad(s, p.words)
+	words := 0
+	for i := range lvl.Sub {
+		loads[i] = lvl.Sub[i].Load(p.words)
+		words += len(lvl.Sub[i].Words())
 	}
+	consumed := int64(items) * (listBytes + runBytes)
+	p.hold(consumed)
 	grain := sched.ChunkGrain(loads, w, p.opts.ChunksPerWorker)
 	var disp *sched.Dispatcher
 	if p.opts.Strategy == Affinity {
@@ -310,7 +346,11 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		disp = sched.NewContiguousDispatcher(loads, w, grain)
 	}
 
-	p.m.reset(items, lvl.K+1, rep)
+	// Neighbouring output blocks of one worker are coalesced up to about
+	// one part in 64 per worker of the level they come from: small enough
+	// that the next level still has blocks to balance, large enough that a
+	// shrinking level does not keep the block count of its peak.
+	p.m.reset(items, lvl.K+1, max(words/(64*w), 64), rep)
 	var wg sync.WaitGroup
 	wg.Add(w)
 	job := levelJob{
@@ -341,9 +381,9 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	out := core.LevelOutcome{
 		Next:     p.m.next,
 		Homes:    p.m.homes,
-		Frontier: p.m.seq.Released(),
+		Frontier: core.Cursor{Block: p.m.seq.Released()},
 	}
-	if out.Frontier < items {
+	if out.Frontier.Block < items {
 		// The level stopped early.  The only two ways that happens are a
 		// context cancellation and the trip predicate, so if the context
 		// is clean this WAS a trip — decided structurally, never by
@@ -358,131 +398,100 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		// linger in the accounting.
 		p.m.discardPending()
 	}
-	st.NextSub = len(out.Next.Sub)
+	// The produced level's list and homes are the pool's to account for
+	// until the next level (or Close) re-states the charge.
+	p.hold(consumed + int64(cap(out.Next.Sub))*listBytes)
+	st.Held = p.held
+	st.NextSub = out.Next.Sublists()
 	st.NextCl = out.Next.Cliques()
-	st.NextBytes = out.Next.Bytes(p.g.N())
+	st.NextBytes = out.Next.Bytes()
 	out.Stats = st
 	return out
 }
 
-// chunkResult is one processed chunk's outputs in compact offset form:
-// item i of the chunk produced next[subOff[i]:subOff[i+1]] (a snapshot of
-// the worker builder's output slice) and, when collecting, emitted
-// cliques emitted[emitOff[i]:emitOff[i+1]].  Offset arrays cost a few
-// bytes per sub-list, keeping the streaming machinery's allocation rate
-// near the barrier implementation's.
-type chunkResult struct {
+// blockResult is one joined input block's outputs: the blocks of the next
+// level it produced (a snapshot of the worker builder's output list) and,
+// when collecting, the maximal cliques it emitted, flattened into one
+// vertex arena (clique i is verts[off[i-1]:off[i]]).
+type blockResult struct {
 	worker  int32
-	items   []int32
-	subOff  []int32
-	next    []*core.SubList
-	emitOff []int32
-	emitted []clique.Clique
-	maxCnt  []int64 // maximal cliques found per item
-}
-
-// itemRef locates one sub-list's results inside a deposited chunk.
-type itemRef struct {
-	chunk *chunkResult
-	pos   int32
-}
-
-// merger is the streaming merge point for per-worker shard outputs:
-// chunk results arrive in any order and each sub-list's outputs are
-// released — through a sched.Sequencer, the in-order frontier shared
-// with the out-of-core shard merger — as soon as every earlier sub-list
-// of the level has been released.  Emission order is therefore exactly
-// the sequential enumeration order, while only the out-of-order window
-// is buffered — not the whole level, as the barrier implementation must.
-// The window's emission copies are governor-charged between deposit and
-// release, so "merge-window buffers" are part of what the budget means.
-type merger struct {
-	rep     clique.Reporter
-	gov     *membudget.Governor
-	bits    *bitset.Pool
-	n       int // graph universe (for sub-list byte accounting)
-	seq     *sched.Sequencer[itemRef]
-	next    *core.Level
-	homes   []int32
+	next    []core.Block
+	verts   []int
+	off     []int32
 	maximal int64
 }
 
-// reset prepares the merger for a level of `items` sub-lists producing
+// merger is the streaming merge point for per-worker outputs: block
+// results arrive in any order and each one is released — through a
+// sched.Sequencer, the in-order frontier shared with the out-of-core
+// shard merger — as soon as every earlier block of the level has been
+// released.  Emission order is therefore exactly the sequential
+// enumeration order, while only the out-of-order window is buffered — not
+// the whole level, as the barrier implementation must.  The window's
+// emission copies are governor-charged between the join and the release,
+// so "merge-window buffers" are part of what the budget means.
+type merger struct {
+	rep      clique.Reporter
+	gov      *membudget.Governor
+	bits     *bitset.Pool
+	seq      *sched.Sequencer[*blockResult]
+	next     *core.Level
+	homes    []int32
+	maxWords int // coalescing bound for neighbouring output blocks
+	maximal  int64
+}
+
+// reset prepares the merger for a level of `items` blocks producing
 // cliques of size nextK.
-func (m *merger) reset(items, nextK int, rep clique.Reporter) {
+func (m *merger) reset(items, nextK, maxWords int, rep clique.Reporter) {
 	m.rep = rep
 	if m.seq == nil {
-		m.seq = sched.NewSequencer(items, m.releaseItem)
+		m.seq = sched.NewSequencer(items, m.release)
 	} else {
 		m.seq.Reset(items)
 	}
 	m.next = &core.Level{K: nextK}
 	m.homes = nil
+	m.maxWords = maxWords
 	m.maximal = 0
 }
 
-// deposit files one chunk's results; the sequencer releases every newly
-// contiguous prefix of the level.  The reporter runs under the sequencer
-// lock: emission is inherently serial (one ordered output stream), so
-// the lock adds no parallelism loss beyond that.
-func (m *merger) deposit(c *chunkResult) {
-	for p, item := range c.items {
-		m.seq.Deposit(int(item), itemRef{c, int32(p)})
-	}
-}
-
-// releaseItem delivers one sub-list's outputs; the sequencer calls it in
-// exact item order and drops the itemRef afterwards, so a fully released
-// chunk becomes reclaimable as soon as its last item passes the
-// frontier — the level holds only the out-of-order window.  Maximal
-// counts accrue on release, not deposit, so a canceled level's count
-// matches the cliques actually delivered: the frontier stops at the
-// first unprocessed sub-list, and everything deposited beyond it is
-// discarded, not counted.
-func (m *merger) releaseItem(_ int, r itemRef) {
-	rc, p := r.chunk, r.pos
-	m.maximal += rc.maxCnt[p]
-	if m.rep != nil && rc.emitOff != nil {
-		for _, cl := range rc.emitted[rc.emitOff[p]:rc.emitOff[p+1]] {
-			m.rep.Emit(cl)
-			m.gov.Release(8 * int64(len(cl)))
+// release delivers one input block's outputs; the sequencer calls it in
+// exact block order — under its lock: emission is inherently serial (one
+// ordered output stream), so the lock adds no parallelism loss beyond
+// that — and drops the result afterwards, so the level holds only the
+// out-of-order window.  Maximal counts accrue on release, not deposit, so
+// a canceled level's count matches the cliques actually delivered: the
+// frontier stops at the first unprocessed block, and everything deposited
+// beyond it is discarded, not counted.
+func (m *merger) release(_ int, r *blockResult) {
+	m.maximal += r.maximal
+	if m.rep != nil {
+		start := int32(0)
+		for _, end := range r.off {
+			m.rep.Emit(clique.Clique(r.verts[start:end]))
+			start = end
 		}
+		m.gov.Release(8 * int64(len(r.verts)))
 	}
-	for _, s := range rc.next[rc.subOff[p]:rc.subOff[p+1]] {
-		m.next.Sub = append(m.next.Sub, s)
-		m.homes = append(m.homes, rc.worker)
+	// Blocks one worker wrote back to back are one stretch of memory and
+	// coalesce; homes follow the blocks the level really grew by.
+	for range m.next.Append(m.maxWords, r.next...) {
+		m.homes = append(m.homes, r.worker)
 	}
 }
 
 // discardPending reconciles the governor and the bitmap pool for every
-// deposited-but-unreleased result of a level that stopped early: kept
-// sub-lists (charged at keep time) are released and their bitmaps
-// recycled, buffered emission copies are released.  The corresponding
-// inputs become plain input again — the builders already returned their
-// CN bitmaps, and prefixCN reconstruction covers a re-join.
+// deposited-but-unreleased result of a level that stopped early: sealed
+// blocks (charged at seal time) are released and their bitmaps recycled,
+// buffered emission copies are released.  The corresponding inputs become
+// plain input again — the builders already returned their CN bitmaps, and
+// prefixCN reconstruction covers a re-join.
 func (m *merger) discardPending() {
-	m.seq.DrainPending(func(_ int, r itemRef) {
-		rc, p := r.chunk, r.pos
-		if rc.emitOff != nil {
-			for _, cl := range rc.emitted[rc.emitOff[p]:rc.emitOff[p+1]] {
-				m.gov.Release(8 * int64(len(cl)))
-			}
-		}
-		for _, s := range rc.next[rc.subOff[p]:rc.subOff[p+1]] {
-			m.gov.Release(s.MemBytes(m.n))
-			if s.CN != nil {
-				m.bits.Put(s.CN)
-				s.CN = nil
-			}
-		}
+	m.seq.DrainPending(func(_ int, r *blockResult) {
+		m.gov.Release(8 * int64(len(r.verts)))
+		core.DiscardBlocks(r.next, m.gov, m.bits)
 	})
-}
-
-// estimateLoad predicts the generation cost of a sub-list before running
-// it: the pairwise tail joins plus the per-extension bitmap AND work.
-func estimateLoad(s *core.SubList, words int64) int64 {
-	t := int64(len(s.Tails))
-	return t*(t-1)/2 + (t-1)*words
 }
 
 // levelJob is one level's work order, broadcast to every worker.
@@ -498,8 +507,8 @@ type levelJob struct {
 }
 
 // worker is one persistent pool thread.  Its builder is reused across all
-// levels of the run (reset per level), so scratch bitmaps and slices are
-// allocated once.
+// levels of the run (reset per level), so scratch bitmaps and level
+// chunks are allocated once.
 type worker struct {
 	id      int
 	builder *core.Builder
@@ -507,25 +516,14 @@ type worker struct {
 }
 
 // loop pulls level jobs until the pool shuts down; within a job it pulls
-// chunks from the dispatcher until the level is exhausted for it, sending
-// one batch per sub-list and a final done report.
+// chunks from the dispatcher until the level is exhausted for it,
+// depositing one result per joined block.
 func (wk *worker) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for job := range wk.jobs {
 		wk.builder.Reset()
-		gov := job.merger.gov
 		var busy time.Duration
-		// One reporter closure per level: it copies borrowed cliques into
-		// the current chunk's emission buffer.  Copies are charged to the
-		// governor until their in-order release.
-		var emitted []clique.Clique
-		var rep clique.Reporter
-		if job.collect {
-			rep = clique.ReporterFunc(func(c clique.Clique) {
-				emitted = append(emitted, append(clique.Clique(nil), c...))
-				gov.Charge(8 * int64(len(c)))
-			})
-		}
+	level:
 		for {
 			// Cancellation / governor-trip point: a stopped level is no
 			// longer pulled, every worker falls through to the level
@@ -541,44 +539,52 @@ func (wk *worker) loop(wg *sync.WaitGroup) {
 			if !ok {
 				break
 			}
-			n := len(chunk.Items)
-			cr := &chunkResult{
-				worker: int32(wk.id),
-				items:  make([]int32, n),
-				subOff: make([]int32, n+1),
-				maxCnt: make([]int64, n),
-			}
-			if job.collect {
-				emitted = nil
-				cr.emitOff = make([]int32, n+1)
-			}
-			cr.subOff[0] = int32(len(wk.builder.Next))
 			t0 := time.Now()
-			for i, item := range chunk.Items {
-				// The budget is polled before every join, as the sequential
-				// engine polls it, so a trip overshoots by one join per
-				// worker, not one chunk.  A tripped worker deposits the
-				// joins it finished; the rest of its chunk stays untouched
-				// input beyond the frontier, like a chunk nobody pulled.
-				if i > 0 && job.trip != nil && job.trip() {
-					cr.items = cr.items[:i]
-					break
+			for _, item := range chunk.Items {
+				res := wk.join(&job, item)
+				if res == nil {
+					// Tripped inside the block: it stays untouched input
+					// beyond the frontier, like the rest of the chunk and
+					// like a chunk nobody pulled.
+					busy += time.Since(t0)
+					break level
 				}
-				cr.items[i] = int32(item)
-				maxStart := wk.builder.Maximal
-				wk.builder.ProcessSubList(job.lvl.Sub[item], rep)
-				cr.maxCnt[i] = wk.builder.Maximal - maxStart
-				cr.subOff[i+1] = int32(len(wk.builder.Next))
-				if cr.emitOff != nil {
-					cr.emitOff[i+1] = int32(len(emitted))
-				}
+				job.merger.seq.Deposit(item, res)
 			}
 			busy += time.Since(t0)
-			cr.next = wk.builder.Next[:len(wk.builder.Next)]
-			cr.emitted = emitted
-			job.merger.deposit(cr)
 		}
 		job.busy[wk.id] = busy.Seconds()
 		job.wg.Done()
 	}
+}
+
+// join runs one input block through the kernel and returns its outputs,
+// or nil when the budget tripped before the block was finished: the
+// budget is polled before every join, as the sequential engine polls it,
+// and what the block had produced so far is given back.
+func (wk *worker) join(job *levelJob, item int) *blockResult {
+	b, gov := wk.builder, job.merger.gov
+	res := &blockResult{worker: int32(wk.id)}
+	var rep clique.Reporter
+	if job.collect {
+		// Emissions are copied into the result's arena, charged to the
+		// governor until their in-order release.
+		rep = clique.ReporterFunc(func(c clique.Clique) {
+			res.verts = append(res.verts, c...)
+			res.off = append(res.off, int32(len(res.verts)))
+			gov.Charge(8 * int64(len(c)))
+		})
+	}
+	mark, maximal := b.Mark(), b.Maximal
+	for s := range job.lvl.Sub[item].Records(job.lvl.K) {
+		if job.trip != nil && job.trip() {
+			gov.Release(8 * int64(len(res.verts)))
+			b.Abandon(mark)
+			return nil
+		}
+		b.ProcessSubList(s, rep)
+	}
+	res.next = b.Since(mark)
+	res.maximal = b.Maximal - maximal
+	return res
 }

@@ -41,7 +41,7 @@ type LevelTrace struct {
 	Maximal  int64   // maximal (K+1)-cliques emitted by this level
 	Sublists int     // len(Costs)
 	Cliques  int64   // M[K] consumed
-	Bytes    int64   // paper-formula bytes of the level
+	Bytes    int64   // paper-formula bytes of the level (core.Level.PaperBytes)
 }
 
 // Trace is a complete instrumented run.
@@ -110,25 +110,21 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	for len(lvl.Sub) > 0 && (hi == 0 || lvl.K+1 <= hi) {
 		lt := LevelTrace{
 			K:        lvl.K,
-			Costs:    make([]int64, len(lvl.Sub)),
+			Costs:    make([]int64, 0, lvl.Sublists()),
 			Parents:  parents,
-			Sublists: len(lvl.Sub),
+			Sublists: lvl.Sublists(),
 			Cliques:  lvl.Cliques(),
-			Bytes:    lvl.Bytes(g.N()),
+			Bytes:    lvl.PaperBytes(),
 		}
 		b.Reset()
 		var nextParents []int32
-		for i, s := range lvl.Sub {
+		for s := range lvl.All() {
 			beforeUnits := b.Cost.Units()
-			beforeNext := len(b.Next)
+			beforeKept := b.Kept
 			b.ProcessSubList(s, counter)
-			cost := b.Cost.Units() - beforeUnits
-			if cost < 1 {
-				cost = 1
-			}
-			lt.Costs[i] = cost
-			for range b.Next[beforeNext:] {
-				nextParents = append(nextParents, int32(i))
+			lt.Costs = append(lt.Costs, max(b.Cost.Units()-beforeUnits, 1))
+			for range b.Kept - beforeKept {
+				nextParents = append(nextParents, int32(len(lt.Costs)-1))
 			}
 		}
 		lt.Maximal = b.Maximal
@@ -136,7 +132,7 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 			tr.TotalUnits += c
 		}
 		tr.Levels = append(tr.Levels, lt)
-		lvl = &core.Level{K: lvl.K + 1, Sub: b.Next}
+		lvl = b.Level(lvl.K + 1)
 		parents = nextParents
 	}
 	tr.WallSeconds = time.Since(start).Seconds()

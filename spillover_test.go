@@ -89,29 +89,24 @@ func TestHybridSpilloverParityAcrossRepresentations(t *testing.T) {
 // several times its adjacency.
 var footprintSpec = expt.SpecC.Scale(0.6)
 
-// tripStep replays g's enumeration in core and returns the most one
-// sub-list join adds to the ledger: kept, the candidate bytes it retains
-// — what the sequential engine, which polls the budget before every
-// join, can overshoot it by — and window, the same plus the 8 bytes a
-// vertex the pool charges for the join's emission copies until their
-// in-order release.
-func tripStep(g repro.GraphInterface, lo int) (kept, window int64) {
+// joinWindow replays g's enumeration in core and returns the most one
+// sub-list join charges for its emissions: the 8 bytes a vertex the pool
+// holds for a join's maximal cliques until their in-order release.
+func joinWindow(g repro.GraphInterface, lo int) (window int64) {
 	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
 	lvl, _ := core.Seed(g, lo, core.CNRecompute, false, nil)
 	var emitted int64
 	r := clique.ReporterFunc(func(c clique.Clique) { emitted += 8 * int64(len(c)) })
 	for len(lvl.Sub) > 0 {
 		b.Reset()
-		for _, s := range lvl.Sub {
-			before := b.NewBytes
+		for s := range lvl.All() {
 			emitted = 0
 			b.ProcessSubList(s, r)
-			kept = max(kept, b.NewBytes-before)
-			window = max(window, b.NewBytes-before+emitted)
+			window = max(window, emitted)
 		}
-		lvl = &core.Level{K: lvl.K + 1, Sub: b.Next}
+		lvl = b.Level(lvl.K + 1)
 	}
-	return kept, window
+	return window
 }
 
 // TestSpillStaysInsideBudget pins what a budget means once a run spills:
@@ -123,18 +118,22 @@ func tripStep(g repro.GraphInterface, lo int) (kept, window int64) {
 // exactly that when the run is over.  Budgets sit a half, a quarter and
 // an eighth of the way from there to the unbudgeted peak.
 //
-// The bounds, from how the engines poll the trip predicate:
+// The bounds, from where the engines charge and poll:
 //
-//   - 1 worker: budget + kept + 4 KiB + one bitmap.  The builder polls
-//     before every join, so Used passes the budget by at most one join's
-//     retained candidates; the drain then opens its level writer at the
-//     4 KiB floor (nothing is left to share) before the first head
-//     sub-list is released, and its builder — which takes the place of
-//     the engine's, released just before — may memoise one prefix row
-//     more than that one had reached.
-//   - W workers: budget + W·window + 4 KiB + one bitmap.  Every pool
-//     worker polls before every join and may be inside one at the trip;
-//     its retained candidates and buffered emissions are the window.
+//   - 1 worker: budget + one block + 4 KiB + one bitmap.  The level store
+//     is charged a block at a time, when the block is sealed
+//     (core.MaxBlockBytes, 32 KiB, at most), and the builder polls before
+//     every join, so Used passes the budget by at most one block; the
+//     drain then opens its level writer at the 4 KiB floor (nothing is
+//     left to share) before the first head block is released, and its
+//     builder — which takes the place of the engine's, released just
+//     before — may memoise one prefix row more than that one had reached.
+//   - W workers: budget + W·(one block + window) + bookkeeping + 4 KiB +
+//     one bitmap.  Every pool worker polls before every join and may seal
+//     a block and buffer one join's emissions (the window) before it
+//     polls again; the pool's own per-block arrays are on the ledger too
+//     (core.LevelStats.Held), which the in-core steps of these rows
+//     assert: reported, non-zero, and really part of Used.
 //
 // After the drain both levels are off the ledger and each step's
 // buffers share the headroom it starts with (ooc bufShare), so the
@@ -147,17 +146,32 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		entry := g.Bytes()
-		kept, window := tripStep(g, 3)
-		floor := minBuf + int64((g.N()+63)/64*8)
+		window := joinWindow(g, 3)
+		bitmap := int64((g.N() + 63) / 64 * 8)
+		floor := minBuf + bitmap
+		var held int64 // the most bookkeeping the pool reported in one run
 		run := func(budget int64, workers int, compress bool) (*hybrid.Result, *membudget.Governor, []string) {
 			t.Helper()
 			gov := membudget.New(budget)
 			gov.Charge(entry)
 			dir := t.TempDir()
 			var keys []string
+			held = 0
 			res, err := hybrid.Enumerate(g, hybrid.Options{
 				Lo: 3, Workers: workers, Dir: dir, Compress: compress, Gov: gov,
 				Reporter: clique.ReporterFunc(func(c clique.Clique) { keys = append(keys, c.Key()) }),
+				OnLevel: func(st core.LevelStats) {
+					if workers == 1 || st.Spilled {
+						return
+					}
+					// Both levels, the pool's arrays for them and at least
+					// two scratch bitmaps a worker are resident right now.
+					held = max(held, st.Held)
+					if least := entry + st.Bytes + st.NextBytes + st.Held + int64(2*workers)*bitmap; st.Held <= 0 || gov.Used() < least {
+						t.Errorf("%s budget %d workers %d level %d: pool reports %d bookkeeping bytes, governor holds %d, the step accounts for %d",
+							rep, budget, workers, st.FromK, st.Held, gov.Used(), least)
+					}
+				},
 			})
 			if err != nil {
 				t.Fatalf("%s budget %d workers %d compress %v: %v", rep, budget, workers, compress, err)
@@ -175,10 +189,6 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 		_, free, want := run(0, 1, false)
 		above := free.Peak() - entry
 		for _, workers := range []int{1, 3} {
-			allow := kept + floor
-			if workers > 1 {
-				allow = int64(workers)*window + floor
-			}
 			for _, div := range []int64{2, 4, 8} {
 				budget := entry + above/div
 				for _, compress := range []bool{false, true} {
@@ -188,6 +198,10 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 					}
 					if !slices.Equal(got, want) {
 						t.Errorf("%s P/%d workers %d compress %v: stream differs from the unbudgeted run's", rep, div, workers, compress)
+					}
+					allow := core.MaxBlockBytes + floor
+					if workers > 1 {
+						allow = int64(workers)*(core.MaxBlockBytes+window) + held + floor
 					}
 					if over := gov.Peak() - budget; over > allow {
 						t.Errorf("%s P/%d workers %d compress %v: peak %d is %d over the budget %d, allowed %d",
@@ -228,6 +242,45 @@ func TestDefaultFootprint(t *testing.T) {
 	}
 	if 3*def.PeakBytes > stored.PeakBytes {
 		t.Errorf("default PeakBytes %d is more than a third of the stored-bitmap run's %d", def.PeakBytes, stored.PeakBytes)
+	}
+}
+
+// TestLevelStoreFootprint pins what the front-coded block store bought:
+// on the paper's graph C at scale 0.75 (the benchmark's input, seed 1)
+// the zero-option run peaks at no more than half the 11 296 872 bytes the
+// pointer-per-sub-list store charged for the same run, and every level's
+// reported bytes are exactly what its blocks occupy — the facade's
+// per-level record, the engine's, and the blocks themselves agree.
+func TestLevelStoreFootprint(t *testing.T) {
+	const parentPeak = 11296872
+	g := expt.Build(expt.SpecC.Scale(0.75), 1)
+	var st repro.Stats
+	stream(t, repro.NewEnumerator(repro.WithBounds(3, 0), repro.WithStats(&st)), g)
+	if 2*st.PeakBytes > parentPeak {
+		t.Errorf("zero-option PeakBytes %d, more than half of the pointer-per-sub-list store's %d", st.PeakBytes, parentPeak)
+	}
+	t.Logf("PeakBytes %d (%.1f%% of %d)", st.PeakBytes, 100*float64(st.PeakBytes)/parentPeak, parentPeak)
+
+	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	lvl, err := core.Seed(g, 3, core.CNRecompute, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; len(lvl.Sub) > 0; i++ {
+		var blocks int64
+		for j := range lvl.Sub {
+			blocks += lvl.Sub[j].Bytes()
+		}
+		out := b.RunLevel(context.Background(), lvl, nil, nil, nil)
+		if out.Stats.Bytes != blocks || out.Stats.NextBytes != out.Next.Bytes() {
+			t.Fatalf("level %d: step reports %d consumed / %d produced bytes, the blocks hold %d / %d",
+				lvl.K, out.Stats.Bytes, out.Stats.NextBytes, blocks, out.Next.Bytes())
+		}
+		if i >= len(st.Levels) || st.Levels[i].ResidentBytes != out.Stats.Bytes+out.Stats.NextBytes {
+			t.Fatalf("level %d: the facade run's per-level record does not show these %d resident bytes",
+				lvl.K, out.Stats.Bytes+out.Stats.NextBytes)
+		}
+		lvl = out.Next
 	}
 }
 
