@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race race-repr bench bench-pair loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race bench bench-pair loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -74,22 +74,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
 	$(GO) test -fuzz=FuzzLevelBlock -fuzztime=10s ./internal/core
 
-# Race-detect the concurrency-heavy packages (full -race ./... is run
-# in CI nightly-style via `make race-all` if ever needed), plus the
-# cross-representation parity tests (pooled scratch bitsets inside the
-# CSR/WAH row readers are shared across worker goroutines).  The ooc
-# package joins level shards on a worker pool with an in-order release
-# sequencer, so it races level state across goroutines too.  The dist
-# package races the lease table, the sequencer release path, and the
-# coordinator's dispatcher/pump goroutines.
+# The race detector over every package, not a hand-picked list: about
+# 90 s on a 2-vCPU box.  The packages that make it worth running are the
+# worker pool and its sequencer, the on-disk pool and the lease
+# scheduler, the service's admission queue, and the root parity suites
+# (pooled scratch bitsets inside the CSR/WAH row readers are shared
+# across worker goroutines).
 race:
-	$(GO) test -race ./internal/parallel ./internal/sched ./internal/core ./internal/kclique ./internal/bitset ./internal/ooc ./internal/hybrid ./internal/membudget ./internal/service ./internal/dist
-	$(GO) test -race -run 'Governor' .
-
-race-repr:
-	$(GO) test -race -run 'Representation' .
-
-race-all:
 	$(GO) test -race ./...
 
 # Short benchmark sweep: the streaming-vs-barrier comparison, the
@@ -152,4 +143,4 @@ loc:
 
 check: fmt vet lint test
 
-ci: fmt vet lint lint-audit build vet-benchmark test test-benchmark fuzz-smoke race race-repr bench examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity
+ci: fmt vet lint lint-audit build vet-benchmark test test-benchmark fuzz-smoke race bench examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity

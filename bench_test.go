@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (DESIGN.md §4).  Each benchmark runs the corresponding
+// evaluation (DESIGN.md §9).  Each benchmark runs the corresponding
 // experiment at a reduced scale so the whole suite completes in minutes;
 // cmd/repro runs the same code at (near-)paper scale and EXPERIMENTS.md
 // records both sets of numbers.

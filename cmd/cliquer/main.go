@@ -14,7 +14,7 @@
 // Parallel runs (-workers > 1) use the persistent streaming worker pool;
 // -strategy selects the dispatch policy (affinity or contiguous), and
 // -stats streams per-level statistics to stderr.  -ooc DIR spills levels
-// to disk instead of memory; -ooc-workers joins the level shards
+// to disk instead of memory; -workers then joins the level shards
 // concurrently, -ooc-compress delta-varint encodes the level records,
 // and -ooc-checkpoint keeps a resumable manifest so a killed run can be
 // continued with -resume DIR (same graph file).
@@ -72,16 +72,14 @@ func main() {
 	}
 	lo := flag.Int("lo", 3, "smallest clique size to report (Init_K)")
 	hi := flag.Int("hi", 0, "largest clique size (0: compute maximum clique and use it)")
-	workers := flag.Int("workers", 1, "worker threads (1 = sequential)")
+	workers := flag.Int("workers", 1, "worker threads (1 = sequential); with -ooc, the shard-join workers")
 	strategy := flag.String("strategy", "affinity", "parallel dispatch strategy: affinity or contiguous")
 	stats := flag.Bool("stats", false, "print live per-level statistics")
 	countOnly := flag.Bool("count", false, "print counts only, not the cliques")
 	dimacs := flag.Bool("dimacs", false, "input is DIMACS clique format")
 	storeBits := flag.Bool("store-cn", false, "store a common-neighbor bitmap per sub-list (the paper's policy) instead of rebuilding it: more memory, faster on csr/wah")
-	compress := flag.Bool("compress", false, "store common-neighbor bitmaps WAH-compressed")
 	repr := flag.String("repr", "auto", "graph representation: auto, dense, csr or wah")
 	oocDir := flag.String("ooc", "", "run the out-of-core enumerator, spilling levels to this directory")
-	oocWorkers := flag.Int("ooc-workers", 0, "out-of-core: join level shards on this many workers (0 = inherit -workers)")
 	oocCompress := flag.Bool("ooc-compress", false, "out-of-core: delta-varint encode level records")
 	oocCheckpoint := flag.Bool("ooc-checkpoint", false, "out-of-core: keep a resumable manifest in the -ooc directory (resume with -resume)")
 	resume := flag.String("resume", "", "continue the checkpointed out-of-core run in this directory (needs the same graph file)")
@@ -90,9 +88,7 @@ func main() {
 	distLease := flag.Duration("dist-lease-timeout", 0, "distributed: revoke and re-lease a shard not joined within this duration (0 = 30s default)")
 	distShardBytes := flag.Int64("dist-shard-bytes", 0, "distributed: target shard size in bytes, the lease granularity (0 = auto)")
 	flag.Bool("worker", false, "serve as a distributed worker over stdin/stdout (activated by the coordinator's environment; this flag is the argv marker)")
-	var budget int64
-	flag.Int64Var(&budget, "mem-budget", 0, "memory governor budget in bytes, enforced on every backend (0 = unlimited; with -ooc the run spills over instead of aborting)")
-	flag.Int64Var(&budget, "budget", 0, "deprecated alias of -mem-budget")
+	budget := flag.Int64("mem-budget", 0, "memory governor budget in bytes, enforced on every backend (0 = unlimited; with -ooc the run spills over instead of aborting)")
 	spill := flag.Int64("spill-budget", 0, "out-of-core: abort if a level's files would exceed this many bytes (0 = unlimited)")
 	noBound := flag.Bool("no-bound", false, "skip the maximum clique upper-bound computation")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
@@ -117,10 +113,10 @@ func main() {
 	err := run(ctx, flag.Arg(0), options{
 		lo: *lo, hi: *hi, workers: *workers, strategy: *strategy,
 		stats: *stats, countOnly: *countOnly,
-		dimacs: *dimacs, storeBits: *storeBits, compress: *compress,
-		repr: *repr, oocDir: *oocDir, oocWorkers: *oocWorkers,
+		dimacs: *dimacs, storeBits: *storeBits,
+		repr: *repr, oocDir: *oocDir,
 		oocCompress: *oocCompress, oocCheckpoint: *oocCheckpoint,
-		resume: *resume, budget: budget, spill: *spill,
+		resume: *resume, budget: *budget, spill: *spill,
 		noBound: *noBound,
 		dist:    *distWorkers, distWorkerCmd: *distWorkerCmd,
 		distLease: *distLease, distShardBytes: *distShardBytes,
@@ -132,20 +128,19 @@ func main() {
 }
 
 type options struct {
-	lo, hi, workers              int
-	strategy                     string
-	stats, countOnly, dimacs     bool
-	storeBits, compress, noBound bool
-	repr                         string
-	oocDir                       string
-	oocWorkers                   int
-	oocCompress, oocCheckpoint   bool
-	resume                       string
-	budget, spill                int64
-	dist                         int
-	distWorkerCmd                string
-	distLease                    time.Duration
-	distShardBytes               int64
+	lo, hi, workers            int
+	strategy                   string
+	stats, countOnly, dimacs   bool
+	storeBits, noBound         bool
+	repr                       string
+	oocDir                     string
+	oocCompress, oocCheckpoint bool
+	resume                     string
+	budget, spill              int64
+	dist                       int
+	distWorkerCmd              string
+	distLease                  time.Duration
+	distShardBytes             int64
 }
 
 func parseStrategy(s string) (repro.Strategy, error) {
@@ -227,18 +222,12 @@ func run(ctx context.Context, path string, o options) error {
 	if o.storeBits {
 		opts = append(opts, repro.WithStoredBitmaps())
 	}
-	if o.compress {
-		opts = append(opts, repro.WithCompressedBitmaps())
-	}
 	if o.dist > 0 {
 		if o.oocDir == "" {
 			return fmt.Errorf("-dist requires -ooc DIR as the shared run directory")
 		}
 		if o.resume != "" || o.oocCheckpoint {
 			return fmt.Errorf("-dist manages its own per-level checkpoint; -resume and -ooc-checkpoint do not apply")
-		}
-		if o.oocWorkers > 0 {
-			fmt.Fprintln(os.Stderr, "cliquer: ignoring -ooc-workers: -dist leases shards to worker processes instead")
 		}
 		var knobs []repro.DistOption
 		if o.distWorkerCmd != "" {
@@ -263,9 +252,6 @@ func run(ctx context.Context, path string, o options) error {
 			dir = o.resume
 		}
 		var knobs []repro.OutOfCoreOption
-		if o.oocWorkers > 0 {
-			knobs = append(knobs, repro.OOCWorkers(o.oocWorkers))
-		}
 		if o.oocCompress {
 			knobs = append(knobs, repro.OOCCompress())
 		}

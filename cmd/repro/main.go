@@ -1,11 +1,22 @@
-// Command repro regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 and EXPERIMENTS.md).
+// Command repro regenerates the tables and figures of the paper's
+// evaluation section, one experiment per artefact (internal/expt names
+// the function behind each; DESIGN.md §9 lists what each reproduces).
 //
 // Usage:
 //
 //	repro [flags] <experiment>
 //
-// Experiments: maxclique, table1, fig5, fig6, fig7, fig8, fig9, blowup, all
+// Experiments:
+//
+//	maxclique  Section 3: maximum clique sizes of graphs A, B, C
+//	table1     Table 1: Kose RAM vs the sequential Clique Enumerator
+//	fig5       Figure 5: run time vs processors per Init_K
+//	fig6       Figure 6: absolute and relative speedup
+//	fig7       Figure 7: 256-processor speedup vs sequential run time
+//	fig8       Figure 8: per-processor load balance
+//	fig9       Figure 9: memory per clique size
+//	blowup     Section 3: graph B exhausting a memory budget
+//	all        every one of the above
 //
 // Flags:
 //
@@ -40,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: repro [flags] <maxclique|table1|fig5|fig6|fig7|fig8|fig9|blowup|ablate|all>")
+		fmt.Fprintln(os.Stderr, "usage: repro [flags] <maxclique|table1|fig5|fig6|fig7|fig8|fig9|blowup|all>")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -123,14 +134,6 @@ func run(name string, cfg expt.Config) error {
 			return err
 		}
 		return res.Table.Fprint(os.Stdout)
-	case "ablate":
-		tables, err := expt.Ablations(cfg)
-		for _, t := range tables {
-			if perr := t.Fprint(os.Stdout); err == nil {
-				err = perr
-			}
-		}
-		return err
 	case "all":
 		for _, sub := range []string{"maxclique", "table1", "fig5", "fig8", "fig9", "blowup"} {
 			fmt.Printf("--- %s ---\n", sub)

@@ -16,7 +16,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 func TestRunSmokeFastExperiments(t *testing.T) {
-	for _, name := range []string{"maxclique", "table1", "fig8", "fig9", "blowup", "ablate"} {
+	for _, name := range []string{"maxclique", "table1", "fig8", "fig9", "blowup"} {
 		if err := run(name, tinyCfg); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

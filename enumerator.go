@@ -56,26 +56,37 @@ type Counter = clique.Counter
 func NewCounter() *Counter { return clique.NewCounter() }
 
 // Stats, when registered with WithStats, is filled by Run / Cliques /
-// Paracliques with whatever the selected backend observed.  On
-// cancellation or error the partial statistics up to the abort point are
-// retained — this is what a Ctrl-C'd cliquer prints.
+// Paracliques.  Every regime reports through one run record: the level
+// driver that ran a step emits one level record for it (the WithOnLevel
+// stream, kept in Levels), and the clique and scheduling totals below are
+// the fold of that stream plus the seed phase's count, computed in one
+// place (internal/core.Result) — so the totals and the level events
+// cannot disagree.  Levels grows while the run is under way; everything
+// else is written once, when the run returns.  On cancellation or error
+// the statistics up to the abort point are retained — this is what a
+// Ctrl-C'd cliquer prints — and the step that was cut short is the last
+// entry of Levels, counting what it delivered.
 type Stats struct {
 	// Backend names the execution regime that ran: "sequential",
 	// "parallel", "out-of-core", "distributed",
 	// "hybrid(sequential)" / "hybrid(parallel)" (annotated with
 	// "->out-of-core@k" once a hybrid run spills), or "paraclique" for
-	// Paracliques.
+	// Paracliques.  Derived from the validated configuration.
 	Backend string
-	// MaximalCliques counts the cliques delivered to the caller;
-	// MaxCliqueSize is the largest size among them.
+	// MaximalCliques counts the cliques delivered to the caller — the
+	// seed phase's (maximal Lo-cliques, WithReportSmall) plus the sum of
+	// Levels[].Maximal — and MaxCliqueSize is the largest size among
+	// them.
 	MaximalCliques int64
 	MaxCliqueSize  int
-	// Levels holds one entry per generation step k -> k+1.
+	// Levels holds one entry per generation step k -> k+1, in the order
+	// the steps ran.
 	Levels []LevelStats
 	// PeakBytes is the memory governor's high-water mark: the largest
 	// byte total the run ever declared resident across every layer —
 	// graph adjacency, the candidate levels' blocks, worker scratch, spill
-	// I/O buffers.  Reported by every backend, budgeted or not.
+	// I/O buffers.  Read from the governor when the run returns; reported
+	// by every backend, budgeted or not.
 	PeakBytes int64
 	// SpilledAtLevel is the clique size the hybrid backend was
 	// generating when its governor tripped and the run went out-of-core
@@ -89,15 +100,16 @@ type Stats struct {
 	// payload; with OOCCompress the ratio of the two is the level-file
 	// compression win.  Resumed reports that the run continued a
 	// checkpoint, in which case the spill counters are cumulative across
-	// the original run and the resume.
+	// the original run and the resume.  Counted by the on-disk level
+	// driver as the bytes move.
 	SpillBytesWritten    int64
 	SpillRawBytesWritten int64
 	SpillBytesRead       int64
 	PeakLevelFileBytes   int64
 	Resumed              bool
 	// WorkerBusy is the per-worker busy seconds and Transfers the number
-	// of sub-lists processed away from their home worker (parallel
-	// backends).
+	// of level blocks processed away from their home worker (parallel
+	// backends): sums over the level records the pool engine filled.
 	WorkerBusy []float64
 	Transfers  int
 	// DistWorkers / DistReleases / DistWorkerDeaths describe a
@@ -105,7 +117,7 @@ type Stats struct {
 	// (expiry or death) and re-run on another worker, and the worker
 	// processes that died and were respawned.  Zero outside the
 	// distributed backend; a fault-free run has zero releases and
-	// deaths.
+	// deaths.  Counted by the coordinator's lease scheduler.
 	DistWorkers      int
 	DistReleases     int
 	DistWorkerDeaths int
@@ -113,17 +125,19 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// LevelStats is the per-generation-step view common to every backend.
-// The in-core engines fill the same fields with the same values for the
-// same run (sequential, any worker count, either strategy); Transfers is
-// zero outside the worker pool, Sublists zero out of core.
+// LevelStats is the public view of the one level record every driver
+// emits (internal/core.LevelStats): the in-core loop fills it from the
+// level blocks' own counts, the on-disk loop from its shard list.  The
+// in-core engines fill the same fields with the same values for the same
+// run (sequential, any worker count, either strategy); Transfers is zero
+// outside the worker pool, Sublists zero out of core.
 type LevelStats struct {
 	FromK         int   // size of the consumed candidates
-	Sublists      int   // sub-lists consumed (in-core backends)
+	Sublists      int   // sub-lists consumed (in-core steps)
 	Cliques       int64 // candidate cliques consumed
-	Maximal       int64 // maximal (FromK+1)-cliques the backend reported
-	ResidentBytes int64 // in-core: resident candidate bytes; ooc: level file bytes
-	Transfers     int   // parallel: level blocks processed off their home worker
+	Maximal       int64 // maximal (FromK+1)-cliques delivered to the caller
+	ResidentBytes int64 // consumed + produced level: block bytes as charged in core, encoded file bytes on disk
+	Transfers     int   // pool engine: level blocks processed off their home worker
 }
 
 // Enumerator is the single entry point to maximal clique enumeration: one
@@ -395,13 +409,6 @@ func WithStoredBitmaps() Option {
 	return func(e *Enumerator) { e.cfg.Mode = enumcfg.CNStore }
 }
 
-// WithCompressedBitmaps stores prefix common-neighbor bitmaps
-// WAH-compressed (the paper's future-work direction): high compression
-// on sparse graphs at the cost of one decompression pass per sub-list.
-func WithCompressedBitmaps() Option {
-	return func(e *Enumerator) { e.cfg.Mode = enumcfg.CNCompress }
-}
-
 // WithGraphRepresentation converts the input graph to the given
 // adjacency representation before every run: Dense for raw row-AND
 // speed, CSR for O(n+m) memory, Compressed for WAH rows, Auto to let the
@@ -463,21 +470,19 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 		gov.Charge(g.Bytes())
 		defer gov.Release(g.Bytes())
 	}
-	st := e.statsSink(cfg)
+	st := e.statsSink()
 	start := time.Now()
-	defer func() {
-		if st != nil {
-			st.Elapsed = time.Since(start)
-			st.PeakBytes = gov.Peak()
-		}
-	}()
+	var out outcome
 	switch cfg.Backend() {
 	case enumcfg.OutOfCore:
-		return e.runOutOfCore(cfg, g, r, st, gov)
+		out, err = e.runOutOfCore(cfg, g, r, st, gov)
 	case enumcfg.Distributed:
-		return e.runDistributed(cfg, g, r, st, gov)
+		out, err = e.runDistributed(cfg, g, r, st, gov)
+	default:
+		out, err = e.runInCore(cfg, g, r, st, gov)
 	}
-	return e.runInCore(cfg, g, r, st, gov)
+	st.fill(backendName(cfg, out.spilledAt), &out, gov, start)
+	return out.MaximalCliques, err
 }
 
 // Cliques returns a range-over-func iterator over the maximal cliques of
@@ -555,17 +560,8 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 		gov.Charge(g.Bytes())
 		defer gov.Release(g.Bytes())
 	}
-	st := e.statsSink(cfg)
-	if st != nil {
-		st.Backend = "paraclique"
-	}
+	st := e.statsSink()
 	start := time.Now()
-	defer func() {
-		if st != nil {
-			st.Elapsed = time.Since(start)
-			st.PeakBytes = gov.Peak()
-		}
-	}()
 	min := cfg.Lo
 	if min < 3 {
 		min = 3
@@ -575,15 +571,12 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 		Glom:          glom,
 		MinCliqueSize: min,
 	})
-	if st != nil {
-		st.Paracliques = len(ps)
-		st.MaximalCliques = int64(len(ps))
-		for _, p := range ps {
-			if p.CoreSize > st.MaxCliqueSize {
-				st.MaxCliqueSize = p.CoreSize
-			}
-		}
+	out := outcome{paracliques: len(ps)}
+	out.MaximalCliques = int64(len(ps))
+	for _, p := range ps {
+		out.MaxCliqueSize = max(out.MaxCliqueSize, p.CoreSize)
 	}
+	st.fill("paraclique", &out, gov, start)
 	if err := cfg.Context().Err(); err != nil {
 		return ps, fmt.Errorf("repro: paraclique extraction canceled: %w", err)
 	}
@@ -616,148 +609,142 @@ func (e *Enumerator) runConfig(ctx context.Context) (enumcfg.Config, error) {
 	return cfg, nil
 }
 
-// hybridMode names the in-core engine a hybrid config starts on.
-func hybridMode(cfg enumcfg.Config) string {
-	if cfg.Workers > 1 {
-		return "parallel"
+// backendName names the regime a validated config ran as, for
+// Stats.Backend: a hybrid run names its in-core engine and, once it
+// spilled, the level it left memory at.
+func backendName(cfg enumcfg.Config, spilledAt int) string {
+	if cfg.Backend() != enumcfg.Hybrid {
+		return cfg.Backend().String()
 	}
-	return "sequential"
+	engine := "sequential"
+	if cfg.Workers > 1 {
+		engine = "parallel"
+	}
+	if spilledAt > 0 {
+		return fmt.Sprintf("hybrid(%s->out-of-core@%d)", engine, spilledAt)
+	}
+	return "hybrid(" + engine + ")"
 }
 
 // statsSink resets and returns the registered Stats, if any.
-func (e *Enumerator) statsSink(cfg enumcfg.Config) *Stats {
-	if e.stats == nil {
-		return nil
+func (e *Enumerator) statsSink() *Stats {
+	if e.stats != nil {
+		*e.stats = Stats{}
 	}
-	name := cfg.Backend().String()
-	if cfg.Backend() == enumcfg.Hybrid {
-		name = "hybrid(" + hybridMode(cfg) + ")"
-	}
-	*e.stats = Stats{Backend: name}
 	return e.stats
 }
 
-// observe fans one level record out to the stats sink and the observer.
-func (e *Enumerator) observe(st *Stats, ls LevelStats) {
-	if st != nil {
-		st.Levels = append(st.Levels, ls)
+// outcome is what a backend hands back to Run: the run record and the
+// regime's own counters.
+type outcome struct {
+	core.Result            // seed tally + the fold of the level stream
+	spill       ooc.Stats  // disk I/O: out-of-core, distributed, a hybrid run's spilled phase
+	spilledAt   int        // hybrid: the level being generated at the trip (0 = never)
+	dist        dist.Stats // the lease scheduler's counters
+	paracliques int        // Paracliques only
+}
+
+// fill writes a finished (or aborted) run into the Stats sink — the one
+// place a Stats field other than Levels is written.
+func (st *Stats) fill(backend string, out *outcome, gov *membudget.Governor, start time.Time) {
+	if st == nil {
+		return
 	}
-	if e.onLevel != nil {
-		e.onLevel(ls)
+	st.Backend = backend
+	st.MaximalCliques = out.MaximalCliques
+	st.MaxCliqueSize = out.MaxCliqueSize
+	st.PeakBytes = gov.Peak()
+	st.SpilledAtLevel = out.spilledAt
+	st.Paracliques = out.paracliques
+	st.SpillBytesWritten = out.spill.BytesWritten
+	st.SpillRawBytesWritten = out.spill.RawBytesWritten
+	st.SpillBytesRead = out.spill.BytesRead
+	st.PeakLevelFileBytes = out.spill.PeakLevelFile
+	st.Resumed = out.spill.Resumed
+	st.WorkerBusy = out.WorkerBusy
+	st.Transfers = out.Transfers
+	st.DistWorkers = out.dist.Workers
+	st.DistReleases = out.dist.Releases
+	st.DistWorkerDeaths = out.dist.WorkerDeaths
+	st.Elapsed = time.Since(start)
+}
+
+// levelSink returns the hook that hands each level record to the Stats
+// sink and the WithOnLevel observer (nil when nobody listens): the one
+// place the engines' record becomes the public LevelStats.
+func (e *Enumerator) levelSink(st *Stats) func(core.LevelStats) {
+	if st == nil && e.onLevel == nil {
+		return nil
+	}
+	return func(ls core.LevelStats) {
+		pub := LevelStats{
+			FromK:         ls.FromK,
+			Sublists:      ls.Sublists,
+			Cliques:       ls.Cliques,
+			Maximal:       ls.Maximal,
+			ResidentBytes: ls.Bytes + ls.NextBytes,
+			Transfers:     ls.Transfers,
+		}
+		if st != nil {
+			st.Levels = append(st.Levels, pub)
+		}
+		if e.onLevel != nil {
+			e.onLevel(pub)
+		}
 	}
 }
 
 // runInCore is the sequential, parallel and hybrid backends: one in-core
 // level loop whose engine follows cfg.Workers and whose budget-trip
 // policy follows cfg.Dir (abort without a spill directory, drain to disk
-// and continue out of core with one).
-func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
+// and continue out of core with one).  hybrid.Enumerate keeps the run
+// record; a nil reporter reaches the engines as nil, so a count-only
+// pooled run copies no emission.
+func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (out outcome, err error) {
 	opts := hybrid.OptionsFromConfig(cfg)
-	opts.Reporter = r
-	opts.Gov = gov
-	if st != nil || e.onLevel != nil {
-		opts.OnLevel = func(ls core.LevelStats) {
-			if st != nil && len(ls.WorkerBusy) > 0 {
-				if st.WorkerBusy == nil {
-					st.WorkerBusy = make([]float64, len(ls.WorkerBusy))
-				}
-				for w, busy := range ls.WorkerBusy {
-					st.WorkerBusy[w] += busy
-				}
-				st.Transfers += ls.Transfers
-			}
-			e.observe(st, LevelStats{
-				FromK:         ls.FromK,
-				Sublists:      ls.Sublists,
-				Cliques:       ls.Cliques,
-				Maximal:       ls.Maximal,
-				ResidentBytes: ls.Bytes + ls.NextBytes,
-				Transfers:     ls.Transfers,
-			})
-		}
-	}
+	opts.Reporter, opts.Gov, opts.OnLevel = r, gov, e.levelSink(st)
 	res, err := hybrid.Enumerate(g, opts)
-	if res == nil {
-		return 0, err
+	if res != nil {
+		out.Result, out.spill, out.spilledAt = res.Result, res.OOC, res.SpilledAtLevel
 	}
-	if st != nil {
-		st.MaximalCliques = res.MaximalCliques
-		st.MaxCliqueSize = res.MaxCliqueSize
-		st.SpilledAtLevel = res.SpilledAtLevel
-		st.SpillBytesWritten = res.OOC.BytesWritten
-		st.SpillRawBytesWritten = res.OOC.RawBytesWritten
-		st.SpillBytesRead = res.OOC.BytesRead
-		st.PeakLevelFileBytes = res.OOC.PeakLevelFile
-		if res.SpilledAtLevel > 0 {
-			st.Backend = fmt.Sprintf("hybrid(%s->out-of-core@%d)", hybridMode(cfg), res.SpilledAtLevel)
+	return out, err
+}
+
+// sizeFilter drops the cliques below the configured lower bound: the
+// disk engines report every maximal clique of size >= 3, whatever Lo is.
+type sizeFilter struct {
+	lo int
+	r  Reporter
+}
+
+func (f sizeFilter) Emit(c Clique) {
+	if len(c) >= f.lo {
+		f.r.Emit(c)
+	}
+}
+
+// diskHooks returns the reporter and the level hook of a disk run
+// (out-of-core or distributed) recorded in out.  A step FromK -> FromK+1
+// delivers cliques of size exactly FromK+1, so the lower bound zeroes
+// whole levels' Maximal before the fold — which keeps the record's count
+// equal to what the filter let through, as on the in-core backends.
+func (e *Enumerator) diskHooks(cfg enumcfg.Config, r Reporter, st *Stats, out *outcome) (Reporter, func(core.LevelStats)) {
+	var rep Reporter
+	if r != nil {
+		rep = sizeFilter{lo: cfg.Lo, r: r}
+	}
+	fold := out.Fold(e.levelSink(st))
+	return rep, func(ls core.LevelStats) {
+		if ls.FromK+1 < cfg.Lo {
+			ls.Maximal = 0
 		}
-	}
-	return res.MaximalCliques, err
-}
-
-// diskRun is the delivery side shared by the out-of-core and distributed
-// backends.  Both report every maximal clique of size >= 3; the facade
-// applies the configured lower bound and counts what it delivers.
-type diskRun struct {
-	lo      int
-	r       Reporter
-	count   int64
-	maxSize int
-}
-
-func (d *diskRun) Emit(c Clique) {
-	if len(c) < d.lo {
-		return
-	}
-	d.count++
-	if len(c) > d.maxSize {
-		d.maxSize = len(c)
-	}
-	if d.r != nil {
-		d.r.Emit(c)
+		fold(ls)
 	}
 }
 
-// onLevel adapts the disk engines' level record.  A step FromK ->
-// FromK+1 reports maximal cliques of size exactly FromK+1, so the
-// lower-bound filter zeroes whole levels — keeping sum(Levels[].Maximal)
-// equal to the delivered count, as on the in-core backends.
-func (e *Enumerator) diskOnLevel(lo int, st *Stats) func(ooc.LevelStats) {
-	if st == nil && e.onLevel == nil {
-		return nil
-	}
-	return func(ls ooc.LevelStats) {
-		maximal := ls.Maximal
-		if ls.FromK+1 < lo {
-			maximal = 0
-		}
-		e.observe(st, LevelStats{
-			FromK:         ls.FromK,
-			Cliques:       ls.Cliques,
-			Maximal:       maximal,
-			ResidentBytes: ls.FileBytes + ls.NextBytes,
-		})
-	}
-}
-
-// fill copies what a disk run delivered and moved into the facade Stats:
-// the one stats-fill behind both disk backends.
-func (d *diskRun) fill(st *Stats, ost ooc.Stats) {
-	if st == nil {
-		return
-	}
-	st.MaximalCliques = d.count
-	st.MaxCliqueSize = d.maxSize
-	st.SpillBytesWritten = ost.BytesWritten
-	st.SpillRawBytesWritten = ost.RawBytesWritten
-	st.SpillBytesRead = ost.BytesRead
-	st.PeakLevelFileBytes = ost.PeakLevelFile
-	st.Resumed = ost.Resumed
-}
-
-func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	d := &diskRun{lo: cfg.Lo, r: r}
-	dst, err := dist.Enumerate(g, dist.Options{
+func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (out outcome, err error) {
+	rep, onLevel := e.diskHooks(cfg, r, st, &out)
+	out.dist, err = dist.Enumerate(g, dist.Options{
 		Ctx:          cfg.Ctx,
 		Dir:          cfg.Dir,
 		Workers:      cfg.DistWorkers,
@@ -767,29 +754,21 @@ func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Repo
 		Compress:     cfg.OOCCompress,
 		ShardBytes:   cfg.DistShardBytes,
 		Gov:          gov,
-		Reporter:     d,
-		OnLevel:      e.diskOnLevel(cfg.Lo, st),
+		Reporter:     rep,
+		OnLevel:      onLevel,
 	})
-	d.fill(st, dst.Stats)
-	if st != nil {
-		st.DistWorkers = dst.Workers
-		st.DistReleases = dst.Releases
-		st.DistWorkerDeaths = dst.WorkerDeaths
-	}
-	return d.count, err
+	out.spill = out.dist.Stats
+	return out, err
 }
 
-func (e *Enumerator) runOutOfCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (int64, error) {
-	d := &diskRun{lo: cfg.Lo, r: r}
+func (e *Enumerator) runOutOfCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (out outcome, err error) {
 	opts := ooc.OptionsFromConfig(cfg)
 	opts.Gov = gov
-	opts.Reporter = d
-	opts.OnLevel = e.diskOnLevel(cfg.Lo, st)
+	opts.Reporter, opts.OnLevel = e.diskHooks(cfg, r, st, &out)
 	enumerate := ooc.Enumerate
 	if cfg.Resume {
 		enumerate = ooc.Resume
 	}
-	ost, err := enumerate(g, opts)
-	d.fill(st, ost)
-	return d.count, err
+	out.spill, err = enumerate(g, opts)
+	return out, err
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,7 +66,6 @@ func TestBackendParity(t *testing.T) {
 			{"out-of-core-parallel-compressed", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
 				repro.OOCWorkers(3), repro.OOCCompress())}},
 			{"store", []repro.Option{repro.WithStoredBitmaps()}},
-			{"compressed", []repro.Option{repro.WithCompressedBitmaps()}},
 		}
 		want := stream(t, repro.NewEnumerator(append(backends[0].opts, repro.WithBounds(3, 0))...), g)
 		if len(want) == 0 {
@@ -478,6 +479,91 @@ func TestOOCLevelMaximalRespectsLowerBound(t *testing.T) {
 	}
 	if sum != n {
 		t.Fatalf("levels sum to %d maximal cliques, run delivered %d", sum, n)
+	}
+}
+
+// TestStatsOneFold pins that a run's struct and its events cannot
+// disagree, on every regime: the WithOnLevel stream is Stats.Levels
+// element for element, and the clique and scheduling totals are what a
+// reader recomputes from Stats.Levels plus the seed-phase count (the
+// delivered cliques no level generates: those no larger than the first
+// level's FromK).
+func TestStatsOneFold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the distributed row spawns worker processes")
+	}
+	g := testGraph(21, 90, 0.18)
+	tight := g.Bytes() + 8 // the first sealed block trips it
+	for _, c := range []struct {
+		name   string
+		lo     int
+		opts   []repro.Option
+		spills bool
+	}{
+		{name: "sequential", lo: 3},
+		{name: "sequential-edges", lo: 2},
+		{name: "pool-2w-contiguous", lo: 3, opts: []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Contiguous)}},
+		{name: "pool-2w-affinity", lo: 4, opts: []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Affinity)}},
+		{name: "hybrid-spills", lo: 3, spills: true,
+			opts: []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(tight)}},
+		{name: "hybrid-2w-spills", lo: 3, spills: true,
+			opts: []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(tight), repro.WithWorkers(2)}},
+		{name: "out-of-core-lo3", lo: 3, opts: []repro.Option{repro.WithOutOfCore(t.TempDir(), 0)}},
+		{name: "out-of-core-lo5", lo: 5, opts: []repro.Option{repro.WithOutOfCore(t.TempDir(), 0, repro.OOCWorkers(2))}},
+		{name: "distributed-2w", lo: 3, opts: []repro.Option{repro.WithDistributed(2, t.TempDir(), repro.DistShardBytes(512))}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var st repro.Stats
+			var events []repro.LevelStats
+			var sizes []int
+			opts := append(append([]repro.Option{}, c.opts...), repro.WithBounds(c.lo, 0), repro.WithStats(&st),
+				repro.WithOnLevel(func(ls repro.LevelStats) { events = append(events, ls) }))
+			n, err := repro.NewEnumerator(opts...).Run(context.Background(), g,
+				repro.ReporterFunc(func(c repro.Clique) { sizes = append(sizes, len(c)) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.spills != (st.SpilledAtLevel > 0) {
+				t.Fatalf("SpilledAtLevel = %d, want spilled = %v", st.SpilledAtLevel, c.spills)
+			}
+			if len(events) < 3 || len(sizes) == 0 {
+				t.Fatalf("weak fixture: %d levels, %d cliques", len(events), len(sizes))
+			}
+			if !slices.Equal(events, st.Levels) {
+				t.Errorf("WithOnLevel stream and Stats.Levels differ:\n%+v\n%+v", events, st.Levels)
+			}
+			var total int64
+			var maxSize, transfers int
+			for _, size := range sizes {
+				if size <= st.Levels[0].FromK {
+					total++ // seed phase
+					maxSize = max(maxSize, size)
+				}
+			}
+			for _, ls := range st.Levels {
+				total += ls.Maximal
+				transfers += ls.Transfers
+				if ls.Maximal > 0 {
+					maxSize = max(maxSize, ls.FromK+1)
+				}
+			}
+			if st.MaximalCliques != total || n != total || total != int64(len(sizes)) {
+				t.Errorf("MaximalCliques = %d, Run returned %d, %d delivered; Levels + seed phase give %d",
+					st.MaximalCliques, n, len(sizes), total)
+			}
+			if st.MaxCliqueSize != maxSize || maxSize != slices.Max(sizes) {
+				t.Errorf("MaxCliqueSize = %d, largest delivered %d; Levels + seed phase give %d",
+					st.MaxCliqueSize, slices.Max(sizes), maxSize)
+			}
+			if st.Transfers != transfers {
+				t.Errorf("Transfers = %d, Levels sum to %d", st.Transfers, transfers)
+			}
+			// WorkerBusy is per worker exactly where a pool engine ran a level.
+			pooled := strings.Contains(st.Backend, "parallel")
+			if pooled != (len(st.WorkerBusy) == 2) || (!pooled && st.WorkerBusy != nil) {
+				t.Errorf("backend %s: WorkerBusy = %v", st.Backend, st.WorkerBusy)
+			}
+		})
 	}
 }
 

@@ -88,6 +88,27 @@ type ReporterFunc func(c Clique)
 // Emit calls the adapted function.
 func (f ReporterFunc) Emit(c Clique) { f(c) }
 
+// Tally is the seed-phase reporter: it counts the cliques it is handed,
+// keeps the largest size, and forwards each to Next (nil = count only).
+// It is for what is reported before the first level — the maximal
+// Lo-cliques a seeder finds, the 1-/2-cliques of ReportSmall; from the
+// first level on the level records carry the counts (core.Result), so no
+// level's emissions ever pass through a counting wrapper.
+type Tally struct {
+	Next    Reporter
+	Count   int64
+	MaxSize int
+}
+
+// Emit counts c and forwards it.
+func (t *Tally) Emit(c Clique) {
+	t.Count++
+	t.MaxSize = max(t.MaxSize, len(c))
+	if t.Next != nil {
+		t.Next.Emit(c)
+	}
+}
+
 // Collector is a Reporter that copies and stores every emitted clique.
 type Collector struct {
 	Cliques []Clique

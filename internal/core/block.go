@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/membudget"
-	"repro/internal/wah"
 )
 
 // The level store.  A level is an ordered list of blocks; a block is one
@@ -56,27 +55,14 @@ const (
 	// producing engine notices a tripped budget.
 	MaxBlockBytes = 4 * maxChunkWords
 
-	// sideBytes is what one side-slab entry occupies beside its payload.
+	// sideBytes is what the ledger charges for one side-slab entry — the
+	// pointer to a record's retained prefix bitmap (CNStore) — beside the
+	// bitmap's words: the pointer's 8 bytes and 8 towards the bitmap's
+	// own 32-byte header, which nothing else accounts for.  It is the
+	// figure charged since the block store landed, so stored-bitmap peaks
+	// (and expt.Blowup's table) stay comparable across commits.
 	sideBytes = 16
 )
-
-// side is one record's retained prefix bitmap in the stored-bitmap
-// modes: dense (CNStore) or WAH (CNCompress).
-type side struct {
-	cn  *bitset.Bitset
-	cnc *wah.Bitmap
-}
-
-// payload returns the bitmap bytes the entry holds.
-func (s side) payload() int64 {
-	switch {
-	case s.cn != nil:
-		return int64(s.cn.Bytes())
-	case s.cnc != nil:
-		return int64(s.cnc.CompressedBytes())
-	}
-	return 0
-}
 
 // blockCounts is what a block's header carries about its records, so
 // that no caller walks a level to size it.
@@ -95,11 +81,11 @@ func (c *blockCounts) sub(o blockCounts) {
 }
 
 // Block is one self-contained stretch of a level: front-coded records in
-// words, the first with lcp 0, and — in the stored-bitmap modes only — a
-// side slab holding one prefix bitmap per record.
+// words, the first with lcp 0, and — in CNStore mode only — a side slab
+// holding one prefix bitmap per record.
 type Block struct {
 	words []uint32
-	side  []side
+	side  []*bitset.Bitset
 	blockCounts
 }
 
@@ -150,11 +136,11 @@ func (b *Block) Records(k int) iter.Seq[*SubList] {
 
 // dropBitmaps recycles the bitmaps the block's side slab still holds.
 func (b *Block) dropBitmaps(pool *bitset.Pool) {
-	for i := range b.side {
-		if cn := b.side[i].cn; cn != nil {
+	for i, cn := range b.side {
+		if cn != nil {
 			pool.Put(cn)
 		}
-		b.side[i] = side{}
+		b.side[i] = nil
 	}
 }
 
@@ -202,9 +188,8 @@ func (l *Level) Bytes(...int) int64 {
 // PaperBytes returns the paper's space formula for the level,
 // M[k]*c + N[k]*((k-1)*c + ceil(n/8) + sizeof(pointer)), the bitmap term
 // being whatever bitmaps the level really holds (none in the default
-// mode, the compressed sizes in CNCompress) — what the pointer-per-
-// sub-list store of the paper would occupy, for the tables that
-// reproduce the paper's figures.
+// mode) — what the pointer-per-sub-list store of the paper would occupy,
+// for the tables that reproduce the paper's figures.
 func (l *Level) PaperBytes() int64 {
 	var cn int64
 	for i := range l.Sub {
@@ -274,8 +259,8 @@ func (l *Level) Recut(maxWords int, homes []int32) (*Level, []int32) {
 			piece.n++
 			piece.m += t
 			piece.pairs += t * (t - 1) / 2
-			if s.slot != nil {
-				piece.cn += s.slot.payload()
+			if s.CN != nil {
+				piece.cn += int64(s.CN.Bytes())
 			}
 			rec++
 		}
@@ -318,7 +303,7 @@ type Iter struct {
 	sub   SubList // the view Next hands out
 	words []uint32
 	pos   int
-	side  []side
+	side  []*bitset.Bitset
 	i     int // records decoded so far
 	k1    int
 	err   error
@@ -379,13 +364,13 @@ func (it *Iter) Next() *SubList {
 	end := p + int(t)
 	s.Tails = w[p:end:end]
 	s.LCP = int(l)
-	s.CN, s.CNC, s.slot = nil, nil, nil
+	s.CN, s.slot = nil, nil
 	if it.side != nil {
 		if it.i >= len(it.side) {
 			return it.fail("more records than side-slab entries")
 		}
 		s.slot = &it.side[it.i]
-		s.CN, s.CNC = s.slot.cn, s.slot.cnc
+		s.CN = *s.slot
 	}
 	it.pos = end
 	it.i++
@@ -418,15 +403,15 @@ func (it *Iter) mustEnd() {
 type blockSink struct {
 	gov    *membudget.Governor
 	chunks arena[uint32]
-	sides  arena[side]
+	sides  arena[*bitset.Bitset]
 
 	buf []uint32 // the active chunk
 	lo  int      // where the open block starts in buf
 	run int      // where the open run — the last record with lcp 0 — starts
 	pos int      // where the next record goes
 
-	open, atRun blockCounts // of the open block: now, and when the open run started
-	sideBuf     []side      // side entries of the open block
+	open, atRun blockCounts      // of the open block: now, and when the open run started
+	sideBuf     []*bitset.Bitset // side entries of the open block
 
 	// carry is how much of its prefix the next record may take over from
 	// the record appended last: the least stored lcp among the input
@@ -445,7 +430,7 @@ func newBlockSink(gov *membudget.Governor) blockSink {
 	return blockSink{
 		gov:    gov,
 		chunks: arena[uint32]{minLen: minChunkWords, maxLen: maxChunkWords},
-		sides:  arena[side]{minLen: 1 << 5, maxLen: 1 << 10},
+		sides:  arena[*bitset.Bitset]{minLen: 1 << 5, maxLen: 1 << 10},
 	}
 }
 
@@ -464,11 +449,10 @@ func (s *blockSink) reset() {
 }
 
 // append writes the sub-list (prefix+v, tails) behind the one appended
-// last.  sd is its bitmap in the stored-bitmap modes, the zero side
-// otherwise.
+// last.  cn is its bitmap in CNStore mode, nil otherwise.
 //
 //repro:hotpath
-func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, sd side) {
+func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, cn *bitset.Bitset) {
 	l := s.carry
 	s.carry = len(prefix) // what the next sub-list of the same input shares
 	if s.pos-s.run >= runWords {
@@ -494,13 +478,13 @@ func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, sd side) {
 	p++
 	p += copy(buf[p:], tails)
 	s.pos = p
-	s.count(len(tails), sd)
+	s.count(len(tails), cn)
 }
 
 // appendRecord is append for the seeders, whose sub-lists arrive with
 // whole prefixes from outside a join: the shared length is found by
 // comparison with the record appended last.
-func (s *blockSink) appendRecord(prefix, tails []uint32, sd side) {
+func (s *blockSink) appendRecord(prefix, tails []uint32, cn *bitset.Bitset) {
 	l := 0
 	if len(s.prev) == len(prefix) {
 		// The last vertex is always spelled: append takes it by itself.
@@ -510,7 +494,7 @@ func (s *blockSink) appendRecord(prefix, tails []uint32, sd side) {
 	}
 	s.prev = append(s.prev[:0], prefix...)
 	s.carry = l
-	s.append(prefix[:len(prefix)-1], prefix[len(prefix)-1], tails, sd)
+	s.append(prefix[:len(prefix)-1], prefix[len(prefix)-1], tails, cn)
 }
 
 // putHeader writes a record's header at buf[p:] and returns the position
@@ -541,13 +525,13 @@ func putHeader(buf []uint32, p, lcp, tails int) int {
 // count books one appended sub-list of t tails on the open block.
 //
 //repro:hotpath
-func (s *blockSink) count(t int, sd side) {
+func (s *blockSink) count(t int, cn *bitset.Bitset) {
 	s.open.n++
 	s.open.m += int64(t)
 	s.open.pairs += int64(t) * int64(t-1) / 2
-	if sd.cn != nil || sd.cnc != nil {
-		s.open.cn += sd.payload()
-		s.sideBuf = append(s.sideBuf, sd)
+	if cn != nil {
+		s.open.cn += int64(cn.Bytes())
+		s.sideBuf = append(s.sideBuf, cn)
 	}
 }
 
@@ -599,10 +583,8 @@ func (s *blockSink) finish(from int) []Block {
 func (s *blockSink) abandon(from int, pool *bitset.Pool) {
 	DiscardBlocks(s.out[from:], s.gov, pool)
 	s.out = s.out[:from]
-	for _, sd := range s.sideBuf {
-		if sd.cn != nil {
-			pool.Put(sd.cn)
-		}
+	for _, cn := range s.sideBuf {
+		pool.Put(cn)
 	}
 	s.sideBuf = s.sideBuf[:0]
 	s.lo, s.run, s.carry = s.pos, s.pos, 0

@@ -63,7 +63,7 @@ func sortedRecords(rng *rand.Rand, n, k, universe, maxTails int) []record {
 func seedLevel(k int, recs []record) *Level {
 	sink := newBlockSink(nil)
 	for _, r := range recs {
-		sink.appendRecord(r.prefix, r.tails, side{})
+		sink.appendRecord(r.prefix, r.tails, nil)
 	}
 	return &Level{K: k, Sub: sink.finish(0)}
 }
@@ -161,7 +161,7 @@ func TestBlockRegrouping(t *testing.T) {
 	var frags []Block
 	mark := 0
 	for i, r := range want {
-		sink.appendRecord(r.prefix, r.tails, side{})
+		sink.appendRecord(r.prefix, r.tails, nil)
 		if i%50 == 49 || i == len(want)-1 {
 			frags = append(frags, sink.finish(mark)...)
 			mark = len(sink.out)
@@ -271,13 +271,13 @@ func TestBlockHeaderOverflow(t *testing.T) {
 	}
 }
 
-// TestBlockSideSlab: in the stored-bitmap modes every record of a block
+// TestBlockSideSlab: in the stored-bitmap mode every record of a block
 // has its bitmap in the side slab, consuming a record through the kernel
 // clears the slab's copy, and the block's bytes count slab and bitmaps.
 func TestBlockSideSlab(t *testing.T) {
 	rng := rand.New(rand.NewSource(193))
 	g := graph.PlantedGraph(rng, 90, []graph.PlantedCliqueSpec{{Size: 9}, {Size: 7, Overlap: 2}}, 200)
-	for _, mode := range []CNMode{CNStore, CNCompress} {
+	for _, mode := range []CNMode{CNStore} {
 		gov := membudget.New(0)
 		b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 		b.Gov = gov
@@ -287,10 +287,10 @@ func TestBlockSideSlab(t *testing.T) {
 			checkBlocks(t, lvl)
 			var payload int64
 			for s := range lvl.All() {
-				if (s.CN == nil) == (s.CNC == nil) {
-					t.Fatalf("mode %v level %d: sub-list holds CN %v and CNC %v", mode, lvl.K, s.CN != nil, s.CNC != nil)
+				if s.CN == nil {
+					t.Fatalf("mode %v level %d: sub-list holds no bitmap", mode, lvl.K)
 				}
-				payload += s.slot.payload()
+				payload += int64(s.CN.Bytes())
 			}
 			if want := payload + int64(lvl.Sublists())*sideBytes + 4*int64(len(levelWords(lvl))); lvl.Bytes() != want {
 				t.Fatalf("mode %v level %d: %d bytes, words + slab + bitmaps are %d", mode, lvl.K, lvl.Bytes(), want)
@@ -362,7 +362,7 @@ func FuzzLevelBlock(f *testing.F) {
 				r.tails[i] = uint32(binary.LittleEndian.Uint16(data[2*i:]))
 			}
 			data = data[2*len(r.tails):]
-			sink.appendRecord(r.prefix, r.tails, side{})
+			sink.appendRecord(r.prefix, r.tails, nil)
 			want = append(want, r)
 			if seal {
 				sink.finish(0)

@@ -49,9 +49,7 @@ type Options struct {
 	// CNRecompute, retains no bitmap with a sub-list and rebuilds it at
 	// join time from the builder's memo of the previous sub-list (one or
 	// two row ANDs in canonical order).  CNStore is the paper's policy —
-	// a dense bitmap per sub-list, n/8 bytes each — and CNCompress its
-	// future-work direction, the bitmap kept WAH-compressed at one
-	// decompression pass per sub-list.
+	// a dense bitmap per sub-list, n/8 bytes each.
 	Mode CNMode
 	// MemoryBudget, when positive, bounds the bytes of the resident levels
 	// (consumed + produced) and the builder's scratch; exceeding it aborts
@@ -68,15 +66,6 @@ type Options struct {
 	Gov *membudget.Governor
 	// OnLevel, when non-nil, observes each generation step.
 	OnLevel func(LevelStats)
-}
-
-// Result summarizes an enumeration run.
-type Result struct {
-	MaximalCliques int64        // total maximal cliques reported (all sizes)
-	MaxCliqueSize  int          // largest maximal clique size seen
-	Levels         []LevelStats // one entry per generation step
-	PeakBytes      int64        // max level bytes (consumed + produced) resident at any step
-	TotalCost      Cost
 }
 
 // Enumerate runs the Clique Enumerator over g — any graph representation
@@ -96,16 +85,9 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	}
 
 	res := &Result{}
-	reporter := clique.ReporterFunc(func(c clique.Clique) {
-		res.MaximalCliques++
-		if len(c) > res.MaxCliqueSize {
-			res.MaxCliqueSize = len(c)
-		}
-		if opts.Reporter != nil {
-			opts.Reporter.Emit(c)
-		}
-	})
-	lvl, err := Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, reporter)
+	seed := clique.Tally{Next: opts.Reporter}
+	lvl, err := Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
+	res.Seeded(seed)
 	if err != nil {
 		return res, err
 	}
@@ -122,17 +104,8 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 		Ctx:      opts.Ctx,
 		Hi:       opts.Hi,
 		Gov:      gov,
-		Reporter: reporter,
-		OnLevel: func(st LevelStats) {
-			res.Levels = append(res.Levels, st)
-			res.TotalCost.Add(st.Cost)
-			if resident := st.Bytes + st.NextBytes; resident > res.PeakBytes {
-				res.PeakBytes = resident
-			}
-			if opts.OnLevel != nil {
-				opts.OnLevel(st)
-			}
-		},
+		Reporter: opts.Reporter,
+		OnLevel:  res.Fold(opts.OnLevel),
 	}
 	if err := loop.Run(b, lvl, nil); err != nil {
 		return res, fmt.Errorf("core: %w", err)

@@ -333,6 +333,15 @@ func TestInvalidOptions(t *testing.T) {
 	}
 }
 
+func TestUnknownCNModeRejected(t *testing.T) {
+	g := graph.New(3)
+	for _, mode := range []CNMode{CNRecompute - 1, CNStore + 1} {
+		if _, err := Enumerate(g, Options{Mode: mode}); err == nil {
+			t.Fatalf("CN mode %d accepted", mode)
+		}
+	}
+}
+
 func TestEmptyAndEdgelessGraphs(t *testing.T) {
 	col, res := enumerate(t, graph.New(0), Options{})
 	if len(col.Cliques) != 0 || res.MaximalCliques != 0 {

@@ -52,8 +52,10 @@ type Loop struct {
 	Gov *membudget.Governor
 	// Reporter receives the levels' maximal cliques.
 	Reporter clique.Reporter
-	// OnLevel, when non-nil, observes each completed step — and the
-	// partial step of a budget abort.
+	// OnLevel, when non-nil, observes each step: the completed ones and,
+	// last, the one a budget abort or a cancellation cut short (its record
+	// covers what was delivered before the cut).  A step handed to OnTrip
+	// is the policy's to report.
 	OnLevel func(LevelStats)
 	// OnTrip is the trip policy.  nil aborts the run with
 	// ErrMemoryBudget.  Otherwise it is handed the consumed level and the
@@ -88,14 +90,15 @@ func (l *Loop) Run(eng LevelEngine, lvl *Level, homes []int32) error {
 			// tripped, with nothing left beyond the frontier.
 			out.Tripped = true
 		}
-		st := out.Stats
-		switch {
-		case out.Tripped && l.OnTrip != nil:
+		if out.Tripped && l.OnTrip != nil {
 			return l.OnTrip(lvl, out)
+		}
+		st := out.Stats
+		if l.OnLevel != nil {
+			l.OnLevel(st)
+		}
+		switch {
 		case out.Tripped:
-			if l.OnLevel != nil {
-				l.OnLevel(st)
-			}
 			// gov.Err() reports Peak, so retiring both levels first does
 			// not distort the message.
 			gov.Release(st.Bytes + st.NextBytes)
@@ -105,9 +108,6 @@ func (l *Loop) Run(eng LevelEngine, lvl *Level, homes []int32) error {
 			// next one the engine retained are both still charged.
 			gov.Release(st.Bytes + st.NextBytes)
 			return fmt.Errorf("canceled during level %d->%d: %w", lvl.K, lvl.K+1, l.Ctx.Err())
-		}
-		if l.OnLevel != nil {
-			l.OnLevel(st)
 		}
 		gov.Release(st.Bytes) // the consumed level is retired
 		lvl, homes = out.Next, out.Homes

@@ -7,16 +7,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/kclique"
-	"repro/internal/wah"
 )
-
-// wahRows is the optional fast path a representation may provide for the
-// CNCompress mode: the WAH graph's rows are already compressed, so seed
-// sub-lists can share them (wah.Bitmap is immutable) instead of paying a
-// decompress/recompress round trip.
-type wahRows interface {
-	WAHRow(v int) *wah.Bitmap
-}
 
 // Seed builds the sequential seed level at size max(lo, 2), reporting
 // the maximal lo-cliques the level machinery will not regenerate (and,
@@ -72,8 +63,6 @@ func SeedFromEdgesMode(g graph.Interface, mode CNMode) *Level {
 // neighbour's) — the property the parallel seeder relies on.
 func seedEdgeRange(g graph.Interface, mode CNMode, from, to int) []Block {
 	sink := newBlockSink(nil)
-	wr, _ := g.(wahRows)
-	var scratch *bitset.Bitset
 	var tails []uint32
 	for a := from; a < to; a++ {
 		tails = tails[:0]
@@ -86,21 +75,12 @@ func seedEdgeRange(g graph.Interface, mode CNMode, from, to int) []Block {
 		if len(tails) < 2 {
 			continue
 		}
-		var sd side
-		switch {
-		case mode == CNStore:
-			sd.cn = bitset.New(g.N())
-			g.Materialize(a, sd.cn)
-		case mode == CNCompress && wr != nil:
-			sd.cnc = wr.WAHRow(a)
-		case mode == CNCompress:
-			if scratch == nil {
-				scratch = bitset.New(g.N())
-			}
-			g.Materialize(a, scratch)
-			sd.cnc = wah.Compress(scratch)
+		var cn *bitset.Bitset
+		if mode == CNStore {
+			cn = bitset.New(g.N())
+			g.Materialize(a, cn)
 		}
-		sink.append(nil, uint32(a), tails, sd)
+		sink.append(nil, uint32(a), tails, cn)
 	}
 	return sink.finish(0)
 }
@@ -154,12 +134,9 @@ func (s *groupSink) add(gr kclique.Group) {
 	for _, t := range gr.CandidateTails {
 		s.tails = append(s.tails, uint32(t))
 	}
-	var sd side
-	switch s.mode {
-	case CNStore:
-		sd.cn = gr.PrefixCN.Clone()
-	case CNCompress:
-		sd.cnc = wah.Compress(gr.PrefixCN)
+	var cn *bitset.Bitset
+	if s.mode == CNStore {
+		cn = gr.PrefixCN.Clone()
 	}
-	s.sink.appendRecord(s.prefix, s.tails, sd)
+	s.sink.appendRecord(s.prefix, s.tails, cn)
 }

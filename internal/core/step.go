@@ -7,7 +7,6 @@ import (
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/membudget"
-	"repro/internal/wah"
 )
 
 // Cost records the work performed while processing sub-lists, in the
@@ -77,14 +76,13 @@ type Builder struct {
 	// (WAH walks the compressed stream from the start on every probe),
 	// so the generic join materializes each tail row once into
 	// rowScratch instead of probing the row per pair.
-	matRows    bool
-	rowScratch *bitset.Bitset
+	matRows bool
 
-	words   int
-	cnBytes int
-	scratch *bitset.Bitset // CN of the current k-clique being extended
-	recompu *bitset.Bitset // decompression target of a stored WAH prefix CN
-	emitBuf clique.Clique
+	words      int
+	cnBytes    int
+	scratch    *bitset.Bitset // CN of the current k-clique being extended
+	rowScratch *bitset.Bitset // a materialized tail row; read only when matRows, resident always
+	emitBuf    clique.Clique
 
 	// The prefix-CN memo of the reconstruct path: memo[i] is the
 	// common-neighbor bitmap of memoPrefix[:i+1], so a sub-list that
@@ -113,23 +111,19 @@ type Builder struct {
 func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder {
 	words := (g.N() + 63) / 64
 	dense, _ := g.(*graph.Graph)
-	_, compressed := g.(wahRows)
-	b := &Builder{
-		g:       g,
-		dense:   dense,
-		mode:    mode,
-		pool:    pool,
-		matRows: compressed,
-		words:   words,
-		cnBytes: words * 8,
-		scratch: bitset.New(g.N()),
-		recompu: bitset.New(g.N()),
-		sink:    newBlockSink(nil),
+	_, compressed := g.(*graph.CompressedGraph)
+	return &Builder{
+		g:          g,
+		dense:      dense,
+		mode:       mode,
+		pool:       pool,
+		matRows:    compressed,
+		words:      words,
+		cnBytes:    words * 8,
+		scratch:    bitset.New(g.N()),
+		rowScratch: bitset.New(g.N()),
+		sink:       newBlockSink(nil),
 	}
-	if b.matRows {
-		b.rowScratch = bitset.New(g.N())
-	}
-	return b
 }
 
 // Reset clears the builder for a new level, retaining scratch storage and
@@ -175,16 +169,12 @@ func (b *Builder) Abandon(mark int) { b.sink.abandon(mark, b.pool) }
 // builder charges the memo rows it adds to Gov itself, so the charged
 // amount tracks ScratchBytes at every instant.
 func (b *Builder) ScratchBytes() int64 {
-	n := 2 + int64(len(b.memo)) // scratch + recompu + memo rows
-	if b.matRows {
-		n++ // rowScratch
-	}
-	return n * int64(b.cnBytes)
+	return (2 + int64(len(b.memo))) * int64(b.cnBytes) // scratch + rowScratch + memo rows
 }
 
 // prefixCN returns the common-neighbor bitmap of s.Prefix: the stored
-// dense one, a decompression of the stored WAH form, or a reconstruction
-// by ANDs over adjacency rows (the paper's memory-saving alternative).
+// one, or a reconstruction by ANDs over adjacency rows (the paper's
+// memory-saving alternative).
 // The reconstruction is memoised against the previous sub-list: rows
 // below the shared prefix length are reused, so consecutive sorted
 // sub-lists cost one or two ANDs instead of k-2.  The shared length is
@@ -196,11 +186,6 @@ func (b *Builder) ScratchBytes() int64 {
 func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 	if s.CN != nil {
 		return s.CN
-	}
-	if s.CNC != nil {
-		s.CNC.DecompressInto(b.recompu)
-		b.Cost.ANDWords += int64(b.words) // one pass over the bitmap
-		return b.recompu
 	}
 	p := s.Prefix
 	l := s.LCP
@@ -423,15 +408,12 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 			}
 			return
 		}
-		var sd side
-		switch b.mode {
-		case CNStore:
-			sd.cn = b.pool.GetNoClear()
-			sd.cn.CopyFrom(b.scratch)
-		case CNCompress:
-			sd.cnc = wah.Compress(b.scratch)
+		var cn *bitset.Bitset
+		if b.mode == CNStore {
+			cn = b.pool.GetNoClear()
+			cn.CopyFrom(b.scratch)
 		}
-		b.sink.append(prefix, uint32(v), newTails, sd)
+		b.sink.append(prefix, uint32(v), newTails, cn)
 		b.Kept++
 	case len(newTails) == 1:
 		// A lone non-maximal clique cannot join with a sibling; the
@@ -448,36 +430,6 @@ func growRec(buf *[]uint32, n int) []uint32 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// LevelStats summarizes one generation step k -> k+1 — the one per-level
-// record every in-core engine fills and the hybrid backend extends past
-// its spill point.
-type LevelStats struct {
-	FromK     int   // size of the consumed candidates
-	Sublists  int   // N[k] consumed (0 for a level joined from shard files)
-	Cliques   int64 // M[k] consumed
-	Bytes     int64 // bytes of the consumed level's blocks, as charged (file bytes once spilled)
-	NextSub   int   // N[k+1] produced
-	NextCl    int64 // M[k+1] produced
-	NextBytes int64 // bytes of the produced level's blocks, as charged (file bytes once spilled)
-	Maximal   int64 // maximal (k+1)-cliques reported
-	Dropped   int64 // non-maximal (k+1)-cliques discarded (singleton rule)
-	Cost      Cost
-
-	// Pool engine only: the dispatcher's chunk count, the blocks
-	// processed off their home worker, per-worker busy seconds and
-	// abstract cost units, and the bytes the pool has on the governor for
-	// its per-block bookkeeping of the two levels.
-	Chunks     int
-	Transfers  int
-	WorkerBusy []float64
-	WorkerCost []int64
-	Held       int64
-
-	// Spilled marks a step the hybrid backend ran (at least partly) out
-	// of core.
-	Spilled bool
 }
 
 // RunLevel is the sequential level engine: one generation step on this

@@ -37,7 +37,6 @@ package core
 import (
 	"repro/internal/bitset"
 	"repro/internal/enumcfg"
-	"repro/internal/wah"
 )
 
 // Vertex indices are stored as uint32 inside sub-lists: the paper's
@@ -67,16 +66,11 @@ type SubList struct {
 	// CN is the common-neighbor bitmap of Prefix over the graph's vertex
 	// universe, held only by sub-lists created in CNStore mode (the
 	// paper's "faster but keeps the common neighbors" choice).  In the
-	// default CNRecompute mode it is nil and Builder.prefixCN rebuilds it;
-	// in compressed mode CNC holds it.  A level may mix the three, block
-	// by block.
+	// default CNRecompute mode it is nil and Builder.prefixCN rebuilds it.
+	// A level may mix the two, block by block.
 	CN *bitset.Bitset
-	// CNC is the WAH-compressed form of the prefix common-neighbor
-	// bitmap, used in CNCompress mode — the paper's "bitwise operations
-	// ... performed on the compressed data" future-work direction.
-	CNC *wah.Bitmap
 
-	slot *side // where the block keeps CN, so consuming it clears the block's copy
+	slot **bitset.Bitset // where the block keeps CN, so consuming it clears the block's copy
 }
 
 // takeCN hands the sub-list's dense bitmap back to pool once the join
@@ -89,13 +83,12 @@ func (s *SubList) takeCN(pool *bitset.Pool) {
 	pool.Put(s.CN)
 	s.CN = nil
 	if s.slot != nil {
-		s.slot.cn = nil
+		*s.slot = nil
 	}
 }
 
 // CNMode selects how sub-lists keep their prefix common-neighbor
-// bitmaps.  The paper's trade-off discussion covers the first two modes
-// explicitly; the third is its stated future-work direction.  The
+// bitmaps: the two policies of the paper's trade-off discussion.  The
 // canonical definition lives in package enumcfg, shared by every backend
 // and the facade; these aliases preserve the historical core names.
 type CNMode = enumcfg.CNMode
@@ -106,6 +99,4 @@ const (
 	CNRecompute = enumcfg.CNRecompute
 	// CNStore keeps the dense bitmap per sub-list (the paper's choice).
 	CNStore = enumcfg.CNStore
-	// CNCompress keeps the bitmap WAH-compressed, decompressing on use.
-	CNCompress = enumcfg.CNCompress
 )

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/clique"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
@@ -64,8 +65,8 @@ type Options struct {
 	Compress bool
 	// ShardBytes overrides the target shard size (0 = auto).
 	ShardBytes int64
-	// OnLevel observes each generation step.
-	OnLevel func(ooc.LevelStats)
+	// OnLevel observes each generation step, as ooc.Options.OnLevel.
+	OnLevel func(core.LevelStats)
 	// Gov is the coordinator's governor — the run's single accounting
 	// authority.  Each worker's declared scratch is held as a child
 	// reservation for the worker's lifetime; nil means unmetered.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/clique"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
@@ -184,7 +185,7 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 		Reporter:   &rep,
 		Transport:  &LoopbackTransport{},
 		Gov:        gov,
-		OnLevel:    func(ooc.LevelStats) { reserved = append(reserved, gov.Reserved()) },
+		OnLevel:    func(core.LevelStats) { reserved = append(reserved, gov.Reserved()) },
 	})
 	if err != nil {
 		t.Fatalf("loopback enumerate: %v", err)
@@ -219,7 +220,7 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 	const shardBytes, held = 256, 4096
 	type observed struct {
 		seq    []clique.Clique
-		levels []ooc.LevelStats
+		levels []core.LevelStats
 		st     ooc.Stats
 	}
 	for _, compress := range []bool{false, true} {
@@ -234,7 +235,7 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 			var got observed
 			gov := membudget.New(0)
 			gov.Charge(held)
-			onLevel := func(ls ooc.LevelStats) { got.levels = append(got.levels, ls) }
+			onLevel := func(ls core.LevelStats) { got.levels = append(got.levels, ls) }
 			var err error
 			if c.dist {
 				var st Stats
@@ -261,7 +262,7 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 				continue
 			}
 			assertSameStream(t, name, got.seq, ref.seq)
-			if !slices.Equal(got.levels, ref.levels) {
+			if !slices.EqualFunc(got.levels, ref.levels, sameDiskLevel) {
 				t.Errorf("%s: level stats diverge:\n got %+v\nwant %+v", name, got.levels, ref.levels)
 			}
 			if got.st != ref.st {
@@ -269,6 +270,13 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameDiskLevel compares the fields of the level record a disk level
+// fills (core.LevelStats holds slices, so it has no ==).
+func sameDiskLevel(a, b core.LevelStats) bool {
+	return a.FromK == b.FromK && a.Cliques == b.Cliques && a.Bytes == b.Bytes &&
+		a.NextBytes == b.NextBytes && a.Maximal == b.Maximal && a.Spilled && b.Spilled
 }
 
 // TestDistRunDirCleanup: a successful run leaves only the audit report

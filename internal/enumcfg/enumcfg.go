@@ -1,12 +1,18 @@
-// Package enumcfg is the single configuration vocabulary shared by every
-// enumeration backend (internal/core, internal/parallel, internal/ooc)
-// and by the public facade.  The paper's arc is one algorithm — level-wise
-// maximal clique enumeration — retargeted across execution regimes; this
-// package is where the regimes agree on what a run means: the size
-// bounds, the bitmap mode, the worker count, the spill directory, and the
-// cancellation context.  Each backend derives its own Options from a
-// Config, so option semantics (defaults, validation, mutual exclusions)
-// are defined exactly once.
+// Package enumcfg is the single configuration vocabulary of the
+// enumeration regimes and the public facade.  The paper's arc is one
+// algorithm — level-wise maximal clique enumeration — retargeted across
+// execution regimes; this package is where the regimes agree on what a
+// run means: the size bounds, the bitmap mode, the worker count, the
+// spill directory, and the cancellation context.
+//
+// The facade fills one Config from its options and validates it once
+// (Normalize: defaults, dependencies, the per-regime exclusions).  Two
+// entry points then take their Options from it — hybrid.OptionsFromConfig
+// for every run that starts in core (sequential, pool, spillover) and
+// ooc.OptionsFromConfig for the disk loop — and the facade fills
+// dist.Options field by field.  internal/core and internal/parallel never
+// see a Config: they share the enums (CNMode, Strategy) and the two rules
+// every entry point applies to its own Options, CheckBounds and CheckMode.
 package enumcfg
 
 import (
@@ -36,10 +42,6 @@ const (
 	// more per sub-list; it buys time back on CSR and WAH rows, where a
 	// rebuild step is a Row.AndInto instead of a word AND.
 	CNStore
-	// CNCompress keeps the bitmap WAH-compressed, decompressing on use:
-	// "the sparcity of the bitmap memory index can potentially provide
-	// high compression rate".
-	CNCompress
 )
 
 // Strategy selects the parallel dispatch policy.
@@ -210,7 +212,7 @@ func CheckBounds(lo, hi int) error {
 // CheckMode rejects a value outside the CNMode enum; like CheckBounds it
 // is the one rule every backend that takes a Mode shares.
 func CheckMode(m CNMode) error {
-	if m < CNRecompute || m > CNCompress {
+	if m != CNRecompute && m != CNStore {
 		return fmt.Errorf("enumcfg: unknown CN mode %d", m)
 	}
 	return nil

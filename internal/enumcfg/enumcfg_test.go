@@ -22,7 +22,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"lo below one", Config{Lo: -1}, "Lo", 0},
 		{"hi below lo", Config{Lo: 5, Hi: 3}, "Hi", 0},
 		{"negative workers", Config{Workers: -2}, "workers", 0},
-		{"unknown mode", Config{Mode: CNCompress + 1}, "CN mode", 0},
+		{"unknown mode", Config{Mode: CNStore + 1}, "CN mode", 0},
 		{"unknown strategy", Config{Strategy: Affinity + 1}, "strategy", 0},
 		{"negative memory budget", Config{MemoryBudget: -5}, "negative memory budget", 0},
 
@@ -49,7 +49,6 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"resume without dir", Config{Resume: true}, "require a spill Dir", 0},
 		{"ooc low-memory", Config{Dir: "d", Mode: CNRecompute}, "", OutOfCore},
 		{"ooc stored bitmaps", Config{Dir: "d", Mode: CNStore}, "meaningless out of core", 0},
-		{"ooc compressed bitmaps", Config{Dir: "d", Mode: CNCompress}, "meaningless out of core", 0},
 
 		// --- hybrid / spillover ---
 		{"implied hybrid", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},

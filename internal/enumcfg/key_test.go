@@ -31,8 +31,8 @@ func TestKeyCanonicalization(t *testing.T) {
 		},
 		{
 			name: "CN mode does not change the stream",
-			a:    Config{Lo: 3, Mode: CNStore},
-			b:    Config{Lo: 3, Mode: CNCompress},
+			a:    Config{Lo: 3, Mode: CNRecompute},
+			b:    Config{Lo: 3, Mode: CNStore},
 			same: true,
 		},
 		{

@@ -258,21 +258,6 @@ func fmtSscanf(s, format string, out *float64) (int, error) {
 	return fmt.Sscanf(s, format, out)
 }
 
-func TestAblations(t *testing.T) {
-	tables, err := Ablations(testCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 6 {
-		t.Fatalf("got %d ablation tables", len(tables))
-	}
-	for _, tab := range tables {
-		if len(tab.Rows) < 2 {
-			t.Errorf("%s: only %d rows", tab.Title, len(tab.Rows))
-		}
-	}
-}
-
 // TestFig9Golden: Figure 9 prints the paper's space formula,
 // M[k]*c + N[k]*((k-1)*c + ceil(n/8) + pointer), from the counts the level
 // blocks carry — not what the block store charges the governor — so the

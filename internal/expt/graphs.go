@@ -1,7 +1,22 @@
 // Package expt is the experiment harness: it builds the synthetic
-// stand-ins for the paper's three microarray graphs and regenerates every
-// table and figure of the evaluation section (see DESIGN.md §4 for the
-// per-experiment index).
+// stand-ins for the paper's three microarray graphs (Build, SpecA/B/C)
+// and regenerates the tables and figures of the paper's evaluation
+// section — nothing else lives here.  One function per artefact, one
+// cmd/repro experiment per function:
+//
+//	MaxCliqueBounds  Section 3, "maximum clique size 17, 110 and 28"   repro maxclique
+//	Table1           Table 1, Kose RAM vs the Clique Enumerator         repro table1
+//	Fig5             Figure 5, run time vs processors per Init_K        repro fig5
+//	Fig6             Figure 6, absolute and relative speedup            repro fig6
+//	Fig7             Figure 7, 256-processor speedup vs sequential time repro fig7
+//	Fig8             Figure 8, per-processor load balance               repro fig8
+//	Fig9             Figure 9, memory per clique size                   repro fig9
+//	Blowup           Section 3, graph B exhausting memory               repro blowup
+//
+// CollectFamily gathers the traces Figures 6 and 7 share.  Comparisons
+// the paper does not print (bitmap policies, storage tiers, graph
+// representations, budgets) are measured by benchmark/ and tabulated in
+// DESIGN.md and README.md, not here.
 package expt
 
 import (
@@ -63,7 +78,7 @@ func max(a, b int) int {
 // modules (the overlap structure that gives the paper's graphs their
 // clique-rich neighborhoods), and random background edges to reach M
 // exactly.  The construction mirrors what thresholded rank-correlation
-// matrices of modular expression data look like; see DESIGN.md §2 for the
+// matrices of modular expression data look like; see DESIGN.md §9 for the
 // substitution argument and package microarray for the full pipeline
 // demonstrated end-to-end at small scale.
 func Build(spec GraphSpec, seed int64) *graph.Graph {

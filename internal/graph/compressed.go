@@ -92,12 +92,6 @@ func (g *CompressedGraph) Name(v int) string {
 //repro:hotpath
 func (g *CompressedGraph) Row(v int) bitset.Reader { return &g.rows[v] }
 
-// WAHRow returns the compressed bitmap of v's row.  wah.Bitmap is
-// immutable, so callers may retain it; the CNCompress enumeration mode
-// uses this to seed sub-lists without a decompress/recompress round
-// trip.
-func (g *CompressedGraph) WAHRow(v int) *wah.Bitmap { return g.rows[v].bm }
-
 // Materialize overwrites dst with the neighbor set of v.
 //
 //repro:hotpath

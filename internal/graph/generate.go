@@ -6,7 +6,7 @@ import (
 )
 
 // The generators in this file produce the synthetic stand-ins for the
-// paper's microarray-derived graphs (see DESIGN.md §2).  All take an
+// paper's microarray-derived graphs (see DESIGN.md §9).  All take an
 // explicit *rand.Rand so experiments are reproducible from a seed, as the
 // paper's 10-repetition methodology requires.
 

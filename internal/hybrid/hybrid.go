@@ -29,7 +29,7 @@
 //     surviving candidates to the same sorted record stream.
 //   - The produced level is then a complete, sorted, run-aligned level
 //     file, exactly what ooc.Continue expects; the out-of-core engine's
-//     own ordering invariant (DESIGN.md §0c) carries the stream to the
+//     own ordering invariant (DESIGN.md §5.3) carries the stream to the
 //     end of the run.
 //
 // Governor accounting across the switch: retained head blocks are
@@ -91,17 +91,19 @@ type Options struct {
 	// trigger.  An unlimited governor (budget 0) never spills.
 	Gov *membudget.Governor
 	// Reporter receives every maximal clique, in the same ordered stream
-	// a pure in-core run delivers.
+	// a pure in-core run delivers.  nil counts only: no phase then copies
+	// or buffers an emission.
 	Reporter clique.Reporter
 	// OnLevel observes each generation step, in-core or spilled (Spilled
-	// set; Bytes/NextBytes are then level-file bytes).
+	// set; Bytes/NextBytes are then level-file bytes): the in-core loop,
+	// the drain and the disk loop all report through this one hook.
 	OnLevel func(core.LevelStats)
 }
 
-// Result summarizes a hybrid run.
+// Result summarizes a hybrid run: the run record — seed tally plus the
+// fold of every level, in core or spilled — and where it left memory.
 type Result struct {
-	MaximalCliques int64
-	MaxCliqueSize  int
+	core.Result
 	// SpilledAtLevel is the clique size of the level that was being
 	// generated when the governor tripped — the size of the records the
 	// drain wrote.  0 means the whole run stayed in core.
@@ -131,12 +133,12 @@ func OptionsFromConfig(c enumcfg.Config) Options {
 
 // runner is one Enumerate invocation's state.
 type runner struct {
-	g    graph.Interface
-	opts Options
-	gov  *membudget.Governor
-	rep  clique.Reporter // counting wrapper around opts.Reporter
-	bits *bitset.Pool
-	res  *Result
+	g       graph.Interface
+	opts    Options
+	gov     *membudget.Governor
+	bits    *bitset.Pool
+	res     *Result
+	onLevel func(core.LevelStats) // res's fold, then opts.OnLevel
 }
 
 // Enumerate runs the enumeration.  The emitted clique stream — order
@@ -172,18 +174,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 		bits: bitset.NewPool(g.N()),
 		res:  &Result{},
 	}
-	// Every emission — seed phase, in-core levels, drain join, and the
-	// out-of-core continuation — flows through one counting reporter, so
-	// the result's totals are exactly what the caller received.
-	h.rep = clique.ReporterFunc(func(c clique.Clique) {
-		h.res.MaximalCliques++
-		if len(c) > h.res.MaxCliqueSize {
-			h.res.MaxCliqueSize = len(c)
-		}
-		if h.opts.Reporter != nil {
-			h.opts.Reporter.Emit(c)
-		}
-	})
+	h.onLevel = h.res.Fold(opts.OnLevel)
 	return h.res, h.run()
 }
 
@@ -198,6 +189,10 @@ func (h *runner) run() error {
 		homes []int32
 		err   error
 	)
+	// Only the seed phase is counted through a reporter; every later
+	// clique is counted by its level's record, so the caller's reporter —
+	// nil included — goes to the engines as it is.
+	seed := clique.Tally{Next: opts.Reporter}
 	if opts.Workers > 1 {
 		p, perr := parallel.NewPool(g, parallel.Options{
 			Ctx:      opts.Ctx,
@@ -212,7 +207,7 @@ func (h *runner) run() error {
 			return fmt.Errorf("hybrid: %w", perr)
 		}
 		eng, stop = p, p.Close
-		lvl, homes, err = p.Seed(h.rep)
+		lvl, homes, err = p.Seed(&seed)
 	} else {
 		b := core.NewBuilderMode(g, opts.Mode, h.bits)
 		b.Gov = h.gov
@@ -224,9 +219,10 @@ func (h *runner) run() error {
 				h.gov.Release(b.ScratchBytes())
 			}
 		}
-		lvl, err = core.Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, h.rep)
+		lvl, err = core.Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
 	}
 	defer stop()
+	h.res.Seeded(seed)
 	if err != nil {
 		return err
 	}
@@ -235,8 +231,8 @@ func (h *runner) run() error {
 		Ctx:      opts.Ctx,
 		Hi:       opts.Hi,
 		Gov:      h.gov,
-		Reporter: h.rep,
-		OnLevel:  opts.OnLevel,
+		Reporter: opts.Reporter,
+		OnLevel:  h.onLevel,
 	}
 	if opts.Dir != "" {
 		loop.OnTrip = func(lvl *core.Level, out core.LevelOutcome) error {
@@ -276,22 +272,31 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	oocOpts := ooc.Options{
 		Ctx:           opts.Ctx,
 		Dir:           opts.Dir,
-		Reporter:      h.rep,
+		Reporter:      opts.Reporter,
 		MaxK:          opts.Hi,
 		MaxLevelBytes: opts.SpillBudget,
 		Workers:       opts.Workers,
 		Compress:      opts.Compress,
 		Gov:           h.gov,
-		OnLevel: func(ls ooc.LevelStats) {
-			h.observe(core.LevelStats{
-				FromK:     ls.FromK,
-				Cliques:   ls.Cliques,
-				Bytes:     ls.FileBytes,
-				NextBytes: ls.NextBytes,
-				Maximal:   ls.Maximal,
-				Spilled:   true,
-			})
-		},
+		OnLevel:       h.onLevel,
+	}
+	// db joins the un-drained inputs in spill mode.  stepDone closes the
+	// drained step's record, once: the in-core part plus what db added,
+	// with the produced level on disk and not resident.
+	db := core.NewBuilderMode(g, opts.Mode, h.bits)
+	db.Gov = h.gov
+	observed := false
+	stepDone := func() {
+		if observed {
+			return
+		}
+		observed = true
+		st.NextSub, st.NextCl, st.NextBytes = 0, 0, 0
+		st.Maximal += db.Maximal
+		st.Dropped += db.Dropped
+		st.Cost.Add(db.Cost)
+		st.Spilled = true
+		h.onLevel(st)
 	}
 	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(prefix, tails []uint32) error) error {
 		for i := range head.Sub {
@@ -308,14 +313,12 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 			core.DiscardBlocks(head.Sub[i:i+1], h.gov, h.bits)
 			resident -= blk.Bytes()
 		}
-		// Join the un-drained inputs with a spill-mode builder: maximal
+		// Join the un-drained inputs with the spill-mode builder: maximal
 		// cliques keep flowing to the reporter in canonical order, and
 		// survivors append to the same sorted record stream.  Inputs
 		// whose bitmaps were already consumed (a discarded parallel
 		// window) reconstruct their prefix CN from adjacency rows.
-		db := core.NewBuilderMode(g, opts.Mode, h.bits)
 		db.Spill = write
-		db.Gov = h.gov
 		h.gov.Charge(db.ScratchBytes())
 		defer func() { h.gov.Release(db.ScratchBytes()) }()
 		i := 0
@@ -324,7 +327,7 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
 			i++
-			db.ProcessSubList(s, h.rep)
+			db.ProcessSubList(s, opts.Reporter)
 			if db.SpillErr != nil {
 				return db.SpillErr
 			}
@@ -337,28 +340,18 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		resident = 0
 		// The drained step k-1 -> k is complete here, before the
 		// out-of-core loop reports any later level, so observers see the
-		// steps in generation order.  The produced level is on disk, not
-		// resident.
-		st.NextSub, st.NextCl, st.NextBytes = 0, 0, 0
-		st.Maximal += db.Maximal
-		st.Dropped += db.Dropped
-		st.Cost.Add(db.Cost)
-		st.Spilled = true
-		h.observe(st)
+		// steps in generation order.
+		stepDone()
 		return nil
 	})
 	// A drain aborted mid-feed (cancellation, I/O error) abandons both
-	// levels with the run, but the ledger still balances.
+	// levels with the run, but the ledger still balances — and the cut
+	// step is still observed, like any other.
 	h.gov.Release(resident)
+	stepDone()
 	h.res.OOC = ost
 	if err != nil {
 		return fmt.Errorf("spilled at level %d: %w", k, err)
 	}
 	return nil
-}
-
-func (h *runner) observe(ls core.LevelStats) {
-	if h.opts.OnLevel != nil {
-		h.opts.OnLevel(ls)
-	}
 }

@@ -386,3 +386,47 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 		}
 	}
 }
+
+// TestNilReporterCollectsNoEmissions: a pooled run nobody listens to
+// counts from the level records, so the pool never copies an emission
+// into its merge window or charges one to the governor.  The fixture is
+// the complete tripartite graph K(12,12,12) seeded from its edges: one
+// level, 1728 triangles, every one maximal, nothing produced — and with
+// stored bitmaps no memo row grows mid-level — so the ledger's only
+// transient is the emission window, and the governor's peak is exactly
+// what it holds at the level boundary unless emissions were charged.
+func TestNilReporterCollectsNoEmissions(t *testing.T) {
+	const parts, m = 3, 12
+	g := graph.New(parts * m)
+	for u := 0; u < parts*m; u++ {
+		for v := u + 1; v < parts*m; v++ {
+			if u/m != v/m {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	run := func(rep clique.Reporter) (peak, atBoundary int64) {
+		gov := membudget.New(0)
+		res, err := Enumerate(g, Options{Workers: 2, Mode: core.CNStore, Gov: gov, Reporter: rep,
+			OnLevel: func(core.LevelStats) { atBoundary = max(atBoundary, gov.Used()) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MaximalCliques != m*m*m || res.MaxCliqueSize != 3 || len(res.Levels) != 1 {
+			t.Fatalf("%d cliques, max size %d, %d levels; want %d triangles from one level",
+				res.MaximalCliques, res.MaxCliqueSize, len(res.Levels), m*m*m)
+		}
+		if gov.Used() != 0 {
+			t.Errorf("governor at %d after the run", gov.Used())
+		}
+		return gov.Peak(), atBoundary
+	}
+	if peak, atBoundary := run(nil); peak != atBoundary {
+		t.Errorf("nil reporter: governor peak %d, %d at the level boundary: %d bytes of emissions were collected",
+			peak, atBoundary, peak-atBoundary)
+	}
+	// The measure does see a window: a listening run must collect.
+	if peak, atBoundary := run(&clique.Collector{}); peak <= atBoundary {
+		t.Errorf("listening run: governor peak %d does not exceed the %d held at the level boundary", peak, atBoundary)
+	}
+}

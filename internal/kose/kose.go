@@ -1,7 +1,9 @@
 // Package kose implements the maximal-clique enumeration algorithm of
 // Kose et al. (Bioinformatics 17:1198–1208, 2001) as described in
 // Section 2.3 of Zhang et al. (SC 2005) — the "Kose RAM" baseline of the
-// paper's Table 1.
+// paper's Table 1, which expt.Table1 regenerates; that comparison (and
+// the cross-validation tests that use it as an independent oracle) is
+// the package's only reason to exist.
 //
 // The algorithm takes all edges (2-cliques) in non-repeating canonical
 // order, generates all (k+1)-cliques from the k-cliques, then declares a

@@ -12,7 +12,7 @@
 // background.  After rank-correlation and thresholding, each planted
 // module becomes a clique, overlapping modules produce the dense clique
 // neighborhoods that stress the enumerator, and background genes
-// contribute the sparse noise edges.  See DESIGN.md §2 for the
+// contribute the sparse noise edges.  See DESIGN.md §9 for the
 // substitution argument.
 package microarray
 

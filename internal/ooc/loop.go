@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clique"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/sched"
 )
@@ -69,10 +70,10 @@ func (lv *Level) NextShard() (string, error) {
 // everything that is the same wherever a shard is joined — the first
 // level, the loop with its MaxK and cancellation checks, shard-target
 // sizing, the in-order release that emits cliques and assembles the next
-// shard list, Stats and LevelStats, byte accounting with the spill
-// budget, and the one commit protocol — and drives a ShardRunner for the
-// rest.  Enumerate, Continue, Resume and dist.Enumerate are entry points
-// over it.
+// shard list, Stats and the level record (the core.LevelStats every
+// driver emits), byte accounting with the spill budget, and the one
+// commit protocol — and drives a ShardRunner for the rest.  Enumerate,
+// Continue, Resume and dist.Enumerate are entry points over it.
 type Loop struct {
 	g     graph.Interface
 	opts  Options // Dir is the run directory itself
@@ -230,17 +231,11 @@ func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 // shard list.
 func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, error) {
 	l.st.Levels++
-	encB, rawB := LevelBytes(shards)
+	encB, _ := LevelBytes(shards)
 	if encB > l.st.PeakLevelFile {
 		l.st.PeakLevelFile = encB
 	}
-	lst := LevelStats{
-		FromK:        k,
-		Cliques:      LevelRecords(shards),
-		Shards:       len(shards),
-		FileBytes:    encB,
-		RawFileBytes: rawB,
-	}
+	lst := core.LevelStats{FromK: k, Cliques: LevelRecords(shards), Bytes: encB, Spilled: true}
 	maxBefore := l.st.Maximal
 
 	lv := &Level{
@@ -275,17 +270,18 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 			err = fmt.Errorf("ooc: level %d->%d: runner delivered %d of %d shards", k, k+1, seq.Released(), len(shards))
 		}
 	}
+	// A level cut short is observed like a completed one: its record
+	// covers what was released before the cut.
+	lst.NextBytes, _ = LevelBytes(next)
+	lst.Maximal = l.st.Maximal - maxBefore
+	if l.opts.OnLevel != nil {
+		l.opts.OnLevel(lst)
+	}
 	if err != nil {
 		l.st.Aborted = true
 		// Discard the partial next level; the consumed level (and the
 		// manifest pointing at it) stays for Resume.
 		return nil, errors.Join(err, l.sweep(shards))
-	}
-
-	lst.NextBytes, lst.RawNextBytes = LevelBytes(next)
-	lst.Maximal = l.st.Maximal - maxBefore
-	if l.opts.OnLevel != nil {
-		l.opts.OnLevel(lst)
 	}
 	l.st.Shards += int64(len(next))
 	return next, nil

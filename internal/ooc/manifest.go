@@ -13,7 +13,7 @@ import (
 // manifestName is the checkpoint descriptor inside a run directory.  It
 // is rewritten atomically (tmp + rename) at every level boundary, so a
 // run killed at any instant leaves either the previous or the next
-// consistent checkpoint — never a torn one.  See DESIGN.md §0k for the
+// consistent checkpoint — never a torn one.  See DESIGN.md §5.4 for the
 // commit protocol (outputs durable before the manifest names them,
 // inputs deleted only after, then the sweep).
 const manifestName = "ooc-manifest.json"

@@ -35,6 +35,7 @@ import (
 	"os"
 
 	"repro/internal/clique"
+	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/membudget"
@@ -64,9 +65,12 @@ type Options struct {
 	// level overshoots by at most one run and Stats.BytesWritten still
 	// equals the bytes handed to the files at the abort.
 	MaxLevelBytes int64
-	// OnLevel, when non-nil, observes each generation step — the
-	// out-of-core counterpart of core.Options.OnLevel.
-	OnLevel func(LevelStats)
+	// OnLevel, when non-nil, observes each generation step with the record
+	// every driver emits: FromK, Cliques (records read), Maximal, and
+	// Bytes/NextBytes as the encoded file bytes of the consumed and the
+	// produced level; Spilled is set.  A step cut short is observed too
+	// (see core.LevelStats).
+	OnLevel func(core.LevelStats)
 	// Workers is the number of shard-join workers (0 or 1 = serial).
 	// The join is the CPU-bound part of the out-of-core loop; shards of
 	// one level are joined concurrently with results released in shard
@@ -95,26 +99,11 @@ type Options struct {
 	// aborts on the budget (disk is exactly where an over-budget run
 	// belongs) but it lives inside one: the buffers of a step share the
 	// headroom the step starts with (bufShare), 4 KiB each at the least.
+	// Each worker leases its next shard early and reads its file in the
+	// background while joining the current one (a shard larger than a
+	// buffer's share is streamed through a window instead); the in-flight
+	// read-ahead buffer is charged here like the rest.
 	Gov *membudget.Governor
-	// DisablePrefetch turns off the double-buffered shard read-ahead.
-	// By default each worker leases its next shard early and reads its
-	// file in the background while joining the current one, overlapping
-	// level I/O with the CPU-bound join; the in-flight buffer is charged
-	// to Gov, and results still release in shard order through the
-	// sequencer, so the clique stream is byte-identical either way.
-	DisablePrefetch bool
-}
-
-// LevelStats describes one out-of-core generation step k -> k+1.
-type LevelStats struct {
-	FromK        int   // size of the consumed level's cliques
-	Cliques      int64 // cliques streamed from the consumed level
-	Shards       int   // shard files the consumed level was stored in
-	FileBytes    int64 // encoded bytes of the consumed level
-	RawFileBytes int64 // fixed-width-equivalent bytes of the consumed level
-	NextBytes    int64 // encoded bytes of the produced level
-	RawNextBytes int64 // fixed-width-equivalent bytes of the produced level
-	Maximal      int64 // maximal (k+1)-cliques reported this step
 }
 
 // OptionsFromConfig derives out-of-core Options from the unified backend

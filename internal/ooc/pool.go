@@ -181,7 +181,7 @@ func (w *poolWorker) runJob(job *levelJob) {
 				queue = append(queue, chunk.Items...)
 			}
 		}
-		if !opts.DisablePrefetch && next == nil && len(queue) > 0 {
+		if next == nil && len(queue) > 0 {
 			next = w.startPrefetch(job, queue[0])
 		}
 		res, err := w.join.Join(job.ctx, &ShardJob{

@@ -17,7 +17,7 @@ import (
 // concatenation of the shards in list order IS the sorted level file —
 // so shards can be joined concurrently and their outputs released in
 // shard order by the streaming sequencer, reproducing the exact
-// sequential emission order (see DESIGN.md §0c for the ordering
+// sequential emission order (see DESIGN.md §5.3 for the ordering
 // argument).
 //
 // Each shard starts a fresh delta-encoder state, so shards decode

@@ -30,18 +30,8 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	if err := checkOptions(&opts); err != nil {
 		return nil, err
 	}
-	res := &Result{WorkerBusy: make([]float64, opts.Workers)}
-
-	// Seed-phase reporter: counts and forwards maximal Lo-cliques.
-	seedCount := func(c clique.Clique) {
-		res.MaximalCliques++
-		if len(c) > res.MaxCliqueSize {
-			res.MaxCliqueSize = len(c)
-		}
-		if opts.Reporter != nil {
-			opts.Reporter.Emit(c)
-		}
-	}
+	res := &Result{}
+	observe := res.Fold(opts.OnLevel)
 
 	// Seeding is sequential — part of the bulk-synchronous design this
 	// baseline preserves.  All seed blocks are created by this thread, so
@@ -50,12 +40,12 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 	if opts.Lo <= 2 {
 		lvl = core.SeedFromEdgesMode(g, opts.Mode)
 	} else {
+		seed := clique.Tally{Next: opts.Reporter}
 		var err error
-		lvl, _, err = core.SeedFromKMode(g, opts.Lo, opts.Mode,
-			clique.ReporterFunc(seedCount))
-		if err != nil {
+		if lvl, _, err = core.SeedFromKMode(g, opts.Lo, opts.Mode, &seed); err != nil {
 			return nil, err
 		}
+		res.Seeded(seed)
 	}
 	homes := make([]int32, len(lvl.Sub))
 
@@ -136,7 +126,6 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 			st.WorkerBusy[w] = wk.busy.Seconds()
 			st.WorkerCost[w] = wk.builder.Cost.Units()
 			st.Maximal += wk.builder.Maximal
-			res.WorkerBusy[w] += wk.busy.Seconds()
 			if opts.Reporter != nil {
 				for _, c := range wk.emitted {
 					opts.Reporter.Emit(c)
@@ -148,15 +137,7 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
 				homes = append(homes, int32(w))
 			}
 		}
-		res.MaximalCliques += st.Maximal
-		if st.Maximal > 0 && lvl.K+1 > res.MaxCliqueSize {
-			res.MaxCliqueSize = lvl.K + 1
-		}
-		res.Transfers += transfers
-		res.Levels = append(res.Levels, st)
-		if opts.OnLevel != nil {
-			opts.OnLevel(st)
-		}
+		observe(st)
 		if gov.Over() {
 			// gov.Err() reports Peak, so reconciling the consumed level and
 			// the kept next level first does not distort the message.

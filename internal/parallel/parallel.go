@@ -99,10 +99,6 @@ type Options struct {
 	Strategy Strategy
 	// Policy tunes Affinity-mode stealing.
 	Policy sched.Policy
-	// ChunksPerWorker tunes dispatch granularity: each level's blocks are
-	// grouped into roughly Workers*ChunksPerWorker chunks by estimated
-	// load.  0 uses sched.DefaultChunksPerWorker.
-	ChunksPerWorker int
 	// MemoryBudget, when positive, bounds the governor-accounted
 	// resident bytes (level blocks + worker scratch + merge-window copies
 	// + the pool's per-block bookkeeping); exceeding it aborts the run
@@ -124,14 +120,8 @@ type Options struct {
 	OnLevel func(core.LevelStats)
 }
 
-// Result summarizes a parallel run.
-type Result struct {
-	MaximalCliques int64
-	MaxCliqueSize  int
-	Levels         []core.LevelStats
-	WorkerBusy     []float64 // total busy seconds per worker
-	Transfers      int
-}
+// Result is the run record every in-core entry point returns.
+type Result = core.Result
 
 // Enumerate runs the multithreaded Clique Enumerator on a persistent
 // streaming worker pool, over any graph representation: the parallel
@@ -144,45 +134,23 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	}
 	defer p.Close()
 	opts = p.opts // defaults applied
-	res := &Result{WorkerBusy: make([]float64, opts.Workers)}
-
-	// Seed-phase reporter: counts and forwards maximal Lo-cliques.
-	seedRep := clique.ReporterFunc(func(c clique.Clique) {
-		res.MaximalCliques++
-		if len(c) > res.MaxCliqueSize {
-			res.MaxCliqueSize = len(c)
-		}
-		if opts.Reporter != nil {
-			opts.Reporter.Emit(c)
-		}
-	})
-	lvl, homes, err := p.Seed(seedRep)
+	res := &Result{}
+	seed := clique.Tally{Next: opts.Reporter}
+	lvl, homes, err := p.Seed(&seed)
 	if err != nil {
 		return nil, err
 	}
+	res.Seeded(seed)
 
 	// Level emissions go to the caller's reporter directly (nil keeps the
-	// pool from copying emissions at all); the counts come from the
-	// per-level statistics.
+	// pool from copying emissions at all); the counts come from the level
+	// records.
 	loop := core.Loop{
 		Ctx:      opts.Ctx,
 		Hi:       opts.Hi,
 		Gov:      opts.Gov,
 		Reporter: opts.Reporter,
-		OnLevel: func(st core.LevelStats) {
-			res.MaximalCliques += st.Maximal
-			if st.Maximal > 0 && st.FromK+1 > res.MaxCliqueSize {
-				res.MaxCliqueSize = st.FromK + 1
-			}
-			res.Transfers += st.Transfers
-			for w, busy := range st.WorkerBusy {
-				res.WorkerBusy[w] += busy
-			}
-			res.Levels = append(res.Levels, st)
-			if opts.OnLevel != nil {
-				opts.OnLevel(st)
-			}
-		},
+		OnLevel:  res.Fold(opts.OnLevel),
 	}
 	if err := loop.Run(p, lvl, homes); err != nil {
 		return res, fmt.Errorf("parallel: %w", err)
@@ -338,7 +306,7 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	}
 	consumed := int64(items) * (listBytes + runBytes)
 	p.hold(consumed)
-	grain := sched.ChunkGrain(loads, w, p.opts.ChunksPerWorker)
+	grain := sched.ChunkGrain(loads, w, sched.DefaultChunksPerWorker)
 	var disp *sched.Dispatcher
 	if p.opts.Strategy == Affinity {
 		disp = sched.NewAffinityDispatcher(loads, homes, w, p.opts.Policy, grain)

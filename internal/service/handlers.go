@@ -117,7 +117,7 @@ type cliqueQuery struct {
 	lo, hi  int
 	workers int
 	strat   repro.Strategy
-	mode    string // "" and "lowmem" (the default policy), "store", "wah"
+	store   bool // mode=store: the paper's stored-bitmap policy ("" = the default)
 	small   bool
 	rep     repro.Representation
 	repSet  bool
@@ -157,10 +157,11 @@ func parseCliqueQuery(r *http.Request, maxWorkers int) (q cliqueQuery, err error
 		return q, fmt.Errorf("strategy: unknown %q (want affinity or contiguous)", v.Get("strategy"))
 	}
 	switch v.Get("mode") {
-	case "", "store", "lowmem", "wah":
-		q.mode = v.Get("mode")
+	case "":
+	case "store":
+		q.store = true
 	default:
-		return q, fmt.Errorf("mode: unknown %q (want store, lowmem or wah)", v.Get("mode"))
+		return q, fmt.Errorf("mode: unknown %q (want store, or nothing for the default)", v.Get("mode"))
 	}
 	q.small = v.Get("small") == "1" || v.Get("small") == "true"
 	if rs := v.Get("rep"); rs != "" {
@@ -194,11 +195,8 @@ func (q cliqueQuery) options() []repro.Option {
 	if q.workers > 1 {
 		opts = append(opts, repro.WithWorkers(q.workers), repro.WithStrategy(q.strat))
 	}
-	switch q.mode {
-	case "store":
+	if q.store {
 		opts = append(opts, repro.WithStoredBitmaps())
-	case "wah":
-		opts = append(opts, repro.WithCompressedBitmaps())
 	}
 	if q.small {
 		opts = append(opts, repro.WithReportSmall())

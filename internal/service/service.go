@@ -4,7 +4,7 @@
 // resource — the paper's genome-scale clique machinery serving many
 // concurrent clients instead of one command line.
 //
-// The moving parts and their invariants (DESIGN.md §0f):
+// The moving parts and their invariants (DESIGN.md §8.1):
 //
 //   - Registry: graphs are loaded once (streamed straight off the
 //     request body, no temp files) and keyed by repro.Fingerprint — the

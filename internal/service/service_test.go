@@ -143,9 +143,7 @@ func TestStreamParityAcrossBackendsAndCache(t *testing.T) {
 	for _, q := range []string{
 		"workers=3&strategy=affinity",
 		"workers=2&strategy=contiguous",
-		"mode=lowmem",
 		"mode=store",
-		"mode=wah",
 	} {
 		status, cache, body = get(t, ts2.URL+"/graphs/"+fp2+"/cliques?format=text&lo=3&"+q)
 		if status != http.StatusOK || cache != "miss" {
@@ -498,6 +496,8 @@ func TestBadRequests(t *testing.T) {
 		{"/graphs/" + fp + "/cliques?strategy=quantum", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?format=xml", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?mode=turbo", http.StatusBadRequest},
+		{"/graphs/" + fp + "/cliques?mode=wah", http.StatusBadRequest},    // the deleted compressed-bitmap mode
+		{"/graphs/" + fp + "/cliques?mode=lowmem", http.StatusBadRequest}, // no alias of the default is left
 		{"/graphs/" + fp + "/cliques?mem=-3", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?workers=-2", http.StatusBadRequest},
 		{"/graphs/" + fp + "/paracliques?glom=1.5", http.StatusBadRequest},

@@ -1,6 +1,11 @@
 // Package simarch simulates the paper's evaluation platform — an SGI
 // Altix 3700 with 256 processors sharing 2 TB of ccNUMA memory — so that
-// the scaling experiments of Figures 5–8 can be regenerated on any host.
+// the scaling experiments of Figures 5–8 can be regenerated on any host:
+// Simulate is behind expt.Fig5 (run time vs processors), Fig6 (speedups),
+// Fig7 (256-processor speedup vs problem size) and Fig8 (per-processor
+// load balance), and CollectMode's per-level trace is also what
+// expt.Fig9 (memory per clique size) prints.  It exists for those
+// figures only; no enumeration backend imports it.
 //
 // The simulation is replay-based, not synthetic: Collect runs the real
 // Clique Enumerator once, instrumented, and records the exact work (in
@@ -20,7 +25,7 @@
 // parallelism near the top of the clique ladder — and the machine model
 // contributes only the overheads (synchronization, scheduling, NUMA),
 // which is exactly the part of the paper's platform we cannot reproduce
-// physically.  See DESIGN.md §2.
+// physically.  See DESIGN.md §9.
 package simarch
 
 import (
@@ -85,24 +90,21 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	start := time.Now()
 	tr := &Trace{N: g.N()}
 
-	counter := clique.ReporterFunc(func(c clique.Clique) {
-		tr.MaximalCliques++
-		if len(c) > tr.MaxCliqueSize {
-			tr.MaxCliqueSize = len(c)
-		}
-	})
-
+	// The trace's totals are counted like a run's (core.Result): the seed
+	// phase through a tally, the levels from their own counts.
+	var seed clique.Tally
 	var lvl *core.Level
 	if lo <= 2 {
 		lvl = core.SeedFromEdgesMode(g, mode)
 		tr.SeedUnits = int64(g.M()) // one pass over the edge list
 	} else {
 		var err error
-		lvl, tr.SeedUnits, err = seedFromKInstrumented(g, lo, mode, counter)
+		lvl, tr.SeedUnits, err = seedFromKInstrumented(g, lo, mode, &seed)
 		if err != nil {
 			return nil, err
 		}
 	}
+	tr.MaximalCliques, tr.MaxCliqueSize = seed.Count, seed.MaxSize
 
 	pool := bitset.NewPool(g.N())
 	b := core.NewBuilderMode(g, mode, pool)
@@ -121,13 +123,17 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 		for s := range lvl.All() {
 			beforeUnits := b.Cost.Units()
 			beforeKept := b.Kept
-			b.ProcessSubList(s, counter)
+			b.ProcessSubList(s, nil)
 			lt.Costs = append(lt.Costs, max(b.Cost.Units()-beforeUnits, 1))
 			for range b.Kept - beforeKept {
 				nextParents = append(nextParents, int32(len(lt.Costs)-1))
 			}
 		}
 		lt.Maximal = b.Maximal
+		tr.MaximalCliques += lt.Maximal
+		if lt.Maximal > 0 {
+			tr.MaxCliqueSize = lvl.K + 1
+		}
 		for _, c := range lt.Costs {
 			tr.TotalUnits += c
 		}

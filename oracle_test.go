@@ -40,7 +40,6 @@ func TestOracleDifferential(t *testing.T) {
 	}{
 		{"memoised", nil},
 		{"stored", []repro.Option{repro.WithStoredBitmaps()}},
-		{"compressed", []repro.Option{repro.WithCompressedBitmaps()}},
 	}
 	spilled := 0
 	for _, tg := range testgraph.All() {

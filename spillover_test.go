@@ -21,8 +21,7 @@ import (
 // property at the facade: a run that trips the memory governor
 // mid-enumeration produces the byte-identical ordered clique stream of
 // an unconstrained in-core run, for sequential and parallel starts,
-// across all three graph representations.  (The "Representation" in the
-// name opts it into the make race-repr gate.)
+// across all three graph representations.
 func TestHybridSpilloverParityAcrossRepresentations(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		g := testGraph(seed, 80, 0.15)
