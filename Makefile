@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit lint-vet test fuzz-smoke race bench bench-pair loc dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit test fuzz-smoke race bench bench-pair loc clones dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -39,7 +39,9 @@ vet:
 # The repo's own invariant suite (internal/analysis via cmd/repolint):
 # memory-budget pairing, cancellation observation, hot-path allocation,
 # cleanup-error propagation, graph freeze/row lifecycle.  Tests are
-# analyzed too; exits nonzero on any finding.
+# analyzed too; exits nonzero on any finding.  One driver: the standalone
+# loader TestRepoIsClean (inside `go test ./...`) and every analyzer's
+# testkit corpus also run on, facts in process (DESIGN.md §10).
 lint:
 	$(GO) run ./cmd/repolint ./...
 
@@ -49,30 +51,21 @@ lint:
 lint-audit:
 	$(GO) run ./cmd/repolint -audit ./...
 
-# The incremental driver: repolint speaks the vet unitchecker protocol,
-# so `go vet -vettool` runs it off the go build cache — a second
-# invocation re-analyzes only what changed, facts included.  The tool
-# must live at a stable path (the vet result cache keys on it), hence
-# bin/repolint rather than a temp file.  The wall time is printed so CI
-# logs show the incremental win.
-lint-vet:
-	@$(GO) build -o bin/repolint ./cmd/repolint || exit 1; \
-	start=$$(date +%s%3N); \
-	$(GO) vet -vettool=$(CURDIR)/bin/repolint ./... || exit 1; \
-	end=$$(date +%s%3N); \
-	echo "lint-vet wall time: $$((end - start)) ms"
-
 test:
 	$(GO) test ./...
 
-# Ten seconds of coverage-guided fuzzing each of the two record decoders:
+# Ten seconds of coverage-guided fuzzing each of the four fuzz targets:
 # the shard decoder — the one parser that reads bytes a crash, a full
 # disk or another process may have left behind: an error or a valid
-# record stream, never a panic — and the in-memory level block, the same
-# record shape in whole words.
+# record stream, never a panic — the in-memory level block, the same
+# record shape in whole words; the graph reader, which cliqued feeds
+# straight from a request body; and the fused bitset kernels against
+# their bit-at-a-time references.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
 	$(GO) test -fuzz=FuzzLevelBlock -fuzztime=10s ./internal/core
+	$(GO) test -fuzz=FuzzReadGraph -fuzztime=10s .
+	$(GO) test -fuzz=FuzzFusedKernels -fuzztime=10s ./internal/bitset
 
 # The race detector over every package, not a hand-picked list: about
 # 90 s on a 2-vCPU box.  The packages that make it worth running are the
@@ -141,6 +134,13 @@ examples:
 loc:
 	@sh scripts/loc.sh
 
+# Is there a twin left?  Verbatim 6-line windows shared by two sites,
+# clustered per pair of files (scripts/clones.sh); informational.  The
+# two mains' signal/timeout preamble is the one cluster that stays.
+clones:
+	@sh scripts/clones.sh
+
 check: fmt vet lint test
 
-ci: fmt vet lint lint-audit build vet-benchmark test test-benchmark fuzz-smoke race bench examples smoke-resume smoke-spillover smoke-cliqued smoke-dist dist-parity
+# The same gates in the same order as .github/workflows/ci.yml.
+ci: fmt vet lint lint-audit build vet-benchmark test test-benchmark fuzz-smoke race examples smoke-resume smoke-spillover smoke-cliqued dist-parity smoke-dist bench loc clones

@@ -89,7 +89,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d vertices, %d edges (density %.4f%%)\n",
-		g.N(), g.M(), 100*g.Density())
+		g.N(), g.M(), 100*graph.Density(g))
 }
 
 func generate(spec string, scale float64, n, m int, micro bool,

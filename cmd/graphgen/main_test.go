@@ -2,6 +2,8 @@ package main
 
 import (
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestGenerateSpec(t *testing.T) {
@@ -44,7 +46,7 @@ func TestGenerateMicroarray(t *testing.T) {
 	}
 	// The planted 8-module must survive thresholding as a clique.
 	module := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if !g.IsClique(module) {
+	if !graph.IsClique(g, module) {
 		t.Error("planted module lost by the pipeline")
 	}
 	// Error cases.

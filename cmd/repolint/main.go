@@ -3,24 +3,15 @@
 // cancellation, hot-path, cleanup-error and graph-lifecycle invariants
 // the enumeration engine depends on.
 //
-// Standalone:
-//
-//	repolint [-tests] [-list] [patterns...]   # default pattern ./...
+//	repolint [-tests] [-list] [-audit] [patterns...]   # default pattern ./...
 //
 // exits 0 when clean, 2 when it reports findings, 1 on internal error.
-//
-// As a vet tool (the go command drives the unitchecker protocol —
-// repolint answers -V=full with a stable fingerprint and accepts the
-// per-package vet.cfg argument):
-//
-//	go vet -vettool=$(which repolint) ./...
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis/lintkit"
 	"repro/internal/analysis/repolint"
@@ -32,25 +23,6 @@ func main() {
 
 func run() int {
 	suite := repolint.Analyzers()
-
-	// Vet-tool protocol first: `repolint -V=full` fingerprints the tool
-	// for the build cache; `repolint <pkg>.cfg` analyzes one package.
-	for _, arg := range os.Args[1:] {
-		if arg == "-V=full" || arg == "--V=full" {
-			lintkit.VetVersion(os.Args[0], suite)
-			return 0
-		}
-		if arg == "-flags" || arg == "--flags" {
-			// The go command enumerates the tool's analyzer flags before
-			// driving it; the suite exposes none.
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if n := len(os.Args); n > 1 && strings.HasSuffix(os.Args[n-1], ".cfg") {
-		return lintkit.VetMain(os.Args[n-1], suite)
-	}
-
 	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	list := flag.Bool("list", false, "print the analyzers in the suite and exit")
 	audit := flag.Bool("audit", false,

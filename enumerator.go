@@ -455,34 +455,79 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 	if g, err = e.prepareGraph(g); err != nil {
 		return 0, err
 	}
-	// One governor per run, charged by every layer; the first charge is
-	// the graph representation itself — the footprint the enumeration
-	// cannot run below.  A caller-supplied governor (WithGovernor)
-	// replaces the per-run one so a shared budget sees the charges.
-	// WithGraphCharged skips the entry charge for a graph the caller
-	// already holds resident — unless prepareGraph converted it, in
-	// which case the copy is new residency regardless.
-	gov := e.gov
-	if gov == nil {
-		gov = membudget.New(cfg.MemoryBudget)
-	}
-	if !e.graphCharged || g != gin {
-		gov.Charge(g.Bytes())
-		defer gov.Release(g.Bytes())
-	}
-	st := e.statsSink()
-	start := time.Now()
+	rn := e.begin(cfg, gin, g)
 	var out outcome
 	switch cfg.Backend() {
 	case enumcfg.OutOfCore:
-		out, err = e.runOutOfCore(cfg, g, r, st, gov)
+		out, err = e.runOutOfCore(cfg, g, r, rn.st, rn.gov)
 	case enumcfg.Distributed:
-		out, err = e.runDistributed(cfg, g, r, st, gov)
+		out, err = e.runDistributed(cfg, g, r, rn.st, rn.gov)
 	default:
-		out, err = e.runInCore(cfg, g, r, st, gov)
+		out, err = e.runInCore(cfg, g, r, rn.st, rn.gov)
 	}
-	st.fill(backendName(cfg, out.spilledAt), &out, gov, start)
+	rn.end(backendName(cfg, out.spilledAt), &out)
 	return out.MaximalCliques, err
+}
+
+// run is one Run or Paracliques call in flight, from begin to end — the
+// only places a run starts and finishes.
+type run struct {
+	gov     *membudget.Governor
+	st      *Stats // the WithStats sink, reset; nil when none is registered
+	start   time.Time
+	charged int64 // the graph bytes begin charged and end releases
+}
+
+// begin opens a run on g (gin as the caller handed it in).  One governor
+// per run, charged by every layer; the first charge is the graph
+// representation itself — the footprint the enumeration cannot run
+// below.  A caller-supplied governor (WithGovernor) replaces the per-run
+// one so a shared budget sees the charges.  WithGraphCharged skips the
+// entry charge for a graph the caller already holds resident — unless
+// prepareGraph converted it, in which case the copy is new residency
+// regardless.
+func (e *Enumerator) begin(cfg enumcfg.Config, gin, g GraphInterface) *run {
+	r := &run{gov: e.gov, st: e.stats}
+	if r.gov == nil {
+		r.gov = membudget.New(cfg.MemoryBudget)
+	}
+	if !e.graphCharged || g != gin {
+		r.charged = g.Bytes()
+	}
+	r.gov.Charge(r.charged)
+	if r.st != nil {
+		*r.st = Stats{}
+	}
+	r.start = time.Now()
+	return r
+}
+
+// end closes the run: it returns the entry charge and writes the finished
+// (or aborted) run into the Stats sink — the one place a Stats field other
+// than Levels is written.
+func (r *run) end(backend string, out *outcome) {
+	r.gov.Release(r.charged)
+	st := r.st
+	if st == nil {
+		return
+	}
+	st.Backend = backend
+	st.MaximalCliques = out.MaximalCliques
+	st.MaxCliqueSize = out.MaxCliqueSize
+	st.PeakBytes = r.gov.Peak()
+	st.SpilledAtLevel = out.spilledAt
+	st.Paracliques = out.paracliques
+	st.SpillBytesWritten = out.spill.BytesWritten
+	st.SpillRawBytesWritten = out.spill.RawBytesWritten
+	st.SpillBytesRead = out.spill.BytesRead
+	st.PeakLevelFileBytes = out.spill.PeakLevelFile
+	st.Resumed = out.spill.Resumed
+	st.WorkerBusy = out.WorkerBusy
+	st.Transfers = out.Transfers
+	st.DistWorkers = out.dist.Workers
+	st.DistReleases = out.dist.Releases
+	st.DistWorkerDeaths = out.dist.WorkerDeaths
+	st.Elapsed = time.Since(r.start)
 }
 
 // Cliques returns a range-over-func iterator over the maximal cliques of
@@ -548,20 +593,11 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 	if glom <= 0 || glom > 1 {
 		return nil, fmt.Errorf("repro: glom %v out of (0,1]", glom)
 	}
-	// The registered Stats sink is honored here like in Run: extraction
-	// is its own regime (maximum-clique seeds + glom growth, not the
-	// level machinery), so Backend says so, and the clique counters
-	// describe the seed cliques the paracliques grew from.
-	gov := e.gov
-	if gov == nil {
-		gov = membudget.New(0)
-	}
-	if !e.graphCharged || g != gin {
-		gov.Charge(g.Bytes())
-		defer gov.Release(g.Bytes())
-	}
-	st := e.statsSink()
-	start := time.Now()
+	// The run is opened and closed like Run's: extraction is its own
+	// regime (maximum-clique seeds + glom growth, not the level
+	// machinery), so Backend says so, and the clique counters describe
+	// the seed cliques the paracliques grew from.
+	rn := e.begin(cfg, gin, g)
 	min := cfg.Lo
 	if min < 3 {
 		min = 3
@@ -576,7 +612,7 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 	for _, p := range ps {
 		out.MaxCliqueSize = max(out.MaxCliqueSize, p.CoreSize)
 	}
-	st.fill("paraclique", &out, gov, start)
+	rn.end("paraclique", &out)
 	if err := cfg.Context().Err(); err != nil {
 		return ps, fmt.Errorf("repro: paraclique extraction canceled: %w", err)
 	}
@@ -626,14 +662,6 @@ func backendName(cfg enumcfg.Config, spilledAt int) string {
 	return "hybrid(" + engine + ")"
 }
 
-// statsSink resets and returns the registered Stats, if any.
-func (e *Enumerator) statsSink() *Stats {
-	if e.stats != nil {
-		*e.stats = Stats{}
-	}
-	return e.stats
-}
-
 // outcome is what a backend hands back to Run: the run record and the
 // regime's own counters.
 type outcome struct {
@@ -642,31 +670,6 @@ type outcome struct {
 	spilledAt   int        // hybrid: the level being generated at the trip (0 = never)
 	dist        dist.Stats // the lease scheduler's counters
 	paracliques int        // Paracliques only
-}
-
-// fill writes a finished (or aborted) run into the Stats sink — the one
-// place a Stats field other than Levels is written.
-func (st *Stats) fill(backend string, out *outcome, gov *membudget.Governor, start time.Time) {
-	if st == nil {
-		return
-	}
-	st.Backend = backend
-	st.MaximalCliques = out.MaximalCliques
-	st.MaxCliqueSize = out.MaxCliqueSize
-	st.PeakBytes = gov.Peak()
-	st.SpilledAtLevel = out.spilledAt
-	st.Paracliques = out.paracliques
-	st.SpillBytesWritten = out.spill.BytesWritten
-	st.SpillRawBytesWritten = out.spill.RawBytesWritten
-	st.SpillBytesRead = out.spill.BytesRead
-	st.PeakLevelFileBytes = out.spill.PeakLevelFile
-	st.Resumed = out.spill.Resumed
-	st.WorkerBusy = out.WorkerBusy
-	st.Transfers = out.Transfers
-	st.DistWorkers = out.dist.Workers
-	st.DistReleases = out.dist.Releases
-	st.DistWorkerDeaths = out.dist.WorkerDeaths
-	st.Elapsed = time.Since(start)
 }
 
 // levelSink returns the hook that hands each level record to the Stats

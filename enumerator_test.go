@@ -7,14 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/graph"
+	"repro/internal/testgraph"
 )
 
 // testGraph builds a randomized graph with enough planted structure to
@@ -107,7 +106,7 @@ func TestCliquesIteratorYieldsStableCliques(t *testing.T) {
 		if c.Key() != want[i] {
 			t.Errorf("retained clique %d corrupted: got {%s}, want {%s}", i, c.Key(), want[i])
 		}
-		if !g.IsMaximalClique(c) {
+		if !graph.IsMaximalClique(g, c) {
 			t.Errorf("retained clique %d (%v) is not a maximal clique", i, c)
 		}
 	}
@@ -127,7 +126,7 @@ func TestCliqueCloneSurvivesReporterReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cloned {
-		if !g.IsMaximalClique(c) {
+		if !graph.IsMaximalClique(g, c) {
 			t.Fatalf("cloned clique %d (%v) is not maximal: Clone is broken", i, c)
 		}
 	}
@@ -135,27 +134,13 @@ func TestCliqueCloneSurvivesReporterReuse(t *testing.T) {
 	// been overwritten by later emissions (that is the point of Clone).
 	damaged := 0
 	for _, c := range borrowed {
-		if !c.Canonical() || !g.IsMaximalClique(c) {
+		if !c.Canonical() || !graph.IsMaximalClique(g, c) {
 			damaged++
 		}
 	}
 	if damaged == 0 {
 		t.Log("no borrowed clique was overwritten on this graph (reuse is allowed, not required)")
 	}
-}
-
-// waitGoroutines polls until the goroutine count drops back to at most
-// base, tolerating the runtime's lazy reaping.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d now vs %d before the run", runtime.NumGoroutine(), base)
 }
 
 // TestCancellationMidRun cancels each backend mid-enumeration and checks
@@ -174,7 +159,7 @@ func TestCancellationMidRun(t *testing.T) {
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			check := testgraph.NoLeaks(t, nil, spill) // the out-of-core run's spill files must be gone after the abort
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var st repro.Stats
@@ -203,16 +188,8 @@ func TestCancellationMidRun(t *testing.T) {
 			if st.Elapsed <= 0 {
 				t.Error("partial stats missing Elapsed")
 			}
-			waitGoroutines(t, base)
+			check()
 		})
-	}
-	// The out-of-core run's spill files must be gone after the abort.
-	entries, err := os.ReadDir(spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("leftover spill entry after cancellation: %s", filepath.Join(spill, e.Name()))
 	}
 }
 
@@ -229,7 +206,7 @@ func TestCliquesEarlyBreakCancelsRun(t *testing.T) {
 		{"out-of-core", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0)}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			check := testgraph.NoLeaks(t, nil)
 			e := repro.NewEnumerator(append(b.opts, repro.WithBounds(3, 0))...)
 			seen := 0
 			for c, err := range e.Cliques(context.Background(), g) {
@@ -244,7 +221,7 @@ func TestCliquesEarlyBreakCancelsRun(t *testing.T) {
 			if seen != 3 {
 				t.Fatalf("saw %d cliques before break, want 3", seen)
 			}
-			waitGoroutines(t, base)
+			check()
 		})
 	}
 }

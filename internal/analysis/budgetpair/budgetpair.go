@@ -69,8 +69,7 @@ var Analyzer = &lintkit.Analyzer{
 	Name: "budgetpair",
 	Doc: "check that every membudget Charge/Reserve is paired with a Release/Close on all return paths " +
 		"(or ownership provably transfers to a releasing type)",
-	Run:       run,
-	FactTypes: []lintkit.Fact{(*ReleasesParamFact)(nil), (*ClosesParamFact)(nil)},
+	Run: run,
 }
 
 // relMethod is one method that settles an acquisition.

@@ -49,8 +49,7 @@ var Analyzer = &lintkit.Analyzer{
 	Name: "leasestate",
 	Doc: "track LeaseTable.Acquire results through helpers, returns and struct fields; " +
 		"every lease must reach exactly one Complete/Release/Expire",
-	Run:       run,
-	FactTypes: []lintkit.Fact{(*SettlesFact)(nil), (*TransfersFact)(nil)},
+	Run: run,
 }
 
 func run(pass *lintkit.Pass) error {

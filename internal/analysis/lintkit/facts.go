@@ -1,12 +1,8 @@
 package lintkit
 
 import (
-	"encoding/gob"
-	"fmt"
 	"go/types"
-	"io"
 	"reflect"
-	"sort"
 )
 
 // The facts layer mirrors go/analysis Facts: an analyzer may attach a
@@ -19,21 +15,12 @@ import (
 // acquisition-order graph is the union of every package's exported edge
 // facts.
 //
-// Two carriers exist, matching the two driver modes:
+// One in-memory FactStore is threaded through the packages in
+// import-dependency order (Run topo-sorts), so a fact exported from a
+// package is visible when its importers are analyzed and facts never
+// touch disk.
 //
-//   - standalone (`repolint ./...`): one in-memory FactStore is threaded
-//     through the packages in import-dependency order (Run topo-sorts),
-//     so facts never touch disk;
-//   - vet (`go vet -vettool=repolint`): each package's facts are
-//     gob-serialized into the .vetx file the unitchecker protocol
-//     already exchanges, keyed by stable object paths, so incremental
-//     runs off the go build cache still see their dependencies' facts.
-//     A package's vetx output re-exports the facts it imported, which is
-//     what makes fact visibility transitive without any extra plumbing.
-//
-// A Fact implementation must be a pointer-to-struct, gob-serializable,
-// and listed in its Analyzer's FactTypes so the codec knows the
-// concrete types to register.
+// A Fact implementation must be a pointer-to-struct.
 
 // Fact is the marker interface for analyzer facts (go/analysis.Fact).
 type Fact interface{ AFact() }
@@ -51,8 +38,7 @@ type pkgFactKey struct {
 	typ  reflect.Type
 }
 
-// FactStore holds every fact visible to the current analysis unit:
-// facts decoded from dependencies plus facts exported so far.
+// FactStore holds every fact exported so far in the run.
 type FactStore struct {
 	objects map[factKey]Fact
 	pkgs    map[pkgFactKey]Fact
@@ -137,71 +123,4 @@ func (s *FactStore) allPackageFacts(example Fact) map[string]Fact {
 		}
 	}
 	return out
-}
-
-// ----------------------------------------------------------------------
-// Serialization (the vetx carrier)
-// ----------------------------------------------------------------------
-
-// wireFact is the gob wire form of one fact.  Object is "" for package
-// facts; Fact rides as a gob interface value, so every concrete fact
-// type must be registered (RegisterFactTypes) on both ends.
-type wireFact struct {
-	Object string // ObjectKey, or "" for a package fact
-	Pkg    string // package path (package facts only)
-	Fact   Fact
-}
-
-// RegisterFactTypes registers every analyzer's FactTypes with gob.
-// Call once per process before encoding or decoding fact files.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// Encode writes the store's facts to w in a deterministic order.
-func (s *FactStore) Encode(w io.Writer) error {
-	var facts []wireFact
-	for k, f := range s.objects {
-		facts = append(facts, wireFact{Object: k.obj, Fact: f})
-	}
-	for k, f := range s.pkgs {
-		facts = append(facts, wireFact{Pkg: k.path, Fact: f})
-	}
-	sort.Slice(facts, func(i, j int) bool {
-		if facts[i].Object != facts[j].Object {
-			return facts[i].Object < facts[j].Object
-		}
-		if facts[i].Pkg != facts[j].Pkg {
-			return facts[i].Pkg < facts[j].Pkg
-		}
-		return fmt.Sprintf("%T", facts[i].Fact) < fmt.Sprintf("%T", facts[j].Fact)
-	})
-	return gob.NewEncoder(w).Encode(facts)
-}
-
-// Decode merges facts from r into the store.  An empty stream (the
-// pre-facts suite wrote zero-byte vetx files) decodes as no facts.
-func (s *FactStore) Decode(r io.Reader) error {
-	var facts []wireFact
-	if err := gob.NewDecoder(r).Decode(&facts); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return fmt.Errorf("lintkit: decoding facts: %v", err)
-	}
-	for _, wf := range facts {
-		if wf.Fact == nil {
-			continue
-		}
-		if wf.Object != "" {
-			s.objects[factKey{wf.Object, reflect.TypeOf(wf.Fact)}] = wf.Fact
-		} else if wf.Pkg != "" {
-			s.pkgs[pkgFactKey{wf.Pkg, reflect.TypeOf(wf.Fact)}] = wf.Fact
-		}
-	}
-	return nil
 }

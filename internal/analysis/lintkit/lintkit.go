@@ -17,8 +17,7 @@
 //     their compiler export data — no network, no out-of-module code;
 //   - the runner (run.go): runs analyzers over loaded packages,
 //     applies nolint suppressions, checks suppression hygiene, and
-//     formats diagnostics; vet.go adapts the same pipeline to the
-//     `go vet -vettool` unitchecker protocol.
+//     formats diagnostics.
 package lintkit
 
 import (
@@ -41,10 +40,6 @@ type Analyzer struct {
 	// through pass.Reportf.  A non-nil error aborts the whole run —
 	// reserve it for internal failures, not findings.
 	Run func(pass *Pass) error
-	// FactTypes lists one exemplar of each fact type the analyzer
-	// exports or imports (pointer-to-struct values).  Required for the
-	// gob codec that carries facts through the vetx files.
-	FactTypes []Fact
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -70,7 +65,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 
 // ImportObjectFact copies the fact of f's concrete type attached to obj
 // into f, reporting whether one exists.  obj may belong to any package
-// analyzed earlier in the run (or whose vetx facts were supplied).
+// analyzed earlier in the run.
 func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
 	return p.facts != nil && p.facts.importObject(obj, f)
 }

@@ -106,8 +106,10 @@ func Load(dir string, patterns []string, includeTests bool) ([]*Package, *token.
 		if p.Error != nil {
 			return nil, nil, fmt.Errorf("lintkit: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		if p.ForTest != "" && !strings.HasSuffix(p.ImportPath, "_test]") {
-			// "p [p.test]" supersedes the plain "p" listed alongside it.
+		if p.ForTest != "" && canonicalImportPath(p.ImportPath) == p.ForTest {
+			// "p [p.test]" supersedes the plain "p" listed alongside it;
+			// the external "p_test [p.test]" does not — a package whose
+			// tests are all external has no augmented variant.
 			augmented[p.ForTest] = true
 		}
 		if len(p.GoFiles) == 0 {

@@ -15,10 +15,8 @@ import (
 //
 // Packages are visited in import-dependency order with one shared
 // FactStore, so facts an analyzer exports from a package are visible
-// when its importers are analyzed — the standalone counterpart of the
-// vetx fact files the vet protocol threads through the build cache.
+// when its importers are analyzed.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	RegisterFactTypes(analyzers)
 	facts := NewFactStore()
 	var all []Diagnostic
 	for _, pkg := range sortByImports(pkgs) {
@@ -103,8 +101,8 @@ func sortByImports(pkgs []*Package) []*Package {
 	return order
 }
 
-// runPackage is Run for a single package (the unit the vet protocol
-// hands us one at a time), reading and writing facts through store.
+// runPackage is Run for a single package, reading and writing facts
+// through the store.
 func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	for _, a := range analyzers {

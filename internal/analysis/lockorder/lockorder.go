@@ -55,8 +55,7 @@ var Analyzer = &lintkit.Analyzer{
 	Name: "lockorder",
 	Doc: "build the cross-package mutex acquisition-order graph; report cycles and " +
 		"inversions of the canonical registry≺lease≺governor order",
-	Run:       run,
-	FactTypes: []lintkit.Fact{(*LocksFact)(nil), (*LockEdgesFact)(nil)},
+	Run: run,
 }
 
 func run(pass *lintkit.Pass) error {

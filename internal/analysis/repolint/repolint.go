@@ -1,7 +1,7 @@
 // Package repolint is the registry binding the repo's analyzers into
 // one suite.  cmd/repolint and the smoke tests consume this list; add
-// new analyzers here and they are picked up by `make lint`, the vet
-// adapter and the CI gate with no further wiring.
+// new analyzers here and they are picked up by `make lint` and the CI
+// gate with no further wiring.
 package repolint
 
 import (

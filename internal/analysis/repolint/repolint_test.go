@@ -51,6 +51,30 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestLoadKeepsExternallyTestedPackages: a package whose tests all live
+// in its external _test package has no test-augmented variant to be
+// analyzed through, so the loader must keep the plain package (it used to
+// drop it, and internal/service went unanalyzed by the standalone driver).
+func TestLoadKeepsExternallyTestedPackages(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Skip("module root not found: ", err)
+	}
+	pkgs, _, err := lintkit.Load(root, []string{"./internal/service"}, true)
+	if err != nil {
+		t.Fatalf("loading internal/service: %v", err)
+	}
+	loaded := make(map[string]bool)
+	for _, p := range pkgs {
+		loaded[p.CanonicalPath()] = true
+	}
+	for _, want := range []string{"repro/internal/service", "repro/internal/service_test"} {
+		if !loaded[want] {
+			t.Errorf("%s was not loaded (got %v)", want, loaded)
+		}
+	}
+}
+
 // moduleRoot walks up from the working directory to the go.mod.
 func moduleRoot() (string, error) {
 	dir, err := os.Getwd()

@@ -80,12 +80,6 @@ func (b *Bitset) Clear(i int) {
 	b.words[i>>wordShift] &^= 1 << uint(i&wordMask)
 }
 
-// Flip toggles membership of i.
-func (b *Bitset) Flip(i int) {
-	b.check(i)
-	b.words[i>>wordShift] ^= 1 << uint(i&wordMask)
-}
-
 // Test reports whether i is in the set.
 //
 //repro:hotpath
@@ -276,13 +270,6 @@ func (b *Bitset) AndCount(o *Bitset) int {
 		c += bits.OnesCount64(w & ow[i])
 	}
 	return c
-}
-
-// IsSubsetOf reports whether every element of the receiver is in o.
-//
-//repro:hotpath
-func (b *Bitset) IsSubsetOf(o *Bitset) bool {
-	return !AndNotAny(b, o)
 }
 
 // Equal reports whether the two sets contain exactly the same elements

@@ -1,7 +1,5 @@
 package bitset
 
-import "math/bits"
-
 // Fused intersect-and-test kernels.  The enumerator's maximality probe —
 // BitOneExists(BitAND(...)) in the paper's pseudocode — does not need the
 // intersection materialized: these kernels answer the existence question
@@ -58,8 +56,7 @@ func AndAny3(x, y, z *Bitset) bool {
 }
 
 // AndNotAny reports whether x \ y is non-empty (some element of x is not
-// in y) without materializing the difference.  Equivalent to
-// !x.IsSubsetOf(y).
+// in y) without materializing the difference: the negated subset test.
 //
 //repro:hotpath
 func AndNotAny(x, y *Bitset) bool {
@@ -111,20 +108,4 @@ func RangeAndAny(x, y *Bitset, start, end int) bool {
 		}
 	}
 	return x.words[ew]&y.words[ew]&endMask != 0
-}
-
-// AndCount3 returns |x ∩ y ∩ z| in a single fused pass.  Plain indexed
-// loop for the same reason as Bitset.AndCount: the multi-slice unroll
-// measures slower than one bounds-checked stream.
-//
-//repro:hotpath
-func AndCount3(x, y, z *Bitset) int {
-	x.mustMatch(y)
-	x.mustMatch(z)
-	yw, zw := y.words, z.words
-	c := 0
-	for i, w := range x.words {
-		c += bits.OnesCount64(w & yw[i] & zw[i])
-	}
-	return c
 }

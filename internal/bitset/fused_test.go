@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The fused kernels (AndAny, AndAny3, AndNotAny, RangeAndAny, AndCount3)
+// The fused kernels (AndAny, AndAny3, AndNotAny, RangeAndAny)
 // and the unrolled word loops (And, Count, AndCount) share two hazards:
 // the 4-word block/tail split, and the tail-word invariant ("words beyond
 // the last valid bit stay zero") that lets them skip masking.  These
@@ -70,16 +70,6 @@ func naiveRangeAndAny(x, y *Bitset, start, end int) bool {
 	return false
 }
 
-func naiveAndCount3(x, y, z *Bitset) int {
-	c := 0
-	for i := 0; i < x.Len(); i++ {
-		if x.Test(i) && y.Test(i) && z.Test(i) {
-			c++
-		}
-	}
-	return c
-}
-
 // checkFusedTriple runs every kernel over one (x, y, z) operand triple
 // and cross-checks it against the references.
 func checkFusedTriple(t *testing.T, rng *rand.Rand, x, y, z *Bitset) {
@@ -93,9 +83,6 @@ func checkFusedTriple(t *testing.T, rng *rand.Rand, x, y, z *Bitset) {
 	}
 	if got, want := AndNotAny(x, y), naiveAndNotAny(x, y); got != want {
 		t.Fatalf("n=%d: AndNotAny = %v, naive %v", n, got, want)
-	}
-	if got, want := AndCount3(x, y, z), naiveAndCount3(x, y, z); got != want {
-		t.Fatalf("n=%d: AndCount3 = %d, naive %d", n, got, want)
 	}
 	// Ranged probe, including bounds that clip (negative start, end past
 	// the universe) and empty windows.
@@ -170,9 +157,6 @@ func TestFusedKernelsSingleWitness(t *testing.T) {
 			z.Set(i)
 			if !AndAny(x, y) || !AndAny3(x, y, z) {
 				t.Fatalf("n=%d: lone witness at bit %d missed", n, i)
-			}
-			if AndCount3(x, y, z) != 1 {
-				t.Fatalf("n=%d: AndCount3 with lone witness at %d != 1", n, i)
 			}
 			if !RangeAndAny(x, y, i, i+1) || RangeAndAny(x, y, i+1, n) || RangeAndAny(x, y, 0, i) {
 				t.Fatalf("n=%d: RangeAndAny windows around bit %d wrong", n, i)

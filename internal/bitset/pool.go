@@ -20,9 +20,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// UniverseLen returns the universe size of Bitsets managed by the pool.
-func (p *Pool) UniverseLen() int { return p.n }
-
 // Get returns an empty Bitset over [0, n).  The caller owns it until Put.
 func (p *Pool) Get() *Bitset {
 	b := p.pool.Get().(*Bitset)

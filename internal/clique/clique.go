@@ -126,17 +126,6 @@ func (col *Collector) Sort() {
 	})
 }
 
-// Keys returns the sorted key strings of the collected cliques, the
-// canonical form for set comparison in tests.
-func (col *Collector) Keys() []string {
-	keys := make([]string, len(col.Cliques))
-	for i, c := range col.Cliques {
-		keys[i] = c.Key()
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Counter is a Reporter that only counts cliques by size, for runs whose
 // full output would not fit in memory (the paper's terabyte-scale cases).
 type Counter struct {
@@ -185,10 +174,10 @@ func Validate(g *graph.Graph, cliques []Clique, lo, hi int) error {
 			return fmt.Errorf("clique %v emitted twice", c)
 		}
 		seen[key] = true
-		if !g.IsClique(c) {
+		if !graph.IsClique(g, c) {
 			return fmt.Errorf("%v is not a clique", c)
 		}
-		if !g.IsMaximalClique(c) {
+		if !graph.IsMaximalClique(g, c) {
 			return fmt.Errorf("%v is not maximal", c)
 		}
 	}

@@ -70,10 +70,6 @@ func TestCollector(t *testing.T) {
 	if col.Cliques[0].Key() != "1" || col.Cliques[1].Key() != "2,5" {
 		t.Errorf("sorted = %v", col.Cliques)
 	}
-	keys := col.Keys()
-	if keys[0] != "1" || keys[1] != "2,5" {
-		t.Errorf("Keys = %v", keys)
-	}
 }
 
 func TestCounter(t *testing.T) {

@@ -51,18 +51,14 @@ type Options struct {
 	// two row ANDs in canonical order).  CNStore is the paper's policy —
 	// a dense bitmap per sub-list, n/8 bytes each.
 	Mode CNMode
-	// MemoryBudget, when positive, bounds the bytes of the resident levels
-	// (consumed + produced) and the builder's scratch; exceeding it aborts
-	// with ErrMemoryBudget.  Ignored when Gov is set.
-	MemoryBudget int64
 	// Gov, when non-nil, is the run's shared memory governor: the seed
-	// level and every sealed block are charged against it, consumed
-	// levels are released at step boundaries, and enumeration aborts
-	// with ErrMemoryBudget once it reports Over.  Callers that charge
-	// other layers into the same governor (the facade charges the graph
-	// representation's adjacency bytes) thereby tighten the candidate
-	// headroom — one budget, one meaning of memory.  When nil, a private
-	// governor is derived from MemoryBudget.
+	// level, every sealed block and the builder's scratch are charged
+	// against it, consumed levels are released at step boundaries, and
+	// enumeration aborts with ErrMemoryBudget once it reports Over.
+	// Callers that charge other layers into the same governor (the facade
+	// charges the graph representation's adjacency bytes) thereby tighten
+	// the candidate headroom — one budget, one meaning of memory.  nil
+	// runs unaccounted and unbounded.
 	Gov *membudget.Governor
 	// OnLevel, when non-nil, observes each generation step.
 	OnLevel func(LevelStats)
@@ -93,9 +89,6 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	}
 
 	gov := opts.Gov
-	if gov == nil && opts.MemoryBudget > 0 {
-		gov = membudget.New(opts.MemoryBudget)
-	}
 	b := NewBuilderMode(g, opts.Mode, bitset.NewPool(g.N()))
 	b.Gov = gov
 	gov.Charge(b.ScratchBytes())

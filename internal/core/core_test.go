@@ -9,6 +9,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/kose"
+	"repro/internal/membudget"
 )
 
 // maximalAtLeast filters brute-force maximal cliques by a size floor.
@@ -240,7 +241,7 @@ func TestMemoryBudgetAbort(t *testing.T) {
 		{Size: 10}, {Size: 8, Overlap: 4},
 	}, 200)
 	col := &clique.Collector{}
-	res, err := Enumerate(g, Options{Reporter: col, MemoryBudget: 2048})
+	res, err := Enumerate(g, Options{Reporter: col, Gov: membudget.New(2048)})
 	if err == nil {
 		t.Fatal("tiny budget did not abort")
 	}

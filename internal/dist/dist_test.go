@@ -6,16 +6,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
+	"repro/internal/testgraph"
 )
 
 // TestMain lets this test binary serve as an exec/pipe worker: the
@@ -316,7 +315,9 @@ func TestDistNoGoroutineLeakAfterDeaths(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	g := testGraph(t)
-	before := runtime.NumGoroutine()
+	// Pump goroutines unwind asynchronously after run() closes c.done;
+	// only a bounded settling window is acceptable, not a leak per run.
+	check := testgraph.NoLeaks(t, nil)
 	for i := 0; i < 2; i++ {
 		if _, err := Enumerate(g, Options{
 			Dir:        t.TempDir(),
@@ -330,14 +331,5 @@ func TestDistNoGoroutineLeakAfterDeaths(t *testing.T) {
 			t.Fatalf("run %d with crash: %v", i, err)
 		}
 	}
-	// Pump goroutines unwind asynchronously after run() closes c.done;
-	// only a bounded settling window is acceptable, not a leak per run.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d before the runs, %d after settling",
-				before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	check()
 }

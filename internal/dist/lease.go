@@ -207,20 +207,6 @@ func (t *LeaseTable) Extend(id int64, now time.Time) bool {
 	return true
 }
 
-// LiveByWorker returns the worker's live leases (a worker holds at most
-// one in the current coordinator, but the table does not assume it).
-func (t *LeaseTable) LiveByWorker(worker int) []Lease {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var ls []Lease
-	for i := range t.cur {
-		if t.cur[i].ID != 0 && t.cur[i].Worker == worker {
-			ls = append(ls, t.cur[i])
-		}
-	}
-	return ls
-}
-
 // Done reports whether every shard's result has been accepted.
 func (t *LeaseTable) Done() bool {
 	t.mu.Lock()

@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/kose"
 	"repro/internal/maxclique"
+	"repro/internal/membudget"
 	"repro/internal/simarch"
 )
 
@@ -64,7 +66,7 @@ func MaxCliqueBounds(cfg Config) (*Table, error) {
 		elapsed := time.Since(start)
 		t.AddRow(spec.Name,
 			fmt.Sprint(g.N()), fmt.Sprint(g.M()),
-			fmt.Sprintf("%.4f%%", 100*g.Density()),
+			fmt.Sprintf("%.4f%%", 100*graph.Density(g)),
 			fmt.Sprint(spec.Omega), fmt.Sprint(found),
 			elapsed.Round(time.Millisecond).String())
 		if found != spec.Omega {
@@ -121,7 +123,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 			"Kose RAM", "Clique Enumerator", "speedup", "maximal cliques"},
 	}
 	t.AddRow(fmt.Sprint(g.N()),
-		fmt.Sprintf("%.4f%%", 100*g.Density()),
+		fmt.Sprintf("%.4f%%", 100*graph.Density(g)),
 		fmt.Sprintf("[3, %d]", coreRes.MaxCliqueSize),
 		fmt.Sprintf("%.2f s", koseSec),
 		fmt.Sprintf("%.3f s", coreSec),
@@ -190,10 +192,10 @@ func Blowup(cfg Config) (*BlowupResult, error) {
 
 	var levels []core.LevelStats
 	_, err := core.Enumerate(g, core.Options{
-		Ctx:          cfg.Ctx,
-		Mode:         core.CNStore,
-		MemoryBudget: cfg.Budget,
-		OnLevel:      func(st core.LevelStats) { levels = append(levels, st) },
+		Ctx:     cfg.Ctx,
+		Mode:    core.CNStore,
+		Gov:     membudget.New(cfg.Budget),
+		OnLevel: func(st core.LevelStats) { levels = append(levels, st) },
 	})
 	if err == nil {
 		return nil, fmt.Errorf("expt: graph B enumeration fit in %d bytes; raise -scale or lower -budget", cfg.Budget)

@@ -53,7 +53,7 @@ func TestTableRendering(t *testing.T) {
 		Notes:   []string{"n1"},
 	}
 	tab.AddRow("1", "2")
-	tab.AddRowf(3, 4.5)
+	tab.AddRow("3", "4.5")
 	out := tab.String()
 	for _, want := range []string{"T\n=", "a  bb", "1  2", "3  4.5", "note: n1"} {
 		if !strings.Contains(out, want) {

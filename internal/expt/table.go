@@ -20,16 +20,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// AddRowf appends a row where each cell is already formatted by the
-// caller; it exists for symmetry and clarity at call sites.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprint(c)
-	}
-	t.Rows = append(t.Rows, row)
-}
-
 // Fprint renders the table.
 func (t *Table) Fprint(w io.Writer) error {
 	if t.Title != "" {

@@ -122,11 +122,6 @@ func (b *Builder) SetName(v int, name string) error {
 // N returns the number of vertices.
 func (b *Builder) N() int { return b.n }
 
-// EdgesAdded returns the number of AddEdge calls accepted so far —
-// an upper bound on the final edge count (duplicates collapse at
-// Freeze).
-func (b *Builder) EdgesAdded() int64 { return b.adds }
-
 // Density returns the running density estimate adds / (n choose 2) —
 // an upper bound on the frozen graph's density, exact when the stream
 // repeats no edge.  It is a streaming observability hook; the Auto rule

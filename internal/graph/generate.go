@@ -113,42 +113,3 @@ func PlantedGraph(rng *rand.Rand, n int, modules []PlantedCliqueSpec, background
 	}
 	return g
 }
-
-// TrimToEdgeCount removes random background edges until the graph has
-// exactly m edges, never touching edges inside protect (a list of planted
-// cliques).  Panics if the target is unreachable.
-func TrimToEdgeCount(rng *rand.Rand, g *Graph, m int, protect [][]int) {
-	protected := func(u, v int) bool {
-		for _, clique := range protect {
-			inU, inV := false, false
-			for _, w := range clique {
-				if w == u {
-					inU = true
-				}
-				if w == v {
-					inV = true
-				}
-			}
-			if inU && inV {
-				return true
-			}
-		}
-		return false
-	}
-	if g.M() < m {
-		panic(fmt.Sprintf("graph: cannot trim %d edges up to %d", g.M(), m))
-	}
-	edges := g.Edges()
-	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	for _, e := range edges {
-		if g.M() == m {
-			return
-		}
-		if !protected(e.U, e.V) {
-			g.RemoveEdge(e.U, e.V)
-		}
-	}
-	if g.M() != m {
-		panic(fmt.Sprintf("graph: trim stuck at %d edges, want %d", g.M(), m))
-	}
-}

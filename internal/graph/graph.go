@@ -138,26 +138,6 @@ func (g *Graph) nameSlice() []string { return g.names }
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int) int { return g.adj[v].Count() }
 
-// MaxDegree returns the largest vertex degree (0 for an empty graph).
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.n; v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Density returns m / (n choose 2), the edge density reported for the
-// paper's microarray graphs (e.g. 0.008%, 0.2%, 0.3%).
-func (g *Graph) Density() float64 {
-	if g.n < 2 {
-		return 0
-	}
-	return float64(g.m) / (float64(g.n) * float64(g.n-1) / 2)
-}
-
 // SetName attaches a label (e.g. a probe-set ID) to vertex v.
 func (g *Graph) SetName(v int, name string) {
 	if g.names == nil {
@@ -176,41 +156,6 @@ func (g *Graph) Name(v int) string {
 
 // Edge is an undirected edge in canonical (U < V) order.
 type Edge struct{ U, V int }
-
-// Edges returns all edges in canonical order: sorted by U, then V, with
-// U < V.  This is the non-repeating canonical edge list the Kose-style
-// algorithms take as input.
-func (g *Graph) Edges() []Edge {
-	edges := make([]Edge, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		g.adj[u].ForEach(func(v int) bool {
-			if v > u {
-				edges = append(edges, Edge{u, v})
-			}
-			return true
-		})
-	}
-	return edges
-}
-
-// ForEachEdge calls fn for every edge in canonical order.
-func (g *Graph) ForEachEdge(fn func(u, v int) bool) {
-	for u := 0; u < g.n; u++ {
-		stop := false
-		g.adj[u].ForEach(func(v int) bool {
-			if v > u {
-				if !fn(u, v) {
-					stop = true
-					return false
-				}
-			}
-			return true
-		})
-		if stop {
-			return
-		}
-	}
-}
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
@@ -281,118 +226,6 @@ func (g *Graph) InducedSubgraph(vertices *bitset.Bitset) (*Graph, []int) {
 	return sub, newToOld
 }
 
-// IsClique reports whether every pair of the given vertices is adjacent.
-func (g *Graph) IsClique(vertices []int) bool {
-	for i := 0; i < len(vertices); i++ {
-		for j := i + 1; j < len(vertices); j++ {
-			if !g.HasEdge(vertices[i], vertices[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// CommonNeighbors computes the common-neighbor bit string of the given
-// clique into dst: bit i is 1 iff i is outside the clique and adjacent to
-// every member.  dst must be a bitset over [0, N()).  This is the paper's
-// defining bitmap operation (Figure 2).
-//
-//repro:hotpath
-func (g *Graph) CommonNeighbors(dst *bitset.Bitset, clique []int) {
-	if len(clique) == 0 {
-		dst.SetAll()
-		return
-	}
-	dst.CopyFrom(g.adj[clique[0]])
-	for _, v := range clique[1:] {
-		dst.And(dst, g.adj[v])
-	}
-	// Adjacency rows never include the vertex itself, so members are
-	// already excluded from the result.
-}
-
-// IsMaximalClique reports whether the vertices form a clique with no
-// common neighbor (the bit-string test of Figure 2).
-func (g *Graph) IsMaximalClique(vertices []int) bool {
-	if !g.IsClique(vertices) {
-		return false
-	}
-	cn := bitset.New(g.n)
-	g.CommonNeighbors(cn, vertices)
-	return cn.None()
-}
-
-// KCorePeel iteratively removes vertices of degree < k and returns the
-// surviving vertex set.  The k-clique enumerator uses this with k-1:
-// vertices of degree < k-1 cannot belong to any k-clique (the paper's
-// preprocessing step, applied to a fixed point rather than a single pass).
-func (g *Graph) KCorePeel(k int) *bitset.Bitset {
-	alive := bitset.New(g.n)
-	alive.SetAll()
-	deg := make([]int, g.n)
-	queue := make([]int, 0, g.n)
-	for v := 0; v < g.n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] < k {
-			queue = append(queue, v)
-			alive.Clear(v)
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.adj[v].ForEach(func(u int) bool {
-			if alive.Test(u) {
-				deg[u]--
-				if deg[u] < k {
-					alive.Clear(u)
-					queue = append(queue, u)
-				}
-			}
-			return true
-		})
-	}
-	return alive
-}
-
-// ConnectedComponents returns the vertex sets of the connected components,
-// largest first by vertex count.
-func (g *Graph) ConnectedComponents() []*bitset.Bitset {
-	seen := bitset.New(g.n)
-	var comps []*bitset.Bitset
-	stack := make([]int, 0, 64)
-	for s := 0; s < g.n; s++ {
-		if seen.Test(s) {
-			continue
-		}
-		comp := bitset.New(g.n)
-		stack = append(stack[:0], s)
-		seen.Set(s)
-		comp.Set(s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.adj[v].ForEach(func(u int) bool {
-				if !seen.Test(u) {
-					seen.Set(u)
-					comp.Set(u)
-					stack = append(stack, u)
-				}
-				return true
-			})
-		}
-		comps = append(comps, comp)
-	}
-	// Insertion sort by descending size; component counts are small.
-	for i := 1; i < len(comps); i++ {
-		for j := i; j > 0 && comps[j].Count() > comps[j-1].Count(); j-- {
-			comps[j], comps[j-1] = comps[j-1], comps[j]
-		}
-	}
-	return comps
-}
-
 // DegeneracyOrder returns a vertex ordering produced by repeatedly
 // removing a minimum-degree vertex, along with the graph's degeneracy.
 // Several bounding heuristics (greedy clique, coloring) consume it.
@@ -404,7 +237,7 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 		deg[v] = g.Degree(v)
 	}
 	// Bucket queue over degrees.
-	maxDeg := g.MaxDegree()
+	maxDeg := MaxDegree(g)
 	buckets := make([][]int, maxDeg+1)
 	for v := 0; v < n; v++ {
 		buckets[deg[v]] = append(buckets[deg[v]], v)

@@ -57,13 +57,13 @@ func TestDegreeAndDensity(t *testing.T) {
 	if g.Degree(0) != 3 || g.Degree(1) != 1 {
 		t.Errorf("degrees: %d %d", g.Degree(0), g.Degree(1))
 	}
-	if g.MaxDegree() != 3 {
-		t.Errorf("MaxDegree = %d", g.MaxDegree())
+	if MaxDegree(g) != 3 {
+		t.Errorf("MaxDegree = %d", MaxDegree(g))
 	}
-	if got, want := g.Density(), 0.5; got != want {
+	if got, want := Density(g), 0.5; got != want {
 		t.Errorf("Density = %g, want %g", got, want)
 	}
-	if New(1).Density() != 0 {
+	if Density(New(1)) != 0 {
 		t.Error("Density of K1 != 0")
 	}
 }
@@ -73,7 +73,7 @@ func TestEdgesCanonical(t *testing.T) {
 	g.AddEdge(3, 1)
 	g.AddEdge(2, 0)
 	g.AddEdge(1, 0)
-	edges := g.Edges()
+	edges := Edges(g)
 	want := []Edge{{0, 1}, {0, 2}, {1, 3}}
 	if len(edges) != len(want) {
 		t.Fatalf("Edges = %v", edges)
@@ -84,7 +84,7 @@ func TestEdgesCanonical(t *testing.T) {
 		}
 	}
 	var visited []Edge
-	g.ForEachEdge(func(u, v int) bool {
+	ForEachEdge(g, func(u, v int) bool {
 		visited = append(visited, Edge{u, v})
 		return len(visited) < 2
 	})
@@ -152,7 +152,7 @@ func TestQuickComplementInvolution(t *testing.T) {
 			return false
 		}
 		equal := true
-		g.ForEachEdge(func(u, v int) bool {
+		ForEachEdge(g, func(u, v int) bool {
 			if !cc.HasEdge(u, v) {
 				equal = false
 				return false
@@ -205,25 +205,25 @@ func TestCommonNeighborsFigure2(t *testing.T) {
 		}
 	}
 	cn := bitset.New(4)
-	g.CommonNeighbors(cn, []int{0, 1}) // clique (a,b)
+	CommonNeighbors(g, cn, []int{0, 1}) // clique (a,b)
 	if want := bitset.FromIndices(4, 2, 3); !cn.Equal(want) {
 		t.Errorf("CN(a,b) = %v", cn)
 	}
-	g.CommonNeighbors(cn, []int{0, 1, 2}) // clique (a,b,c)
+	CommonNeighbors(g, cn, []int{0, 1, 2}) // clique (a,b,c)
 	if want := bitset.FromIndices(4, 3); !cn.Equal(want) {
 		t.Errorf("CN(a,b,c) = %v", cn)
 	}
-	g.CommonNeighbors(cn, []int{0, 1, 2, 3})
+	CommonNeighbors(g, cn, []int{0, 1, 2, 3})
 	if cn.Any() {
 		t.Errorf("CN(a,b,c,d) = %v, want empty", cn)
 	}
-	if !g.IsMaximalClique([]int{0, 1, 2, 3}) {
+	if !IsMaximalClique(g, []int{0, 1, 2, 3}) {
 		t.Error("K4 not maximal")
 	}
-	if g.IsMaximalClique([]int{0, 1, 2}) {
+	if IsMaximalClique(g, []int{0, 1, 2}) {
 		t.Error("(a,b,c) reported maximal inside K4")
 	}
-	g.CommonNeighbors(cn, nil)
+	CommonNeighbors(g, cn, nil)
 	if cn.Count() != 4 {
 		t.Errorf("CN(∅) = %v, want all", cn)
 	}
@@ -233,10 +233,10 @@ func TestIsClique(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	if g.IsClique([]int{0, 1, 2}) {
+	if IsClique(g, []int{0, 1, 2}) {
 		t.Error("path reported as clique")
 	}
-	if !g.IsClique([]int{0, 1}) || !g.IsClique([]int{3}) || !g.IsClique(nil) {
+	if !IsClique(g, []int{0, 1}) || !IsClique(g, []int{3}) || !IsClique(g, nil) {
 		t.Error("trivial cliques rejected")
 	}
 }
@@ -248,7 +248,7 @@ func TestKCorePeel(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
-	alive := g.KCorePeel(2)
+	alive := KCorePeel(g, 2)
 	if want := bitset.FromIndices(5, 0, 1, 2); !alive.Equal(want) {
 		t.Errorf("2-core = %v, want %v", alive, want)
 	}
@@ -257,29 +257,11 @@ func TestKCorePeel(t *testing.T) {
 	p.AddEdge(0, 1)
 	p.AddEdge(1, 2)
 	p.AddEdge(2, 3)
-	if p.KCorePeel(2).Any() {
+	if KCorePeel(p, 2).Any() {
 		t.Error("2-core of a path is non-empty")
 	}
-	if got := p.KCorePeel(0).Count(); got != 4 {
+	if got := KCorePeel(p, 0).Count(); got != 4 {
 		t.Errorf("0-core size = %d", got)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	if comps[0].Count() != 3 || comps[1].Count() != 2 || comps[2].Count() != 1 {
-		t.Errorf("component sizes: %d %d %d",
-			comps[0].Count(), comps[1].Count(), comps[2].Count())
-	}
-	if !comps[2].Test(5) {
-		t.Error("isolated vertex not its own component")
 	}
 }
 
@@ -304,7 +286,7 @@ func TestGreedyCliqueLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := PlantedGraph(rng, 200, []PlantedCliqueSpec{{Size: 12}}, 100)
 	clique := g.GreedyCliqueLowerBound()
-	if !g.IsClique(clique) {
+	if !IsClique(g, clique) {
 		t.Fatalf("greedy result not a clique: %v", clique)
 	}
 	if len(clique) < 10 {
@@ -363,24 +345,6 @@ func TestPlantedGraphBudgetPanics(t *testing.T) {
 		[]PlantedCliqueSpec{{Size: 4}, {Size: 4}}, 0)
 }
 
-func TestTrimToEdgeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	clique := []int{0, 1, 2, 3, 4}
-	g := New(50)
-	PlantClique(g, clique)
-	for i := 5; i < 45; i++ {
-		g.AddEdge(i, i+1)
-	}
-	target := g.M() - 20
-	TrimToEdgeCount(rng, g, target, [][]int{clique})
-	if g.M() != target {
-		t.Errorf("M = %d, want %d", g.M(), target)
-	}
-	if !g.IsClique(clique) {
-		t.Error("trim damaged the protected clique")
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := RandomGNM(rng, 40, 80)
@@ -395,7 +359,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if h.N() != g.N() || h.M() != g.M() {
 		t.Fatalf("round trip: N=%d M=%d", h.N(), h.M())
 	}
-	g.ForEachEdge(func(u, v int) bool {
+	ForEachEdge(g, func(u, v int) bool {
 		if !h.HasEdge(u, v) {
 			t.Errorf("edge (%d,%d) lost", u, v)
 		}
@@ -438,7 +402,7 @@ func TestDIMACSRoundTrip(t *testing.T) {
 	if h.N() != g.N() || h.M() != g.M() {
 		t.Fatalf("round trip: N=%d M=%d", h.N(), h.M())
 	}
-	g.ForEachEdge(func(u, v int) bool {
+	ForEachEdge(g, func(u, v int) bool {
 		if !h.HasEdge(u, v) {
 			t.Errorf("edge (%d,%d) lost", u, v)
 		}
@@ -491,7 +455,7 @@ func TestQuickKCoreFixedPoint(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomGNP(rng, 2+rng.Intn(30), 0.3)
 		k := 1 + rng.Intn(4)
-		alive := g.KCorePeel(k)
+		alive := KCorePeel(g, k)
 		sub, _ := g.InducedSubgraph(alive)
 		for v := 0; v < sub.N(); v++ {
 			if sub.Degree(v) < k {

@@ -150,7 +150,7 @@ func checkParity(t *testing.T, ref *Graph, g Interface) {
 		}
 	}
 	// Canonical edge streams.
-	refEdges := ref.Edges()
+	refEdges := Edges(ref)
 	gotEdges := Edges(g)
 	if len(refEdges) != len(gotEdges) {
 		t.Fatalf("%v: edge count mismatch", g.Representation())
@@ -169,21 +169,21 @@ func TestGenericHelpersParity(t *testing.T) {
 	ref := RandomGNM(rng, 70, 500)
 	for _, rep := range allReps {
 		g := buildRep(t, ref, rep)
-		if MaxDegree(g) != ref.MaxDegree() {
+		if MaxDegree(g) != MaxDegree(ref) {
 			t.Errorf("%v: MaxDegree mismatch", rep)
 		}
-		if Density(g) != ref.Density() {
+		if Density(g) != Density(ref) {
 			t.Errorf("%v: Density mismatch", rep)
 		}
 		alive := KCorePeel(g, 3)
-		if !alive.Equal(ref.KCorePeel(3)) {
+		if !alive.Equal(KCorePeel(ref, 3)) {
 			t.Errorf("%v: KCorePeel mismatch", rep)
 		}
 		cn := bitset.New(ref.N())
 		cnRef := bitset.New(ref.N())
 		cliqueVerts := []int{1, 2, 5}
 		CommonNeighbors(g, cn, cliqueVerts)
-		ref.CommonNeighbors(cnRef, cliqueVerts)
+		CommonNeighbors(ref, cnRef, cliqueVerts)
 		if !cn.Equal(cnRef) {
 			t.Errorf("%v: CommonNeighbors mismatch", rep)
 		}

@@ -26,7 +26,7 @@ func TestIntersection(t *testing.T) {
 	b.AddEdge(2, 3)
 	got := Intersection(a, b)
 	if got.M() != 1 || !got.HasEdge(1, 2) {
-		t.Errorf("intersection edges = %v", got.Edges())
+		t.Errorf("intersection edges = %v", graph.Edges(got))
 	}
 }
 
@@ -37,11 +37,11 @@ func TestUnionAndDifference(t *testing.T) {
 	b.AddEdge(2, 3)
 	u := Union(a, b)
 	if u.M() != 2 || !u.HasEdge(0, 1) || !u.HasEdge(2, 3) {
-		t.Errorf("union edges = %v", u.Edges())
+		t.Errorf("union edges = %v", graph.Edges(u))
 	}
 	d := Difference(u, b)
 	if d.M() != 1 || !d.HasEdge(0, 1) {
-		t.Errorf("difference edges = %v", d.Edges())
+		t.Errorf("difference edges = %v", graph.Edges(d))
 	}
 }
 
@@ -157,7 +157,7 @@ func TestQuickDifferenceSubset(t *testing.T) {
 		b := graph.RandomGNP(rng, n, 0.4)
 		d := Difference(Union(a, b), b)
 		ok := true
-		d.ForEachEdge(func(u, v int) bool {
+		graph.ForEachEdge(d, func(u, v int) bool {
 			if !a.HasEdge(u, v) || b.HasEdge(u, v) {
 				ok = false
 				return false

@@ -85,10 +85,8 @@ type Options struct {
 	SpillBudget int64
 	// Compress delta-varint encodes spilled level records.
 	Compress bool
-	// MemoryBudget seeds a private governor when Gov is nil.
-	MemoryBudget int64
 	// Gov is the run's shared memory governor; its budget is the spill
-	// trigger.  An unlimited governor (budget 0) never spills.
+	// trigger.  An unlimited governor (budget 0) or none never spills.
 	Gov *membudget.Governor
 	// Reporter receives every maximal clique, in the same ordered stream
 	// a pure in-core run delivers.  nil counts only: no phase then copies
@@ -117,17 +115,16 @@ type Result struct {
 // config.  Reporter, OnLevel and Gov are left for the caller.
 func OptionsFromConfig(c enumcfg.Config) Options {
 	return Options{
-		Ctx:          c.Ctx,
-		Lo:           c.Lo,
-		Hi:           c.Hi,
-		Mode:         c.Mode,
-		Workers:      c.Workers,
-		Strategy:     c.Strategy,
-		ReportSmall:  c.ReportSmall,
-		Dir:          c.Dir,
-		SpillBudget:  c.SpillBudget,
-		Compress:     c.OOCCompress,
-		MemoryBudget: c.MemoryBudget,
+		Ctx:         c.Ctx,
+		Lo:          c.Lo,
+		Hi:          c.Hi,
+		Mode:        c.Mode,
+		Workers:     c.Workers,
+		Strategy:    c.Strategy,
+		ReportSmall: c.ReportSmall,
+		Dir:         c.Dir,
+		SpillBudget: c.SpillBudget,
+		Compress:    c.OOCCompress,
 	}
 }
 
@@ -163,14 +160,10 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if opts.ReportSmall && opts.Workers > 1 {
 		return nil, fmt.Errorf("hybrid: ReportSmall requires the sequential in-core phase")
 	}
-	gov := opts.Gov
-	if gov == nil {
-		gov = membudget.New(opts.MemoryBudget)
-	}
 	h := &runner{
 		g:    g,
 		opts: opts,
-		gov:  gov,
+		gov:  opts.Gov,
 		bits: bitset.NewPool(g.N()),
 		res:  &Result{},
 	}

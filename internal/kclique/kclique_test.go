@@ -66,12 +66,12 @@ func TestAgainstBruteForceRandom(t *testing.T) {
 			}
 			// Maximality split must match the definition.
 			for _, c := range maximal {
-				if !g.IsMaximalClique(c) {
+				if !graph.IsMaximalClique(g, c) {
 					t.Fatalf("trial %d k=%d: %v flagged maximal", trial, k, c)
 				}
 			}
 			for _, c := range cands {
-				if g.IsMaximalClique(c) {
+				if graph.IsMaximalClique(g, c) {
 					t.Fatalf("trial %d k=%d: %v flagged candidate", trial, k, c)
 				}
 			}
@@ -111,7 +111,7 @@ func TestGroupPrefixCN(t *testing.T) {
 	want := bitset.New(g.N())
 	checked := 0
 	Enumerate(g, Options{K: 4, OnGroup: func(gr Group) {
-		g.CommonNeighbors(want, gr.Prefix)
+		graph.CommonNeighbors(g, want, gr.Prefix)
 		if !gr.PrefixCN.Equal(want) {
 			t.Fatalf("prefix %v: CN mismatch\n got %v\nwant %v",
 				gr.Prefix, gr.PrefixCN, want)

@@ -67,7 +67,7 @@ func Enumerate(g *graph.Graph, opts Options) Stats {
 
 	// Level 2: all edges in canonical order.
 	cur := &cliqueList{k: 2}
-	g.ForEachEdge(func(u, v int) bool {
+	graph.ForEachEdge(g, func(u, v int) bool {
 		cur.flat = append(cur.flat, uint32(u), uint32(v))
 		return true
 	})
@@ -120,7 +120,7 @@ func Enumerate(g *graph.Graph, opts Options) Stats {
 			for _, v := range cur.at(i) {
 				emitBuf = append(emitBuf, int(v))
 			}
-			if stoppedEarly && !g.IsMaximalClique(emitBuf) {
+			if stoppedEarly && !graph.IsMaximalClique(g, emitBuf) {
 				continue
 			}
 			st.Maximal++

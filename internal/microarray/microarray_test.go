@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/stats"
 )
 
@@ -110,7 +111,7 @@ func TestCorrelationGraphFindsModuleClique(t *testing.T) {
 	m.Normalize()
 	for _, method := range []CorrelationMethod{SpearmanRank, PearsonProduct} {
 		g := CorrelationGraph(m, method, 0.7)
-		if !g.IsClique(module) {
+		if !graph.IsClique(g, module) {
 			t.Errorf("method %d: planted module is not a clique at 0.7", method)
 		}
 		// Background density must stay low.

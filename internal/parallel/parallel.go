@@ -99,15 +99,11 @@ type Options struct {
 	Strategy Strategy
 	// Policy tunes Affinity-mode stealing.
 	Policy sched.Policy
-	// MemoryBudget, when positive, bounds the governor-accounted
-	// resident bytes (level blocks + worker scratch + merge-window copies
-	// + the pool's per-block bookkeeping); exceeding it aborts the run
-	// with an error wrapping core.ErrMemoryBudget.  Ignored when Gov is
-	// set.
-	MemoryBudget int64
 	// Gov, when non-nil, is the shared memory governor every layer of
-	// the run charges; when nil, a private one is derived from
-	// MemoryBudget.
+	// the run charges (level blocks + worker scratch + merge-window copies
+	// + the pool's per-block bookkeeping); once it reports Over the run
+	// aborts with an error wrapping core.ErrMemoryBudget.  nil runs
+	// unaccounted.
 	Gov *membudget.Governor
 	// Reporter receives maximal cliques.  Enumerate delivers full
 	// canonical order (non-decreasing size; lexicographic within a
@@ -172,9 +168,6 @@ func checkOptions(opts *Options) error {
 	}
 	if err := enumcfg.CheckMode(opts.Mode); err != nil {
 		return fmt.Errorf("parallel: %w", err)
-	}
-	if opts.Gov == nil && opts.MemoryBudget > 0 {
-		opts.Gov = membudget.New(opts.MemoryBudget)
 	}
 	return nil
 }

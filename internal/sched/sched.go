@@ -248,11 +248,3 @@ func Summarize(perWorker []float64) LoadStats {
 	}
 	return st
 }
-
-// Imbalance returns (max-mean)/mean, 0 for empty or zero-mean loads.
-func (s LoadStats) Imbalance() float64 {
-	if s.Mean == 0 {
-		return 0
-	}
-	return (s.Max - s.Mean) / s.Mean
-}

@@ -318,10 +318,4 @@ func TestSummarize(t *testing.T) {
 	if st.StdDev < 1.6 || st.StdDev > 1.7 {
 		t.Errorf("stddev %g", st.StdDev)
 	}
-	if imb := st.Imbalance(); imb != 0.2 {
-		t.Errorf("imbalance %g", imb)
-	}
-	if Summarize(nil).Imbalance() != 0 {
-		t.Error("empty imbalance != 0")
-	}
 }

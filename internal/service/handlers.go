@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -110,6 +111,140 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"evicted": fp})
 }
 
+// ---- graph queries: the one request path ------------------------------
+
+// runFunc computes one admitted query's reply on g under the lease's
+// governor, writing it through out.  A returned error ends the request:
+// serve answers it with a status while no byte is out, and caches
+// nothing.
+type runFunc func(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor, out *response) error
+
+// response is the reply of a cache miss: the client's writer plus the
+// prospective cache entry every written byte is teed into.  The entry is
+// dropped the moment it outgrows what the cache would accept, so an
+// uncacheably huge stream costs no memory here.
+type response struct {
+	http.ResponseWriter
+	contentType string
+	reserved    int64         // the admitted reservation in bytes
+	entry       *bytes.Buffer // nil once the body outgrew limit (at once when caching is off: limit 0)
+	limit       int64
+	wrote       bool // a body write was attempted; the status line is out
+}
+
+// begin commits the miss headers.  A streamed reply begins before its
+// run can fail (a failure before the first byte then still names the
+// miss), a buffered one only once its body exists.
+func (o *response) begin() {
+	o.Header().Set("Content-Type", o.contentType)
+	o.Header().Set("X-Cliqued-Cache", "miss")
+}
+
+func (o *response) Write(p []byte) (int, error) {
+	o.wrote = true
+	n, err := o.ResponseWriter.Write(p)
+	if err == nil && o.entry != nil {
+		o.entry.Write(p)
+		if int64(o.entry.Len()) > o.limit {
+			o.entry = nil
+		}
+	}
+	return n, err
+}
+
+// serve is the request path the three graph queries share (DESIGN.md
+// §8.1), written once: pin the graph in the registry, count the query,
+// replay a cached body byte for byte (O(1): no admission, no run), else
+// reserve reserve(g) bytes through admission — shedding with 503/507 when
+// they cannot be had — run under the lease's governor, and cache the
+// completed body under fingerprint|key.  The lease and the graph
+// reference are returned on every exit path.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, key, contentType string,
+	reserve func(g repro.GraphInterface) int64, run runFunc) {
+	fp := r.PathValue("fp")
+	e, err := s.reg.Acquire(fp)
+	if err != nil {
+		errorJSON(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	defer s.reg.Release(e)
+	s.queries.Add(1)
+
+	ckey := fp + "|" + key
+	if body, ct, ok := s.cache.Get(ckey); ok {
+		w.Header().Set("Content-Type", ct)
+		w.Header().Set("X-Cliqued-Cache", "hit")
+		_, _ = w.Write(body) //nolint:cleanuperr client hung up mid-replay; no channel left
+		return
+	}
+
+	lease, err := s.adm.Acquire(r.Context(), reserve(e.G))
+	if err != nil {
+		s.shed(w, err)
+		return
+	}
+	s.active.Add(1)
+	defer func() {
+		s.residual.Add(lease.Close())
+		s.active.Add(-1)
+	}()
+
+	out := &response{ResponseWriter: w, contentType: contentType, reserved: lease.Amount(),
+		entry: &bytes.Buffer{}, limit: s.cache.EntryLimit()}
+	if err := run(r.Context(), e.G, lease.Governor(), out); err != nil {
+		// A client that hung up has no channel left, and a status cannot
+		// follow bytes already out (NDJSON signalled in-band, text simply
+		// ends).  Either way the run observed the context or the failed
+		// write and exited, so what the deferred cleanups release is free.
+		if !out.wrote && !errors.Is(err, context.Canceled) {
+			status := http.StatusInternalServerError
+			if errors.Is(err, repro.ErrMemoryBudget) {
+				status = http.StatusInsufficientStorage
+			}
+			errorJSON(w, status, "%v", err)
+		}
+		return
+	}
+	if out.entry != nil {
+		s.cache.Put(ckey, contentType, out.entry.Bytes())
+	}
+}
+
+// reservation sizes a query's admission reservation: the caller's mem=
+// if given, else the graph's adjacency bytes plus the configured working
+// headroom.  The registry pin already holds the adjacency bytes resident
+// (the run itself does not re-charge them — repro.WithGraphCharged), so
+// the graph-sized share of the reservation is pure working headroom:
+// enough to cover a requested representation conversion, which is the
+// one per-query copy of graph-scale data.
+func (s *Server) reservation(mem int64) func(g repro.GraphInterface) int64 {
+	return func(g repro.GraphInterface) int64 {
+		n := mem
+		if n == 0 {
+			n = g.Bytes() + s.cfg.QueryHeadroom
+		}
+		return max(n, g.Bytes()+1)
+	}
+}
+
+// buffered is the runFunc of a query whose whole JSON reply is computed
+// before any of it is sent.
+func buffered(compute func(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor) (any, error)) runFunc {
+	return func(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor, out *response) error {
+		v, err := compute(ctx, g, gov)
+		if err != nil {
+			return err
+		}
+		body, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		out.begin()
+		_, err = out.Write(append(body, '\n'))
+		return err
+	}
+}
+
 // ---- enumerate queries ------------------------------------------------
 
 // cliqueQuery is one parsed enumerate request.
@@ -123,10 +258,11 @@ type cliqueQuery struct {
 	repSet  bool
 	mem     int64
 	format  string // "ndjson" or "text"
+	ctype   string // the format's Content-Type
 }
 
-// parseCliqueQuery decodes and validates the query parameters all
-// enumeration endpoints share.  maxWorkers caps workers=: the parallel
+// parseCliqueQuery decodes and validates the query parameters of the
+// enumerate endpoint.  maxWorkers caps workers=: the parallel
 // pool allocates per-worker scratch before the governor sees a byte, so
 // an unbounded count would be an ungoverned allocation a single request
 // controls.  Requests above the cap are clamped — more workers than
@@ -170,26 +306,22 @@ func parseCliqueQuery(r *http.Request, maxWorkers int) (q cliqueQuery, err error
 		}
 		q.repSet = true
 	}
-	if ms := v.Get("mem"); ms != "" {
-		m, perr := strconv.ParseInt(ms, 10, 64)
-		if perr != nil || m <= 0 {
-			return q, fmt.Errorf("mem: want a positive byte count, got %q", ms)
-		}
-		q.mem = m
+	if q.mem, err = memParam(v.Get("mem")); err != nil {
+		return q, err
 	}
 	switch v.Get("format") {
 	case "", "ndjson":
-		q.format = "ndjson"
+		q.format, q.ctype = "ndjson", "application/x-ndjson"
 	case "text":
-		q.format = "text"
+		q.format, q.ctype = "text", "text/plain; charset=utf-8"
 	default:
 		return q, fmt.Errorf("format: unknown %q (want ndjson or text)", v.Get("format"))
 	}
 	return q, nil
 }
 
-// options assembles the facade options for the parsed query (the
-// governor is appended by the handler once admission succeeds).
+// options assembles the facade options for the parsed query (the run
+// appends the lease's governor once admission succeeded).
 func (q cliqueQuery) options() []repro.Option {
 	opts := []repro.Option{repro.WithBounds(q.lo, q.hi)}
 	if q.workers > 1 {
@@ -207,165 +339,69 @@ func (q cliqueQuery) options() []repro.Option {
 	return opts
 }
 
-// cacheKey scopes a cached stream to exactly what determines its bytes:
-// the graph identity, the output-identity of the config
+// cacheKey scopes a cached stream, below its graph's fingerprint, to
+// exactly what determines its bytes: the output-identity of the config
 // (enumcfg.Config.Key() — execution policy deliberately excluded; every
-// backend streams identical bytes), and the wire format.
-func (q cliqueQuery) cacheKey(fp string) string {
+// backend streams identical bytes) and the wire format.
+func (q cliqueQuery) cacheKey() string {
 	cfg := enumcfg.Config{Lo: q.lo, Hi: q.hi, ReportSmall: q.small}
-	return fp + "|" + cfg.Key() + "|" + q.format
-}
-
-// reservation sizes the query's admission reservation: the caller's
-// mem= if given, else the graph's adjacency bytes plus the configured
-// working headroom.  The registry pin already holds the adjacency
-// bytes resident (the run itself does not re-charge them —
-// repro.WithGraphCharged), so the graph-sized share of the reservation
-// is pure working headroom: enough to cover a requested representation
-// conversion, which is the one per-query copy of graph-scale data.
-func (q cliqueQuery) reservation(graphBytes, headroom int64) int64 {
-	n := q.mem
-	if n == 0 {
-		n = graphBytes + headroom
-	}
-	if n < graphBytes+1 {
-		n = graphBytes + 1
-	}
-	return n
+	return cfg.Key() + "|" + q.format
 }
 
 func (s *Server) handleCliques(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fp")
 	q, err := parseCliqueQuery(r, s.cfg.MaxWorkers)
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e, err := s.reg.Acquire(fp)
-	if err != nil {
-		errorJSON(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer s.reg.Release(e)
-	s.queries.Add(1)
+	s.serve(w, r, q.cacheKey(), q.ctype, s.reservation(q.mem), q.stream)
+}
 
-	contentType := "application/x-ndjson"
-	if q.format == "text" {
-		contentType = "text/plain; charset=utf-8"
-	}
-
-	// O(1) fast path: a completed identical stream replays byte for
-	// byte, no admission, no enumeration.
-	ckey := q.cacheKey(fp)
-	if body, ct, ok := s.cache.Get(ckey); ok {
-		w.Header().Set("Content-Type", ct)
-		w.Header().Set("X-Cliqued-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		if _, werr := w.Write(body); werr != nil {
-			return // client hung up mid-replay
-		}
-		return
-	}
-
-	lease, err := s.adm.Acquire(r.Context(), q.reservation(e.G.Bytes(), s.cfg.QueryHeadroom))
-	if err != nil {
-		s.shed(w, err)
-		return
-	}
-	s.active.Add(1)
-	defer func() {
-		s.residual.Add(lease.Close())
-		s.active.Add(-1)
-	}()
-
+// stream is the enumerate endpoint's runFunc: cliques go out as the
+// iterator yields them, one flushed line each.
+func (q cliqueQuery) stream(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor, out *response) error {
 	var st repro.Stats
 	// WithGraphCharged: the registry pin already charged the adjacency
 	// bytes to the shared governor; charging them again from this run's
 	// child would inflate the parent's Used by graphBytes per active
 	// query.
 	opts := append(q.options(),
-		repro.WithGovernor(lease.Governor()), repro.WithGraphCharged(), repro.WithStats(&st))
-	enum := repro.NewEnumerator(opts...)
-
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Cliqued-Cache", "miss")
-	w.Header().Set("X-Cliqued-Reservation", strconv.FormatInt(lease.Amount(), 10))
-	flusher, _ := w.(http.Flusher)
-
-	// Tee the stream into a prospective cache entry; the buffer is
-	// dropped the moment it outgrows what the cache would accept, so an
-	// uncacheably huge stream costs no memory here.
-	var cacheBuf *bytes.Buffer
-	if limit := s.cache.EntryLimit(); limit > 0 {
-		cacheBuf = &bytes.Buffer{}
-	}
+		repro.WithGovernor(gov), repro.WithGraphCharged(), repro.WithStats(&st))
+	out.begin()
+	out.Header().Set("X-Cliqued-Reservation", strconv.FormatInt(out.reserved, 10))
+	flusher, _ := out.ResponseWriter.(http.Flusher)
 
 	var line bytes.Buffer
-	wroteAny := false
-	for c, rerr := range enum.Cliques(r.Context(), e.G) {
+	for c, rerr := range repro.NewEnumerator(opts...).Cliques(ctx, g) {
 		if rerr != nil {
-			// Mid-stream failures (cancellation, budget trip) cannot
-			// change the status line once bytes are out; NDJSON signals
-			// in-band, text simply ends.  Nothing is cached.
-			s.streamError(w, q.format, wroteAny, rerr)
-			return
+			// A mid-stream failure (cancellation, budget trip) cannot
+			// change the status line once bytes are out: NDJSON signals it
+			// in-band, text simply ends.
+			if out.wrote && q.format == "ndjson" {
+				msg, _ := json.Marshal(rerr.Error())
+				if _, werr := fmt.Fprintf(out.ResponseWriter, "{\"error\":%s}\n", msg); werr != nil {
+					return werr // client gone too; nothing left to report on
+				}
+			}
+			return rerr
 		}
 		line.Reset()
 		if q.format == "text" {
-			writeTextClique(&line, e.G, c)
+			writeTextClique(&line, g, c)
 		} else {
 			writeNDJSONClique(&line, c)
 		}
-		if _, werr := w.Write(line.Bytes()); werr != nil {
-			return // client hung up; the range break cancels the run
-		}
-		wroteAny = true
-		if cacheBuf != nil {
-			cacheBuf.Write(line.Bytes())
-			if int64(cacheBuf.Len()) > s.cache.EntryLimit() {
-				cacheBuf = nil
-			}
+		if _, werr := out.Write(line.Bytes()); werr != nil {
+			return werr // client hung up; the range break cancels the run
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-
 	if q.format == "ndjson" {
-		line.Reset()
-		writeNDJSONSummary(&line, &st)
-		if _, werr := w.Write(line.Bytes()); werr != nil {
-			return
-		}
-		if cacheBuf != nil {
-			cacheBuf.Write(line.Bytes())
-		}
+		return writeNDJSONSummary(out, &st)
 	}
-	if cacheBuf != nil {
-		s.cache.Put(ckey, contentType, cacheBuf.Bytes())
-	}
-}
-
-// streamError reports a failed run: as a status code while the response
-// is still unstarted, in-band for NDJSON once bytes are out.
-func (s *Server) streamError(w http.ResponseWriter, format string, wroteAny bool, err error) {
-	if !wroteAny {
-		if errors.Is(err, context.Canceled) {
-			return // client hung up before the first clique
-		}
-		status := http.StatusInternalServerError
-		if errors.Is(err, repro.ErrMemoryBudget) {
-			status = http.StatusInsufficientStorage
-		}
-		errorJSON(w, status, "%v", err)
-		return
-	}
-	if format == "ndjson" {
-		msg, _ := json.Marshal(err.Error())
-		if _, werr := fmt.Fprintf(w, "{\"error\":%s}\n", msg); werr != nil {
-			return // client gone too; nothing left to report on
-		}
-	}
+	return nil
 }
 
 // writeTextClique renders one clique exactly the way cmd/cliquer prints
@@ -399,152 +435,82 @@ func writeNDJSONClique(buf *bytes.Buffer, c repro.Clique) {
 // writeNDJSONSummary is the terminal record of a successful NDJSON
 // stream: the run's statistics, so a client knows the stream is
 // complete (a stream without it was truncated).
-func writeNDJSONSummary(buf *bytes.Buffer, st *repro.Stats) {
-	fmt.Fprintf(buf,
+func writeNDJSONSummary(w io.Writer, st *repro.Stats) error {
+	_, err := fmt.Fprintf(w,
 		"{\"done\":true,\"count\":%d,\"max_size\":%d,\"backend\":%q,\"peak_bytes\":%d,\"elapsed_ms\":%.3f}\n",
 		st.MaximalCliques, st.MaxCliqueSize, st.Backend, st.PeakBytes,
 		float64(st.Elapsed)/float64(time.Millisecond))
+	return err
 }
 
 // ---- maxclique / paracliques -----------------------------------------
 
 func (s *Server) handleMaxClique(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fp")
-	e, err := s.reg.Acquire(fp)
-	if err != nil {
-		errorJSON(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer s.reg.Release(e)
-	s.queries.Add(1)
-
-	ckey := fp + "|maxclique"
-	if body, _, ok := s.cache.Get(ckey); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cliqued-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body) //nolint:cleanuperr client hung up mid-replay; no channel left
-		return
-	}
-
 	// The exact search densifies non-dense graphs; reserve for that
 	// worst case so a genome-scale CSR graph cannot OOM the server
 	// through this endpoint (it is refused or queued instead).
-	n := e.G.Bytes() + 1<<20
-	if e.G.Representation() != repro.Dense {
-		n += repro.DenseAdjacencyBytes(e.G.N())
+	reserve := func(g repro.GraphInterface) int64 {
+		n := g.Bytes() + 1<<20
+		if g.Representation() != repro.Dense {
+			n += repro.DenseAdjacencyBytes(g.N())
+		}
+		return n
 	}
-	lease, err := s.adm.Acquire(r.Context(), n)
-	if err != nil {
-		s.shed(w, err)
-		return
-	}
-	s.active.Add(1)
-	defer func() {
-		s.residual.Add(lease.Close())
-		s.active.Add(-1)
-	}()
-
-	start := time.Now()
-	cliqueVerts, err := repro.MaxCliqueContext(r.Context(), e.G)
-	if err != nil {
-		// Client hung up mid-search: the branch-and-bound observed the
-		// context and exited, so the lease and graph reference the
-		// deferred cleanups release really are free now.  No response
-		// channel is left to report on.
-		return
-	}
-	body, err := json.Marshal(map[string]any{
-		"size":       len(cliqueVerts),
-		"vertices":   cliqueVerts,
-		"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
-	})
-	if err != nil {
-		errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cliqued-Cache", "miss")
-	if _, werr := w.Write(body); werr != nil {
-		return
-	}
-	s.cache.Put(ckey, "application/json", body)
+	s.serve(w, r, "maxclique", "application/json", reserve,
+		buffered(func(ctx context.Context, g repro.GraphInterface, _ *membudget.Governor) (any, error) {
+			start := time.Now()
+			// On a hang-up the branch-and-bound observes ctx and exits.
+			cliqueVerts, err := repro.MaxCliqueContext(ctx, g)
+			return map[string]any{
+				"size":       len(cliqueVerts),
+				"vertices":   cliqueVerts,
+				"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
+			}, err
+		}))
 }
 
 func (s *Server) handleParacliques(w http.ResponseWriter, r *http.Request) {
-	fp := r.PathValue("fp")
-	q, err := parseCliqueQuery(r, s.cfg.MaxWorkers)
+	// Only what the endpoint reads is parsed: a format=, strategy=, mode=
+	// or workers= value means nothing here and refuses nothing.
+	v := r.URL.Query()
+	lo, err := intParam(v.Get("lo"), 3)
+	if err != nil {
+		errorJSON(w, http.StatusBadRequest, "lo: %v", err)
+		return
+	}
+	mem, err := memParam(v.Get("mem"))
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	glom := 0.8
-	if gs := r.URL.Query().Get("glom"); gs != "" {
+	if gs := v.Get("glom"); gs != "" {
 		glom, err = strconv.ParseFloat(gs, 64)
 		if err != nil || glom <= 0 || glom > 1 {
 			errorJSON(w, http.StatusBadRequest, "glom: want a number in (0,1], got %q", gs)
 			return
 		}
 	}
-	e, err := s.reg.Acquire(fp)
-	if err != nil {
-		errorJSON(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer s.reg.Release(e)
-	s.queries.Add(1)
-
-	ckey := fmt.Sprintf("%s|paracliques:lo=%d,glom=%s", fp, q.lo,
-		strconv.FormatFloat(glom, 'g', -1, 64))
-	if body, _, ok := s.cache.Get(ckey); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cliqued-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body) //nolint:cleanuperr client hung up mid-replay; no channel left
-		return
-	}
-
-	lease, err := s.adm.Acquire(r.Context(), q.reservation(e.G.Bytes(), s.cfg.QueryHeadroom))
-	if err != nil {
-		s.shed(w, err)
-		return
-	}
-	s.active.Add(1)
-	defer func() {
-		s.residual.Add(lease.Close())
-		s.active.Add(-1)
-	}()
-
-	enum := repro.NewEnumerator(
-		repro.WithBounds(q.lo, 0), repro.WithGovernor(lease.Governor()),
-		repro.WithGraphCharged())
-	ps, err := enum.Paracliques(r.Context(), e.G, glom)
-	if err != nil {
-		errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	type pc struct {
-		Vertices []int   `json:"vertices"`
-		CoreSize int     `json:"core_size"`
-		Density  float64 `json:"density"`
-	}
-	out := make([]pc, len(ps))
-	for i, p := range ps {
-		out[i] = pc{Vertices: p.Vertices, CoreSize: p.CoreSize, Density: p.Density}
-	}
-	body, err := json.Marshal(map[string]any{"count": len(out), "paracliques": out})
-	if err != nil {
-		errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cliqued-Cache", "miss")
-	if _, werr := w.Write(body); werr != nil {
-		return
-	}
-	s.cache.Put(ckey, "application/json", body)
+	key := fmt.Sprintf("paracliques:lo=%d,glom=%s", lo, strconv.FormatFloat(glom, 'g', -1, 64))
+	s.serve(w, r, key, "application/json", s.reservation(mem),
+		buffered(func(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor) (any, error) {
+			enum := repro.NewEnumerator(
+				repro.WithBounds(lo, 0), repro.WithGovernor(gov), repro.WithGraphCharged())
+			ps, err := enum.Paracliques(ctx, g, glom)
+			if err != nil {
+				return nil, err
+			}
+			type pc struct {
+				Vertices []int   `json:"vertices"`
+				CoreSize int     `json:"core_size"`
+				Density  float64 `json:"density"`
+			}
+			out := make([]pc, len(ps))
+			for i, p := range ps {
+				out[i] = pc{Vertices: p.Vertices, CoreSize: p.CoreSize, Density: p.Density}
+			}
+			return map[string]any{"count": len(out), "paracliques": out}, nil
+		}))
 }
 
 // ---- pathways ---------------------------------------------------------
@@ -621,6 +587,19 @@ func intParam(s string, def int) (int, error) {
 		return 0, fmt.Errorf("want an integer, got %q", s)
 	}
 	return n, nil
+}
+
+// memParam parses mem=, a query's own reservation in bytes ("" = 0: the
+// server's default).
+func memParam(s string) (int64, error) {
+	if s == "" {
+		return 0, nil
+	}
+	m, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || m <= 0 {
+		return 0, fmt.Errorf("mem: want a positive byte count, got %q", s)
+	}
+	return m, nil
 }
 
 func valueOr(s, def string) string {

@@ -501,6 +501,9 @@ func TestBadRequests(t *testing.T) {
 		{"/graphs/" + fp + "/cliques?mem=-3", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?workers=-2", http.StatusBadRequest},
 		{"/graphs/" + fp + "/paracliques?glom=1.5", http.StatusBadRequest},
+		{"/graphs/" + fp + "/paracliques?mem=-3", http.StatusBadRequest},
+		// Parameters paracliques never reads refuse nothing there.
+		{"/graphs/" + fp + "/paracliques?format=xml&strategy=quantum&mode=turbo&workers=-2", http.StatusOK},
 	} {
 		status, _, body := get(t, ts.URL+c.url)
 		if status != c.want {

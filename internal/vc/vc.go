@@ -22,6 +22,11 @@
 // (Chandran-Grandoni memorization) change the polynomial bookkeeping, not
 // the interface, and are unnecessary at the parameter ranges of the
 // paper's graphs.
+//
+// Nothing outside tests imports the package, on purpose: MaxCliqueViaVC
+// is the independent oracle internal/maxclique's tests hold the exact
+// branch-and-bound search to — a second route to ω(G) that shares no code
+// with the search it checks (DESIGN.md §10 records the verdict).
 package vc
 
 import (

@@ -16,7 +16,7 @@ func isCover(g *graph.Graph, cover []int) bool {
 		in[v] = true
 	}
 	ok := true
-	g.ForEachEdge(func(u, v int) bool {
+	graph.ForEachEdge(g, func(u, v int) bool {
 		if !in[u] && !in[v] {
 			ok = false
 			return false
@@ -156,7 +156,7 @@ func TestMaxCliqueViaVC(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := graph.RandomGNP(rng, 3+rng.Intn(9), 0.5)
 		cliqueVerts := MaxCliqueViaVC(g)
-		if !g.IsClique(cliqueVerts) {
+		if !graph.IsClique(g, cliqueVerts) {
 			t.Fatalf("trial %d: %v not a clique", trial, cliqueVerts)
 		}
 		if want := clique.BruteForceMaxCliqueSize(g); len(cliqueVerts) != want {

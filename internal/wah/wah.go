@@ -40,23 +40,12 @@ type Bitmap struct {
 // Len returns the universe size in bits.
 func (b *Bitmap) Len() int { return b.n }
 
-// CompressedWords returns the number of physical 64-bit words used.
-func (b *Bitmap) CompressedWords() int { return len(b.words) }
-
 // CompressedBytes returns the physical storage footprint in bytes.
 func (b *Bitmap) CompressedBytes() int { return len(b.words) * 8 }
 
 // UncompressedBytes returns the size a dense bitset over the same
 // universe would occupy, for compression-ratio reporting.
 func (b *Bitmap) UncompressedBytes() int { return (b.n + 63) / 64 * 8 }
-
-// CompressionRatio returns uncompressed/compressed size; >1 means WAH won.
-func (b *Bitmap) CompressionRatio() float64 {
-	if len(b.words) == 0 {
-		return 1
-	}
-	return float64(b.UncompressedBytes()) / float64(b.CompressedBytes())
-}
 
 func groupsFor(n int) int { return (n + groupBits - 1) / groupBits }
 

@@ -82,7 +82,7 @@ func TestSparseCompressionWins(t *testing.T) {
 		}
 	}
 	bm := Compress(src)
-	if r := bm.CompressionRatio(); r < 5 {
+	if r := float64(bm.UncompressedBytes()) / float64(bm.CompressedBytes()); r < 5 {
 		t.Errorf("compression ratio %.2f on clustered sparse input, want >= 5", r)
 	}
 	if bm.UncompressedBytes() != (12422+63)/64*8 {
@@ -123,8 +123,8 @@ func TestAndLongFillRuns(t *testing.T) {
 	if !got.Decompress().Equal(want) {
 		t.Fatal("fill-run And mismatch")
 	}
-	if got.CompressedWords() > 16 {
-		t.Errorf("result uses %d words; fills not coalesced", got.CompressedWords())
+	if got.CompressedBytes() > 16*8 {
+		t.Errorf("result uses %d bytes; fills not coalesced", got.CompressedBytes())
 	}
 	if !AndAny(Compress(x), Compress(y)) {
 		t.Error("AndAny = false, want true")

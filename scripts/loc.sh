@@ -10,7 +10,7 @@ set -eu
 cd "${1:-$(dirname "$0")/..}"
 
 find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
-    ! -path './.bench_build/*' ! -path './bin/*' ! -path '*/testdata/*' | sort |
+    ! -path './.bench_build/*' ! -path '*/testdata/*' | sort |
 while read -r f; do
     group=$(echo "$f" | awk -F/ 'NF <= 2 { print "."; next } { print $2 "/" $3 }')
     # Count a line unless it is blank, starts a // comment, or lies
