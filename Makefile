@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit test fuzz-smoke race bench bench-pair loc clones dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit test test-cpu fuzz-smoke race bench bench-pair loc clones dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
 
 all: build
 
@@ -54,11 +54,18 @@ lint-audit:
 test:
 	$(GO) test ./...
 
+# The on-disk join hands blocks between goroutines (decode-ahead, join,
+# write-behind); a hand-off that only works when they run in parallel
+# deadlocks with one P.  The packages that run it, at one, two and four.
+test-cpu:
+	$(GO) test -cpu 1,2,4 ./internal/ooc ./internal/hybrid ./internal/dist
+
 # Ten seconds of coverage-guided fuzzing each of the four fuzz targets:
 # the shard decoder — the one parser that reads bytes a crash, a full
 # disk or another process may have left behind: an error or a valid
-# record stream, never a panic — the in-memory level block, the same
-# record shape in whole words; the graph reader, which cliqued feeds
+# record stream, never a panic, and the same records whether read one at
+# a time or packed into level blocks — the in-memory level block, the
+# same record shape in whole words; the graph reader, which cliqued feeds
 # straight from a request body; and the fused bitset kernels against
 # their bit-at-a-time references.
 fuzz-smoke:
@@ -143,4 +150,4 @@ clones:
 check: fmt vet lint test
 
 # The same gates in the same order as .github/workflows/ci.yml.
-ci: fmt vet lint lint-audit build vet-benchmark test test-benchmark fuzz-smoke race examples smoke-resume smoke-spillover smoke-cliqued dist-parity smoke-dist bench loc clones
+ci: fmt vet lint lint-audit build vet-benchmark test test-cpu test-benchmark fuzz-smoke race examples smoke-resume smoke-spillover smoke-cliqued dist-parity smoke-dist bench loc clones

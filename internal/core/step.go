@@ -53,19 +53,6 @@ type Builder struct {
 	// charges are atomic.
 	Gov *membudget.Governor
 
-	// Spill, when non-nil, switches the builder to drain mode: surviving
-	// candidate sub-lists are not retained (and not charged) — each one
-	// leaves whole through Spill as the prefix run (prefix+v, tails) it
-	// already is, the unit the out-of-core level writer encodes.  Both
-	// slices are the builder's scratch, valid only during the call.
-	// Maximal cliques still go to the reporter, in the same order, so a
-	// drained step's emissions are byte-identical to an in-core step's.
-	// A Spill error latches in SpillErr and turns the remaining
-	// ProcessSubList calls into no-ops.
-	Spill       func(runPrefix, tails []uint32) error
-	SpillErr    error
-	spillPrefix []uint32
-
 	// Ctx, when non-nil, lets Step abandon a level between sub-lists;
 	// Canceled records that it did (and is cleared by Reset).  RunLevel
 	// takes its context as an argument and touches neither.
@@ -141,7 +128,6 @@ func (b *Builder) Reset() {
 	b.Dropped = 0
 	b.Cost = Cost{}
 	b.Canceled = false
-	b.SpillErr = nil
 }
 
 // Level seals what the builder has retained since Reset and returns it
@@ -151,12 +137,19 @@ func (b *Builder) Level(k int) *Level {
 }
 
 // Mark returns a position in the builder's output that Since and Abandon
-// refer to: the streaming pool brackets each input block with it.
+// refer to: the streaming pool brackets each input block with it.  It
+// counts the blocks sealed since Reset, so the on-disk join reads a Mark
+// past its last hand-off as "a chunk of output is full: hand it on".
 func (b *Builder) Mark() int { return len(b.sink.out) }
 
 // Since seals what is open and returns the blocks retained since mark —
-// one input block's output, self-contained, ready for in-order release.
+// one input block's output (or, out of core, one chunk's), self-contained,
+// ready for in-order release or for the shard writer.
 func (b *Builder) Since(mark int) []Block { return b.sink.finish(mark) }
+
+// Open returns the words of output the builder holds unsealed: what Since
+// would seal beside the blocks Mark counts.
+func (b *Builder) Open() int { return b.sink.pos - b.sink.lo }
 
 // Abandon forgets what was retained since mark, releasing its charges:
 // the input it came from will be joined again, or never.
@@ -237,10 +230,6 @@ func (b *Builder) growMemo(depth int) {
 //
 // Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
-	if b.SpillErr != nil {
-		s.takeCN(b.pool)
-		return
-	}
 	b.sink.carry = min(b.sink.carry, s.LCP)
 	prefixCN := b.prefixCN(s)
 	if b.dense != nil {
@@ -370,13 +359,13 @@ func (b *Builder) emitMaximal(prefix []uint32, v, u int, r clique.Reporter) {
 // keepLazy is keep for the fused join paths, which skip the CN(prefix+v)
 // materialize during probing: it performs the deferred scratch = prefixCN
 // AND nv only when keep will actually consume scratch — a retained
-// sub-list in a CN-carrying mode.  Drain mode and recompute mode never
-// touch scratch, and the |S| <= 1 cases retain nothing, so most joins
-// never pay the materialize at all.
+// sub-list in a CN-carrying mode.  Recompute mode never touches scratch,
+// and the |S| <= 1 cases retain nothing, so most joins never pay the
+// materialize at all.
 //
 //repro:hotpath
 func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, prefixCN, nv *bitset.Bitset) {
-	if len(newTails) > 1 && b.Spill == nil && b.mode != CNRecompute {
+	if len(newTails) > 1 && b.mode != CNRecompute {
 		b.scratch.And(prefixCN, nv)
 	}
 	b.keep(prefix, v, newTails)
@@ -384,30 +373,13 @@ func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, prefixCN, 
 
 // keep retains the surviving candidate sub-list (prefix+v with the given
 // tails) whose common-neighbor bitmap is b.scratch, applying the paper's
-// |S_{k+1}| > 1 rule.  newTails may alias the builder's tail scratch:
-// both sinks copy it.
+// |S_{k+1}| > 1 rule.  newTails may alias the builder's tail scratch: the
+// sink copies it.
 //
 //repro:hotpath
 func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 	switch {
 	case len(newTails) > 1:
-		if b.Spill != nil {
-			// Drain mode: the survivors leave as one sorted on-disk run
-			// instead of a resident sub-list.  The |S| > 1 rule still
-			// applies — a spilled singleton run could never join — so the
-			// drained level holds exactly the cliques the in-core level
-			// would have.
-			if b.SpillErr != nil {
-				return
-			}
-			run := growRec(&b.spillPrefix, len(prefix)+1)
-			copy(run, prefix)
-			run[len(prefix)] = uint32(v)
-			if err := b.Spill(run, newTails); err != nil {
-				b.SpillErr = err
-			}
-			return
-		}
 		var cn *bitset.Bitset
 		if b.mode == CNStore {
 			cn = b.pool.GetNoClear()
@@ -420,16 +392,6 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 		// paper's |S_{k+1}| > 1 rule discards it.
 		b.Dropped++
 	}
-}
-
-// growRec resizes the spill prefix buffer; out of line so keep's rare
-// growth stays off the hotalloc-pinned path.
-func growRec(buf *[]uint32, n int) []uint32 {
-	if cap(*buf) < n {
-		*buf = make([]uint32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
 }
 
 // RunLevel is the sequential level engine: one generation step on this

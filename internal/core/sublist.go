@@ -49,8 +49,9 @@ const vertexBytes = 4
 const pointerBytes = 8
 
 // SubList is one candidate k-clique sub-list as the join kernel sees it:
-// a view of a record — of a level block (Iter), or of a decoded shard
-// run (ooc.Joiner) — valid until its source yields the next one.
+// a view of a record of a level block (Iter) — an in-core level's, or one
+// the on-disk join packed from a shard file — valid until its source
+// yields the next one.
 type SubList struct {
 	// Prefix is the shared (k-1)-clique, strictly increasing.
 	Prefix []uint32

@@ -22,24 +22,25 @@
 //     inputs before f has been emitted and retained; inputs from f on are
 //     untouched (the parallel pool's sched.Sequencer enforces exactly
 //     this, discarding any out-of-order window beyond the frontier).
-//   - The drain iterates the retained blocks — the sorted head of the
-//     produced level — straight into the level writer, one record a run,
-//     then joins the remaining inputs with a core.Builder in spill mode,
-//     which emits their maximal cliques in order and appends the
-//     surviving candidates to the same sorted record stream.
+//   - The drain hands the retained blocks — the sorted head of the
+//     produced level — to the out-of-core level writer as they are, then
+//     joins the remaining inputs with the same kernel, which emits their
+//     maximal cliques in order and seals the surviving candidates into
+//     blocks that follow the head to the same writer.
 //   - The produced level is then a complete, sorted, run-aligned level
 //     file, exactly what ooc.Continue expects; the out-of-core engine's
 //     own ordering invariant (DESIGN.md §5.3) carries the stream to the
 //     end of the run.
 //
-// Governor accounting across the switch: retained head blocks are
-// released as their records leave for disk, discarded window results
-// are released by the pool, the consumed level is released when its
-// drain completes, and the out-of-core engine charges only its scratch
-// and its I/O buffers, which it sizes from the headroom the governor has
-// left (4 KiB each at the least) — so Peak is the budget plus the
-// in-core engine's trip granularity, and Used falls back under budget
-// the moment the spill lands.
+// Governor accounting across the switch: a block's charge goes to the
+// writer with the block, which releases it once the block's records are
+// in the file; discarded window results are released by the pool; a
+// consumed block is released as soon as the drain has joined past it;
+// and the out-of-core engine charges only its scratch, its I/O buffers
+// and the blocks between its stages, which it sizes from the headroom
+// the governor has left (4 KiB each at the least) — so Peak is the
+// budget plus the in-core engine's trip granularity, and Used falls back
+// under budget the moment the spill lands.
 package hybrid
 
 import (
@@ -246,10 +247,11 @@ func (h *runner) run() error {
 // produced k-sub-lists retained for inputs before the trip frontier, in
 // canonical order (the head); lvl from out.Frontier on is the unjoined
 // input (the rest).  The produced level leaves for disk as one sorted
-// record stream — head sub-lists verbatim, one run each, then the rest's
-// surviving candidates via a spill-mode builder that emits their maximal
-// cliques in order — and ooc.Continue runs the level loop from there.
-// Both levels' governor charges are drain's to settle, on every path.
+// stream of blocks handed to the out-of-core writer — the head blocks as
+// they are, then the blocks the kernel seals joining the rest, which
+// emits their maximal cliques in order — and ooc.Continue runs the level
+// loop from there.  Both levels' governor charges are drain's to settle,
+// on every path; a block's passes to the writer with the block.
 func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	g, opts := h.g, h.opts
 	k := lvl.K + 1 // size of the records being drained
@@ -259,8 +261,9 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	rawHint := (st.NextCl + st.Cliques) * 4 * int64(k)
 
 	// resident is what the two levels still hold against the governor:
-	// head sub-lists leave it as their records reach disk, the consumed
-	// level when the drain join completes — or all at once on an abort.
+	// head blocks leave it as they are handed to the writer, consumed
+	// blocks as the drain join passes them — the rest all at once on an
+	// abort.
 	resident := st.Bytes + st.NextBytes
 	oocOpts := ooc.Options{
 		Ctx:           opts.Ctx,
@@ -273,10 +276,11 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		Gov:           h.gov,
 		OnLevel:       h.onLevel,
 	}
-	// db joins the un-drained inputs in spill mode.  stepDone closes the
+	// db joins the un-drained inputs; its output goes to disk, so it keeps
+	// no bitmaps whatever the in-core mode was.  stepDone closes the
 	// drained step's record, once: the in-core part plus what db added,
 	// with the produced level on disk and not resident.
-	db := core.NewBuilderMode(g, opts.Mode, h.bits)
+	db := core.NewBuilderMode(g, core.CNRecompute, h.bits)
 	db.Gov = h.gov
 	observed := false
 	stepDone := func() {
@@ -291,46 +295,66 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		st.Spilled = true
 		h.onLevel(st)
 	}
-	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func(prefix, tails []uint32) error) error {
+	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func([]core.Block) error) error {
 		for i := range head.Sub {
 			if opts.Ctx.Err() != nil {
 				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
 			}
-			blk := &head.Sub[i]
-			for s := range blk.Records(k) {
-				if err := write(s.Prefix, s.Tails); err != nil {
-					return err
-				}
+			resident -= head.Sub[i].Bytes()
+			if err := write(head.Sub[i : i+1]); err != nil {
+				return err
 			}
-			// The head block is on disk now; its resident charge goes.
-			core.DiscardBlocks(head.Sub[i:i+1], h.gov, h.bits)
-			resident -= blk.Bytes()
 		}
-		// Join the un-drained inputs with the spill-mode builder: maximal
-		// cliques keep flowing to the reporter in canonical order, and
-		// survivors append to the same sorted record stream.  Inputs
-		// whose bitmaps were already consumed (a discarded parallel
-		// window) reconstruct their prefix CN from adjacency rows.
-		db.Spill = write
+		// Join the un-drained inputs with the kernel: maximal cliques keep
+		// flowing to the reporter in canonical order, and what it seals
+		// goes to the writer a chunk at a time, behind the head.  Inputs
+		// whose bitmaps were already consumed (a discarded parallel window)
+		// reconstruct their prefix CN from adjacency rows.  A consumed block
+		// is dead once joined, so it leaves the ledger as the join passes
+		// it — the ones before the frontier right away — and the drain's
+		// own output in flight is paid for by the input it came from.
 		h.gov.Charge(db.ScratchBytes())
 		defer func() { h.gov.Release(db.ScratchBytes()) }()
-		i := 0
-		for s := range lvl.From(out.Frontier) {
-			if i&63 == 0 && opts.Ctx.Err() != nil {
-				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
-			}
-			i++
-			db.ProcessSubList(s, opts.Reporter)
-			if db.SpillErr != nil {
-				return db.SpillErr
+		db.Reset()
+		defer db.Abandon(0) // what was sealed and not handed over, on an abort
+		flush := func() error {
+			st.Maximal += db.Maximal
+			st.Dropped += db.Dropped
+			st.Cost.Add(db.Cost)
+			err := write(db.Since(0))
+			db.Reset() // safe: write returned, so the writer is done with every batch before
+			return err
+		}
+		retire := func(blocks []core.Block) {
+			for i := range blocks {
+				h.gov.Release(blocks[i].Bytes())
+				resident -= blocks[i].Bytes()
 			}
 		}
-		// The consumed level is fully joined and on disk: release it now,
-		// inside the feed, so the out-of-core phase runs with Used back
-		// under budget instead of carrying the spilled level's bytes to
-		// the end of the run.
-		h.gov.Release(resident)
-		resident = 0
+		f := out.Frontier
+		retire(lvl.Sub[:f.Block])
+		for bi := f.Block; bi < len(lvl.Sub); bi++ {
+			if opts.Ctx.Err() != nil {
+				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
+			}
+			from := core.Cursor{}
+			if bi == f.Block {
+				from.Rec = f.Rec
+			}
+			in := core.Level{K: lvl.K, Sub: lvl.Sub[bi : bi+1]}
+			for s := range in.From(from) {
+				db.ProcessSubList(s, opts.Reporter)
+				if db.Mark() > 0 {
+					if err := flush(); err != nil {
+						return err
+					}
+				}
+			}
+			retire(in.Sub)
+		}
+		if err := flush(); err != nil {
+			return err
+		}
 		// The drained step k-1 -> k is complete here, before the
 		// out-of-core loop reports any later level, so observers see the
 		// steps in generation order.

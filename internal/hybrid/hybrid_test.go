@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
@@ -180,8 +181,9 @@ func TestPeakStaysNearBudget(t *testing.T) {
 				workers, budget, res.PeakBytes)
 		}
 		// Drain allowance: one resident level plus the disk engine's
-		// in-flight buffers (one writer + one reader per worker, 32 KiB
-		// shard targets on a run this size, 1 MiB hard cap each).
+		// in-flight buffers (a read window and a write buffer per worker,
+		// 1 MiB hard cap each, and the blocks between them, which share
+		// their headroom).
 		allowance := maxStep + (2*int64(workers)+2)*(1<<20)
 		if gov.Peak() > budget+allowance {
 			t.Errorf("workers %d: governor peak %d exceeds budget %d + allowance %d",
@@ -428,5 +430,48 @@ func TestNilReporterCollectsNoEmissions(t *testing.T) {
 	// The measure does see a window: a listening run must collect.
 	if peak, atBoundary := run(&clique.Collector{}); peak <= atBoundary {
 		t.Errorf("listening run: governor peak %d does not exceed the %d held at the level boundary", peak, atBoundary)
+	}
+}
+
+// TestShardFilesPerLevel pins how many shard files a level costs: the
+// shard target (ooc.DefaultShardTarget) asks for about two per worker of
+// the level it reads, a level may produce up to about twice what it
+// consumed, and every input shard's output starts files of its own — so
+// no more than 4 per worker a level, the drained one included.  The run
+// is the benchmark's hybrid-c75 shape (graph C at scale 0.75, seed 1,
+// compressed, a quarter of the unbudgeted governor peak over the graph's
+// own charge).  The same run pins the two peaks the disk path must leave
+// alone: the in-core reference's, which sets the budget, and the
+// one-worker spilled run's, which is the in-core trip's.
+func TestShardFilesPerLevel(t *testing.T) {
+	const refPeak, spilledPeak = 5013152, 1262884
+	g := expt.Build(expt.SpecC.Scale(0.75), 1)
+	entry := int64(g.Bytes()) // the facade's charge for the graph
+	free := membudget.New(0)
+	free.Charge(entry)
+	defer free.Release(entry)
+	if _, err := Enumerate(g, Options{Lo: 3, Gov: free}); err != nil {
+		t.Fatal(err)
+	}
+	if free.Peak() != refPeak {
+		t.Errorf("in-core reference peaks at %d, want %d", free.Peak(), refPeak)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		gov := membudget.New(free.Peak() / 4)
+		gov.Charge(entry)
+		res, err := Enumerate(g, Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Compress: true, Gov: gov})
+		gov.Release(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := int64(res.OOC.Levels + 1) // the drained level is written too
+		if res.SpilledAtLevel == 0 || res.OOC.Shards > levels*int64(4*workers) {
+			t.Errorf("%d workers: %d shard files for %d levels on disk, spilled at %d; want at most %d a level",
+				workers, res.OOC.Shards, levels, res.SpilledAtLevel, 4*workers)
+		}
+		if workers == 1 && gov.Peak() != spilledPeak {
+			t.Errorf("1 worker: spilled run peaks at %d, want %d", gov.Peak(), spilledPeak)
+		}
+		t.Logf("%d workers: %d shard files, %d levels on disk", workers, res.OOC.Shards, levels)
 	}
 }

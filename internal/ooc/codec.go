@@ -61,12 +61,13 @@ func newRunEncoder(k int, compress bool) *runEncoder {
 }
 
 // shared returns how many leading vertices prefix has in common with the
-// run encoded last, and whether the two are the same run.
-func (e *runEncoder) shared(prefix []uint32) (n int, same bool) {
+// run encoded last, and whether the two are the same run.  The caller
+// vouches for the first known of them: a level block's stored lcp, or 0.
+func (e *runEncoder) shared(prefix []uint32, known int) (n int, same bool) {
 	if !e.started {
 		return 0, false
 	}
-	n = lcp(e.prefix, prefix)
+	n = known + lcp(e.prefix[known:], prefix[known:])
 	return n, n == e.k-1
 }
 

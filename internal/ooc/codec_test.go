@@ -55,7 +55,7 @@ func encodeRuns(k int, compress bool, runs []prefixRun) []byte {
 	enc := newRunEncoder(k, compress)
 	var out []byte
 	for _, r := range runs {
-		shared, _ := enc.shared(r.prefix)
+		shared, _ := enc.shared(r.prefix, 0)
 		out = append(out, enc.encode(r.prefix, r.tails, shared)...)
 	}
 	return out

@@ -2,9 +2,12 @@ package ooc
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzShardDecode feeds arbitrary shard payloads to the run decoder, for
@@ -13,6 +16,9 @@ import (
 // property: either an error, or exactly meta.Records records that are
 // strictly increasing, inside the universe and in strictly sorted order
 // — the same either way — and never a panic or a read past the data.
+// The on-disk join's decoder packs the same runs into level blocks; the
+// records those blocks hold must be ShardReader.Next's, at any block
+// size, or both must fail.
 func FuzzShardDecode(f *testing.F) {
 	// The lcp that used to wrap negative and panic the prefix copy.
 	f.Add(append([]byte{0, 1, 1, 1}, append(bytes.Repeat([]byte{0x80}, 9), 1, 1, 1, 1)...), true, uint8(3), uint16(100), uint16(2))
@@ -26,6 +32,32 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		f.Add(append(slices.Clone(payload), 2, 1), compress, uint8(3), uint16(401), uint16(len(recs)))
 		f.Add(append(slices.Clone(payload), payload[:12]...), compress, uint8(3), uint16(401), uint16(len(recs)))
+	}
+	// The golden shard files, as they are, then with a bit flipped in
+	// every byte, with two records out of order, against a universe that
+	// ends below their largest vertex, and read as a level of 4-cliques.
+	for _, g := range goldenShards {
+		for i, h := range g.shards {
+			data, err := hex.DecodeString(h)
+			if err != nil {
+				f.Fatal(err)
+			}
+			payload, records := data[shardHeaderLen:], uint16(g.records[i])
+			f.Add(payload, g.compress, uint8(1), uint16(400), records)
+			for at := range payload {
+				flipped := slices.Clone(payload)
+				flipped[at] ^= 1 << (at % 8)
+				f.Add(flipped, g.compress, uint8(1), uint16(400), records)
+			}
+			if !g.compress {
+				swapped := slices.Clone(payload)
+				copy(swapped[:12], payload[12:24])
+				copy(swapped[12:24], payload[:12])
+				f.Add(swapped, false, uint8(1), uint16(400), records)
+			}
+			f.Add(payload, g.compress, uint8(1), uint16(100), records)
+			f.Add(payload, g.compress, uint8(2), uint16(400), records)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, payload []byte, compress bool, kIn uint8, nIn, records uint16) {
@@ -57,6 +89,15 @@ func FuzzShardDecode(f *testing.F) {
 		if (wholeErr == nil) != (windowedErr == nil) {
 			t.Fatalf("in-memory decode: %v; windowed decode: %v", wholeErr, windowedErr)
 		}
+		for _, words := range []int{1, core.MaxBlockBytes / 4} {
+			blocks, err := decodeBlocks(data, meta, k, n, compress, words)
+			if (err == nil) != (wholeErr == nil) {
+				t.Fatalf("record decode: %v; block decode (%d-word blocks): %v", wholeErr, words, err)
+			}
+			if err == nil && !slices.EqualFunc(blocks, whole, slices.Equal[[]uint32]) {
+				t.Fatalf("%d-word blocks hold %v, the records are %v", words, blocks, whole)
+			}
+		}
 		if wholeErr != nil {
 			return
 		}
@@ -77,4 +118,31 @@ func FuzzShardDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// decodeBlocks packs a shard's runs into blocks of words words the way
+// decode-ahead does, and flattens the blocks back into records.
+func decodeBlocks(data []byte, meta ShardMeta, k, n int, compress bool, words int) ([][]uint32, error) {
+	r, err := OpenShardBytes(data, meta, k, n, compress)
+	if err != nil {
+		return nil, err
+	}
+	br := blockReader{r: r}
+	buf := make([]uint32, words)
+	var out [][]uint32
+	for {
+		var blk core.Block
+		if blk, buf, err = br.next(buf); err != nil {
+			return nil, err
+		}
+		if len(blk.Words()) == 0 {
+			return out, nil
+		}
+		for s := range blk.Records(k) {
+			for _, t := range s.Tails {
+				out = append(out, append(slices.Clone(s.Prefix), t))
+			}
+		}
+		buf = buf[:words:words] // a grown buffer goes back to its size
+	}
 }

@@ -1,10 +1,10 @@
 package ooc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -17,13 +17,14 @@ import (
 
 // This file is the worker-side face of the out-of-core engine: the
 // pieces a remote (or merely out-of-process) worker needs to join one
-// leased shard exactly the way the single-machine pool does — decode
-// the shard's prefix runs, hand each run as it is to the one join kernel
-// (core.Builder in drain mode), which spills each surviving sub-list as
-// a run of (k+1)-candidates through a run-aligned LevelWriter, and
-// buffer the maximal dead ends for in-order emission.  internal/dist's
-// workers and the local pool in pool.go both run Joiner.Join, so the
-// distributed, single-machine and in-core joins cannot drift.
+// leased shard exactly the way the single-machine pool does — decode the
+// shard into blocks, run the one join kernel (core.Builder) over them as
+// an in-core level's blocks are joined, write the sealed output blocks as
+// the next level's run-aligned shard files, and buffer the maximal dead
+// ends for in-order emission (the three stages of pipeline.go).
+// internal/dist's workers and the local pool in pool.go both run
+// Joiner.Join's pipeline, so the distributed, single-machine and in-core
+// joins cannot drift.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), and the I/O the join
@@ -44,15 +45,21 @@ func (s *JoinStats) Emit(c clique.Clique) {
 }
 
 // Joiner owns the per-worker state of the shard join: the join kernel —
-// a drain-mode core.Builder that rebuilds each run's prefix bitmap from
-// its memo of the run before, writes surviving candidates through Spill
-// (applying the paper's |S| > 1 rule, so a level on disk holds exactly
-// the cliques the in-core level would) and reports maximal cliques.  It
-// is not safe for concurrent use; give each worker its own.
+// a core.Builder that rebuilds each record's prefix bitmap from its memo
+// of the record before, applies the paper's |S| > 1 rule (so a level on
+// disk holds exactly the cliques the in-core level would) and seals the
+// survivors into blocks — and reports maximal cliques.  It is not safe
+// for concurrent use; give each worker its own.
 type Joiner struct {
-	g   graph.Interface
-	b   *core.Builder
-	run core.SubList // the current prefix run, as the kernel's input: a record view like a level block's
+	g    graph.Interface
+	b    *core.Builder
+	it   core.Iter     // the join stage's record decoder
+	bufs [][]uint32    // decode-ahead's block buffers between runs
+	win  []byte        // decode-ahead's read window between runs
+	bw   *bufio.Writer // write-behind's file buffer between runs
+
+	mark    int   // the builder's blocks already handed to write-behind
+	maximal int64 // the builder's Maximal already counted to a shard
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
@@ -67,17 +74,17 @@ func NewJoiner(g graph.Interface) *Joiner {
 func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 
 // ShardJob is the work order for one shard join: the input shard In of
-// size-K records in Dir (Data, when non-nil, is its encoded file already
-// read, owned and charged by the caller), and how the (K+1)-candidates
-// are written — output shards of about Target encoded bytes in Dir,
-// named by NewShard, every run's bytes reported to OnWrite, which may
-// abort the join.  Gov is charged with the I/O buffers while they are
-// open, each at most Buf bytes (0 = uncapped; Level.Buf).
+// size-K records in Dir, and how the (K+1)-candidates are written —
+// output shards of about Target encoded bytes in Dir, named by NewShard,
+// every batch's bytes reported to OnWrite, which may abort the join.  Gov
+// is charged with the input blocks and the I/O buffers while they are in
+// flight, sized from Buf, the share of headroom each of a worker's
+// buffers may take (0 = uncapped; Level.Buf, shapeFor); the output blocks
+// are charged to the joiner's builder's governor.
 type ShardJob struct {
 	Dir      string
 	K        int
 	In       ShardMeta
-	Data     []byte
 	Compress bool
 	Target   int64
 	Collect  bool // buffer the maximal cliques, not only count them
@@ -97,29 +104,24 @@ type ShardResult struct {
 }
 
 // Join executes one shard join from opening the input to closing the
-// last output shard: the one implementation the in-process pool and the
-// distributed worker both run.  On error the partial output is closed
-// (its files are the level driver's to sweep) and the result still
-// carries the bytes the join read.
+// last output shard, through the three stages the in-process pool runs
+// over a worker's shards.  On error the partial output is closed (its
+// files are the level driver's to sweep) and the result still carries
+// the bytes the join read.
 func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
-	var r *ShardReader
-	var err error
-	if job.Data != nil {
-		r, err = OpenShardBytes(job.Data, job.In, job.K, j.g.N(), job.Compress)
-	} else {
-		r, err = openShard(job.Dir, job.In, job.K, j.g.N(), job.Compress, job.Gov, job.Buf)
-	}
+	var res ShardResult
+	taken := false
+	read, err := j.run(ctx, job, func() (ShardMeta, int, bool) {
+		if taken {
+			return ShardMeta{}, 0, false
+		}
+		taken = true
+		return job.In, 0, true
+	}, func(_ int, r ShardResult) { res = r })
 	if err != nil {
-		return ShardResult{}, err
+		return ShardResult{JoinStats: JoinStats{BytesRead: read}}, err
 	}
-	out := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
-	out.bufCap = job.Buf
-	st, err := j.joinFrom(ctx, r, job.K, out, job.Collect)
-	if err != nil {
-		return ShardResult{JoinStats: JoinStats{BytesRead: st.BytesRead}}, errors.Join(err, out.Abort())
-	}
-	metas, err := out.Finish()
-	return ShardResult{JoinStats: st, Out: metas}, err
+	return res, nil
 }
 
 // JoinShardBytes joins one input shard of size-k records from an
@@ -127,67 +129,44 @@ func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
 // through out (which the caller owns: Finish it for the output shard
 // list, Abort it on error).  collect buffers maximal-clique emissions in
 // the returned JoinStats; pass false when only counts are wanted.  It is
-// Join's kernel step alone, for callers that time the writer themselves.
+// Join's kernel step alone, serial, for callers that time the writer
+// themselves.
+//
+//repro:ctxloop
 func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, k int,
 	compress bool, out *LevelWriter, collect bool) (JoinStats, error) {
 	r, err := OpenShardBytes(data, in, k, j.g.N(), compress)
 	if err != nil {
 		return JoinStats{}, err
 	}
-	return j.joinFrom(ctx, r, k, out, collect)
-}
-
-// joinFrom feeds the opened shard's prefix runs straight from the
-// decoder into the kernel, closing the reader on every path.  All
-// scratch is joiner- or reader-owned — the loop allocates only when the
-// emission arena grows.
-//
-//repro:ctxloop
-func (j *Joiner) joinFrom(ctx context.Context, r *ShardReader, k int,
-	out *LevelWriter, collect bool) (res JoinStats, err error) {
-	defer func() {
-		res.BytesRead = r.BytesRead()
-		if cerr := r.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-	}()
-
-	b := j.b
-	b.Reset()
-	b.Spill = out.WriteRun
-	var rep clique.Reporter
-	if collect {
-		rep = &res
+	var st JoinStats
+	emit := func(blocks []core.Block) (bool, error) {
+		err := out.writeBlocks(blocks)
+		release(j.b.Gov, blocks)
+		return true, err
 	}
-	// Cancellation point: every 4096 records or so, so abort latency
-	// stays bounded even when one shard holds millions of cliques.
-	sinceCheck := 4096
+	br := blockReader{r: r}
+	buf := make([]uint32, core.MaxBlockBytes/4)
+	j.b.Reset()
+	j.mark, j.maximal = 0, 0
+	defer func() { j.b.Abandon(j.mark) }()
 	for {
-		if sinceCheck >= 4096 {
-			if ctx.Err() != nil {
-				return res, fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, ctx.Err())
-			}
-			sinceCheck = 0
+		if ctx.Err() != nil {
+			return st, fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, ctx.Err())
 		}
-		prefix, tails, err := r.NextRun()
-		if err == io.EOF {
+		var blk core.Block
+		if blk, buf, err = br.next(buf); err != nil {
+			return st, err
+		}
+		if len(blk.Words()) == 0 {
 			break
 		}
-		if err != nil {
-			return res, err
-		}
-		sinceCheck += len(tails)
-		// A run of one clique has no pair to join — the kernel's loop is
-		// empty for it, which is also how the singleton runs of a
-		// checkpoint written before the on-disk |S| > 1 rule are skipped.
-		j.run.Prefix, j.run.Tails, j.run.LCP = prefix, tails, r.dec.shared
-		b.ProcessSubList(&j.run, rep)
-		if b.SpillErr != nil {
-			return res, b.SpillErr
+		if err := j.joinBlock(&blk, k, len(buf), collector(&st, collect), &st, emit); err != nil {
+			return st, err
 		}
 	}
-	res.Maximal = b.Maximal
-	return res, nil
+	st.BytesRead = r.BytesRead()
+	return st, j.flush(&st, emit)
 }
 
 // WriteLevel writes one level's sorted record stream — produced by feed
@@ -264,24 +243,17 @@ func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, ta
 }
 
 // DefaultShardTarget sizes a level's shards from the consumed level's
-// encoded bytes: about eight shards per worker, so the dispatcher (or
-// the distributed lease table) has slack to balance skewed shard costs,
-// clamped so tiny levels are not pulverized and huge ones are not
-// monolithic.
+// encoded bytes: about two shards per worker, so the dispatcher (or the
+// distributed lease table) can still balance skewed shard costs and a
+// worker's next shard is decoded while it joins one, but no smaller than
+// 256 KiB.  The floor amortizes what every file costs beside its bytes —
+// a create in write-behind, an open in decode-ahead, an unlink when the
+// level is consumed: inside a run on a 2-vCPU ext4 box a create alone
+// measured about 0.2 ms (40-odd ms a run at 210 files of 32 KiB and up),
+// as much as encoding 80 KB.  Huge levels are capped at 32 MiB a shard.
 func DefaultShardTarget(consumedBytes int64, workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	t := consumedBytes / int64(8*workers)
-	const minTarget = 32 << 10
-	const maxTarget = 32 << 20
-	if t < minTarget {
-		t = minTarget
-	}
-	if t > maxTarget {
-		t = maxTarget
-	}
-	return t
+	const minTarget, maxTarget = 256 << 10, 32 << 20
+	return min(max(consumedBytes/int64(2*max(workers, 1)), minTarget), maxTarget)
 }
 
 // ShardFileName builds the canonical shard file name for level k with a

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -26,13 +24,6 @@ type sinkOutput struct {
 
 func (o *sinkOutput) Emit(c clique.Clique) { o.maximal = append(o.maximal, c.Key()) }
 
-func (o *sinkOutput) writeRun(prefix, tails []uint32) error {
-	for _, t := range tails {
-		o.records = append(o.records, append(slices.Clone(prefix), t))
-	}
-	return nil
-}
-
 // levelRecordsOf flattens an in-memory level into its sorted records.
 func levelRecordsOf(lvl *core.Level) [][]uint32 {
 	var recs [][]uint32
@@ -44,21 +35,79 @@ func levelRecordsOf(lvl *core.Level) [][]uint32 {
 	return recs
 }
 
-// joinViaShards encodes the level as shard files (a small target, so a
-// level spans several), joins each through Joiner.JoinShardBytes, and
-// decodes the output shards back into records.
-func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bool) sinkOutput {
+// shardRecords decodes a level's shard files back into records.
+func shardRecords(t *testing.T, dir string, metas []ShardMeta, k, n int, compress bool) [][]uint32 {
 	t.Helper()
-	dir := t.TempDir()
-	seq := 0
-	name := func(k int) func() (string, error) {
-		return func() (string, error) {
-			seq++
-			return ShardFileName(k, fmt.Sprintf("%06d", seq)), nil
+	var recs [][]uint32
+	for _, m := range metas {
+		r, err := OpenShard(dir, m, k, n, compress, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := make([]uint32, k)
+		for {
+			if err := r.Next(rec); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, slices.Clone(rec))
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	noAccount := func(enc, raw int64) error { return nil }
-	in, err := WriteLevel(dir, lvl.K, compress, 256, nil, name(lvl.K), noAccount,
+	return recs
+}
+
+// shardNamer names shard files of level k from a shared sequence.
+func shardNamer(seq *int, k int) func() (string, error) {
+	return func() (string, error) {
+		*seq++
+		return ShardFileName(k, fmt.Sprintf("%06d", *seq)), nil
+	}
+}
+
+func noAccount(enc, raw int64) error { return nil }
+
+// joinViaBlocks joins the level with the kernel the way the hybrid drain
+// does — a chunk of sealed output at a time into a level writer — and
+// decodes the shard files back into records.
+func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.Level, compress bool) sinkOutput {
+	t.Helper()
+	dir, seq := t.TempDir(), 0
+	var out sinkOutput
+	lw := NewLevelWriter(dir, lvl.K+1, compress, 256, nil, shardNamer(&seq, lvl.K+1), noAccount)
+	b.Reset()
+	flush := func() {
+		if err := lw.writeBlocks(b.Since(0)); err != nil {
+			t.Fatal(err)
+		}
+		b.Reset()
+	}
+	for s := range lvl.All() {
+		b.ProcessSubList(s, &out)
+		if b.Mark() > 0 {
+			flush()
+		}
+	}
+	flush()
+	metas, err := lw.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.records = shardRecords(t, dir, metas, lvl.K+1, g.N(), compress)
+	return out
+}
+
+// joinViaShards encodes the level as shard files (a small target, so a
+// level spans several), joins each through Joiner.Join — the three-stage
+// pipeline, in blocks of a few hundred bytes so a shard spans several —
+// and decodes the output shards back into records.
+func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bool) sinkOutput {
+	t.Helper()
+	dir, seq := t.TempDir(), 0
+	in, err := WriteLevel(dir, lvl.K, compress, 256, nil, shardNamer(&seq, lvl.K), noAccount,
 		func(write func(prefix, tails []uint32) error) error {
 			for s := range lvl.All() {
 				if err := write(s.Prefix, s.Tails); err != nil {
@@ -73,55 +122,33 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 	var out sinkOutput
 	j := NewJoiner(g)
 	for _, sh := range in {
-		data, err := os.ReadFile(filepath.Join(dir, sh.Path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lw := NewLevelWriter(dir, lvl.K+1, compress, 256, nil, name(lvl.K+1), noAccount)
-		js, err := j.JoinShardBytes(context.Background(), data, sh, lvl.K, compress, lw, true)
+		res, err := j.Join(context.Background(), &ShardJob{
+			Dir: dir, K: lvl.K, In: sh, Compress: compress, Target: 256, Collect: true, Buf: minBuf,
+			NewShard: shardNamer(&seq, lvl.K+1), OnWrite: noAccount,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		start := int32(0)
-		for _, end := range js.EmitOff {
-			out.Emit(clique.Clique(js.EmitVerts[start:end]))
+		for _, end := range res.EmitOff {
+			out.Emit(clique.Clique(res.EmitVerts[start:end]))
 			start = end
 		}
-		if int64(len(js.EmitOff)) != js.Maximal {
-			t.Fatalf("shard %s: %d emissions, Maximal %d", sh.Path, len(js.EmitOff), js.Maximal)
+		if int64(len(res.EmitOff)) != res.Maximal {
+			t.Fatalf("shard %s: %d emissions, Maximal %d", sh.Path, len(res.EmitOff), res.Maximal)
 		}
-		metas, err := lw.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range metas {
-			r, err := OpenShard(dir, m, lvl.K+1, g.N(), compress, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := make([]uint32, lvl.K+1)
-			for {
-				if err := r.Next(rec); err == io.EOF {
-					break
-				} else if err != nil {
-					t.Fatal(err)
-				}
-				out.records = append(out.records, slices.Clone(rec))
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		out.records = append(out.records, shardRecords(t, dir, res.Out, lvl.K+1, g.N(), compress)...)
 	}
 	return out
 }
 
 // TestOneKernelThreeSinks is the differential pin on "one join": every
 // level of every graph × representation is joined three ways — in memory
-// with the Builder retaining sub-lists, with the Builder in drain mode,
-// and by the Joiner over the level's encoded shards — and all three must
-// report the same maximal cliques in the same order and keep the same
-// surviving candidate records.
+// with the Builder retaining sub-lists, with the Builder handing a chunk
+// of sealed blocks at a time to a level writer (the hybrid drain's way),
+// and by the Joiner's pipeline over the level's encoded shards — and all
+// three must report the same maximal cliques in the same order and keep
+// the same surviving candidate records.
 func TestOneKernelThreeSinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	corpus := map[string]*graph.Graph{
@@ -139,7 +166,7 @@ func TestOneKernelThreeSinks(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", name, rep), func(t *testing.T) {
 				pool := bitset.NewPool(g.N())
 				keepB := core.NewBuilderMode(g, core.CNRecompute, pool)
-				drainB := core.NewBuilderMode(g, core.CNRecompute, pool)
+				blockB := core.NewBuilderMode(g, core.CNRecompute, pool)
 				// Recompute mode leaves a consumed level intact, so the
 				// same level feeds all three joins.
 				lvl := core.SeedFromEdgesMode(g, core.CNRecompute)
@@ -148,18 +175,12 @@ func TestOneKernelThreeSinks(t *testing.T) {
 					next, _ := core.Step(g, lvl, &keep, keepB)
 					keep.records = levelRecordsOf(next)
 
-					var drain sinkOutput
-					drainB.Reset()
-					drainB.Spill = drain.writeRun
-					for s := range lvl.All() {
-						drainB.ProcessSubList(s, &drain)
-					}
-
+					blocks := joinViaBlocks(t, g, blockB, lvl, lvl.K%2 == 1)
 					shards := joinViaShards(t, g, lvl, lvl.K%2 == 0)
 					for _, other := range []struct {
 						name string
 						out  sinkOutput
-					}{{"drain", drain}, {"shards", shards}} {
+					}{{"blocks", blocks}, {"shards", shards}} {
 						if !slices.Equal(other.out.maximal, keep.maximal) {
 							t.Fatalf("level %d: %s emitted %d maximal cliques %v, keep %d %v",
 								lvl.K, other.name, len(other.out.maximal), other.out.maximal, len(keep.maximal), keep.maximal)

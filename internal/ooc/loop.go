@@ -25,7 +25,9 @@ import (
 // delivery has been made (nil) or the level cannot finish (the reason).
 // The runner also reports the bytes it moves: lv.Wrote as output bytes
 // reach a file (or, for a remote join, when its result is accepted) and
-// lv.Read for the input bytes of every join, failed ones included.
+// lv.Read for the input bytes of every join, failed ones included.  The
+// pool runs each worker's shards through the three-stage pipeline
+// (pipeline.go); a remote worker runs one shard through the same one.
 type ShardRunner interface {
 	RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error
 }
@@ -35,7 +37,7 @@ type Level struct {
 	K       int         // clique size of the consumed level's records
 	Shards  []ShardMeta // the consumed level, in run order
 	Target  int64       // encoded bytes per produced shard
-	Buf     int64       // most one shard I/O buffer may take under a memory budget (0 = uncapped)
+	Buf     int64       // most a worker's read window, block queues and write buffer may take each under a memory budget (0 = uncapped)
 	Collect bool        // a Reporter is listening: buffer the maximal cliques
 
 	loop *Loop
@@ -125,17 +127,32 @@ func (l *Loop) Stats() Stats {
 // RunEdges is the fresh-run entry: spill the edge level, then run the
 // level loop from k=2.
 func (l *Loop) RunEdges(r ShardRunner) (Stats, error) {
-	return l.RunFeed(r, 2, 8*int64(l.g.M()), EdgeFeed(l.opts.Ctx, l.g))
+	lv := &Level{K: 1, loop: l}
+	shards, err := WriteLevel(l.opts.Dir, 2, l.opts.Compress, l.shardTarget(8*int64(l.g.M())), l.opts.Gov,
+		lv.NextShard, lv.Wrote, EdgeFeed(l.opts.Ctx, l.g))
+	return l.runFrom(r, shards, 2, err)
 }
 
-// RunFeed writes the level of size-k records feed produces — in
-// canonical order, a prefix run at a time — and runs the level loop from
-// it.  rawHint estimates the level's fixed-width bytes for shard sizing.
+// RunFeed writes the level of size-k records feed hands over — sealed
+// blocks in canonical order, through write, which takes them and their
+// governor charges — behind a write-behind stage, and runs the level loop
+// from it: the hybrid drain's hand-off, always a plain run, whose
+// directory takes a cut level's files with it.  rawHint estimates the
+// level's fixed-width bytes for shard sizing.
 func (l *Loop) RunFeed(r ShardRunner, k int, rawHint int64,
-	feed func(write func(prefix, tails []uint32) error) error) (Stats, error) {
+	feed func(write func([]core.Block) error) error) (Stats, error) {
 	lv := &Level{K: k - 1, loop: l}
-	shards, err := WriteLevel(l.opts.Dir, k, l.opts.Compress, l.shardTarget(rawHint), l.opts.Gov,
-		lv.NextShard, lv.Wrote, feed)
+	shards, err := writeFed(l.opts.Ctx, l.opts.Gov, feed, func(buf int64) *LevelWriter {
+		lw := NewLevelWriter(l.opts.Dir, k, l.opts.Compress, l.shardTarget(rawHint), l.opts.Gov, lv.NextShard, lv.Wrote)
+		lw.bufCap = buf
+		return lw
+	})
+	return l.runFrom(r, shards, k, err)
+}
+
+// runFrom checkpoints a first level the run wrote and runs the level loop
+// from it, or ends the run with the error that cut the level short.
+func (l *Loop) runFrom(r ShardRunner, shards []ShardMeta, k int, err error) (Stats, error) {
 	if err != nil {
 		l.st.Aborted = true
 		return l.Stats(), err
@@ -242,7 +259,7 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 		K:       k,
 		Shards:  shards,
 		Target:  l.shardTarget(encB),
-		Buf:     bufShare(l.opts.Gov, 3*l.opts.Workers), // a worker's three: read window, write buffer, read-ahead
+		Buf:     bufShare(l.opts.Gov, 3*l.opts.Workers), // a worker's three: read window, block queues, write buffer
 		Collect: l.opts.Reporter != nil,
 		loop:    l,
 	}

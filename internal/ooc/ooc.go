@@ -18,9 +18,11 @@
 // (Options.Compress), attacking the disk I/O volume the paper names as
 // the bottleneck; Stats reports both the encoded bytes actually moved
 // and the fixed-width-equivalent raw bytes so the compression win is
-// measurable.  Only one prefix run per worker (at most n tails) plus the
-// in-flight shard window is resident at a time, so memory stays O(n·P)
-// regardless of how many cliques a level holds.
+// measurable.  A worker joins its shards in three stages (pipeline.go):
+// decode-ahead packs a shard's runs into level blocks, the in-core kernel
+// joins them, write-behind encodes the sealed output into the next
+// level's files — so what is resident per worker is a read window, a few
+// blocks in flight each way and a write buffer, whatever a level holds.
 //
 // Checkpointed runs (Options.Checkpoint) write a manifest at every level
 // boundary and keep their level files on cancellation or crash; Resume
@@ -60,10 +62,11 @@ type Options struct {
 	MaxK int
 	// MaxLevelBytes aborts when a level's files would exceed this many
 	// encoded bytes (0 = unlimited): the out-of-core analogue of the
-	// paper's one-week cutoff.  The check runs once per prefix run
-	// written, after the run has been handed to its file, so an aborted
-	// level overshoots by at most one run and Stats.BytesWritten still
-	// equals the bytes handed to the files at the abort.
+	// paper's one-week cutoff.  The check runs once per batch of blocks
+	// written (once per run on the edge level), after the batch has been
+	// handed to its files, so an aborted level overshoots by at most one
+	// batch and Stats.BytesWritten still equals the bytes handed to the
+	// files at the abort.
 	MaxLevelBytes int64
 	// OnLevel, when non-nil, observes each generation step with the record
 	// every driver emits: FromK, Cliques (records read), Maximal, and
@@ -87,22 +90,22 @@ type Options struct {
 	// manifest.  Dir must not already hold another run's checkpoint.
 	Checkpoint bool
 	// ShardBytes overrides the target encoded size of one shard file
-	// (0 = auto: the consumed level's size split ~8 ways per worker,
-	// clamped to [32 KiB, 32 MiB]).  Smaller shards mean finer dispatch
-	// granularity and a smaller in-order release window.
+	// (0 = auto: the consumed level's size split two ways per worker,
+	// clamped to [256 KiB, 32 MiB]; DefaultShardTarget).  Smaller shards
+	// mean finer dispatch granularity and a smaller in-order release
+	// window, at a file's fixed cost each.
 	ShardBytes int64
 	// Gov, when non-nil, is the run's shared memory governor.  The
-	// out-of-core engine charges its resident buffers — per-worker
-	// bitmaps at pool start, each in-flight shard's I/O buffer while
-	// open, and each read-ahead buffer while in flight — so a hybrid
-	// run's Peak stays meaningful after the spill.  The engine never
-	// aborts on the budget (disk is exactly where an over-budget run
-	// belongs) but it lives inside one: the buffers of a step share the
-	// headroom the step starts with (bufShare), 4 KiB each at the least.
-	// Each worker leases its next shard early and reads its file in the
-	// background while joining the current one (a shard larger than a
-	// buffer's share is streamed through a window instead); the in-flight
-	// read-ahead buffer is charged here like the rest.
+	// out-of-core engine charges what it holds — per-worker bitmaps at
+	// pool start, each shard's read window and write buffer while open,
+	// each block between the pipeline's stages while in flight — so a
+	// hybrid run's Peak stays meaningful after the spill.  The engine
+	// never aborts on the budget (disk is exactly where an over-budget run
+	// belongs) but it lives inside one: a worker's read window, block
+	// queues and write buffer share the headroom the step starts with
+	// (bufShare, shapeFor), the I/O buffers 4 KiB each at the least, and
+	// the queues drop to depth one when their room holds less than two
+	// blocks each.
 	Gov *membudget.Governor
 }
 
@@ -156,16 +159,18 @@ func Enumerate(g graph.Interface, opts Options) (Stats, error) {
 // Continue runs the out-of-core level loop starting from a level of
 // size-k candidate records supplied by feed instead of from the graph's
 // edges: the hybrid backend's in-core -> out-of-core handoff.  feed is
-// called once with the level writer's WriteRun and must produce the
-// level a prefix run at a time, in canonical sorted order (the
-// run-aligned sharding invariant rests on it); rawHint, when positive, estimates the level's
+// called once with the level's writer and must hand it the level as
+// sealed blocks, in canonical sorted order (the run-aligned sharding
+// invariant rests on it); write takes the blocks with their governor
+// charges and returns once the writer is done with every batch before
+// them (Loop.RunFeed).  rawHint, when positive, estimates the level's
 // fixed-width bytes so the first level is sharded sensibly.  Everything
 // else matches a plain Enumerate run: the spill directory is a private
 // temporary directory inside opts.Dir, removed on the way out, and
 // checkpointing is not supported — the in-core prefix of a hybrid run
 // cannot be replayed from a manifest.
 func Continue(g graph.Interface, opts Options, k int, rawHint int64,
-	feed func(write func(prefix, tails []uint32) error) error) (Stats, error) {
+	feed func(write func([]core.Block) error) error) (Stats, error) {
 	if err := normalizeOptions(&opts); err != nil {
 		return Stats{}, err
 	}

@@ -240,11 +240,12 @@ func TestRepresentationParity(t *testing.T) {
 	}
 }
 
-// TestPrefetchParity pins the read-ahead contract: the double-buffered
-// shard prefetch changes when a shard's bytes leave the disk, never
-// what the join emits — the clique stream is the in-core engine's, byte
-// for byte, at every worker count, and the governor's ledger (which
-// carries each in-flight read-ahead buffer) returns to zero.
+// TestPrefetchParity pins the pipeline contract: decode-ahead and
+// write-behind change when a shard's bytes leave and reach the disk,
+// never what the join emits — the clique stream is the in-core engine's,
+// byte for byte, at every worker count and queue depth, and the
+// governor's ledger (which carries every block between the stages and
+// every read window and write buffer) returns to zero.
 func TestPrefetchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(133))
 	g := graph.PlantedGraph(rng, 90, []graph.PlantedCliqueSpec{
@@ -261,11 +262,16 @@ func TestPrefetchParity(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, compress := range []bool{false, true} {
+			// An unlimited budget queues blocks four deep; one the run
+			// overshoots at once leaves every stage a 4 KiB share: depth one.
 			gov := membudget.New(0)
+			if compress {
+				gov = membudget.New(1)
+			}
 			got, st := orderedKeys(t, g, Options{
 				Workers:    workers,
 				Compress:   compress,
-				ShardBytes: 256, // many shards: every worker prefetches repeatedly
+				ShardBytes: 256, // many shards: decode-ahead crosses shard boundaries all the time
 				Gov:        gov,
 			})
 			if len(got) != len(want) {
@@ -278,7 +284,7 @@ func TestPrefetchParity(t *testing.T) {
 				}
 			}
 			if st.BytesRead == 0 {
-				t.Errorf("workers=%d compress=%v: prefetched run reports no bytes read", workers, compress)
+				t.Errorf("workers=%d compress=%v: pipelined run reports no bytes read", workers, compress)
 			}
 			if used := gov.Used(); used != 0 {
 				t.Errorf("workers=%d compress=%v: governor ledger unbalanced after run: %d", workers, compress, used)
@@ -288,8 +294,9 @@ func TestPrefetchParity(t *testing.T) {
 }
 
 // TestPrefetchCancellation pins the abandon path: canceling mid-run with
-// read-ahead in flight must drain the prefetch goroutines, release their
-// buffer charges, and still clean the spill directory.
+// blocks in flight between the stages must stop decode-ahead and
+// write-behind, release every block, window and buffer charge, and still
+// clean the spill directory.
 func TestPrefetchCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(134))
 	g := graph.PlantedGraph(rng, 110, []graph.PlantedCliqueSpec{{Size: 11}, {Size: 9, Overlap: 2}}, 260)
@@ -401,8 +408,9 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 	}
 	// The old hot loop allocated one record slice per spilled record
 	// (>= spilled/k allocations).  The rebuilt loop's budget covers
-	// files, bufio buffers and stats only: 937 a run, measured, the
-	// joiner's kernel feeding on record views that own no header.
+	// files, bufio buffers and stats, and per level and worker the
+	// pipeline's two goroutines, channels and context: 1 170 a run,
+	// measured, the kernel feeding on blocks whose buffers are recycled.
 	if allocs > 1200 {
 		t.Errorf("%.0f allocs/run for %d spilled vertices: the hot loop is allocating per record", allocs, spilled)
 	}

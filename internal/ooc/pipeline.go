@@ -1,0 +1,502 @@
+package ooc
+
+import (
+	"context"
+	"errors"
+	"fmt"
+
+	"repro/internal/clique"
+	"repro/internal/core"
+	"repro/internal/membudget"
+)
+
+// The shard join runs in three stages, so that the codec and the file
+// system work beside the kernel instead of in its way (DESIGN.md §5.3):
+//
+//   - decode-ahead: a goroutine takes the worker's shards in order, reads
+//     each through a window and packs its prefix runs into blocks of the
+//     in-core level's record shape;
+//   - join: the calling goroutine runs the in-core kernel over those
+//     blocks — core.Iter, Builder.ProcessSubList, Mark/Since — exactly as
+//     a pool worker does over a level in memory;
+//   - write-behind: a goroutine encodes the sealed output blocks with the
+//     run codec into run-aligned shard files and closes them, and only
+//     then delivers the shard's result.
+//
+// A block belongs to one stage at a time.  An input block is charged to
+// the job's governor when decode-ahead packs it and released when the
+// join is done with it, and its buffer goes back to decode-ahead.  An
+// output block is charged to the builder's governor when the kernel seals
+// it and released by write-behind once its records are in the file.  The
+// kernel's arena recycles a chunk two builder Resets after it was filled,
+// so the join hands its output on in generations of batches and Resets
+// only once write-behind holds no batch of the generation before
+// (writeBehind.write): no chunk is reused while the writer still reads
+// it.
+
+// A worker's queues and buffers.  Of the shares of headroom a step gives
+// each of a worker's buffers (Level.Buf), the read window and the write
+// buffer take at most ioCap each — a bigger buffer saves syscalls, not
+// time — and the block queues take the rest, split evenly between input
+// and output.
+const (
+	queueDepth = 4        // input blocks in flight, at the most
+	genBatches = 4        // output batches to a kernel arena generation, at the most
+	ioCap      = 64 << 10 // the most a read window or write buffer takes
+	minQueue   = 256      // the least a queue takes: a block of a few records
+)
+
+// pipeShape is how a pipeline is sized.
+type pipeShape struct {
+	io    int64 // the cap on each I/O buffer, for bufSize
+	depth int   // input blocks in flight
+	words int   // an input block's words; an output batch is handed on at this many open words
+	gen   int   // output batches to an arena generation: twice as many in flight, one at depth one
+}
+
+// shapeFor sizes a pipeline whose buffers may take buf bytes each (0 =
+// uncapped) and io of which are I/O buffers (the rest is the block
+// queues').  A queue with room for less than two blocks runs at depth one
+// in blocks of that room: every stage waits for the next, which is the
+// serial join.
+func shapeFor(buf int64, io int) pipeShape {
+	const blk = core.MaxBlockBytes
+	if buf <= 0 {
+		return pipeShape{io: ioCap, depth: queueDepth, words: blk / 4, gen: genBatches}
+	}
+	s := pipeShape{io: min(buf, ioCap)}
+	// What the I/O buffers leave of all the shares, their floors included.
+	half := max(int64(io+1)*buf-int64(io)*max(s.io, minBuf), 0) / 2
+	if half < 2*blk {
+		s.depth, s.words, s.gen = 1, int(min(max(half, minQueue), blk)/4), 1
+		return s
+	}
+	s.depth, s.words = int(min(half/blk, queueDepth)), blk/4
+	s.gen = int(min(half/(2*blk), genBatches))
+	return s
+}
+
+// inPiece is what decode-ahead hands the join, in order: the blocks of a
+// shard, then its end.
+type inPiece struct {
+	tag  int        // the shard, as next named it
+	blk  core.Block // a block of the shard's records
+	buf  []uint32   // the buffer blk lives in, for decode-ahead to refill
+	end  bool       // the shard is decoded; blk is empty
+	read int64      // at the end: the shard's encoded bytes read
+}
+
+// outPiece is what the join hands write-behind, in order: batches of a
+// shard's sealed output blocks, then its end.
+type outPiece struct {
+	tag    int
+	blocks []core.Block
+	end    *JoinStats // the shard is joined: what it found and read
+}
+
+// run joins the shards next hands out (with a tag for deliver) through the
+// three stages; job's fields other than In describe all of them.  Each
+// shard's result goes to deliver, from the write-behind goroutine, once
+// its output shards are closed.  It returns the encoded bytes read — those
+// of undelivered shards included — and the first error of any stage: a
+// level cut short leaves its output files to the level driver's sweep.
+func (j *Joiner) run(ctx context.Context, job *ShardJob,
+	next func() (ShardMeta, int, bool), deliver func(int, ShardResult)) (int64, error) {
+	pctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	shape := shapeFor(job.Buf, 2) // beside a read window and a write buffer
+	dec := &decodeAhead{
+		job:   job,
+		n:     j.g.N(),
+		out:   make(chan inPiece, shape.depth),  // a piece per buffer in flight
+		free:  make(chan []uint32, shape.depth), // room for every buffer
+		shape: shape,
+		win:   j.win,
+	}
+	wb := newWriteBehind(shape, j.b.Gov, func() *LevelWriter {
+		lw := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
+		lw.bufCap, lw.bw = shape.io, j.bw
+		return lw
+	})
+	// The stages' buffers outlive the run, like the kernel's arena.
+	for _, buf := range j.bufs {
+		if len(buf) == shape.words && dec.made < shape.depth {
+			dec.free <- buf
+			dec.made++
+		}
+	}
+	j.bufs = j.bufs[:0]
+	go dec.run(pctx, cancel, next)
+	go wb.run(pctx, cancel, deliver)
+
+	j.b.Reset()
+	j.mark, j.maximal = 0, 0
+	j.joinAll(pctx, cancel, job, dec, wb)
+	// Whatever the join left unread is released here; what it handed on
+	// is write-behind's to finish or drop.
+	for p := range dec.out {
+		job.Gov.Release(p.blk.Bytes())
+		if p.buf != nil {
+			j.bufs = append(j.bufs, p.buf)
+		}
+	}
+	close(wb.in)
+	<-wb.done
+	for len(dec.free) > 0 {
+		j.bufs = append(j.bufs, <-dec.free)
+	}
+	j.win = dec.win
+	if wb.lw != nil {
+		j.bw = wb.lw.bw
+	}
+	// The writer holds nothing now: what the kernel sealed and did not
+	// hand on can go, and the arena may recycle.
+	j.b.Abandon(j.mark)
+	if pctx.Err() == nil {
+		return dec.read, nil
+	}
+	err := context.Cause(pctx)
+	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		err = fmt.Errorf("ooc: canceled during level %d->%d: %w", job.K, job.K+1, err)
+	}
+	return dec.read, err
+}
+
+// joinAll is the join stage: it runs the kernel over every block
+// decode-ahead hands over and passes the output on a chunk at a time,
+// closing each shard with its end.  It stops at the end of the input or
+// at the first error, which it reports through cancel.
+//
+//repro:ctxloop
+func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, job *ShardJob,
+	dec *decodeAhead, wb *writeBehind) {
+	emit := func(blocks []core.Block) (bool, error) { return wb.write(ctx, blocks) }
+	var st *JoinStats
+	for {
+		var p inPiece
+		var ok bool
+		select {
+		case p, ok = <-dec.out:
+		case <-ctx.Done():
+			return
+		}
+		if !ok {
+			return
+		}
+		if st == nil {
+			st = &JoinStats{}
+		}
+		if p.end {
+			st.BytesRead = p.read
+			if j.flush(st, emit) != nil {
+				return
+			}
+			select {
+			case wb.in <- outPiece{tag: p.tag, end: st}:
+			case <-ctx.Done():
+				return
+			}
+			st = nil
+			continue
+		}
+		err := j.joinBlock(&p.blk, job.K, dec.shape.words, collector(st, job.Collect), st, emit)
+		job.Gov.Release(p.blk.Bytes())
+		select {
+		case dec.free <- p.buf: // never full: it holds at most every buffer there is
+		default:
+		}
+		if err != nil {
+			cancel(err)
+			return
+		}
+	}
+}
+
+// collector is the reporter a join's maximal cliques go to: the shard's
+// emission arena when a reporter listens, nobody otherwise.
+func collector(st *JoinStats, collect bool) clique.Reporter {
+	if collect {
+		return st
+	}
+	return nil
+}
+
+// joinBlock runs the kernel over one block of size-k records, handing the
+// output to emit whenever a chunk of it is sealed or batch words of it
+// are open.
+func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, st *JoinStats,
+	emit func([]core.Block) (bool, error)) error {
+	it, b := &j.it, j.b
+	it.Reset(k, blk)
+	for s := it.Next(); s != nil; s = it.Next() {
+		b.ProcessSubList(s, rep)
+		if b.Mark() > j.mark || b.Open() >= batch {
+			if err := j.flush(st, emit); err != nil {
+				return err
+			}
+		}
+	}
+	return it.Err()
+}
+
+// flush seals what the kernel holds beyond the batches already handed on
+// and hands it to emit, which takes the blocks and their charges in every
+// case and says when the builder may start its next arena generation —
+// when the writer reads no chunk it would recycle.
+func (j *Joiner) flush(st *JoinStats, emit func([]core.Block) (bool, error)) error {
+	b := j.b
+	out := b.Since(j.mark)
+	st.Maximal += b.Maximal - j.maximal
+	j.mark, j.maximal = b.Mark(), b.Maximal
+	reset, err := emit(out)
+	if reset || err != nil {
+		// On an error nothing more is sealed this run: the handed-on
+		// blocks only leave the builder's list.
+		b.Reset()
+		j.mark, j.maximal = 0, 0
+	}
+	return err
+}
+
+// decodeAhead is the first stage: it reads and decodes ahead of the join
+// into at most shape.depth buffers of shape.words words, which the join
+// hands back.
+type decodeAhead struct {
+	job   *ShardJob
+	n     int // vertex universe of the graph
+	out   chan inPiece
+	free  chan []uint32
+	shape pipeShape
+	made  int    // buffers allocated so far
+	win   []byte // the read window, handed from shard to shard
+	read  int64  // encoded bytes read; the join reads it once out is closed
+}
+
+// run decodes the shards next hands out until there are none, the
+// context ends or a shard fails, which it reports through cancel.
+//
+//repro:ctxloop
+func (d *decodeAhead) run(ctx context.Context, cancel context.CancelCauseFunc, next func() (ShardMeta, int, bool)) {
+	defer close(d.out)
+	for ctx.Err() == nil {
+		meta, tag, ok := next()
+		if !ok {
+			return
+		}
+		if err := d.shard(ctx, meta, tag); err != nil {
+			cancel(err)
+			return
+		}
+	}
+}
+
+// shard decodes one shard into blocks, hands them on, and then the end of
+// the shard.
+//
+//repro:ctxloop
+func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err error) {
+	job := d.job
+	r, err := openShard(job.Dir, meta, job.K, d.n, job.Compress, job.Gov, d.shape.io, d.win)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		d.read += r.BytesRead()
+		d.win = r.dec.win
+		err = errors.Join(err, r.Close())
+	}()
+	br := blockReader{r: r}
+	for {
+		var buf []uint32
+		if d.made < d.shape.depth {
+			d.made++
+			buf = make([]uint32, d.shape.words)
+		} else {
+			select {
+			case buf = <-d.free:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		blk, buf, err := br.next(buf)
+		if err != nil {
+			return err
+		}
+		p := inPiece{tag: tag, blk: blk, buf: buf}
+		if len(blk.Words()) == 0 {
+			p = inPiece{tag: tag, end: true, read: r.BytesRead()}
+			select {
+			case d.free <- buf: // the next shard's; there is room for every buffer
+			default:
+			}
+		}
+		job.Gov.Charge(p.blk.Bytes())
+		select {
+		case d.out <- p:
+		case <-ctx.Done():
+			job.Gov.Release(p.blk.Bytes())
+			return ctx.Err()
+		}
+		if p.end {
+			return nil
+		}
+	}
+}
+
+// writeBehind is the third stage: it encodes batches of sealed blocks
+// into shard files through a LevelWriter, restarted for every shard,
+// releases the blocks' charge on gov, and delivers each shard's result
+// once its files are closed.  slots bounds the batches it holds — twice a
+// generation's, or one at depth one: the join takes a slot as it hands a
+// batch over, the writer frees one per batch done.
+type writeBehind struct {
+	in    chan outPiece
+	slots chan struct{}
+	gen   int // batches to a generation
+	n     int // batches of the current one handed over
+	done  chan struct{}
+	gov   *membudget.Governor
+	open  func() *LevelWriter
+	lw    *LevelWriter // the run's, once opened; read after done
+}
+
+func newWriteBehind(s pipeShape, gov *membudget.Governor, open func() *LevelWriter) *writeBehind {
+	slots := 2 * s.gen
+	if s.depth == 1 {
+		slots = 1
+	}
+	return &writeBehind{
+		in:    make(chan outPiece, slots+1), // the batches in flight and a shard's end
+		slots: make(chan struct{}, slots),
+		gen:   s.gen,
+		done:  make(chan struct{}),
+		gov:   gov,
+		open:  open,
+	}
+}
+
+// write hands blocks to the writer, which owns them and their charges
+// from here on whatever happens.  With the last batch of a generation it
+// waits until the writer holds no batch of the generation before and
+// reports reset: the caller may now Reset the builder the blocks were
+// sealed in, as no chunk that recycles is read any more.
+func (w *writeBehind) write(ctx context.Context, blocks []core.Block) (reset bool, err error) {
+	select {
+	case w.slots <- struct{}{}:
+	case <-ctx.Done():
+		release(w.gov, blocks)
+		return false, ctx.Err()
+	}
+	select {
+	case w.in <- outPiece{blocks: blocks}:
+	case <-ctx.Done():
+		release(w.gov, blocks)
+		return false, ctx.Err()
+	}
+	if w.n++; w.n < w.gen {
+		return false, nil
+	}
+	w.n = 0
+	// Holding a generation's worth of slots at once means the writer is
+	// done with every batch before this generation's.
+	for i := 0; i < w.gen; i++ {
+		select {
+		case w.slots <- struct{}{}:
+		case <-ctx.Done():
+			return false, ctx.Err()
+		}
+	}
+	for i := 0; i < w.gen; i++ {
+		<-w.slots
+	}
+	return true, nil
+}
+
+// run writes what the join hands over until it closes in.  After the
+// first error — its own, reported through cancel, or anyone's — it only
+// releases what arrives, so the join never blocks on it.
+//
+//repro:ctxloop
+func (w *writeBehind) run(ctx context.Context, cancel context.CancelCauseFunc, deliver func(int, ShardResult)) {
+	defer close(w.done)
+	for p := range w.in {
+		var err error
+		switch {
+		case ctx.Err() != nil:
+		case p.end == nil:
+			if w.lw == nil {
+				w.lw = w.open()
+			}
+			err = w.lw.writeBlocks(p.blocks)
+		default:
+			var out []ShardMeta
+			if w.lw != nil {
+				out, err = w.lw.Finish()
+				w.lw.restart()
+			}
+			if err == nil {
+				deliver(p.tag, ShardResult{JoinStats: *p.end, Out: out})
+			}
+		}
+		if p.end == nil {
+			release(w.gov, p.blocks)
+			<-w.slots
+		}
+		if err != nil {
+			cancel(err)
+		}
+	}
+	if w.lw != nil {
+		if err := w.lw.Abort(); err != nil {
+			cancel(err)
+		}
+	}
+}
+
+// release gives up the charge of blocks nobody will read again.
+func release(gov *membudget.Governor, blocks []core.Block) {
+	for i := range blocks {
+		gov.Release(blocks[i].Bytes())
+	}
+}
+
+// writeFed writes a level fed as sealed blocks through a write-behind
+// stage into the shard files open names, and returns its shard list.
+// feed's write takes the blocks and their charges on gov whatever happens
+// and returns once the writer is done with every batch before them, so
+// the feeder may Reset the builder it sealed them in.  The writer's buffer
+// and its queue share the headroom the level starts with.
+func writeFed(ctx context.Context, gov *membudget.Governor,
+	feed func(write func([]core.Block) error) error, open func(buf int64) *LevelWriter) ([]ShardMeta, error) {
+	pctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	shape := shapeFor(bufShare(gov, 2), 1) // a write buffer and the output queue
+	shape.gen = 1                          // the feeder may Reset after every write
+	wb := newWriteBehind(shape, gov, func() *LevelWriter { return open(shape.io) })
+	var shards []ShardMeta
+	go wb.run(pctx, cancel, func(_ int, res ShardResult) { shards = res.Out })
+	ferr := feed(func(blocks []core.Block) error {
+		_, err := wb.write(pctx, blocks)
+		return err
+	})
+	if ferr != nil {
+		cancel(ferr)
+	} else {
+		select {
+		case wb.in <- outPiece{end: &JoinStats{}}:
+		case <-pctx.Done():
+		}
+	}
+	close(wb.in)
+	<-wb.done
+	if pctx.Err() == nil {
+		return shards, nil
+	}
+	// The feeder's own error says more than the cancellation it caused,
+	// or saw; a writer that failed first is the cause itself.
+	err := context.Cause(pctx)
+	if ferr != nil && errors.Is(ferr, err) {
+		err = ferr
+	}
+	return nil, err
+}

@@ -2,8 +2,6 @@ package ooc
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/graph"
@@ -11,7 +9,7 @@ import (
 )
 
 // pool is the in-process ShardRunner: persistent worker goroutines fed
-// by a sched.Dispatcher, each reading its next shard ahead of the join.
+// by a sched.Dispatcher, each joining its shards through the pipeline.
 // The workers start with the first level and stop with close.
 type pool struct {
 	g       graph.Interface
@@ -125,128 +123,41 @@ func (w *poolWorker) loop() {
 	}
 }
 
-// runJob drains the dispatcher with one shard of read-ahead: the worker
-// flattens its leased chunks into a local queue and, before joining a
-// shard, starts a background read of the next queued shard's file — the
-// double buffer that overlaps the level's I/O with the CPU-bound join.
-// The delivery order is unchanged (the queue preserves lease order and
-// the level loop still releases in shard order), so the clique stream is
-// byte-identical with read-ahead on or off.  Every exit path drains the
-// in-flight read first: its goroutine and its governor-charged buffer
-// must not outlive the level.
-//
-//repro:ctxloop
+// runJob joins the worker's share of the level through the three-stage
+// pipeline (pipeline.go): its decode-ahead stage leases shards from the
+// dispatcher as it needs them, so the next shard's file is read and
+// decoded while this one is joined, and its write-behind stage delivers
+// each shard once the shard's output files are closed.  The delivery
+// order is unchanged (the level loop still releases in shard order), so
+// the clique stream is byte-identical at any depth of the queues.
 func (w *poolWorker) runJob(job *levelJob) {
-	opts := &w.p.opts
-	shards := job.lv.Shards
+	opts, lv := &w.p.opts, job.lv
 	var queue []int
-	var next *prefetched
-	defer func() {
-		if next != nil {
-			next.await()
-			opts.Gov.Release(shards[next.si].Bytes)
-		}
-	}()
-	for {
-		if job.ctx.Err() != nil {
-			return
-		}
+	next := func() (ShardMeta, int, bool) {
 		if len(queue) == 0 {
 			chunk, ok := job.disp.Next(w.id)
 			if !ok {
-				return
+				return ShardMeta{}, 0, false
 			}
-			queue = append(queue, chunk.Items...)
+			queue = chunk.Items
 		}
 		si := queue[0]
 		queue = queue[1:]
-		var data []byte
-		if next != nil && next.si == si {
-			d, err := next.await()
-			next = nil
-			if err != nil {
-				opts.Gov.Release(shards[si].Bytes)
-				if job.ctx.Err() != nil {
-					return // level canceled; the level loop reports it
-				}
-				job.fail(err)
-				return
-			}
-			data = d
-		}
-		// Lease ahead so the successor's read overlaps this shard's
-		// join; the dispatcher stays the single source of assignment.
-		if len(queue) == 0 {
-			if chunk, ok := job.disp.Next(w.id); ok {
-				queue = append(queue, chunk.Items...)
-			}
-		}
-		if next == nil && len(queue) > 0 {
-			next = w.startPrefetch(job, queue[0])
-		}
-		res, err := w.join.Join(job.ctx, &ShardJob{
-			Dir:      opts.Dir,
-			K:        job.lv.K,
-			In:       shards[si],
-			Data:     data,
-			Compress: opts.Compress,
-			Target:   job.lv.Target,
-			Collect:  job.lv.Collect,
-			Gov:      opts.Gov,
-			Buf:      job.lv.Buf,
-			NewShard: job.lv.NextShard,
-			OnWrite:  job.lv.Wrote,
-		})
-		job.lv.Read(res.BytesRead)
-		if data != nil {
-			opts.Gov.Release(shards[si].Bytes)
-		}
-		if err != nil {
-			job.fail(err)
-			return
-		}
-		job.deliver(si, res)
+		return lv.Shards[si], si, true
 	}
-}
-
-// prefetched is one shard's encoded file, read ahead of its join by a
-// background goroutine.  await joins that goroutine; the shard's
-// meta.Bytes stay charged to the governor from startPrefetch until the
-// consumer (or the job's abandon path) releases them.
-type prefetched struct {
-	si   int
-	data []byte
-	err  error
-	done chan struct{}
-}
-
-func (p *prefetched) await() ([]byte, error) {
-	<-p.done
-	return p.data, p.err
-}
-
-// startPrefetch charges the shard's encoded size to the governor and
-// begins reading its file in the background — unless the file is more
-// than a buffer may take under the run's budget: then it returns nil and
-// the join streams the shard through a window when its turn comes.
-func (w *poolWorker) startPrefetch(job *levelJob, si int) *prefetched {
-	meta := job.lv.Shards[si]
-	if job.lv.Buf > 0 && meta.Bytes > job.lv.Buf {
-		return nil
+	read, err := w.join.run(job.ctx, &ShardJob{
+		Dir:      opts.Dir,
+		K:        lv.K,
+		Compress: opts.Compress,
+		Target:   lv.Target,
+		Collect:  lv.Collect,
+		Gov:      opts.Gov,
+		Buf:      lv.Buf,
+		NewShard: lv.NextShard,
+		OnWrite:  lv.Wrote,
+	}, next, job.deliver)
+	lv.Read(read)
+	if err != nil {
+		job.fail(err)
 	}
-	w.p.opts.Gov.Charge(meta.Bytes)
-	p := &prefetched{si: si, done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		if err := job.ctx.Err(); err != nil {
-			p.err = err
-			return
-		}
-		data, err := os.ReadFile(filepath.Join(w.p.opts.Dir, meta.Path))
-		if err == nil && int64(len(data)) != meta.Bytes {
-			err = corrupt("%s: size %d, manifest expects %d", meta.Path, len(data), meta.Bytes)
-		}
-		p.data, p.err = data, err
-	}()
-	return p
 }

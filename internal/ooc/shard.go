@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/membudget"
 )
 
@@ -59,13 +60,13 @@ func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	return
 }
 
-// LevelWriter writes one level's sorted record stream, a prefix run at a
-// time, splitting it into run-aligned shard files of roughly target
-// encoded bytes.  newShard names each file; onWrite observes the
-// encoded/raw byte increment of every run as it is handed to the file —
-// the accounting hook that keeps Stats.BytesWritten truthful even when
-// the level aborts mid-shard — and may return an error (the spill-budget
-// abort) to stop the writer.
+// LevelWriter writes one level's sorted record stream, a prefix run or a
+// batch of blocks at a time, splitting it into run-aligned shard files of
+// roughly target encoded bytes.  newShard names each file; onWrite
+// observes the encoded/raw byte increment of every call as it is handed
+// to the file — the accounting hook that keeps Stats.BytesWritten
+// truthful even when the level aborts mid-shard — and may return an error
+// (the spill-budget abort) to stop the writer.
 type LevelWriter struct {
 	dir      string
 	k        int
@@ -81,6 +82,9 @@ type LevelWriter struct {
 	bw      *bufio.Writer
 	bufSize int64 // governor charge of the open shard's buffer
 	cur     ShardMeta
+	pendEnc int64     // encoded bytes handed to files, not yet reported to onWrite
+	pendRaw int64     // their fixed-width equivalent
+	it      core.Iter // writeBlocks' record decoder
 }
 
 func NewLevelWriter(dir string, k int, compress bool, target int64,
@@ -107,10 +111,38 @@ func NewLevelWriter(dir string, k int, compress bool, target int64,
 // comparison with the previous run, the shard-split decision — happens
 // once per call, and the run reaches the file and onWrite as one write.
 func (w *LevelWriter) WriteRun(prefix, tails []uint32) error {
+	return errors.Join(w.put(prefix, tails, 0), w.report())
+}
+
+// writeBlocks appends the records of blocks — sealed blocks of the level,
+// in order, each record one run — and reports their bytes to onWrite
+// once: the write-behind stage's unit.
+func (w *LevelWriter) writeBlocks(blocks []core.Block) error {
+	for i := range blocks {
+		it := &w.it
+		it.Reset(w.k, &blocks[i])
+		for s := it.Next(); s != nil; s = it.Next() {
+			if err := w.put(s.Prefix, s.Tails, s.LCP); err != nil {
+				return errors.Join(err, w.report())
+			}
+		}
+		if err := it.Err(); err != nil {
+			return errors.Join(err, w.report())
+		}
+	}
+	return w.report()
+}
+
+// put encodes one run into the open shard, opening (or first closing and
+// opening) one where the run starts a new shard, and counts its bytes as
+// pending for onWrite.  known leading vertices of prefix are those of the
+// run put last (a block record's lcp: the record before it in the block
+// is that run).
+func (w *LevelWriter) put(prefix, tails []uint32, known int) error {
 	if len(tails) == 0 {
 		return nil
 	}
-	shared, same := w.enc.shared(prefix)
+	shared, same := w.enc.shared(prefix, known)
 	if !same {
 		if w.f != nil && w.cur.Bytes >= w.target {
 			if err := w.closeShard(); err != nil {
@@ -133,7 +165,19 @@ func (w *LevelWriter) WriteRun(prefix, tails []uint32) error {
 	w.cur.Bytes += int64(len(buf))
 	w.cur.RawBytes += raw
 	w.cur.Records += int64(len(tails))
-	return w.onWrite(int64(len(buf)), raw)
+	w.pendEnc += int64(len(buf))
+	w.pendRaw += raw
+	return nil
+}
+
+// report hands the pending byte counts to onWrite.
+func (w *LevelWriter) report() error {
+	if w.pendEnc == 0 {
+		return nil
+	}
+	enc, raw := w.pendEnc, w.pendRaw
+	w.pendEnc, w.pendRaw = 0, 0
+	return w.onWrite(enc, raw)
 }
 
 // Write appends one record: a one-tail WriteRun, which continues the
@@ -153,7 +197,11 @@ func (w *LevelWriter) openShard() error {
 	}
 	w.f = f
 	sz := bufSize(w.target, w.bufCap)
-	w.bw = bufio.NewWriterSize(f, sz)
+	if w.bw != nil && w.bw.Size() == sz {
+		w.bw.Reset(f) // the buffer of the shard before
+	} else {
+		w.bw = bufio.NewWriterSize(f, sz)
+	}
 	w.bufSize = int64(sz)
 	w.gov.Charge(w.bufSize)
 	w.cur = ShardMeta{Path: name}
@@ -162,7 +210,8 @@ func (w *LevelWriter) openShard() error {
 		return fmt.Errorf("ooc: write shard header: %w", err)
 	}
 	w.cur.Bytes += int64(len(hdr))
-	return w.onWrite(int64(len(hdr)), 0)
+	w.pendEnc += int64(len(hdr))
+	return nil
 }
 
 func (w *LevelWriter) closeShard() error {
@@ -179,7 +228,7 @@ func (w *LevelWriter) closeShard() error {
 		return fmt.Errorf("ooc: close shard %s: %w", w.cur.Path, err)
 	}
 	w.shards = append(w.shards, w.cur)
-	w.f, w.bw = nil, nil
+	w.f = nil
 	return nil
 }
 
@@ -210,8 +259,16 @@ func (w *LevelWriter) Abort() error {
 	}
 	w.gov.Release(w.bufSize)
 	w.bufSize = 0
-	w.f, w.bw = nil, nil
+	w.f = nil
 	return errors.Join(errs...)
+}
+
+// restart readies a finished writer for another stretch of the level —
+// the next input shard's output — which starts files of its own, keeping
+// its buffers.
+func (w *LevelWriter) restart() {
+	w.shards, w.cur = nil, ShardMeta{}
+	w.enc.started = false
 }
 
 func shardHeader(k int, compress bool) []byte {
@@ -240,18 +297,23 @@ type ShardReader struct {
 // OpenShard opens a shard file for decoding through a window of the
 // shard's size, at most 1 MiB, charged to gov until Close.
 func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*ShardReader, error) {
-	return openShard(dir, meta, k, n, compress, gov, 0)
+	return openShard(dir, meta, k, n, compress, gov, 0, nil)
 }
 
 // openShard is OpenShard with the window capped at bufCap bytes (0 =
-// uncapped).
-func openShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor, bufCap int64) (*ShardReader, error) {
+// uncapped), in win when that is large enough: decode-ahead hands each
+// shard's window on to the next.
+func openShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor,
+	bufCap int64, win []byte) (*ShardReader, error) {
 	f, err := os.Open(filepath.Join(dir, meta.Path))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: open shard: %w", err)
 	}
 	sz := bufSize(meta.Bytes, bufCap)
-	r, err := newShardReader(make([]byte, 0, sz), f, meta, k, n, compress)
+	if cap(win) < sz {
+		win = make([]byte, 0, sz)
+	}
+	r, err := newShardReader(win[:0:sz], f, meta, k, n, compress)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -263,10 +325,9 @@ func openShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudg
 }
 
 // OpenShardBytes reads a shard from an in-memory copy of its encoded
-// file — the read-ahead path, where a prefetch goroutine has already
-// pulled the bytes off disk.  The data is decoded in place: the caller
-// owns it (and its governor charge) and keeps it unchanged until Close,
-// which closes no file and releases nothing.
+// file.  The data is decoded in place: the caller owns it (and any
+// governor charge for it) and keeps it unchanged until Close, which
+// closes no file and releases nothing.
 func OpenShardBytes(data []byte, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
 	return newShardReader(data, nil, meta, k, n, compress)
 }
@@ -331,6 +392,40 @@ func (r *ShardReader) NextRun() (prefix, tails []uint32, err error) {
 	return d.rec[:d.k-1], d.tails, nil
 }
 
+// blockReader packs a shard's prefix runs into blocks of the in-core
+// level's record shape (core.Packer): the decode-ahead stage's reader.
+type blockReader struct {
+	r       *ShardReader
+	p       core.Packer
+	pending bool // the run NextRun returned last did not fit the block before
+}
+
+// next packs the shard's next runs into a block in buf, as many as fit
+// its capacity, and returns it with the buffer it lives in (a larger one
+// when a single run needed it).  An empty block is the end of the shard.
+func (b *blockReader) next(buf []uint32) (core.Block, []uint32, error) {
+	r, d := b.r, b.r.dec
+	b.p.Reset(d.k, buf)
+	if b.pending {
+		b.p.Add(d.rec[:d.k-1], 0, d.tails)
+		b.pending = false
+	}
+	for {
+		prefix, tails, err := r.NextRun()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return core.Block{}, b.p.Buf(), err
+		}
+		if !b.p.Add(prefix, d.shared, tails) {
+			b.pending = true
+			break
+		}
+	}
+	return b.p.Block(), b.p.Buf(), nil
+}
+
 // Next reads one record into rec (len k): a cursor over NextRun's runs.
 func (r *ShardReader) Next(rec []uint32) error {
 	d := r.dec
@@ -367,11 +462,10 @@ func (r *ShardReader) Close() error {
 // any level (k < 256, at most 5 bytes a field).
 const minBuf = 4 << 10
 
-// bufSize right-sizes a shard's I/O buffer: shard-sized when small (the
-// common case once a level splits into many shards — a fixed 1 MiB
-// buffer per shard would churn hundreds of times the level's bytes in
-// allocations), capped at 1 MiB for big shards and, under a memory
-// budget, at the share of its headroom bufShare worked out.
+// bufSize right-sizes a shard's I/O buffer: shard-sized when small, so a
+// small shard does not churn a fixed buffer's worth of allocation,
+// capped at 1 MiB for big shards and, under a memory budget, at the share
+// of its headroom bufShare worked out.
 func bufSize(hint, bufCap int64) int {
 	const max = 1 << 20
 	if hint > max {
@@ -386,17 +480,19 @@ func bufSize(hint, bufCap int64) int {
 	return int(hint)
 }
 
-// bufShare is the most one shard I/O buffer may take when `buffers` of
-// them can be open at once: an equal share of the headroom gov's budget
-// has left right now, but never less than minBuf — a spilled run is on
-// disk because memory ran out, so its buffers take what is free, not
-// what the level's size suggests.  0 (uncapped) without a budget.  It is
-// read where nothing of the step is in flight yet — before a level's
-// first join, before a fed level's first write — so the buffers it caps
-// fit the budget together whenever their minimum does.
+// bufShare is the most one of `buffers` buffers open at once may take:
+// an equal share of the headroom gov's budget has left right now — a
+// spilled run is on disk because memory ran out, so its buffers take what
+// is free, not what the level's size suggests — and at least 1 byte, so
+// that a budget always caps.  0 (uncapped) without a budget.  It is read
+// where nothing of the step is in flight yet — before a level's first
+// join, before a fed level's first write — so the buffers it caps fit the
+// budget together whenever their minimum does: an I/O buffer takes no
+// less than minBuf (bufSize), the block queues whatever those floors
+// leave of their shares (shapeFor).
 func bufShare(gov *membudget.Governor, buffers int) int64 {
 	if gov.Budget() <= 0 {
 		return 0
 	}
-	return max((gov.Budget()-gov.Used())/int64(buffers), minBuf)
+	return max((gov.Budget()-gov.Used())/int64(buffers), 1)
 }

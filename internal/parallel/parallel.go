@@ -267,6 +267,24 @@ func (p *Pool) hold(n int64) {
 	p.held = n
 }
 
+// dispatcher hands the level's blocks out by the pool's strategy, each
+// block's load read off its header, in chunks of the sched grain.
+func (p *Pool) dispatcher(lvl *core.Level, homes []int32) *sched.Dispatcher {
+	w, items := len(p.workers), len(lvl.Sub)
+	if cap(p.loads) < items {
+		p.loads = make([]int64, items)
+	}
+	loads := p.loads[:items]
+	for i := range lvl.Sub {
+		loads[i] = lvl.Sub[i].Load(p.words)
+	}
+	grain := sched.ChunkGrain(loads, w, sched.DefaultChunksPerWorker)
+	if p.opts.Strategy == Affinity {
+		return sched.NewAffinityDispatcher(loads, homes, w, p.opts.Policy, grain)
+	}
+	return sched.NewContiguousDispatcher(loads, w, grain)
+}
+
 // RunLevel drives one level through the pool: it hands every worker the
 // level job, then sleeps until the level barrier.  Result merging is
 // decentralized — workers deposit block results straight into the shared
@@ -288,23 +306,12 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		WorkerBusy: make([]float64, w),
 		WorkerCost: make([]int64, w),
 	}
-	if cap(p.loads) < items {
-		p.loads = make([]int64, items)
-	}
-	loads := p.loads[:items]
-	words := 0
-	for i := range lvl.Sub {
-		loads[i] = lvl.Sub[i].Load(p.words)
-		words += len(lvl.Sub[i].Words())
-	}
+	disp := p.dispatcher(lvl, homes)
 	consumed := int64(items) * (listBytes + runBytes)
 	p.hold(consumed)
-	grain := sched.ChunkGrain(loads, w, sched.DefaultChunksPerWorker)
-	var disp *sched.Dispatcher
-	if p.opts.Strategy == Affinity {
-		disp = sched.NewAffinityDispatcher(loads, homes, w, p.opts.Policy, grain)
-	} else {
-		disp = sched.NewContiguousDispatcher(loads, w, grain)
+	words := 0
+	for i := range lvl.Sub {
+		words += len(lvl.Sub[i].Words())
 	}
 
 	// Neighbouring output blocks of one worker are coalesced up to about

@@ -110,7 +110,7 @@ func TestRequestPath(t *testing.T) {
 	small := testGraphBytes(t, 42, 60, 0.15)
 	big := testGraphBytes(t, 9, 120, 0.25)   // streams long enough to hang up on
 	dense := testGraphBytes(t, 1, 150, 0.9)  // an exact search that outlives any test
-	denser := testGraphBytes(t, 1, 120, 0.8) // ~0.1 s a seed search: extraction observes a hang-up between seeds
+	denser := testGraphBytes(t, 1, 120, 0.8) // ~0.1 s a seed search
 	smallText, bigText := expectedText(t, small, 3, 0), expectedText(t, big, 3, 0)
 	const (
 		jsonCT   = "application/json"
@@ -145,10 +145,11 @@ func TestRequestPath(t *testing.T) {
 		path    string // below /graphs/<fp>/ ("!" + path: below an unknown fingerprint)
 		warm    bool   // issue the query once before the recorded one
 		prepare func(*testing.T, *service.Server) (undo func())
-		partial int    // read this many bytes of the live stream, then hang up
-		hangUp  bool   // hang up while the query runs, before any byte
-		want    reply  // body "" with bodyFNV set: the body's FNV-64a
-		bodyFNV uint64 // for a body too long to spell
+		partial int           // read this many bytes of the live stream, then hang up
+		hangUp  bool          // hang up while the query runs, before any byte
+		within  time.Duration // after the hang-up, the lease and the governor are back this soon
+		want    reply         // body "" with bodyFNV set: the body's FNV-64a
+		bodyFNV uint64        // for a body too long to spell
 	}{
 		{name: "cliques/miss", upload: small, path: "cliques?format=text",
 			want: reply{200, "miss", "67109344", "", textCT, smallText}},
@@ -198,6 +199,11 @@ func TestRequestPath(t *testing.T) {
 		{name: "paracliques/unknown-graph", upload: small, path: "!paracliques",
 			want: reply{404, "", "", "", jsonCT, noGraph}},
 		{name: "paracliques/disconnect", upload: denser, path: "paracliques", hangUp: true},
+		// The hang-up lands inside the first seed's exact search, which
+		// alone would run for longer than any test: the search itself
+		// stops.
+		{name: "paracliques/disconnect-mid-search", upload: dense, path: "paracliques", hangUp: true,
+			within: 100 * time.Millisecond},
 		// Extraction never polls its governor: the smallest budget changes nothing.
 		{name: "paracliques/budget-trip", upload: small, path: "paracliques?lo=4&glom=0.9&mem=1",
 			want: reply{200, "miss", "", "", jsonCT, paracliques}},
@@ -218,6 +224,7 @@ func TestRequestPath(t *testing.T) {
 			}
 			http.DefaultClient.CloseIdleConnections()
 			check := testgraph.NoLeaks(t, srv.Governor()) // entry value: the pinned graph
+			baseline := srv.Governor().Used()
 			undo := func() {}
 			if c.prepare != nil {
 				undo = c.prepare(t, srv)
@@ -232,18 +239,22 @@ func TestRequestPath(t *testing.T) {
 			http.DefaultClient.CloseIdleConnections()
 			// A handler outlives the client that hung up on it; wait for it
 			// to return everything, then look for what it left behind.
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			settle := 10 * time.Second
+			if c.within > 0 {
+				settle = c.within
+			}
+			for deadline := time.Now().Add(settle); ; time.Sleep(time.Millisecond) {
 				snap := srv.Snapshot()
 				info, _ := srv.Registry().Info(fp)
-				if snap.Active == 0 && snap.Queued == 0 && info.ActiveQueries == 0 {
+				if snap.Active == 0 && snap.Queued == 0 && info.ActiveQueries == 0 && srv.Governor().Used() == baseline {
 					if snap.ResidualBytes != 0 {
 						t.Errorf("%d residual bytes", snap.ResidualBytes)
 					}
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("left behind: %d active, %d queued, %d graph references",
-						snap.Active, snap.Queued, info.ActiveQueries)
+					t.Fatalf("%v after the query ended, left behind: %d active, %d queued, %d graph references, governor at %d (baseline %d)",
+						settle, snap.Active, snap.Queued, info.ActiveQueries, srv.Governor().Used(), baseline)
 				}
 			}
 			check()
