@@ -36,12 +36,14 @@ fmt-fix:
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariant suite (internal/analysis via cmd/repolint):
-# memory-budget pairing, cancellation observation, hot-path allocation,
-# cleanup-error propagation, graph freeze/row lifecycle.  Tests are
-# analyzed too; exits nonzero on any finding.  One driver: the standalone
-# loader TestRepoIsClean (inside `go test ./...`) and every analyzer's
-# testkit corpus also run on, facts in process (DESIGN.md §10).
+# The repo's own invariant suite (internal/analysis via cmd/repolint),
+# seven analyzers: budgetpair (memory-budget pairing), cleanuperr
+# (cleanup-error propagation), ctxloop (cancellation observation),
+# frozengraph (row lifecycle), goroleak (goroutine joins), hotalloc
+# (hot-path allocation), sendctx (no bare channel op in a ctxloop).
+# Tests are analyzed too; exits nonzero on any finding.  One driver: the
+# standalone loader TestRepoIsClean (inside `go test ./...`) and every
+# analyzer's testkit corpus also run on (DESIGN.md §10).
 lint:
 	$(GO) run ./cmd/repolint ./...
 
@@ -60,18 +62,22 @@ test:
 test-cpu:
 	$(GO) test -cpu 1,2,4 ./internal/ooc ./internal/hybrid ./internal/dist
 
-# Ten seconds of coverage-guided fuzzing each of the four fuzz targets:
+# Ten seconds of coverage-guided fuzzing each of the six fuzz targets:
 # the shard decoder — the one parser that reads bytes a crash, a full
 # disk or another process may have left behind: an error or a valid
 # record stream, never a panic, and the same records whether read one at
 # a time or packed into level blocks — the in-memory level block, the
 # same record shape in whole words; the graph reader, which cliqued feeds
-# straight from a request body; and the fused bitset kernels against
-# their bit-at-a-time references.
+# straight from a request body; the expression-matrix reader, finite
+# values only; the dist frame decoder, which reads what a worker or the
+# coordinator sent; and the fused bitset kernels against their
+# bit-at-a-time references.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
 	$(GO) test -fuzz=FuzzLevelBlock -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=10s .
+	$(GO) test -fuzz=FuzzReadExpressionTSV -fuzztime=10s .
+	$(GO) test -fuzz=FuzzReadMsg -fuzztime=10s ./internal/dist
 	$(GO) test -fuzz=FuzzFusedKernels -fuzztime=10s ./internal/bitset
 
 # The race detector over every package, not a hand-picked list: about

@@ -1,7 +1,7 @@
 // Command repolint runs the repo's custom static-analysis suite (see
 // internal/analysis): the mechanical enforcement of the memory-budget,
-// cancellation, hot-path, cleanup-error and graph-lifecycle invariants
-// the enumeration engine depends on.
+// cancellation, hot-path, cleanup-error, goroutine-join and row-lifecycle
+// invariants the enumeration engine depends on.
 //
 //	repolint [-tests] [-list] [-audit] [patterns...]   # default pattern ./...
 //

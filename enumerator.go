@@ -590,7 +590,7 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 	if g, err = e.prepareGraph(g); err != nil {
 		return nil, err
 	}
-	if glom <= 0 || glom > 1 {
+	if !(glom > 0 && glom <= 1) {
 		return nil, fmt.Errorf("repro: glom %v out of (0,1]", glom)
 	}
 	// The run is opened and closed like Run's: extraction is its own

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -284,6 +285,15 @@ func TestConfigErrors(t *testing.T) {
 				// Must yield exactly one (nil, err) pair; reaching a
 				// clique would be a bug on a config this broken.
 				break
+			}
+		})
+	}
+	// Paracliques takes its glom factor as an argument; (0,1] is the
+	// only range, and NaN is outside it.
+	for _, glom := range []float64{0, -0.5, 1.5, math.NaN()} {
+		t.Run(fmt.Sprintf("paracliques-glom-%v", glom), func(t *testing.T) {
+			if _, err := repro.NewEnumerator().Paracliques(context.Background(), g, glom); err == nil {
+				t.Fatal("want configuration error, got nil")
 			}
 		})
 	}

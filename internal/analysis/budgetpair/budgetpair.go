@@ -6,15 +6,16 @@
 // ownership must demonstrably transfer to a type that releases/closes
 // it later.  This is the PR 5 invariant ("one budget, one meaning of
 // memory"), extended in the service PR to the reservation sub-budget
-// API multi-tenant admission is built on, and in the dist PR to the
-// shard-lease table: a lease taken with LeaseTable.Acquire must be
-// settled on every path — Complete (result landed), Release (worker
-// died), or Expire (deadline sweep); runtime leak checks can only
+// API multi-tenant admission is built on; runtime leak checks can only
 // sample these disciplines, the analyzer enforces them on every return
 // path mechanically.
 //
-// The check is intraprocedural with two ownership-escape rules that
-// encode the repo's legitimate cross-function patterns:
+// The check is intraprocedural.  A call to a same-package helper that
+// releases its Governor parameter (or closes its Reservation
+// parameter) counts as a release; a helper in another package is
+// opaque, so a charge settled only through one is a finding.  Two
+// ownership-escape rules encode the repo's legitimate cross-function
+// patterns:
 //
 //   - receiver escape: an acquire through a field of some named type T
 //     (e.g. w.gov.Charge(n) inside a *levelWriter method) is owned by T
@@ -51,19 +52,6 @@ import (
 	"repro/internal/analysis/lintkit"
 )
 
-// ReleasesParamFact marks a function that calls Governor.Release on the
-// Governor passed as parameter Param: a call to it counts as a release
-// of unknown quantity in the caller's pairing check.
-type ReleasesParamFact struct{ Param int }
-
-func (*ReleasesParamFact) AFact() {}
-
-// ClosesParamFact marks a function that calls Reservation.Close on the
-// Reservation passed as parameter Param.
-type ClosesParamFact struct{ Param int }
-
-func (*ClosesParamFact) AFact() {}
-
 // Analyzer is the budgetpair check.
 var Analyzer = &lintkit.Analyzer{
 	Name: "budgetpair",
@@ -72,58 +60,38 @@ var Analyzer = &lintkit.Analyzer{
 	Run: run,
 }
 
-// relMethod is one method that settles an acquisition.
-type relMethod struct {
-	name string
-	args int
-}
-
-// pairSpec is one acquire/release discipline the analyzer enforces.  A
-// spec may accept several settling methods on the release type: the
-// dist lease table's Acquire is settled by Complete (result landed),
-// Release (worker died), or Expire (deadline sweep) alike.
+// pairSpec is one acquire/release discipline the analyzer enforces.
 type pairSpec struct {
 	acquireType string // named receiver type of the acquire method
 	acquireName string
 	acquireArgs int
-	releaseType string // named receiver type of the settling methods
-	rels        []relMethod
+	releaseType string // named receiver type of the release method
+	releaseName string
+	releaseArgs int
 	quantity    bool // apply the same-amount check (Charge/Release only)
 	errExempt   bool // acquire also returns an error; err-check returns owe nothing
-	okExempt    bool // acquire also returns a bool; `if !ok` returns owe nothing
 	what        string
-	fix         string
 }
 
 var specs = []pairSpec{
 	{
 		acquireType: "Governor", acquireName: "Charge", acquireArgs: 1,
-		releaseType: "Governor", rels: []relMethod{{"Release", 1}},
+		releaseType: "Governor", releaseName: "Release", releaseArgs: 1,
 		quantity: true,
-		what:     "the governor charge", fix: "Release",
+		what:     "the governor charge",
 	},
 	{
 		acquireType: "Governor", acquireName: "Reserve", acquireArgs: 1,
-		releaseType: "Reservation", rels: []relMethod{{"Close", 0}},
+		releaseType: "Reservation", releaseName: "Close", releaseArgs: 0,
 		errExempt: true,
-		what:      "the reservation", fix: "Close",
-	},
-	{
-		acquireType: "LeaseTable", acquireName: "Acquire", acquireArgs: 2,
-		releaseType: "LeaseTable", rels: []relMethod{{"Complete", 2}, {"Release", 3}, {"Expire", 1}},
-		okExempt: true,
-		what:     "the shard lease", fix: "Complete/Release",
+		what:      "the reservation",
 	},
 }
 
-// releaseCall reports whether call is any of spec's settling methods.
-func releaseCall(info *types.Info, call *ast.CallExpr, spec pairSpec) bool {
-	for _, r := range spec.rels {
-		if _, ok := methodCall(info, call, spec.releaseType, r.name, r.args); ok {
-			return true
-		}
-	}
-	return false
+// releaseCall reports whether call is spec's release method, returning
+// its receiver.
+func releaseCall(info *types.Info, call *ast.CallExpr, spec pairSpec) (recv ast.Expr, ok bool) {
+	return methodCall(info, call, spec.releaseType, spec.releaseName, spec.releaseArgs)
 }
 
 // methodCall reports whether call is method `name` with nargs arguments
@@ -191,35 +159,9 @@ type release struct {
 }
 
 func run(pass *lintkit.Pass) error {
-	relHelpers, closeHelpers := settlerHelpers(pass)
+	locals := lintkit.LocalFuncs(pass.Files, pass.TypesInfo)
 	for _, spec := range specs {
-		// settlesVia resolves a callee to the parameter index it settles
-		// for this spec, through the local pre-pass or an imported fact.
-		var settlesVia func(*types.Func) (int, bool)
-		switch spec.acquireName {
-		case "Charge":
-			settlesVia = func(fn *types.Func) (int, bool) {
-				if i, ok := relHelpers[fn]; ok {
-					return i, true
-				}
-				var f ReleasesParamFact
-				if pass.ImportObjectFact(fn, &f) {
-					return f.Param, true
-				}
-				return 0, false
-			}
-		case "Reserve":
-			settlesVia = func(fn *types.Func) (int, bool) {
-				if i, ok := closeHelpers[fn]; ok {
-					return i, true
-				}
-				var f ClosesParamFact
-				if pass.ImportObjectFact(fn, &f) {
-					return f.Param, true
-				}
-				return 0, false
-			}
-		}
+		helpers := settlerHelpers(pass.TypesInfo, locals, spec)
 		owners := owningTypes(pass, spec)
 		for _, f := range pass.Files {
 			for _, decl := range f.Decls {
@@ -227,65 +169,42 @@ func run(pass *lintkit.Pass) error {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				checkFunc(pass, fd, spec, owners, settlesVia)
+				checkFunc(pass, fd, spec, owners, helpers)
 			}
 		}
 	}
 	return nil
 }
 
-// settlerHelpers summarizes which local functions release a Governor
-// parameter or close a Reservation parameter, and exports the matching
-// facts so importers see through the helpers too.
-func settlerHelpers(pass *lintkit.Pass) (rel, cls map[*types.Func]int) {
-	rel = make(map[*types.Func]int)
-	cls = make(map[*types.Func]int)
-	info := pass.TypesInfo
-	for fn, decl := range lintkit.LocalFuncs(pass.Files, info) {
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok {
-			continue
-		}
+// settlerHelpers summarizes which functions of the package settle one
+// of their parameters for spec — release a Governor parameter, close a
+// Reservation parameter — mapping each to that parameter's index.
+func settlerHelpers(info *types.Info, locals map[*types.Func]*ast.FuncDecl, spec pairSpec) map[*types.Func]int {
+	out := make(map[*types.Func]int)
+	for fn, decl := range locals {
+		sig := fn.Type().(*types.Signature)
 		for i := 0; i < sig.Params().Len(); i++ {
 			p := sig.Params().At(i)
-			var typeName, method string
-			var nargs int
-			switch {
-			case isNamed(p.Type(), "Governor"):
-				typeName, method, nargs = "Governor", "Release", 1
-			case isNamed(p.Type(), "Reservation"):
-				typeName, method, nargs = "Reservation", "Close", 0
-			default:
+			if !isNamed(p.Type(), spec.releaseType) {
 				continue
 			}
 			found := false
 			ast.Inspect(decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if recv, ok := methodCall(info, call, typeName, method, nargs); ok {
-					if root := lintkit.RootIdent(recv); root != nil && info.ObjectOf(root) == p {
-						found = true
-						return false
+				if call, ok := n.(*ast.CallExpr); ok && !found {
+					if recv, ok := releaseCall(info, call, spec); ok {
+						root := lintkit.RootIdent(recv)
+						found = root != nil && info.ObjectOf(root) == p
 					}
 				}
-				return true
+				return !found
 			})
-			if !found {
-				continue
+			if found {
+				out[fn] = i
+				break
 			}
-			if typeName == "Governor" {
-				rel[fn] = i
-				pass.ExportObjectFact(fn, &ReleasesParamFact{Param: i})
-			} else {
-				cls[fn] = i
-				pass.ExportObjectFact(fn, &ClosesParamFact{Param: i})
-			}
-			break
 		}
 	}
-	return rel, cls
+	return out
 }
 
 // recvTypeName returns the named type of fd's receiver ("" for plain
@@ -332,7 +251,7 @@ func owningTypes(pass *lintkit.Pass, spec pairSpec) map[string]bool {
 					return false
 				}
 				if call, isCall := n.(*ast.CallExpr); isCall {
-					if releaseCall(pass.TypesInfo, call, spec) {
+					if _, ok := releaseCall(pass.TypesInfo, call, spec); ok {
 						found = true
 						return false
 					}
@@ -353,7 +272,7 @@ func owningTypes(pass *lintkit.Pass, spec pairSpec) map[string]bool {
 // body of a `defer func() { ... }()`, whose releases count as deferred
 // coverage.
 func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[string]bool,
-	settlesVia func(*types.Func) (int, bool)) {
+	helpers map[*types.Func]int) {
 	// The accounting types' own methods ARE the mechanism: Governor's
 	// parent-forwarding Charge/Release mirrors and Reservation's
 	// reconciling Close would all read as unpaired acquisitions.
@@ -385,9 +304,6 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[s
 				if spec.errExempt && isNilCheck(n.Cond) {
 					errRanges = append(errRanges, [2]token.Pos{n.Body.Pos(), n.Body.End()})
 				}
-				if spec.okExempt && isNotOkCheck(n.Cond) {
-					errRanges = append(errRanges, [2]token.Pos{n.Body.Pos(), n.Body.End()})
-				}
 			case *ast.ReturnStmt:
 				if deferPos == token.NoPos {
 					returns = append(returns, n)
@@ -400,7 +316,7 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[s
 						recv:    recv,
 					})
 				}
-				if releaseCall(pass.TypesInfo, n, spec) {
+				if _, ok := releaseCall(pass.TypesInfo, n, spec); ok {
 					argText := "?"
 					if len(n.Args) > 0 {
 						argText = lintkit.ExprString(n.Args[0])
@@ -411,19 +327,17 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[s
 						deferred: deferPos != token.NoPos,
 						deferPos: deferPos,
 					})
-				} else if settlesVia != nil {
-					// A call into a helper that settles one of its
-					// parameters is a release of unknown quantity here.
-					callee := lintkit.CalleeFunc(pass.TypesInfo, n)
-					if callee != nil && callee != pass.TypesInfo.Defs[fd.Name] {
-						if pi, ok := settlesVia(callee); ok && pi < len(n.Args) {
-							releases = append(releases, release{
-								pos:      n.Pos(),
-								argText:  "?",
-								deferred: deferPos != token.NoPos,
-								deferPos: deferPos,
-							})
-						}
+				} else if callee := lintkit.CalleeFunc(pass.TypesInfo, n); callee != nil &&
+					callee != pass.TypesInfo.Defs[fd.Name] {
+					// A call into a same-package helper that settles one of
+					// its parameters is a release of unknown quantity here.
+					if pi, ok := helpers[callee]; ok && pi < len(n.Args) {
+						releases = append(releases, release{
+							pos:      n.Pos(),
+							argText:  "?",
+							deferred: deferPos != token.NoPos,
+							deferPos: deferPos,
+						})
 					}
 				}
 			}
@@ -473,7 +387,7 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[s
 	if len(releases) == 0 {
 		pass.Reportf(firstAcquire,
 			"%s(%s) has no matching %s in %s; %s it on every path or transfer ownership (//nolint:budgetpair <reason>)",
-			spec.acquireName, acquires[0].argText, spec.fix, fd.Name.Name, spec.fix)
+			spec.acquireName, acquires[0].argText, spec.releaseName, fd.Name.Name, spec.releaseName)
 		return
 	}
 
@@ -487,7 +401,7 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[s
 		if !covered(ret.Pos()) {
 			pass.Reportf(ret.Pos(),
 				"return leaks %s from line %d: no %s reaches this path (defer the %s or reconcile before returning)",
-				spec.what, pass.Fset.Position(firstAcquire).Line, spec.fix, spec.fix)
+				spec.what, pass.Fset.Position(firstAcquire).Line, spec.releaseName, spec.releaseName)
 		}
 	}
 	// A function body that can fall off the end is one more return path.
@@ -496,7 +410,7 @@ func checkFunc(pass *lintkit.Pass, fd *ast.FuncDecl, spec pairSpec, owners map[s
 			if !covered(fd.Body.End()) {
 				pass.Reportf(acquires[0].pos,
 					"%s(%s) is not %sd before %s falls off the end of the function",
-					spec.acquireName, acquires[0].argText, spec.fix, fd.Name.Name)
+					spec.acquireName, acquires[0].argText, spec.releaseName, fd.Name.Name)
 			}
 		}
 	}
@@ -538,18 +452,6 @@ func isNilCheck(cond ast.Expr) bool {
 func isNilIdent(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-// isNotOkCheck reports whether cond is a bare `!ident` — the shape of
-// the not-acquired check after a comma-ok acquire (`if !ok { return }`
-// owes no settlement: nothing was leased).
-func isNotOkCheck(cond ast.Expr) bool {
-	u, ok := cond.(*ast.UnaryExpr)
-	if !ok || u.Op != token.NOT {
-		return false
-	}
-	_, isIdent := u.X.(*ast.Ident)
-	return isIdent
 }
 
 // acquireEscapes reports whether one acquire's ownership provably

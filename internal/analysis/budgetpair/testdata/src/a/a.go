@@ -182,74 +182,10 @@ func (h *holder) pin(n int64) error {
 
 func (h *holder) unpin() { h.res.Close() }
 
-// ---- lease acquire/settle pairing (the dist shard-lease table) -------
-
-// LeaseTable stubs the dist lease table; a lease taken with Acquire is
-// settled by Complete (result landed), Release (worker died), or Expire
-// (the deadline sweep).
-type LeaseTable struct{ live int }
-
-type TableLease struct{ ID int64 }
-
-func (t *LeaseTable) Acquire(worker, now int) (TableLease, bool) { t.live++; return TableLease{}, true }
-func (t *LeaseTable) Complete(id int64, now int) (int, int)      { t.live--; return 0, 0 }
-func (t *LeaseTable) Release(id int64, reason string, now int) bool {
-	t.live--
-	return true
-}
-func (t *LeaseTable) Expire(now int) []TableLease { t.live = 0; return nil }
-
-func leakLeaseNoSettle(t *LeaseTable) {
-	t.Acquire(0, 1) // want `Acquire\(0\) has no matching Complete/Release`
-}
-
-func leakLeaseEarlyReturn(t *LeaseTable, bad bool) error {
-	l, ok := t.Acquire(0, 1)
-	if !ok {
-		return nil // exempt: a failed Acquire leased nothing
-	}
-	if bad {
-		return errBoom // want `return leaks the shard lease`
-	}
-	t.Complete(l.ID, 2)
-	return nil
-}
-
-func okLeaseReleaseOnDeath(t *LeaseTable) {
-	l, ok := t.Acquire(0, 1)
-	if !ok {
-		return
-	}
-	t.Release(l.ID, "worker died", 2)
-}
-
-func okLeaseExpireSweep(t *LeaseTable) {
-	t.Acquire(0, 1)
-	t.Expire(99)
-}
-
-// dispatcher holds the live lease in a field and settles it from other
-// methods — the coordinator's assign/handleEvent split: receiver escape,
-// no finding.
-type dispatcher struct {
-	table *LeaseTable
-	cur   TableLease
-}
-
-func (d *dispatcher) grab() {
-	l, ok := d.table.Acquire(0, 1)
-	if !ok {
-		return
-	}
-	d.cur = l
-}
-
-func (d *dispatcher) landed() { d.table.Complete(d.cur.ID, 2) }
-
-// ---- settlement through helpers (facts) ------------------------------
+// ---- settlement through helpers --------------------------------------
 
 // returnBudget settles its governor parameter; callers releasing
-// through it are paired (ReleasesParamFact).
+// through it are paired.
 func returnBudget(g *Governor, n int64) {
 	g.Release(n)
 }
@@ -263,8 +199,9 @@ func okHelperRelease(g *Governor, n int64, bad bool) error {
 	return nil
 }
 
+// A helper in another package is opaque: the charge reads as unpaired.
 func okCrossHelperRelease(g *gov.Governor, n int64) {
-	g.Charge(n)
+	g.Charge(n) // want `has no matching Release`
 	gov.ReturnBudget(g, n)
 }
 

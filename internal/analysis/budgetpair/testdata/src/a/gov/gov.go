@@ -1,6 +1,6 @@
 // Package gov stubs the governor for budgetpair's cross-package helper
-// case: ReturnBudget's ReleasesParamFact travels to importers, so a
-// charge settled through it is paired.
+// case: ReturnBudget releases its parameter, but in another package, so
+// a charge settled only through it is still reported.
 package gov
 
 type Governor struct{ n int64 }

@@ -1,21 +1,18 @@
-// Package frozengraph polices the graph layer's two lifecycle
-// contracts from PR 3:
+// Package frozengraph polices the graph layer's row-lifecycle
+// contract: Row(v) views are borrowed, not owned.  The bitset.Reader a
+// graph backend returns may alias internal scratch that the next Row
+// call overwrites (the WAH row decoder reuses its decode buffer), so a
+// row obtained inside a loop must not be stored anywhere that outlives
+// the iteration — no assignment to a variable declared outside the
+// loop, no store through a selector or index, no append, no
+// composite-literal capture.  Re-binding with := inside the loop is the
+// supported idiom.
 //
-//   - a graph Builder is write-once: after b.Freeze() the builder may
-//     not be mutated again (AddEdge, SetName, WithRepresentation).
-//     Freeze hands the underlying storage to the immutable graph; a
-//     late AddEdge corrupts a structure readers already share.
-//   - Row(v) views are borrowed, not owned: the bitset.Reader a graph
-//     backend returns may alias internal scratch that the next Row call
-//     overwrites (the WAH row decoder reuses its decode buffer), so a
-//     row obtained inside a loop must not be stored anywhere that
-//     outlives the iteration — no assignment to a variable declared
-//     outside the loop, no store through a selector or index, no
-//     append, no composite-literal capture.  Re-binding with := inside
-//     the loop is the supported idiom.
+// (A Builder mutated after Freeze needs no analyzer: AddEdge and
+// SetName return graph.ErrFrozen at run time.)
 //
-// Both checks are intraprocedural and name-based (a method named Freeze
-// / Row on any named type) so testdata can stub the graph package.
+// The check is intraprocedural and name-based (a method named Row on
+// any named type) so testdata can stub the graph package.
 package frozengraph
 
 import (
@@ -29,12 +26,9 @@ import (
 // Analyzer is the frozengraph check.
 var Analyzer = &lintkit.Analyzer{
 	Name: "frozengraph",
-	Doc:  "forbid mutating a graph Builder after Freeze and retaining Row(v) views across loop iterations",
+	Doc:  "forbid retaining Row(v) views across loop iterations",
 	Run:  run,
 }
-
-// mutators are the Builder methods that modify the underlying storage.
-var mutators = map[string]bool{"AddEdge": true, "SetName": true, "WithRepresentation": true}
 
 func run(pass *lintkit.Pass) error {
 	for _, f := range pass.Files {
@@ -43,92 +37,11 @@ func run(pass *lintkit.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFrozenMutation(pass, fd)
 			checkRowRetention(pass, fd)
 		}
 	}
 	return nil
 }
-
-// ----------------------------------------------------------------------
-// Check A: no Builder mutation after Freeze
-// ----------------------------------------------------------------------
-
-// checkFrozenMutation flags mutator calls on an identifier lexically
-// after a Freeze() call on the same identifier.  Lexical order is a
-// sound approximation inside straight-line builder code, which is the
-// only place the repo freezes; a false positive in genuinely branchy
-// code is suppressible with //nolint:frozengraph.
-func checkFrozenMutation(pass *lintkit.Pass, fd *ast.FuncDecl) {
-	frozen := make(map[types.Object]token.Pos) // builder object -> Freeze position
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		// Rebinding the variable to a fresh builder thaws it.
-		if assign, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range assign.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					if obj := exprObject(pass.TypesInfo, id); obj != nil {
-						delete(frozen, obj)
-					}
-				}
-			}
-			return true
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		obj := exprObject(pass.TypesInfo, sel.X)
-		if obj == nil {
-			return true
-		}
-		switch {
-		case sel.Sel.Name == "Freeze" && len(call.Args) == 0:
-			if _, already := frozen[obj]; !already {
-				frozen[obj] = call.Pos()
-			}
-		case mutators[sel.Sel.Name]:
-			if fpos, isFrozen := frozen[obj]; isFrozen && call.Pos() > fpos {
-				pass.Reportf(call.Pos(),
-					"%s.%s after %s.Freeze() on line %d: the builder's storage now backs the frozen graph",
-					lintkit.ExprString(sel.X), sel.Sel.Name, obj.Name(), pass.Fset.Position(fpos).Line)
-			}
-		}
-		return true
-	})
-}
-
-// exprObject resolves a plain identifier (possibly behind parens, * or
-// &) to its object.  Call-rooted receivers (NewBuilder(3).Freeze())
-// denote a fresh temporary each time and resolve to nil — they cannot
-// be re-mutated, so tracking them would only alias unrelated chains
-// through the constructor's function object.
-func exprObject(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch v := e.(type) {
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			e = v.X
-		case *ast.Ident:
-			if obj := info.Uses[v]; obj != nil {
-				return obj
-			}
-			return info.Defs[v]
-		default:
-			return nil
-		}
-	}
-}
-
-// ----------------------------------------------------------------------
-// Check B: no Row(v) retention across loop iterations
-// ----------------------------------------------------------------------
 
 // checkRowRetention walks every loop and flags Row(...) call results
 // that are stored somewhere outliving the iteration.

@@ -1,41 +1,12 @@
-// Package a is frozengraph analyzer testdata: a local Builder/graph
-// stub matched nominally by method names (Freeze, Row, AddEdge, ...).
+// Package a is frozengraph analyzer testdata: a local graph stub
+// matched nominally by its method name (Row).
 package a
-
-type Builder struct{ frozen bool }
-
-func (b *Builder) AddEdge(u, v int) {}
-func (b *Builder) SetName(s string) {}
-func (b *Builder) Freeze() *G       { b.frozen = true; return &G{} }
 
 type G struct{}
 
 func (g *G) Row(v int) *Row { return nil }
 
 type Row struct{ bits []uint64 }
-
-func badLateAddEdge() *G {
-	b := &Builder{}
-	b.AddEdge(1, 2)
-	g := b.Freeze()
-	b.AddEdge(2, 3) // want `after b.Freeze\(\) on line`
-	return g
-}
-
-func badLateSetName() {
-	b := &Builder{}
-	b.SetName("before")
-	_ = b.Freeze()
-	b.SetName("after") // want `after b.Freeze\(\)`
-}
-
-func okDistinctBuilders() {
-	b1 := &Builder{}
-	b2 := &Builder{}
-	_ = b1.Freeze()
-	b2.AddEdge(1, 2) // a different builder; still live
-	_ = b2.Freeze()
-}
 
 func badRetainAcrossIterations(g *G, n int) {
 	var last *Row

@@ -51,47 +51,6 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	report func(Diagnostic)
-	facts  *FactStore
-}
-
-// ExportObjectFact attaches f to obj for analyzers of downstream
-// packages (and later functions of this one) to import.  obj should be
-// a package-level object of the current package.
-func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts != nil {
-		p.facts.exportObject(obj, f)
-	}
-}
-
-// ImportObjectFact copies the fact of f's concrete type attached to obj
-// into f, reporting whether one exists.  obj may belong to any package
-// analyzed earlier in the run.
-func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	return p.facts != nil && p.facts.importObject(obj, f)
-}
-
-// ExportPackageFact attaches f to the current package.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if p.facts != nil && p.Pkg != nil {
-		p.facts.exportPackage(p.Pkg.Path(), f)
-	}
-}
-
-// ImportPackageFact copies the package fact of f's concrete type for
-// the package at path into f, reporting whether one exists.
-func (p *Pass) ImportPackageFact(path string, f Fact) bool {
-	return p.facts != nil && p.facts.importPackage(path, f)
-}
-
-// AllPackageFacts returns every visible package fact of example's
-// concrete type, keyed by package path — the aggregation lockorder uses
-// to assemble the whole-program acquisition graph.  The returned facts
-// are shared; treat them as read-only.
-func (p *Pass) AllPackageFacts(example Fact) map[string]Fact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.allPackageFacts(example)
 }
 
 // Reportf records a finding at pos.

@@ -21,16 +21,10 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
-	Imports    []string // canonical import paths (brackets stripped)
 	Syntax     []*ast.File
 	Types      *types.Package
 	TypesInfo  *types.Info
 }
-
-// CanonicalPath strips the " [pkg.test]" decoration go list puts on
-// test-augmented variants, so fact keys and the dependency order use
-// the same path whether or not -test loading is on.
-func (p *Package) CanonicalPath() string { return canonicalImportPath(p.ImportPath) }
 
 // canonicalImportPath maps "p [p.test]" and "p_test [p.test]" to "p"
 // and "p_test"; plain paths pass through.
@@ -48,7 +42,6 @@ type listPackage struct {
 	Name       string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
 	Standard   bool
 	ForTest    string
@@ -68,7 +61,7 @@ type listPackage struct {
 // synthesized ".test" mains are always skipped.
 func Load(dir string, patterns []string, includeTests bool) ([]*Package, *token.FileSet, error) {
 	args := []string{"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Name,Export,GoFiles,Imports,DepOnly,Standard,ForTest,Error"}
+		"-json=ImportPath,Dir,Name,Export,GoFiles,DepOnly,Standard,ForTest,Error"}
 	if includeTests {
 		args = append(args, "-test")
 	}
@@ -147,21 +140,15 @@ func Load(dir string, patterns []string, includeTests bool) ([]*Package, *token.
 		}
 		info := newTypesInfo()
 		conf := types.Config{Importer: imp}
-		// Type-check under the canonical path: facts keyed off the
-		// types.Package must read "p", not "p [p.test]", or the augmented
-		// variant's exports would be invisible to importers of p.
+		// Type-check under the canonical path: the types.Package of the
+		// augmented variant reads "p", not "p [p.test]".
 		tpkg, err := conf.Check(canonicalImportPath(p.ImportPath), fset, files, info)
 		if err != nil {
 			return nil, nil, fmt.Errorf("lintkit: type-checking %s: %v", p.ImportPath, err)
 		}
-		imports := make([]string, 0, len(p.Imports))
-		for _, dep := range p.Imports {
-			imports = append(imports, canonicalImportPath(dep))
-		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: p.ImportPath,
 			Dir:        p.Dir,
-			Imports:    imports,
 			Syntax:     files,
 			Types:      tpkg,
 			TypesInfo:  info,

@@ -5,22 +5,18 @@ import (
 	"go/ast"
 	"go/token"
 	"io"
-	"sort"
 )
 
 // Run applies every analyzer to every package, filters the findings
 // through the files' //nolint suppressions, appends suppression-hygiene
 // findings (nolint without a reason), and returns the remainder sorted
-// by position.
-//
-// Packages are visited in import-dependency order with one shared
-// FactStore, so facts an analyzer exports from a package are visible
-// when its importers are analyzed.
+// by position.  Each package is analyzed on its own: an analyzer sees
+// the bodies of its package's functions and nothing of any other
+// package's.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFactStore()
 	var all []Diagnostic
-	for _, pkg := range sortByImports(pkgs) {
-		ds, err := runPackage(fset, pkg, analyzers, facts)
+	for _, pkg := range pkgs {
+		ds, err := runPackage(fset, pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -30,80 +26,8 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnos
 	return all, nil
 }
 
-// sortByImports orders packages dependencies-first (Kahn's algorithm
-// over the loaded set, alphabetical tie-break so the order is stable).
-// Edges that would form a cycle — possible only through the
-// test-augmented variants' merged import lists — are dropped rather
-// than wedging the run: fact visibility degrades, correctness of the
-// per-package checks does not.
-func sortByImports(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.CanonicalPath()] = p
-	}
-	indeg := make(map[string]int, len(pkgs))
-	dependents := make(map[string][]string)
-	for _, p := range pkgs {
-		path := p.CanonicalPath()
-		if _, ok := indeg[path]; !ok {
-			indeg[path] = 0
-		}
-		for _, imp := range p.Imports {
-			if _, loaded := byPath[imp]; !loaded || imp == path {
-				continue
-			}
-			indeg[path]++
-			dependents[imp] = append(dependents[imp], path)
-		}
-	}
-	var ready []string
-	for path, d := range indeg {
-		if d == 0 {
-			ready = append(ready, path)
-		}
-	}
-	sort.Strings(ready)
-	var order []*Package
-	emitted := make(map[string]bool)
-	for len(order) < len(pkgs) {
-		if len(ready) == 0 {
-			// Cycle remainder: emit alphabetically and move on.
-			var rest []string
-			for path := range indeg {
-				if !emitted[path] {
-					rest = append(rest, path)
-				}
-			}
-			sort.Strings(rest)
-			for _, path := range rest {
-				order = append(order, byPath[path])
-				emitted[path] = true
-			}
-			break
-		}
-		path := ready[0]
-		ready = ready[1:]
-		if emitted[path] {
-			continue
-		}
-		emitted[path] = true
-		order = append(order, byPath[path])
-		deps := dependents[path]
-		sort.Strings(deps)
-		for _, dep := range deps {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
-			}
-		}
-		sort.Strings(ready)
-	}
-	return order
-}
-
-// runPackage is Run for a single package, reading and writing facts
-// through the store.
-func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
+// runPackage is Run for a single package.
+func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -113,7 +37,6 @@ func runPackage(fset *token.FileSet, pkg *Package, analyzers []*Analyzer, facts 
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
 			report:    func(d Diagnostic) { raw = append(raw, d) },
-			facts:     facts,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("lintkit: %s on %s: %v", a.Name, pkg.ImportPath, err)

@@ -5,11 +5,10 @@ import (
 	"go/types"
 )
 
-// This file is the "callgraph lite" layer the facts-based analyzers
-// share: enough call resolution to follow a value from a call site into
-// the callee's declaration (same package) or into the callee's exported
-// facts (other packages), without building a real whole-program
-// callgraph.
+// This file is the "callgraph lite" layer budgetpair and goroleak
+// share: enough call resolution to follow a call into the callee's
+// declaration when it lives in the same package, without building a
+// real callgraph.  A callee in another package is opaque.
 
 // LocalFuncs indexes a package's function and method declarations by
 // their types.Func object, so an analyzer that meets a call to a
@@ -42,9 +41,9 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		id = fn
 	case *ast.SelectorExpr:
 		// Interface method calls resolve to a *types.Func too, but its
-		// declaring scope is the interface — callers that need a body or
-		// a fact key on a concrete method must not treat those as
-		// followable.  Distinguish via the selection kind.
+		// declaring scope is the interface — callers that need a body
+		// must not treat those as followable.  Distinguish via the
+		// selection kind.
 		if sel, ok := info.Selections[fn]; ok && sel.Kind() == types.MethodVal {
 			if types.IsInterface(sel.Recv()) {
 				return nil
@@ -56,15 +55,4 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// ParamVar returns the i'th declared parameter of fn, or nil.  This is
-// how a caller-side analyzer names "the value I passed in position i"
-// when walking into a same-package callee's body.
-func ParamVar(fn *types.Func, i int) *types.Var {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || i < 0 || i >= sig.Params().Len() {
-		return nil
-	}
-	return sig.Params().At(i)
 }

@@ -28,8 +28,8 @@ import (
 // filepath.Join("testdata", "src", "a")) and applies the analyzer,
 // comparing findings with the packages' // want comments.  Loading
 // "./..." rather than "." lets a corpus keep helper subpackages (e.g.
-// testdata/src/a/helper) whose exported facts the root package's cases
-// depend on.
+// budgetpair's testdata/src/a/gov) that the root package's cases call
+// across a package boundary.
 func Run(t *testing.T, dir string, a *lintkit.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)

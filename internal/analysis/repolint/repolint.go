@@ -11,9 +11,7 @@ import (
 	"repro/internal/analysis/frozengraph"
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/leasestate"
 	"repro/internal/analysis/lintkit"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/sendctx"
 )
 
@@ -26,8 +24,6 @@ func Analyzers() []*lintkit.Analyzer {
 		frozengraph.Analyzer,
 		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		leasestate.Analyzer,
-		lockorder.Analyzer,
 		sendctx.Analyzer,
 	}
 }

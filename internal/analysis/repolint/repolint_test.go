@@ -13,7 +13,7 @@ import (
 // from its check.
 func TestSuiteIsRegistered(t *testing.T) {
 	want := []string{"budgetpair", "cleanuperr", "ctxloop", "frozengraph", "goroleak",
-		"hotalloc", "leasestate", "lockorder", "sendctx"}
+		"hotalloc", "sendctx"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() has %d entries, want %d", len(got), len(want))
@@ -66,7 +66,7 @@ func TestLoadKeepsExternallyTestedPackages(t *testing.T) {
 	}
 	loaded := make(map[string]bool)
 	for _, p := range pkgs {
-		loaded[p.CanonicalPath()] = true
+		loaded[p.Types.Path()] = true
 	}
 	for _, want := range []string{"repro/internal/service", "repro/internal/service_test"} {
 		if !loaded[want] {

@@ -75,12 +75,12 @@ func TestLeaseDoubleRelease(t *testing.T) {
 	}
 	// The shard is pending again exactly once: two acquires must grab
 	// the two distinct shards, a third finds nothing.
-	a, _ := tab.Acquire(1, t0) //nolint:leasestate deliberately parked lease: the test asserts shard exclusivity
-	b, _ := tab.Acquire(2, t0) //nolint:leasestate deliberately parked lease: the test asserts shard exclusivity
+	a, _ := tab.Acquire(1, t0)
+	b, _ := tab.Acquire(2, t0)
 	if a.Shard == b.Shard {
 		t.Fatalf("double-released shard handed out twice: %d and %d", a.Shard, b.Shard)
 	}
-	if _, ok := tab.Acquire(3, t0); ok { //nolint:leasestate probe must fail; nothing is leased when ok is false
+	if _, ok := tab.Acquire(3, t0); ok {
 		t.Fatal("third acquire found a shard in a 2-shard table")
 	}
 }
@@ -115,7 +115,7 @@ func TestLeaseReLeaseRacingCompletion(t *testing.T) {
 	if exp := tab.Expire(t0.Add(5 * time.Second)); len(exp) != 0 {
 		t.Fatalf("sweep after acceptance expired %+v", exp)
 	}
-	if _, ok := tab.Acquire(1, t0.Add(5*time.Second)); ok { //nolint:leasestate probe must fail; nothing is leased when ok is false
+	if _, ok := tab.Acquire(1, t0.Add(5*time.Second)); ok {
 		t.Fatal("completed shard re-leased")
 	}
 	if !tab.Done() {

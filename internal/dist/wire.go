@@ -27,6 +27,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -130,12 +131,15 @@ func ReadMsg(r io.Reader) (*Msg, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("dist: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body grows as its bytes arrive: the header is only a claim, and
+	// a peer that dies after one must not cost the reader n bytes.
+	var body bytes.Buffer
+	body.Grow(int(min(n, 64<<10)))
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
 		return nil, fmt.Errorf("dist: read frame body: %w", err)
 	}
 	var m Msg
-	if err := json.Unmarshal(body, &m); err != nil {
+	if err := json.Unmarshal(body.Bytes(), &m); err != nil {
 		return nil, fmt.Errorf("dist: decode frame: %w", err)
 	}
 	if m.Type == "" {

@@ -47,10 +47,10 @@ func TestBuilderErrorsInsteadOfPanics(t *testing.T) {
 	if g.M() != 1 || !g.HasEdge(0, 1) {
 		t.Errorf("frozen graph: m=%d", g.M())
 	}
-	if err := b.AddEdge(0, 2); !errors.Is(err, ErrFrozen) { //nolint:frozengraph deliberately exercising the ErrFrozen guard
+	if err := b.AddEdge(0, 2); !errors.Is(err, ErrFrozen) {
 		t.Errorf("AddEdge after Freeze: %v", err)
 	}
-	if err := b.SetName(0, "x"); !errors.Is(err, ErrFrozen) { //nolint:frozengraph deliberately exercising the ErrFrozen guard
+	if err := b.SetName(0, "x"); !errors.Is(err, ErrFrozen) {
 		t.Errorf("SetName after Freeze: %v", err)
 	}
 	if _, err := b.Freeze(); !errors.Is(err, ErrFrozen) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -45,7 +46,8 @@ func WriteTSV(w io.Writer, m *Matrix) error {
 }
 
 // ReadTSV parses the layout written by WriteTSV.  All rows must have the
-// same number of value columns; the header row is required.
+// same number of value columns, every value must be finite; the header
+// row is required.
 func ReadTSV(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -80,6 +82,11 @@ func ReadTSV(r io.Reader) (*Matrix, error) {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("microarray: line %d column %d: %v", line, i+2, err)
+			}
+			// ParseFloat accepts NaN and Inf; a correlation over either
+			// is meaningless, and a NaN row still ranks into edges.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("microarray: line %d column %d: non-finite value %q", line, i+2, f)
 			}
 			row[i] = v
 		}

@@ -62,6 +62,13 @@ func TestReadTSVErrors(t *testing.T) {
 			t.Errorf("%s: accepted %q", name, input)
 		}
 	}
+	// strconv.ParseFloat parses these; a matrix must not hold them.
+	for _, v := range []string{"NaN", "Inf", "-inf"} {
+		_, err := ReadTSV(strings.NewReader("gene\tcond_1\tcond_2\na\t1\t2\nc\t3\t" + v + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3 column 3") {
+			t.Errorf("%s: err = %v, want a line 3 column 3 error", v, err)
+		}
+	}
 	// Blank lines are tolerated.
 	m, err := ReadTSV(strings.NewReader("gene\tcond_1\n\na\t1.5\n"))
 	if err != nil || m.Genes != 1 || m.Data[0][0] != 1.5 {

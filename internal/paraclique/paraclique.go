@@ -53,7 +53,7 @@ type Paraclique struct {
 // One grows a single paraclique from the given seed clique, over any
 // graph representation.
 func One(g graph.Interface, seed []int, glom float64) Paraclique {
-	if glom <= 0 || glom > 1 {
+	if !(glom > 0 && glom <= 1) {
 		panic(fmt.Sprintf("paraclique: glom %v out of (0,1]", glom))
 	}
 	members := bitset.New(g.N())

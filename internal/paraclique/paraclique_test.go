@@ -1,6 +1,7 @@
 package paraclique
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestOneStrictGlomIsCliqueGrowth(t *testing.T) {
 
 func TestOneBadGlomPanics(t *testing.T) {
 	g := graph.New(3)
-	for _, glom := range []float64{0, -0.5, 1.5} {
+	for _, glom := range []float64{0, -0.5, 1.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

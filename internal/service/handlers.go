@@ -486,7 +486,7 @@ func (s *Server) handleParacliques(w http.ResponseWriter, r *http.Request) {
 	glom := 0.8
 	if gs := v.Get("glom"); gs != "" {
 		glom, err = strconv.ParseFloat(gs, 64)
-		if err != nil || glom <= 0 || glom > 1 {
+		if err != nil || !(glom > 0 && glom <= 1) {
 			errorJSON(w, http.StatusBadRequest, "glom: want a number in (0,1], got %q", gs)
 			return
 		}

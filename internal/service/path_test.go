@@ -209,6 +209,10 @@ func TestRequestPath(t *testing.T) {
 			want: reply{200, "miss", "", "", jsonCT, paracliques}},
 		{name: "paracliques/fails-before-first-byte", upload: small, path: "paracliques?lo=-1",
 			want: reply{500, "", "", "", jsonCT, badBounds}},
+		// NaN fails every comparison, so a range check must be written to
+		// reject it; let through, it gloms the whole graph into one.
+		{name: "paracliques/glom-nan", upload: small, path: "paracliques?glom=NaN",
+			want: reply{400, "", "", "", jsonCT, `{"error":"glom: want a number in (0,1], got \"NaN\""}` + "\n"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv := service.New(c.cfg)
