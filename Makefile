@@ -90,8 +90,9 @@ race:
 	$(GO) test -race ./...
 
 # Short benchmark sweep: the streaming-vs-barrier comparison, the
-# representation trade-off, and the paper-table regenerators, kept brief
-# for CI.
+# k-clique seeder (sequential and four shard workers, each under the
+# recompute and the stored bitmap policy), the representation
+# trade-off, and the paper-table regenerators, kept brief for CI.
 bench:
 	$(GO) test -run xxx -bench 'EnumerateStreaming|EnumerateBarrier|SeedFromK|Representations' -benchtime 5x .
 

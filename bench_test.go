@@ -215,28 +215,42 @@ func BenchmarkEnumerateBarrierUniform4(b *testing.B) {
 	benchEnumerate(b, uniformGraph(), 4, parallel.EnumerateBarrier)
 }
 
+// seedModes are the bitmap policies a seed runs under: recompute, the
+// default of every regime, and store, the one path that still builds
+// each group's prefix bitmap.
+var seedModes = []struct {
+	name string
+	mode core.CNMode
+}{{"recompute", core.CNRecompute}, {"store", core.CNStore}}
+
 // BenchmarkSeedFromKParallel isolates the Lo >= 3 seed phase that used to
 // serialize parallel runs: sequential k-clique seeding vs the sharded
-// parallel seeder.
+// parallel seeder, under each bitmap policy.
 func BenchmarkSeedFromKSequential(b *testing.B) {
 	g := skewedGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SeedFromKMode(g, 5, core.CNStore, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, m := range seedModes {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.SeedFromKMode(g, 5, m.mode, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkSeedFromKParallel4(b *testing.B) {
 	g := skewedGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := core.SeedFromKParallel(g, 5, core.CNStore, 4, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, m := range seedModes {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := core.SeedFromKParallel(g, 5, m.mode, 4, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/graph"
+	"repro/internal/membudget"
 	"repro/internal/testgraph"
 )
 
@@ -188,6 +190,39 @@ func TestCancellationMidRun(t *testing.T) {
 			}
 			if st.Elapsed <= 0 {
 				t.Error("partial stats missing Elapsed")
+			}
+			check()
+		})
+	}
+}
+
+// TestCancellationDuringSeed cancels runs inside their k-clique seed.  At
+// Init_K 9 this graph's seed is a few hundred milliseconds of search (at
+// one worker) that never reaches a level, so no level loop check can see
+// the cancellation: the search itself must, and the run must return
+// within 50 ms of it with the context's error, the governor back where
+// it started and no goroutine left behind.
+func TestCancellationDuringSeed(t *testing.T) {
+	const deadline, latency = 5 * time.Millisecond, 50 * time.Millisecond
+	g := graph.PlantedGraph(rand.New(rand.NewSource(1)), 300, []graph.PlantedCliqueSpec{{Size: 16}}, 20000)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			gov := membudget.New(0)
+			check := testgraph.NoLeaks(t, gov)
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			_, err := repro.NewEnumerator(repro.WithBounds(9, 9), repro.WithWorkers(workers),
+				repro.WithGovernor(gov)).Run(ctx, g, nil)
+			took := time.Since(start)
+			if err == nil {
+				t.Fatalf("run completed in %v despite the %v deadline", took, deadline)
+			}
+			if !errors.Is(err, ctx.Err()) {
+				t.Fatalf("error %v does not wrap %v", err, ctx.Err())
+			}
+			if took > deadline+latency {
+				t.Errorf("run returned %v after its start, want within %v of the %v deadline", took, latency, deadline)
 			}
 			check()
 		})

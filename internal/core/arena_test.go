@@ -75,7 +75,7 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 	// The prefix memo is builder scratch, not level storage: grown up
 	// front and uncharged, the ledger below sees blocks only.
-	b.growMemo(g.N())
+	b.growMemo(g.N(), g.N())
 
 	run := func() (peak int64) {
 		gov := membudget.New(0) // unlimited: observe, never trip

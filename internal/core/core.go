@@ -20,10 +20,10 @@ var ErrMemoryBudget = membudget.ErrBudget
 
 // Options configures Enumerate.
 type Options struct {
-	// Ctx, when non-nil, cancels the enumeration: the level loop checks
-	// it before every generation step, and Step checks it every 64
-	// sub-lists within a level, bounding cancellation latency to a small
-	// batch of sub-lists.  On cancellation Enumerate returns the partial
+	// Ctx, when non-nil, cancels the enumeration: the k-clique seed
+	// polls it every 1 024 search nodes, the level loop checks it before
+	// every generation step, and Step checks it every 64 sub-lists within
+	// a level, bounding cancellation latency to a small batch of work.  On cancellation Enumerate returns the partial
 	// Result together with an error wrapping ctx.Err().
 	Ctx context.Context
 	// Lo is the smallest clique size of interest (the paper's Init_K).
@@ -82,7 +82,7 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 
 	res := &Result{}
 	seed := clique.Tally{Next: opts.Reporter}
-	lvl, err := Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
+	lvl, err := Seed(opts.Ctx, g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
 	res.Seeded(seed)
 	if err != nil {
 		return res, err

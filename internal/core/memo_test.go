@@ -13,10 +13,12 @@ import (
 
 // TestPrefixCNMemo drives the memoised prefix-bitmap reconstruction
 // with sub-list sequences in sorted order, shuffled, with repeats and
-// with depth changes k -> k+1 -> k, over every representation: each
-// answer must equal the from-scratch AND of the prefix's rows,
-// Cost.ANDWords must count exactly the ANDs the memo could not avoid,
-// and every row the memo grows is charged to the builder's governor.
+// with depth changes k -> k+1 -> k, over every representation, asking
+// for the whole prefix's row, for the row one vertex short of it (the
+// dense join's) or for either at random: each answer must equal the
+// from-scratch AND of the rows it covers, Cost.ANDWords must count
+// exactly the ANDs of the whole prefix the memo could not avoid, and
+// every row the memo grows is charged to the builder's governor.
 func TestPrefixCNMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dense := graph.RandomGNP(rng, 90, 0.5)
@@ -54,49 +56,77 @@ func TestPrefixCNMemo(t *testing.T) {
 	}
 	orders["k,k+1,k"] = zigzag
 
+	// The memo answers two questions: the whole prefix's row (prefixCN,
+	// the CSR and WAH joins) and the row one vertex short of it (the
+	// dense join, which folds the last vertex into its probes) — asked
+	// alone or interleaved, the memo must not confuse them. The whole
+	// prefix's case carries no suffix: it is the case named rep/order.
+	depths := map[string]func(rng *rand.Rand, p []uint32) int{
+		"":       func(_ *rand.Rand, p []uint32) int { return len(p) },
+		"/short": func(_ *rand.Rand, p []uint32) int { return len(p) - 1 },
+		"/mixed": func(rng *rand.Rand, p []uint32) int { return len(p) - rng.Intn(2) },
+	}
+
 	for _, rep := range []graph.Representation{graph.Dense, graph.CSR, graph.Compressed} {
 		g, err := graph.Convert(dense, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, seq := range orders {
-			t.Run(fmt.Sprintf("%v/%s", rep, name), func(t *testing.T) {
-				b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
-				gov := membudget.New(0)
-				b.Gov = gov
-				base := b.ScratchBytes()
-				want, row := bitset.New(g.N()), bitset.New(g.N())
-				var prev []uint32
-				for i, p := range seq {
-					before := b.Cost.ANDWords
-					got := b.prefixCN(&SubList{Prefix: p})
+			for dname, depthOf := range depths {
+				t.Run(fmt.Sprintf("%v/%s%s", rep, name, dname), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(78))
+					b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
+					gov := membudget.New(0)
+					b.Gov = gov
+					base := b.ScratchBytes()
+					want, row := bitset.New(g.N()), bitset.New(g.N())
+					var prev []uint32
+					for i, p := range seq {
+						before := b.Cost.ANDWords
+						depth := depthOf(rng, p)
+						var got *bitset.Bitset
+						if depth == len(p) {
+							got = b.prefixCN(&SubList{Prefix: p})
+						} else {
+							got = b.memoRow(&SubList{Prefix: p}, depth)
+						}
 
-					g.Materialize(int(p[0]), want)
-					for _, v := range p[1:] {
-						g.Materialize(int(v), row)
-						want.And(want, row)
+						if depth == 0 {
+							if got != nil {
+								t.Fatalf("step %d: the row of an empty prefix is %v, want none", i, got)
+							}
+						} else {
+							g.Materialize(int(p[0]), want)
+							for _, v := range p[1:depth] {
+								g.Materialize(int(v), row)
+								want.And(want, row)
+							}
+							if !got.Equal(want) {
+								t.Fatalf("step %d: memoised CN of %v (after %v) differs from the from-scratch AND", i, p[:depth], prev)
+							}
+						}
+						// Whichever row was asked for, the charge is the
+						// whole prefix's reconstruction.
+						shared := 0
+						for shared < len(p) && shared < len(prev) && p[shared] == prev[shared] {
+							shared++
+						}
+						ands := int64(len(p) - max(shared, 1)) // row 0 is a copy, not an AND
+						if shared == len(p) {
+							ands = 0
+						}
+						if did := b.Cost.ANDWords - before; did != ands*words {
+							t.Fatalf("step %d: %v after %v charged %d AND words, want %d ANDs of %d words",
+								i, p, prev, did, ands, words)
+						}
+						prev = p
 					}
-					if !got.Equal(want) {
-						t.Fatalf("step %d: memoised CN of %v (after %v) differs from the from-scratch AND", i, p, prev)
+					if grown := b.ScratchBytes() - base; grown <= 0 || gov.Used() != grown {
+						t.Errorf("memo grew the scratch by %d bytes, governor holds %d", grown, gov.Used())
 					}
-					shared := 0
-					for shared < len(p) && shared < len(prev) && p[shared] == prev[shared] {
-						shared++
-					}
-					ands := int64(len(p) - max(shared, 1)) // row 0 is a copy, not an AND
-					if shared == len(p) {
-						ands = 0
-					}
-					if did := b.Cost.ANDWords - before; did != ands*words {
-						t.Fatalf("step %d: %v after %v charged %d AND words, want %d ANDs of %d words",
-							i, p, prev, did, ands, words)
-					}
-					prev = p
-				}
-				if grown := b.ScratchBytes() - base; grown <= 0 || gov.Used() != grown {
-					t.Errorf("memo grew the scratch by %d bytes, governor holds %d", grown, gov.Used())
-				}
-			})
+				})
+			}
 		}
 	}
 }

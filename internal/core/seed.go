@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -11,10 +12,15 @@ import (
 
 // Seed builds the sequential seed level at size max(lo, 2), reporting
 // the maximal lo-cliques the level machinery will not regenerate (and,
-// with small set, the maximal 1-/2-cliques below it) to r.
-func Seed(g graph.Interface, lo int, mode CNMode, small bool, r clique.Reporter) (*Level, error) {
+// with small set, the maximal 1-/2-cliques below it) to r.  Canceling
+// ctx (nil: never) stops a k-clique seed within a thousand search nodes,
+// with an error wrapping ctx.Err().
+func Seed(ctx context.Context, g graph.Interface, lo int, mode CNMode, small bool, r clique.Reporter) (*Level, error) {
 	if lo > 2 {
-		lvl, _, err := SeedFromKMode(g, lo, mode, r)
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		lvl, _, err := seedFromK(ctx, g, lo, mode, r)
 		return lvl, err
 	}
 	if small {
@@ -91,12 +97,18 @@ func seedEdgeRange(g graph.Interface, mode CNMode, from, to int) []Block {
 // shared (k-1)-prefix, with prefix common-neighbor bitmaps kept as mode
 // says.
 func SeedFromKMode(g graph.Interface, k int, mode CNMode, r clique.Reporter) (*Level, kclique.Stats, error) {
+	return seedFromK(context.Background(), g, k, mode, r)
+}
+
+// seedFromK is SeedFromKMode under a context: a canceled seed returns no
+// level and an error wrapping ctx.Err().
+func seedFromK(ctx context.Context, g graph.Interface, k int, mode CNMode, r clique.Reporter) (*Level, kclique.Stats, error) {
 	if k < 3 {
 		return nil, kclique.Stats{}, fmt.Errorf("core: SeedFromKMode requires k >= 3, got %d", k)
 	}
 	seed := groupSink{sink: newBlockSink(nil), mode: mode}
 	var emitBuf clique.Clique
-	st := kclique.Enumerate(g, kclique.Options{
+	st, err := kclique.Prepare(g, k).Enumerate(ctx, kclique.Options{
 		K: k,
 		OnGroup: func(gr kclique.Group) {
 			if r != nil {
@@ -110,6 +122,9 @@ func SeedFromKMode(g graph.Interface, k int, mode CNMode, r clique.Reporter) (*L
 			seed.add(gr)
 		},
 	})
+	if err != nil {
+		return nil, st, fmt.Errorf("core: seeding at k=%d: %w", k, err)
+	}
 	return &Level{K: k, Sub: seed.sink.finish(0)}, st, nil
 }
 
@@ -136,7 +151,7 @@ func (s *groupSink) add(gr kclique.Group) {
 	}
 	var cn *bitset.Bitset
 	if s.mode == CNStore {
-		cn = gr.PrefixCN.Clone()
+		cn = gr.PrefixCN()
 	}
 	s.sink.appendRecord(s.prefix, s.tails, cn)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -80,6 +81,13 @@ func SeedFromEdgesParallel(g graph.Interface, mode CNMode, workers int) (*Level,
 // in the sequential seed too); the returned homes record each block's
 // creator worker for the Affinity strategy.
 func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
+	return SeedFromKContext(context.Background(), g, k, mode, workers, r)
+}
+
+// SeedFromKContext is SeedFromKParallel under a context: every shard's
+// search polls ctx, no shard starts once it is canceled, and a canceled
+// seed returns no level and an error wrapping ctx.Err().
+func SeedFromKContext(ctx context.Context, g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
 	if k < 3 {
 		return nil, nil, kclique.Stats{}, fmt.Errorf("core: SeedFromKParallel requires k >= 3, got %d", k)
 	}
@@ -91,7 +99,7 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 		shards = g.N()
 	}
 	if workers == 1 || shards <= 1 {
-		lvl, st, err := SeedFromKMode(g, k, mode, r)
+		lvl, st, err := seedFromK(ctx, g, k, mode, r)
 		if err != nil {
 			return nil, nil, st, err
 		}
@@ -112,7 +120,7 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 		wg.Add(1)
 		go func(w int32) {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				s := int(atomic.AddInt64(&next, 1)) - 1
 				if s >= shards {
 					return
@@ -120,7 +128,8 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 				o := &outs[s]
 				o.worker = w
 				o.seed = groupSink{sink: newBlockSink(nil), mode: mode}
-				o.st = prepared.Enumerate(kclique.Options{
+				// A canceled shard's error is ctx's, reported below.
+				o.st, _ = prepared.Enumerate(ctx, kclique.Options{
 					K:      k,
 					Shard:  s,
 					Shards: shards,
@@ -137,6 +146,9 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 		}(int32(w))
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, kclique.Stats{}, fmt.Errorf("core: seeding at k=%d: %w", k, err)
+	}
 
 	lvl := &Level{K: k}
 	var homes []int32

@@ -72,12 +72,15 @@ type Builder struct {
 	emitBuf    clique.Clique
 
 	// The prefix-CN memo of the reconstruct path: memo[i] is the
-	// common-neighbor bitmap of memoPrefix[:i+1], so a sub-list that
-	// shares its first l prefix vertices with the previous one reuses
-	// rows below l and ANDs only the rest.  Rows are added (and charged
-	// to Gov) as prefixes deepen — at most one per level.
+	// common-neighbor bitmap of memoPrefix[:i+1] for i < memoRows, so a
+	// sub-list that shares its first l prefix vertices with the previous
+	// one reuses rows below l and ANDs only the rest.  memoPrefix is the
+	// whole prefix of the sub-list reconstructed last; the dense join
+	// keeps its rows one short of it (see processDense).  Rows are added
+	// (and charged to Gov) as prefixes deepen — at most one per level.
 	memo       []*bitset.Bitset
 	memoPrefix []uint32
+	memoRows   int
 
 	// The next level's store (see block.go): retained sub-lists are
 	// appended to sink as front-coded records.  The survivors of one join
@@ -167,19 +170,32 @@ func (b *Builder) ScratchBytes() int64 {
 
 // prefixCN returns the common-neighbor bitmap of s.Prefix: the stored
 // one, or a reconstruction by ANDs over adjacency rows (the paper's
-// memory-saving alternative).
-// The reconstruction is memoised against the previous sub-list: rows
-// below the shared prefix length are reused, so consecutive sorted
-// sub-lists cost one or two ANDs instead of k-2.  The shared length is
-// the record's lcp where its source knows one; a run start (lcp 0) is
-// compared against the memo, which depends only on the graph, so any
-// processing order is correct.
+// memory-saving alternative) from the memo.
 //
 //repro:hotpath
 func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 	if s.CN != nil {
 		return s.CN
 	}
+	return b.memoRow(s, len(s.Prefix))
+}
+
+// memoRow returns the common-neighbor bitmap of the first depth vertices
+// of s.Prefix (nil for depth 0), rebuilding the memo rows the previous
+// sub-list does not share.  The reconstruction is memoised against the
+// previous sub-list: rows below the shared prefix length are reused, so
+// consecutive sorted sub-lists cost one or two ANDs instead of k-2.  The
+// shared length is the record's lcp where its source knows one; a run
+// start (lcp 0) is compared against the memo, which depends only on the
+// graph, so any processing order and any mix of depths is correct.
+//
+// Cost.ANDWords charges the reconstruction of the whole prefix, whatever
+// depth is asked for: that is the paper's abstract machine's work, and
+// a join that folds the last prefix row into its probes still does it,
+// once per probe word instead of once per sub-list.
+//
+//repro:hotpath
+func (b *Builder) memoRow(s *SubList, depth int) *bitset.Bitset {
 	p := s.Prefix
 	l := s.LCP
 	if l == 0 {
@@ -187,10 +203,14 @@ func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 			l++
 		}
 	}
-	if len(b.memo) < len(p) {
-		b.growMemo(len(p))
+	if l < len(p) {
+		b.Cost.ANDWords += int64(len(p)-max(l, 1)) * int64(b.words) // row 0 is a copy, not an AND
 	}
-	for i := l; i < len(p); i++ {
+	if len(b.memo) < depth || cap(b.memoPrefix) < len(p) {
+		b.growMemo(depth, len(p))
+	}
+	valid := min(l, b.memoRows)
+	for i := valid; i < depth; i++ {
 		switch {
 		case i == 0 && b.dense != nil:
 			b.memo[0].CopyFrom(b.dense.Neighbors(int(p[0])))
@@ -198,26 +218,31 @@ func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
 			b.g.Materialize(int(p[0]), b.memo[0])
 		case b.dense != nil:
 			b.memo[i].And(b.memo[i-1], b.dense.Neighbors(int(p[i])))
-			b.Cost.ANDWords += int64(b.words)
 		default:
 			b.g.Row(int(p[i])).AndInto(b.memo[i], b.memo[i-1])
-			b.Cost.ANDWords += int64(b.words)
 		}
 	}
+	b.memoRows = max(depth, valid)
 	b.memoPrefix = b.memoPrefix[:len(p)]
 	copy(b.memoPrefix[l:], p[l:])
-	return b.memo[len(p)-1]
+	if depth == 0 {
+		return nil
+	}
+	return b.memo[depth-1]
 }
 
-// growMemo deepens the memo to depth rows; out of line so prefixCN's
-// rare growth stays off the hotalloc-pinned path.
+// growMemo deepens the memo to rows rows and its prefix to hold plen
+// vertices; out of line so memoRow's rare growth stays off the
+// hotalloc-pinned path.
 //
 //nolint:budgetpair the rows are builder scratch: whoever adopted the builder releases them with ScratchBytes
-func (b *Builder) growMemo(depth int) {
-	grown := make([]uint32, len(b.memoPrefix), depth)
-	copy(grown, b.memoPrefix)
-	b.memoPrefix = grown
-	for len(b.memo) < depth {
+func (b *Builder) growMemo(rows, plen int) {
+	if cap(b.memoPrefix) < plen {
+		grown := make([]uint32, len(b.memoPrefix), plen)
+		copy(grown, b.memoPrefix)
+		b.memoPrefix = grown
+	}
+	for len(b.memo) < rows {
 		b.memo = append(b.memo, bitset.New(b.g.N()))
 		b.Gov.Charge(int64(b.cnBytes))
 	}
@@ -231,28 +256,42 @@ func (b *Builder) growMemo(depth int) {
 // Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 	b.sink.carry = min(b.sink.carry, s.LCP)
-	prefixCN := b.prefixCN(s)
 	if b.dense != nil {
-		b.processDense(s, prefixCN, r)
+		b.processDense(s, r)
 	} else {
-		b.processGeneric(s, prefixCN, r)
+		b.processGeneric(s, b.prefixCN(s), r)
 	}
 	s.takeCN(b.pool)
 }
 
 // processDense is the inner loop over the dense bitmap backend: direct
-// row pointers, word-parallel AND and fused AND-any probes.  Survivors
-// accumulate in the builder's tail scratch; keep appends them to the
-// level store only when the sub-list is retained.
+// row pointers and fused AND-any probes.  Without a stored bitmap the
+// prefix's common neighbours are never materialized: the probe ANDs the
+// memo row of the prefix without its last vertex x with N(x) on the fly,
+// so a sub-list whose prefix differs from its predecessor's in x alone —
+// every sibling of a run — rebuilds no row at all.  Survivors accumulate
+// in the builder's tail scratch; keep appends them to the level store
+// only when the sub-list is retained.
 //
 //repro:hotpath
-func (b *Builder) processDense(s *SubList, prefixCN *bitset.Bitset, r clique.Reporter) {
+func (b *Builder) processDense(s *SubList, r clique.Reporter) {
+	// The probe's prefix operands: base ∩ nx is CN(prefix), nx nil when
+	// base is all of it — a stored bitmap, or N(x) for a one-vertex prefix.
+	var nx *bitset.Bitset
+	base := s.CN
+	if base == nil {
+		p := s.Prefix
+		nx = b.dense.Neighbors(int(p[len(p)-1]))
+		if base = b.memoRow(s, len(p)-1); base == nil {
+			base, nx = nx, nil
+		}
+	}
 	tails := s.Tails
 	for i := 0; i < len(tails)-1; i++ {
 		v := int(tails[i])
 		nv := b.dense.Neighbors(v)
 		// CN(prefix+v) is needed only if this sub-list survives into the
-		// next level: the maximality probes run fused over (prefixCN, nv,
+		// next level: the maximality probes run fused over (base, nx, nv,
 		// N(u)) without it, so the materialize is deferred to keepLazy.
 		// The cost model still charges the AND — it is the work the
 		// paper's abstract machine performs for this join.
@@ -269,13 +308,19 @@ func (b *Builder) processDense(s *SubList, prefixCN *bitset.Bitset, r clique.Rep
 			// CN(prefix+v) ∩ N(u) is empty.
 			b.Cost.Probes += int64(b.words)
 			b.Cost.Generated++
-			if bitset.AndAny3(prefixCN, nv, b.dense.Neighbors(u)) {
+			var alive bool
+			if nx == nil {
+				alive = bitset.AndAny3(base, nv, b.dense.Neighbors(u))
+			} else {
+				alive = bitset.AndAny4(base, nx, nv, b.dense.Neighbors(u))
+			}
+			if alive {
 				b.tailScratch = append(b.tailScratch, uint32(u))
 			} else {
 				b.emitMaximal(s.Prefix, v, u, r)
 			}
 		}
-		b.keepLazy(s.Prefix, v, b.tailScratch, prefixCN, nv)
+		b.keepLazy(s.Prefix, v, b.tailScratch, base, nx, nv)
 	}
 }
 
@@ -334,7 +379,7 @@ func (b *Builder) processGeneric(s *SubList, prefixCN *bitset.Bitset, r clique.R
 			}
 		}
 		if nv != nil {
-			b.keepLazy(s.Prefix, v, b.tailScratch, prefixCN, nv)
+			b.keepLazy(s.Prefix, v, b.tailScratch, prefixCN, nil, nv)
 		} else {
 			b.keep(s.Prefix, v, b.tailScratch)
 		}
@@ -357,16 +402,19 @@ func (b *Builder) emitMaximal(prefix []uint32, v, u int, r clique.Reporter) {
 }
 
 // keepLazy is keep for the fused join paths, which skip the CN(prefix+v)
-// materialize during probing: it performs the deferred scratch = prefixCN
-// AND nv only when keep will actually consume scratch — a retained
-// sub-list in a CN-carrying mode.  Recompute mode never touches scratch,
-// and the |S| <= 1 cases retain nothing, so most joins never pay the
-// materialize at all.
+// materialize during probing: it performs the deferred scratch = base
+// AND nx AND nv (nx nil: base alone is CN(prefix)) only when keep will
+// actually consume scratch — a retained sub-list in a CN-carrying mode.
+// Recompute mode never touches scratch, and the |S| <= 1 cases retain
+// nothing, so most joins never pay the materialize at all.
 //
 //repro:hotpath
-func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, prefixCN, nv *bitset.Bitset) {
+func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, base, nx, nv *bitset.Bitset) {
 	if len(newTails) > 1 && b.mode != CNRecompute {
-		b.scratch.And(prefixCN, nv)
+		b.scratch.And(base, nv)
+		if nx != nil {
+			b.scratch.And(b.scratch, nx)
+		}
 	}
 	b.keep(prefix, v, newTails)
 }

@@ -247,19 +247,22 @@ func KCorePeel(g Interface, k int) *bitset.Bitset {
 			alive.Clear(v)
 		}
 	}
+	// One visitor for every peeled vertex: a closure per vertex would be
+	// an allocation per vertex.
+	drop := func(u int) bool {
+		if alive.Test(u) {
+			deg[u]--
+			if deg[u] < k {
+				alive.Clear(u)
+				queue = append(queue, u)
+			}
+		}
+		return true
+	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		g.Row(v).ForEach(func(u int) bool {
-			if alive.Test(u) {
-				deg[u]--
-				if deg[u] < k {
-					alive.Clear(u)
-					queue = append(queue, u)
-				}
-			}
-			return true
-		})
+		g.Row(v).ForEach(drop)
 	}
 	return alive
 }

@@ -213,7 +213,7 @@ func (h *runner) run() error {
 				h.gov.Release(b.ScratchBytes())
 			}
 		}
-		lvl, err = core.Seed(g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
+		lvl, err = core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
 	}
 	defer stop()
 	h.res.Seeded(seed)

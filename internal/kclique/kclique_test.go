@@ -1,12 +1,17 @@
 package kclique
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/graph"
+	"repro/internal/testgraph"
 )
 
 func collectAll(g *graph.Graph, k int) (maximal, cands []clique.Clique) {
@@ -112,9 +117,9 @@ func TestGroupPrefixCN(t *testing.T) {
 	checked := 0
 	Enumerate(g, Options{K: 4, OnGroup: func(gr Group) {
 		graph.CommonNeighbors(g, want, gr.Prefix)
-		if !gr.PrefixCN.Equal(want) {
+		if !gr.PrefixCN().Equal(want) {
 			t.Fatalf("prefix %v: CN mismatch\n got %v\nwant %v",
-				gr.Prefix, gr.PrefixCN, want)
+				gr.Prefix, gr.PrefixCN(), want)
 		}
 		checked++
 	}})
@@ -270,6 +275,174 @@ func TestShardedEnumerationMatchesFull(t *testing.T) {
 				maximal, candidates, groups,
 				fullStats.Maximal, fullStats.Candidates, fullStats.Groups)
 		}
+	}
+}
+
+// refGroup is one group as the definition states it: a (k-1)-clique with
+// at least one common neighbour above its last vertex, the tails split by
+// maximality, and the prefix's common neighbours.
+type refGroup struct {
+	prefix, maxT, candT []int
+	cn                  *bitset.Bitset
+}
+
+// bruteGroups lists the groups of g's k-cliques in canonical prefix
+// order, from adjacency tests alone: no peel, no bitmap algebra, no
+// Bron–Kerbosch.
+func bruteGroups(g *graph.Graph, k int) []refGroup {
+	n := g.N()
+	adjAll := func(vs []int, w int) bool {
+		for _, v := range vs {
+			if v == w || !g.HasEdge(v, w) {
+				return false
+			}
+		}
+		return true
+	}
+	var out []refGroup
+	var grow func(prefix []int)
+	grow = func(prefix []int) {
+		if len(prefix) == k-1 {
+			gr := refGroup{prefix: slices.Clone(prefix), cn: bitset.New(n)}
+			for w := 0; w < n; w++ {
+				if adjAll(prefix, w) {
+					gr.cn.Set(w)
+				}
+			}
+			for t := prefix[len(prefix)-1] + 1; t < n; t++ {
+				if !gr.cn.Test(t) {
+					continue
+				}
+				extended := append(slices.Clone(prefix), t)
+				maximal := true
+				for w := 0; w < n && maximal; w++ {
+					maximal = !adjAll(extended, w)
+				}
+				if maximal {
+					gr.maxT = append(gr.maxT, t)
+				} else {
+					gr.candT = append(gr.candT, t)
+				}
+			}
+			if len(gr.maxT)+len(gr.candT) > 0 {
+				out = append(out, gr)
+			}
+			return
+		}
+		from := 0
+		if len(prefix) > 0 {
+			from = prefix[len(prefix)-1] + 1
+		}
+		for w := from; w < n; w++ {
+			if adjAll(prefix, w) {
+				grow(append(prefix, w))
+			}
+		}
+	}
+	grow(nil)
+	return out
+}
+
+// padded returns g with a path of extra vertices appended: degree at
+// most two, so the peel removes all of it at every k >= 3.
+func padded(g *graph.Graph, extra int) *graph.Graph {
+	out := graph.New(g.N() + extra)
+	graph.ForEachEdge(g, func(u, v int) bool { out.AddEdge(u, v); return true })
+	for v := g.N() + 1; v < out.N(); v++ {
+		out.AddEdge(v-1, v)
+	}
+	return out
+}
+
+// TestGroupsAgainstBruteForce is the seeder's differential pin: on every
+// adversarial graph of the testgraph table — bare, with a short peeled
+// fringe, and with a fringe long enough that the survivors are compacted
+// — for k 3..8, in every representation and cut into 1, 2, 3 and 7
+// shards, the concatenated groups must be the definition's: same
+// prefixes in the same order, the same maximal and candidate tails, and
+// PrefixCN the prefix's common neighbours in the original graph.
+func TestGroupsAgainstBruteForce(t *testing.T) {
+	compacted, masked := 0, 0
+	for _, tg := range testgraph.All() {
+		for _, extra := range []int{0, 10, 192} {
+			dense := padded(tg.Build(), extra)
+			for k := 3; k <= 8; k++ {
+				want := bruteGroups(dense, k)
+				if Prepare(dense, k).newToOld != nil {
+					compacted++
+				} else {
+					masked++
+				}
+				for _, rep := range []graph.Representation{graph.Dense, graph.CSR, graph.Compressed} {
+					g, err := graph.Convert(dense, rep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, shards := range []int{1, 2, 3, 7} {
+						name := fmt.Sprintf("%s+%d/k=%d/%v/shards=%d", tg.Name, extra, k, rep, shards)
+						var got []refGroup
+						var sum Stats
+						p := Prepare(g, k)
+						for s := 0; s < shards; s++ {
+							st, err := p.Enumerate(context.Background(), Options{K: k, Shard: s, Shards: shards,
+								OnGroup: func(gr Group) {
+									got = append(got, refGroup{
+										prefix: slices.Clone(gr.Prefix),
+										maxT:   slices.Clone(gr.MaximalTails),
+										candT:  slices.Clone(gr.CandidateTails),
+										cn:     gr.PrefixCN(),
+									})
+								}})
+							if err != nil {
+								t.Fatal(err)
+							}
+							sum.Maximal += st.Maximal
+							sum.Candidates += st.Candidates
+							sum.Groups += st.Groups
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d groups, the definition has %d", name, len(got), len(want))
+						}
+						var maximal, cands int64
+						for i, w := range want {
+							gr := got[i]
+							if !slices.Equal(gr.prefix, w.prefix) || !slices.Equal(gr.maxT, w.maxT) ||
+								!slices.Equal(gr.candT, w.candT) || !gr.cn.Equal(w.cn) {
+								t.Fatalf("%s: group %d is %v max %v cand %v cn %v, want %v max %v cand %v cn %v", name, i,
+									gr.prefix, gr.maxT, gr.candT, gr.cn, w.prefix, w.maxT, w.candT, w.cn)
+							}
+							maximal += int64(len(w.maxT))
+							cands += int64(len(w.candT))
+						}
+						if sum.Maximal != maximal || sum.Candidates != cands || sum.Groups != int64(len(want)) {
+							t.Errorf("%s: stats count %d/%d/%d, delivered %d/%d/%d", name,
+								sum.Maximal, sum.Candidates, sum.Groups, maximal, cands, len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+	if compacted == 0 || masked == 0 {
+		t.Errorf("the corpus peels by copy %d times and by mask %d times; want both sides of the compaction rule", compacted, masked)
+	}
+}
+
+// TestCanceledSearchStops: a canceled context stops the search at its
+// first poll with the context's error, and the groups delivered before
+// it are a prefix of the full enumeration.
+func TestCanceledSearchStops(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	g := graph.PlantedGraph(rng, 120, []graph.PlantedCliqueSpec{{Size: 12}}, 2500)
+	full := Enumerate(g, Options{K: 6})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	st, err := Prepare(g, 6).Enumerate(ctx, Options{K: 6})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled search returned %v", err)
+	}
+	if st.SearchNodes >= full.SearchNodes || st.SearchNodes > pollNodes {
+		t.Errorf("canceled search visited %d nodes (full search %d), want at most one poll interval", st.SearchNodes, full.SearchNodes)
 	}
 }
 

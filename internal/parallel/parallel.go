@@ -133,10 +133,10 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	res := &Result{}
 	seed := clique.Tally{Next: opts.Reporter}
 	lvl, homes, err := p.Seed(&seed)
-	if err != nil {
-		return nil, err
-	}
 	res.Seeded(seed)
+	if err != nil {
+		return res, fmt.Errorf("parallel: %w", err)
+	}
 
 	// Level emissions go to the caller's reporter directly (nil keeps the
 	// pool from copying emissions at all); the counts come from the level
@@ -219,13 +219,18 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 
 // Seed builds the pool's seed level at size max(Lo, 2) on its worker
 // count, reporting maximal Lo-cliques to r; homes records creator
-// ownership for the Affinity strategy's first level.
+// ownership for the Affinity strategy's first level.  The pool's Ctx
+// cancels a k-clique seed mid-search.
 func (p *Pool) Seed(r clique.Reporter) (*core.Level, []int32, error) {
 	if p.opts.Lo <= 2 {
 		lvl, homes := core.SeedFromEdgesParallel(p.g, p.opts.Mode, p.opts.Workers)
 		return lvl, homes, nil
 	}
-	lvl, homes, _, err := core.SeedFromKParallel(p.g, p.opts.Lo, p.opts.Mode, p.opts.Workers, r)
+	ctx := p.opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	lvl, homes, _, err := core.SeedFromKContext(ctx, p.g, p.opts.Lo, p.opts.Mode, p.opts.Workers, r)
 	return lvl, homes, err
 }
 
