@@ -62,11 +62,13 @@ test:
 test-cpu:
 	$(GO) test -cpu 1,2,4 ./internal/ooc ./internal/hybrid ./internal/dist
 
-# Ten seconds of coverage-guided fuzzing each of the six fuzz targets:
+# Ten seconds of coverage-guided fuzzing each of the seven fuzz targets:
 # the shard decoder — the one parser that reads bytes a crash, a full
 # disk or another process may have left behind: an error or a valid
 # record stream, never a panic, and the same records whether read one at
-# a time or packed into level blocks — the in-memory level block, the
+# a time or packed into level blocks — the checkpoint manifest loader,
+# whose shard list a resume joins (distinct .ooc base names, and a write
+# and reload changes nothing) — the in-memory level block, the
 # same record shape in whole words; the graph reader, which cliqued feeds
 # straight from a request body; the expression-matrix reader, finite
 # values only; the dist frame decoder, which reads what a worker or the
@@ -74,6 +76,7 @@ test-cpu:
 # bit-at-a-time references.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
+	$(GO) test -fuzz=FuzzLoadManifest -fuzztime=10s ./internal/ooc
 	$(GO) test -fuzz=FuzzLevelBlock -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=10s .
 	$(GO) test -fuzz=FuzzReadExpressionTSV -fuzztime=10s .

@@ -11,8 +11,10 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/expt"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/kose"
 	"repro/internal/parallel"
 	"repro/internal/simarch"
@@ -27,7 +29,7 @@ func benchKose(b *testing.B, g *graph.Graph) {
 // benchCore runs the sequential Clique Enumerator, counting only.
 func benchCore(b *testing.B, g *graph.Graph) {
 	b.Helper()
-	if _, err := core.Enumerate(g, core.Options{Reporter: clique.NewCounter()}); err != nil {
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Reporter: clique.NewCounter()}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -168,21 +170,28 @@ func uniformGraph() *graph.Graph {
 }
 
 // benchEnumerate runs one parallel backend over g with the Affinity
-// strategy (the paper's) and validates the count against b.N-invariant
-// expectations implicitly via error checks.
-func benchEnumerate(b *testing.B, g *graph.Graph, workers int,
-	enumerate func(graph.Interface, parallel.Options) (*parallel.Result, error)) {
+// strategy (the paper's), counting only.
+func benchEnumerate(b *testing.B, g *graph.Graph, workers int, enumerate func(graph.Interface, int) error) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enumerate(g, parallel.Options{
-			Workers:  workers,
-			Strategy: parallel.Affinity,
-		}); err != nil {
+		if err := enumerate(g, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// streaming runs the persistent worker pool through the level loop.
+func streaming(g graph.Interface, workers int) error {
+	_, err := hybrid.Enumerate(g, hybrid.Options{Workers: workers, Strategy: enumcfg.Affinity})
+	return err
+}
+
+// barrier runs the retained bulk-synchronous pool.
+func barrier(g graph.Interface, workers int) error {
+	_, err := parallel.EnumerateBarrier(g, parallel.Options{Workers: workers, Strategy: parallel.Affinity})
+	return err
 }
 
 // BenchmarkEnumerateStreamingSkewed / BenchmarkEnumerateBarrierSkewed
@@ -191,28 +200,28 @@ func benchEnumerate(b *testing.B, g *graph.Graph, workers int,
 // implementation on the skewed workload, at the worker counts the
 // acceptance gate names.
 func BenchmarkEnumerateStreamingSkewed4(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 4, parallel.Enumerate)
+	benchEnumerate(b, skewedGraph(), 4, streaming)
 }
 
 func BenchmarkEnumerateBarrierSkewed4(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 4, parallel.EnumerateBarrier)
+	benchEnumerate(b, skewedGraph(), 4, barrier)
 }
 
 func BenchmarkEnumerateStreamingSkewed8(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 8, parallel.Enumerate)
+	benchEnumerate(b, skewedGraph(), 8, streaming)
 }
 
 func BenchmarkEnumerateBarrierSkewed8(b *testing.B) {
-	benchEnumerate(b, skewedGraph(), 8, parallel.EnumerateBarrier)
+	benchEnumerate(b, skewedGraph(), 8, barrier)
 }
 
 // Uniform control: streaming must at least match the barrier here.
 func BenchmarkEnumerateStreamingUniform4(b *testing.B) {
-	benchEnumerate(b, uniformGraph(), 4, parallel.Enumerate)
+	benchEnumerate(b, uniformGraph(), 4, streaming)
 }
 
 func BenchmarkEnumerateBarrierUniform4(b *testing.B) {
-	benchEnumerate(b, uniformGraph(), 4, parallel.EnumerateBarrier)
+	benchEnumerate(b, uniformGraph(), 4, barrier)
 }
 
 // seedModes are the bitmap policies a seed runs under: recompute, the

@@ -421,8 +421,9 @@ func WithGraphRepresentation(rep Representation) Option {
 }
 
 // WithReportSmall additionally reports maximal 1-cliques (isolated
-// vertices) and maximal 2-cliques when the lower bound admits them
-// (sequential backend only).
+// vertices) and maximal 2-cliques when the lower bound admits them, at
+// any worker count and across a spill (the in-core backends; sizes below
+// 3 never reach disk, so the out-of-core and distributed ones refuse it).
 func WithReportSmall() Option {
 	return func(e *Enumerator) { e.cfg.ReportSmall = true }
 }

@@ -49,14 +49,36 @@ func stream(t *testing.T, e *repro.Enumerator, g *repro.Graph) []string {
 
 // TestBackendParity asserts the facade's acceptance property: the
 // sequential, parallel, and out-of-core backends produce identical
-// ordered clique streams through the one Enumerator API.
+// ordered clique streams through the one Enumerator API.  With small
+// cliques reported the in-core engines and a spilling run must too: the
+// 1- and 2-cliques come from the seed, ahead of every level, at any width.
 func TestBackendParity(t *testing.T) {
+	type backend struct {
+		name string
+		opts []repro.Option
+	}
+	same := func(t *testing.T, g *repro.Graph, seed int64, backends []backend, bounds repro.Option) {
+		t.Helper()
+		want := stream(t, repro.NewEnumerator(append(backends[0].opts, bounds)...), g)
+		if len(want) == 0 {
+			t.Fatalf("seed %d: no cliques from the reference backend", seed)
+		}
+		for _, b := range backends[1:] {
+			got := stream(t, repro.NewEnumerator(append(b.opts, bounds)...), g)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d: %s delivered %d cliques, want %d", seed, b.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d: %s stream diverges at %d: got {%s}, want {%s}",
+						seed, b.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		g := testGraph(seed, 80, 0.15)
-		backends := []struct {
-			name string
-			opts []repro.Option
-		}{
+		same(t, g, seed, []backend{
 			{"sequential", nil},
 			{"parallel-affinity", []repro.Option{repro.WithWorkers(3), repro.WithStrategy(repro.Affinity)}},
 			{"parallel-contiguous", []repro.Option{repro.WithWorkers(2), repro.WithStrategy(repro.Contiguous)}},
@@ -68,23 +90,16 @@ func TestBackendParity(t *testing.T) {
 			{"out-of-core-parallel-compressed", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
 				repro.OOCWorkers(3), repro.OOCCompress())}},
 			{"store", []repro.Option{repro.WithStoredBitmaps()}},
-		}
-		want := stream(t, repro.NewEnumerator(append(backends[0].opts, repro.WithBounds(3, 0))...), g)
-		if len(want) == 0 {
-			t.Fatalf("seed %d: no cliques from the reference backend", seed)
-		}
-		for _, b := range backends[1:] {
-			got := stream(t, repro.NewEnumerator(append(b.opts, repro.WithBounds(3, 0))...), g)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: %s delivered %d cliques, want %d", seed, b.name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d: %s stream diverges at %d: got {%s}, want {%s}",
-						seed, b.name, i, got[i], want[i])
-				}
-			}
-		}
+		}, repro.WithBounds(3, 0))
+		small := repro.WithReportSmall()
+		same(t, g, seed, []backend{
+			{"small-sequential", []repro.Option{small}},
+			{"small-affinity", []repro.Option{small, repro.WithWorkers(2), repro.WithStrategy(repro.Affinity)}},
+			{"small-contiguous", []repro.Option{small, repro.WithWorkers(2), repro.WithStrategy(repro.Contiguous)}},
+			// A budget these graphs outgrow generating their 3-cliques.
+			{"small-spillover", []repro.Option{small, repro.WithWorkers(2),
+				repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(4 << 10)}},
+		}, repro.WithBounds(1, 0))
 	}
 }
 
@@ -302,7 +317,6 @@ func TestConfigErrors(t *testing.T) {
 		{"ooc+report-small", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithReportSmall()}},
 		{"ooc+stored-bitmaps", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithStoredBitmaps()}},
 		{"ooc-compress-without-dir", []repro.Option{repro.WithOutOfCore("", 0, repro.OOCCompress())}},
-		{"parallel+report-small", []repro.Option{repro.WithWorkers(4), repro.WithReportSmall()}},
 		{"negative-memory-budget", []repro.Option{repro.WithMemoryBudget(-1)}},
 		{"spillover-without-dir", []repro.Option{repro.WithSpillover(""), repro.WithMemoryBudget(1 << 20)}},
 		{"spillover-without-budget", []repro.Option{repro.WithSpillover(t.TempDir())}},

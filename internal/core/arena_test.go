@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -42,7 +43,7 @@ func runLevels(g *graph.Graph, seed *Level, b *Builder) (retained int) {
 // storage itself from bitmap-pool and WAH-compression churn.
 func TestLevelLoopAllocs(t *testing.T) {
 	g := arenaTestGraph()
-	seed := SeedFromEdgesMode(g, CNRecompute)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 
 	retained := runLevels(g, seed, b) // warm the arenas and scratch
@@ -71,7 +72,7 @@ func TestLevelLoopAllocs(t *testing.T) {
 // both times.
 func TestArenaLedgerChargesOnce(t *testing.T) {
 	g := arenaTestGraph()
-	seed := SeedFromEdgesMode(g, CNRecompute)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 	// The prefix memo is builder scratch, not level storage: grown up
 	// front and uncharged, the ledger below sees blocks only.
@@ -116,7 +117,7 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 // compared again after the step that consumed them.
 func TestArenaLag2Liveness(t *testing.T) {
 	g := arenaTestGraph()
-	seed := SeedFromEdgesMode(g, CNRecompute)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 
 	lvl := seed

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"slices"
@@ -255,7 +256,7 @@ func TestBlockHeaderOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := SeedFromEdgesMode(g, CNRecompute)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
 	checkBlocks(t, seed)
 	recs := recordsOf(seed)
 	if len(recs) != 2 || len(recs[0].tails) != n-1 || !slices.Equal(recs[1].tails, []uint32{2, 3}) {
@@ -281,7 +282,7 @@ func TestBlockSideSlab(t *testing.T) {
 		gov := membudget.New(0)
 		b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 		b.Gov = gov
-		lvl := SeedFromEdgesMode(g, mode)
+		lvl, _, _ := Seed(context.Background(), g, 2, mode, 1, false, nil)
 		gov.Charge(lvl.Bytes())
 		for len(lvl.Sub) > 0 {
 			checkBlocks(t, lvl)

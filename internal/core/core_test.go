@@ -1,15 +1,17 @@
-package core
+package core_test
 
 import (
-	"errors"
+	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bk"
 	"repro/internal/clique"
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/kose"
-	"repro/internal/membudget"
 )
 
 // maximalAtLeast filters brute-force maximal cliques by a size floor.
@@ -23,11 +25,11 @@ func maximalAtLeast(g *graph.Graph, lo int) []clique.Clique {
 	return out
 }
 
-func enumerate(t *testing.T, g *graph.Graph, opts Options) (*clique.Collector, *Result) {
+func enumerate(t *testing.T, g *graph.Graph, opts hybrid.Options) (*clique.Collector, *hybrid.Result) {
 	t.Helper()
 	col := &clique.Collector{}
 	opts.Reporter = col
-	res, err := Enumerate(g, opts)
+	res, err := hybrid.Enumerate(g, opts)
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}
@@ -39,7 +41,7 @@ func TestFigure2Example(t *testing.T) {
 	// the 4-clique itself.
 	g := graph.New(4)
 	graph.PlantClique(g, []int{0, 1, 2, 3})
-	col, res := enumerate(t, g, Options{})
+	col, res := enumerate(t, g, hybrid.Options{})
 	if len(col.Cliques) != 1 || col.Cliques[0].Key() != "0,1,2,3" {
 		t.Fatalf("cliques = %v", col.Cliques)
 	}
@@ -66,7 +68,7 @@ func TestFigure4Example(t *testing.T) {
 	if sizes[3] != 2 || sizes[4] != 1 || sizes[5] != 1 {
 		t.Fatalf("construction broken: sizes %v", sizes)
 	}
-	col, _ := enumerate(t, g, Options{})
+	col, _ := enumerate(t, g, hybrid.Options{})
 	if ok, diff := clique.SameSets(col.Cliques, want); !ok {
 		t.Fatalf("mismatch: %s", diff)
 	}
@@ -78,7 +80,7 @@ func TestNonDecreasingOrder(t *testing.T) {
 		{Size: 8}, {Size: 5, Overlap: 2}, {Size: 4, Overlap: 1},
 	}, 80)
 	lastSize := 0
-	_, err := Enumerate(g, Options{Reporter: clique.ReporterFunc(func(c clique.Clique) {
+	_, err := hybrid.Enumerate(g, hybrid.Options{Reporter: clique.ReporterFunc(func(c clique.Clique) {
 		if len(c) < lastSize {
 			t.Fatalf("order violated: size %d after %d", len(c), lastSize)
 		}
@@ -105,7 +107,7 @@ func TestCrossValidation(t *testing.T) {
 		}
 		want := maximalAtLeast(g, 3)
 
-		col, _ := enumerate(t, g, Options{})
+		col, _ := enumerate(t, g, hybrid.Options{})
 		if err := clique.Validate(g, col.Cliques, 3, 0); err != nil {
 			t.Fatalf("trial %d: core invalid: %v", trial, err)
 		}
@@ -136,8 +138,8 @@ func TestRecomputeCNMatchesStored(t *testing.T) {
 		g := graph.PlantedGraph(rng, 30, []graph.PlantedCliqueSpec{
 			{Size: 6}, {Size: 5, Overlap: 2},
 		}, 40)
-		stored, resStored := enumerate(t, g, Options{Mode: CNStore})
-		recomp, resRecomp := enumerate(t, g, Options{})
+		stored, resStored := enumerate(t, g, hybrid.Options{Mode: core.CNStore})
+		recomp, resRecomp := enumerate(t, g, hybrid.Options{})
 		if ok, diff := clique.SameSets(stored.Cliques, recomp.Cliques); !ok {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}
@@ -162,7 +164,7 @@ func TestSeededEnumerationMatchesFull(t *testing.T) {
 		g := graph.PlantedGraph(rng, 60, []graph.PlantedCliqueSpec{
 			{Size: 9}, {Size: 6, Overlap: 3},
 		}, 100)
-		full, _ := enumerate(t, g, Options{})
+		full, _ := enumerate(t, g, hybrid.Options{})
 		for _, initK := range []int{3, 4, 5, 6, 7} {
 			var want []clique.Clique
 			for _, c := range full.Cliques {
@@ -170,7 +172,7 @@ func TestSeededEnumerationMatchesFull(t *testing.T) {
 					want = append(want, c)
 				}
 			}
-			seeded, _ := enumerate(t, g, Options{Lo: initK})
+			seeded, _ := enumerate(t, g, hybrid.Options{Lo: initK})
 			if ok, diff := clique.SameSets(seeded.Cliques, want); !ok {
 				t.Fatalf("trial %d Init_K=%d: %s", trial, initK, diff)
 			}
@@ -184,7 +186,7 @@ func TestSeededEnumerationMatchesFull(t *testing.T) {
 func TestUpperBoundHi(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	g := graph.PlantedGraph(rng, 40, []graph.PlantedCliqueSpec{{Size: 8}}, 60)
-	full, _ := enumerate(t, g, Options{})
+	full, _ := enumerate(t, g, hybrid.Options{})
 	for _, hi := range []int{3, 4, 5, 8} {
 		var want []clique.Clique
 		for _, c := range full.Cliques {
@@ -192,13 +194,13 @@ func TestUpperBoundHi(t *testing.T) {
 				want = append(want, c)
 			}
 		}
-		bounded, _ := enumerate(t, g, Options{Hi: hi})
+		bounded, _ := enumerate(t, g, hybrid.Options{Hi: hi})
 		if ok, diff := clique.SameSets(bounded.Cliques, want); !ok {
 			t.Fatalf("hi=%d: %s", hi, diff)
 		}
 	}
 	// Lo == Hi with seeding: only maximal cliques of exactly that size.
-	exact, _ := enumerate(t, g, Options{Lo: 5, Hi: 5})
+	exact, _ := enumerate(t, g, hybrid.Options{Lo: 5, Hi: 5})
 	for _, c := range exact.Cliques {
 		if len(c) != 5 {
 			t.Errorf("Lo=Hi=5 emitted %v", c)
@@ -206,64 +208,14 @@ func TestUpperBoundHi(t *testing.T) {
 	}
 }
 
-func TestReportSmall(t *testing.T) {
-	// Isolated vertex 4, isolated edge (2,3), triangle (0,1,5... keep
-	// small): maximal cliques of sizes 1, 2, 3.
-	g := graph.New(6)
-	g.AddEdge(2, 3)
-	graph.PlantClique(g, []int{0, 1, 5})
-	col, _ := enumerate(t, g, Options{Lo: 1, ReportSmall: true})
-	keys := map[string]bool{}
-	for _, c := range col.Cliques {
-		keys[c.Key()] = true
-	}
-	for _, want := range []string{"4", "2,3", "0,1,5"} {
-		if !keys[want] {
-			t.Errorf("missing clique {%s}; got %v", want, col.Cliques)
-		}
-	}
-	if len(col.Cliques) != 3 {
-		t.Errorf("cliques = %v", col.Cliques)
-	}
-	// Without ReportSmall only the triangle appears.
-	plain, _ := enumerate(t, g, Options{})
-	if len(plain.Cliques) != 1 || plain.Cliques[0].Key() != "0,1,5" {
-		t.Errorf("default small handling: %v", plain.Cliques)
-	}
-}
-
-func TestMemoryBudgetAbort(t *testing.T) {
-	// A Moon-Moser-ish overlap graph has enough candidates to trip a tiny
-	// budget; the error must wrap ErrMemoryBudget and partial results
-	// must still be valid maximal cliques.
-	rng := rand.New(rand.NewSource(56))
-	g := graph.PlantedGraph(rng, 60, []graph.PlantedCliqueSpec{
-		{Size: 10}, {Size: 8, Overlap: 4},
-	}, 200)
-	col := &clique.Collector{}
-	res, err := Enumerate(g, Options{Reporter: col, Gov: membudget.New(2048)})
-	if err == nil {
-		t.Fatal("tiny budget did not abort")
-	}
-	if !errors.Is(err, ErrMemoryBudget) {
-		t.Fatalf("error %v does not wrap ErrMemoryBudget", err)
-	}
-	if err := clique.Validate(g, col.Cliques, 3, 0); err != nil {
-		t.Errorf("partial results invalid: %v", err)
-	}
-	if res.PeakBytes <= 2048 {
-		t.Errorf("PeakBytes %d should exceed the budget it tripped", res.PeakBytes)
-	}
-}
-
 func TestLevelStatsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	g := graph.PlantedGraph(rng, 40, []graph.PlantedCliqueSpec{{Size: 7}}, 70)
-	var levels []LevelStats
+	var levels []core.LevelStats
 	col := &clique.Collector{}
-	res, err := Enumerate(g, Options{
+	res, err := hybrid.Enumerate(g, hybrid.Options{
 		Reporter: col,
-		OnLevel:  func(st LevelStats) { levels = append(levels, st) },
+		OnLevel:  func(st core.LevelStats) { levels = append(levels, st) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +229,7 @@ func TestLevelStatsConsistency(t *testing.T) {
 func TestLevelAccountingAgainstResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	g := graph.PlantedGraph(rng, 40, []graph.PlantedCliqueSpec{{Size: 7}}, 70)
-	col, res := enumerate(t, g, Options{})
+	col, res := enumerate(t, g, hybrid.Options{})
 	var maximal int64
 	for _, st := range res.Levels {
 		maximal += st.Maximal
@@ -312,7 +264,7 @@ func TestMoonMoserCount(t *testing.T) {
 			}
 		}
 	}
-	col, res := enumerate(t, g, Options{})
+	col, res := enumerate(t, g, hybrid.Options{})
 	if len(col.Cliques) != 27 {
 		t.Errorf("Moon-Moser: %d cliques, want 27", len(col.Cliques))
 	}
@@ -321,34 +273,54 @@ func TestMoonMoserCount(t *testing.T) {
 	}
 }
 
-func TestInvalidOptions(t *testing.T) {
-	g := graph.New(3)
-	if _, err := Enumerate(g, Options{Lo: -1}); err == nil {
-		t.Error("negative Lo accepted")
-	}
-	if _, err := Enumerate(g, Options{Lo: 5, Hi: 4}); err == nil {
-		t.Error("Hi < Lo accepted")
-	}
-	if _, _, err := SeedFromKMode(g, 2, CNStore, nil); err == nil {
-		t.Error("SeedFromK k=2 accepted")
-	}
-}
-
-func TestUnknownCNModeRejected(t *testing.T) {
-	g := graph.New(3)
-	for _, mode := range []CNMode{CNRecompute - 1, CNStore + 1} {
-		if _, err := Enumerate(g, Options{Mode: mode}); err == nil {
-			t.Fatalf("CN mode %d accepted", mode)
+// TestReportSmall: the seed reports maximal 1- and 2-cliques before the
+// level, in the same order at any width, and only when asked.
+func TestReportSmall(t *testing.T) {
+	// Isolated vertex 4, isolated edge (2,3), triangle (0,1,5).
+	g := graph.New(6)
+	g.AddEdge(2, 3)
+	graph.PlantClique(g, []int{0, 1, 5})
+	for _, c := range []struct {
+		lo    int
+		small bool
+		want  string
+	}{
+		{1, true, "[4] [2,3]"},
+		{2, true, "[2,3]"},
+		{1, false, ""},
+	} {
+		for _, workers := range []int{1, 2, 3} {
+			col := &clique.Collector{}
+			lvl, _, err := core.Seed(context.Background(), g, c.lo, core.CNRecompute, workers, c.small, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, q := range col.Cliques {
+				got = append(got, "["+q.Key()+"]")
+			}
+			if strings.Join(got, " ") != c.want || lvl.K != 2 || lvl.Sublists() != 1 {
+				t.Errorf("lo %d small %v workers %d: reported %v, seed level K %d with %d sub-lists",
+					c.lo, c.small, workers, got, lvl.K, lvl.Sublists())
+			}
 		}
 	}
 }
 
+// TestInvalidOptions: the sequential k-clique seeder refuses a size the
+// edge seed owns (TestSeedFromKParallelRejectsSmallK: the sharded one).
+func TestInvalidOptions(t *testing.T) {
+	if _, _, err := core.SeedFromKMode(graph.New(3), 2, core.CNStore, nil); err == nil {
+		t.Error("SeedFromKMode k=2 accepted")
+	}
+}
+
 func TestEmptyAndEdgelessGraphs(t *testing.T) {
-	col, res := enumerate(t, graph.New(0), Options{})
+	col, res := enumerate(t, graph.New(0), hybrid.Options{})
 	if len(col.Cliques) != 0 || res.MaximalCliques != 0 {
 		t.Error("empty graph produced cliques")
 	}
-	col, _ = enumerate(t, graph.New(5), Options{})
+	col, _ = enumerate(t, graph.New(5), hybrid.Options{})
 	if len(col.Cliques) != 0 {
 		t.Error("edgeless graph produced cliques >= 3")
 	}
@@ -361,7 +333,7 @@ func TestDroppedSingletonAccounting(t *testing.T) {
 	var dropped int64
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomGNP(rng, 14, 0.5)
-		_, res := enumerate(t, g, Options{})
+		_, res := enumerate(t, g, hybrid.Options{})
 		for _, st := range res.Levels {
 			dropped += st.Dropped
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"iter"
 	"math/rand"
 	"slices"
@@ -70,12 +71,18 @@ func checkHomes(t *testing.T, homes []int32, subs, workers int) {
 	}
 }
 
-func TestSeedFromEdgesParallelMatchesSequential(t *testing.T) {
+func TestSeedEdgesParallelMatchesSequential(t *testing.T) {
 	g := seedTestGraph(11)
 	for _, mode := range []CNMode{CNStore, CNRecompute} {
-		want := SeedFromEdgesMode(g, mode)
+		want, _, err := Seed(context.Background(), g, 2, mode, 1, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 2, 4, 7} {
-			lvl, homes := SeedFromEdgesParallel(g, mode, workers)
+			lvl, homes, err := Seed(context.Background(), g, 2, mode, workers, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sameSublists(t, lvl, want, g.N())
 			checkHomes(t, homes, len(lvl.Sub), workers)
 		}

@@ -49,13 +49,6 @@ type Options struct {
 	// LeaseTimeout bounds one shard join; an overdue lease is revoked,
 	// its worker killed, and the shard re-leased.  Default 30s.
 	LeaseTimeout time.Duration
-	// Heartbeat is the worker liveness beacon period; default
-	// LeaseTimeout/8 clamped to [100ms, 1s].
-	Heartbeat time.Duration
-	// MaxDeaths fails the run after this many worker deaths (0 =
-	// 2*Workers+2): fault tolerance must not hide a systematically
-	// crashing worker binary behind infinite respawns.
-	MaxDeaths int
 	// Reporter receives maximal cliques in the canonical stream order —
 	// byte-identical to a sequential run at any worker count.
 	Reporter clique.Reporter
@@ -107,19 +100,6 @@ func normalize(opts *Options) error {
 	if opts.LeaseTimeout <= 0 {
 		opts.LeaseTimeout = 30 * time.Second
 	}
-	if opts.Heartbeat <= 0 {
-		hb := opts.LeaseTimeout / 8
-		if hb < 100*time.Millisecond {
-			hb = 100 * time.Millisecond
-		}
-		if hb > time.Second {
-			hb = time.Second
-		}
-		opts.Heartbeat = hb
-	}
-	if opts.MaxDeaths <= 0 {
-		opts.MaxDeaths = 2*opts.Workers + 2
-	}
 	if opts.ShardBytes < 0 {
 		return fmt.Errorf("dist: negative ShardBytes %d", opts.ShardBytes)
 	}
@@ -169,6 +149,13 @@ type coordinator struct {
 	lv      *ooc.Level
 	deliver func(shard int, res ooc.ShardResult)
 
+	// heartbeat is the worker liveness beacon period: LeaseTimeout/8,
+	// clamped to [100ms, 1s].  maxDeaths fails the run after that many
+	// worker deaths, 2*Workers+2: fault tolerance must not hide a
+	// systematically crashing worker binary behind infinite respawns.
+	heartbeat time.Duration
+	maxDeaths int
+
 	deaths   int
 	releases []ooc.ReleaseRecord // of the levels already run
 }
@@ -192,6 +179,9 @@ func Enumerate(g graph.Interface, opts Options) (Stats, error) {
 		done:   make(chan struct{}),
 		ws:     make([]*workerState, opts.Workers),
 		gens:   make([]int, opts.Workers),
+
+		heartbeat: min(max(opts.LeaseTimeout/8, 100*time.Millisecond), time.Second),
+		maxDeaths: 2*opts.Workers + 2,
 	}
 	loop := ooc.NewLoop(g, ooc.Options{
 		Ctx:        opts.Ctx,
@@ -296,7 +286,7 @@ func (c *coordinator) startWorker(slot int) error {
 		GraphPath: GraphFileName,
 		Compress:  c.opts.Compress,
 		WorkerID:  fmt.Sprintf("worker-%d", slot),
-		PingMS:    c.opts.Heartbeat.Milliseconds(),
+		PingMS:    c.heartbeat.Milliseconds(),
 	}); err != nil {
 		conn.Close()
 		return fmt.Errorf("dist: init worker %d: %w", slot, err)
@@ -335,7 +325,7 @@ func (c *coordinator) RunLevel(ctx context.Context, lv *ooc.Level, deliver func(
 	}()
 
 	c.assignAll()
-	tick := time.NewTicker(c.opts.Heartbeat)
+	tick := time.NewTicker(c.heartbeat)
 	defer tick.Stop()
 	for !c.table.Done() {
 		if err := ctx.Err(); err != nil {
@@ -450,9 +440,9 @@ func (c *coordinator) handleDeath(ws *workerState, reason string) error {
 		c.table.Release(ws.lease.ID, reason, time.Now())
 		ws.lease = nil
 	}
-	if c.deaths > c.opts.MaxDeaths {
+	if c.deaths > c.maxDeaths {
 		return fmt.Errorf("dist: %d worker deaths (limit %d); last: %s",
-			c.deaths, c.opts.MaxDeaths, reason)
+			c.deaths, c.maxDeaths, reason)
 	}
 	if err := c.startWorker(ws.slot); err != nil {
 		return err

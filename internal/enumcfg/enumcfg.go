@@ -164,8 +164,9 @@ type Config struct {
 	// (0 = auto).
 	DistShardBytes int64
 
-	// ReportSmall additionally reports maximal 1- and 2-cliques
-	// (sequential backend only; the paper's experiments start at 3).
+	// ReportSmall additionally reports maximal 1- and 2-cliques at any
+	// worker count (in-core runs only: sizes < 3 never reach disk; the
+	// paper's experiments start at 3).
 	ReportSmall bool
 }
 
@@ -304,9 +305,6 @@ func (c *Config) Normalize() error {
 		if c.Checkpoint {
 			return fmt.Errorf("enumcfg: checkpointing requires an out-of-core run from the start; drop the memory budget or the checkpoint")
 		}
-		if c.ReportSmall && c.Workers > 1 {
-			return fmt.Errorf("enumcfg: ReportSmall is only supported by the sequential in-core phase")
-		}
 	case OutOfCore:
 		if c.ReportSmall {
 			return fmt.Errorf("enumcfg: ReportSmall is not supported out of core (sizes < 3 never spill)")
@@ -316,12 +314,6 @@ func (c *Config) Normalize() error {
 		}
 		if c.Resume && c.MemoryBudget > 0 {
 			return fmt.Errorf("enumcfg: a resumed run is out-of-core from the start; the memory budget does not apply")
-		}
-	case Parallel:
-		// The streaming pool enforces the governor's budget; only the
-		// small-clique reports remain sequential-only.
-		if c.ReportSmall {
-			return fmt.Errorf("enumcfg: ReportSmall is only supported by the sequential backend")
 		}
 	}
 	return nil

@@ -35,7 +35,7 @@ func TestNormalizeMatrix(t *testing.T) {
 
 		// --- report-small ---
 		{"sequential report-small", Config{ReportSmall: true}, "", Sequential},
-		{"parallel report-small", Config{Workers: 2, ReportSmall: true}, "ReportSmall", 0},
+		{"parallel report-small", Config{Workers: 2, ReportSmall: true}, "", Parallel},
 		{"ooc report-small", Config{Dir: "d", ReportSmall: true}, "ReportSmall", 0},
 
 		// --- out-of-core knob dependencies ---
@@ -58,8 +58,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"hybrid low-memory", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNRecompute}, "", Hybrid},
 		{"hybrid stored bitmaps", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNStore}, "", Hybrid},
 		{"hybrid report-small sequential", Config{Dir: "d", MemoryBudget: 1 << 20, ReportSmall: true}, "", Hybrid},
-		{"hybrid report-small parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 2, ReportSmall: true},
-			"sequential in-core phase", 0},
+		{"hybrid report-small parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 2, ReportSmall: true}, "", Hybrid},
 		{"spillover without dir", Config{Spill: true, MemoryBudget: 1 << 20}, "requires a spill Dir", 0},
 		{"spillover without budget", Config{Dir: "d", Spill: true}, "requires a MemoryBudget", 0},
 		{"resume plus spillover", Config{Dir: "d", Spill: true, Resume: true, MemoryBudget: 1 << 20},

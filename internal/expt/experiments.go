@@ -9,6 +9,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/kose"
 	"repro/internal/maxclique"
 	"repro/internal/membudget"
@@ -105,7 +106,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 
 	coreCount := clique.NewCounter()
 	start = time.Now()
-	coreRes, err := core.Enumerate(g, core.Options{Ctx: cfg.Ctx, Mode: core.CNStore, Reporter: coreCount})
+	coreRes, err := hybrid.Enumerate(g, hybrid.Options{Ctx: cfg.Ctx, Mode: core.CNStore, Reporter: coreCount})
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +192,7 @@ func Blowup(cfg Config) (*BlowupResult, error) {
 	g := Build(spec, cfg.Seed)
 
 	var levels []core.LevelStats
-	_, err := core.Enumerate(g, core.Options{
+	_, err := hybrid.Enumerate(g, hybrid.Options{
 		Ctx:     cfg.Ctx,
 		Mode:    core.CNStore,
 		Gov:     membudget.New(cfg.Budget),

@@ -5,8 +5,9 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
-	"repro/internal/parallel"
+	"repro/internal/hybrid"
 	"repro/internal/sched"
 	"repro/internal/simarch"
 )
@@ -333,12 +334,12 @@ func Fig8(cfg Config) (*Table, error) {
 		realP = 4
 	}
 	if realP >= 2 {
-		res, err := parallel.Enumerate(g, parallel.Options{
+		res, err := hybrid.Enumerate(g, hybrid.Options{
 			Ctx:      cfg.Ctx,
 			Workers:  realP,
 			Lo:       ik,
 			Mode:     core.CNStore,
-			Strategy: parallel.Affinity,
+			Strategy: enumcfg.Affinity,
 		})
 		if err != nil {
 			return nil, err

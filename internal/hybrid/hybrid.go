@@ -6,12 +6,13 @@
 // but pays "intensive disk I/O" from its first record.  Enumerate runs
 // the shared in-core level loop (core.Loop) on the engine Workers selects
 // — the sequential builder or the streaming worker pool — under the
-// memory governor (package membudget).  With a spill Dir, the moment the
+// memory governor (package membudget).  It is the one in-core entry
+// point: every run that starts in memory, spill directory or not, seeds
+// and loops here.  With a spill Dir, the moment the
 // governor trips it drains the level being generated to run-aligned
 // out-of-core shard files and hands the run to the disk-backed engine:
 // memory-priced while the run fits, disk-priced only from the level that
-// stopped fitting.  Without one, a trip aborts with core.ErrMemoryBudget,
-// exactly as core.Enumerate and parallel.Enumerate do.
+// stopped fitting.  Without one, a trip aborts with core.ErrMemoryBudget.
 //
 // The drained stream is byte-identical to a pure in-core run's:
 //
@@ -63,7 +64,11 @@ type Options struct {
 	// cancellation points (per sub-list batch in core, per chunk in the
 	// pool, per record batch out of core).
 	Ctx context.Context
-	// Lo, Hi bound the clique sizes of interest, as in core.Options.
+	// Lo is the smallest clique size of interest (the paper's Init_K,
+	// default 2): at Lo <= 2 the run seeds from the edge list, above it
+	// the k-clique enumerator seeds the candidate lists and reports the
+	// maximal Lo-cliques.  Hi, when positive, stops the run after cliques
+	// of size Hi — the maximum clique bound of the paper's pipeline.
 	Lo, Hi int
 	// Mode is the common-neighbor bitmap policy of the in-core phase (the
 	// zero value keeps no bitmaps, as the out-of-core phase does anyway).
@@ -74,9 +79,11 @@ type Options struct {
 	Workers int
 	// Strategy is the pool dispatch policy (Workers > 1).
 	Strategy enumcfg.Strategy
-	// ReportSmall additionally reports maximal 1-/2-cliques (sequential
-	// in-core phase only; they are emitted before any level work, so a
-	// later spill never affects them).
+	// ReportSmall additionally reports maximal 1-cliques (isolated
+	// vertices) and 2-cliques (edges with no common neighbor) when
+	// Lo <= 2, at any worker count: they are emitted by the seed, before
+	// any level work, so neither the engine nor a later spill affects
+	// them.
 	ReportSmall bool
 	// Dir is the spill directory the out-of-core phase uses.  It selects
 	// the trip policy: empty, a tripped budget aborts the run.
@@ -158,9 +165,6 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	if err := enumcfg.CheckMode(opts.Mode); err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	if opts.ReportSmall && opts.Workers > 1 {
-		return nil, fmt.Errorf("hybrid: ReportSmall requires the sequential in-core phase")
-	}
 	h := &runner{
 		g:    g,
 		opts: opts,
@@ -172,36 +176,35 @@ func Enumerate(g graph.Interface, opts Options) (*Result, error) {
 	return h.res, h.run()
 }
 
-// run picks the level engine from Workers, seeds on it, and drives the
-// shared level loop with the trip policy Dir selects.
+// run seeds on Workers goroutines, picks the level engine from Workers,
+// and drives the shared level loop with the trip policy Dir selects.
 func (h *runner) run() error {
 	g, opts := h.g, h.opts
-	var (
-		eng   core.LevelEngine
-		stop  func() // stops the engine and releases its scratch charge; idempotent
-		lvl   *core.Level
-		homes []int32
-		err   error
-	)
 	// Only the seed phase is counted through a reporter; every later
 	// clique is counted by its level's record, so the caller's reporter —
 	// nil included — goes to the engines as it is.
 	seed := clique.Tally{Next: opts.Reporter}
+	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, opts.Workers, opts.ReportSmall, &seed)
+	h.res.Seeded(seed)
+	if err != nil {
+		return err
+	}
+
+	var (
+		eng  core.LevelEngine
+		stop func() // stops the engine and releases its scratch charge; idempotent
+	)
 	if opts.Workers > 1 {
-		p, perr := parallel.NewPool(g, parallel.Options{
-			Ctx:      opts.Ctx,
+		p, err := parallel.NewPool(g, parallel.Options{
 			Workers:  opts.Workers,
-			Lo:       opts.Lo,
-			Hi:       opts.Hi,
 			Mode:     opts.Mode,
 			Strategy: opts.Strategy,
 			Gov:      h.gov,
 		})
-		if perr != nil {
-			return fmt.Errorf("hybrid: %w", perr)
+		if err != nil {
+			return fmt.Errorf("hybrid: %w", err)
 		}
 		eng, stop = p, p.Close
-		lvl, homes, err = p.Seed(&seed)
 	} else {
 		b := core.NewBuilderMode(g, opts.Mode, h.bits)
 		b.Gov = h.gov
@@ -213,13 +216,8 @@ func (h *runner) run() error {
 				h.gov.Release(b.ScratchBytes())
 			}
 		}
-		lvl, err = core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, opts.ReportSmall, &seed)
 	}
 	defer stop()
-	h.res.Seeded(seed)
-	if err != nil {
-		return err
-	}
 
 	loop := core.Loop{
 		Ctx:      opts.Ctx,

@@ -1,4 +1,4 @@
-package hybrid
+package hybrid_test
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expt"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
 )
@@ -38,7 +39,7 @@ func keys(cs []clique.Clique) []string {
 func reference(t *testing.T, g graph.Interface, lo int) []string {
 	t.Helper()
 	col := &clique.Collector{}
-	if _, err := core.Enumerate(g, core.Options{Lo: lo, Reporter: col}); err != nil {
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: lo, Reporter: col}); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	return keys(col.Cliques)
@@ -59,7 +60,7 @@ func TestSpilloverParity(t *testing.T) {
 		// mid-run ones cut from this graph's own unbudgeted peak so they
 		// trip whatever the bitmap policy makes a level weigh.
 		free := membudget.New(0)
-		if _, err := Enumerate(g, Options{Lo: 3, Gov: free}); err != nil {
+		if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Gov: free}); err != nil {
 			t.Fatal(err)
 		}
 		peak := free.Peak()
@@ -67,7 +68,7 @@ func TestSpilloverParity(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				gov := membudget.New(budget)
 				col := &clique.Collector{}
-				res, err := Enumerate(g, Options{
+				res, err := hybrid.Enumerate(g, hybrid.Options{
 					Lo:       3,
 					Workers:  workers,
 					Dir:      t.TempDir(),
@@ -123,7 +124,7 @@ func TestSpilloverWithSeededBounds(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		col := &clique.Collector{}
-		res, err := Enumerate(g, Options{
+		res, err := hybrid.Enumerate(g, hybrid.Options{
 			Lo:       4,
 			Workers:  workers,
 			Dir:      t.TempDir(),
@@ -158,7 +159,7 @@ func TestPeakStaysNearBudget(t *testing.T) {
 	g := graph.RandomGNP(rng, 300, 0.3)
 	// Unconstrained run: measure the largest per-step resident bytes.
 	var maxStep int64
-	res, err := core.Enumerate(g, core.Options{Lo: 3, OnLevel: func(ls core.LevelStats) {
+	res, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, OnLevel: func(ls core.LevelStats) {
 		if r := ls.Bytes + ls.NextBytes; r > maxStep {
 			maxStep = r
 		}
@@ -172,7 +173,7 @@ func TestPeakStaysNearBudget(t *testing.T) {
 	budget := res.PeakBytes / 4
 	for _, workers := range []int{1, 4} {
 		gov := membudget.New(budget)
-		out, err := Enumerate(g, Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Gov: gov})
+		out, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Gov: gov})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -212,7 +213,7 @@ func TestCancellationDuringSpill(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	res, err := Enumerate(g, Options{
+	res, err := hybrid.Enumerate(g, hybrid.Options{
 		Ctx:     ctx,
 		Lo:      3,
 		Workers: 1,
@@ -253,7 +254,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 	type run struct {
 		gov    *membudget.Governor
 		cancel context.CancelFunc
-		opts   *Options
+		opts   *hybrid.Options
 		extra  int64 // bytes the scenario itself charged to force a trip
 	}
 	paths := []struct {
@@ -261,24 +262,24 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 		budget int64
 		spill  bool         // give the run a spill Dir (trip policy: drain)
 		arm    func(r *run) // install the scenario's hooks
-		check  func(t *testing.T, workers int, res *Result, err error)
+		check  func(t *testing.T, workers int, res *hybrid.Result, err error)
 	}{
 		{name: "complete", budget: never,
-			check: func(t *testing.T, _ int, _ *Result, err error) {
+			check: func(t *testing.T, _ int, _ *hybrid.Result, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
 			}},
 		{name: "hi-cut", budget: never,
 			arm: func(r *run) { r.opts.Hi = 4 },
-			check: func(t *testing.T, _ int, res *Result, err error) {
+			check: func(t *testing.T, _ int, res *hybrid.Result, err error) {
 				if err != nil || res.MaxCliqueSize > 4 {
 					t.Fatalf("err %v, max size %d", err, res.MaxCliqueSize)
 				}
 			}},
 		{name: "cancel-before-level", budget: never,
 			arm: func(r *run) { r.opts.OnLevel = func(core.LevelStats) { r.cancel() } },
-			check: func(t *testing.T, _ int, _ *Result, err error) {
+			check: func(t *testing.T, _ int, _ *hybrid.Result, err error) {
 				if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "before level") {
 					t.Fatalf("err = %v", err)
 				}
@@ -291,7 +292,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 					}
 				})
 			},
-			check: func(t *testing.T, workers int, _ *Result, err error) {
+			check: func(t *testing.T, workers int, _ *hybrid.Result, err error) {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v", err)
 				}
@@ -302,13 +303,13 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 				}
 			}},
 		{name: "trip-abort", budget: 64 << 10,
-			check: func(t *testing.T, _ int, _ *Result, err error) {
+			check: func(t *testing.T, _ int, _ *hybrid.Result, err error) {
 				if !errors.Is(err, core.ErrMemoryBudget) {
 					t.Fatalf("err = %v", err)
 				}
 			}},
 		{name: "trip-drain", budget: 64 << 10, spill: true,
-			check: func(t *testing.T, _ int, res *Result, err error) {
+			check: func(t *testing.T, _ int, res *hybrid.Result, err error) {
 				if err != nil || res.SpilledAtLevel == 0 {
 					t.Fatalf("err %v, spilled at %d", err, res.SpilledAtLevel)
 				}
@@ -327,7 +328,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 					}
 				}
 			},
-			check: func(t *testing.T, _ int, res *Result, err error) {
+			check: func(t *testing.T, _ int, res *hybrid.Result, err error) {
 				if !errors.Is(err, context.Canceled) || res.SpilledAtLevel == 0 || res.OOC.Levels == 0 {
 					t.Fatalf("err %v, spilled at %d, %d out-of-core levels", err, res.SpilledAtLevel, res.OOC.Levels)
 				}
@@ -336,7 +337,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 		// feed is cut mid-write with head and consumed level resident.
 		{name: "trip-drain-spill-budget", budget: 64 << 10, spill: true,
 			arm: func(r *run) { r.opts.SpillBudget = 64 },
-			check: func(t *testing.T, _ int, res *Result, err error) {
+			check: func(t *testing.T, _ int, res *hybrid.Result, err error) {
 				if !errors.Is(err, ooc.ErrSpillBudget) || res.OOC.Levels != 0 {
 					t.Fatalf("err %v after %d out-of-core levels", err, res.OOC.Levels)
 				}
@@ -354,7 +355,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 					}
 				})
 			},
-			check: func(t *testing.T, workers int, res *Result, err error) {
+			check: func(t *testing.T, workers int, res *hybrid.Result, err error) {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v", err)
 				}
@@ -370,7 +371,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 				defer cancel()
 				gov := membudget.New(entry + p.budget)
 				gov.Charge(entry)
-				opts := Options{Ctx: ctx, Lo: 3, Workers: workers, Gov: gov}
+				opts := hybrid.Options{Ctx: ctx, Lo: 3, Workers: workers, Gov: gov}
 				if p.spill {
 					opts.Dir = t.TempDir()
 				}
@@ -378,7 +379,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 				if p.arm != nil {
 					p.arm(r)
 				}
-				res, err := Enumerate(g, opts)
+				res, err := hybrid.Enumerate(g, opts)
 				p.check(t, workers, res, err)
 				gov.Release(r.extra)
 				if used := gov.Used(); used != entry {
@@ -409,7 +410,7 @@ func TestNilReporterCollectsNoEmissions(t *testing.T) {
 	}
 	run := func(rep clique.Reporter) (peak, atBoundary int64) {
 		gov := membudget.New(0)
-		res, err := Enumerate(g, Options{Workers: 2, Mode: core.CNStore, Gov: gov, Reporter: rep,
+		res, err := hybrid.Enumerate(g, hybrid.Options{Workers: 2, Mode: core.CNStore, Gov: gov, Reporter: rep,
 			OnLevel: func(core.LevelStats) { atBoundary = max(atBoundary, gov.Used()) }})
 		if err != nil {
 			t.Fatal(err)
@@ -452,7 +453,7 @@ func TestShardFilesPerLevel(t *testing.T) {
 	free := membudget.New(0)
 	free.Charge(entry)
 	defer free.Release(entry)
-	if _, err := Enumerate(g, Options{Lo: 3, Gov: free}); err != nil {
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Gov: free}); err != nil {
 		t.Fatal(err)
 	}
 	if free.Peak() != refPeak {
@@ -461,7 +462,7 @@ func TestShardFilesPerLevel(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		gov := membudget.New(free.Peak() / 4)
 		gov.Charge(entry)
-		res, err := Enumerate(g, Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Compress: true, Gov: gov})
+		res, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Compress: true, Gov: gov})
 		gov.Release(entry)
 		if err != nil {
 			t.Fatal(err)

@@ -3,12 +3,12 @@
 // adjacency bytes at facade entry, the in-core enumerators' resident
 // level blocks, the parallel pool's per-worker scratch, merge-window
 // buffers and per-block bookkeeping, and the out-of-core engine's
-// in-flight shard I/O buffers.  It replaces the three disjoint ad-hoc budget fields the
-// backends grew independently (core.Options.MemoryBudget, a budget and
-// over-budget flag on the Builder, and the facade-level rejection of
-// budgets on every other backend) with one definition of "what memory
-// means": the sum of everything a layer declared resident, compared
-// against one budget.
+// in-flight shard I/O buffers.  It replaces the three disjoint ad-hoc
+// budget fields the backends grew independently (a MemoryBudget field on
+// the sequential entry point's options, a budget and over-budget flag on
+// the Builder, and the facade-level rejection of budgets on every other
+// backend) with one definition of "what memory means": the sum of
+// everything a layer declared resident, compared against one budget.
 //
 // The paper's central tension motivates the design: the fast in-core
 // enumerator dies when candidate storage outgrows RAM (the graph-B

@@ -3,8 +3,12 @@ package ooc
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -145,4 +149,61 @@ func decodeBlocks(data []byte, meta ShardMeta, k, n int, compress bool, words in
 		}
 		buf = buf[:words:words] // a grown buffer goes back to its size
 	}
+}
+
+// FuzzLoadManifest feeds arbitrary bytes to the checkpoint manifest
+// loader, the one reader of the file a resume trusts to name the shards
+// it joins.  The property: either an error, or a manifest whose shard
+// paths are distinct .ooc base names — so no resume can leave the run
+// directory or join a shard twice — and which a WriteManifest ->
+// LoadManifest round trip leaves unchanged.
+func FuzzLoadManifest(f *testing.F) {
+	parent, err := os.ReadFile(filepath.Join("testdata", "ckpt-parent", manifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
+	var m Manifest
+	if err := json.Unmarshal(parent, &m); err != nil {
+		f.Fatal(err)
+	}
+	m.Shards = append(m.Shards, m.Shards[0])
+	dup, err := json.Marshal(&m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dup)
+	// A worker runs its inputs one at a time: two directories serve them
+	// all, the manifest in each replaced by every input.
+	dir, again := f.TempDir(), f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadManifest(dir)
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		for _, s := range m.Shards {
+			if s.Path != filepath.Base(s.Path) || !strings.HasSuffix(s.Path, shardSuffix) || seen[s.Path] {
+				t.Fatalf("accepted shard path %q among %v", s.Path, m.Shards)
+			}
+			seen[s.Path] = true
+		}
+		if err := WriteManifest(again, m, true); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadManifest(again)
+		if err != nil {
+			t.Fatalf("a written manifest does not load: %v", err)
+		}
+		// Compared encoded: JSON has one spelling for an empty and an
+		// absent list, so nil and empty slices are the same manifest.
+		want, _ := json.Marshal(m)
+		got, _ := json.Marshal(back)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round trip changed the manifest:\n%s\nwant\n%s", got, want)
+		}
+	})
 }

@@ -147,10 +147,16 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if m.K < 2 {
 		return nil, fmt.Errorf("ooc: corrupt manifest: level size %d", m.K)
 	}
+	seen := make(map[string]bool, len(m.Shards))
 	for _, s := range m.Shards {
 		if s.Path != filepath.Base(s.Path) || !strings.HasSuffix(s.Path, shardSuffix) {
 			return nil, fmt.Errorf("ooc: corrupt manifest: suspicious shard path %q", s.Path)
 		}
+		// A shard listed twice would be joined twice: a different stream.
+		if seen[s.Path] {
+			return nil, fmt.Errorf("ooc: corrupt manifest: shard %s listed twice", s.Path)
+		}
+		seen[s.Path] = true
 		if s.Records < 0 || s.Bytes < shardHeaderLen {
 			return nil, fmt.Errorf("ooc: corrupt manifest: shard %s has %d records in %d bytes",
 				s.Path, s.Records, s.Bytes)

@@ -266,6 +266,24 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 			t.Fatalf("err = %v", err)
 		}
 	})
+	// A shard listed twice would be joined twice: its cliques delivered
+	// twice, a different stream, before anything noticed.
+	t.Run("duplicate shard", func(t *testing.T) {
+		dir := freshKill(t)
+		m, err := LoadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Shards = append(m.Shards, m.Shards[0])
+		data, _ := json.Marshal(m)
+		os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
+		delivered := 0
+		rep := clique.ReporterFunc(func(clique.Clique) { delivered++ })
+		if _, err := Resume(g, Options{Dir: dir, Reporter: rep}); err == nil ||
+			!strings.Contains(err.Error(), "listed twice") || delivered != 0 {
+			t.Fatalf("err = %v after %d cliques delivered", err, delivered)
+		}
+	})
 	t.Run("missing shard", func(t *testing.T) {
 		dir := freshKill(t)
 		m, err := LoadManifest(dir)

@@ -14,7 +14,7 @@ import (
 
 // EnumerateBarrier is the previous bulk-synchronous implementation of the
 // multithreaded Clique Enumerator, retained as the reference baseline the
-// streaming pool (Enumerate) is benchmarked against.  Per level it
+// streaming pool (Pool, driven by core.Loop) is benchmarked against.  Per level it
 // computes one static assignment, respawns a goroutine per worker, takes
 // a full barrier, and buffers every emission until the barrier; seeding
 // is sequential.
@@ -26,28 +26,22 @@ import (
 // split.
 //
 // No backend selects it: the benchmark harness and this package's tests call it as their reference.
-func EnumerateBarrier(g graph.Interface, opts Options) (*Result, error) {
+func EnumerateBarrier(g graph.Interface, opts Options) (*core.Result, error) {
 	if err := checkOptions(&opts); err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res := &core.Result{}
 	observe := res.Fold(opts.OnLevel)
 
 	// Seeding is sequential — part of the bulk-synchronous design this
 	// baseline preserves.  All seed blocks are created by this thread, so
 	// their home is worker 0.
-	var lvl *core.Level
-	if opts.Lo <= 2 {
-		lvl = core.SeedFromEdgesMode(g, opts.Mode)
-	} else {
-		seed := clique.Tally{Next: opts.Reporter}
-		var err error
-		if lvl, _, err = core.SeedFromKMode(g, opts.Lo, opts.Mode, &seed); err != nil {
-			return nil, err
-		}
-		res.Seeded(seed)
+	seed := clique.Tally{Next: opts.Reporter}
+	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, 1, false, &seed)
+	if err != nil {
+		return nil, err
 	}
-	homes := make([]int32, len(lvl.Sub))
+	res.Seeded(seed)
 
 	// Governor charging mirrors the streaming pool's: builder scratch up
 	// front, output blocks as they are sealed, consumed levels at barriers.

@@ -1,13 +1,17 @@
-package parallel
+package parallel_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
+	"repro/internal/parallel"
 	"repro/internal/sched"
 )
 
@@ -21,34 +25,33 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		g := graph.RandomGNP(rng, n, 0.3+0.4*rng.Float64())
 		lo := 2 + rng.Intn(3)
 		workers := 1 + rng.Intn(5)
-		strategy := Strategy(rng.Intn(2))
+		strategy := enumcfg.Strategy(rng.Intn(2))
 		policy := sched.Policy{RelTolerance: []float64{0, 0.01, 0.5}[rng.Intn(3)]}
 
 		seq := &clique.Collector{}
-		if _, err := core.Enumerate(g, core.Options{Lo: lo, Reporter: seq}); err != nil {
+		if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: lo, Reporter: seq}); err != nil {
 			return false
 		}
+		opts := parallel.Options{Workers: workers, Lo: lo, Strategy: strategy, Policy: policy}
+		p, err := parallel.NewPool(g, opts)
+		if err != nil {
+			return false
+		}
+		defer p.Close()
 		par := &clique.Collector{}
-		if _, err := Enumerate(g, Options{
-			Workers:  workers,
-			Lo:       lo,
-			Strategy: strategy,
-			Policy:   policy,
-			Reporter: par,
-		}); err != nil {
+		lvl, homes, err := core.Seed(context.Background(), g, lo, core.CNRecompute, workers, false, par)
+		if err != nil {
+			return false
+		}
+		if err := (&core.Loop{Reporter: par}).Run(p, lvl, homes); err != nil {
 			return false
 		}
 		if ok, _ := clique.SameSets(seq.Cliques, par.Cliques); !ok {
 			return false
 		}
 		bar := &clique.Collector{}
-		if _, err := EnumerateBarrier(g, Options{
-			Workers:  workers,
-			Lo:       lo,
-			Strategy: strategy,
-			Policy:   policy,
-			Reporter: bar,
-		}); err != nil {
+		opts.Reporter = bar
+		if _, err := parallel.EnumerateBarrier(g, opts); err != nil {
 			return false
 		}
 		ok, _ := clique.SameSets(seq.Cliques, bar.Cliques)
@@ -71,9 +74,9 @@ func TestQuickWorkerCountInvariance(t *testing.T) {
 		var first []clique.Clique
 		for _, workers := range []int{1, 3, 6} {
 			col := &clique.Collector{}
-			if _, err := Enumerate(g, Options{
+			if _, err := hybrid.Enumerate(g, hybrid.Options{
 				Workers:  workers,
-				Strategy: Affinity,
+				Strategy: enumcfg.Affinity,
 				Reporter: col,
 			}); err != nil {
 				return false

@@ -20,10 +20,11 @@
 //     sched.Policy threshold — the paper's transfer rule applied
 //     continuously, minimizing remote-memory traffic on ccNUMA machines.
 //
-// Seeding is parallelized across vertex ranges (core.SeedFromEdgesParallel
-// / core.SeedFromKParallel), so the Lo >= 3 seed phase no longer
-// serializes the run, and seeding records creator ownership for the
-// Affinity strategy's first level.
+// The pool is a level engine (core.LevelEngine): hybrid.Enumerate seeds
+// on the pool's worker count (core.Seed shards vertex ranges, so the
+// Lo >= 3 seed phase does not serialize the run, and records creator
+// ownership for the Affinity strategy's first level) and drives it
+// through the shared level loop, core.Loop.
 //
 // Emission is sharded per worker and merged by a streaming in-order
 // merger: each joined block's cliques and output blocks are released as
@@ -45,8 +46,8 @@
 // joining — its partial output is released, the block stays untouched
 // input — the window drains through the sched.Sequencer, and the level
 // stops at a consistent cut between two blocks.  What happens next is the
-// level loop's trip policy (core.Loop): Enumerate aborts with
-// core.ErrMemoryBudget, the hybrid backend drains the cut to disk and
+// level loop's trip policy (core.Loop): without a spill directory the run
+// aborts with core.ErrMemoryBudget, the hybrid backend drains the cut to disk and
 // continues out of core.
 //
 // EnumerateBarrier retains the previous bulk-synchronous implementation
@@ -83,16 +84,18 @@ const (
 	Affinity = enumcfg.Affinity
 )
 
-// Options configures Enumerate.
+// Options configures NewPool and EnumerateBarrier.  The pool reads
+// Workers, Mode, Strategy, Policy and Gov, and validates Lo and Hi; the
+// rest of a run's description is the level loop's (core.Loop).
 type Options struct {
-	// Ctx, when non-nil, cancels the run: workers stop pulling dispatcher
-	// chunks, the in-flight level drains through the usual barrier (so
-	// the pool shuts down cleanly and no goroutine leaks), and Enumerate
+	// Ctx, when non-nil, cancels EnumerateBarrier between levels; it
 	// returns the partial Result with an error wrapping ctx.Err().
 	Ctx context.Context
 	// Workers is the number of worker threads; must be >= 1.
 	Workers int
-	// Lo, Hi, Mode as in core.Options.
+	// Lo is the seed size (the paper's Init_K, default 2); Hi, when
+	// positive, stops after cliques of size Hi.  Mode is the
+	// common-neighbor bitmap policy.
 	Lo, Hi int
 	Mode   core.CNMode
 	// Strategy selects the dispatch policy (default Contiguous).
@@ -101,60 +104,21 @@ type Options struct {
 	Policy sched.Policy
 	// Gov, when non-nil, is the shared memory governor every layer of
 	// the run charges (level blocks + worker scratch + merge-window copies
-	// + the pool's per-block bookkeeping); once it reports Over the run
-	// aborts with an error wrapping core.ErrMemoryBudget.  nil runs
-	// unaccounted.
+	// + the pool's per-block bookkeeping); once it reports Over the level
+	// stops at a consistent cut and the loop's trip policy decides (the
+	// barrier aborts with an error wrapping core.ErrMemoryBudget).  nil
+	// runs unaccounted.
 	Gov *membudget.Governor
-	// Reporter receives maximal cliques.  Enumerate delivers full
-	// canonical order (non-decreasing size; lexicographic within a
-	// size) with either strategy; EnumerateBarrier guarantees canonical
-	// order only with Contiguous, and size order with Affinity.  May be
-	// nil.
+	// Reporter receives EnumerateBarrier's maximal cliques: canonical
+	// order (non-decreasing size; lexicographic within a size) with
+	// Contiguous, size order only with Affinity.  The pool itself delivers
+	// full canonical order with either strategy.  May be nil.
 	Reporter clique.Reporter
-	// OnLevel observes per-level statistics (the pool fills the
-	// scheduling fields of core.LevelStats).
+	// OnLevel observes EnumerateBarrier's per-level statistics.
 	OnLevel func(core.LevelStats)
 }
 
-// Result is the run record every in-core entry point returns.
-type Result = core.Result
-
-// Enumerate runs the multithreaded Clique Enumerator on a persistent
-// streaming worker pool, over any graph representation: the parallel
-// entry point to the shared level loop (core.Loop) — parallel seed, the
-// pool as the level engine, budget trip aborts.
-func Enumerate(g graph.Interface, opts Options) (*Result, error) {
-	p, err := NewPool(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	opts = p.opts // defaults applied
-	res := &Result{}
-	seed := clique.Tally{Next: opts.Reporter}
-	lvl, homes, err := p.Seed(&seed)
-	res.Seeded(seed)
-	if err != nil {
-		return res, fmt.Errorf("parallel: %w", err)
-	}
-
-	// Level emissions go to the caller's reporter directly (nil keeps the
-	// pool from copying emissions at all); the counts come from the level
-	// records.
-	loop := core.Loop{
-		Ctx:      opts.Ctx,
-		Hi:       opts.Hi,
-		Gov:      opts.Gov,
-		Reporter: opts.Reporter,
-		OnLevel:  res.Fold(opts.OnLevel),
-	}
-	if err := loop.Run(p, lvl, homes); err != nil {
-		return res, fmt.Errorf("parallel: %w", err)
-	}
-	return res, nil
-}
-
-// checkOptions validates opts and applies defaults.  Shared by Enumerate
+// checkOptions validates opts and applies defaults.  Shared by NewPool
 // and EnumerateBarrier.
 func checkOptions(opts *Options) error {
 	if opts.Workers < 1 {
@@ -215,23 +179,6 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 		go p.workers[w].loop(&p.wg)
 	}
 	return p, nil
-}
-
-// Seed builds the pool's seed level at size max(Lo, 2) on its worker
-// count, reporting maximal Lo-cliques to r; homes records creator
-// ownership for the Affinity strategy's first level.  The pool's Ctx
-// cancels a k-clique seed mid-search.
-func (p *Pool) Seed(r clique.Reporter) (*core.Level, []int32, error) {
-	if p.opts.Lo <= 2 {
-		lvl, homes := core.SeedFromEdgesParallel(p.g, p.opts.Mode, p.opts.Workers)
-		return lvl, homes, nil
-	}
-	ctx := p.opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	lvl, homes, _, err := core.SeedFromKContext(ctx, p.g, p.opts.Lo, p.opts.Mode, p.opts.Workers, r)
-	return lvl, homes, err
 }
 
 // Close stops the workers and releases the governor's scratch and

@@ -1,4 +1,4 @@
-package parallel
+package parallel_test
 
 import (
 	"context"
@@ -9,8 +9,11 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/membudget"
+	"repro/internal/parallel"
 	"repro/internal/sched"
 )
 
@@ -24,7 +27,7 @@ func testGraph(seed int64) *graph.Graph {
 func sequentialCliques(t *testing.T, g *graph.Graph, lo, hi int) []clique.Clique {
 	t.Helper()
 	col := &clique.Collector{}
-	if _, err := core.Enumerate(g, core.Options{Lo: lo, Hi: hi, Reporter: col}); err != nil {
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: lo, Hi: hi, Reporter: col}); err != nil {
 		t.Fatal(err)
 	}
 	return col.Cliques
@@ -34,9 +37,9 @@ func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	g := testGraph(61)
 	want := sequentialCliques(t, g, 2, 0)
 	for _, workers := range []int{1, 2, 3, 4, 7} {
-		for _, strategy := range []Strategy{Contiguous, Affinity} {
+		for _, strategy := range []enumcfg.Strategy{enumcfg.Contiguous, enumcfg.Affinity} {
 			col := &clique.Collector{}
-			res, err := Enumerate(g, Options{
+			res, err := hybrid.Enumerate(g, hybrid.Options{
 				Workers:  workers,
 				Strategy: strategy,
 				Reporter: col,
@@ -58,7 +61,7 @@ func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 func TestCountsWithoutReporter(t *testing.T) {
 	g := testGraph(62)
 	want := sequentialCliques(t, g, 2, 0)
-	res, err := Enumerate(g, Options{Workers: 3})
+	res, err := hybrid.Enumerate(g, hybrid.Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +84,8 @@ func TestSeededParallelMatchesSequential(t *testing.T) {
 	for _, initK := range []int{4, 6, 8} {
 		want := sequentialCliques(t, g, initK, 0)
 		col := &clique.Collector{}
-		_, err := Enumerate(g, Options{
-			Workers: 4, Lo: initK, Strategy: Affinity, Reporter: col,
+		_, err := hybrid.Enumerate(g, hybrid.Options{
+			Workers: 4, Lo: initK, Strategy: enumcfg.Affinity, Reporter: col,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +100,7 @@ func TestUpperBoundHonored(t *testing.T) {
 	g := testGraph(64)
 	want := sequentialCliques(t, g, 2, 6)
 	col := &clique.Collector{}
-	if _, err := Enumerate(g, Options{Workers: 3, Hi: 6, Reporter: col}); err != nil {
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Workers: 3, Hi: 6, Reporter: col}); err != nil {
 		t.Fatal(err)
 	}
 	if ok, diff := clique.SameSets(col.Cliques, want); !ok {
@@ -108,9 +111,9 @@ func TestUpperBoundHonored(t *testing.T) {
 func TestContiguousPreservesCanonicalOrder(t *testing.T) {
 	g := testGraph(65)
 	var got []clique.Clique
-	_, err := Enumerate(g, Options{
+	_, err := hybrid.Enumerate(g, hybrid.Options{
 		Workers:  4,
-		Strategy: Contiguous,
+		Strategy: enumcfg.Contiguous,
 		Reporter: clique.ReporterFunc(func(c clique.Clique) {
 			got = append(got, append(clique.Clique(nil), c...))
 		}),
@@ -128,9 +131,9 @@ func TestContiguousPreservesCanonicalOrder(t *testing.T) {
 func TestAffinityNonDecreasingSizes(t *testing.T) {
 	g := testGraph(66)
 	lastSize := 0
-	_, err := Enumerate(g, Options{
+	_, err := hybrid.Enumerate(g, hybrid.Options{
 		Workers:  4,
-		Strategy: Affinity,
+		Strategy: enumcfg.Affinity,
 		Reporter: clique.ReporterFunc(func(c clique.Clique) {
 			if len(c) < lastSize {
 				t.Fatalf("size order violated: %d after %d", len(c), lastSize)
@@ -148,12 +151,12 @@ func TestRecomputeCNParallel(t *testing.T) {
 	// The reference keeps the paper's stored bitmaps; the pool must
 	// agree with it in its default (rebuilding) mode and in the stored one.
 	ref := &clique.Collector{}
-	if _, err := core.Enumerate(g, core.Options{Mode: core.CNStore, Reporter: ref}); err != nil {
+	if _, err := hybrid.Enumerate(g, hybrid.Options{Mode: core.CNStore, Reporter: ref}); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []core.CNMode{core.CNRecompute, core.CNStore} {
 		col := &clique.Collector{}
-		if _, err := Enumerate(g, Options{Workers: 2, Mode: mode, Reporter: col}); err != nil {
+		if _, err := hybrid.Enumerate(g, hybrid.Options{Workers: 2, Mode: mode, Reporter: col}); err != nil {
 			t.Fatal(err)
 		}
 		if ok, diff := clique.SameSets(col.Cliques, ref.Cliques); !ok {
@@ -176,25 +179,19 @@ func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			gov := membudget.New(0)
 			var eng core.LevelEngine
-			var held func() int64 // the engine's scratch charge right now
+			var stop func() // stops the engine: its scratch and bookkeeping leave the ledger
 			if name == "pool" {
-				p, err := NewPool(g, Options{Workers: 2, Lo: 3, Strategy: Affinity, Gov: gov})
+				p, err := parallel.NewPool(g, parallel.Options{Workers: 2, Lo: 3, Strategy: enumcfg.Affinity, Gov: gov})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				eng, held = p, func() (n int64) {
-					for _, w := range p.workers {
-						n += w.builder.ScratchBytes()
-					}
-					return n + p.held // and the pool's own per-block bookkeeping
-				}
+				eng, stop = p, p.Close
 			} else {
 				b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(n))
 				b.Gov = gov
 				gov.Charge(b.ScratchBytes())
-				defer func() { gov.Release(b.ScratchBytes()) }()
-				eng, held = b, b.ScratchBytes
+				eng, stop = b, func() { gov.Release(b.ScratchBytes()) }
 			}
 			col := &clique.Collector{}
 			lvl, homes, _, err := core.SeedFromKParallel(g, 3, core.CNStore, 2, col)
@@ -231,8 +228,9 @@ func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 					t.Fatalf("stream diverges from the sequential reference at %d", i)
 				}
 			}
-			if gov.Used() != held() {
-				t.Errorf("governor at %d after the run, the engine's scratch is %d", gov.Used(), held())
+			stop()
+			if gov.Used() != 0 {
+				t.Errorf("governor at %d after the run and the engine's stop", gov.Used())
 			}
 		})
 	}
@@ -241,7 +239,7 @@ func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 func TestLevelStatsPopulated(t *testing.T) {
 	g := testGraph(68)
 	var levels []core.LevelStats
-	res, err := Enumerate(g, Options{
+	res, err := hybrid.Enumerate(g, hybrid.Options{
 		Workers: 3,
 		OnLevel: func(st core.LevelStats) { levels = append(levels, st) },
 	})
@@ -273,87 +271,6 @@ func TestLevelStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestAffinityTransfersHappenUnderSkew pins the paper's transfer rule on
-// the pool's own first level, with the skew injected instead of hoped for
-// from the schedule: a graph with one giant clique seeds a level whose
-// blocks, loads and creator homes are exactly what the pool's dispatcher
-// is built from.  The worker holding the heaviest backlog takes one chunk
-// and never comes back — a completion order a real run produces only by
-// luck — while the others finish each chunk at once and ask again.  The
-// threshold rule must move all of the stalled worker's queued work to
-// them: a backlog nobody drains never falls under the tolerance.  Every
-// block is handed out once, at home unless marked stolen.
-func TestAffinityTransfersHappenUnderSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(69))
-	g := graph.PlantedGraph(rng, 200, []graph.PlantedCliqueSpec{{Size: 14}}, 400)
-	const workers = 4
-	p, err := NewPool(g, Options{Workers: workers, Strategy: Affinity, Policy: sched.Policy{RelTolerance: 0.05}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	lvl, homes, err := p.Seed(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp := p.dispatcher(lvl, homes)
-	backlog := make([]int64, workers)
-	for i, h := range homes {
-		backlog[h] += p.loads[i]
-	}
-	slow := 0
-	for w := range backlog {
-		if backlog[w] > backlog[slow] {
-			slow = w
-		}
-	}
-	first, ok := disp.Next(slow)
-	if !ok {
-		t.Fatal("the heaviest worker has no work")
-	}
-	handed := make([]bool, len(homes))
-	for _, i := range first.Items {
-		handed[i] = true
-	}
-	moved := 0
-	for asked := true; asked; {
-		asked = false
-		for w := 0; w < workers; w++ {
-			if w == slow {
-				continue
-			}
-			c, ok := disp.Next(w)
-			if !ok {
-				continue
-			}
-			asked = true
-			for _, i := range c.Items {
-				if handed[i] || (int(homes[i]) != w) != c.Stolen {
-					t.Fatalf("worker %d got block %d (home %d, handed before: %v) in a chunk marked stolen=%v",
-						w, i, homes[i], handed[i], c.Stolen)
-				}
-				handed[i] = true
-				if int(homes[i]) == slow {
-					moved++
-				}
-			}
-		}
-	}
-	queued := 0
-	for i, h := range homes {
-		if !handed[i] {
-			t.Fatalf("block %d (home %d) was never handed out", i, h)
-		}
-		if int(h) == slow {
-			queued++
-		}
-	}
-	if want := queued - len(first.Items); moved == 0 || moved != want || disp.Transfers() < moved {
-		t.Errorf("worker %d stalled on a backlog of %v: %d of its %d queued blocks moved, the dispatcher counts %d transfers",
-			slow, backlog, moved, want, disp.Transfers())
-	}
-}
-
 // TestBarrierAffinityActsFromLevelOne is the regression test for the
 // seed-ownership bug: seeding used to leave sub-list ownership unset, so
 // the Affinity strategy silently ran a contiguous split on the first
@@ -366,9 +283,9 @@ func TestBarrierAffinityActsFromLevelOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(69))
 	g := graph.PlantedGraph(rng, 80, []graph.PlantedCliqueSpec{{Size: 12}}, 60)
 	var first *core.LevelStats
-	res, err := EnumerateBarrier(g, Options{
+	res, err := parallel.EnumerateBarrier(g, parallel.Options{
 		Workers:  4,
-		Strategy: Affinity,
+		Strategy: enumcfg.Affinity,
 		Policy:   sched.Policy{RelTolerance: 0.05},
 		OnLevel: func(st core.LevelStats) {
 			if first == nil {
@@ -399,13 +316,13 @@ func TestStrategyParity(t *testing.T) {
 		want := int64(len(sequentialCliques(t, g, 2, 0)))
 		for _, workers := range []int{2, 5} {
 			counts := map[string]int64{}
-			for name, strategy := range map[string]Strategy{"contiguous": Contiguous, "affinity": Affinity} {
-				res, err := Enumerate(g, Options{Workers: workers, Strategy: strategy})
+			for name, strategy := range map[string]enumcfg.Strategy{"contiguous": enumcfg.Contiguous, "affinity": enumcfg.Affinity} {
+				res, err := hybrid.Enumerate(g, hybrid.Options{Workers: workers, Strategy: strategy})
 				if err != nil {
 					t.Fatal(err)
 				}
 				counts["streaming/"+name] = res.MaximalCliques
-				bres, err := EnumerateBarrier(g, Options{Workers: workers, Strategy: strategy})
+				bres, err := parallel.EnumerateBarrier(g, parallel.Options{Workers: workers, Strategy: strategy})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -423,19 +340,29 @@ func TestStrategyParity(t *testing.T) {
 
 // The streaming merger releases emissions in sub-list order, so the
 // Affinity strategy now delivers full canonical order too — not just
-// non-decreasing sizes.
+// non-decreasing sizes — even with a stealing threshold low enough to
+// move blocks on every level.
 func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 	g := testGraph(71)
 	var got []clique.Clique
-	_, err := Enumerate(g, Options{
+	rep := clique.ReporterFunc(func(c clique.Clique) {
+		got = append(got, append(clique.Clique(nil), c...))
+	})
+	p, err := parallel.NewPool(g, parallel.Options{
 		Workers:  4,
-		Strategy: Affinity,
+		Strategy: enumcfg.Affinity,
 		Policy:   sched.Policy{RelTolerance: 0.01},
-		Reporter: clique.ReporterFunc(func(c clique.Clique) {
-			got = append(got, append(clique.Clique(nil), c...))
-		}),
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 4, false, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := core.Loop{Reporter: rep}
+	if err := loop.Run(p, lvl, homes); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) == 0 {
@@ -451,9 +378,9 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 func TestBarrierMatchesSequential(t *testing.T) {
 	g := testGraph(72)
 	want := sequentialCliques(t, g, 2, 0)
-	for _, strategy := range []Strategy{Contiguous, Affinity} {
+	for _, strategy := range []enumcfg.Strategy{enumcfg.Contiguous, enumcfg.Affinity} {
 		col := &clique.Collector{}
-		if _, err := EnumerateBarrier(g, Options{Workers: 4, Strategy: strategy, Reporter: col}); err != nil {
+		if _, err := parallel.EnumerateBarrier(g, parallel.Options{Workers: 4, Strategy: strategy, Reporter: col}); err != nil {
 			t.Fatal(err)
 		}
 		if ok, diff := clique.SameSets(col.Cliques, want); !ok {
@@ -467,8 +394,8 @@ func TestSeededBarrierMatchesSequential(t *testing.T) {
 	for _, initK := range []int{4, 6} {
 		want := sequentialCliques(t, g, initK, 0)
 		col := &clique.Collector{}
-		if _, err := EnumerateBarrier(g, Options{
-			Workers: 3, Lo: initK, Strategy: Affinity, Reporter: col,
+		if _, err := parallel.EnumerateBarrier(g, parallel.Options{
+			Workers: 3, Lo: initK, Strategy: enumcfg.Affinity, Reporter: col,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -480,10 +407,10 @@ func TestSeededBarrierMatchesSequential(t *testing.T) {
 
 func TestInvalidOptions(t *testing.T) {
 	g := graph.New(3)
-	if _, err := Enumerate(g, Options{Workers: 0}); err == nil {
+	if _, err := parallel.NewPool(g, parallel.Options{Workers: 0}); err == nil {
 		t.Error("0 workers accepted")
 	}
-	if _, err := Enumerate(g, Options{Workers: 1, Lo: 5, Hi: 4}); err == nil {
+	if _, err := parallel.NewPool(g, parallel.Options{Workers: 1, Lo: 5, Hi: 4}); err == nil {
 		t.Error("Hi < Lo accepted")
 	}
 }
@@ -493,7 +420,7 @@ func BenchmarkParallel2Workers(b *testing.B) {
 	g := graph.PlantedGraph(rng, 300, []graph.PlantedCliqueSpec{{Size: 14}}, 700)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(g, Options{Workers: 2}); err != nil {
+		if _, err := hybrid.Enumerate(g, hybrid.Options{Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

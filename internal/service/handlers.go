@@ -275,6 +275,9 @@ func parseCliqueQuery(r *http.Request, maxWorkers int) (q cliqueQuery, err error
 	if q.hi, err = intParam(v.Get("hi"), 0); err != nil {
 		return q, fmt.Errorf("hi: %v", err)
 	}
+	if err = checkBounds(q.lo, q.hi); err != nil {
+		return q, err
+	}
 	if q.workers, err = intParam(v.Get("workers"), 1); err != nil {
 		return q, fmt.Errorf("workers: %v", err)
 	}
@@ -478,6 +481,10 @@ func (s *Server) handleParacliques(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "lo: %v", err)
 		return
 	}
+	if err := checkBounds(lo, 0); err != nil {
+		errorJSON(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	mem, err := memParam(v.Get("mem"))
 	if err != nil {
 		errorJSON(w, http.StatusBadRequest, "%v", err)
@@ -577,6 +584,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- small helpers ----------------------------------------------------
+
+// checkBounds refuses a size range the facade would refuse, by the
+// facade's own rule, while the request is parsed: before it takes a
+// registry reference or an admission reservation.
+func checkBounds(lo, hi int) error {
+	c := enumcfg.Config{Lo: lo, Hi: hi}
+	return c.Normalize()
+}
 
 func intParam(s string, def int) (int, error) {
 	if s == "" {

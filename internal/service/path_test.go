@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/service"
 	"repro/internal/testgraph"
 )
@@ -112,6 +113,7 @@ func TestRequestPath(t *testing.T) {
 	dense := testGraphBytes(t, 1, 150, 0.9)  // an exact search that outlives any test
 	denser := testGraphBytes(t, 1, 120, 0.8) // ~0.1 s a seed search
 	smallText, bigText := expectedText(t, small, 3, 0), expectedText(t, big, 3, 0)
+	smallOnes := expectedText(t, small, 1, 0, repro.WithReportSmall())
 	const (
 		jsonCT   = "application/json"
 		textCT   = "text/plain; charset=utf-8"
@@ -125,7 +127,7 @@ func TestRequestPath(t *testing.T) {
 		timedOut    = "{\"error\":\"service: timed out waiting for memory headroom\"}\n"
 		neverFits   = "{\"error\":\"membudget: reservation exceeds remaining headroom: 67109344 bytes exceed the whole budget 1048576\"}\n"
 		noGraph     = "{\"error\":\"no graph with fingerprint deadbeef00000000\"}\n"
-		badBounds   = "{\"error\":\"repro: enumcfg: Lo -1 \\u003c 1\"}\n"
+		badBounds   = "{\"error\":\"enumcfg: Lo -1 \\u003c 1\"}\n"
 	)
 	tight := service.Config{Budget: 8 << 20, QueueWait: 50 * time.Millisecond}
 	tiny := service.Config{Budget: 1 << 20}
@@ -175,8 +177,20 @@ func TestRequestPath(t *testing.T) {
 			want: reply{200, "miss", "1921", "", textCT, threes(bigText)}},
 		{name: "cliques/ndjson-budget-trip", upload: big, path: "cliques?mem=1", // ends with the in-band {"error":...} record
 			want: reply{200, "miss", "1921", "", ndjsonCT, ""}, bodyFNV: 0xf5019e0e1929399d},
-		{name: "cliques/fails-before-first-byte", upload: small, path: "cliques?lo=-1",
-			want: reply{500, "miss", "67109344", "", jsonCT, badBounds}},
+		// Refused while parsed: no registry reference, no reservation.
+		{name: "cliques/bad-bounds", upload: small, path: "cliques?lo=-1",
+			want: reply{400, "", "", "", jsonCT, badBounds}},
+		{name: "cliques/bad-bounds-inverted", upload: small, path: "cliques?lo=5&hi=3",
+			want: reply{400, "", "", "", jsonCT, "{\"error\":\"enumcfg: Hi 3 \\u003c Lo 5\"}\n"}},
+		// Seeded from the edges, the run holds its whole 2-clique level
+		// against a budget of the graph's bytes + 1 and trips before its
+		// first 3-clique is out: the status still says so.
+		{name: "cliques/fails-before-first-byte", upload: small, path: "cliques?lo=2&mem=1&format=text",
+			want: reply{507, "miss", "481", "", jsonCT,
+				"{\"error\":\"hybrid: level 2-\\u003e3: memory budget exceeded: peak 1512 bytes resident \\u003e budget 481\"}\n"}},
+		// Small cliques come from the seed at any width.
+		{name: "cliques/small-workers", upload: small, path: "cliques?lo=1&small=1&workers=2&format=text",
+			want: reply{200, "miss", "67109344", "", textCT, smallOnes}},
 
 		{name: "maxclique/miss", upload: small, path: "maxclique",
 			want: reply{200, "miss", "", "", jsonCT, maxClique}},
@@ -209,8 +223,8 @@ func TestRequestPath(t *testing.T) {
 		// Extraction never polls its governor: the smallest budget changes nothing.
 		{name: "paracliques/budget-trip", upload: small, path: "paracliques?lo=4&glom=0.9&mem=1",
 			want: reply{200, "miss", "", "", jsonCT, paracliques}},
-		{name: "paracliques/fails-before-first-byte", upload: small, path: "paracliques?lo=-1",
-			want: reply{500, "", "", "", jsonCT, badBounds}},
+		{name: "paracliques/bad-bounds", upload: small, path: "paracliques?lo=-1",
+			want: reply{400, "", "", "", jsonCT, badBounds}},
 		// NaN fails every comparison, so a range check must be written to
 		// reject it; let through, it gloms the whole graph into one.
 		{name: "paracliques/glom-nan", upload: small, path: "paracliques?glom=NaN",

@@ -82,14 +82,14 @@ func get(t *testing.T, url string) (int, string, []byte) {
 
 // expectedText enumerates the same uploaded bytes locally and renders
 // them exactly as cmd/cliquer prints cliques — the parity oracle.
-func expectedText(t *testing.T, upload []byte, lo, hi int) string {
+func expectedText(t *testing.T, upload []byte, lo, hi int, opts ...repro.Option) string {
 	t.Helper()
 	g, err := repro.ReadGraph(bytes.NewReader(upload), repro.FormatAuto, repro.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	for c, err := range repro.NewEnumerator(repro.WithBounds(lo, hi)).Cliques(context.Background(), g) {
+	for c, err := range repro.NewEnumerator(append(opts, repro.WithBounds(lo, hi))...).Cliques(context.Background(), g) {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,6 +29,7 @@
 package simarch
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -71,7 +72,7 @@ func (t *Trace) UnitsPerSecond() float64 {
 
 // CollectMode runs the Clique Enumerator sequentially with
 // instrumentation, in the given bitmap mode, and returns the cost trace;
-// lo/hi follow core.Options semantics.  core.CNStore is the machine the
+// lo/hi follow hybrid.Options semantics.  core.CNStore is the machine the
 // paper measured (a bitmap resident per sub-list, no rebuild ANDs): the
 // traces behind its figures name it.  The default core.CNRecompute is
 // how the largest paper-scale traces (Init_K = 3 on graph C) fit on
@@ -95,7 +96,8 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	var seed clique.Tally
 	var lvl *core.Level
 	if lo <= 2 {
-		lvl = core.SeedFromEdgesMode(g, mode)
+		// An edge seed that nothing cancels cannot fail.
+		lvl, _, _ = core.Seed(context.TODO(), g, lo, mode, 1, false, nil)
 		tr.SeedUnits = int64(g.M()) // one pass over the edge list
 	} else {
 		var err error

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/sched"
 )
 
@@ -29,7 +30,7 @@ func collect(t *testing.T, g *graph.Graph, lo, hi int) *Trace {
 func TestCollectMatchesCoreCounts(t *testing.T) {
 	g := traceGraph(71)
 	tr := collect(t, g, 2, 0)
-	res, err := core.Enumerate(g, core.Options{})
+	res, err := hybrid.Enumerate(g, hybrid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestCollectSeeded(t *testing.T) {
 	}
 	// Maximal cliques of size >= 6 must match between the two traces.
 	var want int64
-	res, _ := core.Enumerate(g, core.Options{Lo: 6})
+	res, _ := hybrid.Enumerate(g, hybrid.Options{Lo: 6})
 	want = res.MaximalCliques
 	if seeded.MaximalCliques != want {
 		t.Errorf("seeded trace maximal %d, want %d", seeded.MaximalCliques, want)

@@ -93,7 +93,7 @@ var footprintSpec = expt.SpecC.Scale(0.6)
 // holds for a join's maximal cliques until their in-order release.
 func joinWindow(g repro.GraphInterface, lo int) (window int64) {
 	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
-	lvl, _ := core.Seed(context.Background(), g, lo, core.CNRecompute, false, nil)
+	lvl, _, _ := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, nil)
 	var emitted int64
 	r := clique.ReporterFunc(func(c clique.Clique) { emitted += 8 * int64(len(c)) })
 	for len(lvl.Sub) > 0 {
@@ -277,7 +277,7 @@ func TestLevelStoreFootprint(t *testing.T) {
 	t.Logf("PeakBytes %d (%.1f%% of %d)", st.PeakBytes, 100*float64(st.PeakBytes)/parentPeak, parentPeak)
 
 	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
-	lvl, err := core.Seed(context.Background(), g, 3, core.CNRecompute, false, nil)
+	lvl, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
