@@ -29,7 +29,7 @@ func benchKose(b *testing.B, g *graph.Graph) {
 // benchCore runs the sequential Clique Enumerator, counting only.
 func benchCore(b *testing.B, g *graph.Graph) {
 	b.Helper()
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Reporter: clique.NewCounter()}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{}, core.Hooks{Reporter: clique.NewCounter()}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -184,7 +184,7 @@ func benchEnumerate(b *testing.B, g *graph.Graph, workers int, enumerate func(gr
 
 // streaming runs the persistent worker pool through the level loop.
 func streaming(g graph.Interface, workers int) error {
-	_, err := hybrid.Enumerate(g, hybrid.Options{Workers: workers, Strategy: enumcfg.Affinity})
+	_, err := hybrid.Enumerate(g, enumcfg.Config{Workers: workers, Strategy: enumcfg.Affinity}, core.Hooks{})
 	return err
 }
 

@@ -222,14 +222,14 @@ func run(ctx context.Context, path string, o options) error {
 	if o.storeBits {
 		opts = append(opts, repro.WithStoredBitmaps())
 	}
-	if o.dist > 0 {
+	if o.dist != 0 { // a count below one is the facade's configuration error
 		if o.oocDir == "" {
 			return fmt.Errorf("-dist requires -ooc DIR as the shared run directory")
 		}
 		if o.resume != "" || o.oocCheckpoint {
 			return fmt.Errorf("-dist manages its own per-level checkpoint; -resume and -ooc-checkpoint do not apply")
 		}
-		var knobs []repro.DistOption
+		var knobs []repro.OutOfCoreOption
 		if o.distWorkerCmd != "" {
 			knobs = append(knobs, repro.DistWorkerCommand(strings.Fields(o.distWorkerCmd)...))
 		}
@@ -240,7 +240,7 @@ func run(ctx context.Context, path string, o options) error {
 			knobs = append(knobs, repro.DistShardBytes(o.distShardBytes))
 		}
 		if o.oocCompress {
-			knobs = append(knobs, repro.DistCompress())
+			knobs = append(knobs, repro.OOCCompress())
 		}
 		opts = append(opts, repro.WithDistributed(o.dist, o.oocDir, knobs...))
 	} else if o.oocDir != "" || o.resume != "" {

@@ -159,6 +159,7 @@ type Enumerator struct {
 	graphCharged bool // WithGraphCharged: entry charge is the caller's
 	stats        *Stats
 	onLevel      func(LevelStats)
+	err          error // an option's own complaint, reported by the first run
 }
 
 // Option configures an Enumerator.
@@ -200,8 +201,9 @@ func WithStrategy(s Strategy) Option {
 	return func(e *Enumerator) { e.cfg.Strategy = s }
 }
 
-// OutOfCoreOption tunes the out-of-core backend selected by
-// WithOutOfCore.
+// OutOfCoreOption tunes the disk backends: the out-of-core one selected
+// by WithOutOfCore, the spilled phase of WithSpillover, and the
+// distributed one selected by WithDistributed.
 type OutOfCoreOption func(*enumcfg.Config)
 
 // OOCWorkers joins each level's shard files on n concurrent workers
@@ -266,15 +268,11 @@ func WithResume(dir string) Option {
 	return func(e *Enumerator) { e.cfg.Dir, e.cfg.Resume = dir, true }
 }
 
-// DistOption tunes the distributed backend selected by
-// WithDistributed.
-type DistOption func(*enumcfg.Config)
-
 // DistWorkerCommand sets the argv the coordinator execs for each worker
 // slot (default: the current binary re-executed with -worker).  The
 // command must speak the worker side of the dist wire protocol on its
 // stdin/stdout — `cliquer -worker` and `cliqued -worker` both do.
-func DistWorkerCommand(argv ...string) DistOption {
+func DistWorkerCommand(argv ...string) OutOfCoreOption {
 	return func(c *enumcfg.Config) { c.DistWorkerCmd = argv }
 }
 
@@ -282,24 +280,16 @@ func DistWorkerCommand(argv ...string) DistOption {
 // by more than this is revoked, its worker killed, and the shard
 // re-leased to another worker.  Heartbeating workers extend their lease,
 // so only a hung or dead worker is ever swept.
-func DistLeaseTimeout(d time.Duration) DistOption {
+func DistLeaseTimeout(d time.Duration) OutOfCoreOption {
 	return func(c *enumcfg.Config) { c.DistLeaseTimeout = d }
 }
 
-// DistCompress delta-varint encodes the level shards the coordinator
-// and workers exchange — the distributed spelling of OOCCompress
-// (workers adopt the coordinator's record encoding from their init
-// frame).
-func DistCompress() DistOption {
-	return func(c *enumcfg.Config) { c.OOCCompress = true }
-}
-
-// DistShardBytes overrides the target level-shard size (0 = auto-sized
-// from the consumed level and the worker count).  Smaller shards mean
-// finer-grained leases: more scheduling traffic, less work lost per
-// worker death.
-func DistShardBytes(n int64) DistOption {
-	return func(c *enumcfg.Config) { c.DistShardBytes = n }
+// DistShardBytes overrides the target level-shard size of a disk run (0
+// = auto-sized from the consumed level and the worker count).  Smaller
+// shards mean finer-grained leases: more scheduling traffic, less work
+// lost per worker death.
+func DistShardBytes(n int64) OutOfCoreOption {
+	return func(c *enumcfg.Config) { c.ShardBytes = n }
 }
 
 // WithDistributed selects the distributed backend: a coordinator that
@@ -310,15 +300,19 @@ func DistShardBytes(n int64) DistOption {
 // live there); workers are spawned over the exec/pipe transport and
 // respawned if they die, with their in-flight shards re-leased — the
 // emitted clique stream is byte-identical to a sequential run at any
-// worker count, faults included.  OOCCompress composes (workers adopt
+// worker count, faults included.  n must be at least 1; the first Run
+// reports anything less.  OOCCompress composes (workers adopt
 // the coordinator's record encoding); WithWorkers, WithMemoryBudget,
 // and the checkpoint/resume knobs do not — the coordinator manages its
 // own per-level checkpoint, and the coordinator's governor is the run's
 // single accounting authority (worker scratch is held as child
 // reservations).  The backend reports maximal cliques of size >= 3;
 // smaller bounds are filtered like the out-of-core backend.
-func WithDistributed(workers int, dir string, knobs ...DistOption) Option {
+func WithDistributed(workers int, dir string, knobs ...OutOfCoreOption) Option {
 	return func(e *Enumerator) {
+		if workers < 1 {
+			e.err = fmt.Errorf("repro: WithDistributed with %d workers (want >= 1)", workers)
+		}
 		e.cfg.DistWorkers = workers
 		e.cfg.Dir = dir
 		for _, k := range knobs {
@@ -460,11 +454,12 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 	var out outcome
 	switch cfg.Backend() {
 	case enumcfg.OutOfCore:
-		out, err = e.runOutOfCore(cfg, g, r, rn.st, rn.gov)
+		out.spill, err = ooc.Enumerate(g, cfg, e.diskHooks(cfg, r, rn, &out))
 	case enumcfg.Distributed:
-		out, err = e.runDistributed(cfg, g, r, rn.st, rn.gov)
+		out.dist, err = dist.Enumerate(g, cfg, e.diskHooks(cfg, r, rn, &out), nil)
+		out.spill = out.dist.Stats
 	default:
-		out, err = e.runInCore(cfg, g, r, rn.st, rn.gov)
+		out, err = e.runInCore(cfg, g, r, rn)
 	}
 	rn.end(backendName(cfg, out.spilledAt), &out)
 	return out.MaximalCliques, err
@@ -614,7 +609,7 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 		out.MaxCliqueSize = max(out.MaxCliqueSize, p.CoreSize)
 	}
 	rn.end("paraclique", &out)
-	if err := cfg.Context().Err(); err != nil {
+	if err := cfg.Ctx.Err(); err != nil {
 		return ps, fmt.Errorf("repro: paraclique extraction canceled: %w", err)
 	}
 	return ps, nil
@@ -637,6 +632,9 @@ func (e *Enumerator) prepareGraph(g GraphInterface) (GraphInterface, error) {
 func (e *Enumerator) runConfig(ctx context.Context) (enumcfg.Config, error) {
 	cfg := e.cfg
 	cfg.Ctx = ctx
+	if e.err != nil {
+		return cfg, e.err
+	}
 	if e.gov != nil && cfg.MemoryBudget > 0 {
 		return cfg, fmt.Errorf("repro: WithGovernor and WithMemoryBudget are mutually exclusive (the governor's own budget bounds the run)")
 	}
@@ -704,10 +702,8 @@ func (e *Enumerator) levelSink(st *Stats) func(core.LevelStats) {
 // and continue out of core with one).  hybrid.Enumerate keeps the run
 // record; a nil reporter reaches the engines as nil, so a count-only
 // pooled run copies no emission.
-func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (out outcome, err error) {
-	opts := hybrid.OptionsFromConfig(cfg)
-	opts.Reporter, opts.Gov, opts.OnLevel = r, gov, e.levelSink(st)
-	res, err := hybrid.Enumerate(g, opts)
+func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter, rn *run) (out outcome, err error) {
+	res, err := hybrid.Enumerate(g, cfg, core.Hooks{Reporter: r, OnLevel: e.levelSink(rn.st), Gov: rn.gov})
 	if res != nil {
 		out.Result, out.spill, out.spilledAt = res.Result, res.OOC, res.SpilledAtLevel
 	}
@@ -727,52 +723,22 @@ func (f sizeFilter) Emit(c Clique) {
 	}
 }
 
-// diskHooks returns the reporter and the level hook of a disk run
-// (out-of-core or distributed) recorded in out.  A step FromK -> FromK+1
-// delivers cliques of size exactly FromK+1, so the lower bound zeroes
-// whole levels' Maximal before the fold — which keeps the record's count
-// equal to what the filter let through, as on the in-core backends.
-func (e *Enumerator) diskHooks(cfg enumcfg.Config, r Reporter, st *Stats, out *outcome) (Reporter, func(core.LevelStats)) {
-	var rep Reporter
+// diskHooks returns the hooks of a disk run (out-of-core or distributed)
+// recorded in out.  A step FromK -> FromK+1 delivers cliques of size
+// exactly FromK+1, so the lower bound zeroes whole levels' Maximal before
+// the fold — which keeps the record's count equal to what the filter let
+// through, as on the in-core backends.
+func (e *Enumerator) diskHooks(cfg enumcfg.Config, r Reporter, rn *run, out *outcome) core.Hooks {
+	h := core.Hooks{Gov: rn.gov}
 	if r != nil {
-		rep = sizeFilter{lo: cfg.Lo, r: r}
+		h.Reporter = sizeFilter{lo: cfg.Lo, r: r}
 	}
-	fold := out.Fold(e.levelSink(st))
-	return rep, func(ls core.LevelStats) {
+	fold := out.Fold(e.levelSink(rn.st))
+	h.OnLevel = func(ls core.LevelStats) {
 		if ls.FromK+1 < cfg.Lo {
 			ls.Maximal = 0
 		}
 		fold(ls)
 	}
-}
-
-func (e *Enumerator) runDistributed(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (out outcome, err error) {
-	rep, onLevel := e.diskHooks(cfg, r, st, &out)
-	out.dist, err = dist.Enumerate(g, dist.Options{
-		Ctx:          cfg.Ctx,
-		Dir:          cfg.Dir,
-		Workers:      cfg.DistWorkers,
-		WorkerCmd:    cfg.DistWorkerCmd,
-		LeaseTimeout: cfg.DistLeaseTimeout,
-		MaxK:         cfg.Hi,
-		Compress:     cfg.OOCCompress,
-		ShardBytes:   cfg.DistShardBytes,
-		Gov:          gov,
-		Reporter:     rep,
-		OnLevel:      onLevel,
-	})
-	out.spill = out.dist.Stats
-	return out, err
-}
-
-func (e *Enumerator) runOutOfCore(cfg enumcfg.Config, g GraphInterface, r Reporter, st *Stats, gov *membudget.Governor) (out outcome, err error) {
-	opts := ooc.OptionsFromConfig(cfg)
-	opts.Gov = gov
-	opts.Reporter, opts.OnLevel = e.diskHooks(cfg, r, st, &out)
-	enumerate := ooc.Enumerate
-	if cfg.Resume {
-		enumerate = ooc.Resume
-	}
-	out.spill, err = enumerate(g, opts)
-	return out, err
+	return h
 }

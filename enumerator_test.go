@@ -324,6 +324,8 @@ func TestConfigErrors(t *testing.T) {
 		{"resume+memory-budget", []repro.Option{repro.WithResume(t.TempDir()), repro.WithMemoryBudget(1 << 20)}},
 		{"hybrid+checkpoint", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0, repro.OOCCheckpoint()),
 			repro.WithMemoryBudget(1 << 20)}},
+		{"distributed-zero-workers", []repro.Option{repro.WithDistributed(0, t.TempDir())}},
+		{"distributed-negative-workers", []repro.Option{repro.WithDistributed(-1, t.TempDir())}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

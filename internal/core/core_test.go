@@ -9,6 +9,7 @@ import (
 	"repro/internal/bk"
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/kose"
@@ -25,11 +26,11 @@ func maximalAtLeast(g *graph.Graph, lo int) []clique.Clique {
 	return out
 }
 
-func enumerate(t *testing.T, g *graph.Graph, opts hybrid.Options) (*clique.Collector, *hybrid.Result) {
+func enumerate(t *testing.T, g *graph.Graph, cfg enumcfg.Config, h core.Hooks) (*clique.Collector, *hybrid.Result) {
 	t.Helper()
 	col := &clique.Collector{}
-	opts.Reporter = col
-	res, err := hybrid.Enumerate(g, opts)
+	h.Reporter = col
+	res, err := hybrid.Enumerate(g, cfg, h)
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestFigure2Example(t *testing.T) {
 	// the 4-clique itself.
 	g := graph.New(4)
 	graph.PlantClique(g, []int{0, 1, 2, 3})
-	col, res := enumerate(t, g, hybrid.Options{})
+	col, res := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 	if len(col.Cliques) != 1 || col.Cliques[0].Key() != "0,1,2,3" {
 		t.Fatalf("cliques = %v", col.Cliques)
 	}
@@ -68,7 +69,7 @@ func TestFigure4Example(t *testing.T) {
 	if sizes[3] != 2 || sizes[4] != 1 || sizes[5] != 1 {
 		t.Fatalf("construction broken: sizes %v", sizes)
 	}
-	col, _ := enumerate(t, g, hybrid.Options{})
+	col, _ := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 	if ok, diff := clique.SameSets(col.Cliques, want); !ok {
 		t.Fatalf("mismatch: %s", diff)
 	}
@@ -80,7 +81,7 @@ func TestNonDecreasingOrder(t *testing.T) {
 		{Size: 8}, {Size: 5, Overlap: 2}, {Size: 4, Overlap: 1},
 	}, 80)
 	lastSize := 0
-	_, err := hybrid.Enumerate(g, hybrid.Options{Reporter: clique.ReporterFunc(func(c clique.Clique) {
+	_, err := hybrid.Enumerate(g, enumcfg.Config{}, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
 		if len(c) < lastSize {
 			t.Fatalf("order violated: size %d after %d", len(c), lastSize)
 		}
@@ -107,7 +108,7 @@ func TestCrossValidation(t *testing.T) {
 		}
 		want := maximalAtLeast(g, 3)
 
-		col, _ := enumerate(t, g, hybrid.Options{})
+		col, _ := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 		if err := clique.Validate(g, col.Cliques, 3, 0); err != nil {
 			t.Fatalf("trial %d: core invalid: %v", trial, err)
 		}
@@ -138,8 +139,8 @@ func TestRecomputeCNMatchesStored(t *testing.T) {
 		g := graph.PlantedGraph(rng, 30, []graph.PlantedCliqueSpec{
 			{Size: 6}, {Size: 5, Overlap: 2},
 		}, 40)
-		stored, resStored := enumerate(t, g, hybrid.Options{Mode: core.CNStore})
-		recomp, resRecomp := enumerate(t, g, hybrid.Options{})
+		stored, resStored := enumerate(t, g, enumcfg.Config{Mode: core.CNStore}, core.Hooks{})
+		recomp, resRecomp := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 		if ok, diff := clique.SameSets(stored.Cliques, recomp.Cliques); !ok {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}
@@ -164,7 +165,7 @@ func TestSeededEnumerationMatchesFull(t *testing.T) {
 		g := graph.PlantedGraph(rng, 60, []graph.PlantedCliqueSpec{
 			{Size: 9}, {Size: 6, Overlap: 3},
 		}, 100)
-		full, _ := enumerate(t, g, hybrid.Options{})
+		full, _ := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 		for _, initK := range []int{3, 4, 5, 6, 7} {
 			var want []clique.Clique
 			for _, c := range full.Cliques {
@@ -172,7 +173,7 @@ func TestSeededEnumerationMatchesFull(t *testing.T) {
 					want = append(want, c)
 				}
 			}
-			seeded, _ := enumerate(t, g, hybrid.Options{Lo: initK})
+			seeded, _ := enumerate(t, g, enumcfg.Config{Lo: initK}, core.Hooks{})
 			if ok, diff := clique.SameSets(seeded.Cliques, want); !ok {
 				t.Fatalf("trial %d Init_K=%d: %s", trial, initK, diff)
 			}
@@ -186,7 +187,7 @@ func TestSeededEnumerationMatchesFull(t *testing.T) {
 func TestUpperBoundHi(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	g := graph.PlantedGraph(rng, 40, []graph.PlantedCliqueSpec{{Size: 8}}, 60)
-	full, _ := enumerate(t, g, hybrid.Options{})
+	full, _ := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 	for _, hi := range []int{3, 4, 5, 8} {
 		var want []clique.Clique
 		for _, c := range full.Cliques {
@@ -194,13 +195,13 @@ func TestUpperBoundHi(t *testing.T) {
 				want = append(want, c)
 			}
 		}
-		bounded, _ := enumerate(t, g, hybrid.Options{Hi: hi})
+		bounded, _ := enumerate(t, g, enumcfg.Config{Hi: hi}, core.Hooks{})
 		if ok, diff := clique.SameSets(bounded.Cliques, want); !ok {
 			t.Fatalf("hi=%d: %s", hi, diff)
 		}
 	}
 	// Lo == Hi with seeding: only maximal cliques of exactly that size.
-	exact, _ := enumerate(t, g, hybrid.Options{Lo: 5, Hi: 5})
+	exact, _ := enumerate(t, g, enumcfg.Config{Lo: 5, Hi: 5}, core.Hooks{})
 	for _, c := range exact.Cliques {
 		if len(c) != 5 {
 			t.Errorf("Lo=Hi=5 emitted %v", c)
@@ -213,7 +214,7 @@ func TestLevelStatsConsistency(t *testing.T) {
 	g := graph.PlantedGraph(rng, 40, []graph.PlantedCliqueSpec{{Size: 7}}, 70)
 	var levels []core.LevelStats
 	col := &clique.Collector{}
-	res, err := hybrid.Enumerate(g, hybrid.Options{
+	res, err := hybrid.Enumerate(g, enumcfg.Config{}, core.Hooks{
 		Reporter: col,
 		OnLevel:  func(st core.LevelStats) { levels = append(levels, st) },
 	})
@@ -229,7 +230,7 @@ func TestLevelStatsConsistency(t *testing.T) {
 func TestLevelAccountingAgainstResult(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	g := graph.PlantedGraph(rng, 40, []graph.PlantedCliqueSpec{{Size: 7}}, 70)
-	col, res := enumerate(t, g, hybrid.Options{})
+	col, res := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 	var maximal int64
 	for _, st := range res.Levels {
 		maximal += st.Maximal
@@ -264,7 +265,7 @@ func TestMoonMoserCount(t *testing.T) {
 			}
 		}
 	}
-	col, res := enumerate(t, g, hybrid.Options{})
+	col, res := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 	if len(col.Cliques) != 27 {
 		t.Errorf("Moon-Moser: %d cliques, want 27", len(col.Cliques))
 	}
@@ -316,11 +317,11 @@ func TestInvalidOptions(t *testing.T) {
 }
 
 func TestEmptyAndEdgelessGraphs(t *testing.T) {
-	col, res := enumerate(t, graph.New(0), hybrid.Options{})
+	col, res := enumerate(t, graph.New(0), enumcfg.Config{}, core.Hooks{})
 	if len(col.Cliques) != 0 || res.MaximalCliques != 0 {
 		t.Error("empty graph produced cliques")
 	}
-	col, _ = enumerate(t, graph.New(5), hybrid.Options{})
+	col, _ = enumerate(t, graph.New(5), enumcfg.Config{}, core.Hooks{})
 	if len(col.Cliques) != 0 {
 		t.Error("edgeless graph produced cliques >= 3")
 	}
@@ -333,7 +334,7 @@ func TestDroppedSingletonAccounting(t *testing.T) {
 	var dropped int64
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomGNP(rng, 14, 0.5)
-		_, res := enumerate(t, g, hybrid.Options{})
+		_, res := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
 		for _, st := range res.Levels {
 			dropped += st.Dropped
 		}

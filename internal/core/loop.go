@@ -36,27 +36,34 @@ type LevelOutcome struct {
 	Tripped  bool
 }
 
+// Hooks are a run's three callbacks, the part of a run description that
+// is not an enumcfg.Config value: every entry point (hybrid.Enumerate,
+// the ooc entry points, dist.Enumerate) takes them beside the Config and
+// hands them to its level driver.
+type Hooks struct {
+	// Reporter receives the maximal cliques; nil counts only.
+	Reporter clique.Reporter
+	// OnLevel, when non-nil, observes each generation step: the completed
+	// ones and, last, the one a budget abort, a cancellation or an error
+	// cut short (its record covers what was delivered before the cut).
+	OnLevel func(LevelStats)
+	// Gov is the run's memory governor (nil = unaccounted).  A governor
+	// with a budget is also the in-core trip predicate.
+	Gov *membudget.Governor
+}
+
 // Loop is the in-core level loop's run description: everything the loop
-// needs beyond the engine and the seed level.
+// needs beyond the engine and the seed level.  The loop owns the level
+// charges on Gov: the seed level on entry, each consumed level released
+// at its step boundary (produced blocks are charged by the builders as
+// they are sealed).  A step handed to OnTrip is the policy's to report.
 type Loop struct {
 	// Ctx, when non-nil, cancels the run before a level and (through the
 	// engine) during one.
 	Ctx context.Context
 	// Hi, when positive, stops after cliques of size Hi were generated.
 	Hi int
-	// Gov is the run's memory governor (nil = unaccounted).  The loop
-	// owns the level charges: the seed level on entry, each consumed
-	// level released at its step boundary (produced blocks are charged by
-	// the builders as they are sealed).  A governor with a budget is also
-	// the trip predicate the engine polls.
-	Gov *membudget.Governor
-	// Reporter receives the levels' maximal cliques.
-	Reporter clique.Reporter
-	// OnLevel, when non-nil, observes each step: the completed ones and,
-	// last, the one a budget abort or a cancellation cut short (its record
-	// covers what was delivered before the cut).  A step handed to OnTrip
-	// is the policy's to report.
-	OnLevel func(LevelStats)
+	Hooks
 	// OnTrip is the trip policy.  nil aborts the run with
 	// ErrMemoryBudget.  Otherwise it is handed the consumed level and the
 	// tripped step's outcome, takes over both levels' governor charges,

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
@@ -30,41 +30,6 @@ const ReportName = "dist-manifest.json"
 // coordinatorRole tags the checkpoints and the report this process
 // writes.
 const coordinatorRole = "coordinator"
-
-// Options configures a distributed enumeration.
-type Options struct {
-	// Ctx cancels the run between events; nil means Background.
-	Ctx context.Context
-	// Dir is the shared run directory (required).  The coordinator owns
-	// it for the run's duration: graph file, level shards, checkpoint
-	// manifest, and final report all live here.
-	Dir string
-	// Workers is the number of worker slots (>= 1).
-	Workers int
-	// Transport connects worker slots; nil means the exec/pipe
-	// transport spawning WorkerCmd (or this binary with -worker).
-	Transport Transport
-	// WorkerCmd is the exec transport's worker argv (nil = self).
-	WorkerCmd []string
-	// LeaseTimeout bounds one shard join; an overdue lease is revoked,
-	// its worker killed, and the shard re-leased.  Default 30s.
-	LeaseTimeout time.Duration
-	// Reporter receives maximal cliques in the canonical stream order —
-	// byte-identical to a sequential run at any worker count.
-	Reporter clique.Reporter
-	// MaxK stops after generating cliques of size MaxK (0 = run out).
-	MaxK int
-	// Compress delta-varint encodes the level shards.
-	Compress bool
-	// ShardBytes overrides the target shard size (0 = auto).
-	ShardBytes int64
-	// OnLevel observes each generation step, as ooc.Options.OnLevel.
-	OnLevel func(core.LevelStats)
-	// Gov is the coordinator's governor — the run's single accounting
-	// authority.  Each worker's declared scratch is held as a child
-	// reservation for the worker's lifetime; nil means unmetered.
-	Gov *membudget.Governor
-}
 
 // Stats reports a distributed run: the level driver's counters plus the
 // lease scheduler's.
@@ -85,31 +50,6 @@ type Report struct {
 	WorkerDeaths int                 `json:"worker_deaths"`
 	Releases     []ooc.ReleaseRecord `json:"releases"`
 	GraphHash    string              `json:"graph_hash"`
-}
-
-func normalize(opts *Options) error {
-	if opts.Dir == "" {
-		return fmt.Errorf("dist: Dir is required")
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
-	}
-	if opts.LeaseTimeout <= 0 {
-		opts.LeaseTimeout = 30 * time.Second
-	}
-	if opts.ShardBytes < 0 {
-		return fmt.Errorf("dist: negative ShardBytes %d", opts.ShardBytes)
-	}
-	if opts.Gov == nil {
-		opts.Gov = membudget.New(0)
-	}
-	if opts.Transport == nil {
-		opts.Transport = &ExecTransport{Command: opts.WorkerCmd}
-	}
-	return nil
 }
 
 // event is one frame (or stream failure) from a worker slot, funneled
@@ -137,19 +77,21 @@ type workerState struct {
 // their heartbeats, deaths and scratch reservations, and the audit
 // report.
 type coordinator struct {
-	opts   Options
-	events chan event
-	done   chan struct{}  // closed at run end; unblocks parked pumps
-	reaps  sync.WaitGroup // in-flight async conn closes; joined at run end
-	ws     []*workerState
-	gens   []int // per-slot dial generation, monotonic across respawns
+	cfg       enumcfg.Config // Workers = DistWorkers; Dir, Ctx, OOCCompress, DistLeaseTimeout
+	gov       *membudget.Governor
+	transport Transport
+	events    chan event
+	done      chan struct{}  // closed at run end; unblocks parked pumps
+	reaps     sync.WaitGroup // in-flight async conn closes; joined at run end
+	ws        []*workerState
+	gens      []int // per-slot dial generation, monotonic across respawns
 
 	// The level in flight (nil between levels).
 	table   *LeaseTable
 	lv      *ooc.Level
 	deliver func(shard int, res ooc.ShardResult)
 
-	// heartbeat is the worker liveness beacon period: LeaseTimeout/8,
+	// heartbeat is the worker liveness beacon period: DistLeaseTimeout/8,
 	// clamped to [100ms, 1s].  maxDeaths fails the run after that many
 	// worker deaths, 2*Workers+2: fault tolerance must not hide a
 	// systematically crashing worker binary behind infinite respawns.
@@ -160,46 +102,55 @@ type coordinator struct {
 	releases []ooc.ReleaseRecord // of the levels already run
 }
 
-// Enumerate runs the distributed enumeration: the coordinator owns the
-// run directory, workers own shard joins, and the merged stream obeys
-// the same order law as every other backend.
-func Enumerate(g graph.Interface, opts Options) (Stats, error) {
-	if err := normalize(&opts); err != nil {
+// Enumerate runs the distributed enumeration cfg describes — a config
+// whose Backend is Distributed — and returns its statistics: the
+// coordinator owns the run directory Dir (graph file, level shards,
+// checkpoint manifest and final report all live there), DistWorkers
+// worker slots own shard joins, and the merged stream obeys the same
+// order law as every other backend.  h's Reporter, OnLevel and Gov are
+// as for ooc.NewLoop; Gov is the run's single accounting authority, and
+// each worker's declared scratch is held as a child reservation of it
+// for the worker's lifetime.  An overdue lease (DistLeaseTimeout) is
+// revoked, its worker killed, and the shard re-leased.  t connects the
+// worker slots; nil means the exec/pipe transport spawning
+// DistWorkerCmd (or this binary with -worker).
+func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks, t Transport) (Stats, error) {
+	if err := cfg.Normalize(); err != nil {
+		return Stats{}, fmt.Errorf("dist: %w", err)
+	}
+	if b := cfg.Backend(); b != enumcfg.Distributed {
+		return Stats{}, fmt.Errorf("dist: the config selects the %s backend", b)
+	}
+	if t == nil {
+		t = &ExecTransport{Command: cfg.DistWorkerCmd}
+	}
+	// The level driver's copy: one shard joiner per worker slot, and the
+	// coordinator's own per-level checkpoint.
+	cfg.Workers, cfg.Checkpoint = cfg.DistWorkers, true
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return Stats{}, err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return Stats{}, err
-	}
-	if ooc.HasManifest(opts.Dir) {
-		return Stats{}, fmt.Errorf("dist: %s already holds a checkpoint; Resume or remove it", opts.Dir)
+	if ooc.HasManifest(cfg.Dir) {
+		return Stats{}, fmt.Errorf("dist: %s already holds a checkpoint; Resume or remove it", cfg.Dir)
 	}
 	c := &coordinator{
-		opts:   opts,
-		events: make(chan event, 4*opts.Workers+4),
-		done:   make(chan struct{}),
-		ws:     make([]*workerState, opts.Workers),
-		gens:   make([]int, opts.Workers),
+		cfg:       cfg,
+		gov:       h.Gov,
+		transport: t,
+		events:    make(chan event, 4*cfg.Workers+4),
+		done:      make(chan struct{}),
+		ws:        make([]*workerState, cfg.Workers),
+		gens:      make([]int, cfg.Workers),
 
-		heartbeat: min(max(opts.LeaseTimeout/8, 100*time.Millisecond), time.Second),
-		maxDeaths: 2*opts.Workers + 2,
+		heartbeat: min(max(cfg.DistLeaseTimeout/8, 100*time.Millisecond), time.Second),
+		maxDeaths: 2*cfg.Workers + 2,
 	}
-	loop := ooc.NewLoop(g, ooc.Options{
-		Ctx:        opts.Ctx,
-		Dir:        opts.Dir,
-		Reporter:   opts.Reporter,
-		MaxK:       opts.MaxK,
-		OnLevel:    opts.OnLevel,
-		Workers:    opts.Workers,
-		Compress:   opts.Compress,
-		Checkpoint: true,
-		ShardBytes: opts.ShardBytes,
-		Gov:        opts.Gov,
-	}, coordinatorRole)
+	loop := ooc.NewLoop(g, cfg, h, coordinatorRole)
 	loop.Releases = func() []ooc.ReleaseRecord { return c.releases }
 	err := c.run(g, loop)
 	return Stats{
 		Stats:        loop.Stats(),
-		Workers:      opts.Workers,
+		Workers:      cfg.Workers,
 		Releases:     len(c.releases),
 		WorkerDeaths: c.deaths,
 	}, err
@@ -229,14 +180,14 @@ func (c *coordinator) run(g graph.Interface, loop *ooc.Loop) error {
 		return err
 	}
 	// The checkpoint is retired; what stays is the audit report.
-	if err := os.Remove(filepath.Join(c.opts.Dir, GraphFileName)); err != nil {
+	if err := os.Remove(filepath.Join(c.cfg.Dir, GraphFileName)); err != nil {
 		return err
 	}
 	return c.writeReport(st, loop.Fingerprint())
 }
 
 func (c *coordinator) writeGraph(g graph.Interface) error {
-	f, err := os.Create(filepath.Join(c.opts.Dir, GraphFileName))
+	f, err := os.Create(filepath.Join(c.cfg.Dir, GraphFileName))
 	if err != nil {
 		return fmt.Errorf("dist: write graph: %w", err)
 	}
@@ -252,7 +203,7 @@ func (c *coordinator) writeGraph(g graph.Interface) error {
 func (c *coordinator) writeReport(st ooc.Stats, fp string) error {
 	data, err := json.MarshalIndent(&Report{
 		Owner:        ooc.SelfOwner(coordinatorRole),
-		Workers:      c.opts.Workers,
+		Workers:      c.cfg.Workers,
 		Levels:       st.Levels,
 		Maximal:      st.Maximal,
 		Shards:       st.Shards,
@@ -263,17 +214,17 @@ func (c *coordinator) writeReport(st ooc.Stats, fp string) error {
 	if err != nil {
 		return fmt.Errorf("dist: encode report: %w", err)
 	}
-	tmp := filepath.Join(c.opts.Dir, ReportName+".tmp")
+	tmp := filepath.Join(c.cfg.Dir, ReportName+".tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("dist: write report: %w", err)
 	}
-	return os.Rename(tmp, filepath.Join(c.opts.Dir, ReportName))
+	return os.Rename(tmp, filepath.Join(c.cfg.Dir, ReportName))
 }
 
 // startWorker dials a slot and sends init.  The worker becomes
 // assignable when its ready frame arrives through the event loop.
 func (c *coordinator) startWorker(slot int) error {
-	conn, err := c.opts.Transport.Dial(c.opts.Ctx, slot)
+	conn, err := c.transport.Dial(c.cfg.Ctx, slot)
 	if err != nil {
 		return fmt.Errorf("dist: dial worker %d: %w", slot, err)
 	}
@@ -282,9 +233,9 @@ func (c *coordinator) startWorker(slot int) error {
 	c.ws[slot] = ws
 	if err := conn.Send(&Msg{
 		Type:      MsgInit,
-		Dir:       c.opts.Dir,
+		Dir:       c.cfg.Dir,
 		GraphPath: GraphFileName,
-		Compress:  c.opts.Compress,
+		Compress:  c.cfg.OOCCompress,
 		WorkerID:  fmt.Sprintf("worker-%d", slot),
 		PingMS:    c.heartbeat.Milliseconds(),
 	}); err != nil {
@@ -318,7 +269,7 @@ func (c *coordinator) pump(ws *workerState) {
 //repro:ctxloop
 func (c *coordinator) RunLevel(ctx context.Context, lv *ooc.Level, deliver func(shard int, res ooc.ShardResult)) error {
 	c.lv, c.deliver = lv, deliver
-	c.table = NewLeaseTable(lv.K, lv.Shards, c.opts.LeaseTimeout)
+	c.table = NewLeaseTable(lv.K, lv.Shards, c.cfg.DistLeaseTimeout)
 	defer func() {
 		c.releases = append(c.releases, c.table.Releases()...)
 		c.table = nil
@@ -412,7 +363,7 @@ func (c *coordinator) reserveScratch(ws *workerState, declared int64) error {
 	}
 	ws.res.Close()
 	ws.res = nil
-	res, err := c.opts.Gov.Reserve(declared)
+	res, err := c.gov.Reserve(declared)
 	if err != nil {
 		return fmt.Errorf("dist: worker %d scratch admission: %w", ws.slot, err)
 	}
@@ -462,7 +413,7 @@ func (c *coordinator) expireLeases() error {
 			continue
 		}
 		ws.lease = nil
-		_ = c.opts.Transport.Kill(ws.slot)
+		_ = c.transport.Kill(ws.slot)
 		if err := c.handleDeath(ws, "lease expired"); err != nil {
 			return err
 		}

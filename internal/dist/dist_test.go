@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
@@ -49,11 +50,7 @@ func (r *orderedReporter) Emit(c clique.Clique) { r.seq = append(r.seq, c.Clone(
 func sequentialStream(t *testing.T, g *graph.Graph, compress bool) []clique.Clique {
 	t.Helper()
 	var ref orderedReporter
-	if _, err := ooc.Enumerate(g, ooc.Options{
-		Dir:      t.TempDir(),
-		Reporter: &ref,
-		Compress: compress,
-	}); err != nil {
+	if _, err := ooc.Enumerate(g, enumcfg.Config{Dir: t.TempDir(), OOCCompress: compress}, core.Hooks{Reporter: &ref}); err != nil {
 		t.Fatalf("sequential reference: %v", err)
 	}
 	return ref.seq
@@ -89,13 +86,12 @@ func TestDistStreamParityMatrix(t *testing.T) {
 			name := fmt.Sprintf("workers=%d/compress=%v", workers, compress)
 			t.Run(name, func(t *testing.T) {
 				var rep orderedReporter
-				st, err := Enumerate(g, Options{
-					Dir:        t.TempDir(),
-					Workers:    workers,
-					Compress:   compress,
-					ShardBytes: 256, // many shards per level: real leasing traffic
-					Reporter:   &rep,
-				})
+				st, err := Enumerate(g, enumcfg.Config{
+					Dir:         t.TempDir(),
+					DistWorkers: workers,
+					OOCCompress: compress,
+					ShardBytes:  256, // many shards per level: real leasing traffic
+				}, core.Hooks{Reporter: &rep}, nil)
 				if err != nil {
 					t.Fatalf("dist enumerate: %v", err)
 				}
@@ -123,17 +119,15 @@ func TestDistKillWorkerRecovery(t *testing.T) {
 	want := sequentialStream(t, g, false)
 	dir := t.TempDir()
 	var rep orderedReporter
-	st, err := Enumerate(g, Options{
-		Dir:        dir,
-		Workers:    3,
-		ShardBytes: 256,
-		Reporter:   &rep,
-		Transport: &ExecTransport{Env: []string{
-			// Slot 1 crashes upon receiving its 2nd lease — once.
-			EnvDieAfter + "=1:2",
-			EnvDieOnce + "=" + filepath.Join(t.TempDir(), "died"),
-		}},
-	})
+	st, err := Enumerate(g, enumcfg.Config{
+		Dir:         dir,
+		DistWorkers: 3,
+		ShardBytes:  256,
+	}, core.Hooks{Reporter: &rep}, &ExecTransport{Env: []string{
+		// Slot 1 crashes upon receiving its 2nd lease — once.
+		EnvDieAfter + "=1:2",
+		EnvDieOnce + "=" + filepath.Join(t.TempDir(), "died"),
+	}})
 	if err != nil {
 		t.Fatalf("dist enumerate with crash: %v", err)
 	}
@@ -176,16 +170,16 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 	gov := membudget.New(0)
 	var rep orderedReporter
 	var reserved []int64 // the workers' scratch reservations, seen at each level's end
-	st, err := Enumerate(g, Options{
-		Dir:        t.TempDir(),
-		Workers:    3,
-		Compress:   true,
-		ShardBytes: 256,
-		Reporter:   &rep,
-		Transport:  &LoopbackTransport{},
-		Gov:        gov,
-		OnLevel:    func(core.LevelStats) { reserved = append(reserved, gov.Reserved()) },
-	})
+	st, err := Enumerate(g, enumcfg.Config{
+		Dir:         t.TempDir(),
+		DistWorkers: 3,
+		OOCCompress: true,
+		ShardBytes:  256,
+	}, core.Hooks{
+		Reporter: &rep,
+		Gov:      gov,
+		OnLevel:  func(core.LevelStats) { reserved = append(reserved, gov.Reserved()) },
+	}, &LoopbackTransport{})
 	if err != nil {
 		t.Fatalf("loopback enumerate: %v", err)
 	}
@@ -234,16 +228,18 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 			var got observed
 			gov := membudget.New(0)
 			gov.Charge(held)
-			onLevel := func(ls core.LevelStats) { got.levels = append(got.levels, ls) }
+			cfg := enumcfg.Config{Dir: t.TempDir(), OOCCompress: compress, ShardBytes: shardBytes}
+			hooks := core.Hooks{Reporter: &rep, Gov: gov,
+				OnLevel: func(ls core.LevelStats) { got.levels = append(got.levels, ls) }}
 			var err error
 			if c.dist {
+				cfg.DistWorkers = c.workers
 				var st Stats
-				st, err = Enumerate(g, Options{Dir: t.TempDir(), Workers: c.workers, Compress: compress,
-					ShardBytes: shardBytes, Reporter: &rep, OnLevel: onLevel, Gov: gov, Transport: &LoopbackTransport{}})
+				st, err = Enumerate(g, cfg, hooks, &LoopbackTransport{})
 				got.st = st.Stats
 			} else {
-				got.st, err = ooc.Enumerate(g, ooc.Options{Dir: t.TempDir(), Workers: c.workers, Compress: compress,
-					ShardBytes: shardBytes, Reporter: &rep, OnLevel: onLevel, Gov: gov})
+				cfg.Workers = c.workers
+				got.st, err = ooc.Enumerate(g, cfg, hooks)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -284,11 +280,10 @@ func sameDiskLevel(a, b core.LevelStats) bool {
 func TestDistRunDirCleanup(t *testing.T) {
 	g := testGraph(t)
 	dir := t.TempDir()
-	if _, err := Enumerate(g, Options{
-		Dir:       dir,
-		Workers:   2,
-		Transport: &LoopbackTransport{},
-	}); err != nil {
+	if _, err := Enumerate(g, enumcfg.Config{
+		Dir:         dir,
+		DistWorkers: 2,
+	}, core.Hooks{}, &LoopbackTransport{}); err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -319,15 +314,14 @@ func TestDistNoGoroutineLeakAfterDeaths(t *testing.T) {
 	// only a bounded settling window is acceptable, not a leak per run.
 	check := testgraph.NoLeaks(t, nil)
 	for i := 0; i < 2; i++ {
-		if _, err := Enumerate(g, Options{
-			Dir:        t.TempDir(),
-			Workers:    3,
-			ShardBytes: 256,
-			Transport: &ExecTransport{Env: []string{
-				EnvDieAfter + "=1:2",
-				EnvDieOnce + "=" + filepath.Join(t.TempDir(), "died"),
-			}},
-		}); err != nil {
+		if _, err := Enumerate(g, enumcfg.Config{
+			Dir:         t.TempDir(),
+			DistWorkers: 3,
+			ShardBytes:  256,
+		}, core.Hooks{}, &ExecTransport{Env: []string{
+			EnvDieAfter + "=1:2",
+			EnvDieOnce + "=" + filepath.Join(t.TempDir(), "died"),
+		}}); err != nil {
 			t.Fatalf("run %d with crash: %v", i, err)
 		}
 	}

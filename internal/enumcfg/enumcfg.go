@@ -5,14 +5,16 @@
 // run means: the size bounds, the bitmap mode, the worker count, the
 // spill directory, and the cancellation context.
 //
-// The facade fills one Config from its options and validates it once
-// (Normalize: defaults, dependencies, the per-regime exclusions).  Two
-// entry points then take their Options from it — hybrid.OptionsFromConfig
-// for every run that starts in core (sequential, pool, spillover) and
-// ooc.OptionsFromConfig for the disk loop — and the facade fills
-// dist.Options field by field.  internal/core and internal/parallel never
-// see a Config: they share the enums (CNMode, Strategy) and the two rules
-// every entry point applies to its own Options, CheckBounds and CheckMode.
+// One Config describes a run from the facade down to the engines.  The
+// facade fills it from its options and hands it, with the run's hooks
+// (core.Hooks: reporter, level observer, governor), to the entry point
+// its Backend selects — hybrid.Enumerate for every run that starts in
+// core, ooc.Enumerate for the disk loop, dist.Enumerate for the
+// coordinator.  Each entry point validates it with Normalize, the one
+// rule for defaults, ranges and the per-regime exclusions, and restates
+// none of it.  internal/core and internal/parallel never see a Config:
+// they share the enums (CNMode, Strategy) and the two rules parallel
+// applies to its own Options, CheckBounds and CheckMode.
 package enumcfg
 
 import (
@@ -100,7 +102,8 @@ func (b Backend) String() string {
 // thread, in-core.
 type Config struct {
 	// Ctx cancels the run between generation steps (and, within a step,
-	// between sub-lists or spill records).  nil means Background.
+	// between sub-lists or spill records).  Normalize sets a nil one to
+	// Background.
 	Ctx context.Context
 
 	// Lo is the smallest clique size of interest (the paper's Init_K);
@@ -137,6 +140,12 @@ type Config struct {
 	// backend.  It is implied — and set by Normalize — whenever both
 	// MemoryBudget and Dir are given on a non-resume run.
 	Spill bool
+	// ShardBytes overrides the target encoded size of one level shard
+	// file, out of core and distributed (0 = auto: the consumed level's
+	// size split two ways per worker, clamped; ooc.DefaultShardTarget).
+	// Smaller shards mean finer dispatch and lease granularity, at a
+	// file's fixed cost each.
+	ShardBytes int64
 	// OOCCompress delta-varint encodes out-of-core level records,
 	// cutting the disk I/O volume the paper identifies as the
 	// bottleneck.
@@ -158,24 +167,14 @@ type Config struct {
 	// (empty = re-execute this binary with -worker).
 	DistWorkerCmd []string
 	// DistLeaseTimeout bounds one shard join before the lease is
-	// revoked and the shard re-leased (0 = the coordinator's default).
+	// revoked and the shard re-leased.  Normalize defaults it to 30s on a
+	// distributed run.
 	DistLeaseTimeout time.Duration
-	// DistShardBytes overrides the distributed run's target shard size
-	// (0 = auto).
-	DistShardBytes int64
 
 	// ReportSmall additionally reports maximal 1- and 2-cliques at any
 	// worker count (in-core runs only: sizes < 3 never reach disk; the
 	// paper's experiments start at 3).
 	ReportSmall bool
-}
-
-// Context returns the run context, never nil.
-func (c *Config) Context() context.Context {
-	if c.Ctx == nil {
-		return context.Background()
-	}
-	return c.Ctx
 }
 
 // Backend resolves the execution regime the config selects.  A spill Dir
@@ -222,16 +221,27 @@ func CheckMode(m CNMode) error {
 // Normalize applies defaults and validates the config in place.
 //
 // The validation is regime-structured: the universal rules (bounds,
-// workers, mode, strategy) come first, then the knob-dependency rules
-// (out-of-core knobs need a Dir, spillover needs a Dir and a budget),
-// then one switch with the per-backend exclusions.  MemoryBudget is
-// accepted by every backend — the governor charges and enforces it on
-// the in-core pools and the hybrid regime observes it as the spill
-// trigger — except a resumed run, which is out-of-core from its first
-// record and has nothing in core to bound.
+// workers, mode, strategy, no negative size or duration) come first, then
+// the knob-dependency rules (out-of-core knobs need a Dir, spillover
+// needs a Dir and a budget), then one switch with the per-backend
+// exclusions.  MemoryBudget is accepted by every backend — the governor
+// charges and enforces it on the in-core pools and the hybrid regime
+// observes it as the spill trigger — except a resumed run, which is
+// out-of-core from its first record and has nothing in core to bound.
+// Normalize is idempotent: every entry point runs it again on the
+// config the facade already normalized.
 func (c *Config) Normalize() error {
 	if c.MemoryBudget < 0 {
 		return fmt.Errorf("enumcfg: negative memory budget %d", c.MemoryBudget)
+	}
+	if c.ShardBytes < 0 {
+		return fmt.Errorf("enumcfg: negative shard bytes %d", c.ShardBytes)
+	}
+	if c.DistLeaseTimeout < 0 {
+		return fmt.Errorf("enumcfg: negative distributed lease timeout %v", c.DistLeaseTimeout)
+	}
+	if c.Ctx == nil {
+		c.Ctx = context.Background()
 	}
 	if c.Lo == 0 {
 		c.Lo = 2
@@ -273,11 +283,8 @@ func (c *Config) Normalize() error {
 	}
 	switch c.Backend() {
 	case Distributed:
-		if c.DistLeaseTimeout < 0 {
-			return fmt.Errorf("enumcfg: negative distributed lease timeout %v", c.DistLeaseTimeout)
-		}
-		if c.DistShardBytes < 0 {
-			return fmt.Errorf("enumcfg: negative distributed shard bytes %d", c.DistShardBytes)
+		if c.DistLeaseTimeout == 0 {
+			c.DistLeaseTimeout = 30 * time.Second
 		}
 		if c.Dir == "" {
 			return fmt.Errorf("enumcfg: the distributed backend requires a run Dir shared with its workers")

@@ -25,6 +25,8 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"unknown mode", Config{Mode: CNStore + 1}, "CN mode", 0},
 		{"unknown strategy", Config{Strategy: Affinity + 1}, "strategy", 0},
 		{"negative memory budget", Config{MemoryBudget: -5}, "negative memory budget", 0},
+		{"negative shard bytes", Config{Dir: "d", ShardBytes: -1}, "negative shard bytes", 0},
+		{"negative lease timeout", Config{DistLeaseTimeout: -1}, "negative distributed lease timeout", 0},
 
 		// --- worker selection ---
 		{"parallel", Config{Workers: 4}, "", Parallel},
@@ -73,12 +75,12 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"distributed one worker", Config{Dir: "d", DistWorkers: 1}, "", Distributed},
 		{"distributed compress", Config{Dir: "d", DistWorkers: 2, OOCCompress: true}, "", Distributed},
 		{"distributed knobs", Config{Dir: "d", DistWorkers: 2, DistLeaseTimeout: 1,
-			DistShardBytes: 1 << 16, DistWorkerCmd: []string{"cliqued", "-worker"}}, "", Distributed},
+			ShardBytes: 1 << 16, DistWorkerCmd: []string{"cliqued", "-worker"}}, "", Distributed},
 		{"distributed without dir", Config{DistWorkers: 2}, "requires a run Dir", 0},
 		{"distributed negative lease timeout", Config{Dir: "d", DistWorkers: 2, DistLeaseTimeout: -1},
 			"negative distributed lease timeout", 0},
-		{"distributed negative shard bytes", Config{Dir: "d", DistWorkers: 2, DistShardBytes: -1},
-			"negative distributed shard bytes", 0},
+		{"distributed negative shard bytes", Config{Dir: "d", DistWorkers: 2, ShardBytes: -1},
+			"negative shard bytes", 0},
 		{"distributed plus in-process workers", Config{Dir: "d", DistWorkers: 2, Workers: 4},
 			"not both", 0},
 		{"distributed plus checkpoint", Config{Dir: "d", DistWorkers: 2, Checkpoint: true},

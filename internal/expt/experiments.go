@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/kose"
@@ -106,7 +107,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 
 	coreCount := clique.NewCounter()
 	start = time.Now()
-	coreRes, err := hybrid.Enumerate(g, hybrid.Options{Ctx: cfg.Ctx, Mode: core.CNStore, Reporter: coreCount})
+	coreRes, err := hybrid.Enumerate(g, enumcfg.Config{Ctx: cfg.Ctx, Mode: core.CNStore}, core.Hooks{Reporter: coreCount})
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +193,7 @@ func Blowup(cfg Config) (*BlowupResult, error) {
 	g := Build(spec, cfg.Seed)
 
 	var levels []core.LevelStats
-	_, err := hybrid.Enumerate(g, hybrid.Options{
-		Ctx:     cfg.Ctx,
-		Mode:    core.CNStore,
+	_, err := hybrid.Enumerate(g, enumcfg.Config{Ctx: cfg.Ctx, Mode: core.CNStore}, core.Hooks{
 		Gov:     membudget.New(cfg.Budget),
 		OnLevel: func(st core.LevelStats) { levels = append(levels, st) },
 	})

@@ -334,13 +334,13 @@ func Fig8(cfg Config) (*Table, error) {
 		realP = 4
 	}
 	if realP >= 2 {
-		res, err := hybrid.Enumerate(g, hybrid.Options{
+		res, err := hybrid.Enumerate(g, enumcfg.Config{
 			Ctx:      cfg.Ctx,
 			Workers:  realP,
 			Lo:       ik,
 			Mode:     core.CNStore,
 			Strategy: enumcfg.Affinity,
-		})
+		}, core.Hooks{})
 		if err != nil {
 			return nil, err
 		}

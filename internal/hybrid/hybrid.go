@@ -45,7 +45,6 @@
 package hybrid
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/bitset"
@@ -57,54 +56,6 @@ import (
 	"repro/internal/ooc"
 	"repro/internal/parallel"
 )
-
-// Options configures Enumerate.
-type Options struct {
-	// Ctx, when non-nil, cancels the run at the usual backend
-	// cancellation points (per sub-list batch in core, per chunk in the
-	// pool, per record batch out of core).
-	Ctx context.Context
-	// Lo is the smallest clique size of interest (the paper's Init_K,
-	// default 2): at Lo <= 2 the run seeds from the edge list, above it
-	// the k-clique enumerator seeds the candidate lists and reports the
-	// maximal Lo-cliques.  Hi, when positive, stops the run after cliques
-	// of size Hi — the maximum clique bound of the paper's pipeline.
-	Lo, Hi int
-	// Mode is the common-neighbor bitmap policy of the in-core phase (the
-	// zero value keeps no bitmaps, as the out-of-core phase does anyway).
-	Mode core.CNMode
-	// Workers selects the in-core engine (1 = sequential, > 1 = the
-	// streaming pool) and is reused as the out-of-core join width after
-	// a spill.
-	Workers int
-	// Strategy is the pool dispatch policy (Workers > 1).
-	Strategy enumcfg.Strategy
-	// ReportSmall additionally reports maximal 1-cliques (isolated
-	// vertices) and 2-cliques (edges with no common neighbor) when
-	// Lo <= 2, at any worker count: they are emitted by the seed, before
-	// any level work, so neither the engine nor a later spill affects
-	// them.
-	ReportSmall bool
-	// Dir is the spill directory the out-of-core phase uses.  It selects
-	// the trip policy: empty, a tripped budget aborts the run.
-	Dir string
-	// SpillBudget, when positive, bounds one out-of-core level's file
-	// bytes after a spill, as in ooc.Options.MaxLevelBytes.
-	SpillBudget int64
-	// Compress delta-varint encodes spilled level records.
-	Compress bool
-	// Gov is the run's shared memory governor; its budget is the spill
-	// trigger.  An unlimited governor (budget 0) or none never spills.
-	Gov *membudget.Governor
-	// Reporter receives every maximal clique, in the same ordered stream
-	// a pure in-core run delivers.  nil counts only: no phase then copies
-	// or buffers an emission.
-	Reporter clique.Reporter
-	// OnLevel observes each generation step, in-core or spilled (Spilled
-	// set; Bytes/NextBytes are then level-file bytes): the in-core loop,
-	// the drain and the disk loop all report through this one hook.
-	OnLevel func(core.LevelStats)
-}
 
 // Result summarizes a hybrid run: the run record — seed tally plus the
 // fold of every level, in core or spilled — and where it left memory.
@@ -119,72 +70,46 @@ type Result struct {
 	OOC ooc.Stats
 }
 
-// OptionsFromConfig derives hybrid Options from the unified backend
-// config.  Reporter, OnLevel and Gov are left for the caller.
-func OptionsFromConfig(c enumcfg.Config) Options {
-	return Options{
-		Ctx:         c.Ctx,
-		Lo:          c.Lo,
-		Hi:          c.Hi,
-		Mode:        c.Mode,
-		Workers:     c.Workers,
-		Strategy:    c.Strategy,
-		ReportSmall: c.ReportSmall,
-		Dir:         c.Dir,
-		SpillBudget: c.SpillBudget,
-		Compress:    c.OOCCompress,
-	}
-}
-
 // runner is one Enumerate invocation's state.
 type runner struct {
-	g       graph.Interface
-	opts    Options
-	gov     *membudget.Governor
-	bits    *bitset.Pool
-	res     *Result
-	onLevel func(core.LevelStats) // res's fold, then opts.OnLevel
+	g     graph.Interface
+	cfg   enumcfg.Config
+	hooks core.Hooks          // the caller's, OnLevel behind res's fold
+	gov   *membudget.Governor // hooks.Gov: through the runner, budgetpair pairs a charge with its release in another method
+	bits  *bitset.Pool
+	res   *Result
 }
 
-// Enumerate runs the enumeration.  The emitted clique stream — order
-// included — is identical to the sequential in-core backend's for any
-// budget, worker count and trip point.
-func Enumerate(g graph.Interface, opts Options) (*Result, error) {
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
-	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
-	if opts.Lo == 0 {
-		opts.Lo = 2
-	}
-	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
+// Enumerate runs the enumeration cfg describes, with h's reporter, level
+// observer and governor.  Lo <= 2 seeds from the edge list, a larger Lo
+// from the k-clique enumerator (ReportSmall adds the maximal 1- and
+// 2-cliques the seed finds, at any worker count); Workers selects the
+// in-core engine and, after a spill, the out-of-core join width; Mode is
+// the in-core phase's bitmap policy.  h.Gov's budget is the trip: without
+// a spill Dir a trip aborts with core.ErrMemoryBudget, with one the run
+// drains to Dir and continues out of core (SpillBudget and OOCCompress
+// then apply); an unlimited governor or none never trips.  The emitted
+// clique stream — order included — is identical to the sequential
+// in-core backend's for any budget, worker count and trip point, and
+// h.OnLevel sees every step, in core or spilled, once.
+func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (*Result, error) {
+	if err := cfg.Normalize(); err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	if err := enumcfg.CheckMode(opts.Mode); err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	h := &runner{
-		g:    g,
-		opts: opts,
-		gov:  opts.Gov,
-		bits: bitset.NewPool(g.N()),
-		res:  &Result{},
-	}
-	h.onLevel = h.res.Fold(opts.OnLevel)
-	return h.res, h.run()
+	r := &runner{g: g, cfg: cfg, hooks: h, gov: h.Gov, bits: bitset.NewPool(g.N()), res: &Result{}}
+	r.hooks.OnLevel = r.res.Fold(h.OnLevel)
+	return r.res, r.run()
 }
 
 // run seeds on Workers goroutines, picks the level engine from Workers,
 // and drives the shared level loop with the trip policy Dir selects.
 func (h *runner) run() error {
-	g, opts := h.g, h.opts
+	g, cfg := h.g, h.cfg
 	// Only the seed phase is counted through a reporter; every later
 	// clique is counted by its level's record, so the caller's reporter —
 	// nil included — goes to the engines as it is.
-	seed := clique.Tally{Next: opts.Reporter}
-	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, opts.Workers, opts.ReportSmall, &seed)
+	seed := clique.Tally{Next: h.hooks.Reporter}
+	lvl, homes, err := core.Seed(cfg.Ctx, g, cfg.Lo, cfg.Mode, cfg.Workers, cfg.ReportSmall, &seed)
 	h.res.Seeded(seed)
 	if err != nil {
 		return err
@@ -194,11 +119,11 @@ func (h *runner) run() error {
 		eng  core.LevelEngine
 		stop func() // stops the engine and releases its scratch charge; idempotent
 	)
-	if opts.Workers > 1 {
+	if cfg.Workers > 1 {
 		p, err := parallel.NewPool(g, parallel.Options{
-			Workers:  opts.Workers,
-			Mode:     opts.Mode,
-			Strategy: opts.Strategy,
+			Workers:  cfg.Workers,
+			Mode:     cfg.Mode,
+			Strategy: cfg.Strategy,
 			Gov:      h.gov,
 		})
 		if err != nil {
@@ -206,7 +131,7 @@ func (h *runner) run() error {
 		}
 		eng, stop = p, p.Close
 	} else {
-		b := core.NewBuilderMode(g, opts.Mode, h.bits)
+		b := core.NewBuilderMode(g, cfg.Mode, h.bits)
 		b.Gov = h.gov
 		h.gov.Charge(b.ScratchBytes())
 		stopped := false
@@ -219,14 +144,8 @@ func (h *runner) run() error {
 	}
 	defer stop()
 
-	loop := core.Loop{
-		Ctx:      opts.Ctx,
-		Hi:       opts.Hi,
-		Gov:      h.gov,
-		Reporter: opts.Reporter,
-		OnLevel:  h.onLevel,
-	}
-	if opts.Dir != "" {
+	loop := core.Loop{Ctx: cfg.Ctx, Hi: cfg.Hi, Hooks: h.hooks}
+	if cfg.Dir != "" {
 		loop.OnTrip = func(lvl *core.Level, out core.LevelOutcome) error {
 			// Stop the engine before the serial drain so its scratch
 			// leaves the accounting.
@@ -251,7 +170,7 @@ func (h *runner) run() error {
 // loop from there.  Both levels' governor charges are drain's to settle,
 // on every path; a block's passes to the writer with the block.
 func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
-	g, opts := h.g, h.opts
+	g, ctx := h.g, h.cfg.Ctx
 	k := lvl.K + 1 // size of the records being drained
 	h.res.SpilledAtLevel = k
 	head := out.Next
@@ -263,17 +182,6 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 	// blocks as the drain join passes them — the rest all at once on an
 	// abort.
 	resident := st.Bytes + st.NextBytes
-	oocOpts := ooc.Options{
-		Ctx:           opts.Ctx,
-		Dir:           opts.Dir,
-		Reporter:      opts.Reporter,
-		MaxK:          opts.Hi,
-		MaxLevelBytes: opts.SpillBudget,
-		Workers:       opts.Workers,
-		Compress:      opts.Compress,
-		Gov:           h.gov,
-		OnLevel:       h.onLevel,
-	}
 	// db joins the un-drained inputs; its output goes to disk, so it keeps
 	// no bitmaps whatever the in-core mode was.  stepDone closes the
 	// drained step's record, once: the in-core part plus what db added,
@@ -291,12 +199,12 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		st.Dropped += db.Dropped
 		st.Cost.Add(db.Cost)
 		st.Spilled = true
-		h.onLevel(st)
+		h.hooks.OnLevel(st)
 	}
-	ost, err := ooc.Continue(g, oocOpts, k, rawHint, func(write func([]core.Block) error) error {
+	ost, err := ooc.Continue(g, h.cfg, h.hooks, k, rawHint, func(write func([]core.Block) error) error {
 		for i := range head.Sub {
-			if opts.Ctx.Err() != nil {
-				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
+			if ctx.Err() != nil {
+				return fmt.Errorf("canceled draining level %d: %w", k, ctx.Err())
 			}
 			resident -= head.Sub[i].Bytes()
 			if err := write(head.Sub[i : i+1]); err != nil {
@@ -332,8 +240,8 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 		f := out.Frontier
 		retire(lvl.Sub[:f.Block])
 		for bi := f.Block; bi < len(lvl.Sub); bi++ {
-			if opts.Ctx.Err() != nil {
-				return fmt.Errorf("canceled draining level %d: %w", k, opts.Ctx.Err())
+			if ctx.Err() != nil {
+				return fmt.Errorf("canceled draining level %d: %w", k, ctx.Err())
 			}
 			from := core.Cursor{}
 			if bi == f.Block {
@@ -341,7 +249,7 @@ func (h *runner) drain(lvl *core.Level, out core.LevelOutcome) error {
 			}
 			in := core.Level{K: lvl.K, Sub: lvl.Sub[bi : bi+1]}
 			for s := range in.From(from) {
-				db.ProcessSubList(s, opts.Reporter)
+				db.ProcessSubList(s, h.hooks.Reporter)
 				if db.Mark() > 0 {
 					if err := flush(); err != nil {
 						return err

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
@@ -39,7 +40,7 @@ func keys(cs []clique.Clique) []string {
 func reference(t *testing.T, g graph.Interface, lo int) []string {
 	t.Helper()
 	col := &clique.Collector{}
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: lo, Reporter: col}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: lo}, core.Hooks{Reporter: col}); err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	return keys(col.Cliques)
@@ -60,7 +61,7 @@ func TestSpilloverParity(t *testing.T) {
 		// mid-run ones cut from this graph's own unbudgeted peak so they
 		// trip whatever the bitmap policy makes a level weigh.
 		free := membudget.New(0)
-		if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Gov: free}); err != nil {
+		if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3}, core.Hooks{Gov: free}); err != nil {
 			t.Fatal(err)
 		}
 		peak := free.Peak()
@@ -68,10 +69,11 @@ func TestSpilloverParity(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				gov := membudget.New(budget)
 				col := &clique.Collector{}
-				res, err := hybrid.Enumerate(g, hybrid.Options{
-					Lo:       3,
-					Workers:  workers,
-					Dir:      t.TempDir(),
+				res, err := hybrid.Enumerate(g, enumcfg.Config{
+					Lo:      3,
+					Workers: workers,
+					Dir:     t.TempDir(),
+				}, core.Hooks{
 					Gov:      gov,
 					Reporter: col,
 				})
@@ -124,10 +126,11 @@ func TestSpilloverWithSeededBounds(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		col := &clique.Collector{}
-		res, err := hybrid.Enumerate(g, hybrid.Options{
-			Lo:       4,
-			Workers:  workers,
-			Dir:      t.TempDir(),
+		res, err := hybrid.Enumerate(g, enumcfg.Config{
+			Lo:      4,
+			Workers: workers,
+			Dir:     t.TempDir(),
+		}, core.Hooks{
 			Gov:      membudget.New(16 << 10),
 			Reporter: col,
 		})
@@ -159,7 +162,7 @@ func TestPeakStaysNearBudget(t *testing.T) {
 	g := graph.RandomGNP(rng, 300, 0.3)
 	// Unconstrained run: measure the largest per-step resident bytes.
 	var maxStep int64
-	res, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, OnLevel: func(ls core.LevelStats) {
+	res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3}, core.Hooks{OnLevel: func(ls core.LevelStats) {
 		if r := ls.Bytes + ls.NextBytes; r > maxStep {
 			maxStep = r
 		}
@@ -173,7 +176,7 @@ func TestPeakStaysNearBudget(t *testing.T) {
 	budget := res.PeakBytes / 4
 	for _, workers := range []int{1, 4} {
 		gov := membudget.New(budget)
-		out, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Gov: gov})
+		out, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: t.TempDir()}, core.Hooks{Gov: gov})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -213,12 +216,13 @@ func TestCancellationDuringSpill(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	res, err := hybrid.Enumerate(g, hybrid.Options{
+	res, err := hybrid.Enumerate(g, enumcfg.Config{
 		Ctx:     ctx,
 		Lo:      3,
 		Workers: 1,
 		Dir:     t.TempDir(),
-		Gov:     membudget.New(1), // immediate spill
+	}, core.Hooks{
+		Gov: membudget.New(1), // immediate spill
 		Reporter: clique.ReporterFunc(func(c clique.Clique) {
 			seen++
 			if seen == len(want)/2 {
@@ -254,7 +258,8 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 	type run struct {
 		gov    *membudget.Governor
 		cancel context.CancelFunc
-		opts   *hybrid.Options
+		cfg    *enumcfg.Config
+		hooks  *core.Hooks
 		extra  int64 // bytes the scenario itself charged to force a trip
 	}
 	paths := []struct {
@@ -271,14 +276,14 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 				}
 			}},
 		{name: "hi-cut", budget: never,
-			arm: func(r *run) { r.opts.Hi = 4 },
+			arm: func(r *run) { r.cfg.Hi = 4 },
 			check: func(t *testing.T, _ int, res *hybrid.Result, err error) {
 				if err != nil || res.MaxCliqueSize > 4 {
 					t.Fatalf("err %v, max size %d", err, res.MaxCliqueSize)
 				}
 			}},
 		{name: "cancel-before-level", budget: never,
-			arm: func(r *run) { r.opts.OnLevel = func(core.LevelStats) { r.cancel() } },
+			arm: func(r *run) { r.hooks.OnLevel = func(core.LevelStats) { r.cancel() } },
 			check: func(t *testing.T, _ int, _ *hybrid.Result, err error) {
 				if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "before level") {
 					t.Fatalf("err = %v", err)
@@ -286,7 +291,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 			}},
 		{name: "cancel-during-level", budget: never,
 			arm: func(r *run) {
-				r.opts.Reporter = clique.ReporterFunc(func(c clique.Clique) {
+				r.hooks.Reporter = clique.ReporterFunc(func(c clique.Clique) {
 					if len(c) > 3 { // a level emission, not the seed phase's
 						r.cancel()
 					}
@@ -320,7 +325,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 		{name: "trip-drain-ooc-canceled", budget: 64 << 10, spill: true,
 			arm: func(r *run) {
 				spilled := 0
-				r.opts.OnLevel = func(ls core.LevelStats) {
+				r.hooks.OnLevel = func(ls core.LevelStats) {
 					if ls.Spilled {
 						if spilled++; spilled == 2 {
 							r.cancel()
@@ -336,7 +341,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 		// A spill budget the drained level itself exceeds: the drain's
 		// feed is cut mid-write with head and consumed level resident.
 		{name: "trip-drain-spill-budget", budget: 64 << 10, spill: true,
-			arm: func(r *run) { r.opts.SpillBudget = 64 },
+			arm: func(r *run) { r.cfg.SpillBudget = 64 },
 			check: func(t *testing.T, _ int, res *hybrid.Result, err error) {
 				if !errors.Is(err, ooc.ErrSpillBudget) || res.OOC.Levels != 0 {
 					t.Fatalf("err %v after %d out-of-core levels", err, res.OOC.Levels)
@@ -347,7 +352,7 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 		// its context already dead with the whole head still resident.
 		{name: "trip-drain-canceled", budget: never, spill: true,
 			arm: func(r *run) {
-				r.opts.Reporter = clique.ReporterFunc(func(c clique.Clique) {
+				r.hooks.Reporter = clique.ReporterFunc(func(c clique.Clique) {
 					if len(c) > 3 && r.extra == 0 {
 						r.extra = 2 * never
 						r.gov.Charge(r.extra)
@@ -371,15 +376,15 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 				defer cancel()
 				gov := membudget.New(entry + p.budget)
 				gov.Charge(entry)
-				opts := hybrid.Options{Ctx: ctx, Lo: 3, Workers: workers, Gov: gov}
+				cfg, hooks := enumcfg.Config{Ctx: ctx, Lo: 3, Workers: workers}, core.Hooks{Gov: gov}
 				if p.spill {
-					opts.Dir = t.TempDir()
+					cfg.Dir = t.TempDir()
 				}
-				r := &run{gov: gov, cancel: cancel, opts: &opts}
+				r := &run{gov: gov, cancel: cancel, cfg: &cfg, hooks: &hooks}
 				if p.arm != nil {
 					p.arm(r)
 				}
-				res, err := hybrid.Enumerate(g, opts)
+				res, err := hybrid.Enumerate(g, cfg, hooks)
 				p.check(t, workers, res, err)
 				gov.Release(r.extra)
 				if used := gov.Used(); used != entry {
@@ -410,7 +415,7 @@ func TestNilReporterCollectsNoEmissions(t *testing.T) {
 	}
 	run := func(rep clique.Reporter) (peak, atBoundary int64) {
 		gov := membudget.New(0)
-		res, err := hybrid.Enumerate(g, hybrid.Options{Workers: 2, Mode: core.CNStore, Gov: gov, Reporter: rep,
+		res, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2, Mode: core.CNStore}, core.Hooks{Gov: gov, Reporter: rep,
 			OnLevel: func(core.LevelStats) { atBoundary = max(atBoundary, gov.Used()) }})
 		if err != nil {
 			t.Fatal(err)
@@ -453,7 +458,7 @@ func TestShardFilesPerLevel(t *testing.T) {
 	free := membudget.New(0)
 	free.Charge(entry)
 	defer free.Release(entry)
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Gov: free}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3}, core.Hooks{Gov: free}); err != nil {
 		t.Fatal(err)
 	}
 	if free.Peak() != refPeak {
@@ -462,7 +467,7 @@ func TestShardFilesPerLevel(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		gov := membudget.New(free.Peak() / 4)
 		gov.Charge(entry)
-		res, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Workers: workers, Dir: t.TempDir(), Compress: true, Gov: gov})
+		res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: t.TempDir(), OOCCompress: true}, core.Hooks{Gov: gov})
 		gov.Release(entry)
 		if err != nil {
 			t.Fatal(err)

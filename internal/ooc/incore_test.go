@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/ooc"
@@ -15,11 +17,11 @@ func TestIOVolumeExceedsInCorePeak(t *testing.T) {
 	// "intensive disk I/O access has been the major bottleneck".
 	rng := rand.New(rand.NewSource(124))
 	g := graph.PlantedGraph(rng, 100, []graph.PlantedCliqueSpec{{Size: 11}}, 200)
-	inCore, err := hybrid.Enumerate(g, hybrid.Options{})
+	inCore, err := hybrid.Enumerate(g, enumcfg.Config{}, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ooc.Enumerate(g, ooc.Options{Dir: t.TempDir()})
+	st, err := ooc.Enumerate(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/sched"
 )
@@ -52,7 +53,7 @@ func (lv *Level) Wrote(enc, raw int64) error {
 	l := lv.loop
 	l.written.Add(enc)
 	l.rawWritten.Add(raw)
-	if budget := l.opts.MaxLevelBytes; budget > 0 && lv.out.Add(enc) > budget {
+	if budget := l.cfg.SpillBudget; budget > 0 && lv.out.Add(enc) > budget {
 		return fmt.Errorf("%w: level %d would pass %d bytes", ErrSpillBudget, lv.K+1, budget)
 	}
 	return nil
@@ -70,7 +71,7 @@ func (lv *Level) NextShard() (string, error) {
 // Loop is the on-disk level driver, the disk-side twin of core.Loop:
 // read level k, join, write level k+1, emit the dead ends.  It owns
 // everything that is the same wherever a shard is joined — the first
-// level, the loop with its MaxK and cancellation checks, shard-target
+// level, the loop with its Hi and cancellation checks, shard-target
 // sizing, the in-order release that emits cliques and assembles the next
 // shard list, Stats and the level record (the core.LevelStats every
 // driver emits), byte accounting with the spill budget, and the one
@@ -78,9 +79,10 @@ func (lv *Level) NextShard() (string, error) {
 // Continue, Resume and dist.Enumerate are entry points over it.
 type Loop struct {
 	g     graph.Interface
-	opts  Options // Dir is the run directory itself
-	owner Owner   // the stamp each checkpoint carries
-	fp    string  // graph fingerprint (checkpointed runs only)
+	cfg   enumcfg.Config // Dir is the run directory itself
+	hooks core.Hooks
+	owner Owner  // the stamp each checkpoint carries
+	fp    string // graph fingerprint (checkpointed runs only)
 
 	// Releases, when non-nil, supplies the runner's re-lease history for
 	// the checkpoints to carry.
@@ -100,12 +102,19 @@ type Loop struct {
 }
 
 // NewLoop returns the driver of one run over g in the run directory
-// opts.Dir, which must exist; opts is as an entry point normalizes it
-// (Ctx set, Workers >= 1).  role tags the run's checkpoints ("ooc",
-// "coordinator").
-func NewLoop(g graph.Interface, opts Options, role string) *Loop {
-	l := &Loop{g: g, opts: opts, owner: SelfOwner(role)}
-	if opts.Checkpoint {
+// cfg.Dir, which must exist; cfg is as Normalize leaves it (Ctx set,
+// Workers >= 1), and Workers is the number of shard joiners.  Of the
+// hooks, Reporter receives the maximal cliques (size >= 3, in the
+// sequential order at any worker count), OnLevel observes each step
+// with Bytes/NextBytes as encoded file bytes and Spilled set, and Gov is
+// charged what the engine holds — per-worker bitmaps, each shard's read
+// window and write buffer while open, each block between the pipeline's
+// stages — inside the headroom a step starts with (bufShare, shapeFor),
+// never aborting on it: disk is where an over-budget run belongs.  role
+// tags the run's checkpoints ("ooc", "coordinator").
+func NewLoop(g graph.Interface, cfg enumcfg.Config, hooks core.Hooks, role string) *Loop {
+	l := &Loop{g: g, cfg: cfg, hooks: hooks, owner: SelfOwner(role)}
+	if cfg.Checkpoint {
 		l.fp = Fingerprint(g)
 	}
 	return l
@@ -128,8 +137,8 @@ func (l *Loop) Stats() Stats {
 // level loop from k=2.
 func (l *Loop) RunEdges(r ShardRunner) (Stats, error) {
 	lv := &Level{K: 1, loop: l}
-	shards, err := WriteLevel(l.opts.Dir, 2, l.opts.Compress, l.shardTarget(8*int64(l.g.M())), l.opts.Gov,
-		lv.NextShard, lv.Wrote, EdgeFeed(l.opts.Ctx, l.g))
+	shards, err := WriteLevel(l.cfg.Dir, 2, l.cfg.OOCCompress, l.shardTarget(8*int64(l.g.M())), l.hooks.Gov,
+		lv.NextShard, lv.Wrote, EdgeFeed(l.cfg.Ctx, l.g))
 	return l.runFrom(r, shards, 2, err)
 }
 
@@ -142,8 +151,8 @@ func (l *Loop) RunEdges(r ShardRunner) (Stats, error) {
 func (l *Loop) RunFeed(r ShardRunner, k int, rawHint int64,
 	feed func(write func([]core.Block) error) error) (Stats, error) {
 	lv := &Level{K: k - 1, loop: l}
-	shards, err := writeFed(l.opts.Ctx, l.opts.Gov, feed, func(buf int64) *LevelWriter {
-		lw := NewLevelWriter(l.opts.Dir, k, l.opts.Compress, l.shardTarget(rawHint), l.opts.Gov, lv.NextShard, lv.Wrote)
+	shards, err := writeFed(l.cfg.Ctx, l.hooks.Gov, feed, func(buf int64) *LevelWriter {
+		lw := NewLevelWriter(l.cfg.Dir, k, l.cfg.OOCCompress, l.shardTarget(rawHint), l.hooks.Gov, lv.NextShard, lv.Wrote)
 		lw.bufCap = buf
 		return lw
 	})
@@ -158,7 +167,7 @@ func (l *Loop) runFrom(r ShardRunner, shards []ShardMeta, k int, err error) (Sta
 		return l.Stats(), err
 	}
 	l.st.Shards += int64(len(shards))
-	if l.opts.Checkpoint {
+	if l.cfg.Checkpoint {
 		if err := l.checkpoint(shards, k); err != nil {
 			return l.Stats(), err
 		}
@@ -175,12 +184,12 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 	if m.GraphN != l.g.N() || m.GraphM != l.g.M() || m.GraphHash != l.fp {
 		return Stats{}, fmt.Errorf(
 			"ooc: checkpoint in %s was written for a different graph (manifest n=%d m=%d hash=%s, graph n=%d m=%d hash=%s)",
-			l.opts.Dir, m.GraphN, m.GraphM, m.GraphHash, l.g.N(), l.g.M(), l.fp)
+			l.cfg.Dir, m.GraphN, m.GraphM, m.GraphHash, l.g.N(), l.g.M(), l.fp)
 	}
-	if err := verifyShards(l.opts.Dir, m.Shards); err != nil {
+	if err := verifyShards(l.cfg.Dir, m.Shards); err != nil {
 		return Stats{}, err
 	}
-	if err := RemoveStaleShards(l.opts.Dir, m.Shards); err != nil {
+	if err := RemoveStaleShards(l.cfg.Dir, m.Shards); err != nil {
 		return Stats{}, err
 	}
 	l.st = m.Stats
@@ -192,7 +201,7 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 }
 
 // Run drives the level loop from the given level — which a checkpointed
-// run's manifest already names — until no candidates remain (or MaxK /
+// run's manifest already names — until no candidates remain (or Hi /
 // cancellation / the spill budget stops it).
 //
 // The commit protocol at every boundary of a checkpointed run: the
@@ -205,10 +214,10 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 //repro:ctxloop
 func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 	for LevelRecords(shards) > 0 {
-		if l.opts.MaxK > 0 && k >= l.opts.MaxK {
+		if l.cfg.Hi > 0 && k >= l.cfg.Hi {
 			break
 		}
-		if err := l.opts.Ctx.Err(); err != nil {
+		if err := l.cfg.Ctx.Err(); err != nil {
 			// Between levels the checkpoint is already durable; just stop.
 			return l.Stats(), fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err)
 		}
@@ -216,7 +225,7 @@ func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 		if err != nil {
 			return l.Stats(), err
 		}
-		if l.opts.Checkpoint {
+		if l.cfg.Checkpoint {
 			if err := l.checkpoint(next, k+1); err != nil {
 				return l.Stats(), err
 			}
@@ -233,8 +242,8 @@ func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 	// BEFORE deleting the shards it names.  A kill between the two
 	// leaves stray (unreferenced) shard files, never a manifest naming
 	// deleted ones — the checkpoint is always either resumable or gone.
-	if l.opts.Checkpoint {
-		if err := RemoveManifest(l.opts.Dir); err != nil {
+	if l.cfg.Checkpoint {
+		if err := RemoveManifest(l.cfg.Dir); err != nil {
 			return l.Stats(), err
 		}
 	}
@@ -259,8 +268,8 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 		K:       k,
 		Shards:  shards,
 		Target:  l.shardTarget(encB),
-		Buf:     bufShare(l.opts.Gov, 3*l.opts.Workers), // a worker's three: read window, block queues, write buffer
-		Collect: l.opts.Reporter != nil,
+		Buf:     bufShare(l.hooks.Gov, 3*l.cfg.Workers), // a worker's three: read window, block queues, write buffer
+		Collect: l.hooks.Reporter != nil,
 		loop:    l,
 	}
 	var next []ShardMeta
@@ -270,18 +279,18 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 	// counts only the cliques actually delivered.
 	seq := sched.NewSequencer(len(shards), func(_ int, res ShardResult) {
 		l.st.Maximal += res.Maximal
-		if l.opts.Reporter != nil {
+		if l.hooks.Reporter != nil {
 			start := int32(0)
 			for _, end := range res.EmitOff {
-				l.opts.Reporter.Emit(clique.Clique(res.EmitVerts[start:end]))
+				l.hooks.Reporter.Emit(clique.Clique(res.EmitVerts[start:end]))
 				start = end
 			}
 		}
 		next = append(next, res.Out...)
 	})
-	err := r.RunLevel(l.opts.Ctx, lv, seq.Deposit)
+	err := r.RunLevel(l.cfg.Ctx, lv, seq.Deposit)
 	if err == nil {
-		if cerr := l.opts.Ctx.Err(); cerr != nil {
+		if cerr := l.cfg.Ctx.Err(); cerr != nil {
 			err = fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, cerr)
 		} else if !seq.Complete() {
 			err = fmt.Errorf("ooc: level %d->%d: runner delivered %d of %d shards", k, k+1, seq.Released(), len(shards))
@@ -291,8 +300,8 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 	// covers what was released before the cut.
 	lst.NextBytes, _ = LevelBytes(next)
 	lst.Maximal = l.st.Maximal - maxBefore
-	if l.opts.OnLevel != nil {
-		l.opts.OnLevel(lst)
+	if l.hooks.OnLevel != nil {
+		l.hooks.OnLevel(lst)
 	}
 	if err != nil {
 		l.st.Aborted = true
@@ -307,10 +316,10 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 // shardTarget sizes the next level's shards from the consumed level's
 // encoded bytes (DefaultShardTarget), unless the run fixes it.
 func (l *Loop) shardTarget(consumedBytes int64) int64 {
-	if l.opts.ShardBytes > 0 {
-		return l.opts.ShardBytes
+	if l.cfg.ShardBytes > 0 {
+		return l.cfg.ShardBytes
 	}
-	return DefaultShardTarget(consumedBytes, l.opts.Workers)
+	return DefaultShardTarget(consumedBytes, l.cfg.Workers)
 }
 
 func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
@@ -318,9 +327,9 @@ func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
 	st.Aborted = false
 	m := &Manifest{
 		Owner:     l.owner,
-		Compress:  l.opts.Compress,
+		Compress:  l.cfg.OOCCompress,
 		K:         k,
-		MaxK:      l.opts.MaxK,
+		MaxK:      l.cfg.Hi,
 		Shards:    shards,
 		Stats:     st,
 		GraphN:    l.g.N(),
@@ -334,7 +343,7 @@ func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
 	// empty one; a resume adopts the checkpoint it just validated); every
 	// later commit must match the owner already on disk — a stale
 	// process's late commit is rejected instead of silently accepted.
-	if err := WriteManifest(l.opts.Dir, m, !l.claimed); err != nil {
+	if err := WriteManifest(l.cfg.Dir, m, !l.claimed); err != nil {
 		return err
 	}
 	l.claimed = true
@@ -347,7 +356,7 @@ func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
 func (l *Loop) removeShards(shards []ShardMeta) error {
 	var errs []error
 	for _, s := range shards {
-		if err := os.Remove(filepath.Join(l.opts.Dir, s.Path)); err != nil {
+		if err := os.Remove(filepath.Join(l.cfg.Dir, s.Path)); err != nil {
 			errs = append(errs, fmt.Errorf("ooc: remove consumed level file: %w", err))
 		}
 	}
@@ -358,8 +367,8 @@ func (l *Loop) removeShards(shards []ShardMeta) error {
 // is not in keep: the partial outputs of a failed level and the outputs
 // of a join whose result the runner did not accept.
 func (l *Loop) sweep(keep []ShardMeta) error {
-	if !l.opts.Checkpoint {
+	if !l.cfg.Checkpoint {
 		return nil
 	}
-	return RemoveStaleShards(l.opts.Dir, keep)
+	return RemoveStaleShards(l.cfg.Dir, keep)
 }

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/clique"
+	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 )
 
@@ -19,7 +21,7 @@ var errInjected = errors.New("injected shard failure")
 // (failK 0 = never).
 type backwardRunner struct {
 	g                graph.Interface
-	opts             Options
+	cfg              enumcfg.Config
 	failK, failShard int
 }
 
@@ -30,7 +32,7 @@ func (b *backwardRunner) RunLevel(ctx context.Context, lv *Level, deliver func(i
 			return errInjected
 		}
 		res, err := j.Join(ctx, &ShardJob{
-			Dir: b.opts.Dir, K: lv.K, In: lv.Shards[i], Compress: b.opts.Compress,
+			Dir: b.cfg.Dir, K: lv.K, In: lv.Shards[i], Compress: b.cfg.OOCCompress,
 			Target: lv.Target, Collect: lv.Collect, NewShard: lv.NextShard, OnWrite: lv.Wrote,
 		})
 		lv.Read(res.BytesRead)
@@ -48,13 +50,11 @@ func (b *backwardRunner) RunLevel(ctx context.Context, lv *Level, deliver func(i
 func TestLoopOrdersAnyDeliveryOrder(t *testing.T) {
 	g := plantedGraph(211)
 	for _, compress := range []bool{false, true} {
-		want, full := orderedKeys(t, g, Options{ShardBytes: 512, Compress: compress})
+		want, full := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512, OOCCompress: compress}, core.Hooks{})
 		var got []string
-		opts := Options{
-			Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512, Compress: compress,
-			Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) }),
-		}
-		st, err := NewLoop(g, opts, "test").RunEdges(&backwardRunner{g: g, opts: opts})
+		cfg := enumcfg.Config{Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512, OOCCompress: compress}
+		h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
+		st, err := NewLoop(g, cfg, h, "test").RunEdges(&backwardRunner{g: g, cfg: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,15 +73,13 @@ func TestLoopOrdersAnyDeliveryOrder(t *testing.T) {
 // Resume from it delivers the rest of the reference stream.
 func TestLoopKeepsBoundaryOnRunnerFailure(t *testing.T) {
 	g := plantedGraph(212)
-	want, full := orderedKeys(t, g, Options{ShardBytes: 512})
+	want, full := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512}, core.Hooks{})
 	const failK, failShard = 4, 1
 	var got []string
 	dir := t.TempDir()
-	opts := Options{
-		Ctx: context.Background(), Dir: dir, Workers: 1, ShardBytes: 512, Checkpoint: true,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) }),
-	}
-	st, err := NewLoop(g, opts, "test").RunEdges(&backwardRunner{g: g, opts: opts, failK: failK, failShard: failShard})
+	cfg := enumcfg.Config{Ctx: context.Background(), Dir: dir, Workers: 1, ShardBytes: 512, Checkpoint: true}
+	h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
+	st, err := NewLoop(g, cfg, h, "test").RunEdges(&backwardRunner{g: g, cfg: cfg, failK: failK, failShard: failShard})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
@@ -115,8 +113,7 @@ func TestLoopKeepsBoundaryOnRunnerFailure(t *testing.T) {
 		t.Errorf("checkpoint directory after the failure:\n got %v\nwant %v", names, onDisk)
 	}
 
-	rst, err := Resume(g, Options{Dir: dir, ShardBytes: 512,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })})
+	rst, err := Resume(g, enumcfg.Config{Dir: dir, ShardBytes: 512}, h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,16 @@ import (
 
 	"repro/internal/bk"
 	"repro/internal/clique"
+	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 )
 
-func run(t *testing.T, g *graph.Graph, opts Options) (*clique.Collector, Stats) {
+func run(t *testing.T, g *graph.Graph) (*clique.Collector, Stats) {
 	t.Helper()
 	col := &clique.Collector{}
-	opts.Dir = t.TempDir()
-	opts.Reporter = col
-	st, err := Enumerate(g, opts)
+	st, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{Reporter: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMatchesInCoreOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	for trial := 0; trial < 20; trial++ {
 		g := graph.RandomGNP(rng, 4+rng.Intn(14), 0.5)
-		outOfCore, _ := run(t, g, Options{})
+		outOfCore, _ := run(t, g)
 		if ok, diff := clique.SameSets(oracle(g, 3), outOfCore.Cliques); !ok {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}
@@ -54,7 +54,7 @@ func TestMatchesInCoreOnPlanted(t *testing.T) {
 		{Size: 9}, {Size: 6, Overlap: 3},
 	}, 150)
 	want := oracle(g, 3)
-	outOfCore, st := run(t, g, Options{})
+	outOfCore, st := run(t, g)
 	if ok, diff := clique.SameSets(want, outOfCore.Cliques); !ok {
 		t.Fatal(diff)
 	}
@@ -81,7 +81,7 @@ func TestNonDecreasingOrder(t *testing.T) {
 		}
 		lastSize = len(c)
 	})
-	if _, err := Enumerate(g, Options{Dir: t.TempDir(), Reporter: col}); err != nil {
+	if _, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{Reporter: col}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +90,7 @@ func TestSpillBudgetAborts(t *testing.T) {
 	rng := rand.New(rand.NewSource(125))
 	g := graph.PlantedGraph(rng, 60, []graph.PlantedCliqueSpec{{Size: 10}}, 100)
 	for _, workers := range []int{1, 4} {
-		st, err := Enumerate(g, Options{Dir: t.TempDir(), MaxLevelBytes: 256, Workers: workers})
+		st, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), SpillBudget: 256, Workers: workers}, core.Hooks{})
 		if !errors.Is(err, ErrSpillBudget) {
 			t.Fatalf("workers=%d: err = %v, want ErrSpillBudget", workers, err)
 		}
@@ -114,7 +114,7 @@ func TestSpillBudgetAbortsMidJoin(t *testing.T) {
 	g := graph.PlantedGraph(rng, 60, []graph.PlantedCliqueSpec{{Size: 10}}, 100)
 	// A budget the edge level fits under but a later level must exceed.
 	edgeBytes := int64(8*g.M()) + shardHeaderLen
-	full, err := Enumerate(g, Options{Dir: t.TempDir()})
+	full, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSpillBudgetAbortsMidJoin(t *testing.T) {
 		t.Fatalf("test graph too small: peak level %d not past the edge level %d", full.PeakLevelFile, edgeBytes)
 	}
 	gov := membudget.New(0)
-	st, err := Enumerate(g, Options{Dir: t.TempDir(), MaxLevelBytes: edgeBytes, Gov: gov})
+	st, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), SpillBudget: edgeBytes}, core.Hooks{Gov: gov})
 	if !errors.Is(err, ErrSpillBudget) {
 		t.Fatalf("err = %v, want ErrSpillBudget", err)
 	}
@@ -146,16 +146,16 @@ func TestSpillBudgetAbortsMidJoin(t *testing.T) {
 
 // orderedKeys runs Enumerate and returns the emitted stream as ordered
 // keys, failing on any error.
-func orderedKeys(t *testing.T, g graph.Interface, opts Options) ([]string, Stats) {
+func orderedKeys(t *testing.T, g graph.Interface, cfg enumcfg.Config, h core.Hooks) ([]string, Stats) {
 	t.Helper()
 	var keys []string
-	opts.Reporter = clique.ReporterFunc(func(c clique.Clique) {
+	h.Reporter = clique.ReporterFunc(func(c clique.Clique) {
 		keys = append(keys, c.Key())
 	})
-	if opts.Dir == "" {
-		opts.Dir = t.TempDir()
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
 	}
-	st, err := Enumerate(g, opts)
+	st, err := Enumerate(g, cfg, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,22 +171,22 @@ func TestParallelCompressedParity(t *testing.T) {
 		g := graph.PlantedGraph(rng, 90, []graph.PlantedCliqueSpec{
 			{Size: 10}, {Size: 7, Overlap: 3}, {Size: 6},
 		}, 200)
-		want, _ := orderedKeys(t, g, Options{})
+		want, _ := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
 		if len(want) == 0 {
 			t.Fatal("reference run found no cliques")
 		}
 		for _, c := range []struct {
 			name string
-			opts Options
+			cfg  enumcfg.Config
 		}{
-			{"parallel", Options{Workers: 4}},
-			{"compressed", Options{Compress: true}},
-			{"parallel-compressed", Options{Workers: 4, Compress: true}},
-			{"tiny-shards", Options{Workers: 4, Compress: true, ShardBytes: 64}},
-			{"parallel-checkpoint", Options{Workers: 3, Checkpoint: true, Dir: t.TempDir()}},
-			{"many-workers", Options{Workers: 16, ShardBytes: 256}},
+			{"parallel", enumcfg.Config{Workers: 4}},
+			{"compressed", enumcfg.Config{OOCCompress: true}},
+			{"parallel-compressed", enumcfg.Config{Workers: 4, OOCCompress: true}},
+			{"tiny-shards", enumcfg.Config{Workers: 4, OOCCompress: true, ShardBytes: 64}},
+			{"parallel-checkpoint", enumcfg.Config{Workers: 3, Checkpoint: true, Dir: t.TempDir()}},
+			{"many-workers", enumcfg.Config{Workers: 16, ShardBytes: 256}},
 		} {
-			got, _ := orderedKeys(t, g, c.opts)
+			got, _ := orderedKeys(t, g, c.cfg, core.Hooks{})
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %s: %d cliques, want %d", trial, c.name, len(got), len(want))
 			}
@@ -208,14 +208,14 @@ func TestRepresentationParity(t *testing.T) {
 	dense := graph.PlantedGraph(rng, 70, []graph.PlantedCliqueSpec{
 		{Size: 9}, {Size: 6, Overlap: 2},
 	}, 120)
-	want, _ := orderedKeys(t, dense, Options{})
+	want, _ := orderedKeys(t, dense, enumcfg.Config{}, core.Hooks{})
 	for _, rep := range []graph.Representation{graph.Dense, graph.CSR, graph.Compressed} {
 		gg, err := graph.Convert(dense, rep)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, _ := orderedKeys(t, gg, Options{Workers: workers, ShardBytes: 512, Compress: true})
+			got, _ := orderedKeys(t, gg, enumcfg.Config{Workers: workers, ShardBytes: 512, OOCCompress: true}, core.Hooks{})
 			if len(got) != len(want) {
 				t.Fatalf("%s workers=%d: %d cliques, want %d", rep, workers, len(got), len(want))
 			}
@@ -254,12 +254,11 @@ func TestPrefetchParity(t *testing.T) {
 			if compress {
 				gov = membudget.New(1)
 			}
-			got, st := orderedKeys(t, g, Options{
-				Workers:    workers,
-				Compress:   compress,
-				ShardBytes: 256, // many shards: decode-ahead crosses shard boundaries all the time
-				Gov:        gov,
-			})
+			got, st := orderedKeys(t, g, enumcfg.Config{
+				Workers:     workers,
+				OOCCompress: compress,
+				ShardBytes:  256, // many shards: decode-ahead crosses shard boundaries all the time
+			}, core.Hooks{Gov: gov})
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d compress=%v: %d cliques, want %d", workers, compress, len(got), len(want))
 			}
@@ -296,9 +295,14 @@ func TestPrefetchCancellation(t *testing.T) {
 		}
 	})
 	dir := t.TempDir()
-	_, err := Enumerate(g, Options{
-		Ctx: ctx, Dir: dir, Reporter: rep,
-		Workers: 4, ShardBytes: 128, Gov: gov,
+	_, err := Enumerate(g, enumcfg.Config{
+		Ctx:        ctx,
+		Dir:        dir,
+		Workers:    4,
+		ShardBytes: 128,
+	}, core.Hooks{
+		Reporter: rep,
+		Gov:      gov,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -320,8 +324,8 @@ func TestPrefetchCancellation(t *testing.T) {
 func TestCompressionShrinksLevelFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	g := graph.PlantedGraph(rng, 150, []graph.PlantedCliqueSpec{{Size: 12}}, 250)
-	_, raw := orderedKeys(t, g, Options{})
-	_, packed := orderedKeys(t, g, Options{Compress: true})
+	_, raw := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
+	_, packed := orderedKeys(t, g, enumcfg.Config{OOCCompress: true}, core.Hooks{})
 	if raw.Maximal != packed.Maximal {
 		t.Fatalf("encodings disagree: %d vs %d maximal", raw.Maximal, packed.Maximal)
 	}
@@ -347,14 +351,16 @@ func TestCancellationCleansSpillDir(t *testing.T) {
 		dir := t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
 		emitted := 0
-		_, err := Enumerate(g, Options{
-			Ctx: ctx, Dir: dir, Workers: workers, ShardBytes: 512,
-			Reporter: clique.ReporterFunc(func(clique.Clique) {
-				if emitted++; emitted == 3 {
-					cancel()
-				}
-			}),
-		})
+		_, err := Enumerate(g, enumcfg.Config{
+			Ctx:        ctx,
+			Dir:        dir,
+			Workers:    workers,
+			ShardBytes: 512,
+		}, core.Hooks{Reporter: clique.ReporterFunc(func(clique.Clique) {
+			if emitted++; emitted == 3 {
+				cancel()
+			}
+		})})
 		cancel()
 		if err == nil {
 			t.Fatalf("workers=%d: canceled run completed", workers)
@@ -383,7 +389,7 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 	dir := t.TempDir()
 	var spilled int64
 	allocs := testing.AllocsPerRun(3, func() {
-		st, err := Enumerate(g, Options{Dir: dir})
+		st, err := Enumerate(g, enumcfg.Config{Dir: dir}, core.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +413,7 @@ func TestMaxKStopsEarly(t *testing.T) {
 	g := graph.New(9)
 	graph.PlantClique(g, []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	col := &clique.Collector{}
-	st, err := Enumerate(g, Options{Dir: t.TempDir(), Reporter: col, MaxK: 4})
+	st, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), Hi: 4}, core.Hooks{Reporter: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,13 +427,13 @@ func TestMaxKStopsEarly(t *testing.T) {
 }
 
 func TestDirRequired(t *testing.T) {
-	if _, err := Enumerate(graph.New(2), Options{}); err == nil {
+	if _, err := Enumerate(graph.New(2), enumcfg.Config{}, core.Hooks{}); err == nil {
 		t.Fatal("missing Dir accepted")
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
-	col, st := run(t, graph.New(5), Options{})
+	col, st := run(t, graph.New(5))
 	if len(col.Cliques) != 0 || st.Maximal != 0 {
 		t.Error("edgeless graph produced cliques")
 	}
@@ -439,7 +445,7 @@ func BenchmarkOutOfCorePlanted10(b *testing.B) {
 	dir := b.TempDir()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(g, Options{Dir: dir}); err != nil {
+		if _, err := Enumerate(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"sync"
 
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
+	"repro/internal/membudget"
 	"repro/internal/sched"
 )
 
@@ -13,20 +15,21 @@ import (
 // The workers start with the first level and stop with close.
 type pool struct {
 	g       graph.Interface
-	opts    Options // Dir is the run directory itself
+	cfg     enumcfg.Config // Dir is the run directory itself
+	gov     *membudget.Governor
 	workers []*poolWorker
 	wg      sync.WaitGroup
 }
 
-func newPool(g graph.Interface, opts Options) *pool {
-	return &pool{g: g, opts: opts}
+func newPool(g graph.Interface, cfg enumcfg.Config, gov *membudget.Governor) *pool {
+	return &pool{g: g, cfg: cfg, gov: gov}
 }
 
 func (p *pool) start() {
 	if p.workers != nil {
 		return
 	}
-	p.workers = make([]*poolWorker, p.opts.Workers)
+	p.workers = make([]*poolWorker, p.cfg.Workers)
 	for i := range p.workers {
 		w := &poolWorker{
 			id:   i,
@@ -38,8 +41,8 @@ func (p *pool) start() {
 		// governor hears about it like any other layer's footprint: what
 		// the joiner holds now is charged here, the memo rows it adds
 		// later by its builder.
-		w.join.b.Gov = p.opts.Gov
-		p.opts.Gov.Charge(w.join.ScratchBytes())
+		w.join.b.Gov = p.gov
+		p.gov.Charge(w.join.ScratchBytes())
 		p.workers[i] = w
 		p.wg.Add(1)
 		go w.loop()
@@ -52,7 +55,7 @@ func (p *pool) close() {
 	}
 	p.wg.Wait()
 	for _, w := range p.workers {
-		p.opts.Gov.Release(w.join.ScratchBytes())
+		p.gov.Release(w.join.ScratchBytes())
 	}
 }
 
@@ -92,7 +95,7 @@ func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, 
 	defer cancel()
 	job := &levelJob{
 		lv:      lv,
-		disp:    sched.NewContiguousDispatcher(loads, p.opts.Workers, 1),
+		disp:    sched.NewContiguousDispatcher(loads, p.cfg.Workers, 1),
 		deliver: deliver,
 		ctx:     lctx,
 		cancel:  cancel,
@@ -131,7 +134,7 @@ func (w *poolWorker) loop() {
 // order is unchanged (the level loop still releases in shard order), so
 // the clique stream is byte-identical at any depth of the queues.
 func (w *poolWorker) runJob(job *levelJob) {
-	opts, lv := &w.p.opts, job.lv
+	p, lv := w.p, job.lv
 	var queue []int
 	next := func() (ShardMeta, int, bool) {
 		if len(queue) == 0 {
@@ -146,12 +149,12 @@ func (w *poolWorker) runJob(job *levelJob) {
 		return lv.Shards[si], si, true
 	}
 	read, err := w.join.run(job.ctx, &ShardJob{
-		Dir:      opts.Dir,
+		Dir:      p.cfg.Dir,
 		K:        lv.K,
-		Compress: opts.Compress,
+		Compress: p.cfg.OOCCompress,
 		Target:   lv.Target,
 		Collect:  lv.Collect,
-		Gov:      opts.Gov,
+		Gov:      p.gov,
 		Buf:      lv.Buf,
 		NewShard: lv.NextShard,
 		OnWrite:  lv.Wrote,

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/clique"
+	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 )
 
@@ -23,21 +25,20 @@ func plantedGraph(seed int64) *graph.Graph {
 
 // killRun starts a checkpointed run and cancels it after `after`
 // emissions, returning the emitted prefix.
-func killRun(t *testing.T, g graph.Interface, dir string, after int, opts Options) []string {
+func killRun(t *testing.T, g graph.Interface, dir string, after int, cfg enumcfg.Config) []string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var killed []string
-	opts.Ctx = ctx
-	opts.Dir = dir
-	opts.Checkpoint = true
-	opts.Reporter = clique.ReporterFunc(func(c clique.Clique) {
+	cfg.Ctx = ctx
+	cfg.Dir = dir
+	cfg.Checkpoint = true
+	_, err := Enumerate(g, cfg, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
 		killed = append(killed, c.Key())
 		if len(killed) == after {
 			cancel()
 		}
-	})
-	_, err := Enumerate(g, opts)
+	})})
 	if err == nil {
 		t.Fatal("checkpointed run completed despite cancellation; raise the kill point")
 	}
@@ -54,20 +55,20 @@ func TestKillResumeParity(t *testing.T) {
 	g := plantedGraph(201)
 	for _, c := range []struct {
 		name string
-		opts Options
+		cfg  enumcfg.Config
 	}{
-		{"serial-raw", Options{}},
-		{"parallel-compressed", Options{Workers: 4, Compress: true, ShardBytes: 512}},
+		{"serial-raw", enumcfg.Config{}},
+		{"parallel-compressed", enumcfg.Config{Workers: 4, OOCCompress: true, ShardBytes: 512}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ref := c.opts
-			want, full := orderedKeys(t, g, ref)
+			ref := c.cfg
+			want, full := orderedKeys(t, g, ref, core.Hooks{})
 			if len(want) < 20 {
 				t.Fatalf("only %d cliques in the reference run", len(want))
 			}
 			for _, kill := range []int{1, len(want) / 3, len(want) - 2} {
 				dir := t.TempDir()
-				killed := killRun(t, g, dir, kill, c.opts)
+				killed := killRun(t, g, dir, kill, c.cfg)
 				for i, k := range killed {
 					if k != want[i] {
 						t.Fatalf("kill@%d: killed stream diverges at %d", kill, i)
@@ -77,12 +78,11 @@ func TestKillResumeParity(t *testing.T) {
 					t.Fatalf("kill@%d: no manifest after the kill: %v", kill, err)
 				}
 				var resumed []string
-				ropts := c.opts
-				ropts.Dir = dir
-				ropts.Reporter = clique.ReporterFunc(func(cl clique.Clique) {
+				rcfg := c.cfg
+				rcfg.Dir = dir
+				st, err := Resume(g, rcfg, core.Hooks{Reporter: clique.ReporterFunc(func(cl clique.Clique) {
 					resumed = append(resumed, cl.Key())
-				})
-				st, err := Resume(g, ropts)
+				})})
 				if err != nil {
 					t.Fatalf("kill@%d: resume: %v", kill, err)
 				}
@@ -114,14 +114,15 @@ func TestKillResumeParity(t *testing.T) {
 // not part of the checkpoint; the stream must not depend on it.
 func TestResumeWithDifferentWorkerCount(t *testing.T) {
 	g := plantedGraph(202)
-	want, _ := orderedKeys(t, g, Options{})
+	want, _ := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
 	dir := t.TempDir()
-	killRun(t, g, dir, len(want)/2, Options{Workers: 1, Compress: true})
+	killRun(t, g, dir, len(want)/2, enumcfg.Config{Workers: 1, OOCCompress: true})
 	var resumed []string
-	st, err := Resume(g, Options{
-		Dir: dir, Workers: 4, ShardBytes: 256,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) { resumed = append(resumed, c.Key()) }),
-	})
+	st, err := Resume(g, enumcfg.Config{
+		Dir:        dir,
+		Workers:    4,
+		ShardBytes: 256,
+	}, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { resumed = append(resumed, c.Key()) })})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestResumeWithDifferentWorkerCount(t *testing.T) {
 func TestCheckpointLifecycle(t *testing.T) {
 	g := plantedGraph(203)
 	dir := t.TempDir()
-	if _, err := Enumerate(g, Options{Dir: dir, Checkpoint: true}); err != nil {
+	if _, err := Enumerate(g, enumcfg.Config{Dir: dir, Checkpoint: true}, core.Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -153,8 +154,8 @@ func TestCheckpointLifecycle(t *testing.T) {
 		t.Errorf("leftover entry after a completed checkpointed run: %s", e.Name())
 	}
 	// A live checkpoint blocks a fresh run in the same directory.
-	killRun(t, g, dir, 1, Options{})
-	if _, err := Enumerate(g, Options{Dir: dir, Checkpoint: true}); err == nil ||
+	killRun(t, g, dir, 1, enumcfg.Config{})
+	if _, err := Enumerate(g, enumcfg.Config{Dir: dir, Checkpoint: true}, core.Hooks{}); err == nil ||
 		!strings.Contains(err.Error(), "already holds a checkpoint") {
 		t.Fatalf("fresh run over a live checkpoint: err = %v", err)
 	}
@@ -182,9 +183,9 @@ func TestCheckpointLifecycle(t *testing.T) {
 func TestResumeRejectsDifferentGraph(t *testing.T) {
 	g := plantedGraph(204)
 	dir := t.TempDir()
-	killRun(t, g, dir, 2, Options{})
+	killRun(t, g, dir, 2, enumcfg.Config{})
 	other := plantedGraph(205)
-	if _, err := Resume(other, Options{Dir: dir}); err == nil ||
+	if _, err := Resume(other, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 		!strings.Contains(err.Error(), "different graph") {
 		t.Fatalf("resume against a different graph: err = %v", err)
 	}
@@ -207,7 +208,7 @@ func TestResumeRejectsDifferentGraph(t *testing.T) {
 	if mutated.M() != g.M() {
 		t.Fatalf("mutation changed the edge count: %d vs %d", mutated.M(), g.M())
 	}
-	if _, err := Resume(mutated, Options{Dir: dir}); err == nil ||
+	if _, err := Resume(mutated, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 		!strings.Contains(err.Error(), "different graph") {
 		t.Fatalf("resume against a mutated graph: err = %v", err)
 	}
@@ -219,11 +220,11 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 	g := plantedGraph(206)
 	freshKill := func(t *testing.T) string {
 		dir := t.TempDir()
-		killRun(t, g, dir, 3, Options{})
+		killRun(t, g, dir, 3, enumcfg.Config{})
 		return dir
 	}
 	t.Run("missing manifest", func(t *testing.T) {
-		if _, err := Resume(g, Options{Dir: t.TempDir()}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "no resumable checkpoint") {
 			t.Fatalf("err = %v", err)
 		}
@@ -233,7 +234,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Resume(g, Options{Dir: dir}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "corrupt manifest") {
 			t.Fatalf("err = %v", err)
 		}
@@ -247,7 +248,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		m.Version = 99
 		data, _ := json.Marshal(m)
 		os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
-		if _, err := Resume(g, Options{Dir: dir}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "version") {
 			t.Fatalf("err = %v", err)
 		}
@@ -261,7 +262,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		m.Shards[0].Path = "../escape" + shardSuffix
 		data, _ := json.Marshal(m)
 		os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
-		if _, err := Resume(g, Options{Dir: dir}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "suspicious shard path") {
 			t.Fatalf("err = %v", err)
 		}
@@ -279,7 +280,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		os.WriteFile(filepath.Join(dir, manifestName), data, 0o644)
 		delivered := 0
 		rep := clique.ReporterFunc(func(clique.Clique) { delivered++ })
-		if _, err := Resume(g, Options{Dir: dir, Reporter: rep}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{Reporter: rep}); err == nil ||
 			!strings.Contains(err.Error(), "listed twice") || delivered != 0 {
 			t.Fatalf("err = %v after %d cliques delivered", err, delivered)
 		}
@@ -293,7 +294,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, m.Shards[0].Path)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Resume(g, Options{Dir: dir}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "missing") {
 			t.Fatalf("err = %v", err)
 		}
@@ -308,7 +309,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		if err := os.Truncate(path, m.Shards[0].Bytes/2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Resume(g, Options{Dir: dir}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("err = %v", err)
 		}
@@ -332,7 +333,7 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Resume(g, Options{Dir: dir}); err == nil ||
+		if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{}); err == nil ||
 			!strings.Contains(err.Error(), "corrupt level file") {
 			t.Fatalf("err = %v", err)
 		}
@@ -344,17 +345,15 @@ func TestResumeRejectsCorruptCheckpoints(t *testing.T) {
 func TestResumeDiscardsStalePartialLevel(t *testing.T) {
 	g := plantedGraph(207)
 	dir := t.TempDir()
-	killRun(t, g, dir, 2, Options{})
+	killRun(t, g, dir, 2, enumcfg.Config{})
 	// Plant a stale shard file mimicking a crash that never cleaned up.
 	stale := filepath.Join(dir, "l099-999999"+shardSuffix)
 	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := orderedKeys(t, g, Options{})
+	want, _ := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
 	var resumed []string
-	if _, err := Resume(g, Options{Dir: dir,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) { resumed = append(resumed, c.Key()) }),
-	}); err != nil {
+	if _, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { resumed = append(resumed, c.Key()) })}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/clique"
+	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 )
 
@@ -218,9 +220,9 @@ func TestResumeParentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full, fullStats := orderedKeys(t, g, Options{Compress: true, ShardBytes: 64})
+	full, fullStats := orderedKeys(t, g, enumcfg.Config{OOCCompress: true, ShardBytes: 64}, core.Hooks{})
 	var resumed []string
-	st, err := Resume(g, Options{Dir: dir, Reporter: clique.ReporterFunc(func(c clique.Clique) {
+	st, err := Resume(g, enumcfg.Config{Dir: dir}, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
 		resumed = append(resumed, c.Key())
 	})})
 	if err != nil {

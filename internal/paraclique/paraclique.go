@@ -120,8 +120,6 @@ func Extract(g graph.Interface, opts Options) []Paraclique {
 	} else {
 		work = graph.Densify(g)
 	}
-	keep := bitset.New(g.N())
-	keep.SetAll()
 	idToOrig := make([]int, g.N())
 	for i := range idToOrig {
 		idToOrig[i] = i

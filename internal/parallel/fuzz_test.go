@@ -29,7 +29,7 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		policy := sched.Policy{RelTolerance: []float64{0, 0.01, 0.5}[rng.Intn(3)]}
 
 		seq := &clique.Collector{}
-		if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: lo, Reporter: seq}); err != nil {
+		if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: lo}, core.Hooks{Reporter: seq}); err != nil {
 			return false
 		}
 		opts := parallel.Options{Workers: workers, Lo: lo, Strategy: strategy, Policy: policy}
@@ -43,7 +43,7 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := (&core.Loop{Reporter: par}).Run(p, lvl, homes); err != nil {
+		if err := (&core.Loop{Hooks: core.Hooks{Reporter: par}}).Run(p, lvl, homes); err != nil {
 			return false
 		}
 		if ok, _ := clique.SameSets(seq.Cliques, par.Cliques); !ok {
@@ -74,11 +74,10 @@ func TestQuickWorkerCountInvariance(t *testing.T) {
 		var first []clique.Clique
 		for _, workers := range []int{1, 3, 6} {
 			col := &clique.Collector{}
-			if _, err := hybrid.Enumerate(g, hybrid.Options{
+			if _, err := hybrid.Enumerate(g, enumcfg.Config{
 				Workers:  workers,
 				Strategy: enumcfg.Affinity,
-				Reporter: col,
-			}); err != nil {
+			}, core.Hooks{Reporter: col}); err != nil {
 				return false
 			}
 			if first == nil {

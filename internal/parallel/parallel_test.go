@@ -27,7 +27,7 @@ func testGraph(seed int64) *graph.Graph {
 func sequentialCliques(t *testing.T, g *graph.Graph, lo, hi int) []clique.Clique {
 	t.Helper()
 	col := &clique.Collector{}
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: lo, Hi: hi, Reporter: col}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: lo, Hi: hi}, core.Hooks{Reporter: col}); err != nil {
 		t.Fatal(err)
 	}
 	return col.Cliques
@@ -39,11 +39,10 @@ func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7} {
 		for _, strategy := range []enumcfg.Strategy{enumcfg.Contiguous, enumcfg.Affinity} {
 			col := &clique.Collector{}
-			res, err := hybrid.Enumerate(g, hybrid.Options{
+			res, err := hybrid.Enumerate(g, enumcfg.Config{
 				Workers:  workers,
 				Strategy: strategy,
-				Reporter: col,
-			})
+			}, core.Hooks{Reporter: col})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +60,7 @@ func TestMatchesSequentialAcrossWorkerCounts(t *testing.T) {
 func TestCountsWithoutReporter(t *testing.T) {
 	g := testGraph(62)
 	want := sequentialCliques(t, g, 2, 0)
-	res, err := hybrid.Enumerate(g, hybrid.Options{Workers: 3})
+	res, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 3}, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +83,11 @@ func TestSeededParallelMatchesSequential(t *testing.T) {
 	for _, initK := range []int{4, 6, 8} {
 		want := sequentialCliques(t, g, initK, 0)
 		col := &clique.Collector{}
-		_, err := hybrid.Enumerate(g, hybrid.Options{
-			Workers: 4, Lo: initK, Strategy: enumcfg.Affinity, Reporter: col,
-		})
+		_, err := hybrid.Enumerate(g, enumcfg.Config{
+			Workers:  4,
+			Lo:       initK,
+			Strategy: enumcfg.Affinity,
+		}, core.Hooks{Reporter: col})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestUpperBoundHonored(t *testing.T) {
 	g := testGraph(64)
 	want := sequentialCliques(t, g, 2, 6)
 	col := &clique.Collector{}
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Workers: 3, Hi: 6, Reporter: col}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 3, Hi: 6}, core.Hooks{Reporter: col}); err != nil {
 		t.Fatal(err)
 	}
 	if ok, diff := clique.SameSets(col.Cliques, want); !ok {
@@ -111,13 +112,12 @@ func TestUpperBoundHonored(t *testing.T) {
 func TestContiguousPreservesCanonicalOrder(t *testing.T) {
 	g := testGraph(65)
 	var got []clique.Clique
-	_, err := hybrid.Enumerate(g, hybrid.Options{
+	_, err := hybrid.Enumerate(g, enumcfg.Config{
 		Workers:  4,
 		Strategy: enumcfg.Contiguous,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) {
-			got = append(got, append(clique.Clique(nil), c...))
-		}),
-	})
+	}, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
+		got = append(got, append(clique.Clique(nil), c...))
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +131,15 @@ func TestContiguousPreservesCanonicalOrder(t *testing.T) {
 func TestAffinityNonDecreasingSizes(t *testing.T) {
 	g := testGraph(66)
 	lastSize := 0
-	_, err := hybrid.Enumerate(g, hybrid.Options{
+	_, err := hybrid.Enumerate(g, enumcfg.Config{
 		Workers:  4,
 		Strategy: enumcfg.Affinity,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) {
-			if len(c) < lastSize {
-				t.Fatalf("size order violated: %d after %d", len(c), lastSize)
-			}
-			lastSize = len(c)
-		}),
-	})
+	}, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
+		if len(c) < lastSize {
+			t.Fatalf("size order violated: %d after %d", len(c), lastSize)
+		}
+		lastSize = len(c)
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +150,12 @@ func TestRecomputeCNParallel(t *testing.T) {
 	// The reference keeps the paper's stored bitmaps; the pool must
 	// agree with it in its default (rebuilding) mode and in the stored one.
 	ref := &clique.Collector{}
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Mode: core.CNStore, Reporter: ref}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Mode: core.CNStore}, core.Hooks{Reporter: ref}); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []core.CNMode{core.CNRecompute, core.CNStore} {
 		col := &clique.Collector{}
-		if _, err := hybrid.Enumerate(g, hybrid.Options{Workers: 2, Mode: mode, Reporter: col}); err != nil {
+		if _, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2, Mode: mode}, core.Hooks{Reporter: col}); err != nil {
 			t.Fatal(err)
 		}
 		if ok, diff := clique.SameSets(col.Cliques, ref.Cliques); !ok {
@@ -239,10 +238,7 @@ func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 func TestLevelStatsPopulated(t *testing.T) {
 	g := testGraph(68)
 	var levels []core.LevelStats
-	res, err := hybrid.Enumerate(g, hybrid.Options{
-		Workers: 3,
-		OnLevel: func(st core.LevelStats) { levels = append(levels, st) },
-	})
+	res, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 3}, core.Hooks{OnLevel: func(st core.LevelStats) { levels = append(levels, st) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +313,7 @@ func TestStrategyParity(t *testing.T) {
 		for _, workers := range []int{2, 5} {
 			counts := map[string]int64{}
 			for name, strategy := range map[string]enumcfg.Strategy{"contiguous": enumcfg.Contiguous, "affinity": enumcfg.Affinity} {
-				res, err := hybrid.Enumerate(g, hybrid.Options{Workers: workers, Strategy: strategy})
+				res, err := hybrid.Enumerate(g, enumcfg.Config{Workers: workers, Strategy: strategy}, core.Hooks{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -361,7 +357,7 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop := core.Loop{Reporter: rep}
+	loop := core.Loop{Hooks: core.Hooks{Reporter: rep}}
 	if err := loop.Run(p, lvl, homes); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +416,7 @@ func BenchmarkParallel2Workers(b *testing.B) {
 	g := graph.PlantedGraph(rng, 300, []graph.PlantedCliqueSpec{{Size: 14}}, 700)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := hybrid.Enumerate(g, hybrid.Options{Workers: 2}); err != nil {
+		if _, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2}, core.Hooks{}); err != nil {
 			b.Fatal(err)
 		}
 	}

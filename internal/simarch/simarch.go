@@ -72,7 +72,7 @@ func (t *Trace) UnitsPerSecond() float64 {
 
 // CollectMode runs the Clique Enumerator sequentially with
 // instrumentation, in the given bitmap mode, and returns the cost trace;
-// lo/hi follow hybrid.Options semantics.  core.CNStore is the machine the
+// lo/hi follow enumcfg.Config semantics.  core.CNStore is the machine the
 // paper measured (a bitmap resident per sub-list, no rebuild ANDs): the
 // traces behind its figures name it.  The default core.CNRecompute is
 // how the largest paper-scale traces (Init_K = 3 on graph C) fit on

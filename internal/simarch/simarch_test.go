@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/sched"
@@ -30,7 +31,7 @@ func collect(t *testing.T, g *graph.Graph, lo, hi int) *Trace {
 func TestCollectMatchesCoreCounts(t *testing.T) {
 	g := traceGraph(71)
 	tr := collect(t, g, 2, 0)
-	res, err := hybrid.Enumerate(g, hybrid.Options{})
+	res, err := hybrid.Enumerate(g, enumcfg.Config{}, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCollectSeeded(t *testing.T) {
 	}
 	// Maximal cliques of size >= 6 must match between the two traces.
 	var want int64
-	res, _ := hybrid.Enumerate(g, hybrid.Options{Lo: 6})
+	res, _ := hybrid.Enumerate(g, enumcfg.Config{Lo: 6}, core.Hooks{})
 	want = res.MaximalCliques
 	if seeded.MaximalCliques != want {
 		t.Errorf("seeded trace maximal %d, want %d", seeded.MaximalCliques, want)

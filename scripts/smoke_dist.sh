@@ -61,6 +61,17 @@ check_stream dist0
     echo "smoke-dist: no run report after the fault-free run" >&2; exit 1; }
 echo "smoke-dist: fault-free run matches the reference"
 
+# A worker count below one is a configuration error, not a quiet
+# fallback to the out-of-core backend on the same directory.
+echo "smoke-dist: -dist -1 is refused"
+if "$workdir/cliquer" -lo 3 -no-bound -dist -1 -ooc "$workdir/runneg" \
+    "$workdir/a.el" >"$workdir/neg.out" 2>&1; then
+    echo "smoke-dist: -dist -1 exited zero" >&2; cat "$workdir/neg.out" >&2; exit 1
+fi
+if [ -e "$workdir/runneg/dist-manifest.json" ] || grep -Eq '^(done|aborted|interrupted) ' "$workdir/neg.out"; then
+    echo "smoke-dist: -dist -1 wrote a run report" >&2; cat "$workdir/neg.out" >&2; exit 1
+fi
+
 echo "smoke-dist: kill-a-worker runs"
 releaseseen=0
 for attempt in 1 2 3 4 5; do

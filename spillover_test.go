@@ -12,6 +12,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
+	"repro/internal/enumcfg"
 	"repro/internal/expt"
 	"repro/internal/hybrid"
 	"repro/internal/membudget"
@@ -165,8 +166,8 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 			dir := t.TempDir()
 			var keys []string
 			held, atDrain = 0, 0
-			res, err := hybrid.Enumerate(g, hybrid.Options{
-				Lo: 3, Workers: workers, Dir: dir, Compress: compress, Gov: gov,
+			res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: dir, OOCCompress: compress}, core.Hooks{
+				Gov:      gov,
 				Reporter: clique.ReporterFunc(func(c clique.Clique) { keys = append(keys, c.Key()) }),
 				OnLevel: func(st core.LevelStats) {
 					if st.Spilled && atDrain == 0 {
@@ -244,7 +245,7 @@ func TestDefaultFootprint(t *testing.T) {
 	gov.Charge(g.Bytes()) // the facade's entry charge
 	defer gov.Release(g.Bytes())
 	var memo []string
-	if _, err := hybrid.Enumerate(g, hybrid.Options{Lo: 3, Mode: core.CNRecompute, Gov: gov,
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Mode: core.CNRecompute}, core.Hooks{Gov: gov,
 		Reporter: clique.ReporterFunc(func(c clique.Clique) { memo = append(memo, c.Key()) }),
 	}); err != nil {
 		t.Fatal(err)
