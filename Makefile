@@ -122,7 +122,8 @@ smoke-spillover:
 # Distributed stream-parity acceptance matrix: coordinator + N exec/pipe
 # workers for N in {1,2,4}, raw and compressed shards, must emit the
 # sequential backend's stream byte-for-byte — plus the kill-recovery
-# test (injected worker death mid-level, shard re-leased).
+# test (a test transport kills a worker as its second lease goes out,
+# mid-level; the shard is re-leased).
 dist-parity:
 	$(GO) test -run 'TestDistStreamParityMatrix|TestDistKillWorkerRecovery' -count=1 -v ./internal/dist
 

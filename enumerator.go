@@ -336,9 +336,9 @@ func WithMemoryBudget(bytes int64) Option {
 
 // WithSpillover selects the adaptive hybrid backend explicitly: the run
 // starts in core (sequential, or the streaming pool with WithWorkers)
-// and, the moment the WithMemoryBudget governor trips, drains the level
-// being generated to run-aligned shard files under dir and continues on
-// the out-of-core engine — same byte-identical ordered clique stream
+// and, the moment the WithMemoryBudget governor trips, writes the level
+// being generated and the unjoined input behind it to run-aligned shard
+// files under dir and continues on the out-of-core engine — same byte-identical ordered clique stream
 // either way, memory-priced while the run fits, disk-priced only from
 // the level that stopped fitting.  Requires WithMemoryBudget.  The same
 // regime is selected implicitly when WithOutOfCore and WithMemoryBudget
@@ -698,7 +698,7 @@ func (e *Enumerator) levelSink(st *Stats) func(core.LevelStats) {
 
 // runInCore is the sequential, parallel and hybrid backends: one in-core
 // level loop whose engine follows cfg.Workers and whose budget-trip
-// policy follows cfg.Dir (abort without a spill directory, drain to disk
+// policy follows cfg.Dir (abort without a spill directory, spill to disk
 // and continue out of core with one).  hybrid.Enumerate keeps the run
 // record; a nil reporter reaches the engines as nil, so a count-only
 // pooled run copies no emission.

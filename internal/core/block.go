@@ -23,7 +23,7 @@ import (
 // lcp is the number of leading prefix vertices the record takes over
 // from the record before it in the block; the first record of a block
 // stores 0, so every block decodes by itself and is the unit of pool
-// dispatch, of governor charge and of the hybrid drain.  A record with
+// dispatch, of governor charge and of the hybrid spill.  A record with
 // lcp 0 starts a *run*.  Runs start where the stream says so, never
 // where an engine happened to cut its work: a join's output starts a run
 // exactly where its input did (the carry rule in blockSink.append) or

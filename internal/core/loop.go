@@ -26,7 +26,7 @@ type LevelEngine interface {
 // canonical order for the inputs before Frontier only: Next holds
 // precisely their surviving sub-lists, nothing beyond the frontier is
 // retained or charged, and the inputs from Frontier on are untouched
-// input again — the consistent cut the hybrid drain resumes from.  The
+// input again — the consistent cut the hybrid spill resumes from.  The
 // sequential engine cuts at any sub-list, the pool between blocks.
 type LevelOutcome struct {
 	Next     *Level
@@ -67,7 +67,7 @@ type Loop struct {
 	// OnTrip is the trip policy.  nil aborts the run with
 	// ErrMemoryBudget.  Otherwise it is handed the consumed level and the
 	// tripped step's outcome, takes over both levels' governor charges,
-	// and its error is the run's — the hybrid backend's drain to disk.
+	// and its error is the run's — the hybrid backend's hand-off to disk.
 	OnTrip func(lvl *Level, out LevelOutcome) error
 }
 

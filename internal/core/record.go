@@ -37,8 +37,8 @@ type LevelStats struct {
 	Held       int64
 
 	// Spilled marks a step joined (at least partly) from or to shard
-	// files: every step of the on-disk driver, and the step a hybrid run
-	// drained.
+	// files: every step of the on-disk driver, and the step a hybrid run's
+	// trip carried to disk.
 	Spilled bool
 }
 

@@ -341,8 +341,9 @@ func (c *coordinator) handleEvent(ev event) error {
 				return err
 			}
 			c.deliver(shard, ooc.ShardResult{
-				JoinStats: ooc.JoinStats{Maximal: m.Maximal, EmitVerts: m.EmitVerts, EmitOff: m.EmitOff, BytesRead: m.BytesRead},
-				Out:       m.Out,
+				JoinStats: ooc.JoinStats{Maximal: m.Maximal, Dropped: m.Dropped, Cost: m.Cost,
+					EmitVerts: m.EmitVerts, EmitOff: m.EmitOff, BytesRead: m.BytesRead},
+				Out: m.Out,
 			})
 		}
 		c.assign(ws)

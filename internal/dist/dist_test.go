@@ -1,18 +1,21 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
+	"repro/internal/hybrid"
 	"repro/internal/membudget"
 	"repro/internal/ooc"
 	"repro/internal/testgraph"
@@ -107,6 +110,39 @@ func TestDistStreamParityMatrix(t *testing.T) {
 	}
 }
 
+// killSecondLease is the exec transport with one crash on cue: the first
+// time slot 1 is sent its second lease, counted across the slot's
+// incarnations, its worker process is killed just before the frame goes
+// out — the lease is in flight on a dead worker, and the coordinator must
+// re-lease it.
+type killSecondLease struct {
+	ExecTransport
+	leases atomic.Int32 // leases sent to slot 1
+}
+
+func (t *killSecondLease) Dial(ctx context.Context, i int) (Conn, error) {
+	c, err := t.ExecTransport.Dial(ctx, i)
+	if err != nil || i != 1 {
+		return c, err
+	}
+	return &killConn{Conn: c, t: t}, nil
+}
+
+// killConn is slot 1's connection under killSecondLease.
+type killConn struct {
+	Conn
+	t *killSecondLease
+}
+
+func (c *killConn) Send(m *Msg) error {
+	if m.Type == MsgLease && c.t.leases.Add(1) == 2 {
+		if err := c.t.Kill(1); err != nil {
+			return err
+		}
+	}
+	return c.Conn.Send(m)
+}
+
 // TestDistKillWorkerRecovery is the fault-tolerance half of the
 // acceptance criterion: one worker dies mid-level with a lease in
 // flight, the shard is re-leased, and the final stream is still
@@ -123,11 +159,7 @@ func TestDistKillWorkerRecovery(t *testing.T) {
 		Dir:         dir,
 		DistWorkers: 3,
 		ShardBytes:  256,
-	}, core.Hooks{Reporter: &rep}, &ExecTransport{Env: []string{
-		// Slot 1 crashes upon receiving its 2nd lease — once.
-		EnvDieAfter + "=1:2",
-		EnvDieOnce + "=" + filepath.Join(t.TempDir(), "died"),
-	}})
+	}, core.Hooks{Reporter: &rep}, &killSecondLease{})
 	if err != nil {
 		t.Fatalf("dist enumerate with crash: %v", err)
 	}
@@ -271,7 +303,49 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 // fills (core.LevelStats holds slices, so it has no ==).
 func sameDiskLevel(a, b core.LevelStats) bool {
 	return a.FromK == b.FromK && a.Cliques == b.Cliques && a.Bytes == b.Bytes &&
-		a.NextBytes == b.NextBytes && a.Maximal == b.Maximal && a.Spilled && b.Spilled
+		a.NextBytes == b.NextBytes && a.Maximal == b.Maximal && sameWork(a, b) && a.Spilled && b.Spilled
+}
+
+// sameWork compares the kernel's work two records of one step count.
+// ANDWords is left out: how many words a join ANDs depends on where its
+// joiner's prefix memo starts, which is where its shard starts.
+func sameWork(a, b core.LevelStats) bool {
+	return a.Dropped == b.Dropped && a.Cost.Pairs == b.Cost.Pairs &&
+		a.Cost.Probes == b.Cost.Probes && a.Cost.Generated == b.Cost.Generated
+}
+
+// TestDiskLevelsCountTheKernelsWork: a step joined from shard files counts
+// the kernel's work like one joined in memory — per level, an out-of-core
+// run and a distributed one drop the same cliques and pay the same pairs,
+// probes and generated cliques as the sequential in-core run.
+func TestDiskLevelsCountTheKernelsWork(t *testing.T) {
+	g := testGraph(t)
+	collect := func(levels *[]core.LevelStats) core.Hooks {
+		return core.Hooks{OnLevel: func(ls core.LevelStats) { *levels = append(*levels, ls) }}
+	}
+	var want, pool, leased []core.LevelStats
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 2}, collect(&want)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ooc.Enumerate(g, enumcfg.Config{Lo: 2, Dir: t.TempDir(), Workers: 2, ShardBytes: 256}, collect(&pool)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Enumerate(g, enumcfg.Config{Lo: 2, Dir: t.TempDir(), DistWorkers: 2, ShardBytes: 256},
+		collect(&leased), &LoopbackTransport{}); err != nil {
+		t.Fatal(err)
+	}
+	var dropped int64
+	for _, ls := range want {
+		dropped += ls.Dropped
+	}
+	if len(want) < 3 || dropped == 0 {
+		t.Fatalf("fixture too small: %d levels, %d dropped", len(want), dropped)
+	}
+	for name, got := range map[string][]core.LevelStats{"ooc": pool, "dist": leased} {
+		if !slices.EqualFunc(got, want, func(a, b core.LevelStats) bool { return a.FromK == b.FromK && sameWork(a, b) }) {
+			t.Errorf("%s: level work diverges from the in-core run's:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
 }
 
 // TestDistRunDirCleanup: a successful run leaves only the audit report
@@ -318,10 +392,7 @@ func TestDistNoGoroutineLeakAfterDeaths(t *testing.T) {
 			Dir:         t.TempDir(),
 			DistWorkers: 3,
 			ShardBytes:  256,
-		}, core.Hooks{}, &ExecTransport{Env: []string{
-			EnvDieAfter + "=1:2",
-			EnvDieOnce + "=" + filepath.Join(t.TempDir(), "died"),
-		}}); err != nil {
+		}, core.Hooks{}, &killSecondLease{}); err != nil {
 			t.Fatalf("run %d with crash: %v", i, err)
 		}
 	}

@@ -5,29 +5,14 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"strconv"
 	"sync"
 )
 
-// Environment contract between ExecTransport and worker processes.
-const (
-	// EnvWorker marks a process as a dist worker.  Binaries that can
-	// serve as workers (cliquer, cliqued, the test binary) check it
-	// before flag parsing and hand control to WorkerMain.
-	EnvWorker = "REPRO_DIST_WORKER"
-	// EnvWorkerIndex is the worker's slot index, for logs and for
-	// fault-injection targeting.
-	EnvWorkerIndex = "REPRO_DIST_WORKER_INDEX"
-	// EnvDieAfter ("slot:count") makes the worker on that slot exit
-	// hard upon receiving its count-th lease — a deterministic
-	// mid-level crash for the recovery tests.  The lease is in flight
-	// when the worker dies, so the coordinator must re-lease it.
-	EnvDieAfter = "REPRO_DIST_DIE_AFTER"
-	// EnvDieOnce names a sentinel file making EnvDieAfter one-shot
-	// across respawns: the first incarnation to reach its death point
-	// creates the file and dies; later incarnations see it and live.
-	EnvDieOnce = "REPRO_DIST_DIE_ONCE"
-)
+// EnvWorker marks a process as a dist worker: the environment contract
+// between ExecTransport and worker processes.  Binaries that can serve as
+// workers (cliquer, cliqued, the test binary) check it before flag
+// parsing and hand control to WorkerMain.
+const EnvWorker = "REPRO_DIST_WORKER"
 
 // ExecTransport spawns each worker as a child process speaking the wire
 // protocol over stdin/stdout — the exec/pipe transport.  The zero value
@@ -38,8 +23,6 @@ type ExecTransport struct {
 	// "-worker"].  The "-worker" argument is advisory (activation is by
 	// environment), but it makes workers identifiable in ps/pgrep.
 	Command []string
-	// Env entries are appended to the child's inherited environment.
-	Env []string
 
 	mu    sync.Mutex
 	procs map[int]*exec.Cmd
@@ -55,10 +38,7 @@ func (t *ExecTransport) Dial(ctx context.Context, i int) (Conn, error) {
 		argv = []string{self, "-worker"}
 	}
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
-	cmd.Env = append(os.Environ(),
-		EnvWorker+"=1",
-		EnvWorkerIndex+"="+strconv.Itoa(i))
-	cmd.Env = append(cmd.Env, t.Env...)
+	cmd.Env = append(os.Environ(), EnvWorker+"=1")
 	cmd.Stderr = os.Stderr // worker diagnostics pass through
 	stdin, err := cmd.StdinPipe()
 	if err != nil {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/ooc"
 )
 
@@ -87,6 +88,8 @@ type Msg struct {
 	// result (echoes LeaseID)
 	Out       []ooc.ShardMeta `json:"out,omitempty"` // output shards, in order
 	Maximal   int64           `json:"maximal,omitempty"`
+	Dropped   int64           `json:"dropped,omitempty"`
+	Cost      core.Cost       `json:"cost,omitzero"`        // the kernel's work on the shard
 	EmitVerts []int           `json:"emit_verts,omitempty"` // flat emission arena
 	EmitOff   []int32         `json:"emit_off,omitempty"`   // arena end offsets, one per clique
 	BytesRead int64           `json:"bytes_read,omitempty"`

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -109,8 +107,6 @@ func ServeWorker(ctx context.Context, conn Conn) error {
 		}
 	}()
 
-	dieAfter := dieAfterCount()
-	leases := 0
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -125,12 +121,6 @@ func ServeWorker(ctx context.Context, conn Conn) error {
 		case MsgHeartbeat:
 			// Coordinator ping; our own beacon already answers liveness.
 		case MsgLease:
-			leases++
-			if dieAfter > 0 && leases >= dieAfter && claimDeath() {
-				// Fault injection: die with the lease in flight, the way
-				// a real crash would — no error frame, no cleanup.
-				os.Exit(3)
-			}
 			res, jerr := joinLease(ctx, join, gov, init, m)
 			if jerr != nil {
 				// A join error is fatal for this worker: report it so
@@ -179,47 +169,11 @@ func joinLease(ctx context.Context, join *ooc.Joiner, gov *membudget.Governor,
 		LeaseID:      m.LeaseID,
 		Out:          res.Out,
 		Maximal:      res.Maximal,
+		Dropped:      res.Dropped,
+		Cost:         res.Cost,
 		EmitVerts:    res.EmitVerts,
 		EmitOff:      res.EmitOff,
 		BytesRead:    res.BytesRead,
 		ScratchBytes: join.ScratchBytes(),
 	}, nil
-}
-
-// claimDeath makes the injected crash one-shot across respawns when
-// EnvDieOnce names a sentinel file: only the incarnation that creates
-// the sentinel dies.  Without EnvDieOnce every incarnation dies.
-func claimDeath() bool {
-	path := os.Getenv(EnvDieOnce)
-	if path == "" {
-		return true
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return false // sentinel exists: someone already died
-	}
-	_ = f.Close() //nolint:cleanuperr the O_EXCL create IS the claim; the empty sentinel has nothing to flush
-	return true
-}
-
-// dieAfterCount decodes the fault-injection contract: EnvDieAfter is
-// "slot:count", and applies only when this process's EnvWorkerIndex
-// matches slot.  Returns 0 (never die) otherwise.
-func dieAfterCount() int {
-	spec := os.Getenv(EnvDieAfter)
-	if spec == "" {
-		return 0
-	}
-	slot, count, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0
-	}
-	if slot != os.Getenv(EnvWorkerIndex) {
-		return 0
-	}
-	n, err := strconv.Atoi(count)
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -27,11 +27,13 @@ import (
 // joins cannot drift.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
-// flat vertex arena, no per-clique allocation), and the I/O the join
-// performed.  The output shards are owned by the LevelWriter the caller
-// supplied; Finish it to collect them.
+// flat vertex arena, no per-clique allocation), the kernel's work on the
+// shard, and the I/O the join performed.  The output shards are owned by
+// the LevelWriter the caller supplied; Finish it to collect them.
 type JoinStats struct {
 	Maximal   int64
+	Dropped   int64     // non-maximal cliques the |S| > 1 rule discarded
+	Cost      core.Cost // the kernel's work counters
 	EmitVerts []int
 	EmitOff   []int32
 	BytesRead int64
@@ -58,8 +60,7 @@ type Joiner struct {
 	win  []byte        // decode-ahead's read window between runs
 	bw   *bufio.Writer // write-behind's file buffer between runs
 
-	mark    int   // the builder's blocks already handed to write-behind
-	maximal int64 // the builder's Maximal already counted to a shard
+	mark int // the builder's blocks already handed to write-behind
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
@@ -148,7 +149,7 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 	br := blockReader{r: r}
 	buf := make([]uint32, core.MaxBlockBytes/4)
 	j.b.Reset()
-	j.mark, j.maximal = 0, 0
+	j.mark = 0
 	defer func() { j.b.Abandon(j.mark) }()
 	for {
 		if ctx.Err() != nil {
@@ -177,7 +178,8 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 // error to abort the level, e.g. a spill budget).  On a
 // feed or write error every shard file created so far is removed and
 // the error returned; on success the level's shard list is returned.
-// The level driver writes every first level through it.
+// The level driver writes every level it does not join through it: the
+// edge level, and a tripped step's rest and head (Loop.RunCut).
 func WriteLevel(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor, nextName func() (string, error),
 	onWrite func(enc, raw int64) error,

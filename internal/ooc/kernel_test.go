@@ -70,9 +70,9 @@ func shardNamer(seq *int, k int) func() (string, error) {
 
 func noAccount(enc, raw int64) error { return nil }
 
-// joinViaBlocks joins the level with the kernel the way the hybrid drain
-// does — a chunk of sealed output at a time into a level writer — and
-// decodes the shard files back into records.
+// joinViaBlocks joins the level with the kernel and hands its sealed
+// output a chunk at a time to a level writer, as write-behind takes it,
+// and decodes the shard files back into records.
 func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.Level, compress bool) sinkOutput {
 	t.Helper()
 	dir, seq := t.TempDir(), 0
@@ -145,7 +145,7 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 // TestOneKernelThreeSinks is the differential pin on "one join": every
 // level of every graph × representation is joined three ways — in memory
 // with the Builder retaining sub-lists, with the Builder handing a chunk
-// of sealed blocks at a time to a level writer (the hybrid drain's way),
+// of sealed blocks at a time to a level writer (write-behind's unit),
 // and by the Joiner's pipeline over the level's encoded shards — and all
 // three must report the same maximal cliques in the same order and keep
 // the same surviving candidate records.

@@ -139,40 +139,108 @@ func (l *Loop) RunEdges(r ShardRunner) (Stats, error) {
 	lv := &Level{K: 1, loop: l}
 	shards, err := WriteLevel(l.cfg.Dir, 2, l.cfg.OOCCompress, l.shardTarget(8*int64(l.g.M())), l.hooks.Gov,
 		lv.NextShard, lv.Wrote, EdgeFeed(l.cfg.Ctx, l.g))
-	return l.runFrom(r, shards, 2, err)
-}
-
-// RunFeed writes the level of size-k records feed hands over — sealed
-// blocks in canonical order, through write, which takes them and their
-// governor charges — behind a write-behind stage, and runs the level loop
-// from it: the hybrid drain's hand-off, always a plain run, whose
-// directory takes a cut level's files with it.  rawHint estimates the
-// level's fixed-width bytes for shard sizing.
-func (l *Loop) RunFeed(r ShardRunner, k int, rawHint int64,
-	feed func(write func([]core.Block) error) error) (Stats, error) {
-	lv := &Level{K: k - 1, loop: l}
-	shards, err := writeFed(l.cfg.Ctx, l.hooks.Gov, feed, func(buf int64) *LevelWriter {
-		lw := NewLevelWriter(l.cfg.Dir, k, l.cfg.OOCCompress, l.shardTarget(rawHint), l.hooks.Gov, lv.NextShard, lv.Wrote)
-		lw.bufCap = buf
-		return lw
-	})
-	return l.runFrom(r, shards, k, err)
-}
-
-// runFrom checkpoints a first level the run wrote and runs the level loop
-// from it, or ends the run with the error that cut the level short.
-func (l *Loop) runFrom(r ShardRunner, shards []ShardMeta, k int, err error) (Stats, error) {
 	if err != nil {
 		l.st.Aborted = true
 		return l.Stats(), err
 	}
 	l.st.Shards += int64(len(shards))
 	if l.cfg.Checkpoint {
-		if err := l.checkpoint(shards, k); err != nil {
+		if err := l.checkpoint(shards, 2); err != nil {
 			return l.Stats(), err
 		}
 	}
-	return l.Run(r, shards, k)
+	return l.Run(r, shards, 2)
+}
+
+// RunCut carries a tripped in-core step to disk and runs the level loop
+// from there: the hybrid backend's hand-off, always a plain run, whose
+// directory takes a cut level's files with it.  lvl is the consumed level
+// and out the outcome the trip cut short: the head out.Next — the
+// produced sub-lists of the inputs before out.Frontier, in canonical
+// order — and the step's record so far.  The unjoined rest of lvl is
+// written as shard files of its own level and the head as the first
+// shards of the next (writeCut); the step then runs on r like any other,
+// the head's shards first in the level it produces.  RunCut settles both
+// levels' governor charges and reports the step's one record on every
+// path: the in-core part with its produced level zeroed, plus what the
+// rest's join delivered.
+func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (Stats, error) {
+	rec := cutRecord(out.Stats)
+	lv := &Level{K: lvl.K, loop: l}
+	rest, head, err := l.writeCut(lvl, out, lv)
+	if err != nil {
+		if l.hooks.OnLevel != nil {
+			l.hooks.OnLevel(rec)
+		}
+		l.st.Aborted = true
+		return l.Stats(), err
+	}
+	l.st.Shards += int64(len(rest))
+	lv.Shards = rest
+	next, err := l.runLevel(r, lv, head, &rec)
+	if err != nil {
+		return l.Stats(), err
+	}
+	if err := l.removeShards(rest); err != nil {
+		return l.Stats(), err
+	}
+	return l.Run(r, next, lvl.K+1)
+}
+
+// cutRecord is a tripped in-core step's record as it leaves memory: its
+// produced level is on disk, not resident.
+func cutRecord(st core.LevelStats) core.LevelStats {
+	st.NextSub, st.NextCl, st.NextBytes, st.Spilled = 0, 0, 0, true
+	return st
+}
+
+// writeCut writes what a trip left in memory: lvl from the frontier on as
+// shard files of its own level, then the head as the first shards of the
+// level lv produces, whose spill budget it counts against.  The consumed
+// blocks before the frontier leave the ledger at once, before any file
+// buffer opens, and every other block as the writer takes it — or, on an
+// error, right away.
+func (l *Loop) writeCut(lvl *core.Level, out core.LevelOutcome, lv *Level) (rest, head []ShardMeta, err error) {
+	f := out.Frontier
+	release(l.hooks.Gov, lvl.Sub[:f.Block])
+	rest, err = l.spill(&Level{K: lvl.K - 1, loop: l}, lvl.Sub[f.Block:], f.Rec)
+	if err != nil {
+		release(l.hooks.Gov, out.Next.Sub)
+		return nil, nil, err
+	}
+	head, err = l.spill(lv, out.Next.Sub, 0)
+	return rest, head, err
+}
+
+// spill writes the records of blocks, from record from of the first on,
+// as shard files of the level lv produces (WriteLevel), and hands each
+// block's charge back to the governor once the writer has taken it.  The
+// shards are sized from the blocks' fixed-width bytes.
+func (l *Loop) spill(lv *Level, blocks []core.Block, from int) ([]ShardMeta, error) {
+	gov, k := l.hooks.Gov, lv.K+1
+	target := l.shardTarget(4 * int64(k) * (&core.Level{Sub: blocks}).Cliques())
+	return WriteLevel(l.cfg.Dir, k, l.cfg.OOCCompress, target, gov, lv.NextShard, lv.Wrote,
+		func(write func(prefix, tails []uint32) error) error {
+			for i := range blocks {
+				err := l.cfg.Ctx.Err()
+				if err != nil {
+					err = fmt.Errorf("ooc: canceled spilling level %d: %w", k, err)
+				}
+				for s := range (&core.Level{K: k, Sub: blocks[i : i+1]}).From(core.Cursor{Rec: from}) {
+					if err != nil {
+						break
+					}
+					err = write(s.Prefix, s.Tails)
+				}
+				gov.Release(blocks[i].Bytes())
+				if err != nil {
+					release(gov, blocks[i+1:])
+					return err
+				}
+				from = 0
+			}
+			return nil
+		})
 }
 
 // RunManifest continues the checkpoint m names in the run directory:
@@ -221,7 +289,7 @@ func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 			// Between levels the checkpoint is already durable; just stop.
 			return l.Stats(), fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err)
 		}
-		next, err := l.runLevel(r, shards, k)
+		next, err := l.runLevel(r, &Level{K: k, Shards: shards, loop: l}, nil, nil)
 		if err != nil {
 			return l.Stats(), err
 		}
@@ -253,32 +321,34 @@ func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 	return l.Stats(), nil
 }
 
-// runLevel has r join one level's shards and returns the next level's
-// shard list.
-func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, error) {
+// runLevel has r join the shards of lv, one level, behind the shards of
+// head, which the step produced already, and returns the next level's
+// shard list.  cut, when non-nil, is the record of a step that started in
+// memory (RunCut); a level from files gets its own.
+func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.LevelStats) ([]ShardMeta, error) {
+	k, shards := lv.K, lv.Shards
 	l.st.Levels++
 	encB, _ := LevelBytes(shards)
 	if encB > l.st.PeakLevelFile {
 		l.st.PeakLevelFile = encB
 	}
-	lst := core.LevelStats{FromK: k, Cliques: LevelRecords(shards), Bytes: encB, Spilled: true}
-	maxBefore := l.st.Maximal
-
-	lv := &Level{
-		K:       k,
-		Shards:  shards,
-		Target:  l.shardTarget(encB),
-		Buf:     bufShare(l.hooks.Gov, 3*l.cfg.Workers), // a worker's three: read window, block queues, write buffer
-		Collect: l.hooks.Reporter != nil,
-		loop:    l,
+	rec := core.LevelStats{FromK: k, Cliques: LevelRecords(shards), Bytes: encB, Spilled: true}
+	if cut != nil {
+		rec = *cut
 	}
-	var next []ShardMeta
+	lv.Target = l.shardTarget(encB)
+	lv.Buf = bufShare(l.hooks.Gov, 3*l.cfg.Workers) // a worker's three: read window, block queues, write buffer
+	lv.Collect = l.hooks.Reporter != nil
+	next := head
 	// Release in shard order: emission order is exactly the sequential
 	// order, and the next level's shard list is assembled in global run
-	// order.  Maximal counts accrue on release, so an aborted level
-	// counts only the cliques actually delivered.
+	// order.  The counts accrue on release, so an aborted level counts
+	// only the work actually delivered.
 	seq := sched.NewSequencer(len(shards), func(_ int, res ShardResult) {
 		l.st.Maximal += res.Maximal
+		rec.Maximal += res.Maximal
+		rec.Dropped += res.Dropped
+		rec.Cost.Add(res.Cost)
 		if l.hooks.Reporter != nil {
 			start := int32(0)
 			for _, end := range res.EmitOff {
@@ -298,10 +368,11 @@ func (l *Loop) runLevel(r ShardRunner, shards []ShardMeta, k int) ([]ShardMeta, 
 	}
 	// A level cut short is observed like a completed one: its record
 	// covers what was released before the cut.
-	lst.NextBytes, _ = LevelBytes(next)
-	lst.Maximal = l.st.Maximal - maxBefore
+	if cut == nil {
+		rec.NextBytes, _ = LevelBytes(next)
+	}
 	if l.hooks.OnLevel != nil {
-		l.hooks.OnLevel(lst)
+		l.hooks.OnLevel(rec)
 	}
 	if err != nil {
 		l.st.Aborted = true

@@ -14,7 +14,10 @@
 // internal/dist leased worker processes — and the driver releases shard
 // results in shard order through a sched.Sequencer, so the emitted
 // clique stream is byte-identical to the sequential one at any worker
-// count.  Records are optionally delta-varint encoded
+// count.  A hybrid run enters the loop mid-step (Continue): its trip
+// hands over the unjoined rest of the level in memory and the head of the
+// level it was producing, both written to shard files, and the loop runs
+// the step like any other.  Records are optionally delta-varint encoded
 // (enumcfg.Config.OOCCompress), attacking the disk I/O volume the paper
 // names as the bottleneck; Stats reports both the encoded bytes actually
 // moved and the fixed-width-equivalent raw bytes so the compression win
@@ -89,33 +92,40 @@ func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (Stats, erro
 	return runLocal(g, cfg, h, (*Loop).RunEdges)
 }
 
-// Continue runs the out-of-core level loop starting from a level of
-// size-k candidate records supplied by feed instead of from the graph's
-// edges: the hybrid backend's in-core -> out-of-core handoff, under the
-// hybrid run's cfg and hooks.  feed is called once with the level's
-// writer and must hand it the level as sealed blocks, in canonical
-// sorted order (the run-aligned sharding invariant rests on it); write
-// takes the blocks with their governor charges and returns once the
-// writer is done with every batch before them (Loop.RunFeed).  rawHint, when positive, estimates the level's
-// fixed-width bytes so the first level is sharded sensibly.  Everything
-// else matches a plain Enumerate run: the spill directory is a private
+// Continue carries a tripped in-core step to disk and runs the level loop
+// from there: the hybrid backend's in-core -> out-of-core hand-off, under
+// the hybrid run's cfg and hooks.  lvl is the consumed level and out the
+// step's outcome, cut short by the trip (core.LevelOutcome): the head
+// out.Next, the frontier and the record so far.  Continue takes over both
+// levels' governor charges and settles them on every path, and reports
+// the step's one record whatever happens (Loop.RunCut).  Everything else
+// matches a plain Enumerate run: the spill directory is a private
 // temporary directory inside cfg.Dir, removed on the way out, and
 // checkpointing is not supported — the in-core prefix of a hybrid run
 // cannot be replayed from a manifest.
-func Continue(g graph.Interface, cfg enumcfg.Config, h core.Hooks, k int, rawHint int64,
-	feed func(write func([]core.Block) error) error) (Stats, error) {
-	if err := cfg.Normalize(); err != nil {
-		return Stats{}, fmt.Errorf("ooc: %w", err)
+func Continue(g graph.Interface, cfg enumcfg.Config, h core.Hooks, lvl *core.Level, out core.LevelOutcome) (Stats, error) {
+	err := cfg.Normalize()
+	if err == nil && cfg.Checkpoint {
+		err = errors.New("Continue does not support checkpointed runs")
 	}
-	if cfg.Checkpoint {
-		return Stats{}, fmt.Errorf("ooc: Continue does not support checkpointed runs")
+	var st Stats
+	handed := false
+	if err == nil {
+		st, err = runLocal(g, cfg, h, func(l *Loop, r ShardRunner) (Stats, error) {
+			handed = true
+			return l.RunCut(r, lvl, out)
+		})
 	}
-	if k < 2 {
-		return Stats{}, fmt.Errorf("ooc: Continue from level %d (want >= 2)", k)
+	if !handed {
+		// The run never started: the step leaves memory here.
+		release(h.Gov, lvl.Sub)
+		release(h.Gov, out.Next.Sub)
+		if h.OnLevel != nil {
+			h.OnLevel(cutRecord(out.Stats))
+		}
+		return st, fmt.Errorf("ooc: %w", err)
 	}
-	return runLocal(g, cfg, h, func(l *Loop, r ShardRunner) (Stats, error) {
-		return l.RunFeed(r, k, rawHint, feed)
-	})
+	return st, err
 }
 
 // runLocal drives one local run: the level loop over the in-process pool.

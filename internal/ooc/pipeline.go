@@ -54,19 +54,20 @@ type pipeShape struct {
 	gen   int   // output batches to an arena generation: twice as many in flight, one at depth one
 }
 
-// shapeFor sizes a pipeline whose buffers may take buf bytes each (0 =
-// uncapped) and io of which are I/O buffers (the rest is the block
-// queues').  A queue with room for less than two blocks runs at depth one
+// shapeFor sizes a pipeline whose three buffers — a read window, the
+// block queues and a write buffer — may take buf bytes each (0 =
+// uncapped).  A queue with room for less than two blocks runs at depth one
 // in blocks of that room: every stage waits for the next, which is the
 // serial join.
-func shapeFor(buf int64, io int) pipeShape {
+func shapeFor(buf int64) pipeShape {
 	const blk = core.MaxBlockBytes
 	if buf <= 0 {
 		return pipeShape{io: ioCap, depth: queueDepth, words: blk / 4, gen: genBatches}
 	}
 	s := pipeShape{io: min(buf, ioCap)}
-	// What the I/O buffers leave of all the shares, their floors included.
-	half := max(int64(io+1)*buf-int64(io)*max(s.io, minBuf), 0) / 2
+	// What the two I/O buffers leave of all the shares, their floors
+	// included.
+	half := max(3*buf-2*max(s.io, minBuf), 0) / 2
 	if half < 2*blk {
 		s.depth, s.words, s.gen = 1, int(min(max(half, minQueue), blk)/4), 1
 		return s
@@ -104,7 +105,7 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	next func() (ShardMeta, int, bool), deliver func(int, ShardResult)) (int64, error) {
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	shape := shapeFor(job.Buf, 2) // beside a read window and a write buffer
+	shape := shapeFor(job.Buf)
 	dec := &decodeAhead{
 		job:   job,
 		n:     j.g.N(),
@@ -113,11 +114,9 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 		shape: shape,
 		win:   j.win,
 	}
-	wb := newWriteBehind(shape, j.b.Gov, func() *LevelWriter {
-		lw := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
-		lw.bufCap, lw.bw = shape.io, j.bw
-		return lw
-	})
+	lw := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
+	lw.bufCap, lw.bw = shape.io, j.bw
+	wb := newWriteBehind(shape, j.b.Gov, lw)
 	// The stages' buffers outlive the run, like the kernel's arena.
 	for _, buf := range j.bufs {
 		if len(buf) == shape.words && dec.made < shape.depth {
@@ -130,7 +129,7 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	go wb.run(pctx, cancel, deliver)
 
 	j.b.Reset()
-	j.mark, j.maximal = 0, 0
+	j.mark = 0
 	j.joinAll(pctx, cancel, job, dec, wb)
 	// Whatever the join left unread is released here; what it handed on
 	// is write-behind's to finish or drop.
@@ -145,10 +144,7 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	for len(dec.free) > 0 {
 		j.bufs = append(j.bufs, <-dec.free)
 	}
-	j.win = dec.win
-	if wb.lw != nil {
-		j.bw = wb.lw.bw
-	}
+	j.win, j.bw = dec.win, lw.bw
 	// The writer holds nothing now: what the kernel sealed and did not
 	// hand on can go, and the arena may recycle.
 	j.b.Abandon(j.mark)
@@ -242,18 +238,22 @@ func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, s
 // flush seals what the kernel holds beyond the batches already handed on
 // and hands it to emit, which takes the blocks and their charges in every
 // case and says when the builder may start its next arena generation —
-// when the writer reads no chunk it would recycle.
+// when the writer reads no chunk it would recycle.  The kernel's counters
+// move to st as they stand, so each shard counts its own work.
 func (j *Joiner) flush(st *JoinStats, emit func([]core.Block) (bool, error)) error {
 	b := j.b
 	out := b.Since(j.mark)
-	st.Maximal += b.Maximal - j.maximal
-	j.mark, j.maximal = b.Mark(), b.Maximal
+	st.Maximal += b.Maximal
+	st.Dropped += b.Dropped
+	st.Cost.Add(b.Cost)
+	b.Maximal, b.Dropped, b.Cost = 0, 0, core.Cost{}
+	j.mark = b.Mark()
 	reset, err := emit(out)
 	if reset || err != nil {
 		// On an error nothing more is sealed this run: the handed-on
 		// blocks only leave the builder's list.
 		b.Reset()
-		j.mark, j.maximal = 0, 0
+		j.mark = 0
 	}
 	return err
 }
@@ -356,11 +356,10 @@ type writeBehind struct {
 	n     int // batches of the current one handed over
 	done  chan struct{}
 	gov   *membudget.Governor
-	open  func() *LevelWriter
-	lw    *LevelWriter // the run's, once opened; read after done
+	lw    *LevelWriter // restarted for every shard
 }
 
-func newWriteBehind(s pipeShape, gov *membudget.Governor, open func() *LevelWriter) *writeBehind {
+func newWriteBehind(s pipeShape, gov *membudget.Governor, lw *LevelWriter) *writeBehind {
 	slots := 2 * s.gen
 	if s.depth == 1 {
 		slots = 1
@@ -371,7 +370,7 @@ func newWriteBehind(s pipeShape, gov *membudget.Governor, open func() *LevelWrit
 		gen:   s.gen,
 		done:  make(chan struct{}),
 		gov:   gov,
-		open:  open,
+		lw:    lw,
 	}
 }
 
@@ -424,16 +423,11 @@ func (w *writeBehind) run(ctx context.Context, cancel context.CancelCauseFunc, d
 		switch {
 		case ctx.Err() != nil:
 		case p.end == nil:
-			if w.lw == nil {
-				w.lw = w.open()
-			}
 			err = w.lw.writeBlocks(p.blocks)
 		default:
 			var out []ShardMeta
-			if w.lw != nil {
-				out, err = w.lw.Finish()
-				w.lw.restart()
-			}
+			out, err = w.lw.Finish()
+			w.lw.restart()
 			if err == nil {
 				deliver(p.tag, ShardResult{JoinStats: *p.end, Out: out})
 			}
@@ -446,10 +440,8 @@ func (w *writeBehind) run(ctx context.Context, cancel context.CancelCauseFunc, d
 			cancel(err)
 		}
 	}
-	if w.lw != nil {
-		if err := w.lw.Abort(); err != nil {
-			cancel(err)
-		}
+	if err := w.lw.Abort(); err != nil {
+		cancel(err)
 	}
 }
 
@@ -458,45 +450,4 @@ func release(gov *membudget.Governor, blocks []core.Block) {
 	for i := range blocks {
 		gov.Release(blocks[i].Bytes())
 	}
-}
-
-// writeFed writes a level fed as sealed blocks through a write-behind
-// stage into the shard files open names, and returns its shard list.
-// feed's write takes the blocks and their charges on gov whatever happens
-// and returns once the writer is done with every batch before them, so
-// the feeder may Reset the builder it sealed them in.  The writer's buffer
-// and its queue share the headroom the level starts with.
-func writeFed(ctx context.Context, gov *membudget.Governor,
-	feed func(write func([]core.Block) error) error, open func(buf int64) *LevelWriter) ([]ShardMeta, error) {
-	pctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	shape := shapeFor(bufShare(gov, 2), 1) // a write buffer and the output queue
-	shape.gen = 1                          // the feeder may Reset after every write
-	wb := newWriteBehind(shape, gov, func() *LevelWriter { return open(shape.io) })
-	var shards []ShardMeta
-	go wb.run(pctx, cancel, func(_ int, res ShardResult) { shards = res.Out })
-	ferr := feed(func(blocks []core.Block) error {
-		_, err := wb.write(pctx, blocks)
-		return err
-	})
-	if ferr != nil {
-		cancel(ferr)
-	} else {
-		select {
-		case wb.in <- outPiece{end: &JoinStats{}}:
-		case <-pctx.Done():
-		}
-	}
-	close(wb.in)
-	<-wb.done
-	if pctx.Err() == nil {
-		return shards, nil
-	}
-	// The feeder's own error says more than the cancellation it caused,
-	// or saw; a writer that failed first is the cause itself.
-	err := context.Cause(pctx)
-	if ferr != nil && errors.Is(ferr, err) {
-		err = ferr
-	}
-	return nil, err
 }

@@ -47,7 +47,7 @@
 // input — the window drains through the sched.Sequencer, and the level
 // stops at a consistent cut between two blocks.  What happens next is the
 // level loop's trip policy (core.Loop): without a spill directory the run
-// aborts with core.ErrMemoryBudget, the hybrid backend drains the cut to disk and
+// aborts with core.ErrMemoryBudget, the hybrid backend writes the cut to disk and
 // continues out of core.
 //
 // EnumerateBarrier retains the previous bulk-synchronous implementation
@@ -313,8 +313,8 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		// every input at or beyond the frontier.
 		out.Tripped = trip != nil && (ctx == nil || ctx.Err() == nil)
 		// Reconcile the window: everything deposited beyond the frontier
-		// is discarded — those inputs will be re-joined (by the hybrid
-		// drain) or abandoned (abort paths), so their outputs must not
+		// is discarded — those inputs will be re-joined (on disk, after a
+		// hybrid spill) or abandoned (abort paths), so their outputs must not
 		// linger in the accounting.
 		p.m.discardPending()
 	}
@@ -448,7 +448,7 @@ func (wk *worker) loop(wg *sync.WaitGroup) {
 			// Cancellation / governor-trip point: a stopped level is no
 			// longer pulled, every worker falls through to the level
 			// barrier, and the pool stays reusable — for a clean shutdown
-			// on cancel, for the out-of-core drain on a trip.
+			// on cancel, for the hand-off to disk on a trip.
 			if job.ctx != nil && job.ctx.Err() != nil {
 				break
 			}

@@ -2,9 +2,11 @@
 # Adaptive-spillover smoke test: run the Table-1 graph through cliquer
 # three ways — unconstrained in-core (the reference), hybrid with a
 # budget sized to trip the governor mid-run, and hybrid from a parallel
-# in-core start — and require (a) that the budgeted runs really spilled
-# and (b) that every run printed the byte-identical maximal-clique
-# stream.  CI runs this on every push.
+# in-core start — and require (a) that the budgeted runs really spilled,
+# (b) that every run printed the byte-identical maximal-clique stream and
+# (c) that every run reported one -stats level line per step, with the
+# reference's maximal counts: the spilled step is reported once.  CI runs
+# this on every push.
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/repro-smoke-spill-XXXXXX")
@@ -24,10 +26,17 @@ cliques() {
     grep -Ev '^(graph:|maximum clique:|done|interrupted|aborted| )' "$1" || true
 }
 
+# One line per -stats level record: the step and its maximal count.
+levels() {
+    sed -n 's/^level \(.*\): .* \([0-9][0-9]*\) maximal .*/\1 \2/p' "$1"
+}
+
 echo "smoke-spillover: unconstrained in-core reference"
-"$workdir/cliquer" -lo 3 -no-bound "$workdir/a.el" >"$workdir/ref.out"
+"$workdir/cliquer" -lo 3 -no-bound -stats "$workdir/a.el" >"$workdir/ref.out" 2>"$workdir/ref.stats"
 cliques "$workdir/ref.out" >"$workdir/ref.cliques"
 [ -s "$workdir/ref.cliques" ] || { echo "smoke-spillover: reference emitted no cliques" >&2; exit 1; }
+levels "$workdir/ref.stats" >"$workdir/ref.levels"
+[ -s "$workdir/ref.levels" ] || { echo "smoke-spillover: reference printed no level records" >&2; exit 1; }
 echo "smoke-spillover: reference delivered $(wc -l <"$workdir/ref.cliques") cliques"
 
 # The budget is half of what the reference run itself peaked at: well
@@ -40,7 +49,7 @@ budget=$((peak / 2))
 
 check_run() {
     name=$1; shift
-    "$workdir/cliquer" "$@" "$workdir/a.el" >"$workdir/$name.out"
+    "$workdir/cliquer" -stats "$@" "$workdir/a.el" >"$workdir/$name.out" 2>"$workdir/$name.stats"
     grep -q 'spillover: governor tripped generating level' "$workdir/$name.out" || {
         echo "smoke-spillover: $name did not spill (budget $budget)" >&2
         cat "$workdir/$name.out" >&2
@@ -52,7 +61,13 @@ check_run() {
         diff "$workdir/ref.cliques" "$workdir/$name.cliques" | head -20 >&2
         exit 1
     fi
-    echo "smoke-spillover: $name matches the reference ($(sed -n 's/.*spillover: governor tripped generating level \([0-9]*\).*/spilled at level \1/p' "$workdir/$name.out"))"
+    levels "$workdir/$name.stats" >"$workdir/$name.levels"
+    if ! cmp -s "$workdir/ref.levels" "$workdir/$name.levels"; then
+        echo "smoke-spillover: $name level records differ from the reference's (one per step, same maximal counts)" >&2
+        diff "$workdir/ref.levels" "$workdir/$name.levels" >&2
+        exit 1
+    fi
+    echo "smoke-spillover: $name matches the reference, $(wc -l <"$workdir/$name.levels") level records ($(sed -n 's/.*spillover: governor tripped generating level \([0-9]*\).*/spilled at level \1/p' "$workdir/$name.out"))"
 }
 
 echo "smoke-spillover: hybrid run (sequential start, -mem-budget $budget)"
