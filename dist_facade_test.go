@@ -3,6 +3,8 @@ package repro_test
 import (
 	"context"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro"
@@ -74,14 +76,53 @@ func TestDistributedFacadeParity(t *testing.T) {
 			t.Errorf("Stats.PeakLevelFileBytes = %d, want within [%d (out-of-core peak), %d (bytes written)]",
 				st.PeakLevelFileBytes, ost.PeakLevelFileBytes, st.SpillBytesWritten)
 		}
-		// The per-level ledger must sum to the delivered count, like
-		// every other backend.
+		// The per-level ledger plus the seed phase (the delivered
+		// lo-cliques) must sum to the delivered count, like every other
+		// backend.
 		var sum int64
+		for _, key := range want {
+			if strings.Count(key, ",") < lo {
+				sum++
+			}
+		}
 		for _, ls := range st.Levels {
 			sum += ls.Maximal
 		}
-		if sum != st.MaximalCliques {
-			t.Errorf("sum(Levels[].Maximal) = %d, want %d", sum, st.MaximalCliques)
+		if sum != st.MaximalCliques || st.Levels[0].FromK != lo {
+			t.Errorf("seed phase + sum(Levels[].Maximal) = %d, want %d; first level from %d, want %d",
+				sum, st.MaximalCliques, st.Levels[0].FromK, lo)
+		}
+	}
+}
+
+// TestDiskBackendsReportSmall: WithReportSmall reaches the disk
+// backends through the one seed — at lower bounds 1 and 2 the
+// out-of-core and distributed runs stream the sequential run's cliques,
+// the seed's 1- and 2-cliques first, and count them in Stats alike.
+func TestDiskBackendsReportSmall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	g := testGraph(5, 70, 0.12)
+	for _, lo := range []int{1, 2} {
+		var ref repro.Stats
+		want := stream(t, repro.NewEnumerator(repro.WithBounds(lo, 0), repro.WithReportSmall(), repro.WithStats(&ref)), g)
+		if strings.Count(want[0], ",") > 1 {
+			t.Fatalf("lo=%d: the reference stream opens with {%s}, not a small clique", lo, want[0])
+		}
+		for name, opt := range map[string]repro.Option{
+			"out-of-core-2w": repro.WithOutOfCore(t.TempDir(), 0, repro.OOCWorkers(2)),
+			"distributed-2w": repro.WithDistributed(2, t.TempDir(), repro.DistShardBytes(512)),
+		} {
+			var st repro.Stats
+			got := stream(t, repro.NewEnumerator(repro.WithBounds(lo, 0), repro.WithReportSmall(), opt, repro.WithStats(&st)), g)
+			if !slices.Equal(got, want) {
+				t.Errorf("lo=%d %s: %d cliques, sequential %d, or in another order", lo, name, len(got), len(want))
+			}
+			if st.MaximalCliques != ref.MaximalCliques || st.MaxCliqueSize != ref.MaxCliqueSize {
+				t.Errorf("lo=%d %s: Stats count %d cliques up to size %d, sequential %d up to %d", lo, name,
+					st.MaximalCliques, st.MaxCliqueSize, ref.MaximalCliques, ref.MaxCliqueSize)
+			}
 		}
 	}
 }

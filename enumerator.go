@@ -237,10 +237,12 @@ func OOCCheckpoint() OutOfCoreOption {
 // regime the paper used before moving to large shared-memory machines.
 // levelBudget, when positive, aborts the run once a level's files would
 // exceed that many bytes — the out-of-core analogue of the paper's
-// one-week cutoff.  The backend reports maximal cliques of size >= 3;
-// smaller bounds are filtered.  Spill files of a plain run are always
-// removed, even on cancellation; with OOCCheckpoint the last completed
-// level is kept for WithResume instead.  The knobs select parallel
+// one-week cutoff.  The backend seeds like the in-core ones (the
+// k-clique seeder at the lower bound, WithReportSmall included) and
+// holds the seed level in memory until it is written.  Spill files of a
+// plain run are always removed, even on cancellation; with
+// OOCCheckpoint the last completed level is kept for WithResume
+// instead.  The knobs select parallel
 // shard joins (OOCWorkers), compressed level records (OOCCompress) and
 // resumability (OOCCheckpoint).  Combined with WithMemoryBudget this
 // selects the hybrid backend instead: in-core until the governor trips,
@@ -306,8 +308,9 @@ func DistShardBytes(n int64) OutOfCoreOption {
 // and the checkpoint/resume knobs do not — the coordinator manages its
 // own per-level checkpoint, and the coordinator's governor is the run's
 // single accounting authority (worker scratch is held as child
-// reservations).  The backend reports maximal cliques of size >= 3;
-// smaller bounds are filtered like the out-of-core backend.
+// reservations).  The coordinator seeds like every other backend (the
+// k-clique seeder at the lower bound, WithReportSmall included) and
+// writes the seed level for the workers.
 func WithDistributed(workers int, dir string, knobs ...OutOfCoreOption) Option {
 	return func(e *Enumerator) {
 		if workers < 1 {
@@ -415,9 +418,9 @@ func WithGraphRepresentation(rep Representation) Option {
 }
 
 // WithReportSmall additionally reports maximal 1-cliques (isolated
-// vertices) and maximal 2-cliques when the lower bound admits them, at
-// any worker count and across a spill (the in-core backends; sizes below
-// 3 never reach disk, so the out-of-core and distributed ones refuse it).
+// vertices) and maximal 2-cliques when the lower bound admits them, on
+// every backend and at any worker count: the seed reports them, before
+// any level runs.
 func WithReportSmall() Option {
 	return func(e *Enumerator) { e.cfg.ReportSmall = true }
 }
@@ -454,13 +457,16 @@ func (e *Enumerator) Run(ctx context.Context, g GraphInterface, r Reporter) (int
 	var out outcome
 	switch cfg.Backend() {
 	case enumcfg.OutOfCore:
-		out.spill, err = ooc.Enumerate(g, cfg, e.diskHooks(cfg, r, rn, &out))
+		out.spill, err = ooc.Enumerate(g, cfg, e.diskHooks(r, rn, &out))
 	case enumcfg.Distributed:
-		out.dist, err = dist.Enumerate(g, cfg, e.diskHooks(cfg, r, rn, &out), nil)
+		out.dist, err = dist.Enumerate(g, cfg, e.diskHooks(r, rn, &out), nil)
 		out.spill = out.dist.Stats
 	default:
 		out, err = e.runInCore(cfg, g, r, rn)
 	}
+	// A disk run's seed tally; a hybrid run's record holds its own, and
+	// its spilled phase seeds nothing.
+	out.Seeded(out.spill.Seeded)
 	rn.end(backendName(cfg, out.spilledAt), &out)
 	return out.MaximalCliques, err
 }
@@ -710,35 +716,9 @@ func (e *Enumerator) runInCore(cfg enumcfg.Config, g GraphInterface, r Reporter,
 	return out, err
 }
 
-// sizeFilter drops the cliques below the configured lower bound: the
-// disk engines report every maximal clique of size >= 3, whatever Lo is.
-type sizeFilter struct {
-	lo int
-	r  Reporter
-}
-
-func (f sizeFilter) Emit(c Clique) {
-	if len(c) >= f.lo {
-		f.r.Emit(c)
-	}
-}
-
 // diskHooks returns the hooks of a disk run (out-of-core or distributed)
-// recorded in out.  A step FromK -> FromK+1 delivers cliques of size
-// exactly FromK+1, so the lower bound zeroes whole levels' Maximal before
-// the fold — which keeps the record's count equal to what the filter let
-// through, as on the in-core backends.
-func (e *Enumerator) diskHooks(cfg enumcfg.Config, r Reporter, rn *run, out *outcome) core.Hooks {
-	h := core.Hooks{Gov: rn.gov}
-	if r != nil {
-		h.Reporter = sizeFilter{lo: cfg.Lo, r: r}
-	}
-	fold := out.Fold(e.levelSink(rn.st))
-	h.OnLevel = func(ls core.LevelStats) {
-		if ls.FromK+1 < cfg.Lo {
-			ls.Maximal = 0
-		}
-		fold(ls)
-	}
-	return h
+// recorded in out: the caller's reporter as it is, and the level stream
+// folded before it reaches the Stats sink and the observer.
+func (e *Enumerator) diskHooks(r Reporter, rn *run, out *outcome) core.Hooks {
+	return core.Hooks{Reporter: r, OnLevel: out.Fold(e.levelSink(rn.st)), Gov: rn.gov}
 }

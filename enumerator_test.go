@@ -314,7 +314,6 @@ func TestConfigErrors(t *testing.T) {
 		{"inverted bounds", []repro.Option{repro.WithBounds(5, 3)}},
 		{"zero lo", []repro.Option{repro.WithBounds(-1, 0)}},
 		{"negative workers", []repro.Option{repro.WithWorkers(-2)}},
-		{"ooc+report-small", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithReportSmall()}},
 		{"ooc+stored-bitmaps", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithStoredBitmaps()}},
 		{"ooc-compress-without-dir", []repro.Option{repro.WithOutOfCore("", 0, repro.OOCCompress())}},
 		{"negative-memory-budget", []repro.Option{repro.WithMemoryBudget(-1)}},
@@ -495,28 +494,41 @@ func TestOnLevelObserver(t *testing.T) {
 }
 
 // TestOOCLevelMaximalRespectsLowerBound: with a lower bound above 3, the
-// out-of-core backend's per-level Maximal must count only delivered
-// cliques, so the level sum equals the run count (as in-core).
+// out-of-core backend seeds at the bound like the in-core ones — its
+// first level starts there — and the seed phase's cliques plus the
+// per-level Maximal count exactly the delivered cliques.
 func TestOOCLevelMaximalRespectsLowerBound(t *testing.T) {
+	const lo = 5
 	g := testGraph(6, 60, 0.15)
 	var st repro.Stats
+	var seeded int64
 	n, err := repro.NewEnumerator(
-		repro.WithBounds(5, 0),
+		repro.WithBounds(lo, 0),
 		repro.WithOutOfCore(t.TempDir(), 0),
 		repro.WithStats(&st),
-	).Run(context.Background(), g, nil)
+	).Run(context.Background(), g, repro.ReporterFunc(func(c repro.Clique) {
+		if len(c) < lo {
+			t.Errorf("delivered %v below the lower bound", c)
+		}
+		if len(c) == lo {
+			seeded++
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
+	if n == 0 || len(st.Levels) == 0 {
 		t.Fatal("no cliques of size >= 5; broaden the test graph")
 	}
-	var sum int64
+	if st.Levels[0].FromK != lo {
+		t.Errorf("first level runs from %d, want the seed size %d", st.Levels[0].FromK, lo)
+	}
+	sum := seeded
 	for _, ls := range st.Levels {
 		sum += ls.Maximal
 	}
 	if sum != n {
-		t.Fatalf("levels sum to %d maximal cliques, run delivered %d", sum, n)
+		t.Fatalf("seed phase + levels count %d maximal cliques, run delivered %d", sum, n)
 	}
 }
 
@@ -547,7 +559,7 @@ func TestStatsOneFold(t *testing.T) {
 		{name: "hybrid-2w-spills", lo: 3, spills: true,
 			opts: []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(tight), repro.WithWorkers(2)}},
 		{name: "out-of-core-lo3", lo: 3, opts: []repro.Option{repro.WithOutOfCore(t.TempDir(), 0)}},
-		{name: "out-of-core-lo5", lo: 5, opts: []repro.Option{repro.WithOutOfCore(t.TempDir(), 0, repro.OOCWorkers(2))}},
+		{name: "out-of-core-lo4", lo: 4, opts: []repro.Option{repro.WithOutOfCore(t.TempDir(), 0, repro.OOCWorkers(2))}},
 		{name: "distributed-2w", lo: 3, opts: []repro.Option{repro.WithDistributed(2, t.TempDir(), repro.DistShardBytes(512))}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -724,8 +736,14 @@ func TestResumeAfterKill(t *testing.T) {
 	want := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0),
 		repro.WithOutOfCore(t.TempDir(), 0, repro.OOCCompress()),
 		repro.WithStats(&full)), g)
-	if len(want) < 30 {
-		t.Fatalf("only %d cliques; the kill point needs a longer run", len(want))
+	// The seed reports the maximal 3-cliques before the first checkpoint
+	// commits; the levels deliver the rest.
+	seeded := 0
+	for seeded < len(want) && strings.Count(want[seeded], ",") == 2 {
+		seeded++
+	}
+	if len(want)-seeded < 30 {
+		t.Fatalf("only %d cliques from the levels; the kill point needs a longer run", len(want)-seeded)
 	}
 
 	// Checkpointed run, killed from inside the reporter mid-level.
@@ -736,7 +754,7 @@ func TestResumeAfterKill(t *testing.T) {
 		repro.WithOutOfCore(dir, 0, repro.OOCCompress(), repro.OOCCheckpoint()),
 	).Run(ctx, g, repro.ReporterFunc(func(c repro.Clique) {
 		killed = append(killed, c.Key())
-		if len(killed) == len(want)/2 {
+		if len(killed) == seeded+(len(want)-seeded)/2 {
 			cancel()
 		}
 	}))

@@ -172,10 +172,10 @@ func (c *coordinator) run(g graph.Interface, loop *ooc.Loop) error {
 			return err
 		}
 	}
-	// Level 2 — the edge level — is written by the level loop in this
+	// The seed level is built and written by the level loop in this
 	// process while the workers load the graph; every later level is
 	// assembled from worker output shards.
-	st, err := loop.RunEdges(c)
+	st, err := loop.RunSeed(c)
 	if err != nil {
 		return err
 	}

@@ -314,36 +314,70 @@ func sameWork(a, b core.LevelStats) bool {
 		a.Cost.Probes == b.Cost.Probes && a.Cost.Generated == b.Cost.Generated
 }
 
-// TestDiskLevelsCountTheKernelsWork: a step joined from shard files counts
-// the kernel's work like one joined in memory — per level, an out-of-core
-// run and a distributed one drop the same cliques and pay the same pairs,
-// probes and generated cliques as the sequential in-core run.
+// TestDiskLevelsCountTheKernelsWork: a disk run seeds like an in-core
+// one and counts a step joined from shard files like one joined in
+// memory — at every lower bound, an out-of-core run and a distributed one
+// emit the sequential in-core stream, and per level they consume the same
+// cliques, deliver the same maximal ones, drop the same and pay the same
+// pairs, probes and generated cliques.  With ReportSmall the seed's 1-
+// and 2-cliques lead the stream, and the run record — the level records
+// folded plus the seed tally, as the facade keeps it — agrees too.
 func TestDiskLevelsCountTheKernelsWork(t *testing.T) {
 	g := testGraph(t)
-	collect := func(levels *[]core.LevelStats) core.Hooks {
-		return core.Hooks{OnLevel: func(ls core.LevelStats) { *levels = append(*levels, ls) }}
+	type observed struct {
+		seq []clique.Clique
+		res core.Result
 	}
-	var want, pool, leased []core.LevelStats
-	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 2}, collect(&want)); err != nil {
-		t.Fatal(err)
+	hooks := func(o *observed) core.Hooks {
+		return core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { o.seq = append(o.seq, c.Clone()) }),
+			OnLevel: o.res.Fold(nil)}
 	}
-	if _, err := ooc.Enumerate(g, enumcfg.Config{Lo: 2, Dir: t.TempDir(), Workers: 2, ShardBytes: 256}, collect(&pool)); err != nil {
-		t.Fatal(err)
+	sameLevel := func(a, b core.LevelStats) bool {
+		return a.FromK == b.FromK && a.Cliques == b.Cliques && a.Maximal == b.Maximal && sameWork(a, b)
 	}
-	if _, err := Enumerate(g, enumcfg.Config{Lo: 2, Dir: t.TempDir(), DistWorkers: 2, ShardBytes: 256},
-		collect(&leased), &LoopbackTransport{}); err != nil {
-		t.Fatal(err)
-	}
-	var dropped int64
-	for _, ls := range want {
-		dropped += ls.Dropped
-	}
-	if len(want) < 3 || dropped == 0 {
-		t.Fatalf("fixture too small: %d levels, %d dropped", len(want), dropped)
-	}
-	for name, got := range map[string][]core.LevelStats{"ooc": pool, "dist": leased} {
-		if !slices.EqualFunc(got, want, func(a, b core.LevelStats) bool { return a.FromK == b.FromK && sameWork(a, b) }) {
-			t.Errorf("%s: level work diverges from the in-core run's:\n got %+v\nwant %+v", name, got, want)
+	for _, c := range []struct {
+		lo    int
+		small bool
+	}{{2, false}, {3, false}, {5, false}, {1, true}, {2, true}} {
+		name := fmt.Sprintf("lo=%d/small=%v", c.lo, c.small)
+		var want, pool, leased observed
+		res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: c.lo, ReportSmall: c.small}, hooks(&want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.res = res.Result
+		st, err := ooc.Enumerate(g, enumcfg.Config{Lo: c.lo, ReportSmall: c.small, Dir: t.TempDir(), Workers: 2, ShardBytes: 256},
+			hooks(&pool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.res.Seeded(st.Seeded)
+		dst, err := Enumerate(g, enumcfg.Config{Lo: c.lo, ReportSmall: c.small, Dir: t.TempDir(), DistWorkers: 2, ShardBytes: 256},
+			hooks(&leased), &LoopbackTransport{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leased.res.Seeded(dst.Seeded)
+		var dropped int64
+		for _, ls := range want.res.Levels {
+			dropped += ls.Dropped
+		}
+		if len(want.res.Levels) < 3 || dropped == 0 {
+			t.Fatalf("%s: fixture too small: %d levels, %d dropped", name, len(want.res.Levels), dropped)
+		}
+		if small := slices.IndexFunc(want.seq, func(c clique.Clique) bool { return len(c) < 3 }); c.small != (small >= 0) {
+			t.Fatalf("%s: the reference stream holds a clique below 3 at %d", name, small)
+		}
+		for runner, got := range map[string]observed{"ooc": pool, "dist": leased} {
+			assertSameStream(t, name+"/"+runner, got.seq, want.seq)
+			if !slices.EqualFunc(got.res.Levels, want.res.Levels, sameLevel) {
+				t.Errorf("%s: %s level records diverge from the in-core run's:\n got %+v\nwant %+v",
+					name, runner, got.res.Levels, want.res.Levels)
+			}
+			if got.res.MaximalCliques != want.res.MaximalCliques || got.res.MaxCliqueSize != want.res.MaxCliqueSize {
+				t.Errorf("%s: %s record counts %d cliques up to size %d, in core %d up to %d", name, runner,
+					got.res.MaximalCliques, got.res.MaxCliqueSize, want.res.MaximalCliques, want.res.MaxCliqueSize)
+			}
 		}
 	}
 }

@@ -171,9 +171,8 @@ type Config struct {
 	// distributed run.
 	DistLeaseTimeout time.Duration
 
-	// ReportSmall additionally reports maximal 1- and 2-cliques at any
-	// worker count (in-core runs only: sizes < 3 never reach disk; the
-	// paper's experiments start at 3).
+	// ReportSmall additionally reports maximal 1- and 2-cliques, from
+	// the seed, on every backend (the paper's experiments start at 3).
 	ReportSmall bool
 }
 
@@ -301,9 +300,6 @@ func (c *Config) Normalize() error {
 		if c.SpillBudget > 0 {
 			return fmt.Errorf("enumcfg: SpillBudget is not supported by the distributed coordinator")
 		}
-		if c.ReportSmall {
-			return fmt.Errorf("enumcfg: ReportSmall is not supported out of core (sizes < 3 never spill)")
-		}
 		if c.Mode != CNRecompute {
 			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
 		}
@@ -313,9 +309,6 @@ func (c *Config) Normalize() error {
 			return fmt.Errorf("enumcfg: checkpointing requires an out-of-core run from the start; drop the memory budget or the checkpoint")
 		}
 	case OutOfCore:
-		if c.ReportSmall {
-			return fmt.Errorf("enumcfg: ReportSmall is not supported out of core (sizes < 3 never spill)")
-		}
 		if c.Mode != CNRecompute {
 			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
 		}

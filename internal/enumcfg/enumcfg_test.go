@@ -38,7 +38,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		// --- report-small ---
 		{"sequential report-small", Config{ReportSmall: true}, "", Sequential},
 		{"parallel report-small", Config{Workers: 2, ReportSmall: true}, "", Parallel},
-		{"ooc report-small", Config{Dir: "d", ReportSmall: true}, "ReportSmall", 0},
+		{"ooc report-small", Config{Dir: "d", ReportSmall: true}, "", OutOfCore},
 
 		// --- out-of-core knob dependencies ---
 		{"ooc", Config{Dir: "d"}, "", OutOfCore},
@@ -91,7 +91,7 @@ func TestNormalizeMatrix(t *testing.T) {
 			"memory budget does not apply", 0},
 		{"distributed plus spill budget", Config{Dir: "d", DistWorkers: 2, SpillBudget: 1 << 20},
 			"not supported by the distributed coordinator", 0},
-		{"distributed report-small", Config{Dir: "d", DistWorkers: 2, ReportSmall: true}, "ReportSmall", 0},
+		{"distributed report-small", Config{Dir: "d", DistWorkers: 2, ReportSmall: true}, "", Distributed},
 		{"distributed low-memory mode", Config{Dir: "d", DistWorkers: 2, Mode: CNRecompute}, "", Distributed},
 		{"distributed stored bitmaps", Config{Dir: "d", DistWorkers: 2, Mode: CNStore},
 			"meaningless out of core", 0},

@@ -66,13 +66,6 @@ func (s GraphSpec) Scale(f float64) GraphSpec {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Build synthesizes a graph matching the spec: a planted maximum clique
 // of exactly Omega vertices, a ladder of smaller overlapping co-expression
 // modules (the overlap structure that gives the paper's graphs their

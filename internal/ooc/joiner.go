@@ -179,7 +179,8 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 // feed or write error every shard file created so far is removed and
 // the error returned; on success the level's shard list is returned.
 // The level driver writes every level it does not join through it: the
-// edge level, and a tripped step's rest and head (Loop.RunCut).
+// seed level (Loop.RunSeed), and a tripped step's rest and head
+// (Loop.RunCut).
 func WriteLevel(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor, nextName func() (string, error),
 	onWrite func(enc, raw int64) error,
@@ -209,8 +210,9 @@ func WriteLevel(dir string, k int, compress bool, target int64,
 
 // EdgeFeed adapts a graph's canonical edge stream to WriteLevel's feed
 // contract: for every vertex u in order, the run ([u], its neighbors
-// above u) — the level-2 seed of the out-of-core loop.  ctx cancels
-// between batches of 4096 edges.
+// above u).  ctx cancels between batches of 4096 edges.  The level loop
+// seeds through core.Seed (Loop.RunSeed); EdgeFeed is kept for the
+// benchmark harness, which spills the edge level with it.
 func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, tails []uint32) error) error {
 	return func(write func(prefix, tails []uint32) error) error {
 		var prefix [1]uint32

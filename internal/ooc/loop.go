@@ -70,12 +70,13 @@ func (lv *Level) NextShard() (string, error) {
 
 // Loop is the on-disk level driver, the disk-side twin of core.Loop:
 // read level k, join, write level k+1, emit the dead ends.  It owns
-// everything that is the same wherever a shard is joined — the first
-// level, the loop with its Hi and cancellation checks, shard-target
-// sizing, the in-order release that emits cliques and assembles the next
-// shard list, Stats and the level record (the core.LevelStats every
-// driver emits), byte accounting with the spill budget, and the one
-// commit protocol — and drives a ShardRunner for the rest.  Enumerate,
+// everything that is the same wherever a shard is joined — the seed
+// level (core.Seed, as in memory), the loop with its Hi and cancellation
+// checks, shard-target sizing, the in-order release that emits cliques
+// and assembles the next shard list, Stats and the level record (the
+// core.LevelStats every driver emits), byte accounting with the spill
+// budget, and the one commit protocol — and drives a ShardRunner for the
+// rest.  Enumerate,
 // Continue, Resume and dist.Enumerate are entry points over it.
 type Loop struct {
 	g     graph.Interface
@@ -104,9 +105,10 @@ type Loop struct {
 // NewLoop returns the driver of one run over g in the run directory
 // cfg.Dir, which must exist; cfg is as Normalize leaves it (Ctx set,
 // Workers >= 1), and Workers is the number of shard joiners.  Of the
-// hooks, Reporter receives the maximal cliques (size >= 3, in the
-// sequential order at any worker count), OnLevel observes each step
-// with Bytes/NextBytes as encoded file bytes and Spilled set, and Gov is
+// hooks, Reporter receives the maximal cliques of size >= Lo (and, with
+// ReportSmall, the seed's 1- and 2-cliques), in the sequential order at
+// any worker count, OnLevel observes each step with Bytes/NextBytes as
+// encoded file bytes and Spilled set, and Gov is
 // charged what the engine holds — per-worker bitmaps, each shard's read
 // window and write buffer while open, each block between the pipeline's
 // stages — inside the headroom a step starts with (bufShare, shapeFor),
@@ -133,23 +135,34 @@ func (l *Loop) Stats() Stats {
 	return st
 }
 
-// RunEdges is the fresh-run entry: spill the edge level, then run the
-// level loop from k=2.
-func (l *Loop) RunEdges(r ShardRunner) (Stats, error) {
-	lv := &Level{K: 1, loop: l}
-	shards, err := WriteLevel(l.cfg.Dir, 2, l.cfg.OOCCompress, l.shardTarget(8*int64(l.g.M())), l.hooks.Gov,
-		lv.NextShard, lv.Wrote, EdgeFeed(l.cfg.Ctx, l.g))
+// RunSeed is the fresh-run entry: seed the level at max(Lo, 2) with
+// core.Seed — which reports the maximal Lo-cliques it finds and, with
+// ReportSmall, the maximal 1- and 2-cliques before any level runs —
+// write it to shard files, and run the level loop from there.  The seed
+// level is charged while it is resident, each block released as the
+// writer takes it.
+func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
+	seed := clique.Tally{Next: l.hooks.Reporter}
+	lvl, _, err := core.Seed(l.cfg.Ctx, l.g, l.cfg.Lo, core.CNRecompute, l.cfg.Workers, l.cfg.ReportSmall, &seed)
+	l.st.Maximal += seed.Count
+	l.st.Seeded = clique.Tally{Count: seed.Count, MaxSize: seed.MaxSize}
+	if err != nil {
+		l.st.Aborted = true
+		return l.Stats(), fmt.Errorf("ooc: %w", err)
+	}
+	l.hooks.Gov.Charge(lvl.Bytes())
+	shards, err := l.spill(&Level{K: lvl.K - 1, loop: l}, lvl.Sub, 0)
 	if err != nil {
 		l.st.Aborted = true
 		return l.Stats(), err
 	}
 	l.st.Shards += int64(len(shards))
 	if l.cfg.Checkpoint {
-		if err := l.checkpoint(shards, 2); err != nil {
+		if err := l.checkpoint(shards, lvl.K); err != nil {
 			return l.Stats(), err
 		}
 	}
-	return l.Run(r, shards, 2)
+	return l.Run(r, shards, lvl.K)
 }
 
 // RunCut carries a tripped in-core step to disk and runs the level loop
@@ -338,15 +351,20 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 	}
 	lv.Target = l.shardTarget(encB)
 	lv.Buf = bufShare(l.hooks.Gov, 3*l.cfg.Workers) // a worker's three: read window, block queues, write buffer
-	lv.Collect = l.hooks.Reporter != nil
+	// Only a resume can run a level below Lo (its checkpoint lies below a
+	// raised bound): such a level's cliques are neither shipped nor counted.
+	report := k+1 >= l.cfg.Lo
+	lv.Collect = report && l.hooks.Reporter != nil
 	next := head
 	// Release in shard order: emission order is exactly the sequential
 	// order, and the next level's shard list is assembled in global run
 	// order.  The counts accrue on release, so an aborted level counts
 	// only the work actually delivered.
 	seq := sched.NewSequencer(len(shards), func(_ int, res ShardResult) {
-		l.st.Maximal += res.Maximal
-		rec.Maximal += res.Maximal
+		if report {
+			l.st.Maximal += res.Maximal
+			rec.Maximal += res.Maximal
+		}
 		rec.Dropped += res.Dropped
 		rec.Cost.Add(res.Cost)
 		if l.hooks.Reporter != nil {

@@ -54,7 +54,7 @@ func TestLoopOrdersAnyDeliveryOrder(t *testing.T) {
 		var got []string
 		cfg := enumcfg.Config{Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512, OOCCompress: compress}
 		h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
-		st, err := NewLoop(g, cfg, h, "test").RunEdges(&backwardRunner{g: g, cfg: cfg})
+		st, err := NewLoop(g, cfg, h, "test").RunSeed(&backwardRunner{g: g, cfg: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestLoopKeepsBoundaryOnRunnerFailure(t *testing.T) {
 	dir := t.TempDir()
 	cfg := enumcfg.Config{Ctx: context.Background(), Dir: dir, Workers: 1, ShardBytes: 512, Checkpoint: true}
 	h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
-	st, err := NewLoop(g, cfg, h, "test").RunEdges(&backwardRunner{g: g, cfg: cfg, failK: failK, failShard: failShard})
+	st, err := NewLoop(g, cfg, h, "test").RunSeed(&backwardRunner{g: g, cfg: cfg, failK: failK, failShard: failShard})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want the injected failure", err)
 	}
@@ -124,5 +124,37 @@ func TestLoopKeepsBoundaryOnRunnerFailure(t *testing.T) {
 	}
 	if rst.Maximal != full.Maximal || rst.Levels != full.Levels || rst.PeakLevelFile != full.PeakLevelFile {
 		t.Errorf("resumed stats %+v, uninterrupted %+v", rst, full)
+	}
+}
+
+// TestResumeUnderRaisedLo: a resume whose checkpoint lies below a raised
+// lower bound re-joins the levels under it without reporting or counting
+// their cliques, and streams what a fresh run at that bound streams.
+func TestResumeUnderRaisedLo(t *testing.T) {
+	const failK, lo = 4, 6
+	g := plantedGraph(212)
+	want, _ := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512, Lo: lo}, core.Hooks{})
+	if len(want) == 0 {
+		t.Fatalf("no cliques of size >= %d; broaden the test graph", lo)
+	}
+	dir := t.TempDir()
+	cfg := enumcfg.Config{Ctx: context.Background(), Dir: dir, Workers: 1, ShardBytes: 512, Checkpoint: true}
+	if _, err := NewLoop(g, cfg, core.Hooks{}, "test").RunSeed(&backwardRunner{g: g, cfg: cfg, failK: failK}); !errors.Is(err, errInjected) {
+		t.Fatalf("err = %v, want the injected failure", err)
+	}
+	var got []string
+	var levels []core.LevelStats
+	_, err := Resume(g, enumcfg.Config{Dir: dir, ShardBytes: 512, Lo: lo}, core.Hooks{
+		Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) }),
+		OnLevel:  func(ls core.LevelStats) { levels = append(levels, ls) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("resume under Lo %d delivered %d cliques, a fresh run %d, or in another order", lo, len(got), len(want))
+	}
+	if len(levels) < 2 || levels[0].FromK != failK || levels[0].Maximal != 0 {
+		t.Errorf("resumed level records %+v: want the first from %d, counting no maximal cliques", levels, failK)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
@@ -55,6 +56,11 @@ type Stats struct {
 	Shards          int64 // shard files produced
 	Aborted         bool  // a level was cut short (budget, cancel, or error)
 	Resumed         bool  // this run continued a checkpoint
+
+	// Seeded tallies what the seed reported before the first level (its
+	// Next is nil); Maximal counts it too.  A resume does not seed, so no
+	// manifest carries it.
+	Seeded clique.Tally `json:"-"`
 }
 
 // ErrSpillBudget is returned when a level passes the config's SpillBudget.
@@ -65,12 +71,14 @@ const shardSuffix = ".ooc"
 // Enumerate runs the out-of-core enumeration cfg describes and returns
 // its statistics; cfg must resolve to the OutOfCore backend (a spill Dir,
 // no in-core budget), and a Resume config continues its checkpoint (see
-// Resume).  It reports every maximal clique of size >= 3 to h.Reporter
-// whatever cfg.Lo is — callers filter, as the facade does.  A plain run
-// creates a private temporary run directory inside Dir and removes it on
-// the way out, canceled or not; a Checkpoint run uses Dir itself, commits
-// a manifest at every level boundary and keeps the last completed level
-// on cancellation or crash (Dir must not hold another run's checkpoint).
+// Resume).  A fresh run seeds like every other regime (core.Seed at
+// max(Lo, 2), ReportSmall included) and writes the seed level to shard
+// files; h.Reporter receives the maximal cliques of size >= Lo.  A plain
+// run creates a private temporary run directory inside Dir and removes it
+// on the way out, canceled or not; a Checkpoint run uses Dir itself,
+// commits a manifest at every level boundary and keeps the last completed
+// level on cancellation or crash (Dir must not hold another run's
+// checkpoint).
 // SpillBudget, when positive, aborts once a level's files pass that many
 // encoded bytes, checked per batch of blocks written, so an aborted level
 // overshoots by at most one batch.  On cancellation the partial Stats
@@ -89,7 +97,7 @@ func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (Stats, erro
 		return Stats{}, fmt.Errorf(
 			"ooc: %s already holds a checkpoint; Resume it or remove %s", cfg.Dir, manifestName)
 	}
-	return runLocal(g, cfg, h, (*Loop).RunEdges)
+	return runLocal(g, cfg, h, (*Loop).RunSeed)
 }
 
 // Continue carries a tripped in-core step to disk and runs the level loop
@@ -160,9 +168,11 @@ func runLocal(g graph.Interface, cfg enumcfg.Config, h core.Hooks, start func(*L
 // checkpoint was written for (verified by fingerprint).  The record
 // encoding and, when cfg.Hi is 0, the upper bound are adopted from the
 // manifest; cumulative Stats continue from the checkpoint, so a resumed
-// run's final Stats match an uninterrupted run's.  The interrupted level is re-joined from its beginning, so its
-// cliques are re-emitted: the resumed stream is exactly the uninterrupted
-// stream from the first clique of size K+1 (the manifest's level) on.
+// run's final Stats match an uninterrupted run's, Seeded aside (a resume
+// does not seed).  The interrupted level is re-joined from its beginning,
+// so its cliques are re-emitted: the resumed stream is exactly the
+// uninterrupted stream from the first clique of size max(K+1, Lo) (K the
+// manifest's level) on.
 func Resume(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (Stats, error) {
 	cfg.Resume = true
 	return Enumerate(g, cfg, h)

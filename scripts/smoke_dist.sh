@@ -5,7 +5,8 @@
 # require (a) the run to survive via respawn + shard re-lease, (b) the
 # printed maximal-clique stream to be byte-identical to the sequential
 # reference, and (c) the persisted run report to show the re-leased
-# shard.  CI runs this on every push.
+# shard.  A fault-free run at -lo 5 must also match the sequential
+# stream and report its first level from 5.  CI runs this on every push.
 #
 # The kill is timing-dependent (the victim must hold a lease for a
 # re-lease to be observable), so the kill run retries a few times; the
@@ -60,6 +61,28 @@ check_stream dist0
 [ -f "$workdir/run0/dist-manifest.json" ] || {
     echo "smoke-dist: no run report after the fault-free run" >&2; exit 1; }
 echo "smoke-dist: fault-free run matches the reference"
+
+# A lower bound above 3 seeds the coordinator at the bound, like the
+# in-core backends: the same stream as the sequential run, and the first
+# level record starts at 5, not at the edge level.
+echo "smoke-dist: distributed run at -lo 5"
+"$workdir/cliquer" -lo 5 -no-bound "$workdir/a.el" >"$workdir/ref5.out"
+"$workdir/cliquer" -lo 5 -no-bound -stats -dist 2 -ooc "$workdir/run5" \
+    -dist-shard-bytes 2048 "$workdir/a.el" >"$workdir/dist5.out" 2>"$workdir/dist5.stats"
+cliques "$workdir/ref5.out" >"$workdir/ref5.cliques"
+cliques "$workdir/dist5.out" >"$workdir/dist5.cliques"
+[ -s "$workdir/ref5.cliques" ] || { echo "smoke-dist: -lo 5 reference emitted no cliques" >&2; exit 1; }
+if ! cmp -s "$workdir/ref5.cliques" "$workdir/dist5.cliques"; then
+    echo "smoke-dist: -lo 5 clique stream diverges from the sequential reference" >&2
+    diff "$workdir/ref5.cliques" "$workdir/dist5.cliques" | head -20 >&2
+    exit 1
+fi
+first=$(grep -m 1 '^level ' "$workdir/dist5.stats" || true)
+case "$first" in
+"level  5->"*) ;;
+*) echo "smoke-dist: -lo 5 first level record is '$first', want it from 5" >&2; exit 1 ;;
+esac
+echo "smoke-dist: -lo 5 run matches the reference and starts at level 5"
 
 # A worker count below one is a configuration error, not a quiet
 # fallback to the out-of-core backend on the same directory.

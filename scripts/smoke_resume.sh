@@ -31,7 +31,7 @@ echo "smoke-resume: reference found $ref_count maximal cliques in ${ref_ms}ms"
 
 # Kill mid-run: start at half the measured reference time and halve on
 # every attempt that finishes before the timeout.  The first checkpoint
-# is committed right after the (fast) edge spill, so shorter timeouts
+# is committed right after the (fast) seed spill, so shorter timeouts
 # only make the kill land earlier, not miss the manifest.
 timeout_ms=$(( ref_ms / 2 ))
 [ "$timeout_ms" -lt 40 ] && timeout_ms=40

@@ -111,12 +111,12 @@ func joinWindow(g repro.GraphInterface, lo int) (window int64) {
 
 // TestSpillStaysInsideBudget pins what a budget means once a run spills:
 // the governor's peak is the budget plus the in-core engine's trip
-// granularity plus the minimum the drain cannot work without — never the
-// level-sized I/O buffers the spill path used to take on top of it.  The
-// run is driven below the facade so the test owns the governor: charged
-// with the adjacency bytes first, as the facade does, and checked back at
-// exactly that when the run is over.  Budgets sit a half, a quarter and
-// an eighth of the way from there to the unbudgeted peak.
+// granularity plus the minimum the spill writer cannot work without —
+// never the level-sized I/O buffers the spill path used to take on top of
+// it.  The run is driven below the facade so the test owns the governor:
+// charged with the adjacency bytes first, as the facade does, and checked
+// back at exactly that when the run is over.  Budgets sit a half, a
+// quarter and an eighth of the way from there to the unbudgeted peak.
 //
 // The bounds, from where the engines charge and poll:
 //
@@ -124,14 +124,14 @@ func joinWindow(g repro.GraphInterface, lo int) (window int64) {
 //     is charged a block at a time, when the block is sealed
 //     (core.MaxBlockBytes, 32 KiB, at most), and the builder polls before
 //     every join, so Used passes the budget by at most one block.  The
-//     drain starts over budget, so its writer gets the 4 KiB floor: one
-//     buffer, and one batch of blocks in flight at a time (depth one).
-//     Head blocks leave the ledger as the writer takes them, consumed
-//     blocks as the drain joins past them, so the batch the drain's own
-//     join has in flight — a chunk, at most a block — is paid for by the
-//     input it came from; its builder, which takes the place of the
-//     engine's released just before, may memoise one prefix row more than
-//     that one had reached.
+//     trip hands the step to the disk loop as data (ooc.Loop.RunCut): the
+//     consumed blocks before the frontier are released at once; the rest
+//     of the consumed level, then the head of the produced one, go
+//     through one writer at the 4 KiB floor (the spill starts over
+//     budget), each block released as the writer takes it.  No join runs
+//     in memory after the trip — the disk loop joins the written rest like
+//     any level — and its joiner's one bitmap takes the place of the
+//     engine's scratch, released before the spill.
 //   - W workers: budget + W·(one block + window) + bookkeeping + 4 KiB +
 //     one bitmap.  Every pool worker polls before every join and may seal
 //     a block and buffer one join's emissions (the window) before it
@@ -139,10 +139,10 @@ func joinWindow(g repro.GraphInterface, lo int) (window int64) {
 //     (core.LevelStats.Held), which the in-core steps of these rows
 //     assert: reported, non-zero, and really part of Used.
 //
-// After the drain both levels are off the ledger, and a worker's read
+// After the trip both levels are off the ledger, and a worker's read
 // window, block queues and write buffer share the headroom each step
 // starts with (ooc bufShare, shapeFor), so the out-of-core phase adds
-// nothing on top: from the drained step's record on, the peak of a
+// nothing on top: from the spilled step's record on, the peak of a
 // one-worker run grows only inside the budget.  (With more, which worker
 // grows which memo row mid-level, and how far a join's output runs past
 // its batch, follow the schedule; the bound above covers them.)
