@@ -53,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -300,9 +301,13 @@ func run(ctx context.Context, path string, o options) error {
 
 // printSummary reports the (possibly partial) run statistics — the same
 // shape whether the run completed, timed out, or was Ctrl-C'd.
-func printSummary(w *os.File, state string, st *repro.Stats, o options) {
-	fmt.Fprintf(w, "%s (%s): %d maximal cliques in [%d,%d], max size %d, %d levels, %.3fs\n",
-		state, st.Backend, st.MaximalCliques, o.lo, o.hi, st.MaxCliqueSize,
+func printSummary(w io.Writer, state string, st *repro.Stats, o options) {
+	bounds := fmt.Sprintf("[%d,%d]", o.lo, o.hi)
+	if o.hi == 0 { // no upper bound: -no-bound, or the bound was skipped
+		bounds = fmt.Sprintf("[%d,∞)", o.lo)
+	}
+	fmt.Fprintf(w, "%s (%s): %d maximal cliques in %s, max size %d, %d levels, %.3fs\n",
+		state, st.Backend, st.MaximalCliques, bounds, st.MaxCliqueSize,
 		len(st.Levels), st.Elapsed.Seconds())
 	switch {
 	case st.Backend == "distributed":

@@ -55,31 +55,6 @@ func AndAny3(x, y, z *Bitset) bool {
 	return false
 }
 
-// AndAny4 reports whether w ∩ x ∩ y ∩ z is non-empty in a single fused
-// pass: the join's maximality probe with the last prefix vertex folded
-// in, so the common-neighbour row of the full prefix is never built.
-//
-//repro:hotpath
-func AndAny4(w, x, y, z *Bitset) bool {
-	w.mustMatch(x)
-	w.mustMatch(y)
-	w.mustMatch(z)
-	ww, xw, yw, zw := w.words, x.words, y.words, z.words
-	for len(ww) >= 4 && len(xw) >= 4 && len(yw) >= 4 && len(zw) >= 4 {
-		if ww[0]&xw[0]&yw[0]&zw[0]|ww[1]&xw[1]&yw[1]&zw[1]|
-			ww[2]&xw[2]&yw[2]&zw[2]|ww[3]&xw[3]&yw[3]&zw[3] != 0 {
-			return true
-		}
-		ww, xw, yw, zw = ww[4:], xw[4:], yw[4:], zw[4:]
-	}
-	for i := range ww {
-		if ww[i]&xw[i]&yw[i]&zw[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // AndNotAny reports whether x \ y is non-empty (some element of x is not
 // in y) without materializing the difference: the negated subset test.
 //

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The fused kernels (AndAny, AndAny3, AndAny4, AndNotAny, RangeAndAny)
+// The fused kernels (AndAny, AndAny3, AndNotAny, RangeAndAny)
 // and the unrolled word loops (And, Count, AndCount) share two hazards:
 // the 4-word block/tail split, and the tail-word invariant ("words beyond
 // the last valid bit stay zero") that lets them skip masking.  These
@@ -46,15 +46,6 @@ func naiveAndAny3(x, y, z *Bitset) bool {
 	return false
 }
 
-func naiveAndAny4(w, x, y, z *Bitset) bool {
-	for i := 0; i < x.Len(); i++ {
-		if w.Test(i) && x.Test(i) && y.Test(i) && z.Test(i) {
-			return true
-		}
-	}
-	return false
-}
-
 func naiveAndNotAny(x, y *Bitset) bool {
 	for i := 0; i < x.Len(); i++ {
 		if x.Test(i) && !y.Test(i) {
@@ -80,7 +71,7 @@ func naiveRangeAndAny(x, y *Bitset, start, end int) bool {
 }
 
 // checkFusedTriple runs every kernel over one (x, y, z) operand triple —
-// AndAny4 with a fourth operand drawn from rng — and cross-checks it
+// RangeAndAny also over a window drawn from rng — and cross-checks it
 // against the references.
 func checkFusedTriple(t *testing.T, rng *rand.Rand, x, y, z *Bitset) {
 	t.Helper()
@@ -90,10 +81,6 @@ func checkFusedTriple(t *testing.T, rng *rand.Rand, x, y, z *Bitset) {
 	}
 	if got, want := AndAny3(x, y, z), naiveAndAny3(x, y, z); got != want {
 		t.Fatalf("n=%d: AndAny3 = %v, naive %v", n, got, want)
-	}
-	w := randFused(rng, n, 0.5+0.5*rng.Float64())
-	if got, want := AndAny4(w, x, y, z), naiveAndAny4(w, x, y, z); got != want {
-		t.Fatalf("n=%d: AndAny4 = %v, naive %v", n, got, want)
 	}
 	if got, want := AndNotAny(x, y), naiveAndNotAny(x, y); got != want {
 		t.Fatalf("n=%d: AndNotAny = %v, naive %v", n, got, want)
@@ -165,17 +152,12 @@ func TestFusedKernelsAgainstNaive(t *testing.T) {
 func TestFusedKernelsSingleWitness(t *testing.T) {
 	for _, n := range fusedSizes {
 		for i := 0; i < n; i++ {
-			w, x, y, z := New(n), New(n), New(n), New(n)
-			w.Set(i)
+			x, y, z := New(n), New(n), New(n)
 			x.Set(i)
 			y.Set(i)
 			z.Set(i)
-			if !AndAny(x, y) || !AndAny3(x, y, z) || !AndAny4(w, x, y, z) {
+			if !AndAny(x, y) || !AndAny3(x, y, z) {
 				t.Fatalf("n=%d: lone witness at bit %d missed", n, i)
-			}
-			w.Clear(i)
-			if AndAny4(w, x, y, z) {
-				t.Fatalf("n=%d: AndAny4 found a witness after clearing bit %d", n, i)
 			}
 			if !RangeAndAny(x, y, i, i+1) || RangeAndAny(x, y, i+1, n) || RangeAndAny(x, y, 0, i) {
 				t.Fatalf("n=%d: RangeAndAny windows around bit %d wrong", n, i)
@@ -199,8 +181,8 @@ func TestFusedKernelsSingleWitness(t *testing.T) {
 // FuzzFusedKernels feeds arbitrary word patterns into the kernels and
 // cross-checks every one against the bit-at-a-time references.  The
 // universe size is derived from the input so the fuzzer also explores
-// tail shapes; AndAny4's fourth operand is drawn from a generator seeded
-// by every input word.
+// tail shapes; RangeAndAny's random window is drawn from a generator
+// seeded by every input word.
 func FuzzFusedKernels(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint16(64))
 	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), uint16(127))

@@ -13,24 +13,12 @@ package bitset
 // regardless of how the graph stores adjacency, which is what keeps the
 // hot loops word-parallel.
 type Reader interface {
-	// Len returns the universe size in bits.
-	Len() int
-	// Count returns the number of set bits (the row's degree).
-	Count() int
-	// Test reports whether bit i is set.
-	Test(i int) bool
 	// ForEach calls fn for every set bit in increasing order; returning
 	// false stops the iteration.
 	ForEach(fn func(i int) bool)
 	// IntersectsWith reports whether the row shares any bit with o — the
 	// paper's fused BitAND + BitOneExists maximality probe.
 	IntersectsWith(o *Bitset) bool
-	// AndAnyWith reports whether row ∩ x ∩ o is non-empty: the join's
-	// maximality probe with the candidate-intersection materialize fused
-	// away.  Where a caller would compute tmp = x AND o and then ask
-	// row.IntersectsWith(tmp), AndAnyWith answers in one pass over the
-	// row's native encoding and early-exits on the first witness.
-	AndAnyWith(x, o *Bitset) bool
 	// AndCount returns the size of the intersection with o.
 	AndCount(o *Bitset) int
 	// AndInto overwrites dst with row AND o.  dst must share the
@@ -42,12 +30,6 @@ type Reader interface {
 
 // Compile-time check: a dense Bitset is its own Reader.
 var _ Reader = (*Bitset)(nil)
-
-// AndAnyWith reports whether b ∩ x ∩ o is non-empty (Reader form of the
-// fused three-way probe).
-//
-//repro:hotpath
-func (b *Bitset) AndAnyWith(x, o *Bitset) bool { return AndAny3(b, x, o) }
 
 // AndInto overwrites dst with b AND o (Reader form of And).
 //

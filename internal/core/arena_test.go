@@ -74,9 +74,10 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 	g := arenaTestGraph()
 	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
-	// The prefix memo is builder scratch, not level storage: grown up
-	// front and uncharged, the ledger below sees blocks only.
-	b.growMemo(g.N(), g.N())
+	// The local universe and its memo are builder scratch, not level
+	// storage: grown up front and uncharged, the ledger below sees blocks
+	// only.
+	b.grow(g.N(), g.N())
 
 	run := func() (peak int64) {
 		gov := membudget.New(0) // unlimited: observe, never trip

@@ -282,6 +282,7 @@ func TestBlockSideSlab(t *testing.T) {
 		gov := membudget.New(0)
 		b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 		b.Gov = gov
+		gov.Charge(b.ScratchBytes()) // adopted: the scratch's growth is charged as it happens
 		lvl, _, _ := Seed(context.Background(), g, 2, mode, 1, false, nil)
 		gov.Charge(lvl.Bytes())
 		for len(lvl.Sub) > 0 {
@@ -306,6 +307,7 @@ func TestBlockSideSlab(t *testing.T) {
 			lvl = next
 		}
 		gov.Release(lvl.Bytes())
+		gov.Release(b.ScratchBytes())
 		if gov.Used() != 0 {
 			t.Errorf("mode %v: governor at %d after the run", mode, gov.Used())
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/bk"
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -341,5 +342,44 @@ func TestDroppedSingletonAccounting(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Log("no singleton drops observed (acceptable but unusual)")
+	}
+}
+
+// TestProcessRecordOutsideUniverse: a record whose prefix vertex or tail
+// is no neighbour of its first vertex p0 — which only outside input can
+// hold — is an error before it emits, retains or drops anything, on every
+// representation, and the builder joins the next good record as usual.
+func TestProcessRecordOutsideUniverse(t *testing.T) {
+	dense := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 4}, {0, 5}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}, {3, 5}} {
+		dense.AddEdge(e[0], e[1])
+	}
+	for _, rep := range []graph.Representation{graph.Dense, graph.CSR, graph.Compressed} {
+		g, err := graph.Convert(dense, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.CNMode{core.CNRecompute, core.CNStore} {
+			b := core.NewBuilderMode(g, mode, bitset.NewPool(g.N()))
+			var got clique.Collector
+			for _, bad := range []core.SubList{
+				{Prefix: []uint32{0, 1}, Tails: []uint32{2, 3, 4}}, // tail 3 is no neighbour of 0
+				{Prefix: []uint32{0, 3}, Tails: []uint32{4, 5}},    // nor prefix vertex 3
+			} {
+				if err := b.ProcessRecord(&bad, &got); err == nil || !strings.Contains(err.Error(), "outside N(0)") {
+					t.Fatalf("%v mode %d: record %v|%v joined: %v", rep, mode, bad.Prefix, bad.Tails, err)
+				}
+			}
+			if len(got.Cliques) != 0 || b.Maximal != 0 || b.Kept != 0 || b.Dropped != 0 {
+				t.Fatalf("%v mode %d: rejected records emitted %v, kept %d, dropped %d", rep, mode, got.Cliques, b.Kept, b.Dropped)
+			}
+			// {0,1,2,4} is maximal: 3 is adjacent to 1, 2 and 4, not to 0.
+			if err := b.ProcessRecord(&core.SubList{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4}}, &got); err != nil {
+				t.Fatalf("%v mode %d: a good record after the bad ones: %v", rep, mode, err)
+			}
+			if len(got.Cliques) != 1 || got.Cliques[0].Key() != (clique.Clique{0, 1, 2, 4}).Key() {
+				t.Fatalf("%v mode %d: emitted %v, want [0 1 2 4]", rep, mode, got.Cliques)
+			}
+		}
 	}
 }

@@ -11,35 +11,58 @@ import (
 	"repro/internal/membudget"
 )
 
-// TestPrefixCNMemo drives the memoised prefix-bitmap reconstruction
-// with sub-list sequences in sorted order, shuffled, with repeats and
-// with depth changes k -> k+1 -> k, over every representation, asking
-// for the whole prefix's row, for the row one vertex short of it (the
-// dense join's) or for either at random: each answer must equal the
-// from-scratch AND of the rows it covers, Cost.ANDWords must count
-// exactly the ANDs of the whole prefix the memo could not avoid, and
-// every row the memo grows is charged to the builder's governor.
+// TestPrefixCNMemo drives the local prefix memo with sub-list sequences
+// in sorted order, shuffled, with repeats and with depth changes k -> k+1
+// -> k, over every representation.  The prefixes are cliques, so each
+// lies in N(p0) of its first vertex.  After each admission the memo row
+// of the whole prefix, of the prefix one vertex short of it, or of either
+// at random must equal the from-scratch AND of the rows it covers, read
+// over N(p0); Cost.ANDWords must count exactly the ANDs of the whole
+// prefix the memo could not avoid; and every byte the scratch grows is
+// charged to the builder's governor.
 func TestPrefixCNMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dense := graph.RandomGNP(rng, 90, 0.5)
 	words := int64((dense.N() + 63) / 64)
 
-	// Random strictly increasing prefixes of depth 1..6, not necessarily
-	// cliques: the memo is about rows, not about cliques.
+	// commonAbove returns a vertex above floor adjacent to every vertex
+	// of c, drawn at random, or -1.
+	commonAbove := func(c []uint32, floor int) int {
+		var cands []int
+		for v := floor + 1; v < dense.N(); v++ {
+			ok := true
+			for _, x := range c {
+				if int(x) == v || !dense.HasEdge(int(x), v) {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				cands = append(cands, v)
+			}
+		}
+		if len(cands) == 0 {
+			return -1
+		}
+		return cands[rng.Intn(len(cands))]
+	}
+	// Random cliques of 1..6 vertices, strictly increasing.
 	var prefixes [][]uint32
 	for len(prefixes) < 300 {
-		p := make([]uint32, 1+rng.Intn(6))
-		for i, v := range rng.Perm(dense.N())[:len(p)] {
-			p[i] = uint32(v)
+		p := []uint32{uint32(rng.Intn(dense.N()))}
+		for want := 1 + rng.Intn(6); len(p) < want; {
+			v := commonAbove(p, -1)
+			if v < 0 {
+				break
+			}
+			p = append(p, uint32(v))
 		}
 		slices.Sort(p)
 		prefixes = append(prefixes, p)
 		if rng.Intn(4) == 0 { // a repeat, and a sibling that differs in the last vertex only
 			prefixes = append(prefixes, slices.Clone(p))
-			if last := p[len(p)-1]; int(last) < dense.N()-1 {
-				sib := slices.Clone(p)
-				sib[len(sib)-1] = last + 1
-				prefixes = append(prefixes, sib)
+			if x := commonAbove(p[:len(p)-1], int(p[len(p)-1])); x >= 0 {
+				prefixes = append(prefixes, append(slices.Clone(p[:len(p)-1]), uint32(x)))
 			}
 		}
 	}
@@ -50,17 +73,16 @@ func TestPrefixCNMemo(t *testing.T) {
 	// Depth changes: each prefix, its extension by one vertex, itself again.
 	var zigzag [][]uint32
 	for _, p := range sorted[:100] {
-		if last := p[len(p)-1]; int(last) < dense.N()-1 {
-			zigzag = append(zigzag, p, append(slices.Clone(p), last+1), p)
+		if x := commonAbove(p, int(p[len(p)-1])); x >= 0 {
+			zigzag = append(zigzag, p, append(slices.Clone(p), uint32(x)), p)
 		}
 	}
 	orders["k,k+1,k"] = zigzag
 
-	// The memo answers two questions: the whole prefix's row (prefixCN,
-	// the CSR and WAH joins) and the row one vertex short of it (the
-	// dense join, which folds the last vertex into its probes) — asked
-	// alone or interleaved, the memo must not confuse them. The whole
-	// prefix's case carries no suffix: it is the case named rep/order.
+	// The memo holds a row for every depth of the prefix: the whole
+	// prefix's (the join's), the one a vertex short of it, or either at
+	// random, read after the same admission.  The whole prefix's case
+	// carries no suffix: it is the case named rep/order.
 	depths := map[string]func(rng *rand.Rand, p []uint32) int{
 		"":       func(_ *rand.Rand, p []uint32) int { return len(p) },
 		"/short": func(_ *rand.Rand, p []uint32) int { return len(p) - 1 },
@@ -85,29 +107,37 @@ func TestPrefixCNMemo(t *testing.T) {
 					for i, p := range seq {
 						before := b.Cost.ANDWords
 						depth := depthOf(rng, p)
-						var got *bitset.Bitset
-						if depth == len(p) {
-							got = b.prefixCN(&SubList{Prefix: p})
-						} else {
-							got = b.memoRow(&SubList{Prefix: p}, depth)
+						cn, ok := b.admitPrefix(&SubList{Prefix: p})
+						if !ok {
+							t.Fatalf("step %d: clique %v rejected as outside N(%d)", i, p, p[0])
 						}
-
-						if depth == 0 {
-							if got != nil {
-								t.Fatalf("step %d: the row of an empty prefix is %v, want none", i, got)
-							}
-						} else {
+						u := &b.u
+						if got := u.memo[(len(p)-1)*u.w : len(p)*u.w]; !slices.Equal(cn, got) {
+							t.Fatalf("step %d: the join's row of %v is not the memo's", i, p)
+						}
+						if depth > 0 {
 							g.Materialize(int(p[0]), want)
 							for _, v := range p[1:depth] {
 								g.Materialize(int(v), row)
 								want.And(want, row)
 							}
-							if !got.Equal(want) {
-								t.Fatalf("step %d: memoised CN of %v (after %v) differs from the from-scratch AND", i, p[:depth], prev)
+							got, set := u.memo[(depth-1)*u.w:depth*u.w], 0
+							for x, v := range u.nbr {
+								in := got[x>>6]&(1<<(x&63)) != 0
+								if in != want.Test(int(v)) {
+									t.Fatalf("step %d: memoised CN of %v (after %v) differs from the from-scratch AND at vertex %d",
+										i, p[:depth], prev, v)
+								}
+								if in {
+									set++
+								}
+							}
+							if set != want.Count() {
+								t.Fatalf("step %d: CN of %v has %d members, %d of them in N(%d)", i, p[:depth], want.Count(), set, p[0])
 							}
 						}
-						// Whichever row was asked for, the charge is the
-						// whole prefix's reconstruction.
+						// Whichever row is read, the charge is the whole
+						// prefix's reconstruction.
 						shared := 0
 						for shared < len(p) && shared < len(prev) && p[shared] == prev[shared] {
 							shared++
@@ -123,7 +153,7 @@ func TestPrefixCNMemo(t *testing.T) {
 						prev = p
 					}
 					if grown := b.ScratchBytes() - base; grown <= 0 || gov.Used() != grown {
-						t.Errorf("memo grew the scratch by %d bytes, governor holds %d", grown, gov.Used())
+						t.Errorf("the scratch grew by %d bytes, governor holds %d", grown, gov.Used())
 					}
 				})
 			}

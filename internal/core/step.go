@@ -37,10 +37,8 @@ func (c Cost) Units() int64 { return c.ANDWords + c.Pairs + c.Probes }
 // worker thread owns one Builder, so generation needs no locking — the
 // independence property the paper's multithreading rests on.
 type Builder struct {
-	g     graph.Interface
-	dense *graph.Graph // non-nil when g is the dense backend (fast path)
-	mode  CNMode
-	pool  *bitset.Pool
+	mode CNMode
+	pool *bitset.Pool
 
 	Kept    int // sub-lists retained for the next level (N[k+1] so far)
 	Maximal int64
@@ -48,9 +46,9 @@ type Builder struct {
 	Cost    Cost
 
 	// Gov, when non-nil, is the run's memory governor: every block of the
-	// next level is charged against it when it is sealed, and every memo
-	// row when it is added.  The governor may be shared by many builders;
-	// charges are atomic.
+	// next level is charged against it when it is sealed, and the scratch
+	// of the local universe when it grows.  The governor may be shared by
+	// many builders; charges are atomic.
 	Gov *membudget.Governor
 
 	// Ctx, when non-nil, lets Step abandon a level between sub-lists;
@@ -59,28 +57,10 @@ type Builder struct {
 	Ctx      context.Context
 	Canceled bool
 
-	// matRows: rows of this representation have expensive per-bit Test
-	// (WAH walks the compressed stream from the start on every probe),
-	// so the generic join materializes each tail row once into
-	// rowScratch instead of probing the row per pair.
-	matRows bool
+	words   int // ⌈n/64⌉: the paper's row, what Cost charges a row operation
+	emitBuf clique.Clique
 
-	words      int
-	cnBytes    int
-	scratch    *bitset.Bitset // CN of the current k-clique being extended
-	rowScratch *bitset.Bitset // a materialized tail row; read only when matRows, resident always
-	emitBuf    clique.Clique
-
-	// The prefix-CN memo of the reconstruct path: memo[i] is the
-	// common-neighbor bitmap of memoPrefix[:i+1] for i < memoRows, so a
-	// sub-list that shares its first l prefix vertices with the previous
-	// one reuses rows below l and ANDs only the rest.  memoPrefix is the
-	// whole prefix of the sub-list reconstructed last; the dense join
-	// keeps its rows one short of it (see processDense).  Rows are added
-	// (and charged to Gov) as prefixes deepen — at most one per level.
-	memo       []*bitset.Bitset
-	memoPrefix []uint32
-	memoRows   int
+	u universe // the local universe of the p0 group being joined (local.go)
 
 	// The next level's store (see block.go): retained sub-lists are
 	// appended to sink as front-coded records.  The survivors of one join
@@ -95,25 +75,20 @@ type Builder struct {
 // NewBuilderMode returns a Builder generating into graph g's universe.
 // mode selects how retained sub-lists keep their prefix bitmaps; pool
 // supplies and recycles common-neighbor bitmaps and may be shared across
-// Builders (bitset.Pool is concurrency-safe).  A dense graph is detected
-// once here, so the hot generation loop branches on a nil check instead
-// of a per-pair interface dispatch.
+// Builders (bitset.Pool is concurrency-safe).
 func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder {
-	words := (g.N() + 63) / 64
-	dense, _ := g.(*graph.Graph)
-	_, compressed := g.(*graph.CompressedGraph)
-	return &Builder{
-		g:          g,
-		dense:      dense,
-		mode:       mode,
-		pool:       pool,
-		matRows:    compressed,
-		words:      words,
-		cnBytes:    words * 8,
-		scratch:    bitset.New(g.N()),
-		rowScratch: bitset.New(g.N()),
-		sink:       newBlockSink(nil),
+	b := &Builder{
+		mode:  mode,
+		pool:  pool,
+		words: (g.N() + 63) / 64,
+		u:     universe{g: g, p0: -1, rank: make([]int32, g.N())},
+		sink:  newBlockSink(nil),
 	}
+	for v := range b.u.rank {
+		b.u.rank[v] = -1
+	}
+	b.u.mark, b.u.admit = b.u.markVertex, b.u.admitVertex
+	return b
 }
 
 // Reset clears the builder for a new level, retaining scratch storage and
@@ -159,230 +134,115 @@ func (b *Builder) Open() int { return b.sink.pos - b.sink.lo }
 func (b *Builder) Abandon(mark int) { b.sink.abandon(mark, b.pool) }
 
 // ScratchBytes returns the resident footprint of the builder's private
-// scratch bitmaps right now — independent of any level's candidates.
-// Whoever adopts the builder charges it to the governor and releases it
-// (read again: the memo may have grown) when done; in between the
-// builder charges the memo rows it adds to Gov itself, so the charged
-// amount tracks ScratchBytes at every instant.
-func (b *Builder) ScratchBytes() int64 {
-	return (2 + int64(len(b.memo))) * int64(b.cnBytes) // scratch + rowScratch + memo rows
-}
-
-// prefixCN returns the common-neighbor bitmap of s.Prefix: the stored
-// one, or a reconstruction by ANDs over adjacency rows (the paper's
-// memory-saving alternative) from the memo.
-//
-//repro:hotpath
-func (b *Builder) prefixCN(s *SubList) *bitset.Bitset {
-	if s.CN != nil {
-		return s.CN
-	}
-	return b.memoRow(s, len(s.Prefix))
-}
-
-// memoRow returns the common-neighbor bitmap of the first depth vertices
-// of s.Prefix (nil for depth 0), rebuilding the memo rows the previous
-// sub-list does not share.  The reconstruction is memoised against the
-// previous sub-list: rows below the shared prefix length are reused, so
-// consecutive sorted sub-lists cost one or two ANDs instead of k-2.  The
-// shared length is the record's lcp where its source knows one; a run
-// start (lcp 0) is compared against the memo, which depends only on the
-// graph, so any processing order and any mix of depths is correct.
-//
-// Cost.ANDWords charges the reconstruction of the whole prefix, whatever
-// depth is asked for: that is the paper's abstract machine's work, and
-// a join that folds the last prefix row into its probes still does it,
-// once per probe word instead of once per sub-list.
-//
-//repro:hotpath
-func (b *Builder) memoRow(s *SubList, depth int) *bitset.Bitset {
-	p := s.Prefix
-	l := s.LCP
-	if l == 0 {
-		for l < len(p) && l < len(b.memoPrefix) && p[l] == b.memoPrefix[l] {
-			l++
-		}
-	}
-	if l < len(p) {
-		b.Cost.ANDWords += int64(len(p)-max(l, 1)) * int64(b.words) // row 0 is a copy, not an AND
-	}
-	if len(b.memo) < depth || cap(b.memoPrefix) < len(p) {
-		b.growMemo(depth, len(p))
-	}
-	valid := min(l, b.memoRows)
-	for i := valid; i < depth; i++ {
-		switch {
-		case i == 0 && b.dense != nil:
-			b.memo[0].CopyFrom(b.dense.Neighbors(int(p[0])))
-		case i == 0:
-			b.g.Materialize(int(p[0]), b.memo[0])
-		case b.dense != nil:
-			b.memo[i].And(b.memo[i-1], b.dense.Neighbors(int(p[i])))
-		default:
-			b.g.Row(int(p[i])).AndInto(b.memo[i], b.memo[i-1])
-		}
-	}
-	b.memoRows = max(depth, valid)
-	b.memoPrefix = b.memoPrefix[:len(p)]
-	copy(b.memoPrefix[l:], p[l:])
-	if depth == 0 {
-		return nil
-	}
-	return b.memo[depth-1]
-}
-
-// growMemo deepens the memo to rows rows and its prefix to hold plen
-// vertices; out of line so memoRow's rare growth stays off the
-// hotalloc-pinned path.
-//
-//nolint:budgetpair the rows are builder scratch: whoever adopted the builder releases them with ScratchBytes
-func (b *Builder) growMemo(rows, plen int) {
-	if cap(b.memoPrefix) < plen {
-		grown := make([]uint32, len(b.memoPrefix), plen)
-		copy(grown, b.memoPrefix)
-		b.memoPrefix = grown
-	}
-	for len(b.memo) < rows {
-		b.memo = append(b.memo, bitset.New(b.g.N()))
-		b.Gov.Charge(int64(b.cnBytes))
-	}
-}
+// scratch right now — the local universe: its rank table, rows and memo
+// (local.go) — independent of any level's candidates.  Whoever adopts
+// the builder charges it to the governor and releases it (read again:
+// the scratch may have grown) when done; in between the builder charges
+// what it adds to Gov itself, so the charged amount tracks ScratchBytes
+// at every instant.
+func (b *Builder) ScratchBytes() int64 { return b.u.bytes() }
 
 // ProcessSubList is the paper's GenerateKCliques inner loop for one
 // sub-list (Figure 3): it joins tail pairs into (k+1)-cliques, reports
 // maximal ones to r, and appends surviving candidate sub-lists to the
 // builder.  The input sub-list's bitmap is released back to the pool.
+// s must lie in N(p0), as every record of an in-core level does: the
+// kernel wrote it; a record from outside input goes through
+// ProcessRecord.
 //
 // Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
+	if err := b.ProcessRecord(s, r); err != nil {
+		panic(err)
+	}
+}
+
+// ProcessRecord is ProcessSubList for a record read from outside input:
+// one whose prefix vertex or tail lies outside N(p0) is an error, found
+// before the record emits or retains anything.
+//
+//repro:hotpath
+func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 	b.sink.carry = min(b.sink.carry, s.LCP)
-	if b.dense != nil {
-		b.processDense(s, r)
+	cn, ok := b.admitPrefix(s)
+	if !ok {
+		return outside(s)
+	}
+	if b.u.w == 1 {
+		b.joinWord(s, cn[0], r)
 	} else {
-		b.processGeneric(s, b.prefixCN(s), r)
+		b.joinWords(s, cn, r)
 	}
 	s.takeCN(b.pool)
+	return nil
 }
 
-// processDense is the inner loop over the dense bitmap backend: direct
-// row pointers and fused AND-any probes.  Without a stored bitmap the
-// prefix's common neighbours are never materialized: the probe ANDs the
-// memo row of the prefix without its last vertex x with N(x) on the fly,
-// so a sub-list whose prefix differs from its predecessor's in x alone —
-// every sibling of a run — rebuilds no row at all.  Survivors accumulate
-// in the builder's tail scratch; keep appends them to the level store
-// only when the sub-list is retained.
+// joinWord is the join over a one-word universe (deg p0 <= 64, every
+// group of the paper's graphs): for each tail v, CN(prefix+v) is one
+// word, and the pair test and the maximality probe one AND each.  The
+// probe for (prefix, v, u) is CN(prefix+v) ∩ N(u) = ∅ — the paper's
+// BitOneExists over N(p0), where every common neighbour lies.  Cost
+// charges the paper's machine: ⌈n/64⌉ words an AND and a probe.
 //
 //repro:hotpath
-func (b *Builder) processDense(s *SubList, r clique.Reporter) {
-	// The probe's prefix operands: base ∩ nx is CN(prefix), nx nil when
-	// base is all of it — a stored bitmap, or N(x) for a one-vertex prefix.
-	var nx *bitset.Bitset
-	base := s.CN
-	if base == nil {
-		p := s.Prefix
-		nx = b.dense.Neighbors(int(p[len(p)-1]))
-		if base = b.memoRow(s, len(p)-1); base == nil {
-			base, nx = nx, nil
-		}
-	}
-	tails := s.Tails
-	for i := 0; i < len(tails)-1; i++ {
-		v := int(tails[i])
-		nv := b.dense.Neighbors(v)
-		// CN(prefix+v) is needed only if this sub-list survives into the
-		// next level: the maximality probes run fused over (base, nx, nv,
-		// N(u)) without it, so the materialize is deferred to keepLazy.
-		// The cost model still charges the AND — it is the work the
-		// paper's abstract machine performs for this join.
+func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
+	rows, lt, tails := b.u.rows, b.u.lt, s.Tails
+	for i := 0; i < len(lt)-1; i++ {
+		rv := rows[lt[i]]
+		cv := cn & rv
 		b.Cost.ANDWords += int64(b.words)
-
+		b.Cost.Pairs += int64(len(lt) - 1 - i)
 		b.tailScratch = b.tailScratch[:0]
-		for j := i + 1; j < len(tails); j++ {
-			u := int(tails[j])
-			b.Cost.Pairs++
-			if !nv.Test(u) {
-				continue
-			}
-			// (prefix, v, u) is a (k+1)-clique; it is maximal iff
-			// CN(prefix+v) ∩ N(u) is empty.
-			b.Cost.Probes += int64(b.words)
-			b.Cost.Generated++
-			var alive bool
-			if nx == nil {
-				alive = bitset.AndAny3(base, nv, b.dense.Neighbors(u))
-			} else {
-				alive = bitset.AndAny4(base, nx, nv, b.dense.Neighbors(u))
-			}
-			if alive {
-				b.tailScratch = append(b.tailScratch, uint32(u))
-			} else {
-				b.emitMaximal(s.Prefix, v, u, r)
-			}
-		}
-		b.keepLazy(s.Prefix, v, b.tailScratch, base, nx, nv)
-	}
-}
-
-// processGeneric is the same join over the representation-independent
-// row contract: adjacency tests and maximality probes run on the rows'
-// native encodings (CSR: neighbor-list walks and binary searches; WAH:
-// compressed-stream walks), so no graph row is densified per pair.
-//
-//repro:hotpath
-func (b *Builder) processGeneric(s *SubList, prefixCN *bitset.Bitset, r clique.Reporter) {
-	tails := s.Tails
-	for i := 0; i < len(tails)-1; i++ {
-		v := int(tails[i])
-		rv := b.g.Row(v)
-		var nv *bitset.Bitset
-		if b.matRows && len(tails)-i > 8 {
-			// Expensive-Test rows (WAH): when enough pairs remain,
-			// densify N(v) once so the per-pair adjacency probe is O(1)
-			// instead of a compressed-stream walk per pair.  Short tail
-			// runs stay on the direct probe — one decompression would
-			// cost more than the few probes it saves.  CN(prefix+v) is
-			// not materialized here: the probes run fused over
-			// (prefixCN, nv) against u's compressed row, and keepLazy
-			// materializes only if the sub-list survives.
-			b.g.Materialize(v, b.rowScratch)
-			nv = b.rowScratch
-		} else {
-			// Common neighbors of the k-clique prefix+v.
-			rv.AndInto(b.scratch, prefixCN)
-		}
-		b.Cost.ANDWords += int64(b.words)
-
-		b.tailScratch = b.tailScratch[:0]
-		for j := i + 1; j < len(tails); j++ {
-			u := int(tails[j])
-			b.Cost.Pairs++
-			if nv != nil {
-				if !nv.Test(u) {
-					continue
-				}
-			} else if !rv.Test(u) {
+		for j := i + 1; j < len(lt); j++ {
+			lu := lt[j]
+			if rv&(1<<(lu&63)) == 0 {
 				continue
 			}
 			b.Cost.Probes += int64(b.words)
 			b.Cost.Generated++
-			var alive bool
-			if nv != nil {
-				alive = b.g.Row(u).AndAnyWith(prefixCN, nv)
+			if cv&rows[lu] != 0 {
+				b.tailScratch = append(b.tailScratch, tails[j])
 			} else {
-				alive = b.g.Row(u).IntersectsWith(b.scratch)
+				b.emitMaximal(s.Prefix, int(tails[i]), int(tails[j]), r)
+			}
+		}
+		b.u.cv[0] = cv
+		b.keep(s.Prefix, int(tails[i]), b.tailScratch)
+	}
+}
+
+// joinWords is joinWord over a universe of w > 1 words.
+//
+//repro:hotpath
+func (b *Builder) joinWords(s *SubList, cn []uint64, r clique.Reporter) {
+	w, rows, lt, tails := b.u.w, b.u.rows, b.u.lt, s.Tails
+	cv := b.u.cv[:w]
+	for i := 0; i < len(lt)-1; i++ {
+		rv := rows[int(lt[i])*w : int(lt[i]+1)*w]
+		for x := range cv {
+			cv[x] = cn[x] & rv[x]
+		}
+		b.Cost.ANDWords += int64(b.words)
+		b.Cost.Pairs += int64(len(lt) - 1 - i)
+		b.tailScratch = b.tailScratch[:0]
+		for j := i + 1; j < len(lt); j++ {
+			lu := lt[j]
+			if rv[lu>>6]&(1<<(lu&63)) == 0 {
+				continue
+			}
+			b.Cost.Probes += int64(b.words)
+			b.Cost.Generated++
+			ru, alive := rows[int(lu)*w:int(lu+1)*w], false
+			for x := 0; x < w && !alive; x++ {
+				alive = cv[x]&ru[x] != 0
 			}
 			if alive {
-				b.tailScratch = append(b.tailScratch, uint32(u))
+				b.tailScratch = append(b.tailScratch, tails[j])
 			} else {
-				b.emitMaximal(s.Prefix, v, u, r)
+				b.emitMaximal(s.Prefix, int(tails[i]), int(tails[j]), r)
 			}
 		}
-		if nv != nil {
-			b.keepLazy(s.Prefix, v, b.tailScratch, prefixCN, nil, nv)
-		} else {
-			b.keep(s.Prefix, v, b.tailScratch)
-		}
+		b.keep(s.Prefix, int(tails[i]), b.tailScratch)
 	}
 }
 
@@ -401,28 +261,10 @@ func (b *Builder) emitMaximal(prefix []uint32, v, u int, r clique.Reporter) {
 	}
 }
 
-// keepLazy is keep for the fused join paths, which skip the CN(prefix+v)
-// materialize during probing: it performs the deferred scratch = base
-// AND nx AND nv (nx nil: base alone is CN(prefix)) only when keep will
-// actually consume scratch — a retained sub-list in a CN-carrying mode.
-// Recompute mode never touches scratch, and the |S| <= 1 cases retain
-// nothing, so most joins never pay the materialize at all.
-//
-//repro:hotpath
-func (b *Builder) keepLazy(prefix []uint32, v int, newTails []uint32, base, nx, nv *bitset.Bitset) {
-	if len(newTails) > 1 && b.mode != CNRecompute {
-		b.scratch.And(base, nv)
-		if nx != nil {
-			b.scratch.And(b.scratch, nx)
-		}
-	}
-	b.keep(prefix, v, newTails)
-}
-
 // keep retains the surviving candidate sub-list (prefix+v with the given
-// tails) whose common-neighbor bitmap is b.scratch, applying the paper's
-// |S_{k+1}| > 1 rule.  newTails may alias the builder's tail scratch: the
-// sink copies it.
+// tails) whose common-neighbor row over N(p0) is b.u.cv, applying the
+// paper's |S_{k+1}| > 1 rule.  newTails may alias the builder's tail
+// scratch: the sink copies it.
 //
 //repro:hotpath
 func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
@@ -430,8 +272,7 @@ func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
 	case len(newTails) > 1:
 		var cn *bitset.Bitset
 		if b.mode == CNStore {
-			cn = b.pool.GetNoClear()
-			cn.CopyFrom(b.scratch)
+			cn = b.scatter()
 		}
 		b.sink.append(prefix, uint32(v), newTails, cn)
 		b.Kept++

@@ -19,6 +19,13 @@
 //     set (BitOneExists).  Maximal cliques are reported immediately;
 //     non-maximal ones become next-level candidates only if their
 //     sub-list retains more than one clique.
+//   - Every vertex a sub-list can reach — its tails, every clique that
+//     extends it, every common neighbour — lies in N(p0), p0 its
+//     prefix's first vertex, and sub-lists that share p0 are contiguous.
+//     So the one join kernel (Builder.ProcessSubList) runs those ANDs on
+//     the rows of G[N(p0)], ⌈deg(p0)/64⌉ words instead of ⌈n/64⌉, built
+//     once per p0 group whatever the graph's representation (local.go).
+//     Cost still charges ⌈n/64⌉ words a row, the paper's machine.
 //   - A level is released at its step boundary, once the whole next
 //     level has been generated from it, so two levels are resident at the
 //     peak — the paper's "keeps only the candidate k-cliques" memory
@@ -67,8 +74,10 @@ type SubList struct {
 	// CN is the common-neighbor bitmap of Prefix over the graph's vertex
 	// universe, held only by sub-lists created in CNStore mode (the
 	// paper's "faster but keeps the common neighbors" choice).  In the
-	// default CNRecompute mode it is nil and Builder.prefixCN rebuilds it.
-	// A level may mix the two, block by block.
+	// default CNRecompute mode it is nil.  The join never reads its bits:
+	// it rebuilds the prefix's row over N(p0) from its memo (local.go) in
+	// either mode, and Cost charges the rebuild only where CN is nil.  A
+	// level may mix the two, block by block.
 	CN *bitset.Bitset
 
 	slot **bitset.Bitset // where the block keeps CN, so consuming it clears the block's copy
@@ -95,7 +104,7 @@ func (s *SubList) takeCN(pool *bitset.Pool) {
 type CNMode = enumcfg.CNMode
 
 const (
-	// CNRecompute (the zero value) keeps no bitmap: prefixCN rebuilds it,
+	// CNRecompute (the zero value) keeps no bitmap: the join rebuilds it,
 	// memoised against the previous sub-list.
 	CNRecompute = enumcfg.CNRecompute
 	// CNStore keeps the dense bitmap per sub-list (the paper's choice).

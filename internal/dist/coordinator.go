@@ -321,8 +321,9 @@ func (c *coordinator) handleEvent(ev event) error {
 			c.table.Extend(ws.lease.ID, now)
 		}
 	case MsgResult:
-		// The joiner's scratch deepens with the level (one prefix-memo
-		// bitmap per level); the reservation follows it.
+		// The joiner's scratch grows with the level (one memo row per
+		// prefix vertex) and the widest p0 group; the reservation follows
+		// it.
 		if err := c.reserveScratch(ws, ev.msg.ScratchBytes); err != nil {
 			return err
 		}

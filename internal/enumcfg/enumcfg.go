@@ -34,15 +34,17 @@ const (
 	// bitmap with a sub-list and rebuilds it when the sub-list is joined
 	// ("requires no more memory but will perform bitwise AND operations
 	// on the same bit strings repeatedly").  The rebuild is memoised
-	// against the sub-list joined just before (core.Builder.prefixCN):
+	// against the sub-list joined just before, in the local rows of the
+	// prefix's first vertex's neighbourhood (core/local.go):
 	// canonical-order neighbours share all but one or two prefix
 	// vertices, so it costs one or two row ANDs, not k-2 — the kernel
 	// the on-disk regimes run, and the smallest resident level.
 	CNRecompute CNMode = iota
 	// CNStore keeps the dense bitmap per sub-list (the paper's choice:
 	// "faster but requires keeping the common neighbors") — n/8 bytes
-	// more per sub-list; it buys time back on CSR and WAH rows, where a
-	// rebuild step is a Row.AndInto instead of a word AND.
+	// more per sub-list.  The join rebuilds the prefix's row from its
+	// memo in either mode, so here the policy buys no time: it is kept
+	// for the paper's trade-off and its footprint (Figure 9).
 	CNStore
 )
 

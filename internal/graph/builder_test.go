@@ -138,8 +138,9 @@ func TestBuilderNamesAndEmptyRows(t *testing.T) {
 		if g.M() != 0 || g.Degree(0) != 0 {
 			t.Errorf("%v: edgeless graph wrong", rep)
 		}
-		if g.Row(0).Count() != 0 {
-			t.Errorf("%v: empty row non-empty", rep)
-		}
+		g.Row(0).ForEach(func(u int) bool {
+			t.Errorf("%v: empty row holds %d", rep, u)
+			return false
+		})
 	}
 }

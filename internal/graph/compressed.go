@@ -118,15 +118,6 @@ type wahRow struct {
 
 var _ bitset.Reader = (*wahRow)(nil)
 
-// Len returns the universe size.
-func (r *wahRow) Len() int { return r.bm.Len() }
-
-// Count returns the row's degree.
-func (r *wahRow) Count() int { return r.deg }
-
-// Test probes the compressed stream: O(compressed words).
-func (r *wahRow) Test(i int) bool { return r.bm.Test(i) }
-
 // ForEach visits the neighbors in increasing order on the compressed
 // stream.
 func (r *wahRow) ForEach(fn func(i int) bool) { r.bm.ForEach(fn) }
@@ -137,14 +128,6 @@ func (r *wahRow) ForEach(fn func(i int) bool) { r.bm.ForEach(fn) }
 //repro:hotpath
 func (r *wahRow) IntersectsWith(o *bitset.Bitset) bool {
 	return r.bm.AndAnyDense(o)
-}
-
-// AndAnyWith reports whether row ∩ x ∩ o is non-empty on the compressed
-// stream: the fused three-way maximality probe.
-//
-//repro:hotpath
-func (r *wahRow) AndAnyWith(x, o *bitset.Bitset) bool {
-	return r.bm.AndAnyDense2(x, o)
 }
 
 // AndCount returns |row ∩ o| by walking the compressed stream.
@@ -159,13 +142,11 @@ func (r *wahRow) AndCount(o *bitset.Bitset) int {
 	return c
 }
 
-// AndInto overwrites dst with row ∩ o, decompressing into pooled
-// scratch.  dst must not alias o.
+// AndInto overwrites dst with row ∩ o, decompressing into dst.  dst must
+// not alias o.
 func (r *wahRow) AndInto(dst, o *bitset.Bitset) {
-	scratch := r.g.pool.GetNoClear()
-	r.bm.DecompressInto(scratch)
-	dst.And(scratch, o)
-	r.g.pool.Put(scratch)
+	r.bm.DecompressInto(dst)
+	dst.And(dst, o)
 }
 
 // IntersectInto replaces dst with dst ∩ row in place, decompressing into

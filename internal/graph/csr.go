@@ -135,15 +135,9 @@ type csrRow struct {
 
 var _ bitset.Reader = (*csrRow)(nil)
 
-// Len returns the universe size.
-func (r *csrRow) Len() int { return r.n }
-
-// Count returns the row's degree.
-func (r *csrRow) Count() int { return len(r.cols) }
-
-// Test reports membership via binary search: O(log degree).  Out-of-
-// range indices panic with the same diagnostic as the dense and WAH
-// rows, so a caller bug fails identically on every backend.
+// Test reports membership via binary search: O(log degree) — HasEdge's
+// probe.  Out-of-range indices panic with the same diagnostic as the
+// dense rows, so a caller bug fails identically on every backend.
 //
 //repro:hotpath
 func (r *csrRow) Test(i int) bool {
@@ -195,22 +189,6 @@ func (r *csrRow) IntersectsWith(o *bitset.Bitset) bool {
 	r.mustMatchUniverse(o)
 	for _, u := range r.cols {
 		if o.WordAt(int(u)>>6)&(1<<(u&63)) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// AndAnyWith reports whether row ∩ x ∩ o is non-empty: a merged walk of
-// the neighbor list against both dense operands, one word probe each,
-// early-exiting on the first common member.
-//
-//repro:hotpath
-func (r *csrRow) AndAnyWith(x, o *bitset.Bitset) bool {
-	r.mustMatchUniverse(x)
-	r.mustMatchUniverse(o)
-	for _, u := range r.cols {
-		if x.WordAt(int(u)>>6)&o.WordAt(int(u)>>6)&(1<<(u&63)) != 0 {
 			return true
 		}
 	}

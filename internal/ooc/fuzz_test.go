@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // FuzzShardDecode feeds arbitrary shard payloads to the run decoder, for
@@ -22,7 +24,9 @@ import (
 // — the same either way — and never a panic or a read past the data.
 // The on-disk join's decoder packs the same runs into level blocks; the
 // records those blocks hold must be ShardReader.Next's, at any block
-// size, or both must fail.
+// size, or both must fail.  Whatever decodes is then joined over a fixed
+// graph by a worker's kernel: a record that leaves N(p0) of its prefix
+// must fail the join with an error, and nothing may panic.
 func FuzzShardDecode(f *testing.F) {
 	// The lcp that used to wrap negative and panic the prefix copy.
 	f.Add(append([]byte{0, 1, 1, 1}, append(bytes.Repeat([]byte{0x80}, 9), 1, 1, 1, 1)...), true, uint8(3), uint16(100), uint16(2))
@@ -63,6 +67,13 @@ func FuzzShardDecode(f *testing.F) {
 			f.Add(payload, g.compress, uint8(2), uint16(400), records)
 		}
 	}
+
+	// The join's graph: every vertex a decode accepts, the golden corpus's
+	// seven as a clique, so its records reach the join, over a G(n, p)
+	// background where an arbitrary record mostly leaves N(p0).
+	joinGraph := graph.RandomGNP(rand.New(rand.NewSource(29)), 500, 0.3)
+	graph.PlantClique(joinGraph, []int{0, 2, 3, 9, 140, 141, 400})
+	joiner := NewJoiner(joinGraph)
 
 	f.Fuzz(func(t *testing.T, payload []byte, compress bool, kIn uint8, nIn, records uint16) {
 		k := 2 + int(kIn)%5
@@ -121,7 +132,37 @@ func FuzzShardDecode(f *testing.F) {
 				t.Fatalf("records %d, %d out of sorted order: %v, %v", i-1, i, whole[i-1], rec)
 			}
 		}
+		if err := joinBytes(joiner, data, meta, k, compress); err != nil && !strings.Contains(err.Error(), "outside N(") {
+			t.Fatalf("a decoded shard failed its join: %v", err)
+		}
 	})
+}
+
+// joinBytes joins a shard's records over the joiner's graph as a worker
+// does, its output dropped: an error, or a join.
+func joinBytes(j *Joiner, data []byte, meta ShardMeta, k int, compress bool) error {
+	r, err := OpenShardBytes(data, meta, k, j.g.N(), compress)
+	if err != nil {
+		return err
+	}
+	var st JoinStats
+	drop := func([]core.Block) (bool, error) { return true, nil }
+	br := blockReader{r: r}
+	buf := make([]uint32, core.MaxBlockBytes/4)
+	j.b.Reset()
+	j.mark = 0
+	for {
+		var blk core.Block
+		if blk, buf, err = br.next(buf); err != nil {
+			return err
+		}
+		if len(blk.Words()) == 0 {
+			return j.flush(&st, drop)
+		}
+		if err := j.joinBlock(&blk, k, len(buf), &st, &st, drop); err != nil {
+			return err
+		}
+	}
 }
 
 // decodeBlocks packs a shard's runs into blocks of words words the way

@@ -47,11 +47,13 @@ func (s *JoinStats) Emit(c clique.Clique) {
 }
 
 // Joiner owns the per-worker state of the shard join: the join kernel —
-// a core.Builder that rebuilds each record's prefix bitmap from its memo
-// of the record before, applies the paper's |S| > 1 rule (so a level on
-// disk holds exactly the cliques the in-core level would) and seals the
-// survivors into blocks — and reports maximal cliques.  It is not safe
-// for concurrent use; give each worker its own.
+// a core.Builder that rebuilds each record's prefix row over N(p0) from
+// its memo of the record before, applies the paper's |S| > 1 rule (so a
+// level on disk holds exactly the cliques the in-core level would) and
+// seals the survivors into blocks — and reports maximal cliques.  A
+// record outside N(p0), which only a damaged or forged shard holds,
+// fails its shard.  It is not safe for concurrent use; give each worker
+// its own.
 type Joiner struct {
 	g    graph.Interface
 	b    *core.Builder
@@ -71,7 +73,7 @@ func NewJoiner(g graph.Interface) *Joiner {
 // ScratchBytes reports the joiner's resident bitmap footprint right now
 // — what a coordinator reserves against its governor on the worker's
 // behalf, so one budget authority still sees every process's scratch.
-// It grows by one bitmap (a prefix-memo row) per level joined.
+// It grows with the widest p0 group and the deepest prefix joined.
 func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 
 // ShardJob is the work order for one shard join: the input shard In of

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -191,6 +192,51 @@ func TestOneKernelThreeSinks(t *testing.T) {
 						}
 					}
 					lvl = next
+				}
+			})
+		}
+	}
+}
+
+// TestJoinRejectsRecordsOutsideTheirUniverse: a shard file is outside
+// input, and a well-formed record in one can name a prefix vertex or a
+// tail that is no neighbour of its prefix's first vertex p0 — a record
+// no join writes.  The joiner must fail that shard with an error, not
+// index the kernel's universe with it.  The good record before the bad
+// one joins as usual; the shard as a whole fails.
+func TestJoinRejectsRecordsOutsideTheirUniverse(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 4}, {0, 5}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}, {3, 5}} {
+		g.AddEdge(e[0], e[1])
+	}
+	for _, c := range []struct {
+		name string
+		runs []prefixRun
+	}{
+		{"tail", []prefixRun{{[]uint32{0, 1}, []uint32{2, 3}}}},                                     // 3 is no neighbour of 0
+		{"prefix", []prefixRun{{[]uint32{0, 1}, []uint32{2, 4}}, {[]uint32{0, 3}, []uint32{4, 5}}}}, // nor here
+	} {
+		for _, compress := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/compress=%v", c.name, compress), func(t *testing.T) {
+				dir, seq := t.TempDir(), 0
+				in, err := WriteLevel(dir, 3, compress, 1<<20, nil, shardNamer(&seq, 3), noAccount,
+					func(write func(prefix, tails []uint32) error) error {
+						for _, r := range c.runs {
+							if err := write(r.prefix, r.tails); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+				if err != nil || len(in) != 1 {
+					t.Fatalf("writing the shard: %v (%d shards)", err, len(in))
+				}
+				res, err := NewJoiner(g).Join(context.Background(), &ShardJob{
+					Dir: dir, K: 3, In: in[0], Compress: compress, Target: 256, Collect: true, Buf: minBuf,
+					NewShard: shardNamer(&seq, 4), OnWrite: noAccount,
+				})
+				if err == nil || !strings.Contains(err.Error(), "outside N(0)") {
+					t.Fatalf("joined a shard with a record outside N(0): err %v, result %+v", err, res)
 				}
 			})
 		}

@@ -17,7 +17,7 @@ import (
 //     each through a window and packs its prefix runs into blocks of the
 //     in-core level's record shape;
 //   - join: the calling goroutine runs the in-core kernel over those
-//     blocks — core.Iter, Builder.ProcessSubList, Mark/Since — exactly as
+//     blocks — core.Iter, Builder.ProcessRecord, Mark/Since — exactly as
 //     a pool worker does over a level in memory;
 //   - write-behind: a goroutine encodes the sealed output blocks with the
 //     run codec into run-aligned shard files and closes them, and only
@@ -225,7 +225,9 @@ func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, s
 	it, b := &j.it, j.b
 	it.Reset(k, blk)
 	for s := it.Next(); s != nil; s = it.Next() {
-		b.ProcessSubList(s, rep)
+		if err := b.ProcessRecord(s, rep); err != nil {
+			return fmt.Errorf("ooc: shard of %d-cliques: %w", k, err)
+		}
 		if b.Mark() > j.mark || b.Open() >= batch {
 			if err := j.flush(st, emit); err != nil {
 				return err

@@ -37,10 +37,10 @@ func (p *pool) start() {
 			jobs: make(chan *levelJob, 1),
 			join: NewJoiner(p.g),
 		}
-		// Per-worker bitmap scratch is resident for the whole run; the
-		// governor hears about it like any other layer's footprint: what
-		// the joiner holds now is charged here, the memo rows it adds
-		// later by its builder.
+		// Per-worker scratch is resident for the whole run; the governor
+		// hears about it like any other layer's footprint: what the joiner
+		// holds now is charged here, what its local universe adds later by
+		// its builder.
 		w.join.b.Gov = p.gov
 		p.gov.Charge(w.join.ScratchBytes())
 		p.workers[i] = w

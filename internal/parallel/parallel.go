@@ -406,7 +406,7 @@ func (m *merger) release(_ int, r *blockResult) {
 // blocks (charged at seal time) are released and their bitmaps recycled,
 // buffered emission copies are released.  The corresponding inputs become
 // plain input again — the builders already returned their CN bitmaps, and
-// prefixCN reconstruction covers a re-join.
+// the join rebuilds a prefix's common neighbours from its memo in any case.
 func (m *merger) discardPending() {
 	m.seq.DrainPending(func(_ int, r *blockResult) {
 		m.gov.Release(8 * int64(len(r.verts)))

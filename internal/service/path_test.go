@@ -119,9 +119,14 @@ func TestRequestPath(t *testing.T) {
 		textCT   = "text/plain; charset=utf-8"
 		ndjsonCT = "application/x-ndjson"
 
-		// peak_bytes was 104 while the dense join kept a memo row for the
-		// whole prefix; it keeps one one-word row fewer now.
-		fives       = "{\"size\":5,\"vertices\":[3,4,5,6,7]}\n{\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n{\"size\":6,\"vertices\":[1,2,3,4,5,7]}\n{\"done\":true,\"count\":3,\"max_size\":6,\"backend\":\"sequential\",\"peak_bytes\":96,\"elapsed_ms\":0}\n"
+		// peak_bytes is the 56-byte seed level of 5-cliques beside the
+		// join's scratch, the local universe of its largest p0 group
+		// (local.go): the rank table, 4 x 60 = 240, N(p0) of degree 12
+		// and its one-word rows, 4 x 12 + 8 x 12 = 144, CN(prefix+v) 8
+		// and a one-word memo row for each of the 4 prefix vertices, 32 —
+		// 424, so 480.  It was 96 while the join ran on 60-bit global rows
+		// (two scratch bitmaps and three memo rows, 40).
+		fives       = "{\"size\":5,\"vertices\":[3,4,5,6,7]}\n{\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n{\"size\":6,\"vertices\":[1,2,3,4,5,7]}\n{\"done\":true,\"count\":3,\"max_size\":6,\"backend\":\"sequential\",\"peak_bytes\":480,\"elapsed_ms\":0}\n"
 		maxClique   = "{\"elapsed_ms\":0,\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n"
 		paracliques = "{\"count\":3,\"paracliques\":[{\"vertices\":[0,1,2,3,4,5],\"core_size\":6,\"density\":1},{\"vertices\":[16,22,24,31],\"core_size\":4,\"density\":1},{\"vertices\":[30,33,45,52],\"core_size\":4,\"density\":1}]}\n"
 		timedOut    = "{\"error\":\"service: timed out waiting for memory headroom\"}\n"
@@ -172,11 +177,14 @@ func TestRequestPath(t *testing.T) {
 		{name: "cliques/disconnect", upload: big, path: "cliques?format=text", partial: 256,
 			want: reply{200, "miss", "67110784", "", textCT, bigText[:256]}},
 		// mem=1 is raised to the graph's bytes + 1: level 3 -> 4 trips it,
-		// after the maximal 3-cliques are out.
+		// after the maximal 3-cliques are out.  The in-band error reports
+		// a peak of the 20 408-byte seed level and the join's scratch at
+		// adoption, the rank table 4 x 120: 20 888 (20 440 beside the two
+		// 120-bit scratch bitmaps of the global join).
 		{name: "cliques/budget-trip", upload: big, path: "cliques?format=text&mem=1",
 			want: reply{200, "miss", "1921", "", textCT, threes(bigText)}},
 		{name: "cliques/ndjson-budget-trip", upload: big, path: "cliques?mem=1", // ends with the in-band {"error":...} record
-			want: reply{200, "miss", "1921", "", ndjsonCT, ""}, bodyFNV: 0xf5019e0e1929399d},
+			want: reply{200, "miss", "1921", "", ndjsonCT, ""}, bodyFNV: 0xd6ca81fcdd64ad1d},
 		// Refused while parsed: no registry reference, no reservation.
 		{name: "cliques/bad-bounds", upload: small, path: "cliques?lo=-1",
 			want: reply{400, "", "", "", jsonCT, badBounds}},
@@ -184,10 +192,12 @@ func TestRequestPath(t *testing.T) {
 			want: reply{400, "", "", "", jsonCT, "{\"error\":\"enumcfg: Hi 3 \\u003c Lo 5\"}\n"}},
 		// Seeded from the edges, the run holds its whole 2-clique level
 		// against a budget of the graph's bytes + 1 and trips before its
-		// first 3-clique is out: the status still says so.
+		// first 3-clique is out: the status still says so.  The peak is
+		// the 1 496-byte level and the rank table, 4 x 60 (1 512 beside
+		// the two 60-bit scratch bitmaps of the global join).
 		{name: "cliques/fails-before-first-byte", upload: small, path: "cliques?lo=2&mem=1&format=text",
 			want: reply{507, "miss", "481", "", jsonCT,
-				"{\"error\":\"hybrid: level 2-\\u003e3: memory budget exceeded: peak 1512 bytes resident \\u003e budget 481\"}\n"}},
+				"{\"error\":\"hybrid: level 2-\\u003e3: memory budget exceeded: peak 1736 bytes resident \\u003e budget 481\"}\n"}},
 		// Small cliques come from the seed at any width.
 		{name: "cliques/small-workers", upload: small, path: "cliques?lo=1&small=1&workers=2&format=text",
 			want: reply{200, "miss", "67109344", "", textCT, smallOnes}},

@@ -301,36 +301,6 @@ func (b *Bitmap) AndAnyDense(o *bitset.Bitset) bool {
 	return false
 }
 
-// AndAnyDense2 reports whether b ∩ x ∩ o is non-empty in one pass over
-// the compressed stream — the three-way maximality probe with both the
-// decode and the candidate-intersection materialize fused away.
-//
-//repro:hotpath
-func (b *Bitmap) AndAnyDense2(x, o *bitset.Bitset) bool {
-	if x.Len() != b.n {
-		panicOperandUniverse(x.Len(), b.n)
-	}
-	if o.Len() != b.n {
-		panicOperandUniverse(o.Len(), b.n)
-	}
-	gi := 0
-	for _, w := range b.words {
-		if w&flagBit != 0 {
-			run := int(w & countMask)
-			if w&fillBit != 0 && bitset.RangeAndAny(x, o, gi*groupBits, (gi+run)*groupBits) {
-				return true
-			}
-			gi += run
-			continue
-		}
-		if w&litMask&extractGroup(x, gi)&extractGroup(o, gi) != 0 {
-			return true
-		}
-		gi++
-	}
-	return false
-}
-
 // decoder walks a WAH word stream group-by-group without materializing.
 type decoder struct {
 	words []uint64
