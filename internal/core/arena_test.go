@@ -77,7 +77,7 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 	// The local universe and its memo are builder scratch, not level
 	// storage: grown up front and uncharged, the ledger below sees blocks
 	// only.
-	b.grow(g.N(), g.N())
+	b.grow(g.N(), g.N(), g.N())
 
 	run := func() (peak int64) {
 		gov := membudget.New(0) // unlimited: observe, never trip

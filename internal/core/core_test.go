@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/kose"
+	"repro/internal/membudget"
 )
 
 // maximalAtLeast filters brute-force maximal cliques by a size floor.
@@ -347,8 +348,9 @@ func TestDroppedSingletonAccounting(t *testing.T) {
 
 // TestProcessRecordOutsideUniverse: a record whose prefix vertex or tail
 // is no neighbour of its first vertex p0 — which only outside input can
-// hold — is an error before it emits, retains or drops anything, on every
-// representation, and the builder joins the next good record as usual.
+// hold — is an error before it emits, retains, drops or counts anything,
+// on every representation, and the builder joins the next good record as
+// usual.
 func TestProcessRecordOutsideUniverse(t *testing.T) {
 	dense := graph.New(6)
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 4}, {0, 5}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}, {3, 5}} {
@@ -363,15 +365,17 @@ func TestProcessRecordOutsideUniverse(t *testing.T) {
 			b := core.NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 			var got clique.Collector
 			for _, bad := range []core.SubList{
-				{Prefix: []uint32{0, 1}, Tails: []uint32{2, 3, 4}}, // tail 3 is no neighbour of 0
-				{Prefix: []uint32{0, 3}, Tails: []uint32{4, 5}},    // nor prefix vertex 3
+				{Prefix: []uint32{0, 1}, Tails: []uint32{2, 3, 4}},       // tail 3 is no neighbour of 0
+				{Prefix: []uint32{0, 3}, Tails: []uint32{4, 5}},          // nor prefix vertex 3
+				{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4, 2, 4, 2}}, // more tails than N(0) has vertices
 			} {
 				if err := b.ProcessRecord(&bad, &got); err == nil || !strings.Contains(err.Error(), "outside N(0)") {
 					t.Fatalf("%v mode %d: record %v|%v joined: %v", rep, mode, bad.Prefix, bad.Tails, err)
 				}
 			}
-			if len(got.Cliques) != 0 || b.Maximal != 0 || b.Kept != 0 || b.Dropped != 0 {
-				t.Fatalf("%v mode %d: rejected records emitted %v, kept %d, dropped %d", rep, mode, got.Cliques, b.Kept, b.Dropped)
+			if len(got.Cliques) != 0 || b.Maximal != 0 || b.Kept != 0 || b.Dropped != 0 || b.Cost != (core.Cost{}) {
+				t.Fatalf("%v mode %d: rejected records emitted %v, kept %d, dropped %d, cost %+v",
+					rep, mode, got.Cliques, b.Kept, b.Dropped, b.Cost)
 			}
 			// {0,1,2,4} is maximal: 3 is adjacent to 1, 2 and 4, not to 0.
 			if err := b.ProcessRecord(&core.SubList{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4}}, &got); err != nil {
@@ -381,5 +385,61 @@ func TestProcessRecordOutsideUniverse(t *testing.T) {
 				t.Fatalf("%v mode %d: emitted %v, want [0 1 2 4]", rep, mode, got.Cliques)
 			}
 		}
+	}
+}
+
+// TestUniverseBuildsTouchedRowsOnly: a group builds the rows of the
+// vertices its sub-lists touch, not all of G[N(p0)].  The hub of degree
+// 1 110 comes late in the order: its group touches only the ten
+// neighbours after it, so the scratch stays far below the 1 110 rows of
+// 18 words that G[N(hub)] would take, and once the levels are released
+// the governor holds exactly what the scratch grew by.
+func TestUniverseBuildsTouchedRowsOnly(t *testing.T) {
+	const n, hub = 1200, 1100
+	rng := rand.New(rand.NewSource(363))
+	g := graph.RandomGNP(rng, n, 0.005)
+	for v := range hub {
+		g.AddEdge(hub, v)
+	}
+	graph.PlantClique(g, []int{1100, 1101, 1102, 1103, 1104, 1105, 1106, 1107, 1108, 1109, 1110})
+	d, w := g.Degree(hub), int64(g.Degree(hub)+63)/64
+	if d < 1110 {
+		t.Fatalf("hub degree %d", d)
+	}
+
+	var got clique.Collector
+	lvl, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, 1, false, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := membudget.New(0)
+	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	b.Gov = gov
+	base := b.ScratchBytes()
+	for seeded := true; lvl.Sublists() > 0; seeded = false {
+		var st core.LevelStats
+		lvl, st = core.Step(g, lvl, &got, b)
+		if !seeded {
+			gov.Release(st.Bytes) // the builder charged the level it consumed
+		}
+	}
+	gov.Release(lvl.Bytes())
+	want := 0
+	for _, c := range bk.MaximalCliques(g, bk.Improved) {
+		if len(c) >= 3 {
+			want++
+		}
+	}
+	if len(got.Cliques) != want {
+		t.Fatalf("%d maximal cliques, want %d", len(got.Cliques), want)
+	}
+	// Beside the rank table and three d-entry index arrays, the rows take
+	// what the widest group touched: far fewer than d rows of w words.
+	fixed := 4*int64(n) + 3*4*int64(d)
+	if rows := b.ScratchBytes() - fixed; rows > 8*w*64 {
+		t.Errorf("scratch beyond the rank table and index arrays is %d bytes, over 64 rows of %d words", rows, w)
+	}
+	if grown := b.ScratchBytes() - base; gov.Used() != grown {
+		t.Errorf("the scratch grew by %d bytes, governor holds %d", grown, gov.Used())
 	}
 }

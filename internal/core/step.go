@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
@@ -81,11 +82,8 @@ func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder 
 		mode:  mode,
 		pool:  pool,
 		words: (g.N() + 63) / 64,
-		u:     universe{g: g, p0: -1, rank: make([]int32, g.N())},
+		u:     universe{g: g, p0: -1, rank: slices.Repeat([]int32{-1}, g.N())},
 		sink:  newBlockSink(nil),
-	}
-	for v := range b.u.rank {
-		b.u.rank[v] = -1
 	}
 	b.u.mark, b.u.admit = b.u.markVertex, b.u.admitVertex
 	return b
@@ -159,10 +157,12 @@ func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 
 // ProcessRecord is ProcessSubList for a record read from outside input:
 // one whose prefix vertex or tail lies outside N(p0) is an error, found
-// before the record emits or retains anything.
+// before the record emits, retains, drops or counts anything.
 //
 //repro:hotpath
 func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
+	// The next record's lcp is measured against this one, joined or not,
+	// so the front-coding carry takes it in either way.
 	b.sink.carry = min(b.sink.carry, s.LCP)
 	cn, ok := b.admitPrefix(s)
 	if !ok {
@@ -183,12 +183,16 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 // probe for (prefix, v, u) is CN(prefix+v) ∩ N(u) = ∅ — the paper's
 // BitOneExists over N(p0), where every common neighbour lies.  Cost
 // charges the paper's machine: ⌈n/64⌉ words an AND and a probe.
+// joinWords gives the same result at w = 1; this copy keeps CN(prefix+v)
+// in a register and exists for speed alone: through joinWords the
+// sequential join of C×0.75 takes about 12 % longer, and hybrid-c75's
+// wall time about 10 % (DESIGN §3.1).
 //
 //repro:hotpath
 func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
-	rows, lt, tails := b.u.rows, b.u.lt, s.Tails
+	rows, slot, lt, tails := b.u.rows, b.u.slot, b.u.lt, s.Tails
 	for i := 0; i < len(lt)-1; i++ {
-		rv := rows[lt[i]]
+		rv := rows[slot[lt[i]]]
 		cv := cn & rv
 		b.Cost.ANDWords += int64(b.words)
 		b.Cost.Pairs += int64(len(lt) - 1 - i)
@@ -200,7 +204,7 @@ func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
 			}
 			b.Cost.Probes += int64(b.words)
 			b.Cost.Generated++
-			if cv&rows[lu] != 0 {
+			if cv&rows[slot[lu]] != 0 {
 				b.tailScratch = append(b.tailScratch, tails[j])
 			} else {
 				b.emitMaximal(s.Prefix, int(tails[i]), int(tails[j]), r)
@@ -211,14 +215,14 @@ func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
 	}
 }
 
-// joinWords is joinWord over a universe of w > 1 words.
+// joinWords is joinWord over a universe of any width w.
 //
 //repro:hotpath
 func (b *Builder) joinWords(s *SubList, cn []uint64, r clique.Reporter) {
-	w, rows, lt, tails := b.u.w, b.u.rows, b.u.lt, s.Tails
-	cv := b.u.cv[:w]
+	w, rows, slot, lt, tails := b.u.w, b.u.rows, b.u.slot, b.u.lt, s.Tails
+	cv, cn := b.u.cv[:w], cn[:w]
 	for i := 0; i < len(lt)-1; i++ {
-		rv := rows[int(lt[i])*w : int(lt[i]+1)*w]
+		rv := rows[int(slot[lt[i]])*w:][:w]
 		for x := range cv {
 			cv[x] = cn[x] & rv[x]
 		}
@@ -232,7 +236,7 @@ func (b *Builder) joinWords(s *SubList, cn []uint64, r clique.Reporter) {
 			}
 			b.Cost.Probes += int64(b.words)
 			b.Cost.Generated++
-			ru, alive := rows[int(lu)*w:int(lu+1)*w], false
+			ru, alive := rows[int(slot[lu])*w:][:w], false
 			for x := 0; x < w && !alive; x++ {
 				alive = cv[x]&ru[x] != 0
 			}

@@ -23,8 +23,9 @@
 //     extends it, every common neighbour — lies in N(p0), p0 its
 //     prefix's first vertex, and sub-lists that share p0 are contiguous.
 //     So the one join kernel (Builder.ProcessSubList) runs those ANDs on
-//     the rows of G[N(p0)], ⌈deg(p0)/64⌉ words instead of ⌈n/64⌉, built
-//     once per p0 group whatever the graph's representation (local.go).
+//     the rows of G[N(p0)], ⌈deg(p0)/64⌉ words instead of ⌈n/64⌉, each
+//     built the first time its p0 group touches the vertex, whatever the
+//     graph's representation (local.go).
 //     Cost still charges ⌈n/64⌉ words a row, the paper's machine.
 //   - A level is released at its step boundary, once the whole next
 //     level has been generated from it, so two levels are resident at the

@@ -451,15 +451,16 @@ func TestNilReporterCollectsNoEmissions(t *testing.T) {
 // the budget, and the one-worker spilled run's, which is the in-core
 // trip's.  Both peaks carry the join's scratch at their step (n = 2 171,
 // and every p0 group has at most 59 neighbours, so a local row is one
-// word): the rank table, 4 x 2 171 = 8 684, N(p0) and its rows,
-// 4 x 59 + 8 x 59 = 708, CN(prefix+v) 8, and a one-word memo row per
-// prefix vertex.  The reference peaks at step 10 -> 11 (nine memo rows:
-// 9 472 of scratch), which with the global join's 2 720 (two 34-word
-// scratch bitmaps and eight memo rows) peaked at 5 012 880; the spilled
-// run trips at step 6 -> 7 (five memo rows: 9 440), 1 260 420 beside the
-// global join's 1 632.
+// word): the rank table, 4 x 2 171 = 8 684, N(p0), its rows' slots and
+// a sub-list's tails as local ids, 3 x 4 x 59 = 708, the rows a group
+// touched, at most 33 one-word rows, 264, CN(prefix+v) 8, and a one-word
+// memo row per prefix vertex.  The reference peaks at step 10 -> 11
+// (nine memo rows: 9 736 of scratch), which with the global join's
+// 2 720 (two 34-word scratch bitmaps and eight memo rows) peaked at
+// 5 012 880; the spilled run trips at step 6 -> 7 (five memo rows:
+// 9 704), 1 260 420 beside the global join's 1 632.
 func TestShardFilesPerLevel(t *testing.T) {
-	const refPeak, spilledPeak = 5019632, 1268228
+	const refPeak, spilledPeak = 5019896, 1268492
 	g := expt.Build(expt.SpecC.Scale(0.75), 1)
 	entry := int64(g.Bytes()) // the facade's charge for the graph
 	free := membudget.New(0)

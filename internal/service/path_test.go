@@ -121,12 +121,13 @@ func TestRequestPath(t *testing.T) {
 
 		// peak_bytes is the 56-byte seed level of 5-cliques beside the
 		// join's scratch, the local universe of its largest p0 group
-		// (local.go): the rank table, 4 x 60 = 240, N(p0) of degree 12
-		// and its one-word rows, 4 x 12 + 8 x 12 = 144, CN(prefix+v) 8
+		// (local.go): the rank table, 4 x 60 = 240, N(p0) of degree 12,
+		// its rows' slots and a sub-list's tails as local ids,
+		// 3 x 4 x 12 = 144, seven one-word rows built, 56, CN(prefix+v) 8
 		// and a one-word memo row for each of the 4 prefix vertices, 32 —
-		// 424, so 480.  It was 96 while the join ran on 60-bit global rows
-		// (two scratch bitmaps and three memo rows, 40).
-		fives       = "{\"size\":5,\"vertices\":[3,4,5,6,7]}\n{\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n{\"size\":6,\"vertices\":[1,2,3,4,5,7]}\n{\"done\":true,\"count\":3,\"max_size\":6,\"backend\":\"sequential\",\"peak_bytes\":480,\"elapsed_ms\":0}\n"
+		// 480, so 536.  It was 96 while the join ran on
+		// 60-bit global rows (two scratch bitmaps and three memo rows, 40).
+		fives       = "{\"size\":5,\"vertices\":[3,4,5,6,7]}\n{\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n{\"size\":6,\"vertices\":[1,2,3,4,5,7]}\n{\"done\":true,\"count\":3,\"max_size\":6,\"backend\":\"sequential\",\"peak_bytes\":536,\"elapsed_ms\":0}\n"
 		maxClique   = "{\"elapsed_ms\":0,\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n"
 		paracliques = "{\"count\":3,\"paracliques\":[{\"vertices\":[0,1,2,3,4,5],\"core_size\":6,\"density\":1},{\"vertices\":[16,22,24,31],\"core_size\":4,\"density\":1},{\"vertices\":[30,33,45,52],\"core_size\":4,\"density\":1}]}\n"
 		timedOut    = "{\"error\":\"service: timed out waiting for memory headroom\"}\n"
