@@ -79,7 +79,7 @@ func main() {
 	countOnly := flag.Bool("count", false, "print counts only, not the cliques")
 	dimacs := flag.Bool("dimacs", false, "input is DIMACS clique format")
 	storeBits := flag.Bool("store-cn", false, "store a common-neighbor bitmap per sub-list (the paper's policy) instead of rebuilding it: more memory, faster on csr/wah")
-	repr := flag.String("repr", "auto", "graph representation: auto, dense, csr or wah")
+	repr := flag.String("repr", "auto", "graph representation: auto (the smaller of dense and csr), dense, csr or wah")
 	oocDir := flag.String("ooc", "", "run the out-of-core enumerator, spilling levels to this directory")
 	oocCompress := flag.Bool("ooc-compress", false, "out-of-core: delta-varint encode level records")
 	oocCheckpoint := flag.Bool("ooc-checkpoint", false, "out-of-core: keep a resumable manifest in the -ooc directory (resume with -resume)")

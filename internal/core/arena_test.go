@@ -43,7 +43,7 @@ func runLevels(g *graph.Graph, seed *Level, b *Builder) (retained int) {
 // storage itself from bitmap-pool and WAH-compression churn.
 func TestLevelLoopAllocs(t *testing.T) {
 	g := arenaTestGraph()
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 
 	retained := runLevels(g, seed, b) // warm the arenas and scratch
@@ -72,12 +72,15 @@ func TestLevelLoopAllocs(t *testing.T) {
 // both times.
 func TestArenaLedgerChargesOnce(t *testing.T) {
 	g := arenaTestGraph()
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 	// The local universe and its memo are builder scratch, not level
-	// storage: grown up front and uncharged, the ledger below sees blocks
-	// only.
-	b.grow(g.N(), g.N(), g.N())
+	// storage: grown by an unaccounted first run, the ledger below sees
+	// blocks only.
+	first, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
+	for len(first.Sub) > 0 {
+		first, _ = Step(g, first, nil, b)
+	}
 
 	run := func() (peak int64) {
 		gov := membudget.New(0) // unlimited: observe, never trip
@@ -118,7 +121,7 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 // compared again after the step that consumed them.
 func TestArenaLag2Liveness(t *testing.T) {
 	g := arenaTestGraph()
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
 	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
 
 	lvl := seed

@@ -256,7 +256,7 @@ func TestBlockHeaderOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil)
+	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
 	checkBlocks(t, seed)
 	recs := recordsOf(seed)
 	if len(recs) != 2 || len(recs[0].tails) != n-1 || !slices.Equal(recs[1].tails, []uint32{2, 3}) {
@@ -283,7 +283,7 @@ func TestBlockSideSlab(t *testing.T) {
 		b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 		b.Gov = gov
 		gov.Charge(b.ScratchBytes()) // adopted: the scratch's growth is charged as it happens
-		lvl, _, _ := Seed(context.Background(), g, 2, mode, 1, false, nil)
+		lvl, _, _ := Seed(context.Background(), g, 2, mode, 1, false, nil, nil)
 		gov.Charge(lvl.Bytes())
 		for len(lvl.Sub) > 0 {
 			checkBlocks(t, lvl)

@@ -294,7 +294,7 @@ func TestReportSmall(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2, 3} {
 			col := &clique.Collector{}
-			lvl, _, err := core.Seed(context.Background(), g, c.lo, core.CNRecompute, workers, c.small, col)
+			lvl, _, err := core.Seed(context.Background(), g, c.lo, core.CNRecompute, workers, c.small, col, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func TestUniverseBuildsTouchedRowsOnly(t *testing.T) {
 	}
 
 	var got clique.Collector
-	lvl, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, 1, false, &got)
+	lvl, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, 1, false, &got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestJoinWordIsJoinWords(t *testing.T) {
 		return out
 	}
 	for _, mode := range []CNMode{CNRecompute, CNStore} {
-		lvl, _, err := Seed(context.Background(), g, 3, mode, 1, false, nil)
+		lvl, _, err := Seed(context.Background(), g, 3, mode, 1, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,8 +39,8 @@ func TestJoinWordIsJoinWords(t *testing.T) {
 		join := func(b *Builder, s *SubList, r clique.Reporter, one bool) {
 			b.sink.carry = min(b.sink.carry, s.LCP) // as ProcessRecord does
 			cn, ok := b.admitPrefix(s)
-			if !ok || b.u.w != 1 {
-				t.Fatalf("mode %d: %v|%v: admitted %v, %d words a row", mode, s.Prefix, s.Tails, ok, b.u.w)
+			if !ok || b.u.W != 1 {
+				t.Fatalf("mode %d: %v|%v: admitted %v, %d words a row", mode, s.Prefix, s.Tails, ok, b.u.W)
 			}
 			if one {
 				b.joinWord(s, cn[0], r)

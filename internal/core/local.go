@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -12,38 +11,15 @@ import (
 // lies in N(p0), p0 its prefix's first vertex: its tails, every clique
 // that extends it and every common neighbour.  Sub-lists that share p0
 // are contiguous in canonical order, so the join works on the induced
-// subgraph G[N(p0)], switched once per p0 group: a vertex of N(p0) is its
-// rank in the sorted N(p0), a row is ⌈deg(p0)/64⌉ words instead of
-// ⌈n/64⌉, and on the paper's graphs one word.  The map is monotone, so
-// the canonical order, the stream and every count stay those of the
-// global join (Eppstein, Löffler & Strash's per-vertex subproblems, with
-// the paper's order and algorithm).
+// subgraph G[N(p0)] (graph.Local), switched once per p0 group, and the
+// canonical order, the stream and every count stay those of the global
+// join.  Beside it the join keeps the prefix memo and two per-sub-list
+// arrays.
 //
-// Everything here is builder scratch: ScratchBytes counts it, and grow
-// charges what it adds to the builder's governor.  A row is built only
-// for a vertex the group touches — a prefix vertex or a tail, each after
-// p0 in canonical order — so the rows take ⌈deg(p0)/64⌉ words for each
-// of at most |N(p0)| touched vertices: below deg(p0)²/8 bytes, and far
-// below it for a hub late in the order, whose group touches few of its
-// neighbours.
+// Everything here is builder scratch: ScratchBytes counts it, and the
+// universe and grow charge what they add to the builder's governor.
 type universe struct {
-	g   graph.Interface
-	p0  int      // the group's first prefix vertex; -1 before the first group
-	nbr []uint32 // N(p0), sorted: local -> global
-	w   int      // words of a local row: ⌈|N(p0)|/64⌉
-
-	// rank maps global -> local, one entry per vertex: l >= 0 for a
-	// vertex of N(p0) whose row is built, -(l+2) for one whose row is not
-	// yet, -1 outside N(p0) — one load tells the kernel all three.
-	rank []int32
-
-	// rows holds the rows of G[N(p0)] the group has touched, w words
-	// each, in the order it touched them: the row of built local vertex
-	// l is slot[l], rows[slot[l]*w:(slot[l]+1)*w]; the first built slots
-	// are in use.
-	rows  []uint64
-	slot  []int32
-	built int
+	*graph.Local
 
 	// The prefix memo, in local words: memo[i*w:(i+1)*w] is the
 	// common-neighbour row of memoPrefix[:i+1], so a sub-list that shares
@@ -52,105 +28,21 @@ type universe struct {
 	memo       []uint64
 	memoPrefix []uint32
 
-	cv   []uint64 // CN(prefix+v) of the tail being joined
-	lt   []uint32 // the sub-list's tails as local ids
-	fill []uint64 // the row mark writes into
-
-	// The ForEach visitors, bound once: a method value made per row would
-	// be an allocation per row.
-	mark, admit func(int) bool
+	cv []uint64 // CN(prefix+v) of the tail being joined
+	lt []uint32 // the sub-list's tails as local ids
 }
 
-// bytes is the universe's resident footprint.
-func (u *universe) bytes() int64 {
-	return 4*int64(cap(u.rank)+cap(u.nbr)+cap(u.slot)+cap(u.lt)) +
-		8*int64(cap(u.rows)+cap(u.memo)+cap(u.cv))
-}
-
-// enter makes p0's neighbourhood the universe, with no row built and an
-// empty memo.  The previous group's ranks are cleared through its list,
-// so a switch costs the two degrees, not n.
-func (b *Builder) enter(p0 int) {
-	u := &b.u
-	for _, v := range u.nbr {
-		u.rank[v] = -1
-	}
-	d := u.g.Degree(p0)
-	u.w = (d + 63) / 64
-	b.grow(d, 0, 0)
-	u.p0, u.nbr, u.memoPrefix, u.built = p0, u.nbr[:0], u.memoPrefix[:0], 0
-	u.g.Row(p0).ForEach(u.admit)
-}
-
-// admitVertex appends v to N(p0) and ranks it, its row not yet built.
-//
-//repro:hotpath
-func (u *universe) admitVertex(v int) bool {
-	u.rank[v] = -int32(len(u.nbr)) - 2
-	u.nbr = append(u.nbr, uint32(v))
-	return true
-}
-
-// markVertex sets v's bit in the row being built, if v lies in N(p0).
-//
-//repro:hotpath
-func (u *universe) markVertex(v int) bool {
-	if r := u.rank[v]; r != -1 {
-		r = max(r, -r-2) // the local id, whether v's row is built or not
-		u.fill[r>>6] |= 1 << (r & 63)
-	}
-	return true
-}
-
-// local maps v into the universe: its local id, or -1 outside N(p0).
-// A vertex whose row is built costs one load.
-//
-//repro:hotpath
-func (b *Builder) local(v uint32) int32 {
-	if r := b.u.rank[v]; r >= -1 {
-		return r
-	}
-	return b.build(v)
-}
-
-// build is local the first time the group touches v: it gives v's row
-// the next slot and builds it there.
-func (b *Builder) build(v uint32) int32 {
-	u := &b.u
-	l, s := -u.rank[v]-2, u.built
-	if (s+1)*u.w > len(u.rows) {
-		b.grow(0, 0, min(2*s+1, len(u.nbr))) // doubling: the copies stay linear in the rows
-	}
-	u.fill = u.rows[s*u.w : (s+1)*u.w]
-	clear(u.fill)
-	u.g.Row(int(v)).ForEach(u.mark)
-	u.slot[l], u.rank[v], u.built = int32(s), l, s+1
-	return l
-}
-
-// grow sizes the scratch for a group of degree d, a prefix memo of depth
-// rows and nrows built rows, charging what it adds to Gov.  Growth is
-// rare and out of line, so the kernel's fast path stays allocation-free.
+// grow sizes the join's scratch for a group of degree d and a prefix
+// memo of depth rows, charging what it adds to Gov.  Growth is rare and
+// out of line, so the kernel's fast path stays allocation-free.
 //
 //nolint:budgetpair the universe is builder scratch: whoever adopted the builder releases it with ScratchBytes
-func (b *Builder) grow(d, depth, nrows int) {
+func (b *Builder) grow(d, depth int) {
 	u := &b.u
-	before := u.bytes()
-	w := max(u.w, (d+63)/64)
-	u.nbr, u.slot, u.lt, u.cv = fit(u.nbr, d), fit(u.slot, d), fit(u.lt, d), fit(u.cv, w)
-	u.rows, u.memo, u.memoPrefix = fit(u.rows, nrows*w), fit(u.memo, depth*w), fit(u.memoPrefix, depth)
-	b.Gov.Charge(u.bytes() - before)
-}
-
-// fit returns s with room for n elements, its contents kept: the memo's
-// rows stay valid for the next prefix, and the built rows for the group.
-func fit[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s
-	}
-	grown := make([]T, n)
-	copy(grown, s[:cap(s)])
-	return grown
+	before := b.ScratchBytes()
+	u.lt, u.cv = graph.Fit(u.lt, d), graph.Fit(u.cv, u.W)
+	u.memo, u.memoPrefix = graph.Fit(u.memo, depth*u.W), graph.Fit(u.memoPrefix, depth)
+	b.Gov.Charge(b.ScratchBytes() - before)
 }
 
 // admitPrefix maps s into its universe and returns the common-neighbour
@@ -175,12 +67,14 @@ func (b *Builder) admitPrefix(s *SubList) ([]uint64, bool) {
 			l++
 		}
 	}
-	if int(p[0]) != u.p0 {
-		b.enter(int(p[0]))
+	if int(p[0]) != u.V { // a new group: no row built, an empty memo
+		u.Enter(int(p[0]), b.Gov)
+		b.grow(len(u.Nbr), 0)
+		u.memoPrefix = u.memoPrefix[:0]
 	}
-	w := u.w
+	w := u.W
 	if cap(u.memo) < len(p)*w || cap(u.memoPrefix) < len(p) {
-		b.grow(0, len(p), 0)
+		b.grow(0, len(p))
 	}
 	valid := min(l, len(u.memoPrefix))
 	u.memoPrefix = u.memoPrefix[:0] // until the whole prefix is in
@@ -189,25 +83,25 @@ func (b *Builder) admitPrefix(s *SubList) ([]uint64, bool) {
 		memo[x] = ^uint64(0) // row 0: all of N(p0)
 	}
 	for i := max(valid, 1); i < len(p); i++ {
-		lv := b.local(p[i])
+		lv := u.ID(p[i])
 		if lv < 0 {
 			return nil, false
 		}
-		row, prev, nv := memo[i*w:(i+1)*w], memo[(i-1)*w:i*w], u.rows[int(u.slot[lv])*w:][:w]
+		row, prev, nv := memo[i*w:(i+1)*w], memo[(i-1)*w:i*w], u.Rows[int(u.Slot[lv])*w:][:w]
 		for x := range row {
 			row[x] = prev[x] & nv[x]
 		}
 	}
 	u.memoPrefix = u.memoPrefix[:len(p)]
 	copy(u.memoPrefix, p)
-	if len(s.Tails) > len(u.nbr) {
+	if len(s.Tails) > len(u.Nbr) {
 		return nil, false // more tails than N(p0) has distinct members
 	}
-	// u.lt holds deg(p0) entries since enter, and building a row never
-	// moves it.
+	// u.lt holds deg(p0) entries since the group began, and building a
+	// row never moves it.
 	u.lt = u.lt[:len(s.Tails)]
 	for k, t := range s.Tails {
-		lv := b.local(t)
+		lv := u.ID(t)
 		if lv < 0 {
 			return nil, false
 		}
@@ -229,10 +123,6 @@ func outside(s *SubList) error {
 // over the graph's universe: the stored bitmap CNStore keeps.
 func (b *Builder) scatter() *bitset.Bitset {
 	cn := b.pool.Get()
-	for x, word := range b.u.cv[:b.u.w] {
-		for ; word != 0; word &= word - 1 {
-			cn.Set(int(b.u.nbr[x<<6+bits.TrailingZeros64(word)]))
-		}
-	}
+	b.u.Scatter(cn, b.u.cv[:b.u.W])
 	return cn
 }

@@ -112,7 +112,7 @@ func TestPrefixCNMemo(t *testing.T) {
 							t.Fatalf("step %d: clique %v rejected as outside N(%d)", i, p, p[0])
 						}
 						u := &b.u
-						if got := u.memo[(len(p)-1)*u.w : len(p)*u.w]; !slices.Equal(cn, got) {
+						if got := u.memo[(len(p)-1)*u.W : len(p)*u.W]; !slices.Equal(cn, got) {
 							t.Fatalf("step %d: the join's row of %v is not the memo's", i, p)
 						}
 						if depth > 0 {
@@ -121,8 +121,8 @@ func TestPrefixCNMemo(t *testing.T) {
 								g.Materialize(int(v), row)
 								want.And(want, row)
 							}
-							got, set := u.memo[(depth-1)*u.w:depth*u.w], 0
-							for x, v := range u.nbr {
+							got, set := u.memo[(depth-1)*u.W:depth*u.W], 0
+							for x, v := range u.Nbr {
 								in := got[x>>6]&(1<<(x&63)) != 0
 								if in != want.Test(int(v)) {
 									t.Fatalf("step %d: memoised CN of %v (after %v) differs from the from-scratch AND at vertex %d",

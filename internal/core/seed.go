@@ -10,6 +10,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/kclique"
+	"repro/internal/membudget"
 )
 
 // seedShardsPerWorker oversubscribes the seed phase: each worker is fed
@@ -33,7 +34,12 @@ const seedShardsPerWorker = 4
 // the sequential seed too).  Canceling ctx (nil: never) stops a k-clique
 // seed within a thousand search nodes and a sharded seed between shards;
 // a seed it stops returns no level and an error wrapping ctx.Err().
-func Seed(ctx context.Context, g graph.Interface, lo int, mode CNMode, workers int, small bool, r clique.Reporter) (*Level, []int32, error) {
+//
+// gov (nil: unaccounted) is charged the k-clique search's scratch while
+// it runs — the survivors' mask and each shard's universe — and is back
+// at its entry value when Seed returns, on every path.  The level is
+// not charged: the level loop charges it on entry.
+func Seed(ctx context.Context, g graph.Interface, lo int, mode CNMode, workers int, small bool, r clique.Reporter, gov *membudget.Governor) (*Level, []int32, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -43,7 +49,7 @@ func Seed(ctx context.Context, g graph.Interface, lo int, mode CNMode, workers i
 		}
 		lo = 2
 	}
-	lvl, homes, _, err := seedAt(ctx, g, lo, mode, workers, r)
+	lvl, homes, _, err := seedAt(ctx, g, lo, mode, workers, r, gov)
 	return lvl, homes, err
 }
 
@@ -61,7 +67,7 @@ func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r cli
 	if k < 3 {
 		return nil, nil, kclique.Stats{}, fmt.Errorf("core: seeding from k-cliques requires k >= 3, got %d", k)
 	}
-	return seedAt(context.Background(), g, k, mode, workers, r)
+	return seedAt(context.Background(), g, k, mode, workers, r, nil)
 }
 
 // reportSmall emits maximal 1-cliques (when lo <= 1) and maximal
@@ -99,10 +105,12 @@ type seedShard struct {
 
 // seedAt builds the level at size k: from the edge list at k = 2, with
 // the k-clique enumerator (prepared once, shared by every shard) above.
-func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
+func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter, gov *membudget.Governor) (*Level, []int32, kclique.Stats, error) {
 	var p *kclique.Prepared
 	if k > 2 {
 		p = kclique.Prepare(g, k)
+		gov.Charge(p.Bytes())
+		defer gov.Release(p.Bytes())
 	}
 	shards := min(max(workers, 1)*seedShardsPerWorker, g.N())
 	if workers <= 1 || shards <= 1 {
@@ -111,7 +119,7 @@ func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers 
 		if r != nil {
 			emit = r.Emit
 		}
-		if err := o.run(ctx, g, p, k, mode, 0, 1, emit); err != nil {
+		if err := o.run(ctx, g, p, k, mode, 0, 1, emit, gov); err != nil {
 			return nil, nil, o.st, fmt.Errorf("core: seeding at k=%d: %w", k, err)
 		}
 		return &Level{K: k, Sub: o.blocks}, make([]int32, len(o.blocks)), o.st, nil
@@ -135,7 +143,7 @@ func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers 
 				if r != nil {
 					emit = func(c clique.Clique) { o.maximal = append(o.maximal, c.Clone()) }
 				}
-				_ = o.run(ctx, g, p, k, mode, s, shards, emit) // a canceled shard's error is ctx's, reported below
+				_ = o.run(ctx, g, p, k, mode, s, shards, emit, gov) // a canceled shard's error is ctx's, reported below
 			}
 		}(int32(w))
 	}
@@ -169,9 +177,10 @@ func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers 
 // run builds shard s of shards into o: from the edges of the shard's
 // anchor vertices when p is nil, else from the k-cliques whose smallest
 // vertex lies in the shard, handing the maximal ones to emit (nil: nobody
-// listens).  Anchor and rank ranges partition the level, so concatenating
-// shard outputs in shard order reproduces the one-shard record stream.
-func (o *seedShard) run(ctx context.Context, g graph.Interface, p *kclique.Prepared, k int, mode CNMode, s, shards int, emit func(clique.Clique)) error {
+// listens) and charging the search's scratch to gov while it runs.
+// Anchor and rank ranges partition the level, so concatenating shard
+// outputs in shard order reproduces the one-shard record stream.
+func (o *seedShard) run(ctx context.Context, g graph.Interface, p *kclique.Prepared, k int, mode CNMode, s, shards int, emit func(clique.Clique), gov *membudget.Governor) error {
 	if p == nil {
 		n := g.N()
 		o.blocks = seedEdgeRange(g, mode, n*s/shards, n*(s+1)/shards)
@@ -184,6 +193,7 @@ func (o *seedShard) run(ctx context.Context, g graph.Interface, p *kclique.Prepa
 		K:      k,
 		Shard:  s,
 		Shards: shards,
+		Gov:    gov,
 		OnGroup: func(gr kclique.Group) {
 			if emit != nil {
 				for _, t := range gr.MaximalTails {

@@ -74,12 +74,12 @@ func checkHomes(t *testing.T, homes []int32, subs, workers int) {
 func TestSeedEdgesParallelMatchesSequential(t *testing.T) {
 	g := seedTestGraph(11)
 	for _, mode := range []CNMode{CNStore, CNRecompute} {
-		want, _, err := Seed(context.Background(), g, 2, mode, 1, false, nil)
+		want, _, err := Seed(context.Background(), g, 2, mode, 1, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 7} {
-			lvl, homes, err := Seed(context.Background(), g, 2, mode, workers, false, nil)
+			lvl, homes, err := Seed(context.Background(), g, 2, mode, workers, false, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,15 @@
 package core_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expt"
+	"repro/internal/graph"
+	"repro/internal/membudget"
 )
 
 // TestSeedAllocs pins the k-clique seeder's allocation-free search: a
@@ -30,4 +35,39 @@ func TestSeedAllocs(t *testing.T) {
 		t.Errorf("seeding allocates %.0f objects a call over %d search nodes; want <= 64", allocs, st.SearchNodes)
 	}
 	t.Logf("%.0f allocs a call, %d search nodes, %d groups", allocs, st.SearchNodes, st.Groups)
+}
+
+// TestSeedLedger: a k-clique seed charges its search's scratch — the
+// survivors' mask and each shard's universe, whose rank table alone is
+// 4n bytes — while it runs, and the governor is back at its entry value
+// when Seed returns: sequential and sharded, on dense and CSR, completed
+// and canceled.
+func TestSeedLedger(t *testing.T) {
+	dense := expt.Build(expt.SpecC.Scale(0.3), 1)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, rep := range []graph.Representation{graph.Dense, graph.CSR} {
+		g, err := graph.Convert(dense, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			for _, ctx := range []context.Context{context.Background(), canceled} {
+				name := fmt.Sprintf("%v/workers=%d/canceled=%v", rep, workers, ctx.Err() != nil)
+				gov := membudget.New(0)
+				gov.Charge(1000) // the entry value: what the run held before the seed
+				_, _, err := core.Seed(ctx, g, 5, core.CNRecompute, workers, false, nil, gov)
+				if canceledNow := ctx.Err() != nil; canceledNow != errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: seed returned %v", name, err)
+				}
+				if gov.Used() != 1000 {
+					t.Errorf("%s: governor at %d after the seed, entry value 1000", name, gov.Used())
+				}
+				if rank := int64(4 * g.N()); ctx.Err() == nil && gov.Peak() < 1000+rank {
+					t.Errorf("%s: peak %d, want at least the entry value and a %d-byte rank table", name, gov.Peak(), rank)
+				}
+				gov.Release(1000)
+			}
+		}
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
@@ -82,10 +81,9 @@ func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder 
 		mode:  mode,
 		pool:  pool,
 		words: (g.N() + 63) / 64,
-		u:     universe{g: g, p0: -1, rank: slices.Repeat([]int32{-1}, g.N())},
+		u:     universe{Local: graph.NewLocal(g)},
 		sink:  newBlockSink(nil),
 	}
-	b.u.mark, b.u.admit = b.u.markVertex, b.u.admitVertex
 	return b
 }
 
@@ -138,7 +136,9 @@ func (b *Builder) Abandon(mark int) { b.sink.abandon(mark, b.pool) }
 // the scratch may have grown) when done; in between the builder charges
 // what it adds to Gov itself, so the charged amount tracks ScratchBytes
 // at every instant.
-func (b *Builder) ScratchBytes() int64 { return b.u.bytes() }
+func (b *Builder) ScratchBytes() int64 {
+	return b.u.Local.Bytes() + 4*int64(cap(b.u.lt)) + 8*int64(cap(b.u.memo)+cap(b.u.cv))
+}
 
 // ProcessSubList is the paper's GenerateKCliques inner loop for one
 // sub-list (Figure 3): it joins tail pairs into (k+1)-cliques, reports
@@ -168,7 +168,7 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 	if !ok {
 		return outside(s)
 	}
-	if b.u.w == 1 {
+	if b.u.W == 1 {
 		b.joinWord(s, cn[0], r)
 	} else {
 		b.joinWords(s, cn, r)
@@ -190,7 +190,7 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 //
 //repro:hotpath
 func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
-	rows, slot, lt, tails := b.u.rows, b.u.slot, b.u.lt, s.Tails
+	rows, slot, lt, tails := b.u.Rows, b.u.Slot, b.u.lt, s.Tails
 	for i := 0; i < len(lt)-1; i++ {
 		rv := rows[slot[lt[i]]]
 		cv := cn & rv
@@ -219,7 +219,7 @@ func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
 //
 //repro:hotpath
 func (b *Builder) joinWords(s *SubList, cn []uint64, r clique.Reporter) {
-	w, rows, slot, lt, tails := b.u.w, b.u.rows, b.u.slot, b.u.lt, s.Tails
+	w, rows, slot, lt, tails := b.u.W, b.u.Rows, b.u.Slot, b.u.lt, s.Tails
 	cv, cn := b.u.cv[:w], cn[:w]
 	for i := 0; i < len(lt)-1; i++ {
 		rv := rows[int(slot[lt[i]])*w:][:w]

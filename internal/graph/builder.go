@@ -9,8 +9,9 @@ import (
 // representation layer: edges and names are ingested one at a time
 // (duplicates tolerated — the stream is deduplicated at Freeze), density
 // is tracked as the stream arrives, and Freeze picks the adjacency
-// backend — dense bitmap, CSR, or WAH-compressed — from the measured
-// density unless one was pinned with WithRepresentation.
+// backend — dense bitmap or CSR, whichever takes fewer bytes for the
+// measured edge count — unless one (WAH-compressed included) was pinned
+// with WithRepresentation.
 //
 // Builder replaces mutate-in-place construction for untrusted and
 // streaming inputs: where *Graph panics on a bad index, Builder returns
@@ -45,7 +46,7 @@ func NewBuilder(n int) *Builder {
 }
 
 // WithRepresentation pins the representation Freeze will produce
-// (default Auto: density-driven choice between Dense and CSR).  Returns
+// (default Auto: the smaller of Dense and CSR).  Returns
 // the builder for chaining.
 func (b *Builder) WithRepresentation(rep Representation) *Builder {
 	if b.err == nil && !rep.Valid() {
@@ -134,8 +135,8 @@ func (b *Builder) Density() float64 {
 }
 
 // Freeze deduplicates the ingested edge stream, selects the
-// representation (Auto: the density rule over the measured, deduplicated
-// edge count), and returns the immutable graph.  The builder's storage
+// representation (Auto: the smaller adjacency for the measured,
+// deduplicated edge count), and returns the immutable graph.  The builder's storage
 // is consumed; subsequent builder calls return ErrFrozen.
 func (b *Builder) Freeze() (Interface, error) {
 	if b.frozen {

@@ -98,12 +98,13 @@ func TestBuilderDeduplicatesAndTracksDensity(t *testing.T) {
 }
 
 func TestBuilderAutoPicksByDensity(t *testing.T) {
-	// Small: dense even when sparse.
+	// Small and edgeless: CSR, 4 x 101 = 404 bytes against the dense
+	// 100 x 2 words x 8 = 1 600.
 	g, err := NewBuilder(100).Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Representation() != Dense {
+	if g.Representation() != CSR {
 		t.Errorf("small auto: %v", g.Representation())
 	}
 	// Large and sparse: CSR.

@@ -14,8 +14,8 @@ import (
 type Representation int
 
 const (
-	// Auto lets Builder.Freeze (and Convert) choose between Dense and
-	// CSR from the measured edge density.  Compressed is never chosen
+	// Auto lets Builder.Freeze (and Convert) choose whichever of Dense
+	// and CSR takes fewer adjacency bytes.  Compressed is never chosen
 	// automatically: its wins are workload-specific, so it is opt-in.
 	Auto Representation = iota
 	// Dense stores one n-bit bitmap row per vertex — the paper's
@@ -123,17 +123,12 @@ func CSRAdjacencyBytes(n, m int) int64 {
 	return 4 * (int64(n) + 1 + 2*int64(m))
 }
 
-// chooseAuto is the density-driven selection rule shared by Builder and
-// Convert: small graphs stay dense (the row algebra wins and the
-// footprint is trivial); otherwise CSR is chosen only when it saves at
-// least half the dense footprint, so borderline densities keep the fast
-// path.
+// chooseAuto is the selection rule shared by Builder and Convert: the
+// representation with fewer adjacency bytes, Dense on a tie.  Bytes
+// alone decide because no hot path prefers Dense: the seed and the join
+// both work inside one vertex's neighbourhood on local rows (Local).
 func chooseAuto(n, m int) Representation {
-	const smallN = 4096
-	if n <= smallN {
-		return Dense
-	}
-	if 2*CSRAdjacencyBytes(n, m) < DenseAdjacencyBytes(n) {
+	if CSRAdjacencyBytes(n, m) < DenseAdjacencyBytes(n) {
 		return CSR
 	}
 	return Dense
@@ -267,48 +262,6 @@ func KCorePeel(g Interface, k int) *bitset.Bitset {
 	return alive
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertices in
-// the same representation as g (Auto inputs re-run the density rule on
-// the subgraph), plus the mapping from new indices to original vertex
-// IDs.  Vertex order is preserved.  Vertex names are transplanted.
-func InducedSubgraph(g Interface, vertices *bitset.Bitset) (Interface, []int) {
-	if d, ok := g.(*Graph); ok {
-		sub, newToOld := d.InducedSubgraph(vertices)
-		return sub, newToOld
-	}
-	if vertices.Len() != g.N() {
-		panic("graph: vertex-set universe mismatch")
-	}
-	newToOld := vertices.Indices()
-	old2new := make([]int, g.N())
-	for i := range old2new {
-		old2new[i] = -1
-	}
-	for ni, ov := range newToOld {
-		old2new[ov] = ni
-	}
-	b := NewBuilder(len(newToOld)).WithRepresentation(g.Representation())
-	names := nameSliceOf(g)
-	for ni, ov := range newToOld {
-		if names != nil && names[ov] != "" {
-			b.SetName(ni, names[ov])
-		}
-		g.Row(ov).ForEach(func(ou int) bool {
-			if nu := old2new[ou]; nu > ni {
-				b.AddEdge(ni, nu)
-			}
-			return true
-		})
-	}
-	sub, err := b.Freeze()
-	if err != nil {
-		// All indices were derived from valid vertices; Freeze cannot
-		// fail here.
-		panic(fmt.Sprintf("graph: induced subgraph freeze: %v", err))
-	}
-	return sub, newToOld
-}
-
 // nameSliceOf extracts the raw label slice of any representation (nil
 // when no names were ever set).
 func nameSliceOf(g Interface) []string {
@@ -342,7 +295,8 @@ func Densify(g Interface) *Graph {
 
 // Convert returns g in the requested representation, re-encoding only
 // when necessary (g itself is returned when it already matches).  Auto
-// applies the density rule of Builder.Freeze to g's measured n and m.
+// applies the rule of Builder.Freeze, the smaller adjacency, to g's
+// measured n and m.
 func Convert(g Interface, rep Representation) (Interface, error) {
 	if !rep.Valid() {
 		return nil, fmt.Errorf("graph: unknown representation %d", int(rep))

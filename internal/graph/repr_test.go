@@ -170,25 +170,6 @@ func TestGenericHelpersParity(t *testing.T) {
 		if !cn.Equal(cnRef) {
 			t.Errorf("%v: CommonNeighbors mismatch", rep)
 		}
-		// Induced subgraph preserves representation and content.
-		sub, newToOld := InducedSubgraph(g, alive)
-		refSub, refMap := ref.InducedSubgraph(alive)
-		if sub.Representation() != rep {
-			t.Errorf("%v: induced subgraph came back %v", rep, sub.Representation())
-		}
-		if len(newToOld) != len(refMap) {
-			t.Fatalf("%v: induced map size mismatch", rep)
-		}
-		if sub.M() != refSub.M() {
-			t.Errorf("%v: induced subgraph m=%d want %d", rep, sub.M(), refSub.M())
-		}
-		for v := 0; v < sub.N(); v++ {
-			for u := 0; u < sub.N(); u++ {
-				if sub.HasEdge(v, u) != refSub.HasEdge(v, u) {
-					t.Fatalf("%v: induced HasEdge mismatch", rep)
-				}
-			}
-		}
 	}
 }
 
@@ -255,9 +236,12 @@ func checkSameEdges(t *testing.T, ref *Graph, g Interface) {
 	}
 }
 
-// TestAutoSelection pins the density rule: small graphs stay dense,
-// large sparse graphs go CSR, large dense graphs stay dense.
+// TestAutoSelection pins the Auto rule, the smaller adjacency: a dense
+// enough small graph and a large dense one stay dense, a large sparse
+// one goes CSR.
 func TestAutoSelection(t *testing.T) {
+	// 1 000 vertices of density 0.2: CSR's 4(1 001 + 200 000) bytes are
+	// more than the dense 1 000 x 16 words x 8 = 128 000.
 	if got := chooseAuto(1000, 100000); got != Dense {
 		t.Errorf("small graph: chose %v, want Dense", got)
 	}

@@ -90,7 +90,7 @@ func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (*Result, er
 	// clique is counted by its level's record, so the caller's reporter —
 	// nil included — goes to the engines as it is.
 	seed := clique.Tally{Next: h.Reporter}
-	lvl, homes, err := core.Seed(cfg.Ctx, g, cfg.Lo, cfg.Mode, cfg.Workers, cfg.ReportSmall, &seed)
+	lvl, homes, err := core.Seed(cfg.Ctx, g, cfg.Lo, cfg.Mode, cfg.Workers, cfg.ReportSmall, &seed, h.Gov)
 	res.Seeded(seed)
 	if err != nil {
 		return res, err

@@ -16,10 +16,12 @@
 // The peel is a mask, not a copy: the search starts with CANDIDATES = the
 // surviving vertices, and since every set it derives is an intersection
 // with its parent's, neither CANDIDATES nor NOT ever holds a peeled
-// vertex.  A compacted copy of the survivors is built only when it at
-// least halves the width of every bitmap the search touches — on graph C
-// that is Init_K >= 7, where a few dozen of thousands of vertices survive;
-// below it the peel keeps most vertices and a copy would be pure cost.
+// vertex.  Below the top level the search runs inside N(v), v the top
+// vertex it branched on (graph.Local, the join's universe): every set it
+// derives there is an intersection with N(v), so CANDIDATES and NOT are
+// ⌈deg(v)/64⌉ words over N(v), holding its survivors, and a row of
+// G[N(v)] is built the first time the search touches its vertex.  No set below the
+// top level is n bits wide, and no global row is read.
 //
 // Because Base BK selects candidates in index order, COMPSUB is strictly
 // increasing along every search path.  Consequently all k-cliques sharing
@@ -30,18 +32,19 @@
 // seeding requires no regrouping pass.  The bitmap itself is built only
 // when a consumer asks for it (Group.PrefixCN).
 //
-// The search allocates its bitmaps once per run — two per depth — and
-// nothing per node, and it polls its context every 1 024 nodes: a seed
-// at the paper's scale runs for seconds.
+// The search allocates one universe per run and nothing per node, and it
+// polls its context every 1 024 nodes: a seed at the paper's scale runs
+// for seconds.
 package kclique
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
-	"repro/internal/clique"
 	"repro/internal/graph"
+	"repro/internal/membudget"
 )
 
 // pollNodes is how many search nodes may pass between two cancellation
@@ -62,26 +65,19 @@ type Group struct {
 	MaximalTails   []int
 	CandidateTails []int
 
-	cand, not *bitset.Bitset // the delivering node's sets, over the working graph
-	newToOld  []int          // working graph -> original IDs; nil when they coincide
-	n         int            // the original graph's order
+	cand, not []uint64     // the delivering node's sets, over N(Prefix[0])
+	u         *graph.Local // N(Prefix[0])
+	n         int          // the graph's order
 }
 
-// PrefixCN returns the common-neighbor bitmap of Prefix over the ORIGINAL
-// graph's vertex universe, freshly allocated: the caller owns it.  It is
-// computed on demand from the delivering search node, so it may only be
-// called during the OnGroup call that received the Group.
+// PrefixCN returns the common-neighbor bitmap of Prefix over the graph's
+// vertex universe, freshly allocated: the caller owns it.  It is computed
+// on demand from the delivering search node, so it may only be called
+// during the OnGroup call that received the Group.
 func (gr Group) PrefixCN() *bitset.Bitset {
 	cn := bitset.New(gr.n)
-	if gr.newToOld == nil {
-		cn.Or(gr.cand, gr.not)
-		return cn
-	}
-	for _, s := range [2]*bitset.Bitset{gr.cand, gr.not} {
-		for v, ok := s.NextSet(0); ok; v, ok = s.NextSet(v + 1) {
-			cn.Set(gr.newToOld[v])
-		}
-	}
+	gr.u.Scatter(cn, gr.cand)
+	gr.u.Scatter(cn, gr.not)
 	return cn
 }
 
@@ -91,9 +87,6 @@ type Options struct {
 	K int
 	// OnGroup, if non-nil, receives each non-empty group of k-cliques.
 	OnGroup func(g Group)
-	// SkipPeel disables the (k-1)-core preprocessing (for tests and
-	// ablation benchmarks).
-	SkipPeel bool
 	// Shard and Shards split the enumeration for parallel seeding.  When
 	// Shards > 1, the top-level branch vertices — the survivors of the
 	// peel, in index order — are cut into Shards contiguous ranges of
@@ -103,6 +96,10 @@ type Options struct {
 	// shard order reproduces the canonical full enumeration.  Shards <= 1
 	// disables sharding.
 	Shard, Shards int
+	// Gov, when non-nil, is charged the search's scratch — the universe
+	// and the sets below the top level — while Enumerate runs; it is
+	// released before Enumerate returns.
+	Gov *membudget.Governor
 }
 
 // Stats reports counters from one enumeration run.
@@ -115,77 +112,33 @@ type Stats struct {
 	BoundaryCuts int64 // nodes pruned by |COMPSUB|+|CANDIDATES| < k
 }
 
-// Enumerate finds every k-clique of g and reports them through
-// opts.OnGroup.  It returns run statistics.
-func Enumerate(g graph.Interface, opts Options) Stats {
-	st, _ := prepare(g, opts.K, opts.SkipPeel).Enumerate(context.Background(), opts)
-	return st
-}
-
-// Prepared is the peeled enumeration context: the working graph, the
-// mask of its vertices that survived the (k-1)-core peel, and — when the
-// working graph is a compacted copy — its translation back to the
-// original vertex universe.  Preparing once and running several sharded
-// Enumerate calls over it — concurrently if desired; Prepared itself is
-// read-only during enumeration — avoids repeating the peel per shard,
-// which is how the parallel seeder uses it.
+// Prepared is the peeled enumeration context: the graph and the mask of
+// its vertices that survived the (k-1)-core peel.  Preparing once and
+// running several sharded Enumerate calls over it — concurrently if
+// desired; Prepared itself is read-only during enumeration — avoids
+// repeating the peel per shard, which is how the parallel seeder uses it.
 type Prepared struct {
-	work      graph.Interface
-	alive     *bitset.Bitset // over work
-	survivors int            // alive.Count()
-	newToOld  []int          // nil when work is the original graph
-	n, k      int            // the original graph's order; the clique size
+	g         graph.Interface
+	alive     *bitset.Bitset
+	survivors int // alive.Count()
+	k         int // the clique size
 }
 
 // Prepare peels g for size-k enumeration.  Any representation is
-// accepted; a compacted working graph keeps the input's representation,
-// so sparse inputs stay sparse through seeding.
+// accepted.
 func Prepare(g graph.Interface, k int) *Prepared {
-	return prepare(g, k, false)
-}
-
-func prepare(g graph.Interface, k int, skipPeel bool) *Prepared {
 	if k < 2 {
 		panic("kclique: K must be >= 2")
 	}
-	n := g.N()
-	p := &Prepared{work: g, n: n, k: k}
-	if skipPeel {
-		p.alive = bitset.New(n)
-		p.alive.SetAll()
-	} else {
-		p.alive = graph.KCorePeel(g, k-1)
-	}
-	p.survivors = p.alive.Count()
-	if p.survivors < n && 2*words(p.survivors) <= words(n) {
-		// The copy at least halves every row and bitmap of the search
-		// (a quarter of the adjacency); any less and it costs more than
-		// it saves.
-		p.work, p.newToOld = graph.InducedSubgraph(g, p.alive)
-		p.alive = bitset.New(p.survivors)
-		p.alive.SetAll()
-	}
-	return p
+	alive := graph.KCorePeel(g, k-1)
+	return &Prepared{g: g, alive: alive, survivors: alive.Count(), k: k}
 }
 
-func words(n int) int { return (n + 63) / 64 }
-
-// vertexAtRank returns the surviving vertex of rank r in index order, or
-// the working graph's order when r is the number of survivors.
-func (p *Prepared) vertexAtRank(r int) int {
-	for v, ok := p.alive.NextSet(0); ok; v, ok = p.alive.NextSet(v + 1) {
-		if r == 0 {
-			return v
-		}
-		r--
-	}
-	return p.work.N()
-}
+// Bytes is the prepared state's footprint: the survivors' mask.
+func (p *Prepared) Bytes() int64 { return int64(p.alive.Bytes()) }
 
 // Enumerate runs the (optionally sharded) enumeration over the prepared
-// graph.  opts.K must match the prepared k; opts.SkipPeel is ignored
-// (peeling already happened, or was skipped, at Prepare time).  When ctx
-// is canceled the search unwinds within pollNodes nodes and Enumerate
+// graph.  opts.K must match the prepared k.  When ctx is canceled the search unwinds within pollNodes nodes and Enumerate
 // returns an error wrapping ctx.Err(); the groups delivered until then
 // are a prefix of the full enumeration.
 func (p *Prepared) Enumerate(ctx context.Context, opts Options) (Stats, error) {
@@ -195,42 +148,48 @@ func (p *Prepared) Enumerate(ctx context.Context, opts Options) (Stats, error) {
 	if opts.Shards > 1 && (opts.Shard < 0 || opts.Shard >= opts.Shards) {
 		panic("kclique: Shard out of [0, Shards)")
 	}
-	st := Stats{PeeledAway: p.n - p.survivors}
+	st := Stats{PeeledAway: p.g.N() - p.survivors}
 	if p.survivors < p.k {
 		return st, nil
 	}
 
-	// Sharded runs reproduce the exact search state Base BK would have on
-	// reaching top-level vertex `from`: the survivors below it sit in NOT,
-	// the rest are candidates, and branching stops at `to`.
-	from, to := 0, p.work.N()
+	// A shard is the root of the search with the survivors below rank lo
+	// in NOT — the state Base BK reaches on arriving at the shard's first
+	// top-level vertex — branching up to rank hi.
+	lo, hi := 0, p.survivors
 	if opts.Shards > 1 {
-		from = p.vertexAtRank(p.survivors * opts.Shard / opts.Shards)
-		to = p.vertexAtRank(p.survivors * (opts.Shard + 1) / opts.Shards)
+		lo, hi = p.survivors*opts.Shard/opts.Shards, p.survivors*(opts.Shard+1)/opts.Shards
 	}
-
-	width := p.work.N()
 	e := &searcher{
-		g:        p.work,
-		k:        p.k,
-		topLimit: to,
-		onGroup:  opts.OnGroup,
-		st:       &st,
-		ctx:      ctx,
-		cand:     make([]*bitset.Bitset, p.k),
-		not:      make([]*bitset.Bitset, p.k),
-		prefix:   make([]int, p.k-1),
+		u:       graph.NewLocal(p.g),
+		alive:   p.alive,
+		gov:     opts.Gov,
+		k:       p.k,
+		onGroup: opts.OnGroup,
+		st:      &st,
+		ctx:     ctx,
+		prefix:  make([]int, p.k-1),
 	}
-	for d := range e.cand {
-		e.cand[d], e.not[d] = bitset.New(width), bitset.New(width)
+	e.group = Group{Prefix: e.prefix, u: e.u, n: p.g.N()}
+	e.gov.Charge(e.u.Bytes())
+	defer func() { e.gov.Release(e.u.Bytes()) }() // the universe charged its growth
+
+	// The root: CANDIDATES holds the survivors of rank lo and above.
+	st.SearchNodes++
+	if p.survivors-lo < p.k {
+		st.BoundaryCuts++
+		return st, nil
 	}
-	e.group = Group{Prefix: make([]int, p.k-1), newToOld: p.newToOld, n: p.n}
-	e.cand[0].CopyFrom(p.alive)
-	for v, ok := p.alive.NextSet(0); ok && v < from; v, ok = p.alive.NextSet(v + 1) {
-		e.cand[0].Clear(v)
-		e.not[0].Set(v)
+	r := 0
+	for v, ok := p.alive.NextSet(0); ok && r < hi; v, ok = p.alive.NextSet(v + 1) {
+		if r++; r <= lo {
+			continue // below the shard: in NOT
+		}
+		if e.canceled(ctx) {
+			break
+		}
+		e.branch(v)
 	}
-	e.extend(0)
 	if e.stopped {
 		return st, fmt.Errorf("kclique: canceled after %d search nodes: %w", st.SearchNodes, ctx.Err())
 	}
@@ -238,39 +197,72 @@ func (p *Prepared) Enumerate(ctx context.Context, opts Options) (Stats, error) {
 }
 
 type searcher struct {
-	g        graph.Interface // working graph
-	k        int
-	topLimit int // exclusive bound on top-level branch vertices (sharding)
-	onGroup  func(Group)
-	st       *Stats
+	u       *graph.Local // N(prefix[0])
+	alive   *bitset.Bitset
+	gov     *membudget.Governor
+	k       int
+	onGroup func(Group)
+	st      *Stats
 
 	ctx     context.Context
 	pollAt  int64 // SearchNodes count at which ctx is polled next
 	stopped bool  // ctx was canceled: unwind
 
-	// cand[d] and not[d] are CANDIDATES and NOT of the node at depth d;
-	// a node writes its children's sets into depth d+1 in place.
-	cand, not []*bitset.Bitset
-	prefix    []int // COMPSUB, strictly increasing; prefix[:d] at depth d
-	group     Group // what onGroup receives, its slices reused
+	// sets holds CANDIDATES and NOT of the nodes at depths 1..k-1, w
+	// words each in the universe of the top-level vertex: depth d's
+	// CANDIDATES at (2d-2)w, its NOT at (2d-1)w.  A node writes its
+	// children's sets into depth d+1 in place.
+	sets   []uint64
+	prefix []int // COMPSUB, strictly increasing; prefix[:d] at depth d
+	group  Group // what onGroup receives, its slices reused
 }
 
-func (e *searcher) toOld(v int) int {
-	if e.group.newToOld == nil {
-		return v
+// canceled polls ctx once every pollNodes nodes and reports whether the
+// search must unwind.
+//
+//repro:hotpath
+func (e *searcher) canceled(ctx context.Context) bool {
+	if e.st.SearchNodes >= e.pollAt {
+		e.pollAt = e.st.SearchNodes + pollNodes
+		e.stopped = ctx.Err() != nil
 	}
-	return e.group.newToOld[v]
+	return e.stopped
 }
 
-// extend is Base BK's EXTEND at depth d = |COMPSUB|.
+// branch is the root's branch on top-level vertex v: the universe
+// becomes N(v), and depth 1's CANDIDATES and NOT are its surviving
+// members after and before v — the survivors the root has not yet and
+// has already branched on.
+func (e *searcher) branch(v int) {
+	e.u.Enter(v, e.gov)
+	w := e.u.W
+	e.sets = e.u.Scratch(2 * (e.k - 1) * w)
+	cand, not := e.sets[:w], e.sets[w:2*w]
+	clear(e.sets[:2*w])
+	for l, x := range e.u.Nbr {
+		switch {
+		case !e.alive.Test(int(x)):
+		case int(x) > v:
+			cand[l>>6] |= 1 << (l & 63)
+		default:
+			not[l>>6] |= 1 << (l & 63)
+		}
+	}
+	e.prefix[0] = v
+	e.extend(1)
+}
+
+// extend is Base BK's EXTEND at depth d = |COMPSUB| >= 1, inside the
+// universe of prefix[0].
 //
 //repro:hotpath
 //repro:ctxloop
 func (e *searcher) extend(d int) {
 	e.st.SearchNodes++
-	cand, not := e.cand[d], e.not[d]
+	w := e.u.W
+	cand, not := e.sets[(2*d-2)*w:][:w], e.sets[(2*d-1)*w:][:w]
 	// Boundary condition: not enough vertices left to reach size k.
-	if d+cand.Count() < e.k {
+	if d+count(cand) < e.k {
 		e.st.BoundaryCuts++
 		return
 	}
@@ -278,27 +270,34 @@ func (e *searcher) extend(d int) {
 		e.emitGroup(cand, not)
 		return
 	}
-	// Removing v from cand below leaves every later candidate in place,
-	// so walking cand as it shrinks visits exactly its starting members.
-	for v, ok := cand.NextSet(0); ok; v, ok = cand.NextSet(v + 1) {
-		if d == 0 && v >= e.topLimit {
-			break // outside this shard's top-level range
+	nextCand, nextNot := e.sets[2*d*w:][:w], e.sets[(2*d+1)*w:][:w]
+	// Each word is walked as it stood on entry: the loop clears only bits
+	// it has visited, and the children write depth d+1.
+	for x := range cand {
+		for word := cand[x]; word != 0; word &= word - 1 {
+			if e.canceled(e.ctx) {
+				return
+			}
+			l := x<<6 + bits.TrailingZeros64(word)
+			rv := e.u.Row(l)
+			for i := range rv {
+				nextCand[i], nextNot[i] = cand[i]&rv[i], not[i]&rv[i]
+			}
+			e.prefix[d] = int(e.u.Nbr[l])
+			e.extend(d + 1)
+			cand[x] &^= 1 << (l & 63)
+			not[x] |= 1 << (l & 63)
 		}
-		if e.st.SearchNodes >= e.pollAt {
-			e.pollAt = e.st.SearchNodes + pollNodes
-			e.stopped = e.ctx.Err() != nil
-		}
-		if e.stopped {
-			return
-		}
-		rv := e.g.Row(v)
-		rv.AndInto(e.cand[d+1], cand)
-		rv.AndInto(e.not[d+1], not)
-		e.prefix[d] = v
-		e.extend(d + 1)
-		cand.Clear(v)
-		not.Set(v)
 	}
+}
+
+// count returns the number of set bits of s.
+func count(s []uint64) int {
+	n := 0
+	for _, x := range s {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 // emitGroup classifies every k-clique prefix+t for tails t in cand and
@@ -306,18 +305,23 @@ func (e *searcher) extend(d int) {
 // prefix; the Group carries both so PrefixCN can build it on demand.
 //
 //repro:hotpath
-func (e *searcher) emitGroup(cand, not *bitset.Bitset) {
+func (e *searcher) emitGroup(cand, not []uint64) {
 	e.group.MaximalTails = e.group.MaximalTails[:0]
 	e.group.CandidateTails = e.group.CandidateTails[:0]
-	for t, ok := cand.NextSet(0); ok; t, ok = cand.NextSet(t + 1) { // increasing, all > prefix max
-		nt := e.g.Row(t)
-		// The k-clique prefix+t is maximal iff no vertex is adjacent to
-		// all of prefix and to t: (cand ∪ not) ∩ N(t) = ∅.  Checking the
-		// two halves separately avoids materializing the union.
-		if nt.IntersectsWith(cand) || nt.IntersectsWith(not) {
-			e.group.CandidateTails = append(e.group.CandidateTails, e.toOld(t))
-		} else {
-			e.group.MaximalTails = append(e.group.MaximalTails, e.toOld(t))
+	for x := range cand {
+		for word := cand[x]; word != 0; word &= word - 1 { // increasing, all > prefix max
+			l := x<<6 + bits.TrailingZeros64(word)
+			// The k-clique prefix+t is maximal iff no vertex is adjacent to
+			// all of prefix and to t: (cand ∪ not) ∩ N(t) = ∅.
+			rt, extends := e.u.Row(l), false
+			for i := 0; i < len(rt) && !extends; i++ {
+				extends = rt[i]&(cand[i]|not[i]) != 0
+			}
+			if t := int(e.u.Nbr[l]); extends {
+				e.group.CandidateTails = append(e.group.CandidateTails, t)
+			} else {
+				e.group.MaximalTails = append(e.group.MaximalTails, t)
+			}
 		}
 	}
 	e.st.Maximal += int64(len(e.group.MaximalTails))
@@ -327,28 +331,6 @@ func (e *searcher) emitGroup(cand, not *bitset.Bitset) {
 	if e.onGroup == nil {
 		return
 	}
-	for i, v := range e.prefix {
-		e.group.Prefix[i] = e.toOld(v)
-	}
 	e.group.cand, e.group.not = cand, not
 	e.onGroup(e.group)
-}
-
-// All returns every k-clique of g, split into maximal and non-maximal,
-// each in canonical order.  Convenience for tests and small runs.
-func All(g graph.Interface, k int) (maximal, candidates []clique.Clique) {
-	Enumerate(g, Options{
-		K: k,
-		OnGroup: func(gr Group) {
-			for _, t := range gr.MaximalTails {
-				c := append(clique.Clique(nil), gr.Prefix...)
-				maximal = append(maximal, append(c, t))
-			}
-			for _, t := range gr.CandidateTails {
-				c := append(clique.Clique(nil), gr.Prefix...)
-				candidates = append(candidates, append(c, t))
-			}
-		},
-	})
-	return maximal, candidates
 }

@@ -72,7 +72,7 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 			dirs = nil
 		}
 		check := testgraph.NoLeaks(t, gov, dirs...)
-		lvl, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, hooks.Reporter)
+		lvl, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, hooks.Reporter, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 
 	// The level the trip cuts, as the engine will see it, and where a cut
 	// before record rec of block b falls in its sub-list order.
-	cutLevel, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, nil)
+	cutLevel, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

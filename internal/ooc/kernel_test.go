@@ -170,7 +170,7 @@ func TestOneKernelThreeSinks(t *testing.T) {
 				blockB := core.NewBuilderMode(g, core.CNRecompute, pool)
 				// Recompute mode leaves a consumed level intact, so the
 				// same level feeds all three joins.
-				lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil)
+				lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
 				for len(lvl.Sub) > 0 {
 					var keep sinkOutput
 					next, _ := core.Step(g, lvl, &keep, keepB)

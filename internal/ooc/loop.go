@@ -143,7 +143,7 @@ func (l *Loop) Stats() Stats {
 // writer takes it.
 func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 	seed := clique.Tally{Next: l.hooks.Reporter}
-	lvl, _, err := core.Seed(l.cfg.Ctx, l.g, l.cfg.Lo, core.CNRecompute, l.cfg.Workers, l.cfg.ReportSmall, &seed)
+	lvl, _, err := core.Seed(l.cfg.Ctx, l.g, l.cfg.Lo, core.CNRecompute, l.cfg.Workers, l.cfg.ReportSmall, &seed, l.hooks.Gov)
 	l.st.Maximal += seed.Count
 	l.st.Seeded = clique.Tally{Count: seed.Count, MaxSize: seed.MaxSize}
 	if err != nil {

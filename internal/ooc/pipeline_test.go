@@ -36,7 +36,7 @@ type pipelineFault struct {
 // no goroutine left behind.
 func TestPipelineFaults(t *testing.T) {
 	g := plantedGraph(311)
-	lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil)
+	lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
 	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
 	for { // to the level with the most cliques
 		next, _ := core.Step(g, lvl, nil, b)

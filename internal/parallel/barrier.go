@@ -37,7 +37,7 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*core.Result, error) {
 	// baseline preserves.  All seed blocks are created by this thread, so
 	// their home is worker 0.
 	seed := clique.Tally{Next: opts.Reporter}
-	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, 1, false, &seed)
+	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, 1, false, &seed, opts.Gov)
 	if err != nil {
 		return nil, err
 	}

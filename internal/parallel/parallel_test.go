@@ -353,7 +353,7 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 4, false, rep)
+	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 4, false, rep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -460,8 +460,14 @@ func (s *Server) handleMaxClique(w http.ResponseWriter, r *http.Request) {
 		return n
 	}
 	s.serve(w, r, "maxclique", "application/json", reserve,
-		buffered(func(ctx context.Context, g repro.GraphInterface, _ *membudget.Governor) (any, error) {
+		buffered(func(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor) (any, error) {
 			start := time.Now()
+			// The dense copy lives as long as the search: the query's.
+			if g.Representation() != repro.Dense {
+				dense := repro.DenseAdjacencyBytes(g.N())
+				gov.Charge(dense)
+				defer gov.Release(dense)
+			}
 			// On a hang-up the branch-and-bound observes ctx and exits.
 			cliqueVerts, err := repro.MaxCliqueContext(ctx, g)
 			return map[string]any{

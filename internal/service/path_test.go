@@ -304,3 +304,35 @@ func TestRequestPath(t *testing.T) {
 		})
 	}
 }
+
+// TestMaxCliqueChargesDenseCopy: the exact search densifies a CSR graph
+// for as long as it runs, and the copy is the query's.  A sparse
+// 400-vertex upload is CSR (4 x (401 + 2m) bytes against the dense
+// 400 x 7 words x 8 = 22 400); while /maxclique runs, the server
+// governor holds the pinned graph and the dense copy, so its peak reaches
+// the entry value plus DenseAdjacencyBytes(400), and once the reply is
+// out it is back at the entry value.
+func TestMaxCliqueChargesDenseCopy(t *testing.T) {
+	const n = 400
+	srv, ts := newServer(t, service.Config{})
+	fp := loadGraph(t, ts, testGraphBytes(t, 7, n, 0.01))
+	if info, _ := srv.Registry().Info(fp); info.Representation != "csr" {
+		t.Fatalf("the upload is %s, want csr", info.Representation)
+	}
+	gov := srv.Governor()
+	entry, dense := gov.Used(), repro.DenseAdjacencyBytes(n)
+	if gov.Peak() >= entry+dense {
+		t.Fatalf("peak %d before the query already covers the copy (entry %d + %d)", gov.Peak(), entry, dense)
+	}
+	if status, _, _ := get(t, ts.URL+"/graphs/"+fp+"/maxclique"); status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	if peak := gov.Peak(); peak < entry+dense {
+		t.Errorf("peak %d during the search, want at least %d + %d for the dense copy", peak, entry, dense)
+	}
+	for deadline := time.Now().Add(10 * time.Second); gov.Used() != entry; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("governor at %d after the query, entry value %d", gov.Used(), entry)
+		}
+	}
+}

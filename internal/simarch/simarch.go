@@ -97,7 +97,7 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	var lvl *core.Level
 	if lo <= 2 {
 		// An edge seed that nothing cancels cannot fail.
-		lvl, _, _ = core.Seed(context.TODO(), g, lo, mode, 1, false, nil)
+		lvl, _, _ = core.Seed(context.TODO(), g, lo, mode, 1, false, nil, nil)
 		tr.SeedUnits = int64(g.M()) // one pass over the edge list
 	} else {
 		var err error

@@ -69,9 +69,10 @@ func CorrelationGraph(m *ExpressionMatrix, method CorrelationMethod, threshold f
 }
 
 // CorrelationGraphRep is CorrelationGraph with an explicit adjacency
-// representation.  Auto picks Dense or CSR from the thresholded density,
-// so a genome-scale sparse coexpression graph comes back CSR — O(n+m)
-// bytes — without the dense bitmap index ever being materialized.
+// representation.  Auto picks whichever of Dense and CSR is smaller for
+// the thresholded edge count, so a sparse coexpression graph comes back
+// CSR — O(n+m) bytes — without the dense bitmap index ever being
+// materialized.
 func CorrelationGraphRep(m *ExpressionMatrix, method CorrelationMethod, threshold float64, rep Representation) (GraphInterface, error) {
 	return microarray.CorrelationGraphRep(m, method, threshold, rep)
 }
