@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -68,6 +69,37 @@ func TestSeedLedger(t *testing.T) {
 				}
 				gov.Release(1000)
 			}
+		}
+	}
+}
+
+// TestSeedRowsStayBounded: a hub first in the order has its seed branch
+// through nearly every neighbour, and the rows of G[N(hub)] would take
+// 1 110 rows of 18 words, 160 KB.  The seed's universe keeps its rows
+// within the rank table's 4n bytes, so a shard holds at most 8n bytes
+// beside N(v), its row slots (8 bytes a member) and its sets (four rows
+// at k = 3), plus the peel's n-bit mask: 39 KB at two workers.
+func TestSeedRowsStayBounded(t *testing.T) {
+	const n, d = 1200, 1110
+	ref := graph.RandomGNP(rand.New(rand.NewSource(363)), n, 0.005)
+	for v := 1; v <= d; v++ {
+		ref.AddEdge(0, v)
+	}
+	g, err := graph.Convert(ref, graph.CSR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		gov := membudget.New(0)
+		if _, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, workers, false, nil, gov); err != nil {
+			t.Fatal(err)
+		}
+		deg := int64(g.Degree(0))
+		if bound := int64(workers)*(8*n+8*deg+4*8*(deg+63)/64) + n/8; gov.Peak() > bound {
+			t.Errorf("workers=%d: seed peak %d bytes, over %d", workers, gov.Peak(), bound)
+		}
+		if gov.Used() != 0 {
+			t.Errorf("workers=%d: governor at %d after the seed", workers, gov.Used())
 		}
 	}
 }

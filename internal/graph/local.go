@@ -21,9 +21,10 @@ import (
 // A row is built only for a vertex the search touches, the first time it
 // does, so the rows take ⌈deg(v)/64⌉ words for each of at most deg(v)
 // touched vertices: below deg(v)²/8 bytes, and far below it for a hub
-// late in the order, whose search touches few of its neighbours.  Every
-// byte Local holds is counted by Bytes; what it grows by inside a centre
-// is charged to the governor Enter was given.
+// late in the order, whose search touches few of its neighbours — or,
+// Bounded, within the rank table's 4n.  Every byte Local holds is counted
+// by Bytes; what it grows by inside a centre is charged to the governor
+// Enter was given.
 type Local struct {
 	V    int      // the centre; -1 before the first Enter
 	Nbr  []uint32 // N(v), sorted: local -> global
@@ -32,6 +33,13 @@ type Local struct {
 	Slot []int32  // built local l's row is Rows[Slot[l]*W:][:W]
 
 	scratch []uint64 // the caller's working sets (Scratch)
+
+	// Bounded keeps the built rows within the rank table's 4n bytes: a
+	// build past them first forgets every row of the centre.  Only a
+	// caller that holds no row across a call that may build one can set
+	// it — the seed, which ANDs a row into its sets as it gets it, and not
+	// the join, which reads a sub-list's tail rows side by side.
+	Bounded bool
 
 	g     Interface
 	dense *Graph // g when dense: a row is built by probing N(v), not by walking n bits
@@ -74,16 +82,7 @@ func (u *Local) Enter(v int, gov *membudget.Governor) {
 	u.gov = gov
 	u.grow(u.g.Degree(v), 0, 0)
 	u.V, u.Nbr, u.built = v, u.Nbr[:0], 0
-	if u.dense != nil {
-		row := u.dense.adj[v]
-		for x := range row.Words() {
-			for word := row.WordAt(x); word != 0; word &= word - 1 {
-				u.admitVertex(x<<6 + bits.TrailingZeros64(word))
-			}
-		}
-	} else {
-		u.g.Row(v).ForEach(u.admit)
-	}
+	u.g.Row(v).ForEach(u.admit)
 	u.W = (len(u.Nbr) + 63) / 64
 }
 
@@ -150,7 +149,16 @@ func (u *Local) Row(l int) []uint64 {
 func (u *Local) build(x uint32) int32 {
 	l, s := -u.rank[x]-2, u.built
 	if (s+1)*u.W > len(u.Rows) {
-		u.grow(0, min(2*s+1, len(u.Nbr)), 0) // doubling: the copies stay linear in the rows
+		rows := len(u.Nbr)
+		if u.Bounded {
+			rows = min(rows, max(len(u.rank)/2/u.W, 1)) // 4n bytes: the rank table's
+		}
+		if s < rows {
+			u.grow(0, min(2*s+1, rows), 0) // doubling: the copies stay linear in the rows
+		} else {
+			u.forget()
+			s = 0
+		}
 	}
 	u.fill = u.Rows[s*u.W : (s+1)*u.W]
 	clear(u.fill)
@@ -166,6 +174,15 @@ func (u *Local) build(x uint32) int32 {
 	}
 	u.Slot[l], u.rank[x], u.built = int32(s), l, s+1
 	return l
+}
+
+// forget unbuilds every row of the centre, so the next build takes the
+// first slot.
+func (u *Local) forget() {
+	for l, x := range u.Nbr {
+		u.rank[x] = min(u.rank[x], -int32(l)-2)
+	}
+	u.built = 0
 }
 
 // grow sizes N(v) and its slots for degree d, the rows for nrows and the

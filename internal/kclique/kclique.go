@@ -170,6 +170,7 @@ func (p *Prepared) Enumerate(ctx context.Context, opts Options) (Stats, error) {
 		ctx:     ctx,
 		prefix:  make([]int, p.k-1),
 	}
+	e.u.Bounded = true // a row is ANDed into the sets as the search gets it
 	e.group = Group{Prefix: e.prefix, u: e.u, n: p.g.N()}
 	e.gov.Charge(e.u.Bytes())
 	defer func() { e.gov.Release(e.u.Bytes()) }() // the universe charged its growth
