@@ -189,20 +189,10 @@ func run(ctx context.Context, path string, o options) error {
 		g.Bytes(), repro.DenseAdjacencyBytes(g.N()))
 
 	if o.hi == 0 && !o.noBound {
-		// The exact bound densifies non-dense graphs; at the scale the
-		// sparse representations exist for, that allocation is exactly
-		// what the user chose -repr to avoid, so skip it rather than
-		// blow the memory budget behind their back.
-		const densifyCap = 256 << 20
-		if g.Representation() != repro.Dense && repro.DenseAdjacencyBytes(g.N()) > densifyCap {
-			fmt.Fprintf(os.Stderr, "cliquer: skipping the maximum-clique bound: it would densify %d bytes of adjacency; pass -hi or -no-bound to silence\n",
-				repro.DenseAdjacencyBytes(g.N()))
-		} else {
-			start := time.Now()
-			omega := repro.MaxCliqueSize(g)
-			fmt.Printf("maximum clique: %d (%.3fs)\n", omega, time.Since(start).Seconds())
-			o.hi = omega
-		}
+		start := time.Now()
+		omega := repro.MaxCliqueSize(g)
+		fmt.Printf("maximum clique: %d (%.3fs)\n", omega, time.Since(start).Seconds())
+		o.hi = omega
 	}
 
 	var report repro.Reporter
@@ -303,7 +293,7 @@ func run(ctx context.Context, path string, o options) error {
 // shape whether the run completed, timed out, or was Ctrl-C'd.
 func printSummary(w io.Writer, state string, st *repro.Stats, o options) {
 	bounds := fmt.Sprintf("[%d,%d]", o.lo, o.hi)
-	if o.hi == 0 { // no upper bound: -no-bound, or the bound was skipped
+	if o.hi == 0 { // no upper bound: -no-bound
 		bounds = fmt.Sprintf("[%d,∞)", o.lo)
 	}
 	fmt.Fprintf(w, "%s (%s): %d maximal cliques in %s, max size %d, %d levels, %.3fs\n",

@@ -9,7 +9,7 @@ import (
 )
 
 // TestPrintSummary pins the summary's first line: a bounded run prints
-// its closed range, an unbounded one (-no-bound, or a skipped bound) the
+// its closed range, an unbounded one (-no-bound) the
 // open range from lo, never a literal 0 as the largest size.
 func TestPrintSummary(t *testing.T) {
 	st := &repro.Stats{Backend: "sequential", MaximalCliques: 12, MaxCliqueSize: 7,

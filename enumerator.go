@@ -608,6 +608,7 @@ func (e *Enumerator) Paracliques(ctx context.Context, g GraphInterface, glom flo
 		Ctx:           cfg.Ctx,
 		Glom:          glom,
 		MinCliqueSize: min,
+		Gov:           rn.gov,
 	})
 	out := outcome{paracliques: len(ps)}
 	out.MaximalCliques = int64(len(ps))

@@ -225,101 +225,3 @@ func (g *Graph) InducedSubgraph(vertices *bitset.Bitset) (*Graph, []int) {
 	}
 	return sub, newToOld
 }
-
-// DegeneracyOrder returns a vertex ordering produced by repeatedly
-// removing a minimum-degree vertex, along with the graph's degeneracy.
-// Several bounding heuristics (greedy clique, coloring) consume it.
-func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
-	n := g.n
-	deg := make([]int, n)
-	removed := make([]bool, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	// Bucket queue over degrees.
-	maxDeg := MaxDegree(g)
-	buckets := make([][]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-	}
-	order = make([]int, 0, n)
-	cur := 0
-	for len(order) < n {
-		if cur > maxDeg {
-			break
-		}
-		if len(buckets[cur]) == 0 {
-			cur++
-			continue
-		}
-		v := buckets[cur][len(buckets[cur])-1]
-		buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-		if removed[v] || deg[v] != cur {
-			continue // stale bucket entry
-		}
-		removed[v] = true
-		order = append(order, v)
-		if cur > degeneracy {
-			degeneracy = cur
-		}
-		g.adj[v].ForEach(func(u int) bool {
-			if !removed[u] {
-				deg[u]--
-				buckets[deg[u]] = append(buckets[deg[u]], u)
-				if deg[u] < cur {
-					cur = deg[u]
-				}
-			}
-			return true
-		})
-	}
-	return order, degeneracy
-}
-
-// GreedyCliqueLowerBound grows a clique greedily along the reverse
-// degeneracy order and returns its vertices.  It is a fast lower bound for
-// the maximum-clique solvers.
-func (g *Graph) GreedyCliqueLowerBound() []int {
-	order, _ := g.DegeneracyOrder()
-	best := []int{}
-	cand := bitset.New(g.n)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		clique := []int{v}
-		cand.CopyFrom(g.adj[v])
-		for {
-			// Pick the candidate with most connections into cand.
-			bestU, bestDeg := -1, -1
-			cand.ForEach(func(u int) bool {
-				d := g.adj[u].AndCount(cand)
-				if d > bestDeg {
-					bestU, bestDeg = u, d
-				}
-				return true
-			})
-			if bestU < 0 {
-				break
-			}
-			clique = append(clique, bestU)
-			cand.And(cand, g.adj[bestU])
-		}
-		if len(clique) > len(best) {
-			best = clique
-		}
-		// Trying every start is quadratic; a handful of starts from the
-		// high-coreness end is enough for a bound.
-		if len(order)-i >= 8 {
-			break
-		}
-	}
-	sortInts(best)
-	return best
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}

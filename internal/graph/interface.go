@@ -274,10 +274,11 @@ func nameSliceOf(g Interface) []string {
 // Densify returns g as a dense *Graph: g itself when already dense,
 // otherwise a freshly materialized dense copy (names transplanted).
 // Algorithms whose row algebra is inherently dense — the complement
-// route of the FPT pipeline, the coloring bounds of the maximum-clique
-// solver — use this at their entry points; the cost is the dense
-// adjacency footprint, so genome-scale sparse graphs should prefer the
-// enumeration paths, which never densify whole graphs.
+// route of the FPT pipeline, paraclique's shrinking working copy — use
+// this at their entry points; the cost is the dense adjacency
+// footprint, so genome-scale sparse graphs should prefer the
+// enumeration paths and the maximum-clique search, which never densify
+// whole graphs.
 func Densify(g Interface) *Graph {
 	if d, ok := g.(*Graph); ok {
 		return d

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/bk"
 	"repro/internal/clique"
 	"repro/internal/graph"
+	"repro/internal/membudget"
 	"repro/internal/vc"
 )
 
@@ -147,6 +150,75 @@ func TestResultCanonical(t *testing.T) {
 		if c[i] <= c[i-1] {
 			t.Fatalf("result not canonical: %v", c)
 		}
+	}
+}
+
+// lexMinMaximum is the oracle of the search's contract: the
+// lexicographically smallest of g's largest maximal cliques, from Improved BK.
+func lexMinMaximum(g graph.Interface) []int {
+	var best []int
+	for _, c := range bk.MaximalCliques(g, bk.Improved) {
+		if len(c) > len(best) || len(c) == len(best) && slices.Compare(c, best) < 0 {
+			best = slices.Clone(c)
+		}
+	}
+	return best
+}
+
+// TestLexMinAgainstOracle: Find returns the lexicographically smallest
+// maximum clique on every representation, edgeless graphs ([0]) included.
+func TestLexMinAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for trial := range 420 {
+		n, p := 3+rng.Intn(58), 0.1+0.7*rng.Float64()
+		d := graph.RandomGNP(rng, n, p)
+		if trial%40 == 0 {
+			d = graph.New(n)
+		}
+		want := lexMinMaximum(d)
+		for _, rep := range []graph.Representation{graph.Dense, graph.CSR, graph.Compressed} {
+			g, err := graph.Convert(d, rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Find(g); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n %d, p %.2f, %s): Find = %v, want %v", trial, n, p, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestHubRowsStayBounded: a CSR graph whose first vertex is a hub
+// adjacent to nearly all others, so the second pass enters the hub's
+// neighbourhood first.  The governor's peak stays within Bytes, the rows
+// within the rank table's 4n bytes, and the governor ends where it began.
+func TestHubRowsStayBounded(t *testing.T) {
+	const n, d = 1200, 1110
+	ref := graph.RandomGNP(rand.New(rand.NewSource(363)), n, 0.005)
+	for v := 1; v <= d; v++ {
+		ref.AddEdge(0, v)
+	}
+	g, err := graph.Convert(ref, graph.CSR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := membudget.New(0)
+	s := newSearcher(context.Background(), g, gov)
+	got, err := s.run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lexMinMaximum(g); !slices.Equal(got, want) {
+		t.Fatalf("Find = %v, want %v", got, want)
+	}
+	if gov.Peak() > Bytes(g) {
+		t.Errorf("peak %d bytes, over the bound %d", gov.Peak(), Bytes(g))
+	}
+	if rows := 8 * int64(cap(s.u.Rows)); rows > 4*n {
+		t.Errorf("rows hold %d bytes, over 4n = %d", rows, 4*n)
+	}
+	if gov.Used() != 0 {
+		t.Errorf("governor at %d after the search", gov.Used())
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/maxclique"
+	"repro/internal/membudget"
 )
 
 // Options configures extraction.
@@ -41,6 +42,10 @@ type Options struct {
 	// MaxParacliques bounds how many paracliques Extract returns
 	// (0 = all).
 	MaxParacliques int
+	// Gov, when non-nil, is charged the dense working copy and each seed
+	// search while Extract runs; it is back at its entry value when
+	// Extract returns.  Extract never polls it.
+	Gov *membudget.Governor
 }
 
 // Paraclique is one extracted dense subgraph.
@@ -112,14 +117,18 @@ func Extract(g graph.Interface, opts Options) []Paraclique {
 	if opts.MinCliqueSize == 0 {
 		opts.MinCliqueSize = 3
 	}
-	// The decomposition repeatedly induces subgraphs and seeds maximum
-	// cliques (which densify anyway), so it works on a dense copy.
+	// The decomposition gloms over bitmaps and induces a smaller subgraph
+	// after every paraclique, so it works on a dense copy, which each
+	// remainder replaces.
 	var work *graph.Graph
 	if d, ok := g.(*graph.Graph); ok {
 		work = d.Clone()
 	} else {
 		work = graph.Densify(g)
 	}
+	held := work.Bytes()
+	opts.Gov.Charge(held)
+	defer func() { opts.Gov.Release(held) }()
 	idToOrig := make([]int, g.N())
 	for i := range idToOrig {
 		idToOrig[i] = i
@@ -134,7 +143,7 @@ func Extract(g graph.Interface, opts Options) []Paraclique {
 		if opts.MaxParacliques > 0 && len(out) >= opts.MaxParacliques {
 			return out
 		}
-		seed, err := maxclique.FindContext(ctx, work)
+		seed, _, err := maxclique.Search(ctx, work, opts.Gov)
 		if err != nil || len(seed) < opts.MinCliqueSize {
 			return out
 		}
@@ -160,7 +169,9 @@ func Extract(g graph.Interface, opts Options) []Paraclique {
 		for ni, ov := range newToOld {
 			remap[ni] = idToOrig[ov]
 		}
-		work = sub
+		opts.Gov.Charge(sub.Bytes())
+		opts.Gov.Release(held)
+		work, held = sub, sub.Bytes()
 		idToOrig = remap
 		if work.N() == 0 {
 			return out

@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/enumcfg"
+	"repro/internal/maxclique"
 	"repro/internal/membudget"
 )
 
@@ -449,27 +450,16 @@ func writeNDJSONSummary(w io.Writer, st *repro.Stats) error {
 // ---- maxclique / paracliques -----------------------------------------
 
 func (s *Server) handleMaxClique(w http.ResponseWriter, r *http.Request) {
-	// The exact search densifies non-dense graphs; reserve for that
-	// worst case so a genome-scale CSR graph cannot OOM the server
-	// through this endpoint (it is refused or queued instead).
+	// The search runs inside one neighbourhood at a time and never
+	// densifies: the reservation covers the bound on what it charges.
 	reserve := func(g repro.GraphInterface) int64 {
-		n := g.Bytes() + 1<<20
-		if g.Representation() != repro.Dense {
-			n += repro.DenseAdjacencyBytes(g.N())
-		}
-		return n
+		return g.Bytes() + 1<<20 + maxclique.Bytes(g)
 	}
 	s.serve(w, r, "maxclique", "application/json", reserve,
 		buffered(func(ctx context.Context, g repro.GraphInterface, gov *membudget.Governor) (any, error) {
 			start := time.Now()
-			// The dense copy lives as long as the search: the query's.
-			if g.Representation() != repro.Dense {
-				dense := repro.DenseAdjacencyBytes(g.N())
-				gov.Charge(dense)
-				defer gov.Release(dense)
-			}
 			// On a hang-up the branch-and-bound observes ctx and exits.
-			cliqueVerts, err := repro.MaxCliqueContext(ctx, g)
+			cliqueVerts, _, err := maxclique.Search(ctx, g, gov)
 			return map[string]any{
 				"size":       len(cliqueVerts),
 				"vertices":   cliqueVerts,

@@ -2,17 +2,23 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/bitset"
+	"repro/internal/bk"
+	"repro/internal/graph"
+	"repro/internal/membudget"
 	"repro/internal/service"
 	"repro/internal/testgraph"
 )
@@ -129,12 +135,15 @@ func TestRequestPath(t *testing.T) {
 		// 60-bit global rows (two scratch bitmaps and three memo rows, 40).
 		fives       = "{\"size\":5,\"vertices\":[3,4,5,6,7]}\n{\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n{\"size\":6,\"vertices\":[1,2,3,4,5,7]}\n{\"done\":true,\"count\":3,\"max_size\":6,\"backend\":\"sequential\",\"peak_bytes\":536,\"elapsed_ms\":0}\n"
 		maxClique   = "{\"elapsed_ms\":0,\"size\":6,\"vertices\":[0,1,2,3,4,5]}\n"
-		paracliques = "{\"count\":3,\"paracliques\":[{\"vertices\":[0,1,2,3,4,5],\"core_size\":6,\"density\":1},{\"vertices\":[16,22,24,31],\"core_size\":4,\"density\":1},{\"vertices\":[30,33,45,52],\"core_size\":4,\"density\":1}]}\n"
+		paracliques = "{\"count\":3,\"paracliques\":[{\"vertices\":[0,1,2,3,4,5],\"core_size\":6,\"density\":1},{\"vertices\":[15,24,26,56],\"core_size\":4,\"density\":1},{\"vertices\":[22,29,31,45],\"core_size\":4,\"density\":1}]}\n"
 		timedOut    = "{\"error\":\"service: timed out waiting for memory headroom\"}\n"
 		neverFits   = "{\"error\":\"membudget: reservation exceeds remaining headroom: 67109344 bytes exceed the whole budget 1048576\"}\n"
 		noGraph     = "{\"error\":\"no graph with fingerprint deadbeef00000000\"}\n"
 		badBounds   = "{\"error\":\"enumcfg: Lo -1 \\u003c 1\"}\n"
 	)
+	// Each paraclique's seed is the lexicographically smallest maximum
+	// clique of what the earlier ones left.
+	checkSeeds(t, testGraph(42, 60, 0.15), paracliques)
 	tight := service.Config{Budget: 8 << 20, QueueWait: 50 * time.Millisecond}
 	tiny := service.Config{Budget: 1 << 20}
 
@@ -209,8 +218,14 @@ func TestRequestPath(t *testing.T) {
 			want: reply{200, "hit", "", "", jsonCT, maxClique}},
 		{name: "maxclique/shed", cfg: tight, upload: small, path: "maxclique", prepare: occupy,
 			want: reply{503, "", "", "2", jsonCT, timedOut}},
+		// The reservation is the graph's 480 bytes, 1 MiB and
+		// maxclique.Bytes for n 60 and Δ 16: the four n-entry tables,
+		// 4 x 4 x 60 = 960, the buckets and the clique stack, 4 x 2 x 17 =
+		// 136, rows within 4 x 60 = 240 (or one word, 8), N(v) and its
+		// slots, 8 x 16 = 128, and 19 one-word sets, 152 — 1 624, so
+		// 1 050 680.
 		{name: "maxclique/never-fits", cfg: tiny, upload: small, path: "maxclique",
-			want: reply{507, "", "", "", jsonCT, strings.Replace(neverFits, "67109344", "1049056", 1)}},
+			want: reply{507, "", "", "", jsonCT, strings.Replace(neverFits, "67109344", "1050680", 1)}},
 		{name: "maxclique/unknown-graph", upload: small, path: "!maxclique",
 			want: reply{404, "", "", "", jsonCT, noGraph}},
 		{name: "maxclique/disconnect", upload: dense, path: "maxclique", hangUp: true},
@@ -305,14 +320,79 @@ func TestRequestPath(t *testing.T) {
 	}
 }
 
-// TestMaxCliqueChargesDenseCopy: the exact search densifies a CSR graph
-// for as long as it runs, and the copy is the query's.  A sparse
-// 400-vertex upload is CSR (4 x (401 + 2m) bytes against the dense
-// 400 x 7 words x 8 = 22 400); while /maxclique runs, the server
-// governor holds the pinned graph and the dense copy, so its peak reaches
-// the entry value plus DenseAdjacencyBytes(400), and once the reply is
-// out it is back at the entry value.
-func TestMaxCliqueChargesDenseCopy(t *testing.T) {
+// checkSeeds replays a /paracliques body against the oracle: each
+// paraclique holds the lexicographically smallest maximum clique of the
+// graph the earlier ones left, and its core size is that clique's.
+func checkSeeds(t *testing.T, g *graph.Graph, body string) {
+	t.Helper()
+	var out struct {
+		Paracliques []struct {
+			Vertices []int `json:"vertices"`
+			CoreSize int   `json:"core_size"`
+		} `json:"paracliques"`
+	}
+	if err := json.Unmarshal([]byte(body), &out); err != nil {
+		t.Fatal(err)
+	}
+	left := bitset.New(g.N())
+	left.SetAll()
+	for i, p := range out.Paracliques {
+		sub, toOld := g.InducedSubgraph(left)
+		var seed []int
+		for _, c := range bk.MaximalCliques(sub, bk.Improved) {
+			if len(c) > len(seed) || len(c) == len(seed) && slices.Compare(c, seed) < 0 {
+				seed = slices.Clone(c)
+			}
+		}
+		for j, v := range seed {
+			seed[j] = toOld[v]
+		}
+		held := true
+		for _, v := range seed {
+			held = held && slices.Contains(p.Vertices, v)
+		}
+		if !held || p.CoreSize != len(seed) {
+			t.Errorf("paraclique %d %v (core size %d) does not grow from the seed %v", i, p.Vertices, p.CoreSize, seed)
+		}
+		for _, v := range p.Vertices {
+			left.Clear(v)
+		}
+	}
+}
+
+// TestMaxCliqueChargesItsSearch: the exact search runs inside one
+// neighbourhood at a time and charges what it holds to the query.  A
+// sparse 400-vertex upload is CSR (4 x (401 + 2m) bytes against the
+// dense 400 x 7 words x 8 = 22 400); while /maxclique runs, the server
+// governor's peak rises above its entry value by the search's tables and
+// universe, below a dense copy, and once the reply is out it is back at
+// the entry value.
+func TestMaxCliqueChargesItsSearch(t *testing.T) {
+	const n = 400
+	srv, ts := newServer(t, service.Config{})
+	fp := loadGraph(t, ts, testGraphBytes(t, 7, n, 0.01))
+	if info, _ := srv.Registry().Info(fp); info.Representation != "csr" {
+		t.Fatalf("the upload is %s, want csr", info.Representation)
+	}
+	gov := srv.Governor()
+	entry, dense := gov.Used(), repro.DenseAdjacencyBytes(n)
+	if gov.Peak() > entry {
+		t.Fatalf("peak %d before the query, above the entry value %d", gov.Peak(), entry)
+	}
+	if status, _, _ := get(t, ts.URL+"/graphs/"+fp+"/maxclique"); status != http.StatusOK {
+		t.Fatalf("status %d", status)
+	}
+	if peak := gov.Peak(); peak <= entry || peak >= entry+dense {
+		t.Errorf("peak %d during the search, want above %d and below %d + %d for a dense copy", peak, entry, entry, dense)
+	}
+	waitUsed(t, gov, entry)
+}
+
+// TestParacliquesChargeDenseCopy: extraction works on a dense copy of a
+// CSR graph for as long as it runs, and the copy is the query's: the
+// server governor's peak covers DenseAdjacencyBytes(n) above the entry
+// value, and once the reply is out it is back at the entry value.
+func TestParacliquesChargeDenseCopy(t *testing.T) {
 	const n = 400
 	srv, ts := newServer(t, service.Config{})
 	fp := loadGraph(t, ts, testGraphBytes(t, 7, n, 0.01))
@@ -324,15 +404,22 @@ func TestMaxCliqueChargesDenseCopy(t *testing.T) {
 	if gov.Peak() >= entry+dense {
 		t.Fatalf("peak %d before the query already covers the copy (entry %d + %d)", gov.Peak(), entry, dense)
 	}
-	if status, _, _ := get(t, ts.URL+"/graphs/"+fp+"/maxclique"); status != http.StatusOK {
+	if status, _, _ := get(t, ts.URL+"/graphs/"+fp+"/paracliques"); status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
 	if peak := gov.Peak(); peak < entry+dense {
-		t.Errorf("peak %d during the search, want at least %d + %d for the dense copy", peak, entry, dense)
+		t.Errorf("peak %d during the extraction, want at least %d + %d for the dense copy", peak, entry, dense)
 	}
-	for deadline := time.Now().Add(10 * time.Second); gov.Used() != entry; time.Sleep(time.Millisecond) {
+	waitUsed(t, gov, entry)
+}
+
+// waitUsed waits for the governor to return to want: a handler finishes
+// its accounting after the reply is out.
+func waitUsed(t *testing.T, gov *membudget.Governor, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); gov.Used() != want; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("governor at %d after the query, entry value %d", gov.Used(), entry)
+			t.Fatalf("governor at %d after the query, entry value %d", gov.Used(), want)
 		}
 	}
 }

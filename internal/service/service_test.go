@@ -18,16 +18,21 @@ import (
 	"repro/internal/service"
 )
 
-// testGraphBytes builds a deterministic test graph and returns its
-// edge-list serialization — the bytes a client would upload.
-func testGraphBytes(t *testing.T, seed int64, n int, p float64) []byte {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.RandomGNP(rng, n, p)
+// testGraph builds a deterministic test graph: G(n, p) with two
+// overlapping cliques planted at its first vertices.
+func testGraph(seed int64, n int, p float64) *graph.Graph {
+	g := graph.RandomGNP(rand.New(rand.NewSource(seed)), n, p)
 	repro.PlantClique(g, []int{0, 1, 2, 3, 4, 5})
 	repro.PlantClique(g, []int{3, 4, 5, 6, 7})
+	return g
+}
+
+// testGraphBytes returns testGraph's edge-list serialization — the bytes
+// a client would upload.
+func testGraphBytes(t *testing.T, seed int64, n int, p float64) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := repro.WriteEdgeList(&buf, g); err != nil {
+	if err := repro.WriteEdgeList(&buf, testGraph(seed, n, p)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

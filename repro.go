@@ -107,17 +107,18 @@ type Clique = clique.Clique
 // g.AddEdge(u, v).
 func NewGraph(n int) *Graph { return graph.New(n) }
 
-// MaxClique returns a maximum clique of g (exact, branch-and-bound with
-// greedy-coloring bounds).  Any representation is accepted; non-dense
-// graphs are densified for the search.
+// MaxClique returns the lexicographically smallest maximum clique of g
+// (exact, branch-and-bound with greedy-coloring bounds, run inside one
+// vertex's neighbourhood at a time).  Any representation is accepted and
+// none is densified.
 func MaxClique(g GraphInterface) []int { return maxclique.Find(g) }
 
 // MaxCliqueContext is MaxClique with cancellation: the search polls ctx
 // between branch-and-bound node expansions and returns ctx's error when
 // it is canceled.  The search is worst-case exponential, so any caller
-// serving it to a client that can go away (cliqued's /maxclique) should
-// use this form — cancellation is what turns a disconnect into freed
-// CPU instead of a search that runs to completion unobserved.
+// serving it to a client that can go away should use this form —
+// cancellation is what turns a disconnect into freed CPU instead of a
+// search that runs to completion unobserved.
 func MaxCliqueContext(ctx context.Context, g GraphInterface) ([]int, error) {
 	return maxclique.FindContext(ctx, g)
 }
