@@ -112,8 +112,8 @@ type searcher struct {
 	clique []int32 // the clique grown so far, depth by depth
 
 	// target is the size of clique the search is after: one above the
-	// largest found on the first pass, ω on the second, canonical one,
-	// which stops at the first it finds.
+	// largest found so far on the first pass; ω on the second, canonical
+	// pass, which stops at the first it finds.
 	target    int
 	canonical bool
 	best      []int
