@@ -15,8 +15,7 @@
 // -strategy selects the dispatch policy (affinity or contiguous), and
 // -stats streams per-level statistics to stderr.  -ooc DIR spills levels
 // to disk instead of memory; -workers then joins the level shards
-// concurrently, -ooc-compress delta-varint encodes the level records,
-// and -ooc-checkpoint keeps a resumable manifest so a killed run can be
+// concurrently, and -ooc-checkpoint keeps a resumable manifest so a killed run can be
 // continued with -resume DIR (same graph file).
 //
 // -mem-budget BYTES arms the memory governor on any backend: a purely
@@ -31,7 +30,7 @@
 // -dist N runs the distributed coordinator instead: N worker processes
 // (spawned from this binary with -worker, or from -dist-worker-cmd) join
 // the level shards under the -ooc directory, which -dist requires as the
-// shared run directory.  -ooc-compress composes; -dist-lease-timeout
+// shared run directory.  -dist-lease-timeout
 // bounds one shard join before the shard is re-leased, and
 // -dist-shard-bytes overrides the lease granularity.  A worker that dies
 // is respawned and its in-flight shard re-leased — the emitted stream is
@@ -78,10 +77,9 @@ func main() {
 	stats := flag.Bool("stats", false, "print live per-level statistics")
 	countOnly := flag.Bool("count", false, "print counts only, not the cliques")
 	dimacs := flag.Bool("dimacs", false, "input is DIMACS clique format")
-	storeBits := flag.Bool("store-cn", false, "store a common-neighbor bitmap per sub-list (the paper's policy) instead of rebuilding it: more memory, faster on csr/wah")
+	storeBits := flag.Bool("store-cn", false, "store a common-neighbor bitmap per sub-list (the paper's policy) instead of rebuilding it: several times the memory and about 2.5-3x the time on every representation")
 	repr := flag.String("repr", "auto", "graph representation: auto (the smaller of dense and csr), dense, csr or wah")
 	oocDir := flag.String("ooc", "", "run the out-of-core enumerator, spilling levels to this directory")
-	oocCompress := flag.Bool("ooc-compress", false, "out-of-core: delta-varint encode level records")
 	oocCheckpoint := flag.Bool("ooc-checkpoint", false, "out-of-core: keep a resumable manifest in the -ooc directory (resume with -resume)")
 	resume := flag.String("resume", "", "continue the checkpointed out-of-core run in this directory (needs the same graph file)")
 	distWorkers := flag.Int("dist", 0, "distributed: lease level shards to this many worker processes (requires -ooc DIR as the shared run directory)")
@@ -116,8 +114,8 @@ func main() {
 		stats: *stats, countOnly: *countOnly,
 		dimacs: *dimacs, storeBits: *storeBits,
 		repr: *repr, oocDir: *oocDir,
-		oocCompress: *oocCompress, oocCheckpoint: *oocCheckpoint,
-		resume: *resume, budget: *budget, spill: *spill,
+		oocCheckpoint: *oocCheckpoint,
+		resume:        *resume, budget: *budget, spill: *spill,
 		noBound: *noBound,
 		dist:    *distWorkers, distWorkerCmd: *distWorkerCmd,
 		distLease: *distLease, distShardBytes: *distShardBytes,
@@ -129,19 +127,19 @@ func main() {
 }
 
 type options struct {
-	lo, hi, workers            int
-	strategy                   string
-	stats, countOnly, dimacs   bool
-	storeBits, noBound         bool
-	repr                       string
-	oocDir                     string
-	oocCompress, oocCheckpoint bool
-	resume                     string
-	budget, spill              int64
-	dist                       int
-	distWorkerCmd              string
-	distLease                  time.Duration
-	distShardBytes             int64
+	lo, hi, workers          int
+	strategy                 string
+	stats, countOnly, dimacs bool
+	storeBits, noBound       bool
+	repr                     string
+	oocDir                   string
+	oocCheckpoint            bool
+	resume                   string
+	budget, spill            int64
+	dist                     int
+	distWorkerCmd            string
+	distLease                time.Duration
+	distShardBytes           int64
 }
 
 func parseStrategy(s string) (repro.Strategy, error) {
@@ -230,9 +228,6 @@ func run(ctx context.Context, path string, o options) error {
 		if o.distShardBytes > 0 {
 			knobs = append(knobs, repro.DistShardBytes(o.distShardBytes))
 		}
-		if o.oocCompress {
-			knobs = append(knobs, repro.OOCCompress())
-		}
 		opts = append(opts, repro.WithDistributed(o.dist, o.oocDir, knobs...))
 	} else if o.oocDir != "" || o.resume != "" {
 		dir := o.oocDir
@@ -243,9 +238,6 @@ func run(ctx context.Context, path string, o options) error {
 			dir = o.resume
 		}
 		var knobs []repro.OutOfCoreOption
-		if o.oocCompress {
-			knobs = append(knobs, repro.OOCCompress())
-		}
 		if o.oocCheckpoint {
 			knobs = append(knobs, repro.OOCCheckpoint())
 		}

@@ -97,8 +97,8 @@ type Stats struct {
 	// SpillBytesWritten / SpillBytesRead / PeakLevelFileBytes describe
 	// the out-of-core backend's I/O volume (encoded bytes actually
 	// moved).  SpillRawBytesWritten is the fixed-width-equivalent
-	// payload; with OOCCompress the ratio of the two is the level-file
-	// compression win.  Resumed reports that the run continued a
+	// payload; the ratio of the two is what the front-coded level blocks
+	// save on disk.  Resumed reports that the run continued a
 	// checkpoint, in which case the spill counters are cumulative across
 	// the original run and the resume.  Counted by the on-disk level
 	// driver as the bytes move.
@@ -215,13 +215,12 @@ func OOCWorkers(n int) OutOfCoreOption {
 	return func(c *enumcfg.Config) { c.Workers = n }
 }
 
-// OOCCompress delta-varint encodes the level records instead of storing
-// fixed-width vertices, typically shrinking level files severalfold on
-// clique-rich graphs — a direct attack on the "intensive disk I/O" the
-// paper blames for its out-of-core one-week cutoff.  Stats reports both
-// encoded and raw-equivalent bytes so the win is measurable.
+// OOCCompress is kept for source compatibility and changes nothing:
+// level shards have one format, the in-core level's front-coded blocks
+// under a CRC-32C each, which is already a fraction of the fixed-width
+// bytes.
 func OOCCompress() OutOfCoreOption {
-	return func(c *enumcfg.Config) { c.OOCCompress = true }
+	return func(*enumcfg.Config) {}
 }
 
 // OOCCheckpoint makes the run resumable: dir becomes a durable run
@@ -243,8 +242,7 @@ func OOCCheckpoint() OutOfCoreOption {
 // plain run are always removed, even on cancellation; with
 // OOCCheckpoint the last completed level is kept for WithResume
 // instead.  The knobs select parallel
-// shard joins (OOCWorkers), compressed level records (OOCCompress) and
-// resumability (OOCCheckpoint).  Combined with WithMemoryBudget this
+// shard joins (OOCWorkers) and resumability (OOCCheckpoint).  Combined with WithMemoryBudget this
 // selects the hybrid backend instead: in-core until the governor trips,
 // out-of-core after (see WithSpillover).
 func WithOutOfCore(dir string, levelBudget int64, knobs ...OutOfCoreOption) Option {
@@ -303,8 +301,7 @@ func DistShardBytes(n int64) OutOfCoreOption {
 // respawned if they die, with their in-flight shards re-leased — the
 // emitted clique stream is byte-identical to a sequential run at any
 // worker count, faults included.  n must be at least 1; the first Run
-// reports anything less.  OOCCompress composes (workers adopt
-// the coordinator's record encoding); WithWorkers, WithMemoryBudget,
+// reports anything less.  WithWorkers, WithMemoryBudget,
 // and the checkpoint/resume knobs do not — the coordinator manages its
 // own per-level checkpoint, and the coordinator's governor is the run's
 // single accounting authority (worker scratch is held as child
@@ -345,8 +342,7 @@ func WithMemoryBudget(bytes int64) Option {
 // either way, memory-priced while the run fits, disk-priced only from
 // the level that stopped fitting.  Requires WithMemoryBudget.  The same
 // regime is selected implicitly when WithOutOfCore and WithMemoryBudget
-// are combined.  Of the knobs, OOCCompress encodes the spilled records
-// and OOCWorkers widens the post-spill shard joins (the in-core phase
+// are combined.  Of the knobs, OOCWorkers widens the post-spill shard joins (the in-core phase
 // already follows WithWorkers); OOCCheckpoint does not compose — a
 // manifest cannot replay the in-core prefix.
 func WithSpillover(dir string, knobs ...OutOfCoreOption) Option {

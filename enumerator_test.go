@@ -315,7 +315,6 @@ func TestConfigErrors(t *testing.T) {
 		{"zero lo", []repro.Option{repro.WithBounds(-1, 0)}},
 		{"negative workers", []repro.Option{repro.WithWorkers(-2)}},
 		{"ooc+stored-bitmaps", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithStoredBitmaps()}},
-		{"ooc-compress-without-dir", []repro.Option{repro.WithOutOfCore("", 0, repro.OOCCompress())}},
 		{"negative-memory-budget", []repro.Option{repro.WithMemoryBudget(-1)}},
 		{"spillover-without-dir", []repro.Option{repro.WithSpillover(""), repro.WithMemoryBudget(1 << 20)}},
 		{"spillover-without-budget", []repro.Option{repro.WithSpillover(t.TempDir())}},

@@ -87,7 +87,7 @@ func ExampleWithOutOfCore() {
 	// [3 4 5]
 	// [4 5 6]
 	// [0 1 2 3]
-	// total: 4, spilled 31 bytes
+	// total: 4, spilled 35 bytes
 }
 
 // Two gene modules sharing two genes: the maximal cliques are the

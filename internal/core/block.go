@@ -27,7 +27,7 @@ import (
 // lcp 0 starts a *run*.  Runs start where the stream says so, never
 // where an engine happened to cut its work: a join's output starts a run
 // exactly where its input did (the carry rule in blockSink.append) or
-// where runWords of output have accumulated since the last start, so the
+// where RunWords of output have accumulated since the last start, so the
 // words of a level are one function of the graph and the bounds,
 // whatever engine, worker count or schedule produced them.  How the
 // runs are grouped into blocks is the producer's business and changes no
@@ -37,11 +37,11 @@ const (
 	lcpEscape  = 0xff
 	tailEscape = 0xffff
 
-	// runWords is the most output a join front-codes against one run
+	// RunWords is the most output a join front-codes against one run
 	// start before it starts the next: the restart spells a whole prefix
 	// again (about 2 % of the peak level on the paper's graph C), and
 	// buys a place where a block may be cut.
-	runWords = 1 << 9
+	RunWords = 1 << 9
 
 	// The chunk schedule of the level store: blocks are carved from
 	// chunks that double from 2 KiB to 32 KiB, so tiny graphs carry tiny
@@ -377,6 +377,26 @@ func (it *Iter) Next() *SubList {
 	return s
 }
 
+// RecordAt returns the shape of the record at words[p] of a well-formed
+// block of a level of k-cliques: the words it takes, the prefix vertices
+// it takes over from the record before it (0 where a run starts) and its
+// tail count.
+//
+//repro:hotpath
+func RecordAt(words []uint32, p, k int) (n, lcp, tails int) {
+	h := words[p]
+	lcp, tails, n = int(h&0xff), int(h>>8), 1
+	if lcp == lcpEscape {
+		lcp = int(words[p+n])
+		n++
+	}
+	if tails == tailEscape {
+		tails = int(words[p+n])
+		n++
+	}
+	return n + k - 1 - lcp + tails, lcp, tails
+}
+
 // fail latches a decode error; out of line so Next boxes nothing.
 func (it *Iter) fail(what string) *SubList {
 	it.err = fmt.Errorf("core: malformed level block: %s (record %d, word %d)", what, it.i, it.pos)
@@ -394,10 +414,102 @@ func (it *Iter) mustEnd() {
 	}
 }
 
-// Packer front-codes sub-lists that arrive from outside a join — the
-// prefix runs of a decoded shard file — into one block at a time, in a
-// buffer its caller owns and recycles: the on-disk join reads its input
-// as the same blocks an in-core level holds.
+// Verifier checks the blocks of a level that arrive from outside the
+// process — the frames of a spilled shard — one after another in level
+// order, and hands them back as a Block with its counts, so that no
+// caller packs or walks them again before the join.  Beside what Iter
+// checks, every record must be strictly increasing (its prefix, then its
+// tails above it), every sub-list's prefix strictly above the one before
+// it — across blocks too — every vertex below n, and no sub-list without
+// tails: whatever passes is a level the kernel could have written, up to
+// the N(p0) check the join makes itself (Builder.ProcessRecord).
+type Verifier struct {
+	it      Iter
+	frame   Block
+	prev    []uint32 // the prefix of the sub-list checked last
+	n       int
+	started bool        // a sub-list has been checked
+	c       blockCounts // of the block being checked
+}
+
+// Reset readies the verifier for the first block of a level of
+// k-cliques over the vertices [0, n).
+func (v *Verifier) Reset(k, n int) {
+	if cap(v.prev) < k-1 {
+		v.prev = make([]uint32, k-1)
+	}
+	v.prev, v.n, v.started = v.prev[:k-1], n, false
+}
+
+// Block checks words[at:] as the level's next stretch, which must decode
+// by itself, and returns words — the stretches checked since the last
+// call at 0 — as one block.  The block aliases words.
+//
+//repro:hotpath
+func (v *Verifier) Block(words []uint32, at int) (b Block, err error) {
+	c := v.c
+	if at == 0 {
+		var none blockCounts
+		c = none
+	}
+	v.frame.words = words[at:]
+	it, prev := &v.it, v.prev
+	k1 := len(prev)
+	it.Reset(k1+1, &v.frame)
+	for s := it.Next(); s != nil; s = it.Next() {
+		// The first prefix vertex that differs from the sub-list before
+		// must grow: canonical order, and no prefix twice.
+		p, above := s.Prefix, !v.started
+		for j := s.LCP; j < k1; j++ {
+			x := p[j]
+			if j > 0 && x <= p[j-1] {
+				return b, errBlock("prefix not strictly increasing", it)
+			}
+			if !above && x < prev[j] {
+				return b, errBlock("sub-lists out of order", it)
+			}
+			above = above || x > prev[j]
+			prev[j] = x
+		}
+		if !above {
+			return b, errBlock("sub-lists out of order", it)
+		}
+		if len(s.Tails) == 0 {
+			return b, errBlock("sub-list without tails", it)
+		}
+		last := p[k1-1]
+		for _, x := range s.Tails {
+			if x <= last {
+				return b, errBlock("tails not strictly increasing", it)
+			}
+			last = x
+		}
+		if uint64(last) >= uint64(v.n) {
+			return b, errBlock("vertex out of the universe", it)
+		}
+		v.started = true
+		t := int64(len(s.Tails))
+		c.n++
+		c.m += t
+		c.pairs += t * (t - 1) / 2
+	}
+	if err := it.Err(); err != nil {
+		return b, err
+	}
+	v.c = c
+	b.words, b.blockCounts = words, c
+	return b, nil
+}
+
+// errBlock reports what is wrong with the record it read last; out of
+// line, so Block boxes nothing.
+func errBlock(what string, it *Iter) error {
+	return fmt.Errorf("core: malformed level block: %s (record %d, word %d)", what, it.i-1, it.pos)
+}
+
+// Packer front-codes sub-lists that arrive from outside a join — a level
+// fed to a shard writer a prefix run at a time — into one block at a
+// time, in a buffer its caller owns and recycles.
 type Packer struct {
 	buf []uint32
 	pos int
@@ -448,9 +560,6 @@ func (p *Packer) grow(need int) { p.buf = make([]uint32, need) }
 func (p *Packer) Block() Block {
 	return Block{words: p.buf[:p.pos:p.pos], blockCounts: p.blockCounts}
 }
-
-// Buf returns the buffer the block lives in.
-func (p *Packer) Buf() []uint32 { return p.buf }
 
 // blockSink is the one sink of the join kernel, and the seeders': sub-lists
 // are appended as front-coded records into arena chunks and leave as
@@ -513,7 +622,7 @@ func (s *blockSink) reset() {
 func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, cn *bitset.Bitset) {
 	l := s.carry
 	s.carry = len(prefix) // what the next sub-list of the same input shares
-	if s.pos-s.run >= runWords {
+	if s.pos-s.run >= RunWords {
 		l = 0
 	}
 	if l == 0 {

@@ -121,6 +121,20 @@ func (b *Builder) Mark() int { return len(b.sink.out) }
 // ready for in-order release or for the shard writer.
 func (b *Builder) Since(mark int) []Block { return b.sink.finish(mark) }
 
+// Sealed returns the blocks sealed since mark and leaves what is open
+// open: unlike Since it starts no run, so a consumer that takes the
+// output a chunk at a time in the middle of an input block changes no
+// word of it.
+func (b *Builder) Sealed(mark int) []Block {
+	out := b.sink.out
+	return out[mark:len(out):len(out)]
+}
+
+// SealRuns seals the open block's whole runs and leaves the run being
+// written open: a consumer that bounds the output it lets pile up cuts it
+// where the stream starts a run anyway, which changes no word.
+func (b *Builder) SealRuns() { b.sink.seal(b.sink.run, b.sink.atRun) }
+
 // Open returns the words of output the builder holds unsealed: what Since
 // would seal beside the blocks Mark counts.
 func (b *Builder) Open() int { return b.sink.pos - b.sink.lo }

@@ -77,7 +77,7 @@ type workerState struct {
 // their heartbeats, deaths and scratch reservations, and the audit
 // report.
 type coordinator struct {
-	cfg       enumcfg.Config // Workers = DistWorkers; Dir, Ctx, OOCCompress, DistLeaseTimeout
+	cfg       enumcfg.Config // Workers = DistWorkers; Dir, Ctx, DistLeaseTimeout
 	gov       *membudget.Governor
 	transport Transport
 	events    chan event
@@ -235,7 +235,6 @@ func (c *coordinator) startWorker(slot int) error {
 		Type:      MsgInit,
 		Dir:       c.cfg.Dir,
 		GraphPath: GraphFileName,
-		Compress:  c.cfg.OOCCompress,
 		WorkerID:  fmt.Sprintf("worker-%d", slot),
 		PingMS:    c.heartbeat.Milliseconds(),
 	}); err != nil {

@@ -53,7 +53,7 @@ func (r *orderedReporter) Emit(c clique.Clique) { r.seq = append(r.seq, c.Clone(
 func sequentialStream(t *testing.T, g *graph.Graph, compress bool) []clique.Clique {
 	t.Helper()
 	var ref orderedReporter
-	if _, err := ooc.Enumerate(g, enumcfg.Config{Dir: t.TempDir(), OOCCompress: compress}, core.Hooks{Reporter: &ref}); err != nil {
+	if _, err := ooc.Enumerate(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{Reporter: &ref}); err != nil {
 		t.Fatalf("sequential reference: %v", err)
 	}
 	return ref.seq
@@ -92,7 +92,6 @@ func TestDistStreamParityMatrix(t *testing.T) {
 				st, err := Enumerate(g, enumcfg.Config{
 					Dir:         t.TempDir(),
 					DistWorkers: workers,
-					OOCCompress: compress,
 					ShardBytes:  256, // many shards per level: real leasing traffic
 				}, core.Hooks{Reporter: &rep}, nil)
 				if err != nil {
@@ -205,7 +204,6 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 	st, err := Enumerate(g, enumcfg.Config{
 		Dir:         t.TempDir(),
 		DistWorkers: 3,
-		OOCCompress: true,
 		ShardBytes:  256,
 	}, core.Hooks{
 		Reporter: &rep,
@@ -260,7 +258,7 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 			var got observed
 			gov := membudget.New(0)
 			gov.Charge(held)
-			cfg := enumcfg.Config{Dir: t.TempDir(), OOCCompress: compress, ShardBytes: shardBytes}
+			cfg := enumcfg.Config{Dir: t.TempDir(), ShardBytes: shardBytes}
 			hooks := core.Hooks{Reporter: &rep, Gov: gov,
 				OnLevel: func(ls core.LevelStats) { got.levels = append(got.levels, ls) }}
 			var err error

@@ -65,9 +65,8 @@ type Msg struct {
 	Type string `json:"type"`
 
 	// init
-	GraphPath string `json:"graph_path,omitempty"` // edge-list file, relative to Dir
-	Dir       string `json:"dir,omitempty"`        // shared run directory
-	Compress  bool   `json:"compress,omitempty"`
+	GraphPath string `json:"graph_path,omitempty"`   // edge-list file, relative to Dir
+	Dir       string `json:"dir,omitempty"`          // shared run directory
 	WorkerID  string `json:"worker_id,omitempty"`    // the worker's manifest/owner tag
 	PingMS    int64  `json:"heartbeat_ms,omitempty"` // worker heartbeat period
 

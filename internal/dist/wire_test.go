@@ -13,7 +13,7 @@ import (
 
 func TestWireRoundTrip(t *testing.T) {
 	msgs := []*Msg{
-		{Type: MsgInit, Dir: "/tmp/run", GraphPath: GraphFileName, Compress: true,
+		{Type: MsgInit, Dir: "/tmp/run", GraphPath: GraphFileName,
 			WorkerID: "worker-2", PingMS: 250},
 		{Type: MsgReady, ScratchBytes: 4096, Host: "h", PID: 99},
 		{Type: MsgLease, LeaseID: 7, K: 3,

@@ -147,13 +147,12 @@ func joinLease(ctx context.Context, join *ooc.Joiner, gov *membudget.Governor,
 	init *Msg, m *Msg) (*Msg, error) {
 	seq := 0
 	res, err := join.Join(ctx, &ooc.ShardJob{
-		Dir:      init.Dir,
-		K:        m.K,
-		In:       m.Shard,
-		Compress: init.Compress,
-		Target:   m.Target,
-		Collect:  m.Collect,
-		Gov:      gov,
+		Dir:     init.Dir,
+		K:       m.K,
+		In:      m.Shard,
+		Target:  m.Target,
+		Collect: m.Collect,
+		Gov:     gov,
 		NewShard: func() (string, error) {
 			seq++
 			return ooc.ShardFileName(m.K+1,

@@ -148,10 +148,6 @@ type Config struct {
 	// Smaller shards mean finer dispatch and lease granularity, at a
 	// file's fixed cost each.
 	ShardBytes int64
-	// OOCCompress delta-varint encodes out-of-core level records,
-	// cutting the disk I/O volume the paper identifies as the
-	// bottleneck.
-	OOCCompress bool
 	// Checkpoint makes the out-of-core run resumable: Dir becomes a
 	// durable run directory with a manifest committed at every level
 	// boundary, kept on cancellation for a later Resume.
@@ -265,8 +261,8 @@ func (c *Config) Normalize() error {
 	if c.Resume {
 		c.Checkpoint = true
 	}
-	if c.Dir == "" && (c.OOCCompress || c.Checkpoint || c.Resume) {
-		return fmt.Errorf("enumcfg: the out-of-core compress/checkpoint/resume options require a spill Dir")
+	if c.Dir == "" && (c.Checkpoint || c.Resume) {
+		return fmt.Errorf("enumcfg: the out-of-core checkpoint/resume options require a spill Dir")
 	}
 	// Spillover dependencies: an explicit WithSpillover must name a spill
 	// directory and carry a budget for the governor to trip on; a

@@ -43,10 +43,9 @@ func TestNormalizeMatrix(t *testing.T) {
 		// --- out-of-core knob dependencies ---
 		{"ooc", Config{Dir: "d"}, "", OutOfCore},
 		{"ooc workers", Config{Dir: "d", Workers: 4}, "", OutOfCore},
-		{"ooc compress", Config{Dir: "d", OOCCompress: true}, "", OutOfCore},
+		{"ooc compress", Config{Dir: "d"}, "", OutOfCore},
 		{"ooc checkpoint", Config{Dir: "d", Checkpoint: true}, "", OutOfCore},
 		{"ooc resume", Config{Dir: "d", Resume: true}, "", OutOfCore},
-		{"compress without dir", Config{OOCCompress: true}, "require a spill Dir", 0},
 		{"checkpoint without dir", Config{Checkpoint: true}, "require a spill Dir", 0},
 		{"resume without dir", Config{Resume: true}, "require a spill Dir", 0},
 		{"ooc low-memory", Config{Dir: "d", Mode: CNRecompute}, "", OutOfCore},
@@ -56,7 +55,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"implied hybrid", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
 		{"explicit spillover", Config{Dir: "d", Spill: true, MemoryBudget: 1 << 20}, "", Hybrid},
 		{"hybrid parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 4}, "", Hybrid},
-		{"hybrid compress", Config{Dir: "d", MemoryBudget: 1 << 20, OOCCompress: true}, "", Hybrid},
+		{"hybrid compress", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
 		{"hybrid low-memory", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNRecompute}, "", Hybrid},
 		{"hybrid stored bitmaps", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNStore}, "", Hybrid},
 		{"hybrid report-small sequential", Config{Dir: "d", MemoryBudget: 1 << 20, ReportSmall: true}, "", Hybrid},
@@ -73,7 +72,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		// --- distributed ---
 		{"distributed", Config{Dir: "d", DistWorkers: 4}, "", Distributed},
 		{"distributed one worker", Config{Dir: "d", DistWorkers: 1}, "", Distributed},
-		{"distributed compress", Config{Dir: "d", DistWorkers: 2, OOCCompress: true}, "", Distributed},
+		{"distributed compress", Config{Dir: "d", DistWorkers: 2}, "", Distributed},
 		{"distributed knobs", Config{Dir: "d", DistWorkers: 2, DistLeaseTimeout: 1,
 			ShardBytes: 1 << 16, DistWorkerCmd: []string{"cliqued", "-worker"}}, "", Distributed},
 		{"distributed without dir", Config{DistWorkers: 2}, "requires a run Dir", 0},

@@ -38,7 +38,7 @@ func TestKeyCanonicalization(t *testing.T) {
 		{
 			name: "memory budget and spill directory do not change the stream",
 			a:    Config{Lo: 3},
-			b:    Config{Lo: 3, MemoryBudget: 1 << 20, Dir: "/tmp/x", OOCCompress: true},
+			b:    Config{Lo: 3, MemoryBudget: 1 << 20, Dir: "/tmp/x"},
 			same: true,
 		},
 		{

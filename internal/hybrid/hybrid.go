@@ -76,7 +76,7 @@ type Result struct {
 // the in-core phase's bitmap policy.  h.Gov's budget is the trip: without
 // a spill Dir a trip aborts with core.ErrMemoryBudget, with one the
 // tripped step goes to ooc.Continue in Dir and the run continues out of
-// core (SpillBudget and OOCCompress then apply); an unlimited governor or
+// core (SpillBudget then applies); an unlimited governor or
 // none never trips.  The emitted
 // clique stream — order included — is identical to the sequential
 // in-core backend's for any budget, worker count and trip point, and

@@ -445,7 +445,7 @@ func TestNilReporterCollectsNoEmissions(t *testing.T) {
 // consumed, and every input shard's output starts files of its own — so
 // no more than 4 per worker a level, the tripped step's rest and head
 // included.  The run is the benchmark's hybrid-c75 shape (graph C at
-// scale 0.75, seed 1, compressed, a quarter of the unbudgeted governor
+// scale 0.75, seed 1, a quarter of the unbudgeted governor
 // peak over the graph's own charge).  The same run pins the two peaks
 // the disk path must leave alone: the in-core reference's, which sets
 // the budget, and the one-worker spilled run's, which is the in-core
@@ -475,7 +475,7 @@ func TestShardFilesPerLevel(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		gov := membudget.New(free.Peak() / 4)
 		gov.Charge(entry)
-		res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: t.TempDir(), OOCCompress: true}, core.Hooks{Gov: gov})
+		res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: t.TempDir()}, core.Hooks{Gov: gov})
 		gov.Release(entry)
 		if err != nil {
 			t.Fatal(err)

@@ -90,7 +90,7 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 		}
 		loop := core.Loop{Ctx: context.Background(), Hooks: hooks}
 		if dir != "" {
-			cfg := enumcfg.Config{Lo: lo, Dir: dir, OOCCompress: compress}
+			cfg := enumcfg.Config{Lo: lo, Dir: dir}
 			loop.OnTrip = func(lvl *core.Level, out core.LevelOutcome) error {
 				stop()
 				_, err := ooc.Continue(g, cfg, hooks, lvl, out)

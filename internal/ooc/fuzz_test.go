@@ -2,9 +2,7 @@ package ooc
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,168 +14,145 @@ import (
 	"repro/internal/graph"
 )
 
-// FuzzShardDecode feeds arbitrary shard payloads to the run decoder, for
-// both encodings and small k and n, through both windows: the whole
-// shard in memory, and a one-record buffer refilled from a reader.  The
-// property: either an error, or exactly meta.Records records that are
-// strictly increasing, inside the universe and in strictly sorted order
-// — the same either way — and never a panic or a read past the data.
-// The on-disk join's decoder packs the same runs into level blocks; the
-// records those blocks hold must be ShardReader.Next's, at any block
-// size, or both must fail.  Whatever decodes is then joined over a fixed
-// graph by a worker's kernel: a record that leaves N(p0) of its prefix
-// must fail the join with an error, and nothing may panic.
+// FuzzShardDecode is the contract of the one reader of bytes a crash, a
+// full disk or another process may have left behind: arbitrary shard
+// files, read for small k and n whole, dribbled a few bytes at a time
+// and a frame at a time as decode-ahead reads them, give an error —
+// the same way every time — or exactly meta.Records records that are
+// strictly increasing, inside the universe and in strictly sorted order,
+// and never a panic or a read past the data.  A shard that reads is
+// then read again with one bit flipped, which must be an error, and
+// joined over a fixed graph by a worker's kernel: a record that leaves
+// N(p0) of its prefix must fail the join (Builder.ProcessRecord), and
+// nothing may panic.
 func FuzzShardDecode(f *testing.F) {
-	// The lcp that used to wrap negative and panic the prefix copy.
-	f.Add(append([]byte{0, 1, 1, 1}, append(bytes.Repeat([]byte{0x80}, 9), 1, 1, 1, 1)...), true, uint8(3), uint16(100), uint16(2))
-	// A valid shard of each encoding, cut at every byte, and with
-	// trailing garbage.
-	recs := goldenCorpus()
-	for _, compress := range []bool{false, true} {
-		payload := encodeRuns(3, compress, runsOf(recs))
-		for cut := 0; cut <= len(payload); cut++ {
-			f.Add(payload[:cut], compress, uint8(3), uint16(401), uint16(len(recs)))
+	// An lcp escape of 2^32-1 — the shape that used to wrap negative.
+	f.Add(shardFile(3, frame(hdr(0, 1), 1, 2, 3, hdr(0xff, 1), 0xffffffff, 4)), uint8(1), uint16(100), uint16(2), uint16(0))
+	// The golden shards as they are, cut at every byte, with trailing
+	// garbage, with a bit flipped in every byte, against a universe that
+	// ends below their largest vertex, read as a level of 4-cliques, and
+	// as one shard of the whole corpus.
+	metas, files := goldenFiles(f)
+	_, whole := writeShards(f, 3, 1<<30, goldenFeeds(goldenCorpus())["runs"])
+	files = append(files, whole[0])
+	metas = append(metas, ShardMeta{Records: int64(len(goldenCorpus()))})
+	for i, data := range files {
+		records := uint16(metas[i].Records)
+		for cut := range data {
+			f.Add(data[:cut], uint8(1), uint16(401), records, uint16(cut))
 		}
-		f.Add(append(slices.Clone(payload), 2, 1), compress, uint8(3), uint16(401), uint16(len(recs)))
-		f.Add(append(slices.Clone(payload), payload[:12]...), compress, uint8(3), uint16(401), uint16(len(recs)))
-	}
-	// The golden shard files, as they are, then with a bit flipped in
-	// every byte, with two records out of order, against a universe that
-	// ends below their largest vertex, and read as a level of 4-cliques.
-	for _, g := range goldenShards {
-		for i, h := range g.shards {
-			data, err := hex.DecodeString(h)
-			if err != nil {
-				f.Fatal(err)
-			}
-			payload, records := data[shardHeaderLen:], uint16(g.records[i])
-			f.Add(payload, g.compress, uint8(1), uint16(400), records)
-			for at := range payload {
-				flipped := slices.Clone(payload)
-				flipped[at] ^= 1 << (at % 8)
-				f.Add(flipped, g.compress, uint8(1), uint16(400), records)
-			}
-			if !g.compress {
-				swapped := slices.Clone(payload)
-				copy(swapped[:12], payload[12:24])
-				copy(swapped[12:24], payload[:12])
-				f.Add(swapped, false, uint8(1), uint16(400), records)
-			}
-			f.Add(payload, g.compress, uint8(1), uint16(100), records)
-			f.Add(payload, g.compress, uint8(2), uint16(400), records)
+		for at := range data {
+			flipped := slices.Clone(data)
+			flipped[at] ^= 1 << (at % 8)
+			f.Add(flipped, uint8(1), uint16(401), records, uint16(at))
 		}
+		f.Add(data, uint8(1), uint16(401), records, uint16(i))
+		f.Add(append(slices.Clone(data), 2, 1), uint8(1), uint16(401), records, uint16(i))
+		f.Add(append(slices.Clone(data), data[:12]...), uint8(1), uint16(401), records, uint16(i))
+		f.Add(data, uint8(1), uint16(100), records, uint16(i))
+		f.Add(data, uint8(2), uint16(401), records, uint16(i))
 	}
 
-	// The join's graph: every vertex a decode accepts, the golden corpus's
+	// The join's graph: every vertex a read accepts, the golden corpus's
 	// seven as a clique, so its records reach the join, over a G(n, p)
 	// background where an arbitrary record mostly leaves N(p0).
 	joinGraph := graph.RandomGNP(rand.New(rand.NewSource(29)), 500, 0.3)
 	graph.PlantClique(joinGraph, []int{0, 2, 3, 9, 140, 141, 400})
 	joiner := NewJoiner(joinGraph)
 
-	f.Fuzz(func(t *testing.T, payload []byte, compress bool, kIn uint8, nIn, records uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, kIn uint8, nIn, records, flip uint16) {
 		k := 2 + int(kIn)%5
 		n := 1 + int(nIn)%500
-		meta := ShardMeta{Path: "fuzz", Records: int64(records)}
 		// Exactly-sized, so a read past the data is an index panic.
-		data := slices.Clip(append(shardHeader(k, compress), payload...))
-		meta.Bytes = int64(len(data))
+		data = slices.Clip(data)
+		meta := ShardMeta{Path: "fuzz", Records: int64(records), Bytes: int64(len(data))}
 
-		decode := func(r *ShardReader, err error) ([][]uint32, error) {
-			if err != nil {
-				return nil, err
-			}
-			var out [][]uint32
-			rec := make([]uint32, k)
-			for err = r.Next(rec); err == nil; err = r.Next(rec) {
-				out = append(out, slices.Clone(rec))
-			}
-			if err == io.EOF {
-				err = nil
-			}
-			return out, err
+		got, err := readRecords(OpenShardBytes(data, meta, k, n, false))
+		dribbledRecs, dribbledErr := readRecords(dribbled(data, meta, k, n))
+		if (err == nil) != (dribbledErr == nil) {
+			t.Fatalf("in-memory read: %v; dribbled read: %v", err, dribbledErr)
 		}
-		whole, wholeErr := decode(OpenShardBytes(data, meta, k, n, compress))
-		win := make([]byte, 0, max(shardHeaderLen, maxVarint32*(k+1)))
-		windowed, windowedErr := decode(newShardReader(win, bytes.NewReader(data), meta, k, n, compress))
-
-		if (wholeErr == nil) != (windowedErr == nil) {
-			t.Fatalf("in-memory decode: %v; windowed decode: %v", wholeErr, windowedErr)
+		blocks, blocksErr := readBlocks(data, meta, k, n)
+		if (err == nil) != (blocksErr == nil) {
+			t.Fatalf("record read: %v; frame read: %v", err, blocksErr)
 		}
-		for _, words := range []int{1, core.MaxBlockBytes / 4} {
-			blocks, err := decodeBlocks(data, meta, k, n, compress, words)
-			if (err == nil) != (wholeErr == nil) {
-				t.Fatalf("record decode: %v; block decode (%d-word blocks): %v", wholeErr, words, err)
-			}
-			if err == nil && !slices.EqualFunc(blocks, whole, slices.Equal[[]uint32]) {
-				t.Fatalf("%d-word blocks hold %v, the records are %v", words, blocks, whole)
-			}
-		}
-		if wholeErr != nil {
+		if err != nil {
 			return
 		}
-		if !slices.EqualFunc(whole, windowed, slices.Equal[[]uint32]) {
-			t.Fatalf("in-memory and windowed decodes differ: %v vs %v", whole, windowed)
+		for name, other := range map[string][][]uint32{"dribbled": dribbledRecs, "frame": blocks} {
+			if !slices.EqualFunc(got, other, slices.Equal[[]uint32]) {
+				t.Fatalf("record and %s reads differ: %v vs %v", name, got, other)
+			}
 		}
-		if len(whole) != int(records) {
-			t.Fatalf("decoded %d records without error, meta says %d", len(whole), records)
+		if len(got) != int(records) {
+			t.Fatalf("read %d records without error, meta says %d", len(got), records)
 		}
-		for i, rec := range whole {
+		for i, rec := range got {
 			for j, v := range rec {
 				if int(v) >= n || (j > 0 && v <= rec[j-1]) {
 					t.Fatalf("record %d = %v: not strictly increasing inside [0,%d)", i, rec, n)
 				}
 			}
-			if i > 0 && slices.Compare(whole[i-1], rec) >= 0 {
-				t.Fatalf("records %d, %d out of sorted order: %v, %v", i-1, i, whole[i-1], rec)
+			if i > 0 && slices.Compare(got[i-1], rec) >= 0 {
+				t.Fatalf("records %d, %d out of sorted order: %v, %v", i-1, i, got[i-1], rec)
 			}
 		}
-		if err := joinBytes(joiner, data, meta, k, compress); err != nil && !strings.Contains(err.Error(), "outside N(") {
-			t.Fatalf("a decoded shard failed its join: %v", err)
+		bit := int(flip) % (8 * len(data))
+		flipped := slices.Clone(data)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if recs, err := readRecords(OpenShardBytes(flipped, meta, k, n, false)); err == nil {
+			t.Fatalf("bit %d flipped, the shard still reads, as %v", bit, recs)
+		}
+		if err := joinBytes(joiner, data, meta, k); err != nil && !strings.Contains(err.Error(), "outside N(") {
+			t.Fatalf("a shard that reads failed its join: %v", err)
 		}
 	})
 }
 
 // joinBytes joins a shard's records over the joiner's graph as a worker
 // does, its output dropped: an error, or a join.
-func joinBytes(j *Joiner, data []byte, meta ShardMeta, k int, compress bool) error {
-	r, err := OpenShardBytes(data, meta, k, j.g.N(), compress)
+func joinBytes(j *Joiner, data []byte, meta ShardMeta, k int) error {
+	r, err := OpenShardBytes(data, meta, k, j.g.N(), false)
 	if err != nil {
 		return err
 	}
 	var st JoinStats
-	drop := func([]core.Block) (bool, error) { return true, nil }
-	br := blockReader{r: r}
-	buf := make([]uint32, core.MaxBlockBytes/4)
+	buf := make([]uint32, 16)
 	j.b.Reset()
 	j.mark = 0
 	for {
 		var blk core.Block
-		if blk, buf, err = br.next(buf); err != nil {
+		if blk, buf, err = r.block(buf); err != nil {
 			return err
 		}
 		if len(blk.Words()) == 0 {
-			return j.flush(&st, drop)
+			return j.flush(&st, discard{}, true)
 		}
-		if err := j.joinBlock(&blk, k, len(buf), &st, &st, drop); err != nil {
+		if err := j.joinBlock(&blk, k, len(buf), &st, &st, discard{}); err != nil {
 			return err
 		}
 	}
 }
 
-// decodeBlocks packs a shard's runs into blocks of words words the way
-// decode-ahead does, and flattens the blocks back into records.
-func decodeBlocks(data []byte, meta ShardMeta, k, n int, compress bool, words int) ([][]uint32, error) {
-	r, err := OpenShardBytes(data, meta, k, n, compress)
+// discard drops a join's output.
+type discard struct{}
+
+func (discard) write([]core.Block) error { return nil }
+func (discard) turn() (bool, error)      { return true, nil }
+
+// readBlocks reads a shard a frame at a time into a buffer too small for
+// most frames, the way decode-ahead reads it, and flattens the blocks
+// into records.
+func readBlocks(data []byte, meta ShardMeta, k, n int) ([][]uint32, error) {
+	r, err := OpenShardBytes(data, meta, k, n, false)
 	if err != nil {
 		return nil, err
 	}
-	br := blockReader{r: r}
-	buf := make([]uint32, words)
+	buf := make([]uint32, 4)
 	var out [][]uint32
 	for {
 		var blk core.Block
-		if blk, buf, err = br.next(buf); err != nil {
+		if blk, buf, err = r.block(buf); err != nil {
 			return nil, err
 		}
 		if len(blk.Words()) == 0 {
@@ -188,7 +163,6 @@ func decodeBlocks(data []byte, meta ShardMeta, k, n int, compress bool, words in
 				out = append(out, append(slices.Clone(s.Prefix), t))
 			}
 		}
-		buf = buf[:words:words] // a grown buffer goes back to its size
 	}
 }
 
@@ -199,13 +173,13 @@ func decodeBlocks(data []byte, meta ShardMeta, k, n int, compress bool, words in
 // directory or join a shard twice — and which a WriteManifest ->
 // LoadManifest round trip leaves unchanged.
 func FuzzLoadManifest(f *testing.F) {
-	parent, err := os.ReadFile(filepath.Join("testdata", "ckpt-parent", manifestName))
+	v3, err := os.ReadFile(filepath.Join("testdata", "ckpt-v3", manifestName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(parent)
+	f.Add(v3)
 	var m Manifest
-	if err := json.Unmarshal(parent, &m); err != nil {
+	if err := json.Unmarshal(v3, &m); err != nil {
 		f.Fatal(err)
 	}
 	m.Shards = append(m.Shards, m.Shards[0])

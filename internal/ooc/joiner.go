@@ -17,8 +17,8 @@ import (
 
 // This file is the worker-side face of the out-of-core engine: the
 // pieces a remote (or merely out-of-process) worker needs to join one
-// leased shard exactly the way the single-machine pool does — decode the
-// shard into blocks, run the one join kernel (core.Builder) over them as
+// leased shard exactly the way the single-machine pool does — read the
+// shard's blocks, run the one join kernel (core.Builder) over them as
 // an in-core level's blocks are joined, write the sealed output blocks as
 // the next level's run-aligned shard files, and buffer the maximal dead
 // ends for in-order emission (the three stages of pipeline.go).
@@ -59,7 +59,7 @@ type Joiner struct {
 	b    *core.Builder
 	it   core.Iter     // the join stage's record decoder
 	bufs [][]uint32    // decode-ahead's block buffers between runs
-	win  []byte        // decode-ahead's read window between runs
+	br   *bufio.Reader // decode-ahead's read window between runs
 	bw   *bufio.Writer // write-behind's file buffer between runs
 
 	mark int // the builder's blocks already handed to write-behind
@@ -78,7 +78,7 @@ func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
 
 // ShardJob is the work order for one shard join: the input shard In of
 // size-K records in Dir, and how the (K+1)-candidates are written —
-// output shards of about Target encoded bytes in Dir, named by NewShard,
+// output shards of about Target bytes in Dir, named by NewShard,
 // every batch's bytes reported to OnWrite, which may abort the join.  Gov
 // is charged with the input blocks and the I/O buffers while they are in
 // flight, sized from Buf, the share of headroom each of a worker's
@@ -88,7 +88,6 @@ type ShardJob struct {
 	Dir      string
 	K        int
 	In       ShardMeta
-	Compress bool
 	Target   int64
 	Collect  bool // buffer the maximal cliques, not only count them
 	Gov      *membudget.Governor
@@ -128,27 +127,22 @@ func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
 }
 
 // JoinShardBytes joins one input shard of size-k records from an
-// in-memory copy of its encoded file, writing next-level candidates
-// through out (which the caller owns: Finish it for the output shard
-// list, Abort it on error).  collect buffers maximal-clique emissions in
-// the returned JoinStats; pass false when only counts are wanted.  It is
-// Join's kernel step alone, serial, for callers that time the writer
-// themselves.
+// in-memory copy of its file, writing next-level candidates through out
+// (which the caller owns: Finish it for the output shard list, Abort it
+// on error).  collect buffers maximal-clique emissions in the returned
+// JoinStats; pass false when only counts are wanted.  It is Join's kernel
+// step alone, serial, for callers that time the writer themselves.
+// compress is ignored: a level has one format.
 //
 //repro:ctxloop
 func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, k int,
 	compress bool, out *LevelWriter, collect bool) (JoinStats, error) {
-	r, err := OpenShardBytes(data, in, k, j.g.N(), compress)
+	r, err := OpenShardBytes(data, in, k, j.g.N(), false)
 	if err != nil {
 		return JoinStats{}, err
 	}
 	var st JoinStats
-	emit := func(blocks []core.Block) (bool, error) {
-		err := out.writeBlocks(blocks)
-		release(j.b.Gov, blocks)
-		return true, err
-	}
-	br := blockReader{r: r}
+	sink := serialOutput{lw: out, gov: j.b.Gov}
 	buf := make([]uint32, core.MaxBlockBytes/4)
 	j.b.Reset()
 	j.mark = 0
@@ -158,37 +152,61 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 			return st, fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, ctx.Err())
 		}
 		var blk core.Block
-		if blk, buf, err = br.next(buf); err != nil {
+		if blk, buf, err = r.block(buf); err != nil {
 			return st, err
 		}
 		if len(blk.Words()) == 0 {
 			break
 		}
-		if err := j.joinBlock(&blk, k, len(buf), collector(&st, collect), &st, emit); err != nil {
+		if err := j.joinBlock(&blk, k, len(buf), collector(&st, collect), &st, sink); err != nil {
 			return st, err
 		}
 	}
 	st.BytesRead = r.BytesRead()
-	return st, j.flush(&st, emit)
+	return st, j.flush(&st, sink, true)
 }
+
+// serialOutput writes each batch in the joining goroutine as it comes,
+// so the builder may Reset at any flush of all.
+type serialOutput struct {
+	lw  *LevelWriter
+	gov *membudget.Governor
+}
+
+func (o serialOutput) write(blocks []core.Block) error {
+	err := o.lw.writeBlocks(blocks)
+	release(o.gov, blocks)
+	return err
+}
+
+func (serialOutput) turn() (bool, error) { return true, nil }
 
 // WriteLevel writes one level's sorted record stream — produced by feed
 // a prefix run at a time (LevelWriter.WriteRun), in canonical order, the
 // run-aligned sharding invariant — into dir as shard files of roughly
-// target encoded bytes.  nextName names each shard file; onWrite
-// observes every run's encoded/raw byte increment (and may return an
-// error to abort the level, e.g. a spill budget).  On a
-// feed or write error every shard file created so far is removed and
-// the error returned; on success the level's shard list is returned.
-// The level driver writes every level it does not join through it: the
-// seed level (Loop.RunSeed), and a tripped step's rest and head
-// (Loop.RunCut).
+// target bytes.  nextName names each shard file; onWrite observes every
+// frame's on-disk/raw byte increment (and may return an error to abort
+// the level, e.g. a spill budget).  On a feed or write error every shard
+// file created so far is removed and the error returned; on success the
+// level's shard list is returned.  compress is ignored: a level has one
+// format.  The level driver writes the blocks of every level it does not
+// join (Loop.spill); WriteLevel is for streams that are not blocks yet.
 func WriteLevel(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor, nextName func() (string, error),
 	onWrite func(enc, raw int64) error,
 	feed func(write func(prefix, tails []uint32) error) error) ([]ShardMeta, error) {
+	return writeLevel(dir, k, target, gov, nextName, onWrite, func(lw *LevelWriter) error {
+		return errors.Join(feed(lw.WriteRun), lw.flush())
+	})
+}
+
+// writeLevel runs feed over a fresh LevelWriter of the level's files and
+// finishes it, or aborts it and removes every file it created.
+func writeLevel(dir string, k int, target int64, gov *membudget.Governor,
+	nextName func() (string, error), onWrite func(enc, raw int64) error,
+	feed func(*LevelWriter) error) ([]ShardMeta, error) {
 	var created []string
-	lw := NewLevelWriter(dir, k, compress, target, gov,
+	lw := NewLevelWriter(dir, k, false, target, gov,
 		func() (string, error) {
 			name, err := nextName()
 			if err == nil {
@@ -198,7 +216,7 @@ func WriteLevel(dir string, k int, compress bool, target int64,
 		},
 		onWrite)
 	lw.bufCap = bufShare(gov, 1) // the one buffer open while a level is fed
-	if werr := feed(lw.WriteRun); werr != nil {
+	if werr := feed(lw); werr != nil {
 		errs := []error{werr, lw.Abort()}
 		for _, name := range created {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
@@ -249,16 +267,19 @@ func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, ta
 }
 
 // DefaultShardTarget sizes a level's shards from the consumed level's
-// encoded bytes: about two shards per worker, so the dispatcher (or the
+// bytes on disk: about two shards per worker, so the dispatcher (or the
 // distributed lease table) can still balance skewed shard costs and a
-// worker's next shard is decoded while it joins one, but no smaller than
-// 256 KiB.  The floor amortizes what every file costs beside its bytes —
+// worker's next shard is read while it joins one, but no smaller than
+// 512 KiB.  The floor amortizes what every file costs beside its bytes —
 // a create in write-behind, an open in decode-ahead, an unlink when the
 // level is consumed: inside a run on a 2-vCPU ext4 box a create alone
-// measured about 0.2 ms (40-odd ms a run at 210 files of 32 KiB and up),
-// as much as encoding 80 KB.  Huge levels are capped at 32 MiB a shard.
+// measured about 0.2 ms (40-odd ms a run at 210 files of 32 KiB and up).
+// It was 256 KiB of delta-varint records; frames take about twice those
+// bytes, and the floor doubled with them, so that a shard holds about as
+// many records as it did and a level costs as few files.  Huge levels
+// are capped at 32 MiB a shard.
 func DefaultShardTarget(consumedBytes int64, workers int) int64 {
-	const minTarget, maxTarget = 256 << 10, 32 << 20
+	const minTarget, maxTarget = 512 << 10, 32 << 20
 	return min(max(consumedBytes/int64(2*max(workers, 1)), minTarget), maxTarget)
 }
 

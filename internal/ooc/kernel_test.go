@@ -124,7 +124,7 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 	j := NewJoiner(g)
 	for _, sh := range in {
 		res, err := j.Join(context.Background(), &ShardJob{
-			Dir: dir, K: lvl.K, In: sh, Compress: compress, Target: 256, Collect: true, Buf: minBuf,
+			Dir: dir, K: lvl.K, In: sh, Target: 256, Collect: true, Buf: minBuf,
 			NewShard: shardNamer(&seq, lvl.K+1), OnWrite: noAccount,
 		})
 		if err != nil {
@@ -232,7 +232,7 @@ func TestJoinRejectsRecordsOutsideTheirUniverse(t *testing.T) {
 					t.Fatalf("writing the shard: %v (%d shards)", err, len(in))
 				}
 				res, err := NewJoiner(g).Join(context.Background(), &ShardJob{
-					Dir: dir, K: 3, In: in[0], Compress: compress, Target: 256, Collect: true, Buf: minBuf,
+					Dir: dir, K: 3, In: in[0], Target: 256, Collect: true, Buf: minBuf,
 					NewShard: shardNamer(&seq, 4), OnWrite: noAccount,
 				})
 				if err == nil || !strings.Contains(err.Error(), "outside N(0)") {

@@ -225,35 +225,38 @@ func (l *Loop) writeCut(lvl *core.Level, out core.LevelOutcome, lv *Level) (rest
 	return rest, head, err
 }
 
-// spill writes the records of blocks, from record from of the first on,
-// as shard files of the level lv produces (WriteLevel), and hands each
-// block's charge back to the governor once the writer has taken it.  The
-// shards are sized from the blocks' fixed-width bytes.
+// spill writes blocks, from record from of the first on, as shard files
+// of the level lv produces, and hands each block's charge back to the
+// governor once the writer has taken it.  A first block cut short goes
+// through the run feed, which spells the prefix of its first record
+// whole: a frame decodes by itself.  The shards are sized from the
+// blocks' fixed-width bytes.
 func (l *Loop) spill(lv *Level, blocks []core.Block, from int) ([]ShardMeta, error) {
 	gov, k := l.hooks.Gov, lv.K+1
 	target := l.shardTarget(4 * int64(k) * (&core.Level{Sub: blocks}).Cliques())
-	return WriteLevel(l.cfg.Dir, k, l.cfg.OOCCompress, target, gov, lv.NextShard, lv.Wrote,
-		func(write func(prefix, tails []uint32) error) error {
-			for i := range blocks {
-				err := l.cfg.Ctx.Err()
-				if err != nil {
-					err = fmt.Errorf("ooc: canceled spilling level %d: %w", k, err)
-				}
-				for s := range (&core.Level{K: k, Sub: blocks[i : i+1]}).From(core.Cursor{Rec: from}) {
-					if err != nil {
+	return writeLevel(l.cfg.Dir, k, target, gov, lv.NextShard, lv.Wrote, func(lw *LevelWriter) error {
+		for i := range blocks {
+			err := l.cfg.Ctx.Err()
+			if err != nil {
+				err = fmt.Errorf("ooc: canceled spilling level %d: %w", k, err)
+			} else if i > 0 || from == 0 {
+				err = lw.writeBlocks(blocks[i : i+1])
+			} else {
+				for s := range (&core.Level{K: k, Sub: blocks[:1]}).From(core.Cursor{Rec: from}) {
+					if err = lw.WriteRun(s.Prefix, s.Tails); err != nil {
 						break
 					}
-					err = write(s.Prefix, s.Tails)
 				}
-				gov.Release(blocks[i].Bytes())
-				if err != nil {
-					release(gov, blocks[i+1:])
-					return err
-				}
-				from = 0
+				err = errors.Join(err, lw.flush())
 			}
-			return nil
-		})
+			gov.Release(blocks[i].Bytes())
+			if err != nil {
+				release(gov, blocks[i+1:])
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // RunManifest continues the checkpoint m names in the run directory:
@@ -403,7 +406,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 }
 
 // shardTarget sizes the next level's shards from the consumed level's
-// encoded bytes (DefaultShardTarget), unless the run fixes it.
+// bytes on disk (DefaultShardTarget), unless the run fixes it.
 func (l *Loop) shardTarget(consumedBytes int64) int64 {
 	if l.cfg.ShardBytes > 0 {
 		return l.cfg.ShardBytes
@@ -416,7 +419,6 @@ func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
 	st.Aborted = false
 	m := &Manifest{
 		Owner:     l.owner,
-		Compress:  l.cfg.OOCCompress,
 		K:         k,
 		MaxK:      l.cfg.Hi,
 		Shards:    shards,

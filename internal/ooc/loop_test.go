@@ -32,7 +32,7 @@ func (b *backwardRunner) RunLevel(ctx context.Context, lv *Level, deliver func(i
 			return errInjected
 		}
 		res, err := j.Join(ctx, &ShardJob{
-			Dir: b.cfg.Dir, K: lv.K, In: lv.Shards[i], Compress: b.cfg.OOCCompress,
+			Dir: b.cfg.Dir, K: lv.K, In: lv.Shards[i],
 			Target: lv.Target, Collect: lv.Collect, NewShard: lv.NextShard, OnWrite: lv.Wrote,
 		})
 		lv.Read(res.BytesRead)
@@ -50,9 +50,9 @@ func (b *backwardRunner) RunLevel(ctx context.Context, lv *Level, deliver func(i
 func TestLoopOrdersAnyDeliveryOrder(t *testing.T) {
 	g := plantedGraph(211)
 	for _, compress := range []bool{false, true} {
-		want, full := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512, OOCCompress: compress}, core.Hooks{})
+		want, full := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512}, core.Hooks{})
 		var got []string
-		cfg := enumcfg.Config{Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512, OOCCompress: compress}
+		cfg := enumcfg.Config{Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512}
 		h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
 		st, err := NewLoop(g, cfg, h, "test").RunSeed(&backwardRunner{g: g, cfg: cfg})
 		if err != nil {

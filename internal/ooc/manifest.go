@@ -18,13 +18,15 @@ import (
 // inputs deleted only after, then the sweep).
 const manifestName = "ooc-manifest.json"
 
-// ManifestVersion guards the on-disk format (shard encoding + manifest
-// schema together).  Version 2 added the Owner stamp: a manifest
-// records which process wrote it, and WriteManifest rejects a commit
-// whose owner does not match the manifest already on disk — the guard
-// that keeps a stale distributed worker's late commit from silently
-// clobbering the coordinator's checkpoint.
-const ManifestVersion = 2
+// ManifestVersion guards the on-disk format (shard format + manifest
+// schema together), so LoadManifest refuses a checkpoint of another
+// version before a resume sweeps or joins anything.  Version 2 added the
+// Owner stamp: a manifest records which process wrote it, and
+// WriteManifest rejects a commit whose owner does not match the manifest
+// already on disk — the guard that keeps a stale distributed worker's
+// late commit from silently clobbering the coordinator's checkpoint.
+// Version 3 has shards of CRC-32C block frames and no encoding flag.
+const ManifestVersion = 3
 
 // Owner identifies the process that owns a checkpoint directory: the
 // host and pid that wrote the manifest, plus a role tag ("ooc" for the
@@ -69,15 +71,14 @@ type ReleaseRecord struct {
 // (plus its release history), so ooc.Resume can finish an interrupted
 // distributed run on one machine.
 type Manifest struct {
-	Version  int         `json:"version"`
-	Owner    Owner       `json:"owner"`
-	Compress bool        `json:"compress"`
-	K        int         `json:"k"` // clique size of Shards' records (next join input)
-	MaxK     int         `json:"max_k,omitempty"`
-	Shards   []ShardMeta `json:"shards"`
-	Stats    Stats       `json:"stats"`
-	GraphN   int         `json:"graph_n"`
-	GraphM   int         `json:"graph_m"`
+	Version int         `json:"version"`
+	Owner   Owner       `json:"owner"`
+	K       int         `json:"k"` // clique size of Shards' records (next join input)
+	MaxK    int         `json:"max_k,omitempty"`
+	Shards  []ShardMeta `json:"shards"`
+	Stats   Stats       `json:"stats"`
+	GraphN  int         `json:"graph_n"`
+	GraphM  int         `json:"graph_m"`
 	// GraphHash fingerprints the canonical edge stream (FNV-1a), so a
 	// checkpoint cannot silently resume against a different graph.
 	GraphHash string `json:"graph_hash"`

@@ -10,10 +10,9 @@ import (
 func TestManifestV2RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := &Manifest{
-		Owner:    Owner{Host: "hostA", PID: 4242, WorkerID: "coordinator"},
-		Compress: true,
-		K:        3,
-		MaxK:     7,
+		Owner: Owner{Host: "hostA", PID: 4242, WorkerID: "coordinator"},
+		K:     3,
+		MaxK:  7,
 		Shards: []ShardMeta{
 			{Path: "l003-000001.ooc", Records: 10, Runs: 4, Bytes: 64, RawBytes: 120},
 		},
@@ -45,7 +44,7 @@ func TestManifestV2RoundTrip(t *testing.T) {
 		t.Errorf("Releases = %+v, want %+v", got.Releases, want.Releases)
 	}
 	if got.K != want.K || got.MaxK != want.MaxK || got.GraphHash != want.GraphHash ||
-		got.Compress != want.Compress || len(got.Shards) != 1 || got.Shards[0] != want.Shards[0] {
+		len(got.Shards) != 1 || got.Shards[0] != want.Shards[0] {
 		t.Errorf("round-trip mismatch: got %+v", got)
 	}
 }

@@ -17,15 +17,17 @@
 // count.  A hybrid run enters the loop mid-step (Continue): its trip
 // hands over the unjoined rest of the level in memory and the head of the
 // level it was producing, both written to shard files, and the loop runs
-// the step like any other.  Records are optionally delta-varint encoded
-// (enumcfg.Config.OOCCompress), attacking the disk I/O volume the paper
-// names as the bottleneck; Stats reports both the encoded bytes actually
-// moved and the fixed-width-equivalent raw bytes so the compression win
-// is measurable.  A worker joins its shards in three stages (pipeline.go):
-// decode-ahead packs a shard's runs into level blocks, the in-core kernel
-// joins them, write-behind encodes the sealed output into the next
-// level's files — so what is resident per worker is a read window, a few
-// blocks in flight each way and a write buffer, whatever a level holds.
+// the step like any other.  A shard is the in-core level's blocks
+// themselves, a CRC-32C frame each (shard.go): what is written is what the
+// join sealed and what is read is what the next join runs on, so the disk
+// I/O the paper names as the bottleneck costs a copy and a checksum a
+// block, no translation.  Stats reports both the bytes actually moved
+// and their fixed-width-equivalent raw bytes.  A worker joins its shards
+// in three stages (pipeline.go): decode-ahead reads a shard's frames into
+// level blocks, the in-core kernel joins them, write-behind writes the
+// sealed output into the next level's files — so what is resident per
+// worker is a read window, a few blocks in flight each way and a write
+// buffer, whatever a level holds.
 //
 // Checkpointed runs (enumcfg.Config.Checkpoint) write a manifest at every
 // level boundary and keep their level files on cancellation or crash;
@@ -165,11 +167,11 @@ func runLocal(g graph.Interface, cfg enumcfg.Config, h core.Hooks, start func(*L
 
 // Resume continues the checkpointed run whose manifest is in cfg.Dir:
 // Enumerate with cfg.Resume set.  The graph must be the one the
-// checkpoint was written for (verified by fingerprint).  The record
-// encoding and, when cfg.Hi is 0, the upper bound are adopted from the
-// manifest; cumulative Stats continue from the checkpoint, so a resumed
+// checkpoint was written for (verified by fingerprint).  When cfg.Hi is
+// 0 the upper bound is adopted from the manifest; cumulative Stats continue from the checkpoint, so a resumed
 // run's final Stats match an uninterrupted run's, Seeded aside (a resume
-// does not seed).  The interrupted level is re-joined from its beginning,
+// does not seed).  A checkpoint of another format version is refused
+// before anything in the directory is touched.  The interrupted level is re-joined from its beginning,
 // so its cliques are re-emitted: the resumed stream is exactly the
 // uninterrupted stream from the first clique of size max(K+1, Lo) (K the
 // manifest's level) on.
@@ -183,7 +185,6 @@ func resume(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (Stats, error) 
 	if err != nil {
 		return Stats{}, err
 	}
-	cfg.OOCCompress = m.Compress
 	if cfg.Hi == 0 {
 		cfg.Hi = m.MaxK
 	}

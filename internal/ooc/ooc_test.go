@@ -180,9 +180,9 @@ func TestParallelCompressedParity(t *testing.T) {
 			cfg  enumcfg.Config
 		}{
 			{"parallel", enumcfg.Config{Workers: 4}},
-			{"compressed", enumcfg.Config{OOCCompress: true}},
-			{"parallel-compressed", enumcfg.Config{Workers: 4, OOCCompress: true}},
-			{"tiny-shards", enumcfg.Config{Workers: 4, OOCCompress: true, ShardBytes: 64}},
+			{"compressed", enumcfg.Config{}},
+			{"parallel-compressed", enumcfg.Config{Workers: 4}},
+			{"tiny-shards", enumcfg.Config{Workers: 4, ShardBytes: 64}},
 			{"parallel-checkpoint", enumcfg.Config{Workers: 3, Checkpoint: true, Dir: t.TempDir()}},
 			{"many-workers", enumcfg.Config{Workers: 16, ShardBytes: 256}},
 		} {
@@ -215,7 +215,7 @@ func TestRepresentationParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			got, _ := orderedKeys(t, gg, enumcfg.Config{Workers: workers, ShardBytes: 512, OOCCompress: true}, core.Hooks{})
+			got, _ := orderedKeys(t, gg, enumcfg.Config{Workers: workers, ShardBytes: 512}, core.Hooks{})
 			if len(got) != len(want) {
 				t.Fatalf("%s workers=%d: %d cliques, want %d", rep, workers, len(got), len(want))
 			}
@@ -255,9 +255,8 @@ func TestPrefetchParity(t *testing.T) {
 				gov = membudget.New(1)
 			}
 			got, st := orderedKeys(t, g, enumcfg.Config{
-				Workers:     workers,
-				OOCCompress: compress,
-				ShardBytes:  256, // many shards: decode-ahead crosses shard boundaries all the time
+				Workers:    workers,
+				ShardBytes: 256, // many shards: decode-ahead crosses shard boundaries all the time
 			}, core.Hooks{Gov: gov})
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d compress=%v: %d cliques, want %d", workers, compress, len(got), len(want))
@@ -320,25 +319,18 @@ func TestPrefetchCancellation(t *testing.T) {
 }
 
 // TestCompressionShrinksLevelFiles pins the >= 2x I/O reduction the
-// delta-varint encoding exists for.
+// front-coded level blocks bring to disk: the frames a run writes take
+// at most half the bytes of the same records at fixed width.
 func TestCompressionShrinksLevelFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	g := graph.PlantedGraph(rng, 150, []graph.PlantedCliqueSpec{{Size: 12}}, 250)
-	_, raw := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
-	_, packed := orderedKeys(t, g, enumcfg.Config{OOCCompress: true}, core.Hooks{})
-	if raw.Maximal != packed.Maximal {
-		t.Fatalf("encodings disagree: %d vs %d maximal", raw.Maximal, packed.Maximal)
+	_, st := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
+	if st.RawBytesWritten == 0 || 2*st.BytesWritten > st.RawBytesWritten {
+		t.Errorf("the run wrote %d bytes of frames for %d bytes of fixed-width records: less than the 2x target",
+			st.BytesWritten, st.RawBytesWritten)
 	}
-	if packed.RawBytesWritten != raw.RawBytesWritten {
-		t.Errorf("raw-equivalent accounting differs: %d vs %d", packed.RawBytesWritten, raw.RawBytesWritten)
-	}
-	if 2*packed.BytesWritten > raw.BytesWritten {
-		t.Errorf("compressed run wrote %d bytes vs raw %d: less than the 2x target",
-			packed.BytesWritten, raw.BytesWritten)
-	}
-	t.Logf("level-file bytes: raw %d, delta-varint %d (%.1fx)",
-		raw.BytesWritten, packed.BytesWritten,
-		float64(raw.BytesWritten)/float64(packed.BytesWritten))
+	t.Logf("level-file bytes: fixed-width %d, frames %d (%.1fx)",
+		st.RawBytesWritten, st.BytesWritten, float64(st.RawBytesWritten)/float64(st.BytesWritten))
 }
 
 // TestCancellationCleansSpillDir cancels a plain run mid-level and

@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -10,28 +11,29 @@ import (
 	"repro/internal/membudget"
 )
 
-// The shard join runs in three stages, so that the codec and the file
-// system work beside the kernel instead of in its way (DESIGN.md §5.3):
+// The shard join runs in three stages, so that the file system works
+// beside the kernel instead of in its way (DESIGN.md §5.3):
 //
-//   - decode-ahead: a goroutine takes the worker's shards in order, reads
-//     each through a window and packs its prefix runs into blocks of the
-//     in-core level's record shape;
+//   - decode-ahead: a goroutine takes the worker's shards in order and
+//     reads each a frame at a time through a window, straight into a
+//     block buffer, where the frame's CRC and core.Verifier check it —
+//     the block is the in-core level's, nothing is packed;
 //   - join: the calling goroutine runs the in-core kernel over those
 //     blocks — core.Iter, Builder.ProcessRecord, Mark/Since — exactly as
 //     a pool worker does over a level in memory;
-//   - write-behind: a goroutine encodes the sealed output blocks with the
-//     run codec into run-aligned shard files and closes them, and only
+//   - write-behind: a goroutine writes the sealed output blocks' records
+//     as frames into run-aligned shard files and closes them, and only
 //     then delivers the shard's result.
 //
 // A block belongs to one stage at a time.  An input block is charged to
-// the job's governor when decode-ahead packs it and released when the
+// the job's governor when decode-ahead has read it and released when the
 // join is done with it, and its buffer goes back to decode-ahead.  An
 // output block is charged to the builder's governor when the kernel seals
 // it and released by write-behind once its records are in the file.  The
 // kernel's arena recycles a chunk two builder Resets after it was filled,
 // so the join hands its output on in generations of batches and Resets
 // only once write-behind holds no batch of the generation before
-// (writeBehind.write): no chunk is reused while the writer still reads
+// (writeBehind.turn): no chunk is reused while the writer still reads
 // it.
 
 // A worker's queues and buffers.  Of the shares of headroom a step gives
@@ -112,11 +114,11 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 		out:   make(chan inPiece, shape.depth),  // a piece per buffer in flight
 		free:  make(chan []uint32, shape.depth), // room for every buffer
 		shape: shape,
-		win:   j.win,
+		br:    j.br,
 	}
-	lw := NewLevelWriter(job.Dir, job.K+1, job.Compress, job.Target, job.Gov, job.NewShard, job.OnWrite)
+	lw := NewLevelWriter(job.Dir, job.K+1, false, job.Target, job.Gov, job.NewShard, job.OnWrite)
 	lw.bufCap, lw.bw = shape.io, j.bw
-	wb := newWriteBehind(shape, j.b.Gov, lw)
+	wb := newWriteBehind(pctx, shape, j.b.Gov, lw)
 	// The stages' buffers outlive the run, like the kernel's arena.
 	for _, buf := range j.bufs {
 		if len(buf) == shape.words && dec.made < shape.depth {
@@ -144,7 +146,7 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	for len(dec.free) > 0 {
 		j.bufs = append(j.bufs, <-dec.free)
 	}
-	j.win, j.bw = dec.win, lw.bw
+	j.br, j.bw = dec.br, lw.bw
 	// The writer holds nothing now: what the kernel sealed and did not
 	// hand on can go, and the arena may recycle.
 	j.b.Abandon(j.mark)
@@ -166,7 +168,6 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 //repro:ctxloop
 func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, job *ShardJob,
 	dec *decodeAhead, wb *writeBehind) {
-	emit := func(blocks []core.Block) (bool, error) { return wb.write(ctx, blocks) }
 	var st *JoinStats
 	for {
 		var p inPiece
@@ -184,7 +185,7 @@ func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, jo
 		}
 		if p.end {
 			st.BytesRead = p.read
-			if j.flush(st, emit) != nil {
+			if j.flush(st, wb, true) != nil {
 				return
 			}
 			select {
@@ -195,7 +196,7 @@ func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, jo
 			st = nil
 			continue
 		}
-		err := j.joinBlock(&p.blk, job.K, dec.shape.words, collector(st, job.Collect), st, emit)
+		err := j.joinBlock(&p.blk, job.K, dec.shape.words, collector(st, job.Collect), st, wb)
 		job.Gov.Release(p.blk.Bytes())
 		select {
 		case dec.free <- p.buf: // never full: it holds at most every buffer there is
@@ -218,39 +219,66 @@ func collector(st *JoinStats, collect bool) clique.Reporter {
 }
 
 // joinBlock runs the kernel over one block of size-k records, handing the
-// output to emit whenever a chunk of it is sealed or batch words of it
-// are open.
-func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, st *JoinStats,
-	emit func([]core.Block) (bool, error)) error {
+// output to out a sealed chunk at a time — sealing its whole runs once
+// batch words are open — and, at the end of the block, all of it.  A
+// block ends where its input starts a run, so the output sealed there
+// starts a run the carry rule starts in any case; a cut anywhere else
+// would start one of its own and change the level's words.
+func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, st *JoinStats, out output) error {
 	it, b := &j.it, j.b
 	it.Reset(k, blk)
 	for s := it.Next(); s != nil; s = it.Next() {
 		if err := b.ProcessRecord(s, rep); err != nil {
 			return fmt.Errorf("ooc: shard of %d-cliques: %w", k, err)
 		}
-		if b.Mark() > j.mark || b.Open() >= batch {
-			if err := j.flush(st, emit); err != nil {
+		if b.Open() >= batch {
+			b.SealRuns()
+		}
+		if b.Mark() > j.mark {
+			if err := j.flush(st, out, false); err != nil {
 				return err
 			}
 		}
 	}
-	return it.Err()
+	if err := it.Err(); err != nil {
+		return err
+	}
+	return j.flush(st, out, true)
 }
 
-// flush seals what the kernel holds beyond the batches already handed on
-// and hands it to emit, which takes the blocks and their charges in every
-// case and says when the builder may start its next arena generation —
-// when the writer reads no chunk it would recycle.  The kernel's counters
-// move to st as they stand, so each shard counts its own work.
-func (j *Joiner) flush(st *JoinStats, emit func([]core.Block) (bool, error)) error {
+// output is where a join's sealed blocks go: write takes a batch and its
+// charges, whatever happens; turn reports whether the builder may Reset —
+// start its next arena generation — because the writer reads no chunk
+// the Reset recycles.
+type output interface {
+	write(blocks []core.Block) error
+	turn() (bool, error)
+}
+
+// flush hands out what the kernel has sealed beyond the batches already
+// handed on — with all, everything it holds, what is open sealed first,
+// and then the builder Resets when out says it may: only there, where
+// nothing of it is open.  The kernel's counters move to st as they stand,
+// so each shard counts its own work.
+func (j *Joiner) flush(st *JoinStats, out output, all bool) error {
 	b := j.b
-	out := b.Since(j.mark)
+	blocks := b.Sealed(j.mark)
+	if all {
+		blocks = b.Since(j.mark)
+	}
 	st.Maximal += b.Maximal
 	st.Dropped += b.Dropped
 	st.Cost.Add(b.Cost)
 	b.Maximal, b.Dropped, b.Cost = 0, 0, core.Cost{}
 	j.mark = b.Mark()
-	reset, err := emit(out)
+	var err error
+	if len(blocks) > 0 {
+		err = out.write(blocks)
+	}
+	reset := false
+	if all && err == nil {
+		reset, err = out.turn()
+	}
 	if reset || err != nil {
 		// On an error nothing more is sealed this run: the handed-on
 		// blocks only leave the builder's list.
@@ -260,18 +288,18 @@ func (j *Joiner) flush(st *JoinStats, emit func([]core.Block) (bool, error)) err
 	return err
 }
 
-// decodeAhead is the first stage: it reads and decodes ahead of the join
-// into at most shape.depth buffers of shape.words words, which the join
-// hands back.
+// decodeAhead is the first stage: it reads ahead of the join into at
+// most shape.depth buffers of shape.words words — larger for a frame
+// that needs it — which the join hands back.
 type decodeAhead struct {
 	job   *ShardJob
 	n     int // vertex universe of the graph
 	out   chan inPiece
 	free  chan []uint32
 	shape pipeShape
-	made  int    // buffers allocated so far
-	win   []byte // the read window, handed from shard to shard
-	read  int64  // encoded bytes read; the join reads it once out is closed
+	made  int           // buffers allocated so far
+	br    *bufio.Reader // the read window, handed from shard to shard
+	read  int64         // bytes read; the join reads it once out is closed
 }
 
 // run decodes the shards next hands out until there are none, the
@@ -292,22 +320,21 @@ func (d *decodeAhead) run(ctx context.Context, cancel context.CancelCauseFunc, n
 	}
 }
 
-// shard decodes one shard into blocks, hands them on, and then the end of
-// the shard.
+// shard reads one shard's blocks, hands them on, and then the end of the
+// shard.
 //
 //repro:ctxloop
 func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err error) {
 	job := d.job
-	r, err := openShard(job.Dir, meta, job.K, d.n, job.Compress, job.Gov, d.shape.io, d.win)
+	r, err := openShard(job.Dir, meta, job.K, d.n, job.Gov, d.shape.io, d.br)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		d.read += r.BytesRead()
-		d.win = r.dec.win
+		d.br = r.br
 		err = errors.Join(err, r.Close())
 	}()
-	br := blockReader{r: r}
 	for {
 		var buf []uint32
 		if d.made < d.shape.depth {
@@ -320,7 +347,7 @@ func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err e
 				return ctx.Err()
 			}
 		}
-		blk, buf, err := br.next(buf)
+		blk, buf, err := r.block(buf)
 		if err != nil {
 			return err
 		}
@@ -345,28 +372,30 @@ func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err e
 	}
 }
 
-// writeBehind is the third stage: it encodes batches of sealed blocks
+// writeBehind is the third stage: it writes batches of sealed blocks
 // into shard files through a LevelWriter, restarted for every shard,
 // releases the blocks' charge on gov, and delivers each shard's result
 // once its files are closed.  slots bounds the batches it holds — twice a
 // generation's, or one at depth one: the join takes a slot as it hands a
 // batch over, the writer frees one per batch done.
 type writeBehind struct {
+	ctx   context.Context
 	in    chan outPiece
 	slots chan struct{}
 	gen   int // batches to a generation
-	n     int // batches of the current one handed over
+	n     int // batches handed over since the builder's last Reset
 	done  chan struct{}
 	gov   *membudget.Governor
 	lw    *LevelWriter // restarted for every shard
 }
 
-func newWriteBehind(s pipeShape, gov *membudget.Governor, lw *LevelWriter) *writeBehind {
+func newWriteBehind(ctx context.Context, s pipeShape, gov *membudget.Governor, lw *LevelWriter) *writeBehind {
 	slots := 2 * s.gen
 	if s.depth == 1 {
 		slots = 1
 	}
 	return &writeBehind{
+		ctx:   ctx,
 		in:    make(chan outPiece, slots+1), // the batches in flight and a shard's end
 		slots: make(chan struct{}, slots),
 		gen:   s.gen,
@@ -377,39 +406,46 @@ func newWriteBehind(s pipeShape, gov *membudget.Governor, lw *LevelWriter) *writ
 }
 
 // write hands blocks to the writer, which owns them and their charges
-// from here on whatever happens.  With the last batch of a generation it
-// waits until the writer holds no batch of the generation before and
-// reports reset: the caller may now Reset the builder the blocks were
-// sealed in, as no chunk that recycles is read any more.
-func (w *writeBehind) write(ctx context.Context, blocks []core.Block) (reset bool, err error) {
+// from here on whatever happens.
+func (w *writeBehind) write(blocks []core.Block) error {
 	select {
 	case w.slots <- struct{}{}:
-	case <-ctx.Done():
+	case <-w.ctx.Done():
 		release(w.gov, blocks)
-		return false, ctx.Err()
+		return w.ctx.Err()
 	}
 	select {
 	case w.in <- outPiece{blocks: blocks}:
-	case <-ctx.Done():
+	case <-w.ctx.Done():
 		release(w.gov, blocks)
-		return false, ctx.Err()
+		return w.ctx.Err()
 	}
-	if w.n++; w.n < w.gen {
+	w.n++
+	return nil
+}
+
+// turn, once a generation's worth of batches has been handed over since
+// the builder's last Reset, waits until the writer holds none of the
+// batches before them and reports that the builder may Reset now.  The
+// writer takes batches in order and holds at most cap(slots), so holding
+// every slot but those of the n last batches means it is done with every
+// earlier one.
+func (w *writeBehind) turn() (bool, error) {
+	if w.n < w.gen {
 		return false, nil
 	}
-	w.n = 0
-	// Holding a generation's worth of slots at once means the writer is
-	// done with every batch before this generation's.
-	for i := 0; i < w.gen; i++ {
+	extra := cap(w.slots) - w.n
+	for i := 0; i < extra; i++ {
 		select {
 		case w.slots <- struct{}{}:
-		case <-ctx.Done():
-			return false, ctx.Err()
+		case <-w.ctx.Done():
+			return false, w.ctx.Err()
 		}
 	}
-	for i := 0; i < w.gen; i++ {
+	for i := 0; i < extra; i++ {
 		<-w.slots
 	}
+	w.n = 0
 	return true, nil
 }
 

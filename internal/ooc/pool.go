@@ -151,7 +151,6 @@ func (w *poolWorker) runJob(job *levelJob) {
 	read, err := w.join.run(job.ctx, &ShardJob{
 		Dir:      p.cfg.Dir,
 		K:        lv.K,
-		Compress: p.cfg.OOCCompress,
 		Target:   lv.Target,
 		Collect:  lv.Collect,
 		Gov:      p.gov,

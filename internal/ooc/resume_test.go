@@ -58,7 +58,7 @@ func TestKillResumeParity(t *testing.T) {
 		cfg  enumcfg.Config
 	}{
 		{"serial-raw", enumcfg.Config{}},
-		{"parallel-compressed", enumcfg.Config{Workers: 4, OOCCompress: true, ShardBytes: 512}},
+		{"parallel-compressed", enumcfg.Config{Workers: 4, ShardBytes: 512}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ref := c.cfg
@@ -116,7 +116,7 @@ func TestResumeWithDifferentWorkerCount(t *testing.T) {
 	g := plantedGraph(202)
 	want, _ := orderedKeys(t, g, enumcfg.Config{}, core.Hooks{})
 	dir := t.TempDir()
-	killRun(t, g, dir, len(want)/2, enumcfg.Config{Workers: 1, OOCCompress: true})
+	killRun(t, g, dir, len(want)/2, enumcfg.Config{Workers: 1})
 	var resumed []string
 	st, err := Resume(g, enumcfg.Config{
 		Dir:        dir,

@@ -2,11 +2,17 @@ package ooc
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/membudget"
@@ -21,16 +27,28 @@ import (
 // sequential emission order (see DESIGN.md §5.3 for the ordering
 // argument).
 //
-// Each shard starts a fresh delta-encoder state, so shards decode
-// independently — the unit of both parallelism and resume.
-
-// shardHeaderLen is the fixed shard-file preamble: magic, format
-// version, flags (bit0 = delta-varint), clique size.
+// A shard is the in-core level's blocks themselves (core.Block, DESIGN.md
+// §3.4): a 7-byte header — magic, format version, a zero byte, clique
+// size — then one frame per block:
+//
+//	words  uint32   the block's word count, at least 1
+//	crc    uint32   CRC-32C (Castagnoli) of the words' bytes
+//	block  words × uint32, the front-coded records as they lie in memory
+//
+// all little-endian.  A block's first record spells its whole prefix, so
+// every frame — and every shard — decodes by itself: the unit of both
+// parallelism and resume.  A frame is written from the block's memory
+// and read back into a block buffer, checked against its CRC and walked
+// once by core.Verifier, so a truncated, corrupted or forged file is an
+// error and never a level the join trusts.
 const (
 	shardMagic     = "OOCS"
-	shardVersion   = 1
+	shardVersion   = 2
 	shardHeaderLen = 7
+	frameHeaderLen = 8
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ShardMeta describes one shard file; the level manifest persists these
 // for resume, and the in-memory level descriptor is just []ShardMeta.
@@ -38,7 +56,7 @@ type ShardMeta struct {
 	Path     string `json:"path"` // relative to the run directory
 	Records  int64  `json:"records"`
 	Runs     int64  `json:"runs"`
-	Bytes    int64  `json:"bytes"`     // encoded on-disk bytes (incl. header)
+	Bytes    int64  `json:"bytes"`     // on-disk bytes (incl. header)
 	RawBytes int64  `json:"raw_bytes"` // fixed-width-equivalent payload bytes (4k per record)
 }
 
@@ -51,7 +69,7 @@ func LevelRecords(shards []ShardMeta) int64 {
 	return t
 }
 
-// LevelBytes sums a level's encoded and fixed-width-equivalent bytes.
+// LevelBytes sums a level's on-disk and fixed-width-equivalent bytes.
 func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	for _, s := range shards {
 		enc += s.Bytes
@@ -60,18 +78,23 @@ func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	return
 }
 
-// LevelWriter writes one level's sorted record stream, a prefix run or a
-// batch of blocks at a time, splitting it into run-aligned shard files of
-// roughly target encoded bytes.  newShard names each file; onWrite
-// observes the encoded/raw byte increment of every call as it is handed
-// to the file — the accounting hook that keeps Stats.BytesWritten
-// truthful even when the level aborts mid-shard — and may return an error
-// (the spill-budget abort) to stop the writer.
+// LevelWriter writes one level's sorted record stream, a batch of blocks
+// or a prefix run at a time, splitting it into run-aligned shard files of
+// roughly target bytes.  newShard names each file; onWrite observes the
+// on-disk/raw byte increment of every call as it is handed to the file —
+// the accounting hook that keeps Stats.BytesWritten truthful even when
+// the level aborts mid-shard — and may return an error (the spill-budget
+// abort) to stop the writer.
+//
+// The frames are the writer's own: it copies the records it is handed
+// into a frame buffer and ends a frame at a run start — once the shard
+// reaches its target with it, or before it would pass frameWords — so
+// that a level's frames, like its words, are one function of the level,
+// not of how its producer happened to group it into blocks.
 type LevelWriter struct {
 	dir      string
 	k        int
 	target   int64
-	enc      *runEncoder
 	newShard func() (string, error)
 	onWrite  func(encBytes, rawBytes int64) error
 	gov      *membudget.Governor // charged with the in-flight I/O buffer
@@ -82,22 +105,38 @@ type LevelWriter struct {
 	bw      *bufio.Writer
 	bufSize int64 // governor charge of the open shard's buffer
 	cur     ShardMeta
-	pendEnc int64     // encoded bytes handed to files, not yet reported to onWrite
-	pendRaw int64     // their fixed-width equivalent
-	it      core.Iter // writeBlocks' record decoder
+	pendEnc int64 // bytes handed to files, not yet reported to onWrite
+	pendRaw int64 // their fixed-width equivalent
+	frame   [frameHeaderLen]byte
+
+	// The frame being assembled: whole records, the first a run start.
+	fb        []uint32
+	fbRuns    int64 // its sub-lists
+	fbRecords int64 // its records
+
+	// WriteRun's state: the run it holds open, and the block of at most
+	// frameWords it front-codes closed runs into before they join the
+	// frame — each such block starts a run, where a frame may end.
+	prefix, tails []uint32
+	last          []uint32 // the prefix packed last
+	pk            core.Packer
+	pkBuf         []uint32
 }
 
+// frameWords is what a frame holds before it ends at the next run start:
+// about a run, so that decode-ahead fills a block buffer of any size with
+// whole frames, up to its room.
+const frameWords = core.RunWords
+
+// NewLevelWriter returns a writer of a level of k-cliques into dir.
+// compress is ignored: a level has one format.
 func NewLevelWriter(dir string, k int, compress bool, target int64,
 	gov *membudget.Governor,
 	newShard func() (string, error), onWrite func(enc, raw int64) error) *LevelWriter {
-	if target < 1 {
-		target = 1
-	}
 	return &LevelWriter{
 		dir:      dir,
 		k:        k,
-		target:   target,
-		enc:      newRunEncoder(k, compress),
+		target:   max(target, 1),
 		newShard: newShard,
 		onWrite:  onWrite,
 		gov:      gov,
@@ -107,66 +146,150 @@ func NewLevelWriter(dir string, k int, compress bool, target int64,
 // WriteRun appends the records (prefix, t) for t in tails — a whole
 // prefix run, or the next part of the run written last.  Sorted order
 // across calls, and strictly increasing tails above the prefix within
-// one, are the caller's invariant.  Everything that costs O(k) — the
-// comparison with the previous run, the shard-split decision — happens
-// once per call, and the run reaches the file and onWrite as one write.
+// one, are the caller's invariant: the reader, not the writer, checks
+// them.  A run reaches the file, and onWrite, with the frame it ends up
+// in.
 func (w *LevelWriter) WriteRun(prefix, tails []uint32) error {
-	return errors.Join(w.put(prefix, tails, 0), w.report())
+	if len(tails) == 0 {
+		return nil
+	}
+	if len(w.tails) > 0 && slices.Equal(w.prefix, prefix) {
+		w.tails = append(w.tails, tails...)
+		return nil
+	}
+	err := w.pack()
+	w.prefix = append(w.prefix[:0], prefix...)
+	w.tails = append(w.tails[:0], tails...)
+	return errors.Join(err, w.report())
 }
 
-// writeBlocks appends the records of blocks — sealed blocks of the level,
-// in order, each record one run — and reports their bytes to onWrite
-// once: the write-behind stage's unit.
+// Write appends one record: a one-tail WriteRun, which continues the
+// current run when the prefix repeats.
+func (w *LevelWriter) Write(rec []uint32) error {
+	return w.WriteRun(rec[:w.k-1], rec[w.k-1:])
+}
+
+// pack front-codes the open run into the packer's block, and hands a
+// full block on to the frame.
+func (w *LevelWriter) pack() error {
+	if len(w.tails) == 0 {
+		return nil
+	}
+	if w.pkBuf == nil {
+		w.pkBuf = make([]uint32, frameWords)
+		w.pk.Reset(w.k, w.pkBuf)
+	}
+	lcp := 0
+	for len(w.last) == len(w.prefix) && lcp < len(w.prefix) && w.last[lcp] == w.prefix[lcp] {
+		lcp++
+	}
+	if !w.pk.Add(w.prefix, lcp, w.tails) {
+		if err := w.packed(); err != nil {
+			return err
+		}
+		w.pk.Add(w.prefix, 0, w.tails) // an empty block takes any run
+	}
+	w.last = append(w.last[:0], w.prefix...)
+	w.tails = w.tails[:0]
+	return nil
+}
+
+// packed hands the packer's block on to the frame and starts the next.
+func (w *LevelWriter) packed() error {
+	blk := w.pk.Block()
+	w.pk.Reset(w.k, w.pkBuf)
+	return w.add(blk.Words())
+}
+
+// flush writes whatever the writer holds — WriteRun's open run, the
+// packer's block, the frame being assembled — and reports it: the end of
+// a stretch of the level.
+func (w *LevelWriter) flush() error {
+	err := w.pack()
+	if err == nil && w.pkBuf != nil {
+		err = w.packed()
+	}
+	if err == nil && len(w.fb) > 0 {
+		err = w.cut()
+	}
+	return errors.Join(err, w.report())
+}
+
+// writeBlocks appends blocks — sealed blocks of the level, in order — to
+// the frames, and reports the bytes that reached a file to onWrite once:
+// the write-behind stage's unit.
 func (w *LevelWriter) writeBlocks(blocks []core.Block) error {
 	for i := range blocks {
-		it := &w.it
-		it.Reset(w.k, &blocks[i])
-		for s := it.Next(); s != nil; s = it.Next() {
-			if err := w.put(s.Prefix, s.Tails, s.LCP); err != nil {
-				return errors.Join(err, w.report())
-			}
-		}
-		if err := it.Err(); err != nil {
+		if err := w.add(blocks[i].Words()); err != nil {
 			return errors.Join(err, w.report())
 		}
 	}
 	return w.report()
 }
 
-// put encodes one run into the open shard, opening (or first closing and
-// opening) one where the run starts a new shard, and counts its bytes as
-// pending for onWrite.  known leading vertices of prefix are those of the
-// run put last (a block record's lcp: the record before it in the block
-// is that run).
-func (w *LevelWriter) put(prefix, tails []uint32, known int) error {
-	if len(tails) == 0 {
-		return nil
-	}
-	shared, same := w.enc.shared(prefix, known)
-	if !same {
-		if w.f != nil && w.cur.Bytes >= w.target {
-			if err := w.closeShard(); err != nil {
+// add appends words — whole records, the first a run start — to the frame
+// being assembled, and writes a frame wherever one ends: at a run start,
+// once it holds frameWords or the shard reaches its target with it.
+func (w *LevelWriter) add(words []uint32) error {
+	from := 0 // words[from:p] belong to the frame but are not copied yet
+	for p := 0; p < len(words); {
+		n, lcp, tails := core.RecordAt(words, p, w.k)
+		if size := len(w.fb) + p - from; lcp == 0 && size > 0 && (size >= frameWords || w.reaches(size)) {
+			w.fb, from = append(w.fb, words[from:p]...), p
+			if err := w.cut(); err != nil {
 				return err
 			}
 		}
-		if w.f == nil {
-			if err := w.openShard(); err != nil {
-				return err
-			}
-			shared = 0 // a shard decodes by itself
-		}
-		w.cur.Runs++
+		w.fbRuns++
+		w.fbRecords += int64(tails)
+		p += n
 	}
-	buf := w.enc.encode(prefix, tails, shared)
-	if _, err := w.bw.Write(buf); err != nil {
+	w.fb = append(w.fb, words[from:]...)
+	return nil
+}
+
+// reaches reports whether the shard the next frame lands in reaches the
+// target with a frame of size words.
+func (w *LevelWriter) reaches(size int) bool {
+	at := int64(shardHeaderLen)
+	if w.f != nil && w.cur.Bytes < w.target {
+		at = w.cur.Bytes
+	}
+	return at+frameHeaderLen+4*int64(size) >= w.target
+}
+
+// cut writes the frame being assembled to the open shard, first closing
+// a shard that has reached its target and opening one where none is
+// open, and counts its bytes as pending for onWrite.
+func (w *LevelWriter) cut() error {
+	if w.f != nil && w.cur.Bytes >= w.target {
+		if err := w.closeShard(); err != nil {
+			return err
+		}
+	}
+	if w.f == nil {
+		if err := w.openShard(); err != nil {
+			return err
+		}
+	}
+	toLE(w.fb)
+	data := wordBytes(w.fb)
+	binary.LittleEndian.PutUint32(w.frame[:4], uint32(len(w.fb)))
+	binary.LittleEndian.PutUint32(w.frame[4:], crc32.Checksum(data, castagnoli))
+	if _, err := w.bw.Write(w.frame[:]); err != nil {
 		return fmt.Errorf("ooc: write %s: %w", w.cur.Path, err)
 	}
-	raw := int64(4 * w.k * len(tails))
-	w.cur.Bytes += int64(len(buf))
+	if _, err := w.bw.Write(data); err != nil {
+		return fmt.Errorf("ooc: write %s: %w", w.cur.Path, err)
+	}
+	n, raw := int64(frameHeaderLen+len(data)), 4*int64(w.k)*w.fbRecords
+	w.cur.Bytes += n
 	w.cur.RawBytes += raw
-	w.cur.Records += int64(len(tails))
-	w.pendEnc += int64(len(buf))
+	w.cur.Records += w.fbRecords
+	w.cur.Runs += w.fbRuns
+	w.pendEnc += n
 	w.pendRaw += raw
+	w.fb, w.fbRuns, w.fbRecords = w.fb[:0], 0, 0
 	return nil
 }
 
@@ -178,12 +301,6 @@ func (w *LevelWriter) report() error {
 	enc, raw := w.pendEnc, w.pendRaw
 	w.pendEnc, w.pendRaw = 0, 0
 	return w.onWrite(enc, raw)
-}
-
-// Write appends one record: a one-tail WriteRun, which continues the
-// current run when the prefix repeats.
-func (w *LevelWriter) Write(rec []uint32) error {
-	return w.WriteRun(rec[:w.k-1], rec[w.k-1:])
 }
 
 func (w *LevelWriter) openShard() error {
@@ -205,12 +322,11 @@ func (w *LevelWriter) openShard() error {
 	w.bufSize = int64(sz)
 	w.gov.Charge(w.bufSize)
 	w.cur = ShardMeta{Path: name}
-	hdr := shardHeader(w.k, w.enc.compress)
-	if _, err := w.bw.Write(hdr); err != nil {
+	if _, err := w.bw.Write(shardHeader(w.k)); err != nil {
 		return fmt.Errorf("ooc: write shard header: %w", err)
 	}
-	w.cur.Bytes += int64(len(hdr))
-	w.pendEnc += int64(len(hdr))
+	w.cur.Bytes += shardHeaderLen
+	w.pendEnc += shardHeaderLen
 	return nil
 }
 
@@ -232,15 +348,20 @@ func (w *LevelWriter) closeShard() error {
 	return nil
 }
 
-// finish closes the current shard and returns the level's shard list.
+// Finish writes what WriteRun still holds, closes the current shard and
+// returns the level's shard list.  On an error the open shard is
+// aborted.
 func (w *LevelWriter) Finish() ([]ShardMeta, error) {
+	if err := w.flush(); err != nil {
+		return nil, errors.Join(err, w.Abort())
+	}
 	if err := w.closeShard(); err != nil {
 		return nil, err
 	}
 	return w.shards, nil
 }
 
-// abort flushes what the current shard buffered (so the on-disk state
+// Abort flushes what the current shard buffered (so the on-disk state
 // matches the byte accounting already reported through onWrite) and
 // closes it.  The files themselves are removed by the level driver's
 // sweep (or with the run directory); abort only guarantees no descriptor
@@ -264,187 +385,241 @@ func (w *LevelWriter) Abort() error {
 }
 
 // restart readies a finished writer for another stretch of the level —
-// the next input shard's output — which starts files of its own, keeping
-// its buffers.
+// the next input shard's output — which starts files and frames of its
+// own, keeping its buffers.
 func (w *LevelWriter) restart() {
 	w.shards, w.cur = nil, ShardMeta{}
-	w.enc.started = false
+	w.last = w.last[:0]
 }
 
-func shardHeader(k int, compress bool) []byte {
-	hdr := make([]byte, 0, shardHeaderLen)
-	hdr = append(hdr, shardMagic...)
-	hdr = append(hdr, shardVersion)
-	flags := byte(0)
-	if compress {
-		flags |= 1
-	}
-	return append(hdr, flags, byte(k))
+func shardHeader(k int) []byte {
+	return append([]byte(shardMagic), shardVersion, 0, byte(k))
 }
 
-// ShardReader streams one shard file's prefix runs, counting consumed
-// bytes and enforcing the record count recorded at write time, so
-// truncation and trailing garbage both surface as errors.
+// ShardReader reads one shard file back a frame at a time, each checked
+// by its CRC and by core.Verifier, and enforces the record count recorded
+// at write time, so truncation and trailing garbage both surface as
+// errors.
 type ShardReader struct {
+	src     io.Reader     // the shard's bytes
+	br      *bufio.Reader // src, for a shard read from a file
 	f       *os.File
-	dec     *runDecoder
+	size    int64 // an in-memory shard's bytes
 	meta    ShardMeta
-	cur     int // Next's cursor into the decoded run
+	k       int
+	pos     int64 // bytes consumed from src
+	left    int64 // records the shard still owes
+	ver     core.Verifier
+	hdr     [frameHeaderLen]byte // of the next frame
+	held    bool                 // hdr is read, its frame is not
 	gov     *membudget.Governor
 	bufSize int64
+
+	// Next's cursor: a buffer, the block in it, the run and tail it is at.
+	buf []uint32
+	it  core.Iter
+	run *core.SubList
+	cur int
 }
 
-// OpenShard opens a shard file for decoding through a window of the
-// shard's size, at most 1 MiB, charged to gov until Close.
+// OpenShard opens a shard file for reading through a window of the
+// shard's size, at most 1 MiB, charged to gov until Close.  compress is
+// ignored: a level has one format.
 func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*ShardReader, error) {
-	return openShard(dir, meta, k, n, compress, gov, 0, nil)
+	return openShard(dir, meta, k, n, gov, 0, nil)
 }
 
 // openShard is OpenShard with the window capped at bufCap bytes (0 =
-// uncapped), in win when that is large enough: decode-ahead hands each
+// uncapped), in br when that has the size: decode-ahead hands each
 // shard's window on to the next.
-func openShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor,
-	bufCap int64, win []byte) (*ShardReader, error) {
+func openShard(dir string, meta ShardMeta, k, n int, gov *membudget.Governor,
+	bufCap int64, br *bufio.Reader) (*ShardReader, error) {
 	f, err := os.Open(filepath.Join(dir, meta.Path))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: open shard: %w", err)
 	}
+	r := &ShardReader{f: f}
 	sz := bufSize(meta.Bytes, bufCap)
-	if cap(win) < sz {
-		win = make([]byte, 0, sz)
+	if br != nil && br.Size() == sz {
+		br.Reset(f)
+	} else {
+		br = bufio.NewReaderSize(f, sz)
 	}
-	r, err := newShardReader(win[:0:sz], f, meta, k, n, compress)
-	if err != nil {
+	r.br = br
+	if err := r.start(br, meta, k, n); err != nil {
 		f.Close()
 		return nil, err
 	}
-	r.f = f
 	gov.Charge(int64(sz))
 	r.gov, r.bufSize = gov, int64(sz)
 	return r, nil
 }
 
-// OpenShardBytes reads a shard from an in-memory copy of its encoded
-// file.  The data is decoded in place: the caller owns it (and any
-// governor charge for it) and keeps it unchanged until Close, which
-// closes no file and releases nothing.
+// OpenShardBytes reads a shard from an in-memory copy of its file, which
+// the caller owns (with any governor charge for it) and keeps unchanged
+// until Close; Close closes no file and releases nothing.  compress is
+// ignored: a level has one format.
 func OpenShardBytes(data []byte, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
-	return newShardReader(data, nil, meta, k, n, compress)
+	r := &ShardReader{size: int64(len(data))}
+	if err := r.start(bytes.NewReader(data), meta, k, n); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// newShardReader validates the shard preamble at the head of the window
-// and assembles the reader; the caller attaches the file handle and
-// governor charge (if any) on success.
-func newShardReader(win []byte, src io.Reader, meta ShardMeta, k, n int, compress bool) (*ShardReader, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("ooc: shard %s: clique size %d (want >= 2)", meta.Path, k)
+// start reads and checks the shard header from src.
+func (r *ShardReader) start(src io.Reader, meta ShardMeta, k, n int) error {
+	if k < 2 || k > 0xff {
+		return fmt.Errorf("ooc: shard %s: clique size %d (want 2..255)", meta.Path, k)
 	}
-	dec := newRunDecoder(k, n, compress, meta.Records, win, src)
-	if src != nil {
-		if err := dec.refill(); err != nil {
-			return nil, err
-		}
-	} else {
-		dec.read = int64(len(win))
+	r.src, r.meta, r.k, r.left = src, meta, k, meta.Records
+	hdr := r.hdr[:shardHeaderLen]
+	got, err := io.ReadFull(src, hdr)
+	r.pos = int64(got)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return corrupt("%s: short header (%d bytes)", meta.Path, got)
+	} else if err != nil {
+		return fmt.Errorf("ooc: read shard %s: %w", meta.Path, err)
 	}
-	hdr := dec.win
-	if len(hdr) < shardHeaderLen {
-		return nil, corrupt("%s: short header (%d bytes)", meta.Path, len(hdr))
+	switch {
+	case string(hdr[:4]) != shardMagic:
+		return corrupt("%s: bad magic %q", meta.Path, hdr[:4])
+	case hdr[4] != shardVersion:
+		return corrupt("%s: unsupported format version %d (this build reads %d)", meta.Path, hdr[4], shardVersion)
+	case hdr[5] != 0:
+		return corrupt("%s: reserved header byte %#x", meta.Path, hdr[5])
+	case int(hdr[6]) != k:
+		return corrupt("%s: clique size %d, level expects %d", meta.Path, hdr[6], k)
 	}
-	if string(hdr[:4]) != shardMagic {
-		return nil, corrupt("%s: bad magic %q", meta.Path, hdr[:4])
-	}
-	if hdr[4] != shardVersion {
-		return nil, corrupt("%s: unsupported format version %d", meta.Path, hdr[4])
-	}
-	if gotCompress := hdr[5]&1 != 0; gotCompress != compress {
-		return nil, corrupt("%s: encoding mismatch (compressed=%v, run expects %v)",
-			meta.Path, gotCompress, compress)
-	}
-	if int(hdr[6]) != k {
-		return nil, corrupt("%s: clique size %d, level expects %d", meta.Path, hdr[6], k)
-	}
-	dec.pos = shardHeaderLen
-	return &ShardReader{dec: dec, meta: meta}, nil
+	r.ver.Reset(k, n)
+	return nil
 }
 
-// NextRun decodes the shard's next prefix run: the k-1 shared vertices
-// and the tails, one per record, both valid until the next call.  It
-// reports io.EOF after exactly meta.Records records.
-func (r *ShardReader) NextRun() (prefix, tails []uint32, err error) {
-	d := r.dec
-	r.cur = 0
-	ok, err := d.next()
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w (shard %s, record %d)", err, r.meta.Path, r.meta.Records-d.limit)
-	}
-	if !ok {
-		if d.limit > 0 {
-			return nil, nil, corrupt("%s: %d records, manifest expects %d",
-				r.meta.Path, r.meta.Records-d.limit, r.meta.Records)
-		}
-		// The write-time count is exhausted: the file must end here.
-		if d.pos < len(d.win) {
-			return nil, nil, corrupt("%s: trailing data after %d records", r.meta.Path, r.meta.Records)
-		}
-		return nil, nil, io.EOF
-	}
-	return d.rec[:d.k-1], d.tails, nil
-}
-
-// blockReader packs a shard's prefix runs into blocks of the in-core
-// level's record shape (core.Packer): the decode-ahead stage's reader.
-type blockReader struct {
-	r       *ShardReader
-	p       core.Packer
-	pending bool // the run NextRun returned last did not fit the block before
-}
-
-// next packs the shard's next runs into a block in buf, as many as fit
-// its capacity, and returns it with the buffer it lives in (a larger one
-// when a single run needed it).  An empty block is the end of the shard.
-func (b *blockReader) next(buf []uint32) (core.Block, []uint32, error) {
-	r, d := b.r, b.r.dec
-	b.p.Reset(d.k, buf)
-	if b.pending {
-		b.p.Add(d.rec[:d.k-1], 0, d.tails)
-		b.pending = false
-	}
+// block reads the shard's next frames into buf — as many whole frames as
+// it has room for, and at least one, in a larger buffer when buf is too
+// small for it — checks each by its CRC and core.Verifier, and returns
+// them as one block, with the buffer it lives in.  An empty block is the
+// end of the shard, reached after exactly meta.Records records and at the
+// end of the file.
+//
+//repro:hotpath
+func (r *ShardReader) block(buf []uint32) (blk core.Block, out []uint32, err error) {
+	n, owed := 0, r.left // words read into buf; records owed before them
 	for {
-		prefix, tails, err := r.NextRun()
-		if err == io.EOF {
-			break
+		if !r.held {
+			got, err := io.ReadFull(r.src, r.hdr[:frameHeaderLen])
+			r.pos += int64(got)
+			switch {
+			case got == 0 && err == io.EOF:
+				if r.left != 0 {
+					return blk, buf, r.short()
+				}
+				return blk, buf, nil
+			case r.left == 0:
+				return blk, buf, r.bad("trailing data")
+			case err != nil:
+				return blk, buf, r.broken(err)
+			}
+			r.held = true
 		}
+		// The manifest bounds what a frame may claim: a forged length
+		// allocates nothing past the shard's size.
+		words := int(binary.LittleEndian.Uint32(r.hdr[:4]))
+		if words == 0 {
+			return blk, buf, r.bad("empty frame")
+		}
+		if 4*int64(words) > r.meta.Bytes-r.pos {
+			return blk, buf, r.bad("frame length past the shard's end")
+		}
+		if n > 0 && n+words > cap(buf) {
+			return blk, buf, nil // the frame starts the next block
+		}
+		if cap(buf) < words {
+			buf = growBuf(words)
+		}
+		w := buf[n : n+words]
+		data := wordBytes(w)
+		got, err := io.ReadFull(r.src, data)
+		r.pos += int64(got)
 		if err != nil {
-			return core.Block{}, b.p.Buf(), err
+			return blk, buf, r.broken(err)
 		}
-		if !b.p.Add(prefix, d.shared, tails) {
-			b.pending = true
-			break
+		if crc32.Checksum(data, castagnoli) != binary.LittleEndian.Uint32(r.hdr[4:]) {
+			return blk, buf, r.bad("checksum mismatch")
 		}
+		toLE(w)
+		if blk, err = r.ver.Block(buf[:n+words], n); err != nil {
+			return blk, buf, r.walk(err)
+		}
+		if blk.Cliques() > owed {
+			return blk, buf, r.bad("more records than the manifest says")
+		}
+		r.left, r.held = owed-blk.Cliques(), false
+		n += words
 	}
-	return b.p.Block(), b.p.Buf(), nil
 }
 
-// Next reads one record into rec (len k): a cursor over NextRun's runs.
+// growBuf makes a block buffer for a frame larger than the one at hand;
+// out of line, so block stays allocation-free.
+func growBuf(words int) []uint32 { return make([]uint32, words) }
+
+// The reader's errors, out of line so that block boxes nothing.
+
+func (r *ShardReader) bad(what string) error {
+	return corrupt("%s: %s (at byte %d)", r.meta.Path, what, r.pos)
+}
+
+func (r *ShardReader) short() error {
+	return corrupt("%s: %d records, manifest expects %d", r.meta.Path, r.meta.Records-r.left, r.meta.Records)
+}
+
+func (r *ShardReader) broken(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return r.bad("truncated frame")
+	}
+	return fmt.Errorf("ooc: read shard %s: %w", r.meta.Path, err)
+}
+
+func (r *ShardReader) walk(err error) error {
+	return fmt.Errorf("ooc: corrupt level file: %s (at byte %d): %w", r.meta.Path, r.pos, err)
+}
+
+// Next reads the shard's next record into rec (len k).  It reports
+// io.EOF after exactly meta.Records records.
 func (r *ShardReader) Next(rec []uint32) error {
-	d := r.dec
-	if r.cur == len(d.tails) {
-		if _, _, err := r.NextRun(); err != nil {
+	for r.run == nil || r.cur == len(r.run.Tails) {
+		r.cur = 0
+		if r.run = r.it.Next(); r.run != nil {
+			continue
+		}
+		if r.buf == nil {
+			r.buf = make([]uint32, core.MaxBlockBytes/4)
+		}
+		blk, buf, err := r.block(r.buf)
+		if err != nil {
 			return err
 		}
+		if len(blk.Words()) == 0 {
+			return io.EOF
+		}
+		r.buf = buf
+		r.it.Reset(r.k, &blk)
 	}
-	k1 := d.k - 1
-	copy(rec, d.rec[:k1])
-	rec[k1] = d.tails[r.cur]
+	copy(rec, r.run.Prefix)
+	rec[r.k-1] = r.run.Tails[r.cur]
 	r.cur++
 	return nil
 }
 
-// BytesRead returns the encoded bytes pulled from the file so far
-// (the undecoded rest of the window included: it is real I/O); for an
+// BytesRead returns the bytes pulled from the file so far (what the
+// window holds beyond those read included: it is real I/O); for an
 // in-memory shard, all of it.
-func (r *ShardReader) BytesRead() int64 { return r.dec.read }
+func (r *ShardReader) BytesRead() int64 {
+	if r.f == nil {
+		return r.size
+	}
+	return r.pos + int64(r.br.Buffered())
+}
 
 func (r *ShardReader) Close() error {
 	r.gov.Release(r.bufSize)
@@ -458,8 +633,31 @@ func (r *ShardReader) Close() error {
 	return nil
 }
 
-// minBuf is the smallest shard I/O buffer: it holds a whole record of
-// any level (k < 256, at most 5 bytes a field).
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("ooc: corrupt level file: "+format, args...)
+}
+
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes is the memory of words as bytes.
+func wordBytes(words []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 4*len(words))
+}
+
+// toLE turns native words into the format's little-endian ones in place,
+// and back: nothing to do on a little-endian machine.
+//
+//repro:hotpath
+func toLE(words []uint32) {
+	if littleEndian {
+		return
+	}
+	for i, v := range words {
+		words[i] = bits.ReverseBytes32(v)
+	}
+}
+
+// minBuf is the smallest shard I/O buffer.
 const minBuf = 4 << 10
 
 // bufSize right-sizes a shard's I/O buffer: shard-sized when small, so a

@@ -40,7 +40,7 @@ echo "smoke-dist: reference delivered $(wc -l <"$workdir/ref.cliques") cliques"
 dist_run() {
     name=$1; rundir=$2
     "$workdir/cliquer" -lo 3 -no-bound \
-        -dist 3 -ooc "$rundir" -ooc-compress -dist-shard-bytes 2048 \
+        -dist 3 -ooc "$rundir" -dist-shard-bytes 2048 \
         "$workdir/a.el" >"$workdir/$name.out"
 }
 

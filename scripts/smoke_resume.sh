@@ -23,7 +23,7 @@ echo "smoke-resume: generating the Table-1 graph"
 echo "smoke-resume: uninterrupted reference run"
 start_ns=$(date +%s%N)
 "$workdir/cliquer" -lo 3 -no-bound -count \
-    -ooc "$workdir/ref" -ooc-compress -workers 2 \
+    -ooc "$workdir/ref" -workers 2 \
     "$workdir/a.el" >"$workdir/ref.out"
 ref_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
 ref_count=$(sed -n 's/^done (out-of-core): \([0-9]*\) maximal cliques.*/\1/p' "$workdir/ref.out")
@@ -40,7 +40,7 @@ for attempt in 1 2 3 4 5; do
     ckdir="$workdir/ck$attempt"
     echo "smoke-resume: checkpointed run, kill attempt $attempt (-timeout ${timeout_ms}ms)"
     if "$workdir/cliquer" -lo 3 -no-bound -count \
-        -ooc "$ckdir" -ooc-checkpoint -ooc-compress -workers 2 \
+        -ooc "$ckdir" -ooc-checkpoint -workers 2 \
         -timeout "${timeout_ms}ms" \
         "$workdir/a.el" >"$workdir/kill.out" 2>&1; then
         echo "smoke-resume: run finished before the timeout; retrying with a shorter one"

@@ -73,8 +73,8 @@ check_run() {
 echo "smoke-spillover: hybrid run (sequential start, -mem-budget $budget)"
 check_run hybrid-seq -lo 3 -no-bound -ooc "$workdir/spill1" -mem-budget "$budget"
 
-echo "smoke-spillover: hybrid run (parallel start, 2 workers, compressed spill)"
-check_run hybrid-par -lo 3 -no-bound -workers 2 -ooc "$workdir/spill2" -ooc-compress -mem-budget "$budget"
+echo "smoke-spillover: hybrid run (parallel start, 2 workers)"
+check_run hybrid-par -lo 3 -no-bound -workers 2 -ooc "$workdir/spill2" -mem-budget "$budget"
 
 # Spill directories must be empty again: hybrid runs use private temp
 # run directories and remove them.

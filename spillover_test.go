@@ -166,7 +166,7 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 			dir := t.TempDir()
 			var keys []string
 			held, atDrain = 0, 0
-			res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: dir, OOCCompress: compress}, core.Hooks{
+			res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: dir}, core.Hooks{
 				Gov:      gov,
 				Reporter: clique.ReporterFunc(func(c clique.Clique) { keys = append(keys, c.Key()) }),
 				OnLevel: func(st core.LevelStats) {
