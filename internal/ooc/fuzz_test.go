@@ -26,7 +26,7 @@ import (
 // N(p0) of its prefix must fail the join (Builder.ProcessRecord), and
 // nothing may panic.
 func FuzzShardDecode(f *testing.F) {
-	// An lcp escape of 2^32-1 — the shape that used to wrap negative.
+	// An lcp escape of 2^32-1: the prefix copy must not wrap.
 	f.Add(shardFile(3, frame(hdr(0, 1), 1, 2, 3, hdr(0xff, 1), 0xffffffff, 4)), uint8(1), uint16(100), uint16(2), uint16(0))
 	// The golden shards as they are, cut at every byte, with trailing
 	// garbage, with a bit flipped in every byte, against a universe that

@@ -274,10 +274,9 @@ func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, ta
 // a create in write-behind, an open in decode-ahead, an unlink when the
 // level is consumed: inside a run on a 2-vCPU ext4 box a create alone
 // measured about 0.2 ms (40-odd ms a run at 210 files of 32 KiB and up).
-// It was 256 KiB of delta-varint records; frames take about twice those
-// bytes, and the floor doubled with them, so that a shard holds about as
-// many records as it did and a level costs as few files.  Huge levels
-// are capped at 32 MiB a shard.
+// The floor holds about as many records as 256 KiB of delta-varint
+// records did, the size the file count was tuned at: a frame takes about
+// twice their bytes.  Huge levels are capped at 32 MiB a shard.
 func DefaultShardTarget(consumedBytes int64, workers int) int64 {
 	const minTarget, maxTarget = 512 << 10, 32 << 20
 	return min(max(consumedBytes/int64(2*max(workers, 1)), minTarget), maxTarget)

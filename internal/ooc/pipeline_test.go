@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -153,4 +154,58 @@ func TestPipelineFaults(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestTurnWaitsForTheGenerationBefore pins the arena hand-off: once the
+// join has Reset after a batch, turn must not let it Reset again while
+// the writer still holds that batch, whose chunks the second Reset would
+// recycle under the writer.
+func TestTurnWaitsForTheGenerationBefore(t *testing.T) {
+	// 300 one-tail runs of 4 words: a frame ends inside the batch, so the
+	// writer names a file while it holds it.
+	var p core.Packer
+	p.Reset(3, make([]uint32, 2048))
+	for v := uint32(0); v < 300; v++ {
+		p.Add([]uint32{3 * v, 3*v + 1}, 0, []uint32{3*v + 2})
+	}
+	blk := p.Block()
+	hold, named := make(chan struct{}), make(chan struct{}, 1)
+	seq := 0
+	lw := NewLevelWriter(t.TempDir(), 3, false, 1<<30, nil, func() (string, error) {
+		if seq++; seq == 1 {
+			named <- struct{}{}
+			<-hold
+		}
+		return ShardFileName(3, fmt.Sprintf("%06d", seq)), nil
+	}, noAccount)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	wb := newWriteBehind(ctx, pipeShape{depth: 4, gen: 1}, nil, lw)
+	go wb.run(ctx, cancel, func(int, ShardResult) {})
+	if err := wb.write([]core.Block{blk}); err != nil {
+		t.Fatal(err)
+	}
+	if reset, err := wb.turn(); !reset || err != nil {
+		t.Fatalf("first turn: reset %v, err %v; the one batch out is this generation's", reset, err)
+	}
+	<-named // the writer holds the first batch
+	if err := wb.write([]core.Block{blk}); err != nil {
+		t.Fatal(err)
+	}
+	turned := make(chan bool, 1)
+	go func() {
+		reset, _ := wb.turn()
+		turned <- reset
+	}()
+	select {
+	case <-turned:
+		t.Fatal("turn returned while the writer held a batch of the generation before")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(hold)
+	if !<-turned {
+		t.Error("turn did not report a reset once the writer was done with the batch before")
+	}
+	close(wb.in)
+	<-wb.done
 }
