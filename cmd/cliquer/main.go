@@ -15,8 +15,8 @@
 // -strategy selects the dispatch policy (affinity or contiguous), and
 // -stats streams per-level statistics to stderr.  -ooc DIR spills levels
 // to disk instead of memory; -workers then joins the level shards
-// concurrently, and -ooc-checkpoint keeps a resumable manifest so a killed run can be
-// continued with -resume DIR (same graph file).
+// concurrently, and -ooc-checkpoint keeps a resumable manifest so a
+// killed run can be continued with -resume DIR (same graph file).
 //
 // -mem-budget BYTES arms the memory governor on any backend: a purely
 // in-core run (sequential or parallel) aborts with partial
@@ -30,9 +30,9 @@
 // -dist N runs the distributed coordinator instead: N worker processes
 // (spawned from this binary with -worker, or from -dist-worker-cmd) join
 // the level shards under the -ooc directory, which -dist requires as the
-// shared run directory.  -dist-lease-timeout
-// bounds one shard join before the shard is re-leased, and
-// -dist-shard-bytes overrides the lease granularity.  A worker that dies
+// shared run directory.  -dist-lease-timeout bounds one shard join
+// before the shard is re-leased, and -dist-shard-bytes overrides the
+// lease granularity.  A worker that dies
 // is respawned and its in-flight shard re-leased — the emitted stream is
 // byte-identical to a sequential run regardless.
 //
@@ -113,9 +113,8 @@ func main() {
 		lo: *lo, hi: *hi, workers: *workers, strategy: *strategy,
 		stats: *stats, countOnly: *countOnly,
 		dimacs: *dimacs, storeBits: *storeBits,
-		repr: *repr, oocDir: *oocDir,
-		oocCheckpoint: *oocCheckpoint,
-		resume:        *resume, budget: *budget, spill: *spill,
+		repr: *repr, oocDir: *oocDir, oocCheckpoint: *oocCheckpoint,
+		resume: *resume, budget: *budget, spill: *spill,
 		noBound: *noBound,
 		dist:    *distWorkers, distWorkerCmd: *distWorkerCmd,
 		distLease: *distLease, distShardBytes: *distShardBytes,

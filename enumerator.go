@@ -241,8 +241,8 @@ func OOCCheckpoint() OutOfCoreOption {
 // holds the seed level in memory until it is written.  Spill files of a
 // plain run are always removed, even on cancellation; with
 // OOCCheckpoint the last completed level is kept for WithResume
-// instead.  The knobs select parallel
-// shard joins (OOCWorkers) and resumability (OOCCheckpoint).  Combined with WithMemoryBudget this
+// instead.  The knobs select parallel shard joins (OOCWorkers) and
+// resumability (OOCCheckpoint).  Combined with WithMemoryBudget this
 // selects the hybrid backend instead: in-core until the governor trips,
 // out-of-core after (see WithSpillover).
 func WithOutOfCore(dir string, levelBudget int64, knobs ...OutOfCoreOption) Option {
@@ -338,11 +338,12 @@ func WithMemoryBudget(bytes int64) Option {
 // starts in core (sequential, or the streaming pool with WithWorkers)
 // and, the moment the WithMemoryBudget governor trips, writes the level
 // being generated and the unjoined input behind it to run-aligned shard
-// files under dir and continues on the out-of-core engine — same byte-identical ordered clique stream
-// either way, memory-priced while the run fits, disk-priced only from
-// the level that stopped fitting.  Requires WithMemoryBudget.  The same
-// regime is selected implicitly when WithOutOfCore and WithMemoryBudget
-// are combined.  Of the knobs, OOCWorkers widens the post-spill shard joins (the in-core phase
+// files under dir and continues on the out-of-core engine — same
+// byte-identical ordered clique stream either way, memory-priced while
+// the run fits, disk-priced only from the level that stopped fitting.
+// Requires WithMemoryBudget.  The same regime is selected implicitly
+// when WithOutOfCore and WithMemoryBudget are combined.  Of the knobs,
+// OOCWorkers widens the post-spill shard joins (the in-core phase
 // already follows WithWorkers); OOCCheckpoint does not compose — a
 // manifest cannot replay the in-core prefix.
 func WithSpillover(dir string, knobs ...OutOfCoreOption) Option {

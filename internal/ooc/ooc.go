@@ -168,13 +168,14 @@ func runLocal(g graph.Interface, cfg enumcfg.Config, h core.Hooks, start func(*L
 // Resume continues the checkpointed run whose manifest is in cfg.Dir:
 // Enumerate with cfg.Resume set.  The graph must be the one the
 // checkpoint was written for (verified by fingerprint).  When cfg.Hi is
-// 0 the upper bound is adopted from the manifest; cumulative Stats continue from the checkpoint, so a resumed
-// run's final Stats match an uninterrupted run's, Seeded aside (a resume
-// does not seed).  A checkpoint of another format version is refused
-// before anything in the directory is touched.  The interrupted level is re-joined from its beginning,
-// so its cliques are re-emitted: the resumed stream is exactly the
-// uninterrupted stream from the first clique of size max(K+1, Lo) (K the
-// manifest's level) on.
+// 0 the upper bound is adopted from the manifest; cumulative Stats
+// continue from the checkpoint, so a resumed run's final Stats match an
+// uninterrupted run's, Seeded aside (a resume does not seed).  A
+// checkpoint of another format version is refused before anything in
+// the directory is touched.  The interrupted level is re-joined from
+// its beginning, so its cliques are re-emitted: the resumed stream is
+// exactly the uninterrupted stream from the first clique of size
+// max(K+1, Lo) (K the manifest's level) on.
 func Resume(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (Stats, error) {
 	cfg.Resume = true
 	return Enumerate(g, cfg, h)
