@@ -27,20 +27,21 @@ import (
 // sequential emission order (see DESIGN.md §5.3 for the ordering
 // argument).
 //
-// A shard is the in-core level's blocks themselves (core.Block, DESIGN.md
+// A shard is the in-core level's words themselves (core.Block, DESIGN.md
 // §3.4): a 7-byte header — magic, format version, a zero byte, clique
-// size — then one frame per block:
+// size — then frames:
 //
-//	words  uint32   the block's word count, at least 1
+//	words  uint32   the frame's word count, at least 1
 //	crc    uint32   CRC-32C (Castagnoli) of the words' bytes
-//	block  words × uint32, the front-coded records as they lie in memory
+//	block  words × uint32, front-coded records as an in-core block holds them
 //
-// all little-endian.  A block's first record spells its whole prefix, so
-// every frame — and every shard — decodes by itself: the unit of both
-// parallelism and resume.  A frame is written from the block's memory
-// and read back into a block buffer, checked against its CRC and walked
-// once by core.Verifier, so a truncated, corrupted or forged file is an
-// error and never a level the join trusts.
+// all little-endian.  A frame starts a run — its first record spells its
+// whole prefix — so every frame, and every shard, decodes by itself: the
+// unit of both parallelism and resume.  The writer copies the records it
+// is handed into frames of about a run (LevelWriter.add); the reader
+// reads whole frames straight into a block buffer, checks each against
+// its CRC and walks it once with core.Verifier, so a truncated, corrupted
+// or forged file is an error and never a level the join trusts.
 const (
 	shardMagic     = "OOCS"
 	shardVersion   = 2
