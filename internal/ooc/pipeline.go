@@ -45,14 +45,14 @@ const (
 	queueDepth = 4        // input blocks in flight, at the most
 	genBatches = 4        // output batches to a kernel arena generation, at the most
 	ioCap      = 64 << 10 // the most a read window or write buffer takes
-	minQueue   = 256      // the least a queue takes: a block of a few records
+	minQueue   = 256      // the least a queue takes; a frame larger than a block buffer gets one of its own
 )
 
 // pipeShape is how a pipeline is sized.
 type pipeShape struct {
 	io    int64 // the cap on each I/O buffer, for bufSize
 	depth int   // input blocks in flight
-	words int   // an input block's words; an output batch is handed on at this many open words
+	words int   // an input block's words; the join seals its output's whole runs at this many open words
 	gen   int   // output batches to an arena generation: twice as many in flight, one at depth one
 }
 
