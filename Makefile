@@ -62,13 +62,14 @@ test:
 test-cpu:
 	$(GO) test -cpu 1,2,4 ./internal/ooc ./internal/hybrid ./internal/dist
 
-# Ten seconds of coverage-guided fuzzing each of the six fuzz targets:
+# Ten seconds of coverage-guided fuzzing each of the seven fuzz targets:
 # the shard reader — the one parser that reads bytes a crash, a full disk
 # or another process may have left behind: an error or a valid level,
 # the same whole, dribbled or a frame at a time, any single bit flipped
 # an error, and the join's N(p0) check on what reads — the checkpoint
 # manifest loader, whose shard list a resume joins (distinct .ooc base
-# names, and a write and reload changes nothing); the graph reader, which
+# names, and a write and reload changes nothing); the in-memory level
+# block, the same words the shard frames hold; the graph reader, which
 # cliqued feeds straight from a request body; the expression-matrix
 # reader, finite values only; the dist frame decoder, which reads what a
 # worker or the coordinator sent; and the fused bitset kernels against
@@ -76,6 +77,7 @@ test-cpu:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
 	$(GO) test -fuzz=FuzzLoadManifest -fuzztime=10s ./internal/ooc
+	$(GO) test -fuzz=FuzzLevelBlock -fuzztime=10s ./internal/core
 	$(GO) test -fuzz=FuzzReadGraph -fuzztime=10s .
 	$(GO) test -fuzz=FuzzReadExpressionTSV -fuzztime=10s .
 	$(GO) test -fuzz=FuzzReadMsg -fuzztime=10s ./internal/dist

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -354,4 +355,77 @@ func TestVerifierAcceptsEveryLevel(t *testing.T) {
 			t.Errorf("k=%d: a block behind the one it precedes passed", k)
 		}
 	}
+}
+
+// FuzzLevelBlock is the decoder's contract on arbitrary words — an error
+// or well-formed views, never a panic, and whatever decodes re-encodes to
+// the same records; a frame the Verifier accepts is one Iter decodes too —
+// and the codec's round trip on arbitrary record streams, sorted or not,
+// cut into blocks at arbitrary places.
+func FuzzLevelBlock(f *testing.F) {
+	f.Add([]byte{2, 0, 2, 0, 0, 7, 0, 0, 0, 8, 0, 0, 0, 9, 0, 0, 0})
+	f.Add([]byte{3, 0xff, 0xff, 0xff, 0, 1, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{1, 0xff, 0, 0, 0})
+	f.Add([]byte{9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 2 + int(data[0])%9
+		data = data[1:]
+
+		// Arbitrary words.
+		words := make([]uint32, len(data)/4)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		var it Iter
+		var decoded []record
+		it.Reset(k, &Block{words: words})
+		for s := it.Next(); s != nil; s = it.Next() {
+			if len(s.Prefix) != k-1 || s.LCP < 0 || s.LCP > k-1 {
+				t.Fatalf("view with prefix %v, lcp %d at k=%d", s.Prefix, s.LCP, k)
+			}
+			decoded = append(decoded, record{slices.Clone(s.Prefix), slices.Clone(s.Tails)})
+		}
+		if it.Err() == nil {
+			sameRecords(t, recordsOf(seedLevel(k, decoded)), decoded)
+		}
+		var v Verifier
+		v.Reset(k, 1<<16)
+		if _, err := v.Block(words, 0); err == nil && it.Err() != nil {
+			t.Fatalf("the Verifier passed words Iter rejects: %v", it.Err())
+		}
+
+		// Arbitrary records: each byte pair a vertex, the stream cut into
+		// sub-lists of k-1 prefix vertices and 1..4 tails, a block sealed
+		// wherever a byte says so.
+		sink := newBlockSink(nil)
+		var want []record
+		for len(data) >= 2*(k+4) {
+			r := record{prefix: make([]uint32, k-1), tails: make([]uint32, 1+int(data[0])%4)}
+			seal := data[1]&7 == 0
+			data = data[2:]
+			for i := range r.prefix {
+				r.prefix[i] = uint32(binary.LittleEndian.Uint16(data[2*i:]))
+			}
+			data = data[2*(k-1):]
+			for i := range r.tails {
+				r.tails[i] = uint32(binary.LittleEndian.Uint16(data[2*i:]))
+			}
+			data = data[2*len(r.tails):]
+			sink.appendRecord(r.prefix, r.tails, nil)
+			want = append(want, r)
+			if seal {
+				sink.finish(0)
+			}
+		}
+		lvl := &Level{K: k, Sub: sink.finish(0)}
+		checkBlocks(t, lvl)
+		sameRecords(t, recordsOf(lvl), want)
+		cut, _ := lvl.Recut(1, nil)
+		if !slices.Equal(levelWords(cut), levelWords(lvl)) {
+			t.Fatal("Recut changed the record stream")
+		}
+	})
 }
