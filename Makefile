@@ -57,10 +57,11 @@ test:
 	$(GO) test ./...
 
 # The on-disk join hands blocks between goroutines (decode-ahead, join,
-# write-behind); a hand-off that only works when they run in parallel
-# deadlocks with one P.  The packages that run it, at one, two and four.
+# write-behind), and both pools hand each level to goroutines started for
+# that level; a hand-off that only works when they run in parallel
+# deadlocks with one P.  The packages that run them, at one, two and four.
 test-cpu:
-	$(GO) test -cpu 1,2,4 ./internal/ooc ./internal/hybrid ./internal/dist
+	$(GO) test -cpu 1,2,4 ./internal/parallel ./internal/ooc ./internal/hybrid ./internal/dist
 
 # Ten seconds of coverage-guided fuzzing each of the seven fuzz targets:
 # the shard reader — the one parser that reads bytes a crash, a full disk

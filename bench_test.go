@@ -182,7 +182,7 @@ func benchEnumerate(b *testing.B, g *graph.Graph, workers int, enumerate func(gr
 	}
 }
 
-// streaming runs the persistent worker pool through the level loop.
+// streaming runs the streaming worker pool through the level loop.
 func streaming(g graph.Interface, workers int) error {
 	_, err := hybrid.Enumerate(g, enumcfg.Config{Workers: workers, Strategy: enumcfg.Affinity}, core.Hooks{})
 	return err
@@ -195,7 +195,7 @@ func barrier(g graph.Interface, workers int) error {
 }
 
 // BenchmarkEnumerateStreamingSkewed / BenchmarkEnumerateBarrierSkewed
-// compare the persistent streaming worker pool against the retained
+// compare the streaming worker pool against the retained
 // bulk-synchronous (one static assignment + barrier per level)
 // implementation on the skewed workload, at the worker counts the
 // acceptance gate names.

@@ -11,7 +11,7 @@
 // DIMACS (-dimacs).  Maximal cliques are printed one per line in
 // non-decreasing size order; use -count to suppress the listing.
 //
-// Parallel runs (-workers > 1) use the persistent streaming worker pool;
+// Parallel runs (-workers > 1) use the streaming worker pool;
 // -strategy selects the dispatch policy (affinity or contiguous), and
 // -stats streams per-level statistics to stderr.  -ooc DIR spills levels
 // to disk instead of memory; -workers then joins the level shards
@@ -30,7 +30,8 @@
 // -dist N runs the distributed coordinator instead: N worker processes
 // (spawned from this binary with -worker, or from -dist-worker-cmd) join
 // the level shards under the -ooc directory, which -dist requires as the
-// shared run directory.  -dist-lease-timeout bounds one shard join
+// shared run directory.  -dist-lease-timeout bounds how long a worker
+// holding a shard may fall silent (its heartbeats extend the lease)
 // before the shard is re-leased, and -dist-shard-bytes overrides the
 // lease granularity.  A worker that dies
 // is respawned and its in-flight shard re-leased — the emitted stream is
@@ -84,7 +85,7 @@ func main() {
 	resume := flag.String("resume", "", "continue the checkpointed out-of-core run in this directory (needs the same graph file)")
 	distWorkers := flag.Int("dist", 0, "distributed: lease level shards to this many worker processes (requires -ooc DIR as the shared run directory)")
 	distWorkerCmd := flag.String("dist-worker-cmd", "", "distributed: worker command line (default: this binary with -worker)")
-	distLease := flag.Duration("dist-lease-timeout", 0, "distributed: revoke and re-lease a shard not joined within this duration (0 = 30s default)")
+	distLease := flag.Duration("dist-lease-timeout", 0, "distributed: revoke and re-lease a shard whose worker sends no heartbeat within this duration (0 = 30s default)")
 	distShardBytes := flag.Int64("dist-shard-bytes", 0, "distributed: target shard size in bytes, the lease granularity (0 = auto)")
 	flag.Bool("worker", false, "serve as a distributed worker over stdin/stdout (activated by the coordinator's environment; this flag is the argv marker)")
 	budget := flag.Int64("mem-budget", 0, "memory governor budget in bytes, enforced on every backend (0 = unlimited; with -ooc the run spills over instead of aborting)")

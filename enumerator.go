@@ -187,8 +187,8 @@ func WithBounds(lo, hi int) Option {
 	return func(e *Enumerator) { e.cfg.Lo, e.cfg.Hi = lo, hi }
 }
 
-// WithWorkers selects the parallel backend when n > 1: the persistent
-// streaming worker pool with dynamic chunk dispatch and in-order
+// WithWorkers selects the parallel backend when n > 1: the streaming
+// worker pool with dynamic chunk dispatch and in-order
 // streaming emission.  Output order is identical to the sequential
 // backend.  Combined with WithOutOfCore it sets the out-of-core
 // shard-join worker count instead (equivalent to OOCWorkers).

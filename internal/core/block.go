@@ -11,7 +11,7 @@ import (
 
 // The level store.  A level is an ordered list of blocks; a block is one
 // contiguous []uint32 holding sub-lists as front-coded records — the
-// shape the out-of-core codec writes to disk (lcp | suffix | tails),
+// words an out-of-core shard's frames hold on disk (lcp | suffix | tails),
 // kept in memory as whole words:
 //
 //	header   lcp in bits 0-7, tail count in bits 8-23, bits 24-31 zero

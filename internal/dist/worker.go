@@ -84,8 +84,8 @@ func ServeWorker(ctx context.Context, conn Conn) error {
 	}
 
 	// Liveness beacon: independent of join progress, so a long join does
-	// not read as death — a hung shard is the lease deadline's problem,
-	// a dead process breaks the pipe.
+	// not read as death.  Every beacon extends the lease, which runs out
+	// only once the process falls silent; a dead process breaks the pipe.
 	ping := 500 * time.Millisecond
 	if init.PingMS > 0 {
 		ping = time.Duration(init.PingMS) * time.Millisecond

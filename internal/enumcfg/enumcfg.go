@@ -65,7 +65,7 @@ type Backend int
 const (
 	// Sequential is the in-core single-threaded Clique Enumerator.
 	Sequential Backend = iota
-	// Parallel is the persistent streaming worker pool.
+	// Parallel is the streaming worker pool.
 	Parallel
 	// OutOfCore is the disk-spilling enumerator.
 	OutOfCore
@@ -164,9 +164,10 @@ type Config struct {
 	// DistWorkerCmd is the worker argv for the exec/pipe transport
 	// (empty = re-execute this binary with -worker).
 	DistWorkerCmd []string
-	// DistLeaseTimeout bounds one shard join before the lease is
-	// revoked and the shard re-leased.  Normalize defaults it to 30s on a
-	// distributed run.
+	// DistLeaseTimeout bounds how long a worker holding a shard may send
+	// nothing before the lease is revoked and the shard re-leased: every
+	// frame, heartbeats included, extends the lease, so a slow join is
+	// never swept.  Normalize defaults it to 30s on a distributed run.
 	DistLeaseTimeout time.Duration
 
 	// ReportSmall additionally reports maximal 1- and 2-cliques, from

@@ -24,7 +24,8 @@ import (
 // ends for in-order emission (the three stages of pipeline.go).
 // internal/dist's workers and the local pool in pool.go both run
 // Joiner.Join's pipeline, so the distributed, single-machine and in-core
-// joins cannot drift.
+// joins cannot drift.  A Joiner's scratch lives for the run; the
+// goroutines that run it live for one level's join.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), the kernel's work on the
@@ -53,7 +54,8 @@ func (s *JoinStats) Emit(c clique.Clique) {
 // seals the survivors into blocks — and reports maximal cliques.  A
 // record outside N(p0), which only a damaged or forged shard holds,
 // fails its shard.  It is not safe for concurrent use; give each worker
-// its own.
+// its own: the pool keeps one per worker for the run and runs each on a
+// goroutine of its own at every level.
 type Joiner struct {
 	g    graph.Interface
 	b    *core.Builder

@@ -10,8 +10,9 @@
 // k-cliques — is stored as an ordered list of run-aligned shard files
 // (package-level comment in shard.go).  One level driver (Loop, loop.go)
 // runs the level loop; a ShardRunner joins each level's shards — here a
-// persistent worker pool fed by the sched.Dispatcher (pool.go), in
-// internal/dist leased worker processes — and the driver releases shard
+// pool of Joiners kept for the run, each on a goroutine of its own for a
+// level, fed by the sched.Dispatcher (pool.go), in internal/dist leased
+// worker processes — and the driver releases shard
 // results in shard order through a sched.Sequencer, so the emitted
 // clique stream is byte-identical to the sequential one at any worker
 // count.  A hybrid run enters the loop mid-step (Continue): its trip
@@ -51,7 +52,7 @@ import (
 type Stats struct {
 	Maximal         int64
 	BytesWritten    int64 // encoded bytes written to level files
-	RawBytesWritten int64 // fixed-width-equivalent payload bytes (the codec's baseline)
+	RawBytesWritten int64 // fixed-width-equivalent payload bytes (a word a vertex: what the front coding is measured against)
 	BytesRead       int64 // encoded bytes read back
 	PeakLevelFile   int64 // largest level (sum of its shards) in encoded bytes
 	Levels          int   // generation steps run

@@ -13,6 +13,7 @@ import (
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
 	"repro/internal/membudget"
+	"repro/internal/testgraph"
 )
 
 func run(t *testing.T, g *graph.Graph) (*clique.Collector, Stats) {
@@ -399,6 +400,28 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 		t.Errorf("%.0f allocs/run for %d spilled vertices: the hot loop is allocating per record", allocs, spilled)
 	}
 	t.Logf("%.0f allocs/run, %d spilled vertices", allocs, spilled)
+}
+
+// TestNoGoroutineOutlivesItsLevel pins the pool's lifetimes: when a
+// level's record is taken, the goroutines that joined the level have
+// ended; only the Joiners stay for the run.
+func TestNoGoroutineOutlivesItsLevel(t *testing.T) {
+	g := plantedGraph(213)
+	check := testgraph.NoLeaks(t, nil)
+	levels := 0
+	_, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), Workers: 2}, core.Hooks{
+		OnLevel: func(core.LevelStats) {
+			if levels++; !t.Failed() {
+				check()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if levels < 2 {
+		t.Fatalf("%d levels on disk; the check needs more than one", levels)
+	}
 }
 
 func TestMaxKStopsEarly(t *testing.T) {

@@ -50,7 +50,7 @@ const (
 
 // pipeShape is how a pipeline is sized.
 type pipeShape struct {
-	io    int64 // the cap on each I/O buffer, for bufSize
+	io    int64 // the read window's size and the write buffer's cap, through bufSize
 	depth int   // input blocks in flight
 	words int   // an input block's words; the join seals its output's whole runs at this many open words
 	gen   int   // output batches to an arena generation: twice as many in flight, one at depth one
@@ -108,6 +108,11 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	shape := shapeFor(job.Buf)
+	// One read window for every shard of the run, of the size shapeFor
+	// budgets for it, so no shard makes a window of its own.
+	if sz := bufSize(shape.io, 0); j.br == nil || j.br.Size() != sz {
+		j.br = bufio.NewReaderSize(nil, sz)
+	}
 	dec := &decodeAhead{
 		job:   job,
 		n:     j.g.N(),
@@ -146,7 +151,7 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	for len(dec.free) > 0 {
 		j.bufs = append(j.bufs, <-dec.free)
 	}
-	j.br, j.bw = dec.br, lw.bw
+	j.bw = lw.bw
 	// The writer holds nothing now: what the kernel sealed and did not
 	// hand on can go, and the arena may recycle.
 	j.b.Abandon(j.mark)
@@ -298,7 +303,7 @@ type decodeAhead struct {
 	free  chan []uint32
 	shape pipeShape
 	made  int           // buffers allocated so far
-	br    *bufio.Reader // the read window, handed from shard to shard
+	br    *bufio.Reader // the read window every shard is read through
 	read  int64         // bytes read; the join reads it once out is closed
 }
 
@@ -326,13 +331,12 @@ func (d *decodeAhead) run(ctx context.Context, cancel context.CancelCauseFunc, n
 //repro:ctxloop
 func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err error) {
 	job := d.job
-	r, err := openShard(job.Dir, meta, job.K, d.n, job.Gov, d.shape.io, d.br)
+	r, err := openShard(job.Dir, meta, job.K, d.n, job.Gov, d.br)
 	if err != nil {
 		return err
 	}
 	defer func() {
 		d.read += r.BytesRead()
-		d.br = r.br
 		err = errors.Join(err, r.Close())
 	}()
 	for {

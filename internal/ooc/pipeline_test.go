@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/membudget"
 	"repro/internal/testgraph"
 )
@@ -34,9 +36,15 @@ type pipelineFault struct {
 // write-behind is writing, a file-naming hook that fails, a write that
 // fails — at the full queue depth and at depth one, and requires every
 // time an error that says why, the governor back at its entry value and
-// no goroutine left behind.
+// no goroutine left behind.  The complete level is then joined again from
+// shards of several sizes above the smallest window, which must all be
+// read through the one window the joiner already holds.
 func TestPipelineFaults(t *testing.T) {
-	g := plantedGraph(311)
+	// Background edges enough for the level to span shards larger than
+	// the smallest window.
+	g := graph.PlantedGraph(rand.New(rand.NewSource(311)), 100, []graph.PlantedCliqueSpec{
+		{Size: 11}, {Size: 7, Overlap: 3}, {Size: 6},
+	}, 1200)
 	lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
 	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
 	for { // to the level with the most cliques
@@ -47,20 +55,33 @@ func TestPipelineFaults(t *testing.T) {
 		lvl = next
 	}
 	dir, seq := t.TempDir(), 0
-	shards, err := WriteLevel(dir, lvl.K, false, 256, nil, shardNamer(&seq, lvl.K), noAccount,
-		func(write func(prefix, tails []uint32) error) error {
-			for s := range lvl.All() {
-				if err := write(s.Prefix, s.Tails); err != nil {
-					return err
+	shardsOf := func(target int64) []ShardMeta {
+		shards, err := WriteLevel(dir, lvl.K, false, target, nil, shardNamer(&seq, lvl.K), noAccount,
+			func(write func(prefix, tails []uint32) error) error {
+				for s := range lvl.All() {
+					if err := write(s.Prefix, s.Tails); err != nil {
+						return err
+					}
 				}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shards
 	}
+	shards, wide := shardsOf(256), shardsOf(3*minBuf/2)
 	if len(shards) < 6 {
 		t.Fatalf("the level spans %d shards; the faults need more", len(shards))
+	}
+	sizes := map[int64]bool{}
+	for _, s := range wide {
+		if s.Bytes > minBuf {
+			sizes[s.Bytes] = true
+		}
+	}
+	if len(sizes) < 2 {
+		t.Fatalf("%d sizes above %d bytes among the level's %d wide shards; the window check needs two", len(sizes), minBuf, len(wide))
 	}
 	full, err := filepath.Rel(dir, "/dev/full")
 	if _, serr := os.Stat("/dev/full"); err != nil || serr != nil {
@@ -111,20 +132,21 @@ func TestPipelineFaults(t *testing.T) {
 				j := NewJoiner(g)
 				j.b.Gov = gov
 				gov.Charge(j.ScratchBytes())
-				asked, named, delivered := 0, 0, 0
+				in, asked, named, delivered := shards, 0, 0, 0
 				next := func() (ShardMeta, int, bool) {
-					if asked == len(shards) {
+					if asked == len(in) {
 						return ShardMeta{}, 0, false
 					}
 					asked++
 					if f.onNext != nil {
 						f.onNext(asked, cancel)
 					}
-					return shards[asked-1], asked - 1, true
+					return in[asked-1], asked - 1, true
 				}
+				deliver := func(int, ShardResult) { delivered++ }
 				outSeq := 0
 				newShard := shardNamer(&outSeq, lvl.K+1)
-				read, err := j.run(ctx, &ShardJob{
+				job := &ShardJob{
 					Dir: dir, K: lvl.K, Target: 256, Collect: true, Gov: gov, Buf: buf,
 					NewShard: func() (string, error) {
 						name, _ := newShard()
@@ -135,14 +157,26 @@ func TestPipelineFaults(t *testing.T) {
 						return name, nil
 					},
 					OnWrite: noAccount,
-				}, next, func(int, ShardResult) { delivered++ })
+				}
+				read, err := j.run(ctx, job, next, deliver)
+				got := delivered
+				if f.want == nil && err == nil {
+					br := j.br
+					in, asked, delivered = wide, 0, 0
+					if _, werr := j.run(ctx, job, next, deliver); werr != nil || delivered != len(wide) {
+						t.Errorf("wide shards: err %v, %d of %d delivered", werr, delivered, len(wide))
+					}
+					if j.br != br {
+						t.Error("shards of other sizes were read through a new window")
+					}
+				}
 				gov.Release(j.ScratchBytes())
 				switch {
-				case f.want == nil && (err != nil || delivered != len(shards)):
-					t.Fatalf("err %v, %d of %d shards delivered", err, delivered, len(shards))
+				case f.want == nil && (err != nil || got != len(shards)):
+					t.Fatalf("err %v, %d of %d shards delivered", err, got, len(shards))
 				case f.want != nil && !errors.Is(err, f.want):
 					t.Fatalf("err = %v, want %v", err, f.want)
-				case f.want != nil && delivered == len(shards):
+				case f.want != nil && got == len(shards):
 					t.Fatal("the level was cut short and still delivered every shard")
 				case read == 0:
 					t.Error("no bytes read reported")

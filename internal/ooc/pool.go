@@ -10,135 +10,89 @@ import (
 	"repro/internal/sched"
 )
 
-// pool is the in-process ShardRunner: persistent worker goroutines fed
-// by a sched.Dispatcher, each joining its shards through the pipeline.
-// The workers start with the first level and stop with close.
+// pool is the in-process ShardRunner: one Joiner per worker, kept for the
+// run, so its bitmaps and record scratch are allocated once and the spill
+// hot loop allocates nothing per record (pinned by TestJoinHotLoopAllocs).
+// Every level runs each Joiner on a goroutine of its own, fed by a
+// sched.Dispatcher; the goroutine returns with the level.
 type pool struct {
 	g       graph.Interface
 	cfg     enumcfg.Config // Dir is the run directory itself
 	gov     *membudget.Governor
-	workers []*poolWorker
-	wg      sync.WaitGroup
+	joiners []*Joiner
 }
 
 func newPool(g graph.Interface, cfg enumcfg.Config, gov *membudget.Governor) *pool {
 	return &pool{g: g, cfg: cfg, gov: gov}
 }
 
+// start makes the Joiners at the first level.  Their scratch is resident
+// for the whole run; the governor hears about it like any other layer's
+// footprint: what a joiner holds now is charged here, what its local
+// universe adds later by its builder.
 func (p *pool) start() {
-	if p.workers != nil {
+	if p.joiners != nil {
 		return
 	}
-	p.workers = make([]*poolWorker, p.cfg.Workers)
-	for i := range p.workers {
-		w := &poolWorker{
-			id:   i,
-			p:    p,
-			jobs: make(chan *levelJob, 1),
-			join: NewJoiner(p.g),
-		}
-		// Per-worker scratch is resident for the whole run; the governor
-		// hears about it like any other layer's footprint: what the joiner
-		// holds now is charged here, what its local universe adds later by
-		// its builder.
-		w.join.b.Gov = p.gov
-		p.gov.Charge(w.join.ScratchBytes())
-		p.workers[i] = w
-		p.wg.Add(1)
-		go w.loop()
+	p.joiners = make([]*Joiner, p.cfg.Workers)
+	for i := range p.joiners {
+		j := NewJoiner(p.g)
+		j.b.Gov = p.gov
+		p.gov.Charge(j.ScratchBytes())
+		p.joiners[i] = j
 	}
 }
 
 func (p *pool) close() {
-	for _, w := range p.workers {
-		close(w.jobs)
-	}
-	p.wg.Wait()
-	for _, w := range p.workers {
-		p.gov.Release(w.join.ScratchBytes())
+	for _, j := range p.joiners {
+		p.gov.Release(j.ScratchBytes())
 	}
 }
 
-// levelJob is one level's work order, broadcast to the pool.
-type levelJob struct {
-	lv      *Level
-	disp    *sched.Dispatcher
-	deliver func(shard int, res ShardResult)
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-
-	mu       sync.Mutex
-	firstErr error
-}
-
-// fail records the level's first error and cancels the level context so
-// the other workers stop pulling work.  Later "canceled" errors from
-// peers reacting to that cancel are discarded.
-func (j *levelJob) fail(err error) {
-	j.mu.Lock()
-	if j.firstErr == nil {
-		j.firstErr = err
-	}
-	j.mu.Unlock()
-	j.cancel()
-}
-
-// RunLevel joins one level's shards on the pool.
+// RunLevel joins one level's shards on the pool and returns the first
+// error a worker met, which cancels the others; their later errors, most
+// of them reactions to that cancel, are dropped.
 func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error {
 	p.start()
 	loads := make([]int64, len(lv.Shards))
 	for i, s := range lv.Shards {
 		loads[i] = s.Records
 	}
+	disp := sched.NewContiguousDispatcher(loads, len(p.joiners), 1)
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	job := &levelJob{
-		lv:      lv,
-		disp:    sched.NewContiguousDispatcher(loads, p.cfg.Workers, 1),
-		deliver: deliver,
-		ctx:     lctx,
-		cancel:  cancel,
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for w, j := range p.joiners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.join(lctx, lv, disp, w, j, deliver); err != nil {
+				once.Do(func() { first = err })
+				cancel()
+			}
+		}()
 	}
-	job.wg.Add(len(p.workers))
-	for _, w := range p.workers {
-		w.jobs <- job
-	}
-	job.wg.Wait()
-	return job.firstErr
+	wg.Wait()
+	return first
 }
 
-// poolWorker is one persistent pool thread.  Its Joiner's bitmaps and
-// record scratch live for the whole run, so the spill hot loop
-// allocates nothing per record (pinned by TestJoinHotLoopAllocs).
-type poolWorker struct {
-	id   int
-	p    *pool
-	jobs chan *levelJob
-	join *Joiner
-}
-
-func (w *poolWorker) loop() {
-	defer w.p.wg.Done()
-	for job := range w.jobs {
-		w.runJob(job)
-		job.wg.Done()
-	}
-}
-
-// runJob joins the worker's share of the level through the three-stage
+// join runs worker w's share of the level through j's three-stage
 // pipeline (pipeline.go): its decode-ahead stage leases shards from the
 // dispatcher as it needs them, so the next shard's file is read and
 // decoded while this one is joined, and its write-behind stage delivers
 // each shard once the shard's output files are closed.  The delivery
 // order is unchanged (the level loop still releases in shard order), so
 // the clique stream is byte-identical at any depth of the queues.
-func (w *poolWorker) runJob(job *levelJob) {
-	p, lv := w.p, job.lv
+func (p *pool) join(ctx context.Context, lv *Level, disp *sched.Dispatcher, w int, j *Joiner,
+	deliver func(int, ShardResult)) error {
 	var queue []int
 	next := func() (ShardMeta, int, bool) {
 		if len(queue) == 0 {
-			chunk, ok := job.disp.Next(w.id)
+			chunk, ok := disp.Next(w)
 			if !ok {
 				return ShardMeta{}, 0, false
 			}
@@ -148,7 +102,7 @@ func (w *poolWorker) runJob(job *levelJob) {
 		queue = queue[1:]
 		return lv.Shards[si], si, true
 	}
-	read, err := w.join.run(job.ctx, &ShardJob{
+	read, err := j.run(ctx, &ShardJob{
 		Dir:      p.cfg.Dir,
 		K:        lv.K,
 		Target:   lv.Target,
@@ -157,9 +111,7 @@ func (w *poolWorker) runJob(job *levelJob) {
 		Buf:      lv.Buf,
 		NewShard: lv.NextShard,
 		OnWrite:  lv.Wrote,
-	}, next, job.deliver)
+	}, next, deliver)
 	lv.Read(read)
-	if err != nil {
-		job.fail(err)
-	}
+	return err
 }

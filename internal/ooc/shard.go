@@ -427,32 +427,24 @@ type ShardReader struct {
 // shard's size, at most 1 MiB, charged to gov until Close.  compress is
 // ignored: a level has one format.
 func OpenShard(dir string, meta ShardMeta, k, n int, compress bool, gov *membudget.Governor) (*ShardReader, error) {
-	return openShard(dir, meta, k, n, gov, 0, nil)
+	return openShard(dir, meta, k, n, gov, bufio.NewReaderSize(nil, bufSize(meta.Bytes, 0)))
 }
 
-// openShard is OpenShard with the window capped at bufCap bytes (0 =
-// uncapped), in br when that has the size: decode-ahead hands each
-// shard's window on to the next.
-func openShard(dir string, meta ShardMeta, k, n int, gov *membudget.Governor,
-	bufCap int64, br *bufio.Reader) (*ShardReader, error) {
+// openShard is OpenShard reading through the window br, whatever its
+// size: decode-ahead reads every shard of a run through one.
+func openShard(dir string, meta ShardMeta, k, n int, gov *membudget.Governor, br *bufio.Reader) (*ShardReader, error) {
 	f, err := os.Open(filepath.Join(dir, meta.Path))
 	if err != nil {
 		return nil, fmt.Errorf("ooc: open shard: %w", err)
 	}
-	r := &ShardReader{f: f}
-	sz := bufSize(meta.Bytes, bufCap)
-	if br != nil && br.Size() == sz {
-		br.Reset(f)
-	} else {
-		br = bufio.NewReaderSize(f, sz)
-	}
-	r.br = br
+	br.Reset(f)
+	r := &ShardReader{f: f, br: br}
 	if err := r.start(br, meta, k, n); err != nil {
 		f.Close()
 		return nil, err
 	}
-	gov.Charge(int64(sz))
-	r.gov, r.bufSize = gov, int64(sz)
+	gov.Charge(int64(br.Size()))
+	r.gov, r.bufSize = gov, int64(br.Size())
 	return r, nil
 }
 

@@ -1,12 +1,14 @@
 // Package parallel is the multithreaded Clique Enumerator: the paper's
-// level-synchronous execution scheme running on persistent goroutine
-// workers, coordinated by the centralized dynamic scheduler of package
-// sched.
+// level-synchronous execution scheme, coordinated by the centralized
+// dynamic scheduler of package sched.
 //
-// Workers are started once per run and fed chunks of level blocks over
-// channels: the block (core.Block, a self-contained stretch of
-// front-coded sub-lists) is the unit of dispatch, of ownership and of
-// in-order release.  Within a level the scheduler (sched.Dispatcher)
+// A worker's goroutine lives for one level and its scratch for the run:
+// every level starts one goroutine per worker, which pulls chunks of
+// level blocks and returns when the level is exhausted for it, while the
+// worker's builder — its bitmaps and arena — is kept from level to level.
+// The block (core.Block, a self-contained stretch of front-coded
+// sub-lists) is the unit of dispatch, of ownership and of in-order
+// release.  Within a level the scheduler (sched.Dispatcher)
 // hands out chunks dynamically — workers pull more work as they finish,
 // so load-estimation error and skewed block costs are absorbed inside the
 // level instead of stretching a bulk-synchronous barrier.  Two dispatch
@@ -51,9 +53,8 @@
 // continues out of core.
 //
 // EnumerateBarrier retains the previous bulk-synchronous implementation
-// (goroutines respawned per level, one static assignment per level,
-// emissions buffered until the barrier) as the reference baseline for
-// benchmarks.
+// (one static assignment per level, emissions buffered until the
+// barrier) as the reference baseline for benchmarks.
 package parallel
 
 import (
@@ -136,24 +137,24 @@ func checkOptions(opts *Options) error {
 	return nil
 }
 
-// Pool is the persistent streaming worker pool with its level-merge
-// machinery: the parallel core.LevelEngine.  A Pool is bound to one
-// graph; levels must be run one at a time.
+// Pool is the streaming worker pool with its level-merge machinery: the
+// parallel core.LevelEngine.  A Pool is bound to one graph; levels must be
+// run one at a time.  Its builders live for the run, its goroutines for a
+// level.
 type Pool struct {
-	g       graph.Interface
-	opts    Options
-	bits    *bitset.Pool
-	workers []*worker
-	wg      sync.WaitGroup
-	m       *merger
-	words   int64
-	loads   []int64 // reused across levels; each level ends before reuse
-	held    int64   // bookkeeping bytes charged to the governor right now
-	closed  bool
+	g        graph.Interface
+	opts     Options
+	bits     *bitset.Pool
+	builders []*core.Builder // one per worker; reset per level, so scratch and chunks are allocated once
+	m        *merger
+	words    int64
+	loads    []int64 // reused across levels; each level ends before reuse
+	held     int64   // bookkeeping bytes charged to the governor right now
+	closed   bool
 }
 
-// NewPool validates opts, starts the workers, and charges the governor
-// with their builder scratch.  Close must be called to stop them.
+// NewPool validates opts, builds one builder per worker, and charges the
+// governor with their scratch.  Close must be called to release it.
 func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 	if err := checkOptions(&opts); err != nil {
 		return nil, err
@@ -165,35 +166,25 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 		words: int64((g.N() + 63) / 64),
 	}
 	p.m = &merger{gov: opts.Gov, bits: p.bits}
-	p.workers = make([]*worker, opts.Workers)
-	for w := range p.workers {
+	p.builders = make([]*core.Builder, opts.Workers)
+	for w := range p.builders {
 		b := core.NewBuilderMode(g, opts.Mode, p.bits)
 		b.Gov = opts.Gov
 		opts.Gov.Charge(b.ScratchBytes())
-		p.workers[w] = &worker{
-			id:      w,
-			builder: b,
-			jobs:    make(chan levelJob, 1),
-		}
-		p.wg.Add(1)
-		go p.workers[w].loop(&p.wg)
+		p.builders[w] = b
 	}
 	return p, nil
 }
 
-// Close stops the workers and releases the governor's scratch and
-// bookkeeping charges.  Idempotent.
+// Close releases the governor's scratch and bookkeeping charges.
+// Idempotent.
 func (p *Pool) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
-	for _, w := range p.workers {
-		close(w.jobs)
-	}
-	p.wg.Wait()
-	for _, w := range p.workers {
-		p.opts.Gov.Release(w.builder.ScratchBytes())
+	for _, b := range p.builders {
+		p.opts.Gov.Release(b.ScratchBytes())
 	}
 	p.hold(0)
 }
@@ -222,7 +213,7 @@ func (p *Pool) hold(n int64) {
 // dispatcher hands the level's blocks out by the pool's strategy, each
 // block's load read off its header, in chunks of the sched grain.
 func (p *Pool) dispatcher(lvl *core.Level, homes []int32) *sched.Dispatcher {
-	w, items := len(p.workers), len(lvl.Sub)
+	w, items := len(p.builders), len(lvl.Sub)
 	if cap(p.loads) < items {
 		p.loads = make([]int64, items)
 	}
@@ -237,18 +228,19 @@ func (p *Pool) dispatcher(lvl *core.Level, homes []int32) *sched.Dispatcher {
 	return sched.NewContiguousDispatcher(loads, w, grain)
 }
 
-// RunLevel drives one level through the pool: it hands every worker the
-// level job, then sleeps until the level barrier.  Result merging is
-// decentralized — workers deposit block results straight into the shared
-// streaming merger — so the coordinator costs no CPU while the level
-// runs, which matters when workers already oversubscribe the cores.
+// RunLevel drives one level through the pool: it starts a goroutine per
+// builder, then sleeps until they have all returned, the level barrier.
+// Result merging is decentralized — workers deposit block results
+// straight into the shared streaming merger — so the coordinator costs no
+// CPU while the level runs, which matters when workers already
+// oversubscribe the cores.
 // trip, when non-nil, is polled by workers before every join; once it
 // returns true the level stops early with the consistent-cut semantics
 // documented on core.LevelOutcome: every deposited-but-unreleased result
 // beyond the frontier is discarded and its governor charges reconciled.
 func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	rep clique.Reporter, trip func() bool) core.LevelOutcome {
-	w := len(p.workers)
+	w := len(p.builders)
 	items := len(lvl.Sub)
 	st := core.LevelStats{
 		FromK:      lvl.K,
@@ -271,29 +263,30 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	// that the next level still has blocks to balance, large enough that a
 	// shrinking level does not keep the block count of its peak.
 	p.m.reset(items, lvl.K+1, max(words/(64*w), 64), rep)
-	var wg sync.WaitGroup
-	wg.Add(w)
 	job := levelJob{
 		ctx:     ctx,
 		lvl:     lvl,
 		disp:    disp,
 		merger:  p.m,
 		trip:    trip,
-		wg:      &wg,
-		busy:    st.WorkerBusy,
 		collect: rep != nil,
 	}
-	for _, wk := range p.workers {
-		wk.jobs <- job
+	var wg sync.WaitGroup
+	for i, b := range p.builders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.WorkerBusy[i] = job.work(i, b).Seconds()
+		}()
 	}
 	wg.Wait()
 
 	// The builders are quiescent past the barrier; their per-level
 	// counters include work beyond the frontier of a stopped level.
-	for i, wk := range p.workers {
-		st.Cost.Add(wk.builder.Cost)
-		st.Dropped += wk.builder.Dropped
-		st.WorkerCost[i] = wk.builder.Cost.Units()
+	for i, b := range p.builders {
+		st.Cost.Add(b.Cost)
+		st.Dropped += b.Dropped
+		st.WorkerCost[i] = b.Cost.Units()
 	}
 	st.Maximal = p.m.maximal
 	st.Transfers = disp.Transfers()
@@ -414,77 +407,59 @@ func (m *merger) discardPending() {
 	})
 }
 
-// levelJob is one level's work order, broadcast to every worker.
+// levelJob is one level's work order, shared by the level's goroutines.
 type levelJob struct {
 	ctx     context.Context // nil = never canceled
 	lvl     *core.Level
 	disp    *sched.Dispatcher
 	merger  *merger
 	trip    func() bool // nil = never trips
-	wg      *sync.WaitGroup
-	busy    []float64 // per-worker stat slot; each worker writes its own
 	collect bool
 }
 
-// worker is one persistent pool thread.  Its builder is reused across all
-// levels of the run (reset per level), so scratch bitmaps and level
-// chunks are allocated once.
-type worker struct {
-	id      int
-	builder *core.Builder
-	jobs    chan levelJob
-}
-
-// loop pulls level jobs until the pool shuts down; within a job it pulls
-// chunks from the dispatcher until the level is exhausted for it,
-// depositing one result per joined block.
-func (wk *worker) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for job := range wk.jobs {
-		wk.builder.Reset()
-		var busy time.Duration
-	level:
-		for {
-			// Cancellation / governor-trip point: a stopped level is no
-			// longer pulled, every worker falls through to the level
-			// barrier, and the pool stays reusable — for a clean shutdown
-			// on cancel, for the hand-off to disk on a trip.
-			if job.ctx != nil && job.ctx.Err() != nil {
-				break
-			}
-			if job.trip != nil && job.trip() {
-				break
-			}
-			chunk, ok := job.disp.Next(wk.id)
-			if !ok {
-				break
-			}
-			t0 := time.Now()
-			for _, item := range chunk.Items {
-				res := wk.join(&job, item)
-				if res == nil {
-					// Tripped inside the block: it stays untouched input
-					// beyond the frontier, like the rest of the chunk and
-					// like a chunk nobody pulled.
-					busy += time.Since(t0)
-					break level
-				}
-				job.merger.seq.Deposit(item, res)
-			}
-			busy += time.Since(t0)
+// work is worker w's share of the level, joined with its builder b: it
+// pulls chunks from the dispatcher until the level is exhausted for it,
+// depositing one result per joined block, and returns its busy time.
+func (job *levelJob) work(w int, b *core.Builder) time.Duration {
+	b.Reset()
+	var busy time.Duration
+	for {
+		// Cancellation / governor-trip point: a stopped level is no
+		// longer pulled, every worker returns to the level barrier, and
+		// the pool stays reusable — for a clean shutdown on cancel, for
+		// the hand-off to disk on a trip.
+		if job.ctx != nil && job.ctx.Err() != nil {
+			return busy
 		}
-		job.busy[wk.id] = busy.Seconds()
-		job.wg.Done()
+		if job.trip != nil && job.trip() {
+			return busy
+		}
+		chunk, ok := job.disp.Next(w)
+		if !ok {
+			return busy
+		}
+		t0 := time.Now()
+		for _, item := range chunk.Items {
+			res := job.join(w, b, item)
+			if res == nil {
+				// Tripped inside the block: it stays untouched input
+				// beyond the frontier, like the rest of the chunk and
+				// like a chunk nobody pulled.
+				return busy + time.Since(t0)
+			}
+			job.merger.seq.Deposit(item, res)
+		}
+		busy += time.Since(t0)
 	}
 }
 
-// join runs one input block through the kernel and returns its outputs,
-// or nil when the budget tripped before the block was finished: the
-// budget is polled before every join, as the sequential engine polls it,
-// and what the block had produced so far is given back.
-func (wk *worker) join(job *levelJob, item int) *blockResult {
-	b, gov := wk.builder, job.merger.gov
-	res := &blockResult{worker: int32(wk.id)}
+// join runs one input block through worker w's builder b and returns its
+// outputs, or nil when the budget tripped before the block was finished:
+// the budget is polled before every join, as the sequential engine polls
+// it, and what the block had produced so far is given back.
+func (job *levelJob) join(w int, b *core.Builder, item int) *blockResult {
+	gov := job.merger.gov
+	res := &blockResult{worker: int32(w)}
 	var rep clique.Reporter
 	if job.collect {
 		// Emissions are copied into the result's arena, charged to the

@@ -15,6 +15,7 @@ import (
 	"repro/internal/membudget"
 	"repro/internal/parallel"
 	"repro/internal/sched"
+	"repro/internal/testgraph"
 )
 
 func testGraph(seed int64) *graph.Graph {
@@ -369,6 +370,27 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 			t.Fatalf("order violated at %d: %v then %v", i, got[i-1], got[i])
 		}
 	}
+}
+
+// TestNoGoroutineOutlivesItsLevel pins the pool's lifetimes: a level's
+// goroutines end with the RunLevel call that started them, and only the
+// builders stay until Close.
+func TestNoGoroutineOutlivesItsLevel(t *testing.T) {
+	g := testGraph(73)
+	check := testgraph.NoLeaks(t, nil)
+	p, err := parallel.NewPool(g, parallel.Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 4, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := p.RunLevel(context.Background(), lvl, homes, nil, nil); out.Next.Cliques() == 0 {
+		t.Fatal("the level produced nothing")
+	}
+	check()
 }
 
 func TestBarrierMatchesSequential(t *testing.T) {

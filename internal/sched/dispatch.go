@@ -38,7 +38,7 @@ type Chunk struct {
 	Stolen bool
 }
 
-// Dispatcher hands a level's items to persistent workers dynamically,
+// Dispatcher hands a level's items to a level's workers dynamically,
 // replacing the one-static-assignment-per-level model: workers pull
 // chunks as they finish previous ones, so load-estimation error and
 // skewed item costs are absorbed within the level instead of stretching
