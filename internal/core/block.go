@@ -359,7 +359,9 @@ func (it *Iter) Next() *SubList {
 		return it.fail("truncated record")
 	}
 	s := &it.sub
-	copy(s.Prefix[l:], w[p:p+suffix])
+	for i, x := range w[p : p+suffix] { // a vertex or two: a loop, not copy's call
+		s.Prefix[int(l)+i] = x
+	}
 	p += suffix
 	end := p + int(t)
 	s.Tails = w[p:end:end]
@@ -422,7 +424,7 @@ func (it *Iter) mustEnd() {
 // tails above it), every sub-list's prefix strictly above the one before
 // it — across blocks too — every vertex below n, and no sub-list without
 // tails: whatever passes is a level the kernel could have written, up to
-// the N(p0) check the join makes itself (Builder.ProcessRecord).
+// the N(p0) check its admission makes (Admitter.Admit).
 type Verifier struct {
 	it      Iter
 	frame   Block
@@ -430,6 +432,11 @@ type Verifier struct {
 	n       int
 	started bool        // a sub-list has been checked
 	c       blockCounts // of the block being checked
+
+	// Admit, when set, admits every record once it has passed: the one
+	// walk of a frame serves both its check and decode-ahead's admission.
+	// Its error is Block's.
+	Admit *Admissions
 }
 
 // Reset readies the verifier for the first block of a level of
@@ -492,6 +499,11 @@ func (v *Verifier) Block(words []uint32, at int) (b Block, err error) {
 		c.n++
 		c.m += t
 		c.pairs += t * (t - 1) / 2
+		if v.Admit != nil {
+			if err := v.Admit.Admit(s); err != nil {
+				return b, err
+			}
+		}
 	}
 	if err := it.Err(); err != nil {
 		return b, err
@@ -640,10 +652,18 @@ func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, cn *bitset
 	}
 	buf, p := s.buf, s.pos
 	p = putHeader(buf, p, l, len(tails))
-	p += copy(buf[p:], prefix[l:])
+	// A record spells a vertex or two of its prefix and a few tails:
+	// loops, not copy's call.
+	for _, x := range prefix[l:] {
+		buf[p] = x
+		p++
+	}
 	buf[p] = v
 	p++
-	p += copy(buf[p:], tails)
+	for _, x := range tails {
+		buf[p] = x
+		p++
+	}
 	s.pos = p
 	s.count(len(tails), cn)
 }

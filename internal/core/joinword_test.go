@@ -14,8 +14,10 @@ import (
 
 // TestJoinWordIsJoinWords: joinWord is joinWords at one word a row, kept
 // for speed alone.  Over every level of a graph whose groups are all one
-// word wide, the two emit the same cliques and keep the same sub-lists
-// (with the same stored bitmaps under CNStore) and the same counters.
+// word wide, each record admitted by the builder's Admitter and then
+// joined by one of the two, they emit the same cliques and keep the same
+// sub-lists (with the same stored bitmaps under CNStore) and the same
+// counters.
 func TestJoinWordIsJoinWords(t *testing.T) {
 	g := graph.RandomGNP(rand.New(rand.NewSource(365)), 60, 0.35)
 	dump := func(lvl *Level) []string {
@@ -37,15 +39,18 @@ func TestJoinWordIsJoinWords(t *testing.T) {
 		word := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 		wide := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
 		join := func(b *Builder, s *SubList, r clique.Reporter, one bool) {
-			b.sink.carry = min(b.sink.carry, s.LCP) // as ProcessRecord does
-			cn, ok := b.admitPrefix(s)
-			if !ok || b.u.W != 1 {
-				t.Fatalf("mode %d: %v|%v: admitted %v, %d words a row", mode, s.Prefix, s.Tails, ok, b.u.W)
+			a, err := b.adm.Admit(s, b.Gov)
+			if err != nil {
+				t.Fatalf("mode %d: %v|%v: %v", mode, s.Prefix, s.Tails, err)
 			}
+			if a.W != 1 {
+				t.Fatalf("mode %d: %v|%v: %d words a row", mode, s.Prefix, s.Tails, a.W)
+			}
+			b.book(a) // what Join does before it picks the one-word or the w-word join
 			if one {
-				b.joinWord(s, cn[0], r)
+				b.joinWord(a, r)
 			} else {
-				b.joinWords(s, cn, r)
+				b.joinWords(a, r)
 			}
 		}
 		for k := lvl.K; lvl.Sublists() > 0; k++ {

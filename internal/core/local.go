@@ -3,22 +3,31 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
+	"repro/internal/membudget"
 )
 
-// The local universe of a prefix run.  Every vertex a sub-list can reach
-// lies in N(p0), p0 its prefix's first vertex: its tails, every clique
-// that extends it and every common neighbour.  Sub-lists that share p0
-// are contiguous in canonical order, so the join works on the induced
-// subgraph G[N(p0)] (graph.Local), switched once per p0 group, and the
-// canonical order, the stream and every count stay those of the global
-// join.  Beside it the join keeps the prefix memo and two per-sub-list
-// arrays.
-//
-// Everything here is builder scratch: ScratchBytes counts it, and the
-// universe and grow charge what they add to the builder's governor.
-type universe struct {
+// The join kernel runs in two halves, Admit and Join (DESIGN.md §3.1).
+// Admit maps a record into its local universe: every vertex a sub-list
+// can reach lies in N(p0), p0 its prefix's first vertex — its tails,
+// every clique that extends it and every common neighbour.  Sub-lists
+// that share p0 are contiguous in canonical order, so the join works on
+// the induced subgraph G[N(p0)] (graph.Local), switched once per p0
+// group, and the canonical order, the stream and every count stay those
+// of the global join.  Beside the universe the admitter keeps the prefix
+// memo, from which it rebuilds each record's CN(prefix).  Join (step.go)
+// reads only what Admit hands it, the Admitted record: in memory both
+// halves run on one goroutine, one record after the other, and the
+// record is a view of the admitter's scratch; out of core decode-ahead
+// admits each record in place, in the block it was read into, and what
+// the join needs beside the block — CN(prefix), and the rows admission
+// built, each once for its group — goes into the block's Admissions
+// (batch.go).
+
+// Admitter is the admission half of the join kernel: it holds a graph's
+// local universe and the prefix memo, and maps records into them one
+// after another.  It is not safe for concurrent use.
+type Admitter struct {
 	*graph.Local
 
 	// The prefix memo, in local words: memo[i*w:(i+1)*w] is the
@@ -28,101 +37,173 @@ type universe struct {
 	memo       []uint64
 	memoPrefix []uint32
 
-	cv []uint64 // CN(prefix+v) of the tail being joined
-	lt []uint32 // the sub-list's tails as local ids
+	lt  []uint32 // Admit's tails as local ids
+	cv  []uint64 // the W words Join writes CN(prefix+v) into
+	rec Admitted // Admit's view of its record
 }
 
-// grow sizes the join's scratch for a group of degree d and a prefix
-// memo of depth rows, charging what it adds to Gov.  Growth is rare and
-// out of line, so the kernel's fast path stays allocation-free.
-//
-//nolint:budgetpair the universe is builder scratch: whoever adopted the builder releases it with ScratchBytes
-func (b *Builder) grow(d, depth int) {
-	u := &b.u
-	before := b.ScratchBytes()
-	u.lt, u.cv = graph.Fit(u.lt, d), graph.Fit(u.cv, u.W)
-	u.memo, u.memoPrefix = graph.Fit(u.memo, depth*u.W), graph.Fit(u.memoPrefix, depth)
-	b.Gov.Charge(b.ScratchBytes() - before)
+// NewAdmitter returns an admitter over g's universe, entered nowhere yet.
+func NewAdmitter(g graph.Interface) *Admitter {
+	return &Admitter{Local: graph.NewLocal(g)}
 }
 
-// admitPrefix maps s into its universe and returns the common-neighbour
-// row of its prefix over N(p0), with the tails mapped into u.lt and their
-// rows' slots into u.ls; ok is false when a prefix vertex or a tail lies
-// outside N(p0), which only a record read from outside input can do, and
-// then Cost is left as it was.  The prefix row comes from the memo,
-// whose shared length is the record's lcp where its source knows one and
-// a comparison with the memo otherwise: it depends only on the graph, so
-// any processing order is correct.
-//
-// Cost.ANDWords charges the reconstruction of the whole prefix at the
-// paper's ⌈n/64⌉ words a row, as the abstract machine does it, and only
-// for a sub-list without a stored bitmap.
+// ScratchBytes is the admitter's resident footprint right now: the local
+// universe — its rank table, rows and slots — the memo, the tails' local
+// ids and the join's CN(prefix+v).  Whoever adopts the admitter charges it and releases it
+// (read again: it may have grown) when done; in between the admitter
+// charges what it adds to the governor it is given.
+func (a *Admitter) ScratchBytes() int64 {
+	return a.Local.Bytes() + 4*int64(cap(a.lt)) + 8*int64(cap(a.memo)+cap(a.cv))
+}
+
+// Leave forgets the group the admitter is in, so the next record enters
+// its own afresh: a consumer that starts over — a new run of a join whose
+// last may have stopped midway — sees every group it joins entered.  The
+// memo stays: it depends only on the graph.
+func (a *Admitter) Leave() { a.V = -1 }
+
+// Admitted is one record admitted into its universe: everything Join
+// reads.  Every set is a row over N(p0), W words a row.
+type Admitted struct {
+	Prefix []uint32 // in global ids
+	Tails  []uint32 // in local ids
+	LCP    int      // the record's stored lcp, for the output's front-coding carry
+	ANDs   int      // the row ANDs its prefix's reconstruction took, which Join books in Cost
+	CN     []uint64 // CN(prefix)
+	CV     []uint64 // W words of scratch Join writes: CN(prefix+v) of the tail it joins
+
+	W    int
+	Nbr  []uint32 // N(p0), local -> global
+	Rows []uint64 // local l's row is Rows[Slot[l]*W:][:W], for l a tail
+	Slot []int32
+
+	// The join stage's copy of the group, out of core (Admissions.Next).
+	own group
+}
+
+// Bytes is what a's own copy of its group occupies: the join stage's
+// scratch, out of core.
+func (a *Admitted) Bytes() int64 { return a.own.Bytes() }
+
+// Admit maps s into the admitter's scratch and returns the admitted
+// record, valid until the next Admit: the in-memory admission.  An error
+// is Map's.
 //
 //repro:hotpath
-func (b *Builder) admitPrefix(s *SubList) ([]uint64, bool) {
-	u, p := &b.u, s.Prefix
+func (a *Admitter) Admit(s *SubList, gov *membudget.Governor) (*Admitted, error) {
+	p, r := s.Prefix, &a.rec
+	if int(p[0]) != a.V {
+		a.Enter(int(p[0]), gov)
+		if cap(a.lt) < len(a.Nbr) || cap(a.cv) < a.W {
+			a.grow(len(a.Nbr), 0, gov)
+		}
+	}
+	if len(s.Tails) > len(a.Nbr) {
+		return nil, outside(s) // more tails than N(p0) has distinct members
+	}
+	// lt holds deg(p0) entries since the group began, and building a row
+	// never moves it.
+	lt := a.lt[:len(s.Tails)]
+	cn, ands, err := a.Map(s, lt, gov)
+	if err != nil {
+		return nil, err
+	}
+	r.Prefix, r.Tails, r.LCP, r.ANDs, r.CN = p, lt, s.LCP, ands, cn
+	r.W, r.Nbr, r.Rows, r.Slot, r.CV = a.W, a.Nbr, a.Rows, a.Slot, a.cv[:a.W] // building a row may have moved the rows
+	return r, nil
+}
+
+// grow sizes the admitter's scratch for a group of degree d and a prefix
+// memo of depth rows, charging what it adds to gov.  Growth is rare and
+// out of line, so the kernel's fast path stays allocation-free.
+func (a *Admitter) grow(d, depth int, gov *membudget.Governor) {
+	charged(gov, a.ScratchBytes, func() {
+		a.lt, a.cv = graph.Fit(a.lt, d), graph.Fit(a.cv, a.W)
+		a.memo, a.memoPrefix = graph.Fit(a.memo, depth*a.W), graph.Fit(a.memoPrefix, depth)
+	})
+}
+
+// charged runs grow, which grows a kernel's scratch, and charges gov
+// what bytes, its footprint, grew by.
+//
+//nolint:budgetpair the scratch is its owner's: whoever adopted the owner releases the footprint whole
+func charged(gov *membudget.Governor, bytes func() int64, grow func()) {
+	before := bytes()
+	grow()
+	gov.Charge(bytes() - before)
+}
+
+// Map maps s, whose group the admitter is in, into the universe: it
+// rebuilds the common-neighbour row of its prefix over N(p0) from the
+// memo and returns it, a view of the memo, with the row ANDs that took,
+// and writes the tails' local ids into tails — which may be s.Tails
+// itself, the record's own words — building the rows of the vertices the
+// group touches first.  A record with a prefix vertex or a tail outside
+// N(p0), which only input from outside the process can hold, is an
+// error.  gov (nil allowed) is charged what the memo grows by, and the
+// universe charges what it grows by to the governor its group was
+// entered with.
+//
+// The memo's shared length is the record's lcp where its source knows
+// one and a comparison with the memo otherwise: the memo depends only on
+// the graph, so any processing order is correct.  The ANDs are the
+// reconstruction of the whole prefix, as the abstract machine does it,
+// and only for a sub-list without a stored bitmap.
+//
+//repro:hotpath
+func (a *Admitter) Map(s *SubList, tails []uint32, gov *membudget.Governor) ([]uint64, int, error) {
+	p, u, w := s.Prefix, a.Local, a.W
 	l := s.LCP
 	if l == 0 {
-		for l < len(p) && l < len(u.memoPrefix) && p[l] == u.memoPrefix[l] {
+		for l < len(p) && l < len(a.memoPrefix) && p[l] == a.memoPrefix[l] {
 			l++
 		}
 	}
-	if int(p[0]) != u.V { // a new group: no row built, an empty memo
-		u.Enter(int(p[0]), b.Gov)
-		b.grow(len(u.Nbr), 0)
-		u.memoPrefix = u.memoPrefix[:0]
+	if cap(a.memo) < len(p)*w || cap(a.memoPrefix) < len(p) {
+		a.grow(0, len(p), gov)
 	}
-	w := u.W
-	if cap(u.memo) < len(p)*w || cap(u.memoPrefix) < len(p) {
-		b.grow(0, len(p))
-	}
-	valid := min(l, len(u.memoPrefix))
-	u.memoPrefix = u.memoPrefix[:0] // until the whole prefix is in
-	memo := u.memo[:len(p)*w]
-	for x := range memo[:w] {
-		memo[x] = ^uint64(0) // row 0: all of N(p0)
+	valid := min(l, len(a.memoPrefix))
+	a.memoPrefix = a.memoPrefix[:0] // until the whole prefix is in
+	memo := a.memo[:len(p)*w]
+	if valid == 0 {
+		for x := range memo[:w] {
+			memo[x] = ^uint64(0) // row 0: all of N(p0)
+		}
 	}
 	for i := max(valid, 1); i < len(p); i++ {
 		lv := u.ID(p[i])
 		if lv < 0 {
-			return nil, false
+			return nil, 0, outside(s)
+		}
+		if w == 1 { // every group of the paper's graphs
+			memo[i] = memo[i-1] & u.Rows[u.Slot[lv]]
+			continue
 		}
 		row, prev, nv := memo[i*w:(i+1)*w], memo[(i-1)*w:i*w], u.Rows[int(u.Slot[lv])*w:][:w]
 		for x := range row {
 			row[x] = prev[x] & nv[x]
 		}
 	}
-	u.memoPrefix = u.memoPrefix[:len(p)]
-	copy(u.memoPrefix, p)
-	if len(s.Tails) > len(u.Nbr) {
-		return nil, false // more tails than N(p0) has distinct members
+	a.memoPrefix = a.memoPrefix[:len(p)]
+	for i := valid; i < len(p); i++ { // the first valid are p's already
+		a.memoPrefix[i] = p[i]
 	}
-	// u.lt holds deg(p0) entries since the group began, and building a
-	// row never moves it.
-	u.lt = u.lt[:len(s.Tails)]
-	for k, t := range s.Tails {
-		lv := u.ID(t)
+	for k, x := range s.Tails {
+		lv := u.ID(x)
 		if lv < 0 {
-			return nil, false
+			return nil, 0, outside(s)
 		}
-		u.lt[k] = uint32(lv)
+		tails[k] = uint32(lv)
 	}
+	ands := 0
 	if s.CN == nil && l < len(p) {
-		b.Cost.ANDWords += int64(len(p)-max(l, 1)) * int64(b.words) // row 0 is a copy, not an AND
+		ands = len(p) - max(l, 1) // row 0 is a copy, not an AND
 	}
-	return memo[(len(p)-1)*w:], true
+	return memo[(len(p)-1)*w:], ands, nil
 }
 
 // outside is the error for a record that leaves its prefix's universe;
 // out of line so the kernel boxes nothing.
 func outside(s *SubList) error {
-	return fmt.Errorf("core: record %v|%v reaches outside N(%d)", s.Prefix, s.Tails, s.Prefix[0])
-}
-
-// scatter writes CN(prefix+v), held in u.cv over N(p0), into a bitmap
-// over the graph's universe: the stored bitmap CNStore keeps.
-func (b *Builder) scatter() *bitset.Bitset {
-	cn := b.pool.Get()
-	b.u.Scatter(cn, b.u.cv[:b.u.W])
-	return cn
+	return fmt.Errorf("core: record with prefix %v and %d tails reaches outside N(%d)", s.Prefix, len(s.Tails), s.Prefix[0])
 }

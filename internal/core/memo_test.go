@@ -107,14 +107,15 @@ func TestPrefixCNMemo(t *testing.T) {
 					for i, p := range seq {
 						before := b.Cost.ANDWords
 						depth := depthOf(rng, p)
-						cn, ok := b.admitPrefix(&SubList{Prefix: p})
-						if !ok {
-							t.Fatalf("step %d: clique %v rejected as outside N(%d)", i, p, p[0])
+						a, err := b.adm.Admit(&SubList{Prefix: p}, b.Gov)
+						if err != nil {
+							t.Fatalf("step %d: clique %v rejected: %v", i, p, err)
 						}
-						u := &b.u
-						if got := u.memo[(len(p)-1)*u.W : len(p)*u.W]; !slices.Equal(cn, got) {
+						u := b.adm
+						if got := u.memo[(len(p)-1)*u.W : len(p)*u.W]; !slices.Equal(a.CN, got) {
 							t.Fatalf("step %d: the join's row of %v is not the memo's", i, p)
 						}
+						b.Join(a, nil) // no tails: it only books the record's Cost
 						if depth > 0 {
 							g.Materialize(int(p[0]), want)
 							for _, v := range p[1:depth] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
@@ -60,7 +61,9 @@ type Builder struct {
 	words   int // ⌈n/64⌉: the paper's row, what Cost charges a row operation
 	emitBuf clique.Clique
 
-	u universe // the local universe of the p0 group being joined (local.go)
+	// adm is the admission half (local.go), nil for a builder that only
+	// joins records admitted elsewhere.
+	adm *Admitter
 
 	// The next level's store (see block.go): retained sub-lists are
 	// appended to sink as front-coded records.  The survivors of one join
@@ -77,14 +80,16 @@ type Builder struct {
 // supplies and recycles common-neighbor bitmaps and may be shared across
 // Builders (bitset.Pool is concurrency-safe).
 func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder {
-	b := &Builder{
-		mode:  mode,
-		pool:  pool,
-		words: (g.N() + 63) / 64,
-		u:     universe{Local: graph.NewLocal(g)},
-		sink:  newBlockSink(nil),
-	}
+	b := NewJoinBuilder(g, pool)
+	b.mode, b.adm = mode, NewAdmitter(g)
 	return b
+}
+
+// NewJoinBuilder returns a CNRecompute Builder without an admission half:
+// it holds no universe, and its records reach it admitted, through Join —
+// the out-of-core join stage's, fed by decode-ahead's admission.
+func NewJoinBuilder(g graph.Interface, pool *bitset.Pool) *Builder {
+	return &Builder{pool: pool, words: (g.N() + 63) / 64, sink: newBlockSink(nil)}
 }
 
 // Reset clears the builder for a new level, retaining scratch storage and
@@ -144,14 +149,17 @@ func (b *Builder) Open() int { return b.sink.pos - b.sink.lo }
 func (b *Builder) Abandon(mark int) { b.sink.abandon(mark, b.pool) }
 
 // ScratchBytes returns the resident footprint of the builder's private
-// scratch right now — the local universe: its rank table, rows and memo
-// (local.go) — independent of any level's candidates.  Whoever adopts
-// the builder charges it to the governor and releases it (read again:
-// the scratch may have grown) when done; in between the builder charges
-// what it adds to Gov itself, so the charged amount tracks ScratchBytes
-// at every instant.
+// scratch right now — its admitter's local universe: the rank table,
+// rows and memo (local.go) — independent of any level's candidates; a
+// builder without an admitter has none.  Whoever adopts the builder
+// charges it to the governor and releases it (read again: the scratch may
+// have grown) when done; in between the builder charges what it adds to
+// Gov itself, so the charged amount tracks ScratchBytes at every instant.
 func (b *Builder) ScratchBytes() int64 {
-	return b.u.Local.Bytes() + 4*int64(cap(b.u.lt)) + 8*int64(cap(b.u.memo)+cap(b.u.cv))
+	if b.adm == nil {
+		return 0
+	}
+	return b.adm.ScratchBytes()
 }
 
 // ProcessSubList is the paper's GenerateKCliques inner loop for one
@@ -171,24 +179,45 @@ func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 
 // ProcessRecord is ProcessSubList for a record read from outside input:
 // one whose prefix vertex or tail lies outside N(p0) is an error, found
-// before the record emits, retains, drops or counts anything.
+// before the record emits, retains, drops or counts anything.  It runs
+// the kernel's two halves in turn: the builder's Admitter, then Join.
 //
 //repro:hotpath
 func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
-	// The next record's lcp is measured against this one, joined or not,
-	// so the front-coding carry takes it in either way.
-	b.sink.carry = min(b.sink.carry, s.LCP)
-	cn, ok := b.admitPrefix(s)
-	if !ok {
-		return outside(s)
+	a, err := b.adm.Admit(s, b.Gov)
+	if err != nil {
+		b.sink.carry = min(b.sink.carry, s.LCP) // joined or not, as Join takes it
+		return err
 	}
-	if b.u.W == 1 {
-		b.joinWord(s, cn[0], r)
-	} else {
-		b.joinWords(s, cn, r)
-	}
+	b.Join(a, r)
 	s.takeCN(b.pool)
 	return nil
+}
+
+// Join is the join half of the kernel: it joins the admitted record's
+// tail pairs, reports the maximal (k+1)-cliques to r and retains the
+// surviving sub-lists, reading nothing but a — no universe, no memo —
+// and writing only a.CV, and books the record's Cost, its admission's
+// ANDs at ⌈n/64⌉ words each included.
+//
+//repro:hotpath
+func (b *Builder) Join(a *Admitted, r clique.Reporter) {
+	b.book(a)
+	if a.W == 1 {
+		b.joinWord(a, r)
+	} else {
+		b.joinWords(a, r)
+	}
+}
+
+// book takes in what Join counts of a whichever loop joins it: its lcp
+// for the front-coding carry — the next record's lcp is measured against
+// this one, joined or not — and its admission's ANDs.
+//
+//repro:hotpath
+func (b *Builder) book(a *Admitted) {
+	b.sink.carry = min(b.sink.carry, a.LCP)
+	b.Cost.ANDWords += int64(a.ANDs) * int64(b.words)
 }
 
 // joinWord is the join over a one-word universe (deg p0 <= 64, every
@@ -203,8 +232,8 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 // wall time about 10 % (DESIGN §3.1).
 //
 //repro:hotpath
-func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
-	rows, slot, lt, tails := b.u.Rows, b.u.Slot, b.u.lt, s.Tails
+func (b *Builder) joinWord(a *Admitted, r clique.Reporter) {
+	rows, slot, lt, nbr, cn := a.Rows, a.Slot, a.Tails, a.Nbr, a.CN[0]
 	for i := 0; i < len(lt)-1; i++ {
 		rv := rows[slot[lt[i]]]
 		cv := cn & rv
@@ -219,22 +248,22 @@ func (b *Builder) joinWord(s *SubList, cn uint64, r clique.Reporter) {
 			b.Cost.Probes += int64(b.words)
 			b.Cost.Generated++
 			if cv&rows[slot[lu]] != 0 {
-				b.tailScratch = append(b.tailScratch, tails[j])
+				b.tailScratch = append(b.tailScratch, nbr[lu])
 			} else {
-				b.emitMaximal(s.Prefix, int(tails[i]), int(tails[j]), r)
+				b.emitMaximal(a.Prefix, int(nbr[lt[i]]), int(nbr[lu]), r)
 			}
 		}
-		b.u.cv[0] = cv
-		b.keep(s.Prefix, int(tails[i]), b.tailScratch)
+		a.CV[0] = cv
+		b.keep(a, int(nbr[lt[i]]), b.tailScratch)
 	}
 }
 
 // joinWords is joinWord over a universe of any width w.
 //
 //repro:hotpath
-func (b *Builder) joinWords(s *SubList, cn []uint64, r clique.Reporter) {
-	w, rows, slot, lt, tails := b.u.W, b.u.Rows, b.u.Slot, b.u.lt, s.Tails
-	cv, cn := b.u.cv[:w], cn[:w]
+func (b *Builder) joinWords(a *Admitted, r clique.Reporter) {
+	w, rows, slot, lt, nbr := a.W, a.Rows, a.Slot, a.Tails, a.Nbr
+	cv, cn := a.CV[:w], a.CN[:w]
 	for i := 0; i < len(lt)-1; i++ {
 		rv := rows[int(slot[lt[i]])*w:][:w]
 		for x := range cv {
@@ -255,12 +284,12 @@ func (b *Builder) joinWords(s *SubList, cn []uint64, r clique.Reporter) {
 				alive = cv[x]&ru[x] != 0
 			}
 			if alive {
-				b.tailScratch = append(b.tailScratch, tails[j])
+				b.tailScratch = append(b.tailScratch, nbr[lu])
 			} else {
-				b.emitMaximal(s.Prefix, int(tails[i]), int(tails[j]), r)
+				b.emitMaximal(a.Prefix, int(nbr[lt[i]]), int(nbr[lu]), r)
 			}
 		}
-		b.keep(s.Prefix, int(tails[i]), b.tailScratch)
+		b.keep(a, int(nbr[lt[i]]), b.tailScratch)
 	}
 }
 
@@ -279,20 +308,20 @@ func (b *Builder) emitMaximal(prefix []uint32, v, u int, r clique.Reporter) {
 	}
 }
 
-// keep retains the surviving candidate sub-list (prefix+v with the given
-// tails) whose common-neighbor row over N(p0) is b.u.cv, applying the
+// keep retains the surviving candidate sub-list (a's prefix+v with the
+// given tails) whose common-neighbor row over N(p0) is a.CV, applying the
 // paper's |S_{k+1}| > 1 rule.  newTails may alias the builder's tail
 // scratch: the sink copies it.
 //
 //repro:hotpath
-func (b *Builder) keep(prefix []uint32, v int, newTails []uint32) {
+func (b *Builder) keep(a *Admitted, v int, newTails []uint32) {
 	switch {
 	case len(newTails) > 1:
 		var cn *bitset.Bitset
 		if b.mode == CNStore {
-			cn = b.scatter()
+			cn = b.scatter(a)
 		}
-		b.sink.append(prefix, uint32(v), newTails, cn)
+		b.sink.append(a.Prefix, uint32(v), newTails, cn)
 		b.Kept++
 	case len(newTails) == 1:
 		// A lone non-maximal clique cannot join with a sibling; the
@@ -360,4 +389,16 @@ func Step(_ graph.Interface, lvl *Level, r clique.Reporter, b *Builder) (*Level,
 	out := b.RunLevel(b.Ctx, lvl, nil, r, nil)
 	b.Canceled = out.Frontier.Block < len(lvl.Sub)
 	return out.Next, out.Stats
+}
+
+// scatter writes CN(prefix+v), held in a.CV over a's N(p0), into a bitmap
+// over the graph's universe: the stored bitmap CNStore keeps.
+func (b *Builder) scatter(a *Admitted) *bitset.Bitset {
+	cn := b.pool.Get()
+	for x, word := range a.CV {
+		for ; word != 0; word &= word - 1 {
+			cn.Set(int(a.Nbr[x<<6+bits.TrailingZeros64(word)]))
+		}
+	}
+	return cn
 }

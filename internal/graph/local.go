@@ -136,6 +136,9 @@ func (u *Local) ID(x uint32) int32 {
 	return u.build(x)
 }
 
+// Built returns how many rows the centre has built: the slots taken.
+func (u *Local) Built() int { return u.built }
+
 // Row returns the row of local vertex l, built on first touch.
 //
 //repro:hotpath

@@ -2,6 +2,7 @@ package ooc
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -110,28 +111,15 @@ func FuzzShardDecode(f *testing.F) {
 }
 
 // joinBytes joins a shard's records over the joiner's graph as a worker
-// does, its output dropped: an error, or a join.
+// does — read and admitted a block at a time through a buffer too small
+// for most frames, then joined — its output dropped: an error, or a join.
 func joinBytes(j *Joiner, data []byte, meta ShardMeta, k int) error {
 	r, err := OpenShardBytes(data, meta, k, j.g.N(), false)
 	if err != nil {
 		return err
 	}
 	var st JoinStats
-	buf := make([]uint32, 16)
-	j.b.Reset()
-	j.mark = 0
-	for {
-		var blk core.Block
-		if blk, buf, err = r.block(buf); err != nil {
-			return err
-		}
-		if len(blk.Words()) == 0 {
-			return j.flush(&st, discard{}, true)
-		}
-		if err := j.joinBlock(&blk, k, len(buf), &st, &st, discard{}); err != nil {
-			return err
-		}
-	}
+	return j.joinSerial(context.Background(), r, 16, &st, &st, discard{})
 }
 
 // discard drops a join's output.

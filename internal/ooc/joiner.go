@@ -18,14 +18,17 @@ import (
 // This file is the worker-side face of the out-of-core engine: the
 // pieces a remote (or merely out-of-process) worker needs to join one
 // leased shard exactly the way the single-machine pool does — read the
-// shard's blocks, run the one join kernel (core.Builder) over them as
-// an in-core level's blocks are joined, write the sealed output blocks as
-// the next level's run-aligned shard files, and buffer the maximal dead
-// ends for in-order emission (the three stages of pipeline.go).
-// internal/dist's workers and the local pool in pool.go both run
-// Joiner.Join's pipeline, so the distributed, single-machine and in-core
-// joins cannot drift.  A Joiner's scratch lives for the run; the
-// goroutines that run it live for one level's join.
+// shard's frames, admit their records into N(p0) in place as they are
+// checked (the kernel's admission half, core.Admitter), join them with
+// the kernel's join half (core.Builder.Join) as an in-core level's
+// records are joined, write the sealed output blocks as the next level's
+// run-aligned shard files, and buffer the maximal dead ends for in-order
+// emission (the three stages of pipeline.go).  internal/dist's workers
+// and the local pool in pool.go both run Joiner.Join's pipeline, and
+// JoinShardBytes runs its stages in turn, so the distributed,
+// single-machine and in-core joins cannot drift.  A Joiner's scratch
+// lives for the run; the goroutines that run it live for one level's
+// join.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), the kernel's work on the
@@ -47,36 +50,44 @@ func (s *JoinStats) Emit(c clique.Clique) {
 	s.EmitOff = append(s.EmitOff, int32(len(s.EmitVerts)))
 }
 
-// Joiner owns the per-worker state of the shard join: the join kernel —
-// a core.Builder that rebuilds each record's prefix row over N(p0) from
-// its memo of the record before, applies the paper's |S| > 1 rule (so a
+// Joiner owns the per-worker state of the shard join: the join kernel in
+// its two halves — a core.Admitter that maps each record into N(p0) and
+// rebuilds its prefix row from its memo of the record before, and a
+// core.Builder without a universe that joins the admitted records over
+// its own copy of the group, applies the paper's |S| > 1 rule (so a
 // level on disk holds exactly the cliques the in-core level would) and
 // seals the survivors into blocks — and reports maximal cliques.  A
 // record outside N(p0), which only a damaged or forged shard holds,
 // fails its shard.  It is not safe for concurrent use; give each worker
-// its own: the pool keeps one per worker for the run and runs each on a
-// goroutine of its own at every level.
+// its own: the pool keeps one per worker for the run and runs each on
+// goroutines of its own at every level, the admitter on decode-ahead's
+// and the builder on the join's.
 type Joiner struct {
 	g    graph.Interface
-	b    *core.Builder
-	it   core.Iter     // the join stage's record decoder
-	bufs [][]uint32    // decode-ahead's block buffers between runs
-	br   *bufio.Reader // decode-ahead's read window between runs
-	bw   *bufio.Writer // write-behind's file buffer between runs
+	adm  *core.Admitter // the admission half: decode-ahead's
+	b    *core.Builder  // the join half, which holds no universe
+	rec  core.Admitted  // the join stage's view of an admitted record, with its copy of the group
+	bufs []inBuf        // decode-ahead's block buffers between runs
+	br   *bufio.Reader  // decode-ahead's read window between runs
+	bw   *bufio.Writer  // write-behind's file buffer between runs
 
 	mark int // the builder's blocks already handed to write-behind
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
 func NewJoiner(g graph.Interface) *Joiner {
-	return &Joiner{g: g, b: core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))}
+	return &Joiner{g: g, adm: core.NewAdmitter(g), b: core.NewJoinBuilder(g, bitset.NewPool(g.N()))}
 }
 
-// ScratchBytes reports the joiner's resident bitmap footprint right now
-// — what a coordinator reserves against its governor on the worker's
-// behalf, so one budget authority still sees every process's scratch.
-// It grows with the widest p0 group and the deepest prefix joined.
-func (j *Joiner) ScratchBytes() int64 { return j.b.ScratchBytes() }
+// ScratchBytes reports the joiner's resident scratch right now — what a
+// coordinator reserves against its governor on the worker's behalf, so
+// one budget authority still sees every process's scratch: the
+// admitter's universe, the join's copy of the group and its prefix memo,
+// which grow with the widest p0 group and the deepest prefix joined and
+// charge what they add to the builder's governor.
+func (j *Joiner) ScratchBytes() int64 {
+	return j.adm.ScratchBytes() + j.rec.Bytes() + j.b.ScratchBytes()
+}
 
 // ShardJob is the work order for one shard join: the input shard In of
 // size-K records in Dir, and how the (K+1)-candidates are written —
@@ -132,11 +143,9 @@ func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
 // in-memory copy of its file, writing next-level candidates through out
 // (which the caller owns: Finish it for the output shard list, Abort it
 // on error).  collect buffers maximal-clique emissions in the returned
-// JoinStats; pass false when only counts are wanted.  It is Join's kernel
-// step alone, serial, for callers that time the writer themselves.
-// compress is ignored: a level has one format.
-//
-//repro:ctxloop
+// JoinStats; pass false when only counts are wanted.  It is Join's
+// stages in turn on the calling goroutine, for callers that time the
+// writer themselves.  compress is ignored: a level has one format.
 func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, k int,
 	compress bool, out *LevelWriter, collect bool) (JoinStats, error) {
 	r, err := OpenShardBytes(data, in, k, j.g.N(), false)
@@ -144,28 +153,9 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 		return JoinStats{}, err
 	}
 	var st JoinStats
-	sink := serialOutput{lw: out, gov: j.b.Gov}
-	buf := make([]uint32, core.MaxBlockBytes/4)
-	j.b.Reset()
-	j.mark = 0
 	defer func() { j.b.Abandon(j.mark) }()
-	for {
-		if ctx.Err() != nil {
-			return st, fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, ctx.Err())
-		}
-		var blk core.Block
-		if blk, buf, err = r.block(buf); err != nil {
-			return st, err
-		}
-		if len(blk.Words()) == 0 {
-			break
-		}
-		if err := j.joinBlock(&blk, k, len(buf), collector(&st, collect), &st, sink); err != nil {
-			return st, err
-		}
-	}
-	st.BytesRead = r.BytesRead()
-	return st, j.flush(&st, sink, true)
+	err = j.joinSerial(ctx, r, core.MaxBlockBytes/4, collector(&st, collect), &st, serialOutput{lw: out, gov: j.b.Gov})
+	return st, err
 }
 
 // serialOutput writes each batch in the joining goroutine as it comes,

@@ -394,9 +394,14 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 	// The old hot loop allocated one record slice per spilled record
 	// (>= spilled/k allocations).  The rebuilt loop's budget covers
 	// files, bufio buffers and stats, and per level and worker the
-	// pipeline's two goroutines, channels and context: 1 170 a run,
-	// measured, the kernel feeding on blocks whose buffers are recycled.
-	if allocs > 1200 {
+	// pipeline's two goroutines, channels and context, and once a worker
+	// its block buffers with their admissions, recycled from level to
+	// level, and the join's copy of a group: 951 a run at the most,
+	// measured (go test -run TestJoinHotLoopAllocs -v ./internal/ooc), the
+	// 922 of the join before decode-ahead admitted and 29 for the
+	// admissions and the copy.  The bound is the measured count and 5 %:
+	// 951 x 1.05 = 998.
+	if allocs > 998 {
 		t.Errorf("%.0f allocs/run for %d spilled vertices: the hot loop is allocating per record", allocs, spilled)
 	}
 	t.Logf("%.0f allocs/run, %d spilled vertices", allocs, spilled)

@@ -16,31 +16,40 @@ import (
 //
 //   - decode-ahead: a goroutine takes the worker's shards in order and
 //     reads each a frame at a time through a window, straight into a
-//     block buffer, where the frame's CRC and core.Verifier check it —
-//     the block is the in-core level's, nothing is packed;
-//   - join: the calling goroutine runs the in-core kernel over those
-//     blocks — core.Iter, Builder.ProcessRecord, Mark/Since — exactly as
-//     a pool worker does over a level in memory;
+//     block buffer, where the frame's CRC and core.Verifier check it; the
+//     verifier's one walk of the frame hands each record to the buffer's
+//     core.Admissions, which admits it in place through the kernel's
+//     admission half (core.Admitter) — its tails become local ids in
+//     N(p0) — and keeps what the join reads that the block lacks:
+//     CN(prefix), and the rows admission built — nothing is walked,
+//     checked or mapped twice;
+//   - join: the calling goroutine runs the kernel's join half
+//     (Builder.Join) over those blocks and their admissions and hands the
+//     output on without starting a run of its own (Sealed, SealRuns, and
+//     Since at a block's end);
 //   - write-behind: a goroutine writes the sealed output blocks' records
 //     as frames into run-aligned shard files and closes them, and only
 //     then delivers the shard's result.
 //
-// A block belongs to one stage at a time.  An input block is charged to
-// the job's governor when decode-ahead has read it and released when the
-// join is done with it, and its buffer goes back to decode-ahead.  An
-// output block is charged to the builder's governor when the kernel seals
-// it and released by write-behind once its records are in the file.  The
-// kernel's arena recycles a chunk two builder Resets after it was filled,
-// so the join hands its output on in generations of batches and Resets
-// only once write-behind holds no batch of the generation before
-// (writeBehind.turn): no chunk is reused while the writer still reads
-// it.
+// A block belongs to one stage at a time, and so does the admitter: its
+// universe and memo are decode-ahead's, and the join holds no universe,
+// only its copy of the group, built from the rows it is handed — no
+// mutable memory is shared across stages.  An input block is charged
+// to the job's governor with its admissions when decode-ahead has read
+// it and released when the join is done with it, and its buffer goes
+// back to decode-ahead.  An output block is charged to the builder's
+// governor when the kernel seals it and released by write-behind once
+// its records are in the file.  The kernel's arena recycles a chunk two
+// builder Resets after it was filled, so the join hands its output on in
+// generations of batches and Resets only once write-behind holds no batch
+// of the generation before (writeBehind.turn): no chunk is reused while
+// the writer still reads it.
 
 // A worker's queues and buffers.  Of the shares of headroom a step gives
 // each of a worker's buffers (Level.Buf), the read window and the write
 // buffer take at most ioCap each — a bigger buffer saves syscalls, not
 // time — and the block queues take the rest, split evenly between input
-// and output.
+// (the blocks and their admissions) and output.
 const (
 	queueDepth = 4        // input blocks in flight, at the most
 	genBatches = 4        // output batches to a kernel arena generation, at the most
@@ -52,7 +61,7 @@ const (
 type pipeShape struct {
 	io    int64 // the read window's size and the write buffer's cap, through bufSize
 	depth int   // input blocks in flight
-	words int   // an input block's words; the join seals its output's whole runs at this many open words
+	words int   // an input block buffer's words: a block and its admissions fill its 4·words bytes, the last frame's admissions past them (DESIGN §5.3); the join seals its output's whole runs at this many open words
 	gen   int   // output batches to an arena generation: twice as many in flight, one at depth one
 }
 
@@ -80,13 +89,20 @@ func shapeFor(buf int64) pipeShape {
 }
 
 // inPiece is what decode-ahead hands the join, in order: the blocks of a
-// shard, then its end.
+// shard with their admissions, then its end.
 type inPiece struct {
-	tag  int        // the shard, as next named it
-	blk  core.Block // a block of the shard's records
-	buf  []uint32   // the buffer blk lives in, for decode-ahead to refill
-	end  bool       // the shard is decoded; blk is empty
-	read int64      // at the end: the shard's encoded bytes read
+	tag   int   // the shard, as next named it
+	buf   inBuf // a block of the shard's records, bound to its admissions
+	bytes int64 // its charge on the job's governor
+	end   bool  // the shard is decoded; buf is empty
+	read  int64 // at the end: the shard's encoded bytes read
+}
+
+// inBuf is an input block buffer and the admissions of the block read
+// into it.
+type inBuf struct {
+	words []uint32
+	recs  *core.Admissions
 }
 
 // outPiece is what the join hands write-behind, in order: batches of a
@@ -116,17 +132,20 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	dec := &decodeAhead{
 		job:   job,
 		n:     j.g.N(),
-		out:   make(chan inPiece, shape.depth),  // a piece per buffer in flight
-		free:  make(chan []uint32, shape.depth), // room for every buffer
+		out:   make(chan inPiece, shape.depth), // a piece per buffer in flight
+		free:  make(chan inBuf, shape.depth),   // room for every buffer
 		shape: shape,
 		br:    j.br,
+		adm:   j.adm,
+		gov:   j.b.Gov,
 	}
+	j.adm.Leave() // the join's copy of a group starts where decode-ahead enters it
 	lw := NewLevelWriter(job.Dir, job.K+1, false, job.Target, job.Gov, job.NewShard, job.OnWrite)
 	lw.bufCap, lw.bw = shape.io, j.bw
 	wb := newWriteBehind(pctx, shape, j.b.Gov, lw)
 	// The stages' buffers outlive the run, like the kernel's arena.
 	for _, buf := range j.bufs {
-		if len(buf) == shape.words && dec.made < shape.depth {
+		if len(buf.words) == shape.words && dec.made < shape.depth {
 			dec.free <- buf
 			dec.made++
 		}
@@ -141,8 +160,8 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	// Whatever the join left unread is released here; what it handed on
 	// is write-behind's to finish or drop.
 	for p := range dec.out {
-		job.Gov.Release(p.blk.Bytes())
-		if p.buf != nil {
+		job.Gov.Release(p.bytes)
+		if p.buf.recs != nil {
 			j.bufs = append(j.bufs, p.buf)
 		}
 	}
@@ -165,10 +184,10 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob,
 	return dec.read, err
 }
 
-// joinAll is the join stage: it runs the kernel over every block
-// decode-ahead hands over and passes the output on a chunk at a time,
-// closing each shard with its end.  It stops at the end of the input or
-// at the first error, which it reports through cancel.
+// joinAll is the join stage: it runs the kernel's join half over every
+// admitted block decode-ahead hands over and passes the output on a chunk
+// at a time, closing each shard with its end.  It stops at the end of the
+// input or at the first error, which it reports through cancel.
 //
 //repro:ctxloop
 func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, job *ShardJob,
@@ -201,8 +220,8 @@ func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, jo
 			st = nil
 			continue
 		}
-		err := j.joinBlock(&p.blk, job.K, dec.shape.words, collector(st, job.Collect), st, wb)
-		job.Gov.Release(p.blk.Bytes())
+		err := j.joinBlock(p.buf.recs, dec.shape.words, collector(st, job.Collect), st, wb)
+		job.Gov.Release(p.bytes)
 		select {
 		case dec.free <- p.buf: // never full: it holds at most every buffer there is
 		default:
@@ -223,19 +242,16 @@ func collector(st *JoinStats, collect bool) clique.Reporter {
 	return nil
 }
 
-// joinBlock runs the kernel over one block of size-k records, handing the
-// output to out a sealed chunk at a time — sealing its whole runs once
-// batch words are open — and, at the end of the block, all of it.  A
-// block ends where its input starts a run, so the output sealed there
+// joinBlock runs the kernel's join half over one admitted block, handing
+// the output to out a sealed chunk at a time — sealing its whole runs
+// once batch words are open — and, at the end of the block, all of it.
+// A block ends where its input starts a run, so the output sealed there
 // starts a run the carry rule starts in any case; a cut anywhere else
 // would start one of its own and change the level's words.
-func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, st *JoinStats, out output) error {
-	it, b := &j.it, j.b
-	it.Reset(k, blk)
-	for s := it.Next(); s != nil; s = it.Next() {
-		if err := b.ProcessRecord(s, rep); err != nil {
-			return fmt.Errorf("ooc: shard of %d-cliques: %w", k, err)
-		}
+func (j *Joiner) joinBlock(recs *core.Admissions, batch int, rep clique.Reporter, st *JoinStats, out output) error {
+	a, b := &j.rec, j.b
+	for recs.Next(a, b.Gov) {
+		b.Join(a, rep)
 		if b.Open() >= batch {
 			b.SealRuns()
 		}
@@ -245,9 +261,35 @@ func (j *Joiner) joinBlock(blk *core.Block, k, batch int, rep clique.Reporter, s
 			}
 		}
 	}
-	if err := it.Err(); err != nil {
-		return err
+	return j.flush(st, out, true)
+}
+
+// joinSerial joins the shard r reads on the calling goroutine — a block
+// of about words words read and admitted, then joined, at a time: the
+// three stages in turn, the serial join — handing the output to out.
+//
+//repro:ctxloop
+func (j *Joiner) joinSerial(ctx context.Context, r *ShardReader, words int, rep clique.Reporter, st *JoinStats, out output) error {
+	buf := inBuf{words: make([]uint32, words), recs: core.NewAdmissions(words)}
+	j.adm.Leave()
+	j.b.Reset()
+	j.mark = 0
+	for {
+		if ctx.Err() != nil {
+			return fmt.Errorf("ooc: canceled during level %d->%d: %w", r.k, r.k+1, ctx.Err())
+		}
+		more, err := buf.read(r, j.adm, j.b.Gov)
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+		if err := j.joinBlock(buf.recs, len(buf.words), rep, st, out); err != nil {
+			return err
+		}
 	}
+	st.BytesRead = r.BytesRead()
 	return j.flush(st, out, true)
 }
 
@@ -294,17 +336,22 @@ func (j *Joiner) flush(st *JoinStats, out output, all bool) error {
 }
 
 // decodeAhead is the first stage: it reads ahead of the join into at
-// most shape.depth buffers of shape.words words — larger for a frame
-// that needs it — which the join hands back.
+// most shape.depth buffers of shape.words words — larger for a frame that
+// needs it — and admits every record it has checked, in place, the rows
+// it builds going into the buffer's admissions; the join hands the
+// buffers back.
 type decodeAhead struct {
 	job   *ShardJob
 	n     int // vertex universe of the graph
 	out   chan inPiece
-	free  chan []uint32
+	free  chan inBuf
 	shape pipeShape
 	made  int           // buffers allocated so far
 	br    *bufio.Reader // the read window every shard is read through
 	read  int64         // bytes read; the join reads it once out is closed
+
+	adm *core.Admitter
+	gov *membudget.Governor // what the admitter grows on: the builder's
 }
 
 // run decodes the shards next hands out until there are none, the
@@ -325,8 +372,8 @@ func (d *decodeAhead) run(ctx context.Context, cancel context.CancelCauseFunc, n
 	}
 }
 
-// shard reads one shard's blocks, hands them on, and then the end of the
-// shard.
+// shard reads one shard's blocks, whose records the verifier's walk
+// admits, hands them on, and then the end of the shard.
 //
 //repro:ctxloop
 func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err error) {
@@ -340,10 +387,10 @@ func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err e
 		err = errors.Join(err, r.Close())
 	}()
 	for {
-		var buf []uint32
+		var buf inBuf
 		if d.made < d.shape.depth {
 			d.made++
-			buf = make([]uint32, d.shape.words)
+			buf = inBuf{words: make([]uint32, d.shape.words), recs: core.NewAdmissions(d.shape.words)}
 		} else {
 			select {
 			case buf = <-d.free:
@@ -351,29 +398,48 @@ func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err e
 				return ctx.Err()
 			}
 		}
-		blk, buf, err := r.block(buf)
+		more, err := buf.read(r, d.adm, d.gov)
 		if err != nil {
 			return err
 		}
-		p := inPiece{tag: tag, blk: blk, buf: buf}
-		if len(blk.Words()) == 0 {
+		p := inPiece{tag: tag, buf: buf, bytes: buf.recs.Bytes()}
+		if !more {
 			p = inPiece{tag: tag, end: true, read: r.BytesRead()}
 			select {
 			case d.free <- buf: // the next shard's; there is room for every buffer
 			default:
 			}
 		}
-		job.Gov.Charge(p.blk.Bytes())
+		job.Gov.Charge(p.bytes)
 		select {
 		case d.out <- p:
 		case <-ctx.Done():
-			job.Gov.Release(p.blk.Bytes())
+			job.Gov.Release(p.bytes)
 			return ctx.Err()
 		}
 		if p.end {
 			return nil
 		}
 	}
+}
+
+// read reads the shard's next block into the buffer, its records
+// admitted by adm as the verifier passes them, the universe growing on
+// gov, and reports whether there was one: an empty block ends the shard.
+// The block takes whole frames until the next would not fit the buffer
+// or the block and its admissions would take more than its 4·len(words)
+// bytes; a first frame larger than that gets a buffer of its own, and
+// the admissions of the frame that fills the buffer may pass it.
+func (b *inBuf) read(r *ShardReader, adm *core.Admitter, gov *membudget.Governor) (bool, error) {
+	b.recs.Reset(adm, gov)
+	r.ver.Admit = b.recs
+	blk, words, err := r.block(b.words)
+	b.words = words
+	if err != nil || len(blk.Words()) == 0 {
+		return false, err
+	}
+	b.recs.Bind(blk, r.k)
+	return true, nil
 }
 
 // writeBehind is the third stage: it writes batches of sealed blocks

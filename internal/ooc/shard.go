@@ -489,11 +489,12 @@ func (r *ShardReader) start(src io.Reader, meta ShardMeta, k, n int) error {
 }
 
 // block reads the shard's next frames into buf — as many whole frames as
-// it has room for, and at least one, in a larger buffer when buf is too
-// small for it — checks each by its CRC and core.Verifier, and returns
-// them as one block, with the buffer it lives in.  An empty block is the
-// end of the shard, reached after exactly meta.Records records and at the
-// end of the file.
+// it has room for beside their records' admissions, where the verifier
+// admits them (Verifier.Admit), and at least one, in a larger buffer
+// when buf is too small for it — checks each by its CRC and
+// core.Verifier, and returns them as one block, with the buffer it lives
+// in.  An empty block is the end of the shard, reached after exactly
+// meta.Records records and at the end of the file.
 //
 //repro:hotpath
 func (r *ShardReader) block(buf []uint32) (blk core.Block, out []uint32, err error) {
@@ -524,7 +525,7 @@ func (r *ShardReader) block(buf []uint32) (blk core.Block, out []uint32, err err
 		if 4*int64(words) > r.meta.Bytes-r.pos {
 			return blk, buf, r.bad("frame length past the shard's end")
 		}
-		if n > 0 && n+words > cap(buf) {
+		if n > 0 && (n+words > cap(buf) || r.ver.Admit != nil && 4*int64(n+words)+r.ver.Admit.SideBytes() > 4*int64(cap(buf))) {
 			return blk, buf, nil // the frame starts the next block
 		}
 		if cap(buf) < words {
