@@ -67,9 +67,12 @@ test-cpu:
 # FMA, MOVBE), the microarchitecture level the join's word operations
 # would be tuned for (ROADMAP item 9): the code must build and pass there
 # as it does at the default level.  The benchmark builds at the default.
+# internal/expt runs too: its Figure 5-7 goldens hold the simulated
+# seconds, which must be the same bytes at v3 (Go 1.24 compiles x*y+z to
+# MULSD+ADDSD there, not an FMA; a compiler that fused it would show here).
 test-v3:
 	GOAMD64=v3 $(GO) build ./cmd/cliquer ./cmd/cliqued ./cmd/graphgen
-	GOAMD64=v3 $(GO) test ./internal/core ./internal/ooc ./internal/graph ./internal/bitset
+	GOAMD64=v3 $(GO) test ./internal/core ./internal/ooc ./internal/graph ./internal/bitset ./internal/expt
 
 # Ten seconds of coverage-guided fuzzing each of the seven fuzz targets:
 # the shard reader — the one parser that reads bytes a crash, a full disk

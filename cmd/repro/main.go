@@ -24,6 +24,14 @@
 //	-seed n    RNG seed (default 1)
 //	-reps n    repetitions for mean±stddev experiments (default 10)
 //	-budget n  byte budget for the blow-up experiment (default 1 GiB)
+//	-timeout d abort the experiment after this duration (default none)
+//
+// Figures 5-8 replay counted work on a model of the paper's Altix
+// (internal/simarch) and print the paper's seconds: Init_K=3 runs in its
+// 1,948 s in Figures 6-7 and Init_K=ω-10 in its 343 s in Figures 5 and 8,
+// plus seed and overheads, and the same flags print the same table on
+// any host.  Table 1 is a wall-clock race on this
+// host, and Figure 8's goroutine row is measured here, in host seconds.
 //
 // The default scale 0.85 keeps the largest experiment (the Init_K=3
 // sweep of Figures 6-7) within workstation memory and minutes of run
@@ -77,118 +85,73 @@ func main() {
 	}
 }
 
+// all is every experiment, in the order "all" prints them.
+var all = []string{"maxclique", "table1", "fig5", "fig8", "fig9", "blowup", "fig6", "fig7"}
+
+// run prints one experiment's table, or every one's for "all".  A table
+// an experiment returns beside its error is printed too.
 func run(name string, cfg expt.Config) error {
-	switch name {
-	case "maxclique":
-		t, err := expt.MaxCliqueBounds(cfg)
+	names := []string{name}
+	if name == "all" {
+		names = all
+	}
+	var fam *expt.Family
+	for _, sub := range names {
+		if name == "all" {
+			fmt.Printf("--- %s ---\n", sub)
+		}
+		if sub == "fig6" && name == "all" {
+			// Figures 6 and 7 share the expensive Init_K=3 trace; collect it once.
+			var err error
+			if fam, err = expt.ScalingFamily(cfg); err != nil {
+				return fmt.Errorf("%s: %w", sub, err)
+			}
+		}
+		t, err := table(sub, cfg, fam)
 		if t != nil {
 			if perr := t.Fprint(os.Stdout); err == nil {
 				err = perr
 			}
 		}
-		return err
+		if err != nil && name == "all" {
+			err = fmt.Errorf("%s: %w", sub, err)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// table runs one experiment; Figures 6 and 7 collect their own family
+// when fam is nil.
+func table(name string, cfg expt.Config, fam *expt.Family) (*expt.Table, error) {
+	switch name {
+	case "maxclique":
+		return expt.MaxCliqueBounds(cfg)
 	case "table1":
 		res, err := expt.Table1(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return res.Table.Fprint(os.Stdout)
+		return res.Table, nil
 	case "fig5":
-		t, err := expt.Fig5(cfg)
-		if err != nil {
-			return err
-		}
-		return t.Fprint(os.Stdout)
-	case "fig6", "fig7":
-		fam, err := scalingFamily(cfg)
-		if err != nil {
-			return err
-		}
-		if name == "fig6" {
-			t, err := expt.Fig6(cfg, fam)
-			if err != nil {
-				return err
-			}
-			return t.Fprint(os.Stdout)
-		}
-		t, err := expt.Fig7(cfg, fam)
-		if err != nil {
-			return err
-		}
-		return t.Fprint(os.Stdout)
+		return expt.Fig5(cfg)
+	case "fig6":
+		return expt.Fig6(cfg, fam)
+	case "fig7":
+		return expt.Fig7(cfg, fam)
 	case "fig8":
-		t, err := expt.Fig8(cfg)
-		if err != nil {
-			return err
-		}
-		return t.Fprint(os.Stdout)
+		return expt.Fig8(cfg)
 	case "fig9":
-		t, err := expt.Fig9(cfg)
-		if err != nil {
-			return err
-		}
-		return t.Fprint(os.Stdout)
+		return expt.Fig9(cfg)
 	case "blowup":
 		res, err := expt.Blowup(cfg)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return res.Table.Fprint(os.Stdout)
-	case "all":
-		for _, sub := range []string{"maxclique", "table1", "fig5", "fig8", "fig9", "blowup"} {
-			fmt.Printf("--- %s ---\n", sub)
-			if err := run(sub, cfg); err != nil {
-				return fmt.Errorf("%s: %w", sub, err)
-			}
-		}
-		// Figures 6 and 7 share the expensive Init_K=3 trace; collect it once.
-		fam, err := scalingFamily(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("--- fig6 ---")
-		t6, err := expt.Fig6(cfg, fam)
-		if err != nil {
-			return err
-		}
-		if err := t6.Fprint(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println("--- fig7 ---")
-		t7, err := expt.Fig7(cfg, fam)
-		if err != nil {
-			return err
-		}
-		return t7.Fprint(os.Stdout)
+		return res.Table, nil
 	default:
-		return fmt.Errorf("unknown experiment %q", name)
+		return nil, fmt.Errorf("unknown experiment %q", name)
 	}
-}
-
-// scalingFamily collects the shared Figure 6/7 traces once.
-func scalingFamily(cfg expt.Config) (*expt.Family, error) {
-	spec := expt.SpecC.Scale(scaleOf(cfg))
-	iks := []int{3, spec.Omega - 10, spec.Omega - 9, spec.Omega - 8}
-	for i := range iks {
-		if iks[i] < 3 {
-			iks[i] = 3
-		}
-	}
-	// Deduplicate (tiny scales clamp the ladder onto 3).
-	uniq := iks[:0]
-	seen := map[int]bool{}
-	for _, ik := range iks {
-		if !seen[ik] {
-			seen[ik] = true
-			uniq = append(uniq, ik)
-		}
-	}
-	return expt.CollectFamily(cfg, uniq)
-}
-
-func scaleOf(cfg expt.Config) float64 {
-	if cfg.Scale == 0 {
-		return 1
-	}
-	return cfg.Scale
 }

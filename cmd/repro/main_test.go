@@ -22,28 +22,3 @@ func TestRunSmokeFastExperiments(t *testing.T) {
 		}
 	}
 }
-
-func TestScalingFamilyDeduplicatesInitK(t *testing.T) {
-	// At scale 0.3 the Init_K ladder collapses onto 3; the family must
-	// not collect duplicate traces.
-	fam, err := scalingFamily(tinyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, e := range fam.Entries {
-		if seen[e.InitK] {
-			t.Fatalf("duplicate Init_K %d in family", e.InitK)
-		}
-		seen[e.InitK] = true
-	}
-}
-
-func TestScaleOf(t *testing.T) {
-	if scaleOf(expt.Config{}) != 1 {
-		t.Error("zero scale should normalize to 1")
-	}
-	if scaleOf(expt.Config{Scale: 0.5}) != 0.5 {
-		t.Error("explicit scale dropped")
-	}
-}

@@ -85,10 +85,8 @@ func TestBackendParity(t *testing.T) {
 			{"out-of-core", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0)}},
 			{"out-of-core-parallel", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
 				repro.OOCWorkers(4))}},
-			{"out-of-core-compressed", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
-				repro.OOCCompress())}},
-			{"out-of-core-parallel-compressed", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
-				repro.OOCWorkers(3), repro.OOCCompress())}},
+			{"out-of-core-3-workers", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
+				repro.OOCWorkers(3))}},
 			{"store", []repro.Option{repro.WithStoredBitmaps()}},
 		}, repro.WithBounds(3, 0))
 		small := repro.WithReportSmall()

@@ -59,8 +59,16 @@ func (a *Admitter) ScratchBytes() int64 {
 // Leave forgets the group the admitter is in, so the next record enters
 // its own afresh: a consumer that starts over — a new run of a join whose
 // last may have stopped midway — sees every group it joins entered.  The
-// memo stays: it depends only on the graph.
+// memo stays, and is right whatever came before (it depends only on the
+// graph); what it saves is Forget's to reset.
 func (a *Admitter) Leave() { a.V = -1 }
+
+// Forget forgets the prefix the memo holds, so the next record rebuilds
+// its CN(prefix) from row 0 whatever was mapped before: a shard that
+// starts with it pays for its first prefix itself, and its Cost is a
+// function of the shard alone, not of what its joiner joined before.
+// The group stays.
+func (a *Admitter) Forget() { a.memoPrefix = a.memoPrefix[:0] }
 
 // Admitted is one record admitted into its universe: everything Join
 // reads.  Every set is a row over N(p0), W words a row.

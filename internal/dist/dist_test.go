@@ -50,7 +50,7 @@ type orderedReporter struct{ seq []clique.Clique }
 
 func (r *orderedReporter) Emit(c clique.Clique) { r.seq = append(r.seq, c.Clone()) }
 
-func sequentialStream(t *testing.T, g *graph.Graph, compress bool) []clique.Clique {
+func sequentialStream(t *testing.T, g *graph.Graph) []clique.Clique {
 	t.Helper()
 	var ref orderedReporter
 	if _, err := ooc.Enumerate(g, enumcfg.Config{Dir: t.TempDir()}, core.Hooks{Reporter: &ref}); err != nil {
@@ -74,38 +74,36 @@ func assertSameStream(t *testing.T, label string, got, want []clique.Clique) {
 
 // TestDistStreamParityMatrix is the acceptance matrix: coordinator + N
 // exec/pipe workers must emit a stream identical (content AND order) to
-// the sequential backend, for N in {1,2,4}, raw and compressed shards.
+// the sequential backend, for N in {1,2,4}.
 func TestDistStreamParityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
 	g := testGraph(t)
-	for _, compress := range []bool{false, true} {
-		want := sequentialStream(t, g, compress)
-		if len(want) == 0 {
-			t.Fatal("reference stream is empty; fixture too sparse")
-		}
-		for _, workers := range []int{1, 2, 4} {
-			name := fmt.Sprintf("workers=%d/compress=%v", workers, compress)
-			t.Run(name, func(t *testing.T) {
-				var rep orderedReporter
-				st, err := Enumerate(g, enumcfg.Config{
-					Dir:         t.TempDir(),
-					DistWorkers: workers,
-					ShardBytes:  256, // many shards per level: real leasing traffic
-				}, core.Hooks{Reporter: &rep}, nil)
-				if err != nil {
-					t.Fatalf("dist enumerate: %v", err)
-				}
-				assertSameStream(t, name, rep.seq, want)
-				if st.Maximal != int64(len(want)) {
-					t.Errorf("Stats.Maximal = %d, want %d", st.Maximal, len(want))
-				}
-				if st.Workers != workers {
-					t.Errorf("Stats.Workers = %d, want %d", st.Workers, workers)
-				}
-			})
-		}
+	want := sequentialStream(t, g)
+	if len(want) == 0 {
+		t.Fatal("reference stream is empty; fixture too sparse")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			var rep orderedReporter
+			st, err := Enumerate(g, enumcfg.Config{
+				Dir:         t.TempDir(),
+				DistWorkers: workers,
+				ShardBytes:  256, // many shards per level: real leasing traffic
+			}, core.Hooks{Reporter: &rep}, nil)
+			if err != nil {
+				t.Fatalf("dist enumerate: %v", err)
+			}
+			assertSameStream(t, name, rep.seq, want)
+			if st.Maximal != int64(len(want)) {
+				t.Errorf("Stats.Maximal = %d, want %d", st.Maximal, len(want))
+			}
+			if st.Workers != workers {
+				t.Errorf("Stats.Workers = %d, want %d", st.Workers, workers)
+			}
+		})
 	}
 }
 
@@ -151,7 +149,7 @@ func TestDistKillWorkerRecovery(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	g := testGraph(t)
-	want := sequentialStream(t, g, false)
+	want := sequentialStream(t, g)
 	dir := t.TempDir()
 	var rep orderedReporter
 	st, err := Enumerate(g, enumcfg.Config{
@@ -197,7 +195,7 @@ func TestDistKillWorkerRecovery(t *testing.T) {
 // reservation and every transient buffer has been returned.
 func TestDistLoopbackParityAndAccounting(t *testing.T) {
 	g := testGraph(t)
-	want := sequentialStream(t, g, true)
+	want := sequentialStream(t, g)
 	gov := membudget.New(0)
 	var rep orderedReporter
 	var reserved []int64 // the workers' scratch reservations, seen at each level's end
@@ -236,8 +234,10 @@ func TestDistLoopbackParityAndAccounting(t *testing.T) {
 // TestDiskStatsAgreeAcrossRunners: where a shard is joined is a
 // scheduling policy, so it must not show in anything the level driver
 // reports — the in-process pool at 1 and 4 workers and the lease
-// scheduler at 1 and 2 emit one stream, one []LevelStats and one
+// scheduler at 1 and 2 emit one stream, one []LevelStats (per-level Cost
+// included: a shard join starts from an empty prefix memo) and one
 // ooc.Stats (shard names aside), and hand the governor back as found.
+// The shard target is fixed: the default one depends on the worker count.
 func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 	g := testGraph(t)
 	const shardBytes, held = 256, 4096
@@ -246,53 +246,50 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 		levels []core.LevelStats
 		st     ooc.Stats
 	}
-	for _, compress := range []bool{false, true} {
-		var ref *observed
-		for _, c := range []struct {
-			name    string
-			workers int
-			dist    bool
-		}{{"pool-1", 1, false}, {"pool-4", 4, false}, {"dist-1", 1, true}, {"dist-2", 2, true}} {
-			name := fmt.Sprintf("%s/compress=%v", c.name, compress)
-			var rep orderedReporter
-			var got observed
-			gov := membudget.New(0)
-			gov.Charge(held)
-			cfg := enumcfg.Config{Dir: t.TempDir(), ShardBytes: shardBytes}
-			hooks := core.Hooks{Reporter: &rep, Gov: gov,
-				OnLevel: func(ls core.LevelStats) { got.levels = append(got.levels, ls) }}
-			var err error
-			if c.dist {
-				cfg.DistWorkers = c.workers
-				var st Stats
-				st, err = Enumerate(g, cfg, hooks, &LoopbackTransport{})
-				got.st = st.Stats
-			} else {
-				cfg.Workers = c.workers
-				got.st, err = ooc.Enumerate(g, cfg, hooks)
+	var ref *observed
+	for _, c := range []struct {
+		name    string
+		workers int
+		dist    bool
+	}{{"pool-1", 1, false}, {"pool-4", 4, false}, {"dist-1", 1, true}, {"dist-2", 2, true}} {
+		var rep orderedReporter
+		var got observed
+		gov := membudget.New(0)
+		gov.Charge(held)
+		cfg := enumcfg.Config{Dir: t.TempDir(), ShardBytes: shardBytes}
+		hooks := core.Hooks{Reporter: &rep, Gov: gov,
+			OnLevel: func(ls core.LevelStats) { got.levels = append(got.levels, ls) }}
+		var err error
+		if c.dist {
+			cfg.DistWorkers = c.workers
+			var st Stats
+			st, err = Enumerate(g, cfg, hooks, &LoopbackTransport{})
+			got.st = st.Stats
+		} else {
+			cfg.Workers = c.workers
+			got.st, err = ooc.Enumerate(g, cfg, hooks)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got.seq = rep.seq
+		if used := gov.Used(); used != held {
+			t.Errorf("%s: governor holds %d bytes after the run, %d before", c.name, used, held)
+		}
+		gov.Release(held)
+		if ref == nil {
+			if got.st.PeakLevelFile == 0 || len(got.levels) < 3 {
+				t.Fatalf("%s: fixture too small: %+v", c.name, got.st)
 			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got.seq = rep.seq
-			if used := gov.Used(); used != held {
-				t.Errorf("%s: governor holds %d bytes after the run, %d before", name, used, held)
-			}
-			gov.Release(held)
-			if ref == nil {
-				if got.st.PeakLevelFile == 0 || len(got.levels) < 3 {
-					t.Fatalf("%s: fixture too small: %+v", name, got.st)
-				}
-				ref = &got
-				continue
-			}
-			assertSameStream(t, name, got.seq, ref.seq)
-			if !slices.EqualFunc(got.levels, ref.levels, sameDiskLevel) {
-				t.Errorf("%s: level stats diverge:\n got %+v\nwant %+v", name, got.levels, ref.levels)
-			}
-			if got.st != ref.st {
-				t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", name, got.st, ref.st)
-			}
+			ref = &got
+			continue
+		}
+		assertSameStream(t, c.name, got.seq, ref.seq)
+		if !slices.EqualFunc(got.levels, ref.levels, sameDiskLevel) {
+			t.Errorf("%s: level stats diverge:\n got %+v\nwant %+v", c.name, got.levels, ref.levels)
+		}
+		if got.st != ref.st {
+			t.Errorf("%s: stats diverge:\n got %+v\nwant %+v", c.name, got.st, ref.st)
 		}
 	}
 }
@@ -301,12 +298,14 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 // fills (core.LevelStats holds slices, so it has no ==).
 func sameDiskLevel(a, b core.LevelStats) bool {
 	return a.FromK == b.FromK && a.Cliques == b.Cliques && a.Bytes == b.Bytes &&
-		a.NextBytes == b.NextBytes && a.Maximal == b.Maximal && sameWork(a, b) && a.Spilled && b.Spilled
+		a.NextBytes == b.NextBytes && a.Maximal == b.Maximal && sameWork(a, b) &&
+		a.Cost.ANDWords == b.Cost.ANDWords && a.Spilled && b.Spilled
 }
 
-// sameWork compares the kernel's work two records of one step count.
-// ANDWords is left out: how many words a join ANDs depends on where its
-// joiner's prefix memo starts, which is where its shard starts.
+// sameWork compares the kernel's work two records of one step count,
+// whichever engine ran it.  ANDWords is left out: a disk level's joins
+// start from an empty prefix memo at every shard, an in-core level's
+// where the last record left it.
 func sameWork(a, b core.LevelStats) bool {
 	return a.Dropped == b.Dropped && a.Cost.Pairs == b.Cost.Pairs &&
 		a.Cost.Probes == b.Cost.Probes && a.Cost.Generated == b.Cost.Generated

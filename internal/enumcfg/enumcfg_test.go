@@ -43,7 +43,6 @@ func TestNormalizeMatrix(t *testing.T) {
 		// --- out-of-core knob dependencies ---
 		{"ooc", Config{Dir: "d"}, "", OutOfCore},
 		{"ooc workers", Config{Dir: "d", Workers: 4}, "", OutOfCore},
-		{"ooc compress", Config{Dir: "d"}, "", OutOfCore},
 		{"ooc checkpoint", Config{Dir: "d", Checkpoint: true}, "", OutOfCore},
 		{"ooc resume", Config{Dir: "d", Resume: true}, "", OutOfCore},
 		{"checkpoint without dir", Config{Checkpoint: true}, "require a spill Dir", 0},
@@ -55,7 +54,6 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"implied hybrid", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
 		{"explicit spillover", Config{Dir: "d", Spill: true, MemoryBudget: 1 << 20}, "", Hybrid},
 		{"hybrid parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 4}, "", Hybrid},
-		{"hybrid compress", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
 		{"hybrid low-memory", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNRecompute}, "", Hybrid},
 		{"hybrid stored bitmaps", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNStore}, "", Hybrid},
 		{"hybrid report-small sequential", Config{Dir: "d", MemoryBudget: 1 << 20, ReportSmall: true}, "", Hybrid},
@@ -72,7 +70,6 @@ func TestNormalizeMatrix(t *testing.T) {
 		// --- distributed ---
 		{"distributed", Config{Dir: "d", DistWorkers: 4}, "", Distributed},
 		{"distributed one worker", Config{Dir: "d", DistWorkers: 1}, "", Distributed},
-		{"distributed compress", Config{Dir: "d", DistWorkers: 2}, "", Distributed},
 		{"distributed knobs", Config{Dir: "d", DistWorkers: 2, DistLeaseTimeout: 1,
 			ShardBytes: 1 << 16, DistWorkerCmd: []string{"cliqued", "-worker"}}, "", Distributed},
 		{"distributed without dir", Config{DistWorkers: 2}, "requires a run Dir", 0},

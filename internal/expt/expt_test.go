@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -274,5 +275,61 @@ func TestFig9Golden(t *testing.T) {
 	}
 	if got := tab.String(); got != string(want) {
 		t.Errorf("Figure 9 at scale 0.5, seed 1 differs from the golden table:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestScalingFamilyDeduplicatesInitK(t *testing.T) {
+	// At scale 0.3 the Init_K ladder collapses onto 3; the family must
+	// not collect duplicate traces.
+	fam, err := ScalingFamily(Config{Scale: 0.3, Seed: 1, Reps: 1, Budget: 1 << 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, e := range fam.Entries {
+		if seen[e.InitK] {
+			t.Fatalf("duplicate Init_K %d in family", e.InitK)
+		}
+		seen[e.InitK] = true
+	}
+}
+
+var updateScaling = flag.Bool("update-scaling", false, "rewrite the Figure 5-7 golden tables")
+
+// TestScalingFiguresGolden: Figures 5, 6 and 7 replay counted units on a
+// machine whose rate comes from the paper's 1,948 s, not from the host's
+// clock, so at one configuration their tables are the same bytes in any
+// process on any host.  Figure 8 stays out: its goroutine row is measured
+// on the host.  Regenerate with -update-scaling only when the counted
+// work or the machine model moves on purpose.
+func TestScalingFiguresGolden(t *testing.T) {
+	const golden = "testdata/scaling_scale0.55_seed7.golden"
+	fam, err := ScalingFamily(testCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, fig := range []func() (*Table, error){
+		func() (*Table, error) { return Fig5(testCfg) },
+		func() (*Table, error) { return Fig6(testCfg, fam) },
+		func() (*Table, error) { return Fig7(testCfg, fam) },
+	} {
+		tab, err := fig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(tab.String())
+	}
+	if *updateScaling {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("Figures 5-7 at scale 0.55, seed 7 differ from the golden tables:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/enumcfg"
@@ -45,12 +46,19 @@ func traceMode(spec GraphSpec, initK int) core.CNMode {
 
 // fullWorkloadAnchor estimates the graph's full (Init_K = 3) workload
 // from an Init_K = ω-10 trace, using the paper's own sequential-time
-// ratio on graph C: 1,948 s (Init_K=3) / 343 s (Init_K=18).  Figure 5
-// does not run Init_K = 3, but its machine is the same physical Altix
-// that Figure 6/7's Init_K = 3 runs use, so its fixed overheads must be
-// anchored to that full workload — otherwise the 256-processor
-// degradation the paper reports cannot appear.
-const fullWorkloadAnchor = 1948.0 / 343.0
+// ratio on graph C: 1,948 s (Init_K=3) / 343 s (Init_K=18).  Figures 5
+// and 8 do not run Init_K = 3, but their machine is the same physical
+// Altix that Figure 6/7's Init_K = 3 runs use, so its fixed overheads
+// must be anchored to that full workload — otherwise the 256-processor
+// degradation the paper reports cannot appear — and so must its rate:
+// the ω-10 trace then runs in the paper's 343 s on one processor.
+const fullWorkloadAnchor = simarch.ReferenceSeconds / 343.0
+
+// anchoredAltix is the machine of Figures 5 and 8, tuned to the full
+// workload an Init_K = ω-10 trace implies.
+func anchoredAltix(tr *simarch.Trace) simarch.Machine {
+	return simarch.DefaultAltix().TunedFor(float64(tr.TotalUnits) * fullWorkloadAnchor)
+}
 
 // Family is a set of traces over the same scaled graph C with one entry
 // per Init_K, simulated under one machine so cross-Init_K comparisons
@@ -67,30 +75,49 @@ type FamilyEntry struct {
 	Trace *simarch.Trace
 }
 
+// ScalingFamily collects the traces Figures 6 and 7 share, once: Init_K
+// = 3 and the Init_K ladder, each Init_K once (small scales clamp the
+// ladder onto 3).
+func ScalingFamily(cfg Config) (*Family, error) {
+	var iks []int
+	for _, ik := range append([]int{3}, initKladder(cfg.normalized().specC())...) {
+		if !slices.Contains(iks, ik) {
+			iks = append(iks, ik)
+		}
+	}
+	return CollectFamily(cfg, iks)
+}
+
 // CollectFamily builds one trace per Init_K over graph C and tunes the
-// machine model to the family's largest workload, fixing the seconds
-// calibration for the whole family.
+// machine model to the family's largest workload, which then runs in
+// the paper's ReferenceSeconds on one processor.
 func CollectFamily(cfg Config, iks []int) (*Family, error) {
 	cfg = cfg.normalized()
 	spec := cfg.specC()
 	g := Build(spec, cfg.Seed)
 	fam := &Family{Spec: spec}
 	var maxUnits int64
-	var rate float64
 	for _, ik := range iks {
 		tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
 		if err != nil {
 			return nil, fmt.Errorf("expt: trace Init_K=%d: %w", ik, err)
 		}
 		fam.Entries = append(fam.Entries, FamilyEntry{InitK: ik, Trace: tr})
-		if tr.TotalUnits > maxUnits {
-			maxUnits = tr.TotalUnits
-			rate = tr.UnitsPerSecond()
-		}
+		maxUnits = max(maxUnits, tr.TotalUnits)
 	}
 	fam.Machine = simarch.DefaultAltix().TunedFor(float64(maxUnits))
-	fam.Machine.UnitsPerSecond = rate
 	return fam, nil
+}
+
+// familySeconds is the note that says what a family's seconds are.
+const familySeconds = "seconds are the paper's: the largest workload is 1948 s of work on one processor, plus its seed and overheads"
+
+// orScalingFamily is fam, or the shared family when fam is nil.
+func orScalingFamily(cfg Config, fam *Family) (*Family, error) {
+	if fam != nil {
+		return fam, nil
+	}
+	return ScalingFamily(cfg)
 }
 
 func (f *Family) simulate(ik int, p int) (*simarch.Result, error) {
@@ -119,10 +146,10 @@ func Fig5(cfg Config) (*Table, error) {
 
 	// Accumulate seconds per (ik, P) over repetitions.  Traces are
 	// collected one at a time to bound memory; the machine is tuned on
-	// the first repetition of the smallest Init_K (largest workload).
+	// the first repetition of the smallest Init_K (largest workload),
+	// so every repetition runs on one machine.
 	secs := make(map[int]map[int][]float64) // ik -> P -> samples
 	var machine simarch.Machine
-	tuned := false
 	for rep := 0; rep < cfg.Reps; rep++ {
 		g := Build(spec, cfg.Seed+int64(rep))
 		for _, ik := range iks {
@@ -130,13 +157,10 @@ func Fig5(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !tuned {
+			if rep == 0 && ik == iks[0] {
 				// The first trace is the ladder's largest workload
-				// (Init_K = ω-10); anchor the machine to the graph's
-				// full workload it implies.
-				machine = simarch.DefaultAltix().TunedFor(float64(tr.TotalUnits) * fullWorkloadAnchor)
-				machine.UnitsPerSecond = tr.UnitsPerSecond()
-				tuned = true
+				// (Init_K = ω-10).
+				machine = anchoredAltix(tr)
 			}
 			if secs[ik] == nil {
 				secs[ik] = make(map[int][]float64)
@@ -178,7 +202,8 @@ func Fig5(cfg Config) (*Table, error) {
 		"paper shape: Init_K+1 roughly halves the run time",
 		"paper: standard deviations within 5% of run times (10 runs);",
 		"here the simulator is deterministic, so variation across repetitions",
-		"comes only from regenerating the synthetic graph")
+		"comes only from regenerating the synthetic graph",
+		"seconds are the paper's: Init_K=ω-10 is 343 s of work on one processor, plus its seed and overheads")
 	return t, nil
 }
 
@@ -187,13 +212,9 @@ func Fig5(cfg Config) (*Table, error) {
 // processors.  Verifiable shape: relative speedups hold near 1.8 across
 // the doubling ladder; absolute speedups for Init_K=3 are the best.
 func Fig6(cfg Config, fam *Family) (*Table, error) {
-	cfg = cfg.normalized()
-	if fam == nil {
-		var err error
-		fam, err = CollectFamily(cfg, append([]int{3}, initKladder(cfg.specC())...))
-		if err != nil {
-			return nil, err
-		}
+	fam, err := orScalingFamily(cfg, fam)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Title:   "Figure 6: absolute and relative speedups up to 64 processors (graph C)",
@@ -222,7 +243,8 @@ func Fig6(cfg Config, fam *Family) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: relative speedups remain around 1.8 as processors double",
-		"paper shape: absolute speedups for Init_K=3 exceed the other cases")
+		"paper shape: absolute speedups for Init_K=3 exceed the other cases",
+		familySeconds)
 	return t, nil
 }
 
@@ -231,28 +253,17 @@ func Fig6(cfg Config, fam *Family) (*Table, error) {
 // Init_K=3/1,948 s) — every problem size has its own optimal processor
 // count.
 func Fig7(cfg Config, fam *Family) (*Table, error) {
-	cfg = cfg.normalized()
-	if fam == nil {
-		var err error
-		fam, err = CollectFamily(cfg, append([]int{3}, initKladder(cfg.specC())...))
-		if err != nil {
-			return nil, err
-		}
+	fam, err := orScalingFamily(cfg, fam)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		Title:   "Figure 7: 256-processor speedup vs sequential run time (graph C)",
 		Headers: []string{"Init_K", "sequential T(1) (s)", "T(256) (s)", "absolute speedup"},
 	}
 	// Paper order: Init_K=20 (smallest work) first.
-	order := make([]FamilyEntry, len(fam.Entries))
-	copy(order, fam.Entries)
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if order[j].InitK > order[i].InitK {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
+	order := slices.Clone(fam.Entries)
+	slices.SortStableFunc(order, func(a, b FamilyEntry) int { return b.InitK - a.InitK })
 	var lastSpeedup float64
 	monotone := true
 	for _, e := range order {
@@ -280,7 +291,7 @@ func Fig7(cfg Config, fam *Family) (*Table, error) {
 	} else {
 		note += " [WARNING: not monotone in this run]"
 	}
-	t.Notes = append(t.Notes, note)
+	t.Notes = append(t.Notes, note, familySeconds)
 	return t, nil
 }
 
@@ -298,8 +309,7 @@ func Fig8(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine := simarch.DefaultAltix().TunedFor(float64(tr.TotalUnits))
-	machine.UnitsPerSecond = tr.UnitsPerSecond()
+	machine := anchoredAltix(tr)
 
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 8: per-processor load balance, Init_K=%d (graph C)", ik),
@@ -348,7 +358,7 @@ func Fig8(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"paper: standard deviations within 10% of average run times",
-		"the goroutine row is measured on this host, not simulated")
+		"the goroutine row is measured on this host, in its seconds, not simulated")
 	return t, nil
 }
 

@@ -2,7 +2,6 @@ package ooc_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -46,15 +45,14 @@ func (e *tripAt) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 // TestContinueFromEveryCutShape hands ooc.Continue each shape of cut a
 // trip can leave — nothing joined yet, a cut inside a block (the
 // sequential engine's), one between blocks (the pool's) and the level's
-// end, where the rest is empty — with raw and compressed shards.  The
-// stream must be the unbudgeted run's byte for byte, the spilled step
+// end, where the rest is empty.  The stream must be the unbudgeted run's byte for byte, the spilled step
 // must be reported once with the in-core run's work, every later level
 // must hold what the in-core one does, and the governor and the spill
 // directory must be back where they started.
 func TestContinueFromEveryCutShape(t *testing.T) {
 	g := graph.RandomGNP(rand.New(rand.NewSource(9)), 150, 0.4)
 	const lo, k = 3, 5 // the cut step joins 5-cliques into 6-cliques
-	run := func(t *testing.T, e *tripAt, dir string, compress bool) ([]string, []core.LevelStats) {
+	run := func(t *testing.T, e *tripAt, dir string) ([]string, []core.LevelStats) {
 		t.Helper()
 		const entry = 12345
 		gov := membudget.New(0)
@@ -105,7 +103,7 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 		check()
 		return keys, levels
 	}
-	want, ref := run(t, &tripAt{k: -1}, "", false)
+	want, ref := run(t, &tripAt{k: -1}, "")
 
 	// The level the trip cuts, as the engine will see it, and where a cut
 	// before record rec of block b falls in its sub-list order.
@@ -137,40 +135,38 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 		{"block-boundary", at(mid, 0), core.Cursor{Block: mid}},
 		{"level-end", -1, core.Cursor{Block: blocks}},
 	} {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/compress=%v", c.name, compress), func(t *testing.T) {
-				e := &tripAt{k: k, at: c.at}
-				got, levels := run(t, e, t.TempDir(), compress)
-				if e.cut != c.cut {
-					t.Fatalf("the trip cut at %+v, want %+v", e.cut, c.cut)
+		t.Run(c.name, func(t *testing.T) {
+			e := &tripAt{k: k, at: c.at}
+			got, levels := run(t, e, t.TempDir())
+			if e.cut != c.cut {
+				t.Fatalf("the trip cut at %+v, want %+v", e.cut, c.cut)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("stream differs from the unbudgeted run's: %d cliques, want %d", len(got), len(want))
+			}
+			if len(levels) != len(ref) {
+				t.Fatalf("%d level records, the in-core run has %d", len(levels), len(ref))
+			}
+			for i, st := range levels {
+				w := ref[i]
+				same := st.FromK == w.FromK && st.Maximal == w.Maximal && st.Dropped == w.Dropped &&
+					st.Cost.Pairs == w.Cost.Pairs && st.Cost.Probes == w.Cost.Probes &&
+					st.Cost.Generated == w.Cost.Generated
+				switch {
+				case st.FromK < k:
+					same = same && !st.Spilled
+				case st.FromK == k:
+					// The spilled step: its in-core part, nothing resident.
+					same = same && st.Spilled && st.Sublists == w.Sublists && st.Cliques == w.Cliques &&
+						st.Bytes == w.Bytes && st.NextSub == 0 && st.NextCl == 0 && st.NextBytes == 0
+				default:
+					// A level on disk holds the in-core level's cliques.
+					same = same && st.Spilled && st.Cliques == w.Cliques
 				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("stream differs from the unbudgeted run's: %d cliques, want %d", len(got), len(want))
+				if !same {
+					t.Errorf("step %d->%d:\n got %+v\nwant %+v", w.FromK, w.FromK+1, st, w)
 				}
-				if len(levels) != len(ref) {
-					t.Fatalf("%d level records, the in-core run has %d", len(levels), len(ref))
-				}
-				for i, st := range levels {
-					w := ref[i]
-					same := st.FromK == w.FromK && st.Maximal == w.Maximal && st.Dropped == w.Dropped &&
-						st.Cost.Pairs == w.Cost.Pairs && st.Cost.Probes == w.Cost.Probes &&
-						st.Cost.Generated == w.Cost.Generated
-					switch {
-					case st.FromK < k:
-						same = same && !st.Spilled
-					case st.FromK == k:
-						// The spilled step: its in-core part, nothing resident.
-						same = same && st.Spilled && st.Sublists == w.Sublists && st.Cliques == w.Cliques &&
-							st.Bytes == w.Bytes && st.NextSub == 0 && st.NextCl == 0 && st.NextBytes == 0
-					default:
-						// A level on disk holds the in-core level's cliques.
-						same = same && st.Spilled && st.Cliques == w.Cliques
-					}
-					if !same {
-						t.Errorf("step %d->%d:\n got %+v\nwant %+v", w.FromK, w.FromK+1, st, w)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

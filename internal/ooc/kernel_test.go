@@ -37,11 +37,11 @@ func levelRecordsOf(lvl *core.Level) [][]uint32 {
 }
 
 // shardRecords decodes a level's shard files back into records.
-func shardRecords(t *testing.T, dir string, metas []ShardMeta, k, n int, compress bool) [][]uint32 {
+func shardRecords(t *testing.T, dir string, metas []ShardMeta, k, n int) [][]uint32 {
 	t.Helper()
 	var recs [][]uint32
 	for _, m := range metas {
-		r, err := OpenShard(dir, m, k, n, compress, nil)
+		r, err := OpenShard(dir, m, k, n, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +74,11 @@ func noAccount(enc, raw int64) error { return nil }
 // joinViaBlocks joins the level with the kernel and hands its sealed
 // output a chunk at a time to a level writer, as write-behind takes it,
 // and decodes the shard files back into records.
-func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.Level, compress bool) sinkOutput {
+func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.Level) sinkOutput {
 	t.Helper()
 	dir, seq := t.TempDir(), 0
 	var out sinkOutput
-	lw := NewLevelWriter(dir, lvl.K+1, compress, 256, nil, shardNamer(&seq, lvl.K+1), noAccount)
+	lw := NewLevelWriter(dir, lvl.K+1, false, 256, nil, shardNamer(&seq, lvl.K+1), noAccount)
 	b.Reset()
 	flush := func() {
 		if err := lw.writeBlocks(b.Since(0)); err != nil {
@@ -97,7 +97,7 @@ func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.L
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.records = shardRecords(t, dir, metas, lvl.K+1, g.N(), compress)
+	out.records = shardRecords(t, dir, metas, lvl.K+1, g.N())
 	return out
 }
 
@@ -105,10 +105,10 @@ func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.L
 // level spans several), joins each through Joiner.Join — the three-stage
 // pipeline, in blocks of a few hundred bytes so a shard spans several —
 // and decodes the output shards back into records.
-func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bool) sinkOutput {
+func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level) sinkOutput {
 	t.Helper()
 	dir, seq := t.TempDir(), 0
-	in, err := WriteLevel(dir, lvl.K, compress, 256, nil, shardNamer(&seq, lvl.K), noAccount,
+	in, err := WriteLevel(dir, lvl.K, false, 256, nil, shardNamer(&seq, lvl.K), noAccount,
 		func(write func(prefix, tails []uint32) error) error {
 			for s := range lvl.All() {
 				if err := write(s.Prefix, s.Tails); err != nil {
@@ -138,7 +138,7 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level, compress bo
 		if int64(len(res.EmitOff)) != res.Maximal {
 			t.Fatalf("shard %s: %d emissions, Maximal %d", sh.Path, len(res.EmitOff), res.Maximal)
 		}
-		out.records = append(out.records, shardRecords(t, dir, res.Out, lvl.K+1, g.N(), compress)...)
+		out.records = append(out.records, shardRecords(t, dir, res.Out, lvl.K+1, g.N())...)
 	}
 	return out
 }
@@ -176,8 +176,8 @@ func TestOneKernelThreeSinks(t *testing.T) {
 					next, _ := core.Step(g, lvl, &keep, keepB)
 					keep.records = levelRecordsOf(next)
 
-					blocks := joinViaBlocks(t, g, blockB, lvl, lvl.K%2 == 1)
-					shards := joinViaShards(t, g, lvl, lvl.K%2 == 0)
+					blocks := joinViaBlocks(t, g, blockB, lvl)
+					shards := joinViaShards(t, g, lvl)
 					for _, other := range []struct {
 						name string
 						out  sinkOutput

@@ -49,21 +49,19 @@ func (b *backwardRunner) RunLevel(ctx context.Context, lv *Level, deliver func(i
 // reference stream with the reference counters.
 func TestLoopOrdersAnyDeliveryOrder(t *testing.T) {
 	g := plantedGraph(211)
-	for _, compress := range []bool{false, true} {
-		want, full := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512}, core.Hooks{})
-		var got []string
-		cfg := enumcfg.Config{Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512}
-		h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
-		st, err := NewLoop(g, cfg, h, "test").RunSeed(&backwardRunner{g: g, cfg: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("compress=%v: reverse delivery changed the stream (%d cliques, want %d)", compress, len(got), len(want))
-		}
-		if st != full {
-			t.Errorf("compress=%v: stats diverge from the pool's:\nbackward %+v\npool     %+v", compress, st, full)
-		}
+	want, full := orderedKeys(t, g, enumcfg.Config{ShardBytes: 512}, core.Hooks{})
+	var got []string
+	cfg := enumcfg.Config{Ctx: context.Background(), Dir: t.TempDir(), Workers: 1, ShardBytes: 512}
+	h := core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) })}
+	st, err := NewLoop(g, cfg, h, "test").RunSeed(&backwardRunner{g: g, cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("reverse delivery changed the stream (%d cliques, want %d)", len(got), len(want))
+	}
+	if st != full {
+		t.Errorf("stats diverge from the pool's:\nbackward %+v\npool     %+v", st, full)
 	}
 }
 

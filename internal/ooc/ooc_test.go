@@ -164,8 +164,8 @@ func orderedKeys(t *testing.T, g graph.Interface, cfg enumcfg.Config, h core.Hoo
 }
 
 // TestParallelCompressedParity is the engine's acceptance property: any
-// combination of workers, record encoding, and shard granularity emits
-// the byte-identical ordered clique stream the serial raw run emits.
+// combination of workers, checkpointing and shard granularity emits the
+// byte-identical ordered clique stream the serial run emits.
 func TestParallelCompressedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	for trial := 0; trial < 3; trial++ {
@@ -181,8 +181,6 @@ func TestParallelCompressedParity(t *testing.T) {
 			cfg  enumcfg.Config
 		}{
 			{"parallel", enumcfg.Config{Workers: 4}},
-			{"compressed", enumcfg.Config{}},
-			{"parallel-compressed", enumcfg.Config{Workers: 4}},
 			{"tiny-shards", enumcfg.Config{Workers: 4, ShardBytes: 64}},
 			{"parallel-checkpoint", enumcfg.Config{Workers: 3, Checkpoint: true, Dir: t.TempDir()}},
 			{"many-workers", enumcfg.Config{Workers: 16, ShardBytes: 256}},
@@ -248,11 +246,11 @@ func TestPrefetchParity(t *testing.T) {
 		t.Fatal("reference run found no cliques")
 	}
 	for _, workers := range []int{1, 4} {
-		for _, compress := range []bool{false, true} {
+		for _, depthOne := range []bool{false, true} {
 			// An unlimited budget queues blocks four deep; one the run
 			// overshoots at once leaves every stage a 4 KiB share: depth one.
 			gov := membudget.New(0)
-			if compress {
+			if depthOne {
 				gov = membudget.New(1)
 			}
 			got, st := orderedKeys(t, g, enumcfg.Config{
@@ -260,19 +258,19 @@ func TestPrefetchParity(t *testing.T) {
 				ShardBytes: 256, // many shards: decode-ahead crosses shard boundaries all the time
 			}, core.Hooks{Gov: gov})
 			if len(got) != len(want) {
-				t.Fatalf("workers=%d compress=%v: %d cliques, want %d", workers, compress, len(got), len(want))
+				t.Fatalf("workers=%d depth-one=%v: %d cliques, want %d", workers, depthOne, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("workers=%d compress=%v: stream diverges at %d: got {%s}, want {%s}",
-						workers, compress, i, got[i], want[i])
+					t.Fatalf("workers=%d depth-one=%v: stream diverges at %d: got {%s}, want {%s}",
+						workers, depthOne, i, got[i], want[i])
 				}
 			}
 			if st.BytesRead == 0 {
-				t.Errorf("workers=%d compress=%v: pipelined run reports no bytes read", workers, compress)
+				t.Errorf("workers=%d depth-one=%v: pipelined run reports no bytes read", workers, depthOne)
 			}
 			if used := gov.Used(); used != 0 {
-				t.Errorf("workers=%d compress=%v: governor ledger unbalanced after run: %d", workers, compress, used)
+				t.Errorf("workers=%d depth-one=%v: governor ledger unbalanced after run: %d", workers, depthOne, used)
 			}
 		}
 	}

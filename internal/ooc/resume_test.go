@@ -57,8 +57,8 @@ func TestKillResumeParity(t *testing.T) {
 		name string
 		cfg  enumcfg.Config
 	}{
-		{"serial-raw", enumcfg.Config{}},
-		{"parallel-compressed", enumcfg.Config{Workers: 4, ShardBytes: 512}},
+		{"serial", enumcfg.Config{}},
+		{"parallel", enumcfg.Config{Workers: 4, ShardBytes: 512}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ref := c.cfg

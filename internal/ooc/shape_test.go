@@ -21,8 +21,7 @@ import (
 // every stage waiting for the next).  Every level of two graphs is
 // written as one shard and joined at each shape, by one Joiner a shape
 // kept from level to level (so each admits what the others admit, in the
-// same order: the prefix memo a join starts from is the one the joiner's
-// last join left), and each join must write the same output bytes, count the same maximal and
+// same order), and each join must write the same output bytes, count the same maximal and
 // dropped cliques and the same Cost, and buffer the same emissions as the
 // unbudgeted one, with the governor back where it was.  On the hub graph
 // p0 = 0 has 159 neighbours, a universe of three words a row, and its
@@ -93,6 +92,39 @@ func TestPipelineShapesAgree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardCostIsTheShards: a shard join starts from an empty prefix
+// memo, so what it counts is a function of the shard alone.  One Joiner
+// joins every level's shard of a planted graph twice in a row — the
+// second join starts where the first left the memo, at the shard's own
+// last prefix — and both joins must count the same Cost.
+func TestShardCostIsTheShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(452))
+	g := graph.PlantedGraph(rng, 100, []graph.PlantedCliqueSpec{{Size: 11}, {Size: 7, Overlap: 3}, {Size: 6}}, 1200)
+	gov := membudget.New(0)
+	j := NewJoiner(g)
+	j.b.Gov = gov
+	gov.Charge(j.ScratchBytes())
+	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	lvl, _, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := 0
+	for ; lvl.Sublists() > 0; levels++ {
+		dir, in := levelShard(t, lvl)
+		first := joinAtShape(t, j, dir, in, lvl.K, 0, gov)
+		again := joinAtShape(t, j, dir, in, lvl.K, 0, gov)
+		if first.st.Cost != again.st.Cost {
+			t.Errorf("level %d: the shard's first join counts %+v, the same joiner's second %+v", lvl.K, first.st.Cost, again.st.Cost)
+		}
+		lvl, _ = core.Step(g, lvl, nil, b)
+	}
+	if levels < 8 {
+		t.Fatalf("fixture too small: %d levels", levels)
+	}
+	gov.Release(j.ScratchBytes())
 }
 
 // shapeRun is what one shard join produced: its statistics and its

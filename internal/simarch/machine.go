@@ -29,16 +29,21 @@ type Machine struct {
 	// CollectPerSublist is the scheduler's serial per-sub-list handling
 	// cost per level (load accounting and redistribution bookkeeping).
 	CollectPerSublist float64
-	// UnitsPerSecond converts cost units to seconds.  Zero means
-	// calibrate from the trace's measured execution rate.
+	// UnitsPerSecond converts cost units to seconds: the rate at which
+	// the machine runs ReferenceUnits in ReferenceSeconds, scaled with
+	// the overheads, so every machine of a family shares one clock.
 	UnitsPerSecond float64
 }
 
 // ReferenceUnits is the workload size (total trace units) the
-// DefaultAltix overhead constants were tuned for: the paper's largest
-// graph-C run (Init_K = 3, 1,948 sequential seconds).  TunedFor rescales
-// the fixed overheads to other workload sizes.
+// DefaultAltix constants were tuned for: the paper's largest graph-C run
+// (Init_K = 3), which took ReferenceSeconds sequentially.  TunedFor
+// rescales the fixed overheads and the rate to other workload sizes.
 const ReferenceUnits = 5e10
+
+// ReferenceSeconds is the paper's sequential run time of that workload
+// on the Altix.
+const ReferenceSeconds = 1948.0
 
 // DefaultAltix returns the machine model used throughout the experiment
 // harness.  The overhead constants were fitted at ReferenceUnits so the
@@ -55,28 +60,31 @@ func DefaultAltix() Machine {
 		CollectPerProc:      2e4,
 		ContentionPerProcSq: 300,
 		CollectPerSublist:   0.25,
-		UnitsPerSecond:      0, // calibrate from the trace by default
+		UnitsPerSecond:      ReferenceUnits / ReferenceSeconds,
 	}
 }
 
 // Scaled returns a copy of the machine with its fixed overheads (barrier,
-// per-processor and contention costs) multiplied by f.  Experiments that
-// run at a reduced workload scale use f = W_scaled / W_reference so that
-// the ratio of overhead to work — and therefore the shape of the speedup
-// curves — is preserved (dimensionless scaling).
+// per-processor and contention costs) and its rate multiplied by f.
+// Experiments that run at a reduced workload scale use f = W_scaled /
+// W_reference so that the ratio of overhead to work — and therefore the
+// shape of the speedup curves — is preserved (dimensionless scaling),
+// and W_scaled units take the paper's ReferenceSeconds.
 func (m Machine) Scaled(f float64) Machine {
 	m.BarrierUnits *= f
 	m.CollectPerProc *= f
 	m.ContentionPerProcSq *= f
+	m.UnitsPerSecond *= f
 	return m
 }
 
-// TunedFor returns the machine with fixed overheads rescaled from
-// ReferenceUnits to a workload of totalUnits, preserving curve shape
-// across experiment scales.  The experiment harness calls this once per
-// experiment family with the largest trace in the family, so that
-// smaller workloads within the family still see proportionally larger
-// overheads (the effect Figure 7 measures).
+// TunedFor returns the machine with fixed overheads and rate rescaled
+// from ReferenceUnits to a workload of totalUnits, preserving curve shape
+// across experiment scales: totalUnits of work take ReferenceSeconds.
+// The experiment harness calls this once per experiment family with the
+// largest trace in the family, so that smaller workloads within the
+// family still see proportionally larger overheads (the effect Figure 7
+// measures).
 func (m Machine) TunedFor(totalUnits float64) Machine {
 	if totalUnits <= 0 {
 		return m
@@ -127,8 +135,8 @@ type Result struct {
 	Levels         []LevelResult
 }
 
-// PerWorkerSeconds converts per-processor busy units to seconds with the
-// same calibration used for the total.
+// PerWorkerSeconds converts per-processor busy units to seconds at the
+// machine's rate, the one Simulate converts the total at.
 func (r *Result) PerWorkerSeconds(unitsPerSecond float64) []float64 {
 	out := make([]float64, len(r.PerWorkerUnits))
 	for i, u := range r.PerWorkerUnits {
@@ -144,9 +152,8 @@ func Simulate(tr *Trace, opts SimOptions) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("simarch: %d processors", p)
 	}
-	ups := opts.Machine.UnitsPerSecond
-	if ups <= 0 {
-		ups = tr.UnitsPerSecond()
+	if opts.Machine.UnitsPerSecond <= 0 {
+		return nil, fmt.Errorf("simarch: machine runs at %g units per second", opts.Machine.UnitsPerSecond)
 	}
 	res := &Result{
 		Processors:     p,
@@ -218,6 +225,6 @@ func Simulate(tr *Trace, opts SimOptions) (*Result, error) {
 		total += lr.Makespan
 	}
 	res.Units = total
-	res.Seconds = total / ups
+	res.Seconds = total / opts.Machine.UnitsPerSecond
 	return res, nil
 }

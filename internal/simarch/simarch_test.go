@@ -260,11 +260,24 @@ func TestSimulateCalibration(t *testing.T) {
 	if math.Abs(res.Seconds-res.Units/1000) > 1e-9 {
 		t.Errorf("calibration ignored: %.3f vs %.3f", res.Seconds, res.Units/1000)
 	}
-	// Default calibration uses the trace rate.
-	res2, _ := Simulate(tr, SimOptions{Machine: DefaultAltix(), Processors: 1, Strategy: Affinity})
-	want := res2.Units / tr.UnitsPerSecond()
-	if math.Abs(res2.Seconds-want) > 1e-9 {
-		t.Errorf("trace calibration wrong: %.4f vs %.4f", res2.Seconds, want)
+	// The anchor: a machine tuned for the trace's units replays them in
+	// the paper's 1,948 s on one processor, plus its seed and overhead
+	// units at the same rate.
+	tuned := DefaultAltix().TunedFor(float64(tr.TotalUnits))
+	res2, err := Simulate(tr, SimOptions{Machine: tuned, Processors: 1, Strategy: Affinity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var overhead float64
+	for _, lr := range res2.Levels {
+		overhead += lr.Overhead
+	}
+	extra := (res2.SeedUnits + overhead) / tuned.UnitsPerSecond
+	if want := ReferenceSeconds + extra; math.Abs(res2.Seconds-want) > 1e-9*want {
+		t.Errorf("tuned machine replays %d units in %.6f s, want 1948 s + %.6f s", tr.TotalUnits, res2.Seconds, extra)
+	}
+	if extra <= 0 {
+		t.Error("seed and overheads cost no time")
 	}
 }
 
@@ -285,6 +298,9 @@ func TestSimulateErrors(t *testing.T) {
 	tr := &Trace{}
 	if _, err := Simulate(tr, SimOptions{Processors: 0}); err == nil {
 		t.Error("0 processors accepted")
+	}
+	if _, err := Simulate(tr, SimOptions{Processors: 1}); err == nil {
+		t.Error("a machine without a rate accepted")
 	}
 }
 

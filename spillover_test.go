@@ -159,7 +159,7 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 		floor := minBuf + bitmap
 		var held int64    // the most bookkeeping the pool reported in one run
 		var atDrain int64 // the governor's peak when the drained step was observed
-		run := func(budget int64, workers int, compress bool) (*hybrid.Result, *membudget.Governor, []string) {
+		run := func(budget int64, workers int) (*hybrid.Result, *membudget.Governor, []string) {
 			t.Helper()
 			gov := membudget.New(budget)
 			gov.Charge(entry)
@@ -186,43 +186,41 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatalf("%s budget %d workers %d compress %v: %v", rep, budget, workers, compress, err)
+				t.Fatalf("%s budget %d workers %d: %v", rep, budget, workers, err)
 			}
 			if gov.Used() != entry {
-				t.Errorf("%s budget %d workers %d compress %v: governor at %d after the run, entered at %d",
-					rep, budget, workers, compress, gov.Used(), entry)
+				t.Errorf("%s budget %d workers %d: governor at %d after the run, entered at %d",
+					rep, budget, workers, gov.Used(), entry)
 			}
 			if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
-				t.Errorf("%s budget %d workers %d compress %v: spill directory not empty (%d entries, err %v)",
-					rep, budget, workers, compress, len(left), err)
+				t.Errorf("%s budget %d workers %d: spill directory not empty (%d entries, err %v)",
+					rep, budget, workers, len(left), err)
 			}
 			return res, gov, keys
 		}
-		_, free, want := run(0, 1, false)
+		_, free, want := run(0, 1)
 		above := free.Peak() - entry
 		for _, workers := range []int{1, 3} {
 			for _, div := range []int64{2, 4, 8} {
 				budget := entry + above/div
-				for _, compress := range []bool{false, true} {
-					res, gov, got := run(budget, workers, compress)
-					if res.SpilledAtLevel == 0 {
-						t.Errorf("%s P/%d workers %d compress %v: never spilled", rep, div, workers, compress)
-					}
-					if !slices.Equal(got, want) {
-						t.Errorf("%s P/%d workers %d compress %v: stream differs from the unbudgeted run's", rep, div, workers, compress)
-					}
-					allow := core.MaxBlockBytes + floor
-					if workers > 1 {
-						allow = int64(workers)*(core.MaxBlockBytes+window) + held + floor
-					}
-					if over := gov.Peak() - budget; over > allow {
-						t.Errorf("%s P/%d workers %d compress %v: peak %d is %d over the budget %d, allowed %d",
-							rep, div, workers, compress, gov.Peak(), over, budget, allow)
-					}
-					if workers == 1 && gov.Peak() > max(atDrain, budget) {
-						t.Errorf("%s P/%d workers %d compress %v: the out-of-core phase took the peak from %d to %d, over the budget %d",
-							rep, div, workers, compress, atDrain, gov.Peak(), budget)
-					}
+				res, gov, got := run(budget, workers)
+				if res.SpilledAtLevel == 0 {
+					t.Errorf("%s P/%d workers %d: never spilled", rep, div, workers)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s P/%d workers %d: stream differs from the unbudgeted run's", rep, div, workers)
+				}
+				allow := core.MaxBlockBytes + floor
+				if workers > 1 {
+					allow = int64(workers)*(core.MaxBlockBytes+window) + held + floor
+				}
+				if over := gov.Peak() - budget; over > allow {
+					t.Errorf("%s P/%d workers %d: peak %d is %d over the budget %d, allowed %d",
+						rep, div, workers, gov.Peak(), over, budget, allow)
+				}
+				if workers == 1 && gov.Peak() > max(atDrain, budget) {
+					t.Errorf("%s P/%d workers %d: the out-of-core phase took the peak from %d to %d, over the budget %d",
+						rep, div, workers, atDrain, gov.Peak(), budget)
 				}
 			}
 		}
