@@ -135,9 +135,10 @@ smoke-spillover:
 # workers for N in {1,2,4} must emit the
 # sequential backend's stream byte-for-byte — plus the kill-recovery
 # test (a test transport kills a worker as its second lease goes out,
-# mid-level; the shard is re-leased).
+# mid-level; the shard is re-leased) and the cross-engine Cost check
+# (every engine counts the sequential engine's Cost, level for level).
 dist-parity:
-	$(GO) test -run 'TestDistStreamParityMatrix|TestDistKillWorkerRecovery' -count=1 -v ./internal/dist
+	$(GO) test -run 'TestDistStreamParityMatrix|TestDistKillWorkerRecovery|TestLevelCostAgreesAcrossEngines' -count=1 -v ./internal/dist
 
 # Distributed-enumeration smoke test: coordinator with 3 exec workers on
 # the Table-1 graph, SIGKILL one worker mid-level from outside, require

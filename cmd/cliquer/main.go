@@ -297,11 +297,6 @@ func printSummary(w io.Writer, state string, st *repro.Stats, o options) {
 			st.DistWorkers, st.DistReleases, st.DistWorkerDeaths)
 		fmt.Fprintf(w, "  spill: %d bytes written, %d read\n",
 			st.SpillBytesWritten, st.SpillBytesRead)
-		if st.SpillRawBytesWritten > st.SpillBytesWritten {
-			fmt.Fprintf(w, "  encoding: %d raw bytes -> %d on disk (%.2fx smaller)\n",
-				st.SpillRawBytesWritten, st.SpillBytesWritten,
-				float64(st.SpillRawBytesWritten)/float64(st.SpillBytesWritten))
-		}
 	case st.Backend == "out-of-core" || strings.HasPrefix(st.Backend, "hybrid("):
 		if st.SpilledAtLevel > 0 {
 			fmt.Fprintf(w, "  spillover: governor tripped generating level %d; continued out of core\n",
@@ -314,11 +309,6 @@ func printSummary(w io.Writer, state string, st *repro.Stats, o options) {
 			}
 			fmt.Fprintf(w, "  spill%s: %d bytes written, %d read, peak level %d\n",
 				resumed, st.SpillBytesWritten, st.SpillBytesRead, st.PeakLevelFileBytes)
-		}
-		if st.SpillRawBytesWritten > st.SpillBytesWritten {
-			fmt.Fprintf(w, "  encoding: %d raw bytes -> %d on disk (%.2fx smaller)\n",
-				st.SpillRawBytesWritten, st.SpillBytesWritten,
-				float64(st.SpillRawBytesWritten)/float64(st.SpillBytesWritten))
 		}
 	case st.Backend == "parallel":
 		fmt.Fprintf(w, "  pool: %d workers, %d transfers\n", len(st.WorkerBusy), st.Transfers)

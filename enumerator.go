@@ -95,18 +95,14 @@ type Stats struct {
 	// Paracliques counts the paracliques Paracliques extracted.
 	Paracliques int
 	// SpillBytesWritten / SpillBytesRead / PeakLevelFileBytes describe
-	// the out-of-core backend's I/O volume (encoded bytes actually
-	// moved).  SpillRawBytesWritten is the fixed-width-equivalent
-	// payload; the ratio of the two is what the front-coded level blocks
-	// save on disk.  Resumed reports that the run continued a
-	// checkpoint, in which case the spill counters are cumulative across
-	// the original run and the resume.  Counted by the on-disk level
-	// driver as the bytes move.
-	SpillBytesWritten    int64
-	SpillRawBytesWritten int64
-	SpillBytesRead       int64
-	PeakLevelFileBytes   int64
-	Resumed              bool
+	// the out-of-core backend's I/O volume (bytes actually moved).
+	// Resumed reports that the run continued a checkpoint, in which case
+	// the spill counters are cumulative across the original run and the
+	// resume.  Counted by the on-disk level driver as the bytes move.
+	SpillBytesWritten  int64
+	SpillBytesRead     int64
+	PeakLevelFileBytes int64
+	Resumed            bool
 	// WorkerBusy is the per-worker busy seconds and Transfers the number
 	// of level blocks processed away from their home worker (parallel
 	// backends): sums over the level records the pool engine filled.
@@ -517,7 +513,6 @@ func (r *run) end(backend string, out *outcome) {
 	st.SpilledAtLevel = out.spilledAt
 	st.Paracliques = out.paracliques
 	st.SpillBytesWritten = out.spill.BytesWritten
-	st.SpillRawBytesWritten = out.spill.RawBytesWritten
 	st.SpillBytesRead = out.spill.BytesRead
 	st.PeakLevelFileBytes = out.spill.PeakLevelFile
 	st.Resumed = out.spill.Resumed

@@ -804,7 +804,6 @@ func TestResumeAfterKill(t *testing.T) {
 	// interrupted level's partial output was discarded and redone, so
 	// the resumed run's final counters match the uninterrupted run's.
 	if st.SpillBytesWritten != full.SpillBytesWritten ||
-		st.SpillRawBytesWritten != full.SpillRawBytesWritten ||
 		st.SpillBytesRead != full.SpillBytesRead {
 		t.Errorf("merged spill stats diverge from the uninterrupted run:\nresumed %+v\nfull    %+v", st, full)
 	}

@@ -19,8 +19,6 @@ import (
 //
 //	enter   0 where the run goes on in the group before, or deg(p0)+1
 //	        and N(p0) after it where it enters a group
-//	ands    the record's prefix row ANDs: the lcp it shares with the
-//	        record before is not in the block
 //	count   the rows the run's records built, and their local ids
 //
 // One stage holds the admissions at a time: decode-ahead admits a
@@ -37,7 +35,7 @@ type Admissions struct {
 	rows []uint64 // the rows built, in the order they were
 
 	// Admit's state: the admitter, the governor it grows on and where the
-	// run's ands are.
+	// run's count is.
 	adm  *Admitter
 	gov  *membudget.Governor
 	head int
@@ -90,12 +88,9 @@ func (b *Admissions) Admit(s *SubList) error {
 		b.run(s.Prefix[0])
 	}
 	built := u.Built()
-	cn, ands, err := u.Map(s, s.Tails, b.gov)
+	cn, err := u.Map(s, s.Tails, b.gov)
 	if err != nil {
 		return err
-	}
-	if s.LCP == 0 {
-		b.side[b.head] = uint32(ands)
 	}
 	if u.W == 1 {
 		b.cns = append(b.cns, cn[0])
@@ -120,7 +115,7 @@ func (b *Admissions) run(p0 uint32) {
 		b.side = append(b.side, u.Nbr...)
 	}
 	b.head = len(b.side)
-	b.side = append(b.side, 0, 0)
+	b.side = append(b.side, 0)
 }
 
 // ship adds to the run the rows the universe built for s, admitted:
@@ -142,7 +137,7 @@ func (b *Admissions) shipRow(l uint32, from int) {
 	u := b.adm
 	if s := int(u.Slot[l]); s >= from {
 		b.side = append(b.side, l)
-		b.side[b.head+1]++
+		b.side[b.head]++
 		b.rows = append(b.rows, u.Rows[s*u.W:(s+1)*u.W]...)
 	}
 }
@@ -174,8 +169,6 @@ func (b *Admissions) Next(a *Admitted, gov *membudget.Governor) bool {
 	}
 	if lcp == 0 {
 		b.group(a, gov)
-	} else {
-		a.ANDs = len(pre) - lcp // Map's count where the record shares lcp > 0 vertices
 	}
 	a.LCP, a.Tails = lcp, w[end-t:end:end]
 	a.CN = b.cns[b.pc : b.pc+a.W]
@@ -184,17 +177,15 @@ func (b *Admissions) Next(a *Admitted, gov *membudget.Governor) bool {
 }
 
 // group reads the stream of the run that starts at a's record: the
-// group's entry where it has one, the record's ANDs and the rows the
-// run's records built.
+// group's entry where it has one and the rows the run's records built.
 func (b *Admissions) group(a *Admitted, gov *membudget.Governor) {
 	s, sp := b.side, b.sp+1
 	if d := int(s[sp-1]) - 1; d >= 0 {
 		a.own.enter(s[sp:sp+d], gov)
 		sp += d
 	}
-	a.ANDs = int(s[sp])
-	n := int(s[sp+1])
-	sp += 2
+	n := int(s[sp])
+	sp++
 	a.own.add(s[sp:sp+n], b.rows[b.rp:], gov)
 	b.sp, b.rp = sp+n, b.rp+n*a.own.w
 	a.W, a.Nbr, a.Rows, a.Slot, a.CV = a.own.w, a.own.nbr, a.own.rows, a.own.slot, a.own.cv

@@ -26,16 +26,17 @@ import (
 
 // Admitter is the admission half of the join kernel: it holds a graph's
 // local universe and the prefix memo, and maps records into them one
-// after another.  It is not safe for concurrent use.
+// after another, trusting the memo as far as each record's stored lcp
+// (Map).  It is not safe for concurrent use.
 type Admitter struct {
 	*graph.Local
 
 	// The prefix memo, in local words: memo[i*w:(i+1)*w] is the
-	// common-neighbour row of memoPrefix[:i+1], so a sub-list that shares
-	// its first l prefix vertices with the previous one reuses the rows
-	// below l.  Row 0 is all of N(p0).
-	memo       []uint64
-	memoPrefix []uint32
+	// common-neighbour row of the first i+1 vertices of the prefix mapped
+	// last, valid for its first memoRows rows, so a record whose stored
+	// lcp is l reuses the rows below l.  Row 0 is all of N(p0).
+	memo     []uint64
+	memoRows int
 
 	lt  []uint32 // Admit's tails as local ids
 	cv  []uint64 // the W words Join writes CN(prefix+v) into
@@ -59,24 +60,17 @@ func (a *Admitter) ScratchBytes() int64 {
 // Leave forgets the group the admitter is in, so the next record enters
 // its own afresh: a consumer that starts over — a new run of a join whose
 // last may have stopped midway — sees every group it joins entered.  The
-// memo stays, and is right whatever came before (it depends only on the
-// graph); what it saves is Forget's to reset.
+// memo needs no reset: the record a consumer starts with starts a run
+// (lcp 0), which rebuilds from row 0.
 func (a *Admitter) Leave() { a.V = -1 }
-
-// Forget forgets the prefix the memo holds, so the next record rebuilds
-// its CN(prefix) from row 0 whatever was mapped before: a shard that
-// starts with it pays for its first prefix itself, and its Cost is a
-// function of the shard alone, not of what its joiner joined before.
-// The group stays.
-func (a *Admitter) Forget() { a.memoPrefix = a.memoPrefix[:0] }
 
 // Admitted is one record admitted into its universe: everything Join
 // reads.  Every set is a row over N(p0), W words a row.
 type Admitted struct {
 	Prefix []uint32 // in global ids
 	Tails  []uint32 // in local ids
-	LCP    int      // the record's stored lcp, for the output's front-coding carry
-	ANDs   int      // the row ANDs its prefix's reconstruction took, which Join books in Cost
+	LCP    int      // the record's stored lcp: the output's front-coding carry, and the memo rows its rebuild reused
+	Stored bool     // the record kept its CN bitmap (CNStore), so Join books no rebuild
 	CN     []uint64 // CN(prefix)
 	CV     []uint64 // W words of scratch Join writes: CN(prefix+v) of the tail it joins
 
@@ -112,11 +106,11 @@ func (a *Admitter) Admit(s *SubList, gov *membudget.Governor) (*Admitted, error)
 	// lt holds deg(p0) entries since the group began, and building a row
 	// never moves it.
 	lt := a.lt[:len(s.Tails)]
-	cn, ands, err := a.Map(s, lt, gov)
+	cn, err := a.Map(s, lt, gov)
 	if err != nil {
 		return nil, err
 	}
-	r.Prefix, r.Tails, r.LCP, r.ANDs, r.CN = p, lt, s.LCP, ands, cn
+	r.Prefix, r.Tails, r.LCP, r.Stored, r.CN = p, lt, s.LCP, s.CN != nil, cn
 	r.W, r.Nbr, r.Rows, r.Slot, r.CV = a.W, a.Nbr, a.Rows, a.Slot, a.cv[:a.W] // building a row may have moved the rows
 	return r, nil
 }
@@ -127,7 +121,7 @@ func (a *Admitter) Admit(s *SubList, gov *membudget.Governor) (*Admitted, error)
 func (a *Admitter) grow(d, depth int, gov *membudget.Governor) {
 	charged(gov, a.ScratchBytes, func() {
 		a.lt, a.cv = graph.Fit(a.lt, d), graph.Fit(a.cv, a.W)
-		a.memo, a.memoPrefix = graph.Fit(a.memo, depth*a.W), graph.Fit(a.memoPrefix, depth)
+		a.memo = graph.Fit(a.memo, depth*a.W)
 	})
 }
 
@@ -143,35 +137,29 @@ func charged(gov *membudget.Governor, bytes func() int64, grow func()) {
 
 // Map maps s, whose group the admitter is in, into the universe: it
 // rebuilds the common-neighbour row of its prefix over N(p0) from the
-// memo and returns it, a view of the memo, with the row ANDs that took,
-// and writes the tails' local ids into tails — which may be s.Tails
-// itself, the record's own words — building the rows of the vertices the
-// group touches first.  A record with a prefix vertex or a tail outside
-// N(p0), which only input from outside the process can hold, is an
-// error.  gov (nil allowed) is charged what the memo grows by, and the
-// universe charges what it grows by to the governor its group was
-// entered with.
+// memo and returns it, a view of the memo, and writes the tails' local
+// ids into tails — which may be s.Tails itself, the record's own words —
+// building the rows of the vertices the group touches first.  A record
+// with a prefix vertex or a tail outside N(p0), which only input from
+// outside the process can hold, is an error.  gov (nil allowed) is
+// charged what the memo grows by, and the universe charges what it grows
+// by to the governor its group was entered with.
 //
-// The memo's shared length is the record's lcp where its source knows
-// one and a comparison with the memo otherwise: the memo depends only on
-// the graph, so any processing order is correct.  The ANDs are the
-// reconstruction of the whole prefix, as the abstract machine does it,
-// and only for a sub-list without a stored bitmap.
+// The memo is trusted exactly as far as the record's stored lcp: the
+// rows below it are those of the record before, which its consumer
+// mapped just before it.  A record that starts a run (lcp 0) rebuilds
+// from row 0 whatever was mapped before, so the rebuild — the
+// len(p) − max(lcp, 1) row ANDs Join books — is a function of the
+// record alone.
 //
 //repro:hotpath
-func (a *Admitter) Map(s *SubList, tails []uint32, gov *membudget.Governor) ([]uint64, int, error) {
+func (a *Admitter) Map(s *SubList, tails []uint32, gov *membudget.Governor) ([]uint64, error) {
 	p, u, w := s.Prefix, a.Local, a.W
-	l := s.LCP
-	if l == 0 {
-		for l < len(p) && l < len(a.memoPrefix) && p[l] == a.memoPrefix[l] {
-			l++
-		}
-	}
-	if cap(a.memo) < len(p)*w || cap(a.memoPrefix) < len(p) {
+	if cap(a.memo) < len(p)*w {
 		a.grow(0, len(p), gov)
 	}
-	valid := min(l, len(a.memoPrefix))
-	a.memoPrefix = a.memoPrefix[:0] // until the whole prefix is in
+	valid := min(s.LCP, a.memoRows)
+	a.memoRows = 0 // until the whole prefix is in
 	memo := a.memo[:len(p)*w]
 	if valid == 0 {
 		for x := range memo[:w] {
@@ -181,7 +169,7 @@ func (a *Admitter) Map(s *SubList, tails []uint32, gov *membudget.Governor) ([]u
 	for i := max(valid, 1); i < len(p); i++ {
 		lv := u.ID(p[i])
 		if lv < 0 {
-			return nil, 0, outside(s)
+			return nil, outside(s)
 		}
 		if w == 1 { // every group of the paper's graphs
 			memo[i] = memo[i-1] & u.Rows[u.Slot[lv]]
@@ -192,22 +180,15 @@ func (a *Admitter) Map(s *SubList, tails []uint32, gov *membudget.Governor) ([]u
 			row[x] = prev[x] & nv[x]
 		}
 	}
-	a.memoPrefix = a.memoPrefix[:len(p)]
-	for i := valid; i < len(p); i++ { // the first valid are p's already
-		a.memoPrefix[i] = p[i]
-	}
+	a.memoRows = len(p)
 	for k, x := range s.Tails {
 		lv := u.ID(x)
 		if lv < 0 {
-			return nil, 0, outside(s)
+			return nil, outside(s)
 		}
 		tails[k] = uint32(lv)
 	}
-	ands := 0
-	if s.CN == nil && l < len(p) {
-		ands = len(p) - max(l, 1) // row 0 is a copy, not an AND
-	}
-	return memo[(len(p)-1)*w:], ands, nil
+	return memo[(len(p)-1)*w:], nil
 }
 
 // outside is the error for a record that leaves its prefix's universe;

@@ -14,12 +14,13 @@ import (
 // TestPrefixCNMemo drives the local prefix memo with sub-list sequences
 // in sorted order, shuffled, with repeats and with depth changes k -> k+1
 // -> k, over every representation.  The prefixes are cliques, so each
-// lies in N(p0) of its first vertex.  After each admission the memo row
-// of the whole prefix, of the prefix one vertex short of it, or of either
-// at random must equal the from-scratch AND of the rows it covers, read
-// over N(p0); Cost.ANDWords must count exactly the ANDs of the whole
-// prefix the memo could not avoid; and every byte the scratch grows is
-// charged to the builder's governor.
+// lies in N(p0) of its first vertex, and each record carries the lcp its
+// block would store: what it shares with the record before.  After each
+// admission the memo row of the whole prefix, of the prefix one vertex
+// short of it, or of either at random must equal the from-scratch AND of
+// the rows it covers, read over N(p0); Cost.ANDWords must count exactly
+// the ANDs of the whole prefix the memo could not avoid; and every byte
+// the scratch grows is charged to the builder's governor.
 func TestPrefixCNMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dense := graph.RandomGNP(rng, 90, 0.5)
@@ -107,7 +108,11 @@ func TestPrefixCNMemo(t *testing.T) {
 					for i, p := range seq {
 						before := b.Cost.ANDWords
 						depth := depthOf(rng, p)
-						a, err := b.adm.Admit(&SubList{Prefix: p}, b.Gov)
+						lcp := 0 // the lcp the record's block would store
+						for lcp < len(p) && lcp < len(prev) && p[lcp] == prev[lcp] {
+							lcp++
+						}
+						a, err := b.adm.Admit(&SubList{Prefix: p, LCP: lcp}, b.Gov)
 						if err != nil {
 							t.Fatalf("step %d: clique %v rejected: %v", i, p, err)
 						}

@@ -197,8 +197,8 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 // Join is the join half of the kernel: it joins the admitted record's
 // tail pairs, reports the maximal (k+1)-cliques to r and retains the
 // surviving sub-lists, reading nothing but a — no universe, no memo —
-// and writing only a.CV, and books the record's Cost, its admission's
-// ANDs at ⌈n/64⌉ words each included.
+// and writing only a.CV, and books the record's Cost, its prefix's
+// rebuild at ⌈n/64⌉ words an AND included.
 //
 //repro:hotpath
 func (b *Builder) Join(a *Admitted, r clique.Reporter) {
@@ -212,12 +212,16 @@ func (b *Builder) Join(a *Admitted, r clique.Reporter) {
 
 // book takes in what Join counts of a whichever loop joins it: its lcp
 // for the front-coding carry — the next record's lcp is measured against
-// this one, joined or not — and its admission's ANDs.
+// this one, joined or not — and the row ANDs of its prefix's rebuild
+// (Admitter.Map): none for a stored bitmap, and none for the first lcp
+// vertices, whose rows the memo kept, or for row 0, a copy of N(p0).
 //
 //repro:hotpath
 func (b *Builder) book(a *Admitted) {
 	b.sink.carry = min(b.sink.carry, a.LCP)
-	b.Cost.ANDWords += int64(a.ANDs) * int64(b.words)
+	if !a.Stored && a.LCP < len(a.Prefix) {
+		b.Cost.ANDWords += int64(len(a.Prefix)-max(a.LCP, 1)) * int64(b.words)
+	}
 }
 
 // joinWord is the join over a one-word universe (deg p0 <= 64, every

@@ -70,7 +70,9 @@ type SubList struct {
 	// LCP is a lower bound on the number of leading vertices Prefix
 	// shares with the prefix of the sub-list the same consumer was handed
 	// just before: the record's stored lcp.  0 claims nothing and is
-	// always safe; a positive value spares the kernel the comparison.
+	// always safe: the kernel rebuilds the prefix's row from scratch; a
+	// positive value lets it reuse the memo's rows below it, and Cost
+	// charges only the rest.
 	LCP int
 	// CN is the common-neighbor bitmap of Prefix over the graph's vertex
 	// universe, held only by sub-lists created in CNStore mode (the
@@ -106,7 +108,7 @@ type CNMode = enumcfg.CNMode
 
 const (
 	// CNRecompute (the zero value) keeps no bitmap: the join rebuilds it,
-	// memoised against the previous sub-list.
+	// memoised against the previous sub-list as far as its stored lcp.
 	CNRecompute = enumcfg.CNRecompute
 	// CNStore keeps the dense bitmap per sub-list (the paper's choice).
 	CNStore = enumcfg.CNStore

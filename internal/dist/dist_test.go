@@ -14,6 +14,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
+	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/membudget"
@@ -299,16 +300,76 @@ func TestDiskStatsAgreeAcrossRunners(t *testing.T) {
 func sameDiskLevel(a, b core.LevelStats) bool {
 	return a.FromK == b.FromK && a.Cliques == b.Cliques && a.Bytes == b.Bytes &&
 		a.NextBytes == b.NextBytes && a.Maximal == b.Maximal && sameWork(a, b) &&
-		a.Cost.ANDWords == b.Cost.ANDWords && a.Spilled && b.Spilled
+		a.Spilled && b.Spilled
 }
 
 // sameWork compares the kernel's work two records of one step count,
-// whichever engine ran it.  ANDWords is left out: a disk level's joins
-// start from an empty prefix memo at every shard, an in-core level's
-// where the last record left it.
+// whichever engine ran it: a level's Cost is a function of its words.
 func sameWork(a, b core.LevelStats) bool {
-	return a.Dropped == b.Dropped && a.Cost.Pairs == b.Cost.Pairs &&
-		a.Cost.Probes == b.Cost.Probes && a.Cost.Generated == b.Cost.Generated
+	return a.Dropped == b.Dropped && a.Cost == b.Cost
+}
+
+// TestLevelCostAgreesAcrossEngines: the join charges each record's
+// prefix rebuild from its stored lcp, never from what its consumer
+// mapped before, so a level's Cost is one function of the level.  The
+// sequential engine, the in-core pool at every width and strategy (run
+// repeatedly: its schedule differs from run to run), out of core at one
+// and two workers with default and 256-byte shards, and a distributed
+// run all count the same Cost, level for level.  Hybrid runs that trip
+// are left out: the spill re-front-codes the block it cut, so the words
+// after the trip are not the in-core level's.
+func TestLevelCostAgreesAcrossEngines(t *testing.T) {
+	g := expt.Build(expt.GraphSpec{N: 200, M: 800, Omega: 14}, 1)
+	costs := func(name string, run func(h core.Hooks) error) []core.LevelStats {
+		t.Helper()
+		var levels []core.LevelStats
+		if err := run(core.Hooks{OnLevel: func(ls core.LevelStats) { levels = append(levels, ls) }}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return levels
+	}
+	inCore := func(cfg enumcfg.Config) func(core.Hooks) error {
+		return func(h core.Hooks) error { _, err := hybrid.Enumerate(g, cfg, h); return err }
+	}
+	want := costs("sequential", inCore(enumcfg.Config{Lo: 3}))
+	if len(want) < 8 {
+		t.Fatalf("fixture too small: %d levels", len(want))
+	}
+	sameLevel := func(a, b core.LevelStats) bool { return a.FromK == b.FromK && sameWork(a, b) }
+	check := func(name string, run func(core.Hooks) error) {
+		t.Helper()
+		got := costs(name, run)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d levels, sequential %d", name, len(got), len(want))
+			return
+		}
+		for i := range got {
+			if !sameLevel(got[i], want[i]) {
+				t.Errorf("%s: level %d counts %+v, sequential %+v", name, want[i].FromK, got[i].Cost, want[i].Cost)
+			}
+		}
+	}
+	strategies := map[string]enumcfg.Strategy{"contiguous": enumcfg.Contiguous, "affinity": enumcfg.Affinity}
+	for _, workers := range []int{2, 4} {
+		for sname, strategy := range strategies {
+			for run := range 5 {
+				check(fmt.Sprintf("pool workers=%d %s run %d", workers, sname, run),
+					inCore(enumcfg.Config{Lo: 3, Workers: workers, Strategy: strategy}))
+			}
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		for _, shard := range []int64{0, 256} {
+			check(fmt.Sprintf("ooc workers=%d shard=%d", workers, shard), func(h core.Hooks) error {
+				_, err := ooc.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, ShardBytes: shard, Dir: t.TempDir()}, h)
+				return err
+			})
+		}
+	}
+	check("dist workers=2", func(h core.Hooks) error {
+		_, err := Enumerate(g, enumcfg.Config{Lo: 3, DistWorkers: 2, Dir: t.TempDir()}, h, &LoopbackTransport{})
+		return err
+	})
 }
 
 // TestDiskLevelsCountTheKernelsWork: a disk run seeds like an in-core

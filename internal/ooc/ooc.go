@@ -22,13 +22,12 @@
 // themselves, a CRC-32C frame each (shard.go): what is written is what the
 // join sealed and what is read is what the next join runs on, so the disk
 // I/O the paper names as the bottleneck costs a copy and a checksum a
-// block, no translation.  Stats reports both the bytes actually moved
-// and their fixed-width-equivalent raw bytes.  A worker joins its shards
-// in three stages (pipeline.go): decode-ahead reads a shard's frames into
-// level blocks, the in-core kernel joins them, write-behind writes the
-// sealed output into the next level's files — so what is resident per
-// worker is a read window, a few blocks in flight each way and a write
-// buffer, whatever a level holds.
+// block, no translation.  Stats reports the bytes actually moved.  A
+// worker joins its shards in three stages (pipeline.go): decode-ahead
+// reads a shard's frames into level blocks, the in-core kernel joins
+// them, write-behind writes the sealed output into the next level's
+// files — so what is resident per worker is a read window, a few blocks
+// in flight each way and a write buffer, whatever a level holds.
 //
 // Checkpointed runs (enumcfg.Config.Checkpoint) write a manifest at every
 // level boundary and keep their level files on cancellation or crash;

@@ -272,7 +272,6 @@ func (j *Joiner) joinBlock(recs *core.Admissions, batch int, rep clique.Reporter
 func (j *Joiner) joinSerial(ctx context.Context, r *ShardReader, words int, rep clique.Reporter, st *JoinStats, out output) error {
 	buf := inBuf{words: make([]uint32, words), recs: core.NewAdmissions(words)}
 	j.adm.Leave()
-	j.adm.Forget() // the shard's Cost is its own
 	j.b.Reset()
 	j.mark = 0
 	for {
@@ -387,7 +386,6 @@ func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err e
 		d.read += r.BytesRead()
 		err = errors.Join(err, r.Close())
 	}()
-	d.adm.Forget() // the shard's Cost is its own, whichever shard this joiner joined last
 	for {
 		var buf inBuf
 		if d.made < d.shape.depth {

@@ -94,11 +94,14 @@ func TestPipelineShapesAgree(t *testing.T) {
 	}
 }
 
-// TestShardCostIsTheShards: a shard join starts from an empty prefix
-// memo, so what it counts is a function of the shard alone.  One Joiner
-// joins every level's shard of a planted graph twice in a row — the
-// second join starts where the first left the memo, at the shard's own
-// last prefix — and both joins must count the same Cost.
+// TestShardCostIsTheShards: what a shard join counts is a function of
+// the shard alone.  Nothing resets the prefix memo between shards: a
+// shard starts a run (lcp 0), which rebuilds from row 0, and every later
+// record reuses only the rows below its stored lcp, so what the joiner
+// mapped before is never read.  One Joiner joins every level's shard of
+// a planted graph twice in a row — the second join starts where the
+// first left the memo, at the shard's own last prefix — and both joins
+// must count the same Cost.
 func TestShardCostIsTheShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(452))
 	g := graph.PlantedGraph(rng, 100, []graph.PlantedCliqueSpec{{Size: 11}, {Size: 7, Overlap: 3}, {Size: 6}}, 1200)
