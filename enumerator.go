@@ -134,6 +134,10 @@ type LevelStats struct {
 	Maximal       int64 // maximal (FromK+1)-cliques delivered to the caller
 	ResidentBytes int64 // consumed + produced level: block bytes as charged in core, encoded file bytes on disk
 	Transfers     int   // pool engine: level blocks processed off their home worker
+	// Work is the kernel's counted work for the step (core.Cost.Units):
+	// the same in every engine and wherever a budget trips, for one bitmap
+	// policy — stored bitmaps book no prefix rebuild, so they count less.
+	Work int64
 }
 
 // Enumerator is the single entry point to maximal clique enumeration: one
@@ -685,6 +689,7 @@ func (e *Enumerator) levelSink(st *Stats) func(core.LevelStats) {
 			Maximal:       ls.Maximal,
 			ResidentBytes: ls.Bytes + ls.NextBytes,
 			Transfers:     ls.Transfers,
+			Work:          ls.Cost.Units(),
 		}
 		if st != nil {
 			st.Levels = append(st.Levels, pub)

@@ -23,15 +23,16 @@ import (
 // lcp is the number of leading prefix vertices the record takes over
 // from the record before it in the block; the first record of a block
 // stores 0, so every block decodes by itself and is the unit of pool
-// dispatch, of governor charge and of the hybrid spill.  A record with
-// lcp 0 starts a *run*.  Runs start where the stream says so, never
-// where an engine happened to cut its work: a join's output starts a run
-// exactly where its input did (the carry rule in blockSink.append) or
-// where RunWords of output have accumulated since the last start, so the
+// dispatch and of governor charge.  A record with lcp 0 starts a *run*.
+// Runs start where the stream says so, never where an engine happened to
+// cut its work: a join's output starts a run exactly where its input did
+// (the carry rule in blockSink.append) or where RunWords of output have
+// accumulated since the last start, and an engine stops a level — on a
+// trip or a cancellation — only where a run starts (Cursor), so the
 // words of a level are one function of the graph and the bounds,
-// whatever engine, worker count or schedule produced them.  How the
-// runs are grouped into blocks is the producer's business and changes no
-// word.
+// whatever engine, worker count, schedule or budget produced them.  How
+// the runs are grouped into blocks is the producer's business and
+// changes no word.
 
 const (
 	lcpEscape  = 0xff
@@ -144,9 +145,11 @@ func (b *Block) dropBitmaps(pool *bitset.Pool) {
 	}
 }
 
-// Cursor is a position in a level: record Rec of block Block.  The
-// cursor of a level run to completion is {len(Sub), 0}.
-type Cursor struct{ Block, Rec int }
+// Cursor is a place where a level may be cut: the run start at word Word
+// of block Block.  The words from there on decode by themselves, so the
+// rest of a cut level is the level's own words.  The cursor of a level
+// run to completion is {len(Sub), 0}.
+type Cursor struct{ Block, Word int }
 
 // Level is the complete set of candidate k-clique sub-lists at one step
 // of the enumeration: blocks in canonical order, none of them empty.
@@ -270,32 +273,19 @@ func (l *Level) Recut(maxWords int, homes []int32) (*Level, []int32) {
 	return out, outHomes
 }
 
-// From yields the level's sub-lists in canonical order from cursor c on,
-// as views valid until the next one is yielded.
-func (l *Level) From(c Cursor) iter.Seq[*SubList] {
+// All yields every sub-list of the level in canonical order, as views
+// valid until the next one is yielded.
+func (l *Level) All() iter.Seq[*SubList] {
 	return func(yield func(*SubList) bool) {
-		skip, resumed := c.Rec, c.Rec > 0
-		for bi := c.Block; bi < len(l.Sub); bi++ {
+		for bi := range l.Sub {
 			for s := range l.Sub[bi].Records(l.K) {
-				if skip > 0 {
-					skip--
-					continue
-				}
-				if resumed {
-					// The consumer never saw the record before the cursor.
-					s.LCP, resumed = 0, false
-				}
 				if !yield(s) {
 					return
 				}
 			}
-			skip = 0
 		}
 	}
 }
-
-// All yields every sub-list of the level in canonical order.
-func (l *Level) All() iter.Seq[*SubList] { return l.From(Cursor{}) }
 
 // Iter decodes one block's records in order, allocation-free once its
 // prefix buffer has reached the level's depth.

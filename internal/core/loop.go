@@ -27,7 +27,11 @@ type LevelEngine interface {
 // precisely their surviving sub-lists, nothing beyond the frontier is
 // retained or charged, and the inputs from Frontier on are untouched
 // input again — the consistent cut the hybrid spill resumes from.  The
-// sequential engine cuts at any sub-list, the pool between blocks.
+// frontier is always a run start (Cursor): the sequential engine stops at
+// the first run start after a trip, the pool between blocks, each of
+// which starts a run, so the produced head and the unjoined rest are the
+// level's own words and the step counts what the inputs before the
+// frontier cost, in either engine.
 type LevelOutcome struct {
 	Next     *Level
 	Homes    []int32 // creator worker per produced block (pool engine; nil otherwise)

@@ -42,6 +42,12 @@ type LevelStats struct {
 	Spilled bool
 }
 
+// Consumed returns what the record of a step over l says of its input:
+// the part every in-core engine fills alike.
+func (l *Level) Consumed() LevelStats {
+	return LevelStats{FromK: l.K, Sublists: l.Sublists(), Cliques: l.Cliques(), Bytes: l.Bytes()}
+}
+
 // Result is a run's record: the seed-phase tally (Seeded) and the fold
 // of its level stream (Observe).
 type Result struct {

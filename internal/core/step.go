@@ -52,7 +52,7 @@ type Builder struct {
 	// many builders; charges are atomic.
 	Gov *membudget.Governor
 
-	// Ctx, when non-nil, lets Step abandon a level between sub-lists;
+	// Ctx, when non-nil, lets Step abandon a level where a run starts;
 	// Canceled records that it did (and is cleared by Reset).  RunLevel
 	// takes its context as an argument and touches neither.
 	Ctx      context.Context
@@ -336,39 +336,29 @@ func (b *Builder) keep(a *Admitted, v int, newTails []uint32) {
 
 // RunLevel is the sequential level engine: one generation step on this
 // builder, emitting straight to r — no merger, no emission copies.  ctx
-// (every 64 sub-lists) and trip (every sub-list; nil = never) stop the
-// level early with the cut documented on LevelOutcome.  The input
-// level's bitmaps are recycled.  homes is the pool engine's scheduling
-// input and ignored.
+// and trip (nil = never) are polled where a run starts and stop the level
+// there, with the cut documented on LevelOutcome.  The input level's
+// bitmaps are recycled.  homes is the pool engine's scheduling input and
+// ignored.
 func (b *Builder) RunLevel(ctx context.Context, lvl *Level, _ []int32,
 	r clique.Reporter, trip func() bool) LevelOutcome {
-	out := LevelOutcome{
-		Stats: LevelStats{
-			FromK:    lvl.K,
-			Sublists: lvl.Sublists(),
-			Cliques:  lvl.Cliques(),
-			Bytes:    lvl.Bytes(),
-		},
-		Frontier: Cursor{Block: len(lvl.Sub)},
-	}
+	out := LevelOutcome{Stats: lvl.Consumed(), Frontier: Cursor{Block: len(lvl.Sub)}}
 	b.Reset()
-	it, seen := &b.iter, 0
+	it := &b.iter
 blocks:
 	for bi := range lvl.Sub {
 		it.Reset(lvl.K, &lvl.Sub[bi])
-		for ri := 0; ; ri++ {
+		for at := 0; ; at = it.pos {
 			s := it.Next()
 			if s == nil {
 				break
 			}
-			if ctx != nil && seen&63 == 0 && ctx.Err() != nil {
-				out.Frontier = Cursor{bi, ri}
-				break blocks
-			}
-			seen++
-			if trip != nil && trip() {
-				out.Frontier, out.Tripped = Cursor{bi, ri}, true
-				break blocks
+			if s.LCP == 0 {
+				tripped := trip != nil && trip()
+				if tripped || ctx != nil && ctx.Err() != nil {
+					out.Frontier, out.Tripped = Cursor{bi, at}, tripped
+					break blocks
+				}
 			}
 			b.ProcessSubList(s, r)
 		}

@@ -311,13 +311,14 @@ func sameWork(a, b core.LevelStats) bool {
 
 // TestLevelCostAgreesAcrossEngines: the join charges each record's
 // prefix rebuild from its stored lcp, never from what its consumer
-// mapped before, so a level's Cost is one function of the level.  The
-// sequential engine, the in-core pool at every width and strategy (run
-// repeatedly: its schedule differs from run to run), out of core at one
-// and two workers with default and 256-byte shards, and a distributed
-// run all count the same Cost, level for level.  Hybrid runs that trip
-// are left out: the spill re-front-codes the block it cut, so the words
-// after the trip are not the in-core level's.
+// mapped before, and a level is cut only where a run starts, so a level's
+// Cost is one function of the level.  The sequential engine, the in-core
+// pool at every width and strategy (run repeatedly: its schedule differs
+// from run to run), out of core at one and two workers with default and
+// 256-byte shards, a distributed run, and hybrid runs that trip at one,
+// two and four workers, with a half, a quarter and an eighth of the
+// unbudgeted run's peak beside the graph, all count the same Dropped and
+// Cost, level for level.
 func TestLevelCostAgreesAcrossEngines(t *testing.T) {
 	g := expt.Build(expt.GraphSpec{N: 200, M: 800, Omega: 14}, 1)
 	costs := func(name string, run func(h core.Hooks) error) []core.LevelStats {
@@ -345,7 +346,8 @@ func TestLevelCostAgreesAcrossEngines(t *testing.T) {
 		}
 		for i := range got {
 			if !sameLevel(got[i], want[i]) {
-				t.Errorf("%s: level %d counts %+v, sequential %+v", name, want[i].FromK, got[i].Cost, want[i].Cost)
+				t.Errorf("%s: level %d counts %+v and drops %d, sequential %+v and %d",
+					name, want[i].FromK, got[i].Cost, got[i].Dropped, want[i].Cost, want[i].Dropped)
 			}
 		}
 	}
@@ -370,6 +372,36 @@ func TestLevelCostAgreesAcrossEngines(t *testing.T) {
 		_, err := Enumerate(g, enumcfg.Config{Lo: 3, DistWorkers: 2, Dir: t.TempDir()}, h, &LoopbackTransport{})
 		return err
 	})
+
+	// Hybrid runs on a graph that trips mid-level: graph C at scale 0.6,
+	// its bytes charged first, as the facade does.  The dense graph alone
+	// holds more than half the unbudgeted peak, so a budget is the graph
+	// plus a fraction of what the run held beyond it; under a bare
+	// fraction of the peak every run would trip at its first record.
+	g = expt.Build(expt.SpecC.Scale(0.6), 1)
+	entry := int64(g.Bytes())
+	free := membudget.New(0)
+	free.Charge(entry)
+	defer free.Release(entry)
+	want = costs("sequential C x0.6", func(h core.Hooks) error {
+		h.Gov = free
+		return inCore(enumcfg.Config{Lo: 3})(h)
+	})
+	for _, workers := range []int{1, 2, 4} {
+		for _, div := range []int64{2, 4, 8} {
+			budget := entry + (free.Peak()-entry)/div
+			check(fmt.Sprintf("hybrid workers=%d budget=%d", workers, budget), func(h core.Hooks) error {
+				h.Gov = membudget.New(budget)
+				h.Gov.Charge(entry)
+				defer h.Gov.Release(entry)
+				res, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Workers: workers, Dir: t.TempDir()}, h)
+				if err == nil && res.SpilledAtLevel == 0 {
+					err = fmt.Errorf("no trip under %d bytes", budget)
+				}
+				return err
+			})
+		}
+	}
 }
 
 // TestDiskLevelsCountTheKernelsWork: a disk run seeds like an in-core

@@ -104,7 +104,8 @@ func (b Backend) String() string {
 // thread, in-core.
 type Config struct {
 	// Ctx cancels the run between generation steps (and, within a step,
-	// between sub-lists or spill records).  Normalize sets a nil one to
+	// where a run of sub-lists starts, or between spill records).
+	// Normalize sets a nil one to
 	// Background.
 	Ctx context.Context
 

@@ -20,12 +20,14 @@
 //   - The in-core backends emit, and retain candidates, in canonical
 //     order, and outputs of input sub-list i sort strictly before
 //     outputs of input j > i.  A trip therefore yields a consistent cut:
-//     for some frontier f (a block and a record in it), everything for
-//     inputs before f has been emitted and retained; inputs from f on are
-//     untouched (the parallel pool's sched.Sequencer enforces exactly
-//     this, discarding any out-of-order window beyond the frontier).
+//     for some frontier f — a run start: a block and a word in it —
+//     everything for inputs before f has been emitted and retained;
+//     inputs from f on are untouched (the parallel pool's
+//     sched.Sequencer enforces exactly this, discarding any out-of-order
+//     window beyond the frontier).
 //   - A trip moves data, not work: ooc.Continue writes the unjoined rest
-//     of the consumed level to shard files of its own level and the
+//     of the consumed level, its own words from f on, to shard files of
+//     its own level and the
 //     retained blocks — the sorted head of the produced level — to the
 //     first shards of the next, and the out-of-core level loop joins the
 //     rest like any level on disk, its output behind the head.  The

@@ -17,10 +17,10 @@ import (
 )
 
 // tripAt is the sequential engine with a trip on cue: on the level of
-// size-k records its trip callback fires before sub-list at (a negative
-// at never fires, and the level then ends over budget, which core.Loop
-// treats as a trip with nothing left beyond the frontier).  It keeps the
-// cut it made for the test to check.
+// size-k records its trip callback, polled where a run starts, fires at
+// run start number at (a negative at never fires, and the level then ends
+// over budget, which core.Loop treats as a trip with nothing left beyond
+// the frontier).  It keeps the cut it made for the test to check.
 type tripAt struct {
 	*core.Builder
 	k, at int
@@ -43,12 +43,14 @@ func (e *tripAt) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 }
 
 // TestContinueFromEveryCutShape hands ooc.Continue each shape of cut a
-// trip can leave — nothing joined yet, a cut inside a block (the
-// sequential engine's), one between blocks (the pool's) and the level's
-// end, where the rest is empty.  The stream must be the unbudgeted run's byte for byte, the spilled step
-// must be reported once with the in-core run's work, every later level
-// must hold what the in-core one does, and the governor and the spill
-// directory must be back where they started.
+// trip can leave — nothing joined yet, a run start inside a block (the
+// sequential engine's), one between blocks (the pool's, and the
+// sequential engine's too) and the level's end, where the rest is empty.
+// The stream must be the unbudgeted run's byte for byte, the spilled step
+// must be reported once with the in-core run's work, Cost whole, every
+// later level must hold what the in-core one does and count the same
+// work, and the governor and the spill directory must be back where they
+// started.
 func TestContinueFromEveryCutShape(t *testing.T) {
 	g := graph.RandomGNP(rand.New(rand.NewSource(9)), 150, 0.4)
 	const lo, k = 3, 5 // the cut step joins 5-cliques into 6-cliques
@@ -105,8 +107,8 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 	}
 	want, ref := run(t, &tripAt{k: -1}, "")
 
-	// The level the trip cuts, as the engine will see it, and where a cut
-	// before record rec of block b falls in its sub-list order.
+	// The level the trip cuts, as the engine will see it, and the word
+	// offsets of a block's run starts.
 	cutLevel, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -115,24 +117,33 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 	for cutLevel.K < k {
 		cutLevel, _ = core.Step(g, cutLevel, nil, b)
 	}
-	blocks, mid := len(cutLevel.Sub), len(cutLevel.Sub)/2
-	if mid < 1 || cutLevel.Sub[mid].Sublists() < 2 {
+	runs := func(b int) []int {
+		var starts []int
+		words := cutLevel.Sub[b].Words()
+		for p := 0; p < len(words); {
+			n, lcp, _ := core.RecordAt(words, p, k)
+			if lcp == 0 {
+				starts = append(starts, p)
+			}
+			p += n
+		}
+		return starts
+	}
+	blocks, mid, before := len(cutLevel.Sub), len(cutLevel.Sub)/2, 0
+	if mid < 1 || len(runs(mid)) < 2 {
 		t.Fatalf("fixture: level %d has %d blocks", k, blocks)
 	}
-	at := func(b, rec int) int {
-		for i := range cutLevel.Sub[:b] {
-			rec += cutLevel.Sub[i].Sublists()
-		}
-		return rec
+	for b := range mid {
+		before += len(runs(b))
 	}
 	for _, c := range []struct {
 		name string
-		at   int // the sub-list the trip fires before (-1: none)
+		at   int // the run start the trip fires at (-1: none)
 		cut  core.Cursor
 	}{
 		{"first-record", 0, core.Cursor{}},
-		{"mid-block", at(mid, 1), core.Cursor{Block: mid, Rec: 1}},
-		{"block-boundary", at(mid, 0), core.Cursor{Block: mid}},
+		{"mid-block", before + 1, core.Cursor{Block: mid, Word: runs(mid)[1]}},
+		{"block-boundary", before, core.Cursor{Block: mid}},
 		{"level-end", -1, core.Cursor{Block: blocks}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -150,8 +161,7 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 			for i, st := range levels {
 				w := ref[i]
 				same := st.FromK == w.FromK && st.Maximal == w.Maximal && st.Dropped == w.Dropped &&
-					st.Cost.Pairs == w.Cost.Pairs && st.Cost.Probes == w.Cost.Probes &&
-					st.Cost.Generated == w.Cost.Generated
+					st.Cost == w.Cost
 				switch {
 				case st.FromK < k:
 					same = same && !st.Spilled

@@ -170,17 +170,27 @@ func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 // directory takes a cut level's files with it.  lvl is the consumed level
 // and out the outcome the trip cut short: the head out.Next — the
 // produced sub-lists of the inputs before out.Frontier, in canonical
-// order — and the step's record so far.  The unjoined rest of lvl is
-// written as shard files of its own level and the head as the first
-// shards of the next (writeCut); the step then runs on r like any other,
-// the head's shards first in the level it produces.  RunCut settles both
-// levels' governor charges and reports the step's one record on every
-// path: the in-core part with its produced level zeroed, plus what the
-// rest's join delivered.
+// order — and the step's record so far.  The unjoined rest of lvl, its
+// own words from the frontier on, is written as shard files of its own
+// level and the head as the first shards of the next, whose spill budget
+// it counts against; the step then runs on r like any other, the head's
+// shards first in the level it produces.  RunCut settles both levels'
+// governor charges — the consumed blocks before the frontier leave the
+// ledger at once, before any file buffer opens, and every other block as
+// the writer takes it, or on an error right away — and reports the step's
+// one record on every path: the in-core part with its produced level
+// zeroed, plus what the rest's join delivered.
 func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (Stats, error) {
-	rec := cutRecord(out.Stats)
+	rec, f := cutRecord(out.Stats), out.Frontier
+	release(l.hooks.Gov, lvl.Sub[:f.Block])
 	lv := &Level{K: lvl.K, loop: l}
-	rest, head, err := l.writeCut(lvl, out, lv)
+	rest, err := l.spill(&Level{K: lvl.K - 1, loop: l}, lvl.Sub[f.Block:], f.Word)
+	var head []ShardMeta
+	if err != nil {
+		release(l.hooks.Gov, out.Next.Sub)
+	} else {
+		head, err = l.spill(lv, out.Next.Sub, 0)
+	}
 	if err != nil {
 		if l.hooks.OnLevel != nil {
 			l.hooks.OnLevel(rec)
@@ -207,30 +217,11 @@ func cutRecord(st core.LevelStats) core.LevelStats {
 	return st
 }
 
-// writeCut writes what a trip left in memory: lvl from the frontier on as
-// shard files of its own level, then the head as the first shards of the
-// level lv produces, whose spill budget it counts against.  The consumed
-// blocks before the frontier leave the ledger at once, before any file
-// buffer opens, and every other block as the writer takes it — or, on an
-// error, right away.
-func (l *Loop) writeCut(lvl *core.Level, out core.LevelOutcome, lv *Level) (rest, head []ShardMeta, err error) {
-	f := out.Frontier
-	release(l.hooks.Gov, lvl.Sub[:f.Block])
-	rest, err = l.spill(&Level{K: lvl.K - 1, loop: l}, lvl.Sub[f.Block:], f.Rec)
-	if err != nil {
-		release(l.hooks.Gov, out.Next.Sub)
-		return nil, nil, err
-	}
-	head, err = l.spill(lv, out.Next.Sub, 0)
-	return rest, head, err
-}
-
-// spill writes blocks, from record from of the first on, as shard files
-// of the level lv produces, and hands each block's charge back to the
-// governor once the writer has taken it.  A first block cut short goes
-// through the run feed, which spells the prefix of its first record
-// whole: a frame decodes by itself.  The shards are sized from the
-// blocks' fixed-width bytes.
+// spill writes blocks, from word from of the first on, as shard files of
+// the level lv produces, and hands each block's charge back to the
+// governor once the writer has taken it.  from is a run start (a cut's
+// Cursor), so what is written is the level's own words, as every block
+// is.  The shards are sized from the blocks' fixed-width bytes.
 func (l *Loop) spill(lv *Level, blocks []core.Block, from int) ([]ShardMeta, error) {
 	gov, k := l.hooks.Gov, lv.K+1
 	target := l.shardTarget(4 * int64(k) * (&core.Level{Sub: blocks}).Cliques())
@@ -239,16 +230,10 @@ func (l *Loop) spill(lv *Level, blocks []core.Block, from int) ([]ShardMeta, err
 			err := l.cfg.Ctx.Err()
 			if err != nil {
 				err = fmt.Errorf("ooc: canceled spilling level %d: %w", k, err)
-			} else if i > 0 || from == 0 {
-				err = lw.writeBlocks(blocks[i : i+1])
 			} else {
-				for s := range (&core.Level{K: k, Sub: blocks[:1]}).From(core.Cursor{Rec: from}) {
-					if err = lw.WriteRun(s.Prefix, s.Tails); err != nil {
-						break
-					}
-				}
-				err = errors.Join(err, lw.flush())
+				err = errors.Join(lw.add(blocks[i].Words()[from:]), lw.report())
 			}
+			from = 0
 			gov.Release(blocks[i].Bytes())
 			if err != nil {
 				release(gov, blocks[i+1:])

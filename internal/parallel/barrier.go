@@ -105,15 +105,9 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*core.Result, error) {
 
 		// Collect: merge next-level fragments and emissions in worker
 		// order, record loads and stats, decide next homes.
-		st := core.LevelStats{
-			FromK:      lvl.K,
-			Sublists:   lvl.Sublists(),
-			Cliques:    lvl.Cliques(),
-			Bytes:      lvlBytes,
-			Transfers:  transfers,
-			WorkerBusy: make([]float64, opts.Workers),
-			WorkerCost: make([]int64, opts.Workers),
-		}
+		st := lvl.Consumed() // Recut moved no word: Bytes is lvlBytes
+		st.Transfers = transfers
+		st.WorkerBusy, st.WorkerCost = make([]float64, opts.Workers), make([]int64, opts.Workers)
 		next := &core.Level{K: lvl.K + 1}
 		homes = homes[:0]
 		for w, wk := range workers {

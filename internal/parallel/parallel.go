@@ -242,14 +242,8 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 	rep clique.Reporter, trip func() bool) core.LevelOutcome {
 	w := len(p.builders)
 	items := len(lvl.Sub)
-	st := core.LevelStats{
-		FromK:      lvl.K,
-		Sublists:   lvl.Sublists(),
-		Cliques:    lvl.Cliques(),
-		Bytes:      lvl.Bytes(),
-		WorkerBusy: make([]float64, w),
-		WorkerCost: make([]int64, w),
-	}
+	st := lvl.Consumed()
+	st.WorkerBusy, st.WorkerCost = make([]float64, w), make([]int64, w)
 	disp := p.dispatcher(lvl, homes)
 	consumed := int64(items) * (listBytes + runBytes)
 	p.hold(consumed)
@@ -276,19 +270,16 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st.WorkerBusy[i] = job.work(i, b).Seconds()
+			busy, units := job.work(i, b)
+			st.WorkerBusy[i], st.WorkerCost[i] = busy.Seconds(), units
 		}()
 	}
 	wg.Wait()
 
-	// The builders are quiescent past the barrier; their per-level
-	// counters include work beyond the frontier of a stopped level.
-	for i, b := range p.builders {
-		st.Cost.Add(b.Cost)
-		st.Dropped += b.Dropped
-		st.WorkerCost[i] = b.Cost.Units()
-	}
-	st.Maximal = p.m.maximal
+	// The step counts what was released: a stopped level's work beyond
+	// its frontier is joined again, or never, and WorkerCost alone
+	// counts it.
+	st.Maximal, st.Dropped, st.Cost = p.m.maximal, p.m.dropped, p.m.cost
 	st.Transfers = disp.Transfers()
 	st.Chunks = disp.Chunks()
 	out := core.LevelOutcome{
@@ -323,15 +314,17 @@ func (p *Pool) RunLevel(ctx context.Context, lvl *core.Level, homes []int32,
 }
 
 // blockResult is one joined input block's outputs: the blocks of the next
-// level it produced (a snapshot of the worker builder's output list) and,
-// when collecting, the maximal cliques it emitted, flattened into one
-// vertex arena (clique i is verts[off[i-1]:off[i]]).
+// level it produced (a snapshot of the worker builder's output list), the
+// kernel's counts for it and, when collecting, the maximal cliques it
+// emitted, flattened into one vertex arena (clique i is
+// verts[off[i-1]:off[i]]).
 type blockResult struct {
-	worker  int32
-	next    []core.Block
-	verts   []int
-	off     []int32
-	maximal int64
+	worker           int32
+	next             []core.Block
+	verts            []int
+	off              []int32
+	maximal, dropped int64
+	cost             core.Cost
 }
 
 // merger is the streaming merge point for per-worker outputs: block
@@ -351,7 +344,9 @@ type merger struct {
 	next     *core.Level
 	homes    []int32
 	maxWords int // coalescing bound for neighbouring output blocks
-	maximal  int64
+
+	maximal, dropped int64 // of the blocks released so far
+	cost             core.Cost
 }
 
 // reset prepares the merger for a level of `items` blocks producing
@@ -366,19 +361,21 @@ func (m *merger) reset(items, nextK, maxWords int, rep clique.Reporter) {
 	m.next = &core.Level{K: nextK}
 	m.homes = nil
 	m.maxWords = maxWords
-	m.maximal = 0
+	m.maximal, m.dropped, m.cost = 0, 0, core.Cost{}
 }
 
 // release delivers one input block's outputs; the sequencer calls it in
 // exact block order — under its lock: emission is inherently serial (one
 // ordered output stream), so the lock adds no parallelism loss beyond
 // that — and drops the result afterwards, so the level holds only the
-// out-of-order window.  Maximal counts accrue on release, not deposit, so
-// a canceled level's count matches the cliques actually delivered: the
-// frontier stops at the first unprocessed block, and everything deposited
-// beyond it is discarded, not counted.
+// out-of-order window.  The counts accrue on release, not deposit, so a
+// stopped level counts the work it delivered: the frontier stops at the
+// first unprocessed block, and everything deposited beyond it is
+// discarded, not counted.
 func (m *merger) release(_ int, r *blockResult) {
 	m.maximal += r.maximal
+	m.dropped += r.dropped
+	m.cost.Add(r.cost)
 	if m.rep != nil {
 		start := int32(0)
 		for _, end := range r.off {
@@ -419,33 +416,34 @@ type levelJob struct {
 
 // work is worker w's share of the level, joined with its builder b: it
 // pulls chunks from the dispatcher until the level is exhausted for it,
-// depositing one result per joined block, and returns its busy time.
-func (job *levelJob) work(w int, b *core.Builder) time.Duration {
+// depositing one result per joined block, and returns its busy time and
+// the Cost units of every join it ran, abandoned ones included.
+func (job *levelJob) work(w int, b *core.Builder) (busy time.Duration, units int64) {
 	b.Reset()
-	var busy time.Duration
 	for {
 		// Cancellation / governor-trip point: a stopped level is no
 		// longer pulled, every worker returns to the level barrier, and
 		// the pool stays reusable — for a clean shutdown on cancel, for
 		// the hand-off to disk on a trip.
 		if job.ctx != nil && job.ctx.Err() != nil {
-			return busy
+			return
 		}
 		if job.trip != nil && job.trip() {
-			return busy
+			return
 		}
 		chunk, ok := job.disp.Next(w)
 		if !ok {
-			return busy
+			return
 		}
 		t0 := time.Now()
 		for _, item := range chunk.Items {
 			res := job.join(w, b, item)
+			units += b.Cost.Units()
 			if res == nil {
 				// Tripped inside the block: it stays untouched input
 				// beyond the frontier, like the rest of the chunk and
 				// like a chunk nobody pulled.
-				return busy + time.Since(t0)
+				return busy + time.Since(t0), units
 			}
 			job.merger.seq.Deposit(item, res)
 		}
@@ -454,9 +452,10 @@ func (job *levelJob) work(w int, b *core.Builder) time.Duration {
 }
 
 // join runs one input block through worker w's builder b and returns its
-// outputs, or nil when the budget tripped before the block was finished:
-// the budget is polled before every join, as the sequential engine polls
-// it, and what the block had produced so far is given back.
+// outputs with the counts the builder kept for it alone, or nil when the
+// budget tripped before the block was finished: the budget is polled
+// before every join, and what the block had produced so far is given
+// back.
 func (job *levelJob) join(w int, b *core.Builder, item int) *blockResult {
 	gov := job.merger.gov
 	res := &blockResult{worker: int32(w)}
@@ -470,7 +469,8 @@ func (job *levelJob) join(w int, b *core.Builder, item int) *blockResult {
 			gov.Charge(8 * int64(len(c)))
 		})
 	}
-	mark, maximal := b.Mark(), b.Maximal
+	mark := b.Mark()
+	b.Maximal, b.Dropped, b.Cost = 0, 0, core.Cost{}
 	for s := range job.lvl.Sub[item].Records(job.lvl.K) {
 		if job.trip != nil && job.trip() {
 			gov.Release(8 * int64(len(res.verts)))
@@ -480,6 +480,6 @@ func (job *levelJob) join(w int, b *core.Builder, item int) *blockResult {
 		b.ProcessSubList(s, rep)
 	}
 	res.next = b.Since(mark)
-	res.maximal = b.Maximal - maximal
+	res.maximal, res.dropped, res.cost = b.Maximal, b.Dropped, b.Cost
 	return res
 }

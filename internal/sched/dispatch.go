@@ -162,11 +162,7 @@ func (d *Dispatcher) stealTolerance() float64 {
 	for _, r := range d.remaining {
 		total += r
 	}
-	tol := d.policy.relTolerance() * float64(total) / float64(d.workers)
-	if f := float64(d.policy.AbsFloor); f > tol {
-		tol = f
-	}
-	return tol
+	return d.policy.tolerance(float64(total) / float64(d.workers))
 }
 
 // popFront takes a chunk of at least grain load from the head of queue q.

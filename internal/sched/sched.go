@@ -120,11 +120,14 @@ type Policy struct {
 // times" (Figure 8).
 const DefaultRelTolerance = 0.10
 
-func (p Policy) relTolerance() float64 {
-	if p.RelTolerance == 0 {
-		return DefaultRelTolerance
+// tolerance is the load gap worth a transfer among workers of the given
+// mean load: max(AbsFloor, RelTolerance × mean).
+func (p Policy) tolerance(mean float64) float64 {
+	rel := p.RelTolerance
+	if rel == 0 {
+		rel = DefaultRelTolerance
 	}
-	return p.RelTolerance
+	return max(rel*mean, float64(p.AbsFloor))
 }
 
 // Move records one transferred item.
@@ -137,7 +140,8 @@ type Move struct {
 // returns the transfers performed.  Items move from the currently
 // heaviest worker to the currently lightest, largest-load items first
 // (fewest remote sub-lists for the most balance), never overshooting the
-// mean.
+// mean.  Every worker's list ends in descending load order, an item moved
+// in behind those of its load already there.
 func (p Policy) Rebalance(a Assignment, loads []int64) []Move {
 	w := len(a)
 	if w < 2 {
@@ -149,16 +153,15 @@ func (p Policy) Rebalance(a Assignment, loads []int64) []Move {
 		total += t
 	}
 	mean := float64(total) / float64(w)
-	tol := p.relTolerance() * mean
-	if f := float64(p.AbsFloor); f > tol {
-		tol = f
-	}
+	tol := p.tolerance(mean)
 
-	// Sort each worker's items by descending load once; we pop from the
-	// front of the heaviest worker's list.
+	// Sort each worker's items by descending load once; a move searches
+	// the donor's list and shifts no item of it (moveList).
+	ls := make([]moveList, w)
 	for wi := range a {
 		ids := a[wi]
 		sort.Slice(ids, func(x, y int) bool { return loads[ids[x]] > loads[ids[y]] })
+		ls[wi] = newMoveList(ids)
 	}
 
 	var moves []Move
@@ -173,43 +176,88 @@ func (p Policy) Rebalance(a Assignment, loads []int64) []Move {
 			}
 		}
 		gap := float64(totals[hi] - totals[lo])
-		if gap <= tol || len(a[hi]) <= 1 {
+		l := &ls[hi]
+		if gap <= tol || len(l.main)-l.taken+len(l.in) <= 1 {
 			break
+		}
+		if len(l.in) > 0 {
+			l.flush(loads) // a receiver turned donor
 		}
 		// Choose the largest item on hi that does not push lo above the
 		// mean (avoid thrash); fall back to hi's smallest item.  Either
 		// way the move must leave the receiver strictly below the donor's
 		// current load, or the makespan could grow past the pre-balance
 		// maximum.
-		pick := -1
-		for idx, item := range a[hi] {
-			if lift := totals[lo] + loads[item]; float64(lift) <= mean+tol && lift < totals[hi] {
-				pick = idx
-				break
+		pick := l.at(sort.Search(len(l.main), func(x int) bool {
+			lift := totals[lo] + loads[l.main[x]]
+			return float64(lift) <= mean+tol && lift < totals[hi]
+		}))
+		if pick == len(l.main) {
+			for int(l.nxt[l.end-1]) != l.end-1 {
+				l.end--
 			}
-		}
-		if pick == -1 {
-			pick = len(a[hi]) - 1
-			item := a[hi][pick]
-			lift := totals[lo] + loads[item]
+			pick = l.end - 1
+			lift := totals[lo] + loads[l.main[pick]]
 			if float64(lift) > mean+gap/2 || lift >= totals[hi] {
 				break // any move would overshoot; stop
 			}
 		}
-		item := a[hi][pick]
-		a[hi] = append(a[hi][:pick], a[hi][pick+1:]...)
-		// Keep lo's descending order by inserting in place.
-		ins := sort.Search(len(a[lo]), func(x int) bool {
-			return loads[a[lo][x]] < loads[item]
-		})
-		a[lo] = append(a[lo], 0)
-		copy(a[lo][ins+1:], a[lo][ins:])
-		a[lo][ins] = item
+		item := l.main[pick]
+		l.nxt[pick] = int32(pick + 1)
+		l.taken++
+		ls[lo].in = append(ls[lo].in, item)
 		totals[hi] -= loads[item]
 		totals[lo] += loads[item]
 		moves = append(moves, Move{Item: item, From: hi, To: lo})
 	}
+	for wi := range a {
+		a[wi] = ls[wi].flush(loads)
+	}
 	return moves
+}
+
+// moveList is one worker's items while Rebalance moves them: main, in
+// descending load order, whose taken entries are skipped through nxt — a
+// union-find of the next entry still present, so taking one shifts
+// nothing — and in, the items moved in, in arrival order, which join main
+// behind those of their load before the worker donates again.
+type moveList struct {
+	main  []int
+	nxt   []int32 // nxt[i] == i: main[i] is present (i == len(main): the end)
+	end   int     // main[end:] are all taken
+	taken int     // entries of main taken
+	in    []int
+}
+
+func newMoveList(ids []int) moveList {
+	l := moveList{main: ids, nxt: make([]int32, len(ids)+1), end: len(ids)}
+	for i := range l.nxt {
+		l.nxt[i] = int32(i)
+	}
+	return l
+}
+
+// at returns the first present index of main at or after i.
+func (l *moveList) at(i int) int {
+	for int(l.nxt[i]) != i {
+		l.nxt[i] = l.nxt[l.nxt[i]]
+		i = int(l.nxt[i])
+	}
+	return i
+}
+
+// flush folds in into main and returns the list's items in order: a
+// stable sort keeps main's order and puts a moved-in item behind every
+// item of its load that was there before it.
+func (l *moveList) flush(loads []int64) []int {
+	out := make([]int, 0, len(l.main)-l.taken+len(l.in))
+	for i := l.at(0); i < len(l.main); i = l.at(i + 1) {
+		out = append(out, l.main[i])
+	}
+	out = append(out, l.in...)
+	sort.SliceStable(out, func(x, y int) bool { return loads[out[x]] > loads[out[y]] })
+	*l = newMoveList(out)
+	return out
 }
 
 // LoadStats summarizes the balance quality of per-worker loads.

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -317,5 +319,116 @@ func TestSummarize(t *testing.T) {
 	}
 	if st.StdDev < 1.6 || st.StdDev > 1.7 {
 		t.Errorf("stddev %g", st.StdDev)
+	}
+}
+
+// rebalanceReference is Rebalance as it was written first: each move
+// deletes the item from the donor's list and inserts it into the
+// receiver's, shifting both — quadratic on a level of millions of
+// sub-lists, and the reference the search-based Rebalance must match.
+func rebalanceReference(p Policy, a Assignment, loads []int64) []Move {
+	w := len(a)
+	if w < 2 {
+		return nil
+	}
+	totals := a.Totals(loads)
+	var total int64
+	for _, t := range totals {
+		total += t
+	}
+	mean := float64(total) / float64(w)
+	tol := p.tolerance(mean)
+	for wi := range a {
+		ids := a[wi]
+		sort.Slice(ids, func(x, y int) bool { return loads[ids[x]] > loads[ids[y]] })
+	}
+	var moves []Move
+	for iter := 0; iter < len(loads); iter++ {
+		hi, lo := 0, 0
+		for wi := 1; wi < w; wi++ {
+			if totals[wi] > totals[hi] {
+				hi = wi
+			}
+			if totals[wi] < totals[lo] {
+				lo = wi
+			}
+		}
+		gap := float64(totals[hi] - totals[lo])
+		if gap <= tol || len(a[hi]) <= 1 {
+			break
+		}
+		pick := -1
+		for idx, item := range a[hi] {
+			if lift := totals[lo] + loads[item]; float64(lift) <= mean+tol && lift < totals[hi] {
+				pick = idx
+				break
+			}
+		}
+		if pick == -1 {
+			pick = len(a[hi]) - 1
+			item := a[hi][pick]
+			lift := totals[lo] + loads[item]
+			if float64(lift) > mean+gap/2 || lift >= totals[hi] {
+				break
+			}
+		}
+		item := a[hi][pick]
+		a[hi] = append(a[hi][:pick], a[hi][pick+1:]...)
+		ins := sort.Search(len(a[lo]), func(x int) bool {
+			return loads[a[lo][x]] < loads[item]
+		})
+		a[lo] = append(a[lo], 0)
+		copy(a[lo][ins+1:], a[lo][ins:])
+		a[lo][ins] = item
+		totals[hi] -= loads[item]
+		totals[lo] += loads[item]
+		moves = append(moves, Move{Item: item, From: hi, To: lo})
+	}
+	return moves
+}
+
+// TestRebalanceMatchesReference: Rebalance makes the reference's moves,
+// in its order, and leaves every worker's list in the reference's order —
+// the order a barrier joins in — on random loads full of ties, skewed
+// homes that force long runs of moves, receivers that turn donor, and
+// lists long enough that moved-in items are folded into the sorted part.
+// The first case is one where a receiver turned donor falls back to its
+// last item, which ties the item it received last: that one goes.
+func TestRebalanceMatchesReference(t *testing.T) {
+	check := func(trial int, loads []int64, homes []int32, p int, policy Policy) {
+		t.Helper()
+		got, want := ByHome(homes, p), ByHome(homes, p)
+		gotMoves, wantMoves := policy.Rebalance(got, loads), rebalanceReference(policy, want, loads)
+		if !reflect.DeepEqual(gotMoves, wantMoves) {
+			t.Fatalf("trial %d (n %d, p %d): moves %v, the reference's %v", trial, len(loads), p, gotMoves, wantMoves)
+		}
+		for w := range got {
+			if len(got[w])+len(want[w]) > 0 && !reflect.DeepEqual(got[w], want[w]) {
+				t.Fatalf("trial %d (n %d, p %d): worker %d ends as %v, the reference as %v", trial, len(loads), p, w, got[w], want[w])
+			}
+		}
+	}
+	check(-1, []int64{7, 1, 1, 10, 10, 3, 3, 13, 6, 1, 1, 3}, []int32{0, 2, 0, 1, 1, 1, 1, 2, 2, 1, 0, 2}, 3,
+		Policy{RelTolerance: 0.001})
+	rng := rand.New(rand.NewSource(48))
+	for trial := range 4000 {
+		n, p, skew := 2+rng.Intn(12), 2+rng.Intn(3), 0
+		if trial%10 == 0 {
+			n, p = 1+rng.Intn(3000), 2+rng.Intn(8)
+			skew = rng.Intn(p)
+		}
+		loads := make([]int64, n)
+		spread := 1 + rng.Intn(20)
+		for i := range loads {
+			loads[i] = int64(1 + rng.Intn(spread))
+			if rng.Intn(50) == 0 {
+				loads[i] *= int64(1 + rng.Intn(100))
+			}
+		}
+		homes := make([]int32, n)
+		for i := range homes {
+			homes[i] = int32(rng.Intn(p - skew))
+		}
+		check(trial, loads, homes, p, Policy{RelTolerance: []float64{0, 0.001, 0.3, 0.6}[rng.Intn(4)], AbsFloor: int64(rng.Intn(2) * 5)})
 	}
 }
