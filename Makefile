@@ -107,9 +107,10 @@ race:
 # Short benchmark sweep: the streaming-vs-barrier comparison, the
 # k-clique seeder (sequential and four shard workers, each under the
 # recompute and the stored bitmap policy), the representation
-# trade-off, and the paper-table regenerators, kept brief for CI.
+# trade-off, the spilled level loop at the hybrid-c75 shape, and the
+# paper-table regenerators, kept brief for CI.
 bench:
-	$(GO) test -run xxx -bench 'EnumerateStreaming|EnumerateBarrier|SeedFromK|Representations' -benchtime 5x .
+	$(GO) test -run xxx -bench 'EnumerateStreaming|EnumerateBarrier|SeedFromK|Representations|SpilledC75' -benchtime 5x .
 
 # Paired parent/change runs of one benchmark workload, as a performance
 # claim needs them (scripts/bench_pair.sh: alternating order, a fresh

@@ -6,8 +6,10 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -283,4 +285,36 @@ func BenchmarkSimulate256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSpilledC75 is the hybrid-c75 shape: graph C at 0.75 (seed 1)
+// from Init_K = 3 at one worker, under a quarter of the governor peak of
+// the same run unbudgeted, so the governor trips in core and the rest of
+// the run joins level after level from shard files.  Beside the time it
+// reports the spilled levels' summed Wait: the join stage's time blocked
+// on decode-ahead.
+func BenchmarkSpilledC75(b *testing.B) {
+	g := expt.Build(expt.SpecC.Scale(0.75), 1)
+	ctx, discard := context.Background(), ReporterFunc(func(Clique) {})
+	var ref Stats
+	if _, err := NewEnumerator(WithBounds(3, 0), WithStats(&ref)).Run(ctx, g, discard); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	var wait time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var st Stats
+		opts := []Option{WithBounds(3, 0), WithMemoryBudget(ref.PeakBytes / 4), WithSpillover(dir), WithStats(&st)}
+		if _, err := NewEnumerator(opts...).Run(ctx, g, discard); err != nil {
+			b.Fatal(err)
+		}
+		if st.SpilledAtLevel == 0 {
+			b.Fatal("the run did not spill")
+		}
+		for _, ls := range st.Levels {
+			wait += ls.Wait
+		}
+	}
+	b.ReportMetric(float64(wait.Microseconds())/1e3/float64(b.N), "wait-ms/op")
 }

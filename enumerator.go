@@ -138,6 +138,11 @@ type LevelStats struct {
 	// the same in every engine and wherever a budget trips, for one bitmap
 	// policy — stored bitmaps book no prefix rebuild, so they count less.
 	Work int64
+	// Elapsed is the step's wall time; Wait, for a step joined from shard
+	// files, the time its join stage waited for decode-ahead to read them,
+	// summed over workers (0 in core).
+	Elapsed time.Duration
+	Wait    time.Duration
 }
 
 // Enumerator is the single entry point to maximal clique enumeration: one
@@ -690,6 +695,8 @@ func (e *Enumerator) levelSink(st *Stats) func(core.LevelStats) {
 			ResidentBytes: ls.Bytes + ls.NextBytes,
 			Transfers:     ls.Transfers,
 			Work:          ls.Cost.Units(),
+			Elapsed:       ls.Elapsed,
+			Wait:          ls.Wait,
 		}
 		if st != nil {
 			st.Levels = append(st.Levels, pub)

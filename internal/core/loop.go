@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/clique"
 	"repro/internal/membudget"
@@ -94,7 +95,9 @@ func (l *Loop) Run(eng LevelEngine, lvl *Level, homes []int32) error {
 			gov.Release(lvl.Bytes()) // retire the level before aborting
 			return fmt.Errorf("canceled before level %d->%d: %w", lvl.K, lvl.K+1, l.Ctx.Err())
 		}
+		start := time.Now()
 		out := eng.RunLevel(l.Ctx, lvl, homes, l.Reporter, trip)
+		out.Stats.Elapsed = time.Since(start)
 		if trip != nil && out.Frontier.Block == len(lvl.Sub) && trip() {
 			// The level's last blocks were charged when the engine sealed
 			// them, after its last poll: a level that ends over budget has

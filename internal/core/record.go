@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/clique"
+import (
+	"time"
+
+	"repro/internal/clique"
+)
 
 // The run record.  Every regime describes a run the same way: one
 // LevelStats per generation step, emitted by the level driver that ran
@@ -40,6 +44,12 @@ type LevelStats struct {
 	// files: every step of the on-disk driver, and the step a hybrid run's
 	// trip carried to disk.
 	Spilled bool
+
+	// Elapsed is the step's wall time, from its start to its record.
+	// Wait, on disk, is the join stage's time blocked on decode-ahead,
+	// summed over workers; it is 0 in core.
+	Elapsed time.Duration
+	Wait    time.Duration
 }
 
 // Consumed returns what the record of a step over l says of its input:

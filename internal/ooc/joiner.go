@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
@@ -27,8 +28,8 @@ import (
 // and the local pool in pool.go both run Joiner.Join's pipeline, and
 // JoinShardBytes runs its stages in turn, so the distributed,
 // single-machine and in-core joins cannot drift.  A Joiner's scratch
-// lives for the run; the goroutines that run it live for one level's
-// join.
+// lives for the run, and so does its decode-ahead goroutine in the pool;
+// its join and write-behind goroutines live for one level.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), the kernel's work on the
@@ -41,6 +42,7 @@ type JoinStats struct {
 	EmitVerts []int
 	EmitOff   []int32
 	BytesRead int64
+	Wait      time.Duration // the join stage's time blocked on decode-ahead
 }
 
 // Emit appends one maximal clique to the flat emission arena; JoinStats
@@ -59,9 +61,9 @@ func (s *JoinStats) Emit(c clique.Clique) {
 // seals the survivors into blocks — and reports maximal cliques.  A
 // record outside N(p0), which only a damaged or forged shard holds,
 // fails its shard.  It is not safe for concurrent use; give each worker
-// its own: the pool keeps one per worker for the run and runs each on
-// goroutines of its own at every level, the admitter on decode-ahead's
-// and the builder on the join's.
+// its own: the pool keeps one per worker for the run, the admitter on
+// its decode-ahead goroutine and the builder on the join's of each
+// level.
 type Joiner struct {
 	g    graph.Interface
 	adm  *core.Admitter // the admission half: decode-ahead's
@@ -70,6 +72,7 @@ type Joiner struct {
 	bufs []inBuf        // decode-ahead's block buffers between runs
 	br   *bufio.Reader  // decode-ahead's read window between runs
 	bw   *bufio.Writer  // write-behind's file buffer between runs
+	dec  *decodeAhead   // the running decode-ahead stage, if any
 
 	mark int // the builder's blocks already handed to write-behind
 }
@@ -120,7 +123,7 @@ type ShardResult struct {
 
 // Join executes one shard join from opening the input to closing the
 // last output shard, through the three stages the in-process pool runs
-// over a worker's shards.  On error the partial output is closed (its
+// over a worker's shards, here over a one-shard feed.  On error the partial output is closed (its
 // files are the level driver's to sweep) and the result still carries
 // the bytes the join read.
 func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
@@ -259,16 +262,14 @@ func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, ta
 }
 
 // DefaultShardTarget sizes a level's shards from the consumed level's
-// bytes on disk: about two shards per worker, so the dispatcher (or the
-// distributed lease table) can still balance skewed shard costs and a
-// worker's next shard is read while it joins one, but no smaller than
-// 512 KiB.  The floor amortizes what every file costs beside its bytes —
-// a create in write-behind, an open in decode-ahead, an unlink when the
-// level is consumed: inside a run on a 2-vCPU ext4 box a create alone
-// measured about 0.2 ms (40-odd ms a run at 210 files of 32 KiB and up).
-// The floor holds about as many records as 256 KiB of delta-varint
-// records did, the size the file count was tuned at: a frame takes about
-// twice their bytes.  Huge levels are capped at 32 MiB a shard.
+// bytes on disk: about two shards per worker, so the workers claiming
+// them in order (or the distributed lease table) can still balance
+// skewed shard costs and a worker's next shard is read while it joins
+// one, but no smaller than 512 KiB.  The floor amortizes what every file
+// costs beside its bytes — a create in write-behind, an open in
+// decode-ahead, an unlink when the level is consumed: on a 2-vCPU ext4
+// machine a create alone measured about 0.2 ms.  Huge levels are capped
+// at 32 MiB a shard.
 func DefaultShardTarget(consumedBytes int64, workers int) int64 {
 	const minTarget, maxTarget = 512 << 10, 32 << 20
 	return min(max(consumedBytes/int64(2*max(workers, 1)), minTarget), maxTarget)

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -20,15 +22,19 @@ import (
 // process (internal/dist) — is a scheduling policy, and this is all of
 // it the level loop sees.
 //
-// RunLevel must hand deliver the result of every shard index of lv
-// exactly once, in any order and from any goroutine, each only after
-// the output shards it lists are closed on disk, and return once every
-// delivery has been made (nil) or the level cannot finish (the reason).
-// The runner also reports the bytes it moves: lv.Wrote as output bytes
-// reach a file (or, for a remote join, when its result is accepted) and
-// lv.Read for the input bytes of every join, failed ones included.  The
-// pool runs each worker's shards through the three-stage pipeline
-// (pipeline.go); a remote worker runs one shard through the same one.
+// RunLevel must deliver the result of every shard index of lv exactly
+// once, in any order and from any goroutine, each only after the output
+// shards it lists are closed on disk, and return once every delivery has
+// been made (nil) or the level cannot finish (the reason).  The runner
+// also reports the bytes it moves: lv.Wrote as output bytes reach a file
+// (or, for a remote join, when its result is accepted) and lv.Read for
+// the input bytes of every join, failed ones included.  Beside the shard
+// list, lv carries the level as a feed, which the loop fills while the
+// level before still runs — each shard published as the sequencer
+// releases it — and closes when lv starts; a runner may read ahead from
+// it or ignore it.  The pool runs each worker's shards through the
+// three-stage pipeline (pipeline.go), its decode-ahead claiming from the
+// feeds; a remote worker runs one shard through the same stages.
 type ShardRunner interface {
 	RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error
 }
@@ -42,6 +48,7 @@ type Level struct {
 	Collect bool        // a Reporter is listening: buffer the maximal cliques
 
 	loop *Loop
+	feed *feed        // the consumed level as its producer publishes it; a runner may ignore it
 	out  atomic.Int64 // encoded bytes of the produced level so far
 }
 
@@ -100,6 +107,11 @@ type Loop struct {
 	// lock during a level, by Run between levels.
 	st      Stats
 	claimed bool // this process owns the checkpoint dir (first commit done)
+
+	// The housekeeping of the last boundary, running beside the next
+	// level's join (housekeep, settle).
+	hk    sync.WaitGroup
+	hkErr error
 }
 
 // NewLoop returns the driver of one run over g in the run directory
@@ -112,7 +124,9 @@ type Loop struct {
 // charged what the engine holds — per-worker bitmaps, each shard's read
 // window and write buffer while open, each block between the pipeline's
 // stages — inside the headroom a step starts with (bufShare, shapeFor),
-// never aborting on it: disk is where an over-budget run belongs.  role
+// never aborting on it: disk is where an over-budget run belongs (the
+// pool sizes its pipelines once, from the first spilled level's shares,
+// since blocks it reads ahead cross level boundaries).  role
 // tags the run's checkpoints ("ooc", "coordinator").
 func NewLoop(g graph.Interface, cfg enumcfg.Config, hooks core.Hooks, role string) *Loop {
 	l := &Loop{g: g, cfg: cfg, hooks: hooks, owner: SelfOwner(role)}
@@ -158,11 +172,11 @@ func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 	}
 	l.st.Shards += int64(len(shards))
 	if l.cfg.Checkpoint {
-		if err := l.checkpoint(shards, lvl.K); err != nil {
+		if err := l.commit(l.manifest(shards, lvl.K)); err != nil {
 			return l.Stats(), err
 		}
 	}
-	return l.Run(r, shards, lvl.K)
+	return l.run(r, newFeed(lvl.K, shards))
 }
 
 // RunCut carries a tripped in-core step to disk and runs the level loop
@@ -181,7 +195,7 @@ func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 // one record on every path: the in-core part with its produced level
 // zeroed, plus what the rest's join delivered.
 func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (Stats, error) {
-	rec, f := cutRecord(out.Stats), out.Frontier
+	start, rec, f := time.Now(), cutRecord(out.Stats), out.Frontier
 	release(l.hooks.Gov, lvl.Sub[:f.Block])
 	lv := &Level{K: lvl.K, loop: l}
 	rest, err := l.spill(&Level{K: lvl.K - 1, loop: l}, lvl.Sub[f.Block:], f.Word)
@@ -191,6 +205,7 @@ func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (St
 	} else {
 		head, err = l.spill(lv, out.Next.Sub, 0)
 	}
+	rec.Elapsed += time.Since(start)
 	if err != nil {
 		if l.hooks.OnLevel != nil {
 			l.hooks.OnLevel(rec)
@@ -199,15 +214,13 @@ func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (St
 		return l.Stats(), err
 	}
 	l.st.Shards += int64(len(rest))
-	lv.Shards = rest
+	lv.Shards, lv.feed = rest, newFeed(lvl.K, rest)
 	next, err := l.runLevel(r, lv, head, &rec)
 	if err != nil {
 		return l.Stats(), err
 	}
-	if err := l.removeShards(rest); err != nil {
-		return l.Stats(), err
-	}
-	return l.Run(r, next, lvl.K+1)
+	l.housekeep(rest, next)
+	return l.run(r, next)
 }
 
 // cutRecord is a tripped in-core step's record as it leaves memory: its
@@ -258,7 +271,7 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 	if err := verifyShards(l.cfg.Dir, m.Shards); err != nil {
 		return Stats{}, err
 	}
-	if err := RemoveStaleShards(l.cfg.Dir, m.Shards); err != nil {
+	if err := RemoveStaleShards(l.cfg.Dir, m.Shards, 0); err != nil {
 		return Stats{}, err
 	}
 	l.st = m.Stats
@@ -266,46 +279,43 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 	l.rawWritten.Store(m.Stats.RawBytesWritten)
 	l.read.Store(m.Stats.BytesRead)
 	l.st.Resumed = true
-	return l.Run(r, m.Shards, m.K)
+	return l.run(r, newFeed(m.K, m.Shards))
 }
 
-// Run drives the level loop from the given level — which a checkpointed
-// run's manifest already names — until no candidates remain (or Hi /
-// cancellation / the spill budget stops it).
+// run drives the level loop from the level in — whose shards a
+// checkpointed run's manifest already names — until no candidates remain
+// (or Hi / cancellation / the spill budget stops it).
 //
 // The commit protocol at every boundary of a checkpointed run: the
 // produced level is durable before the manifest names it, the consumed
 // level is deleted only after the manifest commits, and then every shard
-// file the manifest does not name is swept — whatever instant a kill
-// lands, the directory holds one consistent, resumable level.  Plain
-// runs live in a private directory their entry point removes whole.
+// file of the levels up to the produced one that the manifest does not
+// name is swept — whatever instant a kill lands, the directory holds one
+// consistent, resumable level.  The three steps run beside the next
+// level's join (housekeep), and the boundary after it waits for them.
+// Plain runs live in a private directory their entry point removes whole.
 //
 //repro:ctxloop
-func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
-	for LevelRecords(shards) > 0 {
+func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
+	k := in.k
+	for LevelRecords(in.shards) > 0 {
 		if l.cfg.Hi > 0 && k >= l.cfg.Hi {
 			break
 		}
 		if err := l.cfg.Ctx.Err(); err != nil {
-			// Between levels the checkpoint is already durable; just stop.
-			return l.Stats(), fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err)
+			// Between levels the checkpoint is durable once the
+			// housekeeping is done; just stop.
+			return l.Stats(), errors.Join(fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err), l.settle())
 		}
-		next, err := l.runLevel(r, &Level{K: k, Shards: shards, loop: l}, nil, nil)
+		next, err := l.runLevel(r, &Level{K: k, Shards: in.shards, loop: l, feed: in}, nil, nil)
 		if err != nil {
 			return l.Stats(), err
 		}
-		if l.cfg.Checkpoint {
-			if err := l.checkpoint(next, k+1); err != nil {
-				return l.Stats(), err
-			}
-		}
-		if err := l.removeShards(shards); err != nil {
-			return l.Stats(), err
-		}
-		if err := l.sweep(next); err != nil {
-			return l.Stats(), err
-		}
-		shards, k = next, k+1
+		l.housekeep(in.shards, next)
+		in, k = next, k+1
+	}
+	if err := l.settle(); err != nil {
+		return l.Stats(), err
 	}
 	// Completion mirrors the boundary ordering: retire the manifest
 	// BEFORE deleting the shards it names.  A kill between the two
@@ -316,18 +326,62 @@ func (l *Loop) Run(r ShardRunner, shards []ShardMeta, k int) (Stats, error) {
 			return l.Stats(), err
 		}
 	}
-	if err := l.removeShards(shards); err != nil {
+	if err := l.removeShards(in.shards); err != nil {
 		return l.Stats(), err
 	}
 	return l.Stats(), nil
 }
 
+// housekeep starts a boundary's housekeeping beside the next level's
+// join: the checkpoint that names the produced level, with the counters
+// as they stand now, the removal of the consumed level, and the sweep of
+// the levels up to the produced one — the level being written is the
+// one after it, which the sweep leaves alone.
+func (l *Loop) housekeep(consumed []ShardMeta, next *feed) {
+	var m *Manifest
+	if l.cfg.Checkpoint {
+		m = l.manifest(next.shards, next.k)
+	}
+	l.hk.Add(1)
+	go func() {
+		defer l.hk.Done()
+		if boundaryHook != nil {
+			boundaryHook(next.k)
+		}
+		var err error
+		if m != nil {
+			err = l.commit(m)
+		}
+		if err == nil {
+			err = l.removeShards(consumed)
+		}
+		if err == nil {
+			err = l.sweep(next.shards, next.k)
+		}
+		l.hkErr = err
+	}()
+}
+
+// boundaryHook, when set (by tests), runs first in every boundary's
+// housekeeping, with the produced level's clique size.
+var boundaryHook func(k int)
+
+// settle waits for the last boundary's housekeeping and returns its error.
+func (l *Loop) settle() error {
+	l.hk.Wait()
+	err := l.hkErr
+	l.hkErr = nil
+	return err
+}
+
 // runLevel has r join the shards of lv, one level, behind the shards of
 // head, which the step produced already, and returns the next level's
-// shard list.  cut, when non-nil, is the record of a step that started in
-// memory (RunCut); a level from files gets its own.
-func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.LevelStats) ([]ShardMeta, error) {
-	k, shards := lv.K, lv.Shards
+// feed, closed to publishing: its shard list.  cut, when non-nil, is the
+// record of a step that started in memory (RunCut); a level from files
+// gets its own.  The last boundary's housekeeping is settled before the
+// record.
+func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.LevelStats) (*feed, error) {
+	start, k, shards := time.Now(), lv.K, lv.Shards
 	l.st.Levels++
 	encB, _ := LevelBytes(shards)
 	if encB > l.st.PeakLevelFile {
@@ -343,7 +397,14 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 	// raised bound): such a level's cliques are neither shipped nor counted.
 	report := k+1 >= l.cfg.Lo
 	lv.Collect = report && l.hooks.Reporter != nil
-	next := head
+	// The produced level is published shard by shard as it is released;
+	// decode-ahead goes on to it after lv's last shard if it may run.
+	out := newFeed(k+1, head)
+	var after *feed
+	if l.cfg.Hi == 0 || k+1 < l.cfg.Hi {
+		after = out
+	}
+	lv.feed.close(after)
 	// Release in shard order: emission order is exactly the sequential
 	// order, and the next level's shard list is assembled in global run
 	// order.  The counts accrue on release, so an aborted level counts
@@ -355,6 +416,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 		}
 		rec.Dropped += res.Dropped
 		rec.Cost.Add(res.Cost)
+		rec.Wait += res.Wait
 		if l.hooks.Reporter != nil {
 			start := int32(0)
 			for _, end := range res.EmitOff {
@@ -362,9 +424,9 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 				start = end
 			}
 		}
-		next = append(next, res.Out...)
+		out.publish(res.Out)
 	})
-	err := r.RunLevel(l.cfg.Ctx, lv, seq.Deposit)
+	err := errors.Join(r.RunLevel(l.cfg.Ctx, lv, seq.Deposit), l.settle())
 	if err == nil {
 		if cerr := l.cfg.Ctx.Err(); cerr != nil {
 			err = fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, cerr)
@@ -374,9 +436,11 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 	}
 	// A level cut short is observed like a completed one: its record
 	// covers what was released before the cut.
+	next := out.shards
 	if cut == nil {
 		rec.NextBytes, _ = LevelBytes(next)
 	}
+	rec.Elapsed += time.Since(start)
 	if l.hooks.OnLevel != nil {
 		l.hooks.OnLevel(rec)
 	}
@@ -384,10 +448,10 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 		l.st.Aborted = true
 		// Discard the partial next level; the consumed level (and the
 		// manifest pointing at it) stays for Resume.
-		return nil, errors.Join(err, l.sweep(shards))
+		return nil, errors.Join(err, l.sweep(shards, 0))
 	}
 	l.st.Shards += int64(len(next))
-	return next, nil
+	return out, nil
 }
 
 // shardTarget sizes the next level's shards from the consumed level's
@@ -399,7 +463,9 @@ func (l *Loop) shardTarget(consumedBytes int64) int64 {
 	return DefaultShardTarget(consumedBytes, l.cfg.Workers)
 }
 
-func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
+// manifest is the checkpoint that names level k, with the counters as of
+// now.
+func (l *Loop) manifest(shards []ShardMeta, k int) *Manifest {
 	st := l.Stats()
 	st.Aborted = false
 	m := &Manifest{
@@ -415,6 +481,10 @@ func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
 	if l.Releases != nil {
 		m.Releases = l.Releases()
 	}
+	return m
+}
+
+func (l *Loop) commit(m *Manifest) error {
 	// The first commit claims the directory (a fresh run writes into an
 	// empty one; a resume adopts the checkpoint it just validated); every
 	// later commit must match the owner already on disk — a stale
@@ -439,12 +509,13 @@ func (l *Loop) removeShards(shards []ShardMeta) error {
 	return errors.Join(errs...)
 }
 
-// sweep deletes every shard file of a checkpointed run's directory that
-// is not in keep: the partial outputs of a failed level and the outputs
-// of a join whose result the runner did not accept.
-func (l *Loop) sweep(keep []ShardMeta) error {
+// sweep deletes every shard file of a checkpointed run's directory, of
+// the levels up to maxK (0 = all), that is not in keep: the partial
+// outputs of a failed level and the outputs of a join whose result the
+// runner did not accept.
+func (l *Loop) sweep(keep []ShardMeta, maxK int) error {
 	if !l.cfg.Checkpoint {
 		return nil
 	}
-	return RemoveStaleShards(l.cfg.Dir, keep)
+	return RemoveStaleShards(l.cfg.Dir, keep, maxK)
 }

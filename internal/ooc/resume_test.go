@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -48,9 +50,47 @@ func killRun(t *testing.T, g graph.Interface, dir string, after int, cfg enumcfg
 	return killed
 }
 
-// TestKillResumeParity kills a checkpointed run at several points and
-// checks each resume delivers exactly the uninterrupted stream's suffix
-// with merged cumulative stats equal to the uninterrupted run's.
+// killBeside is killRun with the kill landing while the housekeeping of
+// the boundary into level k — its checkpoint, the removal of the level
+// before, the sweep — runs beside level k's join: the housekeeping waits
+// until that join has released a clique, cancels the run and goes on.
+func killBeside(t *testing.T, g graph.Interface, dir string, k int, cfg enumcfg.Config) []string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	joined := make(chan struct{})
+	var once sync.Once
+	boundaryHook = func(at int) {
+		if at != k {
+			return
+		}
+		select {
+		case <-joined:
+		case <-time.After(10 * time.Second):
+			t.Errorf("level %d released no clique", k)
+		}
+		cancel()
+	}
+	defer func() { boundaryHook = nil }()
+	var killed []string
+	cfg.Ctx, cfg.Dir, cfg.Checkpoint = ctx, dir, true
+	_, err := Enumerate(g, cfg, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
+		killed = append(killed, c.Key())
+		if len(c) == k+1 {
+			once.Do(func() { close(joined) })
+		}
+	})})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("kill beside level %d: err = %v, want context.Canceled", k, err)
+	}
+	return killed
+}
+
+// TestKillResumeParity kills a checkpointed run at several points — one
+// of them while a boundary's housekeeping runs beside the next level's
+// join — and checks each resume delivers exactly the uninterrupted
+// stream's suffix with merged cumulative stats equal to the
+// uninterrupted run's.
 func TestKillResumeParity(t *testing.T) {
 	g := plantedGraph(201)
 	for _, c := range []struct {
@@ -62,13 +102,24 @@ func TestKillResumeParity(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ref := c.cfg
-			want, full := orderedKeys(t, g, ref, core.Hooks{})
-			if len(want) < 20 {
-				t.Fatalf("only %d cliques in the reference run", len(want))
+			besideK, levels := 0, 0 // a level after the first that emits
+			want, full := orderedKeys(t, g, ref, core.Hooks{OnLevel: func(st core.LevelStats) {
+				if levels++; besideK == 0 && st.Maximal > 0 && levels > 1 {
+					besideK = st.FromK
+				}
+			}})
+			if len(want) < 20 || besideK == 0 {
+				t.Fatalf("only %d cliques in the reference run, no level after the first emits: %v", len(want), besideK == 0)
 			}
-			for _, kill := range []int{1, len(want) / 3, len(want) - 2} {
+			const beside = -1
+			for _, kill := range []int{1, len(want) / 3, len(want) - 2, beside} {
 				dir := t.TempDir()
-				killed := killRun(t, g, dir, kill, c.cfg)
+				var killed []string
+				if kill == beside {
+					killed = killBeside(t, g, dir, besideK, c.cfg)
+				} else {
+					killed = killRun(t, g, dir, kill, c.cfg)
+				}
 				for i, k := range killed {
 					if k != want[i] {
 						t.Fatalf("kill@%d: killed stream diverges at %d", kill, i)

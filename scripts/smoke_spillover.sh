@@ -30,7 +30,7 @@ cliques() {
 # One line per -stats level record: the step, its maximal count and its
 # work.
 levels() {
-    sed -n 's/^level \(.*\): .* \([0-9][0-9]*\) maximal .* \([0-9][0-9]*\) work$/\1 \2 \3/p' "$1"
+    sed -n 's/^level \(.*\): .* \([0-9][0-9]*\) maximal .* \([0-9][0-9]*\) work .*$/\1 \2 \3/p' "$1"
 }
 
 echo "smoke-spillover: unconstrained in-core reference"
