@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
@@ -185,5 +186,91 @@ func TestSweepIsBoundedByLevel(t *testing.T) {
 	}
 	if got := left(); len(got) != 2 || !got[names[2]] || !got["notes.txt"] {
 		t.Errorf("unbounded sweep left %v", got)
+	}
+}
+
+// TestFailedCommitDeletesNothing: a boundary whose checkpoint cannot be
+// committed — the manifest cannot be written, or another owner holds the
+// directory now — stops the run before anything is deleted.  A failed
+// write leaves the checkpoint of the level before whole, and resuming it
+// delivers the rest of the uninterrupted stream; another owner's files,
+// of any level, and its manifest stay as they are.
+func TestFailedCommitDeletesNothing(t *testing.T) {
+	g := plantedGraph(216)
+	cfg := enumcfg.Config{ShardBytes: 512}
+	want, full := orderedKeys(t, g, cfg, core.Hooks{})
+	other := Owner{Host: "elsewhere", PID: 1, WorkerID: "ooc"}
+	for _, foreign := range []bool{false, true} {
+		t.Run(fmt.Sprintf("foreign=%v", foreign), func(t *testing.T) {
+			cfg := cfg
+			cfg.Dir, cfg.Checkpoint = t.TempDir(), true
+			tmp := filepath.Join(cfg.Dir, manifestName+".tmp")
+			var planted []string
+			k, levels := 0, 0
+			_, err := Enumerate(g, cfg, core.Hooks{OnLevel: func(st core.LevelStats) {
+				if levels++; levels != 2 {
+					return
+				}
+				// Level k's record is taken; the checkpoint naming k+1 is next.
+				k = st.FromK
+				if !foreign {
+					if err := os.Mkdir(tmp, 0o755); err != nil { // the manifest's write fails
+						t.Fatal(err)
+					}
+					return
+				}
+				m, err := LoadManifest(cfg.Dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Owner = other
+				if err := WriteManifest(cfg.Dir, m, true); err != nil {
+					t.Fatal(err)
+				}
+				for lk := k - 1; lk <= k+2; lk++ {
+					name := ShardFileName(lk, "other")
+					if err := os.WriteFile(filepath.Join(cfg.Dir, name), []byte("x"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					planted = append(planted, name)
+				}
+			}})
+			if err == nil || k == 0 {
+				t.Fatalf("err = %v after %d levels: the run went past a failed commit", err, levels)
+			}
+			m, merr := LoadManifest(cfg.Dir)
+			if merr != nil || m.K != k {
+				t.Fatalf("the checkpoint names %+v (%v), want level %d", m, merr, k)
+			}
+			if foreign {
+				if !strings.Contains(err.Error(), "stale manifest commit rejected") || m.Owner != other {
+					t.Errorf("err = %v, manifest owner %+v: the other owner's commit did not stand", err, m.Owner)
+				}
+				for _, name := range planted {
+					if _, err := os.Stat(filepath.Join(cfg.Dir, name)); err != nil {
+						t.Errorf("the other owner's %s: %v", name, err)
+					}
+				}
+				return
+			}
+			if err := verifyShards(cfg.Dir, m.Shards); err != nil {
+				t.Fatalf("the checkpoint of level %d is not whole: %v", k, err)
+			}
+			if err := os.Remove(tmp); err != nil {
+				t.Fatal(err)
+			}
+			var resumed []string
+			st, err := Resume(g, cfg, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
+				resumed = append(resumed, c.Key())
+			})})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			off := len(want) - len(resumed)
+			if off < 0 || !reflect.DeepEqual(resumed, want[off:]) || st.Maximal != full.Maximal {
+				t.Errorf("resume delivered %d of %d cliques, %d maximal of %d: not the stream's rest",
+					len(resumed), len(want), st.Maximal, full.Maximal)
+			}
+		})
 	}
 }

@@ -98,7 +98,7 @@ func (j *Joiner) ScratchBytes() int64 {
 // every batch's bytes reported to OnWrite, which may abort the join.  Gov
 // is charged with the input blocks and the I/O buffers while they are in
 // flight, sized from Buf, the share of headroom each of a worker's
-// buffers may take (0 = uncapped; Level.Buf, shapeFor); the output blocks
+// buffers may take (0 = uncapped; bufShare, shapeFor); the output blocks
 // are charged to the joiner's builder's governor.
 type ShardJob struct {
 	Dir      string
@@ -123,19 +123,14 @@ type ShardResult struct {
 
 // Join executes one shard join from opening the input to closing the
 // last output shard, through the three stages the in-process pool runs
-// over a worker's shards, here over a one-shard feed.  On error the partial output is closed (its
-// files are the level driver's to sweep) and the result still carries
-// the bytes the join read.
+// over a worker's shards, here over a one-shard feed.  On error the
+// partial output is closed (its files are the level driver's to sweep)
+// and the result still carries the bytes the join read.
 func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
 	var res ShardResult
-	taken := false
-	read, err := j.run(ctx, job, func() (ShardMeta, int, bool) {
-		if taken {
-			return ShardMeta{}, 0, false
-		}
-		taken = true
-		return job.In, 0, true
-	}, func(_ int, r ShardResult) { res = r })
+	in := newFeed(job.K, []ShardMeta{job.In})
+	in.close(nil)
+	read, err := j.run(ctx, job, in, func(_ int, r ShardResult) { res = r })
 	if err != nil {
 		return ShardResult{JoinStats: JoinStats{BytesRead: read}}, err
 	}

@@ -44,7 +44,6 @@ type Level struct {
 	K       int         // clique size of the consumed level's records
 	Shards  []ShardMeta // the consumed level, in run order
 	Target  int64       // encoded bytes per produced shard
-	Buf     int64       // most a worker's read window, block queues and write buffer may take each under a memory budget (0 = uncapped)
 	Collect bool        // a Reporter is listening: buffer the maximal cliques
 
 	loop *Loop
@@ -172,7 +171,7 @@ func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 	}
 	l.st.Shards += int64(len(shards))
 	if l.cfg.Checkpoint {
-		if err := l.commit(l.manifest(shards, lvl.K)); err != nil {
+		if err := l.checkpoint(shards, lvl.K); err != nil {
 			return l.Stats(), err
 		}
 	}
@@ -291,9 +290,11 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 // level is deleted only after the manifest commits, and then every shard
 // file of the levels up to the produced one that the manifest does not
 // name is swept — whatever instant a kill lands, the directory holds one
-// consistent, resumable level.  The three steps run beside the next
-// level's join (housekeep), and the boundary after it waits for them.
-// Plain runs live in a private directory their entry point removes whole.
+// consistent, resumable level.  The commit runs here, and a commit that
+// fails stops the run before anything is deleted; the deletions run
+// beside the next level's join (housekeep), which waits for them before
+// its record.  Plain runs live in a private directory their entry point
+// removes whole.
 //
 //repro:ctxloop
 func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
@@ -303,13 +304,18 @@ func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
 			break
 		}
 		if err := l.cfg.Ctx.Err(); err != nil {
-			// Between levels the checkpoint is durable once the
-			// housekeeping is done; just stop.
+			// Between levels the checkpoint is already durable; the
+			// last boundary's deletions finish, and the run stops.
 			return l.Stats(), errors.Join(fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err), l.settle())
 		}
 		next, err := l.runLevel(r, &Level{K: k, Shards: in.shards, loop: l, feed: in}, nil, nil)
 		if err != nil {
 			return l.Stats(), err
+		}
+		if l.cfg.Checkpoint {
+			if err := l.checkpoint(next.shards, next.k); err != nil {
+				return l.Stats(), err
+			}
 		}
 		l.housekeep(in.shards, next)
 		in, k = next, k+1
@@ -332,33 +338,19 @@ func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
 	return l.Stats(), nil
 }
 
-// housekeep starts a boundary's housekeeping beside the next level's
-// join: the checkpoint that names the produced level, with the counters
-// as they stand now, the removal of the consumed level, and the sweep of
-// the levels up to the produced one — the level being written is the
-// one after it, which the sweep leaves alone.
+// housekeep starts a boundary's deletions beside the next level's join,
+// once the checkpoint names the produced level: the removal of the
+// consumed level and the sweep of the levels up to the produced one —
+// the level being written is the one after it, which the sweep leaves
+// alone.
 func (l *Loop) housekeep(consumed []ShardMeta, next *feed) {
-	var m *Manifest
-	if l.cfg.Checkpoint {
-		m = l.manifest(next.shards, next.k)
-	}
 	l.hk.Add(1)
 	go func() {
 		defer l.hk.Done()
 		if boundaryHook != nil {
 			boundaryHook(next.k)
 		}
-		var err error
-		if m != nil {
-			err = l.commit(m)
-		}
-		if err == nil {
-			err = l.removeShards(consumed)
-		}
-		if err == nil {
-			err = l.sweep(next.shards, next.k)
-		}
-		l.hkErr = err
+		l.hkErr = errors.Join(l.removeShards(consumed), l.sweep(next.shards, next.k))
 	}()
 }
 
@@ -392,7 +384,6 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 		rec = *cut
 	}
 	lv.Target = l.shardTarget(encB)
-	lv.Buf = bufShare(l.hooks.Gov, 3*l.cfg.Workers) // a worker's three: read window, block queues, write buffer
 	// Only a resume can run a level below Lo (its checkpoint lies below a
 	// raised bound): such a level's cliques are neither shipped nor counted.
 	report := k+1 >= l.cfg.Lo
@@ -463,9 +454,7 @@ func (l *Loop) shardTarget(consumedBytes int64) int64 {
 	return DefaultShardTarget(consumedBytes, l.cfg.Workers)
 }
 
-// manifest is the checkpoint that names level k, with the counters as of
-// now.
-func (l *Loop) manifest(shards []ShardMeta, k int) *Manifest {
+func (l *Loop) checkpoint(shards []ShardMeta, k int) error {
 	st := l.Stats()
 	st.Aborted = false
 	m := &Manifest{
@@ -481,10 +470,6 @@ func (l *Loop) manifest(shards []ShardMeta, k int) *Manifest {
 	if l.Releases != nil {
 		m.Releases = l.Releases()
 	}
-	return m
-}
-
-func (l *Loop) commit(m *Manifest) error {
 	// The first commit claims the directory (a fresh run writes into an
 	// empty one; a resume adopts the checkpoint it just validated); every
 	// later commit must match the owner already on disk — a stale

@@ -54,11 +54,11 @@ import (
 // of the generation before (writeBehind.turn): no chunk is reused while
 // the writer still reads it.
 
-// A worker's queues and buffers.  Of the shares of headroom a step gives
-// each of a worker's buffers (Level.Buf), the read window and the write
-// buffer take at most ioCap each — a bigger buffer saves syscalls, not
-// time — and the block queues take the rest, split evenly between input
-// (the blocks and their admissions) and output.
+// A worker's queues and buffers.  Of the shares of headroom the spilled
+// phase gives each of a worker's buffers (bufShare), the read window and
+// the write buffer take at most ioCap each — a bigger buffer saves
+// syscalls, not time — and the block queues take the rest, split evenly
+// between input (the blocks and their admissions) and output.
 const (
 	queueDepth = 4        // input blocks in flight, at the most
 	genBatches = 4        // output batches to a kernel arena generation, at the most
@@ -125,16 +125,16 @@ type outPiece struct {
 	end    *JoinStats // the shard is joined: what it found and read
 }
 
-// run joins the shards next hands out (with a tag for deliver) through the
-// three stages, as one level of size-job.K records; job's fields other
-// than In describe all of them.  Each shard's result goes to deliver,
-// from the write-behind goroutine, once its output shards are closed.  It
-// returns the encoded bytes read — those of undelivered shards included —
-// and the first error of any stage: a level cut short leaves its output
-// files to the level driver's sweep.
-func (j *Joiner) run(ctx context.Context, job *ShardJob,
-	next func() (ShardMeta, int, bool), deliver func(int, ShardResult)) (int64, error) {
-	j.ahead(ctx, job.Dir, job.Gov, job.Buf, &feed{k: job.K, pull: next})
+// run joins the shards of f, a feed closed to publishing, (with their
+// index for deliver) through the three stages, as one level of
+// size-job.K records; job's fields other than In describe all of them.
+// Each shard's result goes to deliver, from the write-behind goroutine,
+// once its output shards are closed.  It returns the encoded bytes read
+// — those of undelivered shards included — and the first error of any
+// stage: a level cut short leaves its output files to the level driver's
+// sweep.
+func (j *Joiner) run(ctx context.Context, job *ShardJob, f *feed, deliver func(int, ShardResult)) (int64, error) {
+	j.ahead(ctx, job.Dir, job.Gov, job.Buf, f)
 	read, err := j.level(ctx, job, deliver)
 	return read + j.stop(), err
 }

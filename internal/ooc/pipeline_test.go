@@ -18,21 +18,23 @@ import (
 	"repro/internal/testgraph"
 )
 
-// pipelineFault is one way a level's pipeline can be cut short: hooks on
-// the shard source and on the output files' names, and the error the
-// level must end with.
+// pipelineFault is one way a level's pipeline can be cut short: a feed
+// left open, a hook on the output files' names, and the error the level
+// must end with.
 type pipelineFault struct {
 	name string
-	// onNext runs as decode-ahead asks for shard i; onShard as
-	// write-behind names output file i (both counted from 1) and returns
-	// the name to use instead, or an error.
-	onNext  func(i int, cancel context.CancelFunc)
+	// stall, when set, is the shards the feed publishes and stays open
+	// after, and the level is canceled once they are delivered, while
+	// decode-ahead waits on the feed; onShard runs as write-behind names
+	// output file i (counted from 1) and returns the name to use
+	// instead, or an error.
+	stall   int
 	onShard func(i int, name string, cancel context.CancelFunc) (string, error)
 	want    error
 }
 
 // TestPipelineFaults cuts a level's three-stage join short in each stage
-// — cancellation while decode-ahead is reading, cancellation while
+// — cancellation while decode-ahead waits on its feed, cancellation while
 // write-behind is writing, a file-naming hook that fails, a write that
 // fails — at the full queue depth and at depth one, and requires every
 // time an error that says why, the governor back at its entry value and
@@ -90,12 +92,7 @@ func TestPipelineFaults(t *testing.T) {
 
 	faults := []pipelineFault{
 		{name: "complete"},
-		{name: "cancel-in-decode-ahead", want: context.Canceled,
-			onNext: func(i int, cancel context.CancelFunc) {
-				if i == 3 {
-					cancel()
-				}
-			}},
+		{name: "cancel-in-decode-ahead", want: context.Canceled, stall: 3},
 		{name: "cancel-in-write-behind", want: context.Canceled,
 			onShard: func(i int, name string, cancel context.CancelFunc) (string, error) {
 				if i == 3 {
@@ -132,18 +129,20 @@ func TestPipelineFaults(t *testing.T) {
 				j := NewJoiner(g)
 				j.b.Gov = gov
 				gov.Charge(j.ScratchBytes())
-				in, asked, named, delivered := shards, 0, 0, 0
-				next := func() (ShardMeta, int, bool) {
-					if asked == len(in) {
-						return ShardMeta{}, 0, false
+				named, delivered := 0, 0
+				feedOf := func(in []ShardMeta) *feed {
+					if f.stall > 0 {
+						return newFeed(lvl.K, in[:f.stall])
 					}
-					asked++
-					if f.onNext != nil {
-						f.onNext(asked, cancel)
-					}
-					return in[asked-1], asked - 1, true
+					fd := newFeed(lvl.K, in)
+					fd.close(nil)
+					return fd
 				}
-				deliver := func(int, ShardResult) { delivered++ }
+				deliver := func(int, ShardResult) {
+					if delivered++; delivered == f.stall {
+						cancel()
+					}
+				}
 				outSeq := 0
 				newShard := shardNamer(&outSeq, lvl.K+1)
 				job := &ShardJob{
@@ -158,12 +157,12 @@ func TestPipelineFaults(t *testing.T) {
 					},
 					OnWrite: noAccount,
 				}
-				read, err := j.run(ctx, job, next, deliver)
+				read, err := j.run(ctx, job, feedOf(shards), deliver)
 				got := delivered
 				if f.want == nil && err == nil {
 					br := j.br
-					in, asked, delivered = wide, 0, 0
-					if _, werr := j.run(ctx, job, next, deliver); werr != nil || delivered != len(wide) {
+					delivered = 0
+					if _, werr := j.run(ctx, job, feedOf(wide), deliver); werr != nil || delivered != len(wide) {
 						t.Errorf("wide shards: err %v, %d of %d delivered", werr, delivered, len(wide))
 					}
 					if j.br != br {

@@ -29,25 +29,27 @@ func newPool(g graph.Interface, cfg enumcfg.Config, gov *membudget.Governor) *po
 }
 
 // start makes the Joiners at the first level and starts their
-// decode-ahead on lv's feed where none runs.  Their scratch is resident
-// for the whole run; the governor hears about it like any other layer's
-// footprint: what a joiner holds now is charged here, what its local
-// universe adds later by its builder.  Decode-ahead lives for the run
-// too, in a pipeline shaped from the first level's share of headroom; it
-// follows the feeds from level to level as the loop runs them, in order.
+// decode-ahead on lv's feed.  Their scratch is resident for the whole
+// run; the governor hears about it like any other layer's footprint:
+// what a joiner holds now is charged here, what its local universe adds
+// later by its builder.  Decode-ahead lives for the run too, in a
+// pipeline shaped once, from the shares of the headroom the spilled
+// phase starts with (bufShare); it follows the feeds from level to level
+// as the loop runs them, in order.  No level runs after a failed one, so
+// a stopped decode-ahead is never started again.
 func (p *pool) start(ctx context.Context, lv *Level) {
-	if p.joiners == nil {
-		p.joiners = make([]*Joiner, p.cfg.Workers)
-		for i := range p.joiners {
-			p.joiners[i] = NewJoiner(p.g)
-			p.joiners[i].b.Gov = p.gov
-			p.gov.Charge(p.joiners[i].ScratchBytes())
-		}
+	if p.joiners != nil {
+		return
+	}
+	buf := bufShare(p.gov, 3*p.cfg.Workers) // a worker's three: read window, block queues, write buffer
+	p.joiners = make([]*Joiner, p.cfg.Workers)
+	for i := range p.joiners {
+		p.joiners[i] = NewJoiner(p.g)
+		p.joiners[i].b.Gov = p.gov
+		p.gov.Charge(p.joiners[i].ScratchBytes())
 	}
 	for _, j := range p.joiners {
-		if j.dec == nil {
-			j.ahead(ctx, p.cfg.Dir, p.gov, lv.Buf, lv.feed)
-		}
+		j.ahead(ctx, p.cfg.Dir, p.gov, buf, lv.feed)
 	}
 }
 
@@ -109,8 +111,7 @@ func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, 
 // level after it (nil when no level may follow: Hi), which is where
 // decode-ahead goes once it has claimed the last shard.
 type feed struct {
-	k    int                           // clique size of the level's records
-	pull func() (ShardMeta, int, bool) // a source that is not published (Joiner.run): claims call it
+	k int // clique size of the level's records
 
 	mu     sync.Mutex
 	shards []ShardMeta // the level so far; once its producer has returned, all of it
@@ -148,9 +149,6 @@ func (f *feed) wake() {
 // one is published; false once the feed is closed and every shard taken,
 // or ctx ends.
 func (f *feed) claim(ctx context.Context) (ShardMeta, int, bool) {
-	if f.pull != nil {
-		return f.pull()
-	}
 	for {
 		f.mu.Lock()
 		if i := f.taken; i < len(f.shards) {

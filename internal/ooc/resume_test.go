@@ -50,10 +50,11 @@ func killRun(t *testing.T, g graph.Interface, dir string, after int, cfg enumcfg
 	return killed
 }
 
-// killBeside is killRun with the kill landing while the housekeeping of
-// the boundary into level k — its checkpoint, the removal of the level
-// before, the sweep — runs beside level k's join: the housekeeping waits
-// until that join has released a clique, cancels the run and goes on.
+// killBeside is killRun with the kill landing while the deletions of the
+// boundary into level k — the removal of the level before, the sweep —
+// run beside level k's join, its checkpoint committed: the housekeeping
+// waits until that join has released a clique, cancels the run and goes
+// on.
 func killBeside(t *testing.T, g graph.Interface, dir string, k int, cfg enumcfg.Config) []string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
