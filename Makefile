@@ -135,7 +135,7 @@ smoke-spillover:
 # Distributed stream-parity acceptance matrix: coordinator + N exec/pipe
 # workers for N in {1,2,4} must emit the
 # sequential backend's stream byte-for-byte — plus the kill-recovery
-# test (a test transport kills a worker as its second lease goes out,
+# test (a test transport kills a worker as the run's second lease goes out,
 # mid-level; the shard is re-leased) and the cross-engine Cost check
 # (every engine counts the sequential engine's Cost, level for level).
 dist-parity:

@@ -291,8 +291,9 @@ func BenchmarkSimulate256(b *testing.B) {
 // from Init_K = 3 at one worker, under a quarter of the governor peak of
 // the same run unbudgeted, so the governor trips in core and the rest of
 // the run joins level after level from shard files.  Beside the time it
-// reports the spilled levels' summed Wait: the join stage's time blocked
-// on decode-ahead.
+// reports the spilled levels' summed Wait — the join stage's time blocked
+// on decode-ahead — and the CPU time, user and system, of every thread:
+// wall time alone does not say whether a change cut work or filled idle.
 func BenchmarkSpilledC75(b *testing.B) {
 	g := expt.Build(expt.SpecC.Scale(0.75), 1)
 	ctx, discard := context.Background(), ReporterFunc(func(Clique) {})
@@ -303,6 +304,7 @@ func BenchmarkSpilledC75(b *testing.B) {
 	dir := b.TempDir()
 	var wait time.Duration
 	b.ResetTimer()
+	cpu := cpuTime()
 	for i := 0; i < b.N; i++ {
 		var st Stats
 		opts := []Option{WithBounds(3, 0), WithMemoryBudget(ref.PeakBytes / 4), WithSpillover(dir), WithStats(&st)}
@@ -316,5 +318,7 @@ func BenchmarkSpilledC75(b *testing.B) {
 			wait += ls.Wait
 		}
 	}
+	cpu = cpuTime() - cpu
 	b.ReportMetric(float64(wait.Microseconds())/1e3/float64(b.N), "wait-ms/op")
+	b.ReportMetric(float64(cpu.Microseconds())/1e3/float64(b.N), "cpu-ms/op")
 }

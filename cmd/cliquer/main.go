@@ -257,7 +257,7 @@ func run(ctx context.Context, path string, o options) error {
 	if o.stats {
 		opts = append(opts, repro.WithOnLevel(func(ls repro.LevelStats) {
 			fmt.Fprintf(os.Stderr,
-				"level %2d->%2d: %8d sub-lists %9d cliques %8d maximal %5d transfers %12d resident bytes %12d work %9.6f s %9.6f wait s\n",
+				"level %2d->%2d: %8d sub-lists %9d cliques %8d maximal %5d transfers %12d level bytes %12d work %9.6f s %9.6f wait s\n",
 				ls.FromK, ls.FromK+1, ls.Sublists, ls.Cliques, ls.Maximal,
 				ls.Transfers, ls.ResidentBytes, ls.Work, ls.Elapsed.Seconds(), ls.Wait.Seconds())
 		}))

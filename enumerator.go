@@ -125,11 +125,12 @@ type Stats struct {
 // emits (internal/core.LevelStats): the in-core loop fills it from the
 // level blocks' own counts, the on-disk loop from its shard list.  The
 // in-core engines fill the same fields with the same values for the same
-// run (sequential, any worker count, either strategy); Transfers is zero
-// outside the worker pool, Sublists zero out of core.
+// run (sequential, any worker count, either strategy), and the on-disk
+// loop the same FromK, Sublists, Cliques, Maximal and Work; Transfers is
+// zero outside the worker pool.
 type LevelStats struct {
 	FromK         int   // size of the consumed candidates
-	Sublists      int   // sub-lists consumed (in-core steps)
+	Sublists      int   // sub-lists consumed: in core from the blocks, on disk from the shards' runs
 	Cliques       int64 // candidate cliques consumed
 	Maximal       int64 // maximal (FromK+1)-cliques delivered to the caller
 	ResidentBytes int64 // consumed + produced level: block bytes as charged in core, encoded file bytes on disk

@@ -20,11 +20,11 @@ import (
 // what was delivered before the cut.
 type LevelStats struct {
 	FromK     int   // size of the consumed candidates
-	Sublists  int   // N[k] consumed (0 for a level joined from shard files)
+	Sublists  int   // N[k] consumed; on disk, the runs of its shards
 	Cliques   int64 // M[k] consumed
 	Bytes     int64 // the consumed level: its blocks' bytes as charged; on disk, its encoded file bytes
-	NextSub   int   // N[k+1] produced (0 on disk)
-	NextCl    int64 // M[k+1] produced (0 on disk)
+	NextSub   int   // N[k+1] produced, counted like Sublists (0 for a step a trip carried to disk)
+	NextCl    int64 // M[k+1] produced (0 for a step a trip carried to disk)
 	NextBytes int64 // the produced level, measured like Bytes
 	Maximal   int64 // maximal (k+1)-cliques delivered to the reporter
 	Dropped   int64 // non-maximal (k+1)-cliques discarded (singleton rule)

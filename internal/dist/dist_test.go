@@ -108,33 +108,34 @@ func TestDistStreamParityMatrix(t *testing.T) {
 	}
 }
 
-// killSecondLease is the exec transport with one crash on cue: the first
-// time slot 1 is sent its second lease, counted across the slot's
-// incarnations, its worker process is killed just before the frame goes
-// out — the lease is in flight on a dead worker, and the coordinator must
-// re-lease it.
+// killSecondLease is the exec transport with one crash on cue: whichever
+// slot is sent the run's second lease has its worker process killed just
+// before the frame goes out — the lease is in flight on a dead worker,
+// and the coordinator must re-lease it.  The cue counts the run's leases,
+// not one slot's, so it fires however late any slot's process starts.
 type killSecondLease struct {
 	ExecTransport
-	leases atomic.Int32 // leases sent to slot 1
+	leases atomic.Int32 // leases sent to any slot
 }
 
 func (t *killSecondLease) Dial(ctx context.Context, i int) (Conn, error) {
 	c, err := t.ExecTransport.Dial(ctx, i)
-	if err != nil || i != 1 {
+	if err != nil {
 		return c, err
 	}
-	return &killConn{Conn: c, t: t}, nil
+	return &killConn{Conn: c, t: t, slot: i}, nil
 }
 
-// killConn is slot 1's connection under killSecondLease.
+// killConn is a slot's connection under killSecondLease.
 type killConn struct {
 	Conn
-	t *killSecondLease
+	t    *killSecondLease
+	slot int
 }
 
 func (c *killConn) Send(m *Msg) error {
 	if m.Type == MsgLease && c.t.leases.Add(1) == 2 {
-		if err := c.t.Kill(1); err != nil {
+		if err := c.t.Kill(c.slot); err != nil {
 			return err
 		}
 	}
@@ -407,9 +408,9 @@ func TestLevelCostAgreesAcrossEngines(t *testing.T) {
 // TestDiskLevelsCountTheKernelsWork: a disk run seeds like an in-core
 // one and counts a step joined from shard files like one joined in
 // memory — at every lower bound, an out-of-core run and a distributed one
-// emit the sequential in-core stream, and per level they consume the same
-// cliques, deliver the same maximal ones, drop the same and pay the same
-// pairs, probes and generated cliques.  With ReportSmall the seed's 1-
+// emit the sequential in-core stream, and per level they consume and
+// produce the same sub-lists and cliques, deliver the same maximal ones,
+// drop the same and pay the same pairs, probes and generated cliques.  With ReportSmall the seed's 1-
 // and 2-cliques lead the stream, and the run record — the level records
 // folded plus the seed tally, as the facade keeps it — agrees too.
 func TestDiskLevelsCountTheKernelsWork(t *testing.T) {
@@ -423,7 +424,8 @@ func TestDiskLevelsCountTheKernelsWork(t *testing.T) {
 			OnLevel: o.res.Fold(nil)}
 	}
 	sameLevel := func(a, b core.LevelStats) bool {
-		return a.FromK == b.FromK && a.Cliques == b.Cliques && a.Maximal == b.Maximal && sameWork(a, b)
+		return a.FromK == b.FromK && a.Sublists == b.Sublists && a.Cliques == b.Cliques &&
+			a.NextSub == b.NextSub && a.NextCl == b.NextCl && a.Maximal == b.Maximal && sameWork(a, b)
 	}
 	for _, c := range []struct {
 		lo    int

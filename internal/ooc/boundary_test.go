@@ -6,10 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -20,8 +18,8 @@ import (
 )
 
 // interceptRunner is the pool with a look at every delivery before the
-// level loop takes it — before the loop publishes the shard's output to
-// the next level's feed, so before any decode-ahead can read it.
+// level loop takes it, so before the next level can read the shard's
+// output.
 type interceptRunner struct {
 	*pool
 	on func(lv *Level, shard int, res ShardResult)
@@ -46,12 +44,6 @@ func runIntercepted(t *testing.T, g graph.Interface, cfg enumcfg.Config, h core.
 	return NewLoop(g, cfg, h, "test").RunSeed(interceptRunner{p, on})
 }
 
-// decodeAheads counts the decode-ahead stages running now.
-func decodeAheads() int {
-	buf := make([]byte, 1<<20)
-	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "ooc.(*decodeAhead).run(")
-}
-
 // untimed is a level record without its wall-clock fields, which differ
 // from run to run.
 func untimed(st core.LevelStats) core.LevelStats {
@@ -59,42 +51,8 @@ func untimed(st core.LevelStats) core.LevelStats {
 	return st
 }
 
-// TestNoDecodeAheadPastHi: with Hi set, the feed of level Hi is never
-// named to decode-ahead, so once the last level's record is taken no
-// decode-ahead runs — had one gone on into level Hi it would be waiting
-// there, on a feed nobody closes — and none of level Hi's shards was
-// opened.
-func TestNoDecodeAheadPastHi(t *testing.T) {
-	g := plantedGraph(214)
-	const hi, workers = 5, 2
-	check := testgraph.NoLeaks(t, nil)
-	last := 0
-	_, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), Workers: workers, Hi: hi, ShardBytes: 512}, core.Hooks{
-		OnLevel: func(st core.LevelStats) {
-			last = st.FromK
-			if st.FromK < hi-1 {
-				return
-			}
-			for deadline := time.Now().Add(10 * time.Second); decodeAheads() > 0 && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if n := decodeAheads(); n > 0 {
-				t.Errorf("%d decode-ahead stages run after the last level below Hi", n)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != hi-1 {
-		t.Fatalf("the last level joined was %d, want %d: Hi did not cut the run", last, hi-1)
-	}
-	check()
-}
-
-// TestCorruptNextLevelFailsAsItsOwn: a shard of level k+1 that decode-
-// ahead reads while level k still joins — here one damaged right after
-// level k delivered it — fails level k+1, not k: level k completes with
+// TestCorruptNextLevelFailsAsItsOwn: a shard of level k+1 damaged right
+// after level k delivered it fails level k+1, not k: level k completes with
 // its whole record and commits, the checkpoint names level k+1, the error
 // names step k+1->k+2, and the ledger returns to its entry value.
 func TestCorruptNextLevelFailsAsItsOwn(t *testing.T) {

@@ -28,8 +28,8 @@ import (
 // and the local pool in pool.go both run Joiner.Join's pipeline, and
 // JoinShardBytes runs its stages in turn, so the distributed,
 // single-machine and in-core joins cannot drift.  A Joiner's scratch
-// lives for the run, and so does its decode-ahead goroutine in the pool;
-// its join and write-behind goroutines live for one level.
+// lives for the run; the goroutines that run it live for one level's
+// join.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
 // flat vertex arena, no per-clique allocation), the kernel's work on the
@@ -61,18 +61,16 @@ func (s *JoinStats) Emit(c clique.Clique) {
 // seals the survivors into blocks — and reports maximal cliques.  A
 // record outside N(p0), which only a damaged or forged shard holds,
 // fails its shard.  It is not safe for concurrent use; give each worker
-// its own: the pool keeps one per worker for the run, the admitter on
-// its decode-ahead goroutine and the builder on the join's of each
-// level.
+// its own: the pool keeps one per worker for the run and runs each on
+// goroutines of its own at every level, the admitter on decode-ahead's
+// and the builder on the join's.
 type Joiner struct {
-	g    graph.Interface
-	adm  *core.Admitter // the admission half: decode-ahead's
-	b    *core.Builder  // the join half, which holds no universe
-	rec  core.Admitted  // the join stage's view of an admitted record, with its copy of the group
-	bufs []inBuf        // decode-ahead's block buffers between runs
-	br   *bufio.Reader  // decode-ahead's read window between runs
-	bw   *bufio.Writer  // write-behind's file buffer between runs
-	dec  *decodeAhead   // the running decode-ahead stage, if any
+	g   graph.Interface
+	adm *core.Admitter // the admission half: decode-ahead's
+	b   *core.Builder  // the join half, which holds no universe
+	rec core.Admitted  // the join stage's view of an admitted record, with its copy of the group
+	dec *decodeAhead   // decode-ahead's queues, buffers and window between levels
+	bw  *bufio.Writer  // write-behind's file buffer between levels
 
 	mark int // the builder's blocks already handed to write-behind
 }
@@ -123,14 +121,12 @@ type ShardResult struct {
 
 // Join executes one shard join from opening the input to closing the
 // last output shard, through the three stages the in-process pool runs
-// over a worker's shards, here over a one-shard feed.  On error the
-// partial output is closed (its files are the level driver's to sweep)
-// and the result still carries the bytes the join read.
+// over a level's shards, here over a list of one.  On error the partial
+// output is closed (its files are the level driver's to sweep) and the
+// result still carries the bytes the join read.
 func (j *Joiner) Join(ctx context.Context, job *ShardJob) (ShardResult, error) {
 	var res ShardResult
-	in := newFeed(job.K, []ShardMeta{job.In})
-	in.close(nil)
-	read, err := j.run(ctx, job, in, func(_ int, r ShardResult) { res = r })
+	read, err := j.run(ctx, job, &shardList{shards: []ShardMeta{job.In}}, func(_ int, r ShardResult) { res = r })
 	if err != nil {
 		return ShardResult{JoinStats: JoinStats{BytesRead: read}}, err
 	}

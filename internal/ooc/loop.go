@@ -28,13 +28,9 @@ import (
 // been made (nil) or the level cannot finish (the reason).  The runner
 // also reports the bytes it moves: lv.Wrote as output bytes reach a file
 // (or, for a remote join, when its result is accepted) and lv.Read for
-// the input bytes of every join, failed ones included.  Beside the shard
-// list, lv carries the level as a feed, which the loop fills while the
-// level before still runs — each shard published as the sequencer
-// releases it — and closes when lv starts; a runner may read ahead from
-// it or ignore it.  The pool runs each worker's shards through the
-// three-stage pipeline (pipeline.go), its decode-ahead claiming from the
-// feeds; a remote worker runs one shard through the same stages.
+// the input bytes of every join, failed ones included.  The pool runs
+// each worker's shards through the three-stage pipeline (pipeline.go); a
+// remote worker runs one shard through the same stages.
 type ShardRunner interface {
 	RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error
 }
@@ -47,7 +43,6 @@ type Level struct {
 	Collect bool        // a Reporter is listening: buffer the maximal cliques
 
 	loop *Loop
-	feed *feed        // the consumed level as its producer publishes it; a runner may ignore it
 	out  atomic.Int64 // encoded bytes of the produced level so far
 }
 
@@ -125,8 +120,8 @@ type Loop struct {
 // stages — inside the headroom a step starts with (bufShare, shapeFor),
 // never aborting on it: disk is where an over-budget run belongs (the
 // pool sizes its pipelines once, from the first spilled level's shares,
-// since blocks it reads ahead cross level boundaries).  role
-// tags the run's checkpoints ("ooc", "coordinator").
+// and keeps their buffers from level to level).  role tags the run's
+// checkpoints ("ooc", "coordinator").
 func NewLoop(g graph.Interface, cfg enumcfg.Config, hooks core.Hooks, role string) *Loop {
 	l := &Loop{g: g, cfg: cfg, hooks: hooks, owner: SelfOwner(role)}
 	if cfg.Checkpoint {
@@ -175,7 +170,7 @@ func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 			return l.Stats(), err
 		}
 	}
-	return l.run(r, newFeed(lvl.K, shards))
+	return l.run(r, lvl.K, shards)
 }
 
 // RunCut carries a tripped in-core step to disk and runs the level loop
@@ -213,13 +208,13 @@ func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (St
 		return l.Stats(), err
 	}
 	l.st.Shards += int64(len(rest))
-	lv.Shards, lv.feed = rest, newFeed(lvl.K, rest)
+	lv.Shards = rest
 	next, err := l.runLevel(r, lv, head, &rec)
 	if err != nil {
 		return l.Stats(), err
 	}
-	l.housekeep(rest, next)
-	return l.run(r, next)
+	l.housekeep(rest, next, lvl.K+1)
+	return l.run(r, lvl.K+1, next)
 }
 
 // cutRecord is a tripped in-core step's record as it leaves memory: its
@@ -278,12 +273,12 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 	l.rawWritten.Store(m.Stats.RawBytesWritten)
 	l.read.Store(m.Stats.BytesRead)
 	l.st.Resumed = true
-	return l.run(r, newFeed(m.K, m.Shards))
+	return l.run(r, m.K, m.Shards)
 }
 
-// run drives the level loop from the level in — whose shards a
-// checkpointed run's manifest already names — until no candidates remain
-// (or Hi / cancellation / the spill budget stops it).
+// run drives the level loop from the level of size-k records in shards —
+// which a checkpointed run's manifest already names — until no candidates
+// remain (or Hi / cancellation / the spill budget stops it).
 //
 // The commit protocol at every boundary of a checkpointed run: the
 // produced level is durable before the manifest names it, the consumed
@@ -297,9 +292,8 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 // removes whole.
 //
 //repro:ctxloop
-func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
-	k := in.k
-	for LevelRecords(in.shards) > 0 {
+func (l *Loop) run(r ShardRunner, k int, shards []ShardMeta) (Stats, error) {
+	for LevelRecords(shards) > 0 {
 		if l.cfg.Hi > 0 && k >= l.cfg.Hi {
 			break
 		}
@@ -308,17 +302,17 @@ func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
 			// last boundary's deletions finish, and the run stops.
 			return l.Stats(), errors.Join(fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err), l.settle())
 		}
-		next, err := l.runLevel(r, &Level{K: k, Shards: in.shards, loop: l, feed: in}, nil, nil)
+		next, err := l.runLevel(r, &Level{K: k, Shards: shards, loop: l}, nil, nil)
 		if err != nil {
 			return l.Stats(), err
 		}
 		if l.cfg.Checkpoint {
-			if err := l.checkpoint(next.shards, next.k); err != nil {
+			if err := l.checkpoint(next, k+1); err != nil {
 				return l.Stats(), err
 			}
 		}
-		l.housekeep(in.shards, next)
-		in, k = next, k+1
+		l.housekeep(shards, next, k+1)
+		shards, k = next, k+1
 	}
 	if err := l.settle(); err != nil {
 		return l.Stats(), err
@@ -332,25 +326,25 @@ func (l *Loop) run(r ShardRunner, in *feed) (Stats, error) {
 			return l.Stats(), err
 		}
 	}
-	if err := l.removeShards(in.shards); err != nil {
+	if err := l.removeShards(shards); err != nil {
 		return l.Stats(), err
 	}
 	return l.Stats(), nil
 }
 
 // housekeep starts a boundary's deletions beside the next level's join,
-// once the checkpoint names the produced level: the removal of the
-// consumed level and the sweep of the levels up to the produced one —
-// the level being written is the one after it, which the sweep leaves
-// alone.
-func (l *Loop) housekeep(consumed []ShardMeta, next *feed) {
+// once the checkpoint names the produced level, next, of size-k records:
+// the removal of the consumed level and the sweep of the levels up to the
+// produced one — the level being written is the one after it, which the
+// sweep leaves alone.
+func (l *Loop) housekeep(consumed, next []ShardMeta, k int) {
 	l.hk.Add(1)
 	go func() {
 		defer l.hk.Done()
 		if boundaryHook != nil {
-			boundaryHook(next.k)
+			boundaryHook(k)
 		}
-		l.hkErr = errors.Join(l.removeShards(consumed), l.sweep(next.shards, next.k))
+		l.hkErr = errors.Join(l.removeShards(consumed), l.sweep(next, k))
 	}()
 }
 
@@ -368,18 +362,18 @@ func (l *Loop) settle() error {
 
 // runLevel has r join the shards of lv, one level, behind the shards of
 // head, which the step produced already, and returns the next level's
-// feed, closed to publishing: its shard list.  cut, when non-nil, is the
-// record of a step that started in memory (RunCut); a level from files
-// gets its own.  The last boundary's housekeeping is settled before the
-// record.
-func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.LevelStats) (*feed, error) {
+// shard list.  cut, when non-nil, is the record of a step that started in
+// memory (RunCut); a level from files gets its own, its sub-lists and
+// cliques counted from the shard lists.  The last boundary's housekeeping
+// is settled before the record.
+func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.LevelStats) ([]ShardMeta, error) {
 	start, k, shards := time.Now(), lv.K, lv.Shards
 	l.st.Levels++
 	encB, _ := LevelBytes(shards)
 	if encB > l.st.PeakLevelFile {
 		l.st.PeakLevelFile = encB
 	}
-	rec := core.LevelStats{FromK: k, Cliques: LevelRecords(shards), Bytes: encB, Spilled: true}
+	rec := core.LevelStats{FromK: k, Sublists: levelRuns(shards), Cliques: LevelRecords(shards), Bytes: encB, Spilled: true}
 	if cut != nil {
 		rec = *cut
 	}
@@ -388,14 +382,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 	// raised bound): such a level's cliques are neither shipped nor counted.
 	report := k+1 >= l.cfg.Lo
 	lv.Collect = report && l.hooks.Reporter != nil
-	// The produced level is published shard by shard as it is released;
-	// decode-ahead goes on to it after lv's last shard if it may run.
-	out := newFeed(k+1, head)
-	var after *feed
-	if l.cfg.Hi == 0 || k+1 < l.cfg.Hi {
-		after = out
-	}
-	lv.feed.close(after)
+	next := head
 	// Release in shard order: emission order is exactly the sequential
 	// order, and the next level's shard list is assembled in global run
 	// order.  The counts accrue on release, so an aborted level counts
@@ -415,7 +402,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 				start = end
 			}
 		}
-		out.publish(res.Out)
+		next = append(next, res.Out...)
 	})
 	err := errors.Join(r.RunLevel(l.cfg.Ctx, lv, seq.Deposit), l.settle())
 	if err == nil {
@@ -427,8 +414,8 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 	}
 	// A level cut short is observed like a completed one: its record
 	// covers what was released before the cut.
-	next := out.shards
 	if cut == nil {
+		rec.NextSub, rec.NextCl = levelRuns(next), LevelRecords(next)
 		rec.NextBytes, _ = LevelBytes(next)
 	}
 	rec.Elapsed += time.Since(start)
@@ -442,7 +429,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 		return nil, errors.Join(err, l.sweep(shards, 0))
 	}
 	l.st.Shards += int64(len(next))
-	return out, nil
+	return next, nil
 }
 
 // shardTarget sizes the next level's shards from the consumed level's

@@ -10,10 +10,9 @@
 // k-cliques — is stored as an ordered list of run-aligned shard files
 // (package-level comment in shard.go).  One level driver (Loop, loop.go)
 // runs the level loop; a ShardRunner joins each level's shards — here a
-// pool of Joiners kept for the run, whose decode-ahead stages claim the
-// shards from each level's feed in order and read on into the next
-// level's while this one still joins (pool.go), in internal/dist leased
-// worker processes — and the driver releases shard
+// pool of Joiners kept for the run, each on goroutines of its own for a
+// level, claiming the level's shards in order (pool.go), in
+// internal/dist leased worker processes — and the driver releases shard
 // results in shard order through a sched.Sequencer, so the emitted
 // clique stream is byte-identical to the sequential one at any worker
 // count.  A hybrid run enters the loop mid-step (Continue): its trip

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/bk"
 	"repro/internal/clique"
@@ -317,39 +315,6 @@ func TestPrefetchCancellation(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("spill dir not cleaned after cancel: %d entries", len(entries))
 	}
-
-	// A cancel that lands while decode-ahead holds blocks of level k+1,
-	// read while level k still delivers: once level k's last shard is in
-	// write-behind's hands, wait until the next level's feed has handed a
-	// shard out, then cancel.
-	const entry = 999
-	gov.Charge(entry)
-	defer gov.Release(entry)
-	check := testgraph.NoLeaks(t, gov)
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	prefetched := false
-	_, err = runIntercepted(t, g, enumcfg.Config{Ctx: ctx, Dir: t.TempDir(), Workers: 2, ShardBytes: 128}, core.Hooks{Gov: gov},
-		func(lv *Level, i int, _ ShardResult) {
-			next := lv.feed.next
-			if ctx.Err() != nil || next == nil || i != len(lv.Shards)-1 || len(lv.Shards) < 4 {
-				return
-			}
-			for deadline := time.Now().Add(10 * time.Second); !prefetched && time.Now().Before(deadline); {
-				next.mu.Lock()
-				prefetched = next.taken > 0
-				next.mu.Unlock()
-				time.Sleep(100 * time.Microsecond)
-			}
-			cancel()
-		})
-	if !prefetched {
-		t.Fatal("decode-ahead never read into the next level before the cancel")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	check()
 }
 
 // TestCompressionShrinksLevelFiles pins the >= 2x I/O reduction the
@@ -426,14 +391,14 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 	}
 	// The old hot loop allocated one record slice per spilled record
 	// (>= spilled/k allocations).  The rebuilt loop's budget covers
-	// files, bufio buffers and stats, per level and worker the join's and
-	// write-behind's goroutines, channels and context, and once a worker
-	// its decode-ahead stage — goroutine, channels, context — with its
-	// block buffers and their admissions, which live for the run, and the
-	// join's copy of a group: 832 a run at the most, measured (go test
-	// -count 8 -run TestJoinHotLoopAllocs -v ./internal/ooc; 941 when
-	// decode-ahead was started once a level).  The bound is the measured
-	// count and 5 %: 832 x 1.05 = 874.
+	// files, bufio buffers and stats, per level the shard list and per
+	// level and worker the pipeline's goroutines, write-behind's channels
+	// and the context, and once a worker decode-ahead's queues with its
+	// block buffers and their admissions, kept from level to level, and
+	// the join's copy of a group: 843 a run at the most, measured (go test
+	// -count 8 -run TestJoinHotLoopAllocs -v ./internal/ooc).  The bound
+	// is 832 x 1.05 = 874, set when decode-ahead lived for the run (832
+	// then; 941 when its queues and buffers were made anew every level).
 	if allocs > 874 {
 		t.Errorf("%.0f allocs/run for %d spilled vertices: the hot loop is allocating per record", allocs, spilled)
 	}
@@ -442,25 +407,16 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 
 // TestNoGoroutineOutlivesItsLevel pins the pool's lifetimes: when a
 // level's record is taken, the goroutines that joined the level and the
-// last boundary's housekeeping have ended, and only each worker's
-// decode-ahead is left — it lives for the spilled run, so that it reads
-// the next level's first shards while the join finishes this one; when
-// the run returns, nothing is left.
+// last boundary's housekeeping have ended; only the Joiners stay for the
+// run.
 func TestNoGoroutineOutlivesItsLevel(t *testing.T) {
 	g := plantedGraph(213)
-	const workers = 2
 	check := testgraph.NoLeaks(t, nil)
-	entry := runtime.NumGoroutine()
 	levels := 0
-	_, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), Workers: workers}, core.Hooks{
+	_, err := Enumerate(g, enumcfg.Config{Dir: t.TempDir(), Workers: 2}, core.Hooks{
 		OnLevel: func(core.LevelStats) {
-			levels++
-			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > entry+workers && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
-			if n, d := runtime.NumGoroutine(), decodeAheads(); n > entry+workers || d > workers {
-				t.Errorf("level %d: %d goroutines (%d decode-ahead) against %d at entry; only the %d workers' decode-ahead may outlive a level",
-					levels, n, d, entry, workers)
+			if levels++; !t.Failed() {
+				check()
 			}
 		},
 	})
@@ -470,7 +426,6 @@ func TestNoGoroutineOutlivesItsLevel(t *testing.T) {
 	if levels < 2 {
 		t.Fatalf("%d levels on disk; the check needs more than one", levels)
 	}
-	check()
 }
 
 func TestMaxKStopsEarly(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/clique"
@@ -15,10 +16,9 @@ import (
 // The shard join runs in three stages, so that the file system works
 // beside the kernel instead of in its way (DESIGN.md §5.3):
 //
-//   - decode-ahead: a goroutine takes the worker's shards in order —
-//     in the pool it lives for the spilled run and, past a level's last
-//     shard, goes on to the next level's feed — and reads each a frame
-//     at a time through a window, straight into a
+//   - decode-ahead: a goroutine of the level claims the level's shards
+//     in order, one at a time from the list the workers share, and
+//     reads each a frame at a time through a window, straight into a
 //     block buffer, where the frame's CRC and core.Verifier check it; the
 //     verifier's one walk of the frame hands each record to the buffer's
 //     core.Admissions, which admits it in place through the kernel's
@@ -26,7 +26,7 @@ import (
 //     N(p0) — and keeps what the join reads that the block lacks:
 //     CN(prefix), and the rows admission built — nothing is walked,
 //     checked or mapped twice;
-//   - join: a goroutine of the level runs the kernel's join half
+//   - join: the calling goroutine runs the kernel's join half
 //     (Builder.Join) over those blocks and their admissions and hands the
 //     output on without starting a run of its own (Sealed, SealRuns, and
 //     Since at a block's end);
@@ -34,11 +34,11 @@ import (
 //     as frames into run-aligned shard files and closes them, and only
 //     then delivers the shard's result.
 //
-// A shard that decode-ahead cannot read fails the level it belongs to:
-// the failure goes down the queue behind the blocks before it, to that
-// level's join.  Any other error ends the level's join and write-behind
-// together, and the caller stops decode-ahead (Joiner.stop), which
-// releases what it read ahead.
+// The three start and end with the level (Joiner.run).  A shard that
+// decode-ahead cannot read fails the level: decode-ahead cancels it with
+// the error, as any stage does with its own, which ends the other two.
+// Decode-ahead's queues, buffers and read window stay with the Joiner
+// from level to level (Joiner.stage).
 //
 // A block belongs to one stage at a time, and so does the admitter: its
 // universe and memo are decode-ahead's, and the join holds no universe,
@@ -98,16 +98,15 @@ func shapeFor(buf int64) pipeShape {
 }
 
 // inPiece is what decode-ahead hands the join, in order: the blocks of a
-// shard with their admissions, then its end; after a level's last shard,
-// the level's end.
+// shard with their admissions, then its end; after the level's last
+// shard, the level's end.
 type inPiece struct {
-	tag   int   // the shard, as its feed numbered it
+	tag   int   // the shard, its index in the level
 	buf   inBuf // a block of the shard's records, bound to its admissions
 	bytes int64 // its charge on the job's governor
 	end   bool  // the shard is decoded; buf is empty
 	read  int64 // at the end: the shard's encoded bytes read
 	done  bool  // the level has no more shards
-	err   error // the shard could not be read: the level fails
 }
 
 // inBuf is an input block buffer and the admissions of the block read
@@ -125,97 +124,34 @@ type outPiece struct {
 	end    *JoinStats // the shard is joined: what it found and read
 }
 
-// run joins the shards of f, a feed closed to publishing, (with their
-// index for deliver) through the three stages, as one level of
-// size-job.K records; job's fields other than In describe all of them.
-// Each shard's result goes to deliver, from the write-behind goroutine,
-// once its output shards are closed.  It returns the encoded bytes read
-// — those of undelivered shards included — and the first error of any
-// stage: a level cut short leaves its output files to the level driver's
-// sweep.
-func (j *Joiner) run(ctx context.Context, job *ShardJob, f *feed, deliver func(int, ShardResult)) (int64, error) {
-	j.ahead(ctx, job.Dir, job.Gov, job.Buf, f)
-	read, err := j.level(ctx, job, deliver)
-	return read + j.stop(), err
-}
-
-// ahead starts the joiner's decode-ahead stage on f, in a pipeline shaped
-// once from buf (shapeFor): it reads ahead of the join shard after shard
-// and, at a level's end, on into the feed f names next, until a feed
-// names none, a shard fails, ctx ends or stop is called.
-func (j *Joiner) ahead(ctx context.Context, dir string, gov *membudget.Governor, buf int64, f *feed) {
-	ctx, cancel := context.WithCancel(ctx)
-	shape := shapeFor(buf)
-	// One read window for every shard of the run, of the size shapeFor
-	// budgets for it, so no shard makes a window of its own.
-	if sz := bufSize(shape.io, 0); j.br == nil || j.br.Size() != sz {
-		j.br = bufio.NewReaderSize(nil, sz)
-	}
-	d := &decodeAhead{
-		dir:    dir,
-		ledger: gov,
-		n:      j.g.N(),
-		out:    make(chan inPiece, shape.depth), // a piece per buffer in flight
-		free:   make(chan inBuf, shape.depth),   // room for every buffer
-		shape:  shape,
-		br:     j.br,
-		adm:    j.adm,
-		gov:    j.b.Gov,
-		stop:   cancel,
-	}
-	// The stages' buffers outlive the stage, like the kernel's arena.
-	for _, buf := range j.bufs {
-		if len(buf.words) == shape.words && d.made < shape.depth {
-			d.free <- buf
-			d.made++
-		}
-	}
-	j.bufs = j.bufs[:0]
-	j.adm.Leave() // the join's copy of a group starts where decode-ahead enters it
-	j.dec = d
-	go d.run(ctx, f)
-}
-
-// stop ends decode-ahead, releases what it read ahead, keeps its buffers
-// for the next, and returns the bytes it read that no join counted.
-func (j *Joiner) stop() int64 {
-	d := j.dec
-	if d == nil {
-		return 0
-	}
-	j.dec = nil
-	d.stop()
-	var read int64
-	for p := range d.out {
-		d.ledger.Release(p.bytes)
-		read += p.read
-		if p.buf.recs != nil {
-			j.bufs = append(j.bufs, p.buf)
-		}
-	}
-	for len(d.free) > 0 {
-		j.bufs = append(j.bufs, <-d.free)
-	}
-	return read + d.read
-}
-
-// level joins one level, job's, from what decode-ahead hands over up to
-// the level's end, through the join and a write-behind stage of its own.
-// It returns the encoded bytes of the shards it joined and the first
-// error of either stage or of a shard decode-ahead failed to read.
-func (j *Joiner) level(ctx context.Context, job *ShardJob, deliver func(int, ShardResult)) (int64, error) {
+// run joins the shards src hands out (with their index for deliver)
+// through the three stages, as one level of size-job.K records; job's
+// fields other than In describe all of them.  Each shard's result goes
+// to deliver, from the write-behind goroutine, once its output shards
+// are closed.  It returns the encoded bytes read — those of undelivered
+// shards included — and the first error of any stage: a level cut short
+// leaves its output files to the level driver's sweep.
+func (j *Joiner) run(ctx context.Context, job *ShardJob, src *shardList, deliver func(int, ShardResult)) (int64, error) {
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	shape := j.dec.shape
+	dec := j.stage(job)
 	lw := NewLevelWriter(job.Dir, job.K+1, false, job.Target, job.Gov, job.NewShard, job.OnWrite)
-	lw.bufCap, lw.bw = shape.io, j.bw
-	wb := newWriteBehind(pctx, shape, j.b.Gov, lw)
+	lw.bufCap, lw.bw = dec.shape.io, j.bw
+	wb := newWriteBehind(pctx, dec.shape, j.b.Gov, lw)
+	j.adm.Leave() // the join's copy of a group starts where decode-ahead enters it
+	dec.job = job
+	dec.wg.Add(1)
+	go dec.run(pctx, cancel, src)
 	go wb.run(pctx, cancel, deliver)
 
 	j.b.Reset()
 	j.mark = 0
-	read := j.joinAll(pctx, cancel, job, j.dec, wb)
-	// What the join handed on is write-behind's to finish or drop.
+	read := j.joinAll(pctx, cancel, job, dec, wb)
+	// Decode-ahead has ended the level or seen the cancel; what it left in
+	// its queue is released here, and what the join handed on is
+	// write-behind's to finish or drop.
+	dec.wg.Wait()
+	read += dec.drain()
 	close(wb.in)
 	<-wb.done
 	j.bw = lw.bw
@@ -232,6 +168,26 @@ func (j *Joiner) level(ctx context.Context, job *ShardJob, deliver func(int, Sha
 	return read, err
 }
 
+// stage returns the joiner's decode-ahead stage in the shape shapeFor
+// gives job: made at the first level and again only when the shape
+// changes, so its queues, block buffers and read window — which every
+// shard is read through — are made once, like the kernel's arena.
+func (j *Joiner) stage(job *ShardJob) *decodeAhead {
+	shape := shapeFor(job.Buf)
+	if j.dec == nil || j.dec.shape != shape {
+		j.dec = &decodeAhead{
+			n:     j.g.N(),
+			out:   make(chan inPiece, shape.depth), // a piece per buffer in flight
+			free:  make(chan inBuf, shape.depth),   // room for every buffer
+			shape: shape,
+			br:    bufio.NewReaderSize(nil, bufSize(shape.io, 0)),
+			adm:   j.adm,
+			gov:   j.b.Gov,
+		}
+	}
+	return j.dec
+}
+
 // joinAll is the join stage: it runs the kernel's join half over every
 // admitted block decode-ahead hands over and passes the output on a chunk
 // at a time, closing each shard with its end.  It stops at the level's
@@ -245,22 +201,14 @@ func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, jo
 	var wait time.Duration
 	for {
 		var p inPiece
-		var ok bool
 		t := time.Now()
 		select {
-		case p, ok = <-dec.out:
+		case p = <-dec.out:
 		case <-ctx.Done():
 			return read
 		}
 		wait += time.Since(t)
-		switch {
-		case !ok: // decode-ahead stopped before the level's end
-			cancel(context.Canceled)
-			return read
-		case p.err != nil:
-			cancel(fmt.Errorf("ooc: level %d->%d: %w", job.K, job.K+1, p.err))
-			return read
-		case p.done:
+		if p.done {
 			return read
 		}
 		if st == nil {
@@ -399,61 +347,70 @@ func (j *Joiner) flush(st *JoinStats, out output, all bool) error {
 // most shape.depth buffers of shape.words words — larger for a frame that
 // needs it — and admits every record it has checked, in place, the rows
 // it builds going into the buffer's admissions; the join hands the
-// buffers back.  It lives as long as the feeds it follows, across level
-// boundaries.
+// buffers back.  Its goroutine runs for one level; the queues, buffers
+// and window stay with the Joiner.
 type decodeAhead struct {
-	dir    string
-	ledger *membudget.Governor // charged each block in flight
-	n      int                 // vertex universe of the graph
-	out    chan inPiece
-	free   chan inBuf
-	shape  pipeShape
-	made   int                // buffers allocated so far
-	br     *bufio.Reader      // the read window every shard is read through
-	read   int64              // bytes of shards no end piece carried; read once out is closed
-	stop   context.CancelFunc // ends the stage
+	job   *ShardJob // the level's
+	n     int       // vertex universe of the graph
+	out   chan inPiece
+	free  chan inBuf
+	shape pipeShape
+	made  int            // buffers allocated and not lost to a failed level
+	br    *bufio.Reader  // the read window every shard is read through
+	read  int64          // bytes of shards no end piece carried; read once the level's goroutine is done
+	wg    sync.WaitGroup // the level's goroutine
 
 	adm *core.Admitter
 	gov *membudget.Governor // what the admitter grows on: the builder's
 }
 
-// run decodes the shards f hands out, then those of the feeds it names
-// after it, each level closed by a piece that says so, until a feed names
-// none or the context ends.  A shard that fails ends it with a piece that
-// carries the error, for the join of that shard's level to report.
+// run decodes the shards src hands out, then hands on the level's end,
+// until ctx ends.  A shard that fails cancels the level with its error.
 //
 //repro:ctxloop
-func (d *decodeAhead) run(ctx context.Context, f *feed) {
-	defer close(d.out)
-	for f != nil {
-		meta, tag, ok := f.claim(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		p := inPiece{done: true}
+func (d *decodeAhead) run(ctx context.Context, cancel context.CancelCauseFunc, src *shardList) {
+	defer d.wg.Done()
+	for {
+		meta, tag, ok := src.claim()
 		if !ok {
-			f = f.next // set before the feed closed, which claim saw under its lock
-		} else if err := d.shard(ctx, f.k, meta, tag); ctx.Err() != nil {
-			return
-		} else if err != nil {
-			p, f = inPiece{err: err}, nil
-		} else {
-			continue
+			break
 		}
-		select {
-		case d.out <- p:
-		case <-ctx.Done():
+		if err := d.shard(ctx, meta, tag); err != nil {
+			cancel(fmt.Errorf("ooc: level %d->%d: %w", d.job.K, d.job.K+1, err))
 			return
 		}
 	}
+	select {
+	case d.out <- inPiece{done: true}:
+	case <-ctx.Done():
+	}
 }
 
-// shard reads one shard of size-k records, whose records the verifier's
-// walk admits, hands its blocks on, and then the end of the shard.
+// drain, once the level's goroutine is done, releases what it left in
+// its queue, takes the buffers back, and returns the bytes it read that
+// no join counted.  Buffers a failed level dropped are made anew.
+func (d *decodeAhead) drain() int64 {
+	read := d.read
+	d.read = 0
+	for len(d.out) > 0 {
+		p := <-d.out
+		d.job.Gov.Release(p.bytes)
+		read += p.read
+		if p.buf.recs != nil {
+			d.free <- p.buf
+		}
+	}
+	d.made = len(d.free)
+	return read
+}
+
+// shard reads one shard's blocks, whose records the verifier's walk
+// admits, hands them on, and then the end of the shard.
 //
 //repro:ctxloop
-func (d *decodeAhead) shard(ctx context.Context, k int, meta ShardMeta, tag int) (err error) {
-	r, err := openShard(d.dir, meta, k, d.n, d.ledger, d.br)
+func (d *decodeAhead) shard(ctx context.Context, meta ShardMeta, tag int) (err error) {
+	job := d.job
+	r, err := openShard(job.Dir, meta, job.K, d.n, job.Gov, d.br)
 	if err != nil {
 		return err
 	}
@@ -487,11 +444,11 @@ func (d *decodeAhead) shard(ctx context.Context, k int, meta ShardMeta, tag int)
 			default:
 			}
 		}
-		d.ledger.Charge(p.bytes)
+		job.Gov.Charge(p.bytes)
 		select {
 		case d.out <- p:
 		case <-ctx.Done():
-			d.ledger.Release(p.bytes)
+			job.Gov.Release(p.bytes)
 			return ctx.Err()
 		}
 		if p.end {

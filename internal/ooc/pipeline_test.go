@@ -18,23 +18,22 @@ import (
 	"repro/internal/testgraph"
 )
 
-// pipelineFault is one way a level's pipeline can be cut short: a feed
-// left open, a hook on the output files' names, and the error the level
-// must end with.
+// pipelineFault is one way a level's pipeline can be cut short: a cancel
+// after some deliveries, a hook on the output files' names, and the
+// error the level must end with.
 type pipelineFault struct {
 	name string
-	// stall, when set, is the shards the feed publishes and stays open
-	// after, and the level is canceled once they are delivered, while
-	// decode-ahead waits on the feed; onShard runs as write-behind names
-	// output file i (counted from 1) and returns the name to use
-	// instead, or an error.
-	stall   int
-	onShard func(i int, name string, cancel context.CancelFunc) (string, error)
-	want    error
+	// cancelAt, when set, is the deliveries after which the level is
+	// canceled, while decode-ahead reads the shards after them; onShard
+	// runs as write-behind names output file i (counted from 1) and
+	// returns the name to use instead, or an error.
+	cancelAt int
+	onShard  func(i int, name string, cancel context.CancelFunc) (string, error)
+	want     error
 }
 
 // TestPipelineFaults cuts a level's three-stage join short in each stage
-// — cancellation while decode-ahead waits on its feed, cancellation while
+// — cancellation while decode-ahead reads ahead, cancellation while
 // write-behind is writing, a file-naming hook that fails, a write that
 // fails — at the full queue depth and at depth one, and requires every
 // time an error that says why, the governor back at its entry value and
@@ -92,7 +91,7 @@ func TestPipelineFaults(t *testing.T) {
 
 	faults := []pipelineFault{
 		{name: "complete"},
-		{name: "cancel-in-decode-ahead", want: context.Canceled, stall: 3},
+		{name: "cancel-in-decode-ahead", want: context.Canceled, cancelAt: 3},
 		{name: "cancel-in-write-behind", want: context.Canceled,
 			onShard: func(i int, name string, cancel context.CancelFunc) (string, error) {
 				if i == 3 {
@@ -130,16 +129,8 @@ func TestPipelineFaults(t *testing.T) {
 				j.b.Gov = gov
 				gov.Charge(j.ScratchBytes())
 				named, delivered := 0, 0
-				feedOf := func(in []ShardMeta) *feed {
-					if f.stall > 0 {
-						return newFeed(lvl.K, in[:f.stall])
-					}
-					fd := newFeed(lvl.K, in)
-					fd.close(nil)
-					return fd
-				}
 				deliver := func(int, ShardResult) {
-					if delivered++; delivered == f.stall {
+					if delivered++; delivered == f.cancelAt {
 						cancel()
 					}
 				}
@@ -157,15 +148,15 @@ func TestPipelineFaults(t *testing.T) {
 					},
 					OnWrite: noAccount,
 				}
-				read, err := j.run(ctx, job, feedOf(shards), deliver)
+				read, err := j.run(ctx, job, &shardList{shards: shards}, deliver)
 				got := delivered
 				if f.want == nil && err == nil {
-					br := j.br
+					br := j.dec.br
 					delivered = 0
-					if _, werr := j.run(ctx, job, feedOf(wide), deliver); werr != nil || delivered != len(wide) {
+					if _, werr := j.run(ctx, job, &shardList{shards: wide}, deliver); werr != nil || delivered != len(wide) {
 						t.Errorf("wide shards: err %v, %d of %d delivered", werr, delivered, len(wide))
 					}
-					if j.br != br {
+					if j.dec.br != br {
 						t.Error("shards of other sizes were read through a new window")
 					}
 				}

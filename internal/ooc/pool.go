@@ -3,6 +3,7 @@ package ooc
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/enumcfg"
 	"repro/internal/graph"
@@ -12,15 +13,14 @@ import (
 // pool is the in-process ShardRunner: one Joiner per worker, kept for the
 // run, so its bitmaps and record scratch are allocated once and the spill
 // hot loop allocates nothing per record (pinned by TestJoinHotLoopAllocs).
-// Each Joiner's decode-ahead stage lives for the spilled run: it claims
-// the shards of a level's feed in order, shared with the other workers,
-// and goes on to the next level's feed while the join still finishes
-// this one.  Every level runs each Joiner's join and write-behind on
-// goroutines of their own, which return with the level.
+// Every level runs each Joiner's three stages on goroutines of their
+// own, which return with the level; the workers claim the level's shards
+// in order from one list.
 type pool struct {
 	g       graph.Interface
 	cfg     enumcfg.Config // Dir is the run directory itself
 	gov     *membudget.Governor
+	buf     int64 // the share of headroom each of a worker's buffers may take (bufShare)
 	joiners []*Joiner
 }
 
@@ -28,45 +28,42 @@ func newPool(g graph.Interface, cfg enumcfg.Config, gov *membudget.Governor) *po
 	return &pool{g: g, cfg: cfg, gov: gov}
 }
 
-// start makes the Joiners at the first level and starts their
-// decode-ahead on lv's feed.  Their scratch is resident for the whole
-// run; the governor hears about it like any other layer's footprint:
-// what a joiner holds now is charged here, what its local universe adds
-// later by its builder.  Decode-ahead lives for the run too, in a
-// pipeline shaped once, from the shares of the headroom the spilled
-// phase starts with (bufShare); it follows the feeds from level to level
-// as the loop runs them, in order.  No level runs after a failed one, so
-// a stopped decode-ahead is never started again.
-func (p *pool) start(ctx context.Context, lv *Level) {
+// start makes the Joiners at the first level.  Their scratch is resident
+// for the whole run; the governor hears about it like any other layer's
+// footprint: what a joiner holds now is charged here, what its local
+// universe adds later by its builder.  The pipelines are shaped once,
+// from the shares of the headroom the spilled phase starts with, before
+// the joiners' scratch is charged, so every level reuses their buffers.
+func (p *pool) start() {
 	if p.joiners != nil {
 		return
 	}
-	buf := bufShare(p.gov, 3*p.cfg.Workers) // a worker's three: read window, block queues, write buffer
+	p.buf = bufShare(p.gov, 3*p.cfg.Workers) // a worker's three: read window, block queues, write buffer
 	p.joiners = make([]*Joiner, p.cfg.Workers)
 	for i := range p.joiners {
-		p.joiners[i] = NewJoiner(p.g)
-		p.joiners[i].b.Gov = p.gov
-		p.gov.Charge(p.joiners[i].ScratchBytes())
-	}
-	for _, j := range p.joiners {
-		j.ahead(ctx, p.cfg.Dir, p.gov, buf, lv.feed)
+		j := NewJoiner(p.g)
+		j.b.Gov = p.gov
+		p.gov.Charge(j.ScratchBytes())
+		p.joiners[i] = j
 	}
 }
 
 func (p *pool) close() {
 	for _, j := range p.joiners {
-		j.stop()
 		p.gov.Release(j.ScratchBytes())
 	}
 }
 
 // RunLevel joins one level's shards on the pool and returns the first
 // error a worker met, which cancels the others; their later errors, most
-// of them reactions to that cancel, are dropped.  Decode-ahead goes on
-// from the level's feed to the next, unless the level fails: then it
-// stops, as no level follows a failed one.
+// of them reactions to that cancel, are dropped.  Each worker's
+// decode-ahead claims the next shard as it needs one, so the next shard's
+// file is read while this one is joined; the delivery order does not
+// matter (the level loop releases in shard order), so the clique stream
+// is byte-identical at any depth of the queues.
 func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error {
-	p.start(ctx, lv)
+	p.start()
+	src := &shardList{shards: lv.Shards}
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -78,15 +75,16 @@ func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			read, err := j.level(lctx, &ShardJob{
+			read, err := j.run(lctx, &ShardJob{
 				Dir:      p.cfg.Dir,
 				K:        lv.K,
 				Target:   lv.Target,
 				Collect:  lv.Collect,
 				Gov:      p.gov,
+				Buf:      p.buf,
 				NewShard: lv.NextShard,
 				OnWrite:  lv.Wrote,
-			}, deliver)
+			}, src, deliver)
 			lv.Read(read)
 			if err != nil {
 				once.Do(func() { first = err })
@@ -95,81 +93,23 @@ func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, 
 		}()
 	}
 	wg.Wait()
-	if first != nil {
-		for _, j := range p.joiners {
-			lv.Read(j.stop())
-		}
-	}
 	return first
 }
 
-// feed is a level's shard list as the step before produces it: the level
-// loop publishes each produced shard as the sequencer releases it, and
-// the decode-ahead stages claim them in order, one at a time, shared
-// among the workers — the contiguous schedule at grain one.  The loop
-// closes a feed when the level it feeds starts, naming the feed of the
-// level after it (nil when no level may follow: Hi), which is where
-// decode-ahead goes once it has claimed the last shard.
-type feed struct {
-	k int // clique size of the level's records
-
-	mu     sync.Mutex
-	shards []ShardMeta // the level so far; once its producer has returned, all of it
-	taken  int
-	closed bool
-	next   *feed
-	more   chan struct{} // closed when shards grow or the feed closes, while a claim waits
+// shardList is a level's shards as the workers claim them: in order, one
+// at a time, shared among the workers — the contiguous schedule at grain
+// one.
+type shardList struct {
+	shards []ShardMeta
+	next   atomic.Int64
 }
 
-func newFeed(k int, shards []ShardMeta) *feed { return &feed{k: k, shards: shards} }
-
-func (f *feed) publish(shards []ShardMeta) {
-	f.mu.Lock()
-	f.shards = append(f.shards, shards...)
-	f.wake()
-	f.mu.Unlock()
-}
-
-// close ends the feed, once, when the level it feeds starts.
-func (f *feed) close(next *feed) {
-	f.mu.Lock()
-	f.closed, f.next = true, next
-	f.wake()
-	f.mu.Unlock()
-}
-
-func (f *feed) wake() {
-	if f.more != nil {
-		close(f.more)
-		f.more = nil
+// claim takes the next shard and its index in the level; false once every
+// shard is taken.
+func (l *shardList) claim() (ShardMeta, int, bool) {
+	i := int(l.next.Add(1) - 1)
+	if i >= len(l.shards) {
+		return ShardMeta{}, 0, false
 	}
-}
-
-// claim takes the next shard and its index in the level, waiting until
-// one is published; false once the feed is closed and every shard taken,
-// or ctx ends.
-func (f *feed) claim(ctx context.Context) (ShardMeta, int, bool) {
-	for {
-		f.mu.Lock()
-		if i := f.taken; i < len(f.shards) {
-			f.taken++
-			s := f.shards[i]
-			f.mu.Unlock()
-			return s, i, true
-		}
-		if f.closed {
-			f.mu.Unlock()
-			return ShardMeta{}, 0, false
-		}
-		if f.more == nil {
-			f.more = make(chan struct{})
-		}
-		more := f.more
-		f.mu.Unlock()
-		select {
-		case <-more:
-		case <-ctx.Done():
-			return ShardMeta{}, 0, false
-		}
-	}
+	return l.shards[i], i, true
 }

@@ -70,6 +70,15 @@ func LevelRecords(shards []ShardMeta) int64 {
 	return t
 }
 
+// levelRuns sums the runs of a level's shard list: its sub-lists.
+func levelRuns(shards []ShardMeta) int {
+	var t int64
+	for _, s := range shards {
+		t += s.Runs
+	}
+	return int(t)
+}
+
 // LevelBytes sums a level's on-disk and fixed-width-equivalent bytes.
 func LevelBytes(shards []ShardMeta) (enc, raw int64) {
 	for _, s := range shards {

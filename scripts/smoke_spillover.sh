@@ -5,7 +5,7 @@
 # in-core start — and require (a) that the budgeted runs really spilled,
 # (b) that every run printed the byte-identical maximal-clique stream and
 # (c) that every run reported one -stats level line per step, with the
-# reference's maximal counts and counted work: the spilled step is
+# reference's sub-lists, maximal counts and counted work: the spilled step is
 # reported once, and a trip cuts a level where a run starts, so the level
 # spilled is the one the reference joined.  CI runs this on every push.
 set -eu
@@ -27,10 +27,10 @@ cliques() {
     grep -Ev '^(graph:|maximum clique:|done|interrupted|aborted| )' "$1" || true
 }
 
-# One line per -stats level record: the step, its maximal count and its
-# work.
+# One line per -stats level record: the step, its sub-lists, its maximal
+# count and its work.
 levels() {
-    sed -n 's/^level \(.*\): .* \([0-9][0-9]*\) maximal .* \([0-9][0-9]*\) work .*$/\1 \2 \3/p' "$1"
+    sed -n 's/^level \(.*\): *\([0-9][0-9]*\) sub-lists .* \([0-9][0-9]*\) maximal .* \([0-9][0-9]*\) work .*$/\1 \2 \3 \4/p' "$1"
 }
 
 echo "smoke-spillover: unconstrained in-core reference"
@@ -65,7 +65,7 @@ check_run() {
     fi
     levels "$workdir/$name.stats" >"$workdir/$name.levels"
     if ! cmp -s "$workdir/ref.levels" "$workdir/$name.levels"; then
-        echo "smoke-spillover: $name level records differ from the reference's (one per step, same maximal counts and work)" >&2
+        echo "smoke-spillover: $name level records differ from the reference's (one per step, same sub-lists, maximal counts and work)" >&2
         diff "$workdir/ref.levels" "$workdir/$name.levels" >&2
         exit 1
     fi
