@@ -56,8 +56,8 @@ lint-audit:
 test:
 	$(GO) test ./...
 
-# The on-disk join hands blocks between goroutines (decode-ahead, join,
-# write-behind), and both pools hand each level to goroutines started for
+# The on-disk join hands blocks between goroutines (decode-ahead and the
+# join), and both pools hand each level to goroutines started for
 # that level; a hand-off that only works when they run in parallel
 # deadlocks with one P.  The packages that run them, at one, two and four.
 test-cpu:

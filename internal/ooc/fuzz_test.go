@@ -126,7 +126,6 @@ func joinBytes(j *Joiner, data []byte, meta ShardMeta, k int) error {
 type discard struct{}
 
 func (discard) write([]core.Block) error { return nil }
-func (discard) turn() (bool, error)      { return true, nil }
 
 // readBlocks reads a shard a frame at a time into a buffer too small for
 // most frames, the way decode-ahead reads it, and flattens the blocks

@@ -24,11 +24,11 @@ import (
 // the kernel's join half (core.Builder.Join) as an in-core level's
 // records are joined, write the sealed output blocks as the next level's
 // run-aligned shard files, and buffer the maximal dead ends for in-order
-// emission (the three stages of pipeline.go).  internal/dist's workers
+// emission (the two stages of pipeline.go).  internal/dist's workers
 // and the local pool in pool.go both run Joiner.Join's pipeline, and
 // JoinShardBytes runs its stages in turn, so the distributed,
 // single-machine and in-core joins cannot drift.  A Joiner's scratch
-// lives for the run; the goroutines that run it live for one level's
+// lives for the run; decode-ahead's goroutine lives for one level's
 // join.
 
 // JoinStats is one shard join's output: the maximal cliques found (a
@@ -63,16 +63,16 @@ func (s *JoinStats) Emit(c clique.Clique) {
 // fails its shard.  It is not safe for concurrent use; give each worker
 // its own: the pool keeps one per worker for the run and runs each on
 // goroutines of its own at every level, the admitter on decode-ahead's
-// and the builder on the join's.
+// and the builder, which also writes the output, on the join's.
 type Joiner struct {
 	g   graph.Interface
 	adm *core.Admitter // the admission half: decode-ahead's
 	b   *core.Builder  // the join half, which holds no universe
 	rec core.Admitted  // the join stage's view of an admitted record, with its copy of the group
 	dec *decodeAhead   // decode-ahead's queues, buffers and window between levels
-	bw  *bufio.Writer  // write-behind's file buffer between levels
+	bw  *bufio.Writer  // the join's file buffer between levels
 
-	mark int // the builder's blocks already handed to write-behind
+	mark int // the builder's blocks already written
 }
 
 // NewJoiner returns a Joiner over g with freshly allocated scratch.
@@ -120,7 +120,7 @@ type ShardResult struct {
 }
 
 // Join executes one shard join from opening the input to closing the
-// last output shard, through the three stages the in-process pool runs
+// last output shard, through the two stages the in-process pool runs
 // over a level's shards, here over a list of one.  On error the partial
 // output is closed (its files are the level driver's to sweep) and the
 // result still carries the bytes the join read.
@@ -152,8 +152,8 @@ func (j *Joiner) JoinShardBytes(ctx context.Context, data []byte, in ShardMeta, 
 	return st, err
 }
 
-// serialOutput writes each batch in the joining goroutine as it comes,
-// so the builder may Reset at any flush of all.
+// serialOutput writes each batch in the joining goroutine as it comes
+// and releases its charge.
 type serialOutput struct {
 	lw  *LevelWriter
 	gov *membudget.Governor
@@ -164,8 +164,6 @@ func (o serialOutput) write(blocks []core.Block) error {
 	release(o.gov, blocks)
 	return err
 }
-
-func (serialOutput) turn() (bool, error) { return true, nil }
 
 // WriteLevel writes one level's sorted record stream — produced by feed
 // a prefix run at a time (LevelWriter.WriteRun), in canonical order, the
@@ -257,7 +255,7 @@ func EdgeFeed(ctx context.Context, g graph.Interface) func(write func(prefix, ta
 // them in order (or the distributed lease table) can still balance
 // skewed shard costs and a worker's next shard is read while it joins
 // one, but no smaller than 512 KiB.  The floor amortizes what every file
-// costs beside its bytes — a create in write-behind, an open in
+// costs beside its bytes — a create in the join, an open in
 // decode-ahead, an unlink when the level is consumed: on a 2-vCPU ext4
 // machine a create alone measured about 0.2 ms.  Huge levels are capped
 // at 32 MiB a shard.

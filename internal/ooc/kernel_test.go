@@ -72,7 +72,7 @@ func shardNamer(seq *int, k int) func() (string, error) {
 func noAccount(enc, raw int64) error { return nil }
 
 // joinViaBlocks joins the level with the kernel and hands its sealed
-// output a chunk at a time to a level writer, as write-behind takes it,
+// output a chunk at a time to a level writer, as the join writes it,
 // and decodes the shard files back into records.
 func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.Level) sinkOutput {
 	t.Helper()
@@ -102,7 +102,7 @@ func joinViaBlocks(t *testing.T, g graph.Interface, b *core.Builder, lvl *core.L
 }
 
 // joinViaShards encodes the level as shard files (a small target, so a
-// level spans several), joins each through Joiner.Join — the three-stage
+// level spans several), joins each through Joiner.Join — the two-stage
 // pipeline, in blocks of a few hundred bytes so a shard spans several —
 // and decodes the output shards back into records.
 func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level) sinkOutput {
@@ -146,7 +146,7 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level) sinkOutput 
 // TestOneKernelThreeSinks is the differential pin on "one join": every
 // level of every graph × representation is joined three ways — in memory
 // with the Builder retaining sub-lists, with the Builder handing a chunk
-// of sealed blocks at a time to a level writer (write-behind's unit),
+// of sealed blocks at a time to a level writer (the join's unit of writing),
 // and by the Joiner's pipeline over the level's encoded shards — and all
 // three must report the same maximal cliques in the same order and keep
 // the same surviving candidate records.

@@ -29,7 +29,7 @@ import (
 // also reports the bytes it moves: lv.Wrote as output bytes reach a file
 // (or, for a remote join, when its result is accepted) and lv.Read for
 // the input bytes of every join, failed ones included.  The pool runs
-// each worker's shards through the three-stage pipeline (pipeline.go); a
+// each worker's shards through the two-stage pipeline (pipeline.go); a
 // remote worker runs one shard through the same stages.
 type ShardRunner interface {
 	RunLevel(ctx context.Context, lv *Level, deliver func(shard int, res ShardResult)) error
@@ -281,11 +281,13 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 // remain (or Hi / cancellation / the spill budget stops it).
 //
 // The commit protocol at every boundary of a checkpointed run: the
-// produced level is durable before the manifest names it, the consumed
-// level is deleted only after the manifest commits, and then every shard
-// file of the levels up to the produced one that the manifest does not
-// name is swept — whatever instant a kill lands, the directory holds one
-// consistent, resumable level.  The commit runs here, and a commit that
+// produced level's files are closed before the manifest names it, the
+// consumed level is deleted only after the manifest commits, and then
+// every shard file of the levels up to the produced one that the
+// manifest does not name is swept — whatever instant a kill of the
+// process lands, the directory holds one consistent, resumable level.
+// Nothing is fsynced, so the loss of the machine is another matter
+// (DESIGN.md §5.4).  The commit runs here, and a commit that
 // fails stops the run before anything is deleted; the deletions run
 // beside the next level's join (housekeep), which waits for them before
 // its record.  Plain runs live in a private directory their entry point

@@ -23,11 +23,11 @@
 // join sealed and what is read is what the next join runs on, so the disk
 // I/O the paper names as the bottleneck costs a copy and a checksum a
 // block, no translation.  Stats reports the bytes actually moved.  A
-// worker joins its shards in three stages (pipeline.go): decode-ahead
-// reads a shard's frames into level blocks, the in-core kernel joins
-// them, write-behind writes the sealed output into the next level's
-// files — so what is resident per worker is a read window, a few blocks
-// in flight each way and a write buffer, whatever a level holds.
+// worker joins its shards in two stages (pipeline.go): decode-ahead
+// reads a shard's frames into level blocks, and the in-core kernel joins
+// them and writes the sealed output into the next level's files — so
+// what is resident per worker is a read window, a few blocks in flight
+// in, the join's open output and a write buffer, whatever a level holds.
 //
 // Checkpointed runs (enumcfg.Config.Checkpoint) write a manifest at every
 // level boundary and keep their level files on cancellation or crash;

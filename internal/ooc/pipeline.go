@@ -13,8 +13,8 @@ import (
 	"repro/internal/membudget"
 )
 
-// The shard join runs in three stages, so that the file system works
-// beside the kernel instead of in its way (DESIGN.md §5.3):
+// The shard join runs in two stages, so that reading the file system
+// works beside the kernel instead of in its way (DESIGN.md §5.3):
 //
 //   - decode-ahead: a goroutine of the level claims the level's shards
 //     in order, one at a time from the list the workers share, and
@@ -27,16 +27,15 @@ import (
 //     CN(prefix), and the rows admission built — nothing is walked,
 //     checked or mapped twice;
 //   - join: the calling goroutine runs the kernel's join half
-//     (Builder.Join) over those blocks and their admissions and hands the
-//     output on without starting a run of its own (Sealed, SealRuns, and
-//     Since at a block's end);
-//   - write-behind: a goroutine writes the sealed output blocks' records
-//     as frames into run-aligned shard files and closes them, and only
-//     then delivers the shard's result.
+//     (Builder.Join) over those blocks and their admissions, writes the
+//     output it seals as frames into run-aligned shard files without
+//     starting a run of its own (Sealed, SealRuns, and Since at a block's
+//     end), and at a shard's end closes its files and only then delivers
+//     the shard's result.
 //
-// The three start and end with the level (Joiner.run).  A shard that
+// The two start and end with the level (Joiner.run).  A shard that
 // decode-ahead cannot read fails the level: decode-ahead cancels it with
-// the error, as any stage does with its own, which ends the other two.
+// the error, as the join does with its own, which ends the other stage.
 // Decode-ahead's queues, buffers and read window stay with the Joiner
 // from level to level (Joiner.stage).
 //
@@ -47,21 +46,19 @@ import (
 // to the job's governor with its admissions when decode-ahead has read
 // it and released when the join is done with it, and its buffer goes
 // back to decode-ahead.  An output block is charged to the builder's
-// governor when the kernel seals it and released by write-behind once
-// its records are in the file.  The kernel's arena recycles a chunk two
-// builder Resets after it was filled, so the join hands its output on in
-// generations of batches and Resets only once write-behind holds no batch
-// of the generation before (writeBehind.turn): no chunk is reused while
-// the writer still reads it.
+// governor when the kernel seals it and released once the join has
+// written its records; every input block's output is written by its
+// end, so the builder Resets there and its arena recycles nothing the
+// writer still reads.
 
 // A worker's queues and buffers.  Of the shares of headroom the spilled
 // phase gives each of a worker's buffers (bufShare), the read window and
 // the write buffer take at most ioCap each — a bigger buffer saves
 // syscalls, not time — and the block queues take the rest, split evenly
-// between input (the blocks and their admissions) and output.
+// between input (the blocks and their admissions) and output (what the
+// join holds open until it writes it).
 const (
 	queueDepth = 4        // input blocks in flight, at the most
-	genBatches = 4        // output batches to a kernel arena generation, at the most
 	ioCap      = 64 << 10 // the most a read window or write buffer takes
 	minQueue   = 256      // the least a queue takes; a frame larger than a block buffer gets one of its own
 )
@@ -71,29 +68,27 @@ type pipeShape struct {
 	io    int64 // the read window's size and the write buffer's cap, through bufSize
 	depth int   // input blocks in flight
 	words int   // an input block buffer's words: a block and its admissions fill its 4·words bytes, the last frame's admissions past them (DESIGN §5.3); the join seals its output's whole runs at this many open words
-	gen   int   // output batches to an arena generation: twice as many in flight, one at depth one
 }
 
 // shapeFor sizes a pipeline whose three buffers — a read window, the
 // block queues and a write buffer — may take buf bytes each (0 =
 // uncapped).  A queue with room for less than two blocks runs at depth one
-// in blocks of that room: every stage waits for the next, which is the
+// in blocks of that room: each stage waits for the other, which is the
 // serial join.
 func shapeFor(buf int64) pipeShape {
 	const blk = core.MaxBlockBytes
 	if buf <= 0 {
-		return pipeShape{io: ioCap, depth: queueDepth, words: blk / 4, gen: genBatches}
+		return pipeShape{io: ioCap, depth: queueDepth, words: blk / 4}
 	}
 	s := pipeShape{io: min(buf, ioCap)}
 	// What the two I/O buffers leave of all the shares, their floors
 	// included.
 	half := max(3*buf-2*max(s.io, minBuf), 0) / 2
 	if half < 2*blk {
-		s.depth, s.words, s.gen = 1, int(min(max(half, minQueue), blk)/4), 1
+		s.depth, s.words = 1, int(min(max(half, minQueue), blk)/4)
 		return s
 	}
 	s.depth, s.words = int(min(half/blk, queueDepth)), blk/4
-	s.gen = int(min(half/(2*blk), genBatches))
 	return s
 }
 
@@ -116,47 +111,36 @@ type inBuf struct {
 	recs  *core.Admissions
 }
 
-// outPiece is what the join hands write-behind, in order: batches of a
-// shard's sealed output blocks, then its end.
-type outPiece struct {
-	tag    int
-	blocks []core.Block
-	end    *JoinStats // the shard is joined: what it found and read
-}
-
 // run joins the shards src hands out (with their index for deliver)
-// through the three stages, as one level of size-job.K records; job's
+// through the two stages, as one level of size-job.K records; job's
 // fields other than In describe all of them.  Each shard's result goes
-// to deliver, from the write-behind goroutine, once its output shards
-// are closed.  It returns the encoded bytes read — those of undelivered
-// shards included — and the first error of any stage: a level cut short
-// leaves its output files to the level driver's sweep.
+// to deliver, from the calling goroutine, once its output shards are
+// closed.  It returns the encoded bytes read — those of undelivered
+// shards included — and the first error of either stage: a level cut
+// short leaves its output files to the level driver's sweep.
 func (j *Joiner) run(ctx context.Context, job *ShardJob, src *shardList, deliver func(int, ShardResult)) (int64, error) {
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	dec := j.stage(job)
 	lw := NewLevelWriter(job.Dir, job.K+1, false, job.Target, job.Gov, job.NewShard, job.OnWrite)
 	lw.bufCap, lw.bw = dec.shape.io, j.bw
-	wb := newWriteBehind(pctx, dec.shape, j.b.Gov, lw)
 	j.adm.Leave() // the join's copy of a group starts where decode-ahead enters it
 	dec.job = job
 	dec.wg.Add(1)
 	go dec.run(pctx, cancel, src)
-	go wb.run(pctx, cancel, deliver)
 
 	j.b.Reset()
 	j.mark = 0
-	read := j.joinAll(pctx, cancel, job, dec, wb)
+	read := j.joinAll(pctx, cancel, job, dec, lw, deliver)
 	// Decode-ahead has ended the level or seen the cancel; what it left in
-	// its queue is released here, and what the join handed on is
-	// write-behind's to finish or drop.
+	// its queue is released here, and a shard cut short is closed.
 	dec.wg.Wait()
 	read += dec.drain()
-	close(wb.in)
-	<-wb.done
+	if err := lw.Abort(); err != nil {
+		cancel(err)
+	}
 	j.bw = lw.bw
-	// The writer holds nothing now: what the kernel sealed and did not
-	// hand on can go, and the arena may recycle.
+	// What the kernel sealed and did not write can go.
 	j.b.Abandon(j.mark)
 	if pctx.Err() == nil {
 		return read, nil
@@ -189,14 +173,16 @@ func (j *Joiner) stage(job *ShardJob) *decodeAhead {
 }
 
 // joinAll is the join stage: it runs the kernel's join half over every
-// admitted block decode-ahead hands over and passes the output on a chunk
-// at a time, closing each shard with its end.  It stops at the level's
-// end or at the first error, which it reports through cancel, and returns
-// the encoded bytes of the shards it closed.
+// admitted block decode-ahead hands over and writes the output through
+// lw a chunk at a time; at each shard's end it closes the shard's files
+// and delivers its result.  It stops at the level's end or at the first
+// error, which it reports through cancel, and returns the encoded bytes
+// of the shards it closed.
 //
 //repro:ctxloop
 func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, job *ShardJob,
-	dec *decodeAhead, wb *writeBehind) (read int64) {
+	dec *decodeAhead, lw *LevelWriter, deliver func(int, ShardResult)) (read int64) {
+	out := serialOutput{lw: lw, gov: j.b.Gov}
 	var st *JoinStats
 	var wait time.Duration
 	for {
@@ -217,18 +203,21 @@ func (j *Joiner) joinAll(ctx context.Context, cancel context.CancelCauseFunc, jo
 		if p.end {
 			st.BytesRead, st.Wait = p.read, wait
 			read, wait = read+p.read, 0
-			if j.flush(st, wb, true) != nil {
+			err := j.flush(st, out, true)
+			var files []ShardMeta
+			if err == nil {
+				files, err = lw.Finish()
+				lw.restart()
+			}
+			if err != nil || ctx.Err() != nil {
+				cancel(err) // err is nil only when the level is canceled already
 				return read
 			}
-			select {
-			case wb.in <- outPiece{tag: p.tag, end: st}:
-			case <-ctx.Done():
-				return read
-			}
+			deliver(p.tag, ShardResult{JoinStats: *st, Out: files})
 			st = nil
 			continue
 		}
-		err := j.joinBlock(p.buf.recs, dec.shape.words, collector(st, job.Collect), st, wb)
+		err := j.joinBlock(p.buf.recs, dec.shape.words, collector(st, job.Collect), st, out)
 		job.Gov.Release(p.bytes)
 		select {
 		case dec.free <- p.buf: // never full: it holds at most every buffer there is
@@ -274,7 +263,7 @@ func (j *Joiner) joinBlock(recs *core.Admissions, batch int, rep clique.Reporter
 
 // joinSerial joins the shard r reads on the calling goroutine — a block
 // of about words words read and admitted, then joined, at a time: the
-// three stages in turn, the serial join — handing the output to out.
+// two stages in turn, the serial join — handing the output to out.
 //
 //repro:ctxloop
 func (j *Joiner) joinSerial(ctx context.Context, r *ShardReader, words int, rep clique.Reporter, st *JoinStats, out output) error {
@@ -302,19 +291,16 @@ func (j *Joiner) joinSerial(ctx context.Context, r *ShardReader, words int, rep 
 }
 
 // output is where a join's sealed blocks go: write takes a batch and its
-// charges, whatever happens; turn reports whether the builder may Reset —
-// start its next arena generation — because the writer reads no chunk
-// the Reset recycles.
+// charges, whatever happens, and is done with it when it returns.
 type output interface {
 	write(blocks []core.Block) error
-	turn() (bool, error)
 }
 
-// flush hands out what the kernel has sealed beyond the batches already
-// handed on — with all, everything it holds, what is open sealed first,
-// and then the builder Resets when out says it may: only there, where
-// nothing of it is open.  The kernel's counters move to st as they stand,
-// so each shard counts its own work.
+// flush writes what the kernel has sealed beyond the batches already
+// written — with all, everything it holds, what is open sealed first,
+// and then the builder Resets: only there, where nothing of it is open.
+// The kernel's counters move to st as they stand, so each shard counts
+// its own work.
 func (j *Joiner) flush(st *JoinStats, out output, all bool) error {
 	b := j.b
 	blocks := b.Sealed(j.mark)
@@ -330,13 +316,10 @@ func (j *Joiner) flush(st *JoinStats, out output, all bool) error {
 	if len(blocks) > 0 {
 		err = out.write(blocks)
 	}
-	reset := false
-	if all && err == nil {
-		reset, err = out.turn()
-	}
-	if reset || err != nil {
-		// On an error nothing more is sealed this run: the handed-on
-		// blocks only leave the builder's list.
+	if all || err != nil {
+		// Every block sealed is written, or dropped on an error, after
+		// which nothing more is sealed this run: they only leave the
+		// builder's list.
 		b.Reset()
 		j.mark = 0
 	}
@@ -474,117 +457,6 @@ func (b *inBuf) read(r *ShardReader, adm *core.Admitter, gov *membudget.Governor
 	}
 	b.recs.Bind(blk, r.k)
 	return true, nil
-}
-
-// writeBehind is the third stage: it writes batches of sealed blocks
-// into shard files through a LevelWriter, restarted for every shard,
-// releases the blocks' charge on gov, and delivers each shard's result
-// once its files are closed.  slots bounds the batches it holds — twice a
-// generation's, or one at depth one: the join takes a slot as it hands a
-// batch over, the writer frees one per batch done.
-type writeBehind struct {
-	ctx   context.Context
-	in    chan outPiece
-	slots chan struct{}
-	gen   int // batches to a generation
-	n     int // batches handed over since the builder's last Reset
-	done  chan struct{}
-	gov   *membudget.Governor
-	lw    *LevelWriter // restarted for every shard
-}
-
-func newWriteBehind(ctx context.Context, s pipeShape, gov *membudget.Governor, lw *LevelWriter) *writeBehind {
-	slots := 2 * s.gen
-	if s.depth == 1 {
-		slots = 1
-	}
-	return &writeBehind{
-		ctx:   ctx,
-		in:    make(chan outPiece, slots+1), // the batches in flight and a shard's end
-		slots: make(chan struct{}, slots),
-		gen:   s.gen,
-		done:  make(chan struct{}),
-		gov:   gov,
-		lw:    lw,
-	}
-}
-
-// write hands blocks to the writer, which owns them and their charges
-// from here on whatever happens.
-func (w *writeBehind) write(blocks []core.Block) error {
-	select {
-	case w.slots <- struct{}{}:
-	case <-w.ctx.Done():
-		release(w.gov, blocks)
-		return w.ctx.Err()
-	}
-	select {
-	case w.in <- outPiece{blocks: blocks}:
-	case <-w.ctx.Done():
-		release(w.gov, blocks)
-		return w.ctx.Err()
-	}
-	w.n++
-	return nil
-}
-
-// turn, once a generation's worth of batches has been handed over since
-// the builder's last Reset, waits until the writer holds none of the
-// batches before them and reports that the builder may Reset now.  The
-// writer takes batches in order and holds at most cap(slots), so holding
-// every slot but those of the n last batches means it is done with every
-// earlier one.
-func (w *writeBehind) turn() (bool, error) {
-	if w.n < w.gen {
-		return false, nil
-	}
-	extra := cap(w.slots) - w.n
-	for i := 0; i < extra; i++ {
-		select {
-		case w.slots <- struct{}{}:
-		case <-w.ctx.Done():
-			return false, w.ctx.Err()
-		}
-	}
-	for i := 0; i < extra; i++ {
-		<-w.slots
-	}
-	w.n = 0
-	return true, nil
-}
-
-// run writes what the join hands over until it closes in.  After the
-// first error — its own, reported through cancel, or anyone's — it only
-// releases what arrives, so the join never blocks on it.
-//
-//repro:ctxloop
-func (w *writeBehind) run(ctx context.Context, cancel context.CancelCauseFunc, deliver func(int, ShardResult)) {
-	defer close(w.done)
-	for p := range w.in {
-		var err error
-		switch {
-		case ctx.Err() != nil:
-		case p.end == nil:
-			err = w.lw.writeBlocks(p.blocks)
-		default:
-			var out []ShardMeta
-			out, err = w.lw.Finish()
-			w.lw.restart()
-			if err == nil {
-				deliver(p.tag, ShardResult{JoinStats: *p.end, Out: out})
-			}
-		}
-		if p.end == nil {
-			release(w.gov, p.blocks)
-			<-w.slots
-		}
-		if err != nil {
-			cancel(err)
-		}
-	}
-	if err := w.lw.Abort(); err != nil {
-		cancel(err)
-	}
 }
 
 // release gives up the charge of blocks nobody will read again.

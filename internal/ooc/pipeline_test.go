@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -25,21 +24,23 @@ type pipelineFault struct {
 	name string
 	// cancelAt, when set, is the deliveries after which the level is
 	// canceled, while decode-ahead reads the shards after them; onShard
-	// runs as write-behind names output file i (counted from 1) and
-	// returns the name to use instead, or an error.
+	// runs as the join names output file i (counted from 1) and returns
+	// the name to use instead, or an error.
 	cancelAt int
 	onShard  func(i int, name string, cancel context.CancelFunc) (string, error)
 	want     error
 }
 
-// TestPipelineFaults cuts a level's three-stage join short in each stage
-// — cancellation while decode-ahead reads ahead, cancellation while
-// write-behind is writing, a file-naming hook that fails, a write that
-// fails — at the full queue depth and at depth one, and requires every
-// time an error that says why, the governor back at its entry value and
-// no goroutine left behind.  The complete level is then joined again from
-// shards of several sizes above the smallest window, which must all be
-// read through the one window the joiner already holds.
+// TestPipelineFaults cuts a level's two-stage join short in each stage
+// — cancellation while decode-ahead reads ahead, cancellation while the
+// join is writing, a file-naming hook that fails, a write that fails —
+// at the full queue depth and at depth one, and requires every time an
+// error that says why, the governor back at its entry value and no
+// goroutine left behind.  Every result must arrive after its files are
+// closed: each file it lists is on disk at its recorded size.  The
+// complete level is then joined again from shards of several sizes
+// above the smallest window, which must all be read through the one
+// window the joiner already holds.
 func TestPipelineFaults(t *testing.T) {
 	// Background edges enough for the level to span shards larger than
 	// the smallest window.
@@ -92,7 +93,7 @@ func TestPipelineFaults(t *testing.T) {
 	faults := []pipelineFault{
 		{name: "complete"},
 		{name: "cancel-in-decode-ahead", want: context.Canceled, cancelAt: 3},
-		{name: "cancel-in-write-behind", want: context.Canceled,
+		{name: "cancel-while-writing", want: context.Canceled,
 			onShard: func(i int, name string, cancel context.CancelFunc) (string, error) {
 				if i == 3 {
 					cancel()
@@ -129,7 +130,10 @@ func TestPipelineFaults(t *testing.T) {
 				j.b.Gov = gov
 				gov.Charge(j.ScratchBytes())
 				named, delivered := 0, 0
-				deliver := func(int, ShardResult) {
+				deliver := func(_ int, res ShardResult) {
+					if err := verifyShards(dir, res.Out); err != nil {
+						t.Errorf("a result arrived before its files were closed: %v", err)
+					}
 					if delivered++; delivered == f.cancelAt {
 						cancel()
 					}
@@ -178,58 +182,4 @@ func TestPipelineFaults(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestTurnWaitsForTheGenerationBefore pins the arena hand-off: once the
-// join has Reset after a batch, turn must not let it Reset again while
-// the writer still holds that batch, whose chunks the second Reset would
-// recycle under the writer.
-func TestTurnWaitsForTheGenerationBefore(t *testing.T) {
-	// 300 one-tail runs of 4 words: a frame ends inside the batch, so the
-	// writer names a file while it holds it.
-	var p core.Packer
-	p.Reset(3, make([]uint32, 2048))
-	for v := uint32(0); v < 300; v++ {
-		p.Add([]uint32{3 * v, 3*v + 1}, 0, []uint32{3*v + 2})
-	}
-	blk := p.Block()
-	hold, named := make(chan struct{}), make(chan struct{}, 1)
-	seq := 0
-	lw := NewLevelWriter(t.TempDir(), 3, false, 1<<30, nil, func() (string, error) {
-		if seq++; seq == 1 {
-			named <- struct{}{}
-			<-hold
-		}
-		return ShardFileName(3, fmt.Sprintf("%06d", seq)), nil
-	}, noAccount)
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	wb := newWriteBehind(ctx, pipeShape{depth: 4, gen: 1}, nil, lw)
-	go wb.run(ctx, cancel, func(int, ShardResult) {})
-	if err := wb.write([]core.Block{blk}); err != nil {
-		t.Fatal(err)
-	}
-	if reset, err := wb.turn(); !reset || err != nil {
-		t.Fatalf("first turn: reset %v, err %v; the one batch out is this generation's", reset, err)
-	}
-	<-named // the writer holds the first batch
-	if err := wb.write([]core.Block{blk}); err != nil {
-		t.Fatal(err)
-	}
-	turned := make(chan bool, 1)
-	go func() {
-		reset, _ := wb.turn()
-		turned <- reset
-	}()
-	select {
-	case <-turned:
-		t.Fatal("turn returned while the writer held a batch of the generation before")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(hold)
-	if !<-turned {
-		t.Error("turn did not report a reset once the writer was done with the batch before")
-	}
-	close(wb.in)
-	<-wb.done
 }

@@ -13,9 +13,9 @@ import (
 // pool is the in-process ShardRunner: one Joiner per worker, kept for the
 // run, so its bitmaps and record scratch are allocated once and the spill
 // hot loop allocates nothing per record (pinned by TestJoinHotLoopAllocs).
-// Every level runs each Joiner's three stages on goroutines of their
-// own, which return with the level; the workers claim the level's shards
-// in order from one list.
+// Every level runs each Joiner's two stages on goroutines of their own,
+// which return with the level; the workers claim the level's shards in
+// order from one list.
 type pool struct {
 	g       graph.Interface
 	cfg     enumcfg.Config // Dir is the run directory itself

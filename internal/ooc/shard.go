@@ -227,7 +227,7 @@ func (w *LevelWriter) flush() error {
 
 // writeBlocks appends blocks — sealed blocks of the level, in order — to
 // the frames, and reports the bytes that reached a file to onWrite once:
-// the write-behind stage's unit.
+// the unit the join writes its output in.
 func (w *LevelWriter) writeBlocks(blocks []core.Block) error {
 	for i := range blocks {
 		if err := w.add(blocks[i].Words()); err != nil {

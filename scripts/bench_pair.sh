@@ -45,7 +45,7 @@ else
     git worktree add --quiet --detach "$basedir" "$base"
     trap 'rm -rf "$out"; git worktree remove --force "$basedir"' EXIT
 fi
-echo "bench-pair: $workload, $pairs pairs x ${seconds}s, base $base ($(git -C "$basedir" rev-parse --short HEAD)) vs this checkout"
+echo "bench-pair: $workload, $pairs pairs x ${seconds}s, base $base ($(git -C "$basedir" rev-parse --short HEAD 2>/dev/null || echo not a git checkout)) vs this checkout"
 
 # run SIDE DIR SEED: one run; appends "metric value" lines to $out/SIDE.
 run() {
