@@ -729,10 +729,10 @@ func TestResumeAfterKill(t *testing.T) {
 	g := testGraph(3, 120, 0.2)
 	dir := t.TempDir()
 
-	// Uninterrupted reference run (plain out-of-core, same encoding).
+	// Uninterrupted reference run (plain out-of-core).
 	var full repro.Stats
 	want := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0),
-		repro.WithOutOfCore(t.TempDir(), 0, repro.OOCCompress()),
+		repro.WithOutOfCore(t.TempDir(), 0),
 		repro.WithStats(&full)), g)
 	// The seed reports the maximal 3-cliques before the first checkpoint
 	// commits; the levels deliver the rest.
@@ -749,7 +749,7 @@ func TestResumeAfterKill(t *testing.T) {
 	defer cancel()
 	var killed []string
 	_, err := repro.NewEnumerator(repro.WithBounds(3, 0),
-		repro.WithOutOfCore(dir, 0, repro.OOCCompress(), repro.OOCCheckpoint()),
+		repro.WithOutOfCore(dir, 0, repro.OOCCheckpoint()),
 	).Run(ctx, g, repro.ReporterFunc(func(c repro.Clique) {
 		killed = append(killed, c.Key())
 		if len(killed) == seeded+(len(want)-seeded)/2 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"unsafe"
 
 	"repro/internal/bitset"
@@ -509,58 +510,14 @@ func errBlock(what string, it *Iter) error {
 	return fmt.Errorf("core: malformed level block: %s (record %d, word %d)", what, it.i-1, it.pos)
 }
 
-// Packer front-codes sub-lists that arrive from outside a join — a level
-// fed to a shard writer a prefix run at a time — into one block at a
-// time, in a buffer its caller owns and recycles.
-type Packer struct {
-	buf []uint32
-	pos int
-	k1  int
-	blockCounts
-}
-
-// Reset starts a block of k-cliques in buf; its capacity is what the
-// block may hold.
-func (p *Packer) Reset(k int, buf []uint32) {
-	p.buf, p.pos, p.k1, p.blockCounts = buf[:cap(buf)], 0, k-1, blockCounts{}
-}
-
-// Add appends the sub-list (prefix, tails), whose first lcp vertices are
-// those of the sub-list added before it, and reports whether it fit.  A
-// sub-list that does not fit a block already holding one is left for the
-// next block; one that does not fit an empty block gets a buffer of its
-// own (Buf returns it).
-//
-//repro:hotpath
-func (p *Packer) Add(prefix []uint32, lcp int, tails []uint32) bool {
-	if p.pos == 0 {
-		lcp = 0 // a block decodes by itself
-	}
-	need := 3 + p.k1 - lcp + len(tails) // header and both escapes at the most
-	if p.pos+need > len(p.buf) {
-		if p.pos > 0 {
-			return false
-		}
-		p.grow(need)
-	}
-	q := putHeader(p.buf, p.pos, lcp, len(tails))
-	q += copy(p.buf[q:], prefix[lcp:p.k1])
-	p.pos = q + copy(p.buf[q:], tails)
-	t := int64(len(tails))
-	p.n++
-	p.m += t
-	p.pairs += t * (t - 1) / 2
-	return true
-}
-
-// grow replaces an empty buffer too small for one record; out of line so
-// Add stays off the hotalloc-pinned path.
-func (p *Packer) grow(need int) { p.buf = make([]uint32, need) }
-
-// Block returns what was added since Reset as a block, valid until the
-// buffer is reused.
-func (p *Packer) Block() Block {
-	return Block{words: p.buf[:p.pos:p.pos], blockCounts: p.blockCounts}
+// AppendRecord appends to dst the front-coded record of the sub-list
+// (prefix, tails), whose first lcp vertices are those of the record
+// before it: a level written a prefix run at a time from outside a join.
+func AppendRecord(dst, prefix []uint32, lcp int, tails []uint32) []uint32 {
+	p := len(dst)
+	dst = slices.Grow(dst, 3)[:p+3]
+	dst = append(dst[:putHeader(dst, p, lcp, len(tails))], prefix[lcp:]...)
+	return append(dst, tails...)
 }
 
 // blockSink is the one sink of the join kernel, and the seeders': sub-lists

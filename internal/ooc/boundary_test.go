@@ -3,6 +3,7 @@ package ooc
 import (
 	"context"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,31 +18,37 @@ import (
 	"repro/internal/testgraph"
 )
 
-// interceptRunner is the pool with a look at every delivery before the
-// level loop takes it, so before the next level can read the shard's
-// output.
+// interceptRunner is the pool with a look at every level as it starts,
+// when start is set, and at every delivery before the level loop takes
+// it, so before the next level can read the shard's output, when on is.
 type interceptRunner struct {
 	*pool
-	on func(lv *Level, shard int, res ShardResult)
+	start func(lv *Level)
+	on    func(lv *Level, shard int, res ShardResult)
 }
 
 func (r interceptRunner) RunLevel(ctx context.Context, lv *Level, deliver func(int, ShardResult)) error {
+	if r.start != nil {
+		r.start(lv)
+	}
 	return r.pool.RunLevel(ctx, lv, func(i int, res ShardResult) {
-		r.on(lv, i, res)
+		if r.on != nil {
+			r.on(lv, i, res)
+		}
 		deliver(i, res)
 	})
 }
 
 // runIntercepted is a fresh run in cfg.Dir itself on an intercepted pool.
 func runIntercepted(t *testing.T, g graph.Interface, cfg enumcfg.Config, h core.Hooks,
-	on func(*Level, int, ShardResult)) (Stats, error) {
+	start func(*Level), on func(*Level, int, ShardResult)) (Stats, error) {
 	t.Helper()
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	p := newPool(g, cfg, h.Gov)
 	defer p.close()
-	return NewLoop(g, cfg, h, "test").RunSeed(interceptRunner{p, on})
+	return NewLoop(g, cfg, h, "test").RunSeed(interceptRunner{p, start, on})
 }
 
 // untimed is a level record without its wall-clock fields, which differ
@@ -72,7 +79,7 @@ func TestCorruptNextLevelFailsAsItsOwn(t *testing.T) {
 	var got []core.LevelStats
 	cfg.Dir, cfg.Checkpoint = t.TempDir(), true
 	flipped := ""
-	_, err := runIntercepted(t, g, cfg, core.Hooks{Gov: gov, OnLevel: func(st core.LevelStats) { got = append(got, st) }},
+	_, err := runIntercepted(t, g, cfg, core.Hooks{Gov: gov, OnLevel: func(st core.LevelStats) { got = append(got, st) }}, nil,
 		func(lv *Level, _ int, res ShardResult) {
 			if lv.K != k || flipped != "" || len(res.Out) == 0 {
 				return
@@ -104,10 +111,9 @@ func TestCorruptNextLevelFailsAsItsOwn(t *testing.T) {
 	check()
 }
 
-// TestSweepIsBoundedByLevel: a boundary's sweep, which runs beside the
-// next level's join, removes the unlisted files of the levels up to the
-// one it commits and leaves the level being written alone.
-func TestSweepIsBoundedByLevel(t *testing.T) {
+// TestSweepRemovesUnlistedShards: a sweep removes every shard file of
+// the directory the list does not name, of any level, and nothing else.
+func TestSweepRemovesUnlistedShards(t *testing.T) {
 	dir := t.TempDir()
 	names := []string{
 		ShardFileName(3, "000001"), ShardFileName(4, "000002"), ShardFileName(4, "000003"),
@@ -118,32 +124,61 @@ func TestSweepIsBoundedByLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	left := func() map[string]bool {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := map[string]bool{}
-		for _, e := range entries {
-			m[e.Name()] = true
-		}
-		return m
-	}
-	keep := []ShardMeta{{Path: names[2]}}
-	if err := RemoveStaleShards(dir, keep, 4); err != nil {
+	if err := RemoveStaleShards(dir, []ShardMeta{{Path: names[2]}}); err != nil {
 		t.Fatal(err)
 	}
-	got := left()
-	for i, name := range names {
-		if kept := i >= 2; got[name] != kept {
-			t.Errorf("bounded sweep: %s present = %v, want %v", name, got[name], kept)
-		}
+	if got := dirEntries(t, dir); len(got) != 2 || !got[names[2]] || !got["notes.txt"] {
+		t.Errorf("the sweep left %v", got)
 	}
-	if err := RemoveStaleShards(dir, keep, 0); err != nil {
+}
+
+// dirEntries is the set of names in dir.
+func dirEntries(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := left(); len(got) != 2 || !got[names[2]] || !got["notes.txt"] {
-		t.Errorf("unbounded sweep left %v", got)
+	m := map[string]bool{}
+	for _, e := range entries {
+		m[e.Name()] = true
+	}
+	return m
+}
+
+// TestBoundaryRetiresBeforeTheNextLevel: a boundary is done before the
+// next level starts — the consumed level is deleted and the directory
+// swept — so as every level starts, the run directory holds the shards
+// it is handed and, in a checkpointed run, the manifest, and nothing
+// else.
+func TestBoundaryRetiresBeforeTheNextLevel(t *testing.T) {
+	g := plantedGraph(217)
+	for _, ckpt := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("checkpoint=%v/workers=%d", ckpt, workers), func(t *testing.T) {
+				cfg := enumcfg.Config{Dir: t.TempDir(), Checkpoint: ckpt, Workers: workers, ShardBytes: 512}
+				levels := 0
+				_, err := runIntercepted(t, g, cfg, core.Hooks{}, func(lv *Level) {
+					levels++
+					want := map[string]bool{}
+					for _, s := range lv.Shards {
+						want[s.Path] = true
+					}
+					if ckpt {
+						want[manifestName] = true
+					}
+					if got := dirEntries(t, cfg.Dir); !maps.Equal(got, want) {
+						t.Errorf("level %d->%d starts beside %v, want only %v", lv.K, lv.K+1, got, want)
+					}
+				}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if levels < 3 {
+					t.Fatalf("%d levels on disk; the test needs three", levels)
+				}
+			})
+		}
 	}
 }
 

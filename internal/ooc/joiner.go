@@ -69,15 +69,32 @@ type Joiner struct {
 	adm *core.Admitter // the admission half: decode-ahead's
 	b   *core.Builder  // the join half, which holds no universe
 	rec core.Admitted  // the join stage's view of an admitted record, with its copy of the group
-	dec *decodeAhead   // decode-ahead's queues, buffers and window between levels
+	dec *decodeAhead   // decode-ahead's queues, buffers and window, made once
 	bw  *bufio.Writer  // the join's file buffer between levels
 
 	mark int // the builder's blocks already written
 }
 
-// NewJoiner returns a Joiner over g with freshly allocated scratch.
-func NewJoiner(g graph.Interface) *Joiner {
-	return &Joiner{g: g, adm: core.NewAdmitter(g), b: core.NewJoinBuilder(g, bitset.NewPool(g.N()))}
+// NewJoiner returns a Joiner over g with freshly allocated scratch, its
+// pipeline uncapped.
+func NewJoiner(g graph.Interface) *Joiner { return newJoiner(g, 0) }
+
+// newJoiner is NewJoiner with a pipeline whose buffers may take buf bytes
+// each, the share of headroom the joiner keeps for its life (0 =
+// uncapped; bufShare, shapeFor).  Decode-ahead's queues, block buffers
+// and read window — which every shard is read through — are made here,
+// once, like the kernel's arena.
+func newJoiner(g graph.Interface, buf int64) *Joiner {
+	shape := shapeFor(buf)
+	adm := core.NewAdmitter(g)
+	return &Joiner{g: g, adm: adm, b: core.NewJoinBuilder(g, bitset.NewPool(g.N())), dec: &decodeAhead{
+		n:     g.N(),
+		out:   make(chan inPiece, shape.depth), // a piece per buffer in flight
+		free:  make(chan inBuf, shape.depth),   // room for every buffer
+		shape: shape,
+		br:    bufio.NewReaderSize(nil, bufSize(shape.io, 0)),
+		adm:   adm,
+	}}
 }
 
 // ScratchBytes reports the joiner's resident scratch right now — what a
@@ -95,9 +112,8 @@ func (j *Joiner) ScratchBytes() int64 {
 // output shards of about Target bytes in Dir, named by NewShard,
 // every batch's bytes reported to OnWrite, which may abort the join.  Gov
 // is charged with the input blocks and the I/O buffers while they are in
-// flight, sized from Buf, the share of headroom each of a worker's
-// buffers may take (0 = uncapped; bufShare, shapeFor); the output blocks
-// are charged to the joiner's builder's governor.
+// flight, sized as the joiner's pipeline is (newJoiner); the output
+// blocks are charged to the joiner's builder's governor.
 type ShardJob struct {
 	Dir      string
 	K        int
@@ -105,7 +121,6 @@ type ShardJob struct {
 	Target   int64
 	Collect  bool // buffer the maximal cliques, not only count them
 	Gov      *membudget.Governor
-	Buf      int64
 	NewShard func() (string, error)
 	OnWrite  func(enc, raw int64) error
 }

@@ -121,10 +121,10 @@ func joinViaShards(t *testing.T, g graph.Interface, lvl *core.Level) sinkOutput 
 		t.Fatal(err)
 	}
 	var out sinkOutput
-	j := NewJoiner(g)
+	j := newJoiner(g, minBuf)
 	for _, sh := range in {
 		res, err := j.Join(context.Background(), &ShardJob{
-			Dir: dir, K: lvl.K, In: sh, Target: 256, Collect: true, Buf: minBuf,
+			Dir: dir, K: lvl.K, In: sh, Target: 256, Collect: true,
 			NewShard: shardNamer(&seq, lvl.K+1), OnWrite: noAccount,
 		})
 		if err != nil {
@@ -216,29 +216,27 @@ func TestJoinRejectsRecordsOutsideTheirUniverse(t *testing.T) {
 		{"tail", []prefixRun{{[]uint32{0, 1}, []uint32{2, 3}}}},                                     // 3 is no neighbour of 0
 		{"prefix", []prefixRun{{[]uint32{0, 1}, []uint32{2, 4}}, {[]uint32{0, 3}, []uint32{4, 5}}}}, // nor here
 	} {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/compress=%v", c.name, compress), func(t *testing.T) {
-				dir, seq := t.TempDir(), 0
-				in, err := WriteLevel(dir, 3, compress, 1<<20, nil, shardNamer(&seq, 3), noAccount,
-					func(write func(prefix, tails []uint32) error) error {
-						for _, r := range c.runs {
-							if err := write(r.prefix, r.tails); err != nil {
-								return err
-							}
+		t.Run(c.name, func(t *testing.T) {
+			dir, seq := t.TempDir(), 0
+			in, err := WriteLevel(dir, 3, false, 1<<20, nil, shardNamer(&seq, 3), noAccount,
+				func(write func(prefix, tails []uint32) error) error {
+					for _, r := range c.runs {
+						if err := write(r.prefix, r.tails); err != nil {
+							return err
 						}
-						return nil
-					})
-				if err != nil || len(in) != 1 {
-					t.Fatalf("writing the shard: %v (%d shards)", err, len(in))
-				}
-				res, err := NewJoiner(g).Join(context.Background(), &ShardJob{
-					Dir: dir, K: 3, In: in[0], Target: 256, Collect: true, Buf: minBuf,
-					NewShard: shardNamer(&seq, 4), OnWrite: noAccount,
+					}
+					return nil
 				})
-				if err == nil || !strings.Contains(err.Error(), "outside N(0)") {
-					t.Fatalf("joined a shard with a record outside N(0): err %v, result %+v", err, res)
-				}
+			if err != nil || len(in) != 1 {
+				t.Fatalf("writing the shard: %v (%d shards)", err, len(in))
+			}
+			res, err := newJoiner(g, minBuf).Join(context.Background(), &ShardJob{
+				Dir: dir, K: 3, In: in[0], Target: 256, Collect: true,
+				NewShard: shardNamer(&seq, 4), OnWrite: noAccount,
 			})
-		}
+			if err == nil || !strings.Contains(err.Error(), "outside N(0)") {
+				t.Fatalf("joined a shard with a record outside N(0): err %v, result %+v", err, res)
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,9 +75,10 @@ func (lv *Level) NextShard() (string, error) {
 // checks, shard-target sizing, the in-order release that emits cliques
 // and assembles the next shard list, Stats and the level record (the
 // core.LevelStats every driver emits), byte accounting with the spill
-// budget, and the one commit protocol — and drives a ShardRunner for the
-// rest.  Enumerate,
-// Continue, Resume and dist.Enumerate are entry points over it.
+// budget, and the one commit protocol, whose every boundary ends on the
+// loop's goroutine before the next level starts (retire) — and drives a
+// ShardRunner for the rest.  Enumerate, Continue, Resume and
+// dist.Enumerate are entry points over it.
 type Loop struct {
 	g     graph.Interface
 	cfg   enumcfg.Config // Dir is the run directory itself
@@ -101,11 +101,6 @@ type Loop struct {
 	// lock during a level, by Run between levels.
 	st      Stats
 	claimed bool // this process owns the checkpoint dir (first commit done)
-
-	// The housekeeping of the last boundary, running beside the next
-	// level's join (housekeep, settle).
-	hk    sync.WaitGroup
-	hkErr error
 }
 
 // NewLoop returns the driver of one run over g in the run directory
@@ -187,7 +182,8 @@ func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 // ledger at once, before any file buffer opens, and every other block as
 // the writer takes it, or on an error right away — and reports the step's
 // one record on every path: the in-core part with its produced level
-// zeroed, plus what the rest's join delivered.
+// zeroed, plus what the rest's join delivered.  The rest's files are
+// removed before the next level starts, as at every boundary (retire).
 func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (Stats, error) {
 	start, rec, f := time.Now(), cutRecord(out.Stats), out.Frontier
 	release(l.hooks.Gov, lvl.Sub[:f.Block])
@@ -210,10 +206,12 @@ func (l *Loop) RunCut(r ShardRunner, lvl *core.Level, out core.LevelOutcome) (St
 	l.st.Shards += int64(len(rest))
 	lv.Shards = rest
 	next, err := l.runLevel(r, lv, head, &rec)
+	if err == nil {
+		err = l.retire(rest, next, lvl.K+1)
+	}
 	if err != nil {
 		return l.Stats(), err
 	}
-	l.housekeep(rest, next, lvl.K+1)
 	return l.run(r, lvl.K+1, next)
 }
 
@@ -265,7 +263,7 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 	if err := verifyShards(l.cfg.Dir, m.Shards); err != nil {
 		return Stats{}, err
 	}
-	if err := RemoveStaleShards(l.cfg.Dir, m.Shards, 0); err != nil {
+	if err := RemoveStaleShards(l.cfg.Dir, m.Shards); err != nil {
 		return Stats{}, err
 	}
 	l.st = m.Stats
@@ -280,18 +278,16 @@ func (l *Loop) RunManifest(r ShardRunner, m *Manifest) (Stats, error) {
 // which a checkpointed run's manifest already names — until no candidates
 // remain (or Hi / cancellation / the spill budget stops it).
 //
-// The commit protocol at every boundary of a checkpointed run: the
+// Every boundary runs on this goroutine, in one order (retire): the
 // produced level's files are closed before the manifest names it, the
-// consumed level is deleted only after the manifest commits, and then
-// every shard file of the levels up to the produced one that the
-// manifest does not name is swept — whatever instant a kill of the
-// process lands, the directory holds one consistent, resumable level.
-// Nothing is fsynced, so the loss of the machine is another matter
-// (DESIGN.md §5.4).  The commit runs here, and a commit that
-// fails stops the run before anything is deleted; the deletions run
-// beside the next level's join (housekeep), which waits for them before
-// its record.  Plain runs live in a private directory their entry point
-// removes whole.
+// consumed level is deleted only after the manifest commits, then every
+// shard file the manifest does not name is swept, and only then does the
+// next level start — whatever instant a kill of the process lands, the
+// directory holds one consistent, resumable level.  Nothing is fsynced,
+// so the loss of the machine is another matter (DESIGN.md §5.4).  A
+// commit or a deletion that fails stops the run before the next level.
+// Plain runs live in a private directory their entry point removes
+// whole.
 //
 //repro:ctxloop
 func (l *Loop) run(r ShardRunner, k int, shards []ShardMeta) (Stats, error) {
@@ -300,24 +296,17 @@ func (l *Loop) run(r ShardRunner, k int, shards []ShardMeta) (Stats, error) {
 			break
 		}
 		if err := l.cfg.Ctx.Err(); err != nil {
-			// Between levels the checkpoint is already durable; the
-			// last boundary's deletions finish, and the run stops.
-			return l.Stats(), errors.Join(fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err), l.settle())
+			// Between levels the checkpoint is already durable.
+			return l.Stats(), fmt.Errorf("ooc: canceled before level %d->%d: %w", k, k+1, err)
 		}
 		next, err := l.runLevel(r, &Level{K: k, Shards: shards, loop: l}, nil, nil)
+		if err == nil {
+			err = l.retire(shards, next, k+1)
+		}
 		if err != nil {
 			return l.Stats(), err
 		}
-		if l.cfg.Checkpoint {
-			if err := l.checkpoint(next, k+1); err != nil {
-				return l.Stats(), err
-			}
-		}
-		l.housekeep(shards, next, k+1)
 		shards, k = next, k+1
-	}
-	if err := l.settle(); err != nil {
-		return l.Stats(), err
 	}
 	// Completion mirrors the boundary ordering: retire the manifest
 	// BEFORE deleting the shards it names.  A kill between the two
@@ -334,40 +323,34 @@ func (l *Loop) run(r ShardRunner, k int, shards []ShardMeta) (Stats, error) {
 	return l.Stats(), nil
 }
 
-// housekeep starts a boundary's deletions beside the next level's join,
-// once the checkpoint names the produced level, next, of size-k records:
-// the removal of the consumed level and the sweep of the levels up to the
-// produced one — the level being written is the one after it, which the
-// sweep leaves alone.
-func (l *Loop) housekeep(consumed, next []ShardMeta, k int) {
-	l.hk.Add(1)
-	go func() {
-		defer l.hk.Done()
-		if boundaryHook != nil {
-			boundaryHook(k)
+// retire ends the boundary into next, the produced level of size-k
+// records: a checkpointed run commits the manifest naming it, the
+// consumed level is removed, and the directory is swept.  No level is
+// being written meanwhile, so the sweep needs no bound.
+func (l *Loop) retire(consumed, next []ShardMeta, k int) error {
+	if l.cfg.Checkpoint {
+		if err := l.checkpoint(next, k); err != nil {
+			return err
 		}
-		l.hkErr = errors.Join(l.removeShards(consumed), l.sweep(next, k))
-	}()
+	}
+	if boundaryHook != nil {
+		if err := boundaryHook(k); err != nil {
+			return err
+		}
+	}
+	return errors.Join(l.removeShards(consumed), l.sweep(next))
 }
 
-// boundaryHook, when set (by tests), runs first in every boundary's
-// housekeeping, with the produced level's clique size.
-var boundaryHook func(k int)
-
-// settle waits for the last boundary's housekeeping and returns its error.
-func (l *Loop) settle() error {
-	l.hk.Wait()
-	err := l.hkErr
-	l.hkErr = nil
-	return err
-}
+// boundaryHook, when set (by tests), runs in every boundary once the
+// checkpoint is committed and before the deletions, with the produced
+// level's clique size; an error it returns ends the run there.
+var boundaryHook func(k int) error
 
 // runLevel has r join the shards of lv, one level, behind the shards of
 // head, which the step produced already, and returns the next level's
 // shard list.  cut, when non-nil, is the record of a step that started in
 // memory (RunCut); a level from files gets its own, its sub-lists and
-// cliques counted from the shard lists.  The last boundary's housekeeping
-// is settled before the record.
+// cliques counted from the shard lists.
 func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.LevelStats) ([]ShardMeta, error) {
 	start, k, shards := time.Now(), lv.K, lv.Shards
 	l.st.Levels++
@@ -406,7 +389,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 		}
 		next = append(next, res.Out...)
 	})
-	err := errors.Join(r.RunLevel(l.cfg.Ctx, lv, seq.Deposit), l.settle())
+	err := r.RunLevel(l.cfg.Ctx, lv, seq.Deposit)
 	if err == nil {
 		if cerr := l.cfg.Ctx.Err(); cerr != nil {
 			err = fmt.Errorf("ooc: canceled during level %d->%d: %w", k, k+1, cerr)
@@ -428,7 +411,7 @@ func (l *Loop) runLevel(r ShardRunner, lv *Level, head []ShardMeta, cut *core.Le
 		l.st.Aborted = true
 		// Discard the partial next level; the consumed level (and the
 		// manifest pointing at it) stays for Resume.
-		return nil, errors.Join(err, l.sweep(shards, 0))
+		return nil, errors.Join(err, l.sweep(shards))
 	}
 	l.st.Shards += int64(len(next))
 	return next, nil
@@ -483,13 +466,12 @@ func (l *Loop) removeShards(shards []ShardMeta) error {
 	return errors.Join(errs...)
 }
 
-// sweep deletes every shard file of a checkpointed run's directory, of
-// the levels up to maxK (0 = all), that is not in keep: the partial
-// outputs of a failed level and the outputs of a join whose result the
-// runner did not accept.
-func (l *Loop) sweep(keep []ShardMeta, maxK int) error {
+// sweep deletes every shard file of a checkpointed run's directory that
+// is not in keep: the partial outputs of a failed level and the outputs
+// of a join whose result the runner did not accept.
+func (l *Loop) sweep(keep []ShardMeta) error {
 	if !l.cfg.Checkpoint {
 		return nil
 	}
-	return RemoveStaleShards(l.cfg.Dir, keep, maxK)
+	return RemoveStaleShards(l.cfg.Dir, keep)
 }

@@ -201,11 +201,11 @@ func verifyShards(dir string, shards []ShardMeta) error {
 
 // RemoveStaleShards deletes shard files in dir that keep does not list —
 // the partial outputs of an interrupted level, or the orphaned writes of
-// a worker whose lease expired.  Only files matching the engine's naming
-// pattern (the .ooc suffix) are touched, and with maxK > 0 only those of
-// levels up to maxK, as their names (ShardFileName) say: a level being
-// written beside the sweep is left alone.
-func RemoveStaleShards(dir string, keep []ShardMeta, maxK int) error {
+// a worker whose lease expired, or a consumed level a kill left behind.
+// Only files matching the engine's naming pattern (the .ooc suffix) are
+// touched.  It runs where no level is being written: at a boundary, on a
+// failed level, and before a resume.
+func RemoveStaleShards(dir string, keep []ShardMeta) error {
 	listed := make(map[string]bool, len(keep))
 	for _, s := range keep {
 		listed[s.Path] = true
@@ -217,10 +217,6 @@ func RemoveStaleShards(dir string, keep []ShardMeta, maxK int) error {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || listed[name] || !strings.HasSuffix(name, shardSuffix) {
-			continue
-		}
-		var k int
-		if _, err := fmt.Sscanf(name, "l%d-", &k); maxK > 0 && err == nil && k > maxK {
 			continue
 		}
 		if err := os.Remove(filepath.Join(dir, name)); err != nil {

@@ -395,8 +395,9 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 	// level and worker the pipeline's goroutine and the context, and once
 	// a worker decode-ahead's queues with its block buffers and their
 	// admissions, kept from level to level, and the join's copy of a
-	// group: 800 a run at the most, measured (go test -count 8 -run
-	// TestJoinHotLoopAllocs -v ./internal/ooc).  The bound is 800 x 1.05
+	// group: 790 a run at the most, measured (go test -count 8 -run
+	// TestJoinHotLoopAllocs -v ./internal/ooc); 800 while a boundary's
+	// deletions ran on a goroutine of their own.  The bound is 800 x 1.05
 	// = 840, set when the join took over writing its output: one
 	// goroutine and two channels fewer per level and worker than with a
 	// write-behind stage (843 then; 941 when decode-ahead's queues and
@@ -408,9 +409,9 @@ func TestJoinHotLoopAllocs(t *testing.T) {
 }
 
 // TestNoGoroutineOutlivesItsLevel pins the pool's lifetimes: when a
-// level's record is taken, the goroutines that joined the level and the
-// last boundary's housekeeping have ended; only the Joiners stay for the
-// run.
+// level's record is taken, the goroutines that joined the level have
+// ended, and a boundary's deletions run on the loop's goroutine; only the
+// Joiners stay for the run.
 func TestNoGoroutineOutlivesItsLevel(t *testing.T) {
 	g := plantedGraph(213)
 	check := testgraph.NoLeaks(t, nil)

@@ -37,7 +37,7 @@ import (
 // decode-ahead cannot read fails the level: decode-ahead cancels it with
 // the error, as the join does with its own, which ends the other stage.
 // Decode-ahead's queues, buffers and read window stay with the Joiner
-// from level to level (Joiner.stage).
+// from level to level (newJoiner).
 //
 // A block belongs to one stage at a time, and so does the admitter: its
 // universe and memo are decode-ahead's, and the join holds no universe,
@@ -121,11 +121,11 @@ type inBuf struct {
 func (j *Joiner) run(ctx context.Context, job *ShardJob, src *shardList, deliver func(int, ShardResult)) (int64, error) {
 	pctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	dec := j.stage(job)
+	dec := j.dec
 	lw := NewLevelWriter(job.Dir, job.K+1, false, job.Target, job.Gov, job.NewShard, job.OnWrite)
 	lw.bufCap, lw.bw = dec.shape.io, j.bw
 	j.adm.Leave() // the join's copy of a group starts where decode-ahead enters it
-	dec.job = job
+	dec.job, dec.gov = job, j.b.Gov
 	dec.wg.Add(1)
 	go dec.run(pctx, cancel, src)
 
@@ -150,26 +150,6 @@ func (j *Joiner) run(ctx context.Context, job *ShardJob, src *shardList, deliver
 		err = fmt.Errorf("ooc: canceled during level %d->%d: %w", job.K, job.K+1, err)
 	}
 	return read, err
-}
-
-// stage returns the joiner's decode-ahead stage in the shape shapeFor
-// gives job: made at the first level and again only when the shape
-// changes, so its queues, block buffers and read window — which every
-// shard is read through — are made once, like the kernel's arena.
-func (j *Joiner) stage(job *ShardJob) *decodeAhead {
-	shape := shapeFor(job.Buf)
-	if j.dec == nil || j.dec.shape != shape {
-		j.dec = &decodeAhead{
-			n:     j.g.N(),
-			out:   make(chan inPiece, shape.depth), // a piece per buffer in flight
-			free:  make(chan inBuf, shape.depth),   // room for every buffer
-			shape: shape,
-			br:    bufio.NewReaderSize(nil, bufSize(shape.io, 0)),
-			adm:   j.adm,
-			gov:   j.b.Gov,
-		}
-	}
-	return j.dec
 }
 
 // joinAll is the join stage: it runs the kernel's join half over every

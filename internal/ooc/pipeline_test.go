@@ -126,7 +126,7 @@ func TestPipelineFaults(t *testing.T) {
 				check := testgraph.NoLeaks(t, gov)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				j := NewJoiner(g)
+				j := newJoiner(g, buf)
 				j.b.Gov = gov
 				gov.Charge(j.ScratchBytes())
 				named, delivered := 0, 0
@@ -141,7 +141,7 @@ func TestPipelineFaults(t *testing.T) {
 				outSeq := 0
 				newShard := shardNamer(&outSeq, lvl.K+1)
 				job := &ShardJob{
-					Dir: dir, K: lvl.K, Target: 256, Collect: true, Gov: gov, Buf: buf,
+					Dir: dir, K: lvl.K, Target: 256, Collect: true, Gov: gov,
 					NewShard: func() (string, error) {
 						name, _ := newShard()
 						named++

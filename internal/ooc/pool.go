@@ -20,7 +20,6 @@ type pool struct {
 	g       graph.Interface
 	cfg     enumcfg.Config // Dir is the run directory itself
 	gov     *membudget.Governor
-	buf     int64 // the share of headroom each of a worker's buffers may take (bufShare)
 	joiners []*Joiner
 }
 
@@ -38,10 +37,10 @@ func (p *pool) start() {
 	if p.joiners != nil {
 		return
 	}
-	p.buf = bufShare(p.gov, 3*p.cfg.Workers) // a worker's three: read window, block queues, write buffer
+	buf := bufShare(p.gov, 3*p.cfg.Workers) // a worker's three: read window, block queues, write buffer
 	p.joiners = make([]*Joiner, p.cfg.Workers)
 	for i := range p.joiners {
-		j := NewJoiner(p.g)
+		j := newJoiner(p.g, buf)
 		j.b.Gov = p.gov
 		p.gov.Charge(j.ScratchBytes())
 		p.joiners[i] = j
@@ -81,7 +80,6 @@ func (p *pool) RunLevel(ctx context.Context, lv *Level, deliver func(shard int, 
 				Target:   lv.Target,
 				Collect:  lv.Collect,
 				Gov:      p.gov,
-				Buf:      p.buf,
 				NewShard: lv.NextShard,
 				OnWrite:  lv.Wrote,
 			}, src, deliver)

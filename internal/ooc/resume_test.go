@@ -8,9 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -50,46 +48,39 @@ func killRun(t *testing.T, g graph.Interface, dir string, after int, cfg enumcfg
 	return killed
 }
 
-// killBeside is killRun with the kill landing while the deletions of the
-// boundary into level k — the removal of the level before, the sweep —
-// run beside level k's join, its checkpoint committed: the housekeeping
-// waits until that join has released a clique, cancels the run and goes
-// on.
-func killBeside(t *testing.T, g graph.Interface, dir string, k int, cfg enumcfg.Config) []string {
+// killAtBoundary ends a checkpointed run at the boundary into level k,
+// once its checkpoint is committed and before the consumed level is
+// deleted: the hook's error stops the run there, which leaves the
+// consumed level beside a manifest naming level k, as a kill of the
+// process at that instant would.
+func killAtBoundary(t *testing.T, g graph.Interface, dir string, k int, cfg enumcfg.Config) []string {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	joined := make(chan struct{})
-	var once sync.Once
-	boundaryHook = func(at int) {
-		if at != k {
-			return
+	errKill := errors.New("killed between the commit and the deletions")
+	boundaryHook = func(at int) error {
+		if at == k {
+			return errKill
 		}
-		select {
-		case <-joined:
-		case <-time.After(10 * time.Second):
-			t.Errorf("level %d released no clique", k)
-		}
-		cancel()
+		return nil
 	}
 	defer func() { boundaryHook = nil }()
 	var killed []string
-	cfg.Ctx, cfg.Dir, cfg.Checkpoint = ctx, dir, true
+	cfg.Dir, cfg.Checkpoint = dir, true
 	_, err := Enumerate(g, cfg, core.Hooks{Reporter: clique.ReporterFunc(func(c clique.Clique) {
 		killed = append(killed, c.Key())
-		if len(c) == k+1 {
-			once.Do(func() { close(joined) })
-		}
 	})})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("kill beside level %d: err = %v, want context.Canceled", k, err)
+	if !errors.Is(err, errKill) {
+		t.Fatalf("kill at boundary %d: err = %v, want the hook's", k, err)
+	}
+	consumed, _ := filepath.Glob(filepath.Join(dir, ShardFileName(k-1, "*")))
+	if m, err := LoadManifest(dir); err != nil || m.K != k || len(consumed) == 0 {
+		t.Fatalf("kill at boundary %d: manifest %+v (%v) beside %d files of level %d, want level %d's beside the consumed level",
+			k, m, err, len(consumed), k-1, k)
 	}
 	return killed
 }
 
 // TestKillResumeParity kills a checkpointed run at several points — one
-// of them while a boundary's housekeeping runs beside the next level's
-// join — and checks each resume delivers exactly the uninterrupted
+// of them at a boundary between its commit and its deletions — and checks each resume delivers exactly the uninterrupted
 // stream's suffix with merged cumulative stats equal to the
 // uninterrupted run's.
 func TestKillResumeParity(t *testing.T) {
@@ -103,21 +94,21 @@ func TestKillResumeParity(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ref := c.cfg
-			besideK, levels := 0, 0 // a level after the first that emits
+			boundaryK, levels := 0, 0 // a level after the first that emits
 			want, full := orderedKeys(t, g, ref, core.Hooks{OnLevel: func(st core.LevelStats) {
-				if levels++; besideK == 0 && st.Maximal > 0 && levels > 1 {
-					besideK = st.FromK
+				if levels++; boundaryK == 0 && st.Maximal > 0 && levels > 1 {
+					boundaryK = st.FromK
 				}
 			}})
-			if len(want) < 20 || besideK == 0 {
-				t.Fatalf("only %d cliques in the reference run, no level after the first emits: %v", len(want), besideK == 0)
+			if len(want) < 20 || boundaryK == 0 {
+				t.Fatalf("only %d cliques in the reference run, no level after the first emits: %v", len(want), boundaryK == 0)
 			}
-			const beside = -1
-			for _, kill := range []int{1, len(want) / 3, len(want) - 2, beside} {
+			const atBoundary = -1
+			for _, kill := range []int{1, len(want) / 3, len(want) - 2, atBoundary} {
 				dir := t.TempDir()
 				var killed []string
-				if kill == beside {
-					killed = killBeside(t, g, dir, besideK, c.cfg)
+				if kill == atBoundary {
+					killed = killAtBoundary(t, g, dir, boundaryK, c.cfg)
 				} else {
 					killed = killRun(t, g, dir, kill, c.cfg)
 				}

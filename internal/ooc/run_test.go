@@ -387,7 +387,7 @@ func TestRunCodecSteadyStateAllocs(t *testing.T) {
 	}
 	metas, files := writeShards(t, k, 1<<30, func(w *LevelWriter) error {
 		lw = w
-		writeOne() // opens the run, grows the run buffers and the packer's
+		writeOne() // opens the run, grows the run and record buffers
 		writeOne()
 		if allocs := testing.AllocsPerRun(runs-3, writeOne); allocs != 0 {
 			t.Errorf("WriteRun allocates %.1f objects per run", allocs)

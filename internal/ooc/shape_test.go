@@ -53,7 +53,7 @@ func TestPipelineShapesAgree(t *testing.T) {
 			gov.Charge(entry)
 			joiners := make([]*Joiner, len(shapes))
 			for i := range joiners {
-				joiners[i] = NewJoiner(g)
+				joiners[i] = newJoiner(g, shapes[i])
 				joiners[i].b.Gov = gov
 				gov.Charge(joiners[i].ScratchBytes())
 			}
@@ -157,15 +157,15 @@ func levelShard(t *testing.T, lvl *core.Level) (string, ShardMeta) {
 	return dir, shards[0]
 }
 
-// joinAtShape joins the shard in dir through j's pipeline at the share
-// buf, its output beside it, and reads the output back; beside what the
+// joinAtShape joins the shard in dir through j's pipeline, made at the
+// share buf, its output beside it, and reads the output back; beside what the
 // joiner's scratch grew by, the governor must hold no more afterwards
 // than before.
 func joinAtShape(t *testing.T, j *Joiner, dir string, in ShardMeta, k int, buf int64, gov *membudget.Governor) shapeRun {
 	t.Helper()
 	before, seq := gov.Used()-j.ScratchBytes(), 0
 	res, err := j.Join(context.Background(), &ShardJob{
-		Dir: dir, K: k, In: in, Target: 4 << 10, Collect: true, Gov: gov, Buf: buf,
+		Dir: dir, K: k, In: in, Target: 4 << 10, Collect: true, Gov: gov,
 		NewShard: func() (string, error) {
 			seq++
 			return ShardFileName(k+1, fmt.Sprintf("buf%d-%06d", buf, seq)), nil

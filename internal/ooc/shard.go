@@ -124,13 +124,13 @@ type LevelWriter struct {
 	fbRuns    int64 // its sub-lists
 	fbRecords int64 // its records
 
-	// WriteRun's state: the run it holds open, and the block of at most
-	// frameWords it front-codes closed runs into before they join the
-	// frame — each such block starts a run, where a frame may end.
+	// WriteRun's state: the run it holds open, the prefix it front-coded
+	// last, and the words since the run start it last made, where the
+	// frame may end.
 	prefix, tails []uint32
-	last          []uint32 // the prefix packed last
-	pk            core.Packer
-	pkBuf         []uint32
+	last          []uint32
+	since         int
+	rec           []uint32 // the record being front-coded
 }
 
 // frameWords is what a frame holds before it ends at the next run start:
@@ -179,46 +179,34 @@ func (w *LevelWriter) Write(rec []uint32) error {
 	return w.WriteRun(rec[:w.k-1], rec[w.k-1:])
 }
 
-// pack front-codes the open run into the packer's block, and hands a
-// full block on to the frame.
+// pack front-codes the open run behind the record before it and hands
+// it on to the frame.  It starts a run of its own — a record that
+// decodes by itself — once the words since the last such start, with the
+// record at its largest, would pass frameWords.
 func (w *LevelWriter) pack() error {
 	if len(w.tails) == 0 {
 		return nil
 	}
-	if w.pkBuf == nil {
-		w.pkBuf = make([]uint32, frameWords)
-		w.pk.Reset(w.k, w.pkBuf)
-	}
 	lcp := 0
-	for len(w.last) == len(w.prefix) && lcp < len(w.prefix) && w.last[lcp] == w.prefix[lcp] {
+	for w.since > 0 && lcp < len(w.prefix) && w.last[lcp] == w.prefix[lcp] {
 		lcp++
 	}
-	if !w.pk.Add(w.prefix, lcp, w.tails) {
-		if err := w.packed(); err != nil {
-			return err
-		}
-		w.pk.Add(w.prefix, 0, w.tails) // an empty block takes any run
+	if w.since+3+len(w.prefix)-lcp+len(w.tails) > frameWords {
+		lcp, w.since = 0, 0
 	}
+	w.rec = core.AppendRecord(w.rec[:0], w.prefix, lcp, w.tails)
+	w.since += len(w.rec)
 	w.last = append(w.last[:0], w.prefix...)
 	w.tails = w.tails[:0]
-	return nil
-}
-
-// packed hands the packer's block on to the frame and starts the next.
-func (w *LevelWriter) packed() error {
-	blk := w.pk.Block()
-	w.pk.Reset(w.k, w.pkBuf)
-	return w.add(blk.Words())
+	return w.add(w.rec)
 }
 
 // flush writes whatever the writer holds — WriteRun's open run, the
-// packer's block, the frame being assembled — and reports it: the end of
-// a stretch of the level.
+// frame being assembled — and reports it: the end of a stretch of the
+// level, after which a record decodes by itself.
 func (w *LevelWriter) flush() error {
 	err := w.pack()
-	if err == nil && w.pkBuf != nil {
-		err = w.packed()
-	}
+	w.since = 0
 	if err == nil && len(w.fb) > 0 {
 		err = w.cut()
 	}
@@ -399,7 +387,6 @@ func (w *LevelWriter) Abort() error {
 // own, keeping its buffers.
 func (w *LevelWriter) restart() {
 	w.shards, w.cur = nil, ShardMeta{}
-	w.last = w.last[:0]
 }
 
 func shardHeader(k int) []byte {
