@@ -152,9 +152,9 @@ func TestRecomputeCNMatchesStored(t *testing.T) {
 			t.Errorf("trial %d: recompute peak %d >= stored peak %d",
 				trial, resRecomp.PeakBytes, resStored.PeakBytes)
 		}
-		if resRecomp.TotalCost.ANDWords <= resStored.TotalCost.ANDWords {
-			t.Errorf("trial %d: recompute ANDs %d <= stored %d",
-				trial, resRecomp.TotalCost.ANDWords, resStored.TotalCost.ANDWords)
+		if resRecomp.TotalCost.Units() <= resStored.TotalCost.Units() {
+			t.Errorf("trial %d: recompute units %d <= stored %d",
+				trial, resRecomp.TotalCost.Units(), resStored.TotalCost.Units())
 		}
 	}
 }

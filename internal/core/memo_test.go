@@ -18,7 +18,7 @@ import (
 // block would store: what it shares with the record before.  After each
 // admission the memo row of the whole prefix, of the prefix one vertex
 // short of it, or of either at random must equal the from-scratch AND of
-// the rows it covers, read over N(p0); Cost.ANDWords must count exactly
+// the rows it covers, read over N(p0); Cost.Rebuild must count exactly
 // the ANDs of the whole prefix the memo could not avoid; and every byte
 // the scratch grows is charged to the builder's governor.
 func TestPrefixCNMemo(t *testing.T) {
@@ -106,7 +106,7 @@ func TestPrefixCNMemo(t *testing.T) {
 					want, row := bitset.New(g.N()), bitset.New(g.N())
 					var prev []uint32
 					for i, p := range seq {
-						before := b.Cost.ANDWords
+						before := b.Cost.Rebuild
 						depth := depthOf(rng, p)
 						lcp := 0 // the lcp the record's block would store
 						for lcp < len(p) && lcp < len(prev) && p[lcp] == prev[lcp] {
@@ -152,7 +152,7 @@ func TestPrefixCNMemo(t *testing.T) {
 						if shared == len(p) {
 							ands = 0
 						}
-						if did := b.Cost.ANDWords - before; did != ands*words {
+						if did := b.Cost.Rebuild - before; did != ands*words {
 							t.Fatalf("step %d: %v after %v charged %d AND words, want %d ANDs of %d words",
 								i, p, prev, did, ands, words)
 						}

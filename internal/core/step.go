@@ -15,7 +15,8 @@ import (
 // operations, tail pair adjacency checks, and maximality probes.  It is
 // additive across sub-lists.
 type Cost struct {
-	ANDWords  int64 // words touched by common-neighbor ANDs
+	ANDWords  int64 // words touched by the pair join's common-neighbor ANDs
+	Rebuild   int64 // words touched by the ANDs that rebuild a prefix's common neighbours
 	Pairs     int64 // tail pairs examined for adjacency
 	Probes    int64 // maximality probes (worst-case words each)
 	Generated int64 // cliques generated (maximal + candidate)
@@ -24,6 +25,7 @@ type Cost struct {
 // Add accumulates o into c.
 func (c *Cost) Add(o Cost) {
 	c.ANDWords += o.ANDWords
+	c.Rebuild += o.Rebuild
 	c.Pairs += o.Pairs
 	c.Probes += o.Probes
 	c.Generated += o.Generated
@@ -31,8 +33,9 @@ func (c *Cost) Add(o Cost) {
 
 // Units collapses the cost into a single scalar work measure.  Pair checks
 // are single-word operations; AND and probe terms are word-counted
-// already.
-func (c Cost) Units() int64 { return c.ANDWords + c.Pairs + c.Probes }
+// already.  Units − Rebuild is the work of the paper's stored-bitmap
+// machine, which keeps every prefix's common neighbours and rebuilds none.
+func (c Cost) Units() int64 { return c.ANDWords + c.Rebuild + c.Pairs + c.Probes }
 
 // Builder accumulates the next level's sub-lists plus statistics.  Each
 // worker thread owns one Builder, so generation needs no locking — the
@@ -220,7 +223,7 @@ func (b *Builder) Join(a *Admitted, r clique.Reporter) {
 func (b *Builder) book(a *Admitted) {
 	b.sink.carry = min(b.sink.carry, a.LCP)
 	if !a.Stored && a.LCP < len(a.Prefix) {
-		b.Cost.ANDWords += int64(len(a.Prefix)-max(a.LCP, 1)) * int64(b.words)
+		b.Cost.Rebuild += int64(len(a.Prefix)-max(a.LCP, 1)) * int64(b.words)
 	}
 }
 
