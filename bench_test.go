@@ -226,42 +226,20 @@ func BenchmarkEnumerateBarrierUniform4(b *testing.B) {
 	benchEnumerate(b, uniformGraph(), 4, barrier)
 }
 
-// seedModes are the bitmap policies a seed runs under: recompute, the
-// default of every regime, and store, the one path that still builds
-// each group's prefix bitmap.
-var seedModes = []struct {
-	name string
-	mode core.CNMode
-}{{"recompute", core.CNRecompute}, {"store", core.CNStore}}
+// BenchmarkSeedFromKSequential and BenchmarkSeedFromKParallel4 isolate
+// the Lo >= 3 seed phase that used to serialize parallel runs:
+// sequential k-clique seeding vs the sharded parallel seeder.
+func BenchmarkSeedFromKSequential(b *testing.B) { benchSeedFromK(b, 1) }
 
-// BenchmarkSeedFromKParallel isolates the Lo >= 3 seed phase that used to
-// serialize parallel runs: sequential k-clique seeding vs the sharded
-// parallel seeder, under each bitmap policy.
-func BenchmarkSeedFromKSequential(b *testing.B) {
-	g := skewedGraph()
-	for _, m := range seedModes {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.SeedFromKMode(g, 5, m.mode, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkSeedFromKParallel4(b *testing.B) { benchSeedFromK(b, 4) }
 
-func BenchmarkSeedFromKParallel4(b *testing.B) {
+func benchSeedFromK(b *testing.B, workers int) {
 	g := skewedGraph()
-	for _, m := range seedModes {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.SeedFromKParallel(g, 5, m.mode, 4, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := core.SeedFromK(g, 5, workers, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -269,7 +247,7 @@ func BenchmarkSeedFromKParallel4(b *testing.B) {
 // 256-processor schedule over a collected trace).
 func BenchmarkSimulate256(b *testing.B) {
 	g := expt.Build(expt.SpecC.Scale(benchCfg.Scale), benchCfg.Seed)
-	tr, err := simarch.CollectMode(g, 2, 0, core.CNStore)
+	tr, err := simarch.Collect(g, 2, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -78,7 +78,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print live per-level statistics")
 	countOnly := flag.Bool("count", false, "print counts only, not the cliques")
 	dimacs := flag.Bool("dimacs", false, "input is DIMACS clique format")
-	storeBits := flag.Bool("store-cn", false, "store a common-neighbor bitmap per sub-list (the paper's policy) instead of rebuilding it: several times the memory and about 2.5-3x the time on every representation")
 	repr := flag.String("repr", "auto", "graph representation: auto (the smaller of dense and csr), dense, csr or wah")
 	oocDir := flag.String("ooc", "", "run the out-of-core enumerator, spilling levels to this directory")
 	oocCheckpoint := flag.Bool("ooc-checkpoint", false, "out-of-core: keep a resumable manifest in the -ooc directory (resume with -resume)")
@@ -112,8 +111,7 @@ func main() {
 
 	err := run(ctx, flag.Arg(0), options{
 		lo: *lo, hi: *hi, workers: *workers, strategy: *strategy,
-		stats: *stats, countOnly: *countOnly,
-		dimacs: *dimacs, storeBits: *storeBits,
+		stats: *stats, countOnly: *countOnly, dimacs: *dimacs,
 		repr: *repr, oocDir: *oocDir, oocCheckpoint: *oocCheckpoint,
 		resume: *resume, budget: *budget, spill: *spill,
 		noBound: *noBound,
@@ -130,7 +128,7 @@ type options struct {
 	lo, hi, workers          int
 	strategy                 string
 	stats, countOnly, dimacs bool
-	storeBits, noBound       bool
+	noBound                  bool
 	repr                     string
 	oocDir                   string
 	oocCheckpoint            bool
@@ -208,9 +206,6 @@ func run(ctx context.Context, path string, o options) error {
 	if o.workers > 1 {
 		opts = append(opts, repro.WithWorkers(o.workers), repro.WithStrategy(strategy))
 	}
-	if o.storeBits {
-		opts = append(opts, repro.WithStoredBitmaps())
-	}
 	if o.dist != 0 { // a count below one is the facade's configuration error
 		if o.oocDir == "" {
 			return fmt.Errorf("-dist requires -ooc DIR as the shared run directory")
@@ -257,9 +252,9 @@ func run(ctx context.Context, path string, o options) error {
 	if o.stats {
 		opts = append(opts, repro.WithOnLevel(func(ls repro.LevelStats) {
 			fmt.Fprintf(os.Stderr,
-				"level %2d->%2d: %8d sub-lists %9d cliques %8d maximal %5d transfers %12d level bytes %12d work %9.6f s %9.6f wait s\n",
+				"level %2d->%2d: %8d sub-lists %9d cliques %8d maximal %5d transfers %12d level bytes %12d work %12d rebuild %9.6f s %9.6f wait s\n",
 				ls.FromK, ls.FromK+1, ls.Sublists, ls.Cliques, ls.Maximal,
-				ls.Transfers, ls.ResidentBytes, ls.Work, ls.Elapsed.Seconds(), ls.Wait.Seconds())
+				ls.Transfers, ls.ResidentBytes, ls.Work, ls.Rebuild, ls.Elapsed.Seconds(), ls.Wait.Seconds())
 		}))
 	}
 

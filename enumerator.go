@@ -126,8 +126,8 @@ type Stats struct {
 // level blocks' own counts, the on-disk loop from its shard list.  The
 // in-core engines fill the same fields with the same values for the same
 // run (sequential, any worker count, either strategy), and the on-disk
-// loop the same FromK, Sublists, Cliques, Maximal and Work; Transfers is
-// zero outside the worker pool.
+// loop the same FromK, Sublists, Cliques, Maximal, Work and Rebuild;
+// Transfers is zero outside the worker pool.
 type LevelStats struct {
 	FromK         int   // size of the consumed candidates
 	Sublists      int   // sub-lists consumed: in core from the blocks, on disk from the shards' runs
@@ -135,10 +135,13 @@ type LevelStats struct {
 	Maximal       int64 // maximal (FromK+1)-cliques delivered to the caller
 	ResidentBytes int64 // consumed + produced level: block bytes as charged in core, encoded file bytes on disk
 	Transfers     int   // pool engine: level blocks processed off their home worker
-	// Work is the kernel's counted work for the step (core.Cost.Units):
-	// the same in every engine and wherever a budget trips, for one bitmap
-	// policy — stored bitmaps book no prefix rebuild, so they count less.
-	Work int64
+	// Work is the kernel's counted work for the step (core.Cost.Units),
+	// the same in every engine and wherever a budget trips.  Rebuild is
+	// the part of it that rebuilds prefixes' common-neighbor bitmaps
+	// (core.Cost.Rebuild): the paper's machine, which keeps a bitmap per
+	// sub-list, does Work − Rebuild.
+	Work    int64
+	Rebuild int64
 	// Elapsed is the step's wall time; Wait, for a step joined from shard
 	// files, the time its join stage waited for decode-ahead to read them,
 	// summed over workers (0 in core).
@@ -150,9 +153,10 @@ type LevelStats struct {
 // run description that selects the sequential, parallel, or out-of-core
 // backend from its options and executes it with cancellation and
 // observability.  The zero Enumerator (NewEnumerator with no options)
-// runs the full size range from Init_K = 2, in-core, on one thread, with
-// memoised common-neighbor reconstruction (no bitmap kept per sub-list;
-// WithStoredBitmaps is the paper's stored-bitmap policy).
+// runs the full size range from Init_K = 2, in-core, on one thread.  No
+// run keeps a common-neighbor bitmap per sub-list: the join rebuilds each
+// from the sub-list joined just before it, and LevelStats.Rebuild counts
+// what the paper's stored-bitmap policy would have saved.
 //
 // An Enumerator is immutable after construction and may be reused for
 // any number of runs; runs sharing one Enumerator must not execute
@@ -395,18 +399,6 @@ func WithGovernor(gov *membudget.Governor) Option {
 // is correct whenever the governor is per-run.
 func WithGraphCharged() Option {
 	return func(e *Enumerator) { e.graphCharged = true }
-}
-
-// WithStoredBitmaps keeps a dense prefix common-neighbor bitmap with
-// every candidate sub-list — the paper's policy ("faster but requires
-// keeping the common neighbors") — instead of the default, which keeps
-// none and rebuilds each one from the sub-list joined just before it.
-// It costs n/8 bytes per resident sub-list (several times the default's
-// PeakBytes on the paper-style graphs) and buys time only on the CSR and
-// Compressed representations, where a rebuild step is a row walk rather
-// than a word AND.  In-core and hybrid backends only.
-func WithStoredBitmaps() Option {
-	return func(e *Enumerator) { e.cfg.Mode = enumcfg.CNStore }
 }
 
 // WithGraphRepresentation converts the input graph to the given
@@ -696,6 +688,7 @@ func (e *Enumerator) levelSink(st *Stats) func(core.LevelStats) {
 			ResidentBytes: ls.Bytes + ls.NextBytes,
 			Transfers:     ls.Transfers,
 			Work:          ls.Cost.Units(),
+			Rebuild:       ls.Cost.Rebuild,
 			Elapsed:       ls.Elapsed,
 			Wait:          ls.Wait,
 		}

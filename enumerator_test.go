@@ -87,7 +87,6 @@ func TestBackendParity(t *testing.T) {
 				repro.OOCWorkers(4))}},
 			{"out-of-core-3-workers", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0,
 				repro.OOCWorkers(3))}},
-			{"store", []repro.Option{repro.WithStoredBitmaps()}},
 		}, repro.WithBounds(3, 0))
 		small := repro.WithReportSmall()
 		same(t, g, seed, []backend{
@@ -312,7 +311,6 @@ func TestConfigErrors(t *testing.T) {
 		{"inverted bounds", []repro.Option{repro.WithBounds(5, 3)}},
 		{"zero lo", []repro.Option{repro.WithBounds(-1, 0)}},
 		{"negative workers", []repro.Option{repro.WithWorkers(-2)}},
-		{"ooc+stored-bitmaps", []repro.Option{repro.WithOutOfCore(t.TempDir(), 0), repro.WithStoredBitmaps()}},
 		{"negative-memory-budget", []repro.Option{repro.WithMemoryBudget(-1)}},
 		{"spillover-without-dir", []repro.Option{repro.WithSpillover(""), repro.WithMemoryBudget(1 << 20)}},
 		{"spillover-without-budget", []repro.Option{repro.WithSpillover(t.TempDir())}},

@@ -2,7 +2,7 @@ package core
 
 // Level storage arena: a chunked allocator with generation recycling for
 // what a Builder's block sink retains — the chunks its blocks' words are
-// written into, and the side slabs of the stored-bitmap modes.  The
+// written into.  The
 // enumeration's level discipline — at most two levels resident, a
 // consumed level dies at the next step boundary — makes lifetimes fully
 // deterministic, so the storage never needs to reach the garbage
@@ -24,55 +24,30 @@ package core
 // by construction: a builder that stops mid-run never Resets again, so
 // the frontier levels it leaves behind keep their storage.
 
-// arena is one generation-recycled block allocator.  minLen seeds the
+// arena is one generation-recycled chunk allocator.  minLen seeds the
 // doubling schedule (tiny graphs stay tiny); maxLen caps the steady-
-// state block so a free block is never an outsized hostage.
-type arena[T any] struct {
+// state chunk so a free chunk is never an outsized hostage.
+type arena struct {
 	minLen  int
 	maxLen  int
-	nextLen int   // doubling schedule for freshly made blocks
-	active  []T   // unconsumed tail of the newest current-generation block
-	cur     [][]T // blocks serving the level being generated
-	prev    [][]T // blocks of the level now being consumed
-	free    [][]T // blocks two generations old: dead, ready for reuse
+	nextLen int        // doubling schedule for freshly made chunks
+	cur     [][]uint32 // chunks serving the level being generated
+	prev    [][]uint32 // chunks of the level now being consumed
+	free    [][]uint32 // chunks two generations old: dead, ready for reuse
 }
 
-// alloc returns storage for exactly n elements, capacity-clamped so a
-// later append can never scribble over a neighbouring allocation.  The
-// contents are unspecified; callers overwrite every element.
-//
-//repro:hotpath
-func (a *arena[T]) alloc(n int) []T {
-	if n > len(a.active) {
-		a.refill(n)
-	}
-	s := a.active[:n:n]
-	a.active = a.active[n:]
-	return s
-}
-
-// chunk hands out a whole block with room for at least n elements; the
+// chunk hands out a whole chunk with room for at least n words: a
+// recycled one when the free list has a fit, a fresh make otherwise.  The
 // caller allocates inside it by itself (the block sink writes records
 // straight into it).
-func (a *arena[T]) chunk(n int) []T {
-	a.refill(n)
-	c := a.active
-	a.active = nil
-	return c
-}
-
-// refill installs a block with room for n elements: a recycled one when
-// the free list has a fit, a fresh make otherwise.  Out of line so
-// alloc's fast path stays allocation-free under the hotalloc pin.
-func (a *arena[T]) refill(n int) {
+func (a *arena) chunk(n int) []uint32 {
 	for i := len(a.free) - 1; i >= 0; i-- {
 		if blk := a.free[i]; cap(blk) >= n {
 			a.free[i] = a.free[len(a.free)-1]
 			a.free[len(a.free)-1] = nil
 			a.free = a.free[:len(a.free)-1]
 			a.cur = append(a.cur, blk[:cap(blk)])
-			a.active = blk[:cap(blk)]
-			return
+			return blk[:cap(blk)]
 		}
 	}
 	want := a.nextLen
@@ -83,29 +58,28 @@ func (a *arena[T]) refill(n int) {
 		want = a.maxLen
 	}
 	if want < n {
-		want = n // oversized request: a dedicated block
+		want = n // oversized request: a dedicated chunk
 	}
 	a.nextLen = want * 2
-	blk := make([]T, want)
+	blk := make([]uint32, want)
 	a.cur = append(a.cur, blk)
-	a.active = blk
+	return blk
 }
 
-// flip advances one generation at a level boundary: the blocks that
+// flip advances one generation at a level boundary: the chunks that
 // served the level before last are dead (their level has been consumed
 // and retired) and join the free list; the current generation becomes
 // the consumed one.
-func (a *arena[T]) flip() {
+func (a *arena) flip() {
 	a.free = append(a.free, a.prev...)
 	recycled := a.prev[:0]
 	a.prev = a.cur
 	a.cur = recycled
-	a.active = nil
 }
 
-// blocks reports how many blocks the arena currently retains across all
+// blocks reports how many chunks the arena currently retains across all
 // generations and the free list — observability for the recycling
 // tests.
-func (a *arena[T]) blocks() int {
+func (a *arena) blocks() int {
 	return len(a.cur) + len(a.prev) + len(a.free)
 }

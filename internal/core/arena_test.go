@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/membudget"
 )
@@ -43,8 +42,8 @@ func runLevels(g *graph.Graph, seed *Level, b *Builder) (retained int) {
 // storage itself from bitmap-pool and WAH-compression churn.
 func TestLevelLoopAllocs(t *testing.T) {
 	g := arenaTestGraph()
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
-	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
+	seed, _, _ := Seed(context.Background(), g, 2, 1, false, nil, nil)
+	b := NewBuilder(g)
 
 	retained := runLevels(g, seed, b) // warm the arenas and scratch
 	if retained < 200 {
@@ -72,12 +71,12 @@ func TestLevelLoopAllocs(t *testing.T) {
 // both times.
 func TestArenaLedgerChargesOnce(t *testing.T) {
 	g := arenaTestGraph()
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
-	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
+	seed, _, _ := Seed(context.Background(), g, 2, 1, false, nil, nil)
+	b := NewBuilder(g)
 	// The local universe and its memo are builder scratch, not level
 	// storage: grown by an unaccounted first run, the ledger below sees
 	// blocks only.
-	first, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
+	first, _, _ := Seed(context.Background(), g, 2, 1, false, nil, nil)
 	for len(first.Sub) > 0 {
 		first, _ = Step(g, first, nil, b)
 	}
@@ -121,8 +120,8 @@ func TestArenaLedgerChargesOnce(t *testing.T) {
 // compared again after the step that consumed them.
 func TestArenaLag2Liveness(t *testing.T) {
 	g := arenaTestGraph()
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
-	b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
+	seed, _, _ := Seed(context.Background(), g, 2, 1, false, nil, nil)
+	b := NewBuilder(g)
 
 	lvl := seed
 	for len(lvl.Sub) > 0 {

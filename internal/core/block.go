@@ -6,7 +6,6 @@ import (
 	"slices"
 	"unsafe"
 
-	"repro/internal/bitset"
 	"repro/internal/membudget"
 )
 
@@ -56,14 +55,6 @@ const (
 	// record larger than a chunk aside: the granularity at which a
 	// producing engine notices a tripped budget.
 	MaxBlockBytes = 4 * maxChunkWords
-
-	// sideBytes is what the ledger charges for one side-slab entry — the
-	// pointer to a record's retained prefix bitmap (CNStore) — beside the
-	// bitmap's words: the pointer's 8 bytes and 8 towards the bitmap's
-	// own 32-byte header, which nothing else accounts for.  It is the
-	// figure charged since the block store landed, so stored-bitmap peaks
-	// (and expt.Blowup's table) stay comparable across commits.
-	sideBytes = 16
 )
 
 // blockCounts is what a block's header carries about its records, so
@@ -72,22 +63,18 @@ type blockCounts struct {
 	n     int   // sub-lists
 	m     int64 // cliques: Σ tails
 	pairs int64 // Σ t(t-1)/2 over the sub-lists: the tail pairs a join examines
-	cn    int64 // payload bytes of the side slab
 }
 
 func (c *blockCounts) sub(o blockCounts) {
 	c.n -= o.n
 	c.m -= o.m
 	c.pairs -= o.pairs
-	c.cn -= o.cn
 }
 
 // Block is one self-contained stretch of a level: front-coded records in
-// words, the first with lcp 0, and — in CNStore mode only — a side slab
-// holding one prefix bitmap per record.
+// words, the first with lcp 0.
 type Block struct {
 	words []uint32
-	side  []*bitset.Bitset
 	blockCounts
 }
 
@@ -98,10 +85,8 @@ func (b *Block) Sublists() int { return b.n }
 func (b *Block) Cliques() int64 { return b.m }
 
 // Bytes returns what the block occupies and the governor is charged for
-// it: its words, and the side slab with its bitmaps.
-func (b *Block) Bytes() int64 {
-	return 4*int64(len(b.words)) + sideBytes*int64(len(b.side)) + b.cn
-}
+// it: its words.
+func (b *Block) Bytes() int64 { return 4 * int64(len(b.words)) }
 
 // Load predicts the cost of joining the block on a graph whose bitmaps
 // are `words` words long: the pairwise tail joins plus the per-extension
@@ -133,16 +118,6 @@ func (b *Block) Records(k int) iter.Seq[*SubList] {
 			}
 		}
 		it.mustEnd()
-	}
-}
-
-// dropBitmaps recycles the bitmaps the block's side slab still holds.
-func (b *Block) dropBitmaps(pool *bitset.Pool) {
-	for i, cn := range b.side {
-		if cn != nil {
-			pool.Put(cn)
-		}
-		b.side[i] = nil
 	}
 }
 
@@ -189,18 +164,14 @@ func (l *Level) Bytes(...int) int64 {
 	return b
 }
 
-// PaperBytes returns the paper's space formula for the level,
-// M[k]*c + N[k]*((k-1)*c + ceil(n/8) + sizeof(pointer)), the bitmap term
-// being whatever bitmaps the level really holds (none in the default
-// mode) — what the pointer-per-sub-list store of the paper would occupy,
-// for the tables that reproduce the paper's figures.
-func (l *Level) PaperBytes() int64 {
-	var cn int64
-	for i := range l.Sub {
-		cn += l.Sub[i].cn
-	}
-	n := int64(l.Sublists())
-	return l.Cliques()*vertexBytes + n*(int64(l.K-1)*vertexBytes+pointerBytes) + cn
+// PaperBytes returns the paper's space formula for the level over a
+// graph of n vertices, M[k]*c + N[k]*((k-1)*c + bitmap + sizeof(pointer)):
+// what the paper's pointer-per-sub-list store, which keeps each prefix's
+// common-neighbor bitmap, would occupy — for the tables that reproduce
+// the paper's figures.  A bitmap is ⌈n/64⌉ words, 8 bytes each.
+func (l *Level) PaperBytes(n int) int64 {
+	bitmap := 8 * int64((n+63)/64)
+	return l.Cliques()*vertexBytes + int64(l.Sublists())*(int64(l.K-1)*vertexBytes+bitmap+pointerBytes)
 }
 
 // Append adds blocks to the level, in order.  A block that lies in
@@ -213,7 +184,7 @@ func (l *Level) Append(maxWords int, blocks ...Block) (grown int) {
 		b := &blocks[i]
 		if n := len(l.Sub); n > 0 {
 			last := &l.Sub[n-1]
-			if last.side == nil && b.side == nil && len(last.words)+len(b.words) <= maxWords && last.follows(b) {
+			if len(last.words)+len(b.words) <= maxWords && last.follows(b) {
 				last.words = last.words[:len(last.words)+len(b.words)]
 				last.n += b.n
 				last.m += b.m
@@ -238,12 +209,9 @@ func (l *Level) Recut(maxWords int, homes []int32) (*Level, []int32) {
 	var it Iter
 	for bi := range l.Sub {
 		src := &l.Sub[bi]
-		piece, lo, rec := Block{}, 0, 0
+		piece, lo := Block{}, 0
 		cut := func(end int) {
 			piece.words = src.words[lo:end:end]
-			if src.side != nil {
-				piece.side = src.side[rec-piece.n : rec]
-			}
 			out.Sub = append(out.Sub, piece)
 			if homes != nil {
 				outHomes = append(outHomes, homes[bi])
@@ -263,10 +231,6 @@ func (l *Level) Recut(maxWords int, homes []int32) (*Level, []int32) {
 			piece.n++
 			piece.m += t
 			piece.pairs += t * (t - 1) / 2
-			if s.CN != nil {
-				piece.cn += int64(s.CN.Bytes())
-			}
-			rec++
 		}
 		it.mustEnd()
 		cut(len(src.words))
@@ -294,7 +258,6 @@ type Iter struct {
 	sub   SubList // the view Next hands out
 	words []uint32
 	pos   int
-	side  []*bitset.Bitset
 	i     int // records decoded so far
 	k1    int
 	err   error
@@ -308,7 +271,7 @@ func (it *Iter) Reset(k int, b *Block) {
 		it.sub.Prefix = make([]uint32, it.k1)
 	}
 	it.sub.Prefix = it.sub.Prefix[:it.k1]
-	it.words, it.side = b.words, b.side
+	it.words = b.words
 	it.pos, it.i, it.err = 0, 0, nil
 }
 
@@ -357,14 +320,6 @@ func (it *Iter) Next() *SubList {
 	end := p + int(t)
 	s.Tails = w[p:end:end]
 	s.LCP = int(l)
-	s.CN, s.slot = nil, nil
-	if it.side != nil {
-		if it.i >= len(it.side) {
-			return it.fail("more records than side-slab entries")
-		}
-		s.slot = &it.side[it.i]
-		s.CN = *s.slot
-	}
 	it.pos = end
 	it.i++
 	return s
@@ -523,21 +478,18 @@ func AppendRecord(dst, prefix []uint32, lcp int, tails []uint32) []uint32 {
 // blockSink is the one sink of the join kernel, and the seeders': sub-lists
 // are appended as front-coded records into arena chunks and leave as
 // sealed blocks, each charged to the governor once, when it is sealed,
-// for what it occupies.  Chunks and side slabs are recycled two
-// generations after they were filled (see arena.go); the block lists lag
-// the same way.
+// for what it occupies.  Chunks are recycled two generations after they
+// were filled (see arena.go); the block lists lag the same way.
 type blockSink struct {
 	gov    *membudget.Governor
-	chunks arena[uint32]
-	sides  arena[*bitset.Bitset]
+	chunks arena
 
 	buf []uint32 // the active chunk
 	lo  int      // where the open block starts in buf
 	run int      // where the open run — the last record with lcp 0 — starts
 	pos int      // where the next record goes
 
-	open, atRun blockCounts      // of the open block: now, and when the open run started
-	sideBuf     []*bitset.Bitset // side entries of the open block
+	open, atRun blockCounts // of the open block: now, and when the open run started
 
 	// carry is how much of its prefix the next record may take over from
 	// the record appended last: the least stored lcp among the input
@@ -555,30 +507,27 @@ type blockSink struct {
 func newBlockSink(gov *membudget.Governor) blockSink {
 	return blockSink{
 		gov:    gov,
-		chunks: arena[uint32]{minLen: minChunkWords, maxLen: maxChunkWords},
-		sides:  arena[*bitset.Bitset]{minLen: 1 << 5, maxLen: 1 << 10},
+		chunks: arena{minLen: minChunkWords, maxLen: maxChunkWords},
 	}
 }
 
 // reset starts a new level: one arena generation on, nothing open.
 func (s *blockSink) reset() {
 	s.chunks.flip()
-	s.sides.flip()
 	old := s.retOut[1]
 	s.retOut[1] = s.retOut[0]
 	s.retOut[0] = s.out
 	s.out = old[:0]
 	s.buf, s.lo, s.run, s.pos = nil, 0, 0, 0
 	s.open, s.atRun = blockCounts{}, blockCounts{}
-	s.sideBuf = s.sideBuf[:0]
 	s.carry = 0
 }
 
 // append writes the sub-list (prefix+v, tails) behind the one appended
-// last.  cn is its bitmap in CNStore mode, nil otherwise.
+// last.
 //
 //repro:hotpath
-func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, cn *bitset.Bitset) {
+func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32) {
 	l := s.carry
 	s.carry = len(prefix) // what the next sub-list of the same input shares
 	if s.pos-s.run >= RunWords {
@@ -612,13 +561,13 @@ func (s *blockSink) append(prefix []uint32, v uint32, tails []uint32, cn *bitset
 		p++
 	}
 	s.pos = p
-	s.count(len(tails), cn)
+	s.count(len(tails))
 }
 
 // appendRecord is append for the seeders, whose sub-lists arrive with
 // whole prefixes from outside a join: the shared length is found by
 // comparison with the record appended last.
-func (s *blockSink) appendRecord(prefix, tails []uint32, cn *bitset.Bitset) {
+func (s *blockSink) appendRecord(prefix, tails []uint32) {
 	l := 0
 	if len(s.prev) == len(prefix) {
 		// The last vertex is always spelled: append takes it by itself.
@@ -628,7 +577,7 @@ func (s *blockSink) appendRecord(prefix, tails []uint32, cn *bitset.Bitset) {
 	}
 	s.prev = append(s.prev[:0], prefix...)
 	s.carry = l
-	s.append(prefix[:len(prefix)-1], prefix[len(prefix)-1], tails, cn)
+	s.append(prefix[:len(prefix)-1], prefix[len(prefix)-1], tails)
 }
 
 // putHeader writes a record's header at buf[p:] and returns the position
@@ -659,14 +608,10 @@ func putHeader(buf []uint32, p, lcp, tails int) int {
 // count books one appended sub-list of t tails on the open block.
 //
 //repro:hotpath
-func (s *blockSink) count(t int, cn *bitset.Bitset) {
+func (s *blockSink) count(t int) {
 	s.open.n++
 	s.open.m += int64(t)
 	s.open.pairs += int64(t) * int64(t-1) / 2
-	if cn != nil {
-		s.open.cn += int64(cn.Bytes())
-		s.sideBuf = append(s.sideBuf, cn)
-	}
 }
 
 // grow makes room for need more words: the whole runs of the open block
@@ -690,11 +635,6 @@ func (s *blockSink) seal(end int, c blockCounts) {
 		return
 	}
 	b := Block{words: s.buf[s.lo:end], blockCounts: c}
-	if len(s.sideBuf) > 0 {
-		b.side = s.sides.alloc(c.n)
-		copy(b.side, s.sideBuf)
-		s.sideBuf = s.sideBuf[:copy(s.sideBuf, s.sideBuf[c.n:])]
-	}
 	s.lo = end
 	s.open.sub(c)
 	s.atRun = blockCounts{}
@@ -712,30 +652,25 @@ func (s *blockSink) finish(from int) []Block {
 }
 
 // abandon forgets everything appended since out[from:] was the end of
-// the list: sealed blocks are released, bitmaps recycled.  The words
-// stay where they are until their chunk is recycled.
-func (s *blockSink) abandon(from int, pool *bitset.Pool) {
-	DiscardBlocks(s.out[from:], s.gov, pool)
+// the list: sealed blocks are released.  The words stay where they are
+// until their chunk is recycled.
+func (s *blockSink) abandon(from int) {
+	DiscardBlocks(s.out[from:], s.gov)
 	s.out = s.out[:from]
-	for _, cn := range s.sideBuf {
-		pool.Put(cn)
-	}
-	s.sideBuf = s.sideBuf[:0]
 	s.lo, s.run, s.carry = s.pos, s.pos, 0
 	s.open, s.atRun = blockCounts{}, blockCounts{}
 }
 
 // BlockHeaderBytes is what one entry of a level's block list occupies
-// beside the block's words and side slab — what a holder of level lists
-// accounts for them.
+// beside the block's words — what a holder of level lists accounts for
+// them.
 const BlockHeaderBytes = int64(unsafe.Sizeof(Block{}))
 
 // DiscardBlocks gives up blocks that will never be part of a level — the
 // output of a join beyond a stopped level's frontier: their charge is
-// released and their bitmaps are recycled.
-func DiscardBlocks(blocks []Block, gov *membudget.Governor, pool *bitset.Pool) {
+// released.
+func DiscardBlocks(blocks []Block, gov *membudget.Governor) {
 	for i := range blocks {
 		gov.Release(blocks[i].Bytes())
-		blocks[i].dropBitmaps(pool)
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
-	"repro/internal/membudget"
 )
 
 // record is one sub-list as a test states it.
@@ -64,7 +62,7 @@ func sortedRecords(rng *rand.Rand, n, k, universe, maxTails int) []record {
 func seedLevel(k int, recs []record) *Level {
 	sink := newBlockSink(nil)
 	for _, r := range recs {
-		sink.appendRecord(r.prefix, r.tails, nil)
+		sink.appendRecord(r.prefix, r.tails)
 	}
 	return &Level{K: k, Sub: sink.finish(0)}
 }
@@ -162,7 +160,7 @@ func TestBlockRegrouping(t *testing.T) {
 	var frags []Block
 	mark := 0
 	for i, r := range want {
-		sink.appendRecord(r.prefix, r.tails, nil)
+		sink.appendRecord(r.prefix, r.tails)
 		if i%50 == 49 || i == len(want)-1 {
 			frags = append(frags, sink.finish(mark)...)
 			mark = len(sink.out)
@@ -256,7 +254,7 @@ func TestBlockHeaderOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, _, _ := Seed(context.Background(), g, 2, CNRecompute, 1, false, nil, nil)
+	seed, _, _ := Seed(context.Background(), g, 2, 1, false, nil, nil)
 	checkBlocks(t, seed)
 	recs := recordsOf(seed)
 	if len(recs) != 2 || len(recs[0].tails) != n-1 || !slices.Equal(recs[1].tails, []uint32{2, 3}) {
@@ -269,48 +267,6 @@ func TestBlockHeaderOverflow(t *testing.T) {
 	}
 	if seed.Sub[0].Bytes() <= MaxBlockBytes {
 		t.Errorf("the hub's block charges %d bytes; a record larger than a chunk gets a block of its own size", seed.Sub[0].Bytes())
-	}
-}
-
-// TestBlockSideSlab: in the stored-bitmap mode every record of a block
-// has its bitmap in the side slab, consuming a record through the kernel
-// clears the slab's copy, and the block's bytes count slab and bitmaps.
-func TestBlockSideSlab(t *testing.T) {
-	rng := rand.New(rand.NewSource(193))
-	g := graph.PlantedGraph(rng, 90, []graph.PlantedCliqueSpec{{Size: 9}, {Size: 7, Overlap: 2}}, 200)
-	for _, mode := range []CNMode{CNStore} {
-		gov := membudget.New(0)
-		b := NewBuilderMode(g, mode, bitset.NewPool(g.N()))
-		b.Gov = gov
-		gov.Charge(b.ScratchBytes()) // adopted: the scratch's growth is charged as it happens
-		lvl, _, _ := Seed(context.Background(), g, 2, mode, 1, false, nil, nil)
-		gov.Charge(lvl.Bytes())
-		for len(lvl.Sub) > 0 {
-			checkBlocks(t, lvl)
-			var payload int64
-			for s := range lvl.All() {
-				if s.CN == nil {
-					t.Fatalf("mode %v level %d: sub-list holds no bitmap", mode, lvl.K)
-				}
-				payload += int64(s.CN.Bytes())
-			}
-			if want := payload + int64(lvl.Sublists())*sideBytes + 4*int64(len(levelWords(lvl))); lvl.Bytes() != want {
-				t.Fatalf("mode %v level %d: %d bytes, words + slab + bitmaps are %d", mode, lvl.K, lvl.Bytes(), want)
-			}
-			next, st := Step(g, lvl, nil, b)
-			for s := range lvl.All() {
-				if s.CN != nil {
-					t.Fatalf("mode %v level %d: a consumed sub-list still holds its dense bitmap", mode, lvl.K)
-				}
-			}
-			gov.Release(st.Bytes)
-			lvl = next
-		}
-		gov.Release(lvl.Bytes())
-		gov.Release(b.ScratchBytes())
-		if gov.Used() != 0 {
-			t.Errorf("mode %v: governor at %d after the run", mode, gov.Used())
-		}
 	}
 }
 
@@ -414,7 +370,7 @@ func FuzzLevelBlock(f *testing.F) {
 				r.tails[i] = uint32(binary.LittleEndian.Uint16(data[2*i:]))
 			}
 			data = data[2*len(r.tails):]
-			sink.appendRecord(r.prefix, r.tails, nil)
+			sink.appendRecord(r.prefix, r.tails)
 			want = append(want, r)
 			if seal {
 				sink.finish(0)

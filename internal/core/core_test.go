@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/bk"
 	"repro/internal/clique"
 	"repro/internal/core"
@@ -135,26 +134,38 @@ func TestCrossValidation(t *testing.T) {
 	}
 }
 
+// TestRecomputeCNMatchesStored: the join rebuilds the prefix bitmaps the
+// paper's stored policy keeps, and counts the rebuild apart, so the
+// stored machine is Units − Rebuild (TestStoredMachineIsACount,
+// internal/dist, pins it against the stored engine's own counts).  Over
+// planted graphs the stream is the improved Bron–Kerbosch oracle's,
+// every run counts a rebuild, and no step's Rebuild exceeds k−2 row ANDs
+// of ⌈n/64⌉ words a consumed sub-list: one for each prefix vertex but
+// the first, whose row is a copy of N(p0).
 func TestRecomputeCNMatchesStored(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 15; trial++ {
 		g := graph.PlantedGraph(rng, 30, []graph.PlantedCliqueSpec{
 			{Size: 6}, {Size: 5, Overlap: 2},
 		}, 40)
-		stored, resStored := enumerate(t, g, enumcfg.Config{Mode: core.CNStore}, core.Hooks{})
-		recomp, resRecomp := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
-		if ok, diff := clique.SameSets(stored.Cliques, recomp.Cliques); !ok {
+		col, res := enumerate(t, g, enumcfg.Config{}, core.Hooks{})
+		var want []clique.Clique
+		for _, c := range bk.MaximalCliques(g, bk.Improved) {
+			if len(c) >= 3 {
+				want = append(want, c)
+			}
+		}
+		if ok, diff := clique.SameSets(col.Cliques, want); !ok {
 			t.Fatalf("trial %d: %s", trial, diff)
 		}
-		// The memory accounting must show the recompute mode cheaper and
-		// the AND accounting costlier.
-		if resRecomp.PeakBytes >= resStored.PeakBytes {
-			t.Errorf("trial %d: recompute peak %d >= stored peak %d",
-				trial, resRecomp.PeakBytes, resStored.PeakBytes)
+		words := int64((g.N() + 63) / 64)
+		for _, st := range res.Levels {
+			if most := int64(st.FromK-2) * int64(st.Sublists) * words; st.Cost.Rebuild > most {
+				t.Errorf("trial %d, step %d->: rebuild %d words, more than %d", trial, st.FromK, st.Cost.Rebuild, most)
+			}
 		}
-		if resRecomp.TotalCost.Units() <= resStored.TotalCost.Units() {
-			t.Errorf("trial %d: recompute units %d <= stored %d",
-				trial, resRecomp.TotalCost.Units(), resStored.TotalCost.Units())
+		if res.TotalCost.Rebuild == 0 {
+			t.Errorf("trial %d: no rebuild counted (total cost %+v)", trial, res.TotalCost)
 		}
 	}
 }
@@ -294,7 +305,7 @@ func TestReportSmall(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 2, 3} {
 			col := &clique.Collector{}
-			lvl, _, err := core.Seed(context.Background(), g, c.lo, core.CNRecompute, workers, c.small, col, nil)
+			lvl, _, err := core.Seed(context.Background(), g, c.lo, workers, c.small, col, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,8 +324,8 @@ func TestReportSmall(t *testing.T) {
 // TestInvalidOptions: the sequential k-clique seeder refuses a size the
 // edge seed owns (TestSeedFromKParallelRejectsSmallK: the sharded one).
 func TestInvalidOptions(t *testing.T) {
-	if _, _, err := core.SeedFromKMode(graph.New(3), 2, core.CNStore, nil); err == nil {
-		t.Error("SeedFromKMode k=2 accepted")
+	if _, _, _, err := core.SeedFromK(graph.New(3), 2, 1, nil); err == nil {
+		t.Error("SeedFromK k=2 accepted")
 	}
 }
 
@@ -361,29 +372,27 @@ func TestProcessRecordOutsideUniverse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []core.CNMode{core.CNRecompute, core.CNStore} {
-			b := core.NewBuilderMode(g, mode, bitset.NewPool(g.N()))
-			var got clique.Collector
-			for _, bad := range []core.SubList{
-				{Prefix: []uint32{0, 1}, Tails: []uint32{2, 3, 4}},       // tail 3 is no neighbour of 0
-				{Prefix: []uint32{0, 3}, Tails: []uint32{4, 5}},          // nor prefix vertex 3
-				{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4, 2, 4, 2}}, // more tails than N(0) has vertices
-			} {
-				if err := b.ProcessRecord(&bad, &got); err == nil || !strings.Contains(err.Error(), "outside N(0)") {
-					t.Fatalf("%v mode %d: record %v|%v joined: %v", rep, mode, bad.Prefix, bad.Tails, err)
-				}
+		b := core.NewBuilder(g)
+		var got clique.Collector
+		for _, bad := range []core.SubList{
+			{Prefix: []uint32{0, 1}, Tails: []uint32{2, 3, 4}},       // tail 3 is no neighbour of 0
+			{Prefix: []uint32{0, 3}, Tails: []uint32{4, 5}},          // nor prefix vertex 3
+			{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4, 2, 4, 2}}, // more tails than N(0) has vertices
+		} {
+			if err := b.ProcessRecord(&bad, &got); err == nil || !strings.Contains(err.Error(), "outside N(0)") {
+				t.Fatalf("%v: record %v|%v joined: %v", rep, bad.Prefix, bad.Tails, err)
 			}
-			if len(got.Cliques) != 0 || b.Maximal != 0 || b.Kept != 0 || b.Dropped != 0 || b.Cost != (core.Cost{}) {
-				t.Fatalf("%v mode %d: rejected records emitted %v, kept %d, dropped %d, cost %+v",
-					rep, mode, got.Cliques, b.Kept, b.Dropped, b.Cost)
-			}
-			// {0,1,2,4} is maximal: 3 is adjacent to 1, 2 and 4, not to 0.
-			if err := b.ProcessRecord(&core.SubList{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4}}, &got); err != nil {
-				t.Fatalf("%v mode %d: a good record after the bad ones: %v", rep, mode, err)
-			}
-			if len(got.Cliques) != 1 || got.Cliques[0].Key() != (clique.Clique{0, 1, 2, 4}).Key() {
-				t.Fatalf("%v mode %d: emitted %v, want [0 1 2 4]", rep, mode, got.Cliques)
-			}
+		}
+		if len(got.Cliques) != 0 || b.Maximal != 0 || b.Kept != 0 || b.Dropped != 0 || b.Cost != (core.Cost{}) {
+			t.Fatalf("%v: rejected records emitted %v, kept %d, dropped %d, cost %+v",
+				rep, got.Cliques, b.Kept, b.Dropped, b.Cost)
+		}
+		// {0,1,2,4} is maximal: 3 is adjacent to 1, 2 and 4, not to 0.
+		if err := b.ProcessRecord(&core.SubList{Prefix: []uint32{0, 1}, Tails: []uint32{2, 4}}, &got); err != nil {
+			t.Fatalf("%v: a good record after the bad ones: %v", rep, err)
+		}
+		if len(got.Cliques) != 1 || got.Cliques[0].Key() != (clique.Clique{0, 1, 2, 4}).Key() {
+			t.Fatalf("%v: emitted %v, want [0 1 2 4]", rep, got.Cliques)
 		}
 	}
 }
@@ -408,12 +417,12 @@ func TestUniverseBuildsTouchedRowsOnly(t *testing.T) {
 	}
 
 	var got clique.Collector
-	lvl, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, 1, false, &got, nil)
+	lvl, _, err := core.Seed(context.Background(), g, 3, 1, false, &got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gov := membudget.New(0)
-	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	b := core.NewBuilder(g)
 	b.Gov = gov
 	base := b.ScratchBytes()
 	for seeded := true; lvl.Sublists() > 0; seeded = false {

@@ -70,7 +70,6 @@ type Admitted struct {
 	Prefix []uint32 // in global ids
 	Tails  []uint32 // in local ids
 	LCP    int      // the record's stored lcp: the output's front-coding carry, and the memo rows its rebuild reused
-	Stored bool     // the record kept its CN bitmap (CNStore), so Join books no rebuild
 	CN     []uint64 // CN(prefix)
 	CV     []uint64 // W words of scratch Join writes: CN(prefix+v) of the tail it joins
 
@@ -110,7 +109,7 @@ func (a *Admitter) Admit(s *SubList, gov *membudget.Governor) (*Admitted, error)
 	if err != nil {
 		return nil, err
 	}
-	r.Prefix, r.Tails, r.LCP, r.Stored, r.CN = p, lt, s.LCP, s.CN != nil, cn
+	r.Prefix, r.Tails, r.LCP, r.CN = p, lt, s.LCP, cn
 	r.W, r.Nbr, r.Rows, r.Slot, r.CV = a.W, a.Nbr, a.Rows, a.Slot, a.cv[:a.W] // building a row may have moved the rows
 	return r, nil
 }

@@ -99,7 +99,7 @@ func TestPrefixCNMemo(t *testing.T) {
 			for dname, depthOf := range depths {
 				t.Run(fmt.Sprintf("%v/%s%s", rep, name, dname), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(78))
-					b := NewBuilderMode(g, CNRecompute, bitset.NewPool(g.N()))
+					b := NewBuilder(g)
 					gov := membudget.New(0)
 					b.Gov = gov
 					base := b.ScratchBytes()

@@ -39,7 +39,7 @@ const seedShardsPerWorker = 4
 // it runs — the survivors' mask and each shard's universe — and is back
 // at its entry value when Seed returns, on every path.  The level is
 // not charged: the level loop charges it on entry.
-func Seed(ctx context.Context, g graph.Interface, lo int, mode CNMode, workers int, small bool, r clique.Reporter, gov *membudget.Governor) (*Level, []int32, error) {
+func Seed(ctx context.Context, g graph.Interface, lo, workers int, small bool, r clique.Reporter, gov *membudget.Governor) (*Level, []int32, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -49,25 +49,31 @@ func Seed(ctx context.Context, g graph.Interface, lo int, mode CNMode, workers i
 		}
 		lo = 2
 	}
-	lvl, homes, _, err := seedAt(ctx, g, lo, mode, workers, r, gov)
+	lvl, homes, _, err := seedAt(ctx, g, lo, workers, r, gov)
 	return lvl, homes, err
 }
 
-// SeedFromKMode is the sequential k-clique seed at size k >= 3 without a
-// context: Seed at one worker, plus the k-clique enumerator's counters.
-func SeedFromKMode(g graph.Interface, k int, mode CNMode, r clique.Reporter) (*Level, kclique.Stats, error) {
-	lvl, _, st, err := SeedFromKParallel(g, k, mode, 1, r)
-	return lvl, st, err
-}
-
-// SeedFromKParallel is the k-clique seed at size k >= 3 on `workers`
-// goroutines without a context: Seed, plus the k-clique enumerator's
-// counters summed over the shards.
-func SeedFromKParallel(g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
+// SeedFromK is the k-clique seed at size k >= 3 on `workers` goroutines
+// without a context: Seed, plus the k-clique enumerator's counters summed
+// over the shards.
+func SeedFromK(g graph.Interface, k, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
 	if k < 3 {
 		return nil, nil, kclique.Stats{}, fmt.Errorf("core: seeding from k-cliques requires k >= 3, got %d", k)
 	}
-	return seedAt(context.Background(), g, k, mode, workers, r, nil)
+	return seedAt(context.Background(), g, k, workers, r, nil)
+}
+
+// SeedFromKMode is SeedFromK at one worker for the frozen benchmark
+// module; the mode is ignored (see CNMode).
+func SeedFromKMode(g graph.Interface, k int, _ CNMode, r clique.Reporter) (*Level, kclique.Stats, error) {
+	lvl, _, st, err := SeedFromK(g, k, 1, r)
+	return lvl, st, err
+}
+
+// SeedFromKParallel is SeedFromK for the frozen benchmark module; the
+// mode is ignored (see CNMode).
+func SeedFromKParallel(g graph.Interface, k int, _ CNMode, workers int, r clique.Reporter) (*Level, []int32, kclique.Stats, error) {
+	return SeedFromK(g, k, workers, r)
 }
 
 // reportSmall emits maximal 1-cliques (when lo <= 1) and maximal
@@ -105,7 +111,7 @@ type seedShard struct {
 
 // seedAt builds the level at size k: from the edge list at k = 2, with
 // the k-clique enumerator (prepared once, shared by every shard) above.
-func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers int, r clique.Reporter, gov *membudget.Governor) (*Level, []int32, kclique.Stats, error) {
+func seedAt(ctx context.Context, g graph.Interface, k, workers int, r clique.Reporter, gov *membudget.Governor) (*Level, []int32, kclique.Stats, error) {
 	var p *kclique.Prepared
 	if k > 2 {
 		p = kclique.Prepare(g, k)
@@ -119,7 +125,7 @@ func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers 
 		if r != nil {
 			emit = r.Emit
 		}
-		if err := o.run(ctx, g, p, k, mode, 0, 1, emit, gov); err != nil {
+		if err := o.run(ctx, g, p, k, 0, 1, emit, gov); err != nil {
 			return nil, nil, o.st, fmt.Errorf("core: seeding at k=%d: %w", k, err)
 		}
 		return &Level{K: k, Sub: o.blocks}, make([]int32, len(o.blocks)), o.st, nil
@@ -143,7 +149,7 @@ func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers 
 				if r != nil {
 					emit = func(c clique.Clique) { o.maximal = append(o.maximal, c.Clone()) }
 				}
-				_ = o.run(ctx, g, p, k, mode, s, shards, emit, gov) // a canceled shard's error is ctx's, reported below
+				_ = o.run(ctx, g, p, k, s, shards, emit, gov) // a canceled shard's error is ctx's, reported below
 			}
 		}(int32(w))
 	}
@@ -180,13 +186,13 @@ func seedAt(ctx context.Context, g graph.Interface, k int, mode CNMode, workers 
 // listens) and charging the search's scratch to gov while it runs.
 // Anchor and rank ranges partition the level, so concatenating shard
 // outputs in shard order reproduces the one-shard record stream.
-func (o *seedShard) run(ctx context.Context, g graph.Interface, p *kclique.Prepared, k int, mode CNMode, s, shards int, emit func(clique.Clique), gov *membudget.Governor) error {
+func (o *seedShard) run(ctx context.Context, g graph.Interface, p *kclique.Prepared, k, s, shards int, emit func(clique.Clique), gov *membudget.Governor) error {
 	if p == nil {
 		n := g.N()
-		o.blocks = seedEdgeRange(g, mode, n*s/shards, n*(s+1)/shards)
+		o.blocks = seedEdgeRange(g, n*s/shards, n*(s+1)/shards)
 		return nil
 	}
-	seed := groupSink{sink: newBlockSink(nil), mode: mode}
+	seed := groupSink{sink: newBlockSink(nil)}
 	var buf clique.Clique
 	var err error
 	o.st, err = p.Enumerate(ctx, kclique.Options{
@@ -209,13 +215,13 @@ func (o *seedShard) run(ctx context.Context, g graph.Interface, p *kclique.Prepa
 }
 
 // seedEdgeRange builds the blocks of the 2-clique sub-lists whose anchor
-// vertex lies in [from, to): one sub-list per vertex a holding CN = N(a)
-// (kept as mode says) and tails = neighbors of a greater than a.
+// vertex lies in [from, to): one sub-list per vertex a, its tails the
+// neighbors of a greater than a.
 // Sub-lists with fewer than two tails are dropped (they cannot join
 // pairs), which is the paper's N[2] <= n-2, M[2] = m initialization.
 // Every 2-clique sub-list starts a run — its one-vertex prefix shares
 // nothing with its neighbour's — so ranges cut the stream anywhere.
-func seedEdgeRange(g graph.Interface, mode CNMode, from, to int) []Block {
+func seedEdgeRange(g graph.Interface, from, to int) []Block {
 	sink := newBlockSink(nil)
 	var tails []uint32
 	for a := from; a < to; a++ {
@@ -229,12 +235,7 @@ func seedEdgeRange(g graph.Interface, mode CNMode, from, to int) []Block {
 		if len(tails) < 2 {
 			continue
 		}
-		var cn *bitset.Bitset
-		if mode == CNStore {
-			cn = bitset.New(g.N())
-			g.Materialize(a, cn)
-		}
-		sink.append(nil, uint32(a), tails, cn)
+		sink.append(nil, uint32(a), tails)
 	}
 	return sink.finish(0)
 }
@@ -242,7 +243,6 @@ func seedEdgeRange(g graph.Interface, mode CNMode, from, to int) []Block {
 // groupSink turns k-clique groups into the records of a seed level.
 type groupSink struct {
 	sink          blockSink
-	mode          CNMode
 	prefix, tails []uint32
 }
 
@@ -260,9 +260,5 @@ func (s *groupSink) add(gr kclique.Group) {
 	for _, t := range gr.CandidateTails {
 		s.tails = append(s.tails, uint32(t))
 	}
-	var cn *bitset.Bitset
-	if s.mode == CNStore {
-		cn = gr.PrefixCN()
-	}
-	s.sink.appendRecord(s.prefix, s.tails, cn)
+	s.sink.appendRecord(s.prefix, s.tails)
 }

@@ -19,8 +19,8 @@ func seedTestGraph(seed int64) *graph.Graph {
 }
 
 // sameSublists asserts two levels hold identical sub-lists in identical
-// order, including bitmap content — and the identical record words,
-// however they are cut into blocks.
+// order — and the identical record words, however they are cut into
+// blocks.
 func sameSublists(t *testing.T, got, want *Level, n int) {
 	t.Helper()
 	if got.K != want.K {
@@ -39,12 +39,6 @@ func sameSublists(t *testing.T, got, want *Level, n int) {
 		g, _ := next()
 		if !slices.Equal(g.Prefix, w.Prefix) || !slices.Equal(g.Tails, w.Tails) {
 			t.Fatalf("sub-list %d: %v|%v, want %v|%v", i, g.Prefix, g.Tails, w.Prefix, w.Tails)
-		}
-		if (g.CN == nil) != (w.CN == nil) {
-			t.Fatalf("sub-list %d CN presence differs", i)
-		}
-		if g.CN != nil && !g.CN.Equal(w.CN) {
-			t.Fatalf("sub-list %d CN bitmap differs", i)
 		}
 		i++
 	}
@@ -73,19 +67,17 @@ func checkHomes(t *testing.T, homes []int32, subs, workers int) {
 
 func TestSeedEdgesParallelMatchesSequential(t *testing.T) {
 	g := seedTestGraph(11)
-	for _, mode := range []CNMode{CNStore, CNRecompute} {
-		want, _, err := Seed(context.Background(), g, 2, mode, 1, false, nil, nil)
+	want, _, err := Seed(context.Background(), g, 2, 1, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 7} {
+		lvl, homes, err := Seed(context.Background(), g, 2, workers, false, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			lvl, homes, err := Seed(context.Background(), g, 2, mode, workers, false, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSublists(t, lvl, want, g.N())
-			checkHomes(t, homes, len(lvl.Sub), workers)
-		}
+		sameSublists(t, lvl, want, g.N())
+		checkHomes(t, homes, len(lvl.Sub), workers)
 	}
 }
 
@@ -93,13 +85,13 @@ func TestSeedFromKParallelMatchesSequential(t *testing.T) {
 	g := seedTestGraph(12)
 	for _, k := range []int{3, 4, 6} {
 		seqCol := &clique.Collector{}
-		want, seqStats, err := SeedFromKMode(g, k, CNStore, seqCol)
+		want, _, seqStats, err := SeedFromK(g, k, 1, seqCol)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 5} {
 			parCol := &clique.Collector{}
-			lvl, homes, st, err := SeedFromKParallel(g, k, CNStore, workers, parCol)
+			lvl, homes, st, err := SeedFromK(g, k, workers, parCol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +120,7 @@ func TestSeedFromKParallelMatchesSequential(t *testing.T) {
 
 func TestSeedFromKParallelRejectsSmallK(t *testing.T) {
 	g := seedTestGraph(13)
-	if _, _, _, err := SeedFromKParallel(g, 2, CNStore, 4, nil); err == nil {
+	if _, _, _, err := SeedFromK(g, 2, 4, nil); err == nil {
 		t.Error("k=2 accepted")
 	}
 }

@@ -20,12 +20,12 @@ import (
 // many.
 func TestSeedAllocs(t *testing.T) {
 	g := expt.Build(expt.SpecC.Scale(0.3), 1)
-	_, st, err := core.SeedFromKMode(g, 6, core.CNRecompute, nil)
+	_, _, st, err := core.SeedFromK(g, 6, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := core.SeedFromKMode(g, 6, core.CNRecompute, nil); err != nil {
+		if _, _, _, err := core.SeedFromK(g, 6, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -57,7 +57,7 @@ func TestSeedLedger(t *testing.T) {
 				name := fmt.Sprintf("%v/workers=%d/canceled=%v", rep, workers, ctx.Err() != nil)
 				gov := membudget.New(0)
 				gov.Charge(1000) // the entry value: what the run held before the seed
-				_, _, err := core.Seed(ctx, g, 5, core.CNRecompute, workers, false, nil, gov)
+				_, _, err := core.Seed(ctx, g, 5, workers, false, nil, gov)
 				if canceledNow := ctx.Err() != nil; canceledNow != errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: seed returned %v", name, err)
 				}
@@ -91,7 +91,7 @@ func TestSeedRowsStayBounded(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2} {
 		gov := membudget.New(0)
-		if _, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, workers, false, nil, gov); err != nil {
+		if _, _, err := core.Seed(context.Background(), g, 3, workers, false, nil, gov); err != nil {
 			t.Fatal(err)
 		}
 		deg := int64(g.Degree(0))

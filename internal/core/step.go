@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/clique"
@@ -41,9 +40,6 @@ func (c Cost) Units() int64 { return c.ANDWords + c.Rebuild + c.Pairs + c.Probes
 // worker thread owns one Builder, so generation needs no locking — the
 // independence property the paper's multithreading rests on.
 type Builder struct {
-	mode CNMode
-	pool *bitset.Pool
-
 	Kept    int // sub-lists retained for the next level (N[k+1] so far)
 	Maximal int64
 	Dropped int64 // non-maximal cliques discarded from singleton sub-lists
@@ -78,21 +74,24 @@ type Builder struct {
 	iter        Iter
 }
 
-// NewBuilderMode returns a Builder generating into graph g's universe.
-// mode selects how retained sub-lists keep their prefix bitmaps; pool
-// supplies and recycles common-neighbor bitmaps and may be shared across
-// Builders (bitset.Pool is concurrency-safe).
-func NewBuilderMode(g graph.Interface, mode CNMode, pool *bitset.Pool) *Builder {
-	b := NewJoinBuilder(g, pool)
-	b.mode, b.adm = mode, NewAdmitter(g)
+// NewBuilder returns a Builder generating into graph g's universe.
+func NewBuilder(g graph.Interface) *Builder {
+	b := NewJoinBuilder(g)
+	b.adm = NewAdmitter(g)
 	return b
 }
 
-// NewJoinBuilder returns a CNRecompute Builder without an admission half:
-// it holds no universe, and its records reach it admitted, through Join —
-// the out-of-core join stage's, fed by decode-ahead's admission.
-func NewJoinBuilder(g graph.Interface, pool *bitset.Pool) *Builder {
-	return &Builder{pool: pool, words: (g.N() + 63) / 64, sink: newBlockSink(nil)}
+// NewBuilderMode is NewBuilder for the frozen benchmark module, which
+// still names a mode and a bitmap pool; both are ignored (see CNMode).
+func NewBuilderMode(g graph.Interface, _ CNMode, _ *bitset.Pool) *Builder {
+	return NewBuilder(g)
+}
+
+// NewJoinBuilder returns a Builder without an admission half: it holds no
+// universe, and its records reach it admitted, through Join — the
+// out-of-core join stage's, fed by decode-ahead's admission.
+func NewJoinBuilder(g graph.Interface) *Builder {
+	return &Builder{words: (g.N() + 63) / 64, sink: newBlockSink(nil)}
 }
 
 // Reset clears the builder for a new level, retaining scratch storage and
@@ -149,7 +148,7 @@ func (b *Builder) Open() int { return b.sink.pos - b.sink.lo }
 
 // Abandon forgets what was retained since mark, releasing its charges:
 // the input it came from will be joined again, or never.
-func (b *Builder) Abandon(mark int) { b.sink.abandon(mark, b.pool) }
+func (b *Builder) Abandon(mark int) { b.sink.abandon(mark) }
 
 // ScratchBytes returns the resident footprint of the builder's private
 // scratch right now — its admitter's local universe: the rank table,
@@ -168,12 +167,9 @@ func (b *Builder) ScratchBytes() int64 {
 // ProcessSubList is the paper's GenerateKCliques inner loop for one
 // sub-list (Figure 3): it joins tail pairs into (k+1)-cliques, reports
 // maximal ones to r, and appends surviving candidate sub-lists to the
-// builder.  The input sub-list's bitmap is released back to the pool.
-// s must lie in N(p0), as every record of an in-core level does: the
+// builder.  s must lie in N(p0), as every record of an in-core level does: the
 // kernel wrote it; a record from outside input goes through
 // ProcessRecord.
-//
-// Cost accounting and generation are exact regardless of Builder mode.
 func (b *Builder) ProcessSubList(s *SubList, r clique.Reporter) {
 	if err := b.ProcessRecord(s, r); err != nil {
 		panic(err)
@@ -193,7 +189,6 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 		return err
 	}
 	b.Join(a, r)
-	s.takeCN(b.pool)
 	return nil
 }
 
@@ -201,7 +196,7 @@ func (b *Builder) ProcessRecord(s *SubList, r clique.Reporter) error {
 // tail pairs, reports the maximal (k+1)-cliques to r and retains the
 // surviving sub-lists, reading nothing but a — no universe, no memo —
 // and writing only a.CV, and books the record's Cost, its prefix's
-// rebuild at ⌈n/64⌉ words an AND included.
+// rebuild at ⌈n/64⌉ words an AND in Cost.Rebuild.
 //
 //repro:hotpath
 func (b *Builder) Join(a *Admitted, r clique.Reporter) {
@@ -216,13 +211,14 @@ func (b *Builder) Join(a *Admitted, r clique.Reporter) {
 // book takes in what Join counts of a whichever loop joins it: its lcp
 // for the front-coding carry — the next record's lcp is measured against
 // this one, joined or not — and the row ANDs of its prefix's rebuild
-// (Admitter.Map): none for a stored bitmap, and none for the first lcp
-// vertices, whose rows the memo kept, or for row 0, a copy of N(p0).
+// (Admitter.Map): none for the first lcp vertices, whose rows the memo
+// kept, or for row 0, a copy of N(p0).  The paper's stored-bitmap machine
+// does none of them.
 //
 //repro:hotpath
 func (b *Builder) book(a *Admitted) {
 	b.sink.carry = min(b.sink.carry, a.LCP)
-	if !a.Stored && a.LCP < len(a.Prefix) {
+	if a.LCP < len(a.Prefix) {
 		b.Cost.Rebuild += int64(len(a.Prefix)-max(a.LCP, 1)) * int64(b.words)
 	}
 }
@@ -316,19 +312,14 @@ func (b *Builder) emitMaximal(prefix []uint32, v, u int, r clique.Reporter) {
 }
 
 // keep retains the surviving candidate sub-list (a's prefix+v with the
-// given tails) whose common-neighbor row over N(p0) is a.CV, applying the
-// paper's |S_{k+1}| > 1 rule.  newTails may alias the builder's tail
+// given tails), applying the paper's |S_{k+1}| > 1 rule.  newTails may alias the builder's tail
 // scratch: the sink copies it.
 //
 //repro:hotpath
 func (b *Builder) keep(a *Admitted, v int, newTails []uint32) {
 	switch {
 	case len(newTails) > 1:
-		var cn *bitset.Bitset
-		if b.mode == CNStore {
-			cn = b.scatter(a)
-		}
-		b.sink.append(a.Prefix, uint32(v), newTails, cn)
+		b.sink.append(a.Prefix, uint32(v), newTails)
 		b.Kept++
 	case len(newTails) == 1:
 		// A lone non-maximal clique cannot join with a sibling; the
@@ -340,8 +331,7 @@ func (b *Builder) keep(a *Admitted, v int, newTails []uint32) {
 // RunLevel is the sequential level engine: one generation step on this
 // builder, emitting straight to r — no merger, no emission copies.  ctx
 // and trip (nil = never) are polled where a run starts and stop the level
-// there, with the cut documented on LevelOutcome.  The input level's
-// bitmaps are recycled.  homes is the pool engine's scheduling input and
+// there, with the cut documented on LevelOutcome.  homes is the pool engine's scheduling input and
 // ignored.
 func (b *Builder) RunLevel(ctx context.Context, lvl *Level, _ []int32,
 	r clique.Reporter, trip func() bool) LevelOutcome {
@@ -386,16 +376,4 @@ func Step(_ graph.Interface, lvl *Level, r clique.Reporter, b *Builder) (*Level,
 	out := b.RunLevel(b.Ctx, lvl, nil, r, nil)
 	b.Canceled = out.Frontier.Block < len(lvl.Sub)
 	return out.Next, out.Stats
-}
-
-// scatter writes CN(prefix+v), held in a.CV over a's N(p0), into a bitmap
-// over the graph's universe: the stored bitmap CNStore keeps.
-func (b *Builder) scatter(a *Admitted) *bitset.Bitset {
-	cn := b.pool.Get()
-	for x, word := range a.CV {
-		for ; word != 0; word &= word - 1 {
-			cn.Set(int(a.Nbr[x<<6+bits.TrailingZeros64(word)]))
-		}
-	}
-	return cn
 }

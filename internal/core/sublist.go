@@ -6,11 +6,14 @@
 // trivially parallel:
 //
 //   - Candidate k-cliques sharing a (k-1)-clique prefix form a *sub-list*:
-//     the prefix is stored once, together with the common-neighbor bitmap
-//     of the prefix and the array of tail vertices (each tail extends the
-//     prefix to one k-clique; tails are in canonical order and exceed the
-//     prefix's last vertex).  A level keeps its sub-lists front-coded: of
-//     a prefix, only what differs from the sub-list before it (block.go).
+//     the prefix is stored once, with the array of tail vertices (each
+//     tail extends the prefix to one k-clique; tails are in canonical
+//     order and exceed the prefix's last vertex).  A level keeps its
+//     sub-lists front-coded: of a prefix, only what differs from the
+//     sub-list before it (block.go).  The paper keeps the prefix's
+//     common-neighbor bitmap beside it too; the join rebuilds it instead,
+//     from a memo of the prefix before, and counts the rebuild apart
+//     (Cost.Rebuild), so the paper's stored machine is Units − Rebuild.
 //   - (k+1)-cliques are generated by joining tail pairs within a single
 //     sub-list; no cross-sub-list interaction ever occurs, which is the
 //     independence the multithreaded implementation exploits.
@@ -42,11 +45,6 @@
 //     own change and its own measurement.
 package core
 
-import (
-	"repro/internal/bitset"
-	"repro/internal/enumcfg"
-)
-
 // Vertex indices are stored as uint32 inside sub-lists: the paper's
 // memory-accounting formula charges c bytes per vertex index, and c = 4
 // halves candidate storage relative to Go's native int.
@@ -74,42 +72,14 @@ type SubList struct {
 	// positive value lets it reuse the memo's rows below it, and Cost
 	// charges only the rest.
 	LCP int
-	// CN is the common-neighbor bitmap of Prefix over the graph's vertex
-	// universe, held only by sub-lists created in CNStore mode (the
-	// paper's "faster but keeps the common neighbors" choice).  In the
-	// default CNRecompute mode it is nil.  The join never reads its bits:
-	// it rebuilds the prefix's row over N(p0) from its memo (local.go) in
-	// either mode, and Cost charges the rebuild only where CN is nil.  A
-	// level may mix the two, block by block.
-	CN *bitset.Bitset
-
-	slot **bitset.Bitset // where the block keeps CN, so consuming it clears the block's copy
 }
 
-// takeCN hands the sub-list's dense bitmap back to pool once the join
-// has consumed it, and clears the block's reference with it: a stopped
-// level's consumed inputs are re-joined from reconstructed bitmaps.
-func (s *SubList) takeCN(pool *bitset.Pool) {
-	if s.CN == nil {
-		return
-	}
-	pool.Put(s.CN)
-	s.CN = nil
-	if s.slot != nil {
-		*s.slot = nil
-	}
-}
+// CNMode and CNStore name the stored-bitmap policy the library no longer
+// has: the paper's machine that keeps each prefix's common-neighbour
+// bitmap is a count now (Cost.Rebuild).  They stay, with NewBuilderMode,
+// SeedFromKMode and SeedFromKParallel, only because the frozen benchmark
+// module compiles against them; every one ignores the mode.
+type CNMode int
 
-// CNMode selects how sub-lists keep their prefix common-neighbor
-// bitmaps: the two policies of the paper's trade-off discussion.  The
-// canonical definition lives in package enumcfg, shared by every backend
-// and the facade; these aliases preserve the historical core names.
-type CNMode = enumcfg.CNMode
-
-const (
-	// CNRecompute (the zero value) keeps no bitmap: the join rebuilds it,
-	// memoised against the previous sub-list as far as its stored lcp.
-	CNRecompute = enumcfg.CNRecompute
-	// CNStore keeps the dense bitmap per sub-list (the paper's choice).
-	CNStore = enumcfg.CNStore
-)
+// CNStore is the stored-bitmap policy's old name; see CNMode.
+const CNStore CNMode = 1

@@ -2,8 +2,8 @@
 // enumeration regimes and the public facade.  The paper's arc is one
 // algorithm — level-wise maximal clique enumeration — retargeted across
 // execution regimes; this package is where the regimes agree on what a
-// run means: the size bounds, the bitmap mode, the worker count, the
-// spill directory, and the cancellation context.
+// run means: the size bounds, the worker count, the spill directory, and
+// the cancellation context.
 //
 // One Config describes a run from the facade down to the engines.  The
 // facade fills it from its options and hands it, with the run's hooks
@@ -13,39 +13,14 @@
 // coordinator.  Each entry point validates it with Normalize, the one
 // rule for defaults, ranges and the per-regime exclusions, and restates
 // none of it.  internal/core and internal/parallel never see a Config:
-// they share the enums (CNMode, Strategy) and the two rules parallel
-// applies to its own Options, CheckBounds and CheckMode.
+// they share the Strategy enum and the bounds rule parallel applies to
+// its own Options, CheckBounds.
 package enumcfg
 
 import (
 	"context"
 	"fmt"
 	"time"
-)
-
-// CNMode selects how sub-lists keep their prefix common-neighbor bitmaps.
-// The canonical definition lives here so the sequential and parallel
-// backends (and the facade) share one enum; internal/core re-exports it
-// under its historical name.
-type CNMode int
-
-const (
-	// CNRecompute, the zero value and every regime's default, keeps no
-	// bitmap with a sub-list and rebuilds it when the sub-list is joined
-	// ("requires no more memory but will perform bitwise AND operations
-	// on the same bit strings repeatedly").  The rebuild is memoised
-	// against the sub-list joined just before, in the local rows of the
-	// prefix's first vertex's neighbourhood (core/local.go):
-	// canonical-order neighbours share all but one or two prefix
-	// vertices, so it costs one or two row ANDs, not k-2 — the kernel
-	// the on-disk regimes run, and the smallest resident level.
-	CNRecompute CNMode = iota
-	// CNStore keeps the dense bitmap per sub-list (the paper's choice:
-	// "faster but requires keeping the common neighbors") — n/8 bytes
-	// more per sub-list.  The join rebuilds the prefix's row from its
-	// memo in either mode, so here the policy buys no time: it is kept
-	// for the paper's trade-off and its footprint (Figure 9).
-	CNStore
 )
 
 // Strategy selects the parallel dispatch policy.
@@ -100,8 +75,7 @@ func (b Backend) String() string {
 
 // Config is the unified run description every backend understands.  Zero
 // value + Normalize gives the defaults: the full size range from
-// Init_K = 2, memoised common-neighbor reconstruction (CNRecompute), one
-// thread, in-core.
+// Init_K = 2, one thread, in-core.
 type Config struct {
 	// Ctx cancels the run between generation steps (and, within a step,
 	// where a run of sub-lists starts, or between spill records).
@@ -117,9 +91,6 @@ type Config struct {
 	Workers int
 	// Strategy is the parallel dispatch policy.
 	Strategy Strategy
-
-	// Mode is the common-neighbor bitmap policy.
-	Mode CNMode
 
 	// MemoryBudget, when positive, is the memory governor's budget: the
 	// bound on everything the run declares resident (graph adjacency
@@ -208,19 +179,10 @@ func CheckBounds(lo, hi int) error {
 	return nil
 }
 
-// CheckMode rejects a value outside the CNMode enum; like CheckBounds it
-// is the one rule every backend that takes a Mode shares.
-func CheckMode(m CNMode) error {
-	if m != CNRecompute && m != CNStore {
-		return fmt.Errorf("enumcfg: unknown CN mode %d", m)
-	}
-	return nil
-}
-
 // Normalize applies defaults and validates the config in place.
 //
 // The validation is regime-structured: the universal rules (bounds,
-// workers, mode, strategy, no negative size or duration) come first, then
+// workers, strategy, no negative size or duration) come first, then
 // the knob-dependency rules (out-of-core knobs need a Dir, spillover
 // needs a Dir and a budget), then one switch with the per-backend
 // exclusions.  MemoryBudget is accepted by every backend — the governor
@@ -253,9 +215,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.Workers < 1 {
 		return fmt.Errorf("enumcfg: %d workers", c.Workers)
-	}
-	if err := CheckMode(c.Mode); err != nil {
-		return err
 	}
 	if c.Strategy != Contiguous && c.Strategy != Affinity {
 		return fmt.Errorf("enumcfg: unknown strategy %d", c.Strategy)
@@ -300,18 +259,12 @@ func (c *Config) Normalize() error {
 		if c.SpillBudget > 0 {
 			return fmt.Errorf("enumcfg: SpillBudget is not supported by the distributed coordinator")
 		}
-		if c.Mode != CNRecompute {
-			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
-		}
 	case Hybrid:
 		c.Spill = true // latch the implied form (Dir + MemoryBudget)
 		if c.Checkpoint {
 			return fmt.Errorf("enumcfg: checkpointing requires an out-of-core run from the start; drop the memory budget or the checkpoint")
 		}
 	case OutOfCore:
-		if c.Mode != CNRecompute {
-			return fmt.Errorf("enumcfg: CN mode %d is meaningless out of core (no bitmaps are retained)", c.Mode)
-		}
 		if c.Resume && c.MemoryBudget > 0 {
 			return fmt.Errorf("enumcfg: a resumed run is out-of-core from the start; the memory budget does not apply")
 		}

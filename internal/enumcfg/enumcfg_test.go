@@ -22,7 +22,6 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"lo below one", Config{Lo: -1}, "Lo", 0},
 		{"hi below lo", Config{Lo: 5, Hi: 3}, "Hi", 0},
 		{"negative workers", Config{Workers: -2}, "workers", 0},
-		{"unknown mode", Config{Mode: CNStore + 1}, "CN mode", 0},
 		{"unknown strategy", Config{Strategy: Affinity + 1}, "strategy", 0},
 		{"negative memory budget", Config{MemoryBudget: -5}, "negative memory budget", 0},
 		{"negative shard bytes", Config{Dir: "d", ShardBytes: -1}, "negative shard bytes", 0},
@@ -47,15 +46,13 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"ooc resume", Config{Dir: "d", Resume: true}, "", OutOfCore},
 		{"checkpoint without dir", Config{Checkpoint: true}, "require a spill Dir", 0},
 		{"resume without dir", Config{Resume: true}, "require a spill Dir", 0},
-		{"ooc low-memory", Config{Dir: "d", Mode: CNRecompute}, "", OutOfCore},
-		{"ooc stored bitmaps", Config{Dir: "d", Mode: CNStore}, "meaningless out of core", 0},
+		{"ooc low-memory", Config{Dir: "d"}, "", OutOfCore},
 
 		// --- hybrid / spillover ---
 		{"implied hybrid", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
 		{"explicit spillover", Config{Dir: "d", Spill: true, MemoryBudget: 1 << 20}, "", Hybrid},
 		{"hybrid parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 4}, "", Hybrid},
-		{"hybrid low-memory", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNRecompute}, "", Hybrid},
-		{"hybrid stored bitmaps", Config{Dir: "d", MemoryBudget: 1 << 20, Mode: CNStore}, "", Hybrid},
+		{"hybrid low-memory", Config{Dir: "d", MemoryBudget: 1 << 20}, "", Hybrid},
 		{"hybrid report-small sequential", Config{Dir: "d", MemoryBudget: 1 << 20, ReportSmall: true}, "", Hybrid},
 		{"hybrid report-small parallel", Config{Dir: "d", MemoryBudget: 1 << 20, Workers: 2, ReportSmall: true}, "", Hybrid},
 		{"spillover without dir", Config{Spill: true, MemoryBudget: 1 << 20}, "requires a spill Dir", 0},
@@ -88,9 +85,7 @@ func TestNormalizeMatrix(t *testing.T) {
 		{"distributed plus spill budget", Config{Dir: "d", DistWorkers: 2, SpillBudget: 1 << 20},
 			"not supported by the distributed coordinator", 0},
 		{"distributed report-small", Config{Dir: "d", DistWorkers: 2, ReportSmall: true}, "", Distributed},
-		{"distributed low-memory mode", Config{Dir: "d", DistWorkers: 2, Mode: CNRecompute}, "", Distributed},
-		{"distributed stored bitmaps", Config{Dir: "d", DistWorkers: 2, Mode: CNStore},
-			"meaningless out of core", 0},
+		{"distributed low-memory mode", Config{Dir: "d", DistWorkers: 2}, "", Distributed},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // The key identifies the OUTPUT, not the execution: every backend
 // delivers the byte-identical stream for the same bounds (pinned by the
 // cross-backend and cross-representation parity suites), so execution
-// policy — Workers, Strategy, Mode, MemoryBudget, representation, the
+// policy — Workers, Strategy, MemoryBudget, representation, the
 // whole out-of-core knob set — is deliberately excluded.  A cached
 // sequential run therefore satisfies a later 8-worker request, which is
 // exactly what a hot-graph cache wants.

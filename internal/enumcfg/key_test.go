@@ -30,12 +30,6 @@ func TestKeyCanonicalization(t *testing.T) {
 			same: true,
 		},
 		{
-			name: "CN mode does not change the stream",
-			a:    Config{Lo: 3, Mode: CNRecompute},
-			b:    Config{Lo: 3, Mode: CNStore},
-			same: true,
-		},
-		{
 			name: "memory budget and spill directory do not change the stream",
 			a:    Config{Lo: 3},
 			b:    Config{Lo: 3, MemoryBudget: 1 << 20, Dir: "/tmp/x"},

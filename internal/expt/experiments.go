@@ -107,7 +107,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 
 	coreCount := clique.NewCounter()
 	start = time.Now()
-	coreRes, err := hybrid.Enumerate(g, enumcfg.Config{Ctx: cfg.Ctx, Mode: core.CNStore}, core.Hooks{Reporter: coreCount})
+	coreRes, err := hybrid.Enumerate(g, enumcfg.Config{Ctx: cfg.Ctx}, core.Hooks{Reporter: coreCount})
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func Fig9(cfg Config) (*Table, error) {
 	cfg = cfg.normalized()
 	spec := cfg.specC()
 	g := Build(spec, cfg.Seed)
-	tr, err := simarch.CollectMode(g, 2, 0, core.CNStore)
+	tr, err := simarch.Collect(g, 2, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +193,7 @@ func Blowup(cfg Config) (*BlowupResult, error) {
 	g := Build(spec, cfg.Seed)
 
 	var levels []core.LevelStats
-	_, err := hybrid.Enumerate(g, enumcfg.Config{Ctx: cfg.Ctx, Mode: core.CNStore}, core.Hooks{
+	_, err := hybrid.Enumerate(g, enumcfg.Config{Ctx: cfg.Ctx}, core.Hooks{
 		Gov:     membudget.New(cfg.Budget),
 		OnLevel: func(st core.LevelStats) { levels = append(levels, st) },
 	})

@@ -14,7 +14,7 @@
 //	Blowup           Section 3, graph B exhausting memory               repro blowup
 //
 // CollectFamily gathers the traces Figures 6 and 7 share.  Comparisons
-// the paper does not print (bitmap policies, storage tiers, graph
+// the paper does not print (storage tiers, graph
 // representations, budgets) are measured by benchmark/ and tabulated in
 // DESIGN.md and README.md, not here.
 package expt

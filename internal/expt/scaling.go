@@ -32,18 +32,6 @@ func initKladder(spec GraphSpec) []int {
 	return iks
 }
 
-// traceMode picks the bitmap policy of an Init_K trace: the stored
-// bitmaps of the machine the paper measured, except at (near-)paper
-// scale, where the Init_K=3 candidate sets with stored bitmaps exceed
-// workstation memory — the paper's own motivation for the 2 TB Altix —
-// and the trace runs bitmap-free.
-func traceMode(spec GraphSpec, initK int) core.CNMode {
-	if spec.Omega-initK >= 22 {
-		return core.CNRecompute
-	}
-	return core.CNStore
-}
-
 // fullWorkloadAnchor estimates the graph's full (Init_K = 3) workload
 // from an Init_K = ω-10 trace, using the paper's own sequential-time
 // ratio on graph C: 1,948 s (Init_K=3) / 343 s (Init_K=18).  Figures 5
@@ -98,7 +86,7 @@ func CollectFamily(cfg Config, iks []int) (*Family, error) {
 	fam := &Family{Spec: spec}
 	var maxUnits int64
 	for _, ik := range iks {
-		tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
+		tr, err := simarch.Collect(g, ik, 0)
 		if err != nil {
 			return nil, fmt.Errorf("expt: trace Init_K=%d: %w", ik, err)
 		}
@@ -153,7 +141,7 @@ func Fig5(cfg Config) (*Table, error) {
 	for rep := 0; rep < cfg.Reps; rep++ {
 		g := Build(spec, cfg.Seed+int64(rep))
 		for _, ik := range iks {
-			tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
+			tr, err := simarch.Collect(g, ik, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -305,7 +293,7 @@ func Fig8(cfg Config) (*Table, error) {
 	spec := cfg.specC()
 	ik := initKladder(spec)[0]
 	g := Build(spec, cfg.Seed)
-	tr, err := simarch.CollectMode(g, ik, 0, traceMode(spec, ik))
+	tr, err := simarch.Collect(g, ik, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +336,6 @@ func Fig8(cfg Config) (*Table, error) {
 			Ctx:      cfg.Ctx,
 			Workers:  realP,
 			Lo:       ik,
-			Mode:     core.CNStore,
 			Strategy: enumcfg.Affinity,
 		}, core.Hooks{})
 		if err != nil {

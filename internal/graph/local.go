@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"math/bits"
 	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/membudget"
 )
 
@@ -84,16 +82,6 @@ func (u *Local) Enter(v int, gov *membudget.Governor) {
 	u.V, u.Nbr, u.built = v, u.Nbr[:0], 0
 	u.g.Row(v).ForEach(u.admit)
 	u.W = (len(u.Nbr) + 63) / 64
-}
-
-// Scatter sets in dst the vertices of N(v) that words, a set over the
-// universe, holds.
-func (u *Local) Scatter(dst *bitset.Bitset, words []uint64) {
-	for x, word := range words {
-		for ; word != 0; word &= word - 1 {
-			dst.Set(int(u.Nbr[x<<6+bits.TrailingZeros64(word)]))
-		}
-	}
 }
 
 // Scratch returns n words of working sets over the universe, kept from

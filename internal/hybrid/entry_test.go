@@ -52,8 +52,8 @@ func TestInvalidOptions(t *testing.T) {
 	}{
 		{"lo below one", func(c *enumcfg.Config) { c.Lo = -1 }},
 		{"inverted bounds", func(c *enumcfg.Config) { c.Lo, c.Hi = 5, 4 }},
-		{"mode below range", func(c *enumcfg.Config) { c.Mode = core.CNRecompute - 1 }},
-		{"unknown mode", func(c *enumcfg.Config) { c.Mode = core.CNStore + 1 }},
+		{"strategy below range", func(c *enumcfg.Config) { c.Strategy = enumcfg.Contiguous - 1 }},
+		{"unknown strategy", func(c *enumcfg.Config) { c.Strategy = enumcfg.Affinity + 1 }},
 		{"negative shard bytes", func(c *enumcfg.Config) { c.ShardBytes = -1 }},
 		{"negative lease timeout", func(c *enumcfg.Config) { c.DistLeaseTimeout = -1 }},
 	}

@@ -48,7 +48,6 @@ package hybrid
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
@@ -74,8 +73,7 @@ type Result struct {
 // observer and governor.  Lo <= 2 seeds from the edge list, a larger Lo
 // from the k-clique enumerator (ReportSmall adds the maximal 1- and
 // 2-cliques the seed finds, at any worker count); Workers selects the
-// in-core engine and, after a spill, the out-of-core join width; Mode is
-// the in-core phase's bitmap policy.  h.Gov's budget is the trip: without
+// in-core engine and, after a spill, the out-of-core join width.  h.Gov's budget is the trip: without
 // a spill Dir a trip aborts with core.ErrMemoryBudget, with one the
 // tripped step goes to ooc.Continue in Dir and the run continues out of
 // core (SpillBudget then applies); an unlimited governor or
@@ -92,7 +90,7 @@ func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (*Result, er
 	// clique is counted by its level's record, so the caller's reporter —
 	// nil included — goes to the engines as it is.
 	seed := clique.Tally{Next: h.Reporter}
-	lvl, homes, err := core.Seed(cfg.Ctx, g, cfg.Lo, cfg.Mode, cfg.Workers, cfg.ReportSmall, &seed, h.Gov)
+	lvl, homes, err := core.Seed(cfg.Ctx, g, cfg.Lo, cfg.Workers, cfg.ReportSmall, &seed, h.Gov)
 	res.Seeded(seed)
 	if err != nil {
 		return res, err
@@ -108,7 +106,6 @@ func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (*Result, er
 	if cfg.Workers > 1 {
 		p, err := parallel.NewPool(g, parallel.Options{
 			Workers:  cfg.Workers,
-			Mode:     cfg.Mode,
 			Strategy: cfg.Strategy,
 			Gov:      h.Gov,
 		})
@@ -118,7 +115,7 @@ func Enumerate(g graph.Interface, cfg enumcfg.Config, h core.Hooks) (*Result, er
 		defer p.Close()
 		eng, stop = p, p.Close
 	} else {
-		b := core.NewBuilderMode(g, cfg.Mode, bitset.NewPool(g.N()))
+		b := core.NewBuilder(g)
 		b.Gov = h.Gov
 		h.Gov.Charge(b.ScratchBytes())
 		charged := true

@@ -59,7 +59,7 @@ func TestSpilloverParity(t *testing.T) {
 		}
 		// The budgets cover never / late / early / immediate trips, the
 		// mid-run ones cut from this graph's own unbudgeted peak so they
-		// trip whatever the bitmap policy makes a level weigh.
+		// trip whatever a level weighs.
 		free := membudget.New(0)
 		if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3}, core.Hooks{Gov: free}); err != nil {
 			t.Fatal(err)
@@ -400,10 +400,10 @@ func TestLedgerBalancedOnEveryLoopPath(t *testing.T) {
 // counts from the level records, so the pool never copies an emission
 // into its merge window or charges one to the governor.  The fixture is
 // the complete tripartite graph K(12,12,12) seeded from its edges: one
-// level, 1728 triangles, every one maximal, nothing produced — and with
-// stored bitmaps no memo row grows mid-level — so the ledger's only
-// transient is the emission window, and the governor's peak is exactly
-// what it holds at the level boundary unless emissions were charged.
+// level, 1728 triangles, every one maximal, nothing produced — so the
+// ledger's only transient is the emission window, and the governor's
+// peak is exactly what it holds at the level boundary unless emissions
+// were charged.
 func TestNilReporterCollectsNoEmissions(t *testing.T) {
 	const parts, m = 3, 12
 	g := graph.New(parts * m)
@@ -416,7 +416,7 @@ func TestNilReporterCollectsNoEmissions(t *testing.T) {
 	}
 	run := func(rep clique.Reporter) (peak, atBoundary int64) {
 		gov := membudget.New(0)
-		res, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2, Mode: core.CNStore}, core.Hooks{Gov: gov, Reporter: rep,
+		res, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2}, core.Hooks{Gov: gov, Reporter: rep,
 			OnLevel: func(core.LevelStats) { atBoundary = max(atBoundary, gov.Used()) }})
 		if err != nil {
 			t.Fatal(err)

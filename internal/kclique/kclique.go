@@ -29,8 +29,7 @@
 // node whose CANDIDATES ∪ NOT is precisely the common-neighbor set of the
 // prefix — which is exactly the sub-list layout (shared prefix, prefix
 // common-neighbor bitmap, tail array) the Clique Enumerator consumes, so
-// seeding requires no regrouping pass.  The bitmap itself is built only
-// when a consumer asks for it (Group.PrefixCN).
+// seeding requires no regrouping pass.
 //
 // The search allocates one universe per run and nothing per node, and it
 // polls its context every 1 024 nodes: a seed at the paper's scale runs
@@ -64,21 +63,6 @@ type Group struct {
 	Prefix         []int
 	MaximalTails   []int
 	CandidateTails []int
-
-	cand, not []uint64     // the delivering node's sets, over N(Prefix[0])
-	u         *graph.Local // N(Prefix[0])
-	n         int          // the graph's order
-}
-
-// PrefixCN returns the common-neighbor bitmap of Prefix over the graph's
-// vertex universe, freshly allocated: the caller owns it.  It is computed
-// on demand from the delivering search node, so it may only be called
-// during the OnGroup call that received the Group.
-func (gr Group) PrefixCN() *bitset.Bitset {
-	cn := bitset.New(gr.n)
-	gr.u.Scatter(cn, gr.cand)
-	gr.u.Scatter(cn, gr.not)
-	return cn
 }
 
 // Options configures Enumerate.
@@ -171,7 +155,7 @@ func (p *Prepared) Enumerate(ctx context.Context, opts Options) (Stats, error) {
 		prefix:  make([]int, p.k-1),
 	}
 	e.u.Bounded = true // a row is ANDed into the sets as the search gets it
-	e.group = Group{Prefix: e.prefix, u: e.u, n: p.g.N()}
+	e.group = Group{Prefix: e.prefix}
 	e.gov.Charge(e.u.Bytes())
 	defer func() { e.gov.Release(e.u.Bytes()) }() // the universe charged its growth
 
@@ -303,7 +287,7 @@ func count(s []uint64) int {
 
 // emitGroup classifies every k-clique prefix+t for tails t in cand and
 // delivers one Group.  cand ∪ not is the common-neighbor set of the
-// prefix; the Group carries both so PrefixCN can build it on demand.
+// prefix.
 //
 //repro:hotpath
 func (e *searcher) emitGroup(cand, not []uint64) {
@@ -332,6 +316,5 @@ func (e *searcher) emitGroup(cand, not []uint64) {
 	if e.onGroup == nil {
 		return
 	}
-	e.group.cand, e.group.not = cand, not
 	e.onGroup(e.group)
 }

@@ -139,26 +139,6 @@ func TestCanonicalOrderAndUniqueness(t *testing.T) {
 	}
 }
 
-func TestGroupPrefixCN(t *testing.T) {
-	// PrefixCN must equal the common-neighbor set of the prefix in the
-	// ORIGINAL graph, even when peeling reindexed the working graph.
-	rng := rand.New(rand.NewSource(33))
-	g := graph.PlantedGraph(rng, 30, []graph.PlantedCliqueSpec{{Size: 6}}, 25)
-	want := bitset.New(g.N())
-	checked := 0
-	Enumerate(g, Options{K: 4, OnGroup: func(gr Group) {
-		graph.CommonNeighbors(g, want, gr.Prefix)
-		if !gr.PrefixCN().Equal(want) {
-			t.Fatalf("prefix %v: CN mismatch\n got %v\nwant %v",
-				gr.Prefix, gr.PrefixCN(), want)
-		}
-		checked++
-	}})
-	if checked == 0 {
-		t.Fatal("no groups delivered")
-	}
-}
-
 func TestPeelingStatsAndEquivalence(t *testing.T) {
 	// A graph with a big low-degree fringe: peeling must remove it and
 	// results must be unchanged.
@@ -311,10 +291,9 @@ func TestShardedEnumerationMatchesFull(t *testing.T) {
 
 // refGroup is one group as the definition states it: a (k-1)-clique with
 // at least one common neighbour above its last vertex, the tails split by
-// maximality, and the prefix's common neighbours.
+// maximality.
 type refGroup struct {
 	prefix, maxT, candT []int
-	cn                  *bitset.Bitset
 }
 
 // bruteGroups lists the groups of g's k-cliques in canonical prefix
@@ -334,14 +313,9 @@ func bruteGroups(g *graph.Graph, k int) []refGroup {
 	var grow func(prefix []int)
 	grow = func(prefix []int) {
 		if len(prefix) == k-1 {
-			gr := refGroup{prefix: slices.Clone(prefix), cn: bitset.New(n)}
-			for w := 0; w < n; w++ {
-				if adjAll(prefix, w) {
-					gr.cn.Set(w)
-				}
-			}
+			gr := refGroup{prefix: slices.Clone(prefix)}
 			for t := prefix[len(prefix)-1] + 1; t < n; t++ {
-				if !gr.cn.Test(t) {
+				if !adjAll(prefix, t) {
 					continue
 				}
 				extended := append(slices.Clone(prefix), t)
@@ -389,8 +363,7 @@ func padded(g *graph.Graph, extra int) *graph.Graph {
 // adversarial graph of the testgraph table — bare, with a short peeled
 // fringe, and with a fringe several times the graph's order — for k 3..8, in every representation and cut into 1, 2, 3 and 7
 // shards, the concatenated groups must be the definition's: same
-// prefixes in the same order, the same maximal and candidate tails, and
-// PrefixCN the prefix's common neighbours in the original graph.
+// prefixes in the same order, the same maximal and candidate tails.
 func TestGroupsAgainstBruteForce(t *testing.T) {
 	for _, tg := range testgraph.All() {
 		for _, extra := range []int{0, 10, 192} {
@@ -414,7 +387,6 @@ func TestGroupsAgainstBruteForce(t *testing.T) {
 										prefix: slices.Clone(gr.Prefix),
 										maxT:   slices.Clone(gr.MaximalTails),
 										candT:  slices.Clone(gr.CandidateTails),
-										cn:     gr.PrefixCN(),
 									})
 								}})
 							if err != nil {
@@ -431,9 +403,9 @@ func TestGroupsAgainstBruteForce(t *testing.T) {
 						for i, w := range want {
 							gr := got[i]
 							if !slices.Equal(gr.prefix, w.prefix) || !slices.Equal(gr.maxT, w.maxT) ||
-								!slices.Equal(gr.candT, w.candT) || !gr.cn.Equal(w.cn) {
-								t.Fatalf("%s: group %d is %v max %v cand %v cn %v, want %v max %v cand %v cn %v", name, i,
-									gr.prefix, gr.maxT, gr.candT, gr.cn, w.prefix, w.maxT, w.candT, w.cn)
+								!slices.Equal(gr.candT, w.candT) {
+								t.Fatalf("%s: group %d is %v max %v cand %v, want %v max %v cand %v", name, i,
+									gr.prefix, gr.maxT, gr.candT, w.prefix, w.maxT, w.candT)
 							}
 							maximal += int64(len(w.maxT))
 							cands += int64(len(w.candT))

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/expt"
 	"repro/internal/graph"
 	"repro/internal/kclique"
@@ -62,14 +63,17 @@ func writeInts(h hash.Hash, vs []int) {
 
 // TestSeederParity pins the k-clique seeder's output on every
 // representation, at k 3..9, whole and cut into three shards: each
-// group's prefix, maximal tails, candidate tails and PrefixCN (hashed in
-// delivery order) and the summed Stats must be the golden's.  The golden,
+// group's prefix, maximal tails and candidate tails, with the prefix's
+// common neighbours (hashed in delivery order), and the summed Stats
+// must be the golden's.  The golden,
 // testdata/seeder_parity.json, was generated with
 //
 //	go test ./internal/kclique -run TestSeederParity -update-parity
 //
 // while the search still ran on n-bit rows of the whole graph, so it is
-// the reference the search inside N(v) must reproduce.
+// the reference the search inside N(v) must reproduce.  It hashed each
+// group's own common-neighbour bitmap, which the group no longer carries;
+// the prefix's common neighbours in the graph are the same set.
 func TestSeederParity(t *testing.T) {
 	path := filepath.Join("testdata", "seeder_parity.json")
 	golden := map[string]parityCase{}
@@ -95,6 +99,7 @@ func TestSeederParity(t *testing.T) {
 				for _, shards := range []int{1, 3} {
 					name := fmt.Sprintf("%s/%v/k=%d/shards=%d", pg.name, rep, k, shards)
 					h := sha256.New()
+					cn := bitset.New(g.N())
 					var sum kclique.Stats
 					for s := 0; s < shards; s++ {
 						st, err := p.Enumerate(context.Background(), kclique.Options{K: k, Shard: s, Shards: shards,
@@ -102,7 +107,8 @@ func TestSeederParity(t *testing.T) {
 								writeInts(h, gr.Prefix)
 								writeInts(h, gr.MaximalTails)
 								writeInts(h, gr.CandidateTails)
-								writeInts(h, gr.PrefixCN().Indices())
+								graph.CommonNeighbors(g, cn, gr.Prefix)
+								writeInts(h, cn.Indices())
 							}})
 						if err != nil {
 							t.Fatal(err)

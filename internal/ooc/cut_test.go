@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
@@ -72,13 +71,13 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 			dirs = nil
 		}
 		check := testgraph.NoLeaks(t, gov, dirs...)
-		lvl, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, hooks.Reporter, nil)
+		lvl, _, err := core.Seed(context.Background(), g, lo, 1, false, hooks.Reporter, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The engine's scratch is charged while it runs, and stops before
 		// the spill, as the hybrid backend's does.
-		b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+		b := core.NewBuilder(g)
 		b.Gov, e.Builder = gov, b
 		gov.Charge(b.ScratchBytes())
 		stopped := false
@@ -109,11 +108,11 @@ func TestContinueFromEveryCutShape(t *testing.T) {
 
 	// The level the trip cuts, as the engine will see it, and the word
 	// offsets of a block's run starts.
-	cutLevel, _, err := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, nil, nil)
+	cutLevel, _, err := core.Seed(context.Background(), g, lo, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	b := core.NewBuilder(g)
 	for cutLevel.K < k {
 		cutLevel, _ = core.Step(g, cutLevel, nil, b)
 	}

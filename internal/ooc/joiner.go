@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -87,7 +86,7 @@ func NewJoiner(g graph.Interface) *Joiner { return newJoiner(g, 0) }
 func newJoiner(g graph.Interface, buf int64) *Joiner {
 	shape := shapeFor(buf)
 	adm := core.NewAdmitter(g)
-	return &Joiner{g: g, adm: adm, b: core.NewJoinBuilder(g, bitset.NewPool(g.N())), dec: &decodeAhead{
+	return &Joiner{g: g, adm: adm, b: core.NewJoinBuilder(g), dec: &decodeAhead{
 		n:     g.N(),
 		out:   make(chan inPiece, shape.depth), // a piece per buffer in flight
 		free:  make(chan inBuf, shape.depth),   // room for every buffer

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -165,12 +164,10 @@ func TestOneKernelThreeSinks(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("%s/%v", name, rep), func(t *testing.T) {
-				pool := bitset.NewPool(g.N())
-				keepB := core.NewBuilderMode(g, core.CNRecompute, pool)
-				blockB := core.NewBuilderMode(g, core.CNRecompute, pool)
-				// Recompute mode leaves a consumed level intact, so the
-				// same level feeds all three joins.
-				lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
+				keepB, blockB := core.NewBuilder(g), core.NewBuilder(g)
+				// A join leaves the level it consumes intact, so the same
+				// level feeds all three joins.
+				lvl, _, _ := core.Seed(context.Background(), g, 2, 1, false, nil, nil)
 				for len(lvl.Sub) > 0 {
 					var keep sinkOutput
 					next, _ := core.Step(g, lvl, &keep, keepB)

@@ -110,7 +110,7 @@ type Loop struct {
 // ReportSmall, the seed's 1- and 2-cliques), in the sequential order at
 // any worker count, OnLevel observes each step with Bytes/NextBytes as
 // encoded file bytes and Spilled set, and Gov is
-// charged what the engine holds — per-worker bitmaps, each shard's read
+// charged what the engine holds — per-worker scratch, each shard's read
 // window and write buffer while open, each block between the pipeline's
 // stages — inside the headroom a step starts with (bufShare, shapeFor),
 // never aborting on it: disk is where an over-budget run belongs (the
@@ -146,7 +146,7 @@ func (l *Loop) Stats() Stats {
 // writer takes it.
 func (l *Loop) RunSeed(r ShardRunner) (Stats, error) {
 	seed := clique.Tally{Next: l.hooks.Reporter}
-	lvl, _, err := core.Seed(l.cfg.Ctx, l.g, l.cfg.Lo, core.CNRecompute, l.cfg.Workers, l.cfg.ReportSmall, &seed, l.hooks.Gov)
+	lvl, _, err := core.Seed(l.cfg.Ctx, l.g, l.cfg.Lo, l.cfg.Workers, l.cfg.ReportSmall, &seed, l.hooks.Gov)
 	l.st.Maximal += seed.Count
 	l.st.Seeded = clique.Tally{Count: seed.Count, MaxSize: seed.MaxSize}
 	if err != nil {

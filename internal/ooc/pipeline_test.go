@@ -10,7 +10,6 @@ import (
 	"syscall"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
@@ -47,8 +46,8 @@ func TestPipelineFaults(t *testing.T) {
 	g := graph.PlantedGraph(rand.New(rand.NewSource(311)), 100, []graph.PlantedCliqueSpec{
 		{Size: 11}, {Size: 7, Overlap: 3}, {Size: 6},
 	}, 1200)
-	lvl, _, _ := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
-	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
+	lvl, _, _ := core.Seed(context.Background(), g, 2, 1, false, nil, nil)
+	b := core.NewBuilder(g)
 	for { // to the level with the most cliques
 		next, _ := core.Step(g, lvl, nil, b)
 		if next.Cliques() < lvl.Cliques() {

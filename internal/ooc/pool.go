@@ -11,7 +11,7 @@ import (
 )
 
 // pool is the in-process ShardRunner: one Joiner per worker, kept for the
-// run, so its bitmaps and record scratch are allocated once and the spill
+// run, so its universe and record scratch are allocated once and the spill
 // hot loop allocates nothing per record (pinned by TestJoinHotLoopAllocs).
 // Every level runs each Joiner's two stages on goroutines of their own,
 // which return with the level; the workers claim the level's shards in

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/membudget"
@@ -57,8 +56,8 @@ func TestPipelineShapesAgree(t *testing.T) {
 				joiners[i].b.Gov = gov
 				gov.Charge(joiners[i].ScratchBytes())
 			}
-			b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
-			lvl, _, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
+			b := core.NewBuilder(g)
+			lvl, _, err := core.Seed(context.Background(), g, 2, 1, false, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,8 +108,8 @@ func TestShardCostIsTheShards(t *testing.T) {
 	j := NewJoiner(g)
 	j.b.Gov = gov
 	gov.Charge(j.ScratchBytes())
-	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
-	lvl, _, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 1, false, nil, nil)
+	b := core.NewBuilder(g)
+	lvl, _, err := core.Seed(context.Background(), g, 2, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

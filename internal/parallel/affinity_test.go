@@ -29,7 +29,7 @@ func TestAffinityTransfersHappenUnderSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, workers, false, nil, nil)
+	lvl, homes, err := core.Seed(context.Background(), g, 2, workers, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

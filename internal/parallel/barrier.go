@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -37,7 +36,7 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*core.Result, error) {
 	// baseline preserves.  All seed blocks are created by this thread, so
 	// their home is worker 0.
 	seed := clique.Tally{Next: opts.Reporter}
-	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, opts.Mode, 1, false, &seed, opts.Gov)
+	lvl, homes, err := core.Seed(opts.Ctx, g, opts.Lo, 1, false, &seed, opts.Gov)
 	if err != nil {
 		return nil, err
 	}
@@ -50,10 +49,9 @@ func EnumerateBarrier(g graph.Interface, opts Options) (*core.Result, error) {
 	// barrier rather than mid-level.
 	gov := opts.Gov
 	gov.Charge(lvl.Bytes())
-	pool := bitset.NewPool(g.N())
 	workers := make([]*barrierWorker, opts.Workers)
 	for w := range workers {
-		b := core.NewBuilderMode(g, opts.Mode, pool)
+		b := core.NewBuilder(g)
 		b.Gov = gov
 		gov.Charge(b.ScratchBytes())
 		workers[w] = &barrierWorker{builder: b}

@@ -39,7 +39,7 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		}
 		defer p.Close()
 		par := &clique.Collector{}
-		lvl, homes, err := core.Seed(context.Background(), g, lo, core.CNRecompute, workers, false, par, nil)
+		lvl, homes, err := core.Seed(context.Background(), g, lo, workers, false, par, nil)
 		if err != nil {
 			return false
 		}

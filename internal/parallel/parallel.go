@@ -5,7 +5,7 @@
 // A worker's goroutine lives for one level and its scratch for the run:
 // every level starts one goroutine per worker, which pulls chunks of
 // level blocks and returns when the level is exhausted for it, while the
-// worker's builder — its bitmaps and arena — is kept from level to level.
+// worker's builder — its universe and arena — is kept from level to level.
 // The block (core.Block, a self-contained stretch of front-coded
 // sub-lists) is the unit of dispatch, of ownership and of in-order
 // release.  Within a level the scheduler (sched.Dispatcher)
@@ -64,7 +64,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
@@ -86,7 +85,7 @@ const (
 )
 
 // Options configures NewPool and EnumerateBarrier.  The pool reads
-// Workers, Mode, Strategy, Policy and Gov, and validates Lo and Hi; the
+// Workers, Strategy, Policy and Gov, and validates Lo and Hi; the
 // rest of a run's description is the level loop's (core.Loop).
 type Options struct {
 	// Ctx, when non-nil, cancels EnumerateBarrier between levels; it
@@ -95,10 +94,8 @@ type Options struct {
 	// Workers is the number of worker threads; must be >= 1.
 	Workers int
 	// Lo is the seed size (the paper's Init_K, default 2); Hi, when
-	// positive, stops after cliques of size Hi.  Mode is the
-	// common-neighbor bitmap policy.
+	// positive, stops after cliques of size Hi.
 	Lo, Hi int
-	Mode   core.CNMode
 	// Strategy selects the dispatch policy (default Contiguous).
 	Strategy Strategy
 	// Policy tunes Affinity-mode stealing.
@@ -131,9 +128,6 @@ func checkOptions(opts *Options) error {
 	if err := enumcfg.CheckBounds(opts.Lo, opts.Hi); err != nil {
 		return fmt.Errorf("parallel: %w", err)
 	}
-	if err := enumcfg.CheckMode(opts.Mode); err != nil {
-		return fmt.Errorf("parallel: %w", err)
-	}
 	return nil
 }
 
@@ -144,7 +138,6 @@ func checkOptions(opts *Options) error {
 type Pool struct {
 	g        graph.Interface
 	opts     Options
-	bits     *bitset.Pool
 	builders []*core.Builder // one per worker; reset per level, so scratch and chunks are allocated once
 	m        *merger
 	words    int64
@@ -162,13 +155,12 @@ func NewPool(g graph.Interface, opts Options) (*Pool, error) {
 	p := &Pool{
 		g:     g,
 		opts:  opts,
-		bits:  bitset.NewPool(g.N()),
 		words: int64((g.N() + 63) / 64),
 	}
-	p.m = &merger{gov: opts.Gov, bits: p.bits}
+	p.m = &merger{gov: opts.Gov}
 	p.builders = make([]*core.Builder, opts.Workers)
 	for w := range p.builders {
-		b := core.NewBuilderMode(g, opts.Mode, p.bits)
+		b := core.NewBuilder(g)
 		b.Gov = opts.Gov
 		opts.Gov.Charge(b.ScratchBytes())
 		p.builders[w] = b
@@ -339,7 +331,6 @@ type blockResult struct {
 type merger struct {
 	rep      clique.Reporter
 	gov      *membudget.Governor
-	bits     *bitset.Pool
 	seq      *sched.Sequencer[*blockResult]
 	next     *core.Level
 	homes    []int32
@@ -391,16 +382,14 @@ func (m *merger) release(_ int, r *blockResult) {
 	}
 }
 
-// discardPending reconciles the governor and the bitmap pool for every
-// deposited-but-unreleased result of a level that stopped early: sealed
-// blocks (charged at seal time) are released and their bitmaps recycled,
-// buffered emission copies are released.  The corresponding inputs become
-// plain input again — the builders already returned their CN bitmaps, and
-// the join rebuilds a prefix's common neighbours from its memo in any case.
+// discardPending reconciles the governor for every deposited-but-unreleased
+// result of a level that stopped early: sealed blocks (charged at seal
+// time) and buffered emission copies are released.  The corresponding
+// inputs become plain input again.
 func (m *merger) discardPending() {
 	m.seq.DrainPending(func(_ int, r *blockResult) {
 		m.gov.Release(8 * int64(len(r.verts)))
-		core.DiscardBlocks(r.next, m.gov, m.bits)
+		core.DiscardBlocks(r.next, m.gov)
 	})
 }
 

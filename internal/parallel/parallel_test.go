@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
@@ -148,32 +147,28 @@ func TestAffinityNonDecreasingSizes(t *testing.T) {
 
 func TestRecomputeCNParallel(t *testing.T) {
 	g := testGraph(67)
-	// The reference keeps the paper's stored bitmaps; the pool must
-	// agree with it in its default (rebuilding) mode and in the stored one.
+	// The pool, rebuilding every prefix's bitmap, must agree with the
+	// sequential reference.
 	ref := &clique.Collector{}
-	if _, err := hybrid.Enumerate(g, enumcfg.Config{Mode: core.CNStore}, core.Hooks{Reporter: ref}); err != nil {
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{}, core.Hooks{Reporter: ref}); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []core.CNMode{core.CNRecompute, core.CNStore} {
-		col := &clique.Collector{}
-		if _, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2, Mode: mode}, core.Hooks{Reporter: col}); err != nil {
-			t.Fatal(err)
-		}
-		if ok, diff := clique.SameSets(col.Cliques, ref.Cliques); !ok {
-			t.Fatalf("CN mode %d: %s", mode, diff)
-		}
+	col := &clique.Collector{}
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Workers: 2}, core.Hooks{Reporter: col}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, diff := clique.SameSets(col.Cliques, ref.Cliques); !ok {
+		t.Fatal(diff)
 	}
 }
 
-// TestStoredSeedThroughDefaultEngines: a level may hold stored and
-// bitmap-free sub-lists side by side.  The benchmark's traced replay
-// seeds CNStore and drives default-mode engines level by level, charging
-// the governor itself; both engines must join the stored level (and
-// recycle its bitmaps), produce bitmap-free levels from it, emit the
-// sequential reference in order, and leave the ledger balanced.
+// TestStoredSeedThroughDefaultEngines: the benchmark's traced replay
+// still asks the seeder for stored bitmaps (core.CNStore, which it
+// ignores) and drives the engines level by level, charging the governor
+// itself; both engines must join that seed, emit the sequential
+// reference in order, and leave the ledger balanced.
 func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 	g := testGraph(67)
-	n := g.N()
 	want := sequentialCliques(t, g, 3, 0)
 	for _, name := range []string{"builder", "pool"} {
 		t.Run(name, func(t *testing.T) {
@@ -188,7 +183,7 @@ func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 				defer p.Close()
 				eng, stop = p, p.Close
 			} else {
-				b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(n))
+				b := core.NewBuilder(g)
 				b.Gov = gov
 				gov.Charge(b.ScratchBytes())
 				eng, stop = b, func() { gov.Release(b.ScratchBytes()) }
@@ -198,25 +193,11 @@ func TestStoredSeedThroughDefaultEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored := 0
-			for s := range lvl.All() {
-				if s.CN != nil {
-					stored++
-				}
-			}
-			if stored == 0 || stored != lvl.Sublists() {
-				t.Fatalf("%d of the seed level's %d sub-lists hold a stored bitmap", stored, lvl.Sublists())
-			}
 			gov.Charge(lvl.Bytes())
 			for len(lvl.Sub) > 0 {
 				consumed := lvl.Bytes()
 				out := eng.RunLevel(context.Background(), lvl, homes, col, nil)
 				gov.Release(consumed)
-				for s := range out.Next.All() {
-					if s.CN != nil {
-						t.Fatalf("level %d retained a bitmap in the default mode", out.Next.K)
-					}
-				}
 				lvl, homes = out.Next, out.Homes
 			}
 			gov.Release(lvl.Bytes())
@@ -354,7 +335,7 @@ func TestAffinityPreservesCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 4, false, rep, nil)
+	lvl, homes, err := core.Seed(context.Background(), g, 2, 4, false, rep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +364,7 @@ func TestNoGoroutineOutlivesItsLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	lvl, homes, err := core.Seed(context.Background(), g, 2, core.CNRecompute, 4, false, nil, nil)
+	lvl, homes, err := core.Seed(context.Background(), g, 2, 4, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

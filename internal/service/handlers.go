@@ -253,7 +253,6 @@ type cliqueQuery struct {
 	lo, hi  int
 	workers int
 	strat   repro.Strategy
-	store   bool // mode=store: the paper's stored-bitmap policy ("" = the default)
 	small   bool
 	rep     repro.Representation
 	repSet  bool
@@ -296,13 +295,6 @@ func parseCliqueQuery(r *http.Request, maxWorkers int) (q cliqueQuery, err error
 	default:
 		return q, fmt.Errorf("strategy: unknown %q (want affinity or contiguous)", v.Get("strategy"))
 	}
-	switch v.Get("mode") {
-	case "":
-	case "store":
-		q.store = true
-	default:
-		return q, fmt.Errorf("mode: unknown %q (want store, or nothing for the default)", v.Get("mode"))
-	}
 	q.small = v.Get("small") == "1" || v.Get("small") == "true"
 	if rs := v.Get("rep"); rs != "" {
 		if q.rep, err = repro.ParseRepresentation(rs); err != nil {
@@ -330,9 +322,6 @@ func (q cliqueQuery) options() []repro.Option {
 	opts := []repro.Option{repro.WithBounds(q.lo, q.hi)}
 	if q.workers > 1 {
 		opts = append(opts, repro.WithWorkers(q.workers), repro.WithStrategy(q.strat))
-	}
-	if q.store {
-		opts = append(opts, repro.WithStoredBitmaps())
 	}
 	if q.small {
 		opts = append(opts, repro.WithReportSmall())
@@ -469,8 +458,8 @@ func (s *Server) handleMaxClique(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleParacliques(w http.ResponseWriter, r *http.Request) {
-	// Only what the endpoint reads is parsed: a format=, strategy=, mode=
-	// or workers= value means nothing here and refuses nothing.
+	// Only what the endpoint reads is parsed: a format=, strategy= or
+	// workers= value means nothing here and refuses nothing.
 	v := r.URL.Query()
 	lo, err := intParam(v.Get("lo"), 3)
 	if err != nil {

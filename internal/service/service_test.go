@@ -141,8 +141,9 @@ func TestStreamParityAcrossBackendsAndCache(t *testing.T) {
 
 	// A different execution policy maps to the same cache key on
 	// purpose — the backends are parity-pinned — so exercise the
-	// parallel backends and every bitmap policy spelling on a
-	// cache-disabled server.
+	// parallel backends on a cache-disabled server, and the bitmap mode
+	// parameter the service no longer reads: like any unknown parameter
+	// it is ignored.
 	_, ts2 := newServer(t, service.Config{CacheBytes: -1})
 	fp2 := loadGraph(t, ts2, upload)
 	for _, q := range []string{
@@ -500,9 +501,7 @@ func TestBadRequests(t *testing.T) {
 		{"/graphs/" + fp + "/cliques?lo=x", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?strategy=quantum", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?format=xml", http.StatusBadRequest},
-		{"/graphs/" + fp + "/cliques?mode=turbo", http.StatusBadRequest},
-		{"/graphs/" + fp + "/cliques?mode=wah", http.StatusBadRequest},    // the deleted compressed-bitmap mode
-		{"/graphs/" + fp + "/cliques?mode=lowmem", http.StatusBadRequest}, // no alias of the default is left
+		{"/graphs/" + fp + "/cliques?mode=turbo", http.StatusOK}, // the deleted bitmap mode: ignored like any unknown parameter
 		{"/graphs/" + fp + "/cliques?mem=-3", http.StatusBadRequest},
 		{"/graphs/" + fp + "/cliques?workers=-2", http.StatusBadRequest},
 		{"/graphs/" + fp + "/paracliques?glom=1.5", http.StatusBadRequest},

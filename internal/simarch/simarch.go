@@ -3,14 +3,14 @@
 // the scaling experiments of Figures 5–8 can be regenerated on any host:
 // Simulate is behind expt.Fig5 (run time vs processors), Fig6 (speedups),
 // Fig7 (256-processor speedup vs problem size) and Fig8 (per-processor
-// load balance), and CollectMode's per-level trace is also what
+// load balance), and Collect's per-level trace is also what
 // expt.Fig9 (memory per clique size) prints.  It exists for those
 // figures only; no enumeration backend imports it.
 //
 // The simulation is replay-based, not synthetic: Collect runs the real
-// Clique Enumerator once, instrumented, and records the exact work (in
-// abstract cost units: bitmap-AND words, pair checks, maximality probes)
-// of every sub-list at every level, together with the sub-list parentage
+// Clique Enumerator once, instrumented, and records the exact work the
+// paper's machine does (in abstract cost units: bitmap-AND words, pair
+// checks, maximality probes) on every sub-list at every level, together with the sub-list parentage
 // needed to model memory affinity.  Simulate then replays the level-
 // synchronous schedule for any processor count P: sub-lists are assigned
 // by the same centralized load balancer the real backend uses (package
@@ -39,7 +39,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -53,7 +52,7 @@ type LevelTrace struct {
 	Maximal  int64   // maximal (K+1)-cliques emitted by this level
 	Sublists int     // len(Costs)
 	Cliques  int64   // M[K] consumed
-	Bytes    int64   // paper-formula bytes of the level (core.Level.PaperBytes)
+	Bytes    int64   // paper-formula bytes of the level, a bitmap per sub-list included (core.Level.PaperBytes)
 }
 
 // Trace is a complete instrumented run.
@@ -66,15 +65,15 @@ type Trace struct {
 	N              int // graph order (for reporting)
 }
 
-// CollectMode runs the Clique Enumerator sequentially with
-// instrumentation, in the given bitmap mode, and returns the cost trace;
-// lo/hi follow enumcfg.Config semantics.  core.CNStore is the machine the
-// paper measured (a bitmap resident per sub-list, no rebuild ANDs): the
-// traces behind its figures name it.  The default core.CNRecompute is
-// how the largest paper-scale traces (Init_K = 3 on graph C) fit on
-// hosts far below 2 TB; the recorded costs and level bytes are those of
-// the mode run, exactly as a real machine running it would see them.
-func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
+// Collect runs the Clique Enumerator sequentially with instrumentation
+// and returns the cost trace; lo/hi follow enumcfg.Config semantics.  The
+// trace is the paper's machine, which keeps a common-neighbor bitmap
+// resident per sub-list: each sub-list is charged its Cost.Units less
+// Cost.Rebuild — the ANDs that rebuild a prefix's bitmap, which that
+// machine never does — and each level its paper-formula bytes, bitmaps
+// included.  The run itself keeps no bitmap, so the largest paper-scale
+// traces (Init_K = 3 on graph C) fit on hosts far below 2 TB.
+func Collect(g *graph.Graph, lo, hi int) (*Trace, error) {
 	if lo == 0 {
 		lo = 2
 	}
@@ -92,19 +91,18 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	var lvl *core.Level
 	if lo <= 2 {
 		// An edge seed that nothing cancels cannot fail.
-		lvl, _, _ = core.Seed(context.TODO(), g, lo, mode, 1, false, nil, nil)
+		lvl, _, _ = core.Seed(context.TODO(), g, lo, 1, false, nil, nil)
 		tr.SeedUnits = int64(g.M()) // one pass over the edge list
 	} else {
 		var err error
-		lvl, tr.SeedUnits, err = seedFromKInstrumented(g, lo, mode, &seed)
+		lvl, tr.SeedUnits, err = seedFromKInstrumented(g, lo, &seed)
 		if err != nil {
 			return nil, err
 		}
 	}
 	tr.MaximalCliques, tr.MaxCliqueSize = seed.Count, seed.MaxSize
 
-	pool := bitset.NewPool(g.N())
-	b := core.NewBuilderMode(g, mode, pool)
+	b := core.NewBuilder(g)
 	var parents []int32 // parents of the CURRENT level's sub-lists
 	for len(lvl.Sub) > 0 && (hi == 0 || lvl.K+1 <= hi) {
 		lt := LevelTrace{
@@ -113,15 +111,15 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 			Parents:  parents,
 			Sublists: lvl.Sublists(),
 			Cliques:  lvl.Cliques(),
-			Bytes:    lvl.PaperBytes(),
+			Bytes:    lvl.PaperBytes(g.N()),
 		}
 		b.Reset()
 		var nextParents []int32
 		for s := range lvl.All() {
-			beforeUnits := b.Cost.Units()
 			beforeKept := b.Kept
+			b.Cost = core.Cost{}
 			b.ProcessSubList(s, nil)
-			lt.Costs = append(lt.Costs, max(b.Cost.Units()-beforeUnits, 1))
+			lt.Costs = append(lt.Costs, max(b.Cost.Units()-b.Cost.Rebuild, 1))
 			for range b.Kept - beforeKept {
 				nextParents = append(nextParents, int32(len(lt.Costs)-1))
 			}
@@ -141,11 +139,11 @@ func CollectMode(g *graph.Graph, lo, hi int, mode core.CNMode) (*Trace, error) {
 	return tr, nil
 }
 
-// seedFromKInstrumented wraps core.SeedFromKMode and estimates the seeding
+// seedFromKInstrumented wraps core.SeedFromK and estimates the seeding
 // cost in the same units as level processing: one word-pass per search
 // node of the k-clique enumerator.
-func seedFromKInstrumented(g *graph.Graph, lo int, mode core.CNMode, r clique.Reporter) (*core.Level, int64, error) {
-	lvl, st, err := core.SeedFromKMode(g, lo, mode, r)
+func seedFromKInstrumented(g *graph.Graph, lo int, r clique.Reporter) (*core.Level, int64, error) {
+	lvl, _, st, err := core.SeedFromK(g, lo, 1, r)
 	if err != nil {
 		return nil, 0, err
 	}

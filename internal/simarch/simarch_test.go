@@ -21,7 +21,7 @@ func traceGraph(seed int64) *graph.Graph {
 
 func collect(t *testing.T, g *graph.Graph, lo, hi int) *Trace {
 	t.Helper()
-	tr, err := CollectMode(g, lo, hi, core.CNRecompute)
+	tr, err := Collect(g, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,15 @@ func TestCollectMatchesCoreCounts(t *testing.T) {
 		}
 		if lt.Maximal != res.Levels[i].Maximal {
 			t.Errorf("level %d maximal %d vs %d", i, lt.Maximal, res.Levels[i].Maximal)
+		}
+		// The paper's machine keeps every prefix's bitmap: it does the
+		// run's work less the rebuilds.
+		var units int64
+		for _, c := range lt.Costs {
+			units += c
+		}
+		if c := res.Levels[i].Cost; units != c.Units()-c.Rebuild {
+			t.Errorf("level %d charges %d units, the run's %+v less its rebuild is %d", i, units, c, c.Units()-c.Rebuild)
 		}
 	}
 }
@@ -101,10 +110,10 @@ func TestCollectSeeded(t *testing.T) {
 
 func TestCollectErrors(t *testing.T) {
 	g := graph.New(4)
-	if _, err := CollectMode(g, 1, 0, core.CNRecompute); err == nil {
+	if _, err := Collect(g, 1, 0); err == nil {
 		t.Error("lo=1 accepted")
 	}
-	if _, err := CollectMode(g, 5, 4, core.CNRecompute); err == nil {
+	if _, err := Collect(g, 5, 4); err == nil {
 		t.Error("hi < lo accepted")
 	}
 }

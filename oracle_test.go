@@ -15,7 +15,7 @@ import (
 // TestOracleDifferential drives the testgraph table through every
 // in-core configuration — sequential, the pool at 2 and 3 workers, and
 // the hybrid backend under a budget that makes it spill — on all three
-// graph representations under all three bitmap policies, and holds each
+// graph representations, and holds each
 // run's clique stream to the Bron–Kerbosch oracle: the same cliques, in
 // canonical order, within the bounds of the run.  Every entry runs at
 // the default bounds [3, ∞); the entries that name bounds run at those
@@ -33,13 +33,6 @@ func TestOracleDifferential(t *testing.T) {
 		{"hybrid", func(t *testing.T, graphBytes int64) []repro.Option {
 			return []repro.Option{repro.WithSpillover(t.TempDir()), repro.WithMemoryBudget(graphBytes + 8)}
 		}},
-	}
-	modes := []struct {
-		name string
-		opts []repro.Option
-	}{
-		{"memoised", nil},
-		{"stored", []repro.Option{repro.WithStoredBitmaps()}},
 	}
 	spilled := 0
 	for _, tg := range testgraph.All() {
@@ -62,38 +55,36 @@ func TestOracleDifferential(t *testing.T) {
 					t.Fatalf("%s: convert to %s: %v", tg.Name, rep, err)
 				}
 				for _, eng := range engines {
-					for _, mode := range modes {
-						name := fmt.Sprintf("%s [%d,%d] %s %s %s", tg.Name, b[0], b[1], rep, eng.name, mode.name)
-						var st repro.Stats
-						opts := append(append(eng.opts(t, g.Bytes()), mode.opts...),
-							repro.WithBounds(b[0], b[1]), repro.WithGraphRepresentation(rep), repro.WithStats(&st))
-						var got []clique.Clique
-						if _, err := repro.NewEnumerator(opts...).Run(context.Background(), g, repro.ReporterFunc(func(c repro.Clique) {
-							got = append(got, slices.Clone(c))
-						})); err != nil {
-							t.Fatalf("%s: %v", name, err)
+					name := fmt.Sprintf("%s [%d,%d] %s %s", tg.Name, b[0], b[1], rep, eng.name)
+					var st repro.Stats
+					opts := append(eng.opts(t, g.Bytes()),
+						repro.WithBounds(b[0], b[1]), repro.WithGraphRepresentation(rep), repro.WithStats(&st))
+					var got []clique.Clique
+					if _, err := repro.NewEnumerator(opts...).Run(context.Background(), g, repro.ReporterFunc(func(c repro.Clique) {
+						got = append(got, slices.Clone(c))
+					})); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.IsSortedFunc(got, func(a, b clique.Clique) int {
+						if len(a) != len(b) {
+							return len(a) - len(b)
 						}
-						if !slices.IsSortedFunc(got, func(a, b clique.Clique) int {
-							if len(a) != len(b) {
-								return len(a) - len(b)
-							}
-							return clique.Compare(a, b)
-						}) {
-							t.Errorf("%s: stream not in canonical order", name)
-						}
-						keys := make([]string, len(got))
-						for i, c := range got {
-							keys[i] = c.Key()
-						}
-						slices.Sort(keys)
-						sorted := slices.Clone(want)
-						slices.Sort(sorted)
-						if !slices.Equal(keys, sorted) {
-							t.Errorf("%s: %d cliques, the oracle has %d in bounds", name, len(keys), len(sorted))
-						}
-						if st.SpilledAtLevel > 0 {
-							spilled++
-						}
+						return clique.Compare(a, b)
+					}) {
+						t.Errorf("%s: stream not in canonical order", name)
+					}
+					keys := make([]string, len(got))
+					for i, c := range got {
+						keys[i] = c.Key()
+					}
+					slices.Sort(keys)
+					sorted := slices.Clone(want)
+					slices.Sort(sorted)
+					if !slices.Equal(keys, sorted) {
+						t.Errorf("%s: %d cliques, the oracle has %d in bounds", name, len(keys), len(sorted))
+					}
+					if st.SpilledAtLevel > 0 {
+						spilled++
 					}
 				}
 			}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro"
@@ -74,16 +75,17 @@ func sameCliqueStreams(a, b []repro.Clique) bool {
 }
 
 // TestRepresentationBackendParity is the ≥6-configuration parity gate:
-// 3 representations × 3 execution backends (plus the barrier pool and a
-// CN-mode variation below), each against the dense sequential baseline,
-// over randomized graphs.
+// 3 representations × 3 execution backends (plus the level footprint and
+// the stored-bitmap machine's count below), each against the dense
+// sequential baseline, over randomized graphs.
 func TestRepresentationBackendParity(t *testing.T) {
 	reps := []repro.Representation{repro.Dense, repro.CSR, repro.Compressed}
 	for seed := int64(1); seed <= 3; seed++ {
 		n := 50 + int(seed)*17
 		adds := n * 6
+		var base repro.Stats
 		baseline := collectCliques(t, buildRepGraph(t, repro.Dense, n, adds, seed),
-			repro.WithBounds(3, 0))
+			repro.WithBounds(3, 0), repro.WithStats(&base))
 		if len(baseline) == 0 {
 			t.Fatalf("seed %d: baseline found no cliques; weak test", seed)
 		}
@@ -108,31 +110,46 @@ func TestRepresentationBackendParity(t *testing.T) {
 					}
 				})
 			}
-			// CN-mode variation.  The backend rows above run the default
-			// policy, so the zero-option run must be the low-memory one on
-			// this representation too: the baseline's stream at a governor
-			// peak under the stored-bitmap run's.
+			// The zero-option run is the low-memory one on this
+			// representation too: no bitmap rides with a sub-list, so every
+			// level holds the baseline's words, byte for byte.
 			t.Run(fmt.Sprintf("seed%d/%v/lowmem", seed, rep), func(t *testing.T) {
-				var def, stored repro.Stats
+				var def repro.Stats
 				got := collectCliques(t, g, repro.WithBounds(3, 0), repro.WithStats(&def))
 				if !sameCliqueStreams(baseline, got) {
 					t.Error("low-memory clique stream diverges")
 				}
-				collectCliques(t, g, repro.WithBounds(3, 0), repro.WithStoredBitmaps(), repro.WithStats(&stored))
-				if def.PeakBytes >= stored.PeakBytes {
-					t.Errorf("default peak %d is not below the stored-bitmap peak %d", def.PeakBytes, stored.PeakBytes)
+				if len(def.Levels) != len(base.Levels) {
+					t.Fatalf("%d levels, the baseline %d", len(def.Levels), len(base.Levels))
+				}
+				for i, l := range def.Levels {
+					if l.ResidentBytes != base.Levels[i].ResidentBytes {
+						t.Errorf("step %d->: %d resident bytes, the dense baseline %d",
+							l.FromK, l.ResidentBytes, base.Levels[i].ResidentBytes)
+					}
 				}
 			})
-			// The paper's stored bitmaps must stream the same bytes from
-			// every engine that holds a level in memory; the hybrid budget
-			// sits halfway up the sequential run's candidate peak, a
-			// mid-run trip.
+			// The paper's stored-bitmap machine is a count: every engine
+			// that holds a level in memory streams the baseline and counts
+			// the same Work − Rebuild a step, the hybrid one under a budget
+			// halfway up the sequential run's candidate peak, a mid-run
+			// trip.
 			t.Run(fmt.Sprintf("seed%d/%v/store", seed, rep), func(t *testing.T) {
 				var st repro.Stats
+				var want []int64
 				run := func(name string, opts ...repro.Option) {
-					opts = append(opts, repro.WithBounds(3, 0), repro.WithStoredBitmaps(), repro.WithStats(&st))
+					opts = append(opts, repro.WithBounds(3, 0), repro.WithStats(&st))
 					if got := collectCliques(t, g, opts...); !sameCliqueStreams(baseline, got) {
-						t.Errorf("%s: stored-bitmap clique stream diverges", name)
+						t.Errorf("%s: clique stream diverges", name)
+					}
+					var stored []int64
+					for _, l := range st.Levels {
+						stored = append(stored, l.Work-l.Rebuild)
+					}
+					if want == nil {
+						want = stored
+					} else if !slices.Equal(stored, want) {
+						t.Errorf("%s: the stored machine's work %v, sequential %v", name, stored, want)
 					}
 				}
 				run("sequential")

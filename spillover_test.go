@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/bitset"
 	"repro/internal/clique"
 	"repro/internal/core"
 	"repro/internal/enumcfg"
@@ -35,7 +34,7 @@ func TestHybridSpilloverParityAcrossRepresentations(t *testing.T) {
 			// first, so the trip points are budgeted on top of them: a half,
 			// a quarter and an eighth of what this graph's unbudgeted run
 			// peaks at above them — mid-run to almost immediate, whatever a
-			// level weighs under the bitmap policy in force.
+			// level weighs.
 			conv, err := repro.ConvertGraph(g, rep)
 			if err != nil {
 				t.Fatal(err)
@@ -93,8 +92,8 @@ var footprintSpec = expt.SpecC.Scale(0.6)
 // sub-list join charges for its emissions: the 8 bytes a vertex the pool
 // holds for a join's maximal cliques until their in-order release.
 func joinWindow(g repro.GraphInterface, lo int) (window int64) {
-	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
-	lvl, _, _ := core.Seed(context.Background(), g, lo, core.CNRecompute, 1, false, nil, nil)
+	b := core.NewBuilder(g)
+	lvl, _, _ := core.Seed(context.Background(), g, lo, 1, false, nil, nil)
 	var emitted int64
 	r := clique.ReporterFunc(func(c clique.Clique) { emitted += 8 * int64(len(c)) })
 	for len(lvl.Sub) > 0 {
@@ -228,34 +227,40 @@ func TestSpillStaysInsideBudget(t *testing.T) {
 }
 
 // TestDefaultFootprint: the zero-option run is the small one.  It peaks
-// at exactly what the engine below the facade peaks at when memoised
-// reconstruction is named explicitly, at no more than a third of the
-// paper's stored-bitmap policy, and all three stream the same bytes.
+// at exactly what the engine below the facade peaks at, streams the same
+// bytes, and holds no more than a third of what the bitmaps alone of the
+// paper's stored-bitmap policy would take at one level boundary: one
+// ⌈n/64⌉-word bitmap per sub-list of the consumed and the produced level.
 func TestDefaultFootprint(t *testing.T) {
 	g := expt.Build(footprintSpec, 1)
-	var def, stored repro.Stats
+	var def repro.Stats
 	want := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0), repro.WithStats(&def)), g)
-	got := stream(t, repro.NewEnumerator(repro.WithBounds(3, 0), repro.WithStoredBitmaps(), repro.WithStats(&stored)), g)
-	if !slices.Equal(got, want) {
-		t.Error("stored-bitmap stream differs from the default's")
-	}
 	gov := membudget.New(0)
 	gov.Charge(g.Bytes()) // the facade's entry charge
 	defer gov.Release(g.Bytes())
-	var memo []string
-	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3, Mode: core.CNRecompute}, core.Hooks{Gov: gov,
-		Reporter: clique.ReporterFunc(func(c clique.Clique) { memo = append(memo, c.Key()) }),
+	var got []string
+	if _, err := hybrid.Enumerate(g, enumcfg.Config{Lo: 3}, core.Hooks{Gov: gov,
+		Reporter: clique.ReporterFunc(func(c clique.Clique) { got = append(got, c.Key()) }),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(memo, want) {
-		t.Error("explicit memoised stream differs from the default's")
+	if !slices.Equal(got, want) {
+		t.Error("the engine's stream differs from the facade's")
 	}
 	if def.PeakBytes != gov.Peak() {
-		t.Errorf("default PeakBytes %d, explicit memoised mode peaks at %d", def.PeakBytes, gov.Peak())
+		t.Errorf("default PeakBytes %d, the engine below the facade peaks at %d", def.PeakBytes, gov.Peak())
 	}
-	if 3*def.PeakBytes > stored.PeakBytes {
-		t.Errorf("default PeakBytes %d is more than a third of the stored-bitmap run's %d", def.PeakBytes, stored.PeakBytes)
+	bitmap := 8 * int64((g.N()+63)/64)
+	var bitmaps int64
+	for i, l := range def.Levels {
+		resident := int64(l.Sublists)
+		if i+1 < len(def.Levels) {
+			resident += int64(def.Levels[i+1].Sublists)
+		}
+		bitmaps = max(bitmaps, resident*bitmap)
+	}
+	if 3*def.PeakBytes > bitmaps {
+		t.Errorf("default PeakBytes %d is more than a third of the %d bytes of stored bitmaps", def.PeakBytes, bitmaps)
 	}
 }
 
@@ -275,8 +280,8 @@ func TestLevelStoreFootprint(t *testing.T) {
 	}
 	t.Logf("PeakBytes %d (%.1f%% of %d)", st.PeakBytes, 100*float64(st.PeakBytes)/parentPeak, parentPeak)
 
-	b := core.NewBuilderMode(g, core.CNRecompute, bitset.NewPool(g.N()))
-	lvl, _, err := core.Seed(context.Background(), g, 3, core.CNRecompute, 1, false, nil, nil)
+	b := core.NewBuilder(g)
+	lvl, _, err := core.Seed(context.Background(), g, 3, 1, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
