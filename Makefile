@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit test test-cpu fuzz-smoke race bench bench-pair loc clones dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples ci
+.PHONY: all build vet-benchmark test-benchmark fmt fmt-fix vet lint lint-audit test test-cpu test-v3 fuzz-smoke race bench bench-pair loc clones dist-parity smoke-resume smoke-spillover smoke-cliqued smoke-dist examples check ci
 
 all: build
 
@@ -74,7 +74,7 @@ test-v3:
 	GOAMD64=v3 $(GO) build ./cmd/cliquer ./cmd/cliqued ./cmd/graphgen
 	GOAMD64=v3 $(GO) test ./internal/core ./internal/ooc ./internal/graph ./internal/bitset ./internal/expt
 
-# Ten seconds of coverage-guided fuzzing each of the seven fuzz targets:
+# Ten seconds of coverage-guided fuzzing each of the eight fuzz targets:
 # the shard reader — the one parser that reads bytes a crash, a full disk
 # or another process may have left behind: an error or a valid level,
 # the same whole, dribbled or a frame at a time, any single bit flipped
@@ -84,8 +84,9 @@ test-v3:
 # block, the same words the shard frames hold; the graph reader, which
 # cliqued feeds straight from a request body; the expression-matrix
 # reader, finite values only; the dist frame decoder, which reads what a
-# worker or the coordinator sent; and the fused bitset kernels against
-# their bit-at-a-time references.
+# worker or the coordinator sent; the fused bitset kernels against
+# their bit-at-a-time references; and cliqued's enumerate-query parser,
+# whose cache key must depend on lo, hi, small and format alone.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzShardDecode -fuzztime=10s ./internal/ooc
 	$(GO) test -fuzz=FuzzLoadManifest -fuzztime=10s ./internal/ooc
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadExpressionTSV -fuzztime=10s .
 	$(GO) test -fuzz=FuzzReadMsg -fuzztime=10s ./internal/dist
 	$(GO) test -fuzz=FuzzFusedKernels -fuzztime=10s ./internal/bitset
+	$(GO) test -fuzz=FuzzCliqueQuery -fuzztime=10s ./internal/service
 
 # The race detector over every package, not a hand-picked list: about
 # 90 s on a 2-vCPU box.  The packages that make it worth running are the
@@ -105,8 +107,7 @@ race:
 	$(GO) test -race ./...
 
 # Short benchmark sweep: the streaming-vs-barrier comparison, the
-# k-clique seeder (sequential and four shard workers, each under the
-# recompute and the stored bitmap policy), the representation
+# k-clique seeder (sequential and four shard workers), the representation
 # trade-off, the spilled level loop at the hybrid-c75 shape, and the
 # paper-table regenerators, kept brief for CI.
 bench:

@@ -3,10 +3,10 @@
 # Table-1 graph over HTTP, and require (a) the streamed text enumeration
 # to be byte-identical to cliquer's output on the same graph, (b) the
 # repeated query to be served from the result cache (X-Cliqued-Cache:
-# hit) with identical bytes, and (c) a client killed mid-stream to leave
-# the server healthy with the governor back at the pinned-graph
-# baseline, and (d) SIGTERM to drain the daemon to exit status 0.  CI
-# runs this on every push.
+# hit) with identical bytes, and (c) a client killed mid-stream — of an
+# uncached enumeration on a larger graph — to leave the server healthy
+# with the governor back at the pinned-graphs baseline, and (d) SIGTERM
+# to drain the daemon to exit status 0.  CI runs this on every push.
 set -eu
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/repro-smoke-cliqued-XXXXXX")
@@ -71,9 +71,21 @@ cmp -s "$workdir/stream1" "$workdir/stream2" || { echo "smoke-cliqued: cached re
 echo "smoke-cliqued: cache hit, replay identical"
 
 echo "smoke-cliqued: killing a client mid-stream"
-# head exits after one small read; the broken pipe kills curl and the
-# server sees the disconnect while the enumeration is still running.
-curl -s -N "$base/graphs/$fp/cliques?format=text&lo=3&mode=store" | head -c 200 >/dev/null || true
+# Graph A enumerates in milliseconds, so the disconnect runs on graph C
+# at scale 0.85: its seed streams the first bytes at once and its levels
+# take a few hundred milliseconds more.  hi above any clique size asks
+# for the whole run under a key nothing has cached, so the server must
+# run the enumeration rather than replay a body.  head exits after one
+# small read; the broken pipe kills curl and the server sees the
+# disconnect while the enumeration is still running.
+"$workdir/graphgen" -spec C -scale 0.85 -out "$workdir/c.el" >/dev/null 2>&1
+fpc=$(curl -sf -X POST --data-binary @"$workdir/c.el" "$base/graphs?name=c" \
+    | sed -n 's/.*"fingerprint":"\([0-9a-f]*\)".*/\1/p')
+[ -n "$fpc" ] || { echo "smoke-cliqued: graph C load returned no fingerprint" >&2; exit 1; }
+baseline=$(curl -sf "$base/healthz" | sed -n 's/.*"used":\([0-9]*\).*/\1/p')
+curl -s -N -D "$workdir/h3" "$base/graphs/$fpc/cliques?format=text&lo=3&hi=1000" | head -c 200 >/dev/null || true
+grep -qi '^x-cliqued-cache: miss' "$workdir/h3" \
+    || { echo "smoke-cliqued: the disconnected query was not a cache miss" >&2; cat "$workdir/h3" >&2; exit 1; }
 
 ok=""
 for _ in $(seq 1 100); do
